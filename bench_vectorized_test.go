@@ -279,10 +279,7 @@ type vectorizedEndToEndResult struct {
 func BenchmarkVectorizedEndToEnd(b *testing.B) {
 	const query = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
 	run := func(vectorized bool, iters int) (*fedqcc.QueryResult, int64, error) {
-		fed, err := streamingBenchFederation()
-		if err != nil {
-			return nil, 0, err
-		}
+		fed := slowLinkFederation(b)
 		fed.SetVectorized(vectorized)
 		res, err := fed.Query(query) // warm compile caches and the scan cache
 		if err != nil {

@@ -319,10 +319,10 @@ type QueryResult struct {
 	FragmentTimes map[string]Time
 	// MergeTime is the integrator-side merge time.
 	MergeTime Time
-	// FirstRowTime is when the first merged result row could be emitted —
-	// under streaming execution (the default), the latest first-batch
-	// arrival across fragments plus the merge; under monolithic execution
-	// (SetBatchRows(0)) it equals ResponseTime.
+	// FirstRowTime is when the first merged result row could be emitted:
+	// the latest first-batch arrival across fragments (results stream from
+	// the remote servers in batches) plus the integrator's merge, which
+	// materializes before emitting anything.
 	FirstRowTime Time
 	// Retried counts re-optimizations after fragment failures.
 	Retried int
@@ -339,15 +339,6 @@ type QueryResult struct {
 	// WithQueryTenant ("" for untagged submissions).
 	Tenant string
 }
-
-// SetBatchRows changes the streaming fragment data path's batch size at
-// runtime: results ship from the remote servers in batches of n rows,
-// overlapping remote compute with network transfer. n <= 0 disables
-// streaming and reproduces monolithic store-and-forward execution exactly.
-func (f *Federation) SetBatchRows(n int) { f.ii.SetBatchRows(n) }
-
-// BatchRows returns the current streaming batch size (0 = monolithic).
-func (f *Federation) BatchRows() int { return f.ii.BatchRows() }
 
 // SetVectorized switches the whole federation — every remote server's
 // executor and the integrator's merge — between the row-at-a-time and

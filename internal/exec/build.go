@@ -55,22 +55,27 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 	}
 
 	// Join left-to-right in FROM order.
-	current := planFor[tables[0].EffectiveName()]
-	for _, tr := range tables[1:] {
-		right := planFor[tr.EffectiveName()]
-		lk, rk, rest, ok := ExtractEquiJoinKeys(crossTable, current.Schema(), right.Schema())
-		if ok {
-			// Additional conjuncts now resolvable over the joined schema
-			// become the residual.
-			joined := current.Schema().Concat(right.Schema())
-			var residuals, remaining []sqlparser.Expr
-			for _, c := range rest {
-				if exprResolves(c, joined) {
-					residuals = append(residuals, c)
-				} else {
-					remaining = append(remaining, c)
-				}
-			}
+	inputs := make([]Operator, len(tables))
+	for i, tr := range tables {
+		inputs[i] = planFor[tr.EffectiveName()]
+	}
+	return BuildTop(stmt, JoinLeftDeep(inputs, crossTable))
+}
+
+// JoinLeftDeep joins inputs left to right on the conjuncts in preds: a hash
+// join wherever an equi-join key resolves across the two sides (further
+// conjuncts resolvable over the joined schema become its residual), a nested
+// loop over whatever resolves otherwise; conjuncts that never resolved
+// filter the result. BuildPlan calls it with a statement's (filtered) table
+// leaves, the integrator with fragment results and the cross-source
+// conjuncts. preds is not modified.
+func JoinLeftDeep(inputs []Operator, preds []sqlparser.Expr) Operator {
+	current := inputs[0]
+	for _, right := range inputs[1:] {
+		joined := current.Schema().Concat(right.Schema())
+		if lk, rk, rest, ok := ExtractEquiJoinKeys(preds, current.Schema(), right.Schema()); ok {
+			var residuals []sqlparser.Expr
+			residuals, preds = splitResolvable(rest, joined)
 			current = &HashJoin{
 				Build:    current,
 				Probe:    right,
@@ -78,26 +83,29 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 				ProbeKey: rk,
 				Residual: sqlparser.JoinConjuncts(residuals),
 			}
-			crossTable = remaining
 			continue
 		}
-		// No equi key: nested loop with whatever predicates now resolve.
-		joined := current.Schema().Concat(right.Schema())
-		var preds, remaining []sqlparser.Expr
-		for _, c := range crossTable {
-			if exprResolves(c, joined) {
-				preds = append(preds, c)
-			} else {
-				remaining = append(remaining, c)
-			}
+		var on []sqlparser.Expr
+		on, preds = splitResolvable(preds, joined)
+		current = &NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(on)}
+	}
+	if len(preds) > 0 {
+		current = &Filter{Input: current, Pred: sqlparser.JoinConjuncts(preds)}
+	}
+	return current
+}
+
+// splitResolvable partitions conjuncts into those whose every column
+// reference resolves in schema and the rest, preserving order.
+func splitResolvable(conjuncts []sqlparser.Expr, schema *sqltypes.Schema) (in, out []sqlparser.Expr) {
+	for _, c := range conjuncts {
+		if exprResolves(c, schema) {
+			in = append(in, c)
+		} else {
+			out = append(out, c)
 		}
-		current = &NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(preds)}
-		crossTable = remaining
 	}
-	if len(crossTable) > 0 {
-		current = &Filter{Input: current, Pred: sqlparser.JoinConjuncts(crossTable)}
-	}
-	return BuildTop(stmt, current)
+	return in, out
 }
 
 // topStepKind enumerates the logical stages of the non-join SELECT tail.
@@ -112,9 +120,9 @@ const (
 	stepLimit
 )
 
-// topStep is one stage of the non-join tail. The materialized (BuildTop)
-// and streaming (BuildTopSource) assemblers interpret the same step list,
-// so the two execution paths cannot diverge on plan shape.
+// topStep is one stage of the non-join tail. BuildTop and BuildShardFinal
+// assemble the same step list, so the sharded and unsharded tails cannot
+// diverge on plan shape.
 type topStep struct {
 	kind    topStepKind
 	pred    sqlparser.Expr         // stepFilter (HAVING)
@@ -211,14 +219,23 @@ func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topSte
 // operator that already produces the joined, filtered rows. The remote
 // planner reuses this after assembling its own join tree.
 func BuildTop(stmt *sqlparser.SelectStmt, current Operator) (Operator, error) {
-	steps, err := planTopSteps(stmt, current.Schema())
+	return buildTop(stmt, current.Schema(), current, func(in Operator, s topStep) Operator {
+		return &Aggregate{Input: in, GroupBy: s.groupBy, Aggs: s.aggs}
+	})
+}
+
+// buildTop stacks the planTopSteps operators for a tail over the given
+// pre-aggregation schema onto current; aggregate supplies the operator for
+// the aggregation step.
+func buildTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema, current Operator, aggregate func(in Operator, s topStep) Operator) (Operator, error) {
+	steps, err := planTopSteps(stmt, schema)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range steps {
 		switch s.kind {
 		case stepAggregate:
-			current = &Aggregate{Input: current, GroupBy: s.groupBy, Aggs: s.aggs}
+			current = aggregate(current, s)
 		case stepFilter:
 			current = &Filter{Input: current, Pred: s.pred}
 		case stepSort:

@@ -237,26 +237,7 @@ func (s *ShardAggFinal) Children() []Operator { return []Operator{s.Input} }
 // replaced by a ShardAggFinal over the concatenated partial rows. base is
 // the logical fragment's pre-aggregation schema.
 func BuildShardFinal(stmt *sqlparser.SelectStmt, base *sqltypes.Schema, partial Operator) (Operator, error) {
-	steps, err := planTopSteps(stmt, base)
-	if err != nil {
-		return nil, err
-	}
-	current := partial
-	for _, s := range steps {
-		switch s.kind {
-		case stepAggregate:
-			current = &ShardAggFinal{Input: current, GroupBy: s.groupBy, Aggs: s.aggs, Base: base}
-		case stepFilter:
-			current = &Filter{Input: current, Pred: s.pred}
-		case stepSort:
-			current = &Sort{Input: current, Keys: s.keys}
-		case stepProject:
-			current = &Project{Input: current, Items: s.items}
-		case stepDistinct:
-			current = &Distinct{Input: current}
-		case stepLimit:
-			current = &Limit{Input: current, N: s.n}
-		}
-	}
-	return current, nil
+	return buildTop(stmt, base, partial, func(in Operator, s topStep) Operator {
+		return &ShardAggFinal{Input: in, GroupBy: s.groupBy, Aggs: s.aggs, Base: base}
+	})
 }

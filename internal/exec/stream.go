@@ -1,360 +1,15 @@
 package exec
 
-import (
-	"repro/internal/sqlparser"
-	"repro/internal/sqltypes"
-)
-
-// RowSource is the streaming counterpart of Operator: NextBatch yields
-// successive row batches until it returns nil with a nil error. Streaming
-// stages reuse the same row-level kernels as the materialized operators
-// (filterRel, projectRel, sortRel, aggFolder, distinctState), so streamed
-// output and resource charges match the materialized path by construction —
-// the only intended divergence is LimitStream, which may stop pulling early.
-type RowSource interface {
-	// Schema returns the output schema without executing.
-	Schema() *sqltypes.Schema
-	// NextBatch returns the next batch, or nil when the source is exhausted.
-	NextBatch(ctx *Context) (*sqltypes.Relation, error)
-	// Blocking reports whether this source (or any of its inputs) must
-	// consume its entire input before emitting the first batch.
-	Blocking() bool
-}
-
-// Collect drains a source into one materialized relation.
-func Collect(src RowSource, ctx *Context) (*sqltypes.Relation, error) {
-	out := sqltypes.NewRelation(src.Schema())
-	for {
-		batch, err := src.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			return out, nil
-		}
-		out.Rows = append(out.Rows, batch.Rows...)
-	}
-}
-
-// RelationSource streams an already-materialized relation in batches of
-// batchRows (one batch covering everything when batchRows <= 0), charging a
-// fixed per-row CPU cost as rows are emitted.
-type RelationSource struct {
-	rel          *sqltypes.Relation
-	batchRows    int
-	chargePerRow float64
-	pos          int
-}
-
-// NewValuesSource streams rel charging one CPU op per row — the streaming
-// equivalent of the Values leaf operator.
-func NewValuesSource(rel *sqltypes.Relation, batchRows int) *RelationSource {
-	return &RelationSource{rel: rel, batchRows: batchRows, chargePerRow: 1}
-}
-
-// SourceFromRelation streams rel charging nothing: an adapter for feeding
-// rows whose production was already charged (e.g. a materialized join tree)
-// into a streaming tail.
-func SourceFromRelation(rel *sqltypes.Relation, batchRows int) *RelationSource {
-	return &RelationSource{rel: rel, batchRows: batchRows}
-}
-
-// Schema implements RowSource.
-func (s *RelationSource) Schema() *sqltypes.Schema { return s.rel.Schema }
-
-// Blocking implements RowSource.
-func (s *RelationSource) Blocking() bool { return false }
-
-// NextBatch implements RowSource.
-func (s *RelationSource) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	if s.pos >= len(s.rel.Rows) {
-		if s.pos == 0 && len(s.rel.Rows) == 0 {
-			// Emit one empty batch so downstream stages see the schema.
-			s.pos = 1
-			return sqltypes.NewRelation(s.rel.Schema), nil
-		}
-		return nil, nil
-	}
-	end := len(s.rel.Rows)
-	if s.batchRows > 0 && s.pos+s.batchRows < end {
-		end = s.pos + s.batchRows
-	}
-	out := sqltypes.NewRelation(s.rel.Schema)
-	out.Rows = s.rel.Rows[s.pos:end]
-	ctx.Res.CPUOps += s.chargePerRow * float64(end-s.pos)
-	s.pos = end
-	return out, nil
-}
-
-// Concat streams its inputs one after another. All inputs must share a
-// schema (union-compatible fragment streams).
-type Concat struct {
-	Inputs []RowSource
-	idx    int
-}
-
-// Schema implements RowSource.
-func (c *Concat) Schema() *sqltypes.Schema { return c.Inputs[0].Schema() }
-
-// Blocking implements RowSource.
-func (c *Concat) Blocking() bool {
-	for _, in := range c.Inputs {
-		if in.Blocking() {
-			return true
-		}
-	}
-	return false
-}
-
-// NextBatch implements RowSource.
-func (c *Concat) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	for c.idx < len(c.Inputs) {
-		batch, err := c.Inputs[c.idx].NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if batch != nil {
-			return batch, nil
-		}
-		c.idx++
-	}
-	return nil, nil
-}
-
-// FilterStream applies the filter kernel batch by batch.
-type FilterStream struct {
-	Input RowSource
-	Pred  sqlparser.Expr
-}
-
-// Schema implements RowSource.
-func (f *FilterStream) Schema() *sqltypes.Schema { return f.Input.Schema() }
-
-// Blocking implements RowSource.
-func (f *FilterStream) Blocking() bool { return f.Input.Blocking() }
-
-// NextBatch implements RowSource.
-func (f *FilterStream) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	batch, err := f.Input.NextBatch(ctx)
-	if err != nil || batch == nil {
-		return nil, err
-	}
-	return filterRel(f.Pred, batch, ctx)
-}
-
-// ProjectStream applies the projection kernel batch by batch.
-type ProjectStream struct {
-	Input RowSource
-	Items []sqlparser.SelectItem
-}
-
-// Schema implements RowSource.
-func (p *ProjectStream) Schema() *sqltypes.Schema { return projectSchema(p.Items, p.Input.Schema()) }
-
-// Blocking implements RowSource.
-func (p *ProjectStream) Blocking() bool { return p.Input.Blocking() }
-
-// NextBatch implements RowSource.
-func (p *ProjectStream) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	batch, err := p.Input.NextBatch(ctx)
-	if err != nil || batch == nil {
-		return nil, err
-	}
-	return projectRel(p.Items, batch, ctx)
-}
-
-// AggregateStream folds its input into the shared aggregation kernel batch
-// by batch; it is blocking — the result emits only after the input is
-// exhausted — but memory stays bounded by the number of groups and each
-// arriving batch is folded as it lands.
-type AggregateStream struct {
-	Input   RowSource
-	GroupBy []sqlparser.Expr
-	Aggs    []*sqlparser.AggExpr
-	done    bool
-}
-
-// Schema implements RowSource.
-func (a *AggregateStream) Schema() *sqltypes.Schema {
-	return aggSchema(a.GroupBy, a.Aggs, a.Input.Schema())
-}
-
-// Blocking implements RowSource.
-func (a *AggregateStream) Blocking() bool { return true }
-
-// NextBatch implements RowSource.
-func (a *AggregateStream) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	if a.done {
-		return nil, nil
-	}
-	folder := newAggFolder(a.GroupBy, a.Aggs)
-	for {
-		batch, err := a.Input.NextBatch(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if batch == nil {
-			break
-		}
-		if err := folder.fold(batch, ctx); err != nil {
-			return nil, err
-		}
-	}
-	a.done = true
-	return folder.result(a.Schema()), nil
-}
-
-// SortSource collects its whole input, sorts once with the shared kernel,
-// and emits the ordered result. Sort legitimately blocks the pipeline; the
-// wrapper's span notes it.
-type SortSource struct {
-	Input RowSource
-	Keys  []sqlparser.OrderItem
-	done  bool
-}
-
-// Schema implements RowSource.
-func (s *SortSource) Schema() *sqltypes.Schema { return s.Input.Schema() }
-
-// Blocking implements RowSource.
-func (s *SortSource) Blocking() bool { return true }
-
-// NextBatch implements RowSource.
-func (s *SortSource) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	if s.done {
-		return nil, nil
-	}
-	in, err := Collect(s.Input, ctx)
-	if err != nil {
-		return nil, err
-	}
-	s.done = true
-	return sortRel(s.Keys, in, ctx)
-}
-
-// DistinctStream removes duplicates incrementally: the seen-set persists
-// across batches, so it pipelines without blocking.
-type DistinctStream struct {
-	Input RowSource
-	state *distinctState
-}
-
-// Schema implements RowSource.
-func (d *DistinctStream) Schema() *sqltypes.Schema { return d.Input.Schema() }
-
-// Blocking implements RowSource.
-func (d *DistinctStream) Blocking() bool { return d.Input.Blocking() }
-
-// NextBatch implements RowSource.
-func (d *DistinctStream) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	batch, err := d.Input.NextBatch(ctx)
-	if err != nil || batch == nil {
-		return nil, err
-	}
-	if d.state == nil {
-		d.state = newDistinctState()
-	}
-	return d.state.fold(batch, ctx), nil
-}
-
-// LimitStream stops pulling from its input once N rows have been emitted —
-// the one place streaming legitimately does less work than the materialized
-// path.
-type LimitStream struct {
-	Input   RowSource
-	N       int
-	emitted int
-	done    bool
-}
-
-// Schema implements RowSource.
-func (l *LimitStream) Schema() *sqltypes.Schema { return l.Input.Schema() }
-
-// Blocking implements RowSource.
-func (l *LimitStream) Blocking() bool { return l.Input.Blocking() }
-
-// NextBatch implements RowSource.
-func (l *LimitStream) NextBatch(ctx *Context) (*sqltypes.Relation, error) {
-	if l.done || l.emitted >= l.N {
-		l.done = true
-		return nil, nil
-	}
-	batch, err := l.Input.NextBatch(ctx)
-	if err != nil || batch == nil {
-		l.done = true
-		return nil, err
-	}
-	if remain := l.N - l.emitted; len(batch.Rows) > remain {
-		trimmed := sqltypes.NewRelation(batch.Schema)
-		trimmed.Rows = batch.Rows[:remain]
-		batch = trimmed
-	}
-	l.emitted += len(batch.Rows)
-	return batch, nil
-}
-
-// BuildTopSource applies the same non-join SELECT tail as BuildTop, but over
-// a streaming source: both assemblers interpret the identical planTopSteps
-// list, so the streamed result is row-identical to the materialized one.
-func BuildTopSource(stmt *sqlparser.SelectStmt, src RowSource) (RowSource, error) {
-	steps, err := planTopSteps(stmt, src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range steps {
-		switch s.kind {
-		case stepAggregate:
-			src = &AggregateStream{Input: src, GroupBy: s.groupBy, Aggs: s.aggs}
-		case stepFilter:
-			src = &FilterStream{Input: src, Pred: s.pred}
-		case stepSort:
-			src = &SortSource{Input: src, Keys: s.keys}
-		case stepProject:
-			src = &ProjectStream{Input: src, Items: s.items}
-		case stepDistinct:
-			src = &DistinctStream{Input: src}
-		case stepLimit:
-			src = &LimitStream{Input: src, N: s.n}
-		}
-	}
-	return src, nil
-}
-
-// SourceBlockingStage names the outermost pipeline-breaking stage in a
-// stream pipeline ("sort", "aggregate"), or "" when it pipelines end to end.
-func SourceBlockingStage(src RowSource) string {
-	switch x := src.(type) {
-	case *SortSource:
-		return "sort"
-	case *AggregateStream:
-		return "aggregate"
-	case *FilterStream:
-		return SourceBlockingStage(x.Input)
-	case *ProjectStream:
-		return SourceBlockingStage(x.Input)
-	case *DistinctStream:
-		return SourceBlockingStage(x.Input)
-	case *LimitStream:
-		return SourceBlockingStage(x.Input)
-	case *Concat:
-		for _, in := range x.Inputs {
-			if s := SourceBlockingStage(in); s != "" {
-				return s
-			}
-		}
-	}
-	return ""
-}
-
 // BlockingStage walks a materialized plan and returns the name of the first
 // pipeline-breaking operator ("sort", "aggregate" or "distinct"), or "" when
 // the plan pipelines. The remote cursor uses this to decide whether a plan's
-// output can be split into batches on the first/next-tuple timing model.
+// output can be split into batches on the first/next-tuple timing model; the
+// integrator records it on the merge span.
 func BlockingStage(op Operator) string {
 	switch op.(type) {
 	case *Sort:
 		return "sort"
-	case *Aggregate:
+	case *Aggregate, *ShardAggFinal:
 		return "aggregate"
 	case *Distinct:
 		return "distinct"

@@ -7,181 +7,26 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// streamVsMaterialized runs the same SELECT tail over the same base relation
-// through BuildTop (materialized) and BuildTopSource (streaming) and demands
-// identical rows AND identical resource charges — the shared-kernel invariant
-// the wrapper's bit-for-bit escape hatch rests on.
-func streamVsMaterialized(t *testing.T, sql string, base *sqltypes.Relation, batchRows int) (*sqltypes.Relation, *sqltypes.Relation) {
-	t.Helper()
-	stmt := sqlparser.MustParse(sql)
-
-	matCtx := &Context{}
-	op, err := BuildTop(stmt, &Values{Rel: base})
-	if err != nil {
-		t.Fatalf("BuildTop %s: %v", sql, err)
-	}
-	want, err := op.Execute(matCtx)
-	if err != nil {
-		t.Fatalf("materialized %s: %v", sql, err)
-	}
-
-	strCtx := &Context{}
-	src, err := BuildTopSource(stmt, NewValuesSource(base, batchRows))
-	if err != nil {
-		t.Fatalf("BuildTopSource %s: %v", sql, err)
-	}
-	got, err := Collect(src, strCtx)
-	if err != nil {
-		t.Fatalf("streamed %s: %v", sql, err)
-	}
-
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: streamed %d rows, materialized %d", sql, len(got.Rows), len(want.Rows))
-	}
-	for i := range want.Rows {
-		if !rowsIdentical(got.Rows[i], want.Rows[i]) {
-			t.Fatalf("%s: row %d differs: %v vs %v", sql, i, got.Rows[i], want.Rows[i])
-		}
-	}
-	if got.Schema.Len() != want.Schema.Len() {
-		t.Fatalf("%s: schema width %d vs %d", sql, got.Schema.Len(), want.Schema.Len())
-	}
-	if strCtx.Res != matCtx.Res {
-		t.Fatalf("%s: resource charges diverge: streamed %+v materialized %+v", sql, strCtx.Res, matCtx.Res)
-	}
-	return got, want
-}
-
-func streamBase(t *testing.T, n int) *sqltypes.Relation {
-	t.Helper()
-	schema := sqltypes.NewSchema(
+func TestBlockingStageNames(t *testing.T) {
+	base := sqltypes.NewRelation(sqltypes.NewSchema(
 		sqltypes.Column{Table: "o", Name: "o_id", Type: sqltypes.KindInt},
 		sqltypes.Column{Table: "o", Name: "o_custkey", Type: sqltypes.KindInt},
-		sqltypes.Column{Table: "o", Name: "o_amount", Type: sqltypes.KindFloat},
-	)
-	rel := sqltypes.NewRelation(schema)
-	for i := 0; i < n; i++ {
-		rel.Rows = append(rel.Rows, sqltypes.Row{
-			sqltypes.NewInt(int64(i)),
-			sqltypes.NewInt(int64(i % 7)),
-			sqltypes.NewFloat(float64((i * 37) % 100)),
-		})
-	}
-	return rel
-}
-
-func TestStreamedMatchesMaterialized(t *testing.T) {
-	base := streamBase(t, 100)
-	for _, sql := range []string{
-		"SELECT o.o_id FROM orders AS o WHERE o.o_id < 57",
-		"SELECT o.o_id, o.o_amount FROM orders AS o",
-		"SELECT o.o_custkey, SUM(o.o_amount) FROM orders AS o GROUP BY o.o_custkey",
-		"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 50",
-		"SELECT o.o_id FROM orders AS o ORDER BY o.o_amount DESC",
-		"SELECT DISTINCT o.o_custkey FROM orders AS o",
-		"SELECT o.o_custkey, SUM(o.o_amount) FROM orders AS o GROUP BY o.o_custkey HAVING SUM(o.o_amount) > 100 ORDER BY o.o_custkey",
-	} {
-		for _, batchRows := range []int{1, 16, 100, 1000} {
-			streamVsMaterialized(t, sql, base, batchRows)
-		}
-	}
-}
-
-func TestStreamedLimitMayChargeLess(t *testing.T) {
-	base := streamBase(t, 100)
-	sql := "SELECT o.o_id FROM orders AS o LIMIT 5"
-	stmt := sqlparser.MustParse(sql)
-
-	matCtx := &Context{}
-	op, err := BuildTop(stmt, &Values{Rel: base})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := op.Execute(matCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	strCtx := &Context{}
-	src, err := BuildTopSource(stmt, NewValuesSource(base, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(src, strCtx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Rows) != len(want.Rows) || len(got.Rows) != 5 {
-		t.Fatalf("limit rows: %d vs %d", len(got.Rows), len(want.Rows))
-	}
-	for i := range want.Rows {
-		if !rowsIdentical(got.Rows[i], want.Rows[i]) {
-			t.Fatalf("row %d differs", i)
-		}
-	}
-	// The documented divergence: LimitStream stops pulling after one batch,
-	// so streaming charges strictly less than the materialized full scan.
-	if strCtx.Res.CPUOps >= matCtx.Res.CPUOps {
-		t.Fatalf("limit must short-circuit: streamed %v >= materialized %v", strCtx.Res.CPUOps, matCtx.Res.CPUOps)
-	}
-}
-
-func TestStreamEmptyInput(t *testing.T) {
-	base := streamBase(t, 0)
-	for _, sql := range []string{
-		"SELECT o.o_id FROM orders AS o WHERE o.o_id < 5",
-		"SELECT COUNT(*) FROM orders AS o",
-		"SELECT o.o_custkey, SUM(o.o_amount) FROM orders AS o GROUP BY o.o_custkey",
-	} {
-		streamVsMaterialized(t, sql, base, 16)
-	}
-}
-
-func TestConcatStreamsInputsInOrder(t *testing.T) {
-	a := streamBase(t, 10)
-	b := streamBase(t, 5)
-	c := &Concat{Inputs: []RowSource{
-		SourceFromRelation(a, 4),
-		SourceFromRelation(b, 4),
-	}}
-	if c.Blocking() {
-		t.Fatal("concat of relation sources must pipeline")
-	}
-	out, err := Collect(c, &Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Rows) != 15 {
-		t.Fatalf("concat rows: %d", len(out.Rows))
-	}
-	for i := 0; i < 10; i++ {
-		if out.Rows[i][0].Int() != int64(i) {
-			t.Fatalf("concat order broken at %d", i)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		if out.Rows[10+i][0].Int() != int64(i) {
-			t.Fatalf("second input order broken at %d", i)
-		}
-	}
-}
-
-func TestSourceBlockingStageNames(t *testing.T) {
-	base := streamBase(t, 10)
+	))
 	for _, tc := range []struct {
 		sql  string
 		want string
 	}{
-		{"SELECT o.o_id FROM orders AS o WHERE o.o_id < 5", ""},
+		{"SELECT o.o_id FROM orders AS o WHERE o.o_id < 5 LIMIT 3", ""},
 		{"SELECT o.o_id FROM orders AS o ORDER BY o.o_id DESC", "sort"},
 		{"SELECT COUNT(*) FROM orders AS o", "aggregate"},
-		{"SELECT DISTINCT o.o_custkey FROM orders AS o", ""},
+		{"SELECT DISTINCT o.o_custkey FROM orders AS o", "distinct"},
+		{"SELECT DISTINCT o.o_custkey FROM orders AS o ORDER BY o.o_custkey", "distinct"},
 	} {
-		src, err := BuildTopSource(sqlparser.MustParse(tc.sql), NewValuesSource(base, 4))
+		op, err := BuildTop(sqlparser.MustParse(tc.sql), &Values{Rel: base})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := SourceBlockingStage(src); got != tc.want {
+		if got := BlockingStage(op); got != tc.want {
 			t.Fatalf("%s: blocking stage %q want %q", tc.sql, got, tc.want)
 		}
 	}

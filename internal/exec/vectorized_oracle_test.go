@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // The vectorized engine's correctness contract is bit-identity with the row
@@ -318,70 +321,48 @@ func TestVectorizedValuesColPayload(t *testing.T) {
 	}
 }
 
-// TestVectorizedStreamingOracle checks the ColSource pipeline against the
-// RowSource pipeline over the same SELECT tails: identical rows, charges and
-// blocking-stage classification, across batch sizes including ones that do
-// not divide the input.
-func TestVectorizedStreamingOracle(t *testing.T) {
-	queries := []string{
-		"SELECT c0, c2 FROM t WHERE c0 > 2 ORDER BY c0 DESC, c2 LIMIT 7",
-		"SELECT DISTINCT c0 FROM t",
-		"SELECT c0, COUNT(*), SUM(c2) FROM t GROUP BY c0 ORDER BY c0",
-		"SELECT c0 + 1 AS x FROM t WHERE c3 LIKE '%o%' OR c0 < 0",
-		"SELECT COUNT(*) FROM t WHERE c1 IS NOT NULL",
-	}
-	for _, q := range queries {
-		stmt, err := sqlparser.Parse(q)
+// TestVectorizedScanColumnsLiveOnTheTable pins the scan memo's contract: two
+// scans at one table version share their columns, a mutation invalidates
+// them, and the memo dies with the table — nothing package-level may keep a
+// scanned table (and its whole federation's data) reachable.
+func TestVectorizedScanColumnsLiveOnTheTable(t *testing.T) {
+	scan := func(tab *storage.Table) *colbatch.Batch {
+		t.Helper()
+		b, err := ExecuteVectorized(&SeqScan{Table: tab, As: "o"}, &Context{})
 		if err != nil {
-			t.Fatalf("parse %q: %v", q, err)
+			t.Fatal(err)
 		}
-		for _, batchRows := range []int{0, 1, 7, 1000} {
-			for _, n := range []int{0, 1, 23} {
-				g := &oracleGen{rng: rand.New(rand.NewSource(int64(n)*1000 + int64(batchRows)))}
-				rel := sqltypes.NewRelation(sqltypes.NewSchema(
-					sqltypes.Column{Name: "c0", Type: sqltypes.KindInt},
-					sqltypes.Column{Name: "c1", Type: sqltypes.KindFloat},
-					sqltypes.Column{Name: "c2", Type: sqltypes.KindInt},
-					sqltypes.Column{Name: "c3", Type: sqltypes.KindString},
-				))
-				for i := 0; i < n; i++ {
-					rel.Rows = append(rel.Rows, sqltypes.Row{
-						g.value(sqltypes.KindInt, 0.2),
-						g.value(sqltypes.KindFloat, 0.3),
-						g.value(sqltypes.KindInt, 0.2),
-						g.value(sqltypes.KindString, 0.2),
-					})
-				}
-				label := fmt.Sprintf("%q batch=%d n=%d", q, batchRows, n)
+		return b
+	}
+	tab := ordersTable(t, 64)
+	first, second := scan(tab), scan(tab)
+	if first.Cols[0] != second.Cols[0] {
+		t.Fatal("two scans at one version must share the memoized columns")
+	}
+	if err := tab.UpdateAt(3, 2, sqltypes.NewFloat(-1)); err != nil {
+		t.Fatal(err)
+	}
+	third := scan(tab)
+	if third.Cols[0] == first.Cols[0] {
+		t.Fatal("a mutation must invalidate the memoized columns")
+	}
+	if got := third.ToRelation().Rows[3][2]; got != sqltypes.NewFloat(-1) {
+		t.Fatalf("scan after update returned stale cell %v", got)
+	}
 
-				var rowCtx Context
-				rowSrc, err := BuildTopSource(stmt, NewValuesSource(rel, batchRows))
-				if err != nil {
-					t.Fatalf("%s: BuildTopSource: %v", label, err)
-				}
-				wantRel, wantErr := Collect(rowSrc, &rowCtx)
-
-				var vecCtx Context
-				colSrc, err := BuildTopColSource(stmt, NewValuesColSource(colbatch.FromRelation(rel), batchRows))
-				if err != nil {
-					t.Fatalf("%s: BuildTopColSource: %v", label, err)
-				}
-				if got, want := ColSourceBlockingStage(colSrc), SourceBlockingStage(rowSrc); got != want {
-					t.Fatalf("%s: blocking stage %q vs %q", label, got, want)
-				}
-				gotBatch, gotErr := CollectCol(colSrc, &vecCtx)
-
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("%s: row err=%v, vectorized err=%v", label, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue
-				}
-				requireRelationsIdentical(t, label, wantRel, gotBatch.ToRelation())
-				if rowCtx.Res != vecCtx.Res {
-					t.Fatalf("%s: resources diverged: %+v vs %+v", label, rowCtx.Res, vecCtx.Res)
-				}
-			}
+	collected := make(chan struct{})
+	func() {
+		doomed := ordersTable(t, 64)
+		scan(doomed)
+		runtime.SetFinalizer(doomed, func(*storage.Table) { close(collected) })
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
+	t.Fatal("a scanned table stayed reachable after its last reference was dropped")
 }

@@ -2,12 +2,10 @@ package exec
 
 import (
 	"sort"
-	"sync"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/storage"
 )
 
 // ExecuteVectorized runs an operator tree over columnar batches. It is an
@@ -35,7 +33,7 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		return colbatch.FromRelation(x.Rel), nil
 
 	case *SeqScan:
-		cols, n := scanColumns(x.Table)
+		cols, n := x.Table.Columns()
 		ctx.Res.IOPages += float64(x.Table.Pages())
 		ctx.Res.CPUOps += float64(n)
 		return colbatch.New(x.Schema(), cols, n), nil
@@ -157,39 +155,6 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		}
 		return colbatch.FromRelation(rel), nil
 	}
-}
-
-// scanCacheEntry caches one table's columnar decomposition at a version.
-type scanCacheEntry struct {
-	version int64
-	cols    []*colbatch.Column
-	n       int
-}
-
-// scanCache memoizes SeqScan decompositions keyed by table identity; entries
-// are invalidated by the table's mutation counter, so the update-load driver
-// naturally evicts them. Columns are immutable once built and may be shared
-// by any number of concurrent executions.
-var scanCache sync.Map // *storage.Table -> *scanCacheEntry
-
-func scanColumns(t *storage.Table) ([]*colbatch.Column, int) {
-	v := t.Version()
-	if e, ok := scanCache.Load(t); ok {
-		if ent := e.(*scanCacheEntry); ent.version == v {
-			return ent.cols, ent.n
-		}
-	}
-	rel := sqltypes.NewRelation(t.Schema())
-	_ = t.Scan(func(row sqltypes.Row) error {
-		rel.Rows = append(rel.Rows, row)
-		return nil
-	})
-	b := colbatch.FromRelation(rel)
-	// Only cache when no mutation raced the scan; a stale miss just rebuilds.
-	if t.Version() == v {
-		scanCache.Store(t, &scanCacheEntry{version: v, cols: b.Cols, n: b.Len()})
-	}
-	return b.Cols, b.Len()
 }
 
 // projectBatch evaluates select items over a batch. When every item is a

@@ -91,13 +91,6 @@ type Config struct {
 	// execution failure. Nil selects the default (2); point at zero to
 	// disable retries entirely. Negative values are treated as zero.
 	Retries *int
-	// BatchRows sizes the row batches of the streaming fragment data path:
-	// results ship from the remote servers as they are produced, overlapping
-	// remote compute with network transfer. Nil selects DefaultBatchRows;
-	// point at zero (see BatchRowsCount) to disable streaming and reproduce
-	// monolithic store-and-forward execution exactly. Negative values are
-	// treated as zero.
-	BatchRows *int
 	// MaxParallel bounds the fragment-dispatch fan-out per query (default
 	// GOMAXPROCS, minimum 1). Fragments beyond the bound queue for a slot.
 	MaxParallel int
@@ -127,20 +120,16 @@ const DefaultRetries = 2
 // RetryCount returns a *int for Config.Retries.
 func RetryCount(n int) *int { return &n }
 
-// DefaultBatchRows is the streaming batch size used when Config.BatchRows is
-// nil: large enough to amortize per-batch latency, small enough that a
+// DefaultBatchRows is the row count of the batches fragment results ship in:
+// large enough to amortize per-batch latency, small enough that a
 // multi-thousand-row fragment pipelines through many transfer/produce
 // overlaps.
 const DefaultBatchRows = 256
-
-// BatchRowsCount returns a *int for Config.BatchRows.
-func BatchRowsCount(n int) *int { return &n }
 
 // II is the information integrator.
 type II struct {
 	cfg           Config
 	retries       int
-	batchRows     atomic.Int64
 	vectorized    atomic.Bool
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
@@ -162,13 +151,6 @@ func New(cfg Config) *II {
 	if cfg.MaxParallel <= 0 {
 		cfg.MaxParallel = runtime.GOMAXPROCS(0)
 	}
-	batchRows := DefaultBatchRows
-	if cfg.BatchRows != nil {
-		batchRows = *cfg.BatchRows
-		if batchRows < 0 {
-			batchRows = 0
-		}
-	}
 	ii := &II{
 		cfg:     cfg,
 		retries: retries,
@@ -182,7 +164,6 @@ func New(cfg Config) *II {
 		patroller: NewPatrollerWithCapacity(cfg.PatrollerCapacity),
 		plans:     newPlanCache(cfg.PlanCache),
 	}
-	ii.batchRows.Store(int64(batchRows))
 	ii.shardPruning.Store(true)
 	ii.shardPushdown.Store(true)
 	// The optimizer reads the shard toggles through this hook on every
@@ -197,17 +178,8 @@ func New(cfg Config) *II {
 	return ii
 }
 
-// BatchRows returns the current streaming batch size (0 = monolithic).
-func (ii *II) BatchRows() int { return int(ii.batchRows.Load()) }
-
-// SetBatchRows changes the streaming batch size at runtime; n <= 0 disables
-// streaming (monolithic store-and-forward execution).
-func (ii *II) SetBatchRows(n int) {
-	if n < 0 {
-		n = 0
-	}
-	ii.batchRows.Store(int64(n))
-}
+// BatchRows returns the fragment streaming batch size.
+func (ii *II) BatchRows() int { return DefaultBatchRows }
 
 // Vectorized reports whether the II-side merge uses the columnar engine.
 func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
@@ -328,9 +300,9 @@ type QueryResult struct {
 	// ResponseTime is the end-user response time: parallel remote phase
 	// (max fragment time) plus merge.
 	ResponseTime simclock.Time
-	// FirstRowTime is when the first merged result row could be emitted:
-	// under streaming, the latest first-batch arrival across fragments plus
-	// the merge; under monolithic execution it equals ResponseTime.
+	// FirstRowTime is when the first merged result row could be emitted: the
+	// latest first-batch arrival across fragments plus the merge, which
+	// materializes before emitting anything.
 	FirstRowTime simclock.Time
 	// Retried counts re-optimizations after fragment failures.
 	Retried int
@@ -386,9 +358,7 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 		tel.Tracer().FinishTrace(trace, nil)
 	}
 	tel.Active().Counter("ii.queries", "").Inc()
-	if ii.BatchRows() > 0 {
-		tel.Active().Histogram("query.first_row_ms", "", nil).Observe(float64(res.FirstRowTime))
-	}
+	tel.Active().Histogram("query.first_row_ms", "", nil).Observe(float64(res.FirstRowTime))
 	_, end := ii.cfg.Clock.Charge(res.ResponseTime)
 	ii.patroller.CompleteWithWait(logID, end, res.ResponseTime, wait, nil)
 	// Release after charging so the next admitted waiter's queue wait spans
@@ -645,20 +615,16 @@ func (e *FragmentError) Unwrap() error { return e.Err }
 // the merge always sees fragments in plan order regardless of completion
 // order.
 type fragOutcome struct {
-	// rel holds the fragment rows; nil when the columnar wire protocol
-	// carried the fragment (then col is authoritative and no rows were
-	// boxed anywhere on the path).
-	rel *sqltypes.Relation
-	// col is the same rows in columnar form when the remote executed
-	// vectorized AND every stream batch carried a columnar payload; nil
-	// otherwise. col.ToRelation() row-equals rel when both are set.
-	col      *colbatch.Batch
+	// leaf carries the fragment's data as the merge tree's leaf. Rel is nil
+	// when the columnar wire protocol carried the fragment (no rows were
+	// boxed anywhere on the path); Col is set when the remote executed
+	// vectorized AND every stream batch carried a columnar payload. When
+	// both are set, Col.ToRelation() row-equals Rel.
+	leaf     *exec.Values
 	respTime simclock.Time
 	firstRow simclock.Time
 	serverID string
 	fragID   string
-	// wire marks a fragment delivered over the columnar wire protocol.
-	wire bool
 }
 
 // shipMode names how a fragment's data crossed the wire, for spans and the
@@ -682,26 +648,10 @@ func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) s
 	}
 }
 
-// dispatchFragment runs one fragment through MW, streaming when batchRows is
-// positive (rows accumulate at the II as batches arrive) and monolithically
-// otherwise — the latter is the bit-for-bit compatible escape hatch.
-func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, batchRows int) (fragOutcome, error) {
-	if batchRows <= 0 {
-		out, err := ii.cfg.MW.ExecuteFragment(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst)
-		if err != nil {
-			return fragOutcome{}, err
-		}
-		return fragOutcome{
-			rel:      out.Result.Rel,
-			col:      out.Result.Col,
-			respTime: out.ResponseTime,
-			firstRow: out.ResponseTime,
-			serverID: f.ServerID,
-			fragID:   f.Spec.ID,
-			wire:     out.Result.Rel == nil && out.Result.Col != nil,
-		}, nil
-	}
-	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, batchRows)
+// dispatchFragment runs one fragment through MW's streaming data path; rows
+// accumulate at the II as batches arrive.
+func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) (fragOutcome, error) {
+	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, DefaultBatchRows)
 	if err != nil {
 		return fragOutcome{}, err
 	}
@@ -735,26 +685,21 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, 
 		}
 	}
 	out := st.Outcome()
-	var col *colbatch.Batch
+	leaf := &exec.Values{Rel: rel, Label: f.Spec.ID}
 	if acc != nil {
-		col = acc.Finish()
+		leaf.Col = acc.Finish()
 	}
-	if wire && col == nil {
-		// Cannot normally happen: wire batches always carry columns. Keep
-		// the (empty) row form rather than returning a dataless fragment.
-		wire = false
-	}
-	if wire {
-		rel = nil
+	// Wire batches always carry columns; should one not, the (empty) row
+	// form stays rather than a dataless leaf.
+	if wire && leaf.Col != nil {
+		leaf.Rel = nil
 	}
 	return fragOutcome{
-		rel:      rel,
-		col:      col,
+		leaf:     leaf,
 		respTime: out.ResponseTime,
 		firstRow: out.FirstRowTime,
 		serverID: f.ServerID,
 		fragID:   f.Spec.ID,
-		wire:     wire,
 	}, nil
 }
 
@@ -769,7 +714,6 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	defer cancel()
 	fctx = simclock.WithDeadline(fctx, ii.cfg.FragmentBudget)
 
-	batchRows := ii.BatchRows()
 	outcomes := make([]fragOutcome, len(gp.Fragments))
 	sem := make(chan struct{}, ii.cfg.MaxParallel)
 	var (
@@ -834,7 +778,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fspan != nil {
 				dctx = telemetry.ContextWithSpan(fctx, fspan)
 			}
-			out, err := ii.dispatchFragment(dctx, f, batchRows)
+			out, err := ii.dispatchFragment(dctx, f)
 			if err != nil {
 				fspan.SetAttr("error", err.Error())
 				fspan.End(0)
@@ -843,7 +787,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				}
 				return
 			}
-			mode := shipMode(gp, f, out.wire)
+			mode := shipMode(gp, f, out.leaf.Rel == nil)
 			fspan.SetAttr("ship", mode)
 			fspan.End(out.respTime)
 			ii.cfg.Telemetry.Active().Counter("ii.fragments", f.ServerID).Inc()
@@ -863,12 +807,10 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 
 	fragTimes := make(map[string]simclock.Time, len(outcomes))
 	executed := make(map[string]string, len(outcomes))
-	fragRels := make([]*sqltypes.Relation, len(outcomes))
-	fragCols := make([]*colbatch.Batch, len(outcomes))
+	frags := make([]*exec.Values, len(outcomes))
 	var remotePhase, firstPhase simclock.Time
 	for i, o := range outcomes {
-		fragRels[i] = o.rel
-		fragCols[i] = o.col
+		frags[i] = o.leaf
 		fragTimes[o.fragID] = o.respTime
 		executed[o.fragID] = o.serverID
 		if o.respTime > remotePhase {
@@ -879,7 +821,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		}
 	}
 
-	rel, mergeTime, blocking, err := ii.merge(gp, fragRels, fragCols, batchRows)
+	rel, mergeTime, blocking, err := ii.merge(gp, frags)
 	if err != nil {
 		return nil, err
 	}
@@ -900,286 +842,113 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		ExecutedServers: executed,
 		MergeTime:       mergeTime,
 		ResponseTime:    remotePhase + mergeTime,
-		// A join merge needs every fragment's first batch before it can
-		// emit anything, so the query-level first row waits on the slowest
+		// The merge needs every fragment's first batch before it can emit
+		// anything, so the query-level first row waits on the slowest
 		// fragment's first batch plus the merge.
 		FirstRowTime: firstPhase + mergeTime,
 	}, nil
 }
 
-// merge combines fragment results at the II node. With batchRows > 0 the
-// non-join tail runs as a streaming pipeline over the shared kernels (union
-// passes batches through, aggregation folds per batch, sort blocks and is
-// reported via the returned blocking stage name); batchRows <= 0 keeps the
-// historical materialized path. Both paths interpret the same planTopSteps
-// list over the same kernels, so results and resource charges are identical
-// — except LIMIT, which under streaming stops pulling once satisfied.
-func (ii *II) merge(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, batchRows int) (*sqltypes.Relation, simclock.Time, string, error) {
+// merge combines fragment results at the II node: it builds one operator
+// tree over the fragment leaves and executes it once, materialized, on the
+// row or the columnar engine. It returns the merged rows, the observed merge
+// time and the tree's outermost pipeline-breaking stage ("" when none).
+func (ii *II) merge(gp *optimizer.GlobalPlan, frags []*exec.Values) (*sqltypes.Relation, simclock.Time, string, error) {
 	// The columnar merge engages only when the flag is on AND every fragment
 	// arrived with a columnar payload — a row-engine remote anywhere in the
-	// query demotes the whole merge to the row path.
+	// query demotes the whole merge to the row engine, whose Values leaves
+	// box wire-delivered fragments on demand.
 	vec := ii.vectorized.Load()
-	for _, c := range fragCols {
-		if c == nil {
+	for _, f := range frags {
+		if f.Col == nil {
 			vec = false
 			break
 		}
 	}
-	if vec {
-		tel := ii.cfg.Telemetry
-		tel.Active().Counter("exec.vectorized", "ii").Inc()
-	}
-	if !vec {
-		// Correctness fallback: wire-delivered fragments have no row form.
-		// A row merge (II not vectorized, or a row-engine fragment mixed in)
-		// materializes them here; a columnar merge never boxes them at all.
-		for i := range fragRels {
-			if fragRels[i] == nil && fragCols[i] != nil {
-				fragRels[i] = fragCols[i].ToRelation()
-			}
-		}
-	}
-	ctx := &exec.Context{}
-	if gp.Decomp.SingleFragment {
-		if batchRows > 0 {
-			if vec {
-				out, err := exec.CollectCol(exec.NewValuesColSource(fragCols[0], batchRows), ctx)
-				if err != nil {
-					return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-				}
-				return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
-			}
-			// Union/concat pass-through: batches fold straight into the
-			// result as they arrive; the per-row cursor charge matches the
-			// materialized accounting below exactly.
-			rel, err := exec.Collect(exec.NewValuesSource(fragRels[0], batchRows), ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
-		}
-		rel := fragRels[0]
-		if rel == nil {
-			// Monolithic + columnar wire: the single fragment arrived as a
-			// batch; materialize at the very edge, charging the same one op
-			// per row the pass-through merge charges.
-			rel = fragCols[0].ToRelation()
-		}
-		ctx.Res.CPUOps = float64(rel.Cardinality())
-		return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
-	}
-
-	// Scatter-gather: per-shard fragments sharing Shard.Of concatenate into
-	// one logical fragment before merging. Unsharded plans pass through with
-	// the original per-fragment slices untouched, so their merge is
-	// bit-identical to the pre-sharding engine.
-	ids, rels, cols := logicalFragments(gp, fragRels, fragCols, vec)
-
-	if sh := gp.Decomp.Sharded; sh != nil {
-		// Single sharded table: the union of shard results feeds the
-		// statement tail directly — ShardAggFinal merges partial aggregate
-		// states under pushdown, BuildTop applies the full tail over
-		// gathered rows otherwise.
-		leaf := &exec.Values{Rel: rels[0], Label: sh.FragID}
-		if vec {
-			leaf.Col = cols[0]
-		}
-		var top exec.Operator
-		var err error
-		if sh.Partial != nil {
-			top, err = exec.BuildShardFinal(gp.Stmt, sh.Base, leaf)
-		} else {
-			top, err = exec.BuildTop(gp.Stmt, leaf)
-		}
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
-		}
-		if vec {
-			out, err := exec.ExecuteVectorized(top, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
-		}
-		rel, err := top.Execute(ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
-	}
-
-	// Join fragments left-to-right on the cross-source conjuncts. When the
-	// merge is columnar, each Values leaf carries its fragment's batch so the
-	// vectorized executor starts from the arrived columns directly.
-	cross := append([]sqlparser.Expr(nil), gp.Decomp.Cross...)
-	left := &exec.Values{Rel: rels[0], Label: ids[0]}
-	if vec {
-		left.Col = cols[0]
-	}
-	var current exec.Operator = left
-	for i := 1; i < len(rels); i++ {
-		right := &exec.Values{Rel: rels[i], Label: ids[i]}
-		if vec {
-			right.Col = cols[i]
-		}
-		lk, rk, rest, ok := exec.ExtractEquiJoinKeys(cross, current.Schema(), right.Schema())
-		if ok {
-			joined := current.Schema().Concat(right.Schema())
-			var residuals, remaining []sqlparser.Expr
-			for _, c := range rest {
-				if exprResolves(c, joined) {
-					residuals = append(residuals, c)
-				} else {
-					remaining = append(remaining, c)
-				}
-			}
-			current = &exec.HashJoin{
-				Build:    current,
-				Probe:    right,
-				BuildKey: lk,
-				ProbeKey: rk,
-				Residual: sqlparser.JoinConjuncts(residuals),
-			}
-			cross = remaining
-			continue
-		}
-		joined := current.Schema().Concat(right.Schema())
-		var preds, remaining []sqlparser.Expr
-		for _, c := range cross {
-			if exprResolves(c, joined) {
-				preds = append(preds, c)
-			} else {
-				remaining = append(remaining, c)
-			}
-		}
-		current = &exec.NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(preds)}
-		cross = remaining
-	}
-	if len(cross) > 0 {
-		current = &exec.Filter{Input: current, Pred: sqlparser.JoinConjuncts(cross)}
-	}
-	if batchRows > 0 {
-		// The join tree materializes (hash/NL joins need their full inputs),
-		// then the non-join tail streams over it batch by batch.
-		if vec {
-			joined, err := exec.ExecuteVectorized(current, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			src, err := exec.BuildTopColSource(gp.Stmt, exec.ColSourceFromBatch(joined, batchRows))
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: building merge pipeline: %w", err)
-			}
-			blocking := exec.ColSourceBlockingStage(src)
-			out, err := exec.CollectCol(src, ctx)
-			if err != nil {
-				return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-			}
-			return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), blocking, nil
-		}
-		joined, err := current.Execute(ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		src, err := exec.BuildTopSource(gp.Stmt, exec.SourceFromRelation(joined, batchRows))
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: building merge pipeline: %w", err)
-		}
-		blocking := exec.SourceBlockingStage(src)
-		rel, err := exec.Collect(src, ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
-		}
-		return rel, ii.cfg.Node.Observe(ctx.Res), blocking, nil
-	}
-	top, err := exec.BuildTop(gp.Stmt, current)
+	top, err := mergePlan(gp, frags, vec)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
+	ctx := &exec.Context{}
+	var rel *sqltypes.Relation
 	if vec {
-		out, err := exec.ExecuteVectorized(top, ctx)
-		if err != nil {
-			return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
+		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
+		var out *colbatch.Batch
+		if out, err = exec.ExecuteVectorized(top, ctx); err == nil {
+			rel = out.ToRelation()
 		}
-		return out.ToRelation(), ii.cfg.Node.Observe(ctx.Res), "", nil
+	} else {
+		rel, err = top.Execute(ctx)
 	}
-	rel, err := top.Execute(ctx)
 	if err != nil {
 		return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
 	}
-	return rel, ii.cfg.Node.Observe(ctx.Res), "", nil
+	return rel, ii.cfg.Node.Observe(ctx.Res), exec.BlockingStage(top), nil
 }
 
-// logicalFragments folds per-shard fragment results into logical fragments:
-// outcomes sharing Spec.Shard.Of concatenate (rows and, when the merge is
-// columnar, batches) in plan order. Plans without shard fragments return
-// the input slices unchanged — zero copies, zero extra charges.
-func logicalFragments(gp *optimizer.GlobalPlan, fragRels []*sqltypes.Relation, fragCols []*colbatch.Batch, vec bool) ([]string, []*sqltypes.Relation, []*colbatch.Batch) {
-	sharded := false
-	for _, f := range gp.Fragments {
-		if f.Spec.Shard != nil {
-			sharded = true
-			break
-		}
+// mergePlan builds the II-side operator tree: a single fragment is the answer
+// as it arrived (one cursor op per row); a single sharded table feeds the
+// union of its shard results to the statement tail — ShardAggFinal merging
+// partial aggregate states under pushdown, the full tail over gathered rows
+// otherwise; anything else joins the logical fragments left to right on the
+// cross-source conjuncts under the full tail.
+func mergePlan(gp *optimizer.GlobalPlan, frags []*exec.Values, vec bool) (exec.Operator, error) {
+	if gp.Decomp.SingleFragment {
+		return frags[0], nil
 	}
-	if !sharded {
-		ids := make([]string, len(gp.Fragments))
-		for i, f := range gp.Fragments {
-			ids[i] = f.Spec.ID
+	leaves := logicalFragments(gp, frags, vec)
+	if sh := gp.Decomp.Sharded; sh != nil {
+		if sh.Partial != nil {
+			return exec.BuildShardFinal(gp.Stmt, sh.Base, leaves[0])
 		}
-		return ids, fragRels, fragCols
+		return exec.BuildTop(gp.Stmt, leaves[0])
 	}
-	var ids []string
-	var rels []*sqltypes.Relation
-	var cols []*colbatch.Batch
-	pos := map[string]int{}
+	return exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross))
+}
+
+// logicalFragments folds per-shard fragment results into one leaf per logical
+// fragment, in plan order: fragments sharing Spec.Shard.Of concatenate —
+// column batches when the merge is columnar, rows otherwise — through one
+// accumulator each. A fragment that is alone in its group passes through
+// untouched: zero copies, zero extra charges.
+func logicalFragments(gp *optimizer.GlobalPlan, frags []*exec.Values, vec bool) []exec.Operator {
+	var keys []string
+	groups := map[string][]*exec.Values{}
 	for i, f := range gp.Fragments {
 		key := f.Spec.ID
 		if f.Spec.Shard != nil {
 			key = f.Spec.Shard.Of
 		}
-		j, ok := pos[key]
-		if !ok {
-			j = len(ids)
-			pos[key] = j
-			ids = append(ids, key)
-			// Wire-delivered fragments have no row form; the folded logical
-			// fragment then stays columnar-only (nil rel) and the merge's
-			// Values leaves read the batch directly.
-			if fragRels[i] == nil {
-				rels = append(rels, nil)
-			} else {
-				rel := sqltypes.NewRelation(fragRels[i].Schema)
-				rel.Rows = append(rel.Rows, fragRels[i].Rows...)
-				rels = append(rels, rel)
-			}
-			if vec {
-				cols = append(cols, fragCols[i])
-			} else {
-				cols = append(cols, nil)
-			}
+		if groups[key] == nil {
+			keys = append(keys, key)
+		}
+		groups[key] = append(groups[key], frags[i])
+	}
+	leaves := make([]exec.Operator, len(keys))
+	for i, key := range keys {
+		parts := groups[key]
+		if len(parts) == 1 {
+			leaves[i] = parts[0]
 			continue
 		}
-		if fragRels[i] == nil {
-			rels[j] = nil
-		} else if rels[j] != nil {
-			rels[j].Rows = append(rels[j].Rows, fragRels[i].Rows...)
-		}
+		leaf := &exec.Values{Label: key}
 		if vec {
-			acc := colbatch.NewAccumulator(cols[j].Schema)
-			acc.Append(cols[j])
-			acc.Append(fragCols[i])
-			cols[j] = acc.Finish()
+			acc := colbatch.NewAccumulator(parts[0].Col.Schema)
+			for _, p := range parts {
+				acc.Append(p.Col)
+			}
+			leaf.Col = acc.Finish()
+		} else {
+			leaf.Rel = sqltypes.NewRelation(parts[0].Schema())
+			for _, p := range parts {
+				rel := p.Rel
+				if rel == nil {
+					rel = p.Col.ToRelation()
+				}
+				leaf.Rel.Rows = append(leaf.Rel.Rows, rel.Rows...)
+			}
 		}
+		leaves[i] = leaf
 	}
-	return ids, rels, cols
-}
-
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
+	return leaves
 }

@@ -8,9 +8,13 @@ import (
 	"repro/internal/integrator"
 	"testing"
 
+	"repro/internal/exec"
+	"repro/internal/exec/colbatch"
 	"repro/internal/optimizer"
 	"repro/internal/scenario"
 	"repro/internal/simclock"
+	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 )
 
 func threeServer(t *testing.T) *scenario.Scenario {
@@ -101,6 +105,108 @@ func TestQueryCrossSourceMerge(t *testing.T) {
 	}
 	if res.MergeTime <= 0 {
 		t.Fatal("merge time must be positive")
+	}
+}
+
+// TestCrossSourceJoinLimitRowAndColumnarMerge covers the one statement shape
+// whose merge charge the single-tree merge changed: a multi-fragment join
+// with LIMIT and nothing blocking under it, over more joined rows than one
+// 256-row batch. Both engines must return the oracle's rows and charge the
+// II node the same exec.Resources — those of the fully materialized tree.
+func TestCrossSourceJoinLimitRowAndColumnarMerge(t *testing.T) {
+	const sql = `SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey LIMIT 300`
+	run := func(vectorized bool) (*scenario.Scenario, *integrator.QueryResult) {
+		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range sc.Servers {
+			srv.SetVectorized(vectorized)
+		}
+		sc.II.SetVectorized(vectorized)
+		res, err := sc.II.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc, res
+	}
+	sc, row := run(false)
+	_, vec := run(true)
+
+	scan := func(serverID, table, as string) exec.Operator {
+		return &exec.SeqScan{Table: sc.Servers[serverID].Table(table), As: as}
+	}
+	oracle, err := exec.BuildPlan(sqlparser.MustParse(sql), map[string]exec.Operator{
+		"o": scan("S1", "orders", "o"),
+		"l": scan("S2", "lineitem", "l"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracle.Execute(&exec.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cardinality() != 300 {
+		t.Fatalf("oracle returned %d rows; the scenario needs the LIMIT to bind", want.Cardinality())
+	}
+	requireSameRows := func(label string, got *sqltypes.Relation) {
+		t.Helper()
+		if got.Cardinality() != want.Cardinality() {
+			t.Fatalf("%s: %d rows, oracle %d", label, got.Cardinality(), want.Cardinality())
+		}
+		for i, r := range want.Rows {
+			for j := range r {
+				if got.Rows[i][j] != r[j] {
+					t.Fatalf("%s: cell (%d,%d) %v, oracle %v", label, i, j, got.Rows[i][j], r[j])
+				}
+			}
+		}
+	}
+	requireSameRows("row merge", row.Rel)
+	requireSameRows("columnar merge", vec.Rel)
+
+	// The same merge tree over the same fragment results, run on both engines
+	// outside the II, gives the Resources each merge must have charged.
+	gp := row.Plan
+	leaves := make([]exec.Operator, len(gp.Fragments))
+	for i, f := range gp.Fragments {
+		tr := f.Spec.Stmt.Tables()[0]
+		frag, err := exec.BuildPlan(f.Spec.Stmt, map[string]exec.Operator{
+			tr.EffectiveName(): scan(row.ExecutedServers[f.Spec.ID], tr.Name, tr.EffectiveName()),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := frag.Execute(&exec.Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves[i] = &exec.Values{Rel: rel, Col: colbatch.FromRelation(rel)}
+	}
+	top, err := exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rowCtx, vecCtx exec.Context
+	rowRel, err := top.Execute(&rowCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecBatch, err := exec.ExecuteVectorized(top, &vecCtx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRows("row tree", rowRel)
+	requireSameRows("columnar tree", vecBatch.ToRelation())
+	if rowCtx.Res != vecCtx.Res {
+		t.Fatalf("resources diverged: row %+v, columnar %+v", rowCtx.Res, vecCtx.Res)
+	}
+	// The II node is idle, so observed merge time is the zero-load service
+	// time of exactly those resources.
+	wantMerge := simclock.Time(sc.IINode.EstimateTime(rowCtx.Res))
+	if row.MergeTime != wantMerge || vec.MergeTime != wantMerge {
+		t.Fatalf("merge time: row %v, columnar %v, want %v for %+v", row.MergeTime, vec.MergeTime, wantMerge, rowCtx.Res)
 	}
 }
 

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 	"repro/internal/stats"
 )
@@ -32,6 +34,16 @@ type Table struct {
 	// system registers such "virtual tables ... without storing the actual
 	// data" (§2) to run what-if explains.
 	virtual *stats.TableStats
+	// colMemo is the rows' columnar decomposition at one version (see
+	// Columns). It lives on the table so it is collected with the table.
+	colMemo atomic.Pointer[columnMemo]
+}
+
+// columnMemo is a table's columnar decomposition at a version.
+type columnMemo struct {
+	version int64
+	cols    []*colbatch.Column
+	n       int
 }
 
 // NewTable creates an empty table.
@@ -117,6 +129,24 @@ func (t *Table) Scan(fn func(row sqltypes.Row) error) error {
 		}
 	}
 	return nil
+}
+
+// Columns returns the rows decomposed into typed columns, and the row count —
+// the vectorized executor's scan input. The decomposition is memoized per
+// table version, so the update-load driver naturally evicts it. It is built
+// under the read lock (UpdateAt overwrites cells in place), so no mutation
+// can race the scan and the memo always matches the version it is tagged
+// with. Columns are immutable once built and may be shared by any number of
+// concurrent scans.
+func (t *Table) Columns() ([]*colbatch.Column, int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if m := t.colMemo.Load(); m != nil && m.version == t.version {
+		return m.cols, m.n
+	}
+	b := colbatch.FromRelation(&sqltypes.Relation{Schema: t.schema, Rows: t.rows})
+	t.colMemo.Store(&columnMemo{version: t.version, cols: b.Cols, n: b.Len()})
+	return b.Cols, b.Len()
 }
 
 // Snapshot returns a copy of all rows (row slices are cloned shallowly;

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -160,5 +161,37 @@ func TestIndexOnColumnPrefersSorted(t *testing.T) {
 	names := tab.Indexes()
 	if len(names) != 2 || names[0] != "h" || names[1] != "s" {
 		t.Fatalf("index names: %v", names)
+	}
+}
+
+// TestColumnsConcurrentWithUpdates scans columns from several goroutines
+// while another mutates the table: every scan must see a full-length
+// decomposition, and once the writer is done a fresh scan must see its last
+// write (no stale memo survives a version bump). Run under -race.
+func TestColumnsConcurrentWithUpdates(t *testing.T) {
+	tab := newTestTable(t)
+	const writes = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < writes; i++ {
+				if cols, n := tab.Columns(); n != 100 || len(cols) != 2 {
+					t.Errorf("scan saw %d rows in %d columns", n, len(cols))
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < writes; i++ {
+		if err := tab.UpdateAt(7, 1, sqltypes.NewFloat(float64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Wait()
+	cols, _ := tab.Columns()
+	if got := cols[1].Floats[7]; got != writes-1 {
+		t.Fatalf("scan after the last update read %v, want %d", got, writes-1)
 	}
 }

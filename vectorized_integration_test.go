@@ -1,8 +1,8 @@
 // Vectorized-engine integration tests: flipping the federation between the
 // row-at-a-time and columnar executors must be invisible to everything the
 // simulation measures — rows, routes, fragment times, merge times, queue
-// waits, span trees, and the virtual clock — across streaming, monolithic,
-// and admission-gated execution. Only real wall-clock cost may differ.
+// waits, span trees, and the virtual clock — with and without an active
+// admission policy. Only real wall-clock cost may differ.
 package fedqcc_test
 
 import (
@@ -156,20 +156,6 @@ func TestVectorizedIdentityStreaming(t *testing.T) {
 			t.Fatalf("exec.vectorized incremented on %s with the row engine selected", id)
 		}
 	}
-}
-
-// TestVectorizedIdentityMonolithic pins the escape hatch interaction: with
-// streaming disabled (BatchRows=0) the vectorized toggle must still be
-// invisible to every simulated measurement.
-func TestVectorizedIdentityMonolithic(t *testing.T) {
-	sqls := soakStatements(12)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) { fed.SetBatchRows(0) })
-	vec := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetBatchRows(0)
-		fed.SetVectorized(true)
-	})
-	requireVecIdentity(t, sqls, row, vec)
-	requireVectorizedEngaged(t, vec)
 }
 
 // TestVectorizedIdentityUnderAdmission runs the workload through an active
