@@ -280,6 +280,7 @@ func BenchmarkVectorizedEndToEnd(b *testing.B) {
 	const query = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
 	run := func(vectorized bool, iters int) (*fedqcc.QueryResult, int64, error) {
 		fed := slowLinkFederation(b)
+		fed.SetColumnarWire(false) // one wire for both arms: only the engine differs
 		fed.SetVectorized(vectorized)
 		res, err := fed.Query(query) // warm compile caches and the scan cache
 		if err != nil {

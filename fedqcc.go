@@ -341,11 +341,12 @@ type QueryResult struct {
 }
 
 // SetVectorized switches the whole federation — every remote server's
-// executor and the integrator's merge — between the row-at-a-time and
-// columnar (vectorized) engines. Both engines produce bit-identical rows,
-// routes, resource charges, and virtual-time results; only real wall-clock
-// cost differs, so experiments can flip this freely without perturbing any
-// simulated measurement.
+// executor and the integrator's merge — between the columnar (vectorized)
+// engine and the row-at-a-time engine. Every federation is built with the
+// columnar engine on; false selects the row engine, which is kept as the
+// reference the oracle tests compare against (bit-identical rows, routes,
+// resource charges and virtual-time results, at several times the wall-clock
+// cost). It is not a tuning knob: nothing runs better with it off.
 func (f *Federation) SetVectorized(on bool) {
 	for _, srv := range f.servers {
 		srv.SetVectorized(on)
@@ -357,13 +358,14 @@ func (f *Federation) SetVectorized(on bool) {
 func (f *Federation) Vectorized() bool { return f.ii.Vectorized() }
 
 // SetColumnarWire switches every remote server between shipping streamed
-// fragment results as boxed rows and as typed column batches with the
-// compact colbatch wire encoding (fixed-width packing, delta varints,
-// string dictionaries). Effective only while the federation is also
-// vectorized — the row engine has no columnar result to encode; with the
-// flag off the encoder never runs and the data path is byte-for-byte the
-// row protocol. Network byte accounting, the wrapper's wire charging, and
-// MW's RunLog all observe the encoded sizes when active.
+// fragment results as typed column batches with the compact colbatch wire
+// encoding (fixed-width packing, delta varints, string dictionaries) and as
+// boxed rows. Every federation is built with the columnar wire on; network
+// byte accounting, the wrapper's wire charging, and MW's RunLog all observe
+// the encoded sizes. False selects the row protocol (the encoder never runs
+// and batches are charged at their row size): the reference arm of the wire
+// identity tests, not a tuning knob. The wire engages only on vectorized
+// servers — the row engine has no columnar result to encode.
 func (f *Federation) SetColumnarWire(on bool) {
 	for _, srv := range f.servers {
 		srv.SetColumnarWire(on)

@@ -45,13 +45,27 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	outSchema := outer.Schema.Concat(j.innerSchema())
-	out := sqltypes.NewRelation(outSchema)
+	return indexNLJoinRel(j, outer, ctx)
+}
+
+// charge accounts a finished join: every probe descends the index, every
+// fetched row is one more cache-friendly page touch. Both kernels call it, so
+// they charge the same floating-point expression over the same two counts.
+func (j *IndexNLJoin) charge(ctx *Context, probes, fetches float64) {
 	n := float64(j.Index.Len())
 	descent := 1.0
 	if n > 2 {
 		descent += math.Log2(n) / 4
 	}
+	ctx.Res.CachedPages += probes*descent + fetches
+	ctx.Res.CPUOps += probes*(descent+1) + fetches
+}
+
+// indexNLJoinRel is the row-level join kernel, shared by Execute and the
+// vectorized path's fallback (which has already executed the outer side).
+func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+	outSchema := outer.Schema.Concat(j.innerSchema())
+	out := sqltypes.NewRelation(outSchema)
 	var probes, fetches float64
 	for _, orow := range outer.Rows {
 		k, err := sqlparser.Eval(j.OuterKey, orow, outer.Schema)
@@ -81,8 +95,7 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 			out.Rows = append(out.Rows, joined)
 		}
 	}
-	ctx.Res.CachedPages += probes*descent + fetches
-	ctx.Res.CPUOps += probes*(descent+1) + fetches
+	j.charge(ctx, probes, fetches)
 	return out, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,8 +20,9 @@ import (
 // resource charges, same error/no-error outcome. This file checks the
 // contract on randomized relations (NULL-heavy, kind-mixed) under
 // randomized plans of filters, projections, sorts, aggregations, distinct,
-// limit and hash joins, plus targeted edge cases (empty inputs, all-NULL
-// columns, selection-vector chains).
+// limit, hash joins and index nested-loop joins, plus targeted edge cases
+// (empty inputs, all-NULL columns, selection-vector chains, hash collisions,
+// an inner table rewritten while it is probed).
 
 type oracleGen struct {
 	rng *rand.Rand
@@ -279,6 +281,207 @@ func TestVectorizedOracleHashJoin(t *testing.T) {
 		}
 		op := g.plan(join, g.rng.Intn(3))
 		checkOracle(t, fmt.Sprintf("seed %d", seed), op)
+	}
+}
+
+// TestVectorizedOracleHashJoinCollisions drives the chained build table where
+// it is easiest to get wrong: every key falls into a handful of chains (six
+// distinct strings, or small integers met by their float twins, NaN and -0),
+// so chains are long, most chain entries are hash-equal, and pairs must still
+// come out in build order per probe row.
+func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
+	engaged := 0
+	for seed := int64(1500); seed < 1540; seed++ {
+		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
+		left := g.relation("l", 150+g.rng.Intn(100))
+		right := g.relation("r", 150+g.rng.Intn(100))
+		// Column 3 is the six-string column; column 0 is int, column 2 float
+		// (kind-mixed keys: 2 joins 2.0, NaN hashes apart from everything).
+		bk, pk := 3, 3
+		if seed%2 == 0 {
+			bk, pk = 0, 2
+		}
+		join := &HashJoin{
+			Build:    &Values{Rel: left},
+			Probe:    &Values{Rel: right},
+			BuildKey: &sqlparser.ColumnRef{Name: left.Schema.Columns[bk].Name},
+			ProbeKey: &sqlparser.ColumnRef{Name: right.Schema.Columns[pk].Name},
+		}
+		if seed%3 == 0 {
+			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
+		}
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(2)))
+		if _, err := hashJoinBatch(join, colbatch.FromRelation(left), colbatch.FromRelation(right), &Context{}); err == nil {
+			engaged++
+		}
+	}
+	if engaged < 30 {
+		t.Fatalf("the columnar kernel ran for %d of 40 plans; the rest only compared the row kernel with itself", engaged)
+	}
+}
+
+// intKeys builds a one-column relation of n integer keys.
+func intKeys(name string, n int, key func(i int) int64) *sqltypes.Relation {
+	rel := sqltypes.NewRelation(sqltypes.NewSchema(sqltypes.Column{Name: name, Type: sqltypes.KindInt}))
+	for i := 0; i < n; i++ {
+		rel.Rows = append(rel.Rows, sqltypes.Row{sqltypes.NewInt(key(i))})
+	}
+	return rel
+}
+
+// TestVectorizedHashJoinNaNSharesAChain pins why the chained table compares
+// full hashes before keys: Compare calls NaN equal to every number, and the
+// row kernel never pairs them only because its map is keyed by the hash. With
+// 1000 integer build keys in 2048 slots, some of the 16 NaN payloads below
+// land in an occupied chain.
+func TestVectorizedHashJoinNaNSharesAChain(t *testing.T) {
+	build := intKeys("b", 1000, func(i int) int64 { return int64(i) })
+	probe := sqltypes.NewRelation(sqltypes.NewSchema(sqltypes.Column{Name: "p", Type: sqltypes.KindFloat}))
+	for i := uint64(0); i < 16; i++ {
+		probe.Rows = append(probe.Rows, sqltypes.Row{sqltypes.NewFloat(math.Float64frombits(0x7ff8000000000001 + i))})
+	}
+	probe.Rows = append(probe.Rows, sqltypes.Row{sqltypes.NewFloat(7)}) // the one real match
+	join := &HashJoin{
+		Build: &Values{Rel: build}, Probe: &Values{Rel: probe},
+		BuildKey: &sqlparser.ColumnRef{Name: "b"}, ProbeKey: &sqlparser.ColumnRef{Name: "p"},
+	}
+	checkOracle(t, "NaN probe keys", join)
+	out, err := hashJoinBatch(join, colbatch.FromRelation(build), colbatch.FromRelation(probe), &Context{})
+	if err != nil || out.Len() != 1 {
+		t.Fatalf("columnar kernel: %d rows, err %v; want the single 7 = 7.0 pair", out.Len(), err)
+	}
+}
+
+// indexedTable stores rel as a table named name with an index of the given
+// kind on column col.
+func indexedTable(t *testing.T, name string, rel *sqltypes.Relation, col int, kind storage.IndexKind) (*storage.Table, *storage.Index) {
+	t.Helper()
+	tab := storage.NewTable(name, rel.Schema)
+	if err := tab.Append(rel.Rows...); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := tab.CreateIndex(name+"_ix", rel.Schema.Columns[col].Name, kind)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tab, idx
+}
+
+// TestVectorizedOracleIndexNLJoin checks the columnar index nested-loop join
+// against the row kernel: hash and sorted indexes, with and without a
+// residual, NULL outer keys (a quarter of every column), duplicate inner keys
+// (20 distinct integers over up to 60 rows), empty outers, a filtered outer
+// (selection vector), computed outer keys, and kind-mixed keys in both
+// directions (float keys probing an int index and the reverse; column 1 is
+// itself int/float mixed one time in three).
+func TestVectorizedOracleIndexNLJoin(t *testing.T) {
+	engaged := 0
+	for seed := int64(3000); seed < 3120; seed++ {
+		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
+		on := g.rng.Intn(50)
+		if seed%7 == 0 {
+			on = 0
+		}
+		outerRel := g.relation("o", on)
+		innerRel := g.relation("i", g.rng.Intn(60))
+		kind := storage.IndexHash
+		if seed%2 == 0 {
+			kind = storage.IndexSorted
+		}
+		keyCols := [][2]int{{0, 0}, {2, 0}, {0, 2}, {1, 1}, {3, 3}}[g.rng.Intn(5)] // outer column, indexed inner column
+		inner, idx := indexedTable(t, "inner", innerRel, keyCols[1], kind)
+		var outer Operator = &Values{Rel: outerRel}
+		if g.rng.Intn(3) == 0 {
+			outer = &Filter{Input: outer, Pred: g.expr(outerRel.Schema, 2)}
+		}
+		var key sqlparser.Expr = &sqlparser.ColumnRef{Name: outerRel.Schema.Columns[keyCols[0]].Name}
+		if g.rng.Intn(4) == 0 {
+			key = g.expr(outerRel.Schema, 2)
+		}
+		join := &IndexNLJoin{Outer: outer, Inner: inner, Index: idx, InnerAs: "i", OuterKey: key}
+		if g.rng.Intn(2) == 0 {
+			join.Residual = g.expr(join.Schema(), 2)
+		}
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(3)))
+		if ob, err := ExecuteVectorized(outer, &Context{}); err == nil {
+			if _, err := indexNLJoinBatch(join, ob, &Context{}); err == nil {
+				engaged++
+			}
+		}
+	}
+	if engaged < 80 {
+		t.Fatalf("the columnar kernel ran for %d of 120 plans; the rest only compared the row kernel with itself", engaged)
+	}
+}
+
+// TestVectorizedIndexNLJoinUnderUpdates probes an index while UpdateAt
+// rewrites a non-indexed column of the inner table (run under -race). Every
+// concurrent execution must return the quiescent row count (the join key never
+// changes); once the writer stops, both kernels must agree bit for bit.
+func TestVectorizedIndexNLJoinUnderUpdates(t *testing.T) {
+	inner := ordersTable(t, 400) // sorted index on o_id; o_amount is what gets rewritten
+	outerRel := intKeys("k", 300, func(i int) int64 { return int64(i * 2 % 450) })
+	join := &IndexNLJoin{
+		Outer: &Values{Rel: outerRel}, Inner: inner, Index: inner.Index("orders_pk"), InnerAs: "o",
+		OuterKey: &sqlparser.ColumnRef{Name: "k"},
+	}
+	want, err := join.Execute(&Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := inner.UpdateAt(i%400, 2, sqltypes.NewFloat(float64(-i))); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	var failure string
+	for i := 0; i < 50 && failure == ""; i++ {
+		got, err := ExecuteVectorized(join, &Context{})
+		switch {
+		case err != nil:
+			failure = err.Error()
+		case got.Len() != len(want.Rows):
+			failure = fmt.Sprintf("run %d: %d joined rows while the inner table was being rewritten, want %d", i, got.Len(), len(want.Rows))
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if failure != "" {
+		t.Fatal(failure)
+	}
+	checkOracle(t, "after the writer stopped", join)
+}
+
+// TestVectorizedIndexNLJoinStaleMemo covers the bounds check: the index is
+// live while the column memo is a snapshot, so a position past the memo must
+// hand the join to the row kernel rather than index out of range. The memo is
+// taken at an older version by wrapping the table's columns in a shorter
+// table that shares the longer table's index.
+func TestVectorizedIndexNLJoinStaleMemo(t *testing.T) {
+	long := ordersTable(t, 64)
+	short := ordersTable(t, 32)
+	outerRel := intKeys("k", 3, func(i int) int64 { return []int64{3, 40, 63}[i] })
+	// The index names rows 40 and 63; the inner table (and its memo) has 32.
+	join := &IndexNLJoin{
+		Outer: &Values{Rel: outerRel}, Inner: short, Index: long.Index("orders_pk"), InnerAs: "o",
+		OuterKey: &sqlparser.ColumnRef{Name: "k"},
+	}
+	checkOracle(t, "index ahead of the memo", join)
+	if _, err := ExecuteVectorized(join, &Context{}); err == nil {
+		t.Fatal("a position outside the table must surface the row kernel's error, not a result")
 	}
 }
 

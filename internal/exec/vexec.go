@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/exec/colbatch"
@@ -16,12 +18,12 @@ import (
 // and network draws therefore cannot observe which engine ran — only the
 // wall-clock cost of running the simulation changes.
 //
-// Operators without a vectorized kernel (index scans, nested-loop and merge
-// joins) execute their whole subtree through the row engine and decompose
-// the result. Kernels that hit an unsupported expression shape or an eval
-// error rerun that single node's row kernel over the already-produced
-// inputs; see vexpr.go for why that reproduces the row path's outcome
-// exactly.
+// Operators without a vectorized kernel (only index scans, nested-loop and
+// merge joins are left) execute their whole subtree through the row engine
+// and decompose the result. Kernels that hit an unsupported expression shape
+// or an eval error rerun that single node's row kernel over the
+// already-produced inputs; see vexpr.go for why that reproduces the row
+// path's outcome exactly.
 func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 	switch x := op.(type) {
 	case *Values:
@@ -130,6 +132,21 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		out, verr := hashJoinBatch(x, build, probe, ctx)
 		if verr != nil {
 			rel, err := hashJoinRel(x, build.ToRelation(), probe.ToRelation(), ctx)
+			if err != nil {
+				return nil, err
+			}
+			return colbatch.FromRelation(rel), nil
+		}
+		return out, nil
+
+	case *IndexNLJoin:
+		outer, err := ExecuteVectorized(x.Outer, ctx)
+		if err != nil {
+			return nil, err
+		}
+		out, verr := indexNLJoinBatch(x, outer, ctx)
+		if verr != nil {
+			rel, err := indexNLJoinRel(x, outer.ToRelation(), ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -597,9 +614,95 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 	return true
 }
 
-// hashJoinBatch joins two batches on key equality: build-side hash table of
-// logical indices, probe-major candidate pairs in the row kernel's output
-// order, then the residual filter over the gathered candidate batch.
+// keyHashes returns Value.Hash of every logical cell of a join key. Typed
+// vectors hash straight off their payload; NULL cells get an arbitrary value,
+// since join kernels skip them before looking at the hash.
+func keyHashes(r *vres, o *operand) []uint64 {
+	hs := make([]uint64, r.n)
+	switch {
+	case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
+		for i, v := range o.ints {
+			hs[i] = sqltypes.HashInt64(v)
+		}
+	case o.ok && !o.isConst && o.kind == sqltypes.KindFloat:
+		for i, v := range o.floats {
+			hs[i] = sqltypes.HashFloat64(v)
+		}
+	case o.ok && !o.isConst && o.kind == sqltypes.KindString:
+		for i, v := range o.strs {
+			hs[i] = sqltypes.HashString(v)
+		}
+	default:
+		for i := range hs {
+			hs[i] = vresHash(r, i)
+		}
+	}
+	return hs
+}
+
+// keysEqual reports sqltypes.Compare(l[li], r[ri]) == 0 for two non-NULL key
+// cells without boxing them when both sides are typed vectors: int/int
+// exactly, any other numeric pair through float64 with !(a<b || a>b) (which,
+// like Compare, calls NaN equal to everything), strings and bools by value.
+// Every other pairing boxes and asks Compare.
+func keysEqual(l *vres, lo *operand, li int, r *vres, ro *operand, ri int) bool {
+	if lo.ok && ro.ok && !lo.isConst && !ro.isConst {
+		switch {
+		case lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt:
+			return lo.ints[li] == ro.ints[ri]
+		case numericKind(lo.kind) && numericKind(ro.kind):
+			a, b := lo.floatAt(li), ro.floatAt(ri)
+			return !(a < b || a > b)
+		case lo.kind == sqltypes.KindString && ro.kind == sqltypes.KindString:
+			return lo.strs[li] == ro.strs[ri]
+		case lo.kind == sqltypes.KindBool && ro.kind == sqltypes.KindBool:
+			return lo.bools[li] == ro.bools[ri]
+		}
+	}
+	return sqltypes.Compare(l.value(li), r.value(ri)) == 0
+}
+
+// physOf maps logical row indices of b to physical positions, in place.
+func physOf(b *colbatch.Batch, idx []int) []int {
+	if off, ok := b.Contig(); ok && off == 0 {
+		return idx
+	}
+	for i, l := range idx {
+		idx[i] = b.Phys(l)
+	}
+	return idx
+}
+
+// joinedBatch gathers the matched (left, right) physical positions into one
+// contiguous batch of left columns followed by right columns, applies the
+// residual predicate and returns the surviving rows.
+func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr) (*colbatch.Batch, error) {
+	cols := make([]*colbatch.Column, 0, len(left)+len(right))
+	for _, c := range left {
+		cols = append(cols, c.Gather(lPhys))
+	}
+	for _, c := range right {
+		cols = append(cols, c.Gather(rPhys))
+	}
+	out := colbatch.New(schema, cols, len(lPhys))
+	if residual == nil {
+		return out, nil
+	}
+	sel, err := evalPredicate(residual, out)
+	if err != nil {
+		return nil, err
+	}
+	return out.Select(sel), nil
+}
+
+// hashJoinBatch joins two batches on key equality: a chained index table over
+// the build side (head[bucket] and next[row] hold build row + 1, 0 ends a
+// chain), probed in probe order and compared on the typed key vectors, then
+// the residual filter over the gathered candidate batch. Build rows enter the
+// table last to first, so every chain lists its rows in build order and the
+// candidate pairs come out in the row kernel's order. Like the row kernel's
+// map keyed by hash, a pair matches when the full hashes are equal AND the
+// keys compare equal (Compare alone would also pair NaN with everything).
 func hashJoinBatch(j *HashJoin, build, probe *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
 	bnode, err := compileExpr(j.BuildKey, build.Schema)
 	if err != nil {
@@ -617,64 +720,95 @@ func hashJoinBatch(j *HashJoin, build, probe *colbatch.Batch, ctx *Context) (*co
 	if err != nil {
 		return nil, err
 	}
-	outSchema := build.Schema.Concat(probe.Schema)
+	bops, pops := classify(bres), classify(pres)
+	bhs, phs := keyHashes(bres, &bops), keyHashes(pres, &pops)
 
-	bn := build.Len()
-	ht := make(map[uint64][]int, bn)
-	bkeys := make([]sqltypes.Value, bn)
-	for i := 0; i < bn; i++ {
+	bn, pn := build.Len(), probe.Len()
+	if bn >= math.MaxInt32 {
+		return nil, fmt.Errorf("exec: %d build rows do not fit the join table's 32-bit chains", bn)
+	}
+	buckets := 1
+	for buckets < 2*bn {
+		buckets <<= 1
+	}
+	mask := uint64(buckets - 1)
+	head := make([]int32, buckets)
+	next := make([]int32, bn)
+	for i := bn - 1; i >= 0; i-- {
 		if bres.isNull(i) {
 			continue
 		}
-		bkeys[i] = bres.value(i)
-		h := vresHash(bres, i)
-		ht[h] = append(ht[h], i)
+		slot := bhs[i] & mask
+		next[i] = head[slot]
+		head[slot] = int32(i + 1)
 	}
 	var bIdx, pIdx []int
-	pn := probe.Len()
 	for i := 0; i < pn; i++ {
 		if pres.isNull(i) {
 			continue
 		}
-		h := vresHash(pres, i)
-		bucket := ht[h]
-		if len(bucket) == 0 {
-			continue
-		}
-		k := pres.value(i)
-		for _, bi := range bucket {
-			if sqltypes.Compare(bkeys[bi], k) != 0 {
-				continue
+		h := phs[i]
+		for at := head[h&mask]; at != 0; at = next[at-1] {
+			bi := int(at - 1)
+			if bhs[bi] == h && keysEqual(bres, &bops, bi, pres, &pops, i) {
+				bIdx = append(bIdx, bi)
+				pIdx = append(pIdx, i)
 			}
-			bIdx = append(bIdx, bi)
-			pIdx = append(pIdx, i)
 		}
 	}
-
-	// Gather candidate pairs into one contiguous joined batch.
-	cols := make([]*colbatch.Column, 0, len(build.Cols)+len(probe.Cols))
-	bPhys := make([]int, len(bIdx))
-	for i, bi := range bIdx {
-		bPhys[i] = build.Phys(bi)
-	}
-	pPhys := make([]int, len(pIdx))
-	for i, pi := range pIdx {
-		pPhys[i] = probe.Phys(pi)
-	}
-	for _, c := range build.Cols {
-		cols = append(cols, c.Gather(bPhys))
-	}
-	for _, c := range probe.Cols {
-		cols = append(cols, c.Gather(pPhys))
-	}
-	out := colbatch.New(outSchema, cols, len(bIdx))
-	if j.Residual != nil {
-		sel, err := evalPredicate(j.Residual, out)
-		if err != nil {
-			return nil, err
-		}
-		out = out.Select(sel)
+	out, err := joinedBatch(build.Schema.Concat(probe.Schema), build.Cols, physOf(build, bIdx), probe.Cols, physOf(probe, pIdx), j.Residual)
+	if err != nil {
+		return nil, err
 	}
 	ctx.Res.CPUOps += float64(bn)*2 + float64(pn)*2 + float64(out.Len())
+	return out, nil
+}
+
+// indexNLJoinBatch is the columnar index nested-loop join: the outer key
+// evaluates once over the whole outer batch, every non-NULL key probes the
+// index by its hash (exactly the bucket LookupEq reads), and the joined rows
+// are a Gather of the outer columns and of the inner table's column memo at
+// the matched positions. It charges the row kernel's formula over the same
+// probe and fetch counts.
+//
+// The positions come from the live index and the columns from a memo taken
+// at one table version; a position the memo does not cover (the table grew in
+// between) is an error here, which sends the caller to the row kernel, whose
+// Table.Row fetches decide the outcome.
+func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
+	knode, err := compileExpr(j.OuterKey, outer.Schema)
+	if err != nil {
+		return nil, err
+	}
+	kres, err := knode.eval(outer)
+	if err != nil {
+		return nil, err
+	}
+	kops := classify(kres)
+	khs := keyHashes(kres, &kops)
+	inner, innerRows := j.Inner.Columns()
+
+	var oIdx, iPos []int
+	var probes float64
+	for i, on := 0, outer.Len(); i < on; i++ {
+		if kres.isNull(i) {
+			continue
+		}
+		probes++
+		before := len(iPos)
+		iPos = j.Index.AppendEqHash(iPos, khs[i])
+		for _, pos := range iPos[before:] {
+			if pos < 0 || pos >= innerRows {
+				return nil, fmt.Errorf("exec: index %s names row %d, the column memo of %s holds %d", j.Index.Name(), pos, j.Inner.Name(), innerRows)
+			}
+			oIdx = append(oIdx, i)
+		}
+	}
+	fetches := float64(len(iPos))
+	out, err := joinedBatch(outer.Schema.Concat(j.innerSchema()), outer.Cols, physOf(outer, oIdx), inner, iPos, j.Residual)
+	if err != nil {
+		return nil, err
+	}
+	j.charge(ctx, probes, fetches)
 	return out, nil
 }

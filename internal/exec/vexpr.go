@@ -33,14 +33,14 @@ type vres struct {
 	n   int
 	tag int
 
-	konst  sqltypes.Value    // rConst: broadcast value
-	col    *colbatch.Column  // rCol: direct column of the batch
-	b      *colbatch.Batch   // rCol: window mapping
-	vals   []sqltypes.Value  // rVals: boxed, logical space
-	ints   []int64           // rInts
-	floats []float64         // rFloats
-	bools  []bool            // rBools
-	nulls  []bool            // rInts/rFloats/rBools: null bitmap (may be nil)
+	konst  sqltypes.Value   // rConst: broadcast value
+	col    *colbatch.Column // rCol: direct column of the batch
+	b      *colbatch.Batch  // rCol: window mapping
+	vals   []sqltypes.Value // rVals: boxed, logical space
+	ints   []int64          // rInts
+	floats []float64        // rFloats
+	bools  []bool           // rBools
+	nulls  []bool           // rInts/rFloats/rBools: null bitmap (may be nil)
 }
 
 const (
@@ -359,6 +359,12 @@ func (o *operand) boolInt(i int) int64 {
 	return boolToInt(o.bools[i])
 }
 
+// numericKind reports whether cells of kind k compare numerically (through
+// float64 unless both sides are int), as sqltypes.Compare does.
+func numericKind(k sqltypes.Kind) bool {
+	return k == sqltypes.KindInt || k == sqltypes.KindFloat
+}
+
 func boolToInt(b bool) int64 {
 	if b {
 		return 1
@@ -426,7 +432,6 @@ func cmpRes(op sqlparser.BinaryOp, c int) bool {
 // numeric mix through float64, strings lexically, bools as 0/1. Returns nil
 // when no typed kernel applies.
 func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
-	numeric := func(k sqltypes.Kind) bool { return k == sqltypes.KindInt || k == sqltypes.KindFloat }
 	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
 	setNull := func(i int) {
 		if out.nulls == nil {
@@ -474,7 +479,7 @@ func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 			out.bools[i] = cmpRes(op, c)
 		}
 		return out
-	case numeric(lo.kind) && numeric(ro.kind):
+	case numericKind(lo.kind) && numericKind(ro.kind):
 		for i := 0; i < n; i++ {
 			if lo.null(i) || ro.null(i) {
 				setNull(i)
@@ -536,8 +541,7 @@ func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 		}
 		return out
 	}
-	numeric := func(k sqltypes.Kind) bool { return k == sqltypes.KindInt || k == sqltypes.KindFloat }
-	if !numeric(lo.kind) || !numeric(ro.kind) {
+	if !numericKind(lo.kind) || !numericKind(ro.kind) {
 		return nil
 	}
 	bothInt := lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt

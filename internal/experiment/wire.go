@@ -84,7 +84,7 @@ func WireStudy(opts Options) (WireStudyResult, error) {
 	return out, nil
 }
 
-// wireStudyShards builds one vectorized sharded federation per ship mode at
+// wireStudyShards builds one sharded federation per ship mode at
 // the given shard count, measures the deterministic quantities once each,
 // then times wall clock with the trials interleaved across modes.
 func wireStudyShards(opts Options, shards int) ([]WireOutcome, error) {
@@ -100,10 +100,8 @@ func wireStudyShards(opts Options, shards int) ([]WireOutcome, error) {
 			return nil, err
 		}
 		for _, srv := range sc.Servers {
-			srv.SetVectorized(true)
 			srv.SetColumnarWire(flags[1])
 		}
-		sc.II.SetVectorized(true)
 		sc.II.SetShardPushdown(flags[0])
 		// Warm the compile caches, then measure the steady-state execution.
 		if _, err := sc.II.Query(wireQuery); err != nil {

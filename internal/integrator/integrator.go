@@ -164,6 +164,7 @@ func New(cfg Config) *II {
 		patroller: NewPatrollerWithCapacity(cfg.PatrollerCapacity),
 		plans:     newPlanCache(cfg.PlanCache),
 	}
+	ii.vectorized.Store(true)
 	ii.shardPruning.Store(true)
 	ii.shardPushdown.Store(true)
 	// The optimizer reads the shard toggles through this hook on every
@@ -184,11 +185,12 @@ func (ii *II) BatchRows() int { return DefaultBatchRows }
 // Vectorized reports whether the II-side merge uses the columnar engine.
 func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
 
-// SetVectorized switches the II merge between the row-at-a-time and columnar
-// engines. The columnar merge only engages for queries whose fragments all
-// arrived with columnar payloads (i.e. the remote servers are vectorized
-// too); otherwise the row merge runs regardless of this flag. Either way the
-// merged rows, resource charges, and span tree are bit-identical.
+// SetVectorized switches the II merge between the columnar engine (the
+// default) and the row-at-a-time reference engine. The columnar merge only
+// engages for queries whose fragments all arrived with columnar payloads
+// (i.e. the remote servers are vectorized too); otherwise the row merge runs
+// regardless of this flag. Either way the merged rows, resource charges, and
+// span tree are bit-identical.
 func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
 // ShardPruning reports whether predicates on a shard key prune the shard

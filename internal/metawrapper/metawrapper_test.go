@@ -102,7 +102,7 @@ func TestExecuteFragmentRecordsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rel.Cardinality() == 0 {
+	if out.Result.RowCount() == 0 {
 		t.Fatal("no rows")
 	}
 	if len(obs.runs) != 1 {
@@ -264,13 +264,13 @@ func TestFragmentStreamBeatsStoreAndForward(t *testing.T) {
 		if b == nil {
 			break
 		}
-		rows += b.Rel.Cardinality()
+		rows += b.Col.Len()
 		batches++
 	}
 	out := st.Outcome()
 
-	if rows < 10000 || rows != mono.Result.Rel.Cardinality() {
-		t.Fatalf("streamed %d rows, store-and-forward %d; scenario needs >=10k", rows, mono.Result.Rel.Cardinality())
+	if rows < 10000 || rows != mono.Result.RowCount() {
+		t.Fatalf("streamed %d rows, store-and-forward %d; scenario needs >=10k", rows, mono.Result.RowCount())
 	}
 	if batches < 2 {
 		t.Fatalf("10k rows at 256 per batch arrived in %d batches", batches)

@@ -160,15 +160,16 @@ type Server struct {
 	tel *telemetry.Telemetry
 
 	// vectorized selects the columnar execution engine for this server's
-	// fragments. Either engine produces bit-identical results and charges
-	// (see exec.ExecuteVectorized); the toggle only changes wall-clock cost.
+	// fragments (the default). Either engine produces bit-identical results
+	// and charges (see exec.ExecuteVectorized); false selects the row engine,
+	// the reference the oracle tests compare against.
 	vectorized atomic.Bool
 
 	// wireColumnar ships streamed fragment results as typed column batches
-	// with the compact colbatch wire encoding instead of boxed rows. It only
-	// takes effect when vectorized is also on (the row engine has no columnar
-	// result to encode); when off, no encoder runs and the data path is
-	// byte-for-byte the PR 8 engine.
+	// with the compact colbatch wire encoding instead of boxed rows (the
+	// default). It only takes effect while vectorized is also on (the row
+	// engine has no columnar result to encode); when off, no encoder runs
+	// and batches carry boxed rows charged at their row size.
 	wireColumnar atomic.Bool
 
 	// induced-load state: recent service-time samples within the window.
@@ -194,7 +195,7 @@ func NewServer(cfg Config) *Server {
 		cfg.MaxPlans = 2
 	}
 	cfg.Cache.fill()
-	return &Server{
+	s := &Server{
 		id:         cfg.ID,
 		hw:         cfg.Hardware,
 		contention: cfg.Contention,
@@ -205,6 +206,9 @@ func NewServer(cfg Config) *Server {
 		cache:      cfg.Cache,
 		resident:   map[string]float64{},
 	}
+	s.vectorized.Store(true)
+	s.wireColumnar.Store(true)
+	return s
 }
 
 // SetTelemetry installs the observability subsystem: statement-cache lookups
@@ -221,16 +225,16 @@ func (s *Server) telemetry() *telemetry.Telemetry {
 	return s.tel
 }
 
-// SetVectorized switches this server's executor between the row-at-a-time
-// and columnar engines.
+// SetVectorized switches this server's executor between the columnar engine
+// (the default) and the row-at-a-time reference engine.
 func (s *Server) SetVectorized(on bool) { s.vectorized.Store(on) }
 
 // Vectorized reports whether the columnar engine is active.
 func (s *Server) Vectorized() bool { return s.vectorized.Load() }
 
-// SetColumnarWire switches streamed fragment results between boxed rows and
-// the typed columnar wire encoding. Effective only while the server is also
-// vectorized; the flag is remembered either way.
+// SetColumnarWire switches streamed fragment results between the typed
+// columnar wire encoding (the default) and boxed rows. Effective only while
+// the server is also vectorized; the flag is remembered either way.
 func (s *Server) SetColumnarWire(on bool) { s.wireColumnar.Store(on) }
 
 // ColumnarWire reports whether the columnar wire protocol is enabled (it

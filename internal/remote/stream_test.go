@@ -9,15 +9,17 @@ import (
 	"repro/internal/sqltypes"
 )
 
+// drainCursor collects the streamed batches' rows. On the columnar wire a
+// batch carries no row form, so cells are read back from its columns.
 func drainCursor(cur *Cursor) (*sqltypes.Relation, simclock.Time) {
-	out := sqltypes.NewRelation(cur.Result().Rel.Schema)
+	out := sqltypes.NewRelation(cur.Result().Schema())
 	var total simclock.Time
 	for {
 		b := cur.NextBatch()
 		if b == nil {
 			return out, total
 		}
-		out.Rows = append(out.Rows, b.Rel.Rows...)
+		out.Rows = append(out.Rows, b.Col.ToRelation().Rows...)
 		total += b.ServiceTime
 	}
 }
@@ -38,15 +40,16 @@ func TestOpenPlanBatchesSumToServiceTime(t *testing.T) {
 	}
 	rel, sum := drainCursor(cur)
 	res := cur.Result()
-	if len(rel.Rows) != len(res.Rel.Rows) {
-		t.Fatalf("streamed %d rows, materialized %d", len(rel.Rows), len(res.Rel.Rows))
+	whole := res.Col.ToRelation()
+	if len(rel.Rows) != res.RowCount() {
+		t.Fatalf("streamed %d rows, materialized %d", len(rel.Rows), res.RowCount())
 	}
-	wantBatches := (len(res.Rel.Rows) + 31) / 32
+	wantBatches := (res.RowCount() + 31) / 32
 	if cur.NumBatches() != wantBatches {
 		t.Fatalf("batches: %d want %d", cur.NumBatches(), wantBatches)
 	}
 	if cur.NumBatches() < 2 {
-		t.Fatalf("test needs a multi-batch result, got %d batches over %d rows", cur.NumBatches(), len(res.Rel.Rows))
+		t.Fatalf("test needs a multi-batch result, got %d batches over %d rows", cur.NumBatches(), res.RowCount())
 	}
 	// The telescoping split must reproduce the full service time EXACTLY —
 	// not within epsilon — so the monolithic and streamed virtual times agree.
@@ -60,8 +63,8 @@ func TestOpenPlanBatchesSumToServiceTime(t *testing.T) {
 	}
 	// Row content matches the materialized result position by position.
 	for i, row := range rel.Rows {
-		if row[0].Int() != res.Rel.Rows[i][0].Int() {
-			t.Fatalf("row %d differs: %v vs %v", i, row, res.Rel.Rows[i])
+		if row[0].Int() != whole.Rows[i][0].Int() {
+			t.Fatalf("row %d differs: %v vs %v", i, row, whole.Rows[i])
 		}
 	}
 }

@@ -8,7 +8,9 @@ import "math"
 // letting kernels work on whole columns without a Value round trip per
 // cell.
 
-// FNV-1a parameters, matching hash/fnv's 64-bit variant used by Value.Hash.
+// FNV-1a parameters (hash/fnv's 64-bit variant). Value.Hash is built from
+// the helpers below, so a hash index, a join table and a column kernel agree
+// on every value's bucket.
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
@@ -94,24 +96,14 @@ func CompareColumns(a, b []Value, out []int) []int {
 }
 
 // HashColumn hashes a column vector element-wise into out (allocated when
-// nil or too short), producing exactly Value.Hash for every cell but
-// dispatching on kind once per cell with no hash.Hash64 allocation.
+// nil or too short): Value.Hash of every cell.
 func HashColumn(vals []Value, out []uint64) []uint64 {
 	if len(out) < len(vals) {
 		out = make([]uint64, len(vals))
 	}
 	out = out[:len(vals)]
 	for i, v := range vals {
-		switch v.kind {
-		case KindNull:
-			out[i] = HashNull()
-		case KindInt, KindBool:
-			out[i] = HashInt64(v.i)
-		case KindFloat:
-			out[i] = HashFloat64(v.f)
-		case KindString:
-			out[i] = HashString(v.s)
-		}
+		out[i] = v.Hash()
 	}
 	return out
 }

@@ -6,7 +6,6 @@ package sqltypes
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"strings"
@@ -46,11 +45,12 @@ func (k Kind) String() string {
 	}
 }
 
-// Value is a single SQL value. The zero Value is NULL.
+// Value is a single SQL value. The zero Value is NULL. One word carries the
+// integer (or boolean 0/1) payload or the float's IEEE bits, whichever the
+// kind says; a Value is 32 bytes.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
 }
 
@@ -58,21 +58,21 @@ type Value struct {
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{kind: KindString, s: v} }
 
 // NewBool returns a boolean value.
 func NewBool(v bool) Value {
-	i := int64(0)
+	n := uint64(0)
 	if v {
-		i = 1
+		n = 1
 	}
-	return Value{kind: KindBool, i: i}
+	return Value{kind: KindBool, n: n}
 }
 
 // Kind reports the value's kind.
@@ -82,16 +82,24 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // Int returns the integer payload. It is only meaningful for KindInt and
-// KindBool values.
-func (v Value) Int() int64 { return v.i }
+// KindBool values; every other kind reads 0.
+func (v Value) Int() int64 {
+	if v.kind == KindInt || v.kind == KindBool {
+		return int64(v.n)
+	}
+	return 0
+}
+
+// float returns the float payload of a KindFloat value.
+func (v Value) float() float64 { return math.Float64frombits(v.n) }
 
 // Float returns the value coerced to float64 (ints are widened).
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt, KindBool:
-		return float64(v.i)
+		return float64(int64(v.n))
 	default:
 		return 0
 	}
@@ -107,9 +115,9 @@ func (v Value) Str() string { return v.s }
 func (v Value) Bool() bool {
 	switch v.kind {
 	case KindBool, KindInt:
-		return v.i != 0
+		return v.n != 0
 	case KindFloat:
-		return v.f != 0
+		return v.float() != 0
 	default:
 		return false
 	}
@@ -124,13 +132,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case KindBool:
-		if v.i != 0 {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -155,10 +163,11 @@ func Compare(a, b Value) int {
 	}
 	if a.IsNumeric() && b.IsNumeric() {
 		if a.kind == KindInt && b.kind == KindInt {
+			ai, bi := int64(a.n), int64(b.n)
 			switch {
-			case a.i < b.i:
+			case ai < bi:
 				return -1
-			case a.i > b.i:
+			case ai > bi:
 				return 1
 			default:
 				return 0
@@ -185,9 +194,9 @@ func Compare(a, b Value) int {
 		return strings.Compare(a.s, b.s)
 	case KindBool:
 		switch {
-		case a.i < b.i:
+		case a.n < b.n:
 			return -1
-		case a.i > b.i:
+		case a.n > b.n:
 			return 1
 		default:
 			return 0
@@ -209,31 +218,16 @@ func Equal(a, b Value) bool {
 // Hash returns a stable hash of the value, suitable for hash joins and
 // grouping. Numerically equal int/float values hash identically.
 func (v Value) Hash() uint64 {
-	h := fnv.New64a()
 	switch v.kind {
-	case KindNull:
-		h.Write([]byte{0})
 	case KindInt, KindBool:
-		writeUint64(h, uint64(v.i))
+		return HashInt64(int64(v.n))
 	case KindFloat:
-		if v.f == math.Trunc(v.f) && v.f >= math.MinInt64 && v.f <= math.MaxInt64 {
-			writeUint64(h, uint64(int64(v.f)))
-		} else {
-			writeUint64(h, math.Float64bits(v.f))
-		}
+		return HashFloat64(v.float())
 	case KindString:
-		h.Write([]byte{2})
-		h.Write([]byte(v.s))
+		return HashString(v.s)
+	default:
+		return HashNull()
 	}
-	return h.Sum64()
-}
-
-func writeUint64(h interface{ Write([]byte) (int, error) }, u uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(u >> (8 * i))
-	}
-	h.Write(buf[:])
 }
 
 // ByteSize approximates the wire size of the value in bytes, used by the

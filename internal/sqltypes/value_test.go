@@ -1,10 +1,102 @@
 package sqltypes
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize pins the layout: a kind, one payload word and a string
+// header. Every boxed cell, resident row and wire-decoded value pays it.
+func TestValueSize(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// TestPayloadWordRoundTrip covers the values whose bit pattern is easy to
+// lose when an int and a float share one word.
+func TestPayloadWordRoundTrip(t *testing.T) {
+	for _, i := range []int64{math.MinInt64, math.MaxInt64, -1, 0, 1} {
+		v := NewInt(i)
+		if v.Int() != i || v.Float() != float64(i) || v.Bool() != (i != 0) {
+			t.Errorf("NewInt(%d): Int=%d Float=%g Bool=%v", i, v.Int(), v.Float(), v.Bool())
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, negZero, math.SmallestNonzeroFloat64, -math.MaxFloat64} {
+		v := NewFloat(f)
+		if math.Float64bits(v.Float()) != math.Float64bits(f) {
+			t.Errorf("NewFloat(%g): bits %x, want %x", f, math.Float64bits(v.Float()), math.Float64bits(f))
+		}
+		if v.Int() != 0 {
+			t.Errorf("NewFloat(%g).Int() = %d, want 0 (Int reads 0 for every kind but int and bool)", f, v.Int())
+		}
+		if v.Bool() != (f != 0) {
+			t.Errorf("NewFloat(%g).Bool() = %v", f, v.Bool())
+		}
+	}
+	if Compare(NewFloat(0), NewFloat(negZero)) != 0 || NewFloat(0).Hash() != NewFloat(negZero).Hash() {
+		t.Error("+0 and -0 must compare equal and share a hash bucket")
+	}
+	if NewString("x").Int() != 0 || Null.Int() != 0 {
+		t.Error("Int() of a string or NULL must read 0")
+	}
+}
+
+// fnvHash is Value.Hash as it was first written, over hash/fnv: the
+// reference the allocation-free Hash must keep reproducing, because hash
+// indexes, join tables and group tables are all keyed by it.
+func fnvHash(v Value) uint64 {
+	h := fnv.New64a()
+	word := func(u uint64) {
+		var buf [8]byte
+		for i := range buf {
+			buf[i] = byte(u >> (8 * i))
+		}
+		h.Write(buf[:])
+	}
+	switch v.Kind() {
+	case KindNull:
+		h.Write([]byte{0})
+	case KindInt, KindBool:
+		word(uint64(v.Int()))
+	case KindFloat:
+		if f := v.Float(); f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+			word(uint64(int64(f)))
+		} else {
+			word(math.Float64bits(f))
+		}
+	case KindString:
+		h.Write([]byte{2})
+		h.Write([]byte(v.Str()))
+	}
+	return h.Sum64()
+}
+
+func TestHashKeepsItsValuesAndDoesNotAllocate(t *testing.T) {
+	literals := []Value{Null, NewInt(-7), NewFloat(2.5), NewFloat(41), NewString("S3"), NewBool(true)}
+	for _, v := range literals {
+		if got, want := v.Hash(), fnvHash(v); got != want {
+			t.Errorf("Hash(%v) = %d, the hash/fnv reference gives %d", v, got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { v.Hash() }); allocs != 0 {
+			t.Errorf("Hash(%v) allocates %.0f times per call", v, allocs)
+		}
+	}
+	if NewInt(41).Hash() != NewFloat(41).Hash() {
+		t.Error("41 and 41.0 are join-equal and must collide")
+	}
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		if v := randValue(rng); v.Hash() != fnvHash(v) {
+			t.Fatalf("Hash(%v) = %d, the hash/fnv reference gives %d", v, v.Hash(), fnvHash(v))
+		}
+	}
+}
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
 	if !Null.IsNull() {

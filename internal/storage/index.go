@@ -108,8 +108,15 @@ func (ix *Index) LookupEq(v sqltypes.Value) []int {
 	if v.IsNull() {
 		return nil
 	}
-	out := append([]int(nil), ix.hash[v.Hash()]...)
-	return out
+	return ix.AppendEqHash(nil, v.Hash())
+}
+
+// AppendEqHash appends to dst the positions LookupEq returns for a non-NULL
+// key whose Value.Hash is h, and returns the extended slice: a join probing
+// once per outer row collects every match in one slice and never boxes the
+// key.
+func (ix *Index) AppendEqHash(dst []int, h uint64) []int {
+	return append(dst, ix.hash[h]...)
 }
 
 // LookupRange returns positions of rows with lo <= key <= hi; a nil bound is

@@ -62,8 +62,8 @@ func TestRelationalExecuteAddsTransferTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rel.Cardinality() != 3 {
-		t.Fatalf("rows: %d", out.Result.Rel.Cardinality())
+	if out.Result.RowCount() != 3 {
+		t.Fatalf("rows: %d", out.Result.RowCount())
 	}
 	if out.ResponseTime <= out.Result.ServiceTime {
 		t.Fatalf("response %v must exceed service %v", out.ResponseTime, out.Result.ServiceTime)
@@ -142,8 +142,8 @@ func TestFileWrapperNoCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.Rel.Cardinality() != 1 {
-		t.Fatalf("rows: %d", out.Result.Rel.Cardinality())
+	if out.Result.RowCount() != 1 {
+		t.Fatalf("rows: %d", out.Result.RowCount())
 	}
 	if _, err := w.Probe(context.Background()); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,16 @@
 // row-at-a-time and columnar executors must be invisible to everything the
 // simulation measures — rows, routes, fragment times, merge times, queue
 // waits, span trees, and the virtual clock — with and without an active
-// admission policy. Only real wall-clock cost may differ.
+// admission policy. Only real wall-clock cost may differ. Both flags default
+// on, so every reference arm selects the row engine with SetVectorized(false)
+// and every vectorized arm turns the columnar wire off: the wire changes the
+// bytes the network model charges, the engine alone must change nothing.
 package fedqcc_test
 
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	fedqcc "repro"
@@ -143,9 +147,9 @@ func TestVectorizedIdentityStreaming(t *testing.T) {
 	sqls := soakStatements(16)
 	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) { fed.SetVectorized(false) })
 	vec := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
+		fed.SetColumnarWire(false)
 		if !fed.Vectorized() {
-			t.Fatal("SetVectorized(true) did not take")
+			t.Fatal("a new federation must run the columnar engine")
 		}
 	})
 	requireVecIdentity(t, sqls, row, vec)
@@ -173,10 +177,11 @@ func TestVectorizedIdentityUnderAdmission(t *testing.T) {
 	}
 	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
 		fed.Admission().SetPolicy(policy)
+		fed.SetVectorized(false)
 	})
 	vec := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
 		fed.Admission().SetPolicy(policy)
-		fed.SetVectorized(true)
+		fed.SetColumnarWire(false)
 	})
 	requireVecIdentity(t, sqls, row, vec)
 	requireVectorizedEngaged(t, vec)
@@ -191,10 +196,11 @@ func TestVectorizedIdentityUnderAdmission(t *testing.T) {
 // must be safe at any query boundary and leave no residue.
 func TestVectorizedToggleMidWorkload(t *testing.T) {
 	sqls := soakStatements(10)
-	row := runVecWorkload(t, sqls, func(*fedqcc.Federation) {})
+	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) { fed.SetVectorized(false) })
 
 	fed := soakFederation(t)
 	fed.EnableTelemetry()
+	fed.SetColumnarWire(false)
 	for i, q := range sqls {
 		fed.SetVectorized(i%2 == 1)
 		res, err := fed.Query(q)
@@ -218,5 +224,62 @@ func TestVectorizedToggleMidWorkload(t *testing.T) {
 	}
 	if row.clock != fed.Now() {
 		t.Errorf("final clock %v vs %v after mid-workload toggling", row.clock, fed.Now())
+	}
+}
+
+// TestDefaultsAreColumnar pins what every public constructor builds: the
+// columnar engine and the columnar wire, with no setter called. A default
+// that silently flipped back to the row engine would keep every identity
+// test green (they select both arms explicitly) and cost 20x the allocations.
+func TestDefaultsAreColumnar(t *testing.T) {
+	builders := map[string]func() (*fedqcc.Federation, string, error){
+		"NewPaperFederation": func() (*fedqcc.Federation, string, error) {
+			fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 100})
+			return fed, "SELECT o.o_id FROM orders AS o WHERE o.o_id < 40", err
+		},
+		"NewReplicaFederation": func() (*fedqcc.Federation, string, error) {
+			fed, err := fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: 100})
+			return fed, "SELECT o.o_id FROM orders AS o WHERE o.o_id < 40", err
+		},
+		"NewReplicatedFederation": func() (*fedqcc.Federation, string, error) {
+			fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+			return fed, "SELECT h.h_id FROM hot2 AS h WHERE h.h_id < 40", err
+		},
+		"NewShardedFederation": func() (*fedqcc.Federation, string, error) {
+			fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{Shards: 2, Scale: 100})
+			return fed, "SELECT l_id FROM lineitem WHERE l_id < 40", err
+		},
+		"Builder": func() (*fedqcc.Federation, string, error) {
+			b := fedqcc.NewBuilder(42)
+			b.AddServer("S1", fedqcc.ProfileMidrange, fedqcc.LinkSpec{LatencyMS: 5, BandwidthKBps: 2000})
+			for _, spec := range fedqcc.StandardSchema(100) {
+				b.AddGeneratedTable("S1", spec)
+			}
+			fed, err := b.Build()
+			return fed, "SELECT o.o_id FROM orders AS o WHERE o.o_id < 40", err
+		},
+	}
+	for name, build := range builders {
+		fed, sql, err := build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !fed.Vectorized() || !fed.ColumnarWire() {
+			t.Errorf("%s: Vectorized()=%v ColumnarWire()=%v, want both true with no setter called", name, fed.Vectorized(), fed.ColumnarWire())
+		}
+		fed.EnableTelemetry()
+		if _, err := fed.Query(sql); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if tree := fed.Telemetry().Tracer().Last().Tree(); !strings.Contains(tree, "ship=col-ship") {
+			t.Errorf("%s: no fragment shipped columnar:\n%s", name, tree)
+		}
+		var ran int64
+		for _, id := range fed.ServerIDs() {
+			ran += fed.Telemetry().Metrics().CounterValue("exec.vectorized", id)
+		}
+		if ran == 0 {
+			t.Errorf("%s: exec.vectorized did not move: the row engine answered", name)
+		}
 	}
 }

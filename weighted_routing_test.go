@@ -245,6 +245,7 @@ func TestRouteDecisionsLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fed.SetColumnarWire(false) // the row protocol's ship mode is what this test reads back
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal})
 	const sql = "SELECT SUM(h.h_val) FROM hot2 AS h WHERE h.h_val > 1000"
 	for i := 0; i < 3; i++ {

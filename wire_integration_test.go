@@ -30,19 +30,18 @@ func TestWireDisabledIdentity(t *testing.T) {
 	requireVecIdentity(t, sqls, base, wired)
 }
 
-// TestWireRowProtocolUntouched pins the complementary default: a vectorized
-// federation with the wire flag untouched behaves exactly like one with the
-// flag explicitly off.
+// TestWireRowProtocolUntouched pins the complement: turning only the wire
+// flag off on a new (columnar-engine) federation ships exactly the row
+// protocol, byte for byte what the row engine ships.
 func TestWireRowProtocolUntouched(t *testing.T) {
 	sqls := soakStatements(12)
-	def := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
+	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
+		fed.SetVectorized(false)
 	})
 	off := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
 		fed.SetColumnarWire(false)
 	})
-	requireVecIdentity(t, sqls, def, off)
+	requireVecIdentity(t, sqls, row, off)
 }
 
 // TestWireSameAnswers: enabling the columnar wire changes what crosses the
@@ -52,12 +51,9 @@ func TestWireRowProtocolUntouched(t *testing.T) {
 func TestWireSameAnswers(t *testing.T) {
 	sqls := soakStatements(16)
 	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
+		fed.SetColumnarWire(false)
 	})
-	wire := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(true)
-		fed.SetColumnarWire(true)
-	})
+	wire := runVecWorkload(t, sqls, func(*fedqcc.Federation) {})
 	for i := range sqls {
 		r, w := row.results[i], wire.results[i]
 		if len(r.Rows.Rows) != len(w.Rows.Rows) {
@@ -85,7 +81,6 @@ func wireShardedFed(t testing.TB, shards int, pushdown, wire bool) *fedqcc.Feder
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.SetVectorized(true)
 	fed.SetShardPushdown(pushdown)
 	fed.SetColumnarWire(wire)
 	return fed
