@@ -121,7 +121,7 @@ const (
 )
 
 // topStep is one stage of the non-join tail. BuildTop and BuildShardFinal
-// assemble the same step list, so the sharded and unsharded tails cannot
+// stack the same step list, so the sharded and unsharded tails cannot
 // diverge on plan shape.
 type topStep struct {
 	kind    topStepKind
@@ -133,11 +133,17 @@ type topStep struct {
 	n       int                    // stepLimit
 }
 
-// planTopSteps compiles the non-join tail of a SELECT — aggregation, HAVING,
-// projection, ORDER BY, DISTINCT and LIMIT — into an ordered step list given
-// the schema of the joined, filtered input.
-func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topStep, error) {
-	var steps []topStep
+// Top is the planned non-join tail of a SELECT: an ordered step list that
+// depends only on the statement and the schema of the joined, filtered input,
+// so a planner comparing many join trees for one statement plans it once and
+// stacks it on each. The steps are shared, read-only, by every tree built.
+type Top []topStep
+
+// PlanTop compiles the non-join tail of a SELECT — aggregation, HAVING,
+// projection, ORDER BY, DISTINCT and LIMIT — given the schema of the joined,
+// filtered input.
+func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
+	var steps Top
 	selectItems := stmt.Select
 	having := stmt.Having
 	orderBy := stmt.OrderBy
@@ -216,23 +222,27 @@ func planTopSteps(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) ([]topSte
 
 // BuildTop applies the non-join tail of a SELECT statement — aggregation,
 // HAVING, projection, ORDER BY, DISTINCT and LIMIT — on top of an input
-// operator that already produces the joined, filtered rows. The remote
-// planner reuses this after assembling its own join tree.
+// operator that already produces the joined, filtered rows.
 func BuildTop(stmt *sqlparser.SelectStmt, current Operator) (Operator, error) {
-	return buildTop(stmt, current.Schema(), current, func(in Operator, s topStep) Operator {
+	top, err := PlanTop(stmt, current.Schema())
+	if err != nil {
+		return nil, err
+	}
+	return top.Build(current), nil
+}
+
+// Build stacks the tail's operators onto current, which must produce the
+// schema the tail was planned against.
+func (t Top) Build(current Operator) Operator {
+	return t.stack(current, func(in Operator, s topStep) Operator {
 		return &Aggregate{Input: in, GroupBy: s.groupBy, Aggs: s.aggs}
 	})
 }
 
-// buildTop stacks the planTopSteps operators for a tail over the given
-// pre-aggregation schema onto current; aggregate supplies the operator for
-// the aggregation step.
-func buildTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema, current Operator, aggregate func(in Operator, s topStep) Operator) (Operator, error) {
-	steps, err := planTopSteps(stmt, schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range steps {
+// stack is Build with the operator for the aggregation step supplied by the
+// caller.
+func (t Top) stack(current Operator, aggregate func(in Operator, s topStep) Operator) Operator {
+	for _, s := range t {
 		switch s.kind {
 		case stepAggregate:
 			current = aggregate(current, s)
@@ -248,7 +258,7 @@ func buildTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema, current Opera
 			current = &Limit{Input: current, N: s.n}
 		}
 	}
-	return current, nil
+	return current
 }
 
 // aggOutputName gives an aggregate select item a stable output name derived

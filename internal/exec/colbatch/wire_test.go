@@ -233,7 +233,7 @@ func FuzzWireRoundTrip(f *testing.F) {
 			for i := 0; i < n; i++ {
 				x := byteAt(c*31 + i)
 				// Kind choice per column, with one column forced mixed.
-				kindSel := byteAt(c + 1) % 5
+				kindSel := byteAt(c+1) % 5
 				if c == ncols-1 {
 					kindSel = x % 5 // per-cell kind: mixed column
 				}

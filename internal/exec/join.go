@@ -153,31 +153,36 @@ func (j *NestedLoopJoin) Explain() string {
 // Children implements Operator.
 func (j *NestedLoopJoin) Children() []Operator { return []Operator{j.Outer, j.Inner} }
 
-// ExtractEquiJoinKeys finds a conjunct of the form leftCol = rightCol where
-// the two sides reference columns resolvable in the left and right schemas
-// respectively (in either order). It returns the left key, right key, the
-// remaining conjuncts and whether a key pair was found.
+// EquiJoinKey matches c as leftCol = rightCol where the two sides are columns
+// resolvable in the left and right schemas respectively (in either order),
+// returning the key pair in (left, right) order.
+func EquiJoinKey(c sqlparser.Expr, left, right *sqltypes.Schema) (lk, rk *sqlparser.ColumnRef, ok bool) {
+	be, isBin := c.(*sqlparser.BinaryExpr)
+	if !isBin || be.Op != sqlparser.OpEq {
+		return nil, nil, false
+	}
+	lref, lok := be.Left.(*sqlparser.ColumnRef)
+	rref, rok := be.Right.(*sqlparser.ColumnRef)
+	switch {
+	case !lok || !rok:
+		return nil, nil, false
+	case resolves(lref, left) && resolves(rref, right):
+		return lref, rref, true
+	case resolves(rref, left) && resolves(lref, right):
+		return rref, lref, true
+	}
+	return nil, nil, false
+}
+
+// ExtractEquiJoinKeys finds the first conjunct EquiJoinKey matches. It
+// returns the left key, right key, the remaining conjuncts and whether a key
+// pair was found.
 func ExtractEquiJoinKeys(conjuncts []sqlparser.Expr, left, right *sqltypes.Schema) (lk, rk sqlparser.Expr, rest []sqlparser.Expr, ok bool) {
 	for i, c := range conjuncts {
-		be, isBin := c.(*sqlparser.BinaryExpr)
-		if !isBin || be.Op != sqlparser.OpEq {
-			continue
+		if l, r, found := EquiJoinKey(c, left, right); found {
+			rest = append(append([]sqlparser.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+			return l, r, rest, true
 		}
-		lref, lok := be.Left.(*sqlparser.ColumnRef)
-		rref, rok := be.Right.(*sqlparser.ColumnRef)
-		if !lok || !rok {
-			continue
-		}
-		switch {
-		case resolves(lref, left) && resolves(rref, right):
-			lk, rk = be.Left, be.Right
-		case resolves(rref, left) && resolves(lref, right):
-			lk, rk = be.Right, be.Left
-		default:
-			continue
-		}
-		rest = append(append([]sqlparser.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-		return lk, rk, rest, true
 	}
 	return nil, nil, conjuncts, false
 }

@@ -24,7 +24,7 @@ import (
 // pruned and unpruned scatter-gather merge to exactly the same values.
 
 // StatementAggregates collects the distinct aggregate calls of a SELECT in
-// the exact order planTopSteps collects them (select items, then HAVING,
+// the exact order PlanTop collects them (select items, then HAVING,
 // then ORDER BY), so the per-shard partial statements and the final merge
 // agree on aggregate positions.
 func StatementAggregates(stmt *sqlparser.SelectStmt) ([]*sqlparser.AggExpr, error) {
@@ -233,11 +233,15 @@ func (s *ShardAggFinal) Explain() string {
 func (s *ShardAggFinal) Children() []Operator { return []Operator{s.Input} }
 
 // BuildShardFinal assembles the II-side tail of a two-phase aggregate query:
-// the same planTopSteps as the unsharded plan, with the aggregation step
+// the same PlanTop steps as the unsharded plan, with the aggregation step
 // replaced by a ShardAggFinal over the concatenated partial rows. base is
 // the logical fragment's pre-aggregation schema.
 func BuildShardFinal(stmt *sqlparser.SelectStmt, base *sqltypes.Schema, partial Operator) (Operator, error) {
-	return buildTop(stmt, base, partial, func(in Operator, s topStep) Operator {
+	top, err := PlanTop(stmt, base)
+	if err != nil {
+		return nil, err
+	}
+	return top.stack(partial, func(in Operator, s topStep) Operator {
 		return &ShardAggFinal{Input: in, GroupBy: s.groupBy, Aggs: s.aggs, Base: base}
-	})
+	}), nil
 }

@@ -653,7 +653,8 @@ func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) s
 // dispatchFragment runs one fragment through MW's streaming data path; rows
 // accumulate at the II as batches arrive.
 func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) (fragOutcome, error) {
-	st, err := ii.cfg.MW.OpenFragmentStream(ctx, f.ServerID, f.Spec.Stmt.String(), f.Plan, f.RawEst, DefaultBatchRows)
+	key := metawrapper.FragmentKey{ServerID: f.ServerID, Signature: f.Spec.Sig}
+	st, err := ii.cfg.MW.OpenKeyed(ctx, key, f.Plan, f.RawEst, DefaultBatchRows)
 	if err != nil {
 		return fragOutcome{}, err
 	}

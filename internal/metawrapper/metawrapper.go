@@ -213,11 +213,26 @@ func (mw *MetaWrapper) ExplainFragment(serverID string, stmt *sqlparser.SelectSt
 }
 
 // ExplainFragmentContext is ExplainFragment under a context carrying the
-// active trace span: each call records one per-candidate remote-planning
-// span. Remote planning is free in virtual time (compile cost is not charged
-// to the clock), so the spans carry zero duration but preserve structure and
-// outcome.
+// active trace span; it derives the fragment's canonical signature from the
+// statement and calls ExplainKeyed.
 func (mw *MetaWrapper) ExplainFragmentContext(ctx context.Context, serverID string, stmt *sqlparser.SelectStmt) ([]wrapper.Candidate, error) {
+	return mw.ExplainKeyed(ctx, fragmentKey(serverID, stmt.String()), stmt)
+}
+
+// fragmentKey canonicalizes a fragment statement's text into its record key.
+func fragmentKey(serverID, fragSQL string) FragmentKey {
+	return FragmentKey{ServerID: serverID, Signature: sqlparser.CanonicalizeSQL(fragSQL)}
+}
+
+// ExplainKeyed is ExplainFragmentContext for a caller that already holds the
+// fragment's canonical signature (the optimizer: FragmentSpec.Sig), so one
+// fragment explained on N candidate servers is canonicalized once, not N
+// times. Each call records one per-candidate remote-planning span. Remote
+// planning is free in virtual time (compile cost is not charged to the
+// clock), so the spans carry zero duration but preserve structure and
+// outcome.
+func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *sqlparser.SelectStmt) ([]wrapper.Candidate, error) {
+	serverID := key.ServerID
 	sp := telemetry.SpanFrom(ctx).Emit("remote.plan", telemetry.LayerMW, serverID, 0)
 	if mw.Masked(serverID) {
 		sp.SetAttr("error", "masked")
@@ -241,7 +256,6 @@ func (mw *MetaWrapper) ExplainFragmentContext(ctx context.Context, serverID stri
 	}
 	sp.SetAttr("candidates", strconv.Itoa(len(cands)))
 	mw.telemetry().Active().Counter("mw.explains", serverID).Inc()
-	key := FragmentKey{ServerID: serverID, Signature: sqlparser.CanonicalizeSQL(stmt.String())}
 	out := make([]wrapper.Candidate, len(cands))
 	for i, c := range cands {
 		calibrated := c.Plan.Est
@@ -322,8 +336,8 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 // (the server did nothing wrong — a sibling fragment failed first).
 //
 // rawEst must be the wrapper's uncalibrated estimate for the executed plan;
-// fragSig the fragment statement text.
-func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSig string, plan *remote.Plan, rawEst remote.CostEstimate) (*wrapper.ExecOutcome, error) {
+// fragSQL the fragment statement text.
+func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate) (*wrapper.ExecOutcome, error) {
 	w := mw.Wrapper(serverID)
 	if w == nil {
 		return nil, fmt.Errorf("metawrapper: unknown server %q", serverID)
@@ -337,9 +351,10 @@ func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSig st
 		return nil, err
 	}
 	mw.telemetry().Active().Histogram("mw.response_ms", serverID, nil).Observe(float64(out.ResponseTime))
+	key := fragmentKey(serverID, fragSQL)
 	if obs != nil {
 		obs.ObserveRun(RunRecord{
-			Key:      FragmentKey{ServerID: serverID, Signature: sqlparser.CanonicalizeSQL(fragSig)},
+			Key:      key,
 			PlanSig:  plan.Signature,
 			Est:      rawEst,
 			Observed: out.ResponseTime,
@@ -347,7 +362,7 @@ func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSig st
 		})
 	}
 	mw.log.addRun(RunLogEntry{
-		Fragment:   sqlparser.CanonicalizeSQL(fragSig),
+		Fragment:   key.Signature,
 		ServerID:   serverID,
 		PlanSig:    plan.Signature,
 		EstMS:      rawEst.TotalMS,
@@ -362,18 +377,26 @@ func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSig st
 // instruments monolithic execution: errors are classified (a cancelled
 // dispatch is not a server error), and successful exhaustion records the
 // response time AND the time-to-first-row against the uncalibrated
-// estimate, feeding QCC's separate FirstTupleMS calibration.
-func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSig string, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
-	w := mw.Wrapper(serverID)
+// estimate, feeding QCC's separate FirstTupleMS calibration. fragSQL is the
+// fragment statement text.
+func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
+	return mw.OpenKeyed(ctx, fragmentKey(serverID, fragSQL), plan, rawEst, batchRows)
+}
+
+// OpenKeyed is OpenFragmentStream for a caller that already holds the
+// fragment's canonical signature (the integrator: FragmentSpec.Sig), so the
+// warm dispatch path never re-renders or re-canonicalizes the statement.
+func (mw *MetaWrapper) OpenKeyed(ctx context.Context, key FragmentKey, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
+	w := mw.Wrapper(key.ServerID)
 	if w == nil {
-		return nil, fmt.Errorf("metawrapper: unknown server %q", serverID)
+		return nil, fmt.Errorf("metawrapper: unknown server %q", key.ServerID)
 	}
 	inner, err := w.Open(ctx, plan, batchRows)
 	if err != nil {
-		mw.reportExecError(ctx, serverID, err)
+		mw.reportExecError(ctx, key.ServerID, err)
 		return nil, err
 	}
-	return &mwStream{mw: mw, inner: inner, serverID: serverID, fragSig: fragSig, plan: plan, rawEst: rawEst}, nil
+	return &mwStream{mw: mw, inner: inner, key: key, plan: plan, rawEst: rawEst}, nil
 }
 
 // reportExecError is the shared run-time error classification: cancellation
@@ -395,8 +418,7 @@ func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err
 type mwStream struct {
 	mw       *MetaWrapper
 	inner    wrapper.ResultStream
-	serverID string
-	fragSig  string
+	key      FragmentKey
 	plan     *remote.Plan
 	rawEst   remote.CostEstimate
 	finished bool
@@ -412,7 +434,7 @@ func (s *mwStream) Outcome() *wrapper.StreamOutcome { return s.inner.Outcome() }
 func (s *mwStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
 	b, err := s.inner.Next(ctx)
 	if err != nil {
-		s.mw.reportExecError(ctx, s.serverID, err)
+		s.mw.reportExecError(ctx, s.key.ServerID, err)
 		return nil, err
 	}
 	if b == nil && !s.finished {
@@ -424,12 +446,12 @@ func (s *mwStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
 
 func (s *mwStream) observeOutcome(out *wrapper.StreamOutcome) {
 	mw := s.mw
-	mw.telemetry().Active().Histogram("mw.response_ms", s.serverID, nil).Observe(float64(out.ResponseTime))
-	mw.telemetry().Active().Histogram("mw.first_row_ms", s.serverID, nil).Observe(float64(out.FirstRowTime))
+	mw.telemetry().Active().Histogram("mw.response_ms", s.key.ServerID, nil).Observe(float64(out.ResponseTime))
+	mw.telemetry().Active().Histogram("mw.first_row_ms", s.key.ServerID, nil).Observe(float64(out.FirstRowTime))
 	obs, _ := mw.observerAndCalib()
 	if obs != nil {
 		obs.ObserveRun(RunRecord{
-			Key:      FragmentKey{ServerID: s.serverID, Signature: sqlparser.CanonicalizeSQL(s.fragSig)},
+			Key:      s.key,
 			PlanSig:  s.plan.Signature,
 			Est:      s.rawEst,
 			Observed: out.ResponseTime,
@@ -438,8 +460,8 @@ func (s *mwStream) observeOutcome(out *wrapper.StreamOutcome) {
 		})
 	}
 	mw.log.addRun(RunLogEntry{
-		Fragment:   sqlparser.CanonicalizeSQL(s.fragSig),
-		ServerID:   s.serverID,
+		Fragment:   s.key.Signature,
+		ServerID:   s.key.ServerID,
 		PlanSig:    s.plan.Signature,
 		EstMS:      s.rawEst.TotalMS,
 		ObservedMS: float64(out.ResponseTime),

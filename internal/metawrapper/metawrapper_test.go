@@ -113,6 +113,58 @@ func TestExecuteFragmentRecordsRun(t *testing.T) {
 	}
 }
 
+// The text entry points canonicalize once and delegate to the keyed ones, so
+// a caller holding the signature (FragmentSpec.Sig) lands on the same records.
+func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
+	mw, _ := newMW(t)
+	obs := &recordingObserver{}
+	mw.SetObserver(obs)
+	ctx := context.Background()
+	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p WHERE p.p_id < 3")
+	key := FragmentKey{ServerID: "S1", Signature: sqlparser.CanonicalizeSQL(stmt.String())}
+	cands, err := mw.ExplainKeyed(ctx, key, stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mw.ExplainFragment("S1", stmt); err != nil {
+		t.Fatal(err)
+	}
+	drain := func(st wrapper.ResultStream, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, err := st.Next(ctx); b != nil || err != nil; b, err = st.Next(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	drain(mw.OpenKeyed(ctx, key, cands[0].Plan, cands[0].RawEst, 256))
+	drain(mw.OpenFragmentStream(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst, 256))
+	if _, err := mw.ExecuteFragment(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.runs) != 3 || len(obs.compiles) == 0 {
+		t.Fatalf("records: %d runs, %d compiles", len(obs.runs), len(obs.compiles))
+	}
+	for _, r := range obs.runs {
+		if r.Key != key {
+			t.Errorf("run recorded under %+v, want %+v", r.Key, key)
+		}
+	}
+	for _, c := range obs.compiles {
+		if c.Key != key {
+			t.Errorf("compile recorded under %+v, want %+v", c.Key, key)
+		}
+	}
+	for _, e := range mw.RunLog() {
+		if e.Fragment != key.Signature {
+			t.Errorf("run log fragment %q, want %q", e.Fragment, key.Signature)
+		}
+	}
+}
+
 func TestErrorsReported(t *testing.T) {
 	mw, srv := newMW(t)
 	obs := &recordingObserver{}

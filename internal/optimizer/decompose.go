@@ -22,6 +22,10 @@ type FragmentSpec struct {
 	Tables []sqlparser.TableRef
 	// Stmt is the fragment statement shipped to remote servers.
 	Stmt *sqlparser.SelectStmt
+	// Sig is Stmt's canonical form (sqlparser.CanonicalizeSQL of its text) —
+	// the identity under which QCC keeps calibration factors. DecomposeWith
+	// computes it once; compile, routing and every dispatch reuse it.
+	Sig string
 	// Candidates are the servers hosting every table of the fragment —
 	// the equivalent data sources.
 	Candidates []string
@@ -64,6 +68,17 @@ func Decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog) (*Decomposition
 // servers, so no server can evaluate a join against them whole) and expand
 // into per-shard fragments.
 func DecomposeWith(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeOpts) (*Decomposition, error) {
+	d, err := decompose(stmt, cat, opts)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range d.Fragments {
+		f.Sig = sqlparser.CanonicalizeSQL(f.Stmt.String())
+	}
+	return d, nil
+}
+
+func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeOpts) (*Decomposition, error) {
 	tables := stmt.Tables()
 
 	type group struct {

@@ -133,13 +133,10 @@ type SourceOption struct {
 	Versions map[string]int64
 }
 
-// FragmentOptions couples a fragment spec with its canonical signature (the
-// calibration key) and raw candidate set.
+// FragmentOptions couples a fragment spec (which carries the canonical
+// signature, the calibration key) with its raw candidate set.
 type FragmentOptions struct {
-	Spec *FragmentSpec
-	// Sig is the fragment statement's canonical form — the identity under
-	// which QCC keeps calibration factors.
-	Sig     string
+	Spec    *FragmentSpec
 	Options []SourceOption
 }
 
@@ -185,10 +182,10 @@ func (o *Optimizer) CollectContext(ctx context.Context, stmt *sqlparser.SelectSt
 		SetAttr("fragments", strconv.Itoa(len(decomp.Fragments)))
 	frags := make([]FragmentOptions, len(decomp.Fragments))
 	for i, frag := range decomp.Fragments {
-		fo := FragmentOptions{Spec: frag, Sig: sqlparser.CanonicalizeSQL(frag.Stmt.String())}
+		fo := FragmentOptions{Spec: frag}
 		var lastErr error
 		for _, serverID := range frag.Candidates {
-			cands, err := o.MW.ExplainFragmentContext(ctx, serverID, frag.Stmt)
+			cands, err := o.MW.ExplainKeyed(ctx, metawrapper.FragmentKey{ServerID: serverID, Signature: frag.Sig}, frag.Stmt)
 			if err != nil {
 				lastErr = err
 				continue
@@ -233,7 +230,7 @@ func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Dec
 			}
 			calibrated := so.RawEst
 			if o.MW != nil {
-				calibrated = o.MW.CalibrateCandidate(so.ServerID, fo.Sig, so.RawEst, so.CostKnown)
+				calibrated = o.MW.CalibrateCandidate(so.ServerID, fo.Spec.Sig, so.RawEst, so.CostKnown)
 			}
 			if math.IsInf(calibrated.TotalMS, 1) {
 				continue // calibrated to infinity: unavailable

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/optimizer"
 	"repro/internal/scenario"
 	"repro/internal/sqlparser"
@@ -75,6 +76,30 @@ func TestDecomposeCrossSource(t *testing.T) {
 	}
 	if !strings.Contains(f1.Stmt.String(), "l_qty") {
 		t.Fatalf("lineitem filter not pushed: %s", f1.Stmt)
+	}
+}
+
+// Every decomposition shape stamps each fragment with its canonical
+// signature, the key the MW and QCC records are kept under.
+func TestDecomposeStampsCanonicalSignature(t *testing.T) {
+	for _, tc := range []struct {
+		sc  *scenario.Scenario
+		sql string
+	}{
+		{threeServer(t), "SELECT SUM(o.o_amount) FROM orders AS o WHERE o.o_amount > 100"},
+		{replicaPair(t), "SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000"},
+		{shardedScenario(t, 4, catalog.ShardHash), "SELECT l_tag, AVG(l_price) FROM lineitem WHERE l_qty < 7 GROUP BY l_tag"},
+		{shardedScenario(t, 4, catalog.ShardHash), "SELECT l_id FROM lineitem WHERE l_orderkey = 77"},
+	} {
+		d, err := optimizer.Decompose(sqlparser.MustParse(tc.sql), tc.sc.Catalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range d.Fragments {
+			if want := sqlparser.CanonicalizeSQL(f.Stmt.String()); f.Sig != want || f.Sig == "" {
+				t.Errorf("%s %s: Sig %q, want %q", tc.sql, f.ID, f.Sig, want)
+			}
+		}
 	}
 }
 

@@ -133,15 +133,15 @@ func (s *Server) StatementCacheStats() StatementCacheStats {
 // benchmark and test hook for cold-compile measurements.
 func (s *Server) ResetPlanCache() { s.planCache.clear() }
 
-// cacheKeyAndVersions derives the cache key and the referenced tables'
-// current versions for a statement; ok is false when a table is missing.
+// cacheKeyAndVersions derives the cache key (the statement text) and the
+// referenced tables' current versions; ok is false when a table is missing.
 func (s *Server) cacheKeyAndVersions(stmt *sqlparser.SelectStmt) (string, map[string]int64, bool) {
 	key := stmt.String()
 	versions := map[string]int64{}
 	for _, tr := range stmt.Tables() {
 		tab := s.Table(tr.Name)
 		if tab == nil {
-			return "", nil, false
+			return key, nil, false
 		}
 		versions[tr.Name] = tab.Version()
 	}

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
+	"repro/internal/stats"
 	"repro/internal/storage"
 )
 
@@ -19,19 +21,8 @@ const (
 	joinNL
 )
 
-// accessChoice selects the access path for one table: "" means sequential
-// scan, otherwise the named index is probed.
-type accessChoice struct {
-	index string
-}
-
-// planChoice is one point in the physical plan space.
-type planChoice struct {
-	access map[string]accessChoice // keyed by effective table name
-	joins  []joinAlgo              // one per join step (len(tables)-1)
-}
-
-// maxEnumeratedPlans bounds the enumeration to keep Explain cheap.
+// maxEnumeratedPlans bounds the enumeration to keep Explain cheap. It counts
+// every combination visited, valid or not.
 const maxEnumeratedPlans = 128
 
 // Explain enumerates candidate plans for the fragment statement, estimates
@@ -44,153 +35,178 @@ func (s *Server) Explain(stmt *sqlparser.SelectStmt) ([]*Plan, error) {
 	if s.Down() {
 		return nil, &ErrServerDown{ID: s.id}
 	}
-	cacheKey, versions, cacheable := s.cacheKeyAndVersions(stmt)
+	sql, versions, cacheable := s.cacheKeyAndVersions(stmt)
 	if cacheable {
-		if plans := s.planCache.lookup(cacheKey, versions); plans != nil {
+		if plans := s.planCache.lookup(sql, versions); plans != nil {
 			s.telemetry().Active().Counter("remote.stmtcache_hits", s.id).Inc()
 			return plans, nil
 		}
 		s.telemetry().Active().Counter("remote.stmtcache_misses", s.id).Inc()
 	}
-	tables := stmt.Tables()
-	aliasToTable := map[string]string{}
-	for _, tr := range tables {
-		tab := s.Table(tr.Name)
-		if tab == nil {
-			return nil, fmt.Errorf("remote: server %s does not host table %q", s.id, tr.Name)
-		}
-		aliasToTable[tr.EffectiveName()] = tr.Name
+	plans, _, err := s.enumerate(stmt, sql)
+	if err != nil {
+		return nil, err
 	}
-	physNames := physicalTables(aliasToTable)
-
-	// Per-table access path candidates.
-	accessCands := map[string][]accessChoice{}
-	for _, tr := range tables {
-		name := tr.EffectiveName()
-		cands := []accessChoice{{}}
-		for _, idxName := range s.Table(tr.Name).Indexes() {
-			cands = append(cands, accessChoice{index: idxName})
-		}
-		accessCands[name] = cands
-	}
-	// Per-join-step algorithm candidates (validity is re-checked during
-	// assembly; invalid combinations are skipped).
-	joinCands := make([][]joinAlgo, len(tables)-1)
-	for i := range joinCands {
-		joinCands[i] = []joinAlgo{joinHash, joinINL, joinMerge, joinNL}
-	}
-
-	est := &estimator{provider: s.statsProviderFor(aliasToTable), server: s}
-	seen := map[string]bool{}
-	var plans []*Plan
-	count := 0
-	var walk func(ti int, choice planChoice)
-	walk = func(ti int, choice planChoice) {
-		if count >= maxEnumeratedPlans {
-			return
-		}
-		if ti < len(tables) {
-			name := tables[ti].EffectiveName()
-			for _, ac := range accessCands[name] {
-				next := choice
-				next.access = copyAccess(choice.access)
-				next.access[name] = ac
-				walk(ti+1, next)
-			}
-			return
-		}
-		if len(choice.joins) < len(tables)-1 {
-			for _, ja := range joinCands[len(choice.joins)] {
-				next := choice
-				next.joins = append(append([]joinAlgo{}, choice.joins...), ja)
-				walk(ti, next)
-			}
-			return
-		}
-		count++
-		root, err := s.assemble(stmt, choice)
-		if err != nil {
-			return // invalid combination (e.g. INL without usable index)
-		}
-		sig := exec.ExplainTree(root)
-		if seen[sig] {
-			return
-		}
-		seen[sig] = true
-		ce, err := est.estimatePlan(root)
-		if err != nil {
-			return
-		}
-		plans = append(plans, &Plan{
-			ServerID:  s.id,
-			SQL:       stmt.String(),
-			Root:      root,
-			Signature: sig,
-			Est:       ce,
-			Tables:    physNames,
-		})
-	}
-	walk(0, planChoice{})
 	if len(plans) == 0 {
-		return nil, fmt.Errorf("remote: server %s found no valid plan for %q", s.id, stmt.String())
+		return nil, fmt.Errorf("remote: server %s found no valid plan for %q", s.id, sql)
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].Est.TotalMS < plans[j].Est.TotalMS })
 	if len(plans) > s.maxPlans {
 		plans = plans[:s.maxPlans]
 	}
 	if cacheable {
-		s.planCache.insert(cacheKey, plans, versions)
+		s.planCache.insert(sql, plans, versions)
 	}
 	return plans, nil
 }
 
-// physicalTables returns the sorted, deduplicated physical table names from
-// an alias map.
-func physicalTables(aliasToTable map[string]string) []string {
-	seen := map[string]bool{}
-	out := make([]string, 0, len(aliasToTable))
-	for _, t := range aliasToTable {
-		if !seen[t] {
-			seen[t] = true
-			out = append(out, t)
+// enumerate binds the statement once and enumerates the bound fragment's
+// plans.
+func (s *Server) enumerate(stmt *sqlparser.SelectStmt, sql string) ([]*Plan, int, error) {
+	f, err := s.bind(stmt)
+	if err != nil {
+		return nil, 0, err
+	}
+	return f.enumerate(s, sql)
+}
+
+// enumerate visits the plan space — one access path per table (outermost, in
+// FROM order), one algorithm per join step — in a fixed order, building and
+// estimating a plan for each combination that is valid and names a plan no
+// earlier combination named. It returns those plans in visiting order and the
+// number of combinations visited. A plan the estimator cannot cost fails the
+// whole enumeration: a shorter candidate list would hide the gap.
+func (f *boundFragment) enumerate(s *Server, sql string) ([]*Plan, int, error) {
+	n := len(f.tables)
+	access := make([]int, n) // access[i] indexes tables[i].leaves
+	algos := make([]joinAlgo, n-1)
+	est := &estimator{provider: f.stats, server: s}
+	physNames := f.physicalTables()
+	var plans []*Plan
+	visited := 0
+	var walk func(depth int) error
+	walk = func(depth int) error {
+		switch {
+		case visited >= maxEnumeratedPlans:
+		case depth < n:
+			for a := range f.tables[depth].leaves {
+				access[depth] = a
+				if err := walk(depth + 1); err != nil {
+					return err
+				}
+			}
+		case depth < 2*n-1:
+			for a := joinHash; a <= joinNL; a++ {
+				algos[depth-n] = a
+				if err := walk(depth + 1); err != nil {
+					return err
+				}
+			}
+		default:
+			visited++
+			if !f.valid(access, algos) {
+				return nil
+			}
+			root := f.build(access, algos)
+			ce, err := est.estimatePlan(root)
+			if err != nil {
+				return fmt.Errorf("remote: server %s cannot cost a plan for %q: %w", s.id, sql, err)
+			}
+			plans = append(plans, &Plan{
+				ServerID:  s.id,
+				SQL:       sql,
+				Root:      root,
+				Signature: exec.ExplainTree(root),
+				Est:       ce,
+				Tables:    physNames,
+			})
 		}
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	err := walk(0)
+	return plans, visited, err
 }
 
-func copyAccess(m map[string]accessChoice) map[string]accessChoice {
-	out := make(map[string]accessChoice, len(m)+1)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+// boundFragment is a fragment statement resolved against this server's
+// tables: everything plan construction needs that does not depend on the plan
+// choice, computed once per Explain. Plans share its leaves and predicate
+// expressions (both immutable) but never reference the fragment itself.
+type boundFragment struct {
+	tables []boundTable
+	// steps[i] joins tables[i+1] onto the join of tables[0..i].
+	steps []joinStep
+	// rest holds the cross-table conjuncts no join step could place; it
+	// filters the last join's output.
+	rest sqlparser.Expr
+	// top is the statement's non-join tail, planned against the full join's
+	// schema.
+	top   exec.Top
+	stats stats.MapProvider // keyed by effective table name
 }
 
-// assemble builds the operator tree for one plan choice, mirroring
-// exec.BuildPlan's predicate placement but honoring access-path and
-// join-algorithm choices. It returns an error for invalid choices.
-func (s *Server) assemble(stmt *sqlparser.SelectStmt, choice planChoice) (exec.Operator, error) {
-	tables := stmt.Tables()
+// boundTable is one FROM-clause table of a bound fragment.
+type boundTable struct {
+	name string // effective (aliased) name
+	tab  *storage.Table
+	// conjuncts are the predicates that reference this table alone.
+	conjuncts []sqlparser.Expr
+	// leaves holds one access operator per access path — the sequential scan
+	// first, then each index in name order — with the conjuncts the path does
+	// not absorb filtered on top; nil where the index cannot serve them.
+	leaves []exec.Operator
+}
+
+// joinStep is what joining one more table needs whatever the algorithm: the
+// equi-join key and the residual predicate depend only on which tables are
+// already joined, and the FROM order fixes that.
+type joinStep struct {
+	// lk = rk (joined side, new table) is the equi-join key; nil when no
+	// remaining cross conjunct equates a column of each side.
+	lk, rk sqlparser.Expr
+	// residual holds the remaining cross conjuncts that resolve once the new
+	// table is joined — without a key, the nested loop's whole predicate.
+	residual sqlparser.Expr
+	// inlIndex is the new table's index on rk, nil when an index nested-loop
+	// join is impossible. That join has no inner leaf, so inlResidual also
+	// carries the new table's own conjuncts.
+	inlIndex    *storage.Index
+	inlResidual sqlparser.Expr
+}
+
+// bind resolves the statement's tables, classifies its WHERE/ON conjuncts by
+// the tables they reference, and precomputes per-table access leaves,
+// per-step join keys and residuals, and the planned tail.
+func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
+	refs := stmt.Tables()
+	f := &boundFragment{
+		tables: make([]boundTable, len(refs)),
+		steps:  make([]joinStep, len(refs)-1),
+		stats:  stats.MapProvider{},
+	}
+	schemas := make([]*sqltypes.Schema, len(refs))
+	for i, tr := range refs {
+		tab := s.Table(tr.Name)
+		if tab == nil {
+			return nil, fmt.Errorf("remote: server %s does not host table %q", s.id, tr.Name)
+		}
+		name := tr.EffectiveName()
+		f.tables[i] = boundTable{name: name, tab: tab}
+		schemas[i] = tab.Schema().WithQualifier(name)
+		f.stats[name] = tab.Stats()
+	}
 
 	var pool []sqlparser.Expr
 	pool = append(pool, sqlparser.SplitConjuncts(stmt.Where)...)
 	for _, j := range stmt.Joins {
 		pool = append(pool, sqlparser.SplitConjuncts(j.On)...)
 	}
-	pool = dropTrue(pool)
-
-	// Partition the pool into per-table conjuncts and cross-table conjuncts.
-	perTable := map[string][]sqlparser.Expr{}
-	var cross []sqlparser.Expr
-	for _, c := range pool {
+	var cross []conjunct
+	for _, e := range dropTrue(pool) {
+		c := conjunct{expr: e, refs: sqlparser.CollectColumnRefs(e, nil)}
 		placed := false
-		for _, tr := range tables {
-			name := tr.EffectiveName()
-			tab := s.Table(tr.Name)
-			sch := tab.Schema().WithQualifier(name)
-			if resolvesAll(c, sch) {
-				perTable[name] = append(perTable[name], c)
+		for i := range f.tables {
+			if c.resolvesIn(schemas[i]) {
+				f.tables[i].conjuncts = append(f.tables[i].conjuncts, c.expr)
 				placed = true
 				break
 			}
@@ -200,130 +216,133 @@ func (s *Server) assemble(stmt *sqlparser.SelectStmt, choice planChoice) (exec.O
 		}
 	}
 
-	// Track which inner tables are consumed by INL joins: their leaves are
-	// not built independently.
-	inlInner := map[string]bool{}
-	for i, ja := range choice.joins {
-		if ja == joinINL {
-			inlInner[tables[i+1].EffectiveName()] = true
+	for i := range f.tables {
+		t := &f.tables[i]
+		t.leaves = append(t.leaves, filtered(&exec.SeqScan{Table: t.tab, As: t.name}, t.conjuncts))
+		for _, idxName := range t.tab.Indexes() {
+			idx := t.tab.Index(idxName)
+			var leaf exec.Operator
+			probe, rest, ok := exec.ProbeFromPredicate(t.conjuncts, t.name, idx.Column())
+			// A hash index cannot serve a range probe.
+			if ok && (probe.Eq != nil || idx.Kind() != storage.IndexHash) {
+				leaf = filtered(&exec.IndexScan{Table: t.tab, Index: idx, Probe: probe, As: t.name}, rest)
+			}
+			t.leaves = append(t.leaves, leaf)
 		}
 	}
 
-	// Build leaves.
-	leaves := map[string]exec.Operator{}
-	for _, tr := range tables {
-		name := tr.EffectiveName()
-		if inlInner[name] {
-			continue
-		}
-		tab := s.Table(tr.Name)
-		ac := choice.access[name]
-		conjuncts := perTable[name]
-		var leaf exec.Operator
-		if ac.index == "" {
-			leaf = &exec.SeqScan{Table: tab, As: name}
-		} else {
-			idx := tab.Index(ac.index)
-			probe, rest, ok := exec.ProbeFromPredicate(conjuncts, name, idx.Column())
-			if !ok {
-				return nil, fmt.Errorf("remote: no probe for index %s", ac.index)
+	joined := schemas[0]
+	for i := range f.steps {
+		st, inner := &f.steps[i], &f.tables[i+1]
+		for k, c := range cross {
+			if lk, rk, ok := exec.EquiJoinKey(c.expr, joined, schemas[i+1]); ok {
+				st.lk, st.rk = lk, rk
+				st.inlIndex = inner.tab.IndexOnColumn(rk.Name)
+				cross = append(cross[:k:k], cross[k+1:]...)
+				break
 			}
-			if probe.Eq == nil && idx.Kind() == storage.IndexHash {
-				return nil, fmt.Errorf("remote: hash index %s cannot serve range", ac.index)
-			}
-			leaf = &exec.IndexScan{Table: tab, Index: idx, Probe: probe, As: name}
-			conjuncts = rest
 		}
-		if len(conjuncts) > 0 {
-			leaf = &exec.Filter{Input: leaf, Pred: sqlparser.JoinConjuncts(conjuncts)}
+		joined = joined.Concat(schemas[i+1])
+		var residuals []sqlparser.Expr
+		residuals, cross = splitResolvable(cross, joined)
+		st.residual = sqlparser.JoinConjuncts(residuals)
+		if st.inlIndex != nil {
+			st.inlResidual = sqlparser.JoinConjuncts(append(residuals, inner.conjuncts...))
 		}
-		leaves[name] = leaf
 	}
-
-	current := leaves[tables[0].EffectiveName()]
-	if current == nil {
-		return nil, fmt.Errorf("remote: first table cannot be an INL inner")
+	var rest []sqlparser.Expr
+	for _, c := range cross {
+		rest = append(rest, c.expr)
 	}
-	for step, tr := range tables[1:] {
-		name := tr.EffectiveName()
-		tab := s.Table(tr.Name)
-		algo := choice.joins[step]
-		innerSchema := tab.Schema().WithQualifier(name)
+	f.rest = sqlparser.JoinConjuncts(rest)
 
-		lk, rk, rest, hasKey := exec.ExtractEquiJoinKeys(cross, current.Schema(), innerSchema)
-		switch algo {
-		case joinHash:
-			if !hasKey {
-				return nil, fmt.Errorf("remote: no equi key for hash join with %s", name)
+	var err error
+	f.top, err = exec.PlanTop(stmt, joined)
+	return f, err
+}
+
+// valid reports whether a combination names a plan that exists and that no
+// earlier combination named; no operator is built to decide it.
+func (f *boundFragment) valid(access []int, algos []joinAlgo) bool {
+	for i := range f.tables {
+		if i > 0 && algos[i-1] == joinINL {
+			// The join probes the inner table itself, so the inner's access
+			// path is not part of the plan: every value after the first
+			// (visited earlier) repeats that plan.
+			if access[i] != 0 {
+				return false
 			}
-			right := leaves[name]
-			joined := current.Schema().Concat(right.Schema())
-			residuals, remaining := partitionResolvable(rest, joined)
-			current = &exec.HashJoin{
-				Build:    current,
-				Probe:    right,
-				BuildKey: lk,
-				ProbeKey: rk,
-				Residual: sqlparser.JoinConjuncts(residuals),
-			}
-			cross = remaining
-		case joinMerge:
-			if !hasKey {
-				return nil, fmt.Errorf("remote: no equi key for merge join with %s", name)
-			}
-			right := leaves[name]
-			joined := current.Schema().Concat(right.Schema())
-			residuals, remaining := partitionResolvable(rest, joined)
-			current = &exec.MergeJoin{
-				Left:     current,
-				Right:    right,
-				LeftKey:  lk,
-				RightKey: rk,
-				Residual: sqlparser.JoinConjuncts(residuals),
-			}
-			cross = remaining
-		case joinINL:
-			if !hasKey {
-				return nil, fmt.Errorf("remote: no equi key for INL join with %s", name)
-			}
-			rref, ok := rk.(*sqlparser.ColumnRef)
-			if !ok {
-				return nil, fmt.Errorf("remote: INL inner key must be a column")
-			}
-			idx := tab.IndexOnColumn(rref.Name)
-			if idx == nil {
-				return nil, fmt.Errorf("remote: no index on %s.%s for INL", name, rref.Name)
-			}
-			joined := current.Schema().Concat(innerSchema)
-			residuals, remaining := partitionResolvable(rest, joined)
-			// Inner single-table conjuncts also become residuals.
-			residuals = append(residuals, perTable[name]...)
-			current = &exec.IndexNLJoin{
-				Outer:    current,
-				Inner:    tab,
-				Index:    idx,
-				InnerAs:  name,
-				OuterKey: lk,
-				Residual: sqlparser.JoinConjuncts(residuals),
-			}
-			cross = remaining
+		} else if f.tables[i].leaves[access[i]] == nil {
+			return false
+		}
+	}
+	for i, st := range f.steps {
+		switch algos[i] {
 		case joinNL:
-			if hasKey {
-				// Let hash/INL cover keyed joins; NL duplicates them with
-				// strictly worse cost, so reject to prune the space.
-				return nil, fmt.Errorf("remote: NL join pruned when equi key exists")
+			// Hash and INL cover keyed joins; a nested loop duplicates them
+			// at strictly worse cost, so it is pruned from the space.
+			if st.lk != nil {
+				return false
 			}
-			right := leaves[name]
-			joined := current.Schema().Concat(right.Schema())
-			preds, remaining := partitionResolvable(cross, joined)
-			current = &exec.NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(preds)}
-			cross = remaining
+		case joinINL:
+			if st.inlIndex == nil {
+				return false
+			}
+		default:
+			if st.lk == nil {
+				return false
+			}
 		}
 	}
-	if len(cross) > 0 {
-		current = &exec.Filter{Input: current, Pred: sqlparser.JoinConjuncts(cross)}
+	return true
+}
+
+// build assembles the operator tree for a valid combination, mirroring
+// exec.BuildPlan's predicate placement.
+func (f *boundFragment) build(access []int, algos []joinAlgo) exec.Operator {
+	current := f.tables[0].leaves[access[0]]
+	for i, st := range f.steps {
+		inner := &f.tables[i+1]
+		right := inner.leaves[access[i+1]]
+		switch algos[i] {
+		case joinHash:
+			current = &exec.HashJoin{Build: current, Probe: right, BuildKey: st.lk, ProbeKey: st.rk, Residual: st.residual}
+		case joinMerge:
+			current = &exec.MergeJoin{Left: current, Right: right, LeftKey: st.lk, RightKey: st.rk, Residual: st.residual}
+		case joinINL:
+			current = &exec.IndexNLJoin{Outer: current, Inner: inner.tab, Index: st.inlIndex, InnerAs: inner.name, OuterKey: st.lk, Residual: st.inlResidual}
+		case joinNL:
+			current = &exec.NestedLoopJoin{Outer: current, Inner: right, Pred: st.residual}
+		}
 	}
-	return exec.BuildTop(stmt, current)
+	if f.rest != nil {
+		current = &exec.Filter{Input: current, Pred: f.rest}
+	}
+	return f.top.Build(current)
+}
+
+// physicalTables returns the sorted, deduplicated physical table names.
+func (f *boundFragment) physicalTables() []string {
+	names := make([]string, len(f.tables))
+	for i, t := range f.tables {
+		names[i] = t.tab.Name()
+	}
+	sort.Strings(names)
+	out := names[:0]
+	for _, name := range names {
+		if len(out) == 0 || out[len(out)-1] != name {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// filtered puts the conjuncts, if any, on top of a leaf.
+func filtered(leaf exec.Operator, conjuncts []sqlparser.Expr) exec.Operator {
+	if len(conjuncts) == 0 {
+		return leaf
+	}
+	return &exec.Filter{Input: leaf, Pred: sqlparser.JoinConjuncts(conjuncts)}
 }
 
 func dropTrue(list []sqlparser.Expr) []sqlparser.Expr {
@@ -337,10 +356,15 @@ func dropTrue(list []sqlparser.Expr) []sqlparser.Expr {
 	return out
 }
 
-func resolvesAll(e sqlparser.Expr, schema interface {
-	ColumnIndex(table, name string) (int, error)
-}) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
+// conjunct is one WHERE/ON conjunct with its column references, collected
+// once however many schemas it is tested against.
+type conjunct struct {
+	expr sqlparser.Expr
+	refs []*sqlparser.ColumnRef
+}
+
+func (c conjunct) resolvesIn(schema *sqltypes.Schema) bool {
+	for _, ref := range c.refs {
 		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
 			return false
 		}
@@ -348,12 +372,12 @@ func resolvesAll(e sqlparser.Expr, schema interface {
 	return true
 }
 
-func partitionResolvable(list []sqlparser.Expr, schema interface {
-	ColumnIndex(table, name string) (int, error)
-}) (resolvable, remaining []sqlparser.Expr) {
+// splitResolvable partitions conjuncts into the expressions of those that
+// resolve in schema and the conjuncts that do not, preserving order.
+func splitResolvable(list []conjunct, schema *sqltypes.Schema) (resolvable []sqlparser.Expr, remaining []conjunct) {
 	for _, c := range list {
-		if resolvesAll(c, schema) {
-			resolvable = append(resolvable, c)
+		if c.resolvesIn(schema) {
+			resolvable = append(resolvable, c.expr)
 		} else {
 			remaining = append(remaining, c)
 		}

@@ -102,6 +102,31 @@ func TestExplainUnknownTableFails(t *testing.T) {
 	}
 }
 
+// opaqueOp is an operator the estimator has no case for.
+type opaqueOp struct{ exec.Operator }
+
+// Explain used to drop a combination on any error and, when nothing survived,
+// report only "found no valid plan". A cause that is not pruning must surface.
+func TestExplainReportsNonPruningCause(t *testing.T) {
+	s := newTestServer(t, ProfileS1("S1"), 200)
+	if _, err := s.Explain(sqlparser.MustParse("SELECT *, COUNT(*) FROM orders AS o")); err == nil ||
+		!strings.Contains(err.Error(), "SELECT * cannot be combined with aggregation") {
+		t.Fatalf("unplannable tail: got %v", err)
+	}
+
+	// An estimator gap on one access path (orders_pk; the seqscan plan is
+	// fine) fails the enumeration instead of shortening the candidate list.
+	f, err := s.bind(sqlparser.MustParse("SELECT o.o_id FROM orders AS o WHERE o.o_id < 50"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := f.tables[0].leaves
+	leaves[len(leaves)-1] = opaqueOp{leaves[len(leaves)-1]}
+	if _, _, err := f.enumerate(s, "q"); err == nil || !strings.Contains(err.Error(), "estimator does not know operator remote.opaqueOp") {
+		t.Fatalf("estimator gap: got %v", err)
+	}
+}
+
 func TestExplainDownServerFails(t *testing.T) {
 	s := newTestServer(t, ProfileS1("S1"), 200)
 	s.SetDown(true)

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/simclock"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/telemetry"
 )
@@ -277,20 +276,6 @@ func (s *Server) Tables() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// StatsProvider returns a stats provider resolving the aliases in stmt to
-// this server's tables.
-func (s *Server) statsProviderFor(aliasToTable map[string]string) stats.StatsProvider {
-	m := stats.MapProvider{}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for alias, table := range aliasToTable {
-		if t := s.tables[table]; t != nil {
-			m[alias] = t.Stats()
-		}
-	}
-	return m
 }
 
 // SetLoadLevel sets the background load in [0,1] (clamped). The paper's

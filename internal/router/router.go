@@ -24,7 +24,6 @@ import (
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/simclock"
-	"repro/internal/sqlparser"
 	"repro/internal/telemetry"
 )
 
@@ -254,12 +253,6 @@ func represent(opts []optimizer.FragmentChoice) (order []string, reps map[string
 	return order, reps, minCost
 }
 
-// fragSig returns the calibration signature for a fragment spec — the same
-// canonical statement identity QCC keys its factors by.
-func fragSig(spec *optimizer.FragmentSpec) string {
-	return sqlparser.CanonicalizeSQL(spec.Stmt.String())
-}
-
 // ChooseGlobal implements integrator.RoutePolicy: for every fragment with
 // more than one candidate server in the winner's option menu, score the
 // per-server representatives and pick the best. Fragments with a single
@@ -279,7 +272,7 @@ func (r *WeightedRouter) ChooseGlobal(queryText string, winner *optimizer.Global
 		if len(order) <= 1 {
 			continue
 		}
-		sig := fragSig(f.Spec)
+		sig := f.Spec.Sig
 		var best Breakdown
 		bestOK := false
 		for _, serverID := range order {
@@ -355,7 +348,7 @@ func (r *WeightedRouter) RerouteFragment(choice optimizer.FragmentChoice) *optim
 	if len(order) == 0 {
 		return nil
 	}
-	sig := fragSig(choice.Spec)
+	sig := choice.Spec.Sig
 	var best Breakdown
 	bestOK := false
 	for _, serverID := range order {

@@ -41,9 +41,9 @@ func TestScoreBreakdown(t *testing.T) {
 	r := New(Config{
 		Weights: Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2},
 		Signals: Signals{
-			FragmentFactor: func(serverID, sig string) float64 { return 2 },   // cpu = 0.5
-			Reliability:    func(serverID string) float64 { return 1.25 },     // pressure base
-			QueueDepth:     func() int { return 2 },                           // ×(1+0.25·2)
+			FragmentFactor: func(serverID, sig string) float64 { return 2 }, // cpu = 0.5
+			Reliability:    func(serverID string) float64 { return 1.25 },   // pressure base
+			QueueDepth:     func() int { return 2 },                         // ×(1+0.25·2)
 			CacheResidency: func(serverID string, ts []string) float64 { return 0.8 },
 		},
 	})
