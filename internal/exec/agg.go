@@ -150,15 +150,15 @@ type aggGroup struct {
 	countStar int64
 }
 
-// aggFolder is the incremental grouping kernel shared by the materialized
-// Aggregate operator and the streaming AggregateStream source: input rows
-// fold into per-group states one batch at a time, so streamed and
-// materialized aggregation are identical by construction.
+// aggFolder is the incremental grouping kernel shared by both engines: input
+// rows fold into per-group states a relation (row engine) or a batch
+// (vectorized pipeline) at a time, so the two are identical by construction.
 type aggFolder struct {
 	groupBy []sqlparser.Expr
 	aggs    []*sqlparser.AggExpr
 	groups  map[uint64][]*aggGroup
 	order   []*aggGroup
+	vec     foldVec // foldBatch's state
 }
 
 func newAggFolder(groupBy []sqlparser.Expr, aggs []*sqlparser.AggExpr) *aggFolder {

@@ -68,43 +68,122 @@ func (c *Column) IsNull(i int) bool {
 // Gather materializes a new column holding the cells at the given physical
 // indices, in order.
 func (c *Column) Gather(idx []int) *Column {
-	out := &Column{Kind: c.Kind}
-	if c.Mixed != nil {
-		out.Mixed = make([]sqltypes.Value, len(idx))
-		for i, j := range idx {
-			out.Mixed[i] = c.Mixed[j]
+	var s slabs
+	s.reserve(c, len(idx))
+	s.alloc()
+	out := &Column{}
+	s.gather(out, c, idx)
+	return out
+}
+
+// GatherJoined is a join kernel's output: the columns of left gathered at
+// lIdx followed by the columns of right at rIdx (two index lists of one
+// length). The column headers share one allocation and the payloads one per
+// cell type, so a joined batch costs a handful of allocations however many
+// columns the two sides have.
+func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int) []*Column {
+	var s slabs
+	for _, c := range left {
+		s.reserve(c, len(lIdx))
+	}
+	for _, c := range right {
+		s.reserve(c, len(rIdx))
+	}
+	s.alloc()
+	heads := make([]Column, len(left)+len(right))
+	cols := make([]*Column, len(heads))
+	for i := range heads {
+		cols[i] = &heads[i]
+		if i < len(left) {
+			s.gather(cols[i], left[i], lIdx)
+		} else {
+			s.gather(cols[i], right[i-len(left)], rIdx)
 		}
-		return out
+	}
+	return cols
+}
+
+// slabs are the allocations a set of gathered columns share: reserve counts
+// the cells each column will take, alloc makes one vector per cell type, and
+// gather cuts every column's vectors off the front of them.
+type slabs struct {
+	nInts, nFloats, nStrs, nBools, nVals int
+
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool // bool payloads and null bitmaps
+	vals   []sqltypes.Value
+}
+
+func (s *slabs) reserve(c *Column, n int) {
+	if c.Mixed != nil {
+		s.nVals += n
+		return
 	}
 	if c.Nulls != nil {
-		out.Nulls = make([]bool, len(idx))
-		for i, j := range idx {
-			out.Nulls[i] = c.Nulls[j]
-		}
+		s.nBools += n
 	}
 	switch c.Kind {
 	case sqltypes.KindInt:
-		out.Ints = make([]int64, len(idx))
-		for i, j := range idx {
-			out.Ints[i] = c.Ints[j]
-		}
+		s.nInts += n
 	case sqltypes.KindFloat:
-		out.Floats = make([]float64, len(idx))
-		for i, j := range idx {
-			out.Floats[i] = c.Floats[j]
-		}
+		s.nFloats += n
 	case sqltypes.KindString:
-		out.Strs = make([]string, len(idx))
-		for i, j := range idx {
-			out.Strs[i] = c.Strs[j]
-		}
+		s.nStrs += n
 	case sqltypes.KindBool:
-		out.Bools = make([]bool, len(idx))
-		for i, j := range idx {
-			out.Bools[i] = c.Bools[j]
-		}
+		s.nBools += n
 	}
-	return out
+}
+
+func (s *slabs) alloc() {
+	if s.nInts > 0 {
+		s.ints = make([]int64, s.nInts)
+	}
+	if s.nFloats > 0 {
+		s.floats = make([]float64, s.nFloats)
+	}
+	if s.nStrs > 0 {
+		s.strs = make([]string, s.nStrs)
+	}
+	if s.nBools > 0 {
+		s.bools = make([]bool, s.nBools)
+	}
+	if s.nVals > 0 {
+		s.vals = make([]sqltypes.Value, s.nVals)
+	}
+}
+
+func (s *slabs) gather(out, c *Column, idx []int) {
+	out.Kind = c.Kind
+	if c.Mixed != nil {
+		out.Mixed = gatherCells(&s.vals, c.Mixed, idx)
+		return
+	}
+	if c.Nulls != nil {
+		out.Nulls = gatherCells(&s.bools, c.Nulls, idx)
+	}
+	switch c.Kind {
+	case sqltypes.KindInt:
+		out.Ints = gatherCells(&s.ints, c.Ints, idx)
+	case sqltypes.KindFloat:
+		out.Floats = gatherCells(&s.floats, c.Floats, idx)
+	case sqltypes.KindString:
+		out.Strs = gatherCells(&s.strs, c.Strs, idx)
+	case sqltypes.KindBool:
+		out.Bools = gatherCells(&s.bools, c.Bools, idx)
+	}
+}
+
+// gatherCells cuts len(idx) cells off the front of the slab (capped, so an
+// append cannot run into the next column's cells) and fills them from src.
+func gatherCells[T any](slab *[]T, src []T, idx []int) []T {
+	dst := (*slab)[:len(idx):len(idx)]
+	*slab = (*slab)[len(idx):]
+	for i, j := range idx {
+		dst[i] = src[j]
+	}
+	return dst
 }
 
 // byteSize returns the wire size of the cell at physical index i, matching
@@ -357,10 +436,30 @@ func FromRelation(rel *sqltypes.Relation) *Batch {
 
 // ToRelation materializes the batch's logical rows as a relation. Cell
 // values are exactly the values the batch was built from.
-func (b *Batch) ToRelation() *sqltypes.Relation {
-	rel := &sqltypes.Relation{Schema: b.Schema, Rows: make([]sqltypes.Row, b.n)}
-	for i := 0; i < b.n; i++ {
-		rel.Rows[i] = b.Row(i)
+func (b *Batch) ToRelation() *sqltypes.Relation { return ToRelation([]*Batch{b}) }
+
+// ToRelation boxes the logical rows of one or more batches of one schema, in
+// order, into a relation. All cells live in ONE backing array and the rows
+// are capped slices of it (an append to one row reallocates instead of
+// running into the next): a result costs one cell allocation, not one per
+// row.
+func ToRelation(batches []*Batch) *sqltypes.Relation {
+	n, w := 0, len(batches[0].Cols)
+	for _, b := range batches {
+		n += b.n
+	}
+	rel := &sqltypes.Relation{Schema: batches[0].Schema, Rows: make([]sqltypes.Row, 0, n)}
+	cells := make([]sqltypes.Value, n*w)
+	for _, b := range batches {
+		for c, col := range b.Cols {
+			for i := 0; i < b.n; i++ {
+				cells[i*w+c] = col.Value(b.phys(i))
+			}
+		}
+		for i := 0; i < b.n; i++ {
+			rel.Rows = append(rel.Rows, cells[i*w:(i+1)*w:(i+1)*w])
+		}
+		cells = cells[b.n*w:]
 	}
 	return rel
 }
@@ -407,34 +506,35 @@ func (b *Batch) colBytes(c *Column) int {
 	return total
 }
 
-// Accumulator concatenates batches column-wise — the integrator uses it to
-// assemble a fragment's columnar result from arriving stream batches
-// without a row round trip. Matching kinds append typed payload slices;
-// kind conflicts demote the column to the Mixed representation, so the
-// accumulated cells are always exactly the concatenation of the inputs'
-// cells.
+// Accumulator concatenates batches column-wise: the vectorized engine's
+// blocking operators collect their input through it. Append only records the
+// batch; Finish copies every cell ONCE into columns allocated at their final
+// size, and hands a lone batch back uncopied. Matching kinds append typed
+// payload slices; kind conflicts demote the column to the Mixed
+// representation, so the accumulated cells are always exactly the
+// concatenation of the inputs' cells. The zero value is ready for use once a
+// batch has been appended (it takes the first batch's schema).
 type Accumulator struct {
 	schema *sqltypes.Schema
-	cols   []*Column
+	first  *Batch
+	rest   []*Batch
 	n      int
 }
 
 // NewAccumulator starts an accumulator for the schema.
 func NewAccumulator(schema *sqltypes.Schema) *Accumulator {
-	cols := make([]*Column, len(schema.Columns))
-	for i := range cols {
-		cols[i] = &Column{}
-	}
-	return &Accumulator{schema: schema, cols: cols}
+	return &Accumulator{schema: schema}
 }
 
 // Len returns the number of rows accumulated so far.
 func (a *Accumulator) Len() int { return a.n }
 
-// Append adds b's logical rows.
+// Append adds b's logical rows. b must not change afterwards.
 func (a *Accumulator) Append(b *Batch) {
-	for c := range a.cols {
-		a.cols[c] = appendCol(a.cols[c], a.n, b.Cols[c], b)
+	if a.first == nil {
+		a.first = b
+	} else {
+		a.rest = append(a.rest, b)
 	}
 	a.n += b.Len()
 }
@@ -442,19 +542,36 @@ func (a *Accumulator) Append(b *Batch) {
 // Finish returns the accumulated batch. The accumulator must not be
 // appended to afterwards.
 func (a *Accumulator) Finish() *Batch {
-	return &Batch{Schema: a.schema, Cols: a.cols, n: a.n}
+	if a.first != nil && a.rest == nil {
+		return a.first
+	}
+	schema, parts := a.schema, a.rest
+	if a.first != nil {
+		schema, parts = a.first.Schema, append([]*Batch{a.first}, a.rest...)
+	}
+	cols := make([]*Column, len(schema.Columns))
+	for c := range cols {
+		col, at := &Column{}, 0
+		for _, p := range parts {
+			col = appendCol(col, at, a.n, p.Cols[c], p)
+			at += p.Len()
+		}
+		cols[c] = col
+	}
+	return &Batch{Schema: schema, Cols: cols, n: a.n}
 }
 
 // appendCol appends src's cells (through window w) onto dst, which holds
-// dstLen cells.
-func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
+// dstLen cells and will hold total: whatever it allocates, it allocates with
+// room for all of them.
+func appendCol(dst *Column, dstLen, total int, src *Column, w *Batch) *Column {
 	n := w.Len()
 	if n == 0 {
 		return dst
 	}
 	boxAppend := func() *Column {
 		if dst.Mixed == nil {
-			mixed := make([]sqltypes.Value, dstLen, dstLen+n)
+			mixed := make([]sqltypes.Value, dstLen, total)
 			for i := 0; i < dstLen; i++ {
 				mixed[i] = dst.Value(i)
 			}
@@ -472,27 +589,27 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	if dst.Kind == sqltypes.KindNull && src.Kind != sqltypes.KindNull {
 		k := &Column{Kind: src.Kind}
 		if dstLen > 0 {
-			k.Nulls = make([]bool, dstLen)
+			k.Nulls = make([]bool, dstLen, total)
 			for i := range k.Nulls {
 				k.Nulls[i] = true
 			}
 		}
 		switch src.Kind {
 		case sqltypes.KindInt:
-			k.Ints = make([]int64, dstLen)
+			k.Ints = make([]int64, dstLen, total)
 		case sqltypes.KindFloat:
-			k.Floats = make([]float64, dstLen)
+			k.Floats = make([]float64, dstLen, total)
 		case sqltypes.KindString:
-			k.Strs = make([]string, dstLen)
+			k.Strs = make([]string, dstLen, total)
 		case sqltypes.KindBool:
-			k.Bools = make([]bool, dstLen)
+			k.Bools = make([]bool, dstLen, total)
 		}
 		dst = k
 	}
 	switch {
 	case src.Kind == sqltypes.KindNull:
 		// Appending NULLs: extend payload with zeros and mark nulls.
-		dst.ensureNulls(dstLen)
+		dst.ensureNulls(dstLen, total)
 		for i := 0; i < n; i++ {
 			dst.Nulls = append(dst.Nulls, true)
 		}
@@ -503,7 +620,7 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	}
 	// Same typed kind: bulk-append payloads and merge null bitmaps.
 	if src.Nulls != nil || dst.Nulls != nil {
-		dst.ensureNulls(dstLen)
+		dst.ensureNulls(dstLen, total)
 		for i := 0; i < n; i++ {
 			dst.Nulls = append(dst.Nulls, src.Nulls != nil && src.Nulls[w.Phys(i)])
 		}
@@ -537,10 +654,11 @@ func appendCol(dst *Column, dstLen int, src *Column, w *Batch) *Column {
 	return dst
 }
 
-// ensureNulls backfills a null bitmap of length n with false.
-func (c *Column) ensureNulls(n int) {
+// ensureNulls backfills a null bitmap of length n (room for total) with
+// false.
+func (c *Column) ensureNulls(n, total int) {
 	if c.Nulls == nil {
-		c.Nulls = make([]bool, n)
+		c.Nulls = make([]bool, n, total)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sqltypes"
 )
@@ -216,6 +217,61 @@ func TestAccumulatorKindTransitions(t *testing.T) {
 		if !valuesIdentical(got.Rows[i][0], w) {
 			t.Fatalf("row %d = %#v, want %#v", i, got.Rows[i][0], w)
 		}
+	}
+}
+
+// TestAccumulatorCopiesOnceAtFinalSize: a lone batch comes back as the same
+// batch, and a concatenation allocates every payload vector at exactly its
+// final length (the old accumulator grew them by doubling, batch after batch).
+func TestAccumulatorCopiesOnceAtFinalSize(t *testing.T) {
+	rel := randRelation(rand.New(rand.NewSource(9)), 300)
+	full := FromRelation(rel)
+	lone := NewAccumulator(rel.Schema)
+	lone.Append(full)
+	if lone.Finish() != full {
+		t.Fatal("a single appended batch must be returned uncopied")
+	}
+	var acc Accumulator // the zero value takes the first batch's schema
+	for lo := 0; lo < 300; lo += 64 {
+		acc.Append(full.Slice(lo, min(lo+64, 300)))
+	}
+	got := acc.Finish()
+	relationsEqual(t, rel, got.ToRelation())
+	for c, col := range got.Cols {
+		for _, capacity := range []int{cap(col.Ints), cap(col.Floats), cap(col.Strs), cap(col.Bools), cap(col.Nulls), cap(col.Mixed)} {
+			if capacity != 0 && capacity != 300 {
+				t.Fatalf("column %d holds 300 cells in a vector of capacity %d", c, capacity)
+			}
+		}
+	}
+}
+
+// TestToRelationBoxesIntoOneArray: the rows of a relation boxed from batches
+// are consecutive slices of one cell array, capped so that growing a row
+// cannot overwrite its neighbour, and several batches box to their rows'
+// concatenation.
+func TestToRelationBoxesIntoOneArray(t *testing.T) {
+	rel := randRelation(rand.New(rand.NewSource(11)), 50)
+	full := FromRelation(rel)
+	got := ToRelation([]*Batch{full.Slice(0, 20), full.Slice(20, 20), full.Slice(20, 50).Select([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29})})
+	relationsEqual(t, rel, got)
+	for i := 1; i < len(got.Rows); i++ {
+		prev, row := got.Rows[i-1], got.Rows[i]
+		if cap(prev) != len(prev) {
+			t.Fatalf("row %d has capacity %d beyond its %d cells", i-1, cap(prev), len(prev))
+		}
+		end := unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(prev[0]))
+		if end != unsafe.Pointer(&row[0]) {
+			t.Fatalf("row %d does not follow row %d in one array", i, i-1)
+		}
+	}
+	next := got.Rows[1][0]
+	grown := append(got.Rows[0], sqltypes.NewInt(-1))
+	if !valuesIdentical(got.Rows[1][0], next) || len(grown) != len(rel.Rows[0])+1 {
+		t.Fatal("appending to a row overwrote the next row's first cell")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { full.ToRelation() }); allocs > 4 {
+		t.Fatalf("boxing 50 rows took %.0f allocations; want the row headers, the cells and the relation", allocs)
 	}
 }
 

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strconv"
 
 	"repro/internal/sqltypes"
 )
@@ -72,93 +73,221 @@ func (e *Encoded) WireBytes() int { return len(e.Data) }
 
 // Encode serializes the batch's logical rows. The selection vector and row
 // window are applied here: the wire carries only the selected rows,
-// compacted. A batch that is a contiguous window over its columns — the
-// shape every remote cursor batch has — is encoded in place by offsetting
-// into the payload slices; only selection-vector batches pay a gather.
+// compacted, and they are read in place through the window — nothing is
+// gathered first. Every column is sized before anything is written (which is
+// also where the encoding is chosen), so the buffer is allocated once at its
+// exact length.
 func Encode(b *Batch) *Encoded {
-	src := b
-	if src.Sel != nil {
-		src = src.Materialize()
+	w := cells{sel: b.Sel, off: b.off, n: b.n}
+	var few [8]colPlan // keeps the plans of an ordinary batch off the heap
+	plans := few[:0]
+	if len(b.Cols) > len(few) {
+		plans = make([]colPlan, 0, len(b.Cols))
 	}
-	off, _ := src.Contig()
-	n := src.Len()
-	out := make([]byte, 0, 64+8*n)
+	size := 2 + uvarintLen(uint64(len(b.Cols))) + uvarintLen(uint64(w.n))
+	for ci, col := range b.Cols {
+		plans = append(plans, planColumn(col, w))
+		size += plans[ci].size
+	}
+	out := make([]byte, 0, size)
 	out = append(out, wireMagic, wireVersion)
-	out = binary.AppendUvarint(out, uint64(len(src.Cols)))
-	out = binary.AppendUvarint(out, uint64(n))
-	labels := make([]string, len(src.Cols))
-	for ci, col := range src.Cols {
-		out, labels[ci] = encodeColumn(out, col, off, n)
+	out = binary.AppendUvarint(out, uint64(len(b.Cols)))
+	out = binary.AppendUvarint(out, uint64(w.n))
+	labels := make([]string, len(b.Cols))
+	for ci, col := range b.Cols {
+		out = emitColumn(out, col, w, &plans[ci])
+		labels[ci] = plans[ci].label
 	}
-	return &Encoded{Data: out, ColEnc: labels, Rows: n}
+	return &Encoded{Data: out, ColEnc: labels, Rows: w.n}
 }
 
-// encodeColumn appends rows [off, off+n) of one column and returns the
-// updated buffer plus the encoding label chosen.
-func encodeColumn(out []byte, c *Column, off, n int) ([]byte, string) {
+// cells names the physical cells of a column that a batch's logical rows
+// cover: sel when non-nil, the range [off, off+n) otherwise.
+type cells struct {
+	sel    []int
+	off, n int
+}
+
+func (w cells) at(i int) int {
+	if w.sel != nil {
+		return w.sel[i]
+	}
+	return w.off + i
+}
+
+// colPlan is what sizing one column decides: how many bytes it takes, whether
+// a null bitmap is written, and which payload encoding won.
+type colPlan struct {
+	size    int      // encoded bytes, kind tag included
+	nulls   bool     // some covered cell is NULL
+	kept    int      // non-null covered cells: the payload's length
+	enc     byte     // payload encoding
+	label   string   // encoding label for telemetry
+	entries []string // string dictionary in first-appearance order
+	idx     []uint64 // dictionary index of every kept cell
+}
+
+// planColumn sizes the covered cells of one column. The chooser rule lives
+// here: both candidate encodings of an int or string column are sized
+// arithmetically and only the shorter one is ever written.
+func planColumn(c *Column, w cells) colPlan {
+	p := colPlan{size: 1, kept: w.n}
 	if c.Mixed != nil {
-		out = append(out, wireKindMixed)
-		return encodeMixed(out, c.Mixed[off:off+n]), "mixed"
+		p.label = "mixed"
+		for i := 0; i < w.n; i++ {
+			p.size += mixedLen(c.Mixed[w.at(i)])
+		}
+		return p
 	}
-	out = append(out, byte(c.Kind))
 	if c.Kind == sqltypes.KindNull {
-		return out, "null"
+		p.label = "null"
+		return p
 	}
-	// Null bitmap (omitted entirely when the column has no NULLs).
-	var nulls []bool
 	if c.Nulls != nil {
-		nulls = c.Nulls[off : off+n]
-	}
-	hasNulls := false
-	for _, isNull := range nulls {
-		if isNull {
-			hasNulls = true
-			break
+		for i := 0; i < w.n; i++ {
+			if c.Nulls[w.at(i)] {
+				p.kept--
+			}
 		}
 	}
-	if hasNulls {
-		out = append(out, 1)
-		out = appendBitmap(out, nulls)
-	} else {
-		out = append(out, 0)
-		nulls = nil
+	p.size += 2 // null flag, encoding byte
+	if p.nulls = p.kept < w.n; p.nulls {
+		p.size += (w.n + 7) / 8
 	}
-	// Payload covers non-null cells only.
 	switch c.Kind {
 	case sqltypes.KindInt:
-		return encodeInts(out, gatherKept(c.Ints[off:off+n], nulls))
-	case sqltypes.KindFloat:
-		out = append(out, 0)
-		for i, v := range c.Floats[off : off+n] {
-			if nulls != nil && nulls[i] {
+		plain, delta, prev, first := 0, 0, int64(0), true
+		for i := 0; i < w.n; i++ {
+			at := w.at(i)
+			if p.nulls && c.Nulls[at] {
 				continue
 			}
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+			v := c.Ints[at]
+			plain += varintLen(v)
+			if first {
+				delta += varintLen(v)
+				first = false
+			} else {
+				delta += varintLen(v - prev)
+			}
+			prev = v
 		}
-		return out, "float"
+		if delta < plain {
+			p.enc, p.label, p.size = encIntDelta, "int-delta", p.size+delta
+		} else {
+			p.enc, p.label, p.size = encIntPlain, "int", p.size+plain
+		}
+	case sqltypes.KindFloat:
+		p.label, p.size = "float", p.size+8*p.kept
 	case sqltypes.KindBool:
-		out = append(out, 0)
-		return appendBitmap(out, gatherKept(c.Bools[off:off+n], nulls)), "bool"
+		p.label, p.size = "bool", p.size+(p.kept+7)/8
 	case sqltypes.KindString:
-		return encodeStrings(out, gatherKept(c.Strs[off:off+n], nulls))
+		// Dictionary pass: entries in first-appearance order, indexes bitpacked.
+		ids := make(map[string]int, 8)
+		p.entries = make([]string, 0, 8)
+		p.idx = make([]uint64, 0, p.kept)
+		plain, dictEntries := 0, 0
+		for i := 0; i < w.n; i++ {
+			at := w.at(i)
+			if p.nulls && c.Nulls[at] {
+				continue
+			}
+			s := c.Strs[at]
+			plain += uvarintLen(uint64(len(s))) + len(s)
+			id, ok := ids[s]
+			if !ok {
+				id = len(p.entries)
+				ids[s] = id
+				p.entries = append(p.entries, s)
+				dictEntries += uvarintLen(uint64(len(s))) + len(s)
+			}
+			p.idx = append(p.idx, uint64(id))
+		}
+		dict := uvarintLen(uint64(len(p.entries))) + dictEntries + (p.kept*indexWidth(len(p.entries))+7)/8
+		if dict < plain {
+			p.enc, p.label, p.size = encStrDict, "str-dict("+strconv.Itoa(len(p.entries))+")", p.size+dict
+		} else {
+			p.enc, p.label, p.size = encStrPlain, "str", p.size+plain
+		}
 	default:
 		panic(fmt.Sprintf("colbatch: unencodable column kind %d", c.Kind))
 	}
+	return p
 }
 
-// gatherKept collects the non-null cells of a payload window in row order.
-// With no NULLs the window itself is returned — no copy.
-func gatherKept[T any](vals []T, nulls []bool) []T {
-	if nulls == nil {
-		return vals
+// emitColumn appends one column's covered cells as planColumn sized them.
+func emitColumn(out []byte, c *Column, w cells, p *colPlan) []byte {
+	if c.Mixed != nil {
+		out = append(out, wireKindMixed)
+		for i := 0; i < w.n; i++ {
+			out = appendMixed(out, c.Mixed[w.at(i)])
+		}
+		return out
 	}
-	kept := make([]T, 0, len(vals))
-	for i, v := range vals {
-		if !nulls[i] {
-			kept = append(kept, v)
+	out = append(out, byte(c.Kind))
+	if c.Kind == sqltypes.KindNull {
+		return out
+	}
+	// Null bitmap (omitted entirely when no covered cell is NULL); the payload
+	// covers the non-null cells only.
+	null := func(at int) bool { return p.nulls && c.Nulls[at] }
+	if p.nulls {
+		out = append(out, 1)
+		out = appendBitmap(out, w.n, func(i int) bool { return c.Nulls[w.at(i)] })
+	} else {
+		out = append(out, 0)
+	}
+	out = append(out, p.enc)
+	switch c.Kind {
+	case sqltypes.KindInt:
+		prev, first := int64(0), true
+		for i := 0; i < w.n; i++ {
+			at := w.at(i)
+			if null(at) {
+				continue
+			}
+			v := c.Ints[at]
+			if p.enc == encIntDelta && !first {
+				out = binary.AppendVarint(out, v-prev)
+			} else {
+				out = binary.AppendVarint(out, v)
+			}
+			prev, first = v, false
+		}
+	case sqltypes.KindFloat:
+		for i := 0; i < w.n; i++ {
+			if at := w.at(i); !null(at) {
+				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(c.Floats[at]))
+			}
+		}
+	case sqltypes.KindBool:
+		start, k := len(out), 0 // k counts the non-null cells packed so far
+		out = append(out, make([]byte, (p.kept+7)/8)...)
+		for i := 0; i < w.n; i++ {
+			if at := w.at(i); !null(at) {
+				if c.Bools[at] {
+					out[start+k/8] |= 1 << (k % 8)
+				}
+				k++
+			}
+		}
+	case sqltypes.KindString:
+		if p.enc == encStrDict {
+			out = binary.AppendUvarint(out, uint64(len(p.entries)))
+			for _, s := range p.entries {
+				out = binary.AppendUvarint(out, uint64(len(s)))
+				out = append(out, s...)
+			}
+			return appendPacked(out, p.idx, indexWidth(len(p.entries)))
+		}
+		for i := 0; i < w.n; i++ {
+			if at := w.at(i); !null(at) {
+				out = binary.AppendUvarint(out, uint64(len(c.Strs[at])))
+				out = append(out, c.Strs[at]...)
+			}
 		}
 	}
-	return kept
+	return out
 }
 
 // varintLen is the encoded size of one zigzag varint.
@@ -172,96 +301,39 @@ func uvarintLen(v uint64) int {
 	return (bits.Len64(v|1) + 6) / 7
 }
 
-// encodeInts writes the shorter of plain-zigzag and delta-zigzag, sizing
-// both candidates arithmetically and encoding only the winner.
-func encodeInts(out []byte, vals []int64) ([]byte, string) {
-	plainSize, deltaSize, prev := 0, 0, int64(0)
-	for i, v := range vals {
-		plainSize += varintLen(v)
-		if i == 0 {
-			deltaSize += varintLen(v)
-		} else {
-			deltaSize += varintLen(v - prev)
-		}
-		prev = v
+// mixedLen is the encoded size of one tagged scalar.
+func mixedLen(v sqltypes.Value) int {
+	switch v.Kind() {
+	case sqltypes.KindInt:
+		return 1 + varintLen(v.Int())
+	case sqltypes.KindFloat:
+		return 9
+	case sqltypes.KindString:
+		return 1 + uvarintLen(uint64(len(v.Str()))) + len(v.Str())
+	case sqltypes.KindBool:
+		return 2
+	default:
+		return 1
 	}
-	if deltaSize < plainSize {
-		out = append(out, encIntDelta)
-		prev = 0
-		for i, v := range vals {
-			if i == 0 {
-				out = binary.AppendVarint(out, v)
-			} else {
-				out = binary.AppendVarint(out, v-prev)
-			}
-			prev = v
-		}
-		return out, "int-delta"
-	}
-	out = append(out, encIntPlain)
-	for _, v := range vals {
-		out = binary.AppendVarint(out, v)
-	}
-	return out, "int"
 }
 
-// encodeStrings writes the shorter of plain and dictionary forms, sizing
-// both candidates before emitting either payload.
-func encodeStrings(out []byte, vals []string) ([]byte, string) {
-	// Dictionary pass: entries in first-appearance order, indexes bitpacked.
-	ids := make(map[string]int, 8)
-	var entries []string
-	idx := make([]uint64, len(vals))
-	plainSize, dictEntriesSize := 0, 0
-	for i, s := range vals {
-		plainSize += uvarintLen(uint64(len(s))) + len(s)
-		id, ok := ids[s]
-		if !ok {
-			id = len(entries)
-			ids[s] = id
-			entries = append(entries, s)
-			dictEntriesSize += uvarintLen(uint64(len(s))) + len(s)
-		}
-		idx[i] = uint64(id)
-	}
-	width := indexWidth(len(entries))
-	dictSize := uvarintLen(uint64(len(entries))) + dictEntriesSize + (len(vals)*width+7)/8
-	if dictSize < plainSize {
-		out = append(out, encStrDict)
-		out = binary.AppendUvarint(out, uint64(len(entries)))
-		for _, s := range entries {
-			out = binary.AppendUvarint(out, uint64(len(s)))
-			out = append(out, s...)
-		}
-		return appendPacked(out, idx, width), fmt.Sprintf("str-dict(%d)", len(entries))
-	}
-	out = append(out, encStrPlain)
-	for _, s := range vals {
+// appendMixed writes one tagged scalar.
+func appendMixed(out []byte, v sqltypes.Value) []byte {
+	out = append(out, byte(v.Kind()))
+	switch v.Kind() {
+	case sqltypes.KindInt:
+		out = binary.AppendVarint(out, v.Int())
+	case sqltypes.KindFloat:
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.Float()))
+	case sqltypes.KindString:
+		s := v.Str()
 		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
-	}
-	return out, "str"
-}
-
-// encodeMixed writes per-cell tagged scalars.
-func encodeMixed(out []byte, cells []sqltypes.Value) []byte {
-	for _, v := range cells {
-		out = append(out, byte(v.Kind()))
-		switch v.Kind() {
-		case sqltypes.KindInt:
-			out = binary.AppendVarint(out, v.Int())
-		case sqltypes.KindFloat:
-			out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v.Float()))
-		case sqltypes.KindString:
-			s := v.Str()
-			out = binary.AppendUvarint(out, uint64(len(s)))
-			out = append(out, s...)
-		case sqltypes.KindBool:
-			if v.Bool() {
-				out = append(out, 1)
-			} else {
-				out = append(out, 0)
-			}
+	case sqltypes.KindBool:
+		if v.Bool() {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
 		}
 	}
 	return out
@@ -275,13 +347,12 @@ func indexWidth(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// appendBitmap packs bools 8 per byte, LSB first.
-func appendBitmap(out []byte, vals []bool) []byte {
-	nb := (len(vals) + 7) / 8
+// appendBitmap packs n bools 8 per byte, LSB first.
+func appendBitmap(out []byte, n int, bit func(i int) bool) []byte {
 	start := len(out)
-	out = append(out, make([]byte, nb)...)
-	for i, v := range vals {
-		if v {
+	out = append(out, make([]byte, (n+7)/8)...)
+	for i := 0; i < n; i++ {
+		if bit(i) {
 			out[start+i/8] |= 1 << (i % 8)
 		}
 	}

@@ -1,7 +1,10 @@
 package colbatch
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/sqltypes"
@@ -123,6 +126,38 @@ func TestWireSelectionCompacted(t *testing.T) {
 	full := Encode(New(b.Schema, []*Column{ints, strs}, 5))
 	if len(enc.Data) >= len(full.Data) {
 		t.Fatalf("3-row selection encoded to %d bytes, full 5 rows to %d", len(enc.Data), len(full.Data))
+	}
+}
+
+// TestWireEncodesThroughSelection: a selected or windowed batch encodes in
+// place to the very bytes (and labels) of its compacted copy, into a buffer
+// allocated at exactly the encoded length.
+func TestWireEncodesThroughSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for it := 0; it < 300; it++ {
+		full := FromRelation(randRelation(rng, rng.Intn(120)))
+		var sel []int
+		for i := 0; i < full.Len(); i++ {
+			if rng.Intn(3) > 0 {
+				sel = append(sel, i)
+			}
+		}
+		rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
+		b := full.Select(sel)
+		if it%3 == 0 && b.Len() > 2 {
+			b = b.Slice(1, b.Len()-1)
+		}
+		if it%5 == 0 && full.Len() > 2 {
+			b = full.Slice(1, full.Len()-1)
+		}
+		got, want := Encode(b), Encode(b.Materialize())
+		if !bytes.Equal(got.Data, want.Data) || strings.Join(got.ColEnc, ",") != strings.Join(want.ColEnc, ",") {
+			t.Fatalf("iteration %d: encoding through the selection differs from encoding the compacted batch", it)
+		}
+		if cap(got.Data) != len(got.Data) {
+			t.Fatalf("iteration %d: %d encoded bytes in a buffer of %d", it, len(got.Data), cap(got.Data))
+		}
+		requireRoundTrip(t, b)
 	}
 }
 

@@ -81,39 +81,25 @@ func explainInto(b *strings.Builder, op Operator, depth int) {
 	}
 }
 
-// Values is a leaf operator over an already-materialized relation — the
-// integrator wraps remote fragment results in Values before merging them.
+// Values is a leaf operator over an already-materialized relation (the
+// integrator's row merge wraps fully arrived fragment results in it).
 type Values struct {
 	Rel *sqltypes.Relation
-	// Col, when non-nil, is the same rows in columnar form; ExecuteVectorized
-	// uses it directly so fragment results shipped as batches never round-trip
-	// through rows. Rel may be nil when the columnar wire protocol delivered
-	// the data (no rows were ever boxed); otherwise Col.ToRelation()
-	// row-equals Rel.
+	// Col, when non-nil, is the same rows in columnar form (Col.ToRelation()
+	// row-equals Rel); ExecuteVectorized uses it directly.
 	Col *colbatch.Batch
 	// Label names the source in EXPLAIN output.
 	Label string
 }
 
 // Schema implements Operator.
-func (v *Values) Schema() *sqltypes.Schema {
-	if v.Rel != nil {
-		return v.Rel.Schema
-	}
-	return v.Col.Schema
-}
+func (v *Values) Schema() *sqltypes.Schema { return v.Rel.Schema }
 
 // Execute implements Operator. It charges one CPU op per row (cursor
-// iteration) and no IO: the data is already local. A columnar-only Values
-// (wire-delivered) materializes rows here — the row engine is the fallback
-// path, and its charge stays one op per row either way.
+// iteration) and no IO: the data is already local.
 func (v *Values) Execute(ctx *Context) (*sqltypes.Relation, error) {
-	rel := v.Rel
-	if rel == nil {
-		rel = v.Col.ToRelation()
-	}
-	ctx.Res.CPUOps += float64(len(rel.Rows))
-	return rel, nil
+	ctx.Res.CPUOps += float64(len(v.Rel.Rows))
+	return v.Rel, nil
 }
 
 // Explain implements Operator.
@@ -122,13 +108,7 @@ func (v *Values) Explain() string {
 	if label == "" {
 		label = "values"
 	}
-	n := 0
-	if v.Rel != nil {
-		n = len(v.Rel.Rows)
-	} else if v.Col != nil {
-		n = v.Col.Len()
-	}
-	return fmt.Sprintf("VALUES %s [%d rows]", label, n)
+	return fmt.Sprintf("VALUES %s [%d rows]", label, len(v.Rel.Rows))
 }
 
 // Children implements Operator.

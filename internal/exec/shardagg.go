@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 )
@@ -120,7 +119,9 @@ func (s *ShardAggFinal) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err := s.checkWidth(in.Schema); err != nil {
 		return nil, err
 	}
-	return s.mergeCells(len(in.Rows), func(r, c int) sqltypes.Value { return in.Rows[r][c] }, ctx)
+	m := s.newMerger()
+	m.fold(len(in.Rows), func(r, c int) sqltypes.Value { return in.Rows[r][c] }, ctx)
+	return m.result(), nil
 }
 
 // checkWidth validates the partial-state input layout (keys then states).
@@ -135,15 +136,25 @@ func (s *ShardAggFinal) checkWidth(schema *sqltypes.Schema) error {
 	return nil
 }
 
-// mergeCells is the engine-independent merge kernel: it folds n partial
-// rows, read through the cell accessor, into final aggregate values. Both
-// Execute (rows) and the vectorized path (column batches) call it, so the
-// grouping, the fold order, and the CPU charge — one op per row per
+// shardMerger is the engine-independent merge kernel: fold takes partial rows
+// through a cell accessor, a relation's or a column batch's at a time, and
+// result turns the groups into final aggregate values. Execute folds its
+// whole input at once, the vectorized pipeline one arriving batch after the
+// other; the grouping, the fold order and the CPU charge — one op per row per
 // (cursor + aggregate) — are identical by construction.
-func (s *ShardAggFinal) mergeCells(n int, cell func(row, col int) sqltypes.Value, ctx *Context) (*sqltypes.Relation, error) {
-	k := len(s.GroupBy)
-	groups := map[uint64][]*shardMergeGroup{}
-	var order []*shardMergeGroup
+type shardMerger struct {
+	s      *ShardAggFinal
+	groups map[uint64][]*shardMergeGroup
+	order  []*shardMergeGroup
+}
+
+func (s *ShardAggFinal) newMerger() *shardMerger {
+	return &shardMerger{s: s, groups: map[uint64][]*shardMergeGroup{}}
+}
+
+// fold merges n partial rows into the groups.
+func (m *shardMerger) fold(n int, cell func(row, col int) sqltypes.Value, ctx *Context) {
+	s, k := m.s, len(m.s.GroupBy)
 	keys := make(sqltypes.Row, k)
 	for r := 0; r < n; r++ {
 		for c := 0; c < k; c++ {
@@ -151,7 +162,7 @@ func (s *ShardAggFinal) mergeCells(n int, cell func(row, col int) sqltypes.Value
 		}
 		h := rowHash(keys)
 		var grp *shardMergeGroup
-		for _, g := range groups[h] {
+		for _, g := range m.groups[h] {
 			if rowsIdentical(g.keys, keys) {
 				grp = g
 				break
@@ -159,8 +170,8 @@ func (s *ShardAggFinal) mergeCells(n int, cell func(row, col int) sqltypes.Value
 		}
 		if grp == nil {
 			grp = newShardMergeGroup(append(sqltypes.Row(nil), keys...), len(s.Aggs))
-			groups[h] = append(groups[h], grp)
-			order = append(order, grp)
+			m.groups[h] = append(m.groups[h], grp)
+			m.order = append(m.order, grp)
 		}
 		off := k
 		for i, a := range s.Aggs {
@@ -177,6 +188,11 @@ func (s *ShardAggFinal) mergeCells(n int, cell func(row, col int) sqltypes.Value
 		}
 	}
 	ctx.Res.CPUOps += float64(n) * float64(1+len(s.Aggs))
+}
+
+// result finalizes the merged groups, in first-appearance order.
+func (m *shardMerger) result() *sqltypes.Relation {
+	s, k, order := m.s, len(m.s.GroupBy), m.order
 	// Scalar aggregation over no partials still yields one row, mirroring
 	// the plain folder (cannot normally happen: every shard ships one
 	// scalar partial row).
@@ -203,17 +219,7 @@ func (s *ShardAggFinal) mergeCells(n int, cell func(row, col int) sqltypes.Value
 		}
 		out.Rows = append(out.Rows, row)
 	}
-	return out, nil
-}
-
-// mergeBatch is the vectorized entry to the merge kernel: partial states
-// arrive as a typed column batch (the wire-delivered form) and are folded
-// without materializing rows.
-func (s *ShardAggFinal) mergeBatch(in *colbatch.Batch, ctx *Context) (*sqltypes.Relation, error) {
-	if err := s.checkWidth(in.Schema); err != nil {
-		return nil, err
-	}
-	return s.mergeCells(in.Len(), in.Value, ctx)
+	return out
 }
 
 // Explain implements Operator.

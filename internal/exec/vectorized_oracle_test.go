@@ -236,6 +236,7 @@ func checkOracle(t *testing.T, label string, op Operator) {
 	if (wantErr != nil) != (gotErr != nil) {
 		t.Fatalf("%s: row err=%v, vectorized err=%v\nplan:\n%s", label, wantErr, gotErr, ExplainTree(op))
 	}
+	checkRecut(t, label, op, wantRel, wantErr, rowCtx.Res)
 	if wantErr != nil {
 		if wantErr.Error() != gotErr.Error() {
 			t.Fatalf("%s: error text diverged: %q vs %q", label, wantErr, gotErr)
@@ -311,7 +312,7 @@ func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
 		}
 		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(2)))
-		if _, err := hashJoinBatch(join, colbatch.FromRelation(left), colbatch.FromRelation(right), &Context{}); err == nil {
+		if _, err := newHashJoinTable(join, colbatch.FromRelation(left)).probeBatch(colbatch.FromRelation(right)); err == nil {
 			engaged++
 		}
 	}
@@ -346,7 +347,7 @@ func TestVectorizedHashJoinNaNSharesAChain(t *testing.T) {
 		BuildKey: &sqlparser.ColumnRef{Name: "b"}, ProbeKey: &sqlparser.ColumnRef{Name: "p"},
 	}
 	checkOracle(t, "NaN probe keys", join)
-	out, err := hashJoinBatch(join, colbatch.FromRelation(build), colbatch.FromRelation(probe), &Context{})
+	out, err := newHashJoinTable(join, colbatch.FromRelation(build)).probeBatch(colbatch.FromRelation(probe))
 	if err != nil || out.Len() != 1 {
 		t.Fatalf("columnar kernel: %d rows, err %v; want the single 7 = 7.0 pair", out.Len(), err)
 	}

@@ -18,20 +18,163 @@ import (
 // and network draws therefore cannot observe which engine ran — only the
 // wall-clock cost of running the simulation changes.
 //
+// The tree runs as a pull pipeline (see pipe) and this is its drain: output
+// batches concatenate into one, a lone output batch is returned uncopied.
+func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
+	return open(op, ctx).drain()
+}
+
+// ExecuteBatches is ExecuteVectorized without the final concatenation: the
+// output batches in order, at least one.
+func ExecuteBatches(op Operator, ctx *Context) ([]*colbatch.Batch, error) {
+	var out []*colbatch.Batch
+	for p := open(op, ctx); ; {
+		b, err := p.Next()
+		if b == nil || err != nil {
+			return out, err
+		}
+		out = append(out, b)
+	}
+}
+
+// BatchStream is a leaf over batches that are still arriving (the integrator's
+// fragment results): Src.Next blocks until the next one is there and returns
+// nil after the last. Like Values it charges one CPU op per row.
+type BatchStream struct {
+	Sch   *sqltypes.Schema
+	Label string
+	Src   interface {
+		Next() (*colbatch.Batch, error)
+	}
+}
+
+// Schema implements Operator.
+func (s *BatchStream) Schema() *sqltypes.Schema { return s.Sch }
+
+// Execute implements Operator: the row engine sees the drained stream.
+func (s *BatchStream) Execute(ctx *Context) (*sqltypes.Relation, error) {
+	b, err := ExecuteVectorized(s, ctx)
+	if err != nil {
+		return nil, err
+	}
+	return b.ToRelation(), nil
+}
+
+// Explain implements Operator.
+func (s *BatchStream) Explain() string { return "STREAM " + s.Label }
+
+// Children implements Operator.
+func (s *BatchStream) Children() []Operator { return nil }
+
+// batchwise marks the operators that turn every batch of one input into one
+// output batch. All others emit a single batch: leaves, and the blocking
+// operators, which read their input to its end first — Sort, the hash join's
+// build side and the index join's outer side collect it into one batch,
+// aggregation (plain and shard-final) folds it batch by batch.
+type batchwise interface{ batchInput() Operator }
+
+func (f *Filter) batchInput() Operator   { return f.Input }
+func (p *Project) batchInput() Operator  { return p.Input }
+func (l *Limit) batchInput() Operator    { return l.Input }
+func (d *Distinct) batchInput() Operator { return d.Input }
+func (j *HashJoin) batchInput() Operator { return j.Probe }
+
+// pipe is one operator of a running pull pipeline: Next returns the
+// operator's next output batch and nil once it is exhausted, pulling from the
+// pipes of its inputs as it goes. Every pipe yields at least one batch, so a
+// schema and an (empty) result always reach the consumer. What an operator
+// charges is a sum over its input rows, so it does not depend on where the
+// batch boundaries fall; over a single batch the additions to ctx.Res happen
+// in the row engine's order.
+//
 // Operators without a vectorized kernel (only index scans, nested-loop and
 // merge joins are left) execute their whole subtree through the row engine
 // and decompose the result. Kernels that hit an unsupported expression shape
-// or an eval error rerun that single node's row kernel over the
-// already-produced inputs; see vexpr.go for why that reproduces the row
-// path's outcome exactly.
-func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
-	switch x := op.(type) {
+// or an eval error rerun the row kernel over the batch at hand; see vexpr.go
+// for why that reproduces the row path's outcome exactly.
+type pipe struct {
+	op  Operator
+	ctx *Context
+	in  *pipe // the input pulled batch by batch
+
+	done    bool            // a single-batch operator has emitted its batch
+	emitted int             // Limit: rows passed on so far
+	seen    *vDistinctState // Distinct
+	join    *hashJoinTable  // HashJoin, once the build side is in
+}
+
+func open(op Operator, ctx *Context) *pipe { return &pipe{op: op, ctx: ctx} }
+
+// pull returns the next batch of the input operator, opening it first.
+func (p *pipe) pull(input Operator) (*colbatch.Batch, error) {
+	if p.in == nil {
+		p.in = open(input, p.ctx)
+	}
+	return p.in.Next()
+}
+
+// drain collects everything p still yields into one batch: the batch itself
+// when there is only one, one exact-size concatenation otherwise.
+func (p *pipe) drain() (*colbatch.Batch, error) {
+	var acc colbatch.Accumulator
+	for {
+		b, err := p.Next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return acc.Finish(), nil
+		}
+		acc.Append(b)
+	}
+}
+
+// boxed decomposes a row kernel's result.
+func boxed(rel *sqltypes.Relation, err error) (*colbatch.Batch, error) {
+	if err != nil {
+		return nil, err
+	}
+	return colbatch.FromRelation(rel), nil
+}
+
+// Next returns the operator's next output batch, nil when exhausted.
+func (p *pipe) Next() (*colbatch.Batch, error) {
+	ctx := p.ctx
+	var in *colbatch.Batch // a batchwise operator's input batch
+	if bw, ok := p.op.(batchwise); ok {
+		if x, ok := bw.(*HashJoin); ok && p.join == nil {
+			build, err := open(x.Build, ctx).drain()
+			if err != nil {
+				return nil, err
+			}
+			p.join = newHashJoinTable(x, build)
+		}
+		var err error
+		if in, err = p.pull(bw.batchInput()); in == nil || err != nil {
+			return nil, err
+		}
+	} else if src, ok := p.op.(*BatchStream); ok {
+		b, err := src.Src.Next()
+		if err != nil || (b == nil && p.done) {
+			return nil, err
+		}
+		if b == nil {
+			b = colbatch.FromRelation(sqltypes.NewRelation(src.Sch))
+		}
+		p.done = true
+		ctx.Res.CPUOps += float64(b.Len())
+		return b, nil
+	} else if p.done {
+		return nil, nil
+	}
+	p.done = true
+
+	switch x := p.op.(type) {
 	case *Values:
+		ctx.Res.CPUOps += float64(len(x.Rel.Rows))
 		if x.Col != nil {
-			ctx.Res.CPUOps += float64(x.Col.Len())
 			return x.Col, nil
 		}
-		ctx.Res.CPUOps += float64(len(x.Rel.Rows))
 		return colbatch.FromRelation(x.Rel), nil
 
 	case *SeqScan:
@@ -41,136 +184,96 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 		return colbatch.New(x.Schema(), cols, n), nil
 
 	case *Filter:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
 		sel, verr := evalPredicate(x.Pred, in)
 		if verr != nil {
-			rel, err := filterRel(x.Pred, in.ToRelation(), ctx)
-			if err != nil {
-				return nil, err
-			}
-			return colbatch.FromRelation(rel), nil
+			return boxed(filterRel(x.Pred, in.ToRelation(), ctx))
 		}
 		ctx.Res.CPUOps += float64(in.Len())
 		return in.Select(sel), nil
 
 	case *Project:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
 		out, verr := projectBatch(x.Items, in)
 		if verr != nil {
-			rel, err := projectRel(x.Items, in.ToRelation(), ctx)
-			if err != nil {
-				return nil, err
-			}
-			return colbatch.FromRelation(rel), nil
+			return boxed(projectRel(x.Items, in.ToRelation(), ctx))
 		}
 		ctx.Res.CPUOps += float64(in.Len()) * float64(len(x.Items))
 		return out, nil
 
 	case *Sort:
-		in, err := ExecuteVectorized(x.Input, ctx)
+		in, err := open(x.Input, ctx).drain()
 		if err != nil {
 			return nil, err
 		}
 		out, verr := sortBatch(x.Keys, in)
 		if verr != nil {
-			rel, err := sortRel(x.Keys, in.ToRelation(), ctx)
-			if err != nil {
-				return nil, err
-			}
-			return colbatch.FromRelation(rel), nil
+			return boxed(sortRel(x.Keys, in.ToRelation(), ctx))
 		}
 		n := float64(in.Len())
 		ctx.Res.CPUOps += n * log2(n)
 		return out, nil
 
 	case *Limit:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
-		n := x.N
-		if n > in.Len() {
-			n = in.Len()
-		}
+		// The input is still pulled to its end once the limit is reached: the
+		// row engine materializes (and charges) everything under a Limit.
+		n := min(x.N-p.emitted, in.Len())
+		p.emitted += n
 		return in.Slice(0, n), nil
 
 	case *Distinct:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
+		if p.seen == nil {
+			p.seen = newVDistinctState()
 		}
-		return distinctBatch(in, newVDistinctState(), ctx), nil
+		return distinctBatch(in, p.seen, ctx), nil
 
 	case *Aggregate:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
-		}
 		folder := newAggFolder(x.GroupBy, x.Aggs)
-		if verr := foldBatch(folder, in, ctx); verr != nil {
-			if err := folder.fold(in.ToRelation(), ctx); err != nil {
-				return nil, err
-			}
-		}
-		return colbatch.FromRelation(folder.result(x.Schema())), nil
-
-	case *HashJoin:
-		build, err := ExecuteVectorized(x.Build, ctx)
-		if err != nil {
-			return nil, err
-		}
-		probe, err := ExecuteVectorized(x.Probe, ctx)
-		if err != nil {
-			return nil, err
-		}
-		out, verr := hashJoinBatch(x, build, probe, ctx)
-		if verr != nil {
-			rel, err := hashJoinRel(x, build.ToRelation(), probe.ToRelation(), ctx)
+		for {
+			in, err := p.pull(x.Input)
 			if err != nil {
 				return nil, err
 			}
-			return colbatch.FromRelation(rel), nil
+			if in == nil {
+				return colbatch.FromRelation(folder.result(x.Schema())), nil
+			}
+			if verr := foldBatch(folder, in, ctx); verr != nil {
+				if err := folder.fold(in.ToRelation(), ctx); err != nil {
+					return nil, err
+				}
+			}
 		}
-		return out, nil
+
+	case *HashJoin:
+		return p.join.probe(in, ctx)
 
 	case *IndexNLJoin:
-		outer, err := ExecuteVectorized(x.Outer, ctx)
+		outer, err := open(x.Outer, ctx).drain()
 		if err != nil {
 			return nil, err
 		}
 		out, verr := indexNLJoinBatch(x, outer, ctx)
 		if verr != nil {
-			rel, err := indexNLJoinRel(x, outer.ToRelation(), ctx)
-			if err != nil {
-				return nil, err
-			}
-			return colbatch.FromRelation(rel), nil
+			return boxed(indexNLJoinRel(x, outer.ToRelation(), ctx))
 		}
 		return out, nil
 
 	case *ShardAggFinal:
-		in, err := ExecuteVectorized(x.Input, ctx)
-		if err != nil {
-			return nil, err
+		merger := x.newMerger()
+		for {
+			in, err := p.pull(x.Input)
+			if err != nil {
+				return nil, err
+			}
+			if in == nil {
+				return colbatch.FromRelation(merger.result()), nil
+			}
+			if err := x.checkWidth(in.Schema); err != nil {
+				return nil, err
+			}
+			merger.fold(in.Len(), in.Value, ctx)
 		}
-		rel, err := x.mergeBatch(in, ctx)
-		if err != nil {
-			return nil, err
-		}
-		return colbatch.FromRelation(rel), nil
 
 	default:
-		rel, err := op.Execute(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return colbatch.FromRelation(rel), nil
+		return boxed(p.op.Execute(ctx))
 	}
 }
 
@@ -385,8 +488,7 @@ func batchRowsIdentical(a *colbatch.Batch, i int, b *colbatch.Batch, j int) bool
 	return true
 }
 
-// vDistinctState is the columnar seen-set: the streaming distinct source
-// keeps one across batches, the materialized operator uses a fresh one.
+// vDistinctState is the columnar seen-set a Distinct keeps across batches.
 type vDistinctState struct {
 	seen map[uint64][]seenRow
 }
@@ -425,45 +527,58 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *col
 	return in.Select(sel)
 }
 
+// foldVec is what foldBatch keeps between the batches of one aggregation: the
+// group keys then the aggregate arguments (nil for COUNT(*)) compiled against
+// the batches' schema, their per-batch results, and scratch vectors.
+type foldVec struct {
+	schema    *sqltypes.Schema
+	nodes     []vnode
+	res       []*vres
+	ops       []operand
+	hs        []uint64
+	rowGroups []*aggGroup
+}
+
 // foldBatch is the vectorized counterpart of aggFolder.fold: group keys and
 // aggregate arguments evaluate column-wise up front (so an error leaves the
 // folder untouched for the row fallback), then rows fold into the exact
 // same group structures the row kernel builds.
 func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
-	n := in.Len()
-	gres := make([]*vres, len(f.groupBy))
-	for i, g := range f.groupBy {
-		node, err := compileExpr(g, in.Schema)
-		if err != nil {
-			return err
+	n, k, v := in.Len(), len(f.groupBy), &f.vec
+	if v.schema != in.Schema {
+		nodes := make([]vnode, k+len(f.aggs))
+		for i := range nodes {
+			var e sqlparser.Expr
+			if i < k {
+				e = f.groupBy[i]
+			} else if e = f.aggs[i-k].Arg; e == nil {
+				continue
+			}
+			var err error
+			if nodes[i], err = compileExpr(e, in.Schema); err != nil {
+				return err
+			}
 		}
-		if gres[i], err = node.eval(in); err != nil {
-			return err
-		}
+		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes))}
 	}
-	ares := make([]*vres, len(f.aggs))
-	aops := make([]operand, len(f.aggs))
-	for i, agg := range f.aggs {
-		if agg.Arg == nil {
+	for i, node := range v.nodes {
+		if node == nil {
 			continue
 		}
-		node, err := compileExpr(agg.Arg, in.Schema)
-		if err != nil {
+		var err error
+		if v.res[i], err = node.eval(in); err != nil {
 			return err
 		}
-		if ares[i], err = node.eval(in); err != nil {
-			return err
-		}
-		aops[i] = classify(ares[i])
+		v.ops[i] = classify(v.res[i])
 	}
+	gres, gops, ares, aops := v.res[:k], v.ops[:k], v.res[k:], v.ops[k:]
 	// Group hashes fold column-major (cache-friendly, one dispatch per cell);
 	// candidate groups compare against the unboxed vres cells directly, so
 	// keys box exactly once per distinct group instead of once per row.
-	gops := make([]operand, len(gres))
-	for i, g := range gres {
-		gops[i] = classify(g)
+	if cap(v.hs) < n {
+		v.hs, v.rowGroups = make([]uint64, n), make([]*aggGroup, n)
 	}
-	hs := make([]uint64, n)
+	hs, rowGroups := v.hs[:n], v.rowGroups[:n]
 	for i := range hs {
 		hs[i] = 1469598103934665603
 	}
@@ -488,7 +603,6 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 			}
 		}
 	}
-	rowGroups := make([]*aggGroup, n)
 	for row := 0; row < n; row++ {
 		h := hs[row]
 		var grp *aggGroup
@@ -614,11 +728,14 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 	return true
 }
 
-// keyHashes returns Value.Hash of every logical cell of a join key. Typed
-// vectors hash straight off their payload; NULL cells get an arbitrary value,
-// since join kernels skip them before looking at the hash.
-func keyHashes(r *vres, o *operand) []uint64 {
-	hs := make([]uint64, r.n)
+// keyHashes returns Value.Hash of every logical cell of a join key, in hs when
+// it has the room. Typed vectors hash straight off their payload; NULL cells
+// get an arbitrary value: join kernels skip them before looking at the hash.
+func keyHashes(hs []uint64, r *vres, o *operand) []uint64 {
+	if cap(hs) < r.n {
+		hs = make([]uint64, r.n)
+	}
+	hs = hs[:r.n]
 	switch {
 	case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
 		for i, v := range o.ints {
@@ -677,14 +794,7 @@ func physOf(b *colbatch.Batch, idx []int) []int {
 // contiguous batch of left columns followed by right columns, applies the
 // residual predicate and returns the surviving rows.
 func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr) (*colbatch.Batch, error) {
-	cols := make([]*colbatch.Column, 0, len(left)+len(right))
-	for _, c := range left {
-		cols = append(cols, c.Gather(lPhys))
-	}
-	for _, c := range right {
-		cols = append(cols, c.Gather(rPhys))
-	}
-	out := colbatch.New(schema, cols, len(lPhys))
+	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys), len(lPhys))
 	if residual == nil {
 		return out, nil
 	}
@@ -695,73 +805,118 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, 
 	return out.Select(sel), nil
 }
 
-// hashJoinBatch joins two batches on key equality: a chained index table over
-// the build side (head[bucket] and next[row] hold build row + 1, 0 ends a
-// chain), probed in probe order and compared on the typed key vectors, then
-// the residual filter over the gathered candidate batch. Build rows enter the
-// table last to first, so every chain lists its rows in build order and the
-// candidate pairs come out in the row kernel's order. Like the row kernel's
-// map keyed by hash, a pair matches when the full hashes are equal AND the
-// keys compare equal (Compare alone would also pair NaN with everything).
-func hashJoinBatch(j *HashJoin, build, probe *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
-	bnode, err := compileExpr(j.BuildKey, build.Schema)
-	if err != nil {
-		return nil, err
-	}
-	pnode, err := compileExpr(j.ProbeKey, probe.Schema)
-	if err != nil {
-		return nil, err
-	}
-	bres, err := bnode.eval(build)
-	if err != nil {
-		return nil, err
-	}
-	pres, err := pnode.eval(probe)
-	if err != nil {
-		return nil, err
-	}
-	bops, pops := classify(bres), classify(pres)
-	bhs, phs := keyHashes(bres, &bops), keyHashes(pres, &pops)
+// hashJoinTable is a hash join's build side, built once and probed by every
+// probe batch: a chained index table (head[bucket] and next[row] hold build
+// row + 1, 0 ends a chain) compared on the typed key vectors. Build rows
+// enter the table last to first, so every chain lists its rows in build order
+// and the candidate pairs come out in the row kernel's order. Like the row
+// kernel's map keyed by hash, a pair matches when the full hashes are equal
+// AND the keys compare equal (Compare alone would also pair NaN with
+// everything).
+type hashJoinTable struct {
+	j     *HashJoin
+	build *colbatch.Batch
+	// The probe key compiled against the probe batches' schema, the output
+	// schema (build columns then probe columns) and per-batch scratch.
+	pschema, schema *sqltypes.Schema
+	pnode           vnode
+	phs             []uint64
+	bIdx, pIdx      []int
+	// head stays nil when the build key did not compile or evaluate (or the
+	// build side outgrew the 32-bit chains): the row kernel then decides every
+	// probe batch, over buildRel, the build side boxed.
+	head, next []int32
+	bres       *vres
+	bops       operand
+	bhs        []uint64
+	buildRel   *sqltypes.Relation
+	// pending is the build side's charge. It joins the first probe batch's so
+	// that a single-batch join adds to ctx.Res once, as the row kernel does.
+	pending float64
+}
 
-	bn, pn := build.Len(), probe.Len()
-	if bn >= math.MaxInt32 {
-		return nil, fmt.Errorf("exec: %d build rows do not fit the join table's 32-bit chains", bn)
+func newHashJoinTable(j *HashJoin, build *colbatch.Batch) *hashJoinTable {
+	bn := build.Len()
+	t := &hashJoinTable{j: j, build: build, pending: float64(bn) * 2}
+	bnode, err := compileExpr(j.BuildKey, build.Schema)
+	if err != nil || bn >= math.MaxInt32 {
+		return t
 	}
+	if t.bres, err = bnode.eval(build); err != nil {
+		return t
+	}
+	t.bops = classify(t.bres)
+	t.bhs = keyHashes(nil, t.bres, &t.bops)
 	buckets := 1
 	for buckets < 2*bn {
 		buckets <<= 1
 	}
-	mask := uint64(buckets - 1)
-	head := make([]int32, buckets)
-	next := make([]int32, bn)
+	t.head, t.next = make([]int32, buckets), make([]int32, bn)
 	for i := bn - 1; i >= 0; i-- {
-		if bres.isNull(i) {
+		if t.bres.isNull(i) {
 			continue
 		}
-		slot := bhs[i] & mask
-		next[i] = head[slot]
-		head[slot] = int32(i + 1)
+		slot := t.bhs[i] & uint64(buckets-1)
+		t.next[i] = t.head[slot]
+		t.head[slot] = int32(i + 1)
 	}
-	var bIdx, pIdx []int
-	for i := 0; i < pn; i++ {
+	return t
+}
+
+// probe joins one probe batch and charges the join's formula for it: two ops
+// per build row (once), two per probe row, one per output row.
+func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
+	out, verr := t.probeBatch(in)
+	if verr != nil {
+		if t.buildRel == nil {
+			t.buildRel = t.build.ToRelation()
+		}
+		rel, err := hashJoinRel(t.j, t.buildRel, in.ToRelation(), &Context{})
+		if err != nil {
+			return nil, err
+		}
+		out = colbatch.FromRelation(rel)
+	}
+	ctx.Res.CPUOps += t.pending + float64(in.Len())*2 + float64(out.Len())
+	t.pending = 0
+	return out, nil
+}
+
+// probeBatch is the columnar probe: candidates in probe order, then the
+// residual filter over the gathered candidate batch.
+func (t *hashJoinTable) probeBatch(probe *colbatch.Batch) (*colbatch.Batch, error) {
+	if t.head == nil {
+		return nil, fmt.Errorf("exec: hash join build side is not vectorized")
+	}
+	if t.pschema != probe.Schema {
+		pnode, err := compileExpr(t.j.ProbeKey, probe.Schema)
+		if err != nil {
+			return nil, err
+		}
+		t.pschema, t.pnode, t.schema = probe.Schema, pnode, t.build.Schema.Concat(probe.Schema)
+	}
+	pres, err := t.pnode.eval(probe)
+	if err != nil {
+		return nil, err
+	}
+	pops := classify(pres)
+	t.phs = keyHashes(t.phs, pres, &pops)
+	phs, mask, bIdx, pIdx := t.phs, uint64(len(t.head)-1), t.bIdx[:0], t.pIdx[:0]
+	for i, pn := 0, probe.Len(); i < pn; i++ {
 		if pres.isNull(i) {
 			continue
 		}
 		h := phs[i]
-		for at := head[h&mask]; at != 0; at = next[at-1] {
+		for at := t.head[h&mask]; at != 0; at = t.next[at-1] {
 			bi := int(at - 1)
-			if bhs[bi] == h && keysEqual(bres, &bops, bi, pres, &pops, i) {
+			if t.bhs[bi] == h && keysEqual(t.bres, &t.bops, bi, pres, &pops, i) {
 				bIdx = append(bIdx, bi)
 				pIdx = append(pIdx, i)
 			}
 		}
 	}
-	out, err := joinedBatch(build.Schema.Concat(probe.Schema), build.Cols, physOf(build, bIdx), probe.Cols, physOf(probe, pIdx), j.Residual)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Res.CPUOps += float64(bn)*2 + float64(pn)*2 + float64(out.Len())
-	return out, nil
+	t.bIdx, t.pIdx = bIdx, pIdx
+	return joinedBatch(t.schema, t.build.Cols, physOf(t.build, bIdx), probe.Cols, physOf(probe, pIdx), t.j.Residual)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
@@ -785,7 +940,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 		return nil, err
 	}
 	kops := classify(kres)
-	khs := keyHashes(kres, &kops)
+	khs := keyHashes(nil, kres, &kops)
 	inner, innerRows := j.Inner.Columns()
 
 	var oIdx, iPos []int

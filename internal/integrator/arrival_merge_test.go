@@ -1,0 +1,419 @@
+package integrator_test
+
+import (
+	"context"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/integrator"
+	"repro/internal/metawrapper"
+	"repro/internal/remote"
+	"repro/internal/scenario"
+	"repro/internal/sqltypes"
+	"repro/internal/wrapper"
+)
+
+// The II merge consumes fragment batches while the fragments are still
+// shipping. These tests hold that hand-off to its failure contract: no
+// deadlock whatever the dispatch fan-out, a fragment dying mid-stream stops
+// its siblings and the running merge and surfaces as the usual typed error,
+// nothing partial escapes, no goroutine outlives ExecuteContext — and to its
+// allocation budget: no fragment is copied on its way through the merge.
+
+const gatherJoin = `SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey GROUP BY o.o_priority ORDER BY o.o_priority`
+
+// hookedWrapper decorates a wrapper's streams: beforeBatch runs before batch
+// n (from 0) of every stream it opens is delivered and may fail the stream;
+// replay, when set, serves a recorded stream instead of asking the server.
+type hookedWrapper struct {
+	wrapper.Wrapper
+	mu          sync.Mutex
+	beforeBatch func(n int) error
+	record      map[string]*recordedStream // by plan SQL
+	replay      bool
+}
+
+type recordedStream struct {
+	schema  *sqltypes.Schema
+	batches []*wrapper.StreamBatch
+	outcome *wrapper.StreamOutcome
+}
+
+func (w *hookedWrapper) Open(ctx context.Context, plan *remote.Plan, batchRows int) (wrapper.ResultStream, error) {
+	w.mu.Lock()
+	rec, replay := w.record[plan.SQL], w.replay
+	w.mu.Unlock()
+	if replay && rec != nil {
+		return &hookedStream{w: w, rec: rec, replaying: true}, nil
+	}
+	st, err := w.Wrapper.Open(ctx, plan, batchRows)
+	if err != nil {
+		return nil, err
+	}
+	rec = &recordedStream{schema: st.Schema()}
+	w.mu.Lock()
+	if w.record != nil {
+		w.record[plan.SQL] = rec
+	}
+	w.mu.Unlock()
+	return &hookedStream{ResultStream: st, w: w, rec: rec}, nil
+}
+
+type hookedStream struct {
+	wrapper.ResultStream
+	w         *hookedWrapper
+	rec       *recordedStream
+	replaying bool
+	n         int
+}
+
+func (s *hookedStream) Schema() *sqltypes.Schema { return s.rec.schema }
+
+func (s *hookedStream) Outcome() *wrapper.StreamOutcome { return s.rec.outcome }
+
+func (s *hookedStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
+	s.w.mu.Lock()
+	hook := s.w.beforeBatch
+	s.w.mu.Unlock()
+	if hook != nil {
+		if err := hook(s.n); err != nil {
+			return nil, err
+		}
+	}
+	s.n++
+	if s.replaying {
+		if s.n > len(s.rec.batches) {
+			return nil, nil
+		}
+		return s.rec.batches[s.n-1], nil
+	}
+	b, err := s.ResultStream.Next(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if b == nil {
+		s.rec.outcome = s.ResultStream.Outcome()
+	} else {
+		s.rec.batches = append(s.rec.batches, b)
+	}
+	return b, nil
+}
+
+// hookedII rebuilds the scenario's integrator over decorated wrappers.
+func hookedII(sc *scenario.Scenario, cfg integrator.Config) (*integrator.II, map[string]*hookedWrapper) {
+	hooked := map[string]*hookedWrapper{}
+	var all []wrapper.Wrapper
+	for _, id := range sc.MW.Servers() {
+		hooked[id] = &hookedWrapper{Wrapper: sc.MW.Wrapper(id)}
+		all = append(all, hooked[id])
+	}
+	cfg.Catalog, cfg.MW, cfg.Node, cfg.Clock = sc.Catalog, metawrapper.New(all...), sc.IINode, sc.Clock
+	return integrator.New(cfg), hooked
+}
+
+// within fails the test when fn does not return in time: a lost wake-up
+// between a fragment goroutine and the merge would otherwise hang the run.
+func within(t *testing.T, d time.Duration, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		buf := make([]byte, 1<<16)
+		t.Fatalf("still running after %v\n%s", d, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// settledGoroutines waits for goroutines that have finished their work to be
+// gone (a goroutine is still counted between its last statement and its exit)
+// and returns the count.
+func settledGoroutines(atMost int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > atMost && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		runtime.Gosched()
+	}
+	return n
+}
+
+func requireSameRelation(t *testing.T, label string, want, got *sqltypes.Relation) {
+	t.Helper()
+	if len(got.Rows) != len(want.Rows) {
+		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
+	}
+	for i, row := range want.Rows {
+		for j := range row {
+			if got.Rows[i][j] != row[j] {
+				t.Fatalf("%s: cell (%d,%d) %v, want %v", label, i, j, got.Rows[i][j], row[j])
+			}
+		}
+	}
+}
+
+// TestMergeCompletesWithOneDispatchSlot: with MaxParallel = 1 the four shard
+// fragments and orders run one at a time, in whatever order the scheduler
+// picks, while the merge waits for them in plan order. Producers never wait
+// for the merge, so every order completes — with the rows and the merge
+// charge of the default fan-out.
+func TestMergeCompletesWithOneDispatchSlot(t *testing.T) {
+	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sc.II.Query(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Plan.Fragments) < 5 {
+		t.Fatalf("plan has %d fragments; the test needs the 4-shard gather join", len(want.Plan.Fragments))
+	}
+	serial := customII(sc, integrator.Config{MaxParallel: 1})
+	for run := 0; run < 20; run++ {
+		within(t, 30*time.Second, func() {
+			got, err := serial.Query(gatherJoin)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			requireSameRelation(t, "one dispatch slot", want.Rel, got.Rel)
+			if got.MergeTime != want.MergeTime {
+				t.Errorf("merge time %v with one slot, %v with the default fan-out", got.MergeTime, want.MergeTime)
+			}
+		})
+	}
+}
+
+// TestFragmentFailureMidStreamStopsTheMerge: lineitem's stream dies after its
+// third batch, when the merge has already built the join's hash table and
+// probed with the first batches. The attempt must return the typed fragment
+// error and nothing else, every goroutine must be gone when it returns, and
+// the retry loop must re-plan around the failed server and deliver the clean
+// run's rows.
+func TestFragmentFailureMidStreamStopsTheMerge(t *testing.T) {
+	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ii, hooked := hookedII(sc, integrator.Config{})
+	clean, err := ii.Query(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp, err := ii.Compile(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var victim string // the server shipping lineitem in the compiled plan
+	for _, f := range gp.Fragments {
+		if f.Spec.Stmt.Tables()[0].Name == "lineitem" {
+			victim = f.ServerID
+		}
+	}
+	boom := errors.New("link reset mid-stream")
+	arm := func(times int) {
+		w := hooked[victim]
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		w.beforeBatch = func(n int) error {
+			if n == 3 && times > 0 {
+				times--
+				return boom
+			}
+			return nil
+		}
+	}
+
+	arm(1)
+	before := runtime.NumGoroutine()
+	var res *integrator.QueryResult
+	within(t, 30*time.Second, func() { res, err = ii.ExecuteContext(context.Background(), gp) })
+	var fe *integrator.FragmentError
+	if res != nil || !errors.As(err, &fe) || fe.ServerID != victim || !errors.Is(err, boom) {
+		t.Fatalf("a fragment failing mid-stream returned (%v, %v); want no result and the FragmentError of %s", res, err, victim)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Fatalf("%d goroutines before ExecuteContext, %d after it returned", before, after)
+	}
+
+	arm(1)
+	within(t, 30*time.Second, func() { res, err = ii.Query(gatherJoin) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Retried != 1 {
+		t.Fatalf("retried %d times, want 1", res.Retried)
+	}
+	for id, server := range res.ExecutedServers {
+		if server == victim {
+			t.Fatalf("the retry ran %s on %s again, the server that had just failed it", id, victim)
+		}
+	}
+	requireSameRelation(t, "after the retry", clean.Rel, res.Rel)
+}
+
+// TestCallerCancelMidMerge: the caller gives up while lineitem is still
+// shipping and the merge is probing. Both entry points return the context's
+// error, no result, and leave no goroutine behind.
+func TestCallerCancelMidMerge(t *testing.T) {
+	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ii, hooked := hookedII(sc, integrator.Config{})
+	gp, err := ii.Compile(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range []struct {
+		name string
+		call func(ctx context.Context) (*integrator.QueryResult, error)
+	}{
+		{"ExecuteContext", func(ctx context.Context) (*integrator.QueryResult, error) { return ii.ExecuteContext(ctx, gp) }},
+		{"QueryContext", func(ctx context.Context) (*integrator.QueryResult, error) { return ii.QueryContext(ctx, gatherJoin) }},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		for _, w := range hooked {
+			w.mu.Lock()
+			w.beforeBatch = func(n int) error {
+				if n == 3 {
+					cancel()
+				}
+				return nil
+			}
+			w.mu.Unlock()
+		}
+		before := runtime.NumGoroutine()
+		var res *integrator.QueryResult
+		within(t, 30*time.Second, func() { res, err = run.call(ctx) })
+		cancel()
+		if res != nil || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s cancelled mid-merge returned (%v, %v); want no result and context.Canceled", run.name, res, err)
+		}
+		if after := settledGoroutines(before); after > before {
+			t.Fatalf("%s: %d goroutines before, %d after it returned", run.name, before, after)
+		}
+	}
+}
+
+// TestRowRemoteHandsTheQueryToTheRowMerge: with a row-engine remote among the
+// sources a batch arrives without columns after the columnar merge has
+// started; the row merge takes over and returns the all-columnar run's rows
+// and merge charge.
+func TestRowRemoteHandsTheQueryToTheRowMerge(t *testing.T) {
+	build := func() *scenario.Scenario {
+		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, srv := range sc.Servers {
+			srv.SetColumnarWire(false) // the wire changes shipped bytes, hence times
+		}
+		return sc
+	}
+	columnar := build()
+	want, err := columnar.II.Query(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := build()
+	for _, id := range []string{"S2", "R2"} { // lineitem's hosts run the row engine
+		mixed.Servers[id].SetVectorized(false)
+	}
+	got, err := mixed.II.Query(gatherJoin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRelation(t, "row remote", want.Rel, got.Rel)
+	if got.MergeTime != want.MergeTime || got.ResponseTime != want.ResponseTime {
+		t.Fatalf("merge/response %v/%v with a row remote, %v/%v all columnar", got.MergeTime, got.ResponseTime, want.MergeTime, want.ResponseTime)
+	}
+}
+
+// allocatedBytes returns the bytes the process allocated while fn ran.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMergeCopiesNoFragmentTwice is the merge's allocation budget. The
+// fragments are recorded once and replayed from memory, so what is measured is
+// the II alone: compile (warm), dispatch, merge, boxing the result. A
+// projection-only gather may allocate little more than the boxed result it
+// returns (fragment batches flow through the projection as views), and a
+// gather join little more than its build side plus its joined output (the
+// probe side is never collected). An accumulate-then-merge II copies every
+// shipped column once or twice more and fails both by a wide margin.
+func TestMergeCopiesNoFragmentTwice(t *testing.T) {
+	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ii, hooked := hookedII(sc, integrator.Config{})
+	measure := func(sql string) (*integrator.QueryResult, uint64) {
+		for _, w := range hooked {
+			w.record, w.replay = map[string]*recordedStream{}, false
+		}
+		res, err := ii.Query(sql) // records every fragment's stream
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range hooked {
+			w.replay = true
+		}
+		least := ^uint64(0)
+		for run := 0; run < 5; run++ {
+			least = min(least, allocatedBytes(func() {
+				if _, err := ii.Query(sql); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return res, least
+	}
+	const valueBytes, rowHeaderBytes = 32, 24
+
+	res, got := measure(`SELECT l_id, l_orderkey, l_qty, l_price FROM lineitem WHERE l_qty < 40`)
+	rows := uint64(len(res.Rel.Rows))
+	if rows < 5000 {
+		t.Fatalf("the gather returned %d rows; the budget needs several batches per shard", rows)
+	}
+	boxed := rows * (4*valueBytes + rowHeaderBytes)
+	if limit := boxed * 115 / 100; got > limit {
+		t.Fatalf("a projection-only gather of %d rows allocated %d bytes at the II; the boxed result is %d and the budget %d", rows, got, boxed, limit)
+	}
+
+	res, got = measure(`SELECT o.o_id, l.l_id FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount < 500`)
+	rows = uint64(len(res.Rel.Rows))
+	var orders, lineitem, probeBatches uint64
+	for _, f := range res.Plan.Fragments {
+		for _, b := range hooked[res.ExecutedServers[f.Spec.ID]].record[f.Plan.SQL].batches {
+			if f.Spec.Shard == nil {
+				orders += uint64(b.Col.Len())
+			} else {
+				lineitem += uint64(b.Col.Len())
+				probeBatches++
+			}
+		}
+	}
+	// Build side: orders' 6 columns collected once, key hashes and chains.
+	// Output: the 11 joined columns gathered, then 2 boxed cells a row. Every
+	// probe batch costs a joined batch's fixed parts (11 column headers).
+	build := orders * (6*8 + 8 + 3*4)
+	output := rows * (11*8 + 2*valueBytes + rowHeaderBytes)
+	limit := (build+output)*13/10 + probeBatches*3<<10
+	if probeCopy := lineitem * 5 * 8; limit > probeCopy*3/4 {
+		t.Fatalf("budget %d is no test: one copy of the %d-row probe side is %d bytes", limit, lineitem, probeCopy)
+	}
+	if got > limit {
+		t.Fatalf("a gather join (%d build rows, %d probe rows in %d batches, %d output rows) allocated %d bytes at the II; budget %d", orders, lineitem, probeBatches, rows, got, limit)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -27,6 +28,7 @@ import (
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/telemetry"
+	"repro/internal/wrapper"
 )
 
 // RoutePolicy lets QCC substitute an alternative global plan for load
@@ -186,11 +188,11 @@ func (ii *II) BatchRows() int { return DefaultBatchRows }
 func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
 
 // SetVectorized switches the II merge between the columnar engine (the
-// default) and the row-at-a-time reference engine. The columnar merge only
-// engages for queries whose fragments all arrived with columnar payloads
-// (i.e. the remote servers are vectorized too); otherwise the row merge runs
-// regardless of this flag. Either way the merged rows, resource charges, and
-// span tree are bit-identical.
+// default), which consumes fragment batches as they arrive, and the
+// row-at-a-time reference engine, which waits for all of them. A batch that
+// arrives without columns (a row-engine remote) hands the query to the row
+// merge regardless of this flag. Either way the merged rows, resource
+// charges, and span tree are bit-identical.
 func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
 // ShardPruning reports whether predicates on a shard key prune the shard
@@ -613,22 +615,6 @@ func (e *FragmentError) Error() string {
 
 func (e *FragmentError) Unwrap() error { return e.Err }
 
-// fragOutcome is one fragment dispatch's result, indexed by plan position so
-// the merge always sees fragments in plan order regardless of completion
-// order.
-type fragOutcome struct {
-	// leaf carries the fragment's data as the merge tree's leaf. Rel is nil
-	// when the columnar wire protocol carried the fragment (no rows were
-	// boxed anywhere on the path); Col is set when the remote executed
-	// vectorized AND every stream batch carried a columnar payload. When
-	// both are set, Col.ToRelation() row-equals Rel.
-	leaf     *exec.Values
-	respTime simclock.Time
-	firstRow simclock.Time
-	serverID string
-	fragID   string
-}
-
 // shipMode names how a fragment's data crossed the wire, for spans and the
 // decision log:
 //
@@ -650,74 +636,151 @@ func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) s
 	}
 }
 
-// dispatchFragment runs one fragment through MW's streaming data path; rows
-// accumulate at the II as batches arrive.
-func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice) (fragOutcome, error) {
+// dispatchFragment runs one fragment through MW's streaming data path, handing
+// every batch to the query's arrivals as it is received. It reports whether
+// the columnar wire carried the fragment (its batches have no row form).
+func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, arr *arrivals, pos int) (wire bool, err error) {
 	key := metawrapper.FragmentKey{ServerID: f.ServerID, Signature: f.Spec.Sig}
 	st, err := ii.cfg.MW.OpenKeyed(ctx, key, f.Plan, f.RawEst, DefaultBatchRows)
 	if err != nil {
-		return fragOutcome{}, err
+		return false, err
 	}
-	rel := sqltypes.NewRelation(st.Schema())
-	// Columnar batches reassemble without a row round trip; one row-only
-	// batch (non-vectorized remote) drops the columnar form for the whole
-	// fragment, since a partial column set would be useless to the merge.
-	// Under the columnar wire protocol batches carry no row form at all —
-	// the fragment stays columnar end to end.
-	acc := colbatch.NewAccumulator(st.Schema())
-	wire := false
 	for {
 		b, err := st.Next(ctx)
 		if err != nil {
-			return fragOutcome{}, err
+			return false, err
 		}
 		if b == nil {
-			break
+			arr.queues[pos].serverID, arr.queues[pos].outcome = f.ServerID, st.Outcome()
+			return wire, nil
 		}
-		if b.Rel != nil {
-			rel.Rows = append(rel.Rows, b.Rel.Rows...)
-		} else {
-			wire = true
+		wire = wire || b.Rel == nil
+		arr.push(pos, b)
+	}
+}
+
+// arrivals hands a query's fragment batches from the dispatch goroutines to
+// the merge, one queue per fragment in plan position. push never waits for
+// the consumer: there can be fewer dispatch slots (MaxParallel) than
+// fragments, so a producer blocked on a full queue could be holding the slot
+// of the very fragment the merge is waiting for. Batches stay queued once
+// read (they are views of results the remote side holds anyway): the row
+// merge reads them from here when the columnar one cannot run.
+type arrivals struct {
+	mu     sync.Mutex
+	cond   sync.Cond
+	queues []fragQueue
+}
+
+type fragQueue struct {
+	batches []*wrapper.StreamBatch
+	done    bool // the fragment's goroutine returned: nothing more will arrive
+	// Where the fragment ran and how long it took: set once the stream is
+	// exhausted, read once every goroutine has returned.
+	serverID string
+	outcome  *wrapper.StreamOutcome
+}
+
+func newArrivals(fragments int) *arrivals {
+	a := &arrivals{queues: make([]fragQueue, fragments)}
+	a.cond.L = &a.mu
+	return a
+}
+
+// push queues the fragment's next batch; a nil batch ends the queue.
+func (a *arrivals) push(pos int, b *wrapper.StreamBatch) {
+	a.mu.Lock()
+	if q := &a.queues[pos]; b != nil {
+		q.batches = append(q.batches, b)
+	} else {
+		q.done = true
+	}
+	a.mu.Unlock()
+	a.cond.Signal()
+}
+
+// wait blocks until batch n of the fragment at pos has arrived and returns it;
+// nil when the fragment ended without one. Only the merge waits.
+func (a *arrivals) wait(pos, n int) *wrapper.StreamBatch {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	q := &a.queues[pos]
+	for n >= len(q.batches) && !q.done {
+		a.cond.Wait()
+	}
+	if n < len(q.batches) {
+		return q.batches[n]
+	}
+	return nil
+}
+
+// errRowBatch stops the columnar merge at a batch that arrived without
+// columns (a row-engine remote); the row merge then takes the query.
+var errRowBatch = errors.New("integrator: fragment batch has no columnar form")
+
+// fragCursor is the columnar merge's source for one logical fragment: the
+// queues of its shards (parts, plan positions in plan order), each read to
+// its end before the next. That is the order the shards' rows concatenate in,
+// so rows, float SUM order and charges are those of a merge over fully
+// materialized fragments. Once ctx (the dispatch context) is cancelled, a
+// queue that ended is not the end of its fragment's data: the cursor fails.
+type fragCursor struct {
+	ctx     context.Context
+	arr     *arrivals
+	parts   []int
+	part, n int
+}
+
+// Next is exec.BatchStream's source.
+func (c *fragCursor) Next() (*colbatch.Batch, error) {
+	for c.part < len(c.parts) {
+		b := c.arr.wait(c.parts[c.part], c.n)
+		if err := c.ctx.Err(); err != nil {
+			return nil, err
 		}
-		if acc != nil {
-			if b.Col == nil {
-				acc = nil
-			} else {
-				acc.Append(b.Col)
+		if b == nil {
+			c.part, c.n = c.part+1, 0
+			continue
+		}
+		c.n++
+		if b.Col == nil {
+			return nil, errRowBatch
+		}
+		return b.Col, nil
+	}
+	return nil, nil
+}
+
+// rowLeaf is the row merge's leaf for one logical fragment, built once every
+// fragment has finished: the rows of its shards' batches in plan order, boxed
+// where only columns were shipped.
+func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *exec.Values {
+	rel := sqltypes.NewRelation(schema)
+	for _, pos := range parts {
+		for _, b := range a.queues[pos].batches {
+			rows := b.Rel
+			if rows == nil {
+				rows = b.Col.ToRelation()
 			}
+			rel.Rows = append(rel.Rows, rows.Rows...)
 		}
 	}
-	out := st.Outcome()
-	leaf := &exec.Values{Rel: rel, Label: f.Spec.ID}
-	if acc != nil {
-		leaf.Col = acc.Finish()
-	}
-	// Wire batches always carry columns; should one not, the (empty) row
-	// form stays rather than a dataless leaf.
-	if wire && leaf.Col != nil {
-		leaf.Rel = nil
-	}
-	return fragOutcome{
-		leaf:     leaf,
-		respTime: out.ResponseTime,
-		firstRow: out.FirstRowTime,
-		serverID: f.ServerID,
-		fragID:   f.Spec.ID,
-	}, nil
+	return &exec.Values{Rel: rel, Label: label}
 }
 
 // ExecuteContext runs a compiled global plan: fragments dispatch through MW
-// on concurrent goroutines (bounded by Config.MaxParallel), then the local
-// merge runs over the results in plan order. The first fragment error
-// cancels the remaining dispatches; every dispatch context carries the
-// per-fragment virtual-time deadline when Config.FragmentBudget is set.
+// on concurrent goroutines (bounded by Config.MaxParallel) while the local
+// merge, on the calling goroutine, consumes their batches in plan order as
+// they arrive. The first fragment error cancels the remaining dispatches and
+// the running merge; every dispatch context carries the per-fragment
+// virtual-time deadline when Config.FragmentBudget is set.
 func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*QueryResult, error) {
 	root := telemetry.SpanFrom(ctx)
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	fctx = simclock.WithDeadline(fctx, ii.cfg.FragmentBudget)
 
-	outcomes := make([]fragOutcome, len(gp.Fragments))
+	arr := newArrivals(len(gp.Fragments))
 	sem := make(chan struct{}, ii.cfg.MaxParallel)
 	var (
 		wg       sync.WaitGroup
@@ -734,6 +797,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		wg.Add(1)
 		go func(i int, f optimizer.FragmentChoice) {
 			defer wg.Done()
+			// However this goroutine ends, the merge must stop waiting for it.
+			defer arr.push(i, nil)
 			select {
 			case sem <- struct{}{}:
 				defer func() { <-sem }()
@@ -781,7 +846,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fspan != nil {
 				dctx = telemetry.ContextWithSpan(fctx, fspan)
 			}
-			out, err := ii.dispatchFragment(dctx, f)
+			wire, err := ii.dispatchFragment(dctx, f, arr, i)
 			if err != nil {
 				fspan.SetAttr("error", err.Error())
 				fspan.End(0)
@@ -790,15 +855,31 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				}
 				return
 			}
-			mode := shipMode(gp, f, out.leaf.Rel == nil)
+			mode := shipMode(gp, f, wire)
 			fspan.SetAttr("ship", mode)
-			fspan.End(out.respTime)
+			fspan.End(arr.queues[i].outcome.ResponseTime)
 			ii.cfg.Telemetry.Active().Counter("ii.fragments", f.ServerID).Inc()
 			if ii.cfg.ShipObs != nil {
 				ii.cfg.ShipObs.ObserveShip(gp.Stmt.String(), f.Spec.ID, f.ServerID, mode)
 			}
-			outcomes[i] = out
 		}(i, f)
+	}
+
+	// The columnar merge pulls batches as the fragments deliver them; the row
+	// merge (the reference engine, or a batch that came without columns) waits
+	// for every fragment and runs over the queued batches.
+	vec := ii.vectorized.Load()
+	var (
+		rel      *sqltypes.Relation
+		res      exec.Resources
+		blocking string
+		mergeErr error
+	)
+	if vec {
+		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, true)
+		if mergeErr != nil && !errors.Is(mergeErr, errRowBatch) {
+			cancel() // nothing the outstanding fragments ship can be used
+		}
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -807,29 +888,29 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if !vec || errors.Is(mergeErr, errRowBatch) {
+		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, false)
+	} else if mergeErr == nil {
+		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
+	}
+	if mergeErr != nil {
+		return nil, mergeErr
+	}
 
-	fragTimes := make(map[string]simclock.Time, len(outcomes))
-	executed := make(map[string]string, len(outcomes))
-	frags := make([]*exec.Values, len(outcomes))
+	fragTimes := make(map[string]simclock.Time, len(arr.queues))
+	executed := make(map[string]string, len(arr.queues))
 	var remotePhase, firstPhase simclock.Time
-	for i, o := range outcomes {
-		frags[i] = o.leaf
-		fragTimes[o.fragID] = o.respTime
-		executed[o.fragID] = o.serverID
-		if o.respTime > remotePhase {
-			remotePhase = o.respTime
-		}
-		if o.firstRow > firstPhase {
-			firstPhase = o.firstRow
-		}
+	for pos, q := range arr.queues {
+		id := gp.Fragments[pos].Spec.ID
+		fragTimes[id] = q.outcome.ResponseTime
+		executed[id] = q.serverID
+		remotePhase = max(remotePhase, q.outcome.ResponseTime)
+		firstPhase = max(firstPhase, q.outcome.FirstRowTime)
 	}
-
-	rel, mergeTime, blocking, err := ii.merge(gp, frags)
-	if err != nil {
-		return nil, err
-	}
-	// The parallel remote phase occupies max(fragment times) of the root's
-	// virtual timeline; the merge follows it sequentially.
+	// The virtual model stays store-and-forward whatever overlapped in real
+	// time: the II node is charged once for the whole merge, which follows the
+	// parallel remote phase (max fragment time) on the root's timeline.
+	mergeTime := ii.cfg.Node.Observe(res)
 	root.Advance(remotePhase)
 	msp := root.Emit("merge", telemetry.LayerII, "", mergeTime)
 	if blocking != "" {
@@ -845,61 +926,63 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		ExecutedServers: executed,
 		MergeTime:       mergeTime,
 		ResponseTime:    remotePhase + mergeTime,
-		// The merge needs every fragment's first batch before it can emit
-		// anything, so the query-level first row waits on the slowest
-		// fragment's first batch plus the merge.
+		// The slowest fragment's first batch plus the whole merge: a lower bound
+		// for a tree that pipelines, an understatement for a blocking one (the
+		// merge span's "blocking" attribute), whose first row needs every batch
+		// — ROADMAP item 2, clock half.
 		FirstRowTime: firstPhase + mergeTime,
 	}, nil
 }
 
 // merge combines fragment results at the II node: it builds one operator
-// tree over the fragment leaves and executes it once, materialized, on the
-// row or the columnar engine. It returns the merged rows, the observed merge
-// time and the tree's outermost pipeline-breaking stage ("" when none).
-func (ii *II) merge(gp *optimizer.GlobalPlan, frags []*exec.Values) (*sqltypes.Relation, simclock.Time, string, error) {
-	// The columnar merge engages only when the flag is on AND every fragment
-	// arrived with a columnar payload — a row-engine remote anywhere in the
-	// query demotes the whole merge to the row engine, whose Values leaves
-	// box wire-delivered fragments on demand.
-	vec := ii.vectorized.Load()
-	for _, f := range frags {
-		if f.Col == nil {
-			vec = false
-			break
+// tree over one leaf per logical fragment and executes it once. The columnar
+// engine (vec) runs it as a pull pipeline over the batches still arriving in
+// arr and boxes the output batches straight into the result; the row engine
+// runs it materialized, over fragments that have fully arrived. It returns
+// the rows, what computing them consumed at the II node, and the tree's
+// outermost pipeline-breaking stage ("" when none).
+func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals, vec bool) (*sqltypes.Relation, exec.Resources, string, error) {
+	labels, parts := logicalFragments(gp)
+	leaves := make([]exec.Operator, len(labels))
+	for i, label := range labels {
+		schema := gp.Fragments[parts[i][0]].Plan.Root.Schema()
+		if vec {
+			leaves[i] = &exec.BatchStream{Sch: schema, Label: label, Src: &fragCursor{ctx: ctx, arr: arr, parts: parts[i]}}
+		} else {
+			leaves[i] = arr.rowLeaf(label, schema, parts[i])
 		}
 	}
-	top, err := mergePlan(gp, frags, vec)
+	top, err := mergePlan(gp, leaves)
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("integrator: building merge plan: %w", err)
+		return nil, exec.Resources{}, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
-	ctx := &exec.Context{}
+	ectx := &exec.Context{}
 	var rel *sqltypes.Relation
 	if vec {
-		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
-		var out *colbatch.Batch
-		if out, err = exec.ExecuteVectorized(top, ctx); err == nil {
-			rel = out.ToRelation()
+		var outs []*colbatch.Batch
+		if outs, err = exec.ExecuteBatches(top, ectx); err == nil {
+			rel = colbatch.ToRelation(outs)
 		}
 	} else {
-		rel, err = top.Execute(ctx)
+		rel, err = top.Execute(ectx)
 	}
 	if err != nil {
-		return nil, 0, "", fmt.Errorf("integrator: merging: %w", err)
+		return nil, exec.Resources{}, "", fmt.Errorf("integrator: merging: %w", err)
 	}
-	return rel, ii.cfg.Node.Observe(ctx.Res), exec.BlockingStage(top), nil
+	return rel, ectx.Res, exec.BlockingStage(top), nil
 }
 
-// mergePlan builds the II-side operator tree: a single fragment is the answer
-// as it arrived (one cursor op per row); a single sharded table feeds the
-// union of its shard results to the statement tail — ShardAggFinal merging
-// partial aggregate states under pushdown, the full tail over gathered rows
-// otherwise; anything else joins the logical fragments left to right on the
-// cross-source conjuncts under the full tail.
-func mergePlan(gp *optimizer.GlobalPlan, frags []*exec.Values, vec bool) (exec.Operator, error) {
+// mergePlan builds the II-side operator tree over the logical fragments'
+// leaves: a single fragment is the answer as it arrived (one cursor op per
+// row); a single sharded table feeds the union of its shard results to the
+// statement tail — ShardAggFinal merging partial aggregate states under
+// pushdown, the full tail over gathered rows otherwise; anything else joins
+// the logical fragments left to right on the cross-source conjuncts under the
+// full tail.
+func mergePlan(gp *optimizer.GlobalPlan, leaves []exec.Operator) (exec.Operator, error) {
 	if gp.Decomp.SingleFragment {
-		return frags[0], nil
+		return leaves[0], nil
 	}
-	leaves := logicalFragments(gp, frags, vec)
 	if sh := gp.Decomp.Sharded; sh != nil {
 		if sh.Partial != nil {
 			return exec.BuildShardFinal(gp.Stmt, sh.Base, leaves[0])
@@ -909,49 +992,23 @@ func mergePlan(gp *optimizer.GlobalPlan, frags []*exec.Values, vec bool) (exec.O
 	return exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross))
 }
 
-// logicalFragments folds per-shard fragment results into one leaf per logical
-// fragment, in plan order: fragments sharing Spec.Shard.Of concatenate —
-// column batches when the merge is columnar, rows otherwise — through one
-// accumulator each. A fragment that is alone in its group passes through
-// untouched: zero copies, zero extra charges.
-func logicalFragments(gp *optimizer.GlobalPlan, frags []*exec.Values, vec bool) []exec.Operator {
-	var keys []string
-	groups := map[string][]*exec.Values{}
-	for i, f := range gp.Fragments {
-		key := f.Spec.ID
+// logicalFragments groups the plan's fragments into logical ones, in plan
+// order: fragments sharing Spec.Shard.Of are the shards of one table and
+// concatenate; any other fragment is a group of its own. It returns each
+// group's label and the plan positions of its parts.
+func logicalFragments(gp *optimizer.GlobalPlan) (labels []string, parts [][]int) {
+	for pos, f := range gp.Fragments {
+		label := f.Spec.ID
 		if f.Spec.Shard != nil {
-			key = f.Spec.Shard.Of
+			label = f.Spec.Shard.Of
 		}
-		if groups[key] == nil {
-			keys = append(keys, key)
+		g := slices.Index(labels, label)
+		if g < 0 {
+			g = len(labels)
+			labels = append(labels, label)
+			parts = append(parts, nil)
 		}
-		groups[key] = append(groups[key], frags[i])
+		parts[g] = append(parts[g], pos)
 	}
-	leaves := make([]exec.Operator, len(keys))
-	for i, key := range keys {
-		parts := groups[key]
-		if len(parts) == 1 {
-			leaves[i] = parts[0]
-			continue
-		}
-		leaf := &exec.Values{Label: key}
-		if vec {
-			acc := colbatch.NewAccumulator(parts[0].Col.Schema)
-			for _, p := range parts {
-				acc.Append(p.Col)
-			}
-			leaf.Col = acc.Finish()
-		} else {
-			leaf.Rel = sqltypes.NewRelation(parts[0].Schema())
-			for _, p := range parts {
-				rel := p.Rel
-				if rel == nil {
-					rel = p.Col.ToRelation()
-				}
-				leaf.Rel.Rows = append(leaf.Rel.Rows, rel.Rows...)
-			}
-		}
-		leaves[i] = leaf
-	}
-	return leaves
+	return labels, parts
 }
