@@ -389,8 +389,9 @@ func (f *Federation) SetShardPruning(on bool) { f.ii.SetShardPruning(on) }
 func (f *Federation) ShardPruning() bool { return f.ii.ShardPruning() }
 
 // SetShardPushdown toggles two-phase partial-aggregate pushdown for sharded
-// tables (default on); off ships whole rows from every shard — the
-// ship-all-rows baseline sharded benchmarks compare against.
+// tables (default on); off ships every shard's rows (the columns the
+// statement reads) — the ship-all-rows baseline sharded benchmarks compare
+// against.
 func (f *Federation) SetShardPushdown(on bool) { f.ii.SetShardPushdown(on) }
 
 // ShardPushdown reports whether partial-aggregate pushdown is active.

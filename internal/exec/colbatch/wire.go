@@ -101,6 +101,17 @@ func Encode(b *Batch) *Encoded {
 	return &Encoded{Data: out, ColEnc: labels, Rows: w.n}
 }
 
+// ColumnWireBytes is what the first n cells of a column take on the wire when
+// they ship in batches of batchRows: the sizes Encode would allot them, a
+// batch's header left out.
+func ColumnWireBytes(c *Column, n, batchRows int) int {
+	size := 0
+	for lo := 0; lo < n; lo += batchRows {
+		size += planColumn(c, cells{off: lo, n: min(batchRows, n-lo)}).size
+	}
+	return size
+}
+
 // cells names the physical cells of a column that a batch's logical rows
 // cover: sel when non-nil, the range [off, off+n) otherwise.
 type cells struct {

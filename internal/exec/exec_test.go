@@ -131,6 +131,21 @@ func TestFilterAndProject(t *testing.T) {
 	if rel.Schema.Columns[1].Name != "dbl" {
 		t.Fatalf("projection alias: %v", rel.Schema)
 	}
+	// An unaliased reference keeps its qualifier, so o.o_id still resolves
+	// above the projection (the integrator joins projected fragments on it);
+	// an aliased or computed item has none. Both engines agree.
+	vec, err := ExecuteVectorized(op, &Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, schema := range []*sqltypes.Schema{op.Schema(), rel.Schema, vec.Schema} {
+		if c := schema.Columns; c[0].Table != "o" || c[0].Name != "o_id" || c[1].Table != "" {
+			t.Fatalf("projected qualifiers: %v", schema)
+		}
+		if _, err := schema.ColumnIndex("o", "o_id"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if rel.Rows[0][1].Float() != rel.Rows[0][0].Float()*4 {
 		t.Fatalf("computed column wrong: %v", rel.Rows[0])
 	}

@@ -69,7 +69,14 @@ func projectSchema(items []sqlparser.SelectItem, in *sqltypes.Schema) *sqltypes.
 			cols = append(cols, in.Columns...)
 			continue
 		}
-		cols = append(cols, sqltypes.Column{Name: projectOutputName(item), Type: inferType(item.Expr, in)})
+		col := sqltypes.Column{Name: projectOutputName(item), Type: inferType(item.Expr, in)}
+		// An unaliased reference keeps the qualifier it was written with, so the
+		// operators above a projection (the integrator's joins over projected
+		// fragments) still resolve t.c against it.
+		if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok && item.Alias == "" {
+			col.Table = ref.Table
+		}
+		cols = append(cols, col)
 	}
 	return sqltypes.NewSchema(cols...)
 }

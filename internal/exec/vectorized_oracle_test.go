@@ -262,6 +262,38 @@ func TestVectorizedOracleSingleInput(t *testing.T) {
 	}
 }
 
+// TestVectorizedOracleProjectStarPositions puts * before, between and after
+// bare and computed items: a computed item ahead of a * must not let the
+// projection take its pick-the-input-columns path (the random plans above only
+// ever lead with the *).
+func TestVectorizedOracleProjectStarPositions(t *testing.T) {
+	g := &oracleGen{rng: rand.New(rand.NewSource(7))}
+	rel := g.relation("c", 40)
+	star := sqlparser.SelectItem{Star: true}
+	col := sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Name: "c3"}}
+	expr := sqlparser.SelectItem{Alias: "dbl", Expr: &sqlparser.BinaryExpr{
+		Op: sqlparser.OpMul, Left: &sqlparser.ColumnRef{Name: "c0"}, Right: &sqlparser.Literal{Val: sqltypes.NewInt(2)},
+	}}
+	for label, items := range map[string][]sqlparser.SelectItem{
+		"expr, *":      {expr, star},
+		"expr, *, col": {expr, star, col},
+		"col, *, expr": {col, star, expr},
+		"*, expr":      {star, expr},
+		"col, *":       {col, star},
+		"*, col, *":    {star, col, star},
+	} {
+		op := &Project{Input: &Values{Rel: rel}, Items: items}
+		checkOracle(t, label, op)
+		out, err := ExecuteVectorized(op, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := len(out.Cols), len(op.Schema().Columns); got != want || len(out.Schema.Columns) != want {
+			t.Fatalf("%s: %d vectors under a %d-column schema", label, got, want)
+		}
+	}
+}
+
 func TestVectorizedOracleHashJoin(t *testing.T) {
 	for seed := int64(1000); seed < 1080; seed++ {
 		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}

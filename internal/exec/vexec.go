@@ -101,6 +101,7 @@ type pipe struct {
 	emitted int             // Limit: rows passed on so far
 	seen    *vDistinctState // Distinct
 	join    *hashJoinTable  // HashJoin, once the build side is in
+	proj    projection      // Project
 }
 
 func open(op Operator, ctx *Context) *pipe { return &pipe{op: op, ctx: ctx} }
@@ -192,7 +193,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		return in.Select(sel), nil
 
 	case *Project:
-		out, verr := projectBatch(x.Items, in)
+		out, verr := p.proj.apply(x.Items, in)
 		if verr != nil {
 			return boxed(projectRel(x.Items, in.ToRelation(), ctx))
 		}
@@ -277,38 +278,60 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 	}
 }
 
-// projectBatch evaluates select items over a batch. When every item is a
-// bare column reference (or *), the output shares the input's row window and
-// payload vectors — projection becomes O(1).
-func projectBatch(items []sqlparser.SelectItem, in *colbatch.Batch) (*colbatch.Batch, error) {
-	outSchema := projectSchema(items, in.Schema)
-	refsOnly := true
+// projection is what a Project keeps between batches: the select items
+// compiled against the batches' schema, the output schema and, when every item
+// is a bare column reference (or *), the input columns to pick.
+type projection struct {
+	in, out *sqltypes.Schema
+	nodes   []vnode // nil for a * item
+	picks   []int   // input column per output column; nil unless refs only
+}
+
+func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) error {
 	nodes := make([]vnode, len(items))
+	picks := make([]int, 0, len(items))
+	refsOnly := true
 	for i, item := range items {
 		if item.Star {
+			for c := range in.Columns {
+				picks = append(picks, c)
+			}
 			continue
 		}
-		node, err := compileExpr(item.Expr, in.Schema)
+		node, err := compileExpr(item.Expr, in)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		nodes[i] = node
-		if _, ok := node.(*vcolref); !ok {
+		if ref, ok := node.(*vcolref); ok {
+			picks = append(picks, ref.idx)
+		} else {
 			refsOnly = false
 		}
 	}
-	if refsOnly {
-		var cols []*colbatch.Column
-		for i, item := range items {
-			if item.Star {
-				cols = append(cols, in.Cols...)
-				continue
-			}
-			cols = append(cols, in.Cols[nodes[i].(*vcolref).idx])
-		}
-		return in.WithColumns(outSchema, cols), nil
+	if !refsOnly {
+		picks = nil
 	}
-	var cols []*colbatch.Column
+	*p = projection{in: in, out: projectSchema(items, in), nodes: nodes, picks: picks}
+	return nil
+}
+
+// apply evaluates the select items over a batch. When every item is a bare
+// column reference (or *), the output shares the input's row window and
+// payload vectors — projection becomes O(1).
+func (p *projection) apply(items []sqlparser.SelectItem, in *colbatch.Batch) (*colbatch.Batch, error) {
+	if p.in != in.Schema {
+		if err := p.compile(items, in.Schema); err != nil {
+			return nil, err
+		}
+	}
+	cols := make([]*colbatch.Column, 0, len(p.out.Columns))
+	if p.picks != nil {
+		for _, c := range p.picks {
+			cols = append(cols, in.Cols[c])
+		}
+		return in.WithColumns(p.out, cols), nil
+	}
 	for i, item := range items {
 		if item.Star {
 			for _, c := range in.Cols {
@@ -317,13 +340,13 @@ func projectBatch(items []sqlparser.SelectItem, in *colbatch.Batch) (*colbatch.B
 			}
 			continue
 		}
-		res, err := nodes[i].eval(in)
+		res, err := p.nodes[i].eval(in)
 		if err != nil {
 			return nil, err
 		}
 		cols = append(cols, res.toColumn())
 	}
-	return colbatch.New(outSchema, cols, in.Len()), nil
+	return colbatch.New(p.out, cols, in.Len()), nil
 }
 
 // sortBatch orders the batch's logical rows by the key expressions; ties

@@ -618,7 +618,7 @@ func (e *FragmentError) Unwrap() error { return e.Err }
 // shipMode names how a fragment's data crossed the wire, for spans and the
 // decision log:
 //
-//	"row-ship"     boxed rows of the full (or whole-row baseline) result
+//	"row-ship"     boxed rows of the full (or ship-all-rows baseline) result
 //	"col-ship"     typed column batches of the same rows (columnar wire)
 //	"pushdown"     partial-aggregate states as boxed rows
 //	"pushdown-col" partial-aggregate states as typed column batches

@@ -316,7 +316,8 @@ func (mw *MetaWrapper) TableVersions(serverID string, tables []string) (map[stri
 
 // resultBytes is the actual result volume a fragment shipped: the encoded
 // wire bytes when the columnar wire protocol carried it, the row-model size
-// otherwise. The estimate side (CostEstimate.OutBytes) stays row-model —
+// otherwise. The estimate side (CostEstimate.OutBytes) prices bare columns at
+// their encoded width and computed ones by the row model (remote/estimate.go);
 // QCC's calibration learns the time gap, not the byte gap.
 func resultBytes(res *remote.Result, wireBytes int) int {
 	if wireBytes > 0 {

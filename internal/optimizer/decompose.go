@@ -8,6 +8,7 @@ package optimizer
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/catalog"
 	"repro/internal/sqlparser"
@@ -29,8 +30,6 @@ type FragmentSpec struct {
 	// Candidates are the servers hosting every table of the fragment —
 	// the equivalent data sources.
 	Candidates []string
-	// Schema is the qualified schema of the fragment's result.
-	Schema *sqltypes.Schema
 	// Shard is non-nil when the fragment covers one shard of a sharded
 	// nickname; fragments sharing Shard.Of concatenate at the integrator.
 	Shard *ShardRef
@@ -143,7 +142,6 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 			Tables:     g.tables,
 			Stmt:       stmt,
 			Candidates: sortedKeys(g.servers),
-			Schema:     schema,
 		}}
 		return d, nil
 	}
@@ -179,14 +177,16 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 		}
 	}
 
+	star, refs := readOutside(stmt, d.Cross)
 	for i, g := range groups {
+		ship := shipList(schemas[i], star, refs)
 		if g.nick != nil {
 			d.Fragments = append(d.Fragments,
-				shardGatherFragments(g.nick, g.tables[0], fmt.Sprintf("QF%d", i+1), schemas[i], pushed[i], opts)...)
+				shardGatherFragments(g.nick, g.tables[0], fmt.Sprintf("QF%d", i+1), ship, pushed[i], opts)...)
 			continue
 		}
 		fragStmt := &sqlparser.SelectStmt{
-			Select: []sqlparser.SelectItem{{Star: true}},
+			Select: ship,
 			From:   g.tables[0],
 			Limit:  -1,
 			Where:  sqlparser.JoinConjuncts(pushed[i]),
@@ -202,10 +202,66 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 			Tables:     g.tables,
 			Stmt:       fragStmt,
 			Candidates: sortedKeys(g.servers),
-			Schema:     schemas[i],
 		})
 	}
 	return d, nil
+}
+
+// readOutside collects the column references evaluated outside the fragments,
+// at the integrator: the statement's select list, GROUP BY, HAVING and ORDER
+// BY, and the cross-source conjuncts. star reports a * in the select list.
+// Conjuncts pushed into a fragment run remotely and need nothing shipped.
+func readOutside(stmt *sqlparser.SelectStmt, cross []sqlparser.Expr) (star bool, refs []*sqlparser.ColumnRef) {
+	for _, item := range stmt.Select {
+		if item.Star {
+			star = true
+			continue
+		}
+		refs = sqlparser.CollectColumnRefs(item.Expr, refs)
+	}
+	for _, e := range stmt.GroupBy {
+		refs = sqlparser.CollectColumnRefs(e, refs)
+	}
+	if stmt.Having != nil {
+		refs = sqlparser.CollectColumnRefs(stmt.Having, refs)
+	}
+	for _, o := range stmt.OrderBy {
+		refs = sqlparser.CollectColumnRefs(o.Expr, refs)
+	}
+	for _, e := range cross {
+		refs = sqlparser.CollectColumnRefs(e, refs)
+	}
+	return star, refs
+}
+
+// shipList is the select list of a fragment over a source group with the
+// qualified layout schema: the group's columns some outside reference could
+// resolve to, in schema order and qualified, so a column is shipped only when
+// the merge or the result reads it. A reference matches by name, and by
+// qualifier when it has one; matching every candidate (an ORDER BY name that
+// is also a select alias, an ambiguous name) leaves resolution at the
+// integrator exactly as it was over whole rows. The list is * when the
+// statement selects * or every column is read, and the group's first column
+// when none is: the merge still needs one row per row of the group (COUNT(*)
+// over a cross product).
+func shipList(schema *sqltypes.Schema, star bool, refs []*sqlparser.ColumnRef) []sqlparser.SelectItem {
+	var items []sqlparser.SelectItem
+	for _, c := range schema.Columns {
+		for _, r := range refs {
+			if strings.EqualFold(r.Name, c.Name) && (r.Table == "" || strings.EqualFold(r.Table, c.Table)) {
+				items = append(items, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name}})
+				break
+			}
+		}
+	}
+	switch {
+	case star || len(items) == len(schema.Columns):
+		return []sqlparser.SelectItem{{Star: true}}
+	case len(items) == 0:
+		c := schema.Columns[0]
+		return []sqlparser.SelectItem{{Expr: &sqlparser.ColumnRef{Table: c.Table, Name: c.Name}}}
+	}
+	return items
 }
 
 // groupSchema concatenates the alias-qualified schemas of the group tables.

@@ -20,8 +20,8 @@ import (
 type DecomposeOpts struct {
 	// DisablePruning scatter-gathers every shard regardless of predicates.
 	DisablePruning bool
-	// DisablePushdown ships whole rows from every shard instead of partial
-	// aggregate states (the ship-all-rows baseline).
+	// DisablePushdown ships every shard's rows instead of partial aggregate
+	// states (the ship-all-rows baseline).
 	DisablePushdown bool
 }
 
@@ -80,7 +80,7 @@ func shardServers(sh catalog.Shard) []string {
 // one sharded table. Pruning to a single shard pushes the whole statement
 // to that shard (a normal single-fragment plan); otherwise the statement
 // scatter-gathers, shipping partial aggregate states when the query
-// aggregates and whole rows when it does not.
+// aggregates and the rows' columns its tail reads when it does not.
 func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, tr sqlparser.TableRef, schema *sqltypes.Schema, opts DecomposeOpts) (*Decomposition, error) {
 	d := &Decomposition{Stmt: stmt}
 	conjuncts := dropTrueLiterals(sqlparser.SplitConjuncts(stmt.Where))
@@ -106,7 +106,6 @@ func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, 
 			Tables:     []sqlparser.TableRef{tr},
 			Stmt:       &full,
 			Candidates: shardServers(nick.Shards[idx]),
-			Schema:     schema,
 			Shard:      &ShardRef{Nickname: nick.Name, Index: idx, Of: "QF1"},
 		}}
 		return d, nil
@@ -118,38 +117,34 @@ func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, 
 		}
 	}
 
+	// What every shard selects: the group keys and partial aggregate states
+	// under pushdown, otherwise the columns the statement's tail reads (WHERE
+	// runs at the shards either way).
+	var items []sqlparser.SelectItem
+	var groupBy []sqlparser.Expr
+	if plan.Partial != nil {
+		groupBy = stmt.GroupBy
+		for _, g := range groupBy {
+			items = append(items, sqlparser.SelectItem{Expr: g})
+		}
+		items = append(items, exec.PartialAggItems(plan.Partial.Aggs)...)
+	} else {
+		star, refs := readOutside(stmt, nil)
+		items = shipList(schema, star, refs)
+	}
 	for _, idx := range executed {
-		var fragStmt *sqlparser.SelectStmt
-		var fragSchema *sqltypes.Schema
-		if plan.Partial != nil {
-			items := make([]sqlparser.SelectItem, 0, len(stmt.GroupBy)+len(plan.Partial.Aggs)*2)
-			for _, g := range stmt.GroupBy {
-				items = append(items, sqlparser.SelectItem{Expr: g})
-			}
-			items = append(items, exec.PartialAggItems(plan.Partial.Aggs)...)
-			fragStmt = &sqlparser.SelectStmt{
-				Select:  items,
-				From:    shardTableRef(nick.Name, idx, tr),
-				Where:   stmt.Where,
-				GroupBy: stmt.GroupBy,
-				Limit:   -1,
-			}
-			fragSchema = partialSchema(schema, plan.Partial)
-		} else {
-			fragStmt = &sqlparser.SelectStmt{
-				Select: []sqlparser.SelectItem{{Star: true}},
-				From:   shardTableRef(nick.Name, idx, tr),
-				Where:  stmt.Where,
-				Limit:  -1,
-			}
-			fragSchema = schema
+		fragStmt := &sqlparser.SelectStmt{
+			Select:  items,
+			From:    shardTableRef(nick.Name, idx, tr),
+			Where:   stmt.Where,
+			GroupBy: groupBy,
+			Limit:   -1,
 		}
 		d.Fragments = append(d.Fragments, &FragmentSpec{
 			ID:         fmt.Sprintf("QF1.s%d", idx),
 			Tables:     []sqlparser.TableRef{tr},
 			Stmt:       fragStmt,
 			Candidates: shardServers(nick.Shards[idx]),
-			Schema:     fragSchema,
 			Shard:      &ShardRef{Nickname: nick.Name, Index: idx, Of: "QF1"},
 		})
 	}
@@ -157,14 +152,14 @@ func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, 
 }
 
 // shardGatherFragments expands one sharded group of a multi-group
-// decomposition into per-shard SELECT * fragments carrying the group's
-// pushed conjuncts; the integrator concatenates them before joining.
-func shardGatherFragments(nick *catalog.Nickname, tr sqlparser.TableRef, logicalID string, schema *sqltypes.Schema, pushed []sqlparser.Expr, opts DecomposeOpts) []*FragmentSpec {
+// decomposition into per-shard fragments selecting ship and carrying the
+// group's pushed conjuncts; the integrator concatenates them before joining.
+func shardGatherFragments(nick *catalog.Nickname, tr sqlparser.TableRef, logicalID string, ship []sqlparser.SelectItem, pushed []sqlparser.Expr, opts DecomposeOpts) []*FragmentSpec {
 	executed := pruneShards(nick, tr.EffectiveName(), pushed, opts)
 	var out []*FragmentSpec
 	for _, idx := range executed {
 		fragStmt := &sqlparser.SelectStmt{
-			Select: []sqlparser.SelectItem{{Star: true}},
+			Select: ship,
 			From:   shardTableRef(nick.Name, idx, tr),
 			Where:  sqlparser.JoinConjuncts(pushed),
 			Limit:  -1,
@@ -174,7 +169,6 @@ func shardGatherFragments(nick *catalog.Nickname, tr sqlparser.TableRef, logical
 			Tables:     []sqlparser.TableRef{tr},
 			Stmt:       fragStmt,
 			Candidates: shardServers(nick.Shards[idx]),
-			Schema:     schema,
 			Shard:      &ShardRef{Nickname: nick.Name, Index: idx, Of: logicalID},
 		})
 	}
@@ -199,46 +193,6 @@ func aggsArePartialable(aggs []*sqlparser.AggExpr) bool {
 		}
 	}
 	return true
-}
-
-// partialSchema is the shard fragments' result layout under partial-agg
-// pushdown: the group-key columns (bare names, as the remote projection
-// emits them) followed by the partial-state columns s0..sK-1.
-func partialSchema(base *sqltypes.Schema, plan *PartialAggPlan) *sqltypes.Schema {
-	var cols []sqltypes.Column
-	for _, g := range plan.GroupBy {
-		ref := g.(*sqlparser.ColumnRef)
-		typ := sqltypes.KindNull
-		if i, err := base.ColumnIndex(ref.Table, ref.Name); err == nil {
-			typ = base.Columns[i].Type
-		}
-		cols = append(cols, sqltypes.Column{Name: ref.Name, Type: typ})
-	}
-	k := 0
-	addState := func(typ sqltypes.Kind) {
-		cols = append(cols, sqltypes.Column{Name: exec.StateColName(k), Type: typ})
-		k++
-	}
-	argType := func(a *sqlparser.AggExpr) sqltypes.Kind {
-		if ref, ok := a.Arg.(*sqlparser.ColumnRef); ok {
-			if i, err := base.ColumnIndex(ref.Table, ref.Name); err == nil {
-				return base.Columns[i].Type
-			}
-		}
-		return sqltypes.KindFloat
-	}
-	for _, a := range plan.Aggs {
-		switch a.Func {
-		case sqlparser.AggCount:
-			addState(sqltypes.KindInt)
-		case sqlparser.AggAvg:
-			addState(argType(a))
-			addState(sqltypes.KindInt)
-		default:
-			addState(argType(a))
-		}
-	}
-	return sqltypes.NewSchema(cols...)
 }
 
 // pruneShards intersects each conjunct's candidate shard set. A conjunct

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -18,13 +19,19 @@ import (
 type estimator struct {
 	provider stats.StatsProvider
 	server   *Server
+	// schema is the statement's tables joined in FROM order: what a column
+	// reference resolves against, whichever plan is being estimated.
+	schema *sqltypes.Schema
 }
 
 // nodeEst is the estimate for one subtree.
 type nodeEst struct {
 	card  float64
-	width float64 // average output row bytes
-	res   exec.Resources
+	width float64 // average output row bytes on the columnar wire
+	// computed marks an aggregation's or a projection's output: its columns are
+	// not base-table columns, so statistics cannot size them.
+	computed bool
+	res      exec.Resources
 }
 
 // estimatePlan estimates an entire plan and packages the CostEstimate.
@@ -33,7 +40,7 @@ func (e *estimator) estimatePlan(root exec.Operator) (CostEstimate, error) {
 	if err != nil {
 		return CostEstimate{}, err
 	}
-	outBytes := int(ne.card * (ne.width + 4))
+	outBytes := int(ne.card * ne.width)
 	res := ne.res
 	res.OutBytes = outBytes
 	total := e.server.EstimateTime(res)
@@ -63,14 +70,14 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if card > 0 {
 			width = float64(x.Rel.ByteSize()) / card
 		}
-		return nodeEst{card: card, width: width, res: exec.Resources{CPUOps: card}}, nil
+		return nodeEst{card: card, width: width, computed: true, res: exec.Resources{CPUOps: card}}, nil
 
 	case *exec.SeqScan:
 		ts := e.tableStats(x.Table)
 		card := float64(ts.RowCount)
 		return nodeEst{
 			card:  card,
-			width: ts.AvgRowBytes,
+			width: ts.WireRowBytes,
 			res:   exec.Resources{IOPages: float64(x.Table.Pages()), CPUOps: card},
 		}, nil
 
@@ -84,7 +91,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		}
 		return nodeEst{
 			card:  card,
-			width: ts.AvgRowBytes,
+			width: ts.WireRowBytes,
 			res:   exec.Resources{CachedPages: descent + card, CPUOps: descent + card},
 		}, nil
 
@@ -105,7 +112,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			return nodeEst{}, err
 		}
 		out := in
-		out.width = 12 * float64(len(x.Items))
+		out.width, out.computed = e.projectWidth(x.Items, in), true
 		out.res.CPUOps += in.card * float64(len(x.Items))
 		return out, nil
 
@@ -172,7 +179,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			descent += math.Log2(n) / 4
 		}
 		fetches := card
-		out := nodeEst{card: card, width: outer.width + ts.AvgRowBytes}
+		out := nodeEst{card: card, width: outer.width + ts.WireRowBytes}
 		out.res = outer.res
 		out.res.CachedPages += outer.card*descent + fetches
 		out.res.CPUOps += outer.card*(descent+1) + fetches
@@ -207,7 +214,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			distincts = append(distincts, e.keyDistinct(g, in.card))
 		}
 		card := float64(stats.GroupCardinality(int64(in.card), distincts))
-		out := nodeEst{card: card, width: 12 * float64(len(x.GroupBy)+len(x.Aggs))}
+		out := nodeEst{card: card, computed: true, width: rowHeader + computedWidth*float64(len(x.GroupBy)+len(x.Aggs))}
 		out.res = in.res
 		out.res.CPUOps += in.card * float64(1+len(x.Aggs))
 		return out, nil
@@ -252,6 +259,42 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 }
 
 func (e *estimator) tableStats(t *storage.Table) *stats.TableStats { return t.Stats() }
+
+// computedWidth is what a select item costs per row when statistics cannot
+// size it — an expression, an aggregate, a column of an aggregation's output —
+// and rowHeader the per-row framing of a result with such an item: both are
+// the row model's guesses, kept as they were.
+const (
+	computedWidth = 12
+	rowHeader     = 4
+)
+
+// projectWidth is the bytes per row a select list ships: * ships its input
+// whole, a bare column of a base table — qualified or not — its encoded width
+// from the column's statistics, anything else the row model's guess.
+func (e *estimator) projectWidth(items []sqlparser.SelectItem, in nodeEst) float64 {
+	width, rowModel := 0.0, false
+	for _, item := range items {
+		if item.Star {
+			width += in.width
+			continue
+		}
+		if ref, ok := item.Expr.(*sqlparser.ColumnRef); ok && !in.computed {
+			if i, err := e.schema.ColumnIndex(ref.Table, ref.Name); err == nil {
+				c := e.schema.Columns[i]
+				if cs := e.provider.TableStats(c.Table).Column(c.Name); cs != nil {
+					width += cs.WireBytes
+					continue
+				}
+			}
+		}
+		width, rowModel = width+computedWidth, true
+	}
+	if rowModel {
+		width += rowHeader
+	}
+	return width
+}
 
 // probeSelectivity estimates the fraction of rows an index probe returns.
 func (e *estimator) probeSelectivity(x *exec.IndexScan, ts *stats.TableStats) float64 {

@@ -80,7 +80,7 @@ func (f *boundFragment) enumerate(s *Server, sql string) ([]*Plan, int, error) {
 	n := len(f.tables)
 	access := make([]int, n) // access[i] indexes tables[i].leaves
 	algos := make([]joinAlgo, n-1)
-	est := &estimator{provider: f.stats, server: s}
+	est := &estimator{provider: f.stats, server: s, schema: f.schema}
 	physNames := f.physicalTables()
 	var plans []*Plan
 	visited := 0
@@ -140,8 +140,9 @@ type boundFragment struct {
 	rest sqlparser.Expr
 	// top is the statement's non-join tail, planned against the full join's
 	// schema.
-	top   exec.Top
-	stats stats.MapProvider // keyed by effective table name
+	top    exec.Top
+	stats  stats.MapProvider // keyed by effective table name
+	schema *sqltypes.Schema  // the tables joined in FROM order
 }
 
 // boundTable is one FROM-clause table of a bound fragment.
@@ -256,6 +257,7 @@ func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
 	}
 	f.rest = sqlparser.JoinConjuncts(rest)
 
+	f.schema = joined
 	var err error
 	f.top, err = exec.PlanTop(stmt, joined)
 	return f, err

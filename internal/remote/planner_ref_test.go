@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/stats"
 	"repro/internal/storage"
 )
@@ -61,7 +62,17 @@ func (s *Server) RefEnumerate(stmt *sqlparser.SelectStmt) ([]*Plan, int, error) 
 		joinCands[i] = []joinAlgo{joinHash, joinINL, joinMerge, joinNL}
 	}
 
-	est := &estimator{provider: s.refStatsProviderFor(aliasToTable), server: s}
+	// The estimator resolves select-list columns against the joined schema
+	// (added with the per-column wire widths, after this loop left production).
+	var joined *sqltypes.Schema
+	for _, tr := range tables {
+		sch := s.Table(tr.Name).Schema().WithQualifier(tr.EffectiveName())
+		if joined != nil {
+			sch = joined.Concat(sch)
+		}
+		joined = sch
+	}
+	est := &estimator{provider: s.refStatsProviderFor(aliasToTable), server: s, schema: joined}
 	seen := map[string]bool{}
 	var plans []*Plan
 	count := 0

@@ -27,6 +27,11 @@ type ColumnStats struct {
 	Distinct  int64
 	Min, Max  sqltypes.Value
 	Hist      *Histogram // nil for non-numeric columns
+	// WireBytes is the average size of one value, NULLs included, in the
+	// columnar wire encoding: what shipping the column costs per row. The
+	// table that owns the rows fills it in (storage.Table.Stats), Collect
+	// leaves it zero.
+	WireBytes float64
 }
 
 // NullFraction returns the fraction of NULL values.
@@ -42,7 +47,10 @@ type TableStats struct {
 	Table       string
 	RowCount    int64
 	AvgRowBytes float64
-	Columns     map[string]*ColumnStats
+	// WireRowBytes is the sum of the columns' WireBytes in schema order: a
+	// whole row on the columnar wire.
+	WireRowBytes float64
+	Columns      map[string]*ColumnStats
 }
 
 // Column returns stats for a column by (case-sensitive) name, or nil.
@@ -59,7 +67,7 @@ func (t *TableStats) Clone() *TableStats {
 	if t == nil {
 		return nil
 	}
-	out := &TableStats{Table: t.Table, RowCount: t.RowCount, AvgRowBytes: t.AvgRowBytes, Columns: map[string]*ColumnStats{}}
+	out := &TableStats{Table: t.Table, RowCount: t.RowCount, AvgRowBytes: t.AvgRowBytes, WireRowBytes: t.WireRowBytes, Columns: map[string]*ColumnStats{}}
 	for k, v := range t.Columns {
 		cc := *v
 		if v.Hist != nil {

@@ -301,9 +301,42 @@ func (t *Table) Stats() *stats.TableStats {
 	}
 	if t.stats == nil || t.dirty {
 		t.stats = stats.Collect(t.name, t.schema, t.rows)
+		t.sizeColumns(t.stats)
 		t.dirty = false
 	}
 	return t.stats
+}
+
+// wireBatchRows is the batch the integrator asks remote cursors for
+// (integrator.DefaultBatchRows): a shipped column is encoded that many rows at
+// a time.
+const wireBatchRows = 256
+
+// sizeColumns records what each column costs per row on the columnar wire: the
+// encoder's own sizing of the stored column, so the cost model prices a
+// shipped column at what shipping it will charge. The caller holds t.mu.
+func (t *Table) sizeColumns(ts *stats.TableStats) {
+	n := len(t.rows)
+	if n == 0 {
+		return
+	}
+	m := t.colMemo.Load()
+	if m == nil || m.version != t.version {
+		b := colbatch.FromRelation(&sqltypes.Relation{Schema: t.schema, Rows: t.rows})
+		fresh := &columnMemo{version: t.version, cols: b.Cols, n: n}
+		// Only a table columnar scans read keeps the decomposition (its next
+		// scan finds it ready); any other would hold a second copy of its rows
+		// for good.
+		if m != nil {
+			t.colMemo.Store(fresh)
+		}
+		m = fresh
+	}
+	for i, col := range t.schema.Columns {
+		cs := ts.Columns[col.Name]
+		cs.WireBytes = float64(colbatch.ColumnWireBytes(m.cols[i], n, wireBatchRows)) / float64(n)
+		ts.WireRowBytes += cs.WireBytes
+	}
 }
 
 // SetVirtualStats turns the table into a statistics-only shell for what-if

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"encoding/binary"
+	"math"
 	"sync"
 	"testing"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 )
 
@@ -128,6 +131,72 @@ func TestTableStatsCaching(t *testing.T) {
 	if s3.Column("v").Max.Float() != 1e9 {
 		t.Fatal("refreshed stats must see the update")
 	}
+}
+
+// Stats sizes every column with the wire's own encoder: WireBytes times the
+// row count is, to the byte, what colbatch.Encode spends on the column when
+// the table ships in integrator-size batches, NULLs, dictionaries and a table
+// mutation included; WireRowBytes is the columns' sum and survives Clone.
+func TestStatsWireBytesAreTheEncoders(t *testing.T) {
+	schema := sqltypes.NewSchema(
+		sqltypes.Column{Table: "t", Name: "seq", Type: sqltypes.KindInt},
+		sqltypes.Column{Table: "t", Name: "nullable", Type: sqltypes.KindInt},
+		sqltypes.Column{Table: "t", Name: "price", Type: sqltypes.KindFloat},
+		sqltypes.Column{Table: "t", Name: "flag", Type: sqltypes.KindBool},
+		sqltypes.Column{Table: "t", Name: "tag", Type: sqltypes.KindString},
+		sqltypes.Column{Table: "t", Name: "comment", Type: sqltypes.KindString},
+	)
+	tab := NewTable("t", schema)
+	const n = 1000 // three full batches and a short one
+	for i := 0; i < n; i++ {
+		nullable := sqltypes.NewInt(int64(i * 7919 % 1000))
+		if i%4 == 0 {
+			nullable = sqltypes.Null
+		}
+		if err := tab.Append(sqltypes.Row{
+			sqltypes.NewInt(int64(i + 1)), nullable, sqltypes.NewFloat(float64(i) / 3), sqltypes.NewBool(i%3 == 0),
+			sqltypes.NewString([]string{"std", "exp", "bulk", "promo"}[i%4]),
+			sqltypes.NewString("order comment " + sqltypes.NewInt(int64(i)).String()),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func() {
+		t.Helper()
+		ts := tab.Stats()
+		cols, rows := tab.Columns()
+		sum := 0.0
+		for c, col := range schema.Columns {
+			shipped := 0
+			for lo := 0; lo < rows; lo += wireBatchRows {
+				b := colbatch.New(sqltypes.NewSchema(col), cols[c:c+1], rows).Slice(lo, min(lo+wireBatchRows, rows))
+				// A batch's header: magic, version, column count, row count.
+				shipped += colbatch.Encode(b).WireBytes() - 3 - uvarintLen(b.Len())
+			}
+			if got := ts.Column(col.Name).WireBytes * float64(rows); math.Abs(got-float64(shipped)) > 1e-6 {
+				t.Errorf("%s: WireBytes says %.1f B, the encoder wrote %d B", col.Name, got, shipped)
+			}
+			sum += ts.Column(col.Name).WireBytes
+		}
+		if sum != ts.WireRowBytes {
+			t.Errorf("WireRowBytes %v is not the sum of the columns' WireBytes %v", ts.WireRowBytes, sum)
+		}
+		if clone := ts.Clone(); clone.WireRowBytes != ts.WireRowBytes || clone.Column("tag").WireBytes != ts.Column("tag").WireBytes {
+			t.Error("Clone dropped the wire widths")
+		}
+	}
+	check()
+	if err := tab.UpdateAt(5, 4, sqltypes.NewString("a tag nobody else carries")); err != nil {
+		t.Fatal(err)
+	}
+	check()
+	if ts := NewTable("empty", schema).Stats(); ts.WireRowBytes != 0 {
+		t.Errorf("empty table: WireRowBytes %v", ts.WireRowBytes)
+	}
+}
+
+func uvarintLen(n int) int {
+	return len(binary.AppendUvarint(nil, uint64(n)))
 }
 
 func TestCreateIndexDuplicateAndUnknownColumn(t *testing.T) {

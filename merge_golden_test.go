@@ -5,7 +5,10 @@
 // reproduce the same literals; the columnar wire changes shipped bytes, so it
 // has its own. The literals were recorded before the merge was collapsed to
 // one operator tree (PR 14) — the last replica statement is the one documented
-// exception — and have to survive any later rewrite of it.
+// exception — and have to survive any later rewrite of it. Column pruning
+// across the fragment boundary (PR 19) ships fewer bytes per fragment, so it
+// re-recorded the fragment, response, first-row and clock parts of the lines
+// with more than one fragment; no row count, row hash or merge time moved.
 package fedqcc_test
 
 import (
@@ -76,26 +79,26 @@ var goldenFederations = []goldenFederation{
 		},
 		sqls: goldenSharded,
 		plain: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=18.154512428977274 QF1.s1=18.82537317545063 QF1.s2=18.398055397727273 QF1.s3=19.205877960983486] merge=1.516 resp=20.721877960983484 first=20.243362335983484",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
 			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=15.048758049242425 first=15.048758049242425",
 			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.593156960227272 QF1.s1=13.571209091542968 QF1.s2=13.694098444875978 QF1.s3=13.884446829783212] merge=0.5043333333333333 resp=14.388780163116545 first=14.388780163116545",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.573063210227273 QF1.s1=15.54823721590909 QF1.s2=15.046254616477272 QF1.s3=15.86350284090909] merge=2.1959999999999997 resp=18.05950284090909 first=18.05950284090909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=22.362221142606398 QF1.s1=22.844516692789966 QF1.s2=22.686723989573572 QF1.s3=23.932101650272145] merge=3.1666666666666665 resp=27.098768316938813 first=21.149366953206634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=56.10970401837993 QF2.s0=14.371067116477272 QF2.s1=14.34379971590909 QF2.s2=14.099910866477273 QF2.s3=14.68936221590909] merge=2.926 resp=59.03570401837993 first=21.51226651837993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=56.10970401837993 QF2.s0=22.358803173856398 QF2.s1=22.841098724039966 QF2.s2=22.683306020823572 QF2.s3=23.928683681522145] merge=7.176666666666667 resp=63.2863706850466 first=25.762933185046595",
-			"now=230.37031961986503",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.53573721590909 first=17.53573721590909",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=18.542615973188813 first=17.155714609456634",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
+			"now=164.36251934183707",
 		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.810762428977274 QF1.s1=15.065607550450627 QF1.s2=14.898543678977273 QF1.s3=15.211249054733486] merge=1.516 resp=16.727249054733484 first=16.570999054733484",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.53674412555183 first=16.43029881305183",
 			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.176828835227273 QF1.s1=14.283010653409091 QF1.s2=14.232828835227274 QF1.s3=14.49901065340909] merge=0.5253333333333333 resp=15.024343986742425 first=15.024343986742425",
 			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.582414772727272 QF1.s1=13.560466904042968 QF1.s2=13.683356257375978 QF1.s3=13.873704642283212] merge=0.5043333333333333 resp=14.378037975616545 first=14.378037975616545",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=13.968082741477273 QF1.s1=14.00136221590909 QF1.s2=13.817250710227272 QF1.s3=14.18088565340909] merge=2.1959999999999997 resp=16.37688565340909 first=16.37688565340909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=15.591225048856398 QF1.s1=15.732700286539968 QF1.s2=15.67305211457357 QF1.s3=16.076632900272145] merge=3.1666666666666665 resp=19.243299566938813 first=17.468885504438813",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=25.00960636212993 QF2.s0=13.576633522727272 QF2.s1=13.61381924715909 QF2.s2=13.511043678977273 QF2.s3=13.79727237215909] merge=2.926 resp=27.93560636212993 first=17.53619229962993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=25.00960636212993 QF2.s0=15.587807080106398 QF2.s1=15.729282317789968 QF2.s2=15.66963414582357 QF2.s3=16.073214931522145] merge=7.176666666666667 resp=32.1862730287966 first=21.786858966296595",
-			"now=154.59248758861503",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.55282705965909 first=16.55282705965909",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=16.521056226325758 first=15.978162848188811",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=19.553423650568185 first=16.71010049715909",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.91395359848485 first=21.475519128181958",
+			"now=137.20117858319682",
 		},
 	},
 	{
@@ -109,26 +112,26 @@ var goldenFederations = []goldenFederation{
 		},
 		sqls: goldenSharded,
 		plain: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=18.154512428977274 QF1.s1=18.82537317545063 QF1.s2=18.398055397727273 QF1.s3=19.205877960983486] merge=1.516 resp=20.721877960983484 first=20.243362335983484",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=22.362221142606398 QF1.s1=22.844516692789966 QF1.s2=22.686723989573572 QF1.s3=23.932101650272145] merge=3.1706666666666665 resp=27.10276831693881 first=21.153366953206632",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=15.969432703619363 QF1.s1=15.765197372792969 QF1.s2=16.096555476125978 QF1.s3=16.59274761103321] merge=1.0303333333333333 resp=17.623080944366546 first=17.623080944366546",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
+			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=20.980749596931954 first=18.447869189198013",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.120799891119363 QF1.s1=14.015685654042969 QF1.s2=14.181028132375978 QF1.s3=14.43698589228321] merge=1.0303333333333333 resp=15.467319225616544 first=15.467319225616544",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.573063210227273 QF1.s1=15.54823721590909 QF1.s2=15.046254616477272 QF1.s3=15.86350284090909] merge=2.1959999999999997 resp=18.05950284090909 first=18.05950284090909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=22.362221142606398 QF1.s1=22.844516692789966 QF1.s2=22.686723989573572 QF1.s3=23.932101650272145] merge=3.1666666666666665 resp=27.098768316938813 first=21.149366953206634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=56.10970401837993 QF2.s0=14.371067116477272 QF2.s1=14.34379971590909 QF2.s2=14.099910866477273 QF2.s3=14.68936221590909] merge=2.926 resp=59.03570401837993 first=21.51226651837993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=56.10970401837993 QF2.s0=22.358803173856398 QF2.s1=22.841098724039966 QF2.s2=22.683306020823572 QF2.s3=23.928683681522145] merge=7.176666666666667 resp=63.2863706850466 first=25.762933185046595",
-			"now=245.6586306688114",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.53573721590909 first=17.53573721590909",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=18.542615973188813 first=17.155714609456634",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
+			"now=171.3730499520266",
 		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.810762428977274 QF1.s1=15.065607550450627 QF1.s2=14.898543678977273 QF1.s3=15.211249054733486] merge=1.516 resp=16.727249054733484 first=16.570999054733484",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=15.591225048856398 QF1.s1=15.732700286539968 QF1.s2=15.67305211457357 QF1.s3=16.076632900272145] merge=3.1706666666666665 resp=19.24729956693881 first=17.47288550443881",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.137889734869363 QF1.s1=14.030822372792969 QF1.s2=14.198117976125978 QF1.s3=14.45554057978321] merge=1.0303333333333333 resp=15.485873913116544 first=15.485873913116544",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.53674412555183 first=16.43029881305183",
+			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=18.483191003181958 first=17.277136315681958",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.663120006866544 first=14.663120006866544",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=13.968082741477273 QF1.s1=14.00136221590909 QF1.s2=13.817250710227272 QF1.s3=14.18088565340909] merge=2.1959999999999997 resp=16.37688565340909 first=16.37688565340909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=15.591225048856398 QF1.s1=15.732700286539968 QF1.s2=15.67305211457357 QF1.s3=16.076632900272145] merge=3.1666666666666665 resp=19.243299566938813 first=17.468885504438813",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=25.00960636212993 QF2.s0=13.576633522727272 QF2.s1=13.61381924715909 QF2.s2=13.511043678977273 QF2.s3=13.79727237215909] merge=2.926 resp=27.93560636212993 first=17.53619229962993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=25.00960636212993 QF2.s0=15.587807080106398 QF2.s1=15.729282317789968 QF2.s2=15.66963414582357 QF2.s3=16.073214931522145] merge=7.176666666666667 resp=32.1862730287966 first=21.786858966296595",
-			"now=159.92327910631144",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.55282705965909 first=16.55282705965909",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=16.521056226325758 first=15.978162848188811",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=19.553423650568185 first=16.71010049715909",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.91395359848485 first=21.475519128181958",
+			"now=140.94510763088635",
 		},
 	},
 	{
@@ -153,25 +156,25 @@ var goldenFederations = []goldenFederation{
 		},
 		plain: []string{
 			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=26.959880952380953] merge=0.569 resp=27.528880952380952 first=27.528880952380952",
-			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=46.08669726045344 QF2=62.281925210497114] merge=4.953666666666667 resp=67.23559187716378 first=34.35872330212011",
-			"rows=5 hash=f629db02562b0ce8 frags=[QF1=62.49617136460715 QF2=62.281925210497114] merge=7.176666666666667 resp=69.67283803127381 first=33.856052814663784",
-			"rows=4 hash=8fec6db4d45037bd frags=[QF1=90.26495184897136 QF2=62.281925210497114] merge=7.173333333333333 resp=97.4382851823047 first=40.016410182304696",
-			"rows=20 hash=eecba3639b20366e frags=[QF1=62.49617136460715 QF2=62.281925210497114] merge=7.833333333333333 resp=70.32950469794048 first=34.51271948133045",
-			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=62.49617136460715 QF2=62.281925210497114] merge=13.833333333333334 resp=76.32950469794048 first=40.51271948133045",
-			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=19.66354830702308 QF2=20.510280257936508] merge=0.9573333333333334 resp=21.467613591269842 first=21.467613591269842",
-			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=62.49617136460715 QF2=62.281925210497114] merge=6.5 resp=68.99617136460715 first=33.179386147997114",
-			"now=498.9983903948812",
+			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=29.97976366670344 QF2=50.10949374504341] merge=4.953666666666667 resp=55.06316041171007 first=31.164722911710072",
+			"rows=5 hash=f629db02562b0ce8 frags=[QF1=43.11109616953363 QF2=41.67935205589526] merge=7.176666666666667 resp=50.2877628362003 first=33.2018253362003",
+			"rows=4 hash=8fec6db4d45037bd frags=[QF1=43.82835571887506 QF2=41.67935205589526] merge=7.173333333333333 resp=51.00168905220839 first=34.4548140522084",
+			"rows=20 hash=eecba3639b20366e frags=[QF1=43.11109616953363 QF2=39.46792627464526] merge=7.833333333333333 resp=50.94442950286697 first=33.85849200286697",
+			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=34.86214542462993 QF2=41.67935205589526] merge=13.833333333333334 resp=55.512685389228594 first=38.426747889228594",
+			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=19.25877710166594 QF2=20.470004030257936] merge=0.9573333333333334 resp=21.42733736359127 first=21.42733736359127",
+			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=34.86214542462993 QF2=41.67935205589526] merge=6.5 resp=48.17935205589526 first=31.093414555895258",
+			"now=359.9452975640818",
 		},
 		wire: []string{
 			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=25.846111421130953] merge=0.569 resp=26.415111421130952 first=26.415111421130952",
-			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=30.05300585420344 QF2=33.527042397997114] merge=4.953666666666667 resp=38.480709064663785 first=30.379719395870108",
-			"rows=5 hash=f629db02562b0ce8 frags=[QF1=31.396073708357154 QF2=33.527042397997114] merge=7.176666666666667 resp=40.703709064663784 first=30.18320125216378",
-			"rows=4 hash=8fec6db4d45037bd frags=[QF1=45.508604192721364 QF2=33.527042397997114] merge=7.173333333333333 resp=52.681937526054696 first=34.289359401054696",
-			"rows=20 hash=eecba3639b20366e frags=[QF1=31.396073708357154 QF2=33.527042397997114] merge=7.833333333333333 resp=41.36037573133045 first=30.839867918830446",
-			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=31.396073708357154 QF2=33.527042397997114] merge=13.833333333333334 resp=47.36037573133045 first=36.83986791883045",
-			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=19.04440768202308 QF2=20.363795882936508] merge=0.9573333333333334 resp=21.321129216269842 first=21.321129216269842",
-			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=31.396073708357154 QF2=33.527042397997114] merge=6.5 resp=40.027042397997114 first=29.506534585497114",
-			"now=308.3503901534411",
+			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=27.668773153133273 QF2=33.44689608879341] merge=4.953666666666667 resp=38.40056275546007 first=29.033375255460072",
+			"rows=5 hash=f629db02562b0ce8 frags=[QF1=28.737286931818183 QF2=31.837555180895258] merge=7.176666666666667 resp=39.01422184756193 first=30.949383929950297",
+			"rows=4 hash=8fec6db4d45037bd frags=[QF1=34.778359374999994 QF2=31.837555180895258] merge=7.173333333333333 resp=41.951692708333326 first=32.1970015522084",
+			"rows=20 hash=eecba3639b20366e frags=[QF1=28.737286931818183 QF2=29.402103484623016] merge=7.833333333333333 resp=37.23543681795635 first=31.606050596616964",
+			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=13.833333333333334 resp=45.670888514228594 first=37.168935389228594",
+			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=18.90867944541594 QF2=20.390414186507936] merge=0.9573333333333334 resp=21.34774751984127 first=21.34774751984127",
+			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=6.5 resp=38.33755518089526 first=29.835602055895258",
+			"now=288.3732167654078",
 		},
 	},
 }
