@@ -5,16 +5,12 @@ import (
 	"io"
 
 	"repro/internal/catalog"
-	"repro/internal/integrator"
-	"repro/internal/metawrapper"
 	"repro/internal/network"
 	"repro/internal/remote"
 	"repro/internal/scenario"
-	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
-	"repro/internal/wrapper"
 )
 
 func parseSQL(sql string) (*sqlparser.SelectStmt, error) { return sqlparser.Parse(sql) }
@@ -63,42 +59,11 @@ type TableSpec = storage.TableGen
 // scale divisor (1 = 100k-row large tables).
 func StandardSchema(scale int) []TableSpec { return storage.SampleSchema(scale) }
 
-// Builder assembles arbitrary federations.
+// Builder assembles arbitrary federations. Its methods chain; the first one
+// that fails makes the rest no-ops and Build reports its error.
 type Builder struct {
-	clock   *simclock.Clock
-	topo    *network.Topology
-	servers map[string]*remote.Server
-	kinds   map[string]string // serverID → wrapper kind
-	seed    int64
-	err     error
-
-	shardDecls []shardDecl
-	// shardPhys marks per-server physical shard tables that Build must not
-	// surface as nicknames of their own.
-	shardPhys map[string]map[string]bool
-
-	replDecls []replDecl
-	// replPhys marks per-server tables declared via AddReplicatedTable, so
-	// Build registers them through RegisterReplicated (preserving the
-	// declared origin order) instead of auto-discovery.
-	replPhys map[string]map[string]bool
-}
-
-// shardDecl is a table declared via AddShardedTable, registered whole at
-// Build time.
-type shardDecl struct {
-	name   string
-	schema *sqltypes.Schema
-	spec   *catalog.ShardSpec
-	shards []catalog.Shard
-}
-
-// replDecl is a table declared via AddReplicatedTable, registered at Build
-// time through catalog.RegisterReplicated.
-type replDecl struct {
-	name       string
-	schema     *sqltypes.Schema
-	placements []catalog.Placement
+	asm *scenario.Assembly
+	err error
 }
 
 // NewBuilder starts a federation definition. Seed drives data generation;
@@ -108,18 +73,13 @@ func NewBuilder(seed int64) *Builder {
 	if seed == 0 {
 		seed = 42
 	}
-	return &Builder{
-		clock:   simclock.New(),
-		topo:    network.NewTopology(),
-		servers: map[string]*remote.Server{},
-		kinds:   map[string]string{},
-		seed:    seed,
-	}
+	return &Builder{asm: scenario.NewAssembly(seed, 1)}
 }
 
-func (b *Builder) fail(err error) *Builder {
+// try runs one assembly step unless an earlier one already failed.
+func (b *Builder) try(step func() error) *Builder {
 	if b.err == nil {
-		b.err = err
+		b.err = step()
 	}
 	return b
 }
@@ -127,314 +87,98 @@ func (b *Builder) fail(err error) *Builder {
 // AddServer registers a remote relational server with the given profile and
 // link.
 func (b *Builder) AddServer(id string, profile ServerProfile, link LinkSpec) *Builder {
-	return b.addServer(id, profile, link, "relational")
+	return b.addServer(id, profile, link, false)
 }
 
 // AddFileServer registers a file-wrapped source: it can be scanned but
 // provides no cost estimates, exercising QCC's seeding path.
 func (b *Builder) AddFileServer(id string, profile ServerProfile, link LinkSpec) *Builder {
-	return b.addServer(id, profile, link, "file")
+	return b.addServer(id, profile, link, true)
 }
 
-func (b *Builder) addServer(id string, profile ServerProfile, link LinkSpec, kind string) *Builder {
-	if b.err != nil {
-		return b
+func (b *Builder) addServer(id string, profile ServerProfile, link LinkSpec, file bool) *Builder {
+	cfg := network.LinkConfig{LatencyMS: link.LatencyMS, BandwidthKBps: link.BandwidthKBps, JitterFrac: link.JitterFrac}
+	if cfg.LatencyMS == 0 {
+		cfg.LatencyMS = 5
 	}
-	if _, dup := b.servers[id]; dup {
-		return b.fail(fmt.Errorf("fedqcc: duplicate server %q", id))
+	if cfg.BandwidthKBps == 0 {
+		cfg.BandwidthKBps = 2000
 	}
-	srv := remote.NewServer(profileConfig(profile, id))
-	b.servers[id] = srv
-	b.kinds[id] = kind
-	lat := link.LatencyMS
-	if lat == 0 {
-		lat = 5
+	if cfg.BandwidthKBps < 0 {
+		cfg.BandwidthKBps = 0 // unlimited
 	}
-	bw := link.BandwidthKBps
-	if bw == 0 {
-		bw = 2000
-	}
-	if bw < 0 {
-		bw = 0 // unlimited
-	}
-	b.topo.AddLink(id, network.NewLink(network.LinkConfig{
-		LatencyMS:     lat,
-		BandwidthKBps: bw,
-		JitterFrac:    link.JitterFrac,
-		Seed:          b.seed + int64(len(b.servers)),
-	}))
-	return b
+	return b.try(func() error { return b.asm.AddServer(profileConfig(profile, id), cfg, file) })
 }
 
 // AddGeneratedTable generates the table on the named server using the
-// builder's seed.
+// builder's seed. A table generated on several servers becomes one nickname
+// hosted by all of them.
 func (b *Builder) AddGeneratedTable(serverID string, spec TableSpec) *Builder {
-	if b.err != nil {
-		return b
-	}
-	srv, ok := b.servers[serverID]
-	if !ok {
-		return b.fail(fmt.Errorf("fedqcc: unknown server %q", serverID))
-	}
-	tab, err := spec.Generate(b.seed)
-	if err != nil {
-		return b.fail(err)
-	}
-	srv.AddTable(tab)
-	return b
+	return b.try(func() error { return b.asm.Generate(spec, serverID) })
 }
 
 // AddShardedTable generates the table once with the builder's seed and
 // hash-partitions its rows on shardColumn across the named servers: shard i
-// lands on servers[i] as the physical table <name>__s<i>, and Build registers
-// the whole table as one sharded nickname. With a single server the physical
-// table keeps the plain name and the nickname registers unsharded —
-// bit-identical to AddGeneratedTable on that server.
+// lands on servers[i] as the physical table <name>__s<i>, registered whole as
+// one sharded nickname. With a single server the physical table keeps the
+// plain name and the nickname registers unsharded — bit-identical to
+// AddGeneratedTable on that server.
 func (b *Builder) AddShardedTable(spec TableSpec, shardColumn string, servers ...string) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if len(servers) == 0 {
-		return b.fail(fmt.Errorf("fedqcc: sharded table %q needs at least one server", spec.Name))
-	}
-	whole, err := spec.Generate(b.seed)
-	if err != nil {
-		return b.fail(err)
-	}
-	keyIdx, err := whole.Schema().ColumnIndex("", shardColumn)
-	if err != nil {
-		return b.fail(fmt.Errorf("fedqcc: sharded table %q: %w", spec.Name, err))
-	}
-	shardSpec := &catalog.ShardSpec{Column: shardColumn}
-	parts := make([][]sqltypes.Row, len(servers))
-	for _, row := range whole.Snapshot() {
-		i := shardSpec.ShardFor(row[keyIdx], len(servers))
-		parts[i] = append(parts[i], row)
-	}
-	var shards []catalog.Shard
-	for i, sid := range servers {
-		srv, ok := b.servers[sid]
-		if !ok {
-			return b.fail(fmt.Errorf("fedqcc: unknown server %q", sid))
-		}
-		shardName := catalog.ShardTableName(spec.Name, i)
-		if len(servers) == 1 {
-			shardName = spec.Name
-		}
-		tab := storage.NewTable(shardName, whole.Schema())
-		if err := tab.Append(parts[i]...); err != nil {
-			return b.fail(err)
-		}
-		for _, ig := range spec.Indexes {
-			ixName := fmt.Sprintf("%s_s%d", ig.Name, i)
-			if len(servers) == 1 {
-				ixName = ig.Name
-			}
-			if _, err := tab.CreateIndex(ixName, ig.Column, ig.Kind); err != nil {
-				return b.fail(err)
-			}
-		}
-		srv.AddTable(tab)
-		if b.shardPhys == nil {
-			b.shardPhys = map[string]map[string]bool{}
-		}
-		if b.shardPhys[sid] == nil {
-			b.shardPhys[sid] = map[string]bool{}
-		}
-		b.shardPhys[sid][shardName] = true
-		shards = append(shards, catalog.Shard{
-			Index:      i,
-			Placements: []catalog.Placement{{ServerID: sid, RemoteTable: shardName}},
-		})
-	}
-	b.shardDecls = append(b.shardDecls, shardDecl{
-		name:   spec.Name,
-		schema: whole.Schema(),
-		spec:   shardSpec,
-		shards: shards,
+	return b.try(func() error {
+		return b.asm.Shard(spec, &catalog.ShardSpec{Column: shardColumn}, servers...)
 	})
-	return b
 }
 
-// AddReplicatedTable generates the table once with the builder's seed and
-// places an identical replica on every named server (the first is the
-// origin), registering it at Build through catalog.RegisterReplicated with
-// exactly the declared server order. Pair it with EnableWeightedRouting so
-// fragments over the table route to the replica scoring best. With a single
-// server it degrades to AddGeneratedTable on that server.
+// AddReplicatedTable places an identical replica of the table, generated with
+// the builder's seed, on every named server (the first is the origin) and
+// registers it with exactly the declared server order. Pair it with
+// EnableWeightedRouting so fragments over the table route to the replica
+// scoring best. With a single server it degrades to AddGeneratedTable on that
+// server.
 func (b *Builder) AddReplicatedTable(spec TableSpec, servers ...string) *Builder {
-	if b.err != nil {
-		return b
-	}
-	if len(servers) == 0 {
-		return b.fail(fmt.Errorf("fedqcc: replicated table %q needs at least one server", spec.Name))
-	}
-	var schema *sqltypes.Schema
-	var placements []catalog.Placement
-	for _, sid := range servers {
-		srv, ok := b.servers[sid]
-		if !ok {
-			return b.fail(fmt.Errorf("fedqcc: unknown server %q", sid))
-		}
-		tab, err := spec.Generate(b.seed) // same seed → identical replicas
-		if err != nil {
-			return b.fail(err)
-		}
-		schema = tab.Schema()
-		srv.AddTable(tab)
-		if b.replPhys == nil {
-			b.replPhys = map[string]map[string]bool{}
-		}
-		if b.replPhys[sid] == nil {
-			b.replPhys[sid] = map[string]bool{}
-		}
-		b.replPhys[sid][spec.Name] = true
-		placements = append(placements, catalog.Placement{ServerID: sid, RemoteTable: spec.Name})
-	}
-	b.replDecls = append(b.replDecls, replDecl{name: spec.Name, schema: schema, placements: placements})
-	return b
+	return b.try(func() error { return b.asm.Replicate(spec, servers...) })
 }
 
 // AddCSVTable loads a table from CSV (typed header "name:KIND", see
 // storage.ReadCSV) onto the named server.
 func (b *Builder) AddCSVTable(serverID, tableName string, r io.Reader) *Builder {
-	if b.err != nil {
-		return b
-	}
-	srv, ok := b.servers[serverID]
-	if !ok {
-		return b.fail(fmt.Errorf("fedqcc: unknown server %q", serverID))
-	}
-	tab, err := storage.ReadCSV(tableName, r)
-	if err != nil {
-		return b.fail(err)
-	}
-	srv.AddTable(tab)
-	return b
+	return b.try(func() error {
+		tab, err := storage.ReadCSV(tableName, r)
+		if err != nil {
+			return err
+		}
+		return b.asm.AddTable(serverID, tab)
+	})
 }
 
 // AddIndex creates an index on a previously-added table. Sorted indexes
 // serve range probes; hash indexes serve equality only.
 func (b *Builder) AddIndex(serverID, table, indexName, column string, sorted bool) *Builder {
-	if b.err != nil {
-		return b
-	}
-	srv, ok := b.servers[serverID]
-	if !ok {
-		return b.fail(fmt.Errorf("fedqcc: unknown server %q", serverID))
-	}
-	tab := srv.Table(table)
-	if tab == nil {
-		return b.fail(fmt.Errorf("fedqcc: server %q has no table %q", serverID, table))
-	}
-	kind := storage.IndexHash
-	if sorted {
-		kind = storage.IndexSorted
-	}
-	if _, err := tab.CreateIndex(indexName, column, kind); err != nil {
-		return b.fail(err)
-	}
-	return b
+	return b.try(func() error {
+		tab, err := b.asm.Table(serverID, table)
+		if err != nil {
+			return err
+		}
+		kind := storage.IndexHash
+		if sorted {
+			kind = storage.IndexSorted
+		}
+		_, err = tab.CreateIndex(indexName, column, kind)
+		return err
+	})
 }
 
-// Build wires the catalog (nicknames inferred from table placement: every
-// table name becomes a nickname hosted by all servers that generated it),
-// the meta-wrapper, and the integrator.
+// Build wires the meta-wrapper and the integrator over the declared servers
+// and tables.
 func (b *Builder) Build() (*Federation, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
-	if len(b.servers) == 0 {
-		return nil, fmt.Errorf("fedqcc: federation needs at least one server")
+	sc, err := b.asm.Build()
+	if err != nil {
+		return nil, err
 	}
-	cat := catalog.New()
-	// Deterministic nickname discovery: walk servers sorted by ID.
-	ids := make([]string, 0, len(b.servers))
-	for id := range b.servers {
-		ids = append(ids, id)
-	}
-	sortStrings(ids)
-	nicknames := map[string]*catalog.Nickname{}
-	var order []string
-	for _, id := range ids {
-		srv := b.servers[id]
-		for _, tname := range srv.Tables() {
-			if b.shardPhys[id][tname] || b.replPhys[id][tname] {
-				continue // shard or replica of a declared nickname
-			}
-			n, ok := nicknames[tname]
-			if !ok {
-				n = &catalog.Nickname{Name: tname, Schema: srv.Table(tname).Schema()}
-				nicknames[tname] = n
-				order = append(order, tname)
-			}
-			n.Placements = append(n.Placements, catalog.Placement{
-				ServerID:    id,
-				RemoteTable: tname,
-				Replica:     len(n.Placements) > 0,
-			})
-		}
-	}
-	if len(order) == 0 && len(b.shardDecls) == 0 && len(b.replDecls) == 0 {
-		return nil, fmt.Errorf("fedqcc: federation has no tables")
-	}
-	for _, name := range order {
-		if err := cat.Register(nicknames[name]); err != nil {
-			return nil, err
-		}
-	}
-	for _, decl := range b.shardDecls {
-		if err := cat.RegisterSharded(decl.name, decl.schema, decl.spec, decl.shards); err != nil {
-			return nil, err
-		}
-	}
-	for _, decl := range b.replDecls {
-		if err := cat.RegisterReplicated(decl.name, decl.schema, decl.placements); err != nil {
-			return nil, err
-		}
-	}
-	var wrappers []wrapper.Wrapper
-	for _, id := range ids {
-		if b.kinds[id] == "file" {
-			wrappers = append(wrappers, wrapper.NewFile(b.servers[id], b.topo))
-		} else {
-			wrappers = append(wrappers, wrapper.NewRelational(b.servers[id], b.topo))
-		}
-	}
-	mw := metawrapper.New(wrappers...)
-	iiNode := remote.NewServer(remote.Config{
-		ID: "II",
-		Hardware: remote.HardwareProfile{
-			CPUOpsPerMS:      3000,
-			IOPagesPerMS:     100,
-			CachedPagesPerMS: 3000,
-			FixedOverheadMS:  0.5,
-		},
-		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
-	})
-	ii := integrator.New(integrator.Config{
-		Catalog: cat,
-		MW:      mw,
-		Node:    iiNode,
-		Clock:   b.clock,
-	})
-	return fromScenario(&scenario.Scenario{
-		Clock:   b.clock,
-		Servers: b.servers,
-		Topo:    b.topo,
-		Catalog: cat,
-		MW:      mw,
-		IINode:  iiNode,
-		II:      ii,
-	}), nil
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return fromScenario(sc), nil
 }
 
 // ExportCSV writes a server's table as CSV with a typed header.

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/sqltypes"
+	"repro/internal/workload"
 )
 
 func paperFed(t *testing.T) *fedqcc.Federation {
@@ -272,6 +274,115 @@ func TestBuilderCustomFederation(t *testing.T) {
 	// customer only lives on alpha, so the co-located join must run there.
 	if res.Route["QF1"] != "alpha" {
 		t.Fatalf("route: %v", res.Route)
+	}
+}
+
+// The Builder and the canned constructors are two doors onto one assembler: a
+// Builder handed the paper's three servers and schema must produce a
+// federation indistinguishable from NewPaperFederation — rows, routes, span
+// trees and every virtual time, with QCC calibrating under load on both.
+func TestBuilderReproducesPaperFederation(t *testing.T) {
+	const scale, seed = 100, 7
+	paper, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: scale, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fedqcc.NewBuilder(seed).
+		AddServer("S1", fedqcc.ProfileModest, fedqcc.LinkSpec{}).
+		AddServer("S2", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddServer("S3", fedqcc.ProfilePowerful, fedqcc.LinkSpec{})
+	for _, id := range []string{"S1", "S2", "S3"} {
+		for _, spec := range fedqcc.StandardSchema(scale) {
+			b.AddGeneratedTable(id, spec)
+		}
+	}
+	built, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sqls []string
+	for i := 0; i < 3; i++ {
+		for _, qt := range workload.Types() {
+			sqls = append(sqls, qt.Make(i))
+		}
+	}
+	run := func(fed *fedqcc.Federation) vecRunOutcome {
+		fed.EnableQCC(fedqcc.QCCOptions{})
+		h, err := fed.Server("S3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetLoad(0.9)
+		return runWorkloadOn(t, fed, sqls)
+	}
+	requireVecIdentity(t, sqls, run(paper), run(built))
+}
+
+// A sharded table declared after replicated ones on overlapping servers: each
+// declaration keeps its own host order, the physical shard tables do not
+// surface as nicknames, and a join across the two returns what a
+// single-server federation over the same data returns.
+func TestBuilderShardedAfterReplicated(t *testing.T) {
+	specs := fedqcc.StandardSchema(100) // orders, lineitem, customer, parts
+	b := fedqcc.NewBuilder(7).
+		AddServer("S1", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddServer("S2", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddServer("S3", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddReplicatedTable(specs[0], "S2", "S1").
+		AddReplicatedTable(specs[2], "S3", "S2").
+		AddShardedTable(specs[1], "l_orderkey", "S1", "S2", "S3")
+	fed, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(fed.Nicknames(), " "); got != "customer lineitem orders" {
+		t.Fatalf("nicknames: %s", got)
+	}
+	for nick, want := range map[string]string{"orders": "S2 S1", "customer": "S3 S2", "lineitem": "S1 S2 S3"} {
+		hosts, err := fed.PlacementsOf(nick)
+		if err != nil || strings.Join(hosts, " ") != want {
+			t.Fatalf("%s hosts: %v %v, want %s", nick, hosts, err, want)
+		}
+	}
+	single := fedqcc.NewBuilder(7).AddServer("S1", fedqcc.ProfileMidrange, fedqcc.LinkSpec{})
+	for _, spec := range specs[:3] {
+		single.AddGeneratedTable("S1", spec)
+	}
+	truth, err := single.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT COUNT(*), SUM(l.l_price) FROM lineitem AS l",
+		"SELECT o.o_priority, COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE l.l_qty < 5 GROUP BY o.o_priority ORDER BY o.o_priority",
+		"SELECT c.c_segment, COUNT(*) FROM orders AS o JOIN customer AS c ON o.o_custkey = c.c_id GROUP BY c.c_segment ORDER BY c.c_segment",
+	} {
+		got, err := fed.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		want, err := truth.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if len(got.Rows.Rows) == 0 || len(got.Rows.Rows) != len(want.Rows.Rows) {
+			t.Fatalf("%s: %d rows, want %d", q, len(got.Rows.Rows), len(want.Rows.Rows))
+		}
+		for ri, row := range want.Rows.Rows {
+			for ci := range row {
+				g, w := got.Rows.Rows[ri][ci], row[ci]
+				if g.Kind() == sqltypes.KindFloat && math.Abs(g.Float()-w.Float()) <= 1e-6*math.Abs(w.Float()) {
+					continue // a float SUM adds in shard order
+				}
+				if g != w {
+					t.Fatalf("%s: cell (%d,%d) %v, want %v", q, ri, ci, g, w)
+				}
+			}
+		}
+	}
+	res, err := fed.Query("SELECT COUNT(*) FROM lineitem AS l")
+	if err != nil || len(res.Route) != 3 {
+		t.Fatalf("lineitem must scatter to its three shards: %v %v", res.Route, err)
 	}
 }
 

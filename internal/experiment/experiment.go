@@ -13,8 +13,10 @@ import (
 
 	"repro/internal/qcc"
 	"repro/internal/scenario"
+	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
+	"repro/internal/wrapper"
 )
 
 // Options configures the studies.
@@ -101,15 +103,11 @@ func SensitivityStudy(opts Options) ([]SensitivityResult, error) {
 					if err != nil {
 						return nil, err
 					}
-					cands, err := sc.MW.ExplainFragment(server, stmt)
+					rt, err := runOn(sc, server, stmt)
 					if err != nil {
-						return nil, fmt.Errorf("experiment: explain %s on %s: %w", qt.Name, server, err)
+						return nil, fmt.Errorf("experiment: %s on %s: %w", qt.Name, server, err)
 					}
-					outc, err := sc.MW.ExecuteFragment(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst)
-					if err != nil {
-						return nil, fmt.Errorf("experiment: execute %s on %s: %w", qt.Name, server, err)
-					}
-					times[i] = float64(outc.ResponseTime)
+					times[i] = float64(rt)
 				}
 				if loaded {
 					res.High[server] = times
@@ -245,6 +243,27 @@ func runQCCPhase(opts Options, phase workload.Phase) (avgMS float64, perType map
 	return total / float64(len(items)), perType, assignments, nil
 }
 
+// runOn explains the statement on one server and executes the first plan
+// offered store-and-forward — one monolithic batch, the paper's fragment
+// model — so MW observes an (estimated, observed) pair. It returns the
+// observed response time.
+func runOn(sc *scenario.Scenario, server string, stmt *sqlparser.SelectStmt) (simclock.Time, error) {
+	ctx := context.Background()
+	cands, err := sc.MW.ExplainFragment(server, stmt)
+	if err != nil {
+		return 0, fmt.Errorf("explain: %w", err)
+	}
+	st, err := sc.MW.OpenFragmentStream(ctx, server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
+	if err != nil {
+		return 0, fmt.Errorf("execute: %w", err)
+	}
+	out, err := wrapper.Drain(ctx, st)
+	if err != nil {
+		return 0, fmt.Errorf("execute: %w", err)
+	}
+	return out.ResponseTime, nil
+}
+
 // CalibrationSweep forwards one instance of each query type to every server
 // and executes it, so MW observes (estimated, observed) pairs under the
 // current load — §5.1's Steps 2–4.
@@ -255,12 +274,8 @@ func CalibrationSweep(sc *scenario.Scenario, instance int) error {
 			return err
 		}
 		for _, server := range Servers {
-			cands, err := sc.MW.ExplainFragment(server, stmt)
-			if err != nil {
-				return fmt.Errorf("sweep explain %s@%s: %w", qt.Name, server, err)
-			}
-			if _, err := sc.MW.ExecuteFragment(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
-				return fmt.Errorf("sweep execute %s@%s: %w", qt.Name, server, err)
+			if _, err := runOn(sc, server, stmt); err != nil {
+				return fmt.Errorf("sweep %s@%s: %w", qt.Name, server, err)
 			}
 			sc.Clock.Advance(1)
 		}

@@ -329,57 +329,17 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 	return 0
 }
 
-// ExecuteFragment forwards an execution descriptor, records the observed
-// response time against the original (uncalibrated) estimate, and reports
-// errors. The context carries the dispatch's cancellation signal and
-// optional virtual-time deadline down to the wrapper, server and network
-// layers; a cancelled dispatch is NOT reported to QCC as a server error
-// (the server did nothing wrong — a sibling fragment failed first).
-//
-// rawEst must be the wrapper's uncalibrated estimate for the executed plan;
-// fragSQL the fragment statement text.
-func (mw *MetaWrapper) ExecuteFragment(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate) (*wrapper.ExecOutcome, error) {
-	w := mw.Wrapper(serverID)
-	if w == nil {
-		return nil, fmt.Errorf("metawrapper: unknown server %q", serverID)
-	}
-	obs, _ := mw.observerAndCalib()
-	out, err := w.Execute(ctx, plan)
-	if err != nil {
-		// Cancellation is the integrator's doing, not the source's;
-		// reportExecError stays silent on it.
-		mw.reportExecError(ctx, serverID, err)
-		return nil, err
-	}
-	mw.telemetry().Active().Histogram("mw.response_ms", serverID, nil).Observe(float64(out.ResponseTime))
-	key := fragmentKey(serverID, fragSQL)
-	if obs != nil {
-		obs.ObserveRun(RunRecord{
-			Key:      key,
-			PlanSig:  plan.Signature,
-			Est:      rawEst,
-			Observed: out.ResponseTime,
-			OutBytes: resultBytes(out.Result, out.WireBytes),
-		})
-	}
-	mw.log.addRun(RunLogEntry{
-		Fragment:   key.Signature,
-		ServerID:   serverID,
-		PlanSig:    plan.Signature,
-		EstMS:      rawEst.TotalMS,
-		ObservedMS: float64(out.ResponseTime),
-		OutBytes:   resultBytes(out.Result, out.WireBytes),
-	})
-	return out, nil
-}
-
 // OpenFragmentStream forwards an execution descriptor as a batch stream
-// (wrapper.Open) and instruments its lifecycle the way ExecuteFragment
-// instruments monolithic execution: errors are classified (a cancelled
-// dispatch is not a server error), and successful exhaustion records the
-// response time AND the time-to-first-row against the uncalibrated
-// estimate, feeding QCC's separate FirstTupleMS calibration. fragSQL is the
-// fragment statement text.
+// (wrapper.Open) and instruments its lifecycle. The context carries the
+// dispatch's cancellation signal and optional virtual-time deadline down to
+// the wrapper, server and network layers; errors are classified (a cancelled
+// dispatch is NOT reported to QCC as a server error — the server did nothing
+// wrong, a sibling fragment failed first), and successful exhaustion records
+// the response time AND, unless the stream is monolithic (batchRows <= 0),
+// the time-to-first-row against the uncalibrated estimate, feeding QCC's
+// separate FirstTupleMS calibration. rawEst must be the wrapper's
+// uncalibrated estimate for the executed plan; fragSQL the fragment statement
+// text.
 func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
 	return mw.OpenKeyed(ctx, fragmentKey(serverID, fragSQL), plan, rawEst, batchRows)
 }
@@ -448,7 +408,9 @@ func (s *mwStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
 func (s *mwStream) observeOutcome(out *wrapper.StreamOutcome) {
 	mw := s.mw
 	mw.telemetry().Active().Histogram("mw.response_ms", s.key.ServerID, nil).Observe(float64(out.ResponseTime))
-	mw.telemetry().Active().Histogram("mw.first_row_ms", s.key.ServerID, nil).Observe(float64(out.FirstRowTime))
+	if out.FirstRowTime > 0 {
+		mw.telemetry().Active().Histogram("mw.first_row_ms", s.key.ServerID, nil).Observe(float64(out.FirstRowTime))
+	}
 	obs, _ := mw.observerAndCalib()
 	if obs != nil {
 		obs.ObserveRun(RunRecord{

@@ -52,6 +52,16 @@ func newMW(t *testing.T) (*MetaWrapper, *remote.Server) {
 	return New(wrapper.NewRelational(s, topo)), s
 }
 
+// runMono executes a plan store-and-forward: one monolithic batch, drained.
+func runMono(mw *MetaWrapper, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate) (*wrapper.StreamOutcome, error) {
+	ctx := context.Background()
+	st, err := mw.OpenFragmentStream(ctx, serverID, fragSQL, plan, rawEst, 0)
+	if err != nil {
+		return nil, err
+	}
+	return wrapper.Drain(ctx, st)
+}
+
 func TestExplainRecordsAndCalibrates(t *testing.T) {
 	mw, _ := newMW(t)
 	obs := &recordingObserver{}
@@ -89,7 +99,9 @@ func TestExplainWithoutQCCPassesThrough(t *testing.T) {
 	}
 }
 
-func TestExecuteFragmentRecordsRun(t *testing.T) {
+// A monolithic stream (batchRows 0) is store-and-forward execution: MW records
+// one run with the response time and no separate first-row observation.
+func TestMonolithicStreamRecordsRun(t *testing.T) {
 	mw, _ := newMW(t)
 	obs := &recordingObserver{}
 	mw.SetObserver(obs)
@@ -98,7 +110,7 @@ func TestExecuteFragmentRecordsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := mw.ExecuteFragment(context.Background(), "S1", stmt.String(), cands[0].Plan, cands[0].Plan.Est)
+	out, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].Plan.Est)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +122,9 @@ func TestExecuteFragmentRecordsRun(t *testing.T) {
 	}
 	if obs.runs[0].Observed != out.ResponseTime {
 		t.Fatal("observed time mismatch")
+	}
+	if obs.runs[0].FirstRow != 0 || out.FirstRowTime != 0 {
+		t.Fatalf("monolithic run must carry no first-row observation: record %v, outcome %v", obs.runs[0].FirstRow, out.FirstRowTime)
 	}
 }
 
@@ -142,7 +157,7 @@ func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
 	}
 	drain(mw.OpenKeyed(ctx, key, cands[0].Plan, cands[0].RawEst, 256))
 	drain(mw.OpenFragmentStream(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst, 256))
-	if _, err := mw.ExecuteFragment(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+	if _, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
 		t.Fatal(err)
 	}
 	if len(obs.runs) != 3 || len(obs.compiles) == 0 {
@@ -175,7 +190,7 @@ func TestErrorsReported(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetDown(true)
-	if _, err := mw.ExecuteFragment(context.Background(), "S1", stmt.String(), cands[0].Plan, cands[0].Plan.Est); err == nil {
+	if _, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].Plan.Est); err == nil {
 		t.Fatal("down server must fail")
 	}
 	if _, err := mw.ExplainFragment("S1", stmt); err == nil {
@@ -208,7 +223,7 @@ func TestUnknownServer(t *testing.T) {
 	if _, err := mw.ExplainFragment("S9", stmt); err == nil {
 		t.Fatal("unknown server explain")
 	}
-	if _, err := mw.ExecuteFragment(context.Background(), "S9", "", nil, remote.CostEstimate{}); err == nil {
+	if _, err := runMono(mw, "S9", "", nil, remote.CostEstimate{}); err == nil {
 		t.Fatal("unknown server execute")
 	}
 	if _, err := mw.Probe(context.Background(), "S9"); err == nil {
@@ -242,11 +257,11 @@ func TestMWLogsRecordCompileRunError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mw.ExecuteFragment(context.Background(), "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+	if _, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
 		t.Fatal(err)
 	}
 	srv.SetDown(true)
-	mw.ExecuteFragment(context.Background(), "S1", stmt.String(), cands[0].Plan, cands[0].RawEst) //nolint:errcheck
+	runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst) //nolint:errcheck
 
 	compiles := mw.CompileLog()
 	if len(compiles) == 0 {
@@ -272,8 +287,9 @@ func TestMWLogsRecordCompileRunError(t *testing.T) {
 // TestFragmentStreamBeatsStoreAndForward pins the pipelining win where it is
 // produced: a 10k-row scan shipped over a 50 KB/s link finishes strictly
 // sooner through OpenFragmentStream (production of batch k+1 overlaps the
-// transfer of batch k) than through store-and-forward ExecuteFragment, with
-// the same rows and a first row strictly inside the response.
+// transfer of batch k) at 256 rows a batch than store-and-forward through the
+// same stream at batchRows 0, with the same rows and a first row strictly
+// inside the response.
 func TestFragmentStreamBeatsStoreAndForward(t *testing.T) {
 	ctx := context.Background()
 	stmt := sqlparser.MustParse("SELECT l.l_orderkey, l.l_price FROM lineitem AS l")
@@ -297,7 +313,7 @@ func TestFragmentStreamBeatsStoreAndForward(t *testing.T) {
 	}
 
 	mw, plan := open()
-	mono, err := mw.ExecuteFragment(ctx, "S1", stmt.String(), plan, plan.Est)
+	mono, err := runMono(mw, "S1", stmt.String(), plan, plan.Est)
 	if err != nil {
 		t.Fatal(err)
 	}

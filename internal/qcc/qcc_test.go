@@ -13,7 +13,25 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/wrapper"
 )
+
+// runOn explains the statement on one server and executes the first plan
+// offered store-and-forward (one monolithic batch), so MW hands QCC an
+// (estimated, observed) pair for that server.
+func runOn(sc *scenario.Scenario, server string, stmt *sqlparser.SelectStmt) error {
+	ctx := context.Background()
+	cands, err := sc.MW.ExplainFragment(server, stmt)
+	if err != nil {
+		return err
+	}
+	st, err := sc.MW.OpenFragmentStream(ctx, server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
+	if err != nil {
+		return err
+	}
+	_, err = wrapper.Drain(ctx, st)
+	return err
+}
 
 func build(t *testing.T) (*scenario.Scenario, *qcc.QCC) {
 	t.Helper()
@@ -82,11 +100,7 @@ func TestQCCFactorsTrackLoadChanges(t *testing.T) {
 	sc.Servers[server].SetLoadLevel(0)
 	stmt := sqlparser.MustParse(scanQuery)
 	for i := 0; i < 6; i++ {
-		cands, err := sc.MW.ExplainFragment(server, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sc.MW.ExecuteFragment(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+		if err := runOn(sc, server, stmt); err != nil {
 			t.Fatal(err)
 		}
 		sc.Clock.Advance(10)
@@ -150,11 +164,7 @@ func TestQCCReliabilitySteersAwayFromFlakyServer(t *testing.T) {
 	stmt := sqlparser.MustParse(scanQuery)
 	for i := 0; i < 10; i++ {
 		sc.Servers[flaky].InjectFailures(1)
-		cands, err := sc.MW.ExplainFragment(flaky, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.MW.ExecuteFragment(context.Background(), flaky, stmt.String(), cands[0].Plan, cands[0].RawEst) //nolint:errcheck
+		runOn(sc, flaky, stmt) //nolint:errcheck // the injected failure is the point
 	}
 	if q.Avail.IsDown(flaky) {
 		t.Fatal("transient failures must not mark the server down")
@@ -197,11 +207,7 @@ func TestQCCDynamicCycleAdapts(t *testing.T) {
 	stmt := sqlparser.MustParse(scanQuery)
 	before := q.Cycle.Interval()
 	for i := 0; i < 4; i++ {
-		cands, err := sc.MW.ExplainFragment(server, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sc.MW.ExecuteFragment(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+		if err := runOn(sc, server, stmt); err != nil {
 			t.Fatal(err)
 		}
 		sc.Clock.Advance(before * 3 / 2)

@@ -1,7 +1,6 @@
 package qcc_test
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/qcc"
@@ -36,11 +35,7 @@ func TestRerouterSwitchesWhenTargetDegradesAfterCompile(t *testing.T) {
 	sc.Servers[compiled].SetLoadLevel(1)
 	stmt := gp.Fragments[0].Spec.Stmt
 	for i := 0; i < 3; i++ {
-		cands, err := sc.MW.ExplainFragment(compiled, stmt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sc.MW.ExecuteFragment(context.Background(), compiled, stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
+		if err := runOn(sc, compiled, stmt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,0 +1,242 @@
+package scenario
+
+import (
+	"fmt"
+	"sort"
+
+	"repro/internal/catalog"
+	"repro/internal/integrator"
+	"repro/internal/metawrapper"
+	"repro/internal/network"
+	"repro/internal/remote"
+	"repro/internal/simclock"
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
+	"repro/internal/wrapper"
+)
+
+// Assembly is a federation under construction, and the one place that knows
+// how a Scenario is wired. Servers are declared first, then tables are placed
+// on them — generated on one host, replicated over several, sharded on a
+// column, or handed over already built — and Build adds the meta-wrapper and
+// the integrator. The canned scenarios and the public fedqcc.Builder are
+// declarations over it.
+type Assembly struct {
+	// seed drives data generation. Every replica is generated from it
+	// separately: replicas hold equal rows but share none, because update
+	// bursts mutate them independently.
+	seed int64
+	// firstLink numbers the links' jitter streams: server i's link is seeded
+	// seed+firstLink+i.
+	firstLink int
+	sc        Scenario
+	wrappers  []wrapper.Wrapper
+	// solo lists, per table name, the hosts that were given the table one
+	// server at a time (Generate, AddTable).
+	solo map[string][]string
+}
+
+// NewAssembly starts an empty federation on a fresh virtual clock. The canned
+// scenarios number their links from 0 and the public Builder from 1; both
+// numberings have seeded results on record.
+func NewAssembly(seed int64, firstLink int) *Assembly {
+	return &Assembly{
+		seed:      seed,
+		firstLink: firstLink,
+		sc: Scenario{
+			Clock:   simclock.New(),
+			Servers: map[string]*remote.Server{},
+			Topo:    network.NewTopology(),
+			Catalog: catalog.New(),
+		},
+		solo: map[string][]string{},
+	}
+}
+
+// AddServer declares a remote source and the link to it. A file source can be
+// scanned but offers no cost estimates (wrapper.File). The link's Seed is set
+// here.
+func (a *Assembly) AddServer(cfg remote.Config, link network.LinkConfig, file bool) error {
+	if _, dup := a.sc.Servers[cfg.ID]; dup {
+		return fmt.Errorf("scenario: duplicate server %q", cfg.ID)
+	}
+	srv := remote.NewServer(cfg)
+	srv.SetClock(a.sc.Clock)
+	a.sc.Servers[cfg.ID] = srv
+	link.Seed = a.seed + int64(a.firstLink+len(a.wrappers))
+	a.sc.Topo.AddLink(cfg.ID, network.NewLink(link))
+	if file {
+		a.wrappers = append(a.wrappers, wrapper.NewFile(srv, a.sc.Topo))
+	} else {
+		a.wrappers = append(a.wrappers, wrapper.NewRelational(srv, a.sc.Topo))
+	}
+	return nil
+}
+
+func (a *Assembly) server(id string) (*remote.Server, error) {
+	srv, ok := a.sc.Servers[id]
+	if !ok {
+		return nil, fmt.Errorf("scenario: unknown server %q", id)
+	}
+	return srv, nil
+}
+
+// Table returns a table already placed on a server.
+func (a *Assembly) Table(serverID, table string) (*storage.Table, error) {
+	srv, err := a.server(serverID)
+	if err != nil {
+		return nil, err
+	}
+	tab := srv.Table(table)
+	if tab == nil {
+		return nil, fmt.Errorf("scenario: server %q has no table %q", serverID, table)
+	}
+	return tab, nil
+}
+
+// register makes the table a nickname hosted by the given servers, the first
+// being the origin and the rest replicas.
+func (a *Assembly) register(table string, schema *sqltypes.Schema, hosts []string) error {
+	placements := make([]catalog.Placement, len(hosts))
+	for i, id := range hosts {
+		placements[i] = catalog.Placement{ServerID: id, RemoteTable: table}
+	}
+	return a.sc.Catalog.RegisterReplicated(table, schema, placements)
+}
+
+// AddTable places a table built elsewhere (a CSV load, say) on one server.
+// Tables of one name placed a server at a time form one nickname whose hosts
+// list in server-ID order, whatever order they were added in.
+func (a *Assembly) AddTable(serverID string, tab *storage.Table) error {
+	srv, err := a.server(serverID)
+	if err != nil {
+		return err
+	}
+	srv.AddTable(tab)
+	hosts := append(a.solo[tab.Name()], serverID)
+	sort.Strings(hosts)
+	a.solo[tab.Name()] = hosts
+	return a.register(tab.Name(), a.sc.Servers[hosts[0]].Table(tab.Name()).Schema(), hosts)
+}
+
+// generate builds the table from the assembly's seed.
+func (a *Assembly) generate(gen storage.TableGen, serverID string) (*storage.Table, error) {
+	tab, err := gen.Generate(a.seed)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: generating %s on %s: %w", gen.Name, serverID, err)
+	}
+	return tab, nil
+}
+
+// Generate generates the table on one server; see AddTable for how several
+// such placements of one table combine.
+func (a *Assembly) Generate(gen storage.TableGen, serverID string) error {
+	tab, err := a.generate(gen, serverID)
+	if err != nil {
+		return err
+	}
+	return a.AddTable(serverID, tab)
+}
+
+// Replicate generates an identical copy of the table on every named server
+// and registers one nickname over them in exactly the declared order.
+func (a *Assembly) Replicate(gen storage.TableGen, servers ...string) error {
+	if len(servers) == 0 {
+		return fmt.Errorf("scenario: replicated table %q needs at least one server", gen.Name)
+	}
+	var schema *sqltypes.Schema
+	for i, id := range servers {
+		srv, err := a.server(id)
+		if err != nil {
+			return err
+		}
+		tab, err := a.generate(gen, id)
+		if err != nil {
+			return err
+		}
+		srv.AddTable(tab)
+		if i == 0 {
+			schema = tab.Schema()
+		}
+	}
+	return a.register(gen.Name, schema, servers)
+}
+
+// Shard generates the table once and partitions its rows by spec across the
+// named servers: shard i lands on servers[i] as the physical table
+// <name>__s<i> with indexes <index>_s<i>, and the whole registers as one
+// sharded nickname. A single shard keeps the plain table and index names and
+// registers unsharded, so that federation is bit-identical to one that never
+// heard of sharding.
+func (a *Assembly) Shard(gen storage.TableGen, spec *catalog.ShardSpec, servers ...string) error {
+	n := len(servers)
+	if n == 0 {
+		return fmt.Errorf("scenario: sharded table %q needs at least one server", gen.Name)
+	}
+	whole, err := gen.Generate(a.seed)
+	if err != nil {
+		return fmt.Errorf("scenario: generating %s: %w", gen.Name, err)
+	}
+	keyIdx, err := whole.Schema().ColumnIndex("", spec.Column)
+	if err != nil {
+		return fmt.Errorf("scenario: sharded table %q: %w", gen.Name, err)
+	}
+	parts := make([][]sqltypes.Row, n)
+	for _, row := range whole.Snapshot() {
+		i := spec.ShardFor(row[keyIdx], n)
+		parts[i] = append(parts[i], row)
+	}
+	shards := make([]catalog.Shard, n)
+	for i, id := range servers {
+		srv, err := a.server(id)
+		if err != nil {
+			return err
+		}
+		name, suffix := catalog.ShardTableName(gen.Name, i), fmt.Sprintf("_s%d", i)
+		if n == 1 {
+			name, suffix = gen.Name, ""
+		}
+		tab := storage.NewTable(name, whole.Schema())
+		if err := tab.Append(parts[i]...); err != nil {
+			return err
+		}
+		for _, ig := range gen.Indexes {
+			if _, err := tab.CreateIndex(ig.Name+suffix, ig.Column, ig.Kind); err != nil {
+				return err
+			}
+		}
+		srv.AddTable(tab)
+		shards[i] = catalog.Shard{Index: i, Placements: []catalog.Placement{{ServerID: id, RemoteTable: name}}}
+	}
+	return a.sc.Catalog.RegisterSharded(gen.Name, whole.Schema(), spec, shards)
+}
+
+// Build adds the meta-wrapper over every declared server, the II node and the
+// integrator, and returns the finished federation.
+func (a *Assembly) Build() (*Scenario, error) {
+	if len(a.wrappers) == 0 {
+		return nil, fmt.Errorf("scenario: federation needs at least one server")
+	}
+	if len(a.sc.Catalog.Names()) == 0 {
+		return nil, fmt.Errorf("scenario: federation has no tables")
+	}
+	sc := a.sc
+	sc.MW = metawrapper.New(a.wrappers...)
+	sc.IINode = remote.NewServer(remote.Config{
+		ID: "II",
+		Hardware: remote.HardwareProfile{
+			CPUOpsPerMS:      3000,
+			IOPagesPerMS:     100,
+			CachedPagesPerMS: 3000,
+			FixedOverheadMS:  0.5,
+		},
+		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
+	})
+	sc.II = integrator.New(integrator.Config{
+		Catalog: sc.Catalog,
+		MW:      sc.MW,
+		Node:    sc.IINode,
+		Clock:   sc.Clock,
+	})
+	return &sc, nil
+}

@@ -3,25 +3,19 @@ package scenario
 import (
 	"fmt"
 
-	"repro/internal/catalog"
-	"repro/internal/integrator"
-	"repro/internal/metawrapper"
-	"repro/internal/network"
 	"repro/internal/remote"
-	"repro/internal/simclock"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
-	"repro/internal/wrapper"
 )
 
 // ReplicatedOptions configures BuildReplicated, the replica-routing hotspot
-// scenario: N uniform mid-range servers, every sample table fully replicated
-// on all of them through catalog.RegisterReplicated, query-induced load
-// (servers heat up under their own traffic) and a buffer-pool residency
-// model (repeatedly hitting the same table on the same server gets cheaper;
-// blindly spraying tables across servers keeps every pool cold). This is the
-// setting where cache-aware weighted routing should beat blind round-robin
-// on tail latency while load awareness keeps the servers balanced.
+// scenario: N uniform servers, every sample table fully replicated on all of
+// them, query-induced load (servers heat up under their own traffic) and a
+// buffer-pool residency model (repeatedly hitting the same table on the same
+// server gets cheaper; blindly spraying tables across servers keeps every
+// pool cold). This is the setting where cache-aware weighted routing should
+// beat blind round-robin on tail latency while load awareness keeps the
+// servers balanced.
 type ReplicatedOptions struct {
 	// Servers is the replica count (default 3, IDs S1..SN).
 	Servers int
@@ -29,44 +23,19 @@ type ReplicatedOptions struct {
 	Scale int
 	// Seed drives deterministic data generation; replicas share it.
 	Seed int64
-	// HotTables adds that many identical large single-column-aggregate
-	// targets (hot1..hotN, default 4) — deliberately more tables than one
-	// buffer pool holds, so replica affinity is a real trade-off.
-	HotTables int
-	// InducedLoad is the hot-spotting profile; zero selects
-	// {WindowMS: 1000, Gain: 4} — moderate, so concentration is punished
-	// without pegging every server at the load clamp.
-	InducedLoad remote.InducedLoadProfile
-	// Cache is the buffer-pool residency profile; zero selects
-	// {ColdMissFrac: 0.7, WarmRate: 0.5, CoolRate: 0.05, PoolTables: 1.5}.
-	Cache remote.CacheProfile
 }
 
-func (o *ReplicatedOptions) fill() {
-	if o.Servers <= 0 {
-		o.Servers = 3
-	}
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.HotTables <= 0 {
-		o.HotTables = 4
-	}
-	if o.InducedLoad.WindowMS == 0 {
-		o.InducedLoad = remote.InducedLoadProfile{WindowMS: 1000, Gain: 4}
-	}
-	if o.Cache.ColdMissFrac == 0 {
-		o.Cache = remote.CacheProfile{ColdMissFrac: 0.7, WarmRate: 0.5, CoolRate: 0.05, PoolTables: 1.5}
-	}
-}
+// hotTables is how many identical large single-column-aggregate targets
+// (hot1..hotN) the scenario adds — deliberately more tables than one buffer
+// pool holds, so replica affinity is a real trade-off.
+const hotTables = 4
 
-// replicaProfile is the hotspot replicas' hardware: commodity boxes with
-// slow disks and generous memory, where a buffer-pool hit is the difference
-// between milliseconds and tens of milliseconds. (The stock profiles are
-// CPU-bound at small scales, which would hide the cache signal entirely.)
+// replicaProfile is the hotspot replicas' configuration. The hardware is a
+// commodity box with slow disks and generous memory, where a buffer-pool hit
+// is the difference between milliseconds and tens of milliseconds (the stock
+// profiles are CPU-bound at small scales, which would hide the cache signal
+// entirely). The induced load is moderate, so concentration is punished
+// without pegging every server at the load clamp.
 func replicaProfile(id string) remote.Config {
 	return remote.Config{
 		ID: id,
@@ -77,7 +46,9 @@ func replicaProfile(id string) remote.Config {
 			CacheMissFrac:    0.05,
 			FixedOverheadMS:  1,
 		},
-		Contention: remote.ContentionProfile{CPU: 0.3, IO: 0.3, BufferChurn: 0.05, QueueAmp: 0.4},
+		Contention:  remote.ContentionProfile{CPU: 0.3, IO: 0.3, BufferChurn: 0.05, QueueAmp: 0.4},
+		InducedLoad: remote.InducedLoadProfile{WindowMS: 1000, Gain: 4},
+		Cache:       remote.CacheProfile{ColdMissFrac: 0.7, WarmRate: 0.5, CoolRate: 0.05, PoolTables: 1.5},
 	}
 }
 
@@ -108,70 +79,21 @@ func HotTableGens(n, scale int) []storage.TableGen {
 
 // BuildReplicated assembles the hotspot scenario.
 func BuildReplicated(opts ReplicatedOptions) (*Scenario, error) {
-	opts.fill()
-	clock := simclock.New()
-	topo := network.NewTopology()
-	gens := append(storage.SampleSchema(opts.Scale), HotTableGens(opts.HotTables, opts.Scale)...)
-
-	ids := make([]string, opts.Servers)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("S%d", i+1)
+	if opts.Servers <= 0 {
+		opts.Servers = 3
 	}
-	servers := map[string]*remote.Server{}
-	var wrappers []wrapper.Wrapper
-	for i, id := range ids {
-		cfg := replicaProfile(id)
-		cfg.InducedLoad = opts.InducedLoad
-		cfg.Cache = opts.Cache
-		srv := remote.NewServer(cfg)
-		srv.SetClock(clock)
-		for _, g := range gens {
-			tab, err := g.Generate(opts.Seed) // same seed → identical replicas
-			if err != nil {
-				return nil, fmt.Errorf("scenario: generating %s on %s: %w", g.Name, id, err)
-			}
-			srv.AddTable(tab)
-		}
-		servers[id] = srv
-		topo.AddLink(id, network.NewLink(network.LinkConfig{
-			LatencyMS:     5,
-			BandwidthKBps: 2000,
-			Seed:          opts.Seed + int64(i),
-		}))
-		wrappers = append(wrappers, wrapper.NewRelational(srv, topo))
-	}
-
-	cat := catalog.New()
-	for _, g := range gens {
-		schema := servers[ids[0]].Table(g.Name).Schema()
-		placements := make([]catalog.Placement, len(ids))
-		for i, id := range ids {
-			placements[i] = catalog.Placement{ServerID: id, RemoteTable: g.Name}
-		}
-		if err := cat.RegisterReplicated(g.Name, schema, placements); err != nil {
+	fillScaleSeed(&opts.Scale, &opts.Seed)
+	a := NewAssembly(opts.Seed, 0)
+	ids := serverIDs(opts.Servers)
+	for _, id := range ids {
+		if err := a.AddServer(replicaProfile(id), lan(5), false); err != nil {
 			return nil, err
 		}
 	}
-
-	mw := metawrapper.New(wrappers...)
-	iiNode := remote.NewServer(remote.Config{
-		ID: "II",
-		Hardware: remote.HardwareProfile{
-			CPUOpsPerMS:      3000,
-			IOPagesPerMS:     100,
-			CachedPagesPerMS: 3000,
-			FixedOverheadMS:  0.5,
-		},
-		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
-	})
-	ii := integrator.New(integrator.Config{Catalog: cat, MW: mw, Node: iiNode, Clock: clock})
-	return &Scenario{
-		Clock:   clock,
-		Servers: servers,
-		Topo:    topo,
-		Catalog: cat,
-		MW:      mw,
-		IINode:  iiNode,
-		II:      ii,
-	}, nil
+	for _, g := range append(storage.SampleSchema(opts.Scale), HotTableGens(hotTables, opts.Scale)...) {
+		if err := a.Replicate(g, ids...); err != nil {
+			return nil, err
+		}
+	}
+	return a.Build()
 }

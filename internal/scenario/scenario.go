@@ -17,7 +17,6 @@ import (
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/storage"
-	"repro/internal/wrapper"
 )
 
 // Scenario is a fully-wired federation.
@@ -42,8 +41,6 @@ type Options struct {
 	// is a symmetric LAN (5ms each), matching the paper's single-lab
 	// testbed; experiments on network dynamics vary congestion instead.
 	Latencies map[string]float64
-	// BandwidthKBps is the link bandwidth (default 2000).
-	BandwidthKBps float64
 	// Exclusive maps table names to the single server that hosts them;
 	// unlisted tables are fully replicated. Used by placement experiments.
 	Exclusive map[string]string
@@ -57,18 +54,36 @@ type Options struct {
 }
 
 func (o *Options) fill() {
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
+	fillScaleSeed(&o.Scale, &o.Seed)
 	if o.Latencies == nil {
 		o.Latencies = map[string]float64{"S1": 5, "S2": 5, "S3": 5}
 	}
-	if o.BandwidthKBps == 0 {
-		o.BandwidthKBps = 2000
+}
+
+// fillScaleSeed applies the defaults every canned scenario shares: full paper
+// scale and seed 42.
+func fillScaleSeed(scale *int, seed *int64) {
+	if *scale < 1 {
+		*scale = 1
 	}
+	if *seed == 0 {
+		*seed = 42
+	}
+}
+
+// lan is the link every canned scenario uses: the testbed's 2000 KB/s LAN at
+// the given one-way latency, jitter-free.
+func lan(latencyMS float64) network.LinkConfig {
+	return network.LinkConfig{LatencyMS: latencyMS, BandwidthKBps: 2000}
+}
+
+// serverIDs names n servers S1..Sn.
+func serverIDs(n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("S%d", i+1)
+	}
+	return ids
 }
 
 // BuildThreeServer assembles the paper's evaluation federation: servers S1,
@@ -77,95 +92,30 @@ func (o *Options) fill() {
 // an II node.
 func BuildThreeServer(opts Options) (*Scenario, error) {
 	opts.fill()
-	clock := simclock.New()
-	topo := network.NewTopology()
-
-	configs := []remote.Config{
-		remote.ProfileS1("S1"),
-		remote.ProfileS2("S2"),
-		remote.ProfileS3("S3"),
-	}
-	if opts.Uniform {
-		configs = []remote.Config{
-			remote.ProfileS2("S1"),
-			remote.ProfileS2("S2"),
-			remote.ProfileS2("S3"),
+	a := NewAssembly(opts.Seed, 0)
+	ids := serverIDs(3)
+	profiles := []func(string) remote.Config{remote.ProfileS1, remote.ProfileS2, remote.ProfileS3}
+	for i, id := range ids {
+		profile := profiles[i]
+		if opts.Uniform {
+			profile = remote.ProfileS2
 		}
-		configs[0].ID, configs[1].ID, configs[2].ID = "S1", "S2", "S3"
-	}
-	servers := map[string]*remote.Server{}
-	var wrappers []wrapper.Wrapper
-	gens := storage.SampleSchema(opts.Scale)
-	for _, cfg := range configs {
+		cfg := profile(id)
 		cfg.InducedLoad = opts.InducedLoad
-		srv := remote.NewServer(cfg)
-		srv.SetClock(clock)
-		for _, g := range gens {
-			if only, ok := opts.Exclusive[g.Name]; ok && only != cfg.ID {
-				continue
-			}
-			tab, err := g.Generate(opts.Seed) // same seed → identical replicas
-			if err != nil {
-				return nil, fmt.Errorf("scenario: generating %s on %s: %w", g.Name, cfg.ID, err)
-			}
-			srv.AddTable(tab)
-		}
-		servers[cfg.ID] = srv
-		lat := opts.Latencies[cfg.ID]
-		topo.AddLink(cfg.ID, network.NewLink(network.LinkConfig{
-			LatencyMS:     lat,
-			BandwidthKBps: opts.BandwidthKBps,
-			Seed:          opts.Seed + int64(len(wrappers)),
-		}))
-		wrappers = append(wrappers, wrapper.NewRelational(srv, topo))
-	}
-
-	cat := catalog.New()
-	for _, g := range gens {
-		hosts := []string{"S1", "S2", "S3"}
-		if only, ok := opts.Exclusive[g.Name]; ok {
-			hosts = []string{only}
-		}
-		schema := servers[hosts[0]].Table(g.Name).Schema()
-		nick := &catalog.Nickname{Name: g.Name, Schema: schema}
-		for i, id := range hosts {
-			nick.Placements = append(nick.Placements, catalog.Placement{
-				ServerID:    id,
-				RemoteTable: g.Name,
-				Replica:     i > 0,
-			})
-		}
-		if err := cat.Register(nick); err != nil {
+		if err := a.AddServer(cfg, lan(opts.Latencies[id]), false); err != nil {
 			return nil, err
 		}
 	}
-
-	mw := metawrapper.New(wrappers...)
-	iiNode := remote.NewServer(remote.Config{
-		ID: "II",
-		Hardware: remote.HardwareProfile{
-			CPUOpsPerMS:      3000,
-			IOPagesPerMS:     100,
-			CachedPagesPerMS: 3000,
-			FixedOverheadMS:  0.5,
-		},
-		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
-	})
-	ii := integrator.New(integrator.Config{
-		Catalog: cat,
-		MW:      mw,
-		Node:    iiNode,
-		Clock:   clock,
-	})
-	return &Scenario{
-		Clock:   clock,
-		Servers: servers,
-		Topo:    topo,
-		Catalog: cat,
-		MW:      mw,
-		IINode:  iiNode,
-		II:      ii,
-	}, nil
+	for _, g := range storage.SampleSchema(opts.Scale) {
+		hosts := ids
+		if only, ok := opts.Exclusive[g.Name]; ok {
+			hosts = []string{only}
+		}
+		if err := a.Replicate(g, hosts...); err != nil {
+			return nil, err
+		}
+	}
+	return a.Build()
 }
 
 // ReplicateTable copies a nickname's data from one server to another and
@@ -220,104 +170,33 @@ func ReplicateTable(sc *Scenario, nickname, from, to string) error {
 type ReplicaOptions struct {
 	Scale int
 	Seed  int64
-	// InducedLoad enables query-induced hot-spotting (see Options).
-	InducedLoad remote.InducedLoadProfile
 }
 
 // BuildReplicaPair assembles the §4 scenario.
 func BuildReplicaPair(opts ReplicaOptions) (*Scenario, error) {
-	if opts.Scale < 1 {
-		opts.Scale = 1
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 42
-	}
-	clock := simclock.New()
-	topo := network.NewTopology()
-	gens := storage.SampleSchema(opts.Scale)
-	genByName := map[string]storage.TableGen{}
-	for _, g := range gens {
-		genByName[g.Name] = g
-	}
-
-	placement := map[string][]string{
-		"S1": {"orders", "customer"},
-		"R1": {"orders", "customer"},
-		"S2": {"lineitem", "parts"},
-		"R2": {"lineitem", "parts"},
-	}
-	profiles := map[string]remote.Config{
-		"S1": remote.ProfileS1("S1"),
-		"R1": remote.ProfileS2("R1"),
-		"S2": remote.ProfileS2("S2"),
-		"R2": remote.ProfileS1("R2"),
-	}
-	latency := map[string]float64{"S1": 8, "R1": 10, "S2": 12, "R2": 9}
-
-	servers := map[string]*remote.Server{}
-	var wrappers []wrapper.Wrapper
-	i := 0
-	for _, id := range []string{"S1", "R1", "S2", "R2"} {
-		cfg := profiles[id]
-		cfg.InducedLoad = opts.InducedLoad
-		srv := remote.NewServer(cfg)
-		srv.SetClock(clock)
-		for _, tname := range placement[id] {
-			tab, err := genByName[tname].Generate(opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			srv.AddTable(tab)
-		}
-		servers[id] = srv
-		topo.AddLink(id, network.NewLink(network.LinkConfig{
-			LatencyMS:     latency[id],
-			BandwidthKBps: 2000,
-			Seed:          opts.Seed + int64(i),
-		}))
-		wrappers = append(wrappers, wrapper.NewRelational(srv, topo))
-		i++
-	}
-
-	cat := catalog.New()
-	nickHosts := map[string][]string{
-		"orders":   {"S1", "R1"},
-		"customer": {"S1", "R1"},
-		"lineitem": {"S2", "R2"},
-		"parts":    {"S2", "R2"},
-	}
-	for name, hosts := range nickHosts {
-		schema := servers[hosts[0]].Table(name).Schema()
-		nick := &catalog.Nickname{Name: name, Schema: schema}
-		for j, id := range hosts {
-			nick.Placements = append(nick.Placements, catalog.Placement{
-				ServerID: id, RemoteTable: name, Replica: j > 0,
-			})
-		}
-		if err := cat.Register(nick); err != nil {
+	fillScaleSeed(&opts.Scale, &opts.Seed)
+	a := NewAssembly(opts.Seed, 0)
+	for _, s := range []struct {
+		cfg       remote.Config
+		latencyMS float64
+	}{
+		{remote.ProfileS1("S1"), 8},
+		{remote.ProfileS2("R1"), 10},
+		{remote.ProfileS2("S2"), 12},
+		{remote.ProfileS1("R2"), 9},
+	} {
+		if err := a.AddServer(s.cfg, lan(s.latencyMS), false); err != nil {
 			return nil, err
 		}
 	}
-
-	mw := metawrapper.New(wrappers...)
-	iiNode := remote.NewServer(remote.Config{
-		ID: "II",
-		Hardware: remote.HardwareProfile{
-			CPUOpsPerMS:      3000,
-			IOPagesPerMS:     100,
-			CachedPagesPerMS: 3000,
-			FixedOverheadMS:  0.5,
-		},
-		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
-	})
-	ii := integrator.New(integrator.Config{Catalog: cat, MW: mw, Node: iiNode, Clock: clock})
-	return &Scenario{
-		Clock:   clock,
-		Servers: servers,
-		Topo:    topo,
-		Catalog: cat,
-		MW:      mw,
-		IINode:  iiNode,
-		II:      ii,
-	}, nil
+	for _, g := range storage.SampleSchema(opts.Scale) {
+		hosts := []string{"S2", "R2"}
+		if g.Name == "orders" || g.Name == "customer" {
+			hosts = []string{"S1", "R1"}
+		}
+		if err := a.Replicate(g, hosts...); err != nil {
+			return nil, err
+		}
+	}
+	return a.Build()
 }

@@ -89,7 +89,7 @@ func TestBuildReplicaPairPlacement(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.fill()
-	if o.Scale != 1 || o.Seed != 42 || o.BandwidthKBps != 2000 {
+	if o.Scale != 1 || o.Seed != 42 {
 		t.Fatalf("defaults: %+v", o)
 	}
 	if o.Latencies["S1"] != 5 || o.Latencies["S3"] != 5 {

@@ -1,18 +1,12 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/catalog"
-	"repro/internal/integrator"
-	"repro/internal/metawrapper"
-	"repro/internal/network"
 	"repro/internal/remote"
-	"repro/internal/simclock"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
-	"repro/internal/wrapper"
 )
 
 // ShardedOptions configures BuildSharded: the scale-out scenario where the
@@ -28,32 +22,10 @@ type ShardedOptions struct {
 	Seed int64
 	// Method picks hash (default) or range sharding on l_orderkey.
 	Method catalog.ShardMethod
-	// LatencyMS is the uniform one-way link latency (default 5).
-	LatencyMS float64
-	// BandwidthKBps is the uniform link bandwidth (default 2000).
-	BandwidthKBps float64
 	// NullKeyFrac makes roughly this fraction of lineitem rows carry a NULL
 	// shard key (hash-sharded NULLs land on their hash shard, range-sharded
 	// NULLs on shard 0). Zero keeps the standard generator.
 	NullKeyFrac float64
-}
-
-func (o *ShardedOptions) fill() {
-	if o.Shards < 1 {
-		o.Shards = 1
-	}
-	if o.Scale < 1 {
-		o.Scale = 1
-	}
-	if o.Seed == 0 {
-		o.Seed = 42
-	}
-	if o.LatencyMS == 0 {
-		o.LatencyMS = 5
-	}
-	if o.BandwidthKBps == 0 {
-		o.BandwidthKBps = 2000
-	}
 }
 
 // BuildSharded assembles an N-server federation with lineitem hash- or
@@ -63,154 +35,56 @@ func (o *ShardedOptions) fill() {
 // exactly the pre-sharding code paths — that configuration is the identity
 // baseline the CI gate compares against.
 func BuildSharded(opts ShardedOptions) (*Scenario, error) {
-	opts.fill()
-	clock := simclock.New()
-	topo := network.NewTopology()
-
-	gens := storage.SampleSchema(opts.Scale)
-	var lineGen storage.TableGen
-	var rest []storage.TableGen
-	for _, g := range gens {
-		if g.Name == "lineitem" {
-			lineGen = g
-			continue
-		}
-		rest = append(rest, g)
+	if opts.Shards < 1 {
+		opts.Shards = 1
 	}
-	if opts.NullKeyFrac > 0 {
-		frac := opts.NullKeyFrac
-		for ci, c := range lineGen.Columns {
-			if c.Name != "l_orderkey" {
-				continue
-			}
-			inner := c.Gen
-			lineGen.Columns[ci].Gen = func(r *rand.Rand, i int) sqltypes.Value {
-				if r.Float64() < frac {
-					return sqltypes.Null
-				}
-				return inner(r, i)
-			}
-		}
-	}
-	whole, err := lineGen.Generate(opts.Seed)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: generating lineitem: %w", err)
-	}
-
-	spec := &catalog.ShardSpec{Column: "l_orderkey", Method: opts.Method}
-	if opts.Method == catalog.ShardRange {
-		// Even splits of the uniform key domain [0, rows).
-		domain := int64(lineGen.Rows)
-		for i := 1; i < opts.Shards; i++ {
-			spec.Bounds = append(spec.Bounds, sqltypes.NewInt(domain*int64(i)/int64(opts.Shards)))
-		}
-	}
-	keyIdx, err := whole.Schema().ColumnIndex("", "l_orderkey")
-	if err != nil {
-		return nil, err
-	}
-	parts := make([][]sqltypes.Row, opts.Shards)
-	for _, row := range whole.Snapshot() {
-		idx := spec.ShardFor(row[keyIdx], opts.Shards)
-		parts[idx] = append(parts[idx], row)
-	}
-
-	servers := map[string]*remote.Server{}
-	var wrappers []wrapper.Wrapper
-	var shards []catalog.Shard
-	for i := 0; i < opts.Shards; i++ {
-		id := fmt.Sprintf("S%d", i+1)
-		cfg := remote.ProfileS2(id)
-		srv := remote.NewServer(cfg)
-		srv.SetClock(clock)
-
-		// Shard i of lineitem lives here. A single-shard build keeps the
-		// plain table name so every code path matches the unsharded engine.
-		shardName := catalog.ShardTableName("lineitem", i)
-		if opts.Shards == 1 {
-			shardName = "lineitem"
-		}
-		tab := storage.NewTable(shardName, whole.Schema())
-		if err := tab.Append(parts[i]...); err != nil {
+	fillScaleSeed(&opts.Scale, &opts.Seed)
+	a := NewAssembly(opts.Seed, 0)
+	ids := serverIDs(opts.Shards)
+	for _, id := range ids {
+		if err := a.AddServer(remote.ProfileS2(id), lan(5), false); err != nil {
 			return nil, err
 		}
-		for _, ig := range lineGen.Indexes {
-			ixName := fmt.Sprintf("%s_s%d", ig.Name, i)
-			if opts.Shards == 1 {
-				ixName = ig.Name // bit-identical to the unsharded engine
-			}
-			if _, err := tab.CreateIndex(ixName, ig.Column, ig.Kind); err != nil {
+	}
+	for _, g := range storage.SampleSchema(opts.Scale) {
+		if g.Name != "lineitem" {
+			// The small tables replicate everywhere.
+			if err := a.Replicate(g, ids...); err != nil {
 				return nil, err
 			}
+			continue
 		}
-		srv.AddTable(tab)
-		shards = append(shards, catalog.Shard{
-			Index:      i,
-			Placements: []catalog.Placement{{ServerID: id, RemoteTable: shardName}},
-		})
-
-		// The small tables replicate everywhere (same seed → identical).
-		for _, g := range rest {
-			t, err := g.Generate(opts.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("scenario: generating %s on %s: %w", g.Name, id, err)
+		spec := &catalog.ShardSpec{Column: "l_orderkey", Method: opts.Method}
+		if opts.Method == catalog.ShardRange {
+			// Even splits of the uniform key domain [0, rows).
+			domain := int64(g.Rows)
+			for i := 1; i < opts.Shards; i++ {
+				spec.Bounds = append(spec.Bounds, sqltypes.NewInt(domain*int64(i)/int64(opts.Shards)))
 			}
-			srv.AddTable(t)
 		}
-
-		servers[id] = srv
-		topo.AddLink(id, network.NewLink(network.LinkConfig{
-			LatencyMS:     opts.LatencyMS,
-			BandwidthKBps: opts.BandwidthKBps,
-			Seed:          opts.Seed + int64(i),
-		}))
-		wrappers = append(wrappers, wrapper.NewRelational(srv, topo))
-	}
-
-	cat := catalog.New()
-	if err := cat.RegisterSharded("lineitem", whole.Schema(), spec, shards); err != nil {
-		return nil, err
-	}
-	for _, g := range rest {
-		schema := servers["S1"].Table(g.Name).Schema()
-		nick := &catalog.Nickname{Name: g.Name, Schema: schema}
-		for i := 0; i < opts.Shards; i++ {
-			id := fmt.Sprintf("S%d", i+1)
-			nick.Placements = append(nick.Placements, catalog.Placement{
-				ServerID:    id,
-				RemoteTable: g.Name,
-				Replica:     i > 0,
-			})
+		if opts.NullKeyFrac > 0 {
+			nullSomeKeys(g, spec.Column, opts.NullKeyFrac)
 		}
-		if err := cat.Register(nick); err != nil {
+		if err := a.Shard(g, spec, ids...); err != nil {
 			return nil, err
 		}
 	}
+	return a.Build()
+}
 
-	mw := metawrapper.New(wrappers...)
-	iiNode := remote.NewServer(remote.Config{
-		ID: "II",
-		Hardware: remote.HardwareProfile{
-			CPUOpsPerMS:      3000,
-			IOPagesPerMS:     100,
-			CachedPagesPerMS: 3000,
-			FixedOverheadMS:  0.5,
-		},
-		Contention: remote.ContentionProfile{CPU: 0.5, IO: 0.5, BufferChurn: 0.2, QueueAmp: 0.5},
-	})
-	ii := integrator.New(integrator.Config{
-		Catalog: cat,
-		MW:      mw,
-		Node:    iiNode,
-		Clock:   clock,
-	})
-	return &Scenario{
-		Clock:   clock,
-		Servers: servers,
-		Topo:    topo,
-		Catalog: cat,
-		MW:      mw,
-		IINode:  iiNode,
-		II:      ii,
-	}, nil
+// nullSomeKeys makes the generator emit NULL in the named column for roughly
+// frac of the rows.
+func nullSomeKeys(g storage.TableGen, column string, frac float64) {
+	for ci, c := range g.Columns {
+		if c.Name != column {
+			continue
+		}
+		inner := c.Gen
+		g.Columns[ci].Gen = func(r *rand.Rand, i int) sqltypes.Value {
+			if r.Float64() < frac {
+				return sqltypes.Null
+			}
+			return inner(r, i)
+		}
+	}
 }

@@ -37,6 +37,8 @@ type Table struct {
 	// colMemo is the rows' columnar decomposition at one version (see
 	// Columns). It lives on the table so it is collected with the table.
 	colMemo atomic.Pointer[columnMemo]
+	// pageMemo is the rows' page count at one version (see Pages).
+	pageMemo atomic.Pointer[pageCount]
 }
 
 // columnMemo is a table's columnar decomposition at a version.
@@ -44,6 +46,12 @@ type columnMemo struct {
 	version int64
 	cols    []*colbatch.Column
 	n       int
+}
+
+// pageCount is a table's page count at a version.
+type pageCount struct {
+	version int64
+	pages   int
 }
 
 // NewTable creates an empty table.
@@ -71,20 +79,21 @@ func (t *Table) Version() int64 {
 	return t.version
 }
 
-// Pages returns the number of notional disk pages the table occupies.
+// Pages returns the number of notional disk pages the table occupies. The
+// estimator asks per scan per plan, so the sum over the rows is memoized per
+// table version; a virtual table answers from its injected statistics.
 func (t *Table) Pages() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.pagesLocked()
-}
-
-func (t *Table) pagesLocked() int {
 	if t.virtual != nil {
 		p := int(float64(t.virtual.RowCount) * t.virtual.AvgRowBytes / PageSize)
 		if p == 0 && t.virtual.RowCount > 0 {
 			p = 1
 		}
 		return p
+	}
+	if m := t.pageMemo.Load(); m != nil && m.version == t.version {
+		return m.pages
 	}
 	bytes := 0
 	for _, r := range t.rows {
@@ -94,6 +103,7 @@ func (t *Table) pagesLocked() int {
 	if p == 0 && len(t.rows) > 0 {
 		p = 1
 	}
+	t.pageMemo.Store(&pageCount{version: t.version, pages: p})
 	return p
 }
 

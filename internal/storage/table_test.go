@@ -3,11 +3,13 @@ package storage
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
+	"repro/internal/stats"
 )
 
 func newTestTable(t *testing.T) *Table {
@@ -111,6 +113,50 @@ func TestTablePages(t *testing.T) {
 	empty := NewTable("e", sqltypes.NewSchema(sqltypes.Column{Name: "x", Type: sqltypes.KindInt}))
 	if empty.Pages() != 0 {
 		t.Fatal("empty table pages")
+	}
+}
+
+// Pages is memoized per table version: a memoized count must not outlive an
+// Append, an UpdateAt or a switch to injected statistics.
+func TestTablePagesTracksMutations(t *testing.T) {
+	tab := NewTable("p", sqltypes.NewSchema(sqltypes.Column{Table: "p", Name: "s", Type: sqltypes.KindString}))
+	wide := func(n int) []sqltypes.Row {
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			rows[i] = sqltypes.Row{sqltypes.NewString(strings.Repeat("x", 100))}
+		}
+		return rows
+	}
+	summed := func() int {
+		bytes := 0
+		for _, r := range tab.Snapshot() {
+			bytes += r.ByteSize()
+		}
+		return bytes / PageSize
+	}
+	if err := tab.Append(wide(200)...); err != nil {
+		t.Fatal(err)
+	}
+	first := tab.Pages()
+	if first < 2 || first != summed() || tab.Pages() != first {
+		t.Fatalf("pages %d, then %d; rows sum to %d", first, tab.Pages(), summed())
+	}
+	if err := tab.Append(wide(200)...); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Pages(); got <= first || got != summed() {
+		t.Fatalf("after Append: pages %d (was %d), rows sum to %d", got, first, summed())
+	}
+	grown := tab.Pages()
+	if err := tab.UpdateAt(0, 0, sqltypes.NewString(strings.Repeat("y", 3*PageSize))); err != nil {
+		t.Fatal(err)
+	}
+	if got := tab.Pages(); got <= grown || got != summed() {
+		t.Fatalf("after UpdateAt: pages %d (was %d), rows sum to %d", got, grown, summed())
+	}
+	tab.SetVirtualStats(&stats.TableStats{Table: "p", RowCount: 1000, AvgRowBytes: PageSize})
+	if got := tab.Pages(); got != 1000 {
+		t.Fatalf("after SetVirtualStats: pages %d, want 1000 from the injected statistics", got)
 	}
 }
 

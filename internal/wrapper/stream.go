@@ -43,7 +43,9 @@ type StreamOutcome struct {
 	// batch production + the pipelined tail.
 	ResponseTime simclock.Time
 	// FirstRowTime is when the first batch finished arriving — the paper's
-	// first-tuple cost made observable end to end.
+	// first-tuple cost made observable end to end. Zero for a monolithic
+	// stream, whose one batch is the whole result: there is no first-row
+	// observation apart from ResponseTime.
 	FirstRowTime simclock.Time
 	// WireBytes is the total encoded bytes the result link carried when the
 	// columnar wire protocol was active; 0 on the row protocol.
@@ -89,9 +91,10 @@ type netStream struct {
 }
 
 // openStream ships the execution descriptor and opens the remote cursor.
-// batchRows <= 0 reproduces monolithic execution exactly: one batch, the
-// same Transfer calls, and the same span sequence as the historical
-// store-and-forward path.
+// batchRows <= 0 is monolithic, store-and-forward execution: one batch, so
+// the wrapper-layer span wraps a network.send, a remote.exec and a
+// network.recv whose durations sum exactly to the response time — request
+// transfer + remote service + result transfer.
 func openStream(ctx context.Context, server *remote.Server, topo *network.Topology, plan *remote.Plan, batchRows int) (*netStream, error) {
 	wsp := telemetry.SpanFrom(ctx).Child("wrapper.execute", telemetry.LayerWrapper, server.ID())
 	if wsp != nil {
@@ -199,7 +202,7 @@ func (s *netStream) Next(ctx context.Context) (*StreamBatch, error) {
 		}
 		s.arrive += xfer
 	}
-	if s.seen == 0 {
+	if s.seen == 0 && s.batchRows > 0 {
 		s.firstRow = s.arrive
 	}
 	s.seen++
@@ -229,3 +232,17 @@ func batchWireBytes(b *remote.Batch) int {
 
 // Outcome implements ResultStream.
 func (s *netStream) Outcome() *StreamOutcome { return s.outcome }
+
+// Drain reads a stream to exhaustion, dropping the batch views, and returns
+// its outcome: the fragment's timing and the complete remote result.
+func Drain(ctx context.Context, st ResultStream) (*StreamOutcome, error) {
+	for {
+		b, err := st.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			return st.Outcome(), nil
+		}
+	}
+}

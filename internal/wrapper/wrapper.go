@@ -39,20 +39,6 @@ type Candidate struct {
 	Versions map[string]int64
 }
 
-// ExecOutcome is the wrapper-observed outcome of executing a fragment.
-type ExecOutcome struct {
-	// Result is the remote result (rows + server-side service time).
-	Result *remote.Result
-	// ResponseTime is the wrapper-observed end-to-end time: request
-	// transfer + remote service + result transfer. This is the "response
-	// time of each query fragment" MW records (§2).
-	ResponseTime simclock.Time
-	// WireBytes is the encoded size that actually crossed the result link
-	// when the columnar wire protocol carried it; 0 on the row protocol
-	// (then Result.Rel.ByteSize() is the transferred size).
-	WireBytes int
-}
-
 // Wrapper adapts one remote source.
 type Wrapper interface {
 	// ServerID identifies the wrapped source.
@@ -67,13 +53,11 @@ type Wrapper interface {
 	// tables — a cheap local read (no simulated network traffic) used to
 	// validate cached compilations.
 	TableVersions(tables []string) (map[string]int64, error)
-	// Execute runs an execution descriptor. The context carries cancellation
-	// (a sibling fragment failed) and an optional virtual-time deadline.
-	Execute(ctx context.Context, plan *remote.Plan) (*ExecOutcome, error)
 	// Open runs an execution descriptor as a batch stream: result batches
 	// ship over the network as the server produces them, overlapping remote
-	// compute with transfer. batchRows <= 0 degenerates to one monolithic
-	// batch with Execute's exact timing.
+	// compute with transfer. The context carries cancellation (a sibling
+	// fragment failed) and an optional virtual-time deadline. batchRows <= 0
+	// degenerates to one monolithic batch: store-and-forward timing.
 	Open(ctx context.Context, plan *remote.Plan, batchRows int) (ResultStream, error)
 	// Probe checks source availability end to end (network + server).
 	Probe(ctx context.Context) (simclock.Time, error)
@@ -137,12 +121,11 @@ func (w *Relational) Explain(stmt *sqlparser.SelectStmt) ([]Candidate, error) {
 
 // TableVersions implements Wrapper.
 func (w *Relational) TableVersions(tables []string) (map[string]int64, error) {
-	return serverTableVersions(w.server, tables)
-}
-
-// Execute implements Wrapper.
-func (w *Relational) Execute(ctx context.Context, plan *remote.Plan) (*ExecOutcome, error) {
-	return executeOverNetwork(ctx, w.server, w.topo, plan)
+	versions, ok := w.server.TableVersions(tables)
+	if !ok {
+		return nil, fmt.Errorf("wrapper: %s does not host all of %v", w.server.ID(), tables)
+	}
+	return versions, nil
 }
 
 // Open implements Wrapper.
@@ -150,9 +133,17 @@ func (w *Relational) Open(ctx context.Context, plan *remote.Plan, batchRows int)
 	return openStream(ctx, w.server, w.topo, plan, batchRows)
 }
 
-// Probe implements Wrapper.
+// Probe implements Wrapper: a round trip plus the server's health check.
 func (w *Relational) Probe(ctx context.Context) (simclock.Time, error) {
-	return probeOverNetwork(ctx, w.server, w.topo)
+	rtt, err := w.topo.RoundTrip(ctx, w.server.ID(), 64, 64)
+	if err != nil {
+		return 0, err
+	}
+	st, err := w.server.Probe(ctx)
+	if err != nil {
+		return 0, err
+	}
+	return rtt + st, nil
 }
 
 // CacheResidency reports the server's buffer-pool residency estimate for a
@@ -160,32 +151,6 @@ func (w *Relational) Probe(ctx context.Context) (simclock.Time, error) {
 // interface (sources without a cache model simply don't implement it).
 func (w *Relational) CacheResidency(table string) float64 {
 	return w.server.CacheResidency(table)
-}
-
-// executeOverNetwork ships an execution descriptor to the server and the
-// result back, charging request transfer + remote service + result transfer.
-// It honours context cancellation at each hop and enforces the dispatch's
-// virtual-time deadline (if any) against the end-to-end response time.
-//
-// It is the monolithic (batchRows=0) drain of the streaming path: one
-// batch, so the wrapper-layer span wraps a network.send, a remote.exec and
-// a network.recv, whose durations sum exactly to the response time.
-func executeOverNetwork(ctx context.Context, server *remote.Server, topo *network.Topology, plan *remote.Plan) (*ExecOutcome, error) {
-	st, err := openStream(ctx, server, topo, plan, 0)
-	if err != nil {
-		return nil, err
-	}
-	for {
-		b, err := st.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-	}
-	out := st.Outcome()
-	return &ExecOutcome{Result: out.Result, ResponseTime: out.ResponseTime, WireBytes: out.WireBytes}, nil
 }
 
 // versionSnapshot captures the referenced tables' versions before an
@@ -204,56 +169,21 @@ func versionSnapshot(server *remote.Server, stmt *sqlparser.SelectStmt) map[stri
 	return versions
 }
 
-// serverTableVersions is the shared TableVersions implementation.
-func serverTableVersions(server *remote.Server, tables []string) (map[string]int64, error) {
-	versions, ok := server.TableVersions(tables)
-	if !ok {
-		return nil, fmt.Errorf("wrapper: %s does not host all of %v", server.ID(), tables)
-	}
-	return versions, nil
-}
-
-// probeOverNetwork is the shared availability probe: round trip + server
-// health check.
-func probeOverNetwork(ctx context.Context, server *remote.Server, topo *network.Topology) (simclock.Time, error) {
-	rtt, err := topo.RoundTrip(ctx, server.ID(), 64, 64)
-	if err != nil {
-		return 0, err
-	}
-	st, err := server.Probe(ctx)
-	if err != nil {
-		return 0, err
-	}
-	return rtt + st, nil
-}
-
 // File wraps a file-like source: data can be scanned but the source offers
 // no cost estimation. It is backed by a remote server restricted to
-// sequential access.
+// sequential access, and is a Relational in everything but what it tells the
+// optimizer.
 type File struct {
-	server *remote.Server
-	topo   *network.Topology
+	*Relational
 }
 
 // NewFile builds a file wrapper.
 func NewFile(server *remote.Server, topo *network.Topology) *File {
-	return &File{server: server, topo: topo}
+	return &File{NewRelational(server, topo)}
 }
-
-// ServerID implements Wrapper.
-func (w *File) ServerID() string { return w.server.ID() }
 
 // Kind implements Wrapper.
 func (w *File) Kind() string { return "file" }
-
-// TableSchema implements Wrapper.
-func (w *File) TableSchema(table string) (*sqltypes.Schema, error) {
-	t := w.server.Table(table)
-	if t == nil {
-		return nil, fmt.Errorf("wrapper: %s does not host %q", w.server.ID(), table)
-	}
-	return t.Schema(), nil
-}
 
 // Explain implements Wrapper: it returns a single scan-based plan with NO
 // cost estimate (CostKnown=false, zero Est), like a file path hand-back.
@@ -277,30 +207,4 @@ func (w *File) Explain(stmt *sqlparser.SelectStmt) ([]Candidate, error) {
 	cp := *chosen
 	cp.Est = remote.CostEstimate{}
 	return []Candidate{{Plan: &cp, CostKnown: false, Versions: versions}}, nil
-}
-
-// TableVersions implements Wrapper.
-func (w *File) TableVersions(tables []string) (map[string]int64, error) {
-	return serverTableVersions(w.server, tables)
-}
-
-// Execute implements Wrapper.
-func (w *File) Execute(ctx context.Context, plan *remote.Plan) (*ExecOutcome, error) {
-	return executeOverNetwork(ctx, w.server, w.topo, plan)
-}
-
-// Open implements Wrapper.
-func (w *File) Open(ctx context.Context, plan *remote.Plan, batchRows int) (ResultStream, error) {
-	return openStream(ctx, w.server, w.topo, plan, batchRows)
-}
-
-// Probe implements Wrapper.
-func (w *File) Probe(ctx context.Context) (simclock.Time, error) {
-	return probeOverNetwork(ctx, w.server, w.topo)
-}
-
-// CacheResidency reports the server's buffer-pool residency estimate for a
-// physical table (see Relational.CacheResidency).
-func (w *File) CacheResidency(table string) float64 {
-	return w.server.CacheResidency(table)
 }

@@ -26,6 +26,16 @@ func testSetup(t *testing.T) (*remote.Server, *network.Topology) {
 	return s, topo
 }
 
+// runMono executes a plan store-and-forward: one monolithic batch, drained.
+func runMono(w Wrapper, plan *remote.Plan) (*StreamOutcome, error) {
+	ctx := context.Background()
+	st, err := w.Open(ctx, plan, 0)
+	if err != nil {
+		return nil, err
+	}
+	return Drain(ctx, st)
+}
+
 func TestRelationalExplainIncludesNetworkEstimate(t *testing.T) {
 	s, topo := testSetup(t)
 	w := NewRelational(s, topo)
@@ -58,7 +68,7 @@ func TestRelationalExecuteAddsTransferTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := w.Execute(context.Background(), cands[0].Plan)
+	out, err := runMono(w, cands[0].Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +92,7 @@ func TestRelationalPartitionedLink(t *testing.T) {
 	if _, err := w.Explain(stmt); err == nil {
 		t.Fatal("explain over partition must fail")
 	}
-	_, err = w.Execute(context.Background(), cands[0].Plan)
+	_, err = runMono(w, cands[0].Plan)
 	var pe *network.ErrPartitioned
 	if !errors.As(err, &pe) {
 		t.Fatalf("execute: want partition error, got %v", err)
@@ -138,7 +148,7 @@ func TestFileWrapperNoCost(t *testing.T) {
 	if c.Plan.Est.TotalMS != 0 || c.Plan.Est.Card != 0 {
 		t.Fatalf("estimate must be zeroed: %+v", c.Plan.Est)
 	}
-	out, err := w.Execute(context.Background(), c.Plan)
+	out, err := runMono(w, c.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,8 @@ func slowLinkFederation(t testing.TB) *fedqcc.Federation {
 // path gives a federated query: across scan, join, aggregate and order-by
 // shapes the first row is never later than the response, and on a >=10k-row
 // scan over the slow link it falls strictly inside it. (That streaming beats
-// store-and-forward is pinned where both exist, in package metawrapper.)
+// store-and-forward is pinned in package metawrapper, which can open the same
+// stream at batchRows 0.)
 func TestStreamingFirstRowBeforeResponse(t *testing.T) {
 	queries := []string{
 		"SELECT l.l_orderkey, l.l_price FROM lineitem AS l",                                     // large scan
