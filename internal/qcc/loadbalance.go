@@ -243,18 +243,20 @@ func (lb *LoadBalancer) derive(winner *optimizer.GlobalPlan, mode LBMode) []*opt
 // deriveGlobal implements §4.2: keep the cheapest plan per server set, then
 // rotate over plans within the closeness band of the overall cheapest.
 func (lb *LoadBalancer) deriveGlobal(all []*optimizer.GlobalPlan) []*optimizer.GlobalPlan {
-	cheapestPerSet := map[string]*optimizer.GlobalPlan{}
+	// First-seen order and a stable sort: equal-cost plans rotate in one
+	// reproducible order.
+	at := map[string]int{}
+	var pruned []*optimizer.GlobalPlan
 	for _, p := range all {
 		key := p.ServerSetKey()
-		if cur, ok := cheapestPerSet[key]; !ok || p.TotalEstMS < cur.TotalEstMS {
-			cheapestPerSet[key] = p
+		if i, ok := at[key]; !ok {
+			at[key] = len(pruned)
+			pruned = append(pruned, p)
+		} else if p.TotalEstMS < pruned[i].TotalEstMS {
+			pruned[i] = p
 		}
 	}
-	pruned := make([]*optimizer.GlobalPlan, 0, len(cheapestPerSet))
-	for _, p := range cheapestPerSet {
-		pruned = append(pruned, p)
-	}
-	sort.Slice(pruned, func(i, j int) bool { return pruned[i].TotalEstMS < pruned[j].TotalEstMS })
+	sort.SliceStable(pruned, func(i, j int) bool { return pruned[i].TotalEstMS < pruned[j].TotalEstMS })
 	cheapest := pruned[0].TotalEstMS
 	var set []*optimizer.GlobalPlan
 	for _, p := range pruned {
