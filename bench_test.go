@@ -240,7 +240,7 @@ func BenchmarkAblationCloseness(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				rotations += float64(cal.Rotations())
+				rotations += float64(cal.RoutingStats().Rotations)
 			}
 			b.ReportMetric(rotations/float64(b.N), "rotations")
 		})
@@ -473,9 +473,9 @@ func BenchmarkRuntimeReroute(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			switched, checked := cal.RerouteStats()
-			b.ReportMetric(float64(switched), "switched")
-			b.ReportMetric(float64(checked), "checked")
+			st := cal.RoutingStats()
+			b.ReportMetric(float64(st.RescoreSwitches), "switched")
+			b.ReportMetric(float64(st.RescoreChecks), "checked")
 		})
 	}
 }

@@ -131,8 +131,8 @@ func (b *Builder) AddShardedTable(spec TableSpec, shardColumn string, servers ..
 
 // AddReplicatedTable places an identical replica of the table, generated with
 // the builder's seed, on every named server (the first is the origin) and
-// registers it with exactly the declared server order. Pair it with
-// EnableWeightedRouting so fragments over the table route to the replica
+// registers it with exactly the declared server order. Pair it with the
+// LBWeighted routing mode so fragments over the table route to the replica
 // scoring best. With a single server it degrades to AddGeneratedTable on that
 // server.
 func (b *Builder) AddReplicatedTable(spec TableSpec, servers ...string) *Builder {

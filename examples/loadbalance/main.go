@@ -53,7 +53,7 @@ func main() {
 	fmt.Printf("\nmasking enumeration: %d winners from %d explain runs (paper: 4 runs for Q6)\n",
 		len(masked), runs)
 
-	// 3. Run Q6 repeatedly: the load balancer rotates the near-optimal
+	// 3. Run Q6 repeatedly: the router rotates the near-optimal
 	//    plans, spreading fragments across origins and replicas.
 	counts := map[string]int{}
 	for i := 0; i < 12; i++ {
@@ -65,7 +65,7 @@ func main() {
 			counts[frag+"@"+server]++
 		}
 	}
-	fmt.Printf("\nfragment placements over 12 executions (rotations: %d):\n", cal.Rotations())
+	fmt.Printf("\nfragment placements over 12 executions (rotations: %d):\n", cal.RoutingStats().Rotations)
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
@@ -74,7 +74,7 @@ func main() {
 	for _, k := range keys {
 		fmt.Printf("  %-8s ran %2d times\n", k, counts[k])
 	}
-	if cal.Rotations() == 0 {
+	if cal.RoutingStats().Rotations == 0 {
 		fmt.Println("  (no rotation happened — unexpected)")
 	}
 }

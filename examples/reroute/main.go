@@ -22,14 +22,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Global load balancing with a long refresh interval makes the router
-	// serve CACHED global plans — exactly the staleness the §6 extension
-	// guards against. Runtime rerouting re-checks them at dispatch.
-	cal := fed.EnableQCC(fedqcc.QCCOptions{
-		RuntimeReroute: true,
-		LoadBalance:    fedqcc.LBGlobal,
-		LBCloseness:    1.0, // rotate across all three replicas
-	})
+	// Global rotation makes the router serve CACHED global plans — exactly
+	// the staleness the §6 extension guards against. The dispatch-time
+	// rescore re-checks them. (QCCOptions{LoadBalance, LBCloseness,
+	// RuntimeReroute} sets the same policy at EnableQCC time.)
+	cal := fed.EnableQCC(fedqcc.QCCOptions{})
+	cal.SetRouting(fedqcc.LBGlobal, 1.0 /* rotate across all three replicas */, fedqcc.RouteWeights{}, true)
 
 	res, err := fed.Query(q)
 	if err != nil {
@@ -50,7 +48,7 @@ func main() {
 	fmt.Printf("\n%s is now overloaded (factor %.2f)\n", target, cal.ServerFactor(target))
 
 	// The rotation set was derived while the system was calm, so it still
-	// contains plans bound to the overloaded server. The rerouter inspects
+	// contains plans bound to the overloaded server. The rescore inspects
 	// each cached plan at dispatch and moves the stale ones.
 	for i := 0; i < 3; i++ {
 		res, err = fed.Query(q)
@@ -60,11 +58,11 @@ func main() {
 		fmt.Printf("  cached-plan dispatch ran on %s in %.2fms\n",
 			res.Route["QF1"], float64(res.ResponseTime))
 	}
-	switched, checked := cal.RerouteStats()
-	fmt.Printf("runtime rerouter: %d/%d dispatches switched\n", switched, checked)
+	st := cal.RoutingStats()
+	fmt.Printf("dispatch rescore: %d/%d dispatches switched\n", st.RescoreSwitches, st.RescoreChecks)
 
 	// Hard failure: the compiled target dies between compile and dispatch.
-	// The rerouter saves the execution without a retry loop.
+	// The rescore saves the execution without a retry loop.
 	h.SetDown(true)
 	cal.ProbeNow()
 	res, err = fed.Query(q)

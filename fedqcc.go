@@ -84,8 +84,8 @@ type Federation struct {
 	qcc     *qcc.QCC
 	tel     *telemetry.Telemetry
 	adm     *admission.Controller
-	// routeLog is the shared routing decision log every routing policy
-	// (round-robin load balancer, weighted replica router) records into.
+	// routeLog is the shared routing decision log the route policy and the
+	// ship-mode recorder write into.
 	routeLog *router.DecisionLog
 }
 
@@ -132,9 +132,9 @@ type ReplicatedFederationOptions struct {
 // NewReplicatedFederation builds the replica-routing hotspot scenario: N
 // uniform servers, every sample table registered through
 // catalog.RegisterReplicated on all of them, query-induced load and a
-// buffer-pool residency model. Pair it with EnableQCC plus
-// Calibrator.EnableWeightedRouting to route each fragment to the replica
-// scoring best on load, pressure, cache locality and calibrated latency.
+// buffer-pool residency model. Pair it with EnableQCC and the LBWeighted
+// routing mode to route each fragment to the replica scoring best on load,
+// pressure, cache locality and calibrated latency.
 func NewReplicatedFederation(opts ReplicatedFederationOptions) (*Federation, error) {
 	sc, err := scenario.BuildReplicated(scenario.ReplicatedOptions{
 		Servers: opts.Servers,
@@ -293,8 +293,8 @@ func (f *Federation) PlanCacheStats() PlanCacheStats { return f.ii.PlanCacheStat
 func (f *Federation) SetPlanCacheEnabled(enabled bool) { f.ii.SetPlanCacheEnabled(enabled) }
 
 // SetPlanCacheMaxAge overrides the plan cache's staleness bound in simulated
-// ms (values <= 0 are ignored). EnableQCC re-aligns it with the load
-// balancer's rotation refresh interval.
+// ms (values <= 0 are ignored; default 2000, the age rotation sets are
+// re-derived at). EnableQCC leaves it alone.
 func (f *Federation) SetPlanCacheMaxAge(ms Time) { f.ii.SetPlanCacheMaxAge(ms) }
 
 // ResetCompileCaches drops every cached compilation at both layers — the

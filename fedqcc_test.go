@@ -204,11 +204,12 @@ func TestLoadBalanceViaPublicAPI(t *testing.T) {
 	if len(used) < 2 {
 		t.Fatalf("rotation: %v", used)
 	}
-	if cal.Rotations() == 0 {
+	if cal.RoutingStats().Rotations == 0 {
 		t.Fatal("rotations counter")
 	}
-	if err := cal.SetLoadBalanceMode(fedqcc.LBOff); err != nil {
-		t.Fatal(err)
+	cal.SetRouting(fedqcc.LBOff, 0, fedqcc.RouteWeights{}, false)
+	if cal.RoutingStats() != (fedqcc.RoutingStats{}) {
+		t.Fatal("a new policy starts its stats over")
 	}
 }
 
@@ -498,8 +499,7 @@ func TestRuntimeReroutePublicAPI(t *testing.T) {
 	if _, err := fed.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
 		t.Fatal(err)
 	}
-	_, checked := cal.RerouteStats()
-	if checked == 0 {
+	if cal.RoutingStats().RescoreChecks == 0 {
 		t.Fatal("reroute checks must be counted")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/qcc"
+	"repro/internal/router"
 	"repro/internal/scenario"
 	"repro/internal/sqltypes"
 	"repro/internal/workload"
@@ -49,7 +50,7 @@ func TestDifferentialWithQCCAndLoad(t *testing.T) {
 	qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
 		MW:             sc.MW,
-		LB:             qcc.LBConfig{Mode: qcc.LBGlobal, Closeness: 1.0},
+		Routing:        router.Policy{Mode: router.Global, Closeness: 1.0},
 		DisableDaemons: true,
 	}, sc.II)
 	sc.Servers["S3"].SetLoadLevel(1)

@@ -30,8 +30,6 @@ type Options struct {
 	Instances int
 	// BurstRows is the update-burst size applied to loaded servers.
 	BurstRows int
-	// LB selects QCC's load-distribution mode for the gain study.
-	LB qcc.LBConfig
 	// CalibrationPerFragment toggles per-(server,fragment) factors
 	// (default true; the granularity ablation turns it off).
 	CalibrationPerFragment *bool
@@ -195,7 +193,6 @@ func runQCCPhase(opts Options, phase workload.Phase) (avgMS float64, perType map
 		Clock:          sc.Clock,
 		MW:             sc.MW,
 		Calibration:    qcc.CalibrationConfig{PerFragment: pf, MaxAge: 1e9},
-		LB:             opts.LB,
 		DisableDaemons: true,
 	}, sc.II)
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/remote"
 	"repro/internal/router"
@@ -39,26 +38,18 @@ func LoadBalanceStudy(opts Options, burst int) ([]LBOutcome, error) {
 	if burst <= 0 {
 		burst = 30
 	}
-	modes := []struct {
-		name string
-		mode qcc.LBMode
-	}{
-		{"off", qcc.LBOff},
-		{"fragment", qcc.LBFragment},
-		{"global", qcc.LBGlobal},
-	}
 	var out []LBOutcome
-	for _, m := range modes {
-		o, err := runLBBurst(opts, m.mode, m.name, burst)
+	for _, mode := range []router.Mode{router.Off, router.Fragment, router.Global} {
+		o, err := runLBBurst(opts, mode, burst)
 		if err != nil {
-			return nil, fmt.Errorf("lb study %s: %w", m.name, err)
+			return nil, fmt.Errorf("lb study %s: %w", mode, err)
 		}
 		out = append(out, o)
 	}
 	return out, nil
 }
 
-func runLBBurst(opts Options, mode qcc.LBMode, name string, burst int) (LBOutcome, error) {
+func runLBBurst(opts Options, mode router.Mode, burst int) (LBOutcome, error) {
 	sc, err := scenario.BuildThreeServer(scenario.Options{
 		Scale: opts.Scale,
 		Seed:  opts.Seed,
@@ -71,12 +62,9 @@ func runLBBurst(opts Options, mode qcc.LBMode, name string, burst int) (LBOutcom
 		return LBOutcome{}, err
 	}
 	qcc.Attach(qcc.Config{
-		Clock: sc.Clock,
-		MW:    sc.MW,
-		LB: qcc.LBConfig{
-			Mode:      mode,
-			Closeness: 0.2, // the paper's "within 20%" band
-		},
+		Clock:          sc.Clock,
+		MW:             sc.MW,
+		Routing:        router.Policy{Mode: mode, Closeness: 0.2}, // the paper's "within 20%" band
 		DisableDaemons: true,
 	}, sc.II)
 
@@ -110,7 +98,7 @@ func runLBBurst(opts Options, mode qcc.LBMode, name string, burst int) (LBOutcom
 		maxShare = float64(maxExec) / float64(totalExec)
 	}
 	return LBOutcome{
-		Mode:        name,
+		Mode:        mode.String(),
 		AvgMS:       Mean(times),
 		P95MS:       percentile(times, 0.95),
 		ServersUsed: used,
@@ -165,18 +153,18 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 	if burst <= 0 {
 		burst = 60
 	}
-	rr, err := runWeightedBurst(opts, false, burst)
+	rr, err := runWeightedBurst(opts, "round-robin", router.Policy{Mode: router.Global}, burst)
 	if err != nil {
 		return nil, fmt.Errorf("weighted study round-robin: %w", err)
 	}
-	wt, err := runWeightedBurst(opts, true, burst)
+	wt, err := runWeightedBurst(opts, "weighted", router.Policy{Mode: router.Weighted, Rescore: true}, burst)
 	if err != nil {
 		return nil, fmt.Errorf("weighted study weighted: %w", err)
 	}
 	return []WeightedOutcome{rr, wt}, nil
 }
 
-func runWeightedBurst(opts Options, weighted bool, burst int) (WeightedOutcome, error) {
+func runWeightedBurst(opts Options, policy string, routing router.Policy, burst int) (WeightedOutcome, error) {
 	sc, err := scenario.BuildReplicated(scenario.ReplicatedOptions{
 		Scale: opts.Scale,
 		Seed:  opts.Seed,
@@ -185,31 +173,11 @@ func runWeightedBurst(opts Options, weighted bool, burst int) (WeightedOutcome, 
 		return WeightedOutcome{}, err
 	}
 	q := qcc.Attach(qcc.Config{
-		Clock: sc.Clock,
-		MW:    sc.MW,
-		LB: qcc.LBConfig{
-			Mode:      qcc.LBGlobal,
-			Closeness: 0.2,
-		},
+		Clock:          sc.Clock,
+		MW:             sc.MW,
+		Routing:        routing,
 		DisableDaemons: true,
 	}, sc.II)
-
-	policy := "round-robin"
-	var wr *router.WeightedRouter
-	if weighted {
-		policy = "weighted"
-		opt := sc.II.Optimizer()
-		wr = router.New(router.Config{
-			Signals: q.RouterSignals(),
-			MW:      sc.MW,
-			Assemble: func(winner *optimizer.GlobalPlan, chosen []optimizer.FragmentChoice) *optimizer.GlobalPlan {
-				return opt.AssembleGlobal(winner.Stmt, winner.Decomp, chosen)
-			},
-			Clock: sc.Clock,
-		})
-		sc.II.SetRoute(wr)
-		sc.II.SetRerouter(wr)
-	}
 
 	var times []float64
 	for i := 0; i < burst; i++ {
@@ -247,10 +215,6 @@ func runWeightedBurst(opts Options, weighted bool, burst int) (WeightedOutcome, 
 	if minExec > 0 {
 		ratio = float64(maxExec) / float64(minExec)
 	}
-	var switched int64
-	if wr != nil {
-		switched, _ = wr.Rerouted()
-	}
 	return WeightedOutcome{
 		Policy:      policy,
 		AvgMS:       Mean(times),
@@ -260,7 +224,7 @@ func runWeightedBurst(opts Options, weighted bool, burst int) (WeightedOutcome, 
 		ServersUsed: used,
 		MaxShare:    maxShare,
 		UtilRatio:   ratio,
-		Switched:    switched,
+		Switched:    q.Router.Stats().RescoreSwitches,
 	}, nil
 }
 

@@ -31,11 +31,25 @@ import (
 	"repro/internal/wrapper"
 )
 
-// RoutePolicy lets QCC substitute an alternative global plan for load
-// distribution (§4: the round-robin rotation sets). Implementations return
-// the winner unchanged when no rotation applies.
-type RoutePolicy interface {
+// Router is the II's one routing hook (router.Router implements it; nil
+// means plain cost-based routing).
+type Router interface {
+	// ChooseGlobal may substitute another global plan from the winner's menu
+	// (GlobalPlan.Options) at the end of compilation: §4's load distribution
+	// or a replica choice. It returns the winner unchanged when it has
+	// nothing better.
 	ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan
+	// RerouteFragment is the paper's long-running-query extension
+	// ("periodically re-check the load and switch data sources if needed"):
+	// it is consulted immediately before each fragment dispatches, under the
+	// dispatch context, and may substitute a different (server, plan) choice
+	// when conditions changed since compilation. Nil keeps the compiled
+	// choice.
+	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice
+	// RouteAttrs returns attributes describing the latest routing decision
+	// for a fragment (e.g. a score breakdown), attached to the fragment's
+	// dispatch span. A nil map adds nothing.
+	RouteAttrs(fragID string) map[string]string
 }
 
 // IIMergeObserver receives (estimated, observed) pairs for II-side merge
@@ -43,23 +57,6 @@ type RoutePolicy interface {
 // (§3.2). Nil is allowed.
 type IIMergeObserver interface {
 	ObserveIIMerge(estMS float64, observed simclock.Time)
-}
-
-// RuntimeRerouter implements the paper's long-running-query extension
-// ("periodically re-check the load and switch data sources if needed"): it
-// is consulted immediately before each fragment dispatches, after compile
-// time, and may substitute a different (server, plan) choice when conditions
-// changed since compilation. Returning nil keeps the compiled choice.
-type RuntimeRerouter interface {
-	RerouteFragment(choice optimizer.FragmentChoice) *optimizer.FragmentChoice
-}
-
-// RouteAnnotator is an optional extension a RoutePolicy or RuntimeRerouter
-// may implement: per-fragment attributes describing the routing decision
-// (e.g. the weighted router's score breakdown), attached to the fragment's
-// dispatch span. Nil maps add nothing.
-type RouteAnnotator interface {
-	RouteAttrs(fragID string) map[string]string
 }
 
 // ShipObserver receives each fragment's data-shipping mode after a
@@ -80,15 +77,12 @@ type Config struct {
 	Clock *simclock.Clock
 	// IICalib is QCC's workload calibrator for merge estimates (may be nil).
 	IICalib optimizer.IICalibrator
-	// Route is QCC's load-distribution hook (may be nil).
-	Route RoutePolicy
+	// Router is the route policy (may be nil).
+	Router Router
 	// MergeObs receives II merge observations (may be nil).
 	MergeObs IIMergeObserver
 	// ShipObs receives per-fragment data-shipping modes (may be nil).
 	ShipObs ShipObserver
-	// Reroute, when non-nil, is consulted before each fragment dispatch
-	// (the long-running-query extension).
-	Reroute RuntimeRerouter
 	// Retries is the number of re-optimize attempts after a fragment
 	// execution failure. Nil selects the default (2); point at zero to
 	// disable retries entirely. Negative values are treated as zero.
@@ -240,17 +234,14 @@ func (ii *II) Patroller() *Patroller { return ii.patroller }
 // Clock exposes the shared clock.
 func (ii *II) Clock() *simclock.Clock { return ii.cfg.Clock }
 
-// SetRoute installs or replaces the routing policy.
-func (ii *II) SetRoute(r RoutePolicy) { ii.cfg.Route = r }
+// SetRouter installs or replaces the route policy (nil removes it).
+func (ii *II) SetRouter(r Router) { ii.cfg.Router = r }
 
 // SetMergeObserver installs the II merge observer (QCC's §3.2 input).
 func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.cfg.MergeObs = o }
 
 // SetShipObserver installs the per-fragment ship-mode observer.
 func (ii *II) SetShipObserver(o ShipObserver) { ii.cfg.ShipObs = o }
-
-// SetRerouter installs the runtime fragment rerouter.
-func (ii *II) SetRerouter(r RuntimeRerouter) { ii.cfg.Reroute = r }
 
 // SetIICalibrator installs the II workload calibrator used when costing
 // merge work during optimization.
@@ -276,8 +267,7 @@ func (ii *II) SetAdmission(c *admission.Controller) { ii.cfg.Admission = c }
 func (ii *II) PlanCacheStats() PlanCacheStats { return ii.plans.snapshot() }
 
 // SetPlanCacheMaxAge overrides the cache's staleness bound (values <= 0 are
-// ignored). QCC wiring aligns it with the load balancer's rotation refresh
-// interval so cached routing never outlives a rotation epoch.
+// ignored).
 func (ii *II) SetPlanCacheMaxAge(maxAge simclock.Time) { ii.plans.setMaxAge(maxAge) }
 
 // SetPlanCacheEnabled toggles the federated plan cache at runtime; disabling
@@ -296,8 +286,8 @@ type QueryResult struct {
 	// FragmentTimes maps fragment IDs to observed response times.
 	FragmentTimes map[string]simclock.Time
 	// ExecutedServers maps fragment IDs to the servers that actually ran
-	// them — identical to the plan's routing unless a runtime rerouter
-	// substituted a fragment.
+	// them — identical to the plan's routing unless the router's dispatch
+	// rescore substituted a fragment.
 	ExecutedServers map[string]string
 	// MergeTime is the observed II-side merge time.
 	MergeTime simclock.Time
@@ -432,8 +422,8 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 // finishCompile applies the load-distribution route policy and records the
 // winner — the shared tail of the warm and cold compile paths.
 func (ii *II) finishCompile(gp *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	if ii.cfg.Route != nil {
-		gp = ii.cfg.Route.ChooseGlobal(gp.Query, gp)
+	if ii.cfg.Router != nil {
+		gp = ii.cfg.Router.ChooseGlobal(gp.Query, gp)
 	}
 	ii.explain.Record(gp, ii.cfg.Clock.Now())
 	return gp
@@ -808,9 +798,10 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fctx.Err() != nil {
 				return
 			}
+			rt := ii.cfg.Router
 			rerouted := false
-			if ii.cfg.Reroute != nil {
-				if alt := ii.cfg.Reroute.RerouteFragment(f); alt != nil {
+			if rt != nil {
+				if alt := rt.RerouteFragment(fctx, f); alt != nil {
 					f = *alt
 					rerouted = true
 				}
@@ -827,15 +818,9 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				fspan.SetAttr("rerouted", "true")
 				ii.cfg.Telemetry.Active().Counter("ii.reroutes", f.ServerID).Inc()
 			}
-			// Score-breakdown (or other) routing attributes, when the active
-			// policy exposes them. Checked on the rerouter first (freshest
-			// decision), then the compile-time route policy.
-			for _, p := range []any{ii.cfg.Reroute, ii.cfg.Route} {
-				if ann, ok := p.(RouteAnnotator); ok {
-					for k, v := range ann.RouteAttrs(f.Spec.ID) {
-						fspan.SetAttr(k, v)
-					}
-					break
+			if rt != nil {
+				for k, v := range rt.RouteAttrs(f.Spec.ID) {
+					fspan.SetAttr(k, v)
 				}
 			}
 			// Queue wait is zero in virtual time: the dispatch semaphore bounds

@@ -318,13 +318,13 @@ func TestMergeObserverReceivesPairs(t *testing.T) {
 	_ = fixedMergeObs{}
 }
 
-func TestRoutePolicyOverridesWinner(t *testing.T) {
+func TestRouterOverridesWinner(t *testing.T) {
 	sc := threeServer(t)
-	// A policy that swaps the fragment to a specific server by re-running
-	// enumeration is QCC's job; here we exercise the hook with an identity
-	// policy and confirm the call path.
+	// Picking another plan from the winner's menu is router.Router's job;
+	// here we exercise the hook with an identity pick and confirm the call
+	// path.
 	called := false
-	sc.II.SetRoute(routeFunc(func(q string, w *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	sc.II.SetRouter(routeFunc(func(q string, w *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 		called = true
 		return w
 	}))
@@ -336,12 +336,18 @@ func TestRoutePolicyOverridesWinner(t *testing.T) {
 	}
 }
 
-// routeFunc adapts a func to integrator.RoutePolicy.
+// routeFunc adapts a compile-time pick to integrator.Router.
 type routeFunc func(q string, w *optimizer.GlobalPlan) *optimizer.GlobalPlan
 
 func (f routeFunc) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 	return f(queryText, winner)
 }
+
+func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *optimizer.FragmentChoice {
+	return nil
+}
+
+func (routeFunc) RouteAttrs(string) map[string]string { return nil }
 
 // zeroRetryII builds a second II over the scenario's plumbing with retries
 // disabled — the configuration Config.Retries exists to make expressible.

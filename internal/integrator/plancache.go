@@ -38,8 +38,8 @@ import (
 //   - "mask":    a relevant server's MetaWrapper mask flipped in either
 //     direction — a masked server contributed no candidates, an unmasked one
 //     is missing from the cached candidate sets.
-//   - "stale":   the entry outlived the staleness bound (aligned with the
-//     load balancer's rotation refresh interval by default).
+//   - "stale":   the entry outlived the staleness bound (by default the age
+//     at which the router re-derives its rotation sets).
 //   - "capacity": LRU/variant-bound eviction.
 //   - "clear":   explicit invalidation (Clear).
 //
@@ -64,20 +64,24 @@ type PlanCacheConfig struct {
 	// (FIFO within the entry; default 8).
 	MaxVariants int
 	// MaxAge is the staleness bound in simulated ms: entries older than this
-	// re-compile from scratch. Default 2000, matching the load balancer's
-	// default rotation RefreshInterval; QCC wiring overrides it with the
-	// configured interval.
+	// re-compile from scratch (default DefaultPlanCacheMaxAge).
 	MaxAge simclock.Time
 	// Disabled turns the cache off entirely (every compile is cold).
 	Disabled bool
 }
 
-// DefaultPlanCacheMaxAge matches qcc.LBConfig's default RefreshInterval.
-const DefaultPlanCacheMaxAge = simclock.Time(2000)
+// DefaultPlanCacheMaxAge and DefaultPlanCacheCapacity bound the cache; the
+// router ages and caps its rotation sets by the same two, so a cached
+// compilation never outlives the rotation epoch its routing was derived
+// under.
+const (
+	DefaultPlanCacheMaxAge   = simclock.Time(2000)
+	DefaultPlanCacheCapacity = 512
+)
 
 func (c *PlanCacheConfig) fill() {
 	if c.Capacity <= 0 {
-		c.Capacity = 512
+		c.Capacity = DefaultPlanCacheCapacity
 	}
 	if c.MaxVariants <= 0 {
 		c.MaxVariants = 8

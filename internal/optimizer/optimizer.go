@@ -251,6 +251,23 @@ func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Dec
 		options[i] = opts
 	}
 
+	all := o.AssembleMenu(stmt, decomp, options)
+	if len(all) == 0 {
+		return nil, fmt.Errorf("optimizer: no global plan for %q", stmt.String())
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].TotalEstMS < all[j].TotalEstMS })
+	if topK > 0 && len(all) > topK {
+		all = all[:topK]
+	}
+	return all, nil
+}
+
+// AssembleMenu assembles every combination of a per-fragment menu of
+// calibrated choices into a global plan, in menu order (the first fragment's
+// choice varies slowest), capped at MaxGlobalPlans. Each plan carries the
+// menu as its Options. Enumeration ranks the result; the router derives its
+// rotation sets from a winner's own menu with it.
+func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decomposition, menu [][]FragmentChoice) []*GlobalPlan {
 	maxPlans := o.MaxGlobalPlans
 	if maxPlans <= 0 {
 		maxPlans = 256
@@ -261,25 +278,18 @@ func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Dec
 		if len(all) >= maxPlans {
 			return
 		}
-		if i == len(options) {
+		if i == len(menu) {
 			gp := o.assembleGlobal(stmt, decomp, append([]FragmentChoice(nil), acc...))
-			gp.Options = options
+			gp.Options = menu
 			all = append(all, gp)
 			return
 		}
-		for _, opt := range options[i] {
+		for _, opt := range menu[i] {
 			walk(i+1, append(acc, opt))
 		}
 	}
 	walk(0, nil)
-	if len(all) == 0 {
-		return nil, fmt.Errorf("optimizer: no global plan for %q", stmt.String())
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].TotalEstMS < all[j].TotalEstMS })
-	if topK > 0 && len(all) > topK {
-		all = all[:topK]
-	}
-	return all, nil
+	return all
 }
 
 // AssembleGlobal builds a global plan from an explicit per-fragment choice

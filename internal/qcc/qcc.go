@@ -9,6 +9,7 @@ import (
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
+	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -18,17 +19,15 @@ type Config struct {
 	// Clock is the shared virtual clock.
 	Clock *simclock.Clock
 	// MW is the production meta-wrapper QCC instruments.
-	MW *metawrapper.MetaWrapper
-	// Enumerate produces executable global plans for load distribution;
-	// usually II.Optimizer().Enumerate. Nil disables load balancing.
-	Enumerate EnumerateFunc
-
+	MW           *metawrapper.MetaWrapper
 	Calibration  CalibrationConfig
 	Reliability  ReliabilityConfig
 	Availability AvailabilityConfig
 	Cycle        CycleConfig
-	LB           LBConfig
-	Reroute      RerouteConfig
+	// Routing is the route policy Attach installs in the integrator, and
+	// RouteLog the decision log it writes to (may be nil).
+	Routing  router.Policy
+	RouteLog *router.DecisionLog
 
 	// FileSeedMultiplier scales a probe round-trip into the initial cost
 	// seed for no-estimate (file) sources (default 20).
@@ -58,8 +57,8 @@ type Config struct {
 type CostPolicy func(serverID string, est remote.CostEstimate) remote.CostEstimate
 
 // QCC is the Query Cost Calibrator. It implements metawrapper.Observer,
-// metawrapper.Calibrator, optimizer.IICalibrator, integrator.RoutePolicy
-// (via its LoadBalancer) and integrator.IIMergeObserver.
+// metawrapper.Calibrator, optimizer.IICalibrator and
+// integrator.IIMergeObserver, and feeds the route policy its signals.
 type QCC struct {
 	clock *simclock.Clock
 	mw    *metawrapper.MetaWrapper
@@ -68,9 +67,8 @@ type QCC struct {
 	Rel   *Reliability
 	Avail *Availability
 	Cycle *CycleController
-	LB    *LoadBalancer
-	// Rerouter is non-nil when runtime fragment rerouting is enabled.
-	Rerouter *Rerouter
+	// Router is the route policy SetRouting last installed.
+	Router *router.Router
 
 	fileSeedMultiplier float64
 	queuePressureGain  float64
@@ -145,14 +143,6 @@ func New(cfg Config) *QCC {
 		reg.Gauge("qcc.ii_effective_factor", "").Set(effective)
 		reg.Counter("qcc.publishes", "").Inc()
 	})
-	if cfg.Enumerate != nil {
-		q.LB = NewLoadBalancer(cfg.LB, cfg.Clock, cfg.Enumerate)
-		q.LB.SetTelemetry(cfg.Telemetry)
-	}
-	if cfg.Reroute.Enabled {
-		q.Rerouter = NewRerouter(cfg.Reroute, cfg.MW)
-		q.Rerouter.SetTelemetry(cfg.Telemetry)
-	}
 	if !cfg.DisableDaemons {
 		q.mu.Lock()
 		q.cancels = append(q.cancels,
@@ -169,22 +159,12 @@ func New(cfg Config) *QCC {
 // merge observation and routing. This is the paper's transparent deployment:
 // no optimizer code changes, only the cost surfaces.
 func Attach(cfg Config, ii *integrator.II) *QCC {
-	if cfg.Enumerate == nil && ii != nil {
-		cfg.Enumerate = ii.Optimizer().Enumerate
-	}
 	q := New(cfg)
 	cfg.MW.SetObserver(q)
 	cfg.MW.SetCalibrator(q)
-	if ii != nil {
-		ii.SetIICalibrator(q)
-		ii.SetMergeObserver(q)
-		if q.LB != nil {
-			ii.SetRoute(q.LB)
-		}
-		if q.Rerouter != nil {
-			ii.SetRerouter(q.Rerouter)
-		}
-	}
+	ii.SetIICalibrator(q)
+	ii.SetMergeObserver(q)
+	q.SetRouting(ii, cfg.Routing, cfg.RouteLog)
 	return q
 }
 
@@ -205,19 +185,6 @@ func (q *QCC) Stop() {
 		c()
 	}
 	q.cancels = nil
-}
-
-// PlanRefreshInterval returns the rotation refresh interval the federated
-// plan cache should align its staleness bound with. When load balancing is
-// attached this is the balancer's resolved interval; otherwise it is the
-// same default an attached balancer would have resolved to.
-func (q *QCC) PlanRefreshInterval() simclock.Time {
-	if q.LB != nil {
-		return q.LB.RefreshInterval()
-	}
-	var cfg LBConfig
-	cfg.fill()
-	return cfg.RefreshInterval
 }
 
 // SetCostPolicy installs (or clears, with nil) the business-logic cost
@@ -408,20 +375,22 @@ func (q *QCC) SetDemandSource(src DemandSource) {
 // workload inflation: 1 + gain × depth (1 when no source is installed or the
 // feedback is disabled).
 func (q *QCC) queuePressure() float64 {
-	if q.queuePressureGain <= 0 {
+	depth := q.queueDepth()
+	if q.queuePressureGain <= 0 || depth <= 0 {
 		return 1
 	}
+	return 1 + q.queuePressureGain*float64(depth)
+}
+
+// queueDepth reads the pending-demand feed (0 when none is installed).
+func (q *QCC) queueDepth() int {
 	q.demandMu.RLock()
 	src := q.demand
 	q.demandMu.RUnlock()
 	if src == nil {
-		return 1
+		return 0
 	}
-	depth := src()
-	if depth <= 0 {
-		return 1
-	}
-	return 1 + q.queuePressureGain*float64(depth)
+	return src()
 }
 
 // EffectiveIIFactor is the II workload factor actually applied to merge
@@ -448,6 +417,4 @@ var (
 	_ metawrapper.Calibrator     = (*QCC)(nil)
 	_ optimizer.IICalibrator     = (*QCC)(nil)
 	_ integrator.IIMergeObserver = (*QCC)(nil)
-	_ integrator.RoutePolicy     = (*LoadBalancer)(nil)
-	_ integrator.RuntimeRerouter = (*Rerouter)(nil)
 )

@@ -1,12 +1,29 @@
 package qcc
 
 import (
+	"repro/internal/integrator"
 	"repro/internal/metawrapper"
 	"repro/internal/router"
 )
 
-// RouterSignals exposes QCC's learned state as the signal bundle a
-// router.WeightedRouter scores replicas from: calibration and first-row
+// SetRouting builds the route policy over this QCC's signals — the one place
+// a router.Router is constructed — and installs it as the integrator's
+// router, replacing whatever routed before, rotation state and counters too.
+func (q *QCC) SetRouting(ii *integrator.II, p router.Policy, log *router.DecisionLog) {
+	q.Router = router.New(router.Config{
+		Policy:    p,
+		Signals:   q.RouterSignals(),
+		MW:        q.mw,
+		Optimizer: ii.Optimizer(),
+		Clock:     q.clock,
+		Log:       log,
+		Telemetry: q.tel,
+	})
+	ii.SetRouter(q.Router)
+}
+
+// RouterSignals exposes QCC's learned state as the signal bundle the
+// router scores replicas from: calibration and first-row
 // factors (cpu/load), reliability and fence state plus admission queue depth
 // (memory/pressure), and the meta-wrapper's buffer-pool residency estimates
 // (cache locality). The returned funcs read live state — the router always
@@ -25,15 +42,7 @@ func (q *QCC) RouterSignals() router.Signals {
 		IsFenced: func(serverID string) bool {
 			return q.Avail.IsDown(serverID)
 		},
-		QueueDepth: func() int {
-			q.demandMu.RLock()
-			src := q.demand
-			q.demandMu.RUnlock()
-			if src == nil {
-				return 0
-			}
-			return src()
-		},
+		QueueDepth: q.queueDepth,
 		CacheResidency: func(serverID string, tables []string) float64 {
 			return q.mw.CacheResidency(serverID, tables)
 		},

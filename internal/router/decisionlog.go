@@ -7,8 +7,8 @@ import (
 )
 
 // Decision is one recorded routing decision: which plan/route a policy
-// chose and why. Both the round-robin LoadBalancer and the WeightedRouter
-// feed the same log, so the REPL's \route view shows one merged history.
+// chose and why. Every mode of the Router and the federation's ship-mode
+// recorder feed the same log, so \route shows one merged history.
 type Decision struct {
 	// At is the virtual time of the decision.
 	At simclock.Time

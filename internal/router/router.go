@@ -1,34 +1,55 @@
-// Package router implements score-based weighted replica routing over
-// partially replicated table fragments. Where the paper's load-distribution
-// layer (§4, qcc.LoadBalancer) only rotates near-optimal global plans
-// round-robin, the WeightedRouter scores every candidate replica of every
-// fragment from signals the federation already produces — QCC calibration
-// and first-row factors, reliability and fence state, admission queue depth
-// — plus a per-server cache-locality signal (remote buffer-pool residency),
-// and picks the best replica per dispatch. The score shape follows the
-// Milvus adaptive-routing RFC:
+// Package router holds the federation's one route policy. The optimizer
+// hands every winner over with its menu — GlobalPlan.Options, each fragment's
+// calibrated (server, plan) alternatives — and every routing decision is a
+// pick from that menu: a round-robin rotation over the global plans within a
+// closeness band of the winner (the paper's §4), or per fragment the replica
+// scoring best on the Milvus adaptive-routing RFC's shape
 //
 //	score = cpu·w1 + memory·w2 + cache_locality·w3 + latency·w4
 //
-// Every sub-score lies in [0,1] with higher better. With a single placement
-// per fragment the router is a strict no-op — it returns the optimizer's
-// winner untouched and never consults a signal — so replication-off
-// federations stay bit-identical to the pre-replication engine.
+// with every sub-score in [0,1], higher better. Both rules share one
+// dispatch-time rescore (§6's long-running-query extension), the counters
+// and the decision log. With the mode off, or one placement per fragment, the
+// winner comes back pointer-identical and no signal is consulted.
 package router
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
 
+	"repro/internal/integrator"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
 
-// Weights are the four score-term weights. The defaults follow the Milvus
-// RFC: cpu 0.3, memory 0.2, cache locality 0.3, latency 0.2.
+// Mode selects how ChooseGlobal picks from the winner's menu.
+type Mode int
+
+const (
+	// Off is the identity: the optimizer's winner always runs.
+	Off Mode = iota
+	// Fragment rotates exchangeable fragment plans: identical physical
+	// plans on different servers with close calibrated costs (§4.1).
+	Fragment
+	// Global rotates whole global plans: per-server-set pruning, then round
+	// robin over plans within the closeness band (§4.2).
+	Global
+	// Weighted routes every fragment to its best-scoring replica.
+	Weighted
+)
+
+// String names the mode.
+func (m Mode) String() string {
+	return [...]string{"off", "fragment", "global", "weighted"}[m]
+}
+
+// Weights are the four score-term weights.
 type Weights struct {
 	CPU           float64
 	Memory        float64
@@ -36,13 +57,31 @@ type Weights struct {
 	Latency       float64
 }
 
-// DefaultWeights is the Milvus RFC weighting.
+// DefaultWeights is the Milvus RFC weighting, Weighted's when none is set.
 var DefaultWeights = Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2}
 
-// zero reports whether no weight is set (the config asks for defaults).
-func (w Weights) zero() bool {
-	return w.CPU == 0 && w.Memory == 0 && w.CacheLocality == 0 && w.Latency == 0
-}
+// latencyOnly is what every other mode scores with: the score then orders
+// servers as their calibrated costs do, which is the paper's cost test.
+var latencyOnly = Weights{Latency: 1}
+
+const (
+	// DefaultCloseness is the paper's "within 20%" band.
+	DefaultCloseness = 0.2
+	// maxAlternatives caps a rotation set.
+	maxAlternatives = 4
+	// rotationMaxAge and maxRotations age and cap the per-statement rotation
+	// sets ("the process is repeated periodically as calibrated costs may
+	// change") by the plan cache's bounds.
+	rotationMaxAge = integrator.DefaultPlanCacheMaxAge
+	maxRotations   = integrator.DefaultPlanCacheCapacity
+	// rescoreMargin is the share of the best score the compiled target may
+	// lack before the paper modes move a fragment at dispatch time: switching
+	// has plan-cache and estimate risk, so it takes a clear win.
+	rescoreMargin = 0.25
+	// queuePressureGain converts admission queue depth into memory pressure
+	// (QCC's DefaultQueuePressureGain).
+	queuePressureGain = 0.25
+)
 
 // Signals supplies the per-server inputs the router scores from. Every
 // field is optional: a nil func contributes a neutral value, so the router
@@ -68,29 +107,35 @@ type Signals struct {
 	CacheResidency func(serverID string, tables []string) float64
 }
 
-// Config configures a WeightedRouter.
-type Config struct {
-	// Weights are the score-term weights; all-zero selects DefaultWeights.
+// Policy is everything about routing a caller can set.
+type Policy struct {
+	// Mode selects the pick rule (default Off).
+	Mode Mode
+	// Closeness is the rotation modes' relative cost band (0: DefaultCloseness).
+	Closeness float64
+	// Weights are Weighted's score-term weights; all-zero selects
+	// DefaultWeights. The other modes score latency-only.
 	Weights Weights
-	// QueuePressureGain converts admission queue depth into memory-pressure
-	// (default 0.25, matching QCC's queue-pressure gain).
-	QueuePressureGain float64
-	// DisableDispatchRescore turns off the dispatch-time re-scoring pass
-	// (RerouteFragment); compile-time replica choice still applies.
-	DisableDispatchRescore bool
+	// Rescore turns on the dispatch-time re-check (RerouteFragment).
+	Rescore bool
+}
+
+// Config wires a Router.
+type Config struct {
+	Policy
 	// Signals supplies the scoring inputs.
 	Signals Signals
-	// MW is the meta-wrapper, used to re-explain candidates at dispatch time
-	// with current calibration.
+	// MW re-explains a fragment's candidates at dispatch time.
 	MW *metawrapper.MetaWrapper
-	// Assemble re-derives a global plan's merge/total estimates after the
-	// router swaps fragment choices (wired to the optimizer's
-	// AssembleGlobal).
-	Assemble func(winner *optimizer.GlobalPlan, chosen []optimizer.FragmentChoice) *optimizer.GlobalPlan
-	// Clock timestamps decision-log entries (may be nil).
+	// Optimizer assembles global plans from menu choices, priced as
+	// enumeration prices them.
+	Optimizer *optimizer.Optimizer
+	// Clock ages rotation sets and timestamps decision-log entries.
 	Clock *simclock.Clock
 	// Log receives routing decisions (may be nil).
 	Log *DecisionLog
+	// Telemetry receives score gauges and routing counters (may be nil).
+	Telemetry *telemetry.Telemetry
 }
 
 // Breakdown is one candidate server's score decomposition, kept for span
@@ -110,62 +155,242 @@ func (b Breakdown) String() string {
 		b.ServerID, b.Total, b.CPU, b.Memory, b.Cache, b.Latency)
 }
 
-// WeightedRouter scores candidate replicas per fragment. It implements
-// integrator.RoutePolicy (compile-time replica choice over the winner's
-// per-fragment option menus) and integrator.RuntimeRerouter (dispatch-time
-// re-scoring with current calibration).
-type WeightedRouter struct {
+// Stats counts what the router changed.
+type Stats struct {
+	// Rotations counts queries a rotation moved off the optimizer's winner.
+	Rotations int64
+	// RescoreChecks counts fragments re-checked at dispatch time and
+	// RescoreSwitches those moved to another server.
+	RescoreChecks   int64
+	RescoreSwitches int64
+}
+
+// rotation is one statement's round-robin set.
+type rotation struct {
+	plans     []*optimizer.GlobalPlan
+	idx       int
+	derivedAt simclock.Time
+}
+
+// Router is the route policy: the only implementation of integrator.Router.
+// Its policy is fixed at construction; a policy change installs a new
+// Router, which starts with no rotation state.
+type Router struct {
 	cfg Config
+	// margin is the dispatch rescore's switching threshold for the mode.
+	margin float64
 
-	mu sync.Mutex
-	// lastAttrs holds the most recent per-fragment chosen breakdown, for
-	// span attribute annotation.
+	mu        sync.Mutex
+	rotations map[string]*rotation
+	// lastAttrs holds the latest scored choice per fragment (RouteAttrs).
 	lastAttrs map[string]Breakdown
-	rerouted  int64
-	checked   int64
-	tel       *telemetry.Telemetry
+	stats     Stats
 }
 
-// New builds a WeightedRouter.
-func New(cfg Config) *WeightedRouter {
-	if cfg.Weights.zero() {
-		cfg.Weights = DefaultWeights
+var _ integrator.Router = (*Router)(nil)
+
+// New builds a Router.
+func New(cfg Config) *Router {
+	r := &Router{cfg: cfg, rotations: map[string]*rotation{}, lastAttrs: map[string]Breakdown{}}
+	if r.cfg.Closeness == 0 {
+		r.cfg.Closeness = DefaultCloseness
 	}
-	if cfg.QueuePressureGain == 0 {
-		cfg.QueuePressureGain = 0.25
+	if cfg.Mode != Weighted {
+		r.cfg.Weights = latencyOnly
+		r.margin = rescoreMargin
+	} else if cfg.Weights == (Weights{}) {
+		r.cfg.Weights = DefaultWeights
 	}
-	return &WeightedRouter{cfg: cfg, lastAttrs: map[string]Breakdown{}}
+	return r
 }
 
-// SetTelemetry installs the observability subsystem: per-replica score
-// gauges and replica-choice counters. Nil disables.
-func (r *WeightedRouter) SetTelemetry(t *telemetry.Telemetry) {
+// Stats snapshots the router's counters.
+func (r *Router) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tel = t
+	return r.stats
 }
 
-// Weights returns the resolved weights.
-func (r *WeightedRouter) Weights() Weights { return r.cfg.Weights }
-
-// Rerouted reports dispatch-time switches and checks.
-func (r *WeightedRouter) Rerouted() (switched, checked int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rerouted, r.checked
+// ChooseGlobal implements integrator.Router: the compile-time pick from the
+// winner's menu. Off, a nil winner and a winner without a menu come back
+// pointer-identical.
+func (r *Router) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	if winner == nil || len(winner.Options) != len(winner.Fragments) {
+		return winner
+	}
+	switch r.cfg.Mode {
+	case Fragment, Global:
+		return r.rotate(queryText, winner)
+	case Weighted:
+		return r.argmax(queryText, winner)
+	}
+	return winner
 }
 
-func (r *WeightedRouter) telemetry() *telemetry.Telemetry {
+// rotate returns the next member of the statement's rotation set. A set is
+// re-derived when it has aged out, or when a member runs a fragment on a
+// server the current menu no longer offers (excluded by a retry, fenced by a
+// probe): it must not send a query where the optimizer just refused to.
+func (r *Router) rotate(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	now := r.cfg.Clock.Now()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.tel
+	rot := r.rotations[queryText]
+	if rot == nil || now-rot.derivedAt > rotationMaxAge || !onMenu(rot.plans, winner) {
+		if rot == nil && len(r.rotations) >= maxRotations {
+			r.evictOldest()
+		}
+		rot = &rotation{plans: r.exchangeable(winner), derivedAt: now}
+		r.rotations[queryText] = rot
+	}
+	if len(rot.plans) <= 1 {
+		r.record(now, queryText, winner.RouteKey(), "kept winner (no rotation set)", nil)
+		return winner
+	}
+	pos := rot.idx % len(rot.plans)
+	chosen := rot.plans[pos]
+	rot.idx++
+	if reg := r.cfg.Telemetry.Active(); reg != nil { // the key is built for nothing else
+		reg.Counter("qcc.lb_choices", chosen.ServerSetKey()).Inc()
+	}
+	reason := "winner"
+	if chosen.RouteKey() != winner.RouteKey() {
+		r.stats.Rotations++
+		r.cfg.Telemetry.Active().Counter("qcc.rotations", "").Inc()
+		reason = "rotated off winner"
+	}
+	r.record(now, queryText, chosen.RouteKey(), fmt.Sprintf("round-robin %d/%d (%s)", pos+1, len(rot.plans), reason), nil)
+	return chosen
+}
+
+// onMenu reports whether every fragment of every plan still runs on a server
+// the winner's menu offers for that fragment.
+func onMenu(plans []*optimizer.GlobalPlan, winner *optimizer.GlobalPlan) bool {
+	for _, p := range plans {
+		if len(p.Fragments) != len(winner.Options) {
+			return false
+		}
+		for i, f := range p.Fragments {
+			onServer := func(opt optimizer.FragmentChoice) bool { return opt.ServerID == f.ServerID }
+			if !slices.ContainsFunc(winner.Options[i], onServer) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// evictOldest drops the rotation set derived longest ago (ties by statement
+// text, so the choice never depends on map order).
+func (r *Router) evictOldest() {
+	oldest := ""
+	for q, rot := range r.rotations {
+		if o := r.rotations[oldest]; o == nil || rot.derivedAt < o.derivedAt || (rot.derivedAt == o.derivedAt && q < oldest) {
+			oldest = q
+		}
+	}
+	delete(r.rotations, oldest)
+}
+
+// exchangeable builds the winner's rotation set from its own menu: the
+// combinations within the closeness band of the winner, cheapest first, at
+// most maxAlternatives. Fragment scope (§4.1) combines only the choices that
+// run the winner's physical plan; global scope (§4.2) keeps the cheapest
+// combination per server set. Combinations come in menu order and the sort is
+// stable, so equal-cost plans rotate in one reproducible order.
+func (r *Router) exchangeable(winner *optimizer.GlobalPlan) []*optimizer.GlobalPlan {
+	menu := winner.Options
+	if r.cfg.Mode == Fragment {
+		menu = make([][]optimizer.FragmentChoice, len(winner.Options))
+		for i, opts := range winner.Options {
+			for _, opt := range opts {
+				if opt.Plan.Signature == winner.Fragments[i].Plan.Signature {
+					menu[i] = append(menu[i], opt)
+				}
+			}
+		}
+	}
+	plans := r.cfg.Optimizer.AssembleMenu(winner.Stmt, winner.Decomp, menu)
+	sort.SliceStable(plans, func(i, j int) bool { return plans[i].TotalEstMS < plans[j].TotalEstMS })
+	if r.cfg.Mode == Global {
+		seen := map[string]bool{}
+		plans = slices.DeleteFunc(plans, func(p *optimizer.GlobalPlan) bool {
+			key := p.ServerSetKey()
+			dup := seen[key]
+			seen[key] = true
+			return dup
+		})
+	}
+	n := 0
+	for n < len(plans) && n < maxAlternatives && plans[n].TotalEstMS <= winner.TotalEstMS*(1+r.cfg.Closeness) {
+		plans[n].Options = winner.Options
+		n++
+	}
+	// A copy: the set outlives this call and must not pin every combination.
+	return slices.Clone(plans[:n])
+}
+
+// candidate is one server's representative for a fragment — its cheapest
+// calibrated plan — with its score. The router chooses among SERVERS; within
+// a server it always keeps the cheapest plan, so a single-placement fragment
+// can never have its plan swapped.
+type candidate struct {
+	choice optimizer.FragmentChoice
+	score  Breakdown
+}
+
+// represent collapses a fragment's option list to per-server cheapest
+// representatives in first-seen server order, and returns the minimum
+// calibrated cost for latency normalization.
+func represent(opts []optimizer.FragmentChoice) (reps []candidate, minCost float64) {
+	at := map[string]int{}
+	minCost = math.Inf(1)
+	for _, opt := range opts {
+		cost := opt.Plan.Est.TotalMS
+		if i, ok := at[opt.ServerID]; !ok {
+			at[opt.ServerID] = len(reps)
+			reps = append(reps, candidate{choice: opt})
+		} else if cost < reps[i].choice.Plan.Est.TotalMS {
+			reps[i].choice = opt
+		}
+		if cost < minCost {
+			minCost = cost
+		}
+	}
+	return reps, minCost
+}
+
+// rank scores a fragment's representatives. It returns the scorable ones
+// (fenced and infinite-cost servers are dropped) in first-seen order and the
+// index of the best score (the first of equals; -1 when nothing scored),
+// which also becomes the fragment's span annotation.
+func (r *Router) rank(fragID, sig string, reps []candidate, minCost float64) ([]candidate, int) {
+	scored, best := reps[:0], -1
+	for _, c := range reps {
+		b, ok := r.score(c.choice.ServerID, sig, c.choice.Plan.Tables, c.choice.Plan.Est.TotalMS, minCost)
+		if !ok {
+			continue
+		}
+		c.score = b
+		r.cfg.Telemetry.Active().Gauge("router.score", fragID+"@"+b.ServerID).Set(b.Total)
+		if best < 0 || b.Total > scored[best].score.Total {
+			best = len(scored)
+		}
+		scored = append(scored, c)
+	}
+	if best >= 0 {
+		r.mu.Lock()
+		r.lastAttrs[fragID] = scored[best].score
+		r.mu.Unlock()
+	}
+	return scored, best
 }
 
 // score computes one candidate's breakdown. sig is the fragment's
 // calibration signature, cost the candidate's calibrated total estimate, and
 // minCost the cheapest calibrated estimate among the fragment's candidates
 // (for latency normalization). Fenced servers return ok=false.
-func (r *WeightedRouter) score(serverID, sig string, tables []string, cost, minCost float64) (Breakdown, bool) {
+func (r *Router) score(serverID, sig string, tables []string, cost, minCost float64) (Breakdown, bool) {
 	s := r.cfg.Signals
 	if s.IsFenced != nil && s.IsFenced(serverID) {
 		return Breakdown{}, false
@@ -197,7 +422,7 @@ func (r *WeightedRouter) score(serverID, sig string, tables []string, cost, minC
 		}
 	}
 	if s.QueueDepth != nil {
-		pressure *= 1 + r.cfg.QueuePressureGain*float64(s.QueueDepth())
+		pressure *= 1 + queuePressureGain*float64(s.QueueDepth())
 	}
 	mem := 1 / pressure
 	// Cache locality: mean buffer-pool residency of the fragment's tables.
@@ -222,115 +447,62 @@ func (r *WeightedRouter) score(serverID, sig string, tables []string, cost, minC
 	return b, true
 }
 
-// serverRep is one candidate server's representative choice: its cheapest
-// calibrated plan for the fragment. The router chooses among SERVERS —
-// within a server it always keeps the cheapest plan — so a single-placement
-// fragment can never have its plan swapped.
-type serverRep struct {
-	choice optimizer.FragmentChoice
-	cost   float64
-}
-
-// represent collapses a fragment's option list to per-server cheapest
-// representatives, preserving first-seen server order, and returns the
-// minimum calibrated cost for latency normalization.
-func represent(opts []optimizer.FragmentChoice) (order []string, reps map[string]serverRep, minCost float64) {
-	reps = map[string]serverRep{}
-	minCost = math.Inf(1)
-	for _, opt := range opts {
-		cost := opt.Plan.Est.TotalMS
-		rep, ok := reps[opt.ServerID]
-		if !ok {
-			order = append(order, opt.ServerID)
-			reps[opt.ServerID] = serverRep{choice: opt, cost: cost}
-		} else if cost < rep.cost {
-			reps[opt.ServerID] = serverRep{choice: opt, cost: cost}
-		}
-		if cost < minCost {
-			minCost = cost
-		}
-	}
-	return order, reps, minCost
-}
-
-// ChooseGlobal implements integrator.RoutePolicy: for every fragment with
-// more than one candidate server in the winner's option menu, score the
-// per-server representatives and pick the best. Fragments with a single
-// placement keep the winner's exact choice; if nothing changes, the winner
-// is returned untouched (pointer-identical), preserving bit-identity for
-// replication-off federations.
-func (r *WeightedRouter) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	if winner == nil || len(winner.Options) != len(winner.Fragments) {
-		return winner
-	}
+// argmax is Weighted's compile-time pick: every fragment with more than one
+// candidate server in the menu goes to the best-scoring one. A fragment with
+// a single placement keeps the winner's exact choice, and if nothing changes
+// the winner comes back pointer-identical (replication-off bit-identity).
+func (r *Router) argmax(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 	chosen := make([]optimizer.FragmentChoice, len(winner.Fragments))
 	changed := false
 	var notes []Breakdown
 	for i, f := range winner.Fragments {
 		chosen[i] = f
-		order, reps, minCost := represent(winner.Options[i])
-		if len(order) <= 1 {
+		reps, minCost := represent(winner.Options[i])
+		if len(reps) <= 1 {
 			continue
 		}
-		sig := f.Spec.Sig
-		var best Breakdown
-		bestOK := false
-		for _, serverID := range order {
-			rep := reps[serverID]
-			b, ok := r.score(serverID, sig, rep.choice.Plan.Tables, rep.cost, minCost)
-			if !ok {
-				continue
-			}
-			r.noteScore(f.Spec.ID, b)
-			if !bestOK || b.Total > best.Total {
-				best, bestOK = b, true
-			}
-		}
-		if !bestOK {
+		scored, best := r.rank(f.Spec.ID, f.Spec.Sig, reps, minCost)
+		if best < 0 {
 			continue
 		}
-		notes = append(notes, best)
-		r.mu.Lock()
-		r.lastAttrs[f.Spec.ID] = best
-		r.mu.Unlock()
-		r.telemetry().Active().Counter("router.replica_chosen", best.ServerID).Inc()
-		if best.ServerID != f.ServerID {
-			chosen[i] = reps[best.ServerID].choice
+		pick := scored[best]
+		notes = append(notes, pick.score)
+		r.cfg.Telemetry.Active().Counter("router.replica_chosen", pick.score.ServerID).Inc()
+		if pick.choice.ServerID != f.ServerID {
+			chosen[i] = pick.choice
 			changed = true
 		}
 	}
+	now := r.cfg.Clock.Now()
 	if !changed {
-		r.record(queryText, winner.RouteKey(), "kept winner", notes)
+		r.record(now, queryText, winner.RouteKey(), "kept winner", notes)
 		return winner
 	}
-	out := winner
-	if r.cfg.Assemble != nil {
-		out = r.cfg.Assemble(winner, chosen)
-		out.Options = winner.Options
-	} else {
-		cp := *winner
-		cp.Fragments = chosen
-		out = &cp
-	}
-	r.record(queryText, out.RouteKey(), "replica swap", notes)
+	out := r.cfg.Optimizer.AssembleGlobal(winner.Stmt, winner.Decomp, chosen)
+	out.Options = winner.Options
+	r.record(now, queryText, out.RouteKey(), "replica swap", notes)
 	return out
 }
 
-// RerouteFragment implements integrator.RuntimeRerouter: just before a
-// fragment dispatches, re-explain it on every candidate server with CURRENT
-// calibration (compile time may be stale for queued or cached plans), score
-// the representatives, and switch when another replica now scores best.
-// Single-candidate fragments return nil without consulting anything.
-func (r *WeightedRouter) RerouteFragment(choice optimizer.FragmentChoice) *optimizer.FragmentChoice {
-	if r.cfg.DisableDispatchRescore || r.cfg.MW == nil || len(choice.Spec.Candidates) <= 1 {
+// RerouteFragment implements integrator.Router: just before a fragment
+// dispatches, re-explain it on every candidate server with CURRENT
+// calibration (compile time may be arbitrarily stale for queued or
+// rotation-cached plans) and move it when another server now scores better
+// than the compiled one by the mode's margin — unconditionally when the
+// compiled one is fenced or gone. Single-candidate fragments return nil
+// without consulting anything.
+func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice {
+	if !r.cfg.Rescore || len(choice.Spec.Candidates) <= 1 {
 		return nil
 	}
 	r.mu.Lock()
-	r.checked++
+	r.stats.RescoreChecks++
 	r.mu.Unlock()
+	reg := r.cfg.Telemetry.Active()
+	reg.Counter("qcc.reroute_checks", "").Inc()
 	var opts []optimizer.FragmentChoice
 	for _, serverID := range choice.Spec.Candidates {
-		cands, err := r.cfg.MW.ExplainFragment(serverID, choice.Spec.Stmt)
+		cands, err := r.cfg.MW.ExplainKeyed(ctx, metawrapper.FragmentKey{ServerID: serverID, Signature: choice.Spec.Sig}, choice.Spec.Stmt)
 		if err != nil {
 			continue
 		}
@@ -344,46 +516,29 @@ func (r *WeightedRouter) RerouteFragment(choice optimizer.FragmentChoice) *optim
 			})
 		}
 	}
-	order, reps, minCost := represent(opts)
-	if len(order) == 0 {
+	reps, minCost := represent(opts)
+	scored, best := r.rank(choice.Spec.ID, choice.Spec.Sig, reps, minCost)
+	if best < 0 || scored[best].choice.ServerID == choice.ServerID {
 		return nil
 	}
-	sig := choice.Spec.Sig
-	var best Breakdown
-	bestOK := false
-	for _, serverID := range order {
-		rep := reps[serverID]
-		b, ok := r.score(serverID, sig, rep.choice.Plan.Tables, rep.cost, minCost)
-		if !ok {
-			continue
-		}
-		r.noteScore(choice.Spec.ID, b)
-		if !bestOK || b.Total > best.Total {
-			best, bestOK = b, true
+	pick := scored[best]
+	for _, c := range scored {
+		if c.choice.ServerID == choice.ServerID && c.score.Total > pick.score.Total*(1-r.margin) {
+			return nil
 		}
 	}
-	if !bestOK {
-		return nil
-	}
 	r.mu.Lock()
-	r.lastAttrs[choice.Spec.ID] = best
+	r.stats.RescoreSwitches++
 	r.mu.Unlock()
-	if best.ServerID == choice.ServerID {
-		return nil
-	}
-	r.mu.Lock()
-	r.rerouted++
-	r.mu.Unlock()
-	r.telemetry().Active().Counter("router.reroutes", best.ServerID).Inc()
-	r.record("", choice.Spec.ID+"@"+best.ServerID,
-		fmt.Sprintf("dispatch rescore from %s", choice.ServerID), []Breakdown{best})
-	swapped := reps[best.ServerID].choice
-	return &swapped
+	reg.Counter("qcc.reroute_switches", pick.score.ServerID).Inc()
+	r.record(r.cfg.Clock.Now(), "", choice.Spec.ID+"@"+pick.score.ServerID,
+		fmt.Sprintf("dispatch rescore from %s", choice.ServerID), []Breakdown{pick.score})
+	return &pick.choice
 }
 
-// RouteAttrs implements integrator.RouteAnnotator: the score breakdown of
-// the most recent choice for a fragment, as span attributes.
-func (r *WeightedRouter) RouteAttrs(fragID string) map[string]string {
+// RouteAttrs implements integrator.Router: the score breakdown of the most
+// recent scored choice for a fragment, as span attributes.
+func (r *Router) RouteAttrs(fragID string) map[string]string {
 	r.mu.Lock()
 	b, ok := r.lastAttrs[fragID]
 	r.mu.Unlock()
@@ -399,28 +554,20 @@ func (r *WeightedRouter) RouteAttrs(fragID string) map[string]string {
 	}
 }
 
-// noteScore publishes one candidate's score gauge.
-func (r *WeightedRouter) noteScore(fragID string, b Breakdown) {
-	r.telemetry().Active().Gauge("router.score", fragID+"@"+b.ServerID).Set(b.Total)
-}
-
-// record appends to the decision log (nil-safe).
-func (r *WeightedRouter) record(query, route, reason string, notes []Breakdown) {
+// record appends to the decision log (nil-safe) under the mode's policy
+// label: "weighted", or "lb" for the paper's policies.
+func (r *Router) record(at simclock.Time, query, route, reason string, notes []Breakdown) {
 	if r.cfg.Log == nil {
 		return
 	}
-	var at simclock.Time
-	if r.cfg.Clock != nil {
-		at = r.cfg.Clock.Now()
+	policy := "lb"
+	if r.cfg.Mode == Weighted {
+		policy = "weighted"
 	}
-	detail := reason
-	for i, b := range notes {
-		if i == 0 {
-			detail += ": "
-		} else {
-			detail += " "
-		}
-		detail += b.String()
+	sep := ": "
+	for _, b := range notes {
+		reason += sep + b.String()
+		sep = " "
 	}
-	r.cfg.Log.Record(Decision{At: at, Query: query, Policy: "weighted", Route: route, Reason: detail})
+	r.cfg.Log.Record(Decision{At: at, Query: query, Policy: policy, Route: route, Reason: reason})
 }

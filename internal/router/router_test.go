@@ -1,17 +1,83 @@
 package router
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
+	"repro/internal/simclock"
+	"repro/internal/sqlparser"
+	"repro/internal/wrapper"
 )
 
 func choice(server string, totalMS float64) optimizer.FragmentChoice {
 	return optimizer.FragmentChoice{
 		ServerID: server,
-		Plan:     &remote.Plan{ServerID: server, Est: remote.CostEstimate{TotalMS: totalMS}},
+		Plan:     &remote.Plan{ServerID: server, Signature: "scan", Est: remote.CostEstimate{TotalMS: totalMS}},
+	}
+}
+
+// sigChoice is choice with an explicit physical-plan signature.
+func sigChoice(server, sig string, totalMS float64) optimizer.FragmentChoice {
+	c := choice(server, totalMS)
+	c.Plan.Signature = sig
+	return c
+}
+
+// testRouter builds a router over a bare optimizer (no II node: the merge
+// of a single-fragment plan is free, so a plan's total is its fragment's).
+func testRouter(p Policy) *Router {
+	return New(Config{Policy: p, Optimizer: &optimizer.Optimizer{}, Clock: simclock.New()})
+}
+
+// winnerOver builds the optimizer's winner for a one-fragment statement
+// whose menu is opts: the cheapest option, first of equals.
+func winnerOver(t *testing.T, opts ...optimizer.FragmentChoice) *optimizer.GlobalPlan {
+	t.Helper()
+	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := &optimizer.FragmentSpec{ID: "QF1", Sig: "sig", Stmt: stmt}
+	for i := range opts {
+		opts[i].Spec = spec
+	}
+	best := opts[0]
+	for _, o := range opts {
+		if o.Plan.Est.TotalMS < best.Plan.Est.TotalMS {
+			best = o
+		}
+	}
+	return &optimizer.GlobalPlan{
+		Query:      stmt.String(),
+		Stmt:       stmt,
+		Decomp:     &optimizer.Decomposition{Stmt: stmt, SingleFragment: true},
+		Fragments:  []optimizer.FragmentChoice{best},
+		TotalEstMS: best.Plan.Est.TotalMS,
+		Options:    [][]optimizer.FragmentChoice{opts},
+	}
+}
+
+// servers drives n compilations of one statement through the router and
+// returns the server sequence.
+func servers(r *Router, winner *optimizer.GlobalPlan, n int) string {
+	var seq []string
+	for i := 0; i < n; i++ {
+		seq = append(seq, r.ChooseGlobal(winner.Query, winner).Fragments[0].ServerID)
+	}
+	return strings.Join(seq, " ")
+}
+
+func TestModeString(t *testing.T) {
+	for m, want := range map[Mode]string{Off: "off", Fragment: "fragment", Global: "global", Weighted: "weighted"} {
+		if m.String() != want {
+			t.Errorf("Mode(%d).String() = %q, want %q", m, m.String(), want)
+		}
 	}
 }
 
@@ -22,15 +88,15 @@ func TestRepresentKeepsCheapestPerServer(t *testing.T) {
 		choice("S1", 10), // cheaper S1 plan listed later
 		choice("S2", 40),
 	}
-	order, reps, minCost := represent(opts)
-	if len(order) != 2 || order[0] != "S1" || order[1] != "S2" {
-		t.Fatalf("order = %v, want [S1 S2] (first-seen)", order)
+	reps, minCost := represent(opts)
+	if len(reps) != 2 || reps[0].choice.ServerID != "S1" || reps[1].choice.ServerID != "S2" {
+		t.Fatalf("representatives = %+v, want S1 then S2 (first-seen)", reps)
 	}
-	if reps["S1"].cost != 10 {
-		t.Errorf("S1 representative cost = %v, want the cheapest plan (10)", reps["S1"].cost)
+	if got := reps[0].choice.Plan.Est.TotalMS; got != 10 {
+		t.Errorf("S1 representative cost = %v, want the cheapest plan (10)", got)
 	}
-	if reps["S2"].cost != 20 {
-		t.Errorf("S2 representative cost = %v, want 20", reps["S2"].cost)
+	if got := reps[1].choice.Plan.Est.TotalMS; got != 20 {
+		t.Errorf("S2 representative cost = %v, want 20", got)
 	}
 	if minCost != 10 {
 		t.Errorf("minCost = %v, want 10", minCost)
@@ -39,7 +105,7 @@ func TestRepresentKeepsCheapestPerServer(t *testing.T) {
 
 func TestScoreBreakdown(t *testing.T) {
 	r := New(Config{
-		Weights: Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2},
+		Policy: Policy{Mode: Weighted, Weights: Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2}},
 		Signals: Signals{
 			FragmentFactor: func(serverID, sig string) float64 { return 2 }, // cpu = 0.5
 			Reliability:    func(serverID string) float64 { return 1.25 },   // pressure base
@@ -85,42 +151,214 @@ func TestScoreSkipsFencedAndInfinite(t *testing.T) {
 	}
 }
 
+// TestNewDefaults: the paper's modes rank by calibrated cost alone and take
+// the 25% margin whatever weights they are handed; Weighted takes its
+// weights as given, the Milvus defaults when none is set, and no margin.
 func TestNewDefaults(t *testing.T) {
-	r := New(Config{})
-	if r.Weights() != DefaultWeights {
-		t.Errorf("zero weights resolved to %+v, want DefaultWeights %+v", r.Weights(), DefaultWeights)
-	}
-	if r.cfg.QueuePressureGain != 0.25 {
-		t.Errorf("queue pressure gain = %v, want 0.25", r.cfg.QueuePressureGain)
-	}
-	// Explicit weights are kept as-is, including latency-only.
-	r2 := New(Config{Weights: Weights{Latency: 1}})
-	if r2.Weights() != (Weights{Latency: 1}) {
-		t.Errorf("explicit weights altered: %+v", r2.Weights())
+	custom := Weights{CPU: 1}
+	for _, tc := range []struct {
+		policy      Policy
+		wantWeights Weights
+		wantMargin  float64
+	}{
+		{Policy{}, latencyOnly, rescoreMargin},
+		{Policy{Mode: Global, Weights: custom}, latencyOnly, rescoreMargin},
+		{Policy{Mode: Fragment}, latencyOnly, rescoreMargin},
+		{Policy{Mode: Weighted}, DefaultWeights, 0},
+		{Policy{Mode: Weighted, Weights: custom}, custom, 0},
+		{Policy{Mode: Weighted, Weights: latencyOnly}, latencyOnly, 0},
+	} {
+		r := New(Config{Policy: tc.policy})
+		if r.cfg.Weights != tc.wantWeights || r.margin != tc.wantMargin {
+			t.Errorf("%+v resolved to weights %+v margin %v, want %+v and %v",
+				tc.policy, r.cfg.Weights, r.margin, tc.wantWeights, tc.wantMargin)
+		}
+		if r.cfg.Closeness == 0 {
+			t.Errorf("%+v: closeness not defaulted", tc.policy)
+		}
 	}
 }
 
+// TestChooseGlobalGuards: a nil winner, a winner without a menu, and any
+// winner under Off come back pointer-identical.
 func TestChooseGlobalGuards(t *testing.T) {
-	r := New(Config{})
-	if got := r.ChooseGlobal("q", nil); got != nil {
-		t.Error("nil winner not passed through")
+	noMenu := &optimizer.GlobalPlan{Fragments: []optimizer.FragmentChoice{choice("S1", 10)}}
+	for _, mode := range []Mode{Off, Fragment, Global, Weighted} {
+		r := testRouter(Policy{Mode: mode})
+		if got := r.ChooseGlobal("q", nil); got != nil {
+			t.Errorf("%s: nil winner not passed through", mode)
+		}
+		if got := r.ChooseGlobal("q", noMenu); got != noMenu {
+			t.Errorf("%s: winner without options was not returned untouched", mode)
+		}
 	}
-	// A winner whose Options are absent (pre-replication plan shape) must be
-	// returned pointer-identical.
-	winner := &optimizer.GlobalPlan{Fragments: []optimizer.FragmentChoice{choice("S1", 10)}}
-	if got := r.ChooseGlobal("q", winner); got != winner {
-		t.Error("winner without options was not returned untouched")
+	tied := winnerOver(t, choice("S1", 10), choice("S2", 10), choice("S3", 10))
+	off := testRouter(Policy{Mode: Off, Closeness: 3})
+	for i := 0; i < 4; i++ {
+		if got := off.ChooseGlobal(tied.Query, tied); got != tied {
+			t.Fatal("Off did not return the winner pointer-identical")
+		}
+	}
+	if off.Stats() != (Stats{}) {
+		t.Errorf("Off counted %+v", off.Stats())
+	}
+}
+
+// TestRotationSets covers what the rotation modes build from a menu and in
+// which order they walk it.
+func TestRotationSets(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		policy    Policy
+		menu      []optimizer.FragmentChoice
+		want      string
+		rotations int64 // queries moved off the winner
+	}{
+		{"global rotates across servers, cheapest first",
+			Policy{Mode: Global, Closeness: 3}, []optimizer.FragmentChoice{choice("S1", 12), choice("S2", 10), choice("S3", 11)},
+			"S2 S3 S1 S2 S3 S1", 4},
+		{"equal costs rotate in menu order",
+			Policy{Mode: Global}, []optimizer.FragmentChoice{choice("S3", 10), choice("S1", 10), choice("S2", 10)},
+			"S3 S1 S2 S3 S1 S2", 4},
+		{"tight closeness pins the cheapest",
+			Policy{Mode: Global, Closeness: 0.0001}, []optimizer.FragmentChoice{choice("S1", 12), choice("S2", 10), choice("S3", 11)},
+			"S2 S2 S2 S2 S2 S2", 0},
+		{"default band is the paper's 20%",
+			Policy{Mode: Global}, []optimizer.FragmentChoice{choice("S1", 10), choice("S2", 11.9), choice("S3", 12.1)},
+			"S1 S2 S1 S2 S1 S2", 3},
+		{"global keeps the cheapest plan per server set",
+			Policy{Mode: Global, Closeness: 3}, []optimizer.FragmentChoice{sigChoice("S1", "scan", 12), sigChoice("S1", "index", 10), choice("S2", 11)},
+			"S1 S2 S1 S2 S1 S2", 3},
+		{"fragment scope requires the winner's physical plan",
+			Policy{Mode: Fragment, Closeness: 3}, []optimizer.FragmentChoice{sigChoice("S1", "index", 10), sigChoice("S2", "scan", 10.5), sigChoice("S3", "index", 11)},
+			"S1 S3 S1 S3 S1 S3", 3},
+		{"fragment scope without a twin keeps the winner",
+			Policy{Mode: Fragment, Closeness: 3}, []optimizer.FragmentChoice{sigChoice("S1", "index", 10), sigChoice("S2", "scan", 10.5)},
+			"S1 S1 S1 S1 S1 S1", 0},
+		{"a set holds at most four",
+			Policy{Mode: Global, Closeness: 3}, []optimizer.FragmentChoice{choice("S1", 10), choice("S2", 11), choice("S3", 12), choice("S4", 13), choice("S5", 14)},
+			"S1 S2 S3 S4 S1 S2", 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := testRouter(tc.policy)
+			if got := servers(r, winnerOver(t, tc.menu...), 6); got != tc.want {
+				t.Errorf("server sequence = %s, want %s", got, tc.want)
+			}
+			if got := r.Stats().Rotations; got != tc.rotations {
+				t.Errorf("rotations = %d, want %d", got, tc.rotations)
+			}
+		})
+	}
+}
+
+// TestRotationDropsMembersOffTheMenu: a cached set is only as good as the
+// menu it came from. When the next winner's menu no longer offers a member's
+// server (the retry loop excluded it, a probe fenced it), the set is
+// re-derived before anything is picked from it; when the server returns,
+// the set's age brings it back.
+func TestRotationDropsMembersOffTheMenu(t *testing.T) {
+	r := testRouter(Policy{Mode: Global, Closeness: 3})
+	all := winnerOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 12))
+	if got := servers(r, all, 2); got != "S1 S2" {
+		t.Fatalf("warm-up sequence = %s", got)
+	}
+	withoutS3 := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	if got := servers(r, withoutS3, 4); got != "S1 S2 S1 S2" {
+		t.Errorf("with S3 off the menu the sequence = %s, want S1 S2 S1 S2", got)
+	}
+	r.cfg.Clock.Advance(rotationMaxAge + 1)
+	if got := servers(r, all, 3); got != "S1 S2 S3" {
+		t.Errorf("after the set aged out the sequence = %s, want S1 S2 S3", got)
+	}
+}
+
+// TestRotationMapIsBounded: one set per statement text, capped like the plan
+// cache, evicting the set derived longest ago.
+func TestRotationMapIsBounded(t *testing.T) {
+	r := testRouter(Policy{Mode: Global, Closeness: 3})
+	w := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	for i := 0; i < 2000; i++ {
+		r.cfg.Clock.Advance(1)
+		r.ChooseGlobal(fmt.Sprintf("q%04d", i), w)
+	}
+	if len(r.rotations) != maxRotations {
+		t.Fatalf("%d rotation sets after 2000 statement texts, want the cap %d", len(r.rotations), maxRotations)
+	}
+	if r.rotations["q1999"] == nil || r.rotations[fmt.Sprintf("q%04d", 2000-maxRotations)] == nil {
+		t.Error("the most recent sets were evicted")
+	}
+	if r.rotations[fmt.Sprintf("q%04d", 2000-maxRotations-1)] != nil {
+		t.Error("an older set survived past the cap")
+	}
+}
+
+// fixedCost is a wrapper whose Explain offers one plan at a fixed estimate.
+type fixedCost struct {
+	wrapper.Wrapper
+	id   string
+	cost float64
+}
+
+func (w fixedCost) ServerID() string { return w.id }
+
+func (w fixedCost) Explain(*sqlparser.SelectStmt) ([]wrapper.Candidate, error) {
+	est := remote.CostEstimate{TotalMS: w.cost}
+	return []wrapper.Candidate{{Plan: &remote.Plan{ServerID: w.id, Est: est}, RawEst: est, CostKnown: true}}, nil
+}
+
+// TestDispatchRescore covers the one dispatch-time re-check: the fragment
+// was compiled for S1; what S1 and S2 cost NOW decides.
+func TestDispatchRescore(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		policy   Policy
+		s1, s2   float64
+		fenced   string
+		want     string // "" = keep the compiled choice
+		checked  int64
+		switched int64
+	}{
+		{"disabled is inert", Policy{Mode: Global}, 10, 1, "", "", 0, 0},
+		{"still best keeps the choice", Policy{Rescore: true}, 10, 12, "", "", 1, 0},
+		{"a 20% win is inside the 25% margin", Policy{Rescore: true}, 10, 8, "", "", 1, 0},
+		{"a 30% win switches", Policy{Rescore: true}, 10, 7, "", "S2", 1, 1},
+		{"rotation modes share the margin", Policy{Mode: Fragment, Rescore: true}, 10, 8, "", "", 1, 0},
+		{"a fenced target switches unconditionally", Policy{Rescore: true}, 10, 50, "S1", "S2", 1, 1},
+		{"weighted switches on any better score", Policy{Mode: Weighted, Weights: latencyOnly, Rescore: true}, 10, 9.5, "", "S2", 1, 1},
+		{"weighted keeps an equal score", Policy{Mode: Weighted, Weights: latencyOnly, Rescore: true}, 10, 10, "", "", 1, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := New(Config{
+				Policy:  tc.policy,
+				Signals: Signals{IsFenced: func(id string) bool { return id == tc.fenced }},
+				MW:      metawrapper.New(fixedCost{id: "S1", cost: tc.s1}, fixedCost{id: "S2", cost: tc.s2}),
+				Clock:   simclock.New(),
+			})
+			compiled := choice("S1", 10)
+			compiled.Spec = winnerOver(t, compiled).Fragments[0].Spec
+			compiled.Spec.Candidates = []string{"S1", "S2"}
+			got := ""
+			if alt := r.RerouteFragment(context.Background(), compiled); alt != nil {
+				got = alt.ServerID
+			}
+			if got != tc.want {
+				t.Errorf("rerouted to %q, want %q", got, tc.want)
+			}
+			if st := r.Stats(); st.RescoreChecks != tc.checked || st.RescoreSwitches != tc.switched {
+				t.Errorf("stats = %+v, want %d checks and %d switches", st, tc.checked, tc.switched)
+			}
+		})
 	}
 }
 
 func TestRerouteFragmentSingleCandidateNoop(t *testing.T) {
-	r := New(Config{})
+	r := New(Config{Policy: Policy{Mode: Weighted, Rescore: true}})
 	c := choice("S1", 10)
 	c.Spec = &optimizer.FragmentSpec{ID: "f1", Candidates: []string{"S1"}}
-	if got := r.RerouteFragment(c); got != nil {
+	if got := r.RerouteFragment(context.Background(), c); got != nil {
 		t.Error("single-candidate fragment was rerouted")
 	}
-	if _, checked := r.Rerouted(); checked != 0 {
+	if r.Stats().RescoreChecks != 0 {
 		t.Error("single-candidate fragment counted as a rescore check")
 	}
 }

@@ -1,26 +1,47 @@
 package fedqcc
 
 import (
-	"fmt"
-
 	"repro/internal/qcc"
 	"repro/internal/remote"
+	"repro/internal/router"
 	"repro/internal/scenario"
 	"repro/internal/simclock"
 )
 
-// LBMode selects QCC's load-distribution level.
-type LBMode = qcc.LBMode
+// LBMode selects how the route policy picks among a query's alternatives.
+type LBMode = router.Mode
 
-// Load-distribution modes.
+// Routing modes.
 const (
-	// LBOff disables plan rotation.
-	LBOff = qcc.LBOff
+	// LBOff runs the optimizer's cheapest plan.
+	LBOff = router.Off
 	// LBFragment rotates identical fragment plans across replicas (§4.1).
-	LBFragment = qcc.LBFragment
+	LBFragment = router.Fragment
 	// LBGlobal rotates near-optimal global plans (§4.2).
-	LBGlobal = qcc.LBGlobal
+	LBGlobal = router.Global
+	// LBWeighted routes every fragment with more than one candidate replica
+	// to the server scoring best on
+	//
+	//	score = cpu·w1 + memory·w2 + cache_locality·w3 + latency·w4
+	//
+	// fed by QCC's live signals (calibration and first-row factors,
+	// reliability and fence state, admission queue depth) and the remote
+	// servers' buffer-pool residency estimates. With a single placement per
+	// fragment it never alters a plan, so replication-off federations stay
+	// bit-identical.
+	LBWeighted = router.Weighted
 )
+
+// RouteWeights are LBWeighted's score-term weights: calibration inflation
+// (CPU), reliability and queue pressure (Memory), buffer-pool residency
+// (CacheLocality) and normalized calibrated cost (Latency). All-zero selects
+// the Milvus RFC defaults (0.3, 0.2, 0.3, 0.2).
+type RouteWeights = router.Weights
+
+// RoutingStats counts what the route policy changed: queries a rotation
+// moved off the cheapest plan, and fragments re-checked and switched at
+// dispatch time.
+type RoutingStats = router.Stats
 
 // QCCOptions tunes the calibrator.
 type QCCOptions struct {
@@ -41,19 +62,15 @@ type QCCOptions struct {
 	RecalibrationMS float64
 	// FixedCycle disables §3.4's dynamic cycle adjustment.
 	FixedCycle bool
-	// LoadBalance selects the §4 load-distribution mode (default off).
+	// LoadBalance selects the routing mode (default off); LBWeighted scores
+	// with the default weights. Calibrator.SetRouting changes it later.
 	LoadBalance LBMode
 	// LBCloseness is the §4 closeness band (default 0.2 = "within 20%").
 	LBCloseness float64
-	// LBWorkloadThreshold gates balancing by workload (cost × frequency).
-	LBWorkloadThreshold float64
 	// RuntimeReroute enables the long-running-query extension: fragments
 	// re-check calibrated costs immediately before dispatch and switch
 	// sources when conditions changed since compilation.
 	RuntimeReroute bool
-	// RerouteImprovement is the minimum fractional win required to switch
-	// (default 0.25).
-	RerouteImprovement float64
 	// QueuePressureGain scales admission queue depth into the II workload
 	// factor (effective factor = published × (1 + gain × depth)), letting
 	// routing see integrator pressure before execution saturates. 0 selects
@@ -92,15 +109,14 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 			Initial: simclock.Time(opts.RecalibrationMS),
 			Dynamic: !opts.FixedCycle,
 		},
-		LB: qcc.LBConfig{
-			Mode:              opts.LoadBalance,
-			Closeness:         opts.LBCloseness,
-			WorkloadThreshold: opts.LBWorkloadThreshold,
+		Routing: router.Policy{
+			Mode:      opts.LoadBalance,
+			Closeness: opts.LBCloseness,
+			Rescore:   opts.RuntimeReroute,
 		},
-		Reroute: qcc.RerouteConfig{
-			Enabled:     opts.RuntimeReroute,
-			Improvement: opts.RerouteImprovement,
-		},
+		// Routing decisions land in the federation's shared decision log
+		// (the REPL's \route view).
+		RouteLog:          f.routeLog,
 		DisableDaemons:    opts.DisableDaemons,
 		Telemetry:         f.tel,
 		QueuePressureGain: opts.QueuePressureGain,
@@ -109,15 +125,6 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 	// Queued admission demand feeds the II workload factor: pressure is
 	// visible to routing while the backlog is still waiting to execute.
 	f.qcc.SetDemandSource(f.adm.QueueDepth)
-	// Routing decisions from the load balancer land in the federation's
-	// shared decision log (the REPL's \route view).
-	if f.qcc.LB != nil {
-		f.qcc.LB.SetDecisionLog(f.routeLog)
-	}
-	// Align the federated plan cache's staleness bound with the load
-	// balancer's rotation refresh interval: a cached compilation never
-	// outlives the rotation epoch its routing was derived under.
-	f.ii.SetPlanCacheMaxAge(f.qcc.PlanRefreshInterval())
 	return &Calibrator{q: f.qcc, fed: f}
 }
 
@@ -126,7 +133,7 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 func (f *Federation) DisableQCC() {
 	if f.qcc != nil {
 		f.qcc.Detach()
-		f.ii.SetRoute(nil)
+		f.ii.SetRouter(nil)
 		f.ii.SetIICalibrator(nil)
 		f.ii.SetMergeObserver(nil)
 		f.qcc = nil
@@ -176,31 +183,17 @@ func (c *Calibrator) StatsSnapshot() QCCStats { return c.q.StatsSnapshot() }
 // positional values.
 func (c *Calibrator) Stats() (compiles, runs, errors int64) { return c.q.Stats() }
 
-// Rotations reports how often load distribution substituted an alternative
-// plan.
-func (c *Calibrator) Rotations() int {
-	if c.q.LB == nil {
-		return 0
-	}
-	return c.q.LB.Rotations()
-}
+// RoutingStats reports what the current route policy changed; SetRouting
+// starts it from zero.
+func (c *Calibrator) RoutingStats() RoutingStats { return c.q.Router.Stats() }
 
-// RerouteStats reports runtime rerouting activity: fragments switched at
-// dispatch time vs dispatches checked. Zeros when rerouting is disabled.
-func (c *Calibrator) RerouteStats() (switched, checked int64) {
-	if c.q.Rerouter == nil {
-		return 0, 0
-	}
-	return c.q.Rerouter.Switched()
-}
-
-// SetLoadBalanceMode switches the load-distribution mode at runtime.
-func (c *Calibrator) SetLoadBalanceMode(mode LBMode) error {
-	if c.q.LB == nil {
-		return fmt.Errorf("fedqcc: load balancing unavailable (no enumerator)")
-	}
-	c.q.LB.SetMode(mode)
-	return nil
+// SetRouting replaces the route policy at runtime: the mode, the rotation
+// modes' closeness band (0 = the default 0.2), LBWeighted's weights (zero =
+// the defaults; the other modes rank by calibrated cost alone) and whether
+// every fragment is re-checked just before dispatch. Rotation state and
+// RoutingStats start over.
+func (c *Calibrator) SetRouting(mode LBMode, closeness float64, weights RouteWeights, rescore bool) {
+	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Weights: weights, Rescore: rescore}, c.fed.routeLog)
 }
 
 // CostPolicy folds business logic (QoS goals, region preferences, cost

@@ -1,0 +1,582 @@
+// The route policy end to end: the single-placement identity discipline, the
+// latency-only ≡ cost-based property, replica failover under fencing for
+// every mode, pinned route sequences, reproducible rotation order and policy
+// replacement.
+package fedqcc_test
+
+import (
+	"fmt"
+	"hash/fnv"
+	"sort"
+	"strings"
+	"testing"
+
+	fedqcc "repro"
+	"repro/internal/experiment"
+	"repro/internal/workload"
+)
+
+// normSpanTree makes a rendered span tree comparable across runs: sibling
+// fragments dispatch on concurrent goroutines, so their registration order
+// (and hence the tree-drawing glyphs) is scheduler-dependent even when every
+// span's timing is identical. Stripping the connectors and sorting the lines
+// compares the multiset of spans with their exact virtual timings.
+func normSpanTree(tree string) string {
+	lines := strings.Split(tree, "\n")
+	for i, l := range lines {
+		lines[i] = strings.TrimLeft(l, " \t│├└─")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// queryFingerprint captures everything a query observably did: rows, route,
+// charges and the span tree (when telemetry is on).
+func queryFingerprint(t *testing.T, fed *fedqcc.Federation, sql string) string {
+	t.Helper()
+	res, err := fed.Query(sql)
+	if err != nil {
+		t.Fatalf("query %q: %v", sql, err)
+	}
+	tree := ""
+	if tr := fed.Telemetry().Tracer().Last(); tr != nil {
+		tree = normSpanTree(tr.Tree())
+	}
+	return fmt.Sprintf("rows=%v route=%v resp=%v first=%v merge=%v frag=%v clock=%v\n%s",
+		res.Rows.Rows, res.Route, float64(res.ResponseTime), float64(res.FirstRowTime),
+		float64(res.MergeTime), res.FragmentTimes, fed.Now(), tree)
+}
+
+// identityWorkload mixes single-table scans and cross-server joins over the
+// split schema (orders+customer on A, lineitem+parts on B).
+var identityWorkload = []string{
+	"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100",
+	"SELECT SUM(l.l_price) FROM lineitem AS l WHERE l.l_qty < 25",
+	"SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9500 AND l.l_qty < 5",
+	"SELECT SUM(o.o_amount) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.01",
+	"SELECT COUNT(*) FROM parts AS p WHERE p.p_weight > 25",
+	"SELECT SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000",
+}
+
+// buildSinglePlacementFed builds a federation where every nickname lives on
+// exactly one server — the configuration the identity guarantee covers.
+func buildSinglePlacementFed(t *testing.T) *fedqcc.Federation {
+	t.Helper()
+	schema := fedqcc.StandardSchema(100)
+	fed, err := fedqcc.NewBuilder(7).
+		AddServer("A", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddServer("B", fedqcc.ProfilePowerful, fedqcc.LinkSpec{}).
+		AddGeneratedTable("A", schema[0]). // orders
+		AddGeneratedTable("B", schema[1]). // lineitem
+		AddGeneratedTable("A", schema[2]). // customer
+		AddGeneratedTable("B", schema[3]). // parts
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fed
+}
+
+// TestWeightedSinglePlacementIdentity is the identity discipline: with a
+// single placement per fragment, enabling the weighted router must leave the
+// engine bit-identical — same rows, routes, charges, span trees and virtual
+// clock as plain QCC.
+func TestWeightedSinglePlacementIdentity(t *testing.T) {
+	run := func(weighted bool) []string {
+		fed := buildSinglePlacementFed(t)
+		fed.EnableTelemetry()
+		cal := fed.EnableQCC(fedqcc.QCCOptions{})
+		if weighted {
+			cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+		}
+		var got []string
+		for _, sql := range identityWorkload {
+			got = append(got, queryFingerprint(t, fed, sql))
+		}
+		if switched := cal.RoutingStats().RescoreSwitches; switched != 0 {
+			t.Errorf("the router switched %d single-placement fragments", switched)
+		}
+		return got
+	}
+	plain := run(false)
+	routed := run(true)
+	for i := range plain {
+		if plain[i] != routed[i] {
+			t.Errorf("query %d diverged with weighted routing on a single-placement federation:\n--- plain ---\n%s\n--- weighted ---\n%s",
+				i, plain[i], routed[i])
+		}
+	}
+}
+
+// TestWeightedLatencyOnlyMatchesCostWinner is the property test: with every
+// weight zeroed except calibrated latency, the weighted router's decisions
+// must match the pure cost-based winner (the route QCC picks with no load
+// balancing installed).
+func TestWeightedLatencyOnlyMatchesCostWinner(t *testing.T) {
+	build := func(weighted bool) (*fedqcc.Federation, *fedqcc.Calibrator) {
+		fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 100, Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+		if weighted {
+			cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{Latency: 1}, false)
+		}
+		return fed, cal
+	}
+	costFed, costCal := build(false)
+	wFed, wCal := build(true)
+	queries := []string{
+		"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100",
+		"SELECT SUM(l.l_price) FROM lineitem AS l WHERE l.l_qty < 25",
+		"SELECT COUNT(*) FROM customer AS c WHERE c.c_discount > 0.05",
+		"SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9500 AND l.l_qty < 5",
+		"SELECT SUM(o.o_amount) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.01",
+	}
+	for round := 0; round < 3; round++ {
+		for _, sql := range queries {
+			want, err := costFed.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := wFed.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(want.Route) != fmt.Sprint(got.Route) {
+				t.Fatalf("round %d %q: latency-only weighted route %v != cost-based route %v",
+					round, sql, got.Route, want.Route)
+			}
+			costCal.PublishNow()
+			wCal.PublishNow()
+		}
+	}
+}
+
+// TestWeightedReplicaFailover fences a server mid-workload and asserts
+// queries keep succeeding on the surviving replicas with identical rows and
+// no typed engine errors leaking to the caller.
+func TestWeightedReplicaFailover(t *testing.T) {
+	replicaFailover(t, 6, func(cal *fedqcc.Calibrator) {
+		cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+	})
+}
+
+// TestRotationAvoidsFencedReplica holds the rotation modes to the same
+// failover contract: a rotation set cached from before the failure must not
+// send a query to a server the optimizer's menu no longer offers.
+func TestRotationAvoidsFencedReplica(t *testing.T) {
+	for _, mode := range []fedqcc.LBMode{fedqcc.LBFragment, fedqcc.LBGlobal} {
+		t.Run(mode.String(), func(t *testing.T) {
+			replicaFailover(t, 9, func(cal *fedqcc.Calibrator) {
+				cal.SetRouting(mode, 1.0, fedqcc.RouteWeights{}, false)
+			})
+		})
+	}
+}
+
+// replicaFailover warms one statement up on a replicated federation routed
+// by route, takes the last-used server down, and checks the retry path (down,
+// not yet probed) and the fenced path (postFence queries after a probe).
+func replicaFailover(t *testing.T, postFence int, route func(*fedqcc.Calibrator)) {
+	fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+	route(cal)
+
+	const sql = "SELECT SUM(h.h_val) FROM hot1 AS h WHERE h.h_val > 1000"
+	var wantRows string
+	var pinned string
+	for i := 0; i < 6; i++ {
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatalf("warmup query %d: %v", i, err)
+		}
+		rows := fmt.Sprint(res.Rows.Rows)
+		if wantRows == "" {
+			wantRows = rows
+		} else if rows != wantRows {
+			t.Fatalf("warmup query %d rows %s != %s", i, rows, wantRows)
+		}
+		for _, srv := range res.Route {
+			pinned = srv
+		}
+		cal.PublishNow()
+	}
+
+	h, err := fed.Server(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetDown(true)
+
+	// Before any probe has fenced the server, the integrator's retry path
+	// must already absorb the failure — once: the failed dispatch fences the
+	// server, and nothing may return to it.
+	retried := 0
+	for i := 0; i < 4; i++ {
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatalf("query %d with %s down (unfenced): %v", i, pinned, err)
+		}
+		if rows := fmt.Sprint(res.Rows.Rows); rows != wantRows {
+			t.Fatalf("rows after failure %s != %s", rows, wantRows)
+		}
+		retried += res.Retried
+	}
+	if retried > 1 {
+		t.Errorf("%d retries with %s down: only the first dispatch to it may fail", retried, pinned)
+	}
+
+	// After a probe fences it, routing must avoid the server outright.
+	cal.ProbeNow()
+	if !cal.IsFenced(pinned) {
+		t.Fatalf("probe did not fence the downed server %s", pinned)
+	}
+	for i := 0; i < postFence; i++ {
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatalf("post-fence query %d: %v", i, err)
+		}
+		if rows := fmt.Sprint(res.Rows.Rows); rows != wantRows {
+			t.Fatalf("post-fence query %d rows %s != %s", i, rows, wantRows)
+		}
+		for frag, srv := range res.Route {
+			if srv == pinned {
+				t.Fatalf("post-fence query %d routed fragment %s to fenced server %s", i, frag, pinned)
+			}
+		}
+		if res.Retried != 0 {
+			t.Errorf("post-fence query %d needed %d retries; fencing should route around the dead replica", i, res.Retried)
+		}
+		cal.PublishNow()
+	}
+
+	// Recovery: bring the server back; after a probe it may serve again.
+	h.SetDown(false)
+	cal.ProbeNow()
+	if cal.IsFenced(pinned) {
+		t.Fatalf("probe did not unfence the recovered server %s", pinned)
+	}
+	if _, err := fed.Query(sql); err != nil {
+		t.Fatalf("query after recovery: %v", err)
+	}
+}
+
+// TestRouteDecisionsLogged checks the shared decision log every policy
+// writes into: round-robin records rotations, the weighted router records
+// replica choices with a score breakdown, and each dispatched fragment
+// records its data-shipping mode under the "ship" policy.
+func TestRouteDecisionsLogged(t *testing.T) {
+	fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.SetColumnarWire(false) // the row protocol's ship mode is what this test reads back
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal})
+	const sql = "SELECT SUM(h.h_val) FROM hot2 AS h WHERE h.h_val > 1000"
+	for i := 0; i < 3; i++ {
+		if _, err := fed.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	byPolicy := func(ds []fedqcc.RouteDecision, policy string) []fedqcc.RouteDecision {
+		var out []fedqcc.RouteDecision
+		for _, d := range ds {
+			if d.Policy == policy {
+				out = append(out, d)
+			}
+		}
+		return out
+	}
+	all := fed.RouteDecisions(0)
+	if len(byPolicy(all, "lb")) == 0 {
+		t.Fatal("round-robin load balancer recorded no decisions")
+	}
+	ships := byPolicy(all, "ship")
+	if len(ships) == 0 {
+		t.Fatal("fragment dispatches recorded no ship decisions")
+	}
+	for _, d := range ships {
+		if d.Reason != "row-ship" {
+			t.Errorf("ship mode = %q on the row protocol, want row-ship (%+v)", d.Reason, d)
+		}
+	}
+
+	cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+	for i := 0; i < 3; i++ {
+		if _, err := fed.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	weighted := byPolicy(fed.RouteDecisions(0), "weighted")
+	if len(weighted) < 3 {
+		t.Fatalf("weighted router recorded %d decisions, want >= 3", len(weighted))
+	}
+	for _, d := range weighted[len(weighted)-3:] {
+		if d.Reason == "" || d.Route == "" {
+			t.Errorf("decision missing reason/route: %+v", d)
+		}
+	}
+}
+
+// routeHasher folds every query's Route (fragment → server, in fragment-ID
+// order) into one FNV-1a hash: one literal pins a whole route sequence.
+type routeHasher struct {
+	t   *testing.T
+	fed *fedqcc.Federation
+	seq []string
+}
+
+func (h *routeHasher) query(sql string) {
+	h.t.Helper()
+	res, err := h.fed.Query(sql)
+	if err != nil {
+		h.t.Fatalf("%q: %v", sql, err)
+	}
+	frags := make([]string, 0, len(res.Route))
+	for f := range res.Route {
+		frags = append(frags, f)
+	}
+	sort.Strings(frags)
+	step := ""
+	for _, f := range frags {
+		step += f + "@" + res.Route[f] + " "
+	}
+	h.seq = append(h.seq, step)
+}
+
+func (h *routeHasher) sum() string {
+	d := fnv.New64a()
+	for _, s := range h.seq {
+		d.Write([]byte(s + "\n"))
+	}
+	return fmt.Sprintf("%016x", d.Sum64())
+}
+
+// hotBurst is experiment.weightedBurstQueries: four scan shapes, one per hot
+// table, a period coprime with the three-replica rotation.
+var hotBurst = []string{
+	"SELECT SUM(h.h_val) FROM hot1 AS h WHERE h.h_val > 1000",
+	"SELECT SUM(h.h_val) FROM hot2 AS h WHERE h.h_val > 1000",
+	"SELECT SUM(h.h_val) FROM hot3 AS h WHERE h.h_val > 1000",
+	"SELECT SUM(h.h_val) FROM hot4 AS h WHERE h.h_val > 1000",
+}
+
+// xjoinTemplates are bench/'s xjoin_churn templates at fixed parameters.
+var xjoinTemplates = []string{
+	"SELECT o.o_id, l.l_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount BETWEEN 4200 AND 4700 AND l.l_qty BETWEEN 12 AND 21",
+	"SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount BETWEEN 3000 AND 5000 GROUP BY o.o_priority ORDER BY o.o_priority",
+	"SELECT c.c_segment, COUNT(*), SUM(l.l_price) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id JOIN lineitem AS l ON l.l_orderkey = o.o_id WHERE c.c_discount BETWEEN 0.0400 AND 0.0900 GROUP BY c.c_segment ORDER BY c.c_segment",
+	"SELECT COUNT(*), AVG(o.o_amount), MAX(o.o_qty) FROM orders AS o WHERE o.o_amount BETWEEN 2500 AND 7500",
+}
+
+// TestRouteSequencePinned pins the server every fragment of every query ran
+// on, for the four routing configurations the benchmark and the studies
+// exercise. The literals were captured from the three policy
+// implementations this router replaced (the LBGlobal ones after their
+// map-order tie was fixed) and must never be re-captured to make a routing
+// change pass: a changed hash is a changed route sequence.
+func TestRouteSequencePinned(t *testing.T) {
+	replicated := func() (*fedqcc.Federation, error) {
+		return fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+	}
+	hotspot := func(h *routeHasher, cal *fedqcc.Calibrator) {
+		for i := 0; i < 6*len(hotBurst); i++ {
+			h.query(hotBurst[i%len(hotBurst)])
+			cal.PublishNow()
+		}
+	}
+	cases := []struct {
+		name  string
+		build func() (*fedqcc.Federation, error)
+		drive func(h *routeHasher)
+		want  string
+	}{
+		{
+			name: "xjoin_churn fragment rotation",
+			build: func() (*fedqcc.Federation, error) {
+				return fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: 100, Seed: 42})
+			},
+			drive: func(h *routeHasher) {
+				cal := h.fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBFragment, LBCloseness: 0.5})
+				n := 0
+				for round := 0; round < 8; round++ {
+					for _, id := range []string{"S1", "R1"} {
+						srv, err := h.fed.Server(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := srv.ApplyUpdateBurst("orders", 20, int64(round)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for _, sql := range xjoinTemplates {
+						h.query(sql)
+						if n++; n%8 == 0 {
+							cal.PublishNow()
+						}
+					}
+				}
+			},
+			want: "d9cca650d6156a11",
+		},
+		{
+			name: "paper_mix load flips",
+			build: func() (*fedqcc.Federation, error) {
+				return fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 20, Seed: 42})
+			},
+			drive: func(h *routeHasher) {
+				h.fed.EnableQCC(fedqcc.QCCOptions{})
+				phases := workload.Phases()
+				for _, ph := range []workload.Phase{phases[0], phases[1], phases[3]} {
+					for _, id := range []string{"S1", "S2", "S3"} {
+						srv, err := h.fed.Server(id)
+						if err != nil {
+							t.Fatal(err)
+						}
+						srv.SetLoad(ph.LoadLevel(id))
+					}
+					for round := 0; round < 6; round++ {
+						for _, it := range workload.UniformMix(2) {
+							h.query(it.SQL)
+						}
+					}
+				}
+			},
+			want: "4e33786aeb61bce4",
+		},
+		{
+			name:  "hotspot global rotation",
+			build: replicated,
+			drive: func(h *routeHasher) {
+				hotspot(h, h.fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal, LBCloseness: 0.2}))
+			},
+			want: "96cc8835d906b8e5",
+		},
+		{
+			name:  "hotspot weighted",
+			build: replicated,
+			drive: func(h *routeHasher) {
+				cal := h.fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal, LBCloseness: 0.2})
+				cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+				hotspot(h, cal)
+			},
+			want: "7aeb3712b008e915",
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			fed, err := tc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := &routeHasher{t: t, fed: fed}
+			tc.drive(h)
+			if got := h.sum(); got != tc.want {
+				t.Errorf("route sequence hash = %s, want %s\n%v", got, tc.want, h.seq)
+			}
+		})
+	}
+}
+
+// TestRotationOrderIsReproducible: equal-cost plans (uniform replicas, fresh
+// calibration) must rotate in one order. The rotation studies are the
+// sharpest probe: any tie broken by map order or an unstable sort shows up
+// as a different row.
+func TestRotationOrderIsReproducible(t *testing.T) {
+	opts := experiment.Options{Scale: 100}
+	run := func() string {
+		lb, err := experiment.LoadBalanceStudy(opts, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := experiment.WeightedRoutingStudy(opts, 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%+v %+v", lb, rr[0])
+	}
+	want := run()
+	for i := 1; i < 20; i++ {
+		if got := run(); got != want {
+			t.Fatalf("run %d of the rotation studies differs from run 0:\n%s\n%s", i, got, want)
+		}
+	}
+}
+
+// TestDisableQCCClearsRouting: the integrator has one routing slot, so
+// detaching or replacing the calibrator leaves nothing of the old policy
+// behind — no dispatch-time check runs on a detached calibrator's signals
+// and no decision is logged under a replaced policy's label.
+func TestDisableQCCClearsRouting(t *testing.T) {
+	const sql = "SELECT SUM(h.h_val) FROM hot1 AS h WHERE h.h_val > 1000"
+	type step func(fed *fedqcc.Federation) *fedqcc.Calibrator
+	enable := func(opts fedqcc.QCCOptions) step {
+		opts.DisableDaemons = true
+		return func(fed *fedqcc.Federation) *fedqcc.Calibrator { return fed.EnableQCC(opts) }
+	}
+	weighted := func(fed *fedqcc.Federation) *fedqcc.Calibrator {
+		cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+		cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+		return cal
+	}
+	for _, tc := range []struct {
+		name        string
+		first, then step // then == nil: DisableQCC
+	}{
+		{"rescore then DisableQCC", enable(fedqcc.QCCOptions{RuntimeReroute: true}), nil},
+		{"rescore then EnableQCC without it", enable(fedqcc.QCCOptions{RuntimeReroute: true}), enable(fedqcc.QCCOptions{})},
+		{"weighted then DisableQCC", weighted, nil},
+		{"weighted then plain EnableQCC", weighted, enable(fedqcc.QCCOptions{})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			query := func() {
+				t.Helper()
+				for i := 0; i < 3; i++ {
+					if _, err := fed.Query(sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			weightedLogged := func() int {
+				n := 0
+				for _, d := range fed.RouteDecisions(0) {
+					if d.Policy == "weighted" {
+						n++
+					}
+				}
+				return n
+			}
+			old := tc.first(fed)
+			query()
+			before := old.RoutingStats()
+			if before.RescoreChecks == 0 {
+				t.Fatal("setup: the first policy ran no dispatch-time check")
+			}
+			logged := weightedLogged()
+			var cur *fedqcc.Calibrator
+			if tc.then == nil {
+				fed.DisableQCC()
+			} else {
+				cur = tc.then(fed)
+			}
+			query()
+			if cur != nil && cur.RoutingStats() != (fedqcc.RoutingStats{}) {
+				t.Errorf("a policy with no rotation and no rescore counted %+v", cur.RoutingStats())
+			}
+			if after := old.RoutingStats(); after != before {
+				t.Errorf("the replaced policy kept running: %+v -> %+v", before, after)
+			}
+			if n := weightedLogged(); n != logged {
+				t.Errorf("%d weighted decisions logged after the policy was replaced", n-logged)
+			}
+		})
+	}
+}
