@@ -4,7 +4,7 @@ import (
 	"context"
 
 	"repro/internal/admission"
-	"repro/internal/integrator"
+	"repro/internal/journal"
 )
 
 // Re-exported admission types: the workload-management policy surface.
@@ -22,10 +22,10 @@ type (
 	// AdmissionRejection is the typed error refused queries receive; match
 	// it broadly with ErrAdmissionRejected / ErrQueueTimeout.
 	AdmissionRejection = admission.Rejection
-	// QueryLogStats snapshots the query patroller's retention accounting.
-	QueryLogStats = integrator.PatrollerStats
+	// QueryLogStats snapshots the query log's retention accounting.
+	QueryLogStats = journal.QueryStats
 	// QueryLogTenantStats is one tenant's slice of QueryLogStats.
-	QueryLogTenantStats = integrator.PatrollerTenantStats
+	QueryLogTenantStats = journal.TenantStats
 	// Tenant configures one registered tenant: its fair-share weight,
 	// optional concurrency/queue quotas, and per-class policy overrides.
 	Tenant = admission.Tenant

@@ -7,6 +7,7 @@ package fedqcc_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"testing"
 
@@ -37,17 +38,20 @@ type shardedBenchResult struct {
 }
 
 // queryWireBytes runs sql once and returns the result plus the bytes every
-// remote fragment shipped for that query, by diffing the meta-wrapper run
-// log around the call.
+// remote fragment shipped for that query: the OutBytes of the run entries the
+// journal holds under the query's ID.
 func queryWireBytes(fed *fedqcc.Federation, sql string) (*fedqcc.QueryResult, int, error) {
-	before := len(fed.RunLog())
 	res, err := fed.Query(sql)
 	if err != nil {
 		return nil, 0, err
 	}
+	rec, ok := fed.QueryRecord(res.ID)
+	if !ok {
+		return nil, 0, fmt.Errorf("query %d has no journal record", res.ID)
+	}
 	bytes := 0
-	for _, e := range fed.RunLog()[before:] {
-		bytes += e.OutBytes
+	for _, run := range rec.Runs {
+		bytes += run.OutBytes
 	}
 	return res, bytes, nil
 }

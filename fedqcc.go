@@ -35,12 +35,12 @@ import (
 	"repro/internal/admission"
 	"repro/internal/catalog"
 	"repro/internal/integrator"
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/remote"
-	"repro/internal/router"
 	"repro/internal/scenario"
 	"repro/internal/simclock"
 	"repro/internal/sqltypes"
@@ -84,9 +84,6 @@ type Federation struct {
 	qcc     *qcc.QCC
 	tel     *telemetry.Telemetry
 	adm     *admission.Controller
-	// routeLog is the shared routing decision log the route policy and the
-	// ship-mode recorder write into.
-	routeLog *router.DecisionLog
 }
 
 // FederationOptions configures the canned paper federation.
@@ -206,41 +203,17 @@ func fromScenario(sc *scenario.Scenario) *Federation {
 	// footprint until Admission().SetPolicy imposes caps.
 	adm := admission.New(admission.Config{Clock: sc.Clock, Telemetry: tel})
 	sc.II.SetAdmission(adm)
-	fed := &Federation{
-		clock:    sc.Clock,
-		servers:  sc.Servers,
-		topo:     sc.Topo,
-		catalog:  sc.Catalog,
-		mw:       sc.MW,
-		iiNode:   sc.IINode,
-		ii:       sc.II,
-		tel:      tel,
-		adm:      adm,
-		routeLog: router.NewDecisionLog(0),
+	return &Federation{
+		clock:   sc.Clock,
+		servers: sc.Servers,
+		topo:    sc.Topo,
+		catalog: sc.Catalog,
+		mw:      sc.MW,
+		iiNode:  sc.IINode,
+		ii:      sc.II,
+		tel:     tel,
+		adm:     adm,
 	}
-	// Fragment ship modes (row-ship / col-ship / pushdown / pushdown-col)
-	// land in the shared decision log under the "ship" policy, alongside the
-	// routing policies' entries.
-	sc.II.SetShipObserver(&shipRecorder{clock: sc.Clock, log: fed.routeLog})
-	return fed
-}
-
-// shipRecorder feeds per-fragment data-shipping modes into the shared
-// routing decision log (policy "ship"), so the row-ship baseline, columnar
-// shipping, and pushdown runs are distinguishable after the fact.
-type shipRecorder struct {
-	clock *simclock.Clock
-	log   *router.DecisionLog
-}
-
-func (r *shipRecorder) ObserveShip(query, fragID, serverID, mode string) {
-	r.log.Record(router.Decision{
-		At:     r.clock.Now(),
-		Query:  query,
-		Policy: "ship",
-		Route:  fragID + "→" + serverID,
-		Reason: mode,
-	})
 }
 
 // Telemetry returns the federation's observability subsystem. It is always
@@ -309,6 +282,9 @@ func (f *Federation) ResetCompileCaches() {
 
 // QueryResult is the outcome of a federated query.
 type QueryResult struct {
+	// ID is the query's journal ID: QueryRecord(ID) returns everything the
+	// federation recorded for it, and its trace carries the same ID.
+	ID int64
 	// Rows is the merged result.
 	Rows *Relation
 	// ResponseTime is the end-user response time in simulated ms.
@@ -419,7 +395,7 @@ type PlanInfo struct {
 }
 
 // Explain compiles a statement in explain mode: the winner is recorded in
-// the explain table and summarized, nothing executes.
+// the journal (ExplainLog) and summarized, nothing executes.
 func (f *Federation) Explain(sql string) (*PlanInfo, error) {
 	gp, err := f.ii.Compile(sql)
 	if err != nil {
@@ -462,30 +438,54 @@ func (f *Federation) EnumeratePlans(sql string, topK int) ([]*PlanInfo, error) {
 	return out, nil
 }
 
-// QueryLog returns the patroller's log entries.
-func (f *Federation) QueryLog() []integrator.LogEntry { return f.ii.Patroller().Log() }
+// QueryLog returns the retained submit/complete entries in submission order.
+// Like RunLog, ExplainLog and RouteDecisions it is a view over the federation's
+// one query journal (internal/journal), whose sequences each keep their most
+// recent entries (4096; 64 route decisions) stamped with their query's ID.
+func (f *Federation) QueryLog() []journal.Query { return f.ii.Journal().Queries() }
 
-// QueryLogStats snapshots the patroller's retention accounting: entries
-// retained, entries evicted by the ring-buffer bound, and completions that
-// arrived after their entry had already been evicted.
-func (f *Federation) QueryLogStats() QueryLogStats { return f.ii.Patroller().Stats() }
+// QueryLogStats snapshots the query entries' retention accounting: entries
+// retained, entries evicted by the bound, and completions that arrived after
+// their entry had already been evicted.
+func (f *Federation) QueryLogStats() QueryLogStats { return f.ii.Journal().Stats() }
 
-// RunLog returns the meta-wrapper's runtime records — one entry per executed
-// remote fragment, including the shipped result volume in OutBytes. Summing
-// OutBytes across a query's fragments gives its bytes-on-wire cost.
-func (f *Federation) RunLog() []metawrapper.RunLogEntry { return f.mw.RunLog() }
+// RunLog returns the retained fragment runs, oldest first: one entry per
+// executed remote fragment, its estimate beside what was observed, the volume
+// it shipped (OutBytes) and how (Ship). A query's own are QueryRecord(id).Runs;
+// summing their OutBytes gives its bytes-on-wire cost.
+func (f *Federation) RunLog() []journal.Run { return f.ii.Journal().Runs.Tail(0) }
 
-// ExplainLog returns the stored compilation winners.
-func (f *Federation) ExplainLog() []optimizer.ExplainEntry { return f.ii.ExplainTable().Entries() }
+// ExplainLog returns the retained compilation winners (the explain table),
+// oldest first.
+func (f *Federation) ExplainLog() []journal.Winner { return f.ii.Journal().Winners.Tail(0) }
 
 // RouteDecision is one recorded routing decision (policy, chosen route,
-// reason) from the shared routing decision log.
-type RouteDecision = router.Decision
+// reason).
+type RouteDecision = journal.Decision
 
 // RouteDecisions returns up to n most recent routing decisions, oldest
 // first (n <= 0 returns everything retained). Both the round-robin load
 // balancer and the weighted replica router record here.
-func (f *Federation) RouteDecisions(n int) []RouteDecision { return f.routeLog.Last(n) }
+func (f *Federation) RouteDecisions(n int) []RouteDecision { return f.ii.Journal().Decisions.Tail(n) }
+
+// QueryRecord is everything retained about one query, joined by its ID: its
+// submit/complete entry, every candidate its compilation explained and the
+// winner chosen (one per compilation, so more than one after a retry), the
+// route decisions, the fragment runs with estimate beside observation, the
+// errors, and — when telemetry was on — its trace.
+type QueryRecord struct {
+	journal.Record
+	// Trace is the query's span tree; nil when telemetry was off or the
+	// trace ring has dropped it.
+	Trace *Trace
+}
+
+// QueryRecord returns the joined record of the query with the given ID
+// (QueryResult.ID); false when its entry has been evicted or never existed.
+func (f *Federation) QueryRecord(id int64) (QueryRecord, bool) {
+	rec, ok := f.ii.Journal().Record(id)
+	return QueryRecord{Record: rec, Trace: f.tel.Tracer().Trace(id)}, ok
+}
 
 // ServerHandle controls one remote server for fault and load injection.
 type ServerHandle struct {

@@ -107,13 +107,13 @@ func wireStudyShards(opts Options, shards int) ([]WireOutcome, error) {
 		if _, err := sc.II.Query(wireQuery); err != nil {
 			return nil, err
 		}
-		before := len(sc.MW.RunLog())
 		res, err := sc.II.Query(wireQuery)
 		if err != nil {
 			return nil, err
 		}
+		rec, _ := sc.II.Journal().Record(res.ID)
 		bytes := 0
-		for _, e := range sc.MW.RunLog()[before:] {
+		for _, e := range rec.Runs {
 			bytes += e.OutBytes
 		}
 		scs[i] = sc

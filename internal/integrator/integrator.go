@@ -3,8 +3,9 @@
 // parses federated SQL, decomposes it via the global optimizer, dispatches
 // fragment execution descriptors through the meta-wrapper, merges fragment
 // results locally (joins, aggregation, ordering), charges the merge work to
-// the II node's own load model, and logs everything through the query
-// patroller. All timing is virtual: every completed query advances the
+// the II node's own load model, and records every query in the federation's
+// journal (package journal: the paper's query patroller log and explain
+// table). All timing is virtual: every completed query advances the
 // shared simulated clock by its response time.
 package integrator
 
@@ -21,6 +22,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
@@ -37,8 +39,8 @@ type Router interface {
 	// ChooseGlobal may substitute another global plan from the winner's menu
 	// (GlobalPlan.Options) at the end of compilation: §4's load distribution
 	// or a replica choice. It returns the winner unchanged when it has
-	// nothing better.
-	ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan
+	// nothing better. The context carries the query's journal scope.
+	ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan
 	// RerouteFragment is the paper's long-running-query extension
 	// ("periodically re-check the load and switch data sources if needed"):
 	// it is consulted immediately before each fragment dispatches, under the
@@ -59,14 +61,6 @@ type IIMergeObserver interface {
 	ObserveIIMerge(estMS float64, observed simclock.Time)
 }
 
-// ShipObserver receives each fragment's data-shipping mode after a
-// successful dispatch, so decision logs can distinguish the row-ship
-// baseline from columnar shipping and partial-aggregate pushdown. Nil is
-// allowed.
-type ShipObserver interface {
-	ObserveShip(query, fragID, serverID, mode string)
-}
-
 // Config wires an II instance.
 type Config struct {
 	Catalog *catalog.Catalog
@@ -81,8 +75,6 @@ type Config struct {
 	Router Router
 	// MergeObs receives II merge observations (may be nil).
 	MergeObs IIMergeObserver
-	// ShipObs receives per-fragment data-shipping modes (may be nil).
-	ShipObs ShipObserver
 	// Retries is the number of re-optimize attempts after a fragment
 	// execution failure. Nil selects the default (2); point at zero to
 	// disable retries entirely. Negative values are treated as zero.
@@ -97,9 +89,6 @@ type Config struct {
 	// PlanCache tunes the federated plan cache (see plancache.go). The zero
 	// value enables it with defaults.
 	PlanCache PlanCacheConfig
-	// PatrollerCapacity bounds the query patroller's retained log entries:
-	// 0 selects DefaultPatrollerCapacity, negative disables the bound.
-	PatrollerCapacity int
 	// Telemetry is the observability subsystem (nil or disabled is a no-op).
 	Telemetry *telemetry.Telemetry
 	// Admission, when non-nil, gates every query between compilation and
@@ -130,8 +119,6 @@ type II struct {
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
 	opt           *optimizer.Optimizer
-	explain       *optimizer.ExplainTable
-	patroller     *Patroller
 	plans         *planCache
 }
 
@@ -156,9 +143,7 @@ func New(cfg Config) *II {
 			IINode:  cfg.Node,
 			IICalib: cfg.IICalib,
 		},
-		explain:   optimizer.NewExplainTable(),
-		patroller: NewPatrollerWithCapacity(cfg.PatrollerCapacity),
-		plans:     newPlanCache(cfg.PlanCache),
+		plans: newPlanCache(cfg.PlanCache),
 	}
 	ii.vectorized.Store(true)
 	ii.shardPruning.Store(true)
@@ -212,8 +197,8 @@ func (ii *II) ShardPushdown() bool { return ii.shardPushdown.Load() }
 // pre-aggregation result, as boxed rows ("row-ship") or typed column
 // batches ("col-ship") depending on the columnar wire flag. On, shards ship
 // partial-aggregate states instead ("pushdown" / "pushdown-col"). Fragment
-// spans carry the active mode in their "ship" attribute and the decision
-// log records it, so the four modes are distinguishable after the fact.
+// spans carry the active mode in their "ship" attribute and the journal's
+// run entries record it, so the four modes are distinguishable after the fact.
 // The plan cache is cleared on a change.
 func (ii *II) SetShardPushdown(on bool) {
 	if ii.shardPushdown.Swap(on) != on {
@@ -225,11 +210,9 @@ func (ii *II) SetShardPushdown(on bool) {
 // directly with masking).
 func (ii *II) Optimizer() *optimizer.Optimizer { return ii.opt }
 
-// ExplainTable exposes the stored winners.
-func (ii *II) ExplainTable() *optimizer.ExplainTable { return ii.explain }
-
-// Patroller exposes the query log.
-func (ii *II) Patroller() *Patroller { return ii.patroller }
+// Journal exposes the query journal — the meta-wrapper's, so the II's query
+// log and stored winners join what MW and the router record by query ID.
+func (ii *II) Journal() *journal.Journal { return ii.cfg.MW.Journal() }
 
 // Clock exposes the shared clock.
 func (ii *II) Clock() *simclock.Clock { return ii.cfg.Clock }
@@ -239,9 +222,6 @@ func (ii *II) SetRouter(r Router) { ii.cfg.Router = r }
 
 // SetMergeObserver installs the II merge observer (QCC's §3.2 input).
 func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.cfg.MergeObs = o }
-
-// SetShipObserver installs the per-fragment ship-mode observer.
-func (ii *II) SetShipObserver(o ShipObserver) { ii.cfg.ShipObs = o }
 
 // SetIICalibrator installs the II workload calibrator used when costing
 // merge work during optimization.
@@ -279,6 +259,9 @@ func (ii *II) ClearPlanCache() { ii.plans.clear(InvalidateClear) }
 
 // QueryResult is the outcome of one federated query.
 type QueryResult struct {
+	// ID is the query's journal ID: Journal().Record(ID) is everything
+	// recorded for it, and its trace carries the same ID.
+	ID int64
 	// Rel is the merged result.
 	Rel *sqltypes.Relation
 	// Plan is the executed global plan.
@@ -325,9 +308,11 @@ func (ii *II) Query(sql string) (*QueryResult, error) {
 // virtual-time intervals (the final clock value is the sum of all response
 // times, independent of goroutine interleaving).
 func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error) {
-	logID := ii.patroller.SubmitTenant(sql, ii.cfg.Clock.Now(), admission.TenantFromContext(ctx))
+	submitAt := ii.cfg.Clock.Now()
+	id := ii.Journal().Begin(sql, submitAt, admission.TenantFromContext(ctx))
+	ctx = journal.WithScope(ctx, journal.Scope{Query: id})
 	tel := ii.cfg.Telemetry
-	trace := tel.StartTrace(sql, ii.cfg.Clock.Now())
+	trace := tel.StartTrace(id, sql, ii.cfg.Clock.Now())
 	if trace != nil {
 		ctx = telemetry.ContextWithSpan(ctx, trace.Root)
 	}
@@ -337,10 +322,12 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 		grant.Release()
 		tel.Active().Counter("ii.query_errors", "").Inc()
 		tel.Tracer().FinishTrace(trace, err)
-		ii.patroller.Complete(logID, ii.cfg.Clock.Now(), err)
+		now := ii.cfg.Clock.Now()
+		ii.Journal().Complete(id, now, now-submitAt, 0, err)
 		return nil, err
 	}
 	wait := grant.QueueWait()
+	res.ID = id
 	res.QueueWait = wait
 	res.AdmissionClass = grant.Class()
 	res.Tenant = grant.Tenant()
@@ -354,17 +341,18 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 	tel.Active().Counter("ii.queries", "").Inc()
 	tel.Active().Histogram("query.first_row_ms", "", nil).Observe(float64(res.FirstRowTime))
 	_, end := ii.cfg.Clock.Charge(res.ResponseTime)
-	ii.patroller.CompleteWithWait(logID, end, res.ResponseTime, wait, nil)
+	ii.Journal().Complete(id, end, res.ResponseTime, wait, nil)
 	// Release after charging so the next admitted waiter's queue wait spans
 	// this query's serialized virtual-time interval.
 	grant.Release()
 	return res, nil
 }
 
-// Compile optimizes without executing and records the winner in the explain
-// table — the paper's "explain mode". Repeat compilations of a statement are
-// served from the federated plan cache (plancache.go) while its entry stays
-// valid: only calibration, winner re-pick and routing re-run on a hit.
+// Compile optimizes without executing and records the winner in the journal
+// (the explain table) under query ID 0 — the paper's "explain mode". Repeat
+// compilations of a statement are served from the federated plan cache
+// (plancache.go) while its entry stays valid: only calibration, winner re-pick
+// and routing re-run on a hit.
 func (ii *II) Compile(sql string) (*optimizer.GlobalPlan, error) {
 	return ii.compile(context.Background(), sql, nil)
 }
@@ -387,7 +375,7 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 			tel.Active().Counter("ii.plancache_hits", "").Inc()
 			sp.Emit("plancache.lookup", telemetry.LayerII, "", 0).SetAttr("hit", "true")
 			sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
-			return ii.finishCompile(gps[0]), nil
+			return ii.finishCompile(ctx, gps[0]), nil
 		} else {
 			// Every cached candidate for some fragment is excluded or fenced:
 			// fall through to a cold compile, which sees current Explain
@@ -416,16 +404,33 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 	if err != nil {
 		return nil, err
 	}
-	return ii.finishCompile(gps[0]), nil
+	return ii.finishCompile(ctx, gps[0]), nil
 }
 
 // finishCompile applies the load-distribution route policy and records the
-// winner — the shared tail of the warm and cold compile paths.
-func (ii *II) finishCompile(gp *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+// winner — the shared tail of the warm and cold compile paths. The entry is
+// text and numbers copied out of the plan, never the plan.
+func (ii *II) finishCompile(ctx context.Context, gp *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 	if ii.cfg.Router != nil {
-		gp = ii.cfg.Router.ChooseGlobal(gp.Query, gp)
+		gp = ii.cfg.Router.ChooseGlobal(ctx, gp)
 	}
-	ii.explain.Record(gp, ii.cfg.Clock.Now())
+	frags := make([]journal.WinnerFragment, len(gp.Fragments))
+	for i, f := range gp.Fragments {
+		tables := make([]string, len(f.Spec.Tables))
+		for t, tr := range f.Spec.Tables {
+			tables[t] = tr.Name
+		}
+		frags[i] = journal.WinnerFragment{
+			ID: f.Spec.ID, Server: f.ServerID, PlanSig: f.Plan.Signature, Tables: tables, EstMS: f.Plan.Est.TotalMS,
+		}
+	}
+	ii.Journal().Winners.Add(journal.Winner{
+		QueryID:    journal.ScopeOf(ctx).Query,
+		Query:      gp.Query,
+		At:         ii.cfg.Clock.Now(),
+		TotalEstMS: gp.TotalEstMS,
+		Fragments:  frags,
+	})
 	return gp
 }
 
@@ -605,46 +610,23 @@ func (e *FragmentError) Error() string {
 
 func (e *FragmentError) Unwrap() error { return e.Err }
 
-// shipMode names how a fragment's data crossed the wire, for spans and the
-// decision log:
-//
-//	"row-ship"     boxed rows of the full (or ship-all-rows baseline) result
-//	"col-ship"     typed column batches of the same rows (columnar wire)
-//	"pushdown"     partial-aggregate states as boxed rows
-//	"pushdown-col" partial-aggregate states as typed column batches
-func shipMode(gp *optimizer.GlobalPlan, f optimizer.FragmentChoice, wire bool) string {
-	pushdown := f.Spec.Shard != nil && gp.Decomp.Sharded != nil && gp.Decomp.Sharded.Partial != nil
-	switch {
-	case pushdown && wire:
-		return "pushdown-col"
-	case pushdown:
-		return "pushdown"
-	case wire:
-		return "col-ship"
-	default:
-		return "row-ship"
-	}
-}
-
 // dispatchFragment runs one fragment through MW's streaming data path, handing
-// every batch to the query's arrivals as it is received. It reports whether
-// the columnar wire carried the fragment (its batches have no row form).
-func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, arr *arrivals, pos int) (wire bool, err error) {
+// every batch to the query's arrivals as it is received.
+func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, arr *arrivals, pos int) error {
 	key := metawrapper.FragmentKey{ServerID: f.ServerID, Signature: f.Spec.Sig}
 	st, err := ii.cfg.MW.OpenKeyed(ctx, key, f.Plan, f.RawEst, DefaultBatchRows)
 	if err != nil {
-		return false, err
+		return err
 	}
 	for {
 		b, err := st.Next(ctx)
 		if err != nil {
-			return false, err
+			return err
 		}
 		if b == nil {
 			arr.queues[pos].serverID, arr.queues[pos].outcome = f.ServerID, st.Outcome()
-			return wire, nil
+			return nil
 		}
-		wire = wire || b.Rel == nil
 		arr.push(pos, b)
 	}
 }
@@ -766,6 +748,8 @@ func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *
 // virtual-time deadline when Config.FragmentBudget is set.
 func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*QueryResult, error) {
 	root := telemetry.SpanFrom(ctx)
+	queryID := journal.ScopeOf(ctx).Query
+	pushdown := gp.Decomp.Sharded != nil && gp.Decomp.Sharded.Partial != nil
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	fctx = simclock.WithDeadline(fctx, ii.cfg.FragmentBudget)
@@ -827,12 +811,13 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			// REAL concurrency only — every fragment starts at the same virtual
 			// instant. The sub-span records the model's claim explicitly.
 			fspan.Emit("queue", telemetry.LayerII, "", 0)
-			dctx := fctx
+			// The meta-wrapper stamps the fragment's run entry from this scope
+			// and writes the ship mode there and on the span.
+			dctx := journal.WithScope(fctx, journal.Scope{Query: queryID, Frag: f.Spec.ID, Pushdown: pushdown && f.Spec.Shard != nil})
 			if fspan != nil {
-				dctx = telemetry.ContextWithSpan(fctx, fspan)
+				dctx = telemetry.ContextWithSpan(dctx, fspan)
 			}
-			wire, err := ii.dispatchFragment(dctx, f, arr, i)
-			if err != nil {
+			if err := ii.dispatchFragment(dctx, f, arr, i); err != nil {
 				fspan.SetAttr("error", err.Error())
 				fspan.End(0)
 				if fctx.Err() == nil || ctx.Err() != nil {
@@ -840,13 +825,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				}
 				return
 			}
-			mode := shipMode(gp, f, wire)
-			fspan.SetAttr("ship", mode)
 			fspan.End(arr.queues[i].outcome.ResponseTime)
 			ii.cfg.Telemetry.Active().Counter("ii.fragments", f.ServerID).Inc()
-			if ii.cfg.ShipObs != nil {
-				ii.cfg.ShipObs.ObserveShip(gp.Stmt.String(), f.Spec.ID, f.ServerID, mode)
-			}
 		}(i, f)
 	}
 

@@ -62,7 +62,7 @@ func TestQueryAdvancesClockAndLogs(t *testing.T) {
 	if sc.Clock.Now() != t0+res.ResponseTime {
 		t.Fatalf("clock: %v -> %v, response %v", t0, sc.Clock.Now(), res.ResponseTime)
 	}
-	log := sc.II.Patroller().Log()
+	log := sc.II.Journal().Queries()
 	if len(log) != 1 || !log[0].Completed || log[0].Err != "" {
 		t.Fatalf("patroller log: %+v", log)
 	}
@@ -276,7 +276,7 @@ func TestQueryAllDownFailsAndLogsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("must fail")
 	}
-	log := sc.II.Patroller().Log()
+	log := sc.II.Journal().Queries()
 	if len(log) != 1 || log[0].Err == "" {
 		t.Fatalf("error must be logged: %+v", log)
 	}
@@ -324,7 +324,7 @@ func TestRouterOverridesWinner(t *testing.T) {
 	// here we exercise the hook with an identity pick and confirm the call
 	// path.
 	called := false
-	sc.II.SetRouter(routeFunc(func(q string, w *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	sc.II.SetRouter(routeFunc(func(ctx context.Context, w *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 		called = true
 		return w
 	}))
@@ -337,10 +337,10 @@ func TestRouterOverridesWinner(t *testing.T) {
 }
 
 // routeFunc adapts a compile-time pick to integrator.Router.
-type routeFunc func(q string, w *optimizer.GlobalPlan) *optimizer.GlobalPlan
+type routeFunc func(ctx context.Context, w *optimizer.GlobalPlan) *optimizer.GlobalPlan
 
-func (f routeFunc) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	return f(queryText, winner)
+func (f routeFunc) ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	return f(ctx, winner)
 }
 
 func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *optimizer.FragmentChoice {
@@ -416,7 +416,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	log := sc.II.Patroller().Log()
+	log := sc.II.Journal().Queries()
 	if len(log) != 1 || log[0].Err == "" {
 		t.Fatalf("cancelled query must be logged with its error: %+v", log)
 	}

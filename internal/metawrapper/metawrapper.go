@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"sync"
 
+	"repro/internal/journal"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
@@ -84,17 +85,20 @@ type MetaWrapper struct {
 	calib    Calibrator
 	masked   map[string]bool
 	tel      *telemetry.Telemetry
-	log      mwLog
+	journal  *journal.Journal
 }
 
 // New builds a MetaWrapper over the given wrappers.
 func New(wrappers ...wrapper.Wrapper) *MetaWrapper {
-	mw := &MetaWrapper{wrappers: map[string]wrapper.Wrapper{}, masked: map[string]bool{}}
+	mw := &MetaWrapper{wrappers: map[string]wrapper.Wrapper{}, masked: map[string]bool{}, journal: journal.New()}
 	for _, w := range wrappers {
 		mw.wrappers[w.ServerID()] = w
 	}
 	return mw
 }
+
+// Journal returns the query journal MW records into: the federation's one.
+func (mw *MetaWrapper) Journal() *journal.Journal { return mw.journal }
 
 // SetObserver installs the observer (QCC).
 func (mw *MetaWrapper) SetObserver(o Observer) {
@@ -244,6 +248,7 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 		return nil, fmt.Errorf("metawrapper: unknown server %q", serverID)
 	}
 	obs, calib := mw.observerAndCalib()
+	queryID := journal.ScopeOf(ctx).Query
 	cands, err := w.Explain(stmt)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
@@ -251,7 +256,7 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 		if obs != nil {
 			obs.ObserveError(serverID, err)
 		}
-		mw.log.addError(ErrorLogEntry{ServerID: serverID, Err: err.Error()})
+		mw.journal.Errors.Add(journal.Error{QueryID: queryID, ServerID: serverID, Err: err.Error()})
 		return nil, err
 	}
 	sp.SetAttr("candidates", strconv.Itoa(len(cands)))
@@ -271,7 +276,8 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 				Calibrated: calibrated,
 			})
 		}
-		mw.log.addCompile(CompileLogEntry{
+		mw.journal.Candidates.Add(journal.Candidate{
+			QueryID:      queryID,
 			Fragment:     key.Signature,
 			ServerID:     serverID,
 			PlanSig:      c.Plan.Signature,
@@ -362,7 +368,7 @@ func (mw *MetaWrapper) OpenKeyed(ctx context.Context, key FragmentKey, plan *rem
 
 // reportExecError is the shared run-time error classification: cancellation
 // is the integrator's doing and stays silent; anything else feeds the error
-// counter, the observer (QCC) and the MW log.
+// counter, the observer (QCC) and the journal.
 func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err error) {
 	if ctx.Err() != nil {
 		return
@@ -372,7 +378,7 @@ func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err
 	if obs != nil {
 		obs.ObserveError(serverID, err)
 	}
-	mw.log.addError(ErrorLogEntry{ServerID: serverID, Err: err.Error()})
+	mw.journal.Errors.Add(journal.Error{QueryID: journal.ScopeOf(ctx).Query, ServerID: serverID, Err: err.Error()})
 }
 
 // mwStream decorates a wrapper stream with MW's observation duties.
@@ -383,6 +389,9 @@ type mwStream struct {
 	plan     *remote.Plan
 	rawEst   remote.CostEstimate
 	finished bool
+	// wire: some batch arrived without a row form, i.e. the columnar wire
+	// carried the fragment.
+	wire bool
 }
 
 // Schema implements wrapper.ResultStream.
@@ -398,37 +407,56 @@ func (s *mwStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
 		s.mw.reportExecError(ctx, s.key.ServerID, err)
 		return nil, err
 	}
-	if b == nil && !s.finished {
+	if b != nil {
+		s.wire = s.wire || b.Rel == nil
+	} else if !s.finished {
 		s.finished = true
-		s.observeOutcome(s.inner.Outcome())
+		s.observeOutcome(ctx, s.inner.Outcome())
 	}
 	return b, nil
 }
 
-func (s *mwStream) observeOutcome(out *wrapper.StreamOutcome) {
+// shipModes names how a fragment's data crossed the wire, for the fragment's
+// span and its journal run entry, by {pushdown, columnar wire}.
+var shipModes = map[[2]bool]string{
+	{false, false}: "row-ship",     // boxed rows of the full (or ship-all-rows baseline) result
+	{false, true}:  "col-ship",     // typed column batches of the same rows
+	{true, false}:  "pushdown",     // partial-aggregate states as boxed rows
+	{true, true}:   "pushdown-col", // partial-aggregate states as typed column batches
+}
+
+func (s *mwStream) observeOutcome(ctx context.Context, out *wrapper.StreamOutcome) {
 	mw := s.mw
 	mw.telemetry().Active().Histogram("mw.response_ms", s.key.ServerID, nil).Observe(float64(out.ResponseTime))
 	if out.FirstRowTime > 0 {
 		mw.telemetry().Active().Histogram("mw.first_row_ms", s.key.ServerID, nil).Observe(float64(out.FirstRowTime))
 	}
-	obs, _ := mw.observerAndCalib()
-	if obs != nil {
+	outBytes := resultBytes(out.Result, out.WireBytes)
+	if obs, _ := mw.observerAndCalib(); obs != nil {
 		obs.ObserveRun(RunRecord{
 			Key:      s.key,
 			PlanSig:  s.plan.Signature,
 			Est:      s.rawEst,
 			Observed: out.ResponseTime,
 			FirstRow: out.FirstRowTime,
-			OutBytes: resultBytes(out.Result, out.WireBytes),
+			OutBytes: outBytes,
 		})
 	}
-	mw.log.addRun(RunLogEntry{
+	// The context says which query and fragment this stream serves (nothing,
+	// for a direct call) and carries the dispatch's span.
+	scope := journal.ScopeOf(ctx)
+	ship := shipModes[[2]bool{scope.Pushdown, s.wire}]
+	telemetry.SpanFrom(ctx).SetAttr("ship", ship)
+	mw.journal.Runs.Add(journal.Run{
+		QueryID:    scope.Query,
+		FragID:     scope.Frag,
 		Fragment:   s.key.Signature,
 		ServerID:   s.key.ServerID,
 		PlanSig:    s.plan.Signature,
 		EstMS:      s.rawEst.TotalMS,
 		ObservedMS: float64(out.ResponseTime),
-		OutBytes:   resultBytes(out.Result, out.WireBytes),
+		OutBytes:   outBytes,
+		Ship:       ship,
 	})
 }
 

@@ -173,7 +173,7 @@ func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
 			t.Errorf("compile recorded under %+v, want %+v", c.Key, key)
 		}
 	}
-	for _, e := range mw.RunLog() {
+	for _, e := range mw.Journal().Runs.Tail(0) {
 		if e.Fragment != key.Signature {
 			t.Errorf("run log fragment %q, want %q", e.Fragment, key.Signature)
 		}
@@ -263,7 +263,7 @@ func TestMWLogsRecordCompileRunError(t *testing.T) {
 	srv.SetDown(true)
 	runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst) //nolint:errcheck
 
-	compiles := mw.CompileLog()
+	compiles := mw.Journal().Candidates.Tail(0)
 	if len(compiles) == 0 {
 		t.Fatal("compile log empty")
 	}
@@ -274,11 +274,16 @@ func TestMWLogsRecordCompileRunError(t *testing.T) {
 	if c.Fragment != sqlparser.CanonicalizeSQL(stmt.String()) {
 		t.Fatalf("fragment text: %q", c.Fragment)
 	}
-	runs := mw.RunLog()
+	runs := mw.Journal().Runs.Tail(0)
 	if len(runs) != 1 || runs[0].ObservedMS <= 0 || runs[0].OutBytes <= 0 {
 		t.Fatalf("run log: %+v", runs)
 	}
-	errs := mw.ErrorLog()
+	// A direct call belongs to no query and no dispatch; the ship mode is
+	// still the stream's own observation.
+	if runs[0].QueryID != 0 || runs[0].FragID != "" || runs[0].Ship != "col-ship" {
+		t.Fatalf("direct-call run entry: %+v", runs[0])
+	}
+	errs := mw.Journal().Errors.Tail(0)
 	if len(errs) != 1 || errs[0].ServerID != "S1" || errs[0].Err == "" {
 		t.Fatalf("error log: %+v", errs)
 	}

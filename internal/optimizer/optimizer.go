@@ -272,6 +272,9 @@ func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decompositi
 	if maxPlans <= 0 {
 		maxPlans = 256
 	}
+	// Rendered once: every combination, the journal's winner entry and the
+	// router's rotation key share this one string.
+	text := stmt.String()
 	var all []*GlobalPlan
 	var walk func(i int, acc []FragmentChoice)
 	walk = func(i int, acc []FragmentChoice) {
@@ -279,7 +282,7 @@ func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decompositi
 			return
 		}
 		if i == len(menu) {
-			gp := o.assembleGlobal(stmt, decomp, append([]FragmentChoice(nil), acc...))
+			gp := o.assembleGlobal(text, stmt, decomp, append([]FragmentChoice(nil), acc...))
 			gp.Options = menu
 			all = append(all, gp)
 			return
@@ -297,12 +300,12 @@ func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decompositi
 // does. Replica routers use it to re-assemble a plan after swapping
 // individual fragment choices from GlobalPlan.Options.
 func (o *Optimizer) AssembleGlobal(stmt *sqlparser.SelectStmt, decomp *Decomposition, chosen []FragmentChoice) *GlobalPlan {
-	return o.assembleGlobal(stmt, decomp, chosen)
+	return o.assembleGlobal(stmt.String(), stmt, decomp, chosen)
 }
 
-func (o *Optimizer) assembleGlobal(stmt *sqlparser.SelectStmt, decomp *Decomposition, chosen []FragmentChoice) *GlobalPlan {
+func (o *Optimizer) assembleGlobal(text string, stmt *sqlparser.SelectStmt, decomp *Decomposition, chosen []FragmentChoice) *GlobalPlan {
 	gp := &GlobalPlan{
-		Query:     stmt.String(),
+		Query:     text,
 		Stmt:      stmt,
 		Decomp:    decomp,
 		Fragments: chosen,

@@ -222,28 +222,28 @@ func TestGlobalPlanKeys(t *testing.T) {
 	}
 }
 
+// TestExplainTable: a compilation stores its winner — the explain table — as
+// one journal entry with a struct per fragment, under query 0 in explain mode.
 func TestExplainTable(t *testing.T) {
 	sc := threeServer(t)
 	gp, err := sc.II.Compile("SELECT COUNT(*) FROM parts AS p")
 	if err != nil {
 		t.Fatal(err)
 	}
-	et := sc.II.ExplainTable()
-	if et.Len() != 1 {
-		t.Fatalf("entries: %d", et.Len())
+	winners := sc.II.Journal().Winners.Tail(0)
+	if len(winners) != 1 {
+		t.Fatalf("entries: %d", len(winners))
 	}
-	e := et.Latest(gp.Query)
-	if e == nil || e.RouteKey != gp.RouteKey() {
-		t.Fatalf("latest: %+v", e)
+	e := winners[0]
+	if e.Query != gp.Query || e.QueryID != 0 || e.TotalEstMS != gp.TotalEstMS || len(e.Fragments) != 1 {
+		t.Fatalf("winner: %+v", e)
 	}
-	if e.FragmentServers["QF1"] == "" || e.FragmentSigs["QF1"] == "" {
-		t.Fatalf("fragment details missing: %+v", e)
+	f, want := e.Fragments[0], gp.Fragments[0]
+	if f.ID != "QF1" || f.Server != want.ServerID || f.PlanSig != want.Plan.Signature || f.EstMS != want.Plan.Est.TotalMS {
+		t.Fatalf("fragment details: %+v, plan has %s@%s %s", f, want.Spec.ID, want.ServerID, want.Plan.Signature)
 	}
-	if et.Latest("nope") != nil {
-		t.Fatal("unknown query should be nil")
-	}
-	if !strings.Contains(et.String(), "QF1@") {
-		t.Fatalf("dump: %s", et.String())
+	if len(f.Tables) != 1 || f.Tables[0] != "parts" {
+		t.Fatalf("fragment tables: %v", f.Tables)
 	}
 }
 

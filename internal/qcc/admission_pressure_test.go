@@ -67,7 +67,7 @@ func TestQueuePressureTimelineSample(t *testing.T) {
 	clk.Advance(10)
 	q.PublishNow()
 
-	samples := tel.Timelines().ServerSamples("II")
+	samples := tel.Timelines().Select(func(s *telemetry.FactorSample) bool { return s.Server == "II" })
 	if len(samples) == 0 {
 		t.Fatal("publish must append an II effective-factor timeline sample")
 	}

@@ -5,7 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/catalog"
-	"repro/internal/optimizer"
+	"repro/internal/journal"
 )
 
 // The placement advisor implements the paper's closing future-work item:
@@ -53,7 +53,7 @@ func (c *AdvisorConfig) fill() {
 // state and returns ranked replication recommendations. Only nicknames that
 // are NOT already hosted by a cool candidate are recommended (replication
 // adds an equivalent source; it is pointless when one already exists).
-func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []optimizer.ExplainEntry, cfg AdvisorConfig) []PlacementRecommendation {
+func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cfg AdvisorConfig) []PlacementRecommendation {
 	cfg.fill()
 
 	// Workload per (server, nickname): calibrated estimate attributed to
@@ -61,14 +61,13 @@ func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []optimizer.ExplainE
 	perServerNick := map[string]map[string]float64{}
 	perServer := map[string]float64{}
 	for _, e := range entries {
-		for fragID, server := range e.FragmentServers {
-			cost := e.FragmentEstMS[fragID]
-			perServer[server] += cost
-			for _, nick := range e.FragmentTables[fragID] {
-				if perServerNick[server] == nil {
-					perServerNick[server] = map[string]float64{}
+		for _, f := range e.Fragments {
+			perServer[f.Server] += f.EstMS
+			for _, nick := range f.Tables {
+				if perServerNick[f.Server] == nil {
+					perServerNick[f.Server] = map[string]float64{}
 				}
-				perServerNick[server][nick] += cost
+				perServerNick[f.Server][nick] += f.EstMS
 			}
 		}
 	}

@@ -24,10 +24,8 @@ type Config struct {
 	Reliability  ReliabilityConfig
 	Availability AvailabilityConfig
 	Cycle        CycleConfig
-	// Routing is the route policy Attach installs in the integrator, and
-	// RouteLog the decision log it writes to (may be nil).
-	Routing  router.Policy
-	RouteLog *router.DecisionLog
+	// Routing is the route policy Attach installs in the integrator.
+	Routing router.Policy
 
 	// FileSeedMultiplier scales a probe round-trip into the initial cost
 	// seed for no-estimate (file) sources (default 20).
@@ -164,7 +162,7 @@ func Attach(cfg Config, ii *integrator.II) *QCC {
 	cfg.MW.SetCalibrator(q)
 	ii.SetIICalibrator(q)
 	ii.SetMergeObserver(q)
-	q.SetRouting(ii, cfg.Routing, cfg.RouteLog)
+	q.SetRouting(ii, cfg.Routing)
 	return q
 }
 

@@ -9,14 +9,15 @@ import (
 // SetRouting builds the route policy over this QCC's signals — the one place
 // a router.Router is constructed — and installs it as the integrator's
 // router, replacing whatever routed before, rotation state and counters too.
-func (q *QCC) SetRouting(ii *integrator.II, p router.Policy, log *router.DecisionLog) {
+// Its decisions go to the integrator's journal.
+func (q *QCC) SetRouting(ii *integrator.II, p router.Policy) {
 	q.Router = router.New(router.Config{
 		Policy:    p,
 		Signals:   q.RouterSignals(),
 		MW:        q.mw,
 		Optimizer: ii.Optimizer(),
 		Clock:     q.clock,
-		Log:       log,
+		Journal:   ii.Journal(),
 		Telemetry: q.tel,
 	})
 	ii.SetRouter(q.Router)

@@ -97,7 +97,7 @@ func TestLBFragmentRequiresIdenticalPlans(t *testing.T) {
 func TestLBSetModeResets(t *testing.T) {
 	sc, q := buildLB(t, router.Policy{Mode: router.Global, Closeness: 3.0})
 	serversUsed(t, sc, scanQuery, 3)
-	q.SetRouting(sc.II, router.Policy{Mode: router.Off}, nil)
+	q.SetRouting(sc.II, router.Policy{Mode: router.Off})
 	if used := serversUsed(t, sc, scanQuery, 4); len(used) != 1 {
 		t.Fatalf("after turning routing off: %v", used)
 	}

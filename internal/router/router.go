@@ -9,7 +9,7 @@
 //
 // with every sub-score in [0,1], higher better. Both rules share one
 // dispatch-time rescore (§6's long-running-query extension), the counters
-// and the decision log. With the mode off, or one placement per fragment, the
+// and the journal's decision entries. With the mode off, or one placement per fragment, the
 // winner comes back pointer-identical and no signal is consulted.
 package router
 
@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/integrator"
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/simclock"
@@ -130,16 +131,16 @@ type Config struct {
 	// Optimizer assembles global plans from menu choices, priced as
 	// enumeration prices them.
 	Optimizer *optimizer.Optimizer
-	// Clock ages rotation sets and timestamps decision-log entries.
+	// Clock ages rotation sets and timestamps decisions.
 	Clock *simclock.Clock
-	// Log receives routing decisions (may be nil).
-	Log *DecisionLog
+	// Journal receives routing decisions (may be nil).
+	Journal *journal.Journal
 	// Telemetry receives score gauges and routing counters (may be nil).
 	Telemetry *telemetry.Telemetry
 }
 
 // Breakdown is one candidate server's score decomposition, kept for span
-// attributes and the decision log.
+// attributes and the journal's decisions.
 type Breakdown struct {
 	ServerID string
 	CPU      float64
@@ -214,15 +215,15 @@ func (r *Router) Stats() Stats {
 // ChooseGlobal implements integrator.Router: the compile-time pick from the
 // winner's menu. Off, a nil winner and a winner without a menu come back
 // pointer-identical.
-func (r *Router) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+func (r *Router) ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 	if winner == nil || len(winner.Options) != len(winner.Fragments) {
 		return winner
 	}
 	switch r.cfg.Mode {
 	case Fragment, Global:
-		return r.rotate(queryText, winner)
+		return r.rotate(ctx, winner)
 	case Weighted:
-		return r.argmax(queryText, winner)
+		return r.argmax(ctx, winner)
 	}
 	return winner
 }
@@ -231,8 +232,8 @@ func (r *Router) ChooseGlobal(queryText string, winner *optimizer.GlobalPlan) *o
 // re-derived when it has aged out, or when a member runs a fragment on a
 // server the current menu no longer offers (excluded by a retry, fenced by a
 // probe): it must not send a query where the optimizer just refused to.
-func (r *Router) rotate(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	now := r.cfg.Clock.Now()
+func (r *Router) rotate(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	now, queryText := r.cfg.Clock.Now(), winner.Query
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rot := r.rotations[queryText]
@@ -244,7 +245,7 @@ func (r *Router) rotate(queryText string, winner *optimizer.GlobalPlan) *optimiz
 		r.rotations[queryText] = rot
 	}
 	if len(rot.plans) <= 1 {
-		r.record(now, queryText, winner.RouteKey(), "kept winner (no rotation set)", nil)
+		r.record(ctx, now, queryText, winner.RouteKey(), "kept winner (no rotation set)", nil)
 		return winner
 	}
 	pos := rot.idx % len(rot.plans)
@@ -259,7 +260,7 @@ func (r *Router) rotate(queryText string, winner *optimizer.GlobalPlan) *optimiz
 		r.cfg.Telemetry.Active().Counter("qcc.rotations", "").Inc()
 		reason = "rotated off winner"
 	}
-	r.record(now, queryText, chosen.RouteKey(), fmt.Sprintf("round-robin %d/%d (%s)", pos+1, len(rot.plans), reason), nil)
+	r.record(ctx, now, queryText, chosen.RouteKey(), fmt.Sprintf("round-robin %d/%d (%s)", pos+1, len(rot.plans), reason), nil)
 	return chosen
 }
 
@@ -451,7 +452,7 @@ func (r *Router) score(serverID, sig string, tables []string, cost, minCost floa
 // candidate server in the menu goes to the best-scoring one. A fragment with
 // a single placement keeps the winner's exact choice, and if nothing changes
 // the winner comes back pointer-identical (replication-off bit-identity).
-func (r *Router) argmax(queryText string, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
 	chosen := make([]optimizer.FragmentChoice, len(winner.Fragments))
 	changed := false
 	var notes []Breakdown
@@ -475,12 +476,12 @@ func (r *Router) argmax(queryText string, winner *optimizer.GlobalPlan) *optimiz
 	}
 	now := r.cfg.Clock.Now()
 	if !changed {
-		r.record(now, queryText, winner.RouteKey(), "kept winner", notes)
+		r.record(ctx, now, winner.Query, winner.RouteKey(), "kept winner", notes)
 		return winner
 	}
 	out := r.cfg.Optimizer.AssembleGlobal(winner.Stmt, winner.Decomp, chosen)
 	out.Options = winner.Options
-	r.record(now, queryText, out.RouteKey(), "replica swap", notes)
+	r.record(ctx, now, winner.Query, out.RouteKey(), "replica swap", notes)
 	return out
 }
 
@@ -531,7 +532,7 @@ func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentC
 	r.stats.RescoreSwitches++
 	r.mu.Unlock()
 	reg.Counter("qcc.reroute_switches", pick.score.ServerID).Inc()
-	r.record(r.cfg.Clock.Now(), "", choice.Spec.ID+"@"+pick.score.ServerID,
+	r.record(ctx, r.cfg.Clock.Now(), "", choice.Spec.ID+"@"+pick.score.ServerID,
 		fmt.Sprintf("dispatch rescore from %s", choice.ServerID), []Breakdown{pick.score})
 	return &pick.choice
 }
@@ -554,10 +555,11 @@ func (r *Router) RouteAttrs(fragID string) map[string]string {
 	}
 }
 
-// record appends to the decision log (nil-safe) under the mode's policy
-// label: "weighted", or "lb" for the paper's policies.
-func (r *Router) record(at simclock.Time, query, route, reason string, notes []Breakdown) {
-	if r.cfg.Log == nil {
+// record appends a decision to the journal (when there is one), stamped with
+// the context's query, under the mode's policy label: "weighted", or "lb" for
+// the paper's policies.
+func (r *Router) record(ctx context.Context, at simclock.Time, query, route, reason string, notes []Breakdown) {
+	if r.cfg.Journal == nil {
 		return
 	}
 	policy := "lb"
@@ -569,5 +571,7 @@ func (r *Router) record(at simclock.Time, query, route, reason string, notes []B
 		reason += sep + b.String()
 		sep = " "
 	}
-	r.cfg.Log.Record(Decision{At: at, Query: query, Policy: policy, Route: route, Reason: reason})
+	r.cfg.Journal.Decisions.Add(journal.Decision{
+		QueryID: journal.ScopeOf(ctx).Query, At: at, Query: query, Policy: policy, Route: route, Reason: reason,
+	})
 }

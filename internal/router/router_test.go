@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
+	"repro/internal/ring"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/wrapper"
@@ -68,7 +70,7 @@ func winnerOver(t *testing.T, opts ...optimizer.FragmentChoice) *optimizer.Globa
 func servers(r *Router, winner *optimizer.GlobalPlan, n int) string {
 	var seq []string
 	for i := 0; i < n; i++ {
-		seq = append(seq, r.ChooseGlobal(winner.Query, winner).Fragments[0].ServerID)
+		seq = append(seq, r.ChooseGlobal(context.Background(), winner).Fragments[0].ServerID)
 	}
 	return strings.Join(seq, " ")
 }
@@ -185,17 +187,17 @@ func TestChooseGlobalGuards(t *testing.T) {
 	noMenu := &optimizer.GlobalPlan{Fragments: []optimizer.FragmentChoice{choice("S1", 10)}}
 	for _, mode := range []Mode{Off, Fragment, Global, Weighted} {
 		r := testRouter(Policy{Mode: mode})
-		if got := r.ChooseGlobal("q", nil); got != nil {
+		if got := r.ChooseGlobal(context.Background(), nil); got != nil {
 			t.Errorf("%s: nil winner not passed through", mode)
 		}
-		if got := r.ChooseGlobal("q", noMenu); got != noMenu {
+		if got := r.ChooseGlobal(context.Background(), noMenu); got != noMenu {
 			t.Errorf("%s: winner without options was not returned untouched", mode)
 		}
 	}
 	tied := winnerOver(t, choice("S1", 10), choice("S2", 10), choice("S3", 10))
 	off := testRouter(Policy{Mode: Off, Closeness: 3})
 	for i := 0; i < 4; i++ {
-		if got := off.ChooseGlobal(tied.Query, tied); got != tied {
+		if got := off.ChooseGlobal(context.Background(), tied); got != tied {
 			t.Fatal("Off did not return the winner pointer-identical")
 		}
 	}
@@ -279,7 +281,9 @@ func TestRotationMapIsBounded(t *testing.T) {
 	w := winnerOver(t, choice("S1", 10), choice("S2", 11))
 	for i := 0; i < 2000; i++ {
 		r.cfg.Clock.Advance(1)
-		r.ChooseGlobal(fmt.Sprintf("q%04d", i), w)
+		text := *w
+		text.Query = fmt.Sprintf("q%04d", i)
+		r.ChooseGlobal(context.Background(), &text)
 	}
 	if len(r.rotations) != maxRotations {
 		t.Fatalf("%d rotation sets after 2000 statement texts, want the cap %d", len(r.rotations), maxRotations)
@@ -363,28 +367,31 @@ func TestRerouteFragmentSingleCandidateNoop(t *testing.T) {
 	}
 }
 
+// TestDecisionLogRing: the router's decisions land in the journal it was
+// given, stamped with the query the context names, and only the most recent
+// ring.Decisions of them are kept, oldest first. (Every other test here runs a
+// router without a journal: that must record nothing and not panic.)
 func TestDecisionLogRing(t *testing.T) {
-	log := NewDecisionLog(3)
-	for i := 0; i < 5; i++ {
-		log.Record(Decision{Query: string(rune('a' + i))})
+	j := journal.New()
+	r := New(Config{Policy: Policy{Mode: Global, Closeness: 3}, Optimizer: &optimizer.Optimizer{}, Clock: simclock.New(), Journal: j})
+	w := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	const n = ring.Decisions + 5
+	for i := 1; i <= n; i++ {
+		r.ChooseGlobal(journal.WithScope(context.Background(), journal.Scope{Query: int64(i)}), w)
 	}
-	if log.Total() != 5 {
-		t.Errorf("Total = %d, want 5", log.Total())
+	if got := j.Decisions.Evicted(); got != 5 {
+		t.Errorf("evicted = %d, want 5", got)
 	}
-	last := log.Last(10)
-	if len(last) != 3 {
-		t.Fatalf("Last(10) returned %d decisions, want the 3 retained", len(last))
+	last := j.Decisions.Tail(0)
+	if len(last) != ring.Decisions {
+		t.Fatalf("retained %d decisions, want the bound %d", len(last), ring.Decisions)
 	}
-	if last[0].Query != "c" || last[2].Query != "e" {
-		t.Errorf("Last order = [%s %s %s], want oldest-first [c d e]",
-			last[0].Query, last[1].Query, last[2].Query)
+	for i, d := range last {
+		if d.QueryID != int64(6+i) || d.Policy != "lb" || d.Query != w.Query || d.Route == "" || d.Reason == "" {
+			t.Fatalf("decision %d = %+v, want query %d's, oldest first", i, d, 6+i)
+		}
 	}
-	if got := log.Last(2); len(got) != 2 || got[0].Query != "d" {
-		t.Errorf("Last(2) = %v, want [d e]", got)
-	}
-	var nilLog *DecisionLog
-	nilLog.Record(Decision{}) // must not panic
-	if nilLog.Last(1) != nil || nilLog.Total() != 0 {
-		t.Error("nil log is not inert")
+	if got := j.Decisions.Tail(2); len(got) != 2 || got[0].QueryID != n-1 || got[1].QueryID != n {
+		t.Errorf("Tail(2) = %+v, want the last two", got)
 	}
 }

@@ -153,7 +153,7 @@ func FormatTimeline(ts *TimelineStore) string {
 	if ts == nil {
 		return "(telemetry disabled)\n"
 	}
-	samples := ts.Samples()
+	samples := ts.Tail(0)
 	if len(samples) == 0 {
 		return "(no calibration samples)\n"
 	}

@@ -175,7 +175,7 @@ func (s *Span) End(dur simclock.Time) {
 
 // Trace is one query's span tree plus its outcome.
 type Trace struct {
-	// ID is the trace's ring-assigned identifier (monotonic per tracer).
+	// ID is the query's journal ID: the key its journal entries share.
 	ID int64
 	// Query is the traced statement text.
 	Query string

@@ -11,15 +11,16 @@
 // therefore never guard their telemetry calls; the zero value of the whole
 // subsystem is "off".
 //
-// Retention is bounded everywhere, mirroring the query patroller: the trace
-// ring evicts oldest traces, the metrics registry caps label cardinality,
-// and the timeline ring evicts oldest samples — each with an eviction/drop
-// counter so silent loss is visible.
+// Retention is bounded everywhere: traces and timeline samples sit on the
+// same ring.Ring as the query journal's sequences, under the bounds written
+// down there, and the metrics registry caps label cardinality — each with an
+// eviction/drop counter so silent loss is visible.
 package telemetry
 
 import (
 	"sync/atomic"
 
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
 
@@ -43,15 +44,9 @@ const (
 type Config struct {
 	// Enabled starts the subsystem collecting immediately.
 	Enabled bool
-	// TraceCapacity bounds the retained trace ring (0 selects
-	// DefaultTraceCapacity, negative disables the bound).
-	TraceCapacity int
 	// MaxSeries caps distinct (metric, label) series in the registry (0
 	// selects DefaultMaxSeries, negative disables the bound).
 	MaxSeries int
-	// TimelineCapacity bounds retained calibration samples (0 selects
-	// DefaultTimelineCapacity, negative disables the bound).
-	TimelineCapacity int
 }
 
 // Telemetry bundles the tracer, the metrics registry and the calibration
@@ -66,9 +61,9 @@ type Telemetry struct {
 // New builds a Telemetry handle.
 func New(cfg Config) *Telemetry {
 	t := &Telemetry{
-		tracer:   NewTracer(cfg.TraceCapacity),
+		tracer:   NewTracer(),
 		metrics:  NewRegistry(cfg.MaxSeries),
-		timeline: NewTimelineStore(cfg.TimelineCapacity),
+		timeline: ring.NewLog[FactorSample](ring.Entries),
 	}
 	t.enabled.Store(cfg.Enabled)
 	return t
@@ -121,19 +116,20 @@ func (t *Telemetry) Active() *Registry {
 	return t.metrics
 }
 
-// StartTrace opens a trace for one query when collection is enabled,
-// retaining it in the trace ring immediately (an in-flight query is
-// observable). Returns nil — and the query runs untraced — when disabled.
-func (t *Telemetry) StartTrace(query string, at simclock.Time) *Trace {
+// StartTrace opens a trace for one query, under its journal ID, when
+// collection is enabled, retaining it in the trace ring immediately (an
+// in-flight query is observable). Returns nil — and the query runs untraced —
+// when disabled.
+func (t *Telemetry) StartTrace(id int64, query string, at simclock.Time) *Trace {
 	if !t.Enabled() {
 		return nil
 	}
-	return t.tracer.StartTrace(query, at)
+	return t.tracer.StartTrace(id, query, at)
 }
 
 // AppendFactor records one calibration-factor sample when enabled. Nil-safe.
 func (t *Telemetry) AppendFactor(at simclock.Time, server string, factor float64) {
 	if t.Enabled() {
-		t.timeline.Append(at, server, factor)
+		t.timeline.Add(FactorSample{At: at, Server: server, Factor: factor})
 	}
 }

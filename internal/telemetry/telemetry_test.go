@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
 
@@ -18,7 +19,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil telemetry reports enabled")
 	}
 	tel.SetEnabled(true)
-	if tr := tel.StartTrace("q", 0); tr != nil {
+	if tr := tel.StartTrace(1, "q", 0); tr != nil {
 		t.Fatal("nil telemetry started a trace")
 	}
 	tel.AppendFactor(0, "s", 1)
@@ -60,14 +61,14 @@ func TestNilSafety(t *testing.T) {
 	if r.Counter("a", "") != nil || r.Gauge("a", "") != nil || r.Histogram("a", "", nil) != nil {
 		t.Fatal("nil registry handed out instruments")
 	}
-	var ring *Tracer
-	if ring.StartTrace("q", 0) != nil || ring.Len() != 0 {
+	var none *Tracer
+	if none.StartTrace(1, "q", 0) != nil || none.Len() != 0 || none.Last() != nil || none.Trace(1) != nil {
 		t.Fatal("nil tracer retained a trace")
 	}
-	ring.FinishTrace(nil, nil)
+	none.FinishTrace(nil, nil)
 	var ts *TimelineStore
-	ts.Append(0, "s", 1)
-	if ts.Len() != 0 || ts.Samples() != nil {
+	ts.Add(FactorSample{Server: "s", Factor: 1})
+	if ts.Len() != 0 || ts.Tail(0) != nil {
 		t.Fatal("nil timeline store retained samples")
 	}
 }
@@ -77,7 +78,7 @@ func TestDisabledCollectsNothing(t *testing.T) {
 	if tel.Enabled() {
 		t.Fatal("zero config should be disabled")
 	}
-	if tr := tel.StartTrace("q", 0); tr != nil {
+	if tr := tel.StartTrace(1, "q", 0); tr != nil {
 		t.Fatal("disabled telemetry started a trace")
 	}
 	if tel.Active() != nil {
@@ -89,7 +90,7 @@ func TestDisabledCollectsNothing(t *testing.T) {
 	}
 
 	tel.SetEnabled(true)
-	if tel.StartTrace("q", 0) == nil || tel.Active() == nil {
+	if tel.StartTrace(1, "q", 0) == nil || tel.Active() == nil {
 		t.Fatal("enabled telemetry inert")
 	}
 	tel.SetEnabled(false)
@@ -100,7 +101,7 @@ func TestDisabledCollectsNothing(t *testing.T) {
 
 func TestSpanCursorModel(t *testing.T) {
 	tel := New(Config{Enabled: true})
-	tr := tel.StartTrace("SELECT 1", 100)
+	tr := tel.StartTrace(1, "SELECT 1", 100)
 	root := tr.Root
 	if root.Start() != 100 {
 		t.Fatalf("root start = %v, want 100", root.Start())
@@ -171,10 +172,14 @@ func TestContextPropagation(t *testing.T) {
 	}
 }
 
+// smallTracer is a tracer over a ring of n: the bound is not configurable,
+// so tests of eviction build theirs directly.
+func smallTracer(n int) *Tracer { return &Tracer{traces: ring.NewLog[*Trace](n)} }
+
 func TestTracerRingEviction(t *testing.T) {
-	tr := NewTracer(3)
+	tr := smallTracer(3)
 	for i := 0; i < 10; i++ {
-		tr.StartTrace(fmt.Sprintf("q%d", i), 0)
+		tr.StartTrace(int64(i), fmt.Sprintf("q%d", i), 0)
 	}
 	if tr.Len() != 3 {
 		t.Fatalf("ring length = %d, want 3", tr.Len())
@@ -189,23 +194,35 @@ func TestTracerRingEviction(t *testing.T) {
 	if tr.Last().Query != "q9" {
 		t.Fatalf("Last = %q, want q9", tr.Last().Query)
 	}
-
-	unbounded := NewTracer(-1)
-	for i := 0; i < 500; i++ {
-		unbounded.StartTrace("q", 0)
+	// A trace is found by its query's ID while retained, and not after.
+	if got := tr.Trace(8); got == nil || got.Query != "q8" {
+		t.Fatalf("Trace(8) = %+v, want q8's", got)
 	}
-	if unbounded.Len() != 500 || unbounded.Evicted() != 0 {
-		t.Fatal("negative capacity should disable the bound")
+	if got := tr.Trace(2); got != nil {
+		t.Fatalf("Trace(2) = %+v, want nil for an evicted trace", got)
+	}
+
+	full := NewTracer()
+	for i := 0; i < ring.Traces+10; i++ {
+		full.StartTrace(int64(i), "q", 0)
+	}
+	if full.Len() != ring.Traces || full.Evicted() != 10 {
+		t.Fatalf("default tracer: len=%d evicted=%d, want %d/10", full.Len(), full.Evicted(), ring.Traces)
 	}
 }
 
+// TestTracerCompaction: sustained eviction keeps the window exact (the ring
+// wraps in place; nothing is compacted any more).
 func TestTracerCompaction(t *testing.T) {
-	tr := NewTracer(2)
+	tr := smallTracer(2)
 	for i := 0; i < 400; i++ {
-		tr.StartTrace("q", 0)
+		tr.StartTrace(int64(i), "q", 0)
 	}
 	if tr.Len() != 2 || tr.Evicted() != 398 {
-		t.Fatalf("len=%d evicted=%d after compaction churn", tr.Len(), tr.Evicted())
+		t.Fatalf("len=%d evicted=%d after eviction churn", tr.Len(), tr.Evicted())
+	}
+	if got := tr.Traces(); got[0].ID != 398 || got[1].ID != 399 {
+		t.Fatalf("window = [%d %d], want [398 399]", got[0].ID, got[1].ID)
 	}
 }
 
@@ -267,19 +284,22 @@ func TestHistogramBucketEdges(t *testing.T) {
 }
 
 func TestTimelineStore(t *testing.T) {
-	ts := NewTimelineStore(4)
+	ts := ring.NewLog[FactorSample](4)
 	for i := 0; i < 6; i++ {
-		ts.Append(simclock.Time(i*10), "s1", 1+float64(i)/10)
+		ts.Add(FactorSample{At: simclock.Time(i * 10), Server: "s1", Factor: 1 + float64(i)/10})
 	}
-	ts.Append(100, "s2", 2)
+	ts.Add(FactorSample{At: 100, Server: "s2", Factor: 2})
+	of := func(server string) []FactorSample {
+		return ts.Select(func(s *FactorSample) bool { return s.Server == server })
+	}
 	if ts.Len() != 4 || ts.Evicted() != 3 {
 		t.Fatalf("len=%d evicted=%d, want 4/3", ts.Len(), ts.Evicted())
 	}
-	s1 := ts.ServerSamples("s1")
+	s1 := of("s1")
 	if len(s1) != 3 || s1[0].At != 30 || s1[2].Factor != 1.5 {
 		t.Fatalf("s1 samples wrong: %+v", s1)
 	}
-	if got := ts.ServerSamples("s2"); len(got) != 1 || got[0].Factor != 2 {
+	if got := of("s2"); len(got) != 1 || got[0].Factor != 2 {
 		t.Fatalf("s2 samples wrong: %+v", got)
 	}
 }
@@ -296,10 +316,10 @@ func (c *collectSink) ExportTrace(t *Trace) {
 }
 
 func TestTraceSink(t *testing.T) {
-	tr := NewTracer(0)
+	tr := NewTracer()
 	sink := &collectSink{}
 	tr.SetSink(sink)
-	a := tr.StartTrace("q", 0)
+	a := tr.StartTrace(1, "q", 0)
 	tr.FinishTrace(a, errors.New("boom"))
 	if len(sink.got) != 1 || sink.got[0].Err() != "boom" {
 		t.Fatalf("sink did not receive finished trace: %+v", sink.got)
@@ -308,7 +328,7 @@ func TestTraceSink(t *testing.T) {
 
 func TestExporters(t *testing.T) {
 	tel := New(Config{Enabled: true})
-	tr := tel.StartTrace("SELECT * FROM t", 10)
+	tr := tel.StartTrace(1, "SELECT * FROM t", 10)
 	tr.Root.Emit("parse", LayerII, "", 1)
 	f := tr.Root.Child("fragment", LayerMW, "srv1")
 	f.SetAttr("sql", "SELECT 1")
@@ -362,7 +382,7 @@ func TestExporters(t *testing.T) {
 	if got := FormatMetrics(nil); !strings.Contains(got, "disabled") {
 		t.Fatalf("nil registry format: %q", got)
 	}
-	if got := FormatTimeline(NewTimelineStore(0)); !strings.Contains(got, "no calibration samples") {
+	if got := FormatTimeline(ring.NewLog[FactorSample](4)); !strings.Contains(got, "no calibration samples") {
 		t.Fatalf("empty timeline format: %q", got)
 	}
 	var nilTrace *Trace
@@ -375,7 +395,7 @@ func TestExporters(t *testing.T) {
 // many goroutines hammer one Telemetry handle across traces, spans, metrics
 // and timelines while another flips the enabled switch.
 func TestTelemetryConcurrency(t *testing.T) {
-	tel := New(Config{Enabled: true, TraceCapacity: 32, TimelineCapacity: 64})
+	tel := New(Config{Enabled: true})
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup
@@ -385,7 +405,7 @@ func TestTelemetryConcurrency(t *testing.T) {
 			defer wg.Done()
 			srv := fmt.Sprintf("s%d", w%3)
 			for i := 0; i < iters; i++ {
-				tr := tel.StartTrace("q", simclock.Time(i))
+				tr := tel.StartTrace(int64(w*iters+i), "q", simclock.Time(i))
 				var root *Span
 				if tr != nil {
 					root = tr.Root
@@ -414,13 +434,13 @@ func TestTelemetryConcurrency(t *testing.T) {
 			tel.SetEnabled(i%2 == 0)
 			_ = tel.Tracer().Traces()
 			_ = tel.Metrics().Snapshot()
-			_ = tel.Timelines().Samples()
+			_ = tel.Timelines().Tail(0)
 			_ = tel.Tracer().Last().Tree()
 		}
 		tel.SetEnabled(true)
 	}()
 	wg.Wait()
-	if tel.Tracer().Len() > 32 {
+	if tel.Tracer().Len() > ring.Traces {
 		t.Fatalf("trace ring exceeded capacity: %d", tel.Tracer().Len())
 	}
 	if tel.Metrics().CounterValue("ii.queries", "") == 0 {

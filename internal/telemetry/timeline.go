@@ -1,14 +1,9 @@
 package telemetry
 
 import (
-	"sync"
-
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
-
-// DefaultTimelineCapacity bounds retained calibration samples when no
-// capacity is configured.
-const DefaultTimelineCapacity = 4096
 
 // FactorSample is one published calibration-factor observation.
 type FactorSample struct {
@@ -17,91 +12,9 @@ type FactorSample struct {
 	Factor float64
 }
 
-// TimelineStore retains calibration-factor samples in submission order in a
-// bounded ring (oldest evicted first), so the paper's calibration-factor vs.
-// load timelines can be rebuilt from a live run. All methods are nil-safe.
-type TimelineStore struct {
-	mu      sync.Mutex
-	samples []FactorSample
-	// head indexes the oldest retained sample.
-	head int
-	// capacity bounds retained samples; <= 0 means unbounded.
-	capacity int
-	evicted  int64
-}
-
-// NewTimelineStore builds a store retaining up to capacity samples: 0
-// selects DefaultTimelineCapacity, negative disables the bound.
-func NewTimelineStore(capacity int) *TimelineStore {
-	if capacity == 0 {
-		capacity = DefaultTimelineCapacity
-	}
-	return &TimelineStore{capacity: capacity}
-}
-
-// Append records one sample.
-func (ts *TimelineStore) Append(at simclock.Time, server string, factor float64) {
-	if ts == nil {
-		return
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.samples = append(ts.samples, FactorSample{At: at, Server: server, Factor: factor})
-	if ts.capacity > 0 {
-		for len(ts.samples)-ts.head > ts.capacity {
-			ts.head++
-			ts.evicted++
-		}
-		// Compact once the dead prefix dominates, amortizing to O(1).
-		if ts.head > 256 && ts.head*2 >= len(ts.samples) {
-			ts.samples = append(ts.samples[:0:0], ts.samples[ts.head:]...)
-			ts.head = 0
-		}
-	}
-}
-
-// Samples snapshots all retained samples, oldest first.
-func (ts *TimelineStore) Samples() []FactorSample {
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]FactorSample(nil), ts.samples[ts.head:]...)
-}
-
-// ServerSamples snapshots the retained samples for one server, oldest first.
-func (ts *TimelineStore) ServerSamples(server string) []FactorSample {
-	if ts == nil {
-		return nil
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	var out []FactorSample
-	for _, s := range ts.samples[ts.head:] {
-		if s.Server == server {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// Len returns the number of retained samples.
-func (ts *TimelineStore) Len() int {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return len(ts.samples) - ts.head
-}
-
-// Evicted returns how many samples the retention bound has dropped.
-func (ts *TimelineStore) Evicted() int64 {
-	if ts == nil {
-		return 0
-	}
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.evicted
-}
+// TimelineStore retains the most recent ring.Entries calibration-factor
+// samples in submission order (oldest evicted first), so the paper's
+// calibration-factor vs. load timelines can be rebuilt from a live run: Add
+// appends, Tail(0) snapshots, Select filters (one server's samples, say), Len
+// and Evicted count. A nil store is empty.
+type TimelineStore = ring.Log[FactorSample]

@@ -3,11 +3,9 @@ package telemetry
 import (
 	"sync"
 
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
-
-// DefaultTraceCapacity bounds the trace ring when no capacity is configured.
-const DefaultTraceCapacity = 256
 
 // TraceSink receives every finished trace — wire an exporter (file, test
 // collector) without polling the ring. The sink runs synchronously on the
@@ -16,29 +14,16 @@ type TraceSink interface {
 	ExportTrace(t *Trace)
 }
 
-// Tracer retains recent traces in a bounded ring, evicting oldest first,
-// mirroring the query patroller's retention scheme. Evictions are counted so
-// silent drops are visible.
+// Tracer retains the most recent ring.Traces traces, evicting oldest first.
+// Evictions are counted so silent drops are visible. All methods are nil-safe.
 type Tracer struct {
-	mu     sync.Mutex
-	nextID int64
-	traces []*Trace
-	// head indexes the oldest retained trace.
-	head int
-	// capacity bounds retained traces; <= 0 means unbounded.
-	capacity int
-	evicted  int64
-	sink     TraceSink
+	traces *ring.Log[*Trace]
+	mu     sync.Mutex // guards sink
+	sink   TraceSink
 }
 
-// NewTracer builds a tracer retaining up to capacity traces: 0 selects
-// DefaultTraceCapacity, negative disables the bound.
-func NewTracer(capacity int) *Tracer {
-	if capacity == 0 {
-		capacity = DefaultTraceCapacity
-	}
-	return &Tracer{capacity: capacity}
-}
+// NewTracer builds an empty tracer.
+func NewTracer() *Tracer { return &Tracer{traces: ring.NewLog[*Trace](ring.Traces)} }
 
 // SetSink installs (or clears, with nil) the finished-trace sink.
 func (tr *Tracer) SetSink(s TraceSink) {
@@ -50,34 +35,19 @@ func (tr *Tracer) SetSink(s TraceSink) {
 	tr.sink = s
 }
 
-// StartTrace opens and retains a trace. The root span starts at the
-// submission time with the query-level name.
-func (tr *Tracer) StartTrace(query string, at simclock.Time) *Trace {
+// StartTrace opens and retains a trace under the query's journal ID. The
+// root span starts at the submission time with the query-level name.
+func (tr *Tracer) StartTrace(id int64, query string, at simclock.Time) *Trace {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.nextID++
 	t := &Trace{
-		ID:       tr.nextID,
+		ID:       id,
 		Query:    query,
 		SubmitAt: at,
 		Root:     &Span{name: "query", layer: LayerII, start: at},
 	}
-	tr.traces = append(tr.traces, t)
-	if tr.capacity > 0 {
-		for len(tr.traces)-tr.head > tr.capacity {
-			tr.traces[tr.head] = nil
-			tr.head++
-			tr.evicted++
-		}
-		// Compact once the dead prefix dominates, amortizing to O(1).
-		if tr.head > 64 && tr.head*2 >= len(tr.traces) {
-			tr.traces = append(tr.traces[:0:0], tr.traces[tr.head:]...)
-			tr.head = 0
-		}
-	}
+	tr.traces.Add(t)
 	return t
 }
 
@@ -95,53 +65,36 @@ func (tr *Tracer) FinishTrace(t *Trace, err error) {
 	}
 }
 
-// Traces snapshots the retained traces, oldest first.
-func (tr *Tracer) Traces() []*Trace {
+// log is the trace ring, nil for a nil tracer (a nil log is empty).
+func (tr *Tracer) log() *ring.Log[*Trace] {
 	if tr == nil {
 		return nil
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return append([]*Trace(nil), tr.traces[tr.head:]...)
+	return tr.traces
 }
+
+// Traces snapshots the retained traces, oldest first.
+func (tr *Tracer) Traces() []*Trace { return tr.log().Tail(0) }
 
 // Last returns the most recently started trace, or nil.
 func (tr *Tracer) Last() *Trace {
-	if tr == nil {
-		return nil
+	if last := tr.log().Tail(1); len(last) == 1 {
+		return last[0]
 	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if len(tr.traces) == tr.head {
-		return nil
+	return nil
+}
+
+// Trace returns the retained trace of the query with the given journal ID,
+// or nil.
+func (tr *Tracer) Trace(id int64) *Trace {
+	if found := tr.log().Select(func(t **Trace) bool { return (*t).ID == id }); len(found) > 0 {
+		return found[len(found)-1]
 	}
-	return tr.traces[len(tr.traces)-1]
+	return nil
 }
 
 // Len returns the number of retained traces.
-func (tr *Tracer) Len() int {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return len(tr.traces) - tr.head
-}
+func (tr *Tracer) Len() int { return tr.log().Len() }
 
 // Evicted returns how many traces the retention bound has dropped.
-func (tr *Tracer) Evicted() int64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.evicted
-}
-
-// Capacity returns the retention bound (<= 0 means unbounded).
-func (tr *Tracer) Capacity() int {
-	if tr == nil {
-		return 0
-	}
-	return tr.capacity
-}
+func (tr *Tracer) Evicted() int64 { return tr.log().Evicted() }

@@ -114,9 +114,6 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 			Closeness: opts.LBCloseness,
 			Rescore:   opts.RuntimeReroute,
 		},
-		// Routing decisions land in the federation's shared decision log
-		// (the REPL's \route view).
-		RouteLog:          f.routeLog,
 		DisableDaemons:    opts.DisableDaemons,
 		Telemetry:         f.tel,
 		QueuePressureGain: opts.QueuePressureGain,
@@ -193,7 +190,7 @@ func (c *Calibrator) RoutingStats() RoutingStats { return c.q.Router.Stats() }
 // every fragment is re-checked just before dispatch. Rotation state and
 // RoutingStats start over.
 func (c *Calibrator) SetRouting(mode LBMode, closeness float64, weights RouteWeights, rescore bool) {
-	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Weights: weights, Rescore: rescore}, c.fed.routeLog)
+	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Weights: weights, Rescore: rescore})
 }
 
 // CostPolicy folds business logic (QoS goals, region preferences, cost
@@ -226,7 +223,7 @@ type PlacementRecommendation = qcc.PlacementRecommendation
 func (c *Calibrator) AdvisePlacement(minFactor float64) []PlacementRecommendation {
 	return c.q.AdvisePlacement(
 		c.fed.catalog,
-		c.fed.ii.ExplainTable().Entries(),
+		c.fed.ExplainLog(),
 		qcc.AdvisorConfig{MinFactor: minFactor},
 	)
 }

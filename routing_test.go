@@ -265,10 +265,10 @@ func replicaFailover(t *testing.T, postFence int, route func(*fedqcc.Calibrator)
 	}
 }
 
-// TestRouteDecisionsLogged checks the shared decision log every policy
-// writes into: round-robin records rotations, the weighted router records
-// replica choices with a score breakdown, and each dispatched fragment
-// records its data-shipping mode under the "ship" policy.
+// TestRouteDecisionsLogged checks the journal's decision entries every policy
+// writes: round-robin records rotations, the weighted router records replica
+// choices with a score breakdown, each stamped with its query's ID; and each
+// dispatched fragment's run entry records its data-shipping mode.
 func TestRouteDecisionsLogged(t *testing.T) {
 	fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
 	if err != nil {
@@ -277,10 +277,13 @@ func TestRouteDecisionsLogged(t *testing.T) {
 	fed.SetColumnarWire(false) // the row protocol's ship mode is what this test reads back
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal})
 	const sql = "SELECT SUM(h.h_val) FROM hot2 AS h WHERE h.h_val > 1000"
+	var ids []int64
 	for i := 0; i < 3; i++ {
-		if _, err := fed.Query(sql); err != nil {
+		res, err := fed.Query(sql)
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, res.ID)
 	}
 	byPolicy := func(ds []fedqcc.RouteDecision, policy string) []fedqcc.RouteDecision {
 		var out []fedqcc.RouteDecision
@@ -292,16 +295,21 @@ func TestRouteDecisionsLogged(t *testing.T) {
 		return out
 	}
 	all := fed.RouteDecisions(0)
-	if len(byPolicy(all, "lb")) == 0 {
-		t.Fatal("round-robin load balancer recorded no decisions")
+	if lb := byPolicy(all, "lb"); len(lb) != len(all) || len(lb) != 3 {
+		t.Fatalf("round-robin load balancer recorded %d of %d decisions, want 3 of 3", len(lb), len(all))
 	}
-	ships := byPolicy(all, "ship")
-	if len(ships) == 0 {
-		t.Fatal("fragment dispatches recorded no ship decisions")
-	}
-	for _, d := range ships {
-		if d.Reason != "row-ship" {
-			t.Errorf("ship mode = %q on the row protocol, want row-ship (%+v)", d.Reason, d)
+	for i, id := range ids {
+		rec, ok := fed.QueryRecord(id)
+		if !ok || len(rec.Decisions) != 1 || rec.Decisions[0] != all[i] {
+			t.Fatalf("query %d: decisions %+v, want its own entry %+v", id, rec.Decisions, all[i])
+		}
+		if len(rec.Runs) == 0 {
+			t.Fatalf("query %d: fragment dispatches recorded no run entries", id)
+		}
+		for _, run := range rec.Runs {
+			if run.Ship != "row-ship" {
+				t.Errorf("ship mode = %q on the row protocol, want row-ship (%+v)", run.Ship, run)
+			}
 		}
 	}
 

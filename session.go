@@ -24,6 +24,7 @@ func (f *Federation) QueryContext(ctx context.Context, sql string) (*QueryResult
 		route[id] = s
 	}
 	return &QueryResult{
+		ID:             res.ID,
 		Rows:           res.Rel,
 		ResponseTime:   res.ResponseTime,
 		Route:          route,

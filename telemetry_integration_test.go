@@ -145,7 +145,7 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 
 	// Calibration timeline: >= 2 distinct-time samples per loaded server.
 	for _, id := range loaded {
-		samples := tel.Timelines().ServerSamples(id)
+		samples := tel.Timelines().Select(func(s *telemetry.FactorSample) bool { return s.Server == id })
 		times := map[float64]bool{}
 		for _, s := range samples {
 			times[float64(s.At)] = true

@@ -123,24 +123,22 @@ func TestWireShipsFewerBytes(t *testing.T) {
 	t.Logf("ship-everything at 4 shards: row %d B, columnar %d B (%.2fx)",
 		rowBytes, wireBytes, float64(rowBytes)/float64(wireBytes))
 
-	modes := map[string]bool{}
-	for _, d := range rowFed.RouteDecisions(0) {
-		if d.Policy == "ship" {
-			modes[d.Reason] = true
-		}
-	}
-	if !modes["row-ship"] || modes["col-ship"] {
+	if modes := shipModes(rowFed); !modes["row-ship"] || len(modes) != 1 {
 		t.Errorf("row federation ship modes = %v, want row-ship only", modes)
 	}
-	modes = map[string]bool{}
-	for _, d := range wireFed.RouteDecisions(0) {
-		if d.Policy == "ship" {
-			modes[d.Reason] = true
-		}
-	}
-	if !modes["col-ship"] || modes["row-ship"] {
+	if modes := shipModes(wireFed); !modes["col-ship"] || len(modes) != 1 {
 		t.Errorf("wire federation ship modes = %v, want col-ship only", modes)
 	}
+}
+
+// shipModes collects the ship mode of every fragment run the federation has
+// recorded.
+func shipModes(fed *fedqcc.Federation) map[string]bool {
+	modes := map[string]bool{}
+	for _, run := range fed.RunLog() {
+		modes[run.Ship] = true
+	}
+	return modes
 }
 
 // TestWirePushdownColumnarStates: with pushdown AND the columnar wire on,
@@ -169,14 +167,11 @@ func TestWirePushdownColumnarStates(t *testing.T) {
 			}
 		}
 	}
-	seen := map[string]bool{}
-	for _, d := range wireFed.RouteDecisions(0) {
-		if d.Policy == "ship" {
-			seen[d.Reason] = true
-		}
+	if seen := shipModes(wireFed); !seen["pushdown-col"] || len(seen) != 1 {
+		t.Errorf("ship modes = %v, want pushdown-col only", seen)
 	}
-	if !seen["pushdown-col"] {
-		t.Errorf("ship modes = %v, want pushdown-col entries", seen)
+	if seen := shipModes(rowFed); !seen["pushdown"] || len(seen) != 1 {
+		t.Errorf("row-protocol ship modes = %v, want pushdown only", seen)
 	}
 }
 
