@@ -287,7 +287,10 @@ type QueryResult struct {
 	ID int64
 	// Rows is the merged result.
 	Rows *Relation
-	// ResponseTime is the end-user response time in simulated ms.
+	// ResponseTime is the end-user response time in simulated ms. The
+	// integrator merges fragment batches as they arrive, so it lies between
+	// the slowest fragment and the slowest fragment plus MergeTime; the
+	// overlapped merge work is max(FragmentTimes) + MergeTime - ResponseTime.
 	ResponseTime Time
 	// Route maps fragment IDs to the servers they executed on.
 	Route map[string]string
@@ -297,8 +300,8 @@ type QueryResult struct {
 	MergeTime Time
 	// FirstRowTime is when the first merged result row could be emitted:
 	// the latest first-batch arrival across fragments (results stream from
-	// the remote servers in batches) plus the integrator's merge, which
-	// materializes before emitting anything.
+	// the remote servers in batches) plus the integrator's merge, and never
+	// later than ResponseTime.
 	FirstRowTime Time
 	// Retried counts re-optimizations after fragment failures.
 	Retried int

@@ -12,6 +12,7 @@ import (
 	"repro/internal/metawrapper"
 	"repro/internal/remote"
 	"repro/internal/scenario"
+	"repro/internal/simclock"
 	"repro/internal/sqltypes"
 	"repro/internal/wrapper"
 )
@@ -156,6 +157,14 @@ func requireSameRelation(t *testing.T, label string, want, got *sqltypes.Relatio
 	}
 }
 
+func slowestFragment(res *integrator.QueryResult) simclock.Time {
+	var slowest simclock.Time
+	for _, ft := range res.FragmentTimes {
+		slowest = max(slowest, ft)
+	}
+	return slowest
+}
+
 // TestMergeCompletesWithOneDispatchSlot: with MaxParallel = 1 the four shard
 // fragments and orders run one at a time, in whatever order the scheduler
 // picks, while the merge waits for them in plan order. Producers never wait
@@ -186,6 +195,71 @@ func TestMergeCompletesWithOneDispatchSlot(t *testing.T) {
 				t.Errorf("merge time %v with one slot, %v with the default fan-out", got.MergeTime, want.MergeTime)
 			}
 		})
+	}
+}
+
+// TestResponseTimeIgnoresTheScheduler: where the merge's work lands on the
+// virtual clock depends on the plan-order pulls and the batches' arrival
+// stamps alone. Fifty runs of the 4-shard gather join and of the replica cross
+// join give the same fifty response times, bit for bit, with one processor or
+// several and with one dispatch slot or the default fan-out.
+func TestResponseTimeIgnoresTheScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	federations := []struct {
+		name  string
+		build func() (*scenario.Scenario, error)
+	}{
+		{"4-shard gather join", func() (*scenario.Scenario, error) {
+			return scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 40})
+		}},
+		{"replica cross join", func() (*scenario.Scenario, error) {
+			return scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
+		}},
+	}
+	for _, fed := range federations {
+		var want []integrator.QueryResult
+		for _, procs := range []int{1, 4} {
+			for _, slots := range []int{1, 0} {
+				runtime.GOMAXPROCS(procs)
+				sc, err := fed.build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ii := customII(sc, integrator.Config{MaxParallel: slots})
+				got := make([]integrator.QueryResult, 50)
+				within(t, 60*time.Second, func() {
+					for run := range got {
+						res, err := ii.Query(gatherJoin)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got[run] = *res
+					}
+				})
+				if t.Failed() {
+					return
+				}
+				if want == nil {
+					want = got
+					var overlap simclock.Time
+					for _, res := range got {
+						overlap += slowestFragment(&res) + res.MergeTime - res.ResponseTime
+					}
+					if overlap <= 0 {
+						t.Fatalf("%s: no merge work overlapped an arrival in 50 runs; the test would pass on a store-and-forward clock", fed.name)
+					}
+					continue
+				}
+				for run := range got {
+					if got[run].ResponseTime != want[run].ResponseTime || got[run].MergeTime != want[run].MergeTime || got[run].FirstRowTime != want[run].FirstRowTime {
+						t.Fatalf("%s, run %d at GOMAXPROCS %d with %d dispatch slots: response/merge/first row %v/%v/%v, want %v/%v/%v",
+							fed.name, run, procs, slots, got[run].ResponseTime, got[run].MergeTime, got[run].FirstRowTime,
+							want[run].ResponseTime, want[run].MergeTime, want[run].FirstRowTime)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -304,7 +378,9 @@ func TestCallerCancelMidMerge(t *testing.T) {
 // TestRowRemoteHandsTheQueryToTheRowMerge: with a row-engine remote among the
 // sources a batch arrives without columns after the columnar merge has
 // started; the row merge takes over and returns the all-columnar run's rows
-// and merge charge.
+// and merge charge. It ran after every fragment had arrived, so its response
+// is the slowest fragment plus the whole merge; the columnar run's is lower by
+// the work it did while lineitem was still shipping.
 func TestRowRemoteHandsTheQueryToTheRowMerge(t *testing.T) {
 	build := func() *scenario.Scenario {
 		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
@@ -330,8 +406,17 @@ func TestRowRemoteHandsTheQueryToTheRowMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameRelation(t, "row remote", want.Rel, got.Rel)
-	if got.MergeTime != want.MergeTime || got.ResponseTime != want.ResponseTime {
-		t.Fatalf("merge/response %v/%v with a row remote, %v/%v all columnar", got.MergeTime, got.ResponseTime, want.MergeTime, want.ResponseTime)
+	for id, ft := range got.FragmentTimes {
+		if ft != want.FragmentTimes[id] {
+			t.Fatalf("fragment %s took %v with a row remote, %v all columnar", id, ft, want.FragmentTimes[id])
+		}
+	}
+	slowest := slowestFragment(got)
+	if got.MergeTime != want.MergeTime || got.ResponseTime != slowest+got.MergeTime {
+		t.Fatalf("merge/response %v/%v with a row remote; want the columnar merge charge %v after the slowest fragment (%v)", got.MergeTime, got.ResponseTime, want.MergeTime, slowest)
+	}
+	if want.ResponseTime >= got.ResponseTime || want.ResponseTime < slowest {
+		t.Fatalf("all-columnar response %v; want it in [%v, %v): the merge overlaps lineitem's arrival", want.ResponseTime, slowest, got.ResponseTime)
 	}
 }
 

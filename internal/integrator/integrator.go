@@ -170,8 +170,8 @@ func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
 // default), which consumes fragment batches as they arrive, and the
 // row-at-a-time reference engine, which waits for all of them. A batch that
 // arrives without columns (a row-engine remote) hands the query to the row
-// merge regardless of this flag. Either way the merged rows, resource
-// charges, and span tree are bit-identical.
+// merge regardless of this flag. Either way the merged rows and resource
+// charges are bit-identical; only where the charge sits on the clock differs.
 func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
 // ShardPruning reports whether predicates on a shard key prune the shard
@@ -274,12 +274,15 @@ type QueryResult struct {
 	ExecutedServers map[string]string
 	// MergeTime is the observed II-side merge time.
 	MergeTime simclock.Time
-	// ResponseTime is the end-user response time: parallel remote phase
-	// (max fragment time) plus merge.
+	// ResponseTime is the end-user response time. The columnar merge works on
+	// each batch from the instant it arrives, so only the work that waited for
+	// a late batch follows the slowest fragment; the row merge starts after it.
+	// max(FragmentTimes) <= ResponseTime <= max(FragmentTimes) + MergeTime,
+	// and the difference from the upper bound is the overlapped merge work.
 	ResponseTime simclock.Time
 	// FirstRowTime is when the first merged result row could be emitted: the
-	// latest first-batch arrival across fragments plus the merge, which
-	// materializes before emitting anything.
+	// latest first-batch arrival across fragments plus the merge, and never
+	// later than ResponseTime.
 	FirstRowTime simclock.Time
 	// Retried counts re-optimizations after fragment failures.
 	Retried int
@@ -642,6 +645,7 @@ type arrivals struct {
 	mu     sync.Mutex
 	cond   sync.Cond
 	queues []fragQueue
+	taken  timeline // touched by the merge alone
 }
 
 type fragQueue struct {
@@ -718,9 +722,49 @@ func (c *fragCursor) Next() (*colbatch.Batch, error) {
 		if b.Col == nil {
 			return nil, errRowBatch
 		}
+		c.arr.taken.take(b.ArriveTime)
 		return b.Col, nil
 	}
 	return nil, nil
+}
+
+// timeline is the columnar merge's place on the query's virtual clock. The
+// merge is one pull pipeline on one goroutine: the work charged when a leaf
+// takes a batch needed only earlier batches, the rest cannot start before this
+// one arrives. take logs both, for an arrival later than every earlier one.
+type timeline struct {
+	node  *remote.Server
+	work  *exec.Resources // the running merge's charges
+	last  simclock.Time
+	pulls []pull
+}
+
+type pull struct {
+	arrive simclock.Time
+	before float64 // the node's zero-load price of the work charged before it
+}
+
+func (t *timeline) take(arrive simclock.Time) {
+	if arrive > t.last {
+		t.last = arrive
+		t.pulls = append(t.pulls, pull{arrive, t.node.EstimateTime(*t.work)})
+	}
+}
+
+// overlapped is when a merge costing mergeTime ends if it does each share of
+// its work (priced idle with none done, total at the end) once the batches it
+// needs are there: the latest "arrival + work still to do". No share exceeds
+// mergeTime, so store-and-forward bounds it (one arrival instant meets it).
+func overlapped(pulls []pull, idle, total float64, mergeTime simclock.Time) simclock.Time {
+	end := mergeTime
+	for _, p := range pulls {
+		left := mergeTime
+		if total > idle {
+			left *= simclock.Time((total - p.before) / (total - idle))
+		}
+		end = max(end, p.arrive+left)
+	}
+	return end
 }
 
 // rowLeaf is the row merge's leaf for one logical fragment, built once every
@@ -853,7 +897,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !vec || errors.Is(mergeErr, errRowBatch) {
+	streamed := vec && !errors.Is(mergeErr, errRowBatch)
+	if !streamed {
 		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, false)
 	} else if mergeErr == nil {
 		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
@@ -872,14 +917,23 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		remotePhase = max(remotePhase, q.outcome.ResponseTime)
 		firstPhase = max(firstPhase, q.outcome.FirstRowTime)
 	}
-	// The virtual model stays store-and-forward whatever overlapped in real
-	// time: the II node is charged once for the whole merge, which follows the
-	// parallel remote phase (max fragment time) on the root's timeline.
+	// The II node is charged once for the whole merge on either arm. The row
+	// merge ran after the slowest fragment and its charge follows it; the
+	// columnar merge's sits where its batches arrived. Both wait for every
+	// fragment (no cancel-on-LIMIT yet), and the merge span is the part of the
+	// work the arrivals did not hide: root = max fragment + merge span.
 	mergeTime := ii.cfg.Node.Observe(res)
+	response := remotePhase + mergeTime
+	if streamed {
+		response = max(remotePhase, overlapped(arr.taken.pulls, ii.cfg.Node.EstimateTime(exec.Resources{}), ii.cfg.Node.EstimateTime(res), mergeTime))
+	}
 	root.Advance(remotePhase)
-	msp := root.Emit("merge", telemetry.LayerII, "", mergeTime)
-	if blocking != "" {
-		msp.SetAttr("blocking", blocking)
+	if msp := root.Emit("merge", telemetry.LayerII, "", response-remotePhase); msp != nil {
+		msp.SetAttr("work_ms", fmt.Sprintf("%.4f", float64(mergeTime)))
+		msp.SetAttr("overlap_ms", fmt.Sprintf("%.4f", float64(remotePhase+mergeTime-response)))
+		if blocking != "" {
+			msp.SetAttr("blocking", blocking)
+		}
 	}
 	if ii.cfg.MergeObs != nil {
 		ii.cfg.MergeObs.ObserveIIMerge(gp.MergeEstMS, mergeTime)
@@ -890,12 +944,11 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		FragmentTimes:   fragTimes,
 		ExecutedServers: executed,
 		MergeTime:       mergeTime,
-		ResponseTime:    remotePhase + mergeTime,
-		// The slowest fragment's first batch plus the whole merge: a lower bound
-		// for a tree that pipelines, an understatement for a blocking one (the
-		// merge span's "blocking" attribute), whose first row needs every batch
-		// — ROADMAP item 2, clock half.
-		FirstRowTime: firstPhase + mergeTime,
+		ResponseTime:    response,
+		// A lower bound for a tree that pipelines, an understatement for a
+		// blocking one (the merge span's "blocking" attribute), whose first row
+		// needs every batch: ROADMAP item 3.
+		FirstRowTime: min(firstPhase+mergeTime, response),
 	}, nil
 }
 
@@ -909,6 +962,14 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals, vec bool) (*sqltypes.Relation, exec.Resources, string, error) {
 	labels, parts := logicalFragments(gp)
 	leaves := make([]exec.Operator, len(labels))
+	ectx := &exec.Context{}
+	if vec {
+		batches := len(gp.Fragments)
+		for _, f := range gp.Fragments {
+			batches += int(f.Plan.Est.Card) / DefaultBatchRows
+		}
+		arr.taken = timeline{node: ii.cfg.Node, work: &ectx.Res, pulls: make([]pull, 0, batches)}
+	}
 	for i, label := range labels {
 		schema := gp.Fragments[parts[i][0]].Plan.Root.Schema()
 		if vec {
@@ -921,7 +982,6 @@ func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals
 	if err != nil {
 		return nil, exec.Resources{}, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
-	ectx := &exec.Context{}
 	var rel *sqltypes.Relation
 	if vec {
 		var outs []*colbatch.Batch

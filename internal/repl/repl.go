@@ -37,8 +37,12 @@ func (s *Session) Execute(line string) {
 		return
 	}
 	fmt.Fprintln(s.Out, res.Rows)
-	fmt.Fprintf(s.Out, "-- routed %v, response %.2fms (merge %.2fms) at t=%s\n",
-		res.Route, float64(res.ResponseTime), float64(res.MergeTime), s.Fed.Now())
+	var slowest fedqcc.Time
+	for _, ft := range res.FragmentTimes {
+		slowest = max(slowest, ft)
+	}
+	fmt.Fprintf(s.Out, "-- routed %v, response %.2fms (merge %.2fms, %.2fms overlapped) at t=%s\n",
+		res.Route, float64(res.ResponseTime), float64(res.MergeTime), float64(slowest+res.MergeTime-res.ResponseTime), s.Fed.Now())
 }
 
 func (s *Session) command(line string) {

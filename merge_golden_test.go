@@ -1,14 +1,19 @@
 // Golden virtual-time test for the II merge: rows, fragment times, merge
 // time, response time, first-row time and the final clock are pinned as
 // literals for a fixed statement list on the paper, sharded (pushdown on and
-// off) and replica federations. The row and vectorized engines must both
-// reproduce the same literals; the columnar wire changes shipped bytes, so it
-// has its own. The literals were recorded before the merge was collapsed to
-// one operator tree (PR 14) — the last replica statement is the one documented
-// exception — and have to survive any later rewrite of it. Column pruning
-// across the fragment boundary (PR 19) ships fewer bytes per fragment, so it
-// re-recorded the fragment, response, first-row and clock parts of the lines
-// with more than one fragment; no row count, row hash or merge time moved.
+// off) and replica federations. The row and vectorized engines must return the
+// same rows, fragment times and merge time; the columnar wire changes shipped
+// bytes, so it has literals of its own. The literals were recorded before the
+// merge was collapsed to one operator tree (PR 14) — the last replica statement
+// is the one documented exception — and have to survive any later rewrite of
+// it. Column pruning across the fragment boundary (PR 19) ships fewer bytes per
+// fragment, so it re-recorded the fragment, response, first-row and clock parts
+// of the lines with more than one fragment; no row count, row hash or merge
+// time moved. Since PR 23 the columnar merge's work sits on the clock where its
+// batches arrived, so the vectorized arms have literals of their own: against
+// the row arm only resp, a first clamped to resp, and the final clock differ,
+// and only downwards (re-pinned by script from a run of each arm on both
+// commits; every rows=, hash=, frags= and merge= field equals the row arm's).
 package fedqcc_test
 
 import (
@@ -26,9 +31,9 @@ type goldenFederation struct {
 	build func() (*fedqcc.Federation, error)
 	sqls  []string
 	// plain holds one line per statement plus the final clock for the row
-	// wire (row and vectorized engines alike); wire the same under the
-	// columnar wire.
-	plain, wire []string
+	// engine (row wire): the store-and-forward clock. vec is the vectorized
+	// engine on the row wire, wire the same under the columnar wire.
+	plain, vec, wire []string
 }
 
 var goldenSharded = []string{
@@ -63,13 +68,21 @@ var goldenFederations = []goldenFederation{
 			"rows=5 hash=9548c3db35326438 frags=[QF1=21.260026041666666] merge=0.5016666666666667 resp=21.76169270833333 first=21.76169270833333",
 			"now=84.8899827061616",
 		},
+		vec: []string{
+			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=14.955192307692307] merge=0.569 resp=15.524192307692307 first=15.524192307692307",
+			"rows=4 hash=1b5b90dc7c787605 frags=[QF1=14.368419971955127] merge=0.5013333333333333 resp=14.86975330528846 first=14.86975330528846",
+			"rows=396 hash=c36cb3458d485172 frags=[QF1=17.35326548696289] merge=0.632 resp=17.57669983039723 first=16.610265486962888",
+			"rows=4 hash=0754aefe331ea019 frags=[QF1=14.247745564551282] merge=0.5013333333333333 resp=14.749078897884615 first=14.749078897884615",
+			"rows=5 hash=9548c3db35326438 frags=[QF1=21.260026041666666] merge=0.5016666666666667 resp=21.76169270833333 first=21.76169270833333",
+			"now=84.48141704959595",
+		},
 		wire: []string{
 			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=13.841422776442307] merge=0.569 resp=14.410422776442307 first=14.410422776442307",
 			"rows=4 hash=1b5b90dc7c787605 frags=[QF1=14.344005909455127] merge=0.5013333333333333 resp=14.84533924278846 first=14.84533924278846",
-			"rows=396 hash=c36cb3458d485172 frags=[QF1=15.221917830712888] merge=0.632 resp=15.853917830712888 first=15.232824080712888",
+			"rows=396 hash=c36cb3458d485172 frags=[QF1=15.221917830712888] merge=0.632 resp=15.445352174147231 first=15.232824080712888",
 			"rows=4 hash=0754aefe331ea019 frags=[QF1=14.235050252051282] merge=0.5013333333333333 resp=14.736383585384615 first=14.736383585384615",
 			"rows=5 hash=9548c3db35326438 frags=[QF1=21.230729166666666] merge=0.5016666666666667 resp=21.73239583333333 first=21.73239583333333",
-			"now=81.5784592686616",
+			"now=81.16989361209595",
 		},
 	},
 	{
@@ -89,16 +102,27 @@ var goldenFederations = []goldenFederation{
 			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
 			"now=164.36251934183707",
 		},
+		vec: []string{
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
+			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=14.726576231060607 first=14.726576231060607",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.593156960227272 QF1.s1=13.571209091542968 QF1.s2=13.694098444875978 QF1.s3=13.884446829783212] merge=0.5043333333333333 resp=14.097490293560606 first=14.097490293560606",
+			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.40366646119211 first=17.40366646119211",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.75490213218973 first=17.155714609456634",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.06770134658651 first=17.51470792462993",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=39.64569660221794 first=23.201825336200297",
+			"now=160.87746636228292",
+		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.53674412555183 first=16.43029881305183",
-			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.176828835227273 QF1.s1=14.283010653409091 QF1.s2=14.232828835227274 QF1.s3=14.49901065340909] merge=0.5253333333333333 resp=15.024343986742425 first=15.024343986742425",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.582414772727272 QF1.s1=13.560466904042968 QF1.s2=13.683356257375978 QF1.s3=13.873704642283212] merge=0.5043333333333333 resp=14.378037975616545 first=14.378037975616545",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
+			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.176828835227273 QF1.s1=14.283010653409091 QF1.s2=14.232828835227274 QF1.s3=14.49901065340909] merge=0.5253333333333333 resp=14.702162168560607 first=14.702162168560607",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.582414772727272 QF1.s1=13.560466904042968 QF1.s2=13.683356257375978 QF1.s3=13.873704642283212] merge=0.5043333333333333 resp=14.086748106060606 first=14.086748106060606",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.55282705965909 first=16.55282705965909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=16.521056226325758 first=15.978162848188811",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=19.553423650568185 first=16.71010049715909",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.91395359848485 first=21.475519128181958",
-			"now=137.20117858319682",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.42075630494211 first=16.42075630494211",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.968002012310606 first=15.968002012310606",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=18.832979572524764 first=16.71010049715909",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.27188736450249 first=21.475519128181958",
+			"now=134.2002969493766",
 		},
 	},
 	{
@@ -122,16 +146,27 @@ var goldenFederations = []goldenFederation{
 			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
 			"now=171.3730499520266",
 		},
+		vec: []string{
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
+			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=19.888724312051906 first=18.447869189198013",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.120799891119363 QF1.s1=14.015685654042969 QF1.s2=14.181028132375978 QF1.s3=14.43698589228321] merge=1.0303333333333333 resp=15.151133224452696 first=15.151133224452696",
+			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.40366646119211 first=17.40366646119211",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.75490213218973 first=17.155714609456634",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.06770134658651 first=17.51470792462993",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=39.64569660221794 first=23.201825336200297",
+			"now=167.09325737416634",
+		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.53674412555183 first=16.43029881305183",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=18.483191003181958 first=17.277136315681958",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.663120006866544 first=14.663120006866544",
+			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
+			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=17.730032905801906 first=17.277136315681958",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.459726974452696 first=14.459726974452696",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.55282705965909 first=16.55282705965909",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=16.521056226325758 first=15.978162848188811",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=19.553423650568185 first=16.71010049715909",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.91395359848485 first=21.475519128181958",
-			"now=140.94510763088635",
+			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.42075630494211 first=16.42075630494211",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.968002012310606 first=15.968002012310606",
+			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=18.832979572524764 first=16.71010049715909",
+			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.27188736450249 first=21.475519128181958",
+			"now=137.60114655501002",
 		},
 	},
 	{
@@ -165,16 +200,27 @@ var goldenFederations = []goldenFederation{
 			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=34.86214542462993 QF2=41.67935205589526] merge=6.5 resp=48.17935205589526 first=31.093414555895258",
 			"now=359.9452975640818",
 		},
+		vec: []string{
+			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=26.959880952380953] merge=0.569 resp=27.528880952380952 first=27.528880952380952",
+			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=29.97976366670344 QF2=50.10949374504341] merge=4.953666666666667 resp=50.5158419724715 first=31.164722911710072",
+			"rows=5 hash=f629db02562b0ce8 frags=[QF1=43.11109616953363 QF2=41.67935205589526] merge=7.176666666666667 resp=49.64569660221794 first=33.2018253362003",
+			"rows=4 hash=8fec6db4d45037bd frags=[QF1=43.82835571887506 QF2=41.67935205589526] merge=7.173333333333333 resp=50.359600474119816 first=34.4548140522084",
+			"rows=20 hash=eecba3639b20366e frags=[QF1=43.11109616953363 QF2=39.46792627464526] merge=7.833333333333333 resp=50.30636889680636 first=33.85849200286697",
+			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=34.86214542462993 QF2=41.67935205589526] merge=13.833333333333334 resp=50.95875205589526 first=38.426747889228594",
+			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=19.25877710166594 QF2=20.470004030257936] merge=0.9573333333333334 resp=21.399426770782718 first=21.399426770782718",
+			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=34.86214542462993 QF2=41.67935205589526] merge=6.5 resp=42.13001872256193 first=31.093414555895258",
+			"now=342.8445864472365",
+		},
 		wire: []string{
 			"rows=207 hash=92db64af89d7a0e1 frags=[QF1=25.846111421130953] merge=0.569 resp=26.415111421130952 first=26.415111421130952",
-			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=27.668773153133273 QF2=33.44689608879341] merge=4.953666666666667 resp=38.40056275546007 first=29.033375255460072",
-			"rows=5 hash=f629db02562b0ce8 frags=[QF1=28.737286931818183 QF2=31.837555180895258] merge=7.176666666666667 resp=39.01422184756193 first=30.949383929950297",
-			"rows=4 hash=8fec6db4d45037bd frags=[QF1=34.778359374999994 QF2=31.837555180895258] merge=7.173333333333333 resp=41.951692708333326 first=32.1970015522084",
-			"rows=20 hash=eecba3639b20366e frags=[QF1=28.737286931818183 QF2=29.402103484623016] merge=7.833333333333333 resp=37.23543681795635 first=31.606050596616964",
-			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=13.833333333333334 resp=45.670888514228594 first=37.168935389228594",
-			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=18.90867944541594 QF2=20.390414186507936] merge=0.9573333333333334 resp=21.34774751984127 first=21.34774751984127",
-			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=6.5 resp=38.33755518089526 first=29.835602055895258",
-			"now=288.3732167654078",
+			"rows=1067 hash=3dc320ff1d997f65 frags=[QF1=27.668773153133273 QF2=33.44689608879341] merge=4.953666666666667 resp=33.8532443162215 first=29.033375255460072",
+			"rows=5 hash=f629db02562b0ce8 frags=[QF1=28.737286931818183 QF2=31.837555180895258] merge=7.176666666666667 resp=35.27188736450249 first=30.949383929950297",
+			"rows=4 hash=8fec6db4d45037bd frags=[QF1=34.778359374999994 QF2=31.837555180895258] merge=7.173333333333333 resp=41.30960413024475 first=32.1970015522084",
+			"rows=20 hash=eecba3639b20366e frags=[QF1=28.737286931818183 QF2=29.402103484623016] merge=7.833333333333333 resp=35.93255965909091 first=31.606050596616964",
+			"rows=10 hash=841ac2a69ef38a63 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=13.833333333333334 resp=41.11695518089526 first=37.168935389228594",
+			"rows=256 hash=ba653a2dcd03ecec frags=[QF1=18.90867944541594 QF2=20.390414186507936] merge=0.9573333333333334 resp=21.319836927032718 first=21.319836927032718",
+			"rows=5 hash=f259b3f759cb3eb8 frags=[QF1=26.627423650568183 QF2=31.837555180895258] merge=6.5 resp=32.480312539457074 first=29.835602055895258",
+			"now=267.6995115385757",
 		},
 	},
 }
@@ -229,11 +275,26 @@ func TestMergeGoldenVirtualTime(t *testing.T) {
 						t.Fatalf("%s: %v", q, err)
 					}
 					got = append(got, goldenLine(res))
+					var slowest fedqcc.Time
+					for _, ft := range res.FragmentTimes {
+						slowest = max(slowest, ft)
+					}
+					if res.ResponseTime < slowest || res.ResponseTime > slowest+res.MergeTime {
+						t.Errorf("%s: response %v outside [slowest fragment %v, + merge %v]", q, res.ResponseTime, slowest, res.MergeTime)
+					}
+					if !eng.vectorized && res.ResponseTime != slowest+res.MergeTime {
+						t.Errorf("%s: the row merge waits for every fragment, yet response %v != %v + %v", q, res.ResponseTime, slowest, res.MergeTime)
+					}
+					if res.FirstRowTime > res.ResponseTime {
+						t.Errorf("%s: first row %v after the response %v", q, res.FirstRowTime, res.ResponseTime)
+					}
 				}
 				got = append(got, fmt.Sprintf("now=%v", float64(fed.Now())))
 				want := gf.plain
 				if eng.wire {
 					want = gf.wire
+				} else if eng.vectorized {
+					want = gf.vec
 				}
 				if len(want) != len(got) {
 					t.Fatalf("golden has %d lines, run produced %d:\n%s", len(want), len(got), goldenLiteral(got))

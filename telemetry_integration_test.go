@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -133,12 +134,24 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 			}
 		case "merge":
 			mergeDur = float64(c.Dur())
+			// The span is the merge work the arrivals did not hide; the whole
+			// charge and the hidden part are its attributes.
+			attrs := map[string]string{}
+			for _, a := range c.Attrs() {
+				attrs[a.Key] = a.Value
+			}
+			work, _ := strconv.ParseFloat(attrs["work_ms"], 64)
+			overlap, _ := strconv.ParseFloat(attrs["overlap_ms"], 64)
+			if math.Abs(work-float64(res.MergeTime)) > 1e-3 || overlap < 0 || math.Abs(work-overlap-mergeDur) > 1e-3 {
+				t.Fatalf("merge span %.6fms with work_ms=%q overlap_ms=%q; want work = MergeTime %.6f and work - overlap = the span", mergeDur, attrs["work_ms"], attrs["overlap_ms"], float64(res.MergeTime))
+			}
 		}
 	}
 	if frags != 2 {
 		t.Fatalf("trace must hold 2 fragment spans, got %d:\n%s", frags, tr.Tree())
 	}
-	// Root = parallel remote phase (max fragment) + II-side merge.
+	// Root = parallel remote phase (max fragment) + the II-side merge that
+	// follows it.
 	if d := maxFrag + mergeDur - float64(root.Dur()); math.Abs(d) > eps {
 		t.Fatalf("max fragment %.6f + merge %.6f != root %.6f", maxFrag, mergeDur, float64(root.Dur()))
 	}

@@ -67,7 +67,9 @@ func cellsBitIdentical(a, b sqltypes.Value) bool {
 }
 
 // requireVecIdentity requires two runs of the same workload to be
-// observationally indistinguishable.
+// observationally indistinguishable. That includes the clock: the soak
+// workload's merges take one batch at one instant, so the columnar merge has no
+// arrival to overlap and ends where the row merge does.
 func requireVecIdentity(t *testing.T, sqls []string, row, vec vecRunOutcome) {
 	t.Helper()
 	for i := range sqls {
