@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // Resources accumulates the resource consumption of an execution.
@@ -51,6 +52,26 @@ func (r Resources) String() string {
 // Context carries per-execution state. Executions are single-goroutine.
 type Context struct {
 	Res Resources
+	// Reads lists, in execution order, the table version each scan, index scan
+	// and index join read: what the rows it produced have to be compared with.
+	Reads []TableRead
+	// readBuf backs Reads up to a plan of four tables, so that recording a
+	// read costs a scan no allocation.
+	readBuf [4]TableRead
+}
+
+// TableRead is one operator's read of a table through one storage view.
+type TableRead struct {
+	Table   *storage.Table
+	Version int64
+}
+
+// read records the view an operator reads through.
+func (c *Context) read(v storage.View) {
+	if c.Reads == nil {
+		c.Reads = c.readBuf[:0]
+	}
+	c.Reads = append(c.Reads, TableRead{Table: v.Table(), Version: v.Version()})
 }
 
 // Operator is a physical operator producing a materialized relation.

@@ -36,6 +36,13 @@ func ordersTable(t *testing.T, n int) *storage.Table {
 	return tab
 }
 
+// indexOn returns tab's index on column (a sorted one before a hash one).
+func indexOn(tab *storage.Table, column string) *storage.Index {
+	v := tab.View()
+	defer v.Close()
+	return storage.IndexOnColumn(v.Indexes(), column)
+}
+
 func custTable(t *testing.T, n int) *storage.Table {
 	t.Helper()
 	schema := sqltypes.NewSchema(
@@ -85,7 +92,7 @@ func TestSeqScanChargesIO(t *testing.T) {
 
 func TestIndexScanEqAndRange(t *testing.T) {
 	tab := ordersTable(t, 500)
-	idx := tab.IndexOnColumn("o_id")
+	idx := indexOn(tab, "o_id")
 	v := sqltypes.NewInt(42)
 	rel, res := run(t, &IndexScan{Table: tab, Index: idx, Probe: IndexProbe{Eq: &v}})
 	if rel.Cardinality() != 1 || rel.Rows[0][0].Int() != 42 {
@@ -110,7 +117,7 @@ func TestIndexScanHashRangeFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo := sqltypes.NewInt(1)
-	op := &IndexScan{Table: tab, Index: tab.Index("h"), Probe: IndexProbe{Lo: &lo}}
+	op := &IndexScan{Table: tab, Index: indexOn(tab, "o_custkey"), Probe: IndexProbe{Lo: &lo}}
 	if _, err := op.Execute(&Context{}); err == nil {
 		t.Fatal("hash range probe must error")
 	}
@@ -495,7 +502,7 @@ func TestIndexNLJoinDirect(t *testing.T) {
 	j := &IndexNLJoin{
 		Outer:    &SeqScan{Table: cust, As: "c"},
 		Inner:    orders,
-		Index:    orders.Index("orders_cust"),
+		Index:    indexOn(orders, "o_custkey"),
 		InnerAs:  "o",
 		OuterKey: mustExpr(t, "c.c_id"),
 	}
@@ -541,7 +548,7 @@ func TestExplainTreeCoversAllOperators(t *testing.T) {
 	v := sqltypes.NewInt(1)
 	ops := []Operator{
 		&SeqScan{Table: orders, As: "o"},
-		&IndexScan{Table: orders, Index: orders.IndexOnColumn("o_id"), Probe: IndexProbe{Eq: &v}, As: "o"},
+		&IndexScan{Table: orders, Index: indexOn(orders, "o_id"), Probe: IndexProbe{Eq: &v}, As: "o"},
 		&Filter{Input: &SeqScan{Table: orders, As: "o"}, Pred: mustExpr(t, "o.o_id > 1")},
 		&Project{Input: &SeqScan{Table: orders, As: "o"}, Items: []sqlparser.SelectItem{{Expr: mustExpr(t, "o.o_id")}}},
 		&Sort{Input: &SeqScan{Table: orders, As: "o"}, Keys: []sqlparser.OrderItem{{Expr: mustExpr(t, "o.o_id")}}},
@@ -553,7 +560,7 @@ func TestExplainTreeCoversAllOperators(t *testing.T) {
 		&MergeJoin{Left: &SeqScan{Table: cust, As: "c"}, Right: &SeqScan{Table: orders, As: "o"},
 			LeftKey: mustExpr(t, "c.c_id"), RightKey: mustExpr(t, "o.o_custkey"), Residual: mustExpr(t, "o.o_id > 0")},
 		&NestedLoopJoin{Outer: &SeqScan{Table: cust, As: "c"}, Inner: &SeqScan{Table: orders, As: "o"}},
-		&IndexNLJoin{Outer: &SeqScan{Table: cust, As: "c"}, Inner: orders, Index: orders.Index("oc"),
+		&IndexNLJoin{Outer: &SeqScan{Table: cust, As: "c"}, Inner: orders, Index: indexOn(orders, "o_custkey"),
 			InnerAs: "o", OuterKey: mustExpr(t, "c.c_id")},
 	}
 	for _, op := range ops {

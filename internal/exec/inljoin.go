@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
@@ -51,12 +50,8 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 // charge accounts a finished join: every probe descends the index, every
 // fetched row is one more cache-friendly page touch. Both kernels call it, so
 // they charge the same floating-point expression over the same two counts.
-func (j *IndexNLJoin) charge(ctx *Context, probes, fetches float64) {
-	n := float64(j.Index.Len())
-	descent := 1.0
-	if n > 2 {
-		descent += math.Log2(n) / 4
-	}
+func (j *IndexNLJoin) charge(ctx *Context, iv storage.IndexView, probes, fetches float64) {
+	descent := indexDescent(iv)
 	ctx.Res.CachedPages += probes*descent + fetches
 	ctx.Res.CPUOps += probes*(descent+1) + fetches
 }
@@ -64,6 +59,13 @@ func (j *IndexNLJoin) charge(ctx *Context, probes, fetches float64) {
 // indexNLJoinRel is the row-level join kernel, shared by Execute and the
 // vectorized path's fallback (which has already executed the outer side).
 func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+	v := j.Inner.View()
+	defer v.Close()
+	iv, err := v.Index(j.Index)
+	if err != nil {
+		return nil, err
+	}
+	inner := v.Rows()
 	outSchema := outer.Schema.Concat(j.innerSchema())
 	out := sqltypes.NewRelation(outSchema)
 	var probes, fetches float64
@@ -76,13 +78,9 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 			continue
 		}
 		probes++
-		for _, pos := range j.Index.LookupEq(k) {
-			irow, err := j.Inner.Row(pos)
-			if err != nil {
-				return nil, err
-			}
+		for _, pos := range iv.LookupEq(k) {
 			fetches++
-			joined := orow.Concat(irow)
+			joined := orow.Concat(inner[pos])
 			if j.Residual != nil {
 				ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
 				if err != nil {
@@ -95,7 +93,8 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 			out.Rows = append(out.Rows, joined)
 		}
 	}
-	j.charge(ctx, probes, fetches)
+	ctx.read(v)
+	j.charge(ctx, iv, probes, fetches)
 	return out, nil
 }
 

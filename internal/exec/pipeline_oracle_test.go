@@ -94,13 +94,16 @@ func shaped(rng *rand.Rand, rel *sqltypes.Relation, chunk []sqltypes.Row) *colba
 }
 
 // recutLeaves copies the plan with every Values leaf replaced by a
-// BatchStream over a fresh random split of its rows.
+// BatchStream over a fresh random split of its rows; a leaf over a stored
+// table stays as it is.
 func recutLeaves(t *testing.T, rng *rand.Rand, op Operator) Operator {
 	t.Helper()
 	in := func(child Operator) Operator { return recutLeaves(t, rng, child) }
 	switch x := op.(type) {
 	case *Values:
 		return &BatchStream{Sch: x.Rel.Schema, Label: "recut", Src: &sliceSource{batches: recut(rng, x.Rel)}}
+	case *SeqScan, *IndexScan:
+		return x
 	case *Filter:
 		return &Filter{Input: in(x.Input), Pred: x.Pred}
 	case *Project:

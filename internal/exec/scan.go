@@ -32,22 +32,21 @@ func (s *SeqScan) effectiveName() string {
 
 // Execute implements Operator.
 func (s *SeqScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
+	v := s.Table.View()
+	defer v.Close()
+	ctx.read(v)
 	out := sqltypes.NewRelation(s.Schema())
-	err := s.Table.Scan(func(row sqltypes.Row) error {
-		out.Rows = append(out.Rows, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	ctx.Res.IOPages += float64(s.Table.Pages())
+	out.Rows = append(out.Rows, v.Rows()...)
+	ctx.Res.IOPages += float64(v.Pages())
 	ctx.Res.CPUOps += float64(len(out.Rows))
 	return out, nil
 }
 
 // Explain implements Operator.
 func (s *SeqScan) Explain() string {
-	return fmt.Sprintf("SEQSCAN %s AS %s [%d rows, %d pages]", s.Table.Name(), s.effectiveName(), s.Table.RowCount(), s.Table.Pages())
+	v := s.Table.View()
+	defer v.Close()
+	return fmt.Sprintf("SEQSCAN %s AS %s [%d rows, %d pages]", s.Table.Name(), s.effectiveName(), v.RowCount(), v.Pages())
 }
 
 // Children implements Operator.
@@ -109,36 +108,44 @@ func (s *IndexScan) effectiveName() string {
 
 // Execute implements Operator.
 func (s *IndexScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
+	v := s.Table.View()
+	defer v.Close()
+	ctx.read(v)
+	iv, err := v.Index(s.Index)
+	if err != nil {
+		return nil, err
+	}
 	var positions []int
 	if s.Probe.Eq != nil {
-		positions = s.Index.LookupEq(*s.Probe.Eq)
+		positions = iv.LookupEq(*s.Probe.Eq)
 	} else {
-		positions = s.Index.LookupRange(s.Probe.Lo, s.Probe.Hi, s.Probe.LoInclusive, s.Probe.HiInclusive)
+		positions = iv.LookupRange(s.Probe.Lo, s.Probe.Hi, s.Probe.LoInclusive, s.Probe.HiInclusive)
 		if positions == nil && s.Index.Kind() == storage.IndexHash {
 			return nil, fmt.Errorf("exec: hash index %s cannot serve range probe", s.Index.Name())
 		}
 	}
 	out := sqltypes.NewRelation(s.Schema())
+	rows := v.Rows()
 	for _, pos := range positions {
-		row, err := s.Table.Row(pos)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, rows[pos])
 	}
-	// Index descent (~log2 of entries) plus one page touch per fetched row,
-	// capped by the table's page count.
-	n := float64(s.Index.Len())
+	// Every fetched row is one buffer-pool page touch: random access does
+	// not get sequential-scan batching.
+	descent, fetched := indexDescent(iv), float64(len(positions))
+	ctx.Res.CachedPages += descent + fetched
+	ctx.Res.CPUOps += descent + fetched
+	return out, nil
+}
+
+// indexDescent is what one probe of the index is charged: ~log2 of its
+// entries.
+func indexDescent(iv storage.IndexView) float64 {
+	n := float64(iv.Len())
 	descent := 1.0
 	if n > 2 {
 		descent += math.Log2(n) / 4
 	}
-	// Every fetched row is one buffer-pool page touch: random access does
-	// not get sequential-scan batching.
-	fetched := float64(len(positions))
-	ctx.Res.CachedPages += descent + fetched
-	ctx.Res.CPUOps += descent + fetched
-	return out, nil
+	return descent
 }
 
 // Explain implements Operator.

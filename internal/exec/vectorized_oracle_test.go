@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -447,74 +449,193 @@ func TestVectorizedOracleIndexNLJoin(t *testing.T) {
 	}
 }
 
-// TestVectorizedIndexNLJoinUnderUpdates probes an index while UpdateAt
-// rewrites a non-indexed column of the inner table (run under -race). Every
-// concurrent execution must return the quiescent row count (the join key never
-// changes); once the writer stops, both kernels must agree bit for bit.
-func TestVectorizedIndexNLJoinUnderUpdates(t *testing.T) {
-	inner := ordersTable(t, 400) // sorted index on o_id; o_amount is what gets rewritten
-	outerRel := intKeys("k", 300, func(i int) int64 { return int64(i * 2 % 450) })
-	join := &IndexNLJoin{
-		Outer: &Values{Rel: outerRel}, Inner: inner, Index: inner.Index("orders_pk"), InnerAs: "o",
-		OuterKey: &sqlparser.ColumnRef{Name: "k"},
-	}
-	want, err := join.Execute(&Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
+// tableMutation is one step of a recorded update load: an UpdateAt, or the
+// Append of one row.
+type tableMutation struct {
+	row, col int
+	val      sqltypes.Value
+	appended sqltypes.Row
+}
 
+func (m tableMutation) apply(tab *storage.Table) error {
+	if m.appended != nil {
+		return tab.Append(m.appended)
+	}
+	return tab.UpdateAt(m.row, m.col, m.val)
+}
+
+// TestVectorizedIndexNLJoinUnderUpdates reads a table while a writer rewrites
+// it (run under -race): the writer UpdateAts the indexed join column and a
+// non-indexed one and Appends rows, the readers are the index nested-loop
+// join, an index range scan and the sequential scan, each on both kernels.
+// Every execution reads through exactly one storage view, so its result must
+// be, bit for bit, what the row kernel answers serially on a table replayed up
+// to the version the execution was stamped with — and every joined row must
+// pair an outer key with an equal inner key. Once the writer stops, both
+// kernels must agree on rows and charges.
+func TestVectorizedIndexNLJoinUnderUpdates(t *testing.T) {
+	const rows, maxRows, keys, runs = 400, 600, 450, 40
+	outerRel := intKeys("k", 300, func(i int) int64 { return int64(i * 2 % keys) })
+	lo, hi := sqltypes.NewInt(100), sqltypes.NewInt(199)
+	plansOn := func(tab *storage.Table) []Operator {
+		pk := indexOn(tab, "o_id")
+		return []Operator{
+			&IndexNLJoin{Outer: &Values{Rel: outerRel}, Inner: tab, Index: pk, InnerAs: "o", OuterKey: &sqlparser.ColumnRef{Name: "k"}},
+			&IndexScan{Table: tab, Index: pk, Probe: IndexProbe{Lo: &lo, Hi: &hi, LoInclusive: true, HiInclusive: true}, As: "o"},
+			&SeqScan{Table: tab, As: "o"},
+		}
+	}
+	kernels := []func(Operator, *Context) (*sqltypes.Relation, error){
+		func(op Operator, ctx *Context) (*sqltypes.Relation, error) { return op.Execute(ctx) },
+		func(op Operator, ctx *Context) (*sqltypes.Relation, error) {
+			b, err := ExecuteVectorized(op, ctx)
+			if err != nil {
+				return nil, err
+			}
+			return b.ToRelation(), nil
+		},
+	}
+	live := ordersTable(t, rows) // sorted index on o_id
+	plans := plansOn(live)
+
+	// The writer records what it applies: mutation i takes the table from
+	// version base+i to base+i+1.
+	var log []tableMutation
 	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	var writer sync.WaitGroup
+	writer.Add(1)
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
+		defer writer.Done()
+		rng, n := rand.New(rand.NewSource(24)), rows
+		for k := 0; ; k++ {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			if err := inner.UpdateAt(i%400, 2, sqltypes.NewFloat(float64(-i))); err != nil {
+			var m tableMutation
+			switch {
+			case k%4 == 3 && n < maxRows:
+				n++
+				m.appended = sqltypes.Row{sqltypes.NewInt(rng.Int63n(keys)), sqltypes.NewInt(int64(k % 10)), sqltypes.NewFloat(float64(k))}
+			case k%2 == 0:
+				m = tableMutation{row: rng.Intn(n), col: 0, val: sqltypes.NewInt(rng.Int63n(keys))}
+			default:
+				m = tableMutation{row: rng.Intn(n), col: 2, val: sqltypes.NewFloat(float64(-k))}
+			}
+			log = append(log, m)
+			if err := m.apply(live); err != nil {
 				t.Error(err)
 				return
 			}
+			runtime.Gosched()
 		}
 	}()
-	var failure string
-	for i := 0; i < 50 && failure == ""; i++ {
-		got, err := ExecuteVectorized(join, &Context{})
-		switch {
-		case err != nil:
-			failure = err.Error()
-		case got.Len() != len(want.Rows):
-			failure = fmt.Sprintf("run %d: %d joined rows while the inner table was being rewritten, want %d", i, got.Len(), len(want.Rows))
+
+	type observation struct {
+		plan, kernel int
+		version      int64
+		rel          *sqltypes.Relation
+	}
+	seen := make([][]observation, len(plans)*len(kernels))
+	var readers sync.WaitGroup
+	for p := range plans {
+		for k := range kernels {
+			readers.Add(1)
+			go func(p, k int) {
+				defer readers.Done()
+				for i := 0; i < runs; i++ {
+					var ctx Context
+					rel, err := kernels[k](plans[p], &ctx)
+					if err != nil {
+						t.Errorf("plan %d, kernel %d, run %d: %v", p, k, i, err)
+						return
+					}
+					if len(ctx.Reads) != 1 || ctx.Reads[0].Table != live {
+						t.Errorf("plan %d, kernel %d: read %+v, want one view of the table", p, k, ctx.Reads)
+						return
+					}
+					seen[p*len(kernels)+k] = append(seen[p*len(kernels)+k], observation{p, k, ctx.Reads[0].Version, rel})
+					runtime.Gosched()
+				}
+			}(p, k)
 		}
 	}
+	readers.Wait()
 	close(stop)
-	wg.Wait()
-	if failure != "" {
-		t.Fatal(failure)
+	writer.Wait()
+	if t.Failed() {
+		return
 	}
-	checkOracle(t, "after the writer stopped", join)
+
+	var all []observation
+	for _, obs := range seen {
+		all = append(all, obs...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].version < all[j].version })
+	replay := ordersTable(t, rows)
+	replayPlans := plansOn(replay)
+	base := tableVersion(replay)
+	applied, versions := 0, map[int64]bool{}
+	for _, o := range all {
+		label := fmt.Sprintf("plan %d, kernel %d at version %d", o.plan, o.kernel, o.version)
+		if o.version < base || o.version > base+int64(len(log)) {
+			t.Fatalf("%s: the writer took the table from version %d to %d", label, base, base+int64(len(log)))
+		}
+		for ; base+int64(applied) < o.version; applied++ {
+			if err := log[applied].apply(replay); err != nil {
+				t.Fatal(err)
+			}
+		}
+		versions[o.version] = true
+		if o.plan == 0 {
+			for _, row := range o.rel.Rows {
+				if row[0] != row[1] {
+					t.Fatalf("%s: joined row %v pairs outer key %v with inner key %v", label, row, row[0], row[1])
+				}
+			}
+		}
+		want, err := replayPlans[o.plan].Execute(&Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRelationsIdentical(t, label, want, o.rel)
+	}
+	if len(versions) < 8 {
+		t.Fatalf("%d executions read only %d distinct versions: the writer never ran between them", len(all), len(versions))
+	}
+	for p, op := range plans {
+		checkOracle(t, fmt.Sprintf("plan %d after the writer stopped", p), op)
+	}
 }
 
-// TestVectorizedIndexNLJoinStaleMemo covers the bounds check: the index is
-// live while the column memo is a snapshot, so a position past the memo must
-// hand the join to the row kernel rather than index out of range. The memo is
-// taken at an older version by wrapping the table's columns in a shorter
-// table that shares the longer table's index.
+func tableVersion(tab *storage.Table) int64 {
+	v := tab.View()
+	defer v.Close()
+	return v.Version()
+}
+
+// TestVectorizedIndexNLJoinStaleMemo: an index is read through a view of its
+// own table and no other. A plan that pairs a table with another table's
+// index — here a 32-row table with the index of a 64-row one, which names
+// rows 40 and 63 — must return the same error from both kernels, never read a
+// position the table does not hold.
 func TestVectorizedIndexNLJoinStaleMemo(t *testing.T) {
 	long := ordersTable(t, 64)
 	short := ordersTable(t, 32)
 	outerRel := intKeys("k", 3, func(i int) int64 { return []int64{3, 40, 63}[i] })
-	// The index names rows 40 and 63; the inner table (and its memo) has 32.
-	join := &IndexNLJoin{
-		Outer: &Values{Rel: outerRel}, Inner: short, Index: long.Index("orders_pk"), InnerAs: "o",
-		OuterKey: &sqlparser.ColumnRef{Name: "k"},
-	}
-	checkOracle(t, "index ahead of the memo", join)
-	if _, err := ExecuteVectorized(join, &Context{}); err == nil {
-		t.Fatal("a position outside the table must surface the row kernel's error, not a result")
+	key := sqltypes.NewInt(40)
+	for _, op := range []Operator{
+		&IndexNLJoin{
+			Outer: &Values{Rel: outerRel}, Inner: short, Index: indexOn(long, "o_id"), InnerAs: "o",
+			OuterKey: &sqlparser.ColumnRef{Name: "k"},
+		},
+		&IndexScan{Table: short, Index: indexOn(long, "o_id"), Probe: IndexProbe{Eq: &key}, As: "o"},
+	} {
+		checkOracle(t, "another table's index", op)
+		if _, err := ExecuteVectorized(op, &Context{}); err == nil || !strings.Contains(err.Error(), "not an index of table") {
+			t.Fatalf("%T over another table's index: err %v, want the view's refusal", op, err)
+		}
 	}
 }
 

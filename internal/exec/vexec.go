@@ -179,10 +179,13 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		return colbatch.FromRelation(x.Rel), nil
 
 	case *SeqScan:
-		cols, n := x.Table.Columns()
-		ctx.Res.IOPages += float64(x.Table.Pages())
+		v := x.Table.View()
+		defer v.Close()
+		ctx.read(v)
+		n := v.RowCount()
+		ctx.Res.IOPages += float64(v.Pages())
 		ctx.Res.CPUOps += float64(n)
-		return colbatch.New(x.Schema(), cols, n), nil
+		return colbatch.New(x.Schema(), v.Columns(), n), nil
 
 	case *Filter:
 		sel, verr := evalPredicate(x.Pred, in)
@@ -945,14 +948,10 @@ func (t *hashJoinTable) probeBatch(probe *colbatch.Batch) (*colbatch.Batch, erro
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
 // evaluates once over the whole outer batch, every non-NULL key probes the
 // index by its hash (exactly the bucket LookupEq reads), and the joined rows
-// are a Gather of the outer columns and of the inner table's column memo at
-// the matched positions. It charges the row kernel's formula over the same
-// probe and fetch counts.
-//
-// The positions come from the live index and the columns from a memo taken
-// at one table version; a position the memo does not cover (the table grew in
-// between) is an error here, which sends the caller to the row kernel, whose
-// Table.Row fetches decide the outcome.
+// are a Gather of the outer columns and of the inner table's columns at the
+// matched positions — index and columns read through one view of the inner
+// table. It charges the row kernel's formula over the same probe and fetch
+// counts.
 func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
 	knode, err := compileExpr(j.OuterKey, outer.Schema)
 	if err != nil {
@@ -964,8 +963,13 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 	}
 	kops := classify(kres)
 	khs := keyHashes(nil, kres, &kops)
-	inner, innerRows := j.Inner.Columns()
 
+	v := j.Inner.View()
+	defer v.Close()
+	iv, err := v.Index(j.Index)
+	if err != nil {
+		return nil, err
+	}
 	var oIdx, iPos []int
 	var probes float64
 	for i, on := 0, outer.Len(); i < on; i++ {
@@ -974,19 +978,16 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 		}
 		probes++
 		before := len(iPos)
-		iPos = j.Index.AppendEqHash(iPos, khs[i])
-		for _, pos := range iPos[before:] {
-			if pos < 0 || pos >= innerRows {
-				return nil, fmt.Errorf("exec: index %s names row %d, the column memo of %s holds %d", j.Index.Name(), pos, j.Inner.Name(), innerRows)
-			}
+		iPos = iv.AppendEqHash(iPos, khs[i])
+		for range iPos[before:] {
 			oIdx = append(oIdx, i)
 		}
 	}
-	fetches := float64(len(iPos))
-	out, err := joinedBatch(outer.Schema.Concat(j.innerSchema()), outer.Cols, physOf(outer, oIdx), inner, iPos, j.Residual)
+	out, err := joinedBatch(outer.Schema.Concat(j.innerSchema()), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual)
 	if err != nil {
 		return nil, err
 	}
-	j.charge(ctx, probes, fetches)
+	ctx.read(v)
+	j.charge(ctx, iv, probes, float64(len(iPos)))
 	return out, nil
 }

@@ -3,6 +3,7 @@ package integrator_test
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 
 	"repro/internal/integrator"
@@ -15,7 +16,15 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
+
+// tableRows returns tab's rows (stored rows never change once read).
+func tableRows(tab *storage.Table) []sqltypes.Row {
+	v := tab.View()
+	defer v.Close()
+	return slices.Clone(v.Rows())
+}
 
 func threeServer(t *testing.T) *scenario.Scenario {
 	t.Helper()
@@ -37,9 +46,7 @@ func TestQuerySingleFragmentEndToEnd(t *testing.T) {
 	}
 	n := res.Rel.Rows[0][0].Int()
 	want := int64(0)
-	tab := sc.Servers["S1"].Table("orders")
-	for i := 0; i < tab.RowCount(); i++ {
-		r, _ := tab.Row(i)
+	for _, r := range tableRows(sc.Servers["S1"].Table("orders")) {
 		if r[2].Float() > 5000 {
 			want++
 		}
@@ -81,18 +88,14 @@ func TestQueryCrossSourceMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Verify against a single-site computation using raw tables.
-	ordersTab := sc.Servers["S1"].Table("orders")
-	lineTab := sc.Servers["S2"].Table("lineitem")
 	amounts := map[int64]bool{}
-	for i := 0; i < ordersTab.RowCount(); i++ {
-		r, _ := ordersTab.Row(i)
+	for _, r := range tableRows(sc.Servers["S1"].Table("orders")) {
 		if r[2].Float() > 5000 {
 			amounts[r[0].Int()] = true
 		}
 	}
 	want := int64(0)
-	for i := 0; i < lineTab.RowCount(); i++ {
-		r, _ := lineTab.Row(i)
+	for _, r := range tableRows(sc.Servers["S2"].Table("lineitem")) {
 		if amounts[r[1].Int()] {
 			want++
 		}

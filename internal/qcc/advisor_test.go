@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/qcc"
 	"repro/internal/scenario"
-	"repro/internal/storage"
 )
 
 // buildSkewed builds a federation where "lineitem" lives ONLY on S3: when S3 is
@@ -146,13 +145,17 @@ func TestReplicateTableValidation(t *testing.T) {
 	if err := scenario.ReplicateTable(sc, "lineitem", "S3", "S1"); err != nil {
 		t.Fatal(err)
 	}
-	src := sc.Servers["S3"].Table("lineitem")
-	dst := sc.Servers["S1"].Table("lineitem")
-	if dst == nil || dst.RowCount() != src.RowCount() {
+	if sc.Servers["S1"].Table("lineitem") == nil {
+		t.Fatal("table not copied")
+	}
+	src := sc.Servers["S3"].Table("lineitem").View()
+	defer src.Close()
+	dst := sc.Servers["S1"].Table("lineitem").View()
+	defer dst.Close()
+	if dst.RowCount() != src.RowCount() {
 		t.Fatal("rows not copied")
 	}
-	if len(dst.IndexMetas()) != len(src.IndexMetas()) {
+	if len(dst.Indexes()) != len(src.Indexes()) {
 		t.Fatal("indexes not copied")
 	}
-	_ = storage.PageSize
 }

@@ -259,10 +259,16 @@ func TestSimulatedFederationEnumeratesWithoutExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, vs := range sf.Servers {
-		if vs.Table("orders") == nil || !vs.Table("orders").IsVirtual() {
+		if vs.Table("orders") == nil {
+			t.Fatalf("server %s has no orders shell", id)
+		}
+		v := vs.Table("orders").View()
+		virtual, rows := v.IsVirtual(), v.RowCount()
+		v.Close()
+		if !virtual {
 			t.Fatalf("server %s tables must be virtual", id)
 		}
-		if vs.Table("orders").RowCount() != 0 {
+		if rows != 0 {
 			t.Fatal("virtual tables must hold no rows")
 		}
 	}
@@ -431,20 +437,25 @@ func TestSimulatedFederationRefreshTracksMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sf.Servers["S1"].Table("orders").Stats().Column("o_amount").Max
+	maxAmountSeen := func() sqltypes.Value {
+		v := sf.Servers["S1"].Table("orders").View()
+		defer v.Close()
+		return v.Stats().Column("o_amount").Max
+	}
+	before := maxAmountSeen()
 	// Drift the real statistics well past the old max.
 	tab := sc.Servers["S1"].Table("orders")
 	if err := tab.UpdateAt(0, 2, maxAmount()); err != nil {
 		t.Fatal(err)
 	}
 	// Virtual stats are a snapshot until refreshed.
-	if got := sf.Servers["S1"].Table("orders").Stats().Column("o_amount").Max; got.Float() != before.Float() {
+	if got := maxAmountSeen(); got.Float() != before.Float() {
 		t.Fatal("virtual stats must be a snapshot")
 	}
 	if err := sf.Refresh(sc.Servers); err != nil {
 		t.Fatal(err)
 	}
-	if got := sf.Servers["S1"].Table("orders").Stats().Column("o_amount").Max; got.Float() != 999999 {
+	if got := maxAmountSeen(); got.Float() != 999999 {
 		t.Fatalf("refresh must pick up drift: %v", got)
 	}
 	// Periodic refresh on the clock.
@@ -454,7 +465,7 @@ func TestSimulatedFederationRefreshTracksMutations(t *testing.T) {
 	cancel := sf.RefreshEvery(sc.Clock, 100, sc.Servers)
 	sc.Clock.Advance(150)
 	cancel()
-	if got := sf.Servers["S1"].Table("orders").Stats().Column("o_amount").Max; got.Float() != 1e7 {
+	if got := maxAmountSeen(); got.Float() != 1e7 {
 		t.Fatalf("periodic refresh: %v", got)
 	}
 }

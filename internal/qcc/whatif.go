@@ -39,13 +39,9 @@ func NewSimulatedFederation(real map[string]*remote.Server, topo *network.Topolo
 	for id, rs := range real {
 		vs := remote.NewServer(rs.Config())
 		for _, tname := range rs.Tables() {
-			rt := rs.Table(tname)
-			vt := storage.NewTable(tname, rt.Schema())
-			vt.SetVirtualStats(rt.Stats().Clone())
-			for _, im := range rt.IndexMetas() {
-				if _, err := vt.CreateIndex(im.Name, im.Column, im.Kind); err != nil {
-					return nil, fmt.Errorf("qcc: cloning index %s on %s: %w", im.Name, id, err)
-				}
+			vt, err := virtualShell(rs.Table(tname))
+			if err != nil {
+				return nil, fmt.Errorf("qcc: cloning %s on %s: %w", tname, id, err)
 			}
 			vs.AddTable(vt)
 		}
@@ -61,6 +57,21 @@ func NewSimulatedFederation(real map[string]*remote.Server, topo *network.Topolo
 		Opt:     &optimizer.Optimizer{Catalog: cat, MW: mw, IINode: iiNode},
 		Servers: virtual,
 	}, nil
+}
+
+// virtualShell builds the statistics-only clone of a real table: its schema,
+// its indexes and a copy of its statistics, all of one version.
+func virtualShell(rt *storage.Table) (*storage.Table, error) {
+	v := rt.View()
+	defer v.Close()
+	vt := storage.NewTable(rt.Name(), rt.Schema())
+	vt.SetVirtualStats(v.Stats().Clone())
+	for _, ix := range v.Indexes() {
+		if _, err := vt.CreateIndex(ix.Name(), ix.Column(), ix.Kind()); err != nil {
+			return nil, err
+		}
+	}
+	return vt, nil
 }
 
 // Enumerate derives up to topK alternative global plans with calibrated
@@ -83,17 +94,17 @@ func (sf *SimulatedFederation) Refresh(real map[string]*remote.Server) error {
 		}
 		for _, tname := range rs.Tables() {
 			rt := rs.Table(tname)
-			vt := vs.Table(tname)
-			if vt == nil {
-				vt = storage.NewTable(tname, rt.Schema())
-				for _, im := range rt.IndexMetas() {
-					if _, err := vt.CreateIndex(im.Name, im.Column, im.Kind); err != nil {
-						return fmt.Errorf("qcc: refresh index %s on %s: %w", im.Name, id, err)
-					}
-				}
-				vs.AddTable(vt)
+			if vt := vs.Table(tname); vt != nil {
+				v := rt.View()
+				vt.SetVirtualStats(v.Stats().Clone())
+				v.Close()
+				continue
 			}
-			vt.SetVirtualStats(rt.Stats().Clone())
+			vt, err := virtualShell(rt)
+			if err != nil {
+				return fmt.Errorf("qcc: refresh %s on %s: %w", tname, id, err)
+			}
+			vs.AddTable(vt)
 		}
 	}
 	return nil

@@ -18,7 +18,9 @@ import (
 // calibration factor sits near 1.
 type estimator struct {
 	provider stats.StatsProvider
-	server   *Server
+	// tables is what the bind read of each table the plans reference.
+	tables map[*storage.Table]tableFacts
+	server *Server
 	// schema is the statement's tables joined in FROM order: what a column
 	// reference resolves against, whichever plan is being estimated.
 	schema *sqltypes.Schema
@@ -73,16 +75,16 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		return nodeEst{card: card, width: width, computed: true, res: exec.Resources{CPUOps: card}}, nil
 
 	case *exec.SeqScan:
-		ts := e.tableStats(x.Table)
-		card := float64(ts.RowCount)
+		facts := e.tables[x.Table]
+		card := float64(facts.stats.RowCount)
 		return nodeEst{
 			card:  card,
-			width: ts.WireRowBytes,
-			res:   exec.Resources{IOPages: float64(x.Table.Pages()), CPUOps: card},
+			width: facts.stats.WireRowBytes,
+			res:   exec.Resources{IOPages: float64(facts.pages), CPUOps: card},
 		}, nil
 
 	case *exec.IndexScan:
-		ts := e.tableStats(x.Table)
+		ts := e.tables[x.Table].stats
 		card := float64(ts.RowCount) * e.probeSelectivity(x, ts)
 		n := float64(ts.RowCount)
 		descent := 1.0
@@ -167,7 +169,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if err != nil {
 			return nodeEst{}, err
 		}
-		ts := e.tableStats(x.Inner)
+		ts := e.tables[x.Inner].stats
 		card := float64(stats.JoinCardinality(int64(outer.card), ts.RowCount,
 			e.keyDistinct(x.OuterKey, outer.card), columnDistinct(ts, x.Index.Column())))
 		if x.Residual != nil {
@@ -257,8 +259,6 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		return nodeEst{}, fmt.Errorf("remote: estimator does not know operator %T", op)
 	}
 }
-
-func (e *estimator) tableStats(t *storage.Table) *stats.TableStats { return t.Stats() }
 
 // computedWidth is what a select item costs per row when statistics cannot
 // size it — an expression, an aggregate, a column of an aggregation's output —

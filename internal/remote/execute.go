@@ -124,8 +124,7 @@ func (s *Server) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 	return res, nil
 }
 
-// ExecuteSQL explains and executes the cheapest plan — the path used by
-// availability daemons and ad-hoc probes.
+// ExecuteSQL explains and executes the cheapest plan.
 func (s *Server) ExecuteSQL(ctx context.Context, sql string) (*Result, error) {
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
@@ -160,7 +159,10 @@ func (s *Server) ApplyUpdateBurst(table string, n int, seed int64) error {
 	if tab == nil {
 		return fmt.Errorf("remote: server %s has no table %q", s.id, table)
 	}
-	if tab.RowCount() == 0 {
+	v := tab.View()
+	rows := v.RowCount()
+	v.Close() // UpdateAt below would wait on an open view forever
+	if rows == 0 {
 		return nil
 	}
 	r := rand.New(rand.NewSource(seed))
@@ -184,7 +186,7 @@ func (s *Server) ApplyUpdateBurst(table string, n int, seed int64) error {
 	}
 	kind := tab.Schema().Columns[numeric].Type
 	for i := 0; i < n; i++ {
-		row := r.Intn(tab.RowCount())
+		row := r.Intn(rows)
 		var v sqltypes.Value
 		if kind == sqltypes.KindFloat {
 			v = sqltypes.NewFloat(r.Float64() * 10000)

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/sqlparser"
+	"repro/internal/storage"
 )
 
 // planCache is the server's statement cache (DB2's package cache): plan
@@ -143,9 +144,15 @@ func (s *Server) cacheKeyAndVersions(stmt *sqlparser.SelectStmt) (string, map[st
 		if tab == nil {
 			return key, nil, false
 		}
-		versions[tr.Name] = tab.Version()
+		versions[tr.Name] = tableVersion(tab)
 	}
 	return key, versions, true
+}
+
+func tableVersion(tab *storage.Table) int64 {
+	v := tab.View()
+	defer v.Close()
+	return v.Version()
 }
 
 // TableVersions snapshots the current mutation counters of the named tables;
@@ -160,7 +167,7 @@ func (s *Server) TableVersions(tables []string) (map[string]int64, bool) {
 		if tab == nil {
 			return nil, false
 		}
-		out[name] = tab.Version()
+		out[name] = tableVersion(tab)
 	}
 	return out, true
 }

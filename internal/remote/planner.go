@@ -80,7 +80,7 @@ func (f *boundFragment) enumerate(s *Server, sql string) ([]*Plan, int, error) {
 	n := len(f.tables)
 	access := make([]int, n) // access[i] indexes tables[i].leaves
 	algos := make([]joinAlgo, n-1)
-	est := &estimator{provider: f.stats, server: s, schema: f.schema}
+	est := &estimator{provider: f.stats, tables: f.facts, server: s, schema: f.schema}
 	physNames := f.physicalTables()
 	var plans []*Plan
 	visited := 0
@@ -143,6 +143,22 @@ type boundFragment struct {
 	top    exec.Top
 	stats  stats.MapProvider // keyed by effective table name
 	schema *sqltypes.Schema  // the tables joined in FROM order
+	// facts is what the bind read of each distinct table, through one view.
+	facts map[*storage.Table]tableFacts
+}
+
+// tableFacts is a table's statistics, page count and indexes (in name order)
+// at one version.
+type tableFacts struct {
+	stats   *stats.TableStats
+	pages   int
+	indexes []*storage.Index
+}
+
+func readFacts(tab *storage.Table) tableFacts {
+	v := tab.View()
+	defer v.Close()
+	return tableFacts{stats: v.Stats(), pages: v.Pages(), indexes: v.Indexes()}
 }
 
 // boundTable is one FROM-clause table of a bound fragment.
@@ -183,6 +199,7 @@ func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
 		tables: make([]boundTable, len(refs)),
 		steps:  make([]joinStep, len(refs)-1),
 		stats:  stats.MapProvider{},
+		facts:  map[*storage.Table]tableFacts{},
 	}
 	schemas := make([]*sqltypes.Schema, len(refs))
 	for i, tr := range refs {
@@ -193,7 +210,10 @@ func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
 		name := tr.EffectiveName()
 		f.tables[i] = boundTable{name: name, tab: tab}
 		schemas[i] = tab.Schema().WithQualifier(name)
-		f.stats[name] = tab.Stats()
+		if _, read := f.facts[tab]; !read {
+			f.facts[tab] = readFacts(tab)
+		}
+		f.stats[name] = f.facts[tab].stats
 	}
 
 	var pool []sqlparser.Expr
@@ -220,8 +240,7 @@ func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
 	for i := range f.tables {
 		t := &f.tables[i]
 		t.leaves = append(t.leaves, filtered(&exec.SeqScan{Table: t.tab, As: t.name}, t.conjuncts))
-		for _, idxName := range t.tab.Indexes() {
-			idx := t.tab.Index(idxName)
+		for _, idx := range f.facts[t.tab].indexes {
 			var leaf exec.Operator
 			probe, rest, ok := exec.ProbeFromPredicate(t.conjuncts, t.name, idx.Column())
 			// A hash index cannot serve a range probe.
@@ -238,7 +257,7 @@ func (s *Server) bind(stmt *sqlparser.SelectStmt) (*boundFragment, error) {
 		for k, c := range cross {
 			if lk, rk, ok := exec.EquiJoinKey(c.expr, joined, schemas[i+1]); ok {
 				st.lk, st.rk = lk, rk
-				st.inlIndex = inner.tab.IndexOnColumn(rk.Name)
+				st.inlIndex = storage.IndexOnColumn(f.facts[inner.tab].indexes, rk.Name)
 				cross = append(cross[:k:k], cross[k+1:]...)
 				break
 			}

@@ -50,8 +50,8 @@ func (s *Server) RefEnumerate(stmt *sqlparser.SelectStmt) ([]*Plan, int, error) 
 	for _, tr := range tables {
 		name := tr.EffectiveName()
 		cands := []accessChoice{{}}
-		for _, idxName := range s.Table(tr.Name).Indexes() {
-			cands = append(cands, accessChoice{index: idxName})
+		for _, idx := range readFacts(s.Table(tr.Name)).indexes {
+			cands = append(cands, accessChoice{index: idx.Name()})
 		}
 		accessCands[name] = cands
 	}
@@ -72,7 +72,11 @@ func (s *Server) RefEnumerate(stmt *sqlparser.SelectStmt) ([]*Plan, int, error) 
 		}
 		joined = sch
 	}
-	est := &estimator{provider: s.refStatsProviderFor(aliasToTable), server: s, schema: joined}
+	facts := map[*storage.Table]tableFacts{}
+	for _, tr := range tables {
+		facts[s.Table(tr.Name)] = readFacts(s.Table(tr.Name))
+	}
+	est := &estimator{provider: s.refStatsProviderFor(aliasToTable), tables: facts, server: s, schema: joined}
 	seen := map[string]bool{}
 	var plans []*Plan
 	count := 0
@@ -162,7 +166,7 @@ func (s *Server) refStatsProviderFor(aliasToTable map[string]string) stats.Stats
 	defer s.mu.RUnlock()
 	for alias, table := range aliasToTable {
 		if t := s.tables[table]; t != nil {
-			m[alias] = t.Stats()
+			m[alias] = readFacts(t).stats
 		}
 	}
 	return m
@@ -224,7 +228,12 @@ func (s *Server) refAssemble(stmt *sqlparser.SelectStmt, choice planChoice) (exe
 		if ac.index == "" {
 			leaf = &exec.SeqScan{Table: tab, As: name}
 		} else {
-			idx := tab.Index(ac.index)
+			var idx *storage.Index
+			for _, ix := range readFacts(tab).indexes {
+				if ix.Name() == ac.index {
+					idx = ix
+				}
+			}
 			probe, rest, ok := exec.ProbeFromPredicate(conjuncts, name, idx.Column())
 			if !ok {
 				return nil, fmt.Errorf("remote: no probe for index %s", ac.index)
@@ -291,7 +300,7 @@ func (s *Server) refAssemble(stmt *sqlparser.SelectStmt, choice planChoice) (exe
 			if !ok {
 				return nil, fmt.Errorf("remote: INL inner key must be a column")
 			}
-			idx := tab.IndexOnColumn(rref.Name)
+			idx := storage.IndexOnColumn(readFacts(tab).indexes, rref.Name)
 			if idx == nil {
 				return nil, fmt.Errorf("remote: no index on %s.%s for INL", name, rref.Name)
 			}

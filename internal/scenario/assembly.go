@@ -182,10 +182,12 @@ func (a *Assembly) Shard(gen storage.TableGen, spec *catalog.ShardSpec, servers 
 		return fmt.Errorf("scenario: sharded table %q: %w", gen.Name, err)
 	}
 	parts := make([][]sqltypes.Row, n)
-	for _, row := range whole.Snapshot() {
+	v := whole.View()
+	for _, row := range v.Rows() {
 		i := spec.ShardFor(row[keyIdx], n)
 		parts[i] = append(parts[i], row)
 	}
+	v.Close()
 	shards := make([]catalog.Shard, n)
 	for i, id := range servers {
 		srv, err := a.server(id)

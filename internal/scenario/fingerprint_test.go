@@ -29,17 +29,19 @@ func describe(sc *Scenario) string {
 		fmt.Fprintf(&b, "server %s %+v link lat=%v mib=%v\n", id, srv.Config(), link.BaseLatency(), link.StaticTransferTime(1<<20))
 		for _, name := range srv.Tables() {
 			tab := srv.Table(name)
+			v := tab.View()
 			bytes, content := 0, fnv.New64a()
-			for _, row := range tab.Snapshot() {
+			for _, row := range v.Rows() {
 				bytes += row.ByteSize()
 				for _, v := range row {
 					fmt.Fprintf(content, "%s|", v)
 				}
 			}
-			fmt.Fprintf(&b, "  table %s rows=%d bytes=%d content=%x schema=%v\n", name, tab.RowCount(), bytes, content.Sum64(), tab.Schema())
-			for _, im := range tab.IndexMetas() {
-				fmt.Fprintf(&b, "    index %s on %s kind=%v\n", im.Name, im.Column, im.Kind)
+			fmt.Fprintf(&b, "  table %s rows=%d bytes=%d content=%x schema=%v\n", name, v.RowCount(), bytes, content.Sum64(), tab.Schema())
+			for _, ix := range v.Indexes() {
+				fmt.Fprintf(&b, "    index %s on %s kind=%v\n", ix.Name(), ix.Column(), ix.Kind())
 			}
+			v.Close()
 		}
 	}
 	for _, name := range sc.Catalog.Names() {

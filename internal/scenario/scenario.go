@@ -145,14 +145,9 @@ func ReplicateTable(sc *Scenario, nickname, from, to string) error {
 	if dstSrv.Table(placement.RemoteTable) != nil {
 		return fmt.Errorf("scenario: %s already hosts %q", to, placement.RemoteTable)
 	}
-	dst := storage.NewTable(src.Name(), src.Schema())
-	if err := dst.Append(src.Snapshot()...); err != nil {
+	dst, err := copyTable(src)
+	if err != nil {
 		return err
-	}
-	for _, im := range src.IndexMetas() {
-		if _, err := dst.CreateIndex(im.Name, im.Column, im.Kind); err != nil {
-			return err
-		}
 	}
 	dstSrv.AddTable(dst)
 	return sc.Catalog.AddPlacement(nickname, catalog.Placement{
@@ -160,6 +155,23 @@ func ReplicateTable(sc *Scenario, nickname, from, to string) error {
 		RemoteTable: placement.RemoteTable,
 		Replica:     true,
 	})
+}
+
+// copyTable builds a table with src's rows and indexes. Stored rows are
+// immutable, so the copy shares them until either side updates one.
+func copyTable(src *storage.Table) (*storage.Table, error) {
+	v := src.View()
+	defer v.Close()
+	dst := storage.NewTable(src.Name(), src.Schema())
+	if err := dst.Append(v.Rows()...); err != nil {
+		return nil, err
+	}
+	for _, ix := range v.Indexes() {
+		if _, err := dst.CreateIndex(ix.Name(), ix.Column(), ix.Kind()); err != nil {
+			return nil, err
+		}
+	}
+	return dst, nil
 }
 
 // ReplicaOptions configures BuildReplicaPair, the §4 load-distribution

@@ -46,13 +46,14 @@ func TestBuildThreeServerReplicasIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1 := sc.Servers["S1"].Table("orders")
-	t3 := sc.Servers["S3"].Table("orders")
-	if t1.RowCount() != t3.RowCount() {
+	v1 := sc.Servers["S1"].Table("orders").View()
+	defer v1.Close()
+	v3 := sc.Servers["S3"].Table("orders").View()
+	defer v3.Close()
+	if v1.RowCount() != v3.RowCount() {
 		t.Fatal("replica row counts differ")
 	}
-	r1, _ := t1.Row(3)
-	r3, _ := t3.Row(3)
+	r1, r3 := v1.Rows()[3], v3.Rows()[3]
 	for i := range r1 {
 		if sqltypes.Compare(r1[i], r3[i]) != 0 {
 			t.Fatalf("replicas differ: %v vs %v", r1, r3)

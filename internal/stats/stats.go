@@ -29,7 +29,7 @@ type ColumnStats struct {
 	Hist      *Histogram // nil for non-numeric columns
 	// WireBytes is the average size of one value, NULLs included, in the
 	// columnar wire encoding: what shipping the column costs per row. The
-	// table that owns the rows fills it in (storage.Table.Stats), Collect
+	// table that owns the rows fills it in (storage.View.Stats), Collect
 	// leaves it zero.
 	WireBytes float64
 }

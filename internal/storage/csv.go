@@ -4,6 +4,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -22,15 +23,17 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	err := t.Scan(func(row sqltypes.Row) error {
+	v := t.View()
+	rows := slices.Clone(v.Rows()) // w may block: write with the view closed
+	v.Close()
+	for _, row := range rows {
 		rec := make([]string, len(row))
 		for i, v := range row {
 			rec[i] = csvField(v)
 		}
-		return cw.Write(rec)
-	})
-	if err != nil {
-		return err
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
 	}
 	cw.Flush()
 	return cw.Error()

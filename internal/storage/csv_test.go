@@ -38,12 +38,12 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.RowCount() != src.RowCount() {
-		t.Fatalf("rows: %d vs %d", got.RowCount(), src.RowCount())
+	srcRows, gotRows := read(src, View.Rows), read(got, View.Rows)
+	if len(gotRows) != len(srcRows) {
+		t.Fatalf("rows: %d vs %d", len(gotRows), len(srcRows))
 	}
-	for i := 0; i < src.RowCount(); i++ {
-		a, _ := src.Row(i)
-		b, _ := got.Row(i)
+	for i, a := range srcRows {
+		b := gotRows[i]
 		for j := range a {
 			if a[j].IsNull() != b[j].IsNull() {
 				t.Fatalf("row %d col %d nullness: %v vs %v", i, j, a[j], b[j])
@@ -79,10 +79,10 @@ func TestReadCSVHandWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.RowCount() != 2 {
-		t.Fatalf("rows: %d", tab.RowCount())
+	if n := read(tab, View.RowCount); n != 2 {
+		t.Fatalf("rows: %d", n)
 	}
-	r, _ := tab.Row(1)
+	r := read(tab, View.Rows)[1]
 	if r[0].Int() != 2 || r[1].Str() != "beta" {
 		t.Fatalf("row: %v", r)
 	}
@@ -118,7 +118,7 @@ func TestCSVNullRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r0, _ := tab.Row(0)
+	r0 := read(tab, View.Rows)[0]
 	if !r0[0].IsNull() || !r0[1].IsNull() {
 		t.Fatalf("empty fields must be NULL: %v", r0)
 	}

@@ -17,11 +17,10 @@ func TestGenerateDeterministicReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if t1.RowCount() != t2.RowCount() {
+	if read(t1, View.RowCount) != read(t2, View.RowCount) {
 		t.Fatal("replica row counts differ")
 	}
-	r1, _ := t1.Row(17)
-	r2, _ := t2.Row(17)
+	r1, r2 := read(t1, View.Rows)[17], read(t2, View.Rows)[17]
 	for i := range r1 {
 		if sqltypes.Compare(r1[i], r2[i]) != 0 {
 			t.Fatalf("replicas differ at row 17 col %d: %v vs %v", i, r1[i], r2[i])
@@ -31,7 +30,7 @@ func TestGenerateDeterministicReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r3, _ := t3.Row(17)
+	r3 := read(t3, View.Rows)[17]
 	same := true
 	for i := range r1 {
 		// column 0 is the sequential PK — identical by construction
@@ -80,10 +79,11 @@ func TestGenerateBuildsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tab.IndexOnColumn("l_orderkey") == nil {
+	indexes := read(tab, View.Indexes)
+	if IndexOnColumn(indexes, "l_orderkey") == nil {
 		t.Fatal("lineitem_ord index missing")
 	}
-	if tab.IndexOnColumn("l_id") == nil {
+	if IndexOnColumn(indexes, "l_id") == nil {
 		t.Fatal("lineitem_pk index missing")
 	}
 }
@@ -104,7 +104,8 @@ func TestGeneratorPrimitives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = tab.Scan(func(r sqltypes.Row) error {
+	rows := read(tab, View.Rows)
+	for _, r := range rows {
 		if r[1].Int() < 0 || r[1].Int() >= 10 {
 			t.Fatalf("uniform int out of range: %v", r[1])
 		}
@@ -114,13 +115,8 @@ func TestGeneratorPrimitives(t *testing.T) {
 		if s := r[3].Str(); s != "a" && s != "b" {
 			t.Fatalf("categorical: %v", r[3])
 		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	r0, _ := tab.Row(0)
-	if r0[4].Str() != "row-000000" {
+	if r0 := rows[0]; r0[4].Str() != "row-000000" {
 		t.Fatalf("padded string: %v", r0[4])
 	}
 }

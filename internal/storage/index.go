@@ -24,32 +24,24 @@ func (k IndexKind) String() string {
 	return "HASH"
 }
 
-// Index maps column values to row positions. Indexes are owned by a Table
-// and protected by the table's lock; methods here are not safe for
-// concurrent use on their own.
+// Index maps column values to row positions. It is owned by a Table and
+// protected by the table's lock: outside this package an Index is a handle
+// (name, column, kind) that plan nodes carry, and its contents are read
+// through View.Index.
 type Index struct {
 	name   string
 	column string
 	colIdx int
 	kind   IndexKind
 
-	hash   map[uint64][]int
-	sorted []sortedEntry // kept ordered by value
+	hash    map[uint64][]int
+	sorted  []sortedEntry // kept ordered by value
+	entries int           // indexed (non-NULL) values
 }
 
 type sortedEntry struct {
 	val sqltypes.Value
 	pos int
-}
-
-func newIndex(name, column string, colIdx int, kind IndexKind) *Index {
-	return &Index{
-		name:   name,
-		column: column,
-		colIdx: colIdx,
-		kind:   kind,
-		hash:   map[uint64][]int{},
-	}
 }
 
 // Name returns the index name.
@@ -61,16 +53,13 @@ func (ix *Index) Column() string { return ix.column }
 // Kind returns the index kind.
 func (ix *Index) Kind() IndexKind { return ix.kind }
 
-func (ix *Index) insert(row sqltypes.Row, pos int) {
-	ix.insertValue(row[ix.colIdx], pos)
-}
-
-func (ix *Index) insertValue(v sqltypes.Value, pos int) {
+func (ix *Index) insert(v sqltypes.Value, pos int) {
 	if v.IsNull() {
 		return // NULLs are not indexed
 	}
 	h := v.Hash()
 	ix.hash[h] = append(ix.hash[h], pos)
+	ix.entries++
 	if ix.kind == IndexSorted {
 		i := sort.Search(len(ix.sorted), func(i int) bool {
 			return sqltypes.Compare(ix.sorted[i].val, v) >= 0
@@ -90,6 +79,7 @@ func (ix *Index) remove(v sqltypes.Value, pos int) {
 	for i, p := range list {
 		if p == pos {
 			ix.hash[h] = append(list[:i], list[i+1:]...)
+			ix.entries--
 			break
 		}
 	}
@@ -103,26 +93,33 @@ func (ix *Index) remove(v sqltypes.Value, pos int) {
 	}
 }
 
+// IndexView is an index's contents at the version of the View that opened it;
+// the positions it returns index that view's Rows and Columns.
+type IndexView struct {
+	ix *Index
+}
+
 // LookupEq returns the positions of rows whose key equals v.
-func (ix *Index) LookupEq(v sqltypes.Value) []int {
+func (iv IndexView) LookupEq(v sqltypes.Value) []int {
 	if v.IsNull() {
 		return nil
 	}
-	return ix.AppendEqHash(nil, v.Hash())
+	return iv.AppendEqHash(nil, v.Hash())
 }
 
 // AppendEqHash appends to dst the positions LookupEq returns for a non-NULL
 // key whose Value.Hash is h, and returns the extended slice: a join probing
 // once per outer row collects every match in one slice and never boxes the
 // key.
-func (ix *Index) AppendEqHash(dst []int, h uint64) []int {
-	return append(dst, ix.hash[h]...)
+func (iv IndexView) AppendEqHash(dst []int, h uint64) []int {
+	return append(dst, iv.ix.hash[h]...)
 }
 
 // LookupRange returns positions of rows with lo <= key <= hi; a nil bound is
 // open. Only sorted indexes support ranges; hash indexes return nil, which
 // callers treat as "index cannot serve this probe".
-func (ix *Index) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive bool) []int {
+func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive bool) []int {
+	ix := iv.ix
 	if ix.kind != IndexSorted {
 		return nil
 	}
@@ -157,10 +154,4 @@ func (ix *Index) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive bo
 }
 
 // Len returns the number of indexed (non-NULL) entries.
-func (ix *Index) Len() int {
-	n := 0
-	for _, list := range ix.hash {
-		n += len(list)
-	}
-	return n
-}
+func (iv IndexView) Len() int { return iv.ix.entries }

@@ -6,7 +6,8 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -19,39 +20,41 @@ import (
 // into IO pages for the cost and timing models.
 const PageSize = 4096
 
-// Table is an in-memory heap table with optional indexes.
+// Table is an in-memory heap table with optional indexes. Append, UpdateAt,
+// CreateIndex and SetVirtualStats change it; everything is read through a
+// View. Stored rows are immutable — UpdateAt swaps in a modified copy — so a
+// row taken from a view may be kept after the view is closed.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
 	schema  *sqltypes.Schema
 	rows    []sqltypes.Row
 	indexes map[string]*Index
-	stats   *stats.TableStats // refreshed lazily (RUNSTATS-style)
-	dirty   bool
 	version int64 // bumped on every mutation; buffer-pool model uses it
-	// virtual, when set, makes the table a statistics-only shell: Stats()
-	// returns it and Pages() derives from it. QCC's simulated federated
+	// virtual, when set, makes the table a statistics-only shell: a view's
+	// Stats returns it and Pages derives from it. QCC's simulated federated
 	// system registers such "virtual tables ... without storing the actual
 	// data" (§2) to run what-if explains.
 	virtual *stats.TableStats
-	// colMemo is the rows' columnar decomposition at one version (see
-	// Columns). It lives on the table so it is collected with the table.
-	colMemo atomic.Pointer[columnMemo]
-	// pageMemo is the rows' page count at one version (see Pages).
-	pageMemo atomic.Pointer[pageCount]
+	// derived is what views have computed from the rows since the last
+	// mutation: a mutation clears it, the next view installs an empty one. It
+	// lives on the table so it is collected with the table.
+	derived atomic.Pointer[derived]
+	// columnar is set by the first columnar scan. Only such a table keeps the
+	// decomposition its statistics are sized from (its next scan finds it
+	// ready); any other would hold a second copy of its rows for good.
+	columnar atomic.Bool
 }
 
-// columnMemo is a table's columnar decomposition at a version.
-type columnMemo struct {
-	version int64
-	cols    []*colbatch.Column
-	n       int
-}
+// derived holds the page count, the statistics (RUNSTATS-style) and the
+// columnar decomposition of one table version, each filled by the first view
+// that asks. Views share the table's read lock, so the Onces order them.
+type derived struct {
+	pagesOnce, statsOnce, colsOnce sync.Once
 
-// pageCount is a table's page count at a version.
-type pageCount struct {
-	version int64
-	pages   int
+	pages int
+	stats *stats.TableStats
+	cols  []*colbatch.Column
 }
 
 // NewTable creates an empty table.
@@ -65,49 +68,14 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *sqltypes.Schema { return t.schema }
 
-// RowCount returns the current number of rows.
-func (t *Table) RowCount() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
+// mutated ends a mutation; the caller holds the write lock.
+func (t *Table) mutated() {
+	t.version++
+	t.derived.Store(nil)
 }
 
-// Version returns the mutation counter.
-func (t *Table) Version() int64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.version
-}
-
-// Pages returns the number of notional disk pages the table occupies. The
-// estimator asks per scan per plan, so the sum over the rows is memoized per
-// table version; a virtual table answers from its injected statistics.
-func (t *Table) Pages() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.virtual != nil {
-		p := int(float64(t.virtual.RowCount) * t.virtual.AvgRowBytes / PageSize)
-		if p == 0 && t.virtual.RowCount > 0 {
-			p = 1
-		}
-		return p
-	}
-	if m := t.pageMemo.Load(); m != nil && m.version == t.version {
-		return m.pages
-	}
-	bytes := 0
-	for _, r := range t.rows {
-		bytes += r.ByteSize()
-	}
-	p := bytes / PageSize
-	if p == 0 && len(t.rows) > 0 {
-		p = 1
-	}
-	t.pageMemo.Store(&pageCount{version: t.version, pages: p})
-	return p
-}
-
-// Append adds rows in bulk (used by data generation and loads).
+// Append adds rows in bulk (used by data generation and loads). The table
+// keeps the rows: the caller must not write to them afterwards.
 func (t *Table) Append(rows ...sqltypes.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -120,69 +88,15 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 	t.rows = append(t.rows, rows...)
 	for _, idx := range t.indexes {
 		for i, r := range rows {
-			idx.insert(r, base+i)
+			idx.insert(r[idx.colIdx], base+i)
 		}
 	}
-	t.dirty = true
-	t.version++
+	t.mutated()
 	return nil
 }
 
-// Scan invokes fn for every row; fn must not retain the row beyond the call
-// unless it clones it. Scanning takes a read lock for the duration.
-func (t *Table) Scan(fn func(row sqltypes.Row) error) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	for _, r := range t.rows {
-		if err := fn(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Columns returns the rows decomposed into typed columns, and the row count —
-// the vectorized executor's scan input. The decomposition is memoized per
-// table version, so the update-load driver naturally evicts it. It is built
-// under the read lock (UpdateAt overwrites cells in place), so no mutation
-// can race the scan and the memo always matches the version it is tagged
-// with. Columns are immutable once built and may be shared by any number of
-// concurrent scans.
-func (t *Table) Columns() ([]*colbatch.Column, int) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if m := t.colMemo.Load(); m != nil && m.version == t.version {
-		return m.cols, m.n
-	}
-	b := colbatch.FromRelation(&sqltypes.Relation{Schema: t.schema, Rows: t.rows})
-	t.colMemo.Store(&columnMemo{version: t.version, cols: b.Cols, n: b.Len()})
-	return b.Cols, b.Len()
-}
-
-// Snapshot returns a copy of all rows (row slices are cloned shallowly;
-// values are immutable).
-func (t *Table) Snapshot() []sqltypes.Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]sqltypes.Row, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
-}
-
-// Row returns the row at position i (cloned).
-func (t *Table) Row(i int) (sqltypes.Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.rows) {
-		return nil, fmt.Errorf("storage: row %d out of range [0,%d)", i, len(t.rows))
-	}
-	return t.rows[i].Clone(), nil
-}
-
-// UpdateAt overwrites column col of row i; the update-load driver uses this
-// to dirty pages.
+// UpdateAt replaces row i with a copy whose column col is v; the update-load
+// driver uses this to dirty pages.
 func (t *Table) UpdateAt(i, col int, v sqltypes.Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -192,16 +106,17 @@ func (t *Table) UpdateAt(i, col int, v sqltypes.Value) error {
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("storage: column %d out of range", col)
 	}
-	old := t.rows[i][col]
-	t.rows[i][col] = v
+	row := t.rows[i].Clone()
+	old := row[col]
+	row[col] = v
+	t.rows[i] = row
 	for _, idx := range t.indexes {
 		if idx.colIdx == col {
 			idx.remove(old, i)
-			idx.insertValue(v, i)
+			idx.insert(v, i)
 		}
 	}
-	t.dirty = true
-	t.version++
+	t.mutated()
 	return nil
 }
 
@@ -228,9 +143,9 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 	if _, dup := t.indexes[name]; dup {
 		return nil, fmt.Errorf("storage: index %q already exists on %s", name, t.name)
 	}
-	idx := newIndex(name, column, ci, kind)
+	idx := &Index{name: name, column: column, colIdx: ci, kind: kind, hash: map[uint64][]int{}}
 	for i, r := range t.rows {
-		idx.insert(r, i)
+		idx.insert(r[ci], i)
 	}
 	t.indexes[name] = idx
 	return idx, nil
@@ -255,100 +170,6 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// Index returns the named index or nil.
-func (t *Table) Index(name string) *Index {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.indexes[name]
-}
-
-// IndexOnColumn returns some index whose key is the given column, preferring
-// sorted indexes (which serve both equality and range probes), or nil.
-func (t *Table) IndexOnColumn(column string) *Index {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var hash *Index
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		idx := t.indexes[n]
-		if !equalFold(idx.column, column) {
-			continue
-		}
-		if idx.kind == IndexSorted {
-			return idx
-		}
-		if hash == nil {
-			hash = idx
-		}
-	}
-	return hash
-}
-
-// Indexes lists index names, sorted.
-func (t *Table) Indexes() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Stats returns (possibly cached) statistics; it recollects when the table
-// has been mutated since the last collection, mimicking RUNSTATS. Virtual
-// tables return their injected statistics.
-func (t *Table) Stats() *stats.TableStats {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.virtual != nil {
-		return t.virtual
-	}
-	if t.stats == nil || t.dirty {
-		t.stats = stats.Collect(t.name, t.schema, t.rows)
-		t.sizeColumns(t.stats)
-		t.dirty = false
-	}
-	return t.stats
-}
-
-// wireBatchRows is the batch the integrator asks remote cursors for
-// (integrator.DefaultBatchRows): a shipped column is encoded that many rows at
-// a time.
-const wireBatchRows = 256
-
-// sizeColumns records what each column costs per row on the columnar wire: the
-// encoder's own sizing of the stored column, so the cost model prices a
-// shipped column at what shipping it will charge. The caller holds t.mu.
-func (t *Table) sizeColumns(ts *stats.TableStats) {
-	n := len(t.rows)
-	if n == 0 {
-		return
-	}
-	m := t.colMemo.Load()
-	if m == nil || m.version != t.version {
-		b := colbatch.FromRelation(&sqltypes.Relation{Schema: t.schema, Rows: t.rows})
-		fresh := &columnMemo{version: t.version, cols: b.Cols, n: n}
-		// Only a table columnar scans read keeps the decomposition (its next
-		// scan finds it ready); any other would hold a second copy of its rows
-		// for good.
-		if m != nil {
-			t.colMemo.Store(fresh)
-		}
-		m = fresh
-	}
-	for i, col := range t.schema.Columns {
-		cs := ts.Columns[col.Name]
-		cs.WireBytes = float64(colbatch.ColumnWireBytes(m.cols[i], n, wireBatchRows)) / float64(n)
-		ts.WireRowBytes += cs.WireBytes
-	}
-}
-
 // SetVirtualStats turns the table into a statistics-only shell for what-if
 // analysis: Stats and Pages answer from ts while the table holds no rows.
 func (t *Table) SetVirtualStats(ts *stats.TableStats) {
@@ -357,33 +178,159 @@ func (t *Table) SetVirtualStats(ts *stats.TableStats) {
 	t.virtual = ts
 }
 
+// View is a table at one version: the table's read lock, held from Table.View
+// to Close. Rows, columns, page count, statistics and index contents read
+// through one view all belong to Version(), and no mutation runs while a view
+// is open. A goroutine must close its view of a table before it opens another
+// on the same table: a writer waiting between the two blocks the second
+// forever.
+type View struct {
+	t *Table
+	d *derived
+}
+
+// View opens a view of the table's current version.
+func (t *Table) View() View {
+	t.mu.RLock()
+	d := t.derived.Load()
+	if d == nil {
+		d = new(derived)
+		// Losing to another view is fine: no writer runs, so it installed one.
+		if !t.derived.CompareAndSwap(nil, d) {
+			d = t.derived.Load()
+		}
+	}
+	return View{t: t, d: d}
+}
+
+// Close releases the view; nothing may be read through it afterwards.
+func (v View) Close() { v.t.mu.RUnlock() }
+
+// Table returns the table the view reads.
+func (v View) Table() *Table { return v.t }
+
+// Version returns the table's mutation counter.
+func (v View) Version() int64 { return v.t.version }
+
+// RowCount returns the number of rows.
+func (v View) RowCount() int { return len(v.t.rows) }
+
 // IsVirtual reports whether the table is a statistics-only shell.
-func (t *Table) IsVirtual() bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.virtual != nil
+func (v View) IsVirtual() bool { return v.t.virtual != nil }
+
+// Rows returns the stored rows. The slice is the table's own and is only
+// valid while the view is open; the rows in it never change and may be kept.
+func (v View) Rows() []sqltypes.Row { return v.t.rows }
+
+// Columns returns the rows decomposed into typed columns of RowCount values —
+// the vectorized executor's scan input. Columns are immutable once built and
+// shared by every scan of this version.
+func (v View) Columns() []*colbatch.Column {
+	if !v.t.columnar.Load() { // scans share the flag's cache line: write it once
+		v.t.columnar.Store(true)
+	}
+	v.d.colsOnce.Do(func() { v.d.cols = v.decompose() })
+	return v.d.cols
 }
 
-// IndexMeta describes one index for catalog cloning.
-type IndexMeta struct {
-	Name   string
-	Column string
-	Kind   IndexKind
+func (v View) decompose() []*colbatch.Column {
+	return colbatch.FromRelation(&sqltypes.Relation{Schema: v.t.schema, Rows: v.t.rows}).Cols
 }
 
-// IndexMetas lists index metadata, sorted by name.
-func (t *Table) IndexMetas() []IndexMeta {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	names := make([]string, 0, len(t.indexes))
-	for n := range t.indexes {
-		names = append(names, n)
+// Pages returns the number of notional disk pages the table occupies; a
+// virtual table answers from its injected statistics.
+func (v View) Pages() int {
+	t := v.t
+	if t.virtual != nil {
+		return pagesOf(int(float64(t.virtual.RowCount)*t.virtual.AvgRowBytes), t.virtual.RowCount > 0)
 	}
-	sort.Strings(names)
-	out := make([]IndexMeta, 0, len(names))
-	for _, n := range names {
-		ix := t.indexes[n]
-		out = append(out, IndexMeta{Name: ix.name, Column: ix.column, Kind: ix.kind})
+	v.d.pagesOnce.Do(func() {
+		bytes := 0
+		for _, r := range t.rows {
+			bytes += r.ByteSize()
+		}
+		v.d.pages = pagesOf(bytes, len(t.rows) > 0)
+	})
+	return v.d.pages
+}
+
+func pagesOf(bytes int, nonEmpty bool) int {
+	p := bytes / PageSize
+	if p == 0 && nonEmpty {
+		p = 1
 	}
+	return p
+}
+
+// wireBatchRows is the batch the integrator asks remote cursors for
+// (integrator.DefaultBatchRows): a shipped column is encoded that many rows at
+// a time.
+const wireBatchRows = 256
+
+// Stats returns the table's statistics, collected by the first view of a
+// version that asks (mimicking RUNSTATS); a virtual table returns its injected
+// statistics. Each column's WireBytes is the wire encoder's own sizing of the
+// stored column, so the cost model prices a shipped column at what shipping it
+// will charge.
+func (v View) Stats() *stats.TableStats {
+	t := v.t
+	if t.virtual != nil {
+		return t.virtual
+	}
+	v.d.statsOnce.Do(func() {
+		ts := stats.Collect(t.name, t.schema, t.rows)
+		if n := len(t.rows); n > 0 {
+			var cols []*colbatch.Column
+			if t.columnar.Load() {
+				cols = v.Columns()
+			} else {
+				cols = v.decompose()
+			}
+			for i, col := range t.schema.Columns {
+				cs := ts.Columns[col.Name]
+				cs.WireBytes = float64(colbatch.ColumnWireBytes(cols[i], n, wireBatchRows)) / float64(n)
+				ts.WireRowBytes += cs.WireBytes
+			}
+		}
+		v.d.stats = ts
+	})
+	return v.d.stats
+}
+
+// Indexes lists the table's indexes, sorted by name.
+func (v View) Indexes() []*Index {
+	out := make([]*Index, 0, len(v.t.indexes))
+	for _, ix := range v.t.indexes {
+		out = append(out, ix)
+	}
+	slices.SortFunc(out, func(a, b *Index) int { return strings.Compare(a.name, b.name) })
 	return out
+}
+
+// IndexOnColumn returns one of indexes (a view's Indexes) whose key is the
+// given column, preferring sorted indexes (which serve both equality and range
+// probes), or nil.
+func IndexOnColumn(indexes []*Index, column string) *Index {
+	var hash *Index
+	for _, ix := range indexes {
+		if !equalFold(ix.column, column) {
+			continue
+		}
+		if ix.kind == IndexSorted {
+			return ix
+		}
+		if hash == nil {
+			hash = ix
+		}
+	}
+	return hash
+}
+
+// Index opens ix for reading at the view's version. An index of another table
+// is an error: its positions mean nothing in this view's rows.
+func (v View) Index(ix *Index) (IndexView, error) {
+	if v.t.indexes[ix.name] != ix {
+		return IndexView{}, fmt.Errorf("storage: index %s is not an index of table %s", ix.name, v.t.name)
+	}
+	return IndexView{ix: ix}, nil
 }

@@ -29,20 +29,28 @@ func newTestTable(t *testing.T) *Table {
 	return tab
 }
 
+// read returns what fn reads through one view of tab.
+func read[T any](tab *Table, fn func(View) T) T {
+	v := tab.View()
+	defer v.Close()
+	return fn(v)
+}
+
 func TestTableAppendScan(t *testing.T) {
 	tab := newTestTable(t)
-	if tab.RowCount() != 100 {
-		t.Fatalf("rowcount %d", tab.RowCount())
+	v := tab.View()
+	defer v.Close()
+	if v.RowCount() != 100 {
+		t.Fatalf("rowcount %d", v.RowCount())
 	}
 	n := 0
 	sum := int64(0)
-	err := tab.Scan(func(r sqltypes.Row) error {
+	for _, r := range v.Rows() {
 		n++
 		sum += r[0].Int()
-		return nil
-	})
-	if err != nil || n != 100 || sum != 4950 {
-		t.Fatalf("scan n=%d sum=%d err=%v", n, sum, err)
+	}
+	if n != 100 || sum != 4950 {
+		t.Fatalf("scan n=%d sum=%d", n, sum)
 	}
 }
 
@@ -55,14 +63,19 @@ func TestTableAppendArityMismatch(t *testing.T) {
 
 func TestTableRowAccessAndBounds(t *testing.T) {
 	tab := newTestTable(t)
-	r, err := tab.Row(5)
-	if err != nil || r[0].Int() != 5 {
-		t.Fatalf("row 5: %v %v", r, err)
+	v := tab.View()
+	rows := v.Rows()
+	if r := rows[5]; r[0].Int() != 5 {
+		t.Fatalf("row 5: %v", r)
 	}
-	if _, err := tab.Row(-1); err == nil {
+	if len(rows) != v.RowCount() || cap(rows) < len(rows) {
+		t.Fatalf("%d rows, RowCount %d", len(rows), v.RowCount())
+	}
+	v.Close()
+	if err := tab.UpdateAt(-1, 0, sqltypes.NewInt(1)); err == nil {
 		t.Fatal("negative index")
 	}
-	if _, err := tab.Row(100); err == nil {
+	if err := tab.UpdateAt(100, 0, sqltypes.NewInt(1)); err == nil {
 		t.Fatal("past end")
 	}
 }
@@ -72,20 +85,28 @@ func TestTableUpdateAtBumpsVersionAndMaintainsIndex(t *testing.T) {
 	if _, err := tab.CreateIndex("t_id", "id", IndexHash); err != nil {
 		t.Fatal(err)
 	}
-	v0 := tab.Version()
+	v0 := read(tab, View.Version)
 	if err := tab.UpdateAt(3, 0, sqltypes.NewInt(999)); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Version() <= v0 {
+	v := tab.View()
+	if v.Version() <= v0 {
 		t.Fatal("version must bump")
 	}
-	idx := tab.Index("t_id")
+	idx, err := v.Index(v.Indexes()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := idx.LookupEq(sqltypes.NewInt(999)); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("index after update: %v", got)
 	}
 	if got := idx.LookupEq(sqltypes.NewInt(3)); len(got) != 0 {
 		t.Fatalf("stale entry: %v", got)
 	}
+	if idx.Len() != 100 {
+		t.Fatalf("index holds %d entries after an update in place, want 100", idx.Len())
+	}
+	v.Close()
 	if err := tab.UpdateAt(1000, 0, sqltypes.NewInt(1)); err == nil {
 		t.Fatal("row bound")
 	}
@@ -94,29 +115,34 @@ func TestTableUpdateAtBumpsVersionAndMaintainsIndex(t *testing.T) {
 	}
 }
 
+// Stored rows are immutable: a row kept from a closed view must not see a
+// later update, which swaps a modified copy into the table.
 func TestTableSnapshotIsolation(t *testing.T) {
 	tab := newTestTable(t)
-	snap := tab.Snapshot()
+	kept := read(tab, View.Rows)[0]
 	if err := tab.UpdateAt(0, 0, sqltypes.NewInt(-7)); err != nil {
 		t.Fatal(err)
 	}
-	if snap[0][0].Int() != 0 {
-		t.Fatal("snapshot must not see later updates")
+	if kept[0].Int() != 0 {
+		t.Fatal("a row kept from a view must not see later updates")
+	}
+	if now := read(tab, View.Rows)[0]; now[0].Int() != -7 || now[1] != kept[1] {
+		t.Fatalf("row after the update: %v", now)
 	}
 }
 
 func TestTablePages(t *testing.T) {
 	tab := newTestTable(t)
-	if tab.Pages() < 1 {
+	if read(tab, View.Pages) < 1 {
 		t.Fatal("pages must be >=1 for non-empty table")
 	}
 	empty := NewTable("e", sqltypes.NewSchema(sqltypes.Column{Name: "x", Type: sqltypes.KindInt}))
-	if empty.Pages() != 0 {
+	if read(empty, View.Pages) != 0 {
 		t.Fatal("empty table pages")
 	}
 }
 
-// Pages is memoized per table version: a memoized count must not outlive an
+// Pages is computed once per table version: a count must not outlive an
 // Append, an UpdateAt or a switch to injected statistics.
 func TestTablePagesTracksMutations(t *testing.T) {
 	tab := NewTable("p", sqltypes.NewSchema(sqltypes.Column{Table: "p", Name: "s", Type: sqltypes.KindString}))
@@ -129,48 +155,49 @@ func TestTablePagesTracksMutations(t *testing.T) {
 	}
 	summed := func() int {
 		bytes := 0
-		for _, r := range tab.Snapshot() {
+		for _, r := range read(tab, View.Rows) {
 			bytes += r.ByteSize()
 		}
 		return bytes / PageSize
 	}
+	pages := func() int { return read(tab, View.Pages) }
 	if err := tab.Append(wide(200)...); err != nil {
 		t.Fatal(err)
 	}
-	first := tab.Pages()
-	if first < 2 || first != summed() || tab.Pages() != first {
-		t.Fatalf("pages %d, then %d; rows sum to %d", first, tab.Pages(), summed())
+	first := pages()
+	if first < 2 || first != summed() || pages() != first {
+		t.Fatalf("pages %d, then %d; rows sum to %d", first, pages(), summed())
 	}
 	if err := tab.Append(wide(200)...); err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.Pages(); got <= first || got != summed() {
+	if got := pages(); got <= first || got != summed() {
 		t.Fatalf("after Append: pages %d (was %d), rows sum to %d", got, first, summed())
 	}
-	grown := tab.Pages()
+	grown := pages()
 	if err := tab.UpdateAt(0, 0, sqltypes.NewString(strings.Repeat("y", 3*PageSize))); err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.Pages(); got <= grown || got != summed() {
+	if got := pages(); got <= grown || got != summed() {
 		t.Fatalf("after UpdateAt: pages %d (was %d), rows sum to %d", got, grown, summed())
 	}
 	tab.SetVirtualStats(&stats.TableStats{Table: "p", RowCount: 1000, AvgRowBytes: PageSize})
-	if got := tab.Pages(); got != 1000 {
+	if got := pages(); got != 1000 {
 		t.Fatalf("after SetVirtualStats: pages %d, want 1000 from the injected statistics", got)
 	}
 }
 
 func TestTableStatsCaching(t *testing.T) {
 	tab := newTestTable(t)
-	s1 := tab.Stats()
-	s2 := tab.Stats()
+	s1 := read(tab, View.Stats)
+	s2 := read(tab, View.Stats)
 	if s1 != s2 {
 		t.Fatal("stats should be cached while clean")
 	}
 	if err := tab.UpdateAt(0, 1, sqltypes.NewFloat(1e9)); err != nil {
 		t.Fatal(err)
 	}
-	s3 := tab.Stats()
+	s3 := read(tab, View.Stats)
 	if s3 == s1 {
 		t.Fatal("stats must refresh after mutation")
 	}
@@ -209,8 +236,9 @@ func TestStatsWireBytesAreTheEncoders(t *testing.T) {
 	}
 	check := func() {
 		t.Helper()
-		ts := tab.Stats()
-		cols, rows := tab.Columns()
+		v := tab.View()
+		defer v.Close()
+		ts, cols, rows := v.Stats(), v.Columns(), v.RowCount()
 		sum := 0.0
 		for c, col := range schema.Columns {
 			shipped := 0
@@ -236,7 +264,7 @@ func TestStatsWireBytesAreTheEncoders(t *testing.T) {
 		t.Fatal(err)
 	}
 	check()
-	if ts := NewTable("empty", schema).Stats(); ts.WireRowBytes != 0 {
+	if ts := read(NewTable("empty", schema), View.Stats); ts.WireRowBytes != 0 {
 		t.Errorf("empty table: WireRowBytes %v", ts.WireRowBytes)
 	}
 }
@@ -266,23 +294,23 @@ func TestIndexOnColumnPrefersSorted(t *testing.T) {
 	if _, err := tab.CreateIndex("s", "id", IndexSorted); err != nil {
 		t.Fatal(err)
 	}
-	idx := tab.IndexOnColumn("id")
+	indexes := read(tab, View.Indexes)
+	idx := IndexOnColumn(indexes, "id")
 	if idx == nil || idx.Kind() != IndexSorted {
 		t.Fatalf("want sorted index, got %v", idx)
 	}
-	if tab.IndexOnColumn("v") != nil {
+	if IndexOnColumn(indexes, "v") != nil {
 		t.Fatal("no index on v")
 	}
-	names := tab.Indexes()
-	if len(names) != 2 || names[0] != "h" || names[1] != "s" {
-		t.Fatalf("index names: %v", names)
+	if len(indexes) != 2 || indexes[0].Name() != "h" || indexes[1].Name() != "s" {
+		t.Fatalf("indexes out of name order: %v", indexes)
 	}
 }
 
 // TestColumnsConcurrentWithUpdates scans columns from several goroutines
 // while another mutates the table: every scan must see a full-length
 // decomposition, and once the writer is done a fresh scan must see its last
-// write (no stale memo survives a version bump). Run under -race.
+// write (no stale decomposition survives a version bump). Run under -race.
 func TestColumnsConcurrentWithUpdates(t *testing.T) {
 	tab := newTestTable(t)
 	const writes = 200
@@ -292,8 +320,11 @@ func TestColumnsConcurrentWithUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < writes; i++ {
-				if cols, n := tab.Columns(); n != 100 || len(cols) != 2 {
-					t.Errorf("scan saw %d rows in %d columns", n, len(cols))
+				v := tab.View()
+				cols, n := v.Columns(), v.RowCount()
+				v.Close()
+				if n != 100 || len(cols) != 2 || len(cols[0].Ints) != n {
+					t.Errorf("scan saw %d rows in %d columns of %d values", n, len(cols), len(cols[0].Ints))
 					return
 				}
 			}
@@ -305,7 +336,7 @@ func TestColumnsConcurrentWithUpdates(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	cols, _ := tab.Columns()
+	cols := read(tab, View.Columns)
 	if got := cols[1].Floats[7]; got != writes-1 {
 		t.Fatalf("scan after the last update read %v, want %d", got, writes-1)
 	}

@@ -112,7 +112,7 @@ func TestApplyPhase(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Phases()[5] // S1+S3 loaded
-	v0 := sc.Servers["S1"].Table("orders").Version()
+	v0, _ := sc.Servers["S1"].TableVersions([]string{"orders"})
 	if err := ApplyPhase(sc, p, 5, 7); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestApplyPhase(t *testing.T) {
 	if sc.Servers["S2"].LoadLevel() != 0 {
 		t.Fatal("base server")
 	}
-	if sc.Servers["S1"].Table("orders").Version() == v0 {
+	if v1, _ := sc.Servers["S1"].TableVersions([]string{"orders"}); v1["orders"] == v0["orders"] {
 		t.Fatal("update burst must mutate loaded servers")
 	}
 	// Re-applying a base phase clears load.
