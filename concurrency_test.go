@@ -148,12 +148,12 @@ func TestConcurrentSessionsWithQCC(t *testing.T) {
 			t.Errorf("server %s fenced after a healthy soak", id)
 		}
 	}
-	compiles, runs, qccErrs := cal.Stats()
-	if compiles <= 0 || runs <= 0 {
-		t.Errorf("QCC observed compiles=%d runs=%d, want both > 0", compiles, runs)
+	st := cal.StatsSnapshot()
+	if st.Compiles <= 0 || st.Runs <= 0 {
+		t.Errorf("QCC observed compiles=%d runs=%d, want both > 0", st.Compiles, st.Runs)
 	}
-	if qccErrs != 0 {
-		t.Errorf("QCC observed %d errors during a healthy soak", qccErrs)
+	if st.Errors != 0 {
+		t.Errorf("QCC observed %d errors during a healthy soak", st.Errors)
 	}
 	if got := fed.QueryLog(); len(got) != sessions*len(sqls) {
 		t.Errorf("patroller logged %d entries, want %d", len(got), sessions*len(sqls))

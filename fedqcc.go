@@ -188,7 +188,7 @@ func fromScenario(sc *scenario.Scenario) *Federation {
 	// Telemetry is always constructed and wired but starts disabled: every
 	// instrumentation site no-ops behind one atomic load until
 	// EnableTelemetry flips it on.
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	sc.II.SetTelemetry(tel)
 	sc.MW.SetTelemetry(tel)
 	sc.Topo.SetTelemetry(tel)

@@ -141,8 +141,7 @@ func TestEnableQCCLearnsAndReroutes(t *testing.T) {
 	if res.Route["QF1"] == preferred {
 		t.Fatal("must reroute away from loaded server")
 	}
-	compiles, runs, _ := cal.Stats()
-	if compiles == 0 || runs == 0 {
+	if st := cal.StatsSnapshot(); st.Compiles == 0 || st.Runs == 0 {
 		t.Fatal("stats")
 	}
 }
@@ -180,9 +179,24 @@ func TestDisableQCC(t *testing.T) {
 	if _, err := fed.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
 		t.Fatal(err)
 	}
-	_, runs, _ := cal.Stats()
-	if runs != 0 {
+	if cal.StatsSnapshot().Runs != 0 {
 		t.Fatal("disabled QCC must not observe")
+	}
+}
+
+// TestFixedCycleAtDefaultIntervalNeverAdapts: FixedCycle without
+// RecalibrationMS keeps the default 500 ms cycle through a quiet period in
+// which the dynamic cycle would grow.
+func TestFixedCycleAtDefaultIntervalNeverAdapts(t *testing.T) {
+	fed := paperFed(t)
+	cal := fed.EnableQCC(fedqcc.QCCOptions{FixedCycle: true})
+	start := cal.RecalibrationInterval()
+	if start != 500 {
+		t.Fatalf("default cycle = %v, want 500", start)
+	}
+	fed.Clock().Advance(5000)
+	if got := cal.RecalibrationInterval(); got != start {
+		t.Fatalf("fixed cycle adapted: %v -> %v", start, got)
 	}
 }
 

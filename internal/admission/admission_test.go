@@ -312,7 +312,7 @@ func TestSetGlobalCapUnblocksWaiters(t *testing.T) {
 
 func TestTelemetryCounters(t *testing.T) {
 	clk := simclock.New()
-	tel := telemetry.New(telemetry.Config{})
+	tel := telemetry.New()
 	tel.SetEnabled(true)
 	p := Policy{Classes: []ClassConfig{{Name: "only", HoldCostMS: 100, QueueDeadline: 50}}}
 	c := New(Config{Clock: clk, Telemetry: tel, Policy: p})

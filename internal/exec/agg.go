@@ -19,12 +19,6 @@ type Aggregate struct {
 	Aggs    []*sqlparser.AggExpr
 }
 
-// KeyName returns the output column name of group key i.
-func (a *Aggregate) KeyName(i int) string { return aggKeyName(a.GroupBy, i) }
-
-// AggName returns the output column name of aggregate i.
-func (a *Aggregate) AggName(i int) string { return aggColName(i) }
-
 func aggKeyName(groupBy []sqlparser.Expr, i int) string {
 	if ref, ok := groupBy[i].(*sqlparser.ColumnRef); ok {
 		return ref.Name

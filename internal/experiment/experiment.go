@@ -28,8 +28,6 @@ type Options struct {
 	Seed int64
 	// Instances is the number of instances per query type (default 10).
 	Instances int
-	// BurstRows is the update-burst size applied to loaded servers.
-	BurstRows int
 	// CalibrationPerFragment toggles per-(server,fragment) factors
 	// (default true; the granularity ablation turns it off).
 	CalibrationPerFragment *bool
@@ -45,10 +43,10 @@ func (o *Options) fill() {
 	if o.Instances <= 0 {
 		o.Instances = 10
 	}
-	if o.BurstRows == 0 {
-		o.BurstRows = 25
-	}
 }
+
+// burstRows is the update-burst size applied to loaded servers.
+const burstRows = 25
 
 func (o *Options) perFragment() bool {
 	if o.CalibrationPerFragment == nil {
@@ -91,7 +89,7 @@ func SensitivityStudy(opts Options) ([]SensitivityResult, error) {
 				}
 				if loaded {
 					sc.Servers[server].SetLoadLevel(workload.HeavyLoad)
-					if err := sc.Servers[server].ApplyUpdateBurst("orders", opts.BurstRows, opts.Seed); err != nil {
+					if err := sc.Servers[server].ApplyUpdateBurst("orders", burstRows, opts.Seed); err != nil {
 						return nil, err
 					}
 				}
@@ -188,15 +186,14 @@ func runQCCPhase(opts Options, phase workload.Phase) (avgMS float64, perType map
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	pf := opts.perFragment()
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
 		MW:             sc.MW,
-		Calibration:    qcc.CalibrationConfig{PerFragment: pf, MaxAge: 1e9},
+		Calibration:    qcc.CalibrationConfig{PerFragment: opts.perFragment()},
 		DisableDaemons: true,
 	}, sc.II)
 
-	if err := workload.ApplyPhase(sc, phase, opts.BurstRows, opts.Seed); err != nil {
+	if err := workload.ApplyPhase(sc, phase, burstRows, opts.Seed); err != nil {
 		return 0, nil, nil, err
 	}
 
@@ -288,7 +285,7 @@ func runFixedPhase(opts Options, phase workload.Phase, assignment map[string]str
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := workload.ApplyPhase(sc, phase, opts.BurstRows, opts.Seed); err != nil {
+	if err := workload.ApplyPhase(sc, phase, burstRows, opts.Seed); err != nil {
 		return 0, nil, err
 	}
 	items := workload.UniformMix(opts.Instances)

@@ -102,7 +102,6 @@ func runNetworkQCC(opts Options, pinned string, congestion float64) (float64, er
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
 		MW:             sc.MW,
-		Calibration:    qcc.CalibrationConfig{MaxAge: 1e9},
 		DisableDaemons: true,
 	}, sc.II)
 	sc.Topo.Link(pinned).SetCongestion(congestion)

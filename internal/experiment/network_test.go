@@ -2,17 +2,33 @@ package experiment
 
 import (
 	"strings"
+	"sync"
 	"testing"
 )
+
+var (
+	netOnce   sync.Once
+	netCached []NetworkOutcome
+	netErr    error
+)
+
+// networkStudy is the congestion sweep at 1×, 4× and 16×, computed once.
+func networkStudy(t *testing.T) []NetworkOutcome {
+	t.Helper()
+	netOnce.Do(func() {
+		netCached, netErr = NetworkStudy(Options{Scale: 50, Instances: 5}, []float64{1, 4, 16})
+	})
+	if netErr != nil {
+		t.Fatal(netErr)
+	}
+	return netCached
+}
 
 // TestNetworkStudyQCCAbsorbsCongestion asserts the "network aware" claim:
 // as the preferred server's link congests, pinned routing degrades steeply
 // while QCC's calibrated routing shifts to other sources and stays flat.
 func TestNetworkStudyQCCAbsorbsCongestion(t *testing.T) {
-	out, err := NetworkStudy(Options{Scale: 50, Instances: 5}, []float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := networkStudy(t)
 	if len(out) != 3 {
 		t.Fatalf("outcomes: %d", len(out))
 	}

@@ -75,10 +75,6 @@ type Config struct {
 	Router Router
 	// MergeObs receives II merge observations (may be nil).
 	MergeObs IIMergeObserver
-	// Retries is the number of re-optimize attempts after a fragment
-	// execution failure. Nil selects the default (2); point at zero to
-	// disable retries entirely. Negative values are treated as zero.
-	Retries *int
 	// MaxParallel bounds the fragment-dispatch fan-out per query (default
 	// GOMAXPROCS, minimum 1). Fragments beyond the bound queue for a slot.
 	MaxParallel int
@@ -86,9 +82,6 @@ type Config struct {
 	// deadline: a dispatch whose observed response time exceeds it fails
 	// (and is retried through re-optimization like any fragment error).
 	FragmentBudget simclock.Time
-	// PlanCache tunes the federated plan cache (see plancache.go). The zero
-	// value enables it with defaults.
-	PlanCache PlanCacheConfig
 	// Telemetry is the observability subsystem (nil or disabled is a no-op).
 	Telemetry *telemetry.Telemetry
 	// Admission, when non-nil, gates every query between compilation and
@@ -99,11 +92,9 @@ type Config struct {
 	Admission *admission.Controller
 }
 
-// DefaultRetries is the retry count used when Config.Retries is nil.
-const DefaultRetries = 2
-
-// RetryCount returns a *int for Config.Retries.
-func RetryCount(n int) *int { return &n }
+// Retries is the number of re-optimize attempts after a fragment execution
+// failure.
+const Retries = 2
 
 // DefaultBatchRows is the row count of the batches fragment results ship in:
 // large enough to amortize per-batch latency, small enough that a
@@ -114,7 +105,6 @@ const DefaultBatchRows = 256
 // II is the information integrator.
 type II struct {
 	cfg           Config
-	retries       int
 	vectorized    atomic.Bool
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
@@ -124,26 +114,18 @@ type II struct {
 
 // New builds an II.
 func New(cfg Config) *II {
-	retries := DefaultRetries
-	if cfg.Retries != nil {
-		retries = *cfg.Retries
-		if retries < 0 {
-			retries = 0
-		}
-	}
 	if cfg.MaxParallel <= 0 {
 		cfg.MaxParallel = runtime.GOMAXPROCS(0)
 	}
 	ii := &II{
-		cfg:     cfg,
-		retries: retries,
+		cfg: cfg,
 		opt: &optimizer.Optimizer{
 			Catalog: cfg.Catalog,
 			MW:      cfg.MW,
 			IINode:  cfg.Node,
 			IICalib: cfg.IICalib,
 		},
-		plans: newPlanCache(cfg.PlanCache),
+		plans: newPlanCache(),
 	}
 	ii.vectorized.Store(true)
 	ii.shardPruning.Store(true)
@@ -578,13 +560,13 @@ func (ii *II) run(ctx context.Context, sql string) (*QueryResult, *admission.Gra
 			}
 			excluded[fe.FragID][fe.ServerID] = true
 		}
-		if attempt < ii.retries {
+		if attempt < Retries {
 			ii.cfg.Telemetry.Active().Counter("ii.retries", "").Inc()
 			rs := telemetry.SpanFrom(ctx).Emit("retry", telemetry.LayerII, "", 0)
 			rs.SetAttr("attempt", fmt.Sprint(attempt+1))
 			rs.SetAttr("cause", err.Error())
 		}
-		if attempt >= ii.retries {
+		if attempt >= Retries {
 			// attempt counts the retries already consumed: the failed run
 			// above was attempt number attempt+1, of which `attempt` were
 			// retries.

@@ -352,8 +352,8 @@ func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *opt
 
 func (routeFunc) RouteAttrs(string) map[string]string { return nil }
 
-// zeroRetryII builds a second II over the scenario's plumbing with retries
-// disabled — the configuration Config.Retries exists to make expressible.
+// customII builds a second II over the scenario's plumbing with the given
+// configuration.
 func customII(sc *scenario.Scenario, cfg integrator.Config) *integrator.II {
 	cfg.Catalog = sc.Catalog
 	cfg.MW = sc.MW
@@ -362,28 +362,9 @@ func customII(sc *scenario.Scenario, cfg integrator.Config) *integrator.II {
 	return integrator.New(cfg)
 }
 
-func TestZeroRetriesIsExpressible(t *testing.T) {
-	sc := threeServer(t)
-	ii := customII(sc, integrator.Config{Retries: integrator.RetryCount(0)})
-	gp, err := ii.Compile("SELECT COUNT(*) FROM parts AS p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One transient failure on the chosen server: with zero retries the query
-	// must fail outright instead of re-optimizing around it.
-	sc.Servers[gp.Fragments[0].ServerID].InjectFailures(1)
-	_, err = ii.Query("SELECT COUNT(*) FROM parts AS p")
-	if err == nil {
-		t.Fatal("zero retries must surface the first failure")
-	}
-	if !strings.Contains(err.Error(), "after 0 retries") {
-		t.Fatalf("retry count in message: %v", err)
-	}
-}
-
 func TestRetryMessageCountsRetries(t *testing.T) {
 	sc := threeServer(t)
-	// Default retries (2): three consecutive attempt failures exhaust them.
+	// integrator.Retries (2): three consecutive attempt failures exhaust them.
 	// Every server gets enough injected failures that re-optimization cannot
 	// escape.
 	for _, s := range sc.Servers {
@@ -395,19 +376,6 @@ func TestRetryMessageCountsRetries(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "after 2 retries") {
 		t.Fatalf("message must report the true retry count: %v", err)
-	}
-}
-
-func TestNegativeRetriesTreatedAsZero(t *testing.T) {
-	sc := threeServer(t)
-	ii := customII(sc, integrator.Config{Retries: integrator.RetryCount(-5)})
-	gp, err := ii.Compile("SELECT COUNT(*) FROM parts AS p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.Servers[gp.Fragments[0].ServerID].InjectFailures(1)
-	if _, err := ii.Query("SELECT COUNT(*) FROM parts AS p"); err == nil {
-		t.Fatal("negative retries must behave like zero")
 	}
 }
 
@@ -431,12 +399,9 @@ func TestQueryContextPreCancelled(t *testing.T) {
 
 func TestFragmentBudgetFailsSlowDispatch(t *testing.T) {
 	sc := threeServer(t)
-	// A sub-millisecond budget is unmeetable for any real fragment; with
-	// retries disabled the deadline error must surface to the caller.
-	ii := customII(sc, integrator.Config{
-		Retries:        integrator.RetryCount(0),
-		FragmentBudget: 1e-9,
-	})
+	// A sub-millisecond budget is unmeetable for any real fragment: every
+	// retry misses it too, and the deadline error must surface to the caller.
+	ii := customII(sc, integrator.Config{FragmentBudget: 1e-9})
 	_, err := ii.Query("SELECT COUNT(*) FROM parts AS p")
 	if err == nil {
 		t.Fatal("unmeetable fragment budget must fail the query")

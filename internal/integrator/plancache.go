@@ -54,42 +54,18 @@ const (
 	InvalidateClear    = "clear"
 )
 
-// PlanCacheConfig tunes the II-level federated plan cache. The zero value
-// enables the cache with defaults.
-type PlanCacheConfig struct {
-	// Capacity bounds the number of canonical statement entries (LRU
-	// eviction; default 512).
-	Capacity int
-	// MaxVariants bounds the parameter variants retained per canonical entry
-	// (FIFO within the entry; default 8).
-	MaxVariants int
-	// MaxAge is the staleness bound in simulated ms: entries older than this
-	// re-compile from scratch (default DefaultPlanCacheMaxAge).
-	MaxAge simclock.Time
-	// Disabled turns the cache off entirely (every compile is cold).
-	Disabled bool
-}
-
-// DefaultPlanCacheMaxAge and DefaultPlanCacheCapacity bound the cache; the
-// router ages and caps its rotation sets by the same two, so a cached
-// compilation never outlives the rotation epoch its routing was derived
-// under.
+// The cache's bounds. PlanCacheCapacity canonical statement entries are kept
+// (LRU eviction), planCacheVariants parameter variants per entry (FIFO within
+// the entry), and an entry re-compiles from scratch once it is older than
+// DefaultPlanCacheMaxAge simulated ms (II.SetPlanCacheMaxAge changes that).
+// The router ages and caps its rotation sets by the same age and capacity, so
+// a cached compilation never outlives the rotation epoch its routing was
+// derived under.
 const (
-	DefaultPlanCacheMaxAge   = simclock.Time(2000)
-	DefaultPlanCacheCapacity = 512
+	PlanCacheCapacity      = 512
+	planCacheVariants      = 8
+	DefaultPlanCacheMaxAge = simclock.Time(2000)
 )
-
-func (c *PlanCacheConfig) fill() {
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultPlanCacheCapacity
-	}
-	if c.MaxVariants <= 0 {
-		c.MaxVariants = 8
-	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = DefaultPlanCacheMaxAge
-	}
-}
 
 // PlanCacheStats is a snapshot of the federated plan cache's counters.
 type PlanCacheStats struct {
@@ -137,11 +113,9 @@ type cacheEntry struct {
 // against current mask/version state lives in II.compile, which owns the
 // meta-wrapper access.
 type planCache struct {
-	mu          sync.Mutex
-	capacity    int
-	maxVariants int
-	maxAge      simclock.Time
-	enabled     bool
+	mu      sync.Mutex
+	maxAge  simclock.Time
+	enabled bool
 
 	entries map[string]*list.Element // canonical → element
 	lru     *list.List               // most-recently-used first
@@ -153,13 +127,10 @@ type planCache struct {
 	invalidations map[string]int64
 }
 
-func newPlanCache(cfg PlanCacheConfig) *planCache {
-	cfg.fill()
+func newPlanCache() *planCache {
 	return &planCache{
-		capacity:      cfg.Capacity,
-		maxVariants:   cfg.MaxVariants,
-		maxAge:        cfg.MaxAge,
-		enabled:       !cfg.Disabled,
+		maxAge:        DefaultPlanCacheMaxAge,
+		enabled:       true,
 		entries:       map[string]*list.Element{},
 		lru:           list.New(),
 		bySQL:         map[string]*list.Element{},
@@ -239,7 +210,7 @@ func (pc *planCache) insert(cc *cachedCompilation) {
 		e := &cacheEntry{canonical: canonical, variants: map[string]*cachedCompilation{}}
 		el = pc.lru.PushFront(e)
 		pc.entries[canonical] = el
-		for pc.lru.Len() > pc.capacity {
+		for pc.lru.Len() > PlanCacheCapacity {
 			pc.removeLocked(pc.lru.Back(), InvalidateCapacity)
 		}
 	} else {
@@ -248,7 +219,7 @@ func (pc *planCache) insert(cc *cachedCompilation) {
 	e := el.Value.(*cacheEntry)
 	if _, exists := e.variants[cc.sql]; !exists {
 		e.order = append(e.order, cc.sql)
-		if len(e.order) > pc.maxVariants {
+		if len(e.order) > planCacheVariants {
 			evict := e.order[0]
 			e.order = e.order[1:]
 			delete(e.variants, evict)

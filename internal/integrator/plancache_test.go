@@ -12,7 +12,7 @@ func testCC(sql string) *cachedCompilation {
 }
 
 func TestPlanCacheLookupAndStats(t *testing.T) {
-	pc := newPlanCache(PlanCacheConfig{})
+	pc := newPlanCache()
 	const q = "SELECT x FROM t WHERE x > 1"
 	if got := pc.lookup(q); got != nil {
 		t.Fatalf("lookup on empty cache returned %v", got)
@@ -30,7 +30,7 @@ func TestPlanCacheLookupAndStats(t *testing.T) {
 }
 
 func TestPlanCacheParameterVariantsShareEntry(t *testing.T) {
-	pc := newPlanCache(PlanCacheConfig{})
+	pc := newPlanCache()
 	a := "SELECT x FROM t WHERE x > 1"
 	b := "SELECT x FROM t WHERE x > 999"
 	pc.insert(testCC(a))
@@ -58,19 +58,21 @@ func TestPlanCacheParameterVariantsShareEntry(t *testing.T) {
 }
 
 func TestPlanCacheLRUEviction(t *testing.T) {
-	pc := newPlanCache(PlanCacheConfig{Capacity: 2})
+	pc := newPlanCache()
 	q := func(i int) string { return fmt.Sprintf("SELECT x FROM t%d WHERE x > 1", i) }
-	pc.insert(testCC(q(1)))
-	pc.insert(testCC(q(2)))
-	// Touch q1 so q2 is the LRU victim when q3 arrives.
+	for i := 1; i <= PlanCacheCapacity; i++ {
+		pc.insert(testCC(q(i)))
+	}
+	// Touch q1 so q2 is the LRU victim when one more statement arrives.
 	if pc.lookup(q(1)) == nil {
 		t.Fatal("q1 should be cached")
 	}
-	pc.insert(testCC(q(3)))
+	last := PlanCacheCapacity + 1
+	pc.insert(testCC(q(last)))
 	if pc.lookup(q(2)) != nil {
 		t.Fatal("LRU victim q2 survived")
 	}
-	if pc.lookup(q(1)) == nil || pc.lookup(q(3)) == nil {
+	if pc.lookup(q(1)) == nil || pc.lookup(q(last)) == nil {
 		t.Fatal("recently used entries evicted")
 	}
 	if s := pc.snapshot(); s.Invalidations[InvalidateCapacity] != 1 {
@@ -79,24 +81,27 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 }
 
 func TestPlanCacheVariantBound(t *testing.T) {
-	pc := newPlanCache(PlanCacheConfig{MaxVariants: 2})
+	pc := newPlanCache()
 	q := func(i int) string { return fmt.Sprintf("SELECT x FROM t WHERE x > %d", i) }
-	pc.insert(testCC(q(1)))
-	pc.insert(testCC(q(2)))
-	pc.insert(testCC(q(3)))
-	if pc.lookup(q(1)) != nil {
+	for i := 0; i <= planCacheVariants; i++ {
+		pc.insert(testCC(q(i)))
+	}
+	if pc.lookup(q(0)) != nil {
 		t.Fatal("oldest variant survived the per-entry bound")
 	}
-	if pc.lookup(q(2)) == nil || pc.lookup(q(3)) == nil {
-		t.Fatal("retained variants missing")
+	for i := 1; i <= planCacheVariants; i++ {
+		if pc.lookup(q(i)) == nil {
+			t.Fatalf("retained variant %d missing", i)
+		}
 	}
-	if s := pc.snapshot(); s.Entries != 1 || s.Variants != 2 {
-		t.Fatalf("stats %+v, want entries=1 variants=2", s)
+	if s := pc.snapshot(); s.Entries != 1 || s.Variants != planCacheVariants {
+		t.Fatalf("stats %+v, want entries=1 variants=%d", s, planCacheVariants)
 	}
 }
 
 func TestPlanCacheDisabled(t *testing.T) {
-	pc := newPlanCache(PlanCacheConfig{Disabled: true})
+	pc := newPlanCache()
+	pc.setEnabled(false)
 	const q = "SELECT x FROM t WHERE x > 1"
 	pc.insert(testCC(q))
 	if pc.lookup(q) != nil {

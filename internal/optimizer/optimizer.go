@@ -96,8 +96,6 @@ type Optimizer struct {
 	IINode *remote.Server
 	// IICalib is QCC's workload calibrator (may be nil).
 	IICalib IICalibrator
-	// MaxGlobalPlans caps combination enumeration (default 256).
-	MaxGlobalPlans int
 	// ShardOptions, when non-nil, supplies the shard-handling toggles for
 	// each decomposition (the integrator wires its runtime switches here).
 	ShardOptions func() DecomposeOpts
@@ -262,23 +260,22 @@ func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Dec
 	return all, nil
 }
 
+// maxGlobalPlans caps the combinations AssembleMenu assembles.
+const maxGlobalPlans = 256
+
 // AssembleMenu assembles every combination of a per-fragment menu of
 // calibrated choices into a global plan, in menu order (the first fragment's
-// choice varies slowest), capped at MaxGlobalPlans. Each plan carries the
+// choice varies slowest), capped at maxGlobalPlans. Each plan carries the
 // menu as its Options. Enumeration ranks the result; the router derives its
 // rotation sets from a winner's own menu with it.
 func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decomposition, menu [][]FragmentChoice) []*GlobalPlan {
-	maxPlans := o.MaxGlobalPlans
-	if maxPlans <= 0 {
-		maxPlans = 256
-	}
 	// Rendered once: every combination, the journal's winner entry and the
 	// router's rotation key share this one string.
 	text := stmt.String()
 	var all []*GlobalPlan
 	var walk func(i int, acc []FragmentChoice)
 	walk = func(i int, acc []FragmentChoice) {
-		if len(all) >= maxPlans {
+		if len(all) >= maxGlobalPlans {
 			return
 		}
 		if i == len(menu) {

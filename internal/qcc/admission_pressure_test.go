@@ -3,6 +3,7 @@ package qcc
 import (
 	"testing"
 
+	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -25,7 +26,7 @@ func TestQueuePressureInflatesIIFactor(t *testing.T) {
 
 	depth = 4
 	inflated := q.EffectiveIIFactor()
-	want := base * (1 + DefaultQueuePressureGain*4)
+	want := base * (1 + router.QueuePressureGain*4)
 	if inflated != want {
 		t.Fatalf("effective factor at depth 4 = %v, want %v", inflated, want)
 	}
@@ -43,12 +44,17 @@ func TestQueuePressureInflatesIIFactor(t *testing.T) {
 	}
 }
 
-// TestQueuePressureGainDisabled checks the escape hatch: a negative gain
-// switches the feedback off entirely.
+// TestQueuePressureGainDisabled checks the escape hatch: the gain is a
+// constant, so clearing the demand source is what switches the feedback off
+// entirely.
 func TestQueuePressureGainDisabled(t *testing.T) {
 	clk := simclock.New()
-	q := New(Config{Clock: clk, DisableDaemons: true, QueuePressureGain: -1})
+	q := New(Config{Clock: clk, DisableDaemons: true})
 	q.SetDemandSource(func() int { return 100 })
+	if q.EffectiveIIFactor() == q.Calib.IIFactor() {
+		t.Fatal("a backlog of 100 must inflate the effective factor")
+	}
+	q.SetDemandSource(nil)
 	if got, want := q.EffectiveIIFactor(), q.Calib.IIFactor(); got != want {
 		t.Fatalf("disabled feedback: effective %v != published %v", got, want)
 	}
@@ -59,7 +65,8 @@ func TestQueuePressureGainDisabled(t *testing.T) {
 // timeline and refreshes the qcc.ii_effective_factor gauge.
 func TestQueuePressureTimelineSample(t *testing.T) {
 	clk := simclock.New()
-	tel := telemetry.New(telemetry.Config{Enabled: true})
+	tel := telemetry.New()
+	tel.SetEnabled(true)
 	q := New(Config{Clock: clk, DisableDaemons: true, Telemetry: tel})
 	depth := 3
 	q.SetDemandSource(func() int { return depth })
@@ -71,7 +78,7 @@ func TestQueuePressureTimelineSample(t *testing.T) {
 	if len(samples) == 0 {
 		t.Fatal("publish must append an II effective-factor timeline sample")
 	}
-	want := q.Calib.IIFactor() * (1 + DefaultQueuePressureGain*3)
+	want := q.Calib.IIFactor() * (1 + router.QueuePressureGain*3)
 	if got := samples[len(samples)-1].Factor; got != want {
 		t.Fatalf("II timeline sample = %v, want %v", got, want)
 	}

@@ -23,8 +23,22 @@ import (
 	"sync"
 
 	"repro/internal/metawrapper"
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
+
+// The calibration window (§3.1): a factor averages at most the newest
+// calibrationWindow observations of its history, and none older than
+// calibrationMaxAge simulated ms — the expiry is what lets factors track
+// load changes.
+const (
+	calibrationWindow = 64
+	calibrationMaxAge = simclock.Time(120000)
+)
+
+// fileSeedMultiplier scales a probe round-trip into the initial cost seed of
+// a fragment whose source offers no estimate (a file) and has never run.
+const fileSeedMultiplier = 20
 
 // samplePair is one (estimated, observed) observation.
 type samplePair struct {
@@ -32,37 +46,24 @@ type samplePair struct {
 	est, obs float64
 }
 
-// history is a time-windowed series of observation pairs. The calibration
-// factor is the ratio of the average runtime cost to the average estimated
-// cost over the window, exactly as §3.1 defines it.
-type history struct {
-	samples []samplePair
-	maxLen  int
-	maxAge  simclock.Time
-}
+// history is a time-windowed series of observation pairs, oldest first. The
+// calibration factor is the ratio of the average runtime cost to the average
+// estimated cost over the window, exactly as §3.1 defines it.
+type history struct{ ring.Ring[samplePair] }
 
-func newHistory(maxLen int, maxAge simclock.Time) *history {
-	return &history{maxLen: maxLen, maxAge: maxAge}
-}
+func newHistory() *history { return &history{*ring.New[samplePair](calibrationWindow)} }
 
 func (h *history) add(at simclock.Time, est, obs float64) {
-	h.samples = append(h.samples, samplePair{at: at, est: est, obs: obs})
-	if len(h.samples) > h.maxLen {
-		h.samples = h.samples[len(h.samples)-h.maxLen:]
-	}
+	h.Push(samplePair{at: at, est: est, obs: obs})
 }
 
+// prune drops the samples older than calibrationMaxAge.
 func (h *history) prune(now simclock.Time) {
-	if h.maxAge <= 0 {
-		return
-	}
 	cut := 0
-	for cut < len(h.samples) && now-h.samples[cut].at > h.maxAge {
+	for cut < h.Len() && now-h.At(cut).at > calibrationMaxAge {
 		cut++
 	}
-	if cut > 0 {
-		h.samples = h.samples[cut:]
-	}
+	h.Drop(cut)
 }
 
 // factor returns (avg observed / avg estimated, sample count).
@@ -70,7 +71,8 @@ func (h *history) factor(now simclock.Time) (float64, int) {
 	h.prune(now)
 	var sumEst, sumObs float64
 	n := 0
-	for _, s := range h.samples {
+	for i := range h.Len() {
+		s := h.At(i)
 		if s.est <= 0 {
 			continue
 		}
@@ -88,36 +90,22 @@ func (h *history) factor(now simclock.Time) (float64, int) {
 // sources without estimates) and the sample count.
 func (h *history) meanObserved(now simclock.Time) (float64, int) {
 	h.prune(now)
-	if len(h.samples) == 0 {
+	if h.Len() == 0 {
 		return 0, 0
 	}
 	var sum float64
-	for _, s := range h.samples {
-		sum += s.obs
+	for i := range h.Len() {
+		sum += h.At(i).obs
 	}
-	return sum / float64(len(h.samples)), len(h.samples)
+	return sum / float64(h.Len()), h.Len()
 }
 
 // CalibrationConfig tunes the calibration store.
 type CalibrationConfig struct {
-	// WindowSize bounds each history's sample count (default 64).
-	WindowSize int
-	// MaxAge expires samples older than this much simulated time (default
-	// 120000 ms); expiry is what lets factors track load changes.
-	MaxAge simclock.Time
 	// PerFragment enables per-(server, fragment) factors on top of the
-	// per-server factor (default true). The ablation benchmarks turn this
-	// off to quantify its contribution.
+	// per-server factor. The granularity ablation turns it off to quantify
+	// its contribution.
 	PerFragment bool
-}
-
-func (c *CalibrationConfig) fill() {
-	if c.WindowSize <= 0 {
-		c.WindowSize = 64
-	}
-	if c.MaxAge == 0 {
-		c.MaxAge = 120000
-	}
 }
 
 // Calibration is the factor store. Factors become visible to the optimizer
@@ -163,14 +151,13 @@ type PublishHook func(at simclock.Time, serverFactors map[string]float64, iiFact
 
 // NewCalibration builds a calibration store.
 func NewCalibration(cfg CalibrationConfig) *Calibration {
-	cfg.fill()
 	return &Calibration{
 		cfg:            cfg,
 		perServer:      map[string]*history{},
 		perFragment:    map[metawrapper.FragmentKey]*history{},
 		perServerFirst: map[string]*history{},
 		fileSeeds:      map[metawrapper.FragmentKey]*history{},
-		ii:             newHistory(cfg.WindowSize, cfg.MaxAge),
+		ii:             newHistory(),
 		probeBaseline:  map[string]float64{},
 		probeLatest:    map[string]float64{},
 		pubServer:      map[string]float64{},
@@ -189,7 +176,7 @@ func (c *Calibration) RecordRun(at simclock.Time, key metawrapper.FragmentKey, e
 		// No wrapper estimate (file source): feed the seed store instead.
 		h := c.fileSeeds[key]
 		if h == nil {
-			h = newHistory(c.cfg.WindowSize, c.cfg.MaxAge)
+			h = newHistory()
 			c.fileSeeds[key] = h
 		}
 		h.add(at, 0, obs)
@@ -197,14 +184,14 @@ func (c *Calibration) RecordRun(at simclock.Time, key metawrapper.FragmentKey, e
 	}
 	hs := c.perServer[key.ServerID]
 	if hs == nil {
-		hs = newHistory(c.cfg.WindowSize, c.cfg.MaxAge)
+		hs = newHistory()
 		c.perServer[key.ServerID] = hs
 	}
 	hs.add(at, est, obs)
 	if c.cfg.PerFragment {
 		hf := c.perFragment[key]
 		if hf == nil {
-			hf = newHistory(c.cfg.WindowSize, c.cfg.MaxAge)
+			hf = newHistory()
 			c.perFragment[key] = hf
 		}
 		hf.add(at, est, obs)
@@ -222,7 +209,7 @@ func (c *Calibration) RecordFirstRow(at simclock.Time, serverID string, est, obs
 	}
 	h := c.perServerFirst[serverID]
 	if h == nil {
-		h = newHistory(c.cfg.WindowSize, c.cfg.MaxAge)
+		h = newHistory()
 		c.perServerFirst[serverID] = h
 	}
 	h.add(at, est, obs)
@@ -409,8 +396,8 @@ func (c *Calibration) IIFactor() float64 {
 
 // SeedEstimate returns a cost seed for a fragment whose source offers no
 // estimate: the mean observed cost of past runs, or the server's probe time
-// scaled by seedMultiplier when the fragment has never run.
-func (c *Calibration) SeedEstimate(now simclock.Time, key metawrapper.FragmentKey, seedMultiplier float64) float64 {
+// scaled by fileSeedMultiplier when the fragment has never run.
+func (c *Calibration) SeedEstimate(now simclock.Time, key metawrapper.FragmentKey) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if h, ok := c.fileSeeds[key]; ok {
@@ -419,7 +406,7 @@ func (c *Calibration) SeedEstimate(now simclock.Time, key metawrapper.FragmentKe
 		}
 	}
 	if latest := c.probeLatest[key.ServerID]; latest > 0 {
-		return latest * seedMultiplier
+		return latest * fileSeedMultiplier
 	}
 	return 0
 }

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/metawrapper"
+	"repro/internal/simclock"
 )
 
 func key(server, sig string) metawrapper.FragmentKey {
@@ -12,7 +13,7 @@ func key(server, sig string) metawrapper.FragmentKey {
 }
 
 func TestHistoryFactorRatioOfAverages(t *testing.T) {
-	h := newHistory(10, 0)
+	h := newHistory()
 	h.add(0, 5, 8)
 	h.add(1, 5, 7)
 	f, n := h.factor(2)
@@ -26,25 +27,29 @@ func TestHistoryFactorRatioOfAverages(t *testing.T) {
 }
 
 func TestHistoryWindowAndAge(t *testing.T) {
-	h := newHistory(3, 100)
-	for i := 0; i < 5; i++ {
-		h.add(0, 1, 2)
+	h := newHistory()
+	for i := 0; i < calibrationWindow+5; i++ {
+		h.add(simclock.Time(i), 1, float64(i))
 	}
-	if len(h.samples) != 3 {
-		t.Fatalf("window: %d", len(h.samples))
+	if h.Len() != calibrationWindow || h.At(0).obs != 5 {
+		t.Fatalf("window: %d samples, oldest obs %g", h.Len(), h.At(0).obs)
 	}
-	_, n := h.factor(200)
+	// The age cut drops exactly the samples older than calibrationMaxAge.
+	if _, n := h.factor(calibrationMaxAge + 10); n != calibrationWindow-5 {
+		t.Fatalf("age cut at %v kept %d samples", calibrationMaxAge+10, n)
+	}
+	_, n := h.factor(calibrationMaxAge + 1000)
 	if n != 0 {
 		t.Fatalf("aged samples must expire: %d", n)
 	}
-	f, _ := h.factor(200)
+	f, _ := h.factor(calibrationMaxAge + 1000)
 	if f != 1 {
 		t.Fatalf("empty factor must be 1: %g", f)
 	}
 }
 
 func TestHistoryIgnoresZeroEstimates(t *testing.T) {
-	h := newHistory(10, 0)
+	h := newHistory()
 	h.add(0, 0, 99)
 	h.add(0, 2, 4)
 	f, n := h.factor(1)
@@ -139,17 +144,17 @@ func TestCalibrationIIFactor(t *testing.T) {
 func TestCalibrationSeedEstimate(t *testing.T) {
 	c := NewCalibration(CalibrationConfig{})
 	k := key("F1", "QF")
-	if s := c.SeedEstimate(0, k, 20); s != 0 {
+	if s := c.SeedEstimate(0, k); s != 0 {
 		t.Fatalf("no seed yet: %g", s)
 	}
 	c.RecordProbe("F1", 5)
-	if s := c.SeedEstimate(0, k, 20); s != 100 {
+	if s := c.SeedEstimate(0, k); s != 100 {
 		t.Fatalf("probe seed: %g", s)
 	}
 	// Observed runs (est=0) override the probe seed.
 	c.RecordRun(0, k, 0, 42)
 	c.RecordRun(0, k, 0, 44)
-	if s := c.SeedEstimate(1, k, 20); s != 43 {
+	if s := c.SeedEstimate(1, k); s != 43 {
 		t.Fatalf("observed seed: %g", s)
 	}
 }

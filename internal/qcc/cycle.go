@@ -3,61 +3,55 @@ package qcc
 import (
 	"sync"
 
+	"repro/internal/ring"
 	"repro/internal/simclock"
 )
 
-// CycleConfig tunes the recalibration cycle controller (§3.4: "dynamic
-// nature of the network and processing latencies at each remote server can
-// vary dramatically. Thus, the frequency of re-calibration does have impact
-// to effectiveness of QCC").
-type CycleConfig struct {
-	// Initial is the starting publish interval in simulated ms (default 500).
-	Initial simclock.Time
-	// Min and Max bound the interval (defaults 100 and 5000).
-	Min, Max simclock.Time
-	// SpeedUpDrift: when the max factor drift at a publish exceeds this,
-	// the interval halves (default 0.15).
-	SpeedUpDrift float64
-	// SlowDownDrift: when drift stays below this, the interval grows by
-	// 1.5× (default 0.03).
-	SlowDownDrift float64
-	// Dynamic enables adaptation; when false the interval stays at Initial
-	// (the fixed-cycle ablation).
-	Dynamic bool
-}
+// The dynamic recalibration cycle (§3.4: "dynamic nature of the network and
+// processing latencies at each remote server can vary dramatically. Thus,
+// the frequency of re-calibration does have impact to effectiveness of
+// QCC"): after each publish the interval halves when the largest factor
+// drift exceeds cycleSpeedUpDrift and grows by 1.5× when it stays below
+// cycleSlowDownDrift, within [cycleMin, cycleMax] simulated ms.
+const (
+	cycleInitial       = simclock.Time(500)
+	cycleMin           = simclock.Time(100)
+	cycleMax           = simclock.Time(5000)
+	cycleSpeedUpDrift  = 0.15
+	cycleSlowDownDrift = 0.03
+)
 
-func (c *CycleConfig) fill() {
-	if c.Initial <= 0 {
-		c.Initial = 500
-	}
-	if c.Min <= 0 {
-		c.Min = 100
-	}
-	if c.Max <= 0 {
-		c.Max = 5000
-	}
-	if c.SpeedUpDrift == 0 {
-		c.SpeedUpDrift = 0.15
-	}
-	if c.SlowDownDrift == 0 {
-		c.SlowDownDrift = 0.03
-	}
+// CycleConfig selects the recalibration cycle. The zero value is the
+// paper's dynamic cycle starting at 500 ms.
+type CycleConfig struct {
+	// Initial is the starting publish interval in simulated ms (0 selects
+	// 500).
+	Initial simclock.Time
+	// Fixed keeps the interval at Initial (the fixed-cycle ablation).
+	Fixed bool
 }
 
 // CycleController periodically publishes calibration factors and adapts its
 // own cadence to the observed factor drift.
 type CycleController struct {
 	mu       sync.Mutex
-	cfg      CycleConfig
+	fixed    bool
 	interval simclock.Time
 	calib    *Calibration
-	history  []simclock.Time // intervals used, for reports/ablation
+	history  *ring.Ring[simclock.Time] // intervals used, for reports/ablation
 }
 
 // NewCycleController builds a controller over the calibration store.
 func NewCycleController(cfg CycleConfig, calib *Calibration) *CycleController {
-	cfg.fill()
-	return &CycleController{cfg: cfg, interval: cfg.Initial, calib: calib}
+	if cfg.Initial <= 0 {
+		cfg.Initial = cycleInitial
+	}
+	return &CycleController{
+		fixed:    cfg.Fixed,
+		interval: cfg.Initial,
+		calib:    calib,
+		history:  ring.New[simclock.Time](ring.Entries),
+	}
 }
 
 // Interval returns the current publish interval.
@@ -67,11 +61,12 @@ func (cc *CycleController) Interval() simclock.Time {
 	return cc.interval
 }
 
-// Intervals returns the interval history (one entry per publish).
+// Intervals returns the interval history, oldest first: one entry per
+// publish, the newest ring.Entries of them.
 func (cc *CycleController) Intervals() []simclock.Time {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	return append([]simclock.Time(nil), cc.history...)
+	return cc.history.Tail(0)
 }
 
 // Start schedules the publish loop on the clock; returns a cancel function.
@@ -80,21 +75,15 @@ func (cc *CycleController) Start(clock *simclock.Clock) simclock.Cancel {
 		drift := cc.calib.Publish(now)
 		cc.mu.Lock()
 		defer cc.mu.Unlock()
-		cc.history = append(cc.history, cc.interval)
-		if !cc.cfg.Dynamic {
+		cc.history.Push(cc.interval)
+		if cc.fixed {
 			return cc.interval
 		}
 		switch {
-		case drift > cc.cfg.SpeedUpDrift:
-			cc.interval /= 2
-			if cc.interval < cc.cfg.Min {
-				cc.interval = cc.cfg.Min
-			}
-		case drift < cc.cfg.SlowDownDrift:
-			cc.interval = cc.interval * 3 / 2
-			if cc.interval > cc.cfg.Max {
-				cc.interval = cc.cfg.Max
-			}
+		case drift > cycleSpeedUpDrift:
+			cc.interval = max(cc.interval/2, cycleMin)
+		case drift < cycleSlowDownDrift:
+			cc.interval = min(cc.interval*3/2, cycleMax)
 		}
 		return cc.interval
 	})

@@ -24,7 +24,8 @@ func buildWithTelemetry(t *testing.T) (*scenario.Scenario, *qcc.QCC, *telemetry.
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(telemetry.Config{Enabled: true})
+	tel := telemetry.New()
+	tel.SetEnabled(true)
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
 		MW:             sc.MW,
@@ -42,7 +43,7 @@ func buildWithTelemetry(t *testing.T) (*scenario.Scenario, *qcc.QCC, *telemetry.
 func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
 	_, q, tel := buildWithTelemetry(t)
 	const server = "S1"
-	const window = 50
+	const window = 50 // qcc's reliability window
 
 	gauge := func() float64 {
 		v, ok := tel.Metrics().GaugeValue("qcc.reliability_factor", server)
@@ -71,7 +72,7 @@ func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
 		}
 		prev = f
 	}
-	ceiling := 1 + 4.0 // default Penalty
+	ceiling := 1 + 4.0 // qcc's reliability penalty
 	if math.Abs(prev-ceiling) > 1e-9 {
 		t.Fatalf("all-failing window must hit 1+Penalty=%g, got %g", ceiling, prev)
 	}

@@ -21,22 +21,10 @@ type Config struct {
 	// MW is the production meta-wrapper QCC instruments.
 	MW           *metawrapper.MetaWrapper
 	Calibration  CalibrationConfig
-	Reliability  ReliabilityConfig
 	Availability AvailabilityConfig
 	Cycle        CycleConfig
 	// Routing is the route policy Attach installs in the integrator.
 	Routing router.Policy
-
-	// FileSeedMultiplier scales a probe round-trip into the initial cost
-	// seed for no-estimate (file) sources (default 20).
-	FileSeedMultiplier float64
-	// QueuePressureGain scales admission queue depth into the II workload
-	// factor: effective factor = published factor × (1 + gain × depth).
-	// Queued demand is load the workload factor cannot see yet — those
-	// queries have not executed — so folding it in lets routing react to
-	// pressure BEFORE execution saturates. 0 selects
-	// DefaultQueuePressureGain; negative disables the feedback.
-	QueuePressureGain float64
 	// Telemetry, when non-nil and enabled, receives calibration timelines,
 	// per-server factor gauges and fence/rotation/reroute counters.
 	Telemetry *telemetry.Telemetry
@@ -68,9 +56,7 @@ type QCC struct {
 	// Router is the route policy SetRouting last installed.
 	Router *router.Router
 
-	fileSeedMultiplier float64
-	queuePressureGain  float64
-	tel                *telemetry.Telemetry
+	tel *telemetry.Telemetry
 
 	policyMu sync.RWMutex
 	policy   CostPolicy
@@ -85,38 +71,21 @@ type QCC struct {
 	errors   int64
 }
 
-// DefaultQueuePressureGain is the per-queued-query multiplier applied to the
-// II workload factor when no explicit gain is configured: each waiting query
-// inflates II-side cost estimates by 25%, biasing routing and what-if
-// analysis away from plans that lean on the saturated integrator.
-const DefaultQueuePressureGain = 0.25
-
 // DemandSource reports pending admission demand (queued queries not yet
 // executing); the admission controller's QueueDepth is the canonical one.
 type DemandSource func() int
 
 // New builds a QCC over the given config (does not attach it yet).
 func New(cfg Config) *QCC {
-	if cfg.FileSeedMultiplier == 0 {
-		cfg.FileSeedMultiplier = 20
-	}
-	if cfg.QueuePressureGain == 0 {
-		cfg.QueuePressureGain = DefaultQueuePressureGain
-	} else if cfg.QueuePressureGain < 0 {
-		cfg.QueuePressureGain = 0
-	}
-	cfg.Cycle.Dynamic = cfg.Cycle.Dynamic || cfg.Cycle.Initial == 0 // default dynamic
 	calib := NewCalibration(cfg.Calibration)
 	q := &QCC{
-		clock:              cfg.Clock,
-		mw:                 cfg.MW,
-		Calib:              calib,
-		Rel:                NewReliability(cfg.Reliability),
-		Avail:              NewAvailability(cfg.Availability),
-		Cycle:              NewCycleController(cfg.Cycle, calib),
-		fileSeedMultiplier: cfg.FileSeedMultiplier,
-		queuePressureGain:  cfg.QueuePressureGain,
-		tel:                cfg.Telemetry,
+		clock: cfg.Clock,
+		mw:    cfg.MW,
+		Calib: calib,
+		Rel:   NewReliability(),
+		Avail: NewAvailability(cfg.Availability),
+		Cycle: NewCycleController(cfg.Cycle, calib),
+		tel:   cfg.Telemetry,
 	}
 	// The publish hook feeds the calibration timeline and factor gauges on
 	// every recalibration cycle. It must be installed before the daemons
@@ -227,15 +196,6 @@ func (q *QCC) StatsSnapshot() Stats {
 	return Stats{Compiles: q.compiles, Runs: q.runs, Errors: q.errors}
 }
 
-// Stats reports QCC's interaction counters.
-//
-// Deprecated: use StatsSnapshot, which returns a named struct instead of
-// positional values.
-func (q *QCC) Stats() (compiles, runs, errors int64) {
-	s := q.StatsSnapshot()
-	return s.Compiles, s.Runs, s.Errors
-}
-
 // ---- metawrapper.Observer ----
 
 // ObserveCompile implements metawrapper.Observer.
@@ -326,7 +286,7 @@ func (q *QCC) CalibrateFragment(key metawrapper.FragmentKey, est remote.CostEsti
 	}
 	rel := q.Rel.Factor(key.ServerID)
 	if !costKnown {
-		seed := q.Calib.SeedEstimate(q.clock.Now(), key, q.fileSeedMultiplier)
+		seed := q.Calib.SeedEstimate(q.clock.Now(), key)
 		if seed > 0 {
 			est.TotalMS = seed * rel
 			est.FirstTupleMS = seed * rel * 0.1
@@ -370,14 +330,16 @@ func (q *QCC) SetDemandSource(src DemandSource) {
 }
 
 // queuePressure converts pending admission demand into a multiplicative
-// workload inflation: 1 + gain × depth (1 when no source is installed or the
-// feedback is disabled).
+// workload inflation: 1 + router.QueuePressureGain × depth (1 when no source
+// is installed). Queued demand is load the workload factor cannot see yet —
+// those queries have not executed — so folding it in lets routing react to
+// pressure BEFORE execution saturates.
 func (q *QCC) queuePressure() float64 {
 	depth := q.queueDepth()
-	if q.queuePressureGain <= 0 || depth <= 0 {
+	if depth <= 0 {
 		return 1
 	}
-	return 1 + q.queuePressureGain*float64(depth)
+	return 1 + router.QueuePressureGain*float64(depth)
 }
 
 // queueDepth reads the pending-demand feed (0 when none is installed).

@@ -10,6 +10,7 @@ import (
 	"repro/internal/network"
 	"repro/internal/qcc"
 	"repro/internal/remote"
+	"repro/internal/ring"
 	"repro/internal/scenario"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
@@ -189,7 +190,7 @@ func TestQCCDynamicCycleAdapts(t *testing.T) {
 	q := qcc.Attach(qcc.Config{
 		Clock: sc.Clock,
 		MW:    sc.MW,
-		Cycle: qcc.CycleConfig{Initial: 100, Min: 25, Max: 1000, Dynamic: true},
+		Cycle: qcc.CycleConfig{Initial: 100},
 	}, sc.II)
 	// Quiet period: intervals should grow.
 	sc.Clock.Advance(2000)
@@ -230,12 +231,12 @@ func TestQCCStatsCounters(t *testing.T) {
 	if _, err := sc.II.Query(scanQuery); err != nil {
 		t.Fatal(err)
 	}
-	compiles, runs, errs := q.Stats()
-	if compiles == 0 || runs == 0 {
-		t.Fatalf("counters: c=%d r=%d", compiles, runs)
+	st := q.StatsSnapshot()
+	if st.Compiles == 0 || st.Runs == 0 {
+		t.Fatalf("counters: c=%d r=%d", st.Compiles, st.Runs)
 	}
-	if errs != 0 {
-		t.Fatalf("unexpected errors: %d", errs)
+	if st.Errors != 0 {
+		t.Fatalf("unexpected errors: %d", st.Errors)
 	}
 }
 
@@ -246,8 +247,7 @@ func TestQCCDetach(t *testing.T) {
 	if _, err := sc.II.Query(scanQuery); err != nil {
 		t.Fatal(err)
 	}
-	_, runs, _ := q.Stats()
-	if runs != 0 {
+	if runs := q.StatsSnapshot().Runs; runs != 0 {
 		t.Fatalf("detached QCC must not observe: %d", runs)
 	}
 }
@@ -368,7 +368,7 @@ func TestFixedCycleNeverAdapts(t *testing.T) {
 	q := qcc.Attach(qcc.Config{
 		Clock: sc.Clock,
 		MW:    sc.MW,
-		Cycle: qcc.CycleConfig{Initial: 100, Dynamic: false},
+		Cycle: qcc.CycleConfig{Initial: 100, Fixed: true},
 	}, sc.II)
 	sc.Clock.Advance(1500)
 	for _, iv := range q.Cycle.Intervals() {
@@ -378,6 +378,32 @@ func TestFixedCycleNeverAdapts(t *testing.T) {
 	}
 	if len(q.Cycle.Intervals()) < 10 {
 		t.Fatalf("publishes: %d", len(q.Cycle.Intervals()))
+	}
+}
+
+// TestCycleHistoryIsBounded: the interval history keeps one entry per
+// publish, the newest ring.Entries of them, however long the daemons run.
+func TestCycleHistoryIsBounded(t *testing.T) {
+	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qcc.Attach(qcc.Config{
+		Clock:        sc.Clock,
+		MW:           sc.MW,
+		Availability: qcc.AvailabilityConfig{ProbeInterval: 1e9}, // publishes only
+		Cycle:        qcc.CycleConfig{Initial: 100, Fixed: true},
+	}, sc.II)
+	sc.Clock.Advance(100 * (ring.Entries + 100))
+	ivs := q.Cycle.Intervals()
+	if len(ivs) != ring.Entries {
+		t.Fatalf("retained %d intervals after %d publishes, want %d", len(ivs), q.Calib.Publishes(), ring.Entries)
+	}
+	if q.Calib.Publishes() <= ring.Entries {
+		t.Fatalf("only %d publishes", q.Calib.Publishes())
+	}
+	if ivs[len(ivs)-1] != q.Cycle.Interval() {
+		t.Fatalf("newest interval %v, current %v", ivs[len(ivs)-1], q.Cycle.Interval())
 	}
 }
 
@@ -394,7 +420,7 @@ func TestFlappingNetworkAdaptation(t *testing.T) {
 		Clock:        sc.Clock,
 		MW:           sc.MW,
 		Availability: qcc.AvailabilityConfig{ProbeInterval: 50},
-		Cycle:        qcc.CycleConfig{Initial: 100, Min: 25, Dynamic: true},
+		Cycle:        qcc.CycleConfig{Initial: 100},
 	}, sc.II)
 	_ = q
 	res, err := sc.II.Query(scanQuery)

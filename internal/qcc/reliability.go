@@ -2,29 +2,22 @@ package qcc
 
 import (
 	"sync"
+
+	"repro/internal/ring"
 )
 
-// ReliabilityConfig tunes the reliability factor (§2: "QCC also records
-// error messages ... later used to compute the reliability factor for cost
-// calibration", §3.5: "QCC also incorporates reliability into the decision
-// process").
-type ReliabilityConfig struct {
-	// Window is the number of recent outcomes tracked per server (default 50).
-	Window int
-	// Penalty scales the failure rate into a cost multiplier:
-	// factor = 1 + Penalty · failureRate. A Penalty of 4 makes a
-	// half-failing server look 3× as expensive (default 4).
-	Penalty float64
-}
-
-func (c *ReliabilityConfig) fill() {
-	if c.Window <= 0 {
-		c.Window = 50
-	}
-	if c.Penalty == 0 {
-		c.Penalty = 4
-	}
-}
+// The reliability factor (§2: "QCC also records error messages ... later
+// used to compute the reliability factor for cost calibration", §3.5: "QCC
+// also incorporates reliability into the decision process") is
+//
+//	factor = 1 + reliabilityPenalty · failure rate
+//
+// over each server's newest reliabilityWindow outcomes: a half-failing
+// server looks 3× as expensive.
+const (
+	reliabilityWindow  = 50
+	reliabilityPenalty = 4
+)
 
 // Reliability tracks per-server success/failure outcomes and derives the
 // reliability factor. This is how QCC makes II "access not only high
@@ -32,14 +25,12 @@ func (c *ReliabilityConfig) fill() {
 // source is calibrated to look expensive even while it is up.
 type Reliability struct {
 	mu       sync.Mutex
-	cfg      ReliabilityConfig
-	outcomes map[string][]bool // ring of recent outcomes, true = success
+	outcomes map[string]*ring.Ring[bool] // recent outcomes, true = success
 }
 
 // NewReliability builds the tracker.
-func NewReliability(cfg ReliabilityConfig) *Reliability {
-	cfg.fill()
-	return &Reliability{cfg: cfg, outcomes: map[string][]bool{}}
+func NewReliability() *Reliability {
+	return &Reliability{outcomes: map[string]*ring.Ring[bool]{}}
 }
 
 // RecordSuccess notes a successful interaction with the server.
@@ -51,31 +42,32 @@ func (r *Reliability) RecordFailure(serverID string) { r.record(serverID, false)
 func (r *Reliability) record(serverID string, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ring := append(r.outcomes[serverID], ok)
-	if len(ring) > r.cfg.Window {
-		ring = ring[len(ring)-r.cfg.Window:]
+	w := r.outcomes[serverID]
+	if w == nil {
+		w = ring.New[bool](reliabilityWindow)
+		r.outcomes[serverID] = w
 	}
-	r.outcomes[serverID] = ring
+	w.Push(ok)
 }
 
 // FailureRate returns the recent failure fraction for the server.
 func (r *Reliability) FailureRate(serverID string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ring := r.outcomes[serverID]
-	if len(ring) == 0 {
+	w := r.outcomes[serverID]
+	if w == nil {
 		return 0
 	}
 	fails := 0
-	for _, ok := range ring {
-		if !ok {
+	for i := range w.Len() {
+		if !*w.At(i) {
 			fails++
 		}
 	}
-	return float64(fails) / float64(len(ring))
+	return float64(fails) / float64(w.Len())
 }
 
 // Factor returns the reliability cost multiplier for the server (>= 1).
 func (r *Reliability) Factor(serverID string) float64 {
-	return 1 + r.cfg.Penalty*r.FailureRate(serverID)
+	return 1 + reliabilityPenalty*r.FailureRate(serverID)
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
 	"repro/internal/simclock"
-	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/telemetry"
 )
@@ -122,19 +121,6 @@ func (s *Server) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
 	telemetry.SpanFrom(ctx).Emit("remote.exec", telemetry.LayerRemote, s.id, res.ServiceTime).
 		SetAttr("plan", p.Signature)
 	return res, nil
-}
-
-// ExecuteSQL explains and executes the cheapest plan.
-func (s *Server) ExecuteSQL(ctx context.Context, sql string) (*Result, error) {
-	stmt, err := sqlparser.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	plans, err := s.Explain(stmt)
-	if err != nil {
-		return nil, err
-	}
-	return s.ExecutePlan(ctx, plans[0])
 }
 
 // Probe performs the availability daemon's lightweight health check. It

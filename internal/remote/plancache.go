@@ -29,9 +29,10 @@ type planCache struct {
 	hits      int64
 	misses    int64
 	evictions int64
-	// capacity bounds the cache (default 256).
-	capacity int
 }
+
+// statementCacheCapacity bounds the statement cache.
+const statementCacheCapacity = 256
 
 type planCacheEntry struct {
 	key   string
@@ -40,11 +41,8 @@ type planCacheEntry struct {
 	versions map[string]int64
 }
 
-func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = 256
-	}
-	return &planCache{entries: map[string]*list.Element{}, lru: list.New(), capacity: capacity}
+func newPlanCache() *planCache {
+	return &planCache{entries: map[string]*list.Element{}, lru: list.New()}
 }
 
 // lookup returns cached plans when fresh. The caller must hold no server
@@ -81,7 +79,7 @@ func (pc *planCache) insert(key string, plans []*Plan, versions map[string]int64
 		return
 	}
 	pc.entries[key] = pc.lru.PushFront(&planCacheEntry{key: key, plans: plans, versions: versions})
-	for pc.lru.Len() > pc.capacity {
+	for pc.lru.Len() > statementCacheCapacity {
 		oldest := pc.lru.Back()
 		pc.lru.Remove(oldest)
 		delete(pc.entries, oldest.Value.(*planCacheEntry).key)

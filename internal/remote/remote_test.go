@@ -256,20 +256,6 @@ func TestProbe(t *testing.T) {
 	}
 }
 
-func TestExecuteSQLRoundTrip(t *testing.T) {
-	s := newTestServer(t, ProfileS2("S2"), 100)
-	res, err := s.ExecuteSQL(context.Background(), "SELECT COUNT(*) FROM parts AS p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rel.Rows[0][0].Int() != readFacts(s.Table("parts")).stats.RowCount {
-		t.Fatalf("count: %v", res.Rel.Rows[0])
-	}
-	if _, err := s.ExecuteSQL(context.Background(), "NOT SQL"); err == nil {
-		t.Fatal("bad sql must fail")
-	}
-}
-
 func TestApplyUpdateBurst(t *testing.T) {
 	s := newTestServer(t, ProfileS1("S1"), 200)
 	tab := s.Table("orders")

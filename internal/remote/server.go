@@ -200,7 +200,7 @@ func NewServer(cfg Config) *Server {
 		contention: cfg.Contention,
 		maxPlans:   cfg.MaxPlans,
 		tables:     map[string]*storage.Table{},
-		planCache:  newPlanCache(0),
+		planCache:  newPlanCache(),
 		induced:    cfg.InducedLoad,
 		cache:      cfg.Cache,
 		resident:   map[string]float64{},

@@ -1,13 +1,27 @@
 // Package ring is the tree's one bounded-retention mechanism and the one
-// place its bounds are written down.
+// place the shared bounds are written down.
+//
+// Rings: the journal's sequences, the telemetry trace ring and calibration
+// timeline (bounds below), and QCC's sample windows — each calibration
+// history (64 samples, cut further by age with Drop), each server's
+// reliability outcomes (50) and the recalibration cycle's interval history
+// (Entries); QCC keeps its two window sizes beside the formulas they feed.
+//
+// Not rings, on purpose: the integrator's federated plan cache and the
+// remote statement cache are LRU caches — a hit must move an entry to the
+// front, which a FIFO cannot do; the router's rotation map is keyed by
+// statement text and evicts the set derived longest ago, not the oldest
+// insert; and a remote server's induced-load window is bounded by virtual
+// time, not count — its load is the service time summed over the trailing
+// window, so a count bound would change the number.
 package ring
 
 import "sync"
 
 // The retention bounds. None is configurable.
 const (
-	// Entries bounds each journal sequence except the route decisions, and
-	// the telemetry calibration timeline.
+	// Entries bounds each journal sequence except the route decisions, the
+	// telemetry calibration timeline and QCC's recalibration intervals.
 	Entries = 4096
 	// Decisions bounds the journal's route decisions: a recent-history view.
 	Decisions = 64
@@ -19,9 +33,8 @@ const (
 // evicted first. Its backing array grows on demand (doubling, never past the
 // bound) and is never preallocated, so a store that sees ten values costs ten
 // slots whatever its bound; once at the bound a push overwrites the oldest
-// slot in place. Every bounded store in the tree — the journal's sequences,
-// the trace ring, the calibration timeline — is one of these. A Ring is not
-// safe for concurrent use; its owner serializes access.
+// slot in place. A Ring is not safe for concurrent use; its owner serializes
+// access.
 type Ring[T any] struct {
 	buf   []T
 	head  int // position in buf of the oldest retained value
@@ -68,6 +81,21 @@ func (r *Ring[T]) Evicted() int64 { return r.total - int64(r.n) }
 
 // At returns the i-th oldest retained value (0 <= i < Len) in place.
 func (r *Ring[T]) At(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
+
+// Drop discards the k oldest retained values (all of them when k >= Len);
+// they count as evicted.
+func (r *Ring[T]) Drop(k int) {
+	k = min(k, r.n)
+	if k <= 0 {
+		return
+	}
+	var zero T
+	for i := range k {
+		*r.At(i) = zero
+	}
+	r.head = (r.head + k) % len(r.buf)
+	r.n -= k
+}
 
 // Tail returns a copy of the newest n retained values, oldest first; n <= 0
 // or n > Len returns all of them. An empty ring returns nil.

@@ -66,6 +66,36 @@ func TestRingKeepsTheNewestInOrder(t *testing.T) {
 	}
 }
 
+// TestRingDropCutsTheOldest: QCC's age cut drops a prefix; the window keeps
+// its order through later growth and wraps, and dropped values count as
+// evicted.
+func TestRingDropCutsTheOldest(t *testing.T) {
+	r := New[int](8)
+	r.Drop(3) // empty: a no-op
+	for i := 0; i < 6; i++ {
+		r.Push(i)
+	}
+	r.Drop(0)
+	r.Drop(4)
+	if got := r.Tail(0); len(got) != 2 || got[0] != 4 || got[1] != 5 {
+		t.Fatalf("after Drop(4) window = %v, want [4 5]", got)
+	}
+	for i := 6; i < 20; i++ {
+		r.Push(i)
+	}
+	if got := r.Tail(0); len(got) != 8 || got[0] != 12 || got[7] != 19 {
+		t.Fatalf("window after refill = %v, want 12..19", got)
+	}
+	r.Drop(100)
+	if r.Len() != 0 || r.Evicted() != 20 || r.Tail(0) != nil {
+		t.Fatalf("Drop past Len: len=%d evicted=%d", r.Len(), r.Evicted())
+	}
+	r.Push(20)
+	if got := r.Tail(0); len(got) != 1 || got[0] != 20 {
+		t.Fatalf("push after emptying = %v", got)
+	}
+}
+
 // TestLogIsConcurrentAndNilSafe: the locked form under writers and readers
 // (the -race target), and the nil log every nil-safe owner relies on.
 func TestLogIsConcurrentAndNilSafe(t *testing.T) {

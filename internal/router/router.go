@@ -74,15 +74,18 @@ const (
 	// sets ("the process is repeated periodically as calibrated costs may
 	// change") by the plan cache's bounds.
 	rotationMaxAge = integrator.DefaultPlanCacheMaxAge
-	maxRotations   = integrator.DefaultPlanCacheCapacity
+	maxRotations   = integrator.PlanCacheCapacity
 	// rescoreMargin is the share of the best score the compiled target may
 	// lack before the paper modes move a fragment at dispatch time: switching
 	// has plan-cache and estimate risk, so it takes a clear win.
 	rescoreMargin = 0.25
-	// queuePressureGain converts admission queue depth into memory pressure
-	// (QCC's DefaultQueuePressureGain).
-	queuePressureGain = 0.25
 )
+
+// QueuePressureGain is what one query waiting for admission adds to a
+// pressure multiplier (1 + gain × depth): the router's memory term here, and
+// QCC's effective II workload factor, which inflates II-side estimates by 25%
+// per queued query.
+const QueuePressureGain = 0.25
 
 // Signals supplies the per-server inputs the router scores from. Every
 // field is optional: a nil func contributes a neutral value, so the router
@@ -423,7 +426,7 @@ func (r *Router) score(serverID, sig string, tables []string, cost, minCost floa
 		}
 	}
 	if s.QueueDepth != nil {
-		pressure *= 1 + queuePressureGain*float64(s.QueueDepth())
+		pressure *= 1 + QueuePressureGain*float64(s.QueueDepth())
 	}
 	mem := 1 / pressure
 	// Cache locality: mean buffer-pool residency of the fragment's tables.

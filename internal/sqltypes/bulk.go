@@ -2,11 +2,10 @@ package sqltypes
 
 import "math"
 
-// Bulk helpers for columnar kernels. They reproduce the scalar Value
-// semantics (Compare ordering, Hash bytes) exactly so the vectorized
-// execution path stays bit-identical to the row-at-a-time oracle, while
-// letting kernels work on whole columns without a Value round trip per
-// cell.
+// Typed hash helpers for columnar kernels. They reproduce Value.Hash's bytes
+// exactly so the vectorized execution path stays bit-identical to the
+// row-at-a-time oracle, while letting kernels hash typed cells without
+// building a Value per cell.
 
 // FNV-1a parameters (hash/fnv's 64-bit variant). Value.Hash is built from
 // the helpers below, so a hash index, a join table and a column kernel agree
@@ -61,49 +60,4 @@ func HashString(s string) uint64 {
 		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
-}
-
-// AppendColumn appends column col of each row to dst and returns the
-// extended slice — a gather from row-major storage into a column vector.
-func AppendColumn(dst []Value, rows []Row, col int) []Value {
-	if cap(dst)-len(dst) < len(rows) {
-		grown := make([]Value, len(dst), len(dst)+len(rows))
-		copy(grown, dst)
-		dst = grown
-	}
-	for _, r := range rows {
-		dst = append(dst, r[col])
-	}
-	return dst
-}
-
-// CompareColumns compares two equal-length column vectors element-wise with
-// the scalar Compare ordering (NULLs first, cross-kind numerics, total
-// order) and stores each result in out, which is allocated when nil or too
-// short. Slices of different lengths panic, like a mis-sized kernel should.
-func CompareColumns(a, b []Value, out []int) []int {
-	if len(a) != len(b) {
-		panic("sqltypes: CompareColumns length mismatch")
-	}
-	if len(out) < len(a) {
-		out = make([]int, len(a))
-	}
-	out = out[:len(a)]
-	for i := range a {
-		out[i] = Compare(a[i], b[i])
-	}
-	return out
-}
-
-// HashColumn hashes a column vector element-wise into out (allocated when
-// nil or too short): Value.Hash of every cell.
-func HashColumn(vals []Value, out []uint64) []uint64 {
-	if len(out) < len(vals) {
-		out = make([]uint64, len(vals))
-	}
-	out = out[:len(vals)]
-	for i, v := range vals {
-		out[i] = v.Hash()
-	}
-	return out
 }

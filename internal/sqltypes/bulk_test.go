@@ -65,80 +65,6 @@ func TestHashHelpersMatchValueHash(t *testing.T) {
 	}
 }
 
-func TestHashColumnMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	col := make([]Value, 1000)
-	for i := range col {
-		col[i] = randValue(rng)
-	}
-	out := HashColumn(col, nil)
-	if len(out) != len(col) {
-		t.Fatalf("HashColumn returned %d hashes for %d values", len(out), len(col))
-	}
-	for i, v := range col {
-		if out[i] != v.Hash() {
-			t.Fatalf("HashColumn[%d] of %v = %d, Value.Hash() = %d", i, v, out[i], v.Hash())
-		}
-	}
-	// Reusing an oversized buffer must not change results or length.
-	buf := make([]uint64, 2*len(col))
-	out2 := HashColumn(col, buf)
-	if len(out2) != len(col) {
-		t.Fatalf("HashColumn with buffer returned %d hashes", len(out2))
-	}
-	for i := range out {
-		if out[i] != out2[i] {
-			t.Fatalf("HashColumn buffer reuse diverged at %d", i)
-		}
-	}
-}
-
-func TestCompareColumnsMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	n := 1000
-	a := make([]Value, n)
-	b := make([]Value, n)
-	for i := 0; i < n; i++ {
-		a[i] = randValue(rng)
-		b[i] = randValue(rng)
-	}
-	out := CompareColumns(a, b, nil)
-	for i := 0; i < n; i++ {
-		if want := Compare(a[i], b[i]); out[i] != want {
-			t.Fatalf("CompareColumns[%d] (%v vs %v) = %d, Compare = %d", i, a[i], b[i], out[i], want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CompareColumns on mismatched lengths did not panic")
-		}
-	}()
-	CompareColumns(a[:3], b[:2], nil)
-}
-
-func TestAppendColumn(t *testing.T) {
-	rows := []Row{
-		{NewInt(1), NewString("a")},
-		{NewInt(2), Null},
-		{NewInt(3), NewString("c")},
-	}
-	got := AppendColumn(nil, rows, 1)
-	want := []Value{NewString("a"), Null, NewString("c")}
-	if len(got) != len(want) {
-		t.Fatalf("AppendColumn returned %d values", len(got))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AppendColumn[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	// Appending onto an existing vector keeps the prefix.
-	got2 := AppendColumn(got, rows, 0)
-	if len(got2) != 6 || got2[0] != NewString("a") || got2[3] != NewInt(1) || got2[5] != NewInt(3) {
-		t.Fatalf("AppendColumn extension wrong: %v", got2)
-	}
-}
-
 func TestBoolIsKindAware(t *testing.T) {
 	cases := []struct {
 		v    Value

@@ -7,11 +7,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultMaxSeries caps distinct (name, label) series when no cap is
-// configured. Per-server instruments dominate cardinality; with a handful of
-// metric names the default admits federations of well over a hundred servers
-// before dropping.
-const DefaultMaxSeries = 512
+// MaxSeries caps distinct (name, label) series in a registry. Per-server
+// instruments dominate cardinality; with a handful of metric names the cap
+// admits federations of well over a hundred servers before dropping.
+const MaxSeries = 512
 
 // DefBuckets are the default fixed histogram bucket upper bounds, in
 // simulated milliseconds, covering probe RTTs through heavily-loaded
@@ -154,21 +153,15 @@ type Registry struct {
 	counters   map[seriesKey]*Counter
 	gauges     map[seriesKey]*Gauge
 	histograms map[seriesKey]*Histogram
-	maxSeries  int
 	dropped    atomic.Int64
 }
 
-// NewRegistry builds a registry capping distinct series at maxSeries: 0
-// selects DefaultMaxSeries, negative disables the cap.
-func NewRegistry(maxSeries int) *Registry {
-	if maxSeries == 0 {
-		maxSeries = DefaultMaxSeries
-	}
+// NewRegistry builds an empty registry.
+func NewRegistry() *Registry {
 	return &Registry{
 		counters:   map[seriesKey]*Counter{},
 		gauges:     map[seriesKey]*Gauge{},
 		histograms: map[seriesKey]*Histogram{},
-		maxSeries:  maxSeries,
 	}
 }
 
@@ -180,7 +173,7 @@ func (r *Registry) seriesLen() int {
 // admit reports whether a NEW series may be created; on refusal it counts
 // the drop. Must be called with r.mu held.
 func (r *Registry) admit() bool {
-	if r.maxSeries > 0 && r.seriesLen() >= r.maxSeries {
+	if r.seriesLen() >= MaxSeries {
 		r.dropped.Add(1)
 		return false
 	}

@@ -39,16 +39,6 @@ const (
 	LayerQCC     Layer = "qcc"
 )
 
-// Config tunes the subsystem. The zero value selects all defaults with
-// collection DISABLED; call SetEnabled(true) (or set Enabled) to collect.
-type Config struct {
-	// Enabled starts the subsystem collecting immediately.
-	Enabled bool
-	// MaxSeries caps distinct (metric, label) series in the registry (0
-	// selects DefaultMaxSeries, negative disables the bound).
-	MaxSeries int
-}
-
 // Telemetry bundles the tracer, the metrics registry and the calibration
 // timeline store behind one switchable handle.
 type Telemetry struct {
@@ -58,15 +48,14 @@ type Telemetry struct {
 	timeline *TimelineStore
 }
 
-// New builds a Telemetry handle.
-func New(cfg Config) *Telemetry {
-	t := &Telemetry{
+// New builds a Telemetry handle with collection DISABLED; SetEnabled(true)
+// starts it.
+func New() *Telemetry {
+	return &Telemetry{
 		tracer:   NewTracer(),
-		metrics:  NewRegistry(cfg.MaxSeries),
+		metrics:  NewRegistry(),
 		timeline: ring.NewLog[FactorSample](ring.Entries),
 	}
-	t.enabled.Store(cfg.Enabled)
-	return t
 }
 
 // Enabled reports whether collection is on. Nil-safe.

@@ -74,7 +74,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestDisabledCollectsNothing(t *testing.T) {
-	tel := New(Config{})
+	tel := New()
 	if tel.Enabled() {
 		t.Fatal("zero config should be disabled")
 	}
@@ -100,7 +100,8 @@ func TestDisabledCollectsNothing(t *testing.T) {
 }
 
 func TestSpanCursorModel(t *testing.T) {
-	tel := New(Config{Enabled: true})
+	tel := New()
+	tel.SetEnabled(true)
 	tr := tel.StartTrace(1, "SELECT 1", 100)
 	root := tr.Root
 	if root.Start() != 100 {
@@ -227,7 +228,7 @@ func TestTracerCompaction(t *testing.T) {
 }
 
 func TestRegistryInstrumentsAndCap(t *testing.T) {
-	r := NewRegistry(3)
+	r := NewRegistry()
 	c := r.Counter("hits", "")
 	c.Inc()
 	c.Add(2)
@@ -251,12 +252,18 @@ func TestRegistryInstrumentsAndCap(t *testing.T) {
 		t.Fatalf("bucket counts wrong: %+v", b)
 	}
 
+	// Fill the registry to MaxSeries with per-server series.
+	for i := 3; i < MaxSeries; i++ {
+		if r.Counter("pad", fmt.Sprint(i)) == nil {
+			t.Fatalf("series %d dropped below the cap", i)
+		}
+	}
 	// Cap reached: existing series still resolve, new ones drop to nil.
 	if r.Counter("hits", "") != c {
 		t.Fatal("existing series did not resolve at cap")
 	}
 	if r.Counter("new", "") != nil {
-		t.Fatal("cap admitted a fourth series")
+		t.Fatal("cap admitted a series past MaxSeries")
 	}
 	if r.Gauge("new", "") != nil || r.Histogram("new", "", nil) != nil {
 		t.Fatal("cap admitted gauge/histogram series")
@@ -266,8 +273,8 @@ func TestRegistryInstrumentsAndCap(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	if len(snap) != 3 {
-		t.Fatalf("snapshot length = %d, want 3", len(snap))
+	if len(snap) != MaxSeries {
+		t.Fatalf("snapshot length = %d, want %d", len(snap), MaxSeries)
 	}
 	if snap[0].Name != "factor" || snap[0].Kind != "gauge" {
 		t.Fatalf("snapshot not sorted: %+v", snap[0])
@@ -275,7 +282,7 @@ func TestRegistryInstrumentsAndCap(t *testing.T) {
 }
 
 func TestHistogramBucketEdges(t *testing.T) {
-	h := NewRegistry(-1).Histogram("x", "", nil)
+	h := NewRegistry().Histogram("x", "", nil)
 	h.Observe(1) // exactly on a bound lands in that bucket (<= semantics)
 	b := h.Buckets()
 	if b[0].UpperBound != 1 || b[0].Count != 1 {
@@ -327,7 +334,8 @@ func TestTraceSink(t *testing.T) {
 }
 
 func TestExporters(t *testing.T) {
-	tel := New(Config{Enabled: true})
+	tel := New()
+	tel.SetEnabled(true)
 	tr := tel.StartTrace(1, "SELECT * FROM t", 10)
 	tr.Root.Emit("parse", LayerII, "", 1)
 	f := tr.Root.Child("fragment", LayerMW, "srv1")
@@ -395,7 +403,8 @@ func TestExporters(t *testing.T) {
 // many goroutines hammer one Telemetry handle across traces, spans, metrics
 // and timelines while another flips the enabled switch.
 func TestTelemetryConcurrency(t *testing.T) {
-	tel := New(Config{Enabled: true})
+	tel := New()
+	tel.SetEnabled(true)
 	const workers = 8
 	const iters = 200
 	var wg sync.WaitGroup

@@ -43,24 +43,18 @@ type RouteWeights = router.Weights
 // dispatch time.
 type RoutingStats = router.Stats
 
-// QCCOptions tunes the calibrator.
+// QCCOptions tunes the calibrator. Everything else about QCC — the
+// calibration window (64 samples, 120 000 simulated ms), per-fragment
+// factors, the reliability penalty (4), the queue-pressure gain (0.25) — is
+// a constant.
 type QCCOptions struct {
-	// WindowSize bounds calibration histories (default 64 samples).
-	WindowSize int
-	// MaxAgeMS expires calibration samples (default 120000 simulated ms).
-	MaxAgeMS float64
-	// PerFragmentFactors enables per-(server,fragment) factors on top of
-	// per-server factors. Nil means true.
-	PerFragmentFactors *bool
 	// ProbeIntervalMS is the availability daemon cadence (default 1000).
 	ProbeIntervalMS float64
-	// ReliabilityPenalty scales failure rates into cost multipliers
-	// (default 4).
-	ReliabilityPenalty float64
 	// RecalibrationMS is the initial recalibration cycle (default 500);
 	// the cycle adapts dynamically unless FixedCycle is set.
 	RecalibrationMS float64
-	// FixedCycle disables §3.4's dynamic cycle adjustment.
+	// FixedCycle disables §3.4's dynamic cycle adjustment: the cycle stays
+	// at RecalibrationMS.
 	FixedCycle bool
 	// LoadBalance selects the routing mode (default off); LBWeighted scores
 	// with the default weights. Calibrator.SetRouting changes it later.
@@ -71,11 +65,6 @@ type QCCOptions struct {
 	// re-check calibrated costs immediately before dispatch and switch
 	// sources when conditions changed since compilation.
 	RuntimeReroute bool
-	// QueuePressureGain scales admission queue depth into the II workload
-	// factor (effective factor = published × (1 + gain × depth)), letting
-	// routing see integrator pressure before execution saturates. 0 selects
-	// the default (0.25); negative disables the feedback.
-	QueuePressureGain float64
 	// DisableDaemons skips scheduling the probe/recalibration daemons; the
 	// caller then drives Calibrator.PublishNow/ProbeNow manually.
 	DisableDaemons bool
@@ -94,29 +83,21 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 		f.qcc.Detach()
 	}
 	cfg := qcc.Config{
-		Clock: f.clock,
-		MW:    f.mw,
-		Calibration: qcc.CalibrationConfig{
-			WindowSize:  opts.WindowSize,
-			MaxAge:      simclock.Time(opts.MaxAgeMS),
-			PerFragment: opts.PerFragmentFactors == nil || *opts.PerFragmentFactors,
-		},
-		Reliability: qcc.ReliabilityConfig{Penalty: opts.ReliabilityPenalty},
-		Availability: qcc.AvailabilityConfig{
-			ProbeInterval: simclock.Time(opts.ProbeIntervalMS),
-		},
+		Clock:        f.clock,
+		MW:           f.mw,
+		Calibration:  qcc.CalibrationConfig{PerFragment: true},
+		Availability: qcc.AvailabilityConfig{ProbeInterval: simclock.Time(opts.ProbeIntervalMS)},
 		Cycle: qcc.CycleConfig{
 			Initial: simclock.Time(opts.RecalibrationMS),
-			Dynamic: !opts.FixedCycle,
+			Fixed:   opts.FixedCycle,
 		},
 		Routing: router.Policy{
 			Mode:      opts.LoadBalance,
 			Closeness: opts.LBCloseness,
 			Rescore:   opts.RuntimeReroute,
 		},
-		DisableDaemons:    opts.DisableDaemons,
-		Telemetry:         f.tel,
-		QueuePressureGain: opts.QueuePressureGain,
+		DisableDaemons: opts.DisableDaemons,
+		Telemetry:      f.tel,
 	}
 	f.qcc = qcc.Attach(cfg, f.ii)
 	// Queued admission demand feeds the II workload factor: pressure is
@@ -173,12 +154,6 @@ type QCCStats = qcc.Stats
 
 // StatsSnapshot returns a consistent snapshot of QCC's interaction counters.
 func (c *Calibrator) StatsSnapshot() QCCStats { return c.q.StatsSnapshot() }
-
-// Stats reports QCC's interaction counters.
-//
-// Deprecated: use StatsSnapshot, which returns a named struct instead of
-// positional values.
-func (c *Calibrator) Stats() (compiles, runs, errors int64) { return c.q.Stats() }
 
 // RoutingStats reports what the current route policy changed; SetRouting
 // starts it from zero.
