@@ -11,8 +11,9 @@
 //	qccbench -exp all     # everything
 //
 // The -scale flag divides the paper's table sizes (1 = 100k-row large
-// tables; default 20 keeps the full run to a few seconds while preserving
-// every qualitative shape).
+// tables, about half a minute for -exp all on two cores; the default 20 takes
+// a few seconds, and EXPERIMENTS.md lists the shapes that differ between the
+// two).
 package main
 
 import (

@@ -141,17 +141,18 @@ type PhaseOutcome struct {
 // assignment 2 (always the most powerful server, S3).
 func GainStudy(opts Options) ([]PhaseOutcome, error) {
 	opts.fill()
+	build := scenario.ThreeServerFederations(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
 	var out []PhaseOutcome
 	for _, phase := range workload.Phases() {
-		qccAvg, perTypeQCC, assign, err := runQCCPhase(opts, phase)
+		qccAvg, perTypeQCC, assign, err := runQCCPhase(opts, build, phase)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s qcc: %w", phase.Name, err)
 		}
-		f1Avg, perTypeF1, err := runFixedPhase(opts, phase, workload.FixedAssignment1())
+		f1Avg, perTypeF1, err := runFixedPhase(opts, build, phase, workload.FixedAssignment1())
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s fixed1: %w", phase.Name, err)
 		}
-		f2Avg, perTypeF2, err := runFixedPhase(opts, phase, workload.FixedAssignment2())
+		f2Avg, perTypeF2, err := runFixedPhase(opts, build, phase, workload.FixedAssignment2())
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s fixed2: %w", phase.Name, err)
 		}
@@ -181,8 +182,8 @@ func gain(fixed, qccAvg float64) float64 {
 // runQCCPhase builds a fresh federation with QCC attached, applies the
 // phase, runs the calibration sweep (§5.1 Steps 2–4: forward each fragment
 // type to every server and observe), then measures the mixed workload.
-func runQCCPhase(opts Options, phase workload.Phase) (avgMS float64, perType map[string]float64, assignments map[string]string, err error) {
-	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
+func runQCCPhase(opts Options, build func() (*scenario.Scenario, error), phase workload.Phase) (avgMS float64, perType map[string]float64, assignments map[string]string, err error) {
+	sc, err := build()
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -280,8 +281,8 @@ func CalibrationSweep(sc *scenario.Scenario, instance int) error {
 // runFixedPhase measures the workload with the pre-registered fixed routing:
 // every query of a type is forced to its assigned server by masking the
 // alternatives during compilation (nickname-registration-time routing).
-func runFixedPhase(opts Options, phase workload.Phase, assignment map[string]string) (float64, map[string]float64, error) {
-	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
+func runFixedPhase(opts Options, build func() (*scenario.Scenario, error), phase workload.Phase, assignment map[string]string) (float64, map[string]float64, error) {
+	sc, err := build()
 	if err != nil {
 		return 0, nil, err
 	}

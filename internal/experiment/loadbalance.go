@@ -38,9 +38,17 @@ func LoadBalanceStudy(opts Options, burst int) ([]LBOutcome, error) {
 	if burst <= 0 {
 		burst = 30
 	}
+	build := scenario.ThreeServerFederations(scenario.Options{
+		Scale: opts.Scale,
+		Seed:  opts.Seed,
+		// §4's setting: true equivalent data sources (uniform replicas)
+		// that heat up under their own query traffic.
+		Uniform:     true,
+		InducedLoad: remote.InducedLoadProfile{WindowMS: 1000, Gain: 12},
+	})
 	var out []LBOutcome
 	for _, mode := range []router.Mode{router.Off, router.Fragment, router.Global} {
-		o, err := runLBBurst(opts, mode, burst)
+		o, err := runLBBurst(build, mode, burst)
 		if err != nil {
 			return nil, fmt.Errorf("lb study %s: %w", mode, err)
 		}
@@ -49,15 +57,8 @@ func LoadBalanceStudy(opts Options, burst int) ([]LBOutcome, error) {
 	return out, nil
 }
 
-func runLBBurst(opts Options, mode router.Mode, burst int) (LBOutcome, error) {
-	sc, err := scenario.BuildThreeServer(scenario.Options{
-		Scale: opts.Scale,
-		Seed:  opts.Seed,
-		// §4's setting: true equivalent data sources (uniform replicas)
-		// that heat up under their own query traffic.
-		Uniform:     true,
-		InducedLoad: remote.InducedLoadProfile{WindowMS: 1000, Gain: 12},
-	})
+func runLBBurst(build func() (*scenario.Scenario, error), mode router.Mode, burst int) (LBOutcome, error) {
+	sc, err := build()
 	if err != nil {
 		return LBOutcome{}, err
 	}
@@ -153,22 +154,20 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 	if burst <= 0 {
 		burst = 60
 	}
-	rr, err := runWeightedBurst(opts, "round-robin", router.Policy{Mode: router.Global}, burst)
+	build := scenario.ReplicatedFederations(scenario.ReplicatedOptions{Scale: opts.Scale, Seed: opts.Seed})
+	rr, err := runWeightedBurst(build, "round-robin", router.Policy{Mode: router.Global}, burst)
 	if err != nil {
 		return nil, fmt.Errorf("weighted study round-robin: %w", err)
 	}
-	wt, err := runWeightedBurst(opts, "weighted", router.Policy{Mode: router.Weighted, Rescore: true}, burst)
+	wt, err := runWeightedBurst(build, "weighted", router.Policy{Mode: router.Weighted, Rescore: true}, burst)
 	if err != nil {
 		return nil, fmt.Errorf("weighted study weighted: %w", err)
 	}
 	return []WeightedOutcome{rr, wt}, nil
 }
 
-func runWeightedBurst(opts Options, policy string, routing router.Policy, burst int) (WeightedOutcome, error) {
-	sc, err := scenario.BuildReplicated(scenario.ReplicatedOptions{
-		Scale: opts.Scale,
-		Seed:  opts.Seed,
-	})
+func runWeightedBurst(build func() (*scenario.Scenario, error), policy string, routing router.Policy, burst int) (WeightedOutcome, error) {
+	sc, err := build()
 	if err != nil {
 		return WeightedOutcome{}, err
 	}

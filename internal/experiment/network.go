@@ -34,9 +34,10 @@ func NetworkStudy(opts Options, congestions []float64) ([]NetworkOutcome, error)
 	if len(congestions) == 0 {
 		congestions = []float64{1, 2, 4, 8, 16}
 	}
+	build := scenario.ThreeServerFederations(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
 	// Find the calm-system winner once: that is the server a static
 	// registration would pin.
-	probe, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
+	probe, err := build()
 	if err != nil {
 		return nil, err
 	}
@@ -48,11 +49,11 @@ func NetworkStudy(opts Options, congestions []float64) ([]NetworkOutcome, error)
 
 	var out []NetworkOutcome
 	for _, cong := range congestions {
-		fixedAvg, err := runNetworkFixed(opts, pinned, cong)
+		fixedAvg, err := runNetworkFixed(opts, build, pinned, cong)
 		if err != nil {
 			return nil, fmt.Errorf("network study fixed @%gx: %w", cong, err)
 		}
-		qccAvg, err := runNetworkQCC(opts, pinned, cong)
+		qccAvg, err := runNetworkQCC(opts, build, pinned, cong)
 		if err != nil {
 			return nil, fmt.Errorf("network study qcc @%gx: %w", cong, err)
 		}
@@ -70,8 +71,8 @@ func networkItems(opts Options) []workload.Item {
 	return workload.UniformMix(opts.Instances)
 }
 
-func runNetworkFixed(opts Options, pinned string, congestion float64) (float64, error) {
-	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
+func runNetworkFixed(opts Options, build func() (*scenario.Scenario, error), pinned string, congestion float64) (float64, error) {
+	sc, err := build()
 	if err != nil {
 		return 0, err
 	}
@@ -94,8 +95,8 @@ func runNetworkFixed(opts Options, pinned string, congestion float64) (float64, 
 	return total / float64(len(items)), nil
 }
 
-func runNetworkQCC(opts Options, pinned string, congestion float64) (float64, error) {
-	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
+func runNetworkQCC(opts Options, build func() (*scenario.Scenario, error), pinned string, congestion float64) (float64, error) {
+	sc, err := build()
 	if err != nil {
 		return 0, err
 	}

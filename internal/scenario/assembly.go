@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/catalog"
 	"repro/internal/integrator"
@@ -22,10 +23,15 @@ import (
 // the integrator. The canned scenarios and the public fedqcc.Builder are
 // declarations over it.
 type Assembly struct {
-	// seed drives data generation. Every replica is generated from it
-	// separately: replicas hold equal rows but share none, because update
-	// bursts mutate them independently.
+	// seed drives data generation. A table is generated once per Replicate,
+	// and its replicas are copies (storage.Table.Copy): they share the
+	// immutable rows and own their row slices and indexes, so an update burst
+	// on one replica never reaches another.
 	seed int64
+	// data, when set, is generated data this assembly shares with others
+	// (federations): Generate and Replicate take their tables from it as
+	// copies. Shard generates its own, because it only partitions the rows.
+	data *tables
 	// firstLink numbers the links' jitter streams: server i's link is seeded
 	// seed+firstLink+i.
 	firstLink int
@@ -50,6 +56,42 @@ func NewAssembly(seed int64, firstLink int) *Assembly {
 			Catalog: catalog.New(),
 		},
 		solo: map[string][]string{},
+	}
+}
+
+// tables is generated data shared by the assemblies of one federations
+// function: each table is generated from the seed when first asked for, kept
+// as generated, and handed out as copies that share its rows. A table is
+// known by its name, which within one declaration names one generator.
+type tables struct {
+	mu        sync.Mutex
+	seed      int64
+	generated map[string]*storage.Table
+}
+
+func (d *tables) copyOf(gen storage.TableGen) (*storage.Table, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	tab, ok := d.generated[gen.Name]
+	if !ok {
+		var err error
+		if tab, err = gen.Generate(d.seed); err != nil {
+			return nil, err
+		}
+		d.generated[gen.Name] = tab
+	}
+	return tab.Copy(), nil
+}
+
+// federations returns a function that runs declare on a fresh assembly per
+// call, every one over the same generated data: a study that runs each phase
+// on a fresh federation generates its tables once.
+func federations(seed int64, declare func(*Assembly) (*Scenario, error)) func() (*Scenario, error) {
+	data := &tables{seed: seed, generated: map[string]*storage.Table{}}
+	return func() (*Scenario, error) {
+		a := NewAssembly(seed, 0)
+		a.data = data
+		return declare(a)
 	}
 }
 
@@ -119,9 +161,16 @@ func (a *Assembly) AddTable(serverID string, tab *storage.Table) error {
 	return a.register(tab.Name(), a.sc.Servers[hosts[0]].Table(tab.Name()).Schema(), hosts)
 }
 
-// generate builds the table from the assembly's seed.
+// generate builds the table from the assembly's seed, or copies it from the
+// shared data.
 func (a *Assembly) generate(gen storage.TableGen, serverID string) (*storage.Table, error) {
-	tab, err := gen.Generate(a.seed)
+	var tab *storage.Table
+	var err error
+	if a.data != nil {
+		tab, err = a.data.copyOf(gen)
+	} else {
+		tab, err = gen.Generate(a.seed)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating %s on %s: %w", gen.Name, serverID, err)
 	}
@@ -138,28 +187,29 @@ func (a *Assembly) Generate(gen storage.TableGen, serverID string) error {
 	return a.AddTable(serverID, tab)
 }
 
-// Replicate generates an identical copy of the table on every named server
-// and registers one nickname over them in exactly the declared order.
+// Replicate generates the table once, places it on the first named server and
+// a copy of it on every other, and registers one nickname over them in
+// exactly the declared order.
 func (a *Assembly) Replicate(gen storage.TableGen, servers ...string) error {
 	if len(servers) == 0 {
 		return fmt.Errorf("scenario: replicated table %q needs at least one server", gen.Name)
 	}
-	var schema *sqltypes.Schema
+	var origin *storage.Table
 	for i, id := range servers {
 		srv, err := a.server(id)
 		if err != nil {
 			return err
 		}
-		tab, err := a.generate(gen, id)
-		if err != nil {
-			return err
-		}
-		srv.AddTable(tab)
 		if i == 0 {
-			schema = tab.Schema()
+			if origin, err = a.generate(gen, id); err != nil {
+				return err
+			}
+			srv.AddTable(origin)
+			continue
 		}
+		srv.AddTable(origin.Copy())
 	}
-	return a.register(gen.Name, schema, servers)
+	return a.register(gen.Name, origin.Schema(), servers)
 }
 
 // Shard generates the table once and partitions its rows by spec across the
@@ -173,7 +223,9 @@ func (a *Assembly) Shard(gen storage.TableGen, spec *catalog.ShardSpec, servers 
 	if n == 0 {
 		return fmt.Errorf("scenario: sharded table %q needs at least one server", gen.Name)
 	}
-	whole, err := gen.Generate(a.seed)
+	unindexed := gen
+	unindexed.Indexes = nil // the whole is only partitioned: the shards are indexed
+	whole, err := unindexed.Generate(a.seed)
 	if err != nil {
 		return fmt.Errorf("scenario: generating %s: %w", gen.Name, err)
 	}

@@ -79,11 +79,26 @@ func HotTableGens(n, scale int) []storage.TableGen {
 
 // BuildReplicated assembles the hotspot scenario.
 func BuildReplicated(opts ReplicatedOptions) (*Scenario, error) {
-	if opts.Servers <= 0 {
-		opts.Servers = 3
+	opts.fill()
+	return replicated(opts, NewAssembly(opts.Seed, 0))
+}
+
+// ReplicatedFederations returns a function that assembles a fresh
+// BuildReplicated(opts) federation per call, every one over copies of tables
+// generated once (see ThreeServerFederations).
+func ReplicatedFederations(opts ReplicatedOptions) func() (*Scenario, error) {
+	opts.fill()
+	return federations(opts.Seed, func(a *Assembly) (*Scenario, error) { return replicated(opts, a) })
+}
+
+func (o *ReplicatedOptions) fill() {
+	if o.Servers <= 0 {
+		o.Servers = 3
 	}
-	fillScaleSeed(&opts.Scale, &opts.Seed)
-	a := NewAssembly(opts.Seed, 0)
+	fillScaleSeed(&o.Scale, &o.Seed)
+}
+
+func replicated(opts ReplicatedOptions, a *Assembly) (*Scenario, error) {
 	ids := serverIDs(opts.Servers)
 	for _, id := range ids {
 		if err := a.AddServer(replicaProfile(id), lan(5), false); err != nil {

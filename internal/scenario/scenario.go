@@ -92,7 +92,19 @@ func serverIDs(n int) []string {
 // an II node.
 func BuildThreeServer(opts Options) (*Scenario, error) {
 	opts.fill()
-	a := NewAssembly(opts.Seed, 0)
+	return threeServer(opts, NewAssembly(opts.Seed, 0))
+}
+
+// ThreeServerFederations returns a function that assembles a fresh
+// BuildThreeServer(opts) federation per call. The tables are generated once,
+// by the first call; every federation holds copies of them that share the
+// generated rows, and updates in one never reach another.
+func ThreeServerFederations(opts Options) func() (*Scenario, error) {
+	opts.fill()
+	return federations(opts.Seed, func(a *Assembly) (*Scenario, error) { return threeServer(opts, a) })
+}
+
+func threeServer(opts Options, a *Assembly) (*Scenario, error) {
 	ids := serverIDs(3)
 	profiles := []func(string) remote.Config{remote.ProfileS1, remote.ProfileS2, remote.ProfileS3}
 	for i, id := range ids {
@@ -120,7 +132,8 @@ func BuildThreeServer(opts Options) (*Scenario, error) {
 
 // ReplicateTable copies a nickname's data from one server to another and
 // registers the new placement in the catalog — applying a QCC placement
-// recommendation. The copy includes rows and index definitions.
+// recommendation. The copy (storage.Table.Copy) shares the source's rows and
+// carries its indexes.
 func ReplicateTable(sc *Scenario, nickname, from, to string) error {
 	nick, err := sc.Catalog.Lookup(nickname)
 	if err != nil {
@@ -145,33 +158,12 @@ func ReplicateTable(sc *Scenario, nickname, from, to string) error {
 	if dstSrv.Table(placement.RemoteTable) != nil {
 		return fmt.Errorf("scenario: %s already hosts %q", to, placement.RemoteTable)
 	}
-	dst, err := copyTable(src)
-	if err != nil {
-		return err
-	}
-	dstSrv.AddTable(dst)
+	dstSrv.AddTable(src.Copy())
 	return sc.Catalog.AddPlacement(nickname, catalog.Placement{
 		ServerID:    to,
 		RemoteTable: placement.RemoteTable,
 		Replica:     true,
 	})
-}
-
-// copyTable builds a table with src's rows and indexes. Stored rows are
-// immutable, so the copy shares them until either side updates one.
-func copyTable(src *storage.Table) (*storage.Table, error) {
-	v := src.View()
-	defer v.Close()
-	dst := storage.NewTable(src.Name(), src.Schema())
-	if err := dst.Append(v.Rows()...); err != nil {
-		return nil, err
-	}
-	for _, ix := range v.Indexes() {
-		if _, err := dst.CreateIndex(ix.Name(), ix.Column(), ix.Kind()); err != nil {
-			return nil, err
-		}
-	}
-	return dst, nil
 }
 
 // ReplicaOptions configures BuildReplicaPair, the §4 load-distribution

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/sqltypes"
@@ -28,6 +30,11 @@ func (k IndexKind) String() string {
 // protected by the table's lock: outside this package an Index is a handle
 // (name, column, kind) that plan nodes carry, and its contents are read
 // through View.Index.
+//
+// The order contract: sorted holds every indexed (non-NULL) value ascending by
+// sqltypes.Compare, equal keys newest first — the order inserting each key at
+// its lower bound produces, and the order build reproduces with one sort. A
+// hash list holds its positions in insertion order, ascending after a build.
 type Index struct {
 	name   string
 	column string
@@ -53,6 +60,55 @@ func (ix *Index) Column() string { return ix.column }
 // Kind returns the index kind.
 func (ix *Index) Kind() IndexKind { return ix.kind }
 
+// build indexes rows, an empty index's whole input, in O(n log n): one sort
+// instead of n sorted inserts, with the contents inserting every row in
+// position order would leave.
+func (ix *Index) build(rows []sqltypes.Row) {
+	distinct := 0 // a hint for the hash map; a hash index learns it by growing
+	if ix.kind == IndexSorted {
+		ix.sorted = make([]sortedEntry, 0, len(rows))
+		for pos, r := range rows {
+			if v := r[ix.colIdx]; !v.IsNull() {
+				ix.sorted = append(ix.sorted, sortedEntry{val: v, pos: pos})
+			}
+		}
+		slices.SortFunc(ix.sorted, func(a, b sortedEntry) int {
+			if c := sqltypes.Compare(a.val, b.val); c != 0 {
+				return c
+			}
+			return cmp.Compare(b.pos, a.pos) // equal keys newest first
+		})
+		for i, e := range ix.sorted {
+			if i == 0 || sqltypes.Compare(ix.sorted[i-1].val, e.val) != 0 {
+				distinct++
+			}
+		}
+	}
+	ix.hash = make(map[uint64][]int, distinct)
+	for pos, r := range rows {
+		if v := r[ix.colIdx]; !v.IsNull() {
+			h := v.Hash()
+			ix.hash[h] = append(ix.hash[h], pos)
+			ix.entries++
+		}
+	}
+}
+
+// clone returns a copy of ix that shares no slice with it: insert and remove
+// edit hash lists and the sorted slice in place.
+func (ix *Index) clone() *Index {
+	c := *ix
+	c.hash = make(map[uint64][]int, len(ix.hash))
+	positions := make([]int, 0, ix.entries) // every list, one allocation
+	for h, list := range ix.hash {
+		n := len(positions)
+		positions = append(positions, list...)
+		c.hash[h] = positions[n:len(positions):len(positions)] // full, so an insert reallocates
+	}
+	c.sorted = slices.Clone(ix.sorted)
+	return &c
+}
+
 func (ix *Index) insert(v sqltypes.Value, pos int) {
 	if v.IsNull() {
 		return // NULLs are not indexed
@@ -61,12 +117,7 @@ func (ix *Index) insert(v sqltypes.Value, pos int) {
 	ix.hash[h] = append(ix.hash[h], pos)
 	ix.entries++
 	if ix.kind == IndexSorted {
-		i := sort.Search(len(ix.sorted), func(i int) bool {
-			return sqltypes.Compare(ix.sorted[i].val, v) >= 0
-		})
-		ix.sorted = append(ix.sorted, sortedEntry{})
-		copy(ix.sorted[i+1:], ix.sorted[i:])
-		ix.sorted[i] = sortedEntry{val: v, pos: pos}
+		ix.sorted = slices.Insert(ix.sorted, ix.lowerBound(v), sortedEntry{val: v, pos: pos})
 	}
 }
 
@@ -75,22 +126,26 @@ func (ix *Index) remove(v sqltypes.Value, pos int) {
 		return
 	}
 	h := v.Hash()
-	list := ix.hash[h]
-	for i, p := range list {
-		if p == pos {
-			ix.hash[h] = append(list[:i], list[i+1:]...)
-			ix.entries--
-			break
-		}
+	if i := slices.Index(ix.hash[h], pos); i >= 0 {
+		ix.hash[h] = slices.Delete(ix.hash[h], i, i+1)
+		ix.entries--
 	}
 	if ix.kind == IndexSorted {
-		for i, e := range ix.sorted {
-			if e.pos == pos && sqltypes.Compare(e.val, v) == 0 {
-				ix.sorted = append(ix.sorted[:i], ix.sorted[i+1:]...)
+		// The entries equal to v are one run that starts at its lower bound.
+		for i := ix.lowerBound(v); i < len(ix.sorted) && sqltypes.Compare(ix.sorted[i].val, v) == 0; i++ {
+			if ix.sorted[i].pos == pos {
+				ix.sorted = slices.Delete(ix.sorted, i, i+1)
 				break
 			}
 		}
 	}
+}
+
+// lowerBound returns the position of the first sorted entry not below v.
+func (ix *Index) lowerBound(v sqltypes.Value) int {
+	return sort.Search(len(ix.sorted), func(i int) bool {
+		return sqltypes.Compare(ix.sorted[i].val, v) >= 0
+	})
 }
 
 // IndexView is an index's contents at the version of the View that opened it;

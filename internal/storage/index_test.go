@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,11 +13,248 @@ import (
 
 // buildIndex indexes vals by position; the tests read it as a view would.
 func buildIndex(kind IndexKind, vals []int64) IndexView {
-	ix := &Index{name: "ix", column: "k", kind: kind, hash: map[uint64][]int{}}
+	keys := make([]sqltypes.Value, len(vals))
 	for i, v := range vals {
-		ix.insert(sqltypes.NewInt(v), i)
+		keys[i] = sqltypes.NewInt(v)
 	}
-	return IndexView{ix: ix}
+	return IndexView{ix: insertEach(kind, keys)}
+}
+
+// insertEach is the incremental build CreateIndex ran before the bulk build:
+// one sorted insert per key, in position order. It is the reference the bulk
+// build must reproduce.
+func insertEach(kind IndexKind, keys []sqltypes.Value) *Index {
+	ix := &Index{name: "ix", column: "k", kind: kind, hash: map[uint64][]int{}}
+	for pos, v := range keys {
+		ix.insert(v, pos)
+	}
+	return ix
+}
+
+// removeLinear is Index.remove before it searched: the sorted entry is found
+// by scanning the whole slice.
+func removeLinear(ix *Index, v sqltypes.Value, pos int) {
+	if v.IsNull() {
+		return
+	}
+	h := v.Hash()
+	list := ix.hash[h]
+	for i, p := range list {
+		if p == pos {
+			ix.hash[h] = append(list[:i], list[i+1:]...)
+			ix.entries--
+			break
+		}
+	}
+	if ix.kind == IndexSorted {
+		for i, e := range ix.sorted {
+			if e.pos == pos && sqltypes.Compare(e.val, v) == 0 {
+				ix.sorted = append(ix.sorted[:i], ix.sorted[i+1:]...)
+				break
+			}
+		}
+	}
+}
+
+// sameContents reports how got's contents differ from want's: entries, the
+// sorted list entry for entry (kind and bits, so 2 and 2.0 differ) and every
+// hash list position for position.
+func sameContents(got, want *Index) string {
+	if got.entries != want.entries {
+		return fmt.Sprintf("entries %d, want %d", got.entries, want.entries)
+	}
+	if !slices.Equal(got.sorted, want.sorted) {
+		for i := range min(len(got.sorted), len(want.sorted)) {
+			if got.sorted[i] != want.sorted[i] {
+				return fmt.Sprintf("sorted[%d] = %v@%d, want %v@%d (lengths %d, %d)", i,
+					got.sorted[i].val, got.sorted[i].pos, want.sorted[i].val, want.sorted[i].pos, len(got.sorted), len(want.sorted))
+			}
+		}
+		return fmt.Sprintf("sorted has %d entries, want %d", len(got.sorted), len(want.sorted))
+	}
+	if len(got.hash) != len(want.hash) {
+		return fmt.Sprintf("%d hash lists, want %d", len(got.hash), len(want.hash))
+	}
+	for h, list := range want.hash {
+		if !slices.Equal(got.hash[h], list) {
+			return fmt.Sprintf("hash list %x = %v, want %v", h, got.hash[h], list)
+		}
+	}
+	return ""
+}
+
+// The bulk build (one sort) leaves exactly what inserting every row in
+// position order leaves, for both kinds: the sorted list with equal keys
+// newest first, every hash list and the entry count — over duplicates, NULLs,
+// int/float twins (2 and 2.0 compare equal and hash alike) and strings.
+func TestBulkBuildMatchesIncrementalBuild(t *testing.T) {
+	columns := map[string]func(r *rand.Rand) sqltypes.Value{
+		"duplicates-and-nulls": func(r *rand.Rand) sqltypes.Value {
+			if r.Intn(6) == 0 {
+				return sqltypes.Null
+			}
+			return sqltypes.NewInt(r.Int63n(40) - 10)
+		},
+		"twins-and-strings": func(r *rand.Rand) sqltypes.Value {
+			k := r.Int63n(25)
+			switch r.Intn(5) {
+			case 0:
+				return sqltypes.NewFloat(float64(k)) // the int k's twin
+			case 1:
+				return sqltypes.NewFloat(float64(k) + 0.5)
+			case 2:
+				return sqltypes.NewString(fmt.Sprintf("s%02d", k))
+			case 3:
+				return sqltypes.Null
+			default:
+				return sqltypes.NewInt(k)
+			}
+		},
+	}
+	for name, gen := range columns {
+		for seed := int64(1); seed <= 20; seed++ {
+			r := rand.New(rand.NewSource(seed))
+			keys := make([]sqltypes.Value, 1+r.Intn(3000))
+			tab := NewTable("t", sqltypes.NewSchema(
+				sqltypes.Column{Table: "t", Name: "id", Type: sqltypes.KindInt},
+				sqltypes.Column{Table: "t", Name: "k", Type: sqltypes.KindInt},
+			))
+			for i := range keys {
+				keys[i] = gen(r)
+				if err := tab.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), keys[i]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, kind := range []IndexKind{IndexHash, IndexSorted} {
+				bulk, err := tab.CreateIndex(kind.String(), "k", kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := sameContents(bulk, insertEach(kind, keys)); diff != "" {
+					t.Fatalf("%s seed %d %v over %d rows: %s", name, seed, kind, len(keys), diff)
+				}
+			}
+		}
+	}
+}
+
+// Index.remove finds a sorted entry by binary search to its key's run instead
+// of scanning the whole slice. Removing and re-inserting positions of a
+// 100k-entry index with heavy duplicates (and NULLs, which are not indexed)
+// must leave what the old linear scan leaves, after every step. A third of
+// the steps take a random position, a third the position the step before
+// re-inserted (now the head of its key's run) and a third the tail of a
+// random key's run.
+func TestRemoveFindsWhatTheLinearScanFound(t *testing.T) {
+	const n, steps = 100000, 300
+	r := rand.New(rand.NewSource(5))
+	key := func() sqltypes.Value {
+		if r.Intn(50) == 0 {
+			return sqltypes.Null
+		}
+		return sqltypes.NewInt(r.Int63n(100)) // ~1 000 duplicates per key
+	}
+	keys := make([]sqltypes.Value, n)
+	rows := make([]sqltypes.Row, n)
+	for i := range keys {
+		keys[i] = key()
+		rows[i] = sqltypes.Row{keys[i]}
+	}
+	searched, scanned := &Index{kind: IndexSorted}, &Index{kind: IndexSorted}
+	searched.build(rows) // the incremental build is quadratic at this size
+	scanned.build(rows)
+	pos := 0
+	for step := 0; step < steps; step++ {
+		switch step % 3 {
+		case 0:
+			pos = r.Intn(n)
+		case 2:
+			if end := searched.lowerBound(sqltypes.NewInt(r.Int63n(100)+1)) - 1; end >= 0 {
+				pos = searched.sorted[end].pos
+			}
+		}
+		v := key()
+		searched.remove(keys[pos], pos)
+		removeLinear(scanned, keys[pos], pos)
+		searched.insert(v, pos)
+		scanned.insert(v, pos)
+		keys[pos] = v
+		if !slices.Equal(searched.sorted, scanned.sorted) {
+			t.Fatalf("step %d (position %d): %s", step, pos, sameContents(searched, scanned))
+		}
+	}
+	if diff := sameContents(searched, scanned); diff != "" {
+		t.Fatal(diff)
+	}
+}
+
+// A copy shares the source's stored rows and nothing an update edits: an
+// update burst on the copy, indexed columns included, leaves the source's
+// rows, version and index contents as they were, and leaves the copy exactly
+// where the same burst leaves a table built on its own.
+func TestCopySharesRowsAndNothingAnUpdateEdits(t *testing.T) {
+	indexed := func() *Table {
+		tab := newTestTable(t)
+		for _, ix := range []struct {
+			name, column string
+			kind         IndexKind
+		}{{"pk", "id", IndexSorted}, {"vh", "v", IndexHash}} {
+			if _, err := tab.CreateIndex(ix.name, ix.column, ix.kind); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	src, twin := indexed(), indexed()
+	cp := src.Copy()
+	srcRows, cpRows := read(src, View.Rows), read(cp, View.Rows)
+	for i := range srcRows {
+		if &srcRows[i][0] != &cpRows[i][0] {
+			t.Fatalf("row %d is not shared", i)
+		}
+	}
+	if read(src, View.Version) != read(cp, View.Version) {
+		t.Fatal("the copy has another version")
+	}
+	for name, ix := range src.indexes {
+		if diff := sameContents(cp.indexes[name], ix); diff != "" {
+			t.Fatalf("copy of %s: %s", name, diff)
+		}
+	}
+	keptRows, version := slices.Clone(srcRows), read(src, View.Version)
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		i, col, v := r.Intn(100), r.Intn(2), sqltypes.NewInt(r.Int63n(30))
+		if err := cp.UpdateAt(i, col, v); err != nil {
+			t.Fatal(err)
+		}
+		if err := twin.UpdateAt(i, col, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := read(src, View.Version); got != version {
+		t.Fatalf("source version %d after updates to the copy, want %d", got, version)
+	}
+	for i, row := range read(src, View.Rows) {
+		if &row[0] != &keptRows[i][0] || row[0] != keptRows[i][0] || row[1] != keptRows[i][1] {
+			t.Fatalf("source row %d changed to %v", i, row)
+		}
+	}
+	for name, ix := range src.indexes {
+		keys := make([]sqltypes.Value, len(keptRows))
+		for i, row := range keptRows {
+			keys[i] = row[ix.colIdx]
+		}
+		if diff := sameContents(ix, insertEach(ix.kind, keys)); diff != "" {
+			t.Fatalf("source index %s after updates to the copy: %s", name, diff)
+		}
+		if diff := sameContents(cp.indexes[name], twin.indexes[name]); diff != "" {
+			t.Fatalf("the copy's index %s after the updates: %s", name, diff)
+		}
+	}
+	if !slices.EqualFunc(read(cp, View.Rows), read(twin, View.Rows), slices.Equal) {
+		t.Fatal("the copy's rows after the updates differ from the twin's")
+	}
 }
 
 func TestHashIndexLookupEq(t *testing.T) {
@@ -143,6 +382,35 @@ func TestSortedIndexRangeMatchesScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCreateIndex times building one index over 10k and 100k rows of
+// uniform random integer keys (about ten rows per key).
+func BenchmarkCreateIndex(b *testing.B) {
+	schema := sqltypes.NewSchema(sqltypes.Column{Table: "t", Name: "k", Type: sqltypes.KindInt})
+	for _, n := range []int{10000, 100000} {
+		r := rand.New(rand.NewSource(1))
+		rows := make([]sqltypes.Row, n)
+		for i := range rows {
+			rows[i] = sqltypes.Row{sqltypes.NewInt(r.Int63n(int64(n / 10)))}
+		}
+		for _, kind := range []IndexKind{IndexSorted, IndexHash} {
+			b.Run(fmt.Sprintf("%v/%d", kind, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					tab := NewTable("t", schema)
+					if err := tab.Append(rows...); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+					if _, err := tab.CreateIndex("ix", "k", kind); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

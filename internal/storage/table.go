@@ -23,7 +23,8 @@ const PageSize = 4096
 // Table is an in-memory heap table with optional indexes. Append, UpdateAt,
 // CreateIndex and SetVirtualStats change it; everything is read through a
 // View. Stored rows are immutable — UpdateAt swaps in a modified copy — so a
-// row taken from a view may be kept after the view is closed.
+// row taken from a view may be kept after the view is closed, and copies of a
+// table (Copy) share its rows.
 type Table struct {
 	mu      sync.RWMutex
 	name    string
@@ -38,7 +39,8 @@ type Table struct {
 	virtual *stats.TableStats
 	// derived is what views have computed from the rows since the last
 	// mutation: a mutation clears it, the next view installs an empty one. It
-	// lives on the table so it is collected with the table.
+	// lives on the table, shared with the table's copies until either side
+	// mutates, so it is collected with them.
 	derived atomic.Pointer[derived]
 	// columnar is set by the first columnar scan. Only such a table keeps the
 	// decomposition its statistics are sized from (its next scan finds it
@@ -143,12 +145,34 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 	if _, dup := t.indexes[name]; dup {
 		return nil, fmt.Errorf("storage: index %q already exists on %s", name, t.name)
 	}
-	idx := &Index{name: name, column: column, colIdx: ci, kind: kind, hash: map[uint64][]int{}}
-	for i, r := range t.rows {
-		idx.insert(r[ci], i)
-	}
+	idx := &Index{name: name, column: column, colIdx: ci, kind: kind}
+	idx.build(t.rows)
 	t.indexes[name] = idx
 	return idx, nil
+}
+
+// Copy returns a table with t's name, schema, rows, indexes and version. The
+// copy shares t's stored rows, which never change, and what views derive from
+// them until either table mutates (so statistics are collected once for both);
+// it owns everything a mutation edits — its row slice and its index contents —
+// so updating either table leaves the other as it was. Like a mutation, Copy
+// must not be called while the calling goroutine holds a view of t.
+func (t *Table) Copy() *Table {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	c := &Table{
+		name:    t.name,
+		schema:  t.schema,
+		rows:    slices.Clone(t.rows),
+		indexes: make(map[string]*Index, len(t.indexes)),
+		version: t.version,
+		virtual: t.virtual,
+	}
+	for name, ix := range t.indexes {
+		c.indexes[name] = ix.clone()
+	}
+	c.derived.Store(t.current())
+	return c
 }
 
 func equalFold(a, b string) bool {
@@ -192,6 +216,12 @@ type View struct {
 // View opens a view of the table's current version.
 func (t *Table) View() View {
 	t.mu.RLock()
+	return View{t: t, d: t.current()}
+}
+
+// current returns the derived record of the current version, installing an
+// empty one if a mutation dropped it; the caller holds the read lock.
+func (t *Table) current() *derived {
 	d := t.derived.Load()
 	if d == nil {
 		d = new(derived)
@@ -200,7 +230,7 @@ func (t *Table) View() View {
 			d = t.derived.Load()
 		}
 	}
-	return View{t: t, d: d}
+	return d
 }
 
 // Close releases the view; nothing may be read through it afterwards.
