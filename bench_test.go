@@ -15,7 +15,12 @@ import (
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/exec"
+	"repro/internal/exec/colbatch"
 	"repro/internal/experiment"
+	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 const (
@@ -537,6 +542,140 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 			if queries > 0 {
 				b.ReportMetric(float64(fed.Now()-start)/float64(queries), "vq_ms_per_query")
 				b.ReportMetric(float64(queries)/b.Elapsed().Seconds(), "queries/s")
+			}
+		})
+	}
+}
+
+// vbRelation builds an n-row relation with an int column a (n/50 distinct
+// values), a float column b, and a short string column c.
+func vbRelation(n int) *sqltypes.Relation {
+	rel := sqltypes.NewRelation(sqltypes.NewSchema(
+		sqltypes.Column{Name: "a", Type: sqltypes.KindInt},
+		sqltypes.Column{Name: "b", Type: sqltypes.KindFloat},
+		sqltypes.Column{Name: "c", Type: sqltypes.KindString},
+	))
+	mod := int64(max(n/50, 1))
+	for i := 0; i < n; i++ {
+		rel.Rows = append(rel.Rows, sqltypes.Row{
+			sqltypes.NewInt(int64(i) % mod),
+			sqltypes.NewFloat(float64(i) * 0.5),
+			sqltypes.NewString(fmt.Sprintf("v%03d", i%997)),
+		})
+	}
+	return rel
+}
+
+// vbValues wraps a relation as a Values leaf carrying both representations,
+// the steady state of a columnar pipeline (fragments arrive as batches): the
+// row engine reads Rel, the columnar engine Col.
+func vbValues(rel *sqltypes.Relation) *exec.Values {
+	return &exec.Values{Rel: rel, Col: colbatch.FromRelation(rel), Label: "bench"}
+}
+
+// BenchmarkVectorizedKernels times each operator kernel on the row engine and
+// on the columnar engine over the same operator tree.
+func BenchmarkVectorizedKernels(b *testing.B) {
+	col := func(name string) sqlparser.Expr { return &sqlparser.ColumnRef{Name: name} }
+	lit := func(v int64) sqlparser.Expr { return &sqlparser.Literal{Val: sqltypes.NewInt(v)} }
+	scanTab := storage.NewTable("bench_scan", sqltypes.NewSchema(
+		sqltypes.Column{Name: "a", Type: sqltypes.KindInt},
+		sqltypes.Column{Name: "b", Type: sqltypes.KindFloat},
+	))
+	for i := 0; i < 100_000; i++ {
+		scanTab.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i) * 0.25)})
+	}
+	big, mid := vbRelation(200_000), vbRelation(100_000)
+	joinLeft, joinRight := vbRelation(20_000), vbRelation(20_000)
+	kernels := []struct {
+		name string
+		op   exec.Operator
+	}{
+		{"scan", &exec.SeqScan{Table: scanTab, As: "t"}},
+		{"filter", &exec.Filter{
+			Input: vbValues(big),
+			Pred:  &sqlparser.BinaryExpr{Op: sqlparser.OpLt, Left: col("a"), Right: lit(2000)},
+		}},
+		{"project", &exec.Project{
+			Input: vbValues(big),
+			Items: []sqlparser.SelectItem{
+				{Expr: col("a")},
+				{Expr: &sqlparser.BinaryExpr{Op: sqlparser.OpMul, Left: col("b"), Right: col("b")}, Alias: "bb"},
+				{Expr: &sqlparser.BinaryExpr{Op: sqlparser.OpAdd, Left: col("a"), Right: lit(7)}, Alias: "a7"},
+			},
+		}},
+		{"agg", &exec.Aggregate{
+			Input: vbValues(big),
+			Aggs: []*sqlparser.AggExpr{
+				{Func: sqlparser.AggSum, Arg: col("b")},
+				{Func: sqlparser.AggMin, Arg: col("a")},
+				{Func: sqlparser.AggCount},
+			},
+		}},
+		{"agg_group", &exec.Aggregate{
+			Input:   vbValues(mid),
+			GroupBy: []sqlparser.Expr{col("a")},
+			Aggs:    []*sqlparser.AggExpr{{Func: sqlparser.AggSum, Arg: col("b")}, {Func: sqlparser.AggCount}},
+		}},
+		{"sort", &exec.Sort{
+			Input: vbValues(mid),
+			Keys:  []sqlparser.OrderItem{{Expr: col("a")}, {Expr: col("b"), Desc: true}},
+		}},
+		{"join", &exec.HashJoin{
+			Build: vbValues(joinLeft), Probe: vbValues(joinRight), BuildKey: col("b"), ProbeKey: col("b"),
+		}},
+	}
+	for _, k := range kernels {
+		for _, vectorized := range []bool{false, true} {
+			run := func() error {
+				if vectorized {
+					_, err := exec.ExecuteVectorized(k.op, &exec.Context{})
+					return err
+				}
+				_, err := k.op.Execute(&exec.Context{})
+				return err
+			}
+			engine := "row"
+			if vectorized {
+				engine = "vec"
+			}
+			b.Run(k.name+"/"+engine, func(b *testing.B) {
+				if err := run(); err != nil { // the columnar scan cache is part of the steady state
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkVectorizedEndToEnd times the streamed large-result query over the
+// slow link on each engine, both on the row wire. Its virtual outcome is not
+// checked here: the slow_link probe's two scan rows pin it.
+func BenchmarkVectorizedEndToEnd(b *testing.B) {
+	const query = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
+	for _, vectorized := range []bool{false, true} {
+		name := "row"
+		if vectorized {
+			name = "vec"
+		}
+		b.Run(name, func(b *testing.B) {
+			fed := slowLinkFederation(b)
+			fed.SetColumnarWire(false)
+			fed.SetVectorized(vectorized)
+			if _, err := fed.Query(query); err != nil { // warm the compile caches
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := fed.Query(query); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

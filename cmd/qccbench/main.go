@@ -6,14 +6,15 @@
 //	qccbench -exp table2  # Table 2: fixed vs dynamic assignment
 //	qccbench -exp fig10   # Figure 10: QCC vs fixed assignment 1
 //	qccbench -exp fig11   # Figure 11: QCC vs fixed assignment 2 (always S3)
-//	qccbench -exp wire    # columnar wire protocol grid (also writes BENCH_wire.json)
-//	qccbench -exp multitenant  # multi-tenant overload study (also writes BENCH_multitenant.json)
+//	qccbench -exp probes  # the pinned probe rows (TestProbesGolden)
+//	qccbench -exp multitenant  # multi-tenant overload study
 //	qccbench -exp all     # everything
 //
 // The -scale flag divides the paper's table sizes (1 = 100k-row large
 // tables, about half a minute for -exp all on two cores; the default 20 takes
 // a few seconds, and EXPERIMENTS.md lists the shapes that differ between the
-// two).
+// two). The probes run at their own fixed scales and seeds. Nothing is
+// written but standard output.
 package main
 
 import (
@@ -25,7 +26,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig9|table1|table2|fig10|fig11|network|lb|weighted|wire|multitenant|all")
+	exp := flag.String("exp", "all", "experiment: fig9|table1|table2|fig10|fig11|network|lb|weighted|probes|multitenant|all")
 	scale := flag.Int("scale", 20, "table-size divisor (1 = paper scale, 100k-row large tables)")
 	instances := flag.Int("instances", 10, "query instances per type")
 	seed := flag.Int64("seed", 42, "data-generation seed")
@@ -64,17 +65,15 @@ func main() {
 		weighted, err = fedqcc.RunWeightedRoutingStudy(opts, 0)
 		fail(err)
 	}
-	var wire fedqcc.WireStudyResult
-	if *exp == "wire" || *exp == "all" {
-		wire, err = fedqcc.RunWireStudy(opts)
+	var probes []fedqcc.ProbeRow
+	if *exp == "probes" || *exp == "all" {
+		probes, err = fedqcc.RunProbes()
 		fail(err)
-		fail(fedqcc.WriteWireStudy(wire, "BENCH_wire.json"))
 	}
 	var multitenant fedqcc.MultitenantStudyResult
 	if *exp == "multitenant" || *exp == "all" {
 		multitenant, err = fedqcc.RunMultitenantStudy(opts)
 		fail(err)
-		fail(fedqcc.WriteMultitenantStudy(multitenant, "BENCH_multitenant.json"))
 	}
 
 	switch *exp {
@@ -94,8 +93,8 @@ func main() {
 		fmt.Print(fedqcc.FormatLoadBalanceStudy(lb))
 	case "weighted":
 		fmt.Print(fedqcc.FormatWeightedRoutingStudy(weighted))
-	case "wire":
-		fmt.Print(fedqcc.FormatWireStudy(wire))
+	case "probes":
+		fmt.Print(fedqcc.FormatProbes(probes))
 	case "multitenant":
 		fmt.Print(fedqcc.FormatMultitenantStudy(multitenant))
 	case "all":
@@ -114,7 +113,7 @@ func main() {
 		fmt.Println()
 		fmt.Print(fedqcc.FormatWeightedRoutingStudy(weighted))
 		fmt.Println()
-		fmt.Print(fedqcc.FormatWireStudy(wire))
+		fmt.Print(fedqcc.FormatProbes(probes))
 		fmt.Println()
 		fmt.Print(fedqcc.FormatMultitenantStudy(multitenant))
 	default:

@@ -59,26 +59,15 @@ func RunWeightedRoutingStudy(opts ExperimentOptions, burst int) ([]WeightedOutco
 	return experiment.WeightedRoutingStudy(opts, burst)
 }
 
-// WireOutcome is one (shard count, ship mode) measurement of the columnar
-// wire study.
-type WireOutcome = experiment.WireOutcome
+// ProbeRow is one configuration of one probe: virtual latency, first row,
+// wire bytes and fragments per query, per-server executions, admission
+// outcomes and the query-level estimate error.
+type ProbeRow = experiment.ProbeRow
 
-// WireStudyResult is the full columnar-wire grid emitted to BENCH_wire.json.
-type WireStudyResult = experiment.WireStudyResult
-
-// RunWireStudy measures the typed columnar wire protocol against row
-// shipping: the sharded aggregate workload at 1/2/4/8 shards in all four
-// ship modes (row-ship, col-ship, pushdown, pushdown-col), reporting wire
-// bytes, virtual response time and min-of-trials wall time.
-func RunWireStudy(opts ExperimentOptions) (WireStudyResult, error) {
-	return experiment.WireStudy(opts)
-}
-
-// WriteWireStudy merges a wire study under the "wire" key of the given JSON
-// file, preserving any other keys already present.
-func WriteWireStudy(result WireStudyResult, path string) error {
-	return experiment.WriteWireStudy(result, path)
-}
+// RunProbes runs every probe — seeded federations with fixed statement lists,
+// each statement checked against a single-site oracle — and returns the rows
+// TestProbesGolden pins.
+func RunProbes() ([]ProbeRow, error) { return experiment.Probes() }
 
 // MultitenantOutcome is one scenario of the multi-tenant overload study.
 type MultitenantOutcome = experiment.MultitenantOutcome
@@ -86,8 +75,7 @@ type MultitenantOutcome = experiment.MultitenantOutcome
 // MultitenantTenantOutcome is one tenant's slice of a scenario outcome.
 type MultitenantTenantOutcome = experiment.MultitenantTenantOutcome
 
-// MultitenantStudyResult is the full multi-tenant study emitted to
-// BENCH_multitenant.json.
+// MultitenantStudyResult is the full multi-tenant study.
 type MultitenantStudyResult = experiment.MultitenantStudyResult
 
 // RunMultitenantStudy runs the multi-tenant overload scenarios
@@ -97,12 +85,6 @@ type MultitenantStudyResult = experiment.MultitenantStudyResult
 // Jain's fairness index and shed rates.
 func RunMultitenantStudy(opts ExperimentOptions) (MultitenantStudyResult, error) {
 	return experiment.MultitenantStudy(opts)
-}
-
-// WriteMultitenantStudy merges a multi-tenant study under the "multitenant"
-// key of the given JSON file, preserving any other keys already present.
-func WriteMultitenantStudy(result MultitenantStudyResult, path string) error {
-	return experiment.WriteMultitenantStudy(result, path)
 }
 
 // Report formatters for the paper's tables and figures.
@@ -123,8 +105,8 @@ var (
 	FormatLoadBalanceStudy = experiment.FormatLoadBalanceStudy
 	// FormatWeightedRoutingStudy renders the replica-routing comparison.
 	FormatWeightedRoutingStudy = experiment.FormatWeightedRoutingStudy
-	// FormatWireStudy renders the columnar wire protocol grid.
-	FormatWireStudy = experiment.FormatWireStudy
+	// FormatProbes renders probe rows, every float at full precision.
+	FormatProbes = experiment.FormatProbes
 	// FormatMultitenantStudy renders the multi-tenant overload scenarios.
 	FormatMultitenantStudy = experiment.FormatMultitenantStudy
 	// AverageGains summarizes a gain study.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // RandomQuery generates a random but always-valid federated SELECT over the
@@ -104,12 +105,20 @@ func GroundTruth(sc *scenario.Scenario, serverID, sql string) (*sqltypes.Relatio
 	if err != nil {
 		return nil, err
 	}
-	srv := sc.Servers[serverID]
+	rel, err := groundTruth(stmt, sc.Servers[serverID].Table)
+	if err != nil {
+		return nil, fmt.Errorf("difftest: %s: %w", serverID, err)
+	}
+	return rel, nil
+}
+
+// groundTruth runs the reference plan over the tables table names.
+func groundTruth(stmt *sqlparser.SelectStmt, table func(name string) *storage.Table) (*sqltypes.Relation, error) {
 	leaves := map[string]exec.Operator{}
 	for _, tr := range stmt.Tables() {
-		tab := srv.Table(tr.Name)
+		tab := table(tr.Name)
 		if tab == nil {
-			return nil, fmt.Errorf("difftest: %s lacks %s", serverID, tr.Name)
+			return nil, fmt.Errorf("no table %s", tr.Name)
 		}
 		leaves[tr.EffectiveName()] = &exec.SeqScan{Table: tab, As: tr.EffectiveName()}
 	}

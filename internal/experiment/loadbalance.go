@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/qcc"
 	"repro/internal/remote"
@@ -82,22 +83,7 @@ func runLBBurst(build func() (*scenario.Scenario, error), mode router.Mode, burs
 		}
 		times = append(times, float64(res.ResponseTime))
 	}
-	used := 0
-	var maxExec, totalExec int64
-	for _, srv := range sc.Servers {
-		n := srv.Executed()
-		totalExec += n
-		if n > 0 {
-			used++
-		}
-		if n > maxExec {
-			maxExec = n
-		}
-	}
-	maxShare := 0.0
-	if totalExec > 0 {
-		maxShare = float64(maxExec) / float64(totalExec)
-	}
+	used, maxShare, _ := spread(executions(sc, nil))
 	return LBOutcome{
 		Mode:        mode.String(),
 		AvgMS:       Mean(times),
@@ -155,21 +141,35 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 		burst = 60
 	}
 	build := scenario.ReplicatedFederations(scenario.ReplicatedOptions{Scale: opts.Scale, Seed: opts.Seed})
-	rr, err := runWeightedBurst(build, "round-robin", router.Policy{Mode: router.Global}, burst)
-	if err != nil {
-		return nil, fmt.Errorf("weighted study round-robin: %w", err)
+	var out []WeightedOutcome
+	for _, arm := range weightedArms {
+		m, q, err := runWeightedBurst(build, arm.routing, burst, nil)
+		if err != nil {
+			return nil, fmt.Errorf("weighted study %s: %w", arm.policy, err)
+		}
+		r := m.row("weighted", arm.policy)
+		used, maxShare, ratio := spread(r.Executions)
+		out = append(out, WeightedOutcome{
+			Policy:      arm.policy,
+			AvgMS:       r.MeanMS,
+			P50MS:       r.P50MS,
+			P95MS:       r.P95MS,
+			P99MS:       r.P99MS,
+			ServersUsed: used,
+			MaxShare:    maxShare,
+			UtilRatio:   ratio,
+			Switched:    q.Router.Stats().RescoreSwitches,
+		})
 	}
-	wt, err := runWeightedBurst(build, "weighted", router.Policy{Mode: router.Weighted, Rescore: true}, burst)
-	if err != nil {
-		return nil, fmt.Errorf("weighted study weighted: %w", err)
-	}
-	return []WeightedOutcome{rr, wt}, nil
+	return out, nil
 }
 
-func runWeightedBurst(build func() (*scenario.Scenario, error), policy string, routing router.Policy, burst int) (WeightedOutcome, error) {
+// runWeightedBurst runs the hotspot burst under one routing policy on a fresh
+// federation, checking rows against o when it is set.
+func runWeightedBurst(build func() (*scenario.Scenario, error), routing router.Policy, burst int, o *oracle) (*meter, *qcc.QCC, error) {
 	sc, err := build()
 	if err != nil {
-		return WeightedOutcome{}, err
+		return nil, nil, err
 	}
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
@@ -177,54 +177,41 @@ func runWeightedBurst(build func() (*scenario.Scenario, error), policy string, r
 		Routing:        routing,
 		DisableDaemons: true,
 	}, sc.II)
-
-	var times []float64
+	m := newMeter(sc, passThrough(sc), o)
 	for i := 0; i < burst; i++ {
-		res, err := sc.II.Query(weightedBurstQueries[i%len(weightedBurstQueries)])
-		if err != nil {
-			return WeightedOutcome{}, err
+		sql := weightedBurstQueries[i%len(weightedBurstQueries)]
+		res, err := sc.II.Query(sql)
+		if err := m.add(sql, res, err); err != nil {
+			return nil, nil, err
 		}
-		times = append(times, float64(res.ResponseTime))
 		// Both arms publish every query: calibration freshness is identical,
 		// only the routing policy differs.
 		q.PublishNow()
 	}
+	return m, q, nil
+}
 
-	used := 0
+// spread summarizes per-server execution counts: how many servers executed
+// anything, the largest share of the executions, and max/min (+Inf when a
+// server idled; 1 is perfectly even).
+func spread(execs map[string]int64) (used int, maxShare, ratio float64) {
 	maxExec, minExec := int64(0), int64(math.MaxInt64)
-	var totalExec int64
-	for _, srv := range sc.Servers {
-		n := srv.Executed()
-		totalExec += n
+	var total int64
+	for _, n := range execs {
+		total += n
 		if n > 0 {
 			used++
 		}
-		if n > maxExec {
-			maxExec = n
-		}
-		if n < minExec {
-			minExec = n
-		}
+		maxExec, minExec = max(maxExec, n), min(minExec, n)
 	}
-	maxShare := 0.0
-	if totalExec > 0 {
-		maxShare = float64(maxExec) / float64(totalExec)
+	if total > 0 {
+		maxShare = float64(maxExec) / float64(total)
 	}
-	ratio := math.Inf(1)
+	ratio = math.Inf(1)
 	if minExec > 0 {
 		ratio = float64(maxExec) / float64(minExec)
 	}
-	return WeightedOutcome{
-		Policy:      policy,
-		AvgMS:       Mean(times),
-		P50MS:       percentile(times, 0.50),
-		P95MS:       percentile(times, 0.95),
-		P99MS:       percentile(times, 0.99),
-		ServersUsed: used,
-		MaxShare:    maxShare,
-		UtilRatio:   ratio,
-		Switched:    q.Router.Stats().RescoreSwitches,
-	}, nil
+	return used, maxShare, ratio
 }
 
 // FormatWeightedRoutingStudy renders the replica-routing comparison.
@@ -242,18 +229,15 @@ func FormatWeightedRoutingStudy(outcomes []WeightedOutcome) string {
 	return out
 }
 
+// percentile returns the element at index ⌊p·(n−1)⌋ of the sorted sample (0
+// for an empty one).
 func percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
 	sorted := append([]float64(nil), xs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(p * float64(len(sorted)-1))
-	return sorted[idx]
+	sort.Float64s(sorted)
+	return sorted[int(p*float64(len(sorted)-1))]
 }
 
 // FormatLoadBalanceStudy renders the §4 study.

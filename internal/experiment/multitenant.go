@@ -6,11 +6,9 @@ package experiment
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 
 	"repro/internal/admission"
@@ -75,7 +73,8 @@ type MultitenantOutcome struct {
 	Tenants           []MultitenantTenantOutcome `json:"tenants"`
 }
 
-// MultitenantStudyResult is the full study emitted to BENCH_multitenant.json.
+// MultitenantStudyResult is the full study (its JSON form is the schema of
+// the BENCH_multitenant.json snapshot).
 type MultitenantStudyResult struct {
 	Seed      int64                `json:"seed"`
 	Scenarios []MultitenantOutcome `json:"scenarios"`
@@ -381,25 +380,6 @@ func MultitenantStudy(opts Options) (MultitenantStudyResult, error) {
 	}
 	out.Scenarios = append(out.Scenarios, isoOut)
 	return out, nil
-}
-
-// WriteMultitenantStudy merges the study under the "multitenant" key of the
-// given JSON file (other keys, if the file exists, are preserved).
-func WriteMultitenantStudy(result MultitenantStudyResult, path string) error {
-	doc := map[string]json.RawMessage{}
-	if buf, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(buf, &doc)
-	}
-	enc, err := json.Marshal(result)
-	if err != nil {
-		return err
-	}
-	doc["multitenant"] = enc
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // FormatMultitenantStudy renders the per-scenario tenant tables.

@@ -1,0 +1,168 @@
+package experiment
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+)
+
+var (
+	probesOnce   sync.Once
+	probesCached []ProbeRow
+	probesErr    error
+)
+
+// probeRows runs every probe once per test binary.
+func probeRows(t *testing.T) []ProbeRow {
+	t.Helper()
+	probesOnce.Do(func() { probesCached, probesErr = Probes() })
+	if probesErr != nil {
+		t.Fatal(probesErr)
+	}
+	return probesCached
+}
+
+// probeConfigs indexes one probe's rows by configuration.
+func probeConfigs(t *testing.T, probe string) map[string]ProbeRow {
+	t.Helper()
+	out := map[string]ProbeRow{}
+	for _, r := range probeRows(t) {
+		if r.Probe == probe {
+			out[r.Config] = r
+		}
+	}
+	if len(out) == 0 {
+		t.Fatalf("probe %s produced no rows", probe)
+	}
+	return out
+}
+
+// TestProbesGolden pins every probe row, every float at full precision. The
+// literals were captured when the probes were written, after checking that
+// every virtual and byte number of the study emitters they replaced reappears
+// in them; they are never re-captured to make a change pass. A change that
+// moves a row on purpose re-captures it (`go run ./cmd/qccbench -exp probes`)
+// and states the moved rows as its claim.
+func TestProbesGolden(t *testing.T) {
+	got := map[string]string{}
+	for _, r := range probeRows(t) {
+		got[r.Probe] += formatProbeRow(r)
+	}
+	for name, want := range goldenProbes {
+		if got[name] != want {
+			t.Errorf("probe %s drifted from its pinned rows:\n--- got\n%s--- want\n%s", name, got[name], want)
+		}
+	}
+	for name := range got {
+		if _, ok := goldenProbes[name]; !ok {
+			t.Errorf("probe %s has no pinned rows", name)
+		}
+	}
+}
+
+// TestShardedProbePushdownPays: at every sharded count pushdown ships fewer
+// bytes than shipping the rows, and four shards with pushdown answer faster
+// than one server.
+func TestShardedProbePushdownPays(t *testing.T) {
+	rows := probeConfigs(t, "sharded")
+	for _, n := range []int{2, 4, 8} {
+		push, ship := rows[fmt.Sprintf("shards=%d pushdown-col", n)], rows[fmt.Sprintf("shards=%d col-ship", n)]
+		if push.WireBytes >= ship.WireBytes {
+			t.Errorf("%d shards: pushdown ships %v B, not below shipping the rows (%v B)", n, push.WireBytes, ship.WireBytes)
+		}
+	}
+	if push4, one := rows["shards=4 pushdown-col"], rows["shards=1 pushdown-col"]; push4.MeanMS >= one.MeanMS {
+		t.Errorf("4-shard pushdown %v vms does not beat the unsharded %v vms", push4.MeanMS, one.MeanMS)
+	}
+}
+
+// TestWireProbeColumnsPay: at every sharded count the columnar wire ships at
+// least 2.5x fewer bytes than the row protocol and is no slower on the virtual
+// clock, columnar partial states ship fewer bytes than row ones, and every
+// mode returns the same rows.
+func TestWireProbeColumnsPay(t *testing.T) {
+	rows := probeConfigs(t, "wire")
+	for _, r := range rows {
+		if r.Rows != rows["shards=1 row-ship"].Rows {
+			t.Errorf("%s returned %d rows, %d unsharded", r.Config, r.Rows, rows["shards=1 row-ship"].Rows)
+		}
+	}
+	for _, n := range []int{2, 4, 8} {
+		key := func(mode string) ProbeRow { return rows[fmt.Sprintf("shards=%d %s", n, mode)] }
+		row, col := key("row-ship"), key("col-ship")
+		if ratio := row.WireBytes / col.WireBytes; ratio < 2.5 {
+			t.Errorf("%d shards: columnar wire cuts bytes %.2fx (row %v B, col %v B), under 2.5x", n, ratio, row.WireBytes, col.WireBytes)
+		}
+		if col.MeanMS > row.MeanMS {
+			t.Errorf("%d shards: col-ship %v vms slower than row-ship %v vms", n, col.MeanMS, row.MeanMS)
+		}
+		if push, pushCol := key("pushdown"), key("pushdown-col"); pushCol.WireBytes >= push.WireBytes {
+			t.Errorf("%d shards: pushdown-col ships %v B, not below pushdown's %v B", n, pushCol.WireBytes, push.WireBytes)
+		}
+	}
+}
+
+// TestWeightedProbeBeatsRoundRobin: over the hotspot burst the weighted router
+// beats round-robin on p99, uses at least two replicas, and no replica runs
+// more than three times the fragments of the least busy one.
+func TestWeightedProbeBeatsRoundRobin(t *testing.T) {
+	rows := probeConfigs(t, "weighted")
+	rr, wt := rows["round-robin"], rows["weighted"]
+	if wt.P99MS >= rr.P99MS {
+		t.Errorf("weighted p99 %v vms does not beat round-robin %v vms", wt.P99MS, rr.P99MS)
+	}
+	used, _, ratio := spread(wt.Executions)
+	if used < 2 {
+		t.Errorf("weighted routing used %d server(s); affinity must not collapse to one replica", used)
+	}
+	if ratio > 3 {
+		t.Errorf("weighted max/min executions %v over 3: a replica idles or the balance degraded", ratio)
+	}
+}
+
+// goldenProbes holds each probe's rendered rows (formatProbeRow), captured with
+// `go run ./cmd/qccbench -exp probes`.
+var goldenProbes = map[string]string{
+	"sharded": `sharded shards=1 pushdown-col: q=1 rows=4 mean=14.00535712594697 p50=14.00535712594697 p95=14.00535712594697 p99=14.00535712594697 first=14.00535712594697 wire=80 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.4849044801638698
+sharded shards=2 pushdown-col: q=1 rows=4 mean=13.538293797348485 p50=13.538293797348485 p95=13.538293797348485 p99=13.538293797348485 first=13.538293797348485 wire=171 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.35032081329767584
+sharded shards=2 col-ship: q=1 rows=4 mean=14.187740411931818 p50=14.187740411931818 p95=14.187740411931818 p99=14.187740411931818 first=14.187740411931818 wire=2380 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.009358413371566315
+sharded shards=4 pushdown-col: q=1 rows=4 mean=13.192115411931818 p50=13.192115411931818 p95=13.192115411931818 p99=13.192115411931818 first=13.192115411931818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.1890465934607423
+sharded shards=4 col-ship: q=1 rows=4 mean=13.676744318181818 p50=13.676744318181818 p95=13.676744318181818 p99=13.676744318181818 first=13.676744318181818 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.014059373624299482
+sharded shards=8 pushdown-col: q=1 rows=4 mean=13.062293797348485 p50=13.062293797348485 p95=13.062293797348485 p99=13.062293797348485 first=13.062293797348485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.11477663242074154
+sharded shards=8 col-ship: q=1 rows=4 mean=13.455068536931819 p50=13.455068536931819 p95=13.455068536931819 p99=13.455068536931819 first=13.455068536931819 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.016223362797014116
+`,
+	"wire": `wire shards=1 row-ship: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
+wire shards=1 col-ship: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
+wire shards=1 pushdown: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
+wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
+wire shards=2 row-ship: q=1 rows=4 mean=32.28722696231931 p50=32.28722696231931 p95=32.28722696231931 p99=32.28722696231931 first=21.55292400760135 wire=64409 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.1760460457119579
+wire shards=2 col-ship: q=1 rows=4 mean=22.180781649819313 p50=22.180781649819313 p95=22.180781649819313 p99=22.180781649819313 first=19.49530682010135 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.19938010970930764
+wire shards=2 pushdown: q=1 rows=4 mean=20.590145359848485 p50=20.590145359848485 p95=20.590145359848485 p99=20.590145359848485 first=20.590145359848485 wire=366 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.3524066335977745
+wire shards=2 pushdown-col: q=1 rows=4 mean=20.543758641098485 p50=20.543758641098485 p95=20.543758641098485 p99=20.543758641098485 first=20.543758641098485 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.359976190189879
+wire shards=4 row-ship: q=1 rows=4 mean=25.016514462624315 p50=25.016514462624315 p95=25.016514462624315 p99=25.016514462624315 first=21.294897118506494 wire=64441 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.1798208646767184
+wire shards=4 col-ship: q=1 rows=4 mean=19.990147275124315 p50=19.990147275124315 p95=19.990147275124315 p99=19.990147275124315 first=19.234866713902953 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.02640680523100255
+wire shards=4 pushdown: q=1 rows=4 mean=16.70838778409091 p50=16.70838778409091 p95=16.70838778409091 p99=16.70838778409091 first=16.70838778409091 wire=732 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5068965075068477
+wire shards=4 pushdown-col: q=1 rows=4 mean=16.66200106534091 p50=16.66200106534091 p95=16.66200106534091 p99=16.66200106534091 first=16.66200106534091 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5138756634181365
+wire shards=8 row-ship: q=1 rows=4 mean=21.582637362659902 p50=21.582637362659902 p95=21.582637362659902 p99=21.582637362659902 first=21.166185595786878 wire=64505 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.18786166738188145
+wire shards=8 col-ship: q=1 rows=4 mean=19.10682529585541 p50=19.10682529585541 p95=19.10682529585541 p99=19.10682529585541 first=19.10682529585541 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.08262692258905736
+wire shards=8 pushdown: q=1 rows=4 mean=14.874508996212121 p50=14.874508996212121 p95=14.874508996212121 p99=14.874508996212121 first=14.874508996212121 wire=1464 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9196535182931778
+wire shards=8 pushdown-col: q=1 rows=4 mean=14.827633996212121 p50=14.827633996212121 p95=14.827633996212121 p99=14.827633996212121 first=14.827633996212121 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9257221708302568
+`,
+	"weighted": `weighted round-robin: q=60 rows=60 mean=26.504217344865353 p50=25.94586407261105 p95=29.306849279207054 p99=29.40039325437537 first=26.504217344865353 wire=15 frags=1 exec=S1:20,S2:20,S3:20 admitted=60 shed=0 esterr=0.11127575584141462
+weighted weighted: q=60 rows=60 mean=20.064064506460184 p50=20.069427639366122 p95=24.250875011699943 p99=24.25124523427591 first=20.064064506460184 wire=15 frags=1 exec=S1:30,S2:15,S3:15 admitted=60 shed=0 esterr=0.07748928108586452
+`,
+	"admission": `admission interactive alone: q=4 rows=4 mean=12.251461505671074 p50=12.243277174554487 p95=12.25309279880609 p99=12.25309279880609 first=12.251461505671074 wire=20 frags=1 exec=S1:0,S2:0,S3:4 admitted=4 shed=0 esterr=0.039556133259502496
+admission interactive in burst: q=4 rows=4 mean=12.251461505671074 p50=12.243277174554487 p95=12.25309279880609 p99=12.25309279880609 first=12.251461505671074 wire=20 frags=1 exec=S1:0,S2:0,S3:6 admitted=6 shed=4 esterr=0.039556133259502496
+`,
+	"slow_link": `slow_link scan row: q=1 rows=9913 mean=3941.794584775112 p50=3941.794584775112 p95=3941.794584775112 p99=3941.794584775112 first=157.6539597751119 wire=198276 frags=1 exec=S1:1,S2:0 admitted=1 shed=0 esterr=0.4837023686503256
+slow_link scan vectorized: q=1 rows=9913 mean=3938.0612492897226 p50=3938.0612492897226 p95=3938.0612492897226 p99=3938.0612492897226 first=157.6539597751119 wire=198276 frags=1 exec=S1:1,S2:0 admitted=1 shed=0 esterr=0.4832129114920633
+slow_link join: q=1 rows=5 mean=2016.7371631645428 p50=2016.7371631645428 p95=2016.7371631645428 p99=2016.7371631645428 first=112.9376143975193 wire=100821 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.020452142727628617
+`,
+	"join_limit": `join_limit limit: q=2 rows=25 mean=36.54524519815307 p50=33.87925457258362 p95=33.87925457258362 p99=33.87925457258362 first=28.31322722153277 wire=39847.5 frags=2 exec=S1:2,S2:2 admitted=2 shed=0 esterr=0.3948286317491948
+`,
+	"adversarial_from": `adversarial_from split: q=1 rows=1 mean=39.09282305691621 p50=39.09282305691621 p95=39.09282305691621 p99=39.09282305691621 first=26.39787510457334 wire=51154 frags=3 exec=S1:2,S2:1 admitted=1 shed=0 esterr=0.5773180688366406
+adversarial_from adjacent: q=1 rows=1 mean=44.11733940020493 p50=44.11733940020493 p95=44.11733940020493 p99=44.11733940020493 first=31.70652557689626 wire=4489 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.02024161869792005
+`,
+	"blocking_join": `blocking_join blocking: q=3 rows=19 mean=43.73338125117416 p50=43.7555151134698 p95=43.7555151134698 p99=43.7555151134698 first=31.832417554019088 wire=30272.333333333332 frags=2 exec=S1:3,S2:3 admitted=3 shed=0 esterr=0.7108755821618148
+`,
+}

@@ -486,10 +486,17 @@ func (s *Server) ObserveAccess(res exec.Resources, tables []string) simclock.Tim
 		}
 	}
 	// Capacity: the pool holds at most PoolTables table-equivalents; excess
-	// residency evicts every table proportionally.
+	// residency evicts every table proportionally. The total is summed in
+	// table-name order: summed in map order it differed in the last bit from
+	// run to run, and so did the response times.
+	names := make([]string, 0, len(s.resident))
+	for tbl := range s.resident {
+		names = append(names, tbl)
+	}
+	sort.Strings(names)
 	var total float64
-	for _, r := range s.resident {
-		total += r
+	for _, tbl := range names {
+		total += s.resident[tbl]
 	}
 	if total > s.cache.PoolTables {
 		scale := s.cache.PoolTables / total

@@ -407,7 +407,12 @@ func TestTelemetryConcurrency(t *testing.T) {
 	tel.SetEnabled(true)
 	const workers = 8
 	const iters = 200
-	var wg sync.WaitGroup
+	// Every worker's first pass runs before the switch starts flipping, so
+	// the counter is updated however the rest interleaves: a disabled pass is
+	// so cheap that all of them could otherwise finish inside one disabled
+	// window.
+	var wg, firstPass sync.WaitGroup
+	firstPass.Add(workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -433,12 +438,16 @@ func TestTelemetryConcurrency(t *testing.T) {
 				reg.Gauge("qcc.calibration_factor", srv).Set(float64(i))
 				reg.Histogram("mw.response_ms", srv, nil).Observe(float64(i))
 				tel.AppendFactor(simclock.Time(i), srv, 1.0)
+				if i == 0 {
+					firstPass.Done()
+				}
 			}
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		firstPass.Wait()
 		for i := 0; i < iters; i++ {
 			tel.SetEnabled(i%2 == 0)
 			_ = tel.Tracer().Traces()

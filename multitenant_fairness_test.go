@@ -18,6 +18,16 @@ import (
 	"repro/internal/workload"
 )
 
+// mtFederation builds the paper federation the tenant tests share.
+func mtFederation(tb testing.TB) *Federation {
+	tb.Helper()
+	fed, err := NewPaperFederation(FederationOptions{Scale: 100, Seed: 7})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return fed
+}
+
 // mtTestStatement returns one cheap query every burst below reuses: identical
 // statements give identical calibrated costs, so weighted-fair grant counts
 // mirror served-cost shares exactly.
@@ -82,7 +92,7 @@ func mtLogTenant(tb testing.TB, fed *Federation, name string) QueryLogTenantStat
 // one at a time in weighted-fair order. Gold must take roughly three of every
 // four early grants, and bronze must accumulate the larger queue wait.
 func TestTenantWeightedSharesFederation(t *testing.T) {
-	fed := admBenchFederation(t)
+	fed := mtFederation(t)
 	adm := fed.Admission()
 	adm.RegisterTenant(Tenant{Name: "gold", Weight: 3})
 	adm.RegisterTenant(Tenant{Name: "bronze", Weight: 1})
@@ -171,7 +181,7 @@ func TestTenantWeightedSharesFederation(t *testing.T) {
 // tenant still queues freely and both parked queries complete once the slot
 // frees.
 func TestTenantQuotaShedFederation(t *testing.T) {
-	fed := admBenchFederation(t)
+	fed := mtFederation(t)
 	adm := fed.Admission()
 	adm.RegisterTenant(Tenant{Name: "limited", Weight: 1, MaxQueue: 1})
 	adm.RegisterTenant(Tenant{Name: "free", Weight: 1})

@@ -5,7 +5,7 @@
 package fedqcc_test
 
 import (
-	"os"
+	"fmt"
 	"testing"
 
 	fedqcc "repro"
@@ -71,12 +71,36 @@ func TestWireSameAnswers(t *testing.T) {
 	}
 }
 
-// wireShardedFed builds a vectorized sharded federation for wire tests.
+// shardedQuery is aggregate-heavy: with pushdown each shard ships a handful of
+// partial-aggregate states, without it the columns the aggregation reads.
+const shardedQuery = "SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag"
+
+// queryWireBytes runs sql once and returns the result plus the bytes every
+// remote fragment shipped for that query: the OutBytes of the run entries the
+// journal holds under the query's ID.
+func queryWireBytes(fed *fedqcc.Federation, sql string) (*fedqcc.QueryResult, int, error) {
+	res, err := fed.Query(sql)
+	if err != nil {
+		return nil, 0, err
+	}
+	rec, ok := fed.QueryRecord(res.ID)
+	if !ok {
+		return nil, 0, fmt.Errorf("query %d has no journal record", res.ID)
+	}
+	bytes := 0
+	for _, run := range rec.Runs {
+		bytes += run.OutBytes
+	}
+	return res, bytes, nil
+}
+
+// wireShardedFed builds a vectorized sharded federation for wire tests
+// (scale 400: 2 000 lineitem rows).
 func wireShardedFed(t testing.TB, shards int, pushdown, wire bool) *fedqcc.Federation {
 	t.Helper()
 	fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{
 		Shards: shards,
-		Scale:  shardedBenchScale,
+		Scale:  400,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -94,15 +118,15 @@ func TestWireShipsFewerBytes(t *testing.T) {
 	rowFed := wireShardedFed(t, 4, false, false)
 	wireFed := wireShardedFed(t, 4, false, true)
 	for _, warm := range []*fedqcc.Federation{rowFed, wireFed} {
-		if _, err := warm.Query(shardedBenchQuery); err != nil {
+		if _, err := warm.Query(shardedQuery); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rowRes, rowBytes, err := queryWireBytes(rowFed, shardedBenchQuery)
+	rowRes, rowBytes, err := queryWireBytes(rowFed, shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireRes, wireBytes, err := queryWireBytes(wireFed, shardedBenchQuery)
+	wireRes, wireBytes, err := queryWireBytes(wireFed, shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +172,11 @@ func shipModes(fed *fedqcc.Federation) map[string]bool {
 func TestWirePushdownColumnarStates(t *testing.T) {
 	rowFed := wireShardedFed(t, 4, true, false)
 	wireFed := wireShardedFed(t, 4, true, true)
-	rowRes, err := rowFed.Query(shardedBenchQuery)
+	rowRes, err := rowFed.Query(shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireRes, err := wireFed.Query(shardedBenchQuery)
+	wireRes, err := wireFed.Query(shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,19 +196,5 @@ func TestWirePushdownColumnarStates(t *testing.T) {
 	}
 	if seen := shipModes(rowFed); !seen["pushdown"] || len(seen) != 1 {
 		t.Errorf("row-protocol ship modes = %v, want pushdown only", seen)
-	}
-}
-
-// TestWireSmoke is the WIRE_CHECK CI gate entry point — see bench_wire_test.go
-// for the measured floors. This test only guards that the gate is wired: it
-// fails fast if the flag plumbing is broken.
-func TestWireSmoke(t *testing.T) {
-	if os.Getenv("WIRE_CHECK") != "1" {
-		t.Skip("set WIRE_CHECK=1 to enforce the columnar wire floors")
-	}
-	result := measureWireStudy(t.Fatalf)
-	requireWireFloors(t, result)
-	if err := writeWireBenchFile(result); err != nil {
-		t.Fatal(err)
 	}
 }
