@@ -421,78 +421,6 @@ func TestResourcesAddString(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	orders := ordersTable(t, 100)
-	cust := custTable(t, 10)
-	mj := &MergeJoin{
-		Left:     &SeqScan{Table: cust, As: "c"},
-		Right:    &SeqScan{Table: orders, As: "o"},
-		LeftKey:  mustExpr(t, "c.c_id"),
-		RightKey: mustExpr(t, "o.o_custkey"),
-	}
-	hj := &HashJoin{
-		Build:    &SeqScan{Table: cust, As: "c"},
-		Probe:    &SeqScan{Table: orders, As: "o"},
-		BuildKey: mustExpr(t, "c.c_id"),
-		ProbeKey: mustExpr(t, "o.o_custkey"),
-	}
-	mrel, mres := run(t, mj)
-	hrel, _ := run(t, hj)
-	if mrel.Cardinality() != hrel.Cardinality() {
-		t.Fatalf("merge %d vs hash %d", mrel.Cardinality(), hrel.Cardinality())
-	}
-	if mres.CPUOps <= 0 {
-		t.Fatal("merge join must charge cpu")
-	}
-	// Duplicate-key runs: every (c,o) pair with matching keys appears once.
-	ci, _ := mrel.Schema.ColumnIndex("c", "c_id")
-	oi, _ := mrel.Schema.ColumnIndex("o", "o_custkey")
-	for _, row := range mrel.Rows {
-		if row[ci].Int() != row[oi].Int() {
-			t.Fatalf("mismatched merge row: %v", row)
-		}
-	}
-}
-
-func TestMergeJoinResidualAndNullKeys(t *testing.T) {
-	schema := sqltypes.NewSchema(
-		sqltypes.Column{Table: "a", Name: "k", Type: sqltypes.KindInt},
-		sqltypes.Column{Table: "a", Name: "v", Type: sqltypes.KindInt},
-	)
-	rel := sqltypes.NewRelation(schema)
-	rel.Rows = []sqltypes.Row{
-		{sqltypes.NewInt(1), sqltypes.NewInt(10)},
-		{sqltypes.Null, sqltypes.NewInt(99)},
-		{sqltypes.NewInt(2), sqltypes.NewInt(20)},
-	}
-	schema2 := sqltypes.NewSchema(
-		sqltypes.Column{Table: "b", Name: "k", Type: sqltypes.KindInt},
-		sqltypes.Column{Table: "b", Name: "w", Type: sqltypes.KindInt},
-	)
-	rel2 := sqltypes.NewRelation(schema2)
-	rel2.Rows = []sqltypes.Row{
-		{sqltypes.NewInt(1), sqltypes.NewInt(5)},
-		{sqltypes.NewInt(1), sqltypes.NewInt(6)},
-		{sqltypes.Null, sqltypes.NewInt(7)},
-		{sqltypes.NewInt(2), sqltypes.NewInt(8)},
-	}
-	mj := &MergeJoin{
-		Left:     &Values{Rel: rel},
-		Right:    &Values{Rel: rel2},
-		LeftKey:  mustExpr(t, "a.k"),
-		RightKey: mustExpr(t, "b.k"),
-		Residual: mustExpr(t, "b.w > 5"),
-	}
-	out, _ := run(t, mj)
-	// Matches: k=1 × {5,6} residual keeps 6; k=2 × {8} keeps 8. NULLs drop.
-	if out.Cardinality() != 2 {
-		t.Fatalf("rows: %d\n%s", out.Cardinality(), out)
-	}
-	if !strings.Contains(mj.Explain(), "MERGEJOIN") {
-		t.Fatal("explain")
-	}
-}
-
 func TestIndexNLJoinDirect(t *testing.T) {
 	orders := ordersTable(t, 100)
 	cust := custTable(t, 10)
@@ -557,8 +485,6 @@ func TestExplainTreeCoversAllOperators(t *testing.T) {
 		&Aggregate{Input: &SeqScan{Table: orders, As: "o"}, Aggs: []*sqlparser.AggExpr{{Func: sqlparser.AggCount}}},
 		&HashJoin{Build: &SeqScan{Table: cust, As: "c"}, Probe: &SeqScan{Table: orders, As: "o"},
 			BuildKey: mustExpr(t, "c.c_id"), ProbeKey: mustExpr(t, "o.o_custkey"), Residual: mustExpr(t, "o.o_id > 0")},
-		&MergeJoin{Left: &SeqScan{Table: cust, As: "c"}, Right: &SeqScan{Table: orders, As: "o"},
-			LeftKey: mustExpr(t, "c.c_id"), RightKey: mustExpr(t, "o.o_custkey"), Residual: mustExpr(t, "o.o_id > 0")},
 		&NestedLoopJoin{Outer: &SeqScan{Table: cust, As: "c"}, Inner: &SeqScan{Table: orders, As: "o"}},
 		&IndexNLJoin{Outer: &SeqScan{Table: cust, As: "c"}, Inner: orders, Index: indexOn(orders, "o_custkey"),
 			InnerAs: "o", OuterKey: mustExpr(t, "c.c_id")},

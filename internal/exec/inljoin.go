@@ -51,7 +51,7 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 // fetched row is one more cache-friendly page touch. Both kernels call it, so
 // they charge the same floating-point expression over the same two counts.
 func (j *IndexNLJoin) charge(ctx *Context, iv storage.IndexView, probes, fetches float64) {
-	descent := indexDescent(iv)
+	descent := IndexDescent(float64(iv.Len()))
 	ctx.Res.CachedPages += probes*descent + fetches
 	ctx.Res.CPUOps += probes*(descent+1) + fetches
 }

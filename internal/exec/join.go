@@ -121,6 +121,12 @@ func (j *NestedLoopJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return nestedLoopRel(j, outer, inner, ctx)
+}
+
+// nestedLoopRel is the row-level join kernel, shared by Execute and the
+// vectorized path's rerun (which has already executed both children).
+func nestedLoopRel(j *NestedLoopJoin, outer, inner *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	outSchema := outer.Schema.Concat(inner.Schema)
 	out := sqltypes.NewRelation(outSchema)
 	for _, orow := range outer.Rows {
@@ -138,8 +144,14 @@ func (j *NestedLoopJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 			out.Rows = append(out.Rows, joined)
 		}
 	}
-	ctx.Res.CPUOps += float64(len(outer.Rows)) * float64(len(inner.Rows))
+	j.charge(ctx, len(outer.Rows), len(inner.Rows))
 	return out, nil
+}
+
+// charge accounts a finished join: one op per candidate pair. Both kernels
+// call it.
+func (j *NestedLoopJoin) charge(ctx *Context, outer, inner int) {
+	ctx.Res.CPUOps += float64(outer) * float64(inner)
 }
 
 // Explain implements Operator.

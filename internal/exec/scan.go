@@ -111,36 +111,50 @@ func (s *IndexScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	v := s.Table.View()
 	defer v.Close()
 	ctx.read(v)
-	iv, err := v.Index(s.Index)
+	iv, positions, err := s.lookup(v)
 	if err != nil {
 		return nil, err
-	}
-	var positions []int
-	if s.Probe.Eq != nil {
-		positions = iv.LookupEq(*s.Probe.Eq)
-	} else {
-		positions = iv.LookupRange(s.Probe.Lo, s.Probe.Hi, s.Probe.LoInclusive, s.Probe.HiInclusive)
-		if positions == nil && s.Index.Kind() == storage.IndexHash {
-			return nil, fmt.Errorf("exec: hash index %s cannot serve range probe", s.Index.Name())
-		}
 	}
 	out := sqltypes.NewRelation(s.Schema())
 	rows := v.Rows()
 	for _, pos := range positions {
 		out.Rows = append(out.Rows, rows[pos])
 	}
-	// Every fetched row is one buffer-pool page touch: random access does
-	// not get sequential-scan batching.
-	descent, fetched := indexDescent(iv), float64(len(positions))
-	ctx.Res.CachedPages += descent + fetched
-	ctx.Res.CPUOps += descent + fetched
+	s.charge(ctx, iv, len(positions))
 	return out, nil
 }
 
-// indexDescent is what one probe of the index is charged: ~log2 of its
-// entries.
-func indexDescent(iv storage.IndexView) float64 {
-	n := float64(iv.Len())
+// lookup opens the index through the view and returns the positions of the
+// rows the probe matches, in the order the row kernel emits them. Both
+// kernels call it.
+func (s *IndexScan) lookup(v storage.View) (storage.IndexView, []int, error) {
+	iv, err := v.Index(s.Index)
+	if err != nil {
+		return iv, nil, err
+	}
+	if s.Probe.Eq != nil {
+		return iv, iv.LookupEq(*s.Probe.Eq), nil
+	}
+	positions := iv.LookupRange(s.Probe.Lo, s.Probe.Hi, s.Probe.LoInclusive, s.Probe.HiInclusive)
+	if positions == nil && s.Index.Kind() == storage.IndexHash {
+		return iv, nil, fmt.Errorf("exec: hash index %s cannot serve range probe", s.Index.Name())
+	}
+	return iv, positions, nil
+}
+
+// charge accounts a finished scan: one descent, and every fetched row is one
+// buffer-pool page touch (random access does not get sequential-scan
+// batching). Both kernels call it.
+func (s *IndexScan) charge(ctx *Context, iv storage.IndexView, fetched int) {
+	descent := IndexDescent(float64(iv.Len()))
+	ctx.Res.CachedPages += descent + float64(fetched)
+	ctx.Res.CPUOps += descent + float64(fetched)
+}
+
+// IndexDescent is what one probe of an index of n entries is charged: ~log2
+// of n. The kernels pass the index's entry count, the estimator the table's
+// row count.
+func IndexDescent(n float64) float64 {
 	descent := 1.0
 	if n > 2 {
 		descent += math.Log2(n) / 4

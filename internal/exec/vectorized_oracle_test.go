@@ -22,9 +22,9 @@ import (
 // resource charges, same error/no-error outcome. This file checks the
 // contract on randomized relations (NULL-heavy, kind-mixed) under
 // randomized plans of filters, projections, sorts, aggregations, distinct,
-// limit, hash joins and index nested-loop joins, plus targeted edge cases
-// (empty inputs, all-NULL columns, selection-vector chains, hash collisions,
-// an inner table rewritten while it is probed).
+// limit, index scans, hash, index nested-loop and nested-loop joins, plus
+// targeted edge cases (empty inputs, all-NULL columns, selection-vector
+// chains, hash collisions, a table rewritten while it is read).
 
 type oracleGen struct {
 	rng *rand.Rand
@@ -449,6 +449,87 @@ func TestVectorizedOracleIndexNLJoin(t *testing.T) {
 	}
 }
 
+// TestVectorizedOracleIndexScan checks the columnar index scan against the row
+// kernel: equality and range probes (open, half-open and closed bounds) on a
+// sorted index and equality on a hash index, over NULL-heavy, kind-mixed tables
+// with duplicate keys, under random operators. The kernel selects the table's
+// own columns rather than copying rows; a probe that matches nothing returns
+// what the row kernel's empty result encodes to, byte for byte; and a range
+// probe on a hash index fails with the row kernel's text.
+func TestVectorizedOracleIndexScan(t *testing.T) {
+	empty := 0
+	for seed := int64(4000); seed < 4120; seed++ {
+		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
+		n := g.rng.Intn(60)
+		if seed%10 == 0 {
+			n = 0
+		}
+		rel := g.relation("t", n)
+		col := g.rng.Intn(4)
+		kind := storage.IndexSorted
+		if seed%3 == 0 {
+			kind = storage.IndexHash
+		}
+		tab, idx := indexedTable(t, "t", rel, col, kind)
+		key := func() *sqltypes.Value {
+			v := g.value(rel.Schema.Columns[col].Type, 0.1)
+			if n > 0 && g.rng.Intn(2) == 0 {
+				v = rel.Rows[g.rng.Intn(n)][col]
+			}
+			return &v
+		}
+		var probe IndexProbe
+		if kind == storage.IndexHash || g.rng.Intn(3) == 0 {
+			probe.Eq = key()
+		} else {
+			if g.rng.Intn(4) != 0 {
+				probe.Lo, probe.LoInclusive = key(), g.rng.Intn(2) == 0
+			}
+			if g.rng.Intn(4) != 0 {
+				probe.Hi, probe.HiInclusive = key(), g.rng.Intn(2) == 0
+			}
+		}
+		scan := &IndexScan{Table: tab, Index: idx, Probe: probe, As: "t"}
+		label := fmt.Sprintf("seed %d: %s", seed, scan.Explain())
+		checkOracle(t, label, g.plan(scan, g.rng.Intn(3)))
+
+		want, err := scan.Execute(&Context{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		got, err := ExecuteVectorized(scan, &Context{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if len(want.Rows) == 0 {
+			empty++
+			if enc, rowEnc := colbatch.Encode(got).Data, colbatch.Encode(colbatch.FromRelation(want)).Data; string(enc) != string(rowEnc) {
+				t.Fatalf("%s: an empty result encodes to %d bytes, the row kernel's to %d", label, len(enc), len(rowEnc))
+			}
+			continue
+		}
+		v := tab.View()
+		stored := v.Columns()
+		v.Close()
+		for c := range got.Cols {
+			if got.Cols[c] != stored[c] {
+				t.Fatalf("%s: column %d is not the table's stored column", label, c)
+			}
+		}
+	}
+	if empty < 15 {
+		t.Fatalf("only %d of 120 probes matched nothing", empty)
+	}
+
+	tab, idx := indexedTable(t, "t", intKeys("k", 10, func(i int) int64 { return int64(i % 4) }), 0, storage.IndexHash)
+	lo := sqltypes.NewInt(1)
+	scan := &IndexScan{Table: tab, Index: idx, Probe: IndexProbe{Lo: &lo}, As: "t"}
+	checkOracle(t, "range probe on a hash index", scan)
+	if _, err := ExecuteVectorized(scan, &Context{}); err == nil || err.Error() != "exec: hash index t_ix cannot serve range probe" {
+		t.Fatalf("range probe on a hash index: err %v", err)
+	}
+}
+
 // tableMutation is one step of a recorded update load: an UpdateAt, or the
 // Append of one row.
 type tableMutation struct {
@@ -464,24 +545,26 @@ func (m tableMutation) apply(tab *storage.Table) error {
 	return tab.UpdateAt(m.row, m.col, m.val)
 }
 
-// TestVectorizedIndexNLJoinUnderUpdates reads a table while a writer rewrites
+// TestVectorizedIndexReadsUnderUpdates reads a table while a writer rewrites
 // it (run under -race): the writer UpdateAts the indexed join column and a
 // non-indexed one and Appends rows, the readers are the index nested-loop
-// join, an index range scan and the sequential scan, each on both kernels.
+// join, an index range scan, an index equality scan and the sequential scan,
+// each on both kernels.
 // Every execution reads through exactly one storage view, so its result must
 // be, bit for bit, what the row kernel answers serially on a table replayed up
 // to the version the execution was stamped with — and every joined row must
 // pair an outer key with an equal inner key. Once the writer stops, both
 // kernels must agree on rows and charges.
-func TestVectorizedIndexNLJoinUnderUpdates(t *testing.T) {
+func TestVectorizedIndexReadsUnderUpdates(t *testing.T) {
 	const rows, maxRows, keys, runs = 400, 600, 450, 40
 	outerRel := intKeys("k", 300, func(i int) int64 { return int64(i * 2 % keys) })
-	lo, hi := sqltypes.NewInt(100), sqltypes.NewInt(199)
+	lo, hi, eq := sqltypes.NewInt(100), sqltypes.NewInt(199), sqltypes.NewInt(150)
 	plansOn := func(tab *storage.Table) []Operator {
 		pk := indexOn(tab, "o_id")
 		return []Operator{
 			&IndexNLJoin{Outer: &Values{Rel: outerRel}, Inner: tab, Index: pk, InnerAs: "o", OuterKey: &sqlparser.ColumnRef{Name: "k"}},
 			&IndexScan{Table: tab, Index: pk, Probe: IndexProbe{Lo: &lo, Hi: &hi, LoInclusive: true, HiInclusive: true}, As: "o"},
+			&IndexScan{Table: tab, Index: pk, Probe: IndexProbe{Eq: &eq}, As: "o"},
 			&SeqScan{Table: tab, As: "o"},
 		}
 	}
@@ -639,20 +722,83 @@ func TestVectorizedIndexNLJoinStaleMemo(t *testing.T) {
 	}
 }
 
-func TestVectorizedOracleNestedLoopFallback(t *testing.T) {
-	// NestedLoopJoin has no vectorized kernel: the subtree must run the row
-	// engine and still satisfy the contract.
-	for seed := int64(2000); seed < 2020; seed++ {
+// TestVectorizedOracleNestedLoopJoin checks the columnar nested-loop join
+// against the row kernel: random predicates, or none (the cross product), over
+// random inputs with empty sides and with candidate pairs spanning several
+// blocks, and a predicate that fails to evaluate, where the row kernel's error
+// text must come back.
+func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
+	engaged := 0
+	for seed := int64(2000); seed < 2060; seed++ {
 		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
-		left := g.relation("l", g.rng.Intn(15))
-		right := g.relation("r", g.rng.Intn(15))
-		join := &NestedLoopJoin{
-			Outer: &Values{Rel: left},
-			Inner: &Values{Rel: right},
-			Pred:  g.expr(left.Schema.Concat(right.Schema), 2),
+		ln, rn := g.rng.Intn(15), g.rng.Intn(15)
+		switch seed % 10 {
+		case 0:
+			ln = 0
+		case 1:
+			rn = 0
+		case 2:
+			ln, rn = 100+g.rng.Intn(60), 50+g.rng.Intn(30) // 5 000 to 12 600 candidate pairs
 		}
-		op := g.plan(join, g.rng.Intn(3))
-		checkOracle(t, fmt.Sprintf("seed %d", seed), op)
+		left, right := g.relation("l", ln), g.relation("r", rn)
+		join := &NestedLoopJoin{Outer: &Values{Rel: left}, Inner: &Values{Rel: right}}
+		if seed%5 != 4 {
+			join.Pred = g.expr(left.Schema.Concat(right.Schema), 2)
+		}
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(3)))
+		if _, err := nestedLoopBatch(join, colbatch.FromRelation(left), colbatch.FromRelation(right)); err == nil {
+			engaged++
+		}
+	}
+	if engaged < 40 {
+		t.Fatalf("the columnar kernel ran for %d of 60 plans; the rest only compared the row kernel with itself", engaged)
+	}
+
+	// 120 × 90 candidate pairs are three blocks, and every block keeps rows.
+	outer := intKeys("a", 120, func(i int) int64 { return int64(i) })
+	inner := intKeys("b", 90, func(i int) int64 { return int64(i * 3) })
+	mod := func(col string, n int64) sqlparser.Expr {
+		return &sqlparser.FuncExpr{Name: "MOD", Args: []sqlparser.Expr{&sqlparser.ColumnRef{Name: col}, &sqlparser.Literal{Val: sqltypes.NewInt(n)}}}
+	}
+	join := &NestedLoopJoin{Outer: &Values{Rel: outer}, Inner: &Values{Rel: inner},
+		Pred: &sqlparser.BinaryExpr{Op: sqlparser.OpEq, Left: mod("a", 7), Right: mod("b", 5)}}
+	if pairs := 120 * 90; pairs < 2*nestedLoopBlock {
+		t.Fatalf("%d candidate pairs fill fewer than three blocks of %d", pairs, nestedLoopBlock)
+	}
+	checkOracle(t, "several blocks", join)
+	out, err := nestedLoopBatch(join, colbatch.FromRelation(outer), colbatch.FromRelation(inner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, last := out.Value(0, 0).Int(), out.Value(out.Len()-1, 0).Int(); first > 10 || last < 110 {
+		t.Fatalf("output runs from outer key %d to %d; want rows from the first and the last block", first, last)
+	}
+
+	// UPPER of an integer fails on the first pair: the rerun's error is the row
+	// kernel's.
+	join.Pred = &sqlparser.BinaryExpr{Op: sqlparser.OpEq,
+		Left:  &sqlparser.FuncExpr{Name: "UPPER", Args: []sqlparser.Expr{&sqlparser.ColumnRef{Name: "a"}}},
+		Right: &sqlparser.Literal{Val: sqltypes.NewString("x")}}
+	checkOracle(t, "failing predicate", join)
+	if _, err := ExecuteVectorized(join, &Context{}); err == nil || !strings.Contains(err.Error(), "UPPER on INTEGER") {
+		t.Fatalf("failing predicate: err %v, want the row kernel's UPPER error", err)
+	}
+}
+
+// opaque is an operator no columnar kernel knows.
+type opaque struct{ *Values }
+
+// TestExecuteVectorizedRefusesAnOperatorWithoutKernel: the columnar engine
+// never hands a subtree to the row engine. An operator it has no kernel for
+// fails the execution by name, wherever it sits in the tree.
+func TestExecuteVectorizedRefusesAnOperatorWithoutKernel(t *testing.T) {
+	leaf := opaque{&Values{Rel: intKeys("k", 3, func(i int) int64 { return int64(i) })}}
+	op := &Filter{Input: leaf, Pred: &sqlparser.BinaryExpr{Op: sqlparser.OpGt, Left: &sqlparser.ColumnRef{Name: "k"}, Right: &sqlparser.Literal{Val: sqltypes.NewInt(0)}}}
+	if _, err := op.Execute(&Context{}); err != nil {
+		t.Fatalf("row engine: %v", err)
+	}
+	if _, err := ExecuteVectorized(op, &Context{}); err == nil || err.Error() != "exec: no columnar kernel for exec.opaque" {
+		t.Fatalf("columnar engine: err %v, want the missing kernel named", err)
 	}
 }
 

@@ -69,8 +69,9 @@ func (s *BatchStream) Children() []Operator { return nil }
 // batchwise marks the operators that turn every batch of one input into one
 // output batch. All others emit a single batch: leaves, and the blocking
 // operators, which read their input to its end first — Sort, the hash join's
-// build side and the index join's outer side collect it into one batch,
-// aggregation (plain and shard-final) folds it batch by batch.
+// build side, the index join's outer side and both sides of the nested-loop
+// join collect it into one batch, aggregation (plain and shard-final) folds it
+// batch by batch.
 type batchwise interface{ batchInput() Operator }
 
 func (f *Filter) batchInput() Operator   { return f.Input }
@@ -87,11 +88,10 @@ func (j *HashJoin) batchInput() Operator { return j.Probe }
 // batch boundaries fall; over a single batch the additions to ctx.Res happen
 // in the row engine's order.
 //
-// Operators without a vectorized kernel (only index scans, nested-loop and
-// merge joins are left) execute their whole subtree through the row engine
-// and decompose the result. Kernels that hit an unsupported expression shape
-// or an eval error rerun the row kernel over the batch at hand; see vexpr.go
-// for why that reproduces the row path's outcome exactly.
+// Every operator the planners emit has a kernel here; any other operator is an
+// error, never a trip through the row engine. Kernels that hit an unsupported
+// expression shape or an eval error rerun the row kernel over the batch at
+// hand; see vexpr.go for why that reproduces the row path's outcome exactly.
 type pipe struct {
 	op  Operator
 	ctx *Context
@@ -187,6 +187,23 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		ctx.Res.CPUOps += float64(n)
 		return colbatch.New(x.Schema(), v.Columns(), n), nil
 
+	case *IndexScan:
+		v := x.Table.View()
+		defer v.Close()
+		ctx.read(v)
+		iv, positions, err := x.lookup(v)
+		if err != nil {
+			return nil, err
+		}
+		x.charge(ctx, iv, len(positions))
+		schema := x.Schema()
+		if len(positions) == 0 {
+			// The row kernel's empty result: columns without a kind, which
+			// ship in fewer bytes than typed empty ones.
+			return colbatch.FromRelation(sqltypes.NewRelation(schema)), nil
+		}
+		return colbatch.NewSelected(schema, v.Columns(), positions), nil
+
 	case *Filter:
 		sel, verr := evalPredicate(x.Pred, in)
 		if verr != nil {
@@ -260,6 +277,23 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		}
 		return out, nil
 
+	case *NestedLoopJoin:
+		// Outer first, then inner: the row kernel's charge order.
+		outer, err := open(x.Outer, ctx).drain()
+		if err != nil {
+			return nil, err
+		}
+		inner, err := open(x.Inner, ctx).drain()
+		if err != nil {
+			return nil, err
+		}
+		out, verr := nestedLoopBatch(x, outer, inner)
+		if verr != nil {
+			return boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation(), ctx))
+		}
+		x.charge(ctx, outer.Len(), inner.Len())
+		return out, nil
+
 	case *ShardAggFinal:
 		merger := x.newMerger()
 		for {
@@ -277,7 +311,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		}
 
 	default:
-		return boxed(p.op.Execute(ctx))
+		return nil, fmt.Errorf("exec: no columnar kernel for %T", p.op)
 	}
 }
 
@@ -990,4 +1024,41 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 	ctx.read(v)
 	j.charge(ctx, iv, probes, float64(len(iPos)))
 	return out, nil
+}
+
+// nestedLoopBlock bounds the candidate pairs the nested-loop kernel gathers
+// at once, so its working set is the output plus one block, never the whole
+// outer × inner product.
+const nestedLoopBlock = 4096
+
+// nestedLoopBatch is the columnar nested-loop join: candidate pairs in the row
+// kernel's outer-major order, built a block of outer rows at a time, each
+// block filtered by the predicate over its gathered candidates; the pairs
+// that survive are gathered once into the output.
+func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch.Batch, error) {
+	schema := outer.Schema.Concat(inner.Schema)
+	on, in := outer.Len(), inner.Len()
+	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
+	var oIdx, iIdx, bo, bi []int
+	for lo := 0; lo < on; lo += rows {
+		bo, bi = bo[:0], bi[:0]
+		for o := lo; o < min(lo+rows, on); o++ {
+			for i := 0; i < in; i++ {
+				bo, bi = append(bo, outer.Phys(o)), append(bi, inner.Phys(i))
+			}
+		}
+		if j.Pred == nil {
+			oIdx, iIdx = append(oIdx, bo...), append(iIdx, bi...)
+			continue
+		}
+		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred)
+		if err != nil {
+			return nil, err
+		}
+		for k := 0; k < kept.Len(); k++ {
+			p := kept.Phys(k)
+			oIdx, iIdx = append(oIdx, bo[p]), append(iIdx, bi[p])
+		}
+	}
+	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil)
 }

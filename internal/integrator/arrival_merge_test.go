@@ -3,7 +3,9 @@ package integrator_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -375,13 +377,14 @@ func TestCallerCancelMidMerge(t *testing.T) {
 	}
 }
 
-// TestRowRemoteHandsTheQueryToTheRowMerge: with a row-engine remote among the
-// sources a batch arrives without columns after the columnar merge has
-// started; the row merge takes over and returns the all-columnar run's rows
-// and merge charge. It ran after every fragment had arrived, so its response
-// is the slowest fragment plus the whole merge; the columnar run's is lower by
-// the work it did while lineitem was still shipping.
-func TestRowRemoteHandsTheQueryToTheRowMerge(t *testing.T) {
+// TestRowRemoteKeepsTheColumnarMerge: with row-engine remotes among the
+// sources, batches arrive without columns after the columnar merge has
+// started. The merge decomposes them and goes on, so the query is the
+// all-columnar run's in every digit: rows, fragment times, merge charge,
+// response and first row — including the merge work done while lineitem was
+// still shipping. Both a mixed federation (lineitem's hosts on the row
+// engine) and an all-row one are checked.
+func TestRowRemoteKeepsTheColumnarMerge(t *testing.T) {
 	build := func() *scenario.Scenario {
 		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
 		if err != nil {
@@ -392,31 +395,41 @@ func TestRowRemoteHandsTheQueryToTheRowMerge(t *testing.T) {
 		}
 		return sc
 	}
-	columnar := build()
-	want, err := columnar.II.Query(gatherJoin)
+	want, err := build().II.Query(gatherJoin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := build()
-	for _, id := range []string{"S2", "R2"} { // lineitem's hosts run the row engine
-		mixed.Servers[id].SetVectorized(false)
-	}
-	got, err := mixed.II.Query(gatherJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameRelation(t, "row remote", want.Rel, got.Rel)
-	for id, ft := range got.FragmentTimes {
-		if ft != want.FragmentTimes[id] {
-			t.Fatalf("fragment %s took %v with a row remote, %v all columnar", id, ft, want.FragmentTimes[id])
+	for _, rowHosts := range [][]string{{"S2", "R2"}, {"S1", "R1", "S2", "R2"}} {
+		sc := build()
+		for _, id := range rowHosts {
+			sc.Servers[id].SetVectorized(false)
 		}
-	}
-	slowest := slowestFragment(got)
-	if got.MergeTime != want.MergeTime || got.ResponseTime != slowest+got.MergeTime {
-		t.Fatalf("merge/response %v/%v with a row remote; want the columnar merge charge %v after the slowest fragment (%v)", got.MergeTime, got.ResponseTime, want.MergeTime, slowest)
-	}
-	if want.ResponseTime >= got.ResponseTime || want.ResponseTime < slowest {
-		t.Fatalf("all-columnar response %v; want it in [%v, %v): the merge overlaps lineitem's arrival", want.ResponseTime, slowest, got.ResponseTime)
+		got, err := sc.II.Query(gatherJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("row engine on %v", rowHosts)
+		for _, f := range got.Plan.Fragments {
+			if f.Spec.Stmt.Tables()[0].Name == "lineitem" && !slices.Contains(rowHosts, got.ExecutedServers[f.Spec.ID]) {
+				t.Fatalf("%s: lineitem ran on a columnar remote: %v", label, got.ExecutedServers)
+			}
+		}
+		requireSameRelation(t, label, want.Rel, got.Rel)
+		if len(got.FragmentTimes) != len(want.FragmentTimes) {
+			t.Fatalf("%s: %d fragments, %d all columnar", label, len(got.FragmentTimes), len(want.FragmentTimes))
+		}
+		for id, ft := range got.FragmentTimes {
+			if ft != want.FragmentTimes[id] {
+				t.Fatalf("%s: fragment %s took %v, %v all columnar", label, id, ft, want.FragmentTimes[id])
+			}
+		}
+		if got.MergeTime != want.MergeTime || got.ResponseTime != want.ResponseTime || got.FirstRowTime != want.FirstRowTime {
+			t.Fatalf("%s: merge/response/first row %v/%v/%v, %v/%v/%v all columnar", label,
+				got.MergeTime, got.ResponseTime, got.FirstRowTime, want.MergeTime, want.ResponseTime, want.FirstRowTime)
+		}
+		if slowest := slowestFragment(got); got.ResponseTime >= slowest+got.MergeTime {
+			t.Fatalf("%s: response %v is the slowest fragment (%v) plus the whole merge: nothing overlapped an arrival", label, got.ResponseTime, slowest)
+		}
 	}
 }
 

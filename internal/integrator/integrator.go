@@ -150,10 +150,10 @@ func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
 
 // SetVectorized switches the II merge between the columnar engine (the
 // default), which consumes fragment batches as they arrive, and the
-// row-at-a-time reference engine, which waits for all of them. A batch that
-// arrives without columns (a row-engine remote) hands the query to the row
-// merge regardless of this flag. Either way the merged rows and resource
-// charges are bit-identical; only where the charge sits on the clock differs.
+// row-at-a-time reference engine, which waits for all of them. The columnar
+// merge decomposes a batch that arrives without columns (a row-engine remote)
+// and goes on. Either way the merged rows and resource charges are
+// bit-identical; only where the charge sits on the clock differs.
 func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
 // ShardPruning reports whether predicates on a shard key prune the shard
@@ -622,7 +622,7 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, 
 // fragments, so a producer blocked on a full queue could be holding the slot
 // of the very fragment the merge is waiting for. Batches stay queued once
 // read (they are views of results the remote side holds anyway): the row
-// merge reads them from here when the columnar one cannot run.
+// merge reads them from here once every fragment has finished.
 type arrivals struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -672,10 +672,6 @@ func (a *arrivals) wait(pos, n int) *wrapper.StreamBatch {
 	return nil
 }
 
-// errRowBatch stops the columnar merge at a batch that arrived without
-// columns (a row-engine remote); the row merge then takes the query.
-var errRowBatch = errors.New("integrator: fragment batch has no columnar form")
-
 // fragCursor is the columnar merge's source for one logical fragment: the
 // queues of its shards (parts, plan positions in plan order), each read to
 // its end before the next. That is the order the shards' rows concatenate in,
@@ -701,10 +697,10 @@ func (c *fragCursor) Next() (*colbatch.Batch, error) {
 			continue
 		}
 		c.n++
-		if b.Col == nil {
-			return nil, errRowBatch
-		}
 		c.arr.taken.take(b.ArriveTime)
+		if b.Col == nil { // a row-engine remote shipped rows
+			return colbatch.FromRelation(b.Rel), nil
+		}
 		return b.Col, nil
 	}
 	return nil, nil
@@ -857,8 +853,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	}
 
 	// The columnar merge pulls batches as the fragments deliver them; the row
-	// merge (the reference engine, or a batch that came without columns) waits
-	// for every fragment and runs over the queued batches.
+	// merge (the reference engine) waits for every fragment and runs over the
+	// queued batches.
 	vec := ii.vectorized.Load()
 	var (
 		rel      *sqltypes.Relation
@@ -868,7 +864,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	)
 	if vec {
 		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, true)
-		if mergeErr != nil && !errors.Is(mergeErr, errRowBatch) {
+		if mergeErr != nil {
 			cancel() // nothing the outstanding fragments ship can be used
 		}
 	}
@@ -879,8 +875,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	streamed := vec && !errors.Is(mergeErr, errRowBatch)
-	if !streamed {
+	if !vec {
 		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, false)
 	} else if mergeErr == nil {
 		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
@@ -906,7 +901,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	// work the arrivals did not hide: root = max fragment + merge span.
 	mergeTime := ii.cfg.Node.Observe(res)
 	response := remotePhase + mergeTime
-	if streamed {
+	if vec {
 		response = max(remotePhase, overlapped(arr.taken.pulls, ii.cfg.Node.EstimateTime(exec.Resources{}), ii.cfg.Node.EstimateTime(res), mergeTime))
 	}
 	root.Advance(remotePhase)

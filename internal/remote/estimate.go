@@ -86,11 +86,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 	case *exec.IndexScan:
 		ts := e.tables[x.Table].stats
 		card := float64(ts.RowCount) * e.probeSelectivity(x, ts)
-		n := float64(ts.RowCount)
-		descent := 1.0
-		if n > 2 {
-			descent += math.Log2(n) / 4
-		}
+		descent := exec.IndexDescent(float64(ts.RowCount))
 		return nodeEst{
 			card:  card,
 			width: ts.WireRowBytes,
@@ -138,32 +134,6 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		out.res.CPUOps += 2*l.card + 2*r.card + card
 		return out, nil
 
-	case *exec.MergeJoin:
-		l, err := e.estimate(x.Left)
-		if err != nil {
-			return nodeEst{}, err
-		}
-		r, err := e.estimate(x.Right)
-		if err != nil {
-			return nodeEst{}, err
-		}
-		card := float64(stats.JoinCardinality(int64(l.card), int64(r.card),
-			e.keyDistinct(x.LeftKey, l.card), e.keyDistinct(x.RightKey, r.card)))
-		if x.Residual != nil {
-			card *= stats.Selectivity(x.Residual, e.provider)
-		}
-		out := nodeEst{card: card, width: l.width + r.width}
-		out.res = l.res
-		out.res.Add(r.res)
-		lg := func(n float64) float64 {
-			if n < 2 {
-				return 1
-			}
-			return math.Log2(n)
-		}
-		out.res.CPUOps += l.card*lg(l.card) + r.card*lg(r.card) + l.card + r.card + card
-		return out, nil
-
 	case *exec.IndexNLJoin:
 		outer, err := e.estimate(x.Outer)
 		if err != nil {
@@ -175,11 +145,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if x.Residual != nil {
 			card *= stats.Selectivity(x.Residual, e.provider)
 		}
-		n := float64(ts.RowCount)
-		descent := 1.0
-		if n > 2 {
-			descent += math.Log2(n) / 4
-		}
+		descent := exec.IndexDescent(float64(ts.RowCount))
 		fetches := card
 		out := nodeEst{card: card, width: outer.width + ts.WireRowBytes}
 		out.res = outer.res

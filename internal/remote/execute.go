@@ -9,7 +9,6 @@ import (
 	"repro/internal/exec/colbatch"
 	"repro/internal/simclock"
 	"repro/internal/sqltypes"
-	"repro/internal/telemetry"
 )
 
 // Result is the outcome of executing a plan at the server.
@@ -51,8 +50,7 @@ func (r *Result) Schema() *sqltypes.Schema {
 	return nil
 }
 
-// runPlan is the shared execution body behind ExecutePlan and OpenPlan: it
-// fails when the context is cancelled, when the server is down, when failure
+// runPlan is OpenPlan's execution body: it fails when the context is cancelled, when the server is down, when failure
 // injection is armed, or when the plan is bound to a different server, then
 // executes the plan and observes its full service time under current load.
 // wire selects the columnar wire protocol: the result then stays columnar
@@ -108,19 +106,6 @@ func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, erro
 		ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
 		Resources:   ectx.Res,
 	}, nil
-}
-
-// ExecutePlan runs a previously-explained plan monolithically, emitting the
-// remote.exec span itself. The streaming path (OpenPlan) leaves span
-// emission to the wrapper, which interleaves it with batch transfers.
-func (s *Server) ExecutePlan(ctx context.Context, p *Plan) (*Result, error) {
-	res, err := s.runPlan(ctx, p, false)
-	if err != nil {
-		return nil, err
-	}
-	telemetry.SpanFrom(ctx).Emit("remote.exec", telemetry.LayerRemote, s.id, res.ServiceTime).
-		SetAttr("plan", p.Signature)
-	return res, nil
 }
 
 // Probe performs the availability daemon's lightweight health check. It

@@ -94,24 +94,12 @@ func (pc *planCache) clear() {
 	pc.lru.Init()
 }
 
-// stats returns hit/miss counters.
-func (pc *planCache) stats() (hits, misses int64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.hits, pc.misses
-}
-
 // StatementCacheStats is a snapshot of a server's statement-cache counters.
 type StatementCacheStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
 	Entries   int
-}
-
-// PlanCacheStats reports the server's statement-cache hit/miss counters.
-func (s *Server) PlanCacheStats() (hits, misses int64) {
-	return s.planCache.stats()
 }
 
 // StatementCacheStats reports the full statement-cache counter snapshot,

@@ -17,7 +17,7 @@ type joinAlgo uint8
 const (
 	joinHash joinAlgo = iota
 	joinINL
-	joinMerge
+	joinMerge // counted by the enumeration, never valid (see valid)
 	joinNL
 )
 
@@ -299,6 +299,12 @@ func (f *boundFragment) valid(access []int, algos []joinAlgo) bool {
 	}
 	for i, st := range f.steps {
 		switch algos[i] {
+		case joinMerge:
+			// No merge-join plan exists: the hash join covers every keyed
+			// join at lower cost. The slot stays in the visiting order because
+			// maxEnumeratedPlans counts it; dropping it would move which plans
+			// the cap reaches (ROADMAP item 11).
+			return false
 		case joinNL:
 			// Hash and INL cover keyed joins; a nested loop duplicates them
 			// at strictly worse cost, so it is pruned from the space.
@@ -328,8 +334,6 @@ func (f *boundFragment) build(access []int, algos []joinAlgo) exec.Operator {
 		switch algos[i] {
 		case joinHash:
 			current = &exec.HashJoin{Build: current, Probe: right, BuildKey: st.lk, ProbeKey: st.rk, Residual: st.residual}
-		case joinMerge:
-			current = &exec.MergeJoin{Left: current, Right: right, LeftKey: st.lk, RightKey: st.rk, Residual: st.residual}
 		case joinINL:
 			current = &exec.IndexNLJoin{Outer: current, Inner: inner.tab, Index: st.inlIndex, InnerAs: inner.name, OuterKey: st.lk, Residual: st.inlResidual}
 		case joinNL:

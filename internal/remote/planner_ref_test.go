@@ -2,8 +2,9 @@ package remote
 
 // The reference planner: the enumerate-then-assemble loop Explain ran before
 // the bind-once planner replaced it, moved here verbatim (only the names that
-// would collide carry a "ref" prefix, and the statement cache, the final sort
-// and the MaxPlans cut are left to the caller). It re-derives the statement
+// would collide carry a "ref" prefix, the statement cache, the final sort
+// and the MaxPlans cut are left to the caller, and the merge-join slot,
+// still counted, is rejected like any invalid choice). It re-derives the statement
 // for every plan choice and prunes with errors, which is exactly why it left
 // production; it stays as the oracle planner_oracle_test.go compares the
 // production planner against.
@@ -278,20 +279,8 @@ func (s *Server) refAssemble(stmt *sqlparser.SelectStmt, choice planChoice) (exe
 			}
 			cross = remaining
 		case joinMerge:
-			if !hasKey {
-				return nil, fmt.Errorf("remote: no equi key for merge join with %s", name)
-			}
-			right := leaves[name]
-			joined := current.Schema().Concat(right.Schema())
-			residuals, remaining := partitionResolvable(rest, joined)
-			current = &exec.MergeJoin{
-				Left:     current,
-				Right:    right,
-				LeftKey:  lk,
-				RightKey: rk,
-				Residual: sqlparser.JoinConjuncts(residuals),
-			}
-			cross = remaining
+			// Merge joins left the plan space; the slot is still counted.
+			return nil, fmt.Errorf("remote: merge joins are not in the plan space")
 		case joinINL:
 			if !hasKey {
 				return nil, fmt.Errorf("remote: no equi key for INL join with %s", name)

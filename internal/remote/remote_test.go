@@ -28,6 +28,20 @@ func newTestServer(t *testing.T, cfg Config, scale int) *Server {
 	return s
 }
 
+// execute runs a plan through OpenPlan as one batch and returns its result
+// with the rows boxed.
+func execute(s *Server, p *Plan) (*Result, error) {
+	cur, err := s.OpenPlan(context.Background(), p, 0)
+	if err != nil {
+		return nil, err
+	}
+	res := cur.Result()
+	if res.Rel == nil {
+		res.Rel = res.Col.ToRelation()
+	}
+	return res, nil
+}
+
 func TestServerTablesAndCatalog(t *testing.T) {
 	s := newTestServer(t, ProfileS1("S1"), 200)
 	names := s.Tables()
@@ -145,7 +159,7 @@ func TestExecutePlanMatchesDirectExecution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.ExecutePlan(context.Background(), plans[0])
+	res, err := execute(s, plans[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +192,7 @@ func TestExecutePlanWrongServerRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.ExecutePlan(context.Background(), plans[0]); err == nil {
+	if _, err := execute(s2, plans[0]); err == nil {
 		t.Fatal("cross-server execution must fail")
 	}
 }
@@ -188,12 +202,12 @@ func TestFailureInjection(t *testing.T) {
 	s.InjectFailures(1)
 	stmt := sqlparser.MustParse("SELECT * FROM parts LIMIT 1")
 	plans, _ := s.Explain(stmt)
-	_, err := s.ExecutePlan(context.Background(), plans[0])
+	_, err := execute(s, plans[0])
 	var fail *ErrServerFailure
 	if !errors.As(err, &fail) {
 		t.Fatalf("want failure, got %v", err)
 	}
-	if _, err := s.ExecutePlan(context.Background(), plans[0]); err != nil {
+	if _, err := execute(s, plans[0]); err != nil {
 		t.Fatalf("second execution should succeed: %v", err)
 	}
 	if s.Executed() != 1 {
@@ -300,7 +314,7 @@ func TestExplainJoinQueryEnumeratesAlgorithms(t *testing.T) {
 	if len(plans) < 2 {
 		t.Fatalf("join query should have >=2 candidate plans, got %d", len(plans))
 	}
-	res, err := s.ExecutePlan(context.Background(), plans[0])
+	res, err := execute(s, plans[0])
 	if err != nil {
 		t.Fatalf("executing best plan:\n%s\n%v", plans[0].Explain(), err)
 	}
@@ -308,7 +322,7 @@ func TestExplainJoinQueryEnumeratesAlgorithms(t *testing.T) {
 		t.Fatalf("agg result: %v", res.Rel)
 	}
 	// Both plans must produce identical answers.
-	res2, err := s.ExecutePlan(context.Background(), plans[1])
+	res2, err := execute(s, plans[1])
 	if err != nil {
 		t.Fatalf("executing alternative plan:\n%s\n%v", plans[1].Explain(), err)
 	}
@@ -328,7 +342,7 @@ func TestThreeWayJoinPlansAndExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ExecutePlan(context.Background(), plans[0]); err != nil {
+	if _, err := execute(s, plans[0]); err != nil {
 		t.Fatalf("three-way join failed:\n%s\n%v", plans[0].Explain(), err)
 	}
 }
@@ -339,20 +353,19 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	if _, err := s.Explain(stmt); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses := s.PlanCacheStats()
-	if hits != 0 || misses != 1 {
-		t.Fatalf("first explain: hits=%d misses=%d", hits, misses)
+	st := s.StatementCacheStats()
+	if st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("first explain: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 	p1, err := s.Explain(stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _ = s.PlanCacheStats()
-	if hits != 1 {
-		t.Fatalf("second explain should hit: hits=%d", hits)
+	if st = s.StatementCacheStats(); st.Hits != 1 {
+		t.Fatalf("second explain should hit: hits=%d", st.Hits)
 	}
 	// Cached plans remain executable.
-	if _, err := s.ExecutePlan(context.Background(), p1[0]); err != nil {
+	if _, err := execute(s, p1[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the table invalidates the entry.
@@ -362,18 +375,16 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	if _, err := s.Explain(stmt); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses = s.PlanCacheStats()
-	if hits != 1 || misses != 2 {
-		t.Fatalf("after mutation: hits=%d misses=%d", hits, misses)
+	if st = s.StatementCacheStats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("after mutation: hits=%d misses=%d", st.Hits, st.Misses)
 	}
 	// Different parameter values do NOT share an entry (estimates differ).
 	stmt2 := sqlparser.MustParse("SELECT SUM(o.o_amount) FROM orders AS o WHERE o.o_amount > 9999")
 	if _, err := s.Explain(stmt2); err != nil {
 		t.Fatal(err)
 	}
-	_, misses = s.PlanCacheStats()
-	if misses != 3 {
-		t.Fatalf("different literal must miss: misses=%d", misses)
+	if st = s.StatementCacheStats(); st.Misses != 3 {
+		t.Fatalf("different literal must miss: misses=%d", st.Misses)
 	}
 }
 
