@@ -59,7 +59,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 	for i, tr := range tables {
 		inputs[i] = planFor[tr.EffectiveName()]
 	}
-	return BuildTop(stmt, JoinLeftDeep(inputs, crossTable))
+	return BuildTop(stmt, JoinLeftDeep(inputs, crossTable, nil))
 }
 
 // JoinLeftDeep joins inputs left to right on the conjuncts in preds: a hash
@@ -69,25 +69,38 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 // filter the result. BuildPlan calls it with a statement's (filtered) table
 // leaves, the integrator with fragment results and the cross-source
 // conjuncts. preds is not modified.
-func JoinLeftDeep(inputs []Operator, preds []sqlparser.Expr) Operator {
+//
+// finish, when non-nil, holds each input's estimated finish time: a hash join
+// then builds on its right input when that is estimated to finish strictly
+// before every input already joined on the left (ties keep the left build),
+// so the join hashes what arrives first and streams what arrives later.
+func JoinLeftDeep(inputs []Operator, preds []sqlparser.Expr, finish []float64) Operator {
 	current := inputs[0]
-	for _, right := range inputs[1:] {
+	var leftFinish float64
+	if finish != nil {
+		leftFinish = finish[0]
+	}
+	for i, right := range inputs[1:] {
 		joined := current.Schema().Concat(right.Schema())
 		if lk, rk, rest, ok := ExtractEquiJoinKeys(preds, current.Schema(), right.Schema()); ok {
 			var residuals []sqlparser.Expr
 			residuals, preds = splitResolvable(rest, joined)
 			current = &HashJoin{
-				Build:    current,
-				Probe:    right,
-				BuildKey: lk,
-				ProbeKey: rk,
-				Residual: sqlparser.JoinConjuncts(residuals),
+				Build:      current,
+				Probe:      right,
+				BuildKey:   lk,
+				ProbeKey:   rk,
+				Residual:   sqlparser.JoinConjuncts(residuals),
+				BuildRight: finish != nil && finish[i+1] < leftFinish,
 			}
-			continue
+		} else {
+			var on []sqlparser.Expr
+			on, preds = splitResolvable(preds, joined)
+			current = &NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(on)}
 		}
-		var on []sqlparser.Expr
-		on, preds = splitResolvable(preds, joined)
-		current = &NestedLoopJoin{Outer: current, Inner: right, Pred: sqlparser.JoinConjuncts(on)}
+		if finish != nil {
+			leftFinish = max(leftFinish, finish[i+1])
+		}
 	}
 	if len(preds) > 0 {
 		current = &Filter{Input: current, Pred: sqlparser.JoinConjuncts(preds)}

@@ -209,3 +209,42 @@ func TestBuildPlanOverValuesLeaves(t *testing.T) {
 		t.Fatalf("merge join: %d", rel.Cardinality())
 	}
 }
+
+// TestJoinLeftDeepBuildsTheEarlierSide: with estimated finish times a join
+// hashes its right input only when that finishes strictly before everything
+// already joined on its left; without them every join builds left.
+func TestJoinLeftDeepBuildsTheEarlierSide(t *testing.T) {
+	inputs := []Operator{
+		&Values{Rel: intKeys("a", 3, func(i int) int64 { return int64(i) })},
+		&Values{Rel: intKeys("b", 3, func(i int) int64 { return int64(i) })},
+		&Values{Rel: intKeys("c", 3, func(i int) int64 { return int64(i) })},
+	}
+	preds := []sqlparser.Expr{
+		mustExpr(t, "a = b"),
+		mustExpr(t, "b = c"),
+	}
+	for _, c := range []struct {
+		finish []float64
+		want   [2]bool // the first join's BuildRight, then the second's
+	}{
+		{nil, [2]bool{false, false}},
+		{[]float64{5, 3, 9}, [2]bool{true, false}},
+		{[]float64{5, 5, 5}, [2]bool{false, false}},
+		// The left side of the second join finishes with its later input (9).
+		{[]float64{1, 9, 4}, [2]bool{false, true}},
+		{[]float64{9, 1, 4}, [2]bool{true, true}},
+	} {
+		top := JoinLeftDeep(inputs, preds, c.finish)
+		second, ok := top.(*HashJoin)
+		if !ok {
+			t.Fatalf("%v: top is %T, want a hash join", c.finish, top)
+		}
+		first := second.Build.(*HashJoin)
+		if got := [2]bool{first.BuildRight, second.BuildRight}; got != c.want {
+			t.Errorf("finish %v: BuildRight %v, want %v", c.finish, got, c.want)
+		}
+		if s := top.Schema().String(); s != inputs[0].Schema().Concat(inputs[1].Schema()).Concat(inputs[2].Schema()).String() {
+			t.Errorf("finish %v: schema %s is not the inputs' columns in order", c.finish, s)
+		}
+	}
+}

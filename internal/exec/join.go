@@ -7,13 +7,26 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// HashJoin joins two inputs on equality of key expressions, building a hash
-// table on the (smaller, by convention left) build side.
+// HashJoin joins two inputs on equality of key expressions. The kernels hash
+// the Build input and stream the Probe input, or the other way round when
+// BuildRight is set; either way the output is Build columns then Probe
+// columns and the charge is the same.
 type HashJoin struct {
 	Build, Probe       Operator
 	BuildKey, ProbeKey sqlparser.Expr
 	// Residual, when non-nil, is applied to joined rows (non-equi conjuncts).
 	Residual sqlparser.Expr
+	// BuildRight hashes Probe and streams Build. Only the integrator's merge
+	// sets it, for a right input estimated to finish first (JoinLeftDeep).
+	BuildRight bool
+}
+
+// sides returns the hashed input and the streamed one.
+func (j *HashJoin) sides() (hashed, streamed Operator) {
+	if j.BuildRight {
+		return j.Probe, j.Build
+	}
+	return j.Build, j.Probe
 }
 
 // Schema implements Operator. Output is build columns followed by probe
@@ -36,15 +49,21 @@ func (j *HashJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 }
 
 // hashJoinRel is the row-level join kernel, shared by Execute and the
-// vectorized path's fallback (which has already executed the children).
+// vectorized path's rerun (which has already executed the children). It
+// hashes one side (see sides) and, for each streamed row in order, emits its
+// matches in hashed-side order.
 func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	outSchema := build.Schema.Concat(probe.Schema)
 	out := sqltypes.NewRelation(outSchema)
+	hashed, streamed, hkey, skey := build, probe, j.BuildKey, j.ProbeKey
+	if j.BuildRight {
+		hashed, streamed, hkey, skey = probe, build, j.ProbeKey, j.BuildKey
+	}
 
-	ht := make(map[uint64][]sqltypes.Row, len(build.Rows))
+	ht := make(map[uint64][]sqltypes.Row, len(hashed.Rows))
 	keys := make(map[uint64][]sqltypes.Value)
-	for _, row := range build.Rows {
-		k, err := sqlparser.Eval(j.BuildKey, row, build.Schema)
+	for _, row := range hashed.Rows {
+		k, err := sqlparser.Eval(hkey, row, hashed.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -55,8 +74,8 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 		ht[h] = append(ht[h], row)
 		keys[h] = append(keys[h], k)
 	}
-	for _, prow := range probe.Rows {
-		k, err := sqlparser.Eval(j.ProbeKey, prow, probe.Schema)
+	for _, srow := range streamed.Rows {
+		k, err := sqlparser.Eval(skey, srow, streamed.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -65,12 +84,15 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 		}
 		h := k.Hash()
 		bucket := ht[h]
-		bkeys := keys[h]
-		for i, brow := range bucket {
-			if sqltypes.Compare(bkeys[i], k) != 0 {
+		hkeys := keys[h]
+		for i, hrow := range bucket {
+			if sqltypes.Compare(hkeys[i], k) != 0 {
 				continue
 			}
-			joined := brow.Concat(prow)
+			joined := hrow.Concat(srow)
+			if j.BuildRight {
+				joined = srow.Concat(hrow)
+			}
 			if j.Residual != nil {
 				ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
 				if err != nil {
@@ -90,6 +112,9 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 // Explain implements Operator.
 func (j *HashJoin) Explain() string {
 	s := fmt.Sprintf("HASHJOIN %s = %s", j.BuildKey, j.ProbeKey)
+	if j.BuildRight {
+		s += " BUILD RIGHT"
+	}
 	if j.Residual != nil {
 		s += " RESIDUAL " + j.Residual.String()
 	}

@@ -119,7 +119,9 @@ func recutLeaves(t *testing.T, rng *rand.Rand, op Operator) Operator {
 	case *ShardAggFinal:
 		return &ShardAggFinal{Input: in(x.Input), GroupBy: x.GroupBy, Aggs: x.Aggs, Base: x.Base}
 	case *HashJoin:
-		return &HashJoin{Build: in(x.Build), Probe: in(x.Probe), BuildKey: x.BuildKey, ProbeKey: x.ProbeKey, Residual: x.Residual}
+		cp := *x
+		cp.Build, cp.Probe = in(x.Build), in(x.Probe)
+		return &cp
 	case *NestedLoopJoin:
 		return &NestedLoopJoin{Outer: in(x.Outer), Inner: in(x.Inner), Pred: x.Pred}
 	case *IndexNLJoin:

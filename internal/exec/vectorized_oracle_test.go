@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -353,6 +354,87 @@ func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 	if engaged < 30 {
 		t.Fatalf("the columnar kernel ran for %d of 40 plans; the rest only compared the row kernel with itself", engaged)
 	}
+}
+
+// TestHashJoinBuildRightIsTheSameJoin: hashing the right input instead of the
+// left gives the same schema, the same multiset of rows, the same resources
+// and the same error presence, on random keys and residuals and on
+// collision-heavy columns (duplicates, NULL, NaN, -0, int keys met by float
+// twins); and the right build itself passes the oracle, row kernel against
+// columnar kernel over any batch split.
+func TestHashJoinBuildRightIsTheSameJoin(t *testing.T) {
+	engaged := 0
+	for seed := int64(2000); seed < 2100; seed++ {
+		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
+		n := 40
+		if seed%2 == 0 {
+			n = 200 // long chains
+		}
+		left, right := g.relation("l", g.rng.Intn(n)), g.relation("r", g.rng.Intn(n))
+		if seed%9 == 0 {
+			left = g.relation("l", 0)
+		}
+		join := &HashJoin{Build: &Values{Rel: left}, Probe: &Values{Rel: right}}
+		switch seed % 3 {
+		case 0:
+			join.BuildKey, join.ProbeKey = g.expr(left.Schema, 2), g.expr(right.Schema, 2)
+		case 1:
+			join.BuildKey, join.ProbeKey = &sqlparser.ColumnRef{Name: "l3"}, &sqlparser.ColumnRef{Name: "r3"}
+		default:
+			join.BuildKey, join.ProbeKey = &sqlparser.ColumnRef{Name: "l0"}, &sqlparser.ColumnRef{Name: "r2"}
+		}
+		if g.rng.Intn(2) == 0 {
+			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
+		}
+		flipped := *join
+		flipped.BuildRight = true
+		label := fmt.Sprintf("seed %d", seed)
+		checkOracle(t, label+" build right", &flipped)
+		if _, err := newHashJoinTable(&flipped, colbatch.FromRelation(right)).probeBatch(colbatch.FromRelation(left)); err == nil {
+			engaged++
+		}
+
+		var lctx, rctx Context
+		lrel, lerr := join.Execute(&lctx)
+		rrel, rerr := flipped.Execute(&rctx)
+		if (lerr != nil) != (rerr != nil) {
+			t.Fatalf("%s: left build err=%v, right build err=%v", label, lerr, rerr)
+		}
+		if lerr != nil {
+			continue
+		}
+		if lrel.Schema.String() != rrel.Schema.String() || flipped.Schema().String() != join.Schema().String() {
+			t.Fatalf("%s: schema %s under a right build, %s under a left one", label, rrel.Schema, lrel.Schema)
+		}
+		if lctx.Res != rctx.Res {
+			t.Fatalf("%s: resources %+v under a right build, %+v under a left one", label, rctx.Res, lctx.Res)
+		}
+		if l, r := rowMultiset(lrel), rowMultiset(rrel); !slices.Equal(l, r) {
+			t.Fatalf("%s: %d rows under a left build, %d under a right one, or the rows differ", label, len(l), len(r))
+		}
+	}
+	if engaged < 70 {
+		t.Fatalf("the columnar kernel ran for %d of 100 right builds; the rest only compared the row kernel with itself", engaged)
+	}
+}
+
+// rowMultiset renders every row bit-exactly (kinds, float bits) and sorts the
+// renderings.
+func rowMultiset(rel *sqltypes.Relation) []string {
+	out := make([]string, len(rel.Rows))
+	for i, row := range rel.Rows {
+		var b strings.Builder
+		for _, v := range row {
+			if v.Kind() == sqltypes.KindFloat {
+				fmt.Fprintf(&b, "%d:%x|", v.Kind(), math.Float64bits(v.Float()))
+			} else {
+				fmt.Fprintf(&b, "%d:%s|", v.Kind(), v.String())
+			}
+		}
+		out[i] = b.String()
+	}
+	slices.Sort(out)
+	return out
 }
 
 // intKeys builds a one-column relation of n integer keys.

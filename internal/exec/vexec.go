@@ -69,7 +69,7 @@ func (s *BatchStream) Children() []Operator { return nil }
 // batchwise marks the operators that turn every batch of one input into one
 // output batch. All others emit a single batch: leaves, and the blocking
 // operators, which read their input to its end first — Sort, the hash join's
-// build side, the index join's outer side and both sides of the nested-loop
+// hashed side, the index join's outer side and both sides of the nested-loop
 // join collect it into one batch, aggregation (plain and shard-final) folds it
 // batch by batch.
 type batchwise interface{ batchInput() Operator }
@@ -78,7 +78,7 @@ func (f *Filter) batchInput() Operator   { return f.Input }
 func (p *Project) batchInput() Operator  { return p.Input }
 func (l *Limit) batchInput() Operator    { return l.Input }
 func (d *Distinct) batchInput() Operator { return d.Input }
-func (j *HashJoin) batchInput() Operator { return j.Probe }
+func (j *HashJoin) batchInput() Operator { _, streamed := j.sides(); return streamed }
 
 // pipe is one operator of a running pull pipeline: Next returns the
 // operator's next output batch and nil once it is exhausted, pulling from the
@@ -144,11 +144,12 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 	var in *colbatch.Batch // a batchwise operator's input batch
 	if bw, ok := p.op.(batchwise); ok {
 		if x, ok := bw.(*HashJoin); ok && p.join == nil {
-			build, err := open(x.Build, ctx).drain()
+			hashed, _ := x.sides()
+			b, err := open(hashed, ctx).drain()
 			if err != nil {
 				return nil, err
 			}
-			p.join = newHashJoinTable(x, build)
+			p.join = newHashJoinTable(x, b)
 		}
 		var err error
 		if in, err = p.pull(bw.batchInput()); in == nil || err != nil {
@@ -865,73 +866,87 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, 
 	return out.Select(sel), nil
 }
 
-// hashJoinTable is a hash join's build side, built once and probed by every
-// probe batch: a chained index table (head[bucket] and next[row] hold build
-// row + 1, 0 ends a chain) compared on the typed key vectors. Build rows
-// enter the table last to first, so every chain lists its rows in build order
-// and the candidate pairs come out in the row kernel's order. Like the row
-// kernel's map keyed by hash, a pair matches when the full hashes are equal
-// AND the keys compare equal (Compare alone would also pair NaN with
-// everything).
+// hashJoinTable is a hash join's hashed side (Build, or Probe under
+// BuildRight), built once and probed by every batch of the streamed side: a
+// chained index table (head[bucket] and next[row] hold hashed row + 1, 0 ends
+// a chain) compared on the typed key vectors. Hashed rows enter the table last
+// to first, so every chain lists its rows in input order and the candidate
+// pairs come out in the row kernel's order. Like the row kernel's map keyed by
+// hash, a pair matches when the full hashes are equal AND the keys compare
+// equal (Compare alone would also pair NaN with everything).
 type hashJoinTable struct {
-	j     *HashJoin
-	build *colbatch.Batch
-	// The probe key compiled against the probe batches' schema, the output
-	// schema (build columns then probe columns) and per-batch scratch.
-	pschema, schema *sqltypes.Schema
-	pnode           vnode
-	phs             []uint64
-	bIdx, pIdx      []int
-	// head stays nil when the build key did not compile or evaluate (or the
-	// build side outgrew the 32-bit chains): the row kernel then decides every
-	// probe batch, over buildRel, the build side boxed.
+	j      *HashJoin
+	hashed *colbatch.Batch
+	// The streamed key compiled against the streamed batches' schema, the
+	// output schema (build columns then probe columns) and per-batch scratch.
+	sschema, schema *sqltypes.Schema
+	snode           vnode
+	shs             []uint64
+	hIdx, sIdx      []int
+	// head stays nil when the hashed key did not compile or evaluate (or the
+	// hashed side outgrew the 32-bit chains): the row kernel then decides
+	// every streamed batch, over hashedRel, the hashed side boxed.
 	head, next []int32
-	bres       *vres
-	bops       operand
-	bhs        []uint64
-	buildRel   *sqltypes.Relation
-	// pending is the build side's charge. It joins the first probe batch's so
-	// that a single-batch join adds to ctx.Res once, as the row kernel does.
+	hres       *vres
+	hops       operand
+	hhs        []uint64
+	hashedRel  *sqltypes.Relation
+	// pending is the hashed side's charge. It joins the first streamed
+	// batch's so that a single-batch join adds to ctx.Res once, as the row
+	// kernel does.
 	pending float64
 }
 
-func newHashJoinTable(j *HashJoin, build *colbatch.Batch) *hashJoinTable {
-	bn := build.Len()
-	t := &hashJoinTable{j: j, build: build, pending: float64(bn) * 2}
-	bnode, err := compileExpr(j.BuildKey, build.Schema)
-	if err != nil || bn >= math.MaxInt32 {
+// keys returns the join's key over the hashed side and over the streamed one.
+func (t *hashJoinTable) keys() (hashed, streamed sqlparser.Expr) {
+	if t.j.BuildRight {
+		return t.j.ProbeKey, t.j.BuildKey
+	}
+	return t.j.BuildKey, t.j.ProbeKey
+}
+
+func newHashJoinTable(j *HashJoin, hashed *colbatch.Batch) *hashJoinTable {
+	hn := hashed.Len()
+	t := &hashJoinTable{j: j, hashed: hashed, pending: float64(hn) * 2}
+	hkey, _ := t.keys()
+	hnode, err := compileExpr(hkey, hashed.Schema)
+	if err != nil || hn >= math.MaxInt32 {
 		return t
 	}
-	if t.bres, err = bnode.eval(build); err != nil {
+	if t.hres, err = hnode.eval(hashed); err != nil {
 		return t
 	}
-	t.bops = classify(t.bres)
-	t.bhs = keyHashes(nil, t.bres, &t.bops)
+	t.hops = classify(t.hres)
+	t.hhs = keyHashes(nil, t.hres, &t.hops)
 	buckets := 1
-	for buckets < 2*bn {
+	for buckets < hn {
 		buckets <<= 1
 	}
-	t.head, t.next = make([]int32, buckets), make([]int32, bn)
-	for i := bn - 1; i >= 0; i-- {
-		if t.bres.isNull(i) {
+	t.head, t.next = make([]int32, buckets), make([]int32, hn)
+	for i := hn - 1; i >= 0; i-- {
+		if t.hres.isNull(i) {
 			continue
 		}
-		slot := t.bhs[i] & uint64(buckets-1)
+		slot := t.hhs[i] & uint64(buckets-1)
 		t.next[i] = t.head[slot]
 		t.head[slot] = int32(i + 1)
 	}
 	return t
 }
 
-// probe joins one probe batch and charges the join's formula for it: two ops
-// per build row (once), two per probe row, one per output row.
+// probe joins one streamed batch and charges the join's formula for it: two
+// ops per hashed row (once), two per streamed row, one per output row.
 func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
 	out, verr := t.probeBatch(in)
 	if verr != nil {
-		if t.buildRel == nil {
-			t.buildRel = t.build.ToRelation()
+		if t.hashedRel == nil {
+			t.hashedRel = t.hashed.ToRelation()
 		}
-		rel, err := hashJoinRel(t.j, t.buildRel, in.ToRelation(), &Context{})
+		build, probe := t.hashedRel, in.ToRelation()
+		if t.j.BuildRight {
+			build, probe = probe, build
+		}
+		rel, err := hashJoinRel(t.j, build, probe, &Context{})
 		if err != nil {
 			return nil, err
 		}
@@ -942,41 +957,50 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 	return out, nil
 }
 
-// probeBatch is the columnar probe: candidates in probe order, then the
+// probeBatch is the columnar probe: candidates in streamed order, then the
 // residual filter over the gathered candidate batch.
-func (t *hashJoinTable) probeBatch(probe *colbatch.Batch) (*colbatch.Batch, error) {
+func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) {
 	if t.head == nil {
 		return nil, fmt.Errorf("exec: hash join build side is not vectorized")
 	}
-	if t.pschema != probe.Schema {
-		pnode, err := compileExpr(t.j.ProbeKey, probe.Schema)
+	if t.sschema != in.Schema {
+		_, skey := t.keys()
+		snode, err := compileExpr(skey, in.Schema)
 		if err != nil {
 			return nil, err
 		}
-		t.pschema, t.pnode, t.schema = probe.Schema, pnode, t.build.Schema.Concat(probe.Schema)
+		t.sschema, t.snode = in.Schema, snode
+		if t.j.BuildRight {
+			t.schema = in.Schema.Concat(t.hashed.Schema)
+		} else {
+			t.schema = t.hashed.Schema.Concat(in.Schema)
+		}
 	}
-	pres, err := t.pnode.eval(probe)
+	sres, err := t.snode.eval(in)
 	if err != nil {
 		return nil, err
 	}
-	pops := classify(pres)
-	t.phs = keyHashes(t.phs, pres, &pops)
-	phs, mask, bIdx, pIdx := t.phs, uint64(len(t.head)-1), t.bIdx[:0], t.pIdx[:0]
-	for i, pn := 0, probe.Len(); i < pn; i++ {
-		if pres.isNull(i) {
+	sops := classify(sres)
+	t.shs = keyHashes(t.shs, sres, &sops)
+	shs, mask, hIdx, sIdx := t.shs, uint64(len(t.head)-1), t.hIdx[:0], t.sIdx[:0]
+	for i, sn := 0, in.Len(); i < sn; i++ {
+		if sres.isNull(i) {
 			continue
 		}
-		h := phs[i]
+		h := shs[i]
 		for at := t.head[h&mask]; at != 0; at = t.next[at-1] {
-			bi := int(at - 1)
-			if t.bhs[bi] == h && keysEqual(t.bres, &t.bops, bi, pres, &pops, i) {
-				bIdx = append(bIdx, bi)
-				pIdx = append(pIdx, i)
+			hi := int(at - 1)
+			if t.hhs[hi] == h && keysEqual(t.hres, &t.hops, hi, sres, &sops, i) {
+				hIdx = append(hIdx, hi)
+				sIdx = append(sIdx, i)
 			}
 		}
 	}
-	t.bIdx, t.pIdx = bIdx, pIdx
-	return joinedBatch(t.schema, t.build.Cols, physOf(t.build, bIdx), probe.Cols, physOf(probe, pIdx), t.j.Residual)
+	t.hIdx, t.sIdx = hIdx, sIdx
+	if t.j.BuildRight {
+		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual)
+	}
+	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -42,7 +44,8 @@ func probeConfigs(t *testing.T, probe string) map[string]ProbeRow {
 // every virtual and byte number of the study emitters they replaced reappears
 // in them; they are never re-captured to make a change pass. A change that
 // moves a row on purpose re-captures it (`go run ./cmd/qccbench -exp probes`)
-// and states the moved rows as its claim.
+// and states the moved rows as its claim; a failure lists each drifted row's
+// moved fields with their deltas (probeDrift), so "none rose" reads off it.
 func TestProbesGolden(t *testing.T) {
 	got := map[string]string{}
 	for _, r := range probeRows(t) {
@@ -50,13 +53,82 @@ func TestProbesGolden(t *testing.T) {
 	}
 	for name, want := range goldenProbes {
 		if got[name] != want {
-			t.Errorf("probe %s drifted from its pinned rows:\n--- got\n%s--- want\n%s", name, got[name], want)
+			t.Errorf("probe %s drifted from its pinned rows:\n%s", name, probeDrift(got[name], want))
 		}
 	}
 	for name := range got {
 		if _, ok := goldenProbes[name]; !ok {
 			t.Errorf("probe %s has no pinned rows", name)
 		}
+	}
+}
+
+// probeDrift lists how one probe's rendered rows moved, a line per row that
+// differs: its configuration, then every field that moved as pinned → got,
+// with the delta for a number. A row on one side only is shown whole.
+func probeDrift(got, want string) string {
+	parse := func(s string) (configs []string, fields map[string][][2]string) {
+		fields = map[string][][2]string{}
+		for _, line := range strings.Split(strings.TrimSpace(s), "\n") {
+			config, rest, _ := strings.Cut(line, ": ")
+			configs = append(configs, config)
+			for _, kv := range strings.Fields(rest) {
+				k, v, _ := strings.Cut(kv, "=")
+				fields[config] = append(fields[config], [2]string{k, v})
+			}
+		}
+		return configs, fields
+	}
+	gotConfigs, gotFields := parse(got)
+	wantConfigs, wantFields := parse(want)
+	var b strings.Builder
+	for _, config := range wantConfigs {
+		g, ok := gotFields[config]
+		if !ok {
+			fmt.Fprintf(&b, "  %s: row gone (pinned %v)\n", config, wantFields[config])
+			continue
+		}
+		var moved []string
+		for i, w := range wantFields[config] {
+			if i >= len(g) || g[i] != w {
+				moved = append(moved, fieldDelta(w, g, i))
+			}
+		}
+		if len(moved) > 0 {
+			fmt.Fprintf(&b, "  %s: %s\n", config, strings.Join(moved, ", "))
+		}
+	}
+	for _, config := range gotConfigs {
+		if _, ok := wantFields[config]; !ok {
+			fmt.Fprintf(&b, "  %s: new row %v\n", config, gotFields[config])
+		}
+	}
+	return b.String()
+}
+
+// fieldDelta renders pinned field w against got's field i.
+func fieldDelta(w [2]string, got [][2]string, i int) string {
+	if i >= len(got) || got[i][0] != w[0] {
+		return fmt.Sprintf("%s=%s → field missing", w[0], w[1])
+	}
+	old, errOld := strconv.ParseFloat(w[1], 64)
+	now, errNow := strconv.ParseFloat(got[i][1], 64)
+	if errOld != nil || errNow != nil {
+		return fmt.Sprintf("%s %s → %s", w[0], w[1], got[i][1])
+	}
+	return fmt.Sprintf("%s %s → %s (%+.6g)", w[0], w[1], got[i][1], now-old)
+}
+
+// TestProbeDriftListsMovedFields: the failure report names each drifted
+// row's moved fields with their deltas and leaves unmoved rows out.
+func TestProbeDriftListsMovedFields(t *testing.T) {
+	want := "a: q=1 mean=10 wire=5 exec=S1:1\nb: q=1 mean=3 wire=7 exec=S1:1\nc: q=1 mean=1\n"
+	got := "a: q=1 mean=9.5 wire=5 exec=S2:1\nb: q=1 mean=3 wire=7 exec=S1:1\nd: q=1 mean=2\n"
+	const report = "  a: mean 10 → 9.5 (-0.5), exec S1:1 → S2:1\n" +
+		"  c: row gone (pinned [[q 1] [mean 1]])\n" +
+		"  d: new row [[q 1] [mean 2]]\n"
+	if r := probeDrift(got, want); r != report {
+		t.Fatalf("report:\n%s\nwant:\n%s", r, report)
 	}
 }
 
@@ -126,27 +198,27 @@ var goldenProbes = map[string]string{
 	"sharded": `sharded shards=1 pushdown-col: q=1 rows=4 mean=14.00535712594697 p50=14.00535712594697 p95=14.00535712594697 p99=14.00535712594697 first=14.00535712594697 wire=80 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.4849044801638698
 sharded shards=2 pushdown-col: q=1 rows=4 mean=13.538293797348485 p50=13.538293797348485 p95=13.538293797348485 p99=13.538293797348485 first=13.538293797348485 wire=171 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.35032081329767584
 sharded shards=2 col-ship: q=1 rows=4 mean=14.187740411931818 p50=14.187740411931818 p95=14.187740411931818 p99=14.187740411931818 first=14.187740411931818 wire=2380 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.009358413371566315
-sharded shards=4 pushdown-col: q=1 rows=4 mean=13.192115411931818 p50=13.192115411931818 p95=13.192115411931818 p99=13.192115411931818 first=13.192115411931818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.1890465934607423
-sharded shards=4 col-ship: q=1 rows=4 mean=13.676744318181818 p50=13.676744318181818 p95=13.676744318181818 p99=13.676744318181818 first=13.676744318181818 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.014059373624299482
-sharded shards=8 pushdown-col: q=1 rows=4 mean=13.062293797348485 p50=13.062293797348485 p95=13.062293797348485 p99=13.062293797348485 first=13.062293797348485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.11477663242074154
-sharded shards=8 col-ship: q=1 rows=4 mean=13.455068536931819 p50=13.455068536931819 p95=13.455068536931819 p99=13.455068536931819 first=13.455068536931819 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.016223362797014116
+sharded shards=4 pushdown-col: q=1 rows=4 mean=13.160650568181818 p50=13.160650568181818 p95=13.160650568181818 p99=13.160650568181818 first=13.160650568181818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.19188939861546345
+sharded shards=4 col-ship: q=1 rows=4 mean=13.633795099431818 p50=13.633795099431818 p95=13.633795099431818 p99=13.633795099431818 first=13.633795099431818 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.010953460756466644
+sharded shards=8 pushdown-col: q=1 rows=4 mean=12.977805516098485 p50=12.977805516098485 p95=12.977805516098485 p99=12.977805516098485 first=12.977805516098485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.12203406600872815
+sharded shards=8 col-ship: q=1 rows=4 mean=13.336080255681818 p50=13.336080255681818 p95=13.336080255681818 p99=13.336080255681818 first=13.336080255681818 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.007445829297632491
 `,
 	"wire": `wire shards=1 row-ship: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
 wire shards=1 col-ship: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
 wire shards=1 pushdown: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
 wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
-wire shards=2 row-ship: q=1 rows=4 mean=32.28722696231931 p50=32.28722696231931 p95=32.28722696231931 p99=32.28722696231931 first=21.55292400760135 wire=64409 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.1760460457119579
-wire shards=2 col-ship: q=1 rows=4 mean=22.180781649819313 p50=22.180781649819313 p95=22.180781649819313 p99=22.180781649819313 first=19.49530682010135 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.19938010970930764
-wire shards=2 pushdown: q=1 rows=4 mean=20.590145359848485 p50=20.590145359848485 p95=20.590145359848485 p99=20.590145359848485 first=20.590145359848485 wire=366 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.3524066335977745
-wire shards=2 pushdown-col: q=1 rows=4 mean=20.543758641098485 p50=20.543758641098485 p95=20.543758641098485 p99=20.543758641098485 first=20.543758641098485 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.359976190189879
-wire shards=4 row-ship: q=1 rows=4 mean=25.016514462624315 p50=25.016514462624315 p95=25.016514462624315 p99=25.016514462624315 first=21.294897118506494 wire=64441 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.1798208646767184
-wire shards=4 col-ship: q=1 rows=4 mean=19.990147275124315 p50=19.990147275124315 p95=19.990147275124315 p99=19.990147275124315 first=19.234866713902953 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.02640680523100255
-wire shards=4 pushdown: q=1 rows=4 mean=16.70838778409091 p50=16.70838778409091 p95=16.70838778409091 p99=16.70838778409091 first=16.70838778409091 wire=732 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5068965075068477
-wire shards=4 pushdown-col: q=1 rows=4 mean=16.66200106534091 p50=16.66200106534091 p95=16.66200106534091 p99=16.66200106534091 first=16.66200106534091 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5138756634181365
-wire shards=8 row-ship: q=1 rows=4 mean=21.582637362659902 p50=21.582637362659902 p95=21.582637362659902 p99=21.582637362659902 first=21.166185595786878 wire=64505 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.18786166738188145
-wire shards=8 col-ship: q=1 rows=4 mean=19.10682529585541 p50=19.10682529585541 p95=19.10682529585541 p99=19.10682529585541 first=19.10682529585541 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.08262692258905736
-wire shards=8 pushdown: q=1 rows=4 mean=14.874508996212121 p50=14.874508996212121 p95=14.874508996212121 p99=14.874508996212121 first=14.874508996212121 wire=1464 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9196535182931778
-wire shards=8 pushdown-col: q=1 rows=4 mean=14.827633996212121 p50=14.827633996212121 p95=14.827633996212121 p99=14.827633996212121 first=14.827633996212121 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9257221708302568
+wire shards=2 row-ship: q=1 rows=4 mean=30.129664395506303 p50=30.129664395506303 p95=30.129664395506303 p99=30.129664395506303 first=21.55292400760135 wire=64409 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.11704332383581995
+wire shards=2 col-ship: q=1 rows=4 mean=20.181910489256303 p50=20.181910489256303 p95=20.181910489256303 p99=20.181910489256303 first=19.49530682010135 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.3181699692286567
+wire shards=2 pushdown: q=1 rows=4 mean=20.482145359848488 p50=20.482145359848488 p95=20.482145359848488 p99=20.482145359848488 first=20.482145359848488 wire=366 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.370083488735142
+wire shards=2 pushdown-col: q=1 rows=4 mean=20.435758641098488 p50=20.435758641098488 p95=20.435758641098488 p99=20.435758641098488 first=20.435758641098488 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.3777331736673952
+wire shards=4 row-ship: q=1 rows=4 mean=22.589232346233295 p50=22.589232346233295 p95=22.589232346233295 p99=22.589232346233295 first=21.294897118506494 wire=64441 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.09169010764640198
+wire shards=4 col-ship: q=1 rows=4 mean=19.22589354255738 p50=19.22589354255738 p95=19.22589354255738 p99=19.22589354255738 first=19.22589354255738 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.06720778180426372
+wire shards=4 pushdown: q=1 rows=4 mean=16.597554450757574 p50=16.597554450757574 p95=16.597554450757574 p99=16.597554450757574 first=16.597554450757574 wire=732 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5236367867493716
+wire shards=4 pushdown-col: q=1 rows=4 mean=16.551167732007574 p50=16.551167732007574 p95=16.551167732007574 p99=16.551167732007574 first=16.551167732007574 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5307095946472529
+wire shards=8 row-ship: q=1 rows=4 mean=21.132988968207027 p50=21.132988968207027 p95=21.132988968207027 p99=21.132988968207027 first=21.132988968207027 wire=64505 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.17058173135935512
+wire shards=8 col-ship: q=1 rows=4 mean=19.082207718207027 p50=19.082207718207027 p95=19.082207718207027 p99=19.082207718207027 first=19.082207718207027 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.08144343777958477
+wire shards=8 pushdown: q=1 rows=4 mean=14.658327178030303 p50=14.658327178030303 p95=14.658327178030303 p99=14.658327178030303 first=14.658327178030303 wire=1464 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9479646743223412
+wire shards=8 pushdown-col: q=1 rows=4 mean=14.611940459280303 p50=14.611940459280303 p95=14.611940459280303 p99=14.611940459280303 first=14.611940459280303 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9541486366601658
 `,
 	"weighted": `weighted round-robin: q=60 rows=60 mean=26.504217344865353 p50=25.94586407261105 p95=29.306849279207054 p99=29.40039325437537 first=26.504217344865353 wire=15 frags=1 exec=S1:20,S2:20,S3:20 admitted=60 shed=0 esterr=0.11127575584141462
 weighted weighted: q=60 rows=60 mean=20.064064506460184 p50=20.069427639366122 p95=24.250875011699943 p99=24.25124523427591 first=20.064064506460184 wire=15 frags=1 exec=S1:30,S2:15,S3:15 admitted=60 shed=0 esterr=0.07748928108586452
@@ -161,8 +233,8 @@ slow_link join: q=1 rows=5 mean=2016.7371631645428 p50=2016.7371631645428 p95=20
 	"join_limit": `join_limit limit: q=2 rows=25 mean=36.54524519815307 p50=33.87925457258362 p95=33.87925457258362 p99=33.87925457258362 first=28.31322722153277 wire=39847.5 frags=2 exec=S1:2,S2:2 admitted=2 shed=0 esterr=0.3948286317491948
 `,
 	"adversarial_from": `adversarial_from split: q=1 rows=1 mean=39.09282305691621 p50=39.09282305691621 p95=39.09282305691621 p99=39.09282305691621 first=26.39787510457334 wire=51154 frags=3 exec=S1:2,S2:1 admitted=1 shed=0 esterr=0.5773180688366406
-adversarial_from adjacent: q=1 rows=1 mean=44.11733940020493 p50=44.11733940020493 p95=44.11733940020493 p99=44.11733940020493 first=31.70652557689626 wire=4489 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.02024161869792005
+adversarial_from adjacent: q=1 rows=1 mean=43.319996016620344 p50=43.319996016620344 p95=43.319996016620344 p99=43.319996016620344 first=31.70652557689626 wire=4489 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.03902008081999213
 `,
-	"blocking_join": `blocking_join blocking: q=3 rows=19 mean=43.73338125117416 p50=43.7555151134698 p95=43.7555151134698 p99=43.7555151134698 first=31.832417554019088 wire=30272.333333333332 frags=2 exec=S1:3,S2:3 admitted=3 shed=0 esterr=0.7108755821618148
+	"blocking_join": `blocking_join blocking: q=3 rows=19 mean=38.68452945193173 p50=43.7555151134698 p95=43.7555151134698 p99=43.7555151134698 first=31.832417554019088 wire=30272.333333333332 frags=2 exec=S1:3,S2:3 admitted=3 shed=0 esterr=0.8683951790985963
 `,
 }

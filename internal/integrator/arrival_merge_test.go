@@ -447,9 +447,13 @@ func allocatedBytes(fn func()) uint64 {
 // the II alone: compile (warm), dispatch, merge, boxing the result. A
 // projection-only gather may allocate little more than the boxed result it
 // returns (fragment batches flow through the projection as views), and a
-// gather join little more than its build side plus its joined output (the
-// probe side is never collected). An accumulate-then-merge II copies every
-// shipped column once or twice more and fails both by a wide margin.
+// gather join little more than its hashed side plus its joined output: the
+// hashed side is collected once and the streamed side never. The sharded
+// lineitem finishes first in both joins, so it is the side hashed: in the
+// first it is the large side and a second copy of it breaks the budget, in the
+// second orders is and collecting the streamed side once breaks it. An
+// accumulate-then-merge II copies every shipped column once or twice more and
+// fails all three by a wide margin.
 func TestMergeCopiesNoFragmentTwice(t *testing.T) {
 	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 10})
 	if err != nil {
@@ -489,29 +493,62 @@ func TestMergeCopiesNoFragmentTwice(t *testing.T) {
 		t.Fatalf("a projection-only gather of %d rows allocated %d bytes at the II; the boxed result is %d and the budget %d", rows, got, boxed, limit)
 	}
 
-	res, got = measure(`SELECT o.o_id, l.l_id FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount < 500`)
-	rows = uint64(len(res.Rel.Rows))
-	var orders, lineitem, probeBatches uint64
-	for _, f := range res.Plan.Fragments {
-		for _, b := range hooked[res.ExecutedServers[f.Spec.ID]].record[f.Plan.SQL].batches {
+	// joinBudget checks a gather join of orders (streamed) and the sharded
+	// lineitem (hashed) against its budget. It returns the budget's headroom
+	// over what was allocated and one copy of each side's shipped cells.
+	joinBudget := func(sql string) (headroom, hashedCopy, streamedCopy uint64) {
+		res, got := measure(sql)
+		var lineEst, ordersEst float64
+		var hashedRows, hashedCells, streamedCells, streamedBatches uint64
+		for _, f := range res.Plan.Fragments {
+			for _, b := range hooked[res.ExecutedServers[f.Spec.ID]].record[f.Plan.SQL].batches {
+				n, cols := uint64(b.Col.Len()), uint64(len(b.Col.Cols))
+				if f.Spec.Shard == nil {
+					streamedCells += n * cols
+					streamedBatches++
+				} else {
+					hashedRows += n
+					hashedCells += n * cols
+				}
+			}
 			if f.Spec.Shard == nil {
-				orders += uint64(b.Col.Len())
+				ordersEst = f.Plan.Est.TotalMS
 			} else {
-				lineitem += uint64(b.Col.Len())
-				probeBatches++
+				lineEst = max(lineEst, f.Plan.Est.TotalMS)
 			}
 		}
+		if lineEst >= ordersEst {
+			t.Fatalf("%s: lineitem is estimated to finish at %v, orders at %v; the budget assumes lineitem is hashed", sql, lineEst, ordersEst)
+		}
+		buckets := uint64(1)
+		for buckets < hashedRows {
+			buckets <<= 1
+		}
+		rows, outCols := uint64(len(res.Rel.Rows)), uint64(len(res.Rel.Schema.Columns))
+		var joinedCols uint64
+		for _, f := range res.Plan.Fragments[:2] {
+			joinedCols += uint64(len(f.Plan.Root.Schema().Columns))
+		}
+		// Hashed side: its cells collected once, key hashes, chain links and
+		// bucket heads. Output: the joined columns gathered, then boxed cells.
+		// Every streamed batch costs a few KiB of fixed parts (its key vector,
+		// a joined batch, the projection), the query itself some compile and
+		// dispatch state.
+		hashed := hashedCells*8 + hashedRows*(8+4) + buckets*4
+		output := rows * (joinedCols*8 + outCols*valueBytes + rowHeaderBytes)
+		limit := (hashed+output)*11/10 + streamedBatches*5<<10 + 64<<10
+		if got > limit {
+			t.Fatalf("%s: a gather join (%d hashed rows, %d streamed cells in %d batches, %d output rows) allocated %d bytes at the II; budget %d", sql, hashedRows, streamedCells, streamedBatches, rows, got, limit)
+		}
+		return limit - got, hashedCells * 8, streamedCells * 8
 	}
-	// Build side: orders' 6 columns collected once, key hashes and chains.
-	// Output: the 11 joined columns gathered, then 2 boxed cells a row. Every
-	// probe batch costs a joined batch's fixed parts (11 column headers).
-	build := orders * (6*8 + 8 + 3*4)
-	output := rows * (11*8 + 2*valueBytes + rowHeaderBytes)
-	limit := (build+output)*13/10 + probeBatches*3<<10
-	if probeCopy := lineitem * 5 * 8; limit > probeCopy*3/4 {
-		t.Fatalf("budget %d is no test: one copy of the %d-row probe side is %d bytes", limit, lineitem, probeCopy)
+
+	headroom, hashedCopy, _ := joinBudget(`SELECT o.o_id, l.l_id FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount < 500`)
+	if headroom > hashedCopy*3/4 {
+		t.Fatalf("budget headroom %d is no test: a second copy of the hashed side is %d bytes", headroom, hashedCopy)
 	}
-	if got > limit {
-		t.Fatalf("a gather join (%d build rows, %d probe rows in %d batches, %d output rows) allocated %d bytes at the II; budget %d", orders, lineitem, probeBatches, rows, got, limit)
+	headroom, _, streamedCopy := joinBudget(`SELECT o.o_id, o.o_custkey, o.o_amount, o.o_priority, o.o_qty, l.l_id FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount < 8000 AND l.l_qty < 2`)
+	if headroom > streamedCopy*3/4 {
+		t.Fatalf("budget headroom %d is no test: one copy of the streamed side is %d bytes", headroom, streamedCopy)
 	}
 }

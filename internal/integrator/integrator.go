@@ -672,38 +672,67 @@ func (a *arrivals) wait(pos, n int) *wrapper.StreamBatch {
 	return nil
 }
 
+// earliest waits for the next batch of every part (plan positions) still
+// running, n[k] being the batches already taken from part k and -1 once it
+// has ended, and returns the one that arrived first on the virtual clock,
+// plan position breaking ties, with its part; nil once every part has ended.
+// Both merges read a logical fragment's shards in this order, so it depends on
+// the model alone, never on the scheduler.
+func (a *arrivals) earliest(parts, n []int) (*wrapper.StreamBatch, int) {
+	var next *wrapper.StreamBatch
+	at := -1
+	for k, pos := range parts {
+		if n[k] < 0 {
+			continue
+		}
+		if b := a.wait(pos, n[k]); b == nil {
+			n[k] = -1
+		} else if next == nil || b.ArriveTime < next.ArriveTime {
+			next, at = b, k
+		}
+	}
+	return next, at
+}
+
 // fragCursor is the columnar merge's source for one logical fragment: the
-// queues of its shards (parts, plan positions in plan order), each read to
-// its end before the next. That is the order the shards' rows concatenate in,
-// so rows, float SUM order and charges are those of a merge over fully
-// materialized fragments. Once ctx (the dispatch context) is cancelled, a
-// queue that ended is not the end of its fragment's data: the cursor fails.
+// queues of its shards (parts, plan positions in plan order), read in arrival
+// order (earliest), so the merge works on whatever is already there. A
+// sharded fragment's batches carry the leaf's schema (sch), one pointer per
+// logical fragment, so kernels compile their expressions once, not once per
+// shard; a single part's stream has one pointer already. Once ctx (the
+// dispatch context) is cancelled, a queue that ended is not the end of its
+// fragment's data: the cursor fails.
 type fragCursor struct {
-	ctx     context.Context
-	arr     *arrivals
-	parts   []int
-	part, n int
+	ctx   context.Context
+	arr   *arrivals
+	sch   *sqltypes.Schema
+	parts []int
+	n     []int // see earliest
 }
 
 // Next is exec.BatchStream's source.
 func (c *fragCursor) Next() (*colbatch.Batch, error) {
-	for c.part < len(c.parts) {
-		b := c.arr.wait(c.parts[c.part], c.n)
-		if err := c.ctx.Err(); err != nil {
-			return nil, err
-		}
-		if b == nil {
-			c.part, c.n = c.part+1, 0
-			continue
-		}
-		c.n++
-		c.arr.taken.take(b.ArriveTime)
-		if b.Col == nil { // a row-engine remote shipped rows
-			return colbatch.FromRelation(b.Rel), nil
-		}
-		return b.Col, nil
+	if c.n == nil {
+		c.n = make([]int, len(c.parts))
 	}
-	return nil, nil
+	next, at := c.arr.earliest(c.parts, c.n)
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
+	}
+	if next == nil {
+		return nil, nil
+	}
+	c.n[at]++
+	c.arr.taken.take(next.ArriveTime)
+	if next.Col == nil { // a row-engine remote shipped rows
+		b := colbatch.FromRelation(next.Rel)
+		b.Schema = c.sch
+		return b, nil
+	}
+	if len(c.parts) == 1 || next.Col.Schema == c.sch {
+		return next.Col, nil
+	}
+	return next.Col.WithColumns(c.sch, next.Col.Cols), nil
 }
 
 // timeline is the columnar merge's place on the query's virtual clock. The
@@ -746,20 +775,23 @@ func overlapped(pulls []pull, idle, total float64, mergeTime simclock.Time) simc
 }
 
 // rowLeaf is the row merge's leaf for one logical fragment, built once every
-// fragment has finished: the rows of its shards' batches in plan order, boxed
-// where only columns were shipped.
+// fragment has finished: the rows of its shards' batches in the columnar
+// merge's order (earliest), boxed where only columns were shipped.
 func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *exec.Values {
 	rel := sqltypes.NewRelation(schema)
-	for _, pos := range parts {
-		for _, b := range a.queues[pos].batches {
-			rows := b.Rel
-			if rows == nil {
-				rows = b.Col.ToRelation()
-			}
-			rel.Rows = append(rel.Rows, rows.Rows...)
+	n := make([]int, len(parts))
+	for {
+		b, at := a.earliest(parts, n)
+		if b == nil {
+			return &exec.Values{Rel: rel, Label: label}
 		}
+		n[at]++
+		rows := b.Rel
+		if rows == nil {
+			rows = b.Col.ToRelation()
+		}
+		rel.Rows = append(rel.Rows, rows.Rows...)
 	}
-	return &exec.Values{Rel: rel, Label: label}
 }
 
 // ExecuteContext runs a compiled global plan: fragments dispatch through MW
@@ -924,7 +956,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		ResponseTime:    response,
 		// A lower bound for a tree that pipelines, an understatement for a
 		// blocking one (the merge span's "blocking" attribute), whose first row
-		// needs every batch: ROADMAP item 3.
+		// needs every batch: ROADMAP item 6(a).
 		FirstRowTime: min(firstPhase+mergeTime, response),
 	}, nil
 }
@@ -950,12 +982,12 @@ func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals
 	for i, label := range labels {
 		schema := gp.Fragments[parts[i][0]].Plan.Root.Schema()
 		if vec {
-			leaves[i] = &exec.BatchStream{Sch: schema, Label: label, Src: &fragCursor{ctx: ctx, arr: arr, parts: parts[i]}}
+			leaves[i] = &exec.BatchStream{Sch: schema, Label: label, Src: &fragCursor{ctx: ctx, arr: arr, sch: schema, parts: parts[i]}}
 		} else {
 			leaves[i] = arr.rowLeaf(label, schema, parts[i])
 		}
 	}
-	top, err := mergePlan(gp, leaves)
+	top, err := mergePlan(gp, leaves, parts)
 	if err != nil {
 		return nil, exec.Resources{}, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
@@ -980,8 +1012,9 @@ func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals
 // statement tail — ShardAggFinal merging partial aggregate states under
 // pushdown, the full tail over gathered rows otherwise; anything else joins
 // the logical fragments left to right on the cross-source conjuncts under the
-// full tail.
-func mergePlan(gp *optimizer.GlobalPlan, leaves []exec.Operator) (exec.Operator, error) {
+// full tail, each hash join built on the input QCC's calibrated estimates say
+// finishes first (a logical fragment finishes with its slowest part).
+func mergePlan(gp *optimizer.GlobalPlan, leaves []exec.Operator, parts [][]int) (exec.Operator, error) {
 	if gp.Decomp.SingleFragment {
 		return leaves[0], nil
 	}
@@ -991,7 +1024,13 @@ func mergePlan(gp *optimizer.GlobalPlan, leaves []exec.Operator) (exec.Operator,
 		}
 		return exec.BuildTop(gp.Stmt, leaves[0])
 	}
-	return exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross))
+	finish := make([]float64, len(parts))
+	for i, ps := range parts {
+		for _, pos := range ps {
+			finish[i] = max(finish[i], gp.Fragments[pos].Plan.Est.TotalMS)
+		}
+	}
+	return exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross, finish))
 }
 
 // logicalFragments groups the plan's fragments into logical ones, in plan

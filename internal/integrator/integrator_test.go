@@ -187,7 +187,7 @@ func TestCrossSourceJoinLimitRowAndColumnarMerge(t *testing.T) {
 		}
 		leaves[i] = &exec.Values{Rel: rel, Col: colbatch.FromRelation(rel)}
 	}
-	top, err := exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross))
+	top, err := exec.BuildTop(gp.Stmt, exec.JoinLeftDeep(leaves, gp.Decomp.Cross, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,14 @@
 // the row arm only resp, a first clamped to resp, and the final clock differ,
 // and only downwards (re-pinned by script from a run of each arm on both
 // commits; every rows=, hash=, frags= and merge= field equals the row arm's).
+// Both merges now read a sharded table's shards in arrival order and build a
+// hash join on the input estimated to finish first, so the sharded
+// federations' lines were re-pinned from the log a failing run prints: hash=
+// moved wherever row order or a float fold follows the shards' arrivals, resp
+// (with a first clamped to it) and the final clock only fell, and no rows=,
+// frags= or merge= field moved. Arrival order follows the wire, so the
+// columnar-wire arm's hash= can differ from the other two on an unordered
+// result.
 package fedqcc_test
 
 import (
@@ -92,37 +100,37 @@ var goldenFederations = []goldenFederation{
 		},
 		sqls: goldenSharded,
 		plain: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
-			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=15.048758049242425 first=15.048758049242425",
+			"rows=1016 hash=d2d4375cc63367a1 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
+			"rows=4 hash=381da1af3d74f1f4 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=15.048758049242425 first=15.048758049242425",
 			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.593156960227272 QF1.s1=13.571209091542968 QF1.s2=13.694098444875978 QF1.s3=13.884446829783212] merge=0.5043333333333333 resp=14.388780163116545 first=14.388780163116545",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.53573721590909 first=17.53573721590909",
 			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=18.542615973188813 first=17.155714609456634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
 			"now=164.36251934183707",
 		},
 		vec: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
-			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=14.726576231060607 first=14.726576231060607",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.593156960227272 QF1.s1=13.571209091542968 QF1.s2=13.694098444875978 QF1.s3=13.884446829783212] merge=0.5043333333333333 resp=14.097490293560606 first=14.097490293560606",
+			"rows=1016 hash=d2d4375cc63367a1 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
+			"rows=4 hash=381da1af3d74f1f4 frags=[QF1.s0=14.201242897727273 QF1.s1=14.307424715909091 QF1.s2=14.257242897727274 QF1.s3=14.52342471590909] merge=0.5253333333333333 resp=14.726576231060607 first=14.726576231060607",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.593156960227272 QF1.s1=13.571209091542968 QF1.s2=13.694098444875978 QF1.s3=13.884446829783212] merge=0.5043333333333333 resp=14.075542424876302 first=14.075542424876302",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.40366646119211 first=17.40366646119211",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.75490213218973 first=17.155714609456634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.06770134658651 first=17.51470792462993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=39.64569660221794 first=23.201825336200297",
-			"now=160.87746636228292",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.138262809273066 first=17.138262809273066",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=25.133518054473292 first=17.51470792462993",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=33.63779112709729 first=23.201825336200297",
+			"now=152.29679040344809",
 		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
-			"rows=4 hash=c6da499c10d92131 frags=[QF1.s0=14.176828835227273 QF1.s1=14.283010653409091 QF1.s2=14.232828835227274 QF1.s3=14.49901065340909] merge=0.5253333333333333 resp=14.702162168560607 first=14.702162168560607",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.582414772727272 QF1.s1=13.560466904042968 QF1.s2=13.683356257375978 QF1.s3=13.873704642283212] merge=0.5043333333333333 resp=14.086748106060606 first=14.086748106060606",
+			"rows=1016 hash=f51aed38500d5367 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
+			"rows=4 hash=381da1af3d74f1f4 frags=[QF1.s0=14.176828835227273 QF1.s1=14.283010653409091 QF1.s2=14.232828835227274 QF1.s3=14.49901065340909] merge=0.5253333333333333 resp=14.702162168560607 first=14.702162168560607",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.582414772727272 QF1.s1=13.560466904042968 QF1.s2=13.683356257375978 QF1.s3=13.873704642283212] merge=0.5043333333333333 resp=14.064800237376302 first=14.064800237376302",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.42075630494211 first=16.42075630494211",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.968002012310606 first=15.968002012310606",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=18.832979572524764 first=16.71010049715909",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.27188736450249 first=21.475519128181958",
-			"now=134.2002969493766",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.958575309273064 first=15.958575309273064",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=16.898796280411545 first=16.71010049715909",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=22.196142407455753 first=21.475519128181958",
+			"now=129.15899412849478",
 		},
 	},
 	{
@@ -136,37 +144,37 @@ var goldenFederations = []goldenFederation{
 		},
 		sqls: goldenSharded,
 		plain: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=20.980749596931954 first=18.447869189198013",
+			"rows=1016 hash=d2d4375cc63367a1 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=18.040162094301827 first=17.807740219301827",
+			"rows=4 hash=7fbd998cd798f01c frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=20.980749596931954 first=18.447869189198013",
 			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.120799891119363 QF1.s1=14.015685654042969 QF1.s2=14.181028132375978 QF1.s3=14.43698589228321] merge=1.0303333333333333 resp=15.467319225616544 first=15.467319225616544",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.53573721590909 first=17.53573721590909",
 			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=18.542615973188813 first=17.155714609456634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.78814542462993 first=17.51470792462993",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=40.2877628362003 first=23.201825336200297",
 			"now=171.3730499520266",
 		},
 		vec: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=19.888724312051906 first=18.447869189198013",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.120799891119363 QF1.s1=14.015685654042969 QF1.s2=14.181028132375978 QF1.s3=14.43698589228321] merge=1.0303333333333333 resp=15.151133224452696 first=15.151133224452696",
+			"rows=1016 hash=d2d4375cc63367a1 frags=[QF1.s0=15.934875710227272 QF1.s1=16.312909517045455 QF1.s2=16.068766335227274 QF1.s3=16.52416209430183] merge=1.516 resp=17.450875710227272 first=17.450875710227272",
+			"rows=4 hash=7fbd998cd798f01c frags=[QF1.s0=17.123295122502896 QF1.s1=17.349956428781347 QF1.s2=17.28512140419986 QF1.s3=17.81008293026529] merge=3.1706666666666665 resp=18.673011880698933 first=18.447869189198013",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=14.120799891119363 QF1.s1=14.015685654042969 QF1.s2=14.181028132375978 QF1.s3=14.43698589228321] merge=1.0303333333333333 resp=15.046018987376302 first=15.046018987376302",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.230224251914818] merge=0.5003333333333333 resp=12.730557585248151 first=12.730557585248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=15.069524147727273 QF1.s1=15.065018465909091 QF1.s2=14.664055397727273 QF1.s3=15.339737215909091] merge=2.1959999999999997 resp=17.40366646119211 first=17.40366646119211",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.75490213218973 first=17.155714609456634",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=27.06770134658651 first=17.51470792462993",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=39.64569660221794 first=23.201825336200297",
-			"now=167.09325737416634",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=14.993568798856398 QF1.s1=15.132114349039968 QF1.s2=15.09932164582357 QF1.s3=15.375949306522145] merge=3.1666666666666665 resp=17.138262809273066 first=17.138262809273066",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=24.86214542462993 QF2.s0=13.844059303977273 QF2.s1=13.85917862215909 QF2.s2=13.707340553977273 QF2.s3=14.096600497159091] merge=2.926 resp=25.133518054473292 first=17.51470792462993",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=33.11109616953363 QF2.s0=17.650150591252896 QF2.s1=17.880229866281347 QF2.s2=17.79000421669986 QF2.s3=18.42727043026529] merge=7.176666666666667 resp=33.63779112709729 first=23.201825336200297",
+			"now=157.21370261558639",
 		},
 		wire: []string{
-			"rows=1016 hash=15b0df6890f36893 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
-			"rows=4 hash=f88b5f0e98a68300 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=17.730032905801906 first=17.277136315681958",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.459726974452696 first=14.459726974452696",
+			"rows=1016 hash=f51aed38500d5367 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
+			"rows=4 hash=cb547ab194e8a7e0 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=17.25001647666956 first=17.25001647666956",
+			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.391722112376302 first=14.391722112376302",
 			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
 			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.42075630494211 first=16.42075630494211",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.968002012310606 first=15.968002012310606",
-			"rows=213 hash=295cd4b66df2cca2 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=18.832979572524764 first=16.71010049715909",
-			"rows=5 hash=8e0f70268f7c977a frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=25.27188736450249 first=21.475519128181958",
-			"now=137.60114655501002",
+			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.958575309273064 first=15.958575309273064",
+			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=16.898796280411545 first=16.71010049715909",
+			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=22.196142407455753 first=21.475519128181958",
+			"now=132.03377031160375",
 		},
 	},
 	{
@@ -307,6 +315,9 @@ func TestMergeGoldenVirtualTime(t *testing.T) {
 						}
 						t.Errorf("%s\n got  %s\n want %s", stmt, got[i], want[i])
 					}
+				}
+				if t.Failed() {
+					t.Logf("this arm's lines, to re-record:\n%s", goldenLiteral(got))
 				}
 			})
 		}

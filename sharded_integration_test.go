@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/scenario"
 	"repro/internal/sqltypes"
 )
 
@@ -340,6 +341,33 @@ func TestBuilderShardedTable(t *testing.T) {
 			if !cellsBitIdentical(got.Rows.Rows[ri][ci], want.Rows.Rows[ri][ci]) {
 				t.Fatalf("cell (%d,%d): %#v vs %#v", ri, ci, got.Rows.Rows[ri][ci], want.Rows.Rows[ri][ci])
 			}
+		}
+	}
+}
+
+// TestGatherJoinMergeFollowsTheEarlyShards pins the shape of the sharded
+// benchmark's gather join: orders, the join's left input, arrives last, and
+// the merge builds on the lineitem shards that arrived before it and streams
+// orders, so almost none of the merge's work is left once the slowest
+// fragment is in. With the left input always built, every probe row waited
+// for orders and 92% of the merge followed the last arrival.
+func TestGatherJoinMergeFollowsTheEarlyShards(t *testing.T) {
+	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, amount := range []int{0, 1700, 4999} {
+		sql := fmt.Sprintf("SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount BETWEEN %d AND %d GROUP BY o.o_priority ORDER BY o.o_priority", amount, amount+5000)
+		res, err := sc.II.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var slowest fedqcc.Time
+		for _, ft := range res.FragmentTimes {
+			slowest = max(slowest, ft)
+		}
+		if tail := res.ResponseTime - slowest; tail > res.MergeTime*5/100 {
+			t.Errorf("amount %d: %v of the merge's %v follows the last arrival (%v); want at most 5%%", amount, tail, res.MergeTime, slowest)
 		}
 	}
 }
