@@ -86,16 +86,40 @@ const (
 type waiter struct {
 	class      ClassConfig
 	tenant     *tenantState // nil when the controller is untenanted
+	tenantName string       // the request's tag, as its Grant reports it
 	cost       float64
 	seq        int64
 	held       bool
+	// queued is set once the request has failed to be admitted on arrival;
+	// only such a waiter's decision is delivered (see unlock).
+	queued     bool
 	enqueuedAt simclock.Time
 	deadlineAt simclock.Time // 0 = no queue deadline
 	state      waiterState
 	wait       simclock.Time
-	// ch delivers the decision: nil = admitted, non-nil = typed rejection.
+	// err is the decision: nil = admitted, non-nil = typed rejection. It
+	// reaches Admit through ch and Submit's caller through done.
+	err      error
 	ch       chan error
+	done     func(*Grant, error)
 	cancelDL simclock.Cancel
+}
+
+// grant is the slot a granted waiter holds.
+func (w *waiter) grant(c *Controller) *Grant {
+	return &Grant{c: c, class: w.class.Name, tenant: w.tenantName, ts: w.tenant, wait: w.wait, queued: w.queued}
+}
+
+// deliver hands the waiter's decision to whoever asked.
+func (w *waiter) deliver(c *Controller) {
+	switch {
+	case w.done == nil:
+		w.ch <- w.err
+	case w.err != nil:
+		w.done(nil, w.err)
+	default:
+		w.done(w.grant(c), nil)
+	}
 }
 
 // classTally is the per-class accounting behind Stats.
@@ -125,6 +149,8 @@ type Controller struct {
 	seq       int64
 	tallies   map[string]*classTally
 	releases  int64
+	// decided holds the queued waiters decided under mu, delivered by unlock.
+	decided []*waiter
 
 	// tenanted is true while at least one tenant is registered; it routes
 	// every admission through the fair queue. tenants holds registered and
@@ -204,6 +230,47 @@ func (g *Grant) Queued() bool { return g != nil && g.queued }
 // typed *Rejection matching ErrAdmissionRejected (and ErrQueueTimeout plus
 // simclock.ErrDeadline for deadline sheds), or ctx.Err().
 func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
+	w, g, err := c.file(req, nil)
+	if w == nil {
+		return g, err
+	}
+	select {
+	case err := <-w.ch:
+		if err != nil {
+			return nil, err
+		}
+		return w.grant(c), nil
+	case <-ctx.Done():
+		if c.abandon(w) {
+			return nil, ctx.Err()
+		}
+		// The waiter was granted or shed concurrently with the cancellation;
+		// honour that decision's bookkeeping before reporting the cancel.
+		if err := <-w.ch; err != nil {
+			return nil, err
+		}
+		c.release(w.class.Name, w.tenant)
+		return nil, ctx.Err()
+	}
+}
+
+// Submit is Admit for a caller that drives the virtual clock itself and so
+// must not block: it files the request and returns. done is called exactly
+// once with what Admit would have returned, on the goroutine that decides it:
+// inside Submit when the request is admitted or refused on arrival, otherwise
+// inside the Release, SetPolicy or queue-deadline clock event that grants or
+// sheds it. No controller lock is held during the call, so done may Release,
+// Submit or schedule clock events.
+func (c *Controller) Submit(req Request, done func(*Grant, error)) {
+	if w, g, err := c.file(req, done); w == nil {
+		done(g, err)
+	}
+}
+
+// file decides a request on arrival — a Grant or a typed refusal, with a nil
+// waiter — or leaves it queued and returns its waiter, whose decision later
+// reaches done (nil: the waiter's channel, for Admit).
+func (c *Controller) file(req Request, done func(*Grant, error)) (*waiter, *Grant, error) {
 	c.mu.Lock()
 	if c.unlimited && !c.tenanted {
 		// Pass-through: one mutex hop, no clock interaction, no queue. This
@@ -215,7 +282,7 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		t.running++
 		t.admitted++
 		c.mu.Unlock()
-		return &Grant{c: c, class: cls.Name, tenant: req.Tenant}, nil
+		return nil, &Grant{c: c, class: cls.Name, tenant: req.Tenant}, nil
 	}
 	var ts *tenantState
 	pol := c.policy
@@ -238,7 +305,7 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		}
 		c.mu.Unlock()
 		c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
-		return nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonCost}
+		return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonCost}
 	}
 	// The class-wide queue bound comes from the base policy; a tenant
 	// override's MaxQueue bounds only the tenant's own slice of the queue.
@@ -255,7 +322,7 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		}
 		c.mu.Unlock()
 		c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
-		return nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonQueueFull}
+		return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonQueueFull}
 	}
 	if ts != nil {
 		full := ts.cfg.MaxQueue > 0 && ts.queued >= ts.cfg.MaxQueue
@@ -270,18 +337,18 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 			c.mu.Unlock()
 			c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
 			c.tel.Active().Counter("admission.tenant_rejected", req.Tenant).Inc()
-			return nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonTenantQueueFull}
+			return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonTenantQueueFull}
 		}
 	}
 	c.seq++
 	w := &waiter{
 		class:      cls,
 		tenant:     ts,
+		tenantName: req.Tenant,
 		cost:       req.CostMS,
 		seq:        c.seq,
 		held:       held,
 		enqueuedAt: c.clock.Now(),
-		ch:         make(chan error, 1),
 	}
 	c.queue = append(c.queue, w)
 	t.queued++
@@ -294,7 +361,11 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		// Admitted synchronously: the queue pass was a formality, the query
 		// never waited.
 		c.mu.Unlock()
-		return &Grant{c: c, class: cls.Name, tenant: req.Tenant, ts: ts}, nil
+		return nil, w.grant(c), nil
+	}
+	w.queued = true
+	if w.done = done; done == nil {
+		w.ch = make(chan error, 1)
 	}
 	t.queuedTotal++
 	if ts != nil {
@@ -307,32 +378,26 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		w.deadlineAt = w.enqueuedAt + cls.QueueDeadline
 		w.cancelDL = c.clock.ScheduleAt(w.deadlineAt, func(at simclock.Time) { c.expire(w, at) })
 	}
+	c.unlock()
+	return w, nil, nil
+}
+
+// unlock ends a change of the controller's state: it releases mu, delivers
+// every decision made under it — outside the lock, since a Submit callback
+// re-enters the controller and the clock — and, when nothing is running and
+// every queued query is held, advances virtual time to the earliest queue
+// deadline: no release will ever drain such a queue, so only the sheds can.
+func (c *Controller) unlock() {
 	target, stalled := c.stallTargetLocked()
 	c.publishGaugesLocked()
+	decided := c.decided
+	c.decided = nil
 	c.mu.Unlock()
-	if stalled {
-		// Nothing is running and every queued query is held: no release will
-		// ever drain the queue, so virtual time must advance to the earliest
-		// queue deadline for the sheds to fire.
-		c.clock.AdvanceTo(target)
+	for _, w := range decided {
+		w.deliver(c)
 	}
-	select {
-	case err := <-w.ch:
-		if err != nil {
-			return nil, err
-		}
-		return &Grant{c: c, class: cls.Name, tenant: req.Tenant, ts: ts, wait: w.wait, queued: true}, nil
-	case <-ctx.Done():
-		if c.abandon(w) {
-			return nil, ctx.Err()
-		}
-		// The waiter was granted or shed concurrently with the cancellation;
-		// honour that decision's bookkeeping before reporting the cancel.
-		if err := <-w.ch; err != nil {
-			return nil, err
-		}
-		c.release(cls.Name, ts)
-		return nil, ctx.Err()
+	if stalled {
+		c.clock.AdvanceTo(target)
 	}
 }
 
@@ -404,15 +469,11 @@ func (c *Controller) SetPolicy(p Policy) {
 			ts.shed++
 			tenant = ts.cfg.Name
 		}
-		w.ch <- &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: ReasonCost}
+		w.err = &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: ReasonCost}
+		c.decided = append(c.decided, w)
 	}
 	c.drainLocked()
-	target, stalled := c.stallTargetLocked()
-	c.publishGaugesLocked()
-	c.mu.Unlock()
-	if stalled {
-		c.clock.AdvanceTo(target)
-	}
+	c.unlock()
 }
 
 // SetGlobalCap tunes the global concurrency cap at runtime (0 = unlimited).
@@ -452,12 +513,7 @@ func (c *Controller) release(name string, ts *tenantState) {
 	}
 	c.releases++
 	c.drainLocked()
-	target, stalled := c.stallTargetLocked()
-	c.publishGaugesLocked()
-	c.mu.Unlock()
-	if stalled {
-		c.clock.AdvanceTo(target)
-	}
+	c.unlock()
 }
 
 // drainLocked admits queued waiters while capacity allows, highest priority
@@ -525,7 +581,9 @@ func (c *Controller) drainLocked() {
 				c.tel.Active().Histogram("admission.tenant_served_cost_ms", ts.cfg.Name, nil).Observe(w.cost)
 			}
 		}
-		w.ch <- nil
+		if w.queued {
+			c.decided = append(c.decided, w)
+		}
 	}
 }
 
@@ -613,20 +671,15 @@ func (c *Controller) expire(w *waiter, at simclock.Time) {
 			reason = ReasonTenantQuotaTimeout
 		}
 	}
-	wait := at - w.enqueuedAt
-	target, stalled := c.stallTargetLocked()
-	c.publishGaugesLocked()
-	c.mu.Unlock()
 	c.tel.Active().Counter("admission.shed", w.class.Name).Inc()
 	if w.tenant != nil && c.tenanted {
 		c.tel.Active().Counter("admission.tenant_shed", tenant).Inc()
 	}
-	w.ch <- &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: reason, Wait: wait}
-	if stalled {
-		// More held waiters with later deadlines may remain on an otherwise
-		// idle machine; keep virtual time moving so their sheds fire too.
-		c.clock.AdvanceTo(target)
-	}
+	w.err = &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: reason, Wait: at - w.enqueuedAt}
+	c.decided = append(c.decided, w)
+	// More held waiters with later deadlines may remain on an otherwise idle
+	// machine; unlock keeps virtual time moving so their sheds fire too.
+	c.unlock()
 }
 
 // abandon removes a waiter whose caller's context was cancelled. It reports

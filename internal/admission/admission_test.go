@@ -235,6 +235,90 @@ func TestQueueFullRejects(t *testing.T) {
 	out.g.Release()
 }
 
+// TestSubmitDecidesOnTheDecidingCall: Submit never blocks. A request admitted
+// or refused on arrival is decided inside Submit; a queued one inside the
+// Release that frees a slot for it, with that instant's queue wait, and its
+// callback may re-enter the controller (b releases at once, which grants c
+// inside b's callback); a held one is shed by its queue-deadline event, which
+// the stall-advance fires once nothing runs.
+func TestSubmitDecidesOnTheDecidingCall(t *testing.T) {
+	c, clk := newController(Policy{MaxConcurrent: 1, Classes: []ClassConfig{
+		{Name: "q", MaxQueue: 2},
+		{Name: "h", HoldCostMS: 100, QueueDeadline: 500},
+	}})
+	var log []string
+	grants := map[string]*Grant{}
+	submit := func(name, class string, cost float64, then func(*Grant)) {
+		c.Submit(Request{Query: name, CostMS: cost, Class: class}, func(g *Grant, err error) {
+			if err != nil {
+				log = append(log, fmt.Sprintf("%s shed %v at %v", name, errors.Is(err, ErrQueueTimeout), clk.Now()))
+				return
+			}
+			log = append(log, fmt.Sprintf("%s granted queued=%v wait=%v", name, g.Queued(), g.QueueWait()))
+			grants[name] = g
+			if then != nil {
+				then(g)
+			}
+		})
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if fmt.Sprint(log) != fmt.Sprint(want) {
+			t.Fatalf("after %s: decisions %q, want %q", step, log, want)
+		}
+		log = nil
+	}
+
+	submit("a", "q", 10, nil)
+	expect("submit a", "a granted queued=false wait=0.000ms")
+	submit("b", "q", 10, func(g *Grant) { g.Release() })
+	submit("c", "q", 10, nil)
+	expect("submit b, c")
+	var rej *Rejection
+	c.Submit(Request{Query: "d", CostMS: 10, Class: "q"}, func(g *Grant, err error) {
+		if !errors.As(err, &rej) || rej.Reason != ReasonQueueFull {
+			t.Fatalf("d: grant %v err %v, want a queue-full refusal", g, err)
+		}
+	})
+	if rej == nil {
+		t.Fatal("the queue-full refusal was not decided inside Submit")
+	}
+
+	clk.AdvanceTo(25)
+	grants["a"].Release()
+	expect("a's release", "b granted queued=true wait=25.000ms", "c granted queued=true wait=25.000ms")
+
+	submit("e", "h", 200, nil)
+	expect("submit e")
+	grants["c"].Release()
+	expect("c's release", "e shed true at 525.000ms")
+	if c.Running() != 0 || c.QueueDepth() != 0 {
+		t.Fatalf("running %d queued %d after the last decision", c.Running(), c.QueueDepth())
+	}
+}
+
+// TestGrantOfAWaiterThatJoinedATenantReleasesIt: a request queued before the
+// first tenant registers runs under the default tenant, and its grant's
+// release must return that tenant's slot (the grant used to carry the tenant
+// state of its admission time, none, and left the tenant running forever).
+func TestGrantOfAWaiterThatJoinedATenantReleasesIt(t *testing.T) {
+	c, _ := newController(Policy{MaxConcurrent: 1})
+	var first, second *Grant
+	c.Submit(Request{Query: "a", CostMS: 10}, func(g *Grant, _ error) { first = g })
+	c.Submit(Request{Query: "b", CostMS: 10}, func(g *Grant, _ error) { second = g })
+	c.RegisterTenant(Tenant{Name: "gold", Weight: 1})
+	first.Release()
+	if second == nil {
+		t.Fatal("the queued request was not granted by the release")
+	}
+	second.Release()
+	for _, ts := range c.TenantStats() {
+		if ts.Running != 0 {
+			t.Fatalf("tenant %q still runs %d after every grant was released", ts.Name, ts.Running)
+		}
+	}
+}
+
 func TestContextCancelWhileQueued(t *testing.T) {
 	c, _ := newController(Policy{MaxConcurrent: 1})
 	g, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10})

@@ -155,12 +155,7 @@ func (c *Controller) RegisterTenant(t Tenant) {
 		}
 	}
 	c.drainLocked()
-	target, stalled := c.stallTargetLocked()
-	c.publishGaugesLocked()
-	c.mu.Unlock()
-	if stalled {
-		c.clock.AdvanceTo(target)
-	}
+	c.unlock()
 }
 
 // DeregisterTenant removes a tenant from the registry, reporting whether it
@@ -186,8 +181,7 @@ func (c *Controller) DeregisterTenant(name string) bool {
 		c.tenanted = false
 	}
 	c.drainLocked()
-	c.publishGaugesLocked()
-	c.mu.Unlock()
+	c.unlock()
 	return ok
 }
 

@@ -5,11 +5,8 @@
 package experiment
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"math"
-	"sort"
 
 	"repro/internal/admission"
 	"repro/internal/simclock"
@@ -31,11 +28,12 @@ type MultitenantTenantOutcome struct {
 	Completed int     `json:"completed"`
 	Shed      int     `json:"shed"`
 	ShedRate  float64 `json:"shed_rate"`
-	// End-to-end latency percentiles (queue wait + service) over the
-	// tenant's completed queries, in virtual milliseconds.
-	P50MS float64 `json:"p50_ms"`
-	P95MS float64 `json:"p95_ms"`
-	P99MS float64 `json:"p99_ms"`
+	// End-to-end latency mean and percentiles (queue wait + service) over
+	// the tenant's completed queries, in virtual milliseconds.
+	MeanMS float64 `json:"mean_ms"`
+	P50MS  float64 `json:"p50_ms"`
+	P95MS  float64 `json:"p95_ms"`
+	P99MS  float64 `json:"p99_ms"`
 	// ContendedServedMS is the tenant's cumulative served cost at the last
 	// snapshot where every tenant was still backlogged — the instant fair
 	// shares are judged at; ServedShare normalizes it across tenants.
@@ -73,8 +71,7 @@ type MultitenantOutcome struct {
 	Tenants           []MultitenantTenantOutcome `json:"tenants"`
 }
 
-// MultitenantStudyResult is the full study (its JSON form is the schema of
-// the BENCH_multitenant.json snapshot).
+// MultitenantStudyResult is the full study.
 type MultitenantStudyResult struct {
 	Seed      int64                `json:"seed"`
 	Scenarios []MultitenantOutcome `json:"scenarios"`
@@ -128,43 +125,10 @@ func runMTScenario(sc mtScenario) mtRun {
 	})
 	defer cancel()
 
-	exec := func(ctx context.Context, _ int, item workload.Item) (simclock.Time, error) {
-		cost := sc.costMS[item.Tenant]
-		g, err := ctrl.Admit(ctx, admission.Request{
-			Query:  item.SQL,
-			CostMS: cost,
-			Class:  admission.ClassFromContext(ctx),
-			Tenant: admission.TenantFromContext(ctx),
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer g.Release()
-		done := make(chan struct{})
-		clk.ScheduleAfter(simclock.Time(cost), func(simclock.Time) { close(done) })
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		return g.QueueWait() + simclock.Time(cost), nil
-	}
 	mix := workload.Mix{Seed: sc.seed, Horizon: sc.horizon, Streams: sc.streams}
-	settle := func() int { return ctrl.QueueDepth() + ctrl.Running() }
-	res := workload.RunMix(context.Background(), clk, mix, exec, settle)
+	cost := func(item workload.Item) float64 { return sc.costMS[item.Tenant] }
+	res := workload.RunMix(clk, mix, workload.ServeAdmitted(ctrl, clk, cost))
 	return mtRun{res: res, contended: contended}
-}
-
-// mtPercentile returns the q-th percentile (0 < q <= 1) of the sorted sample.
-func mtPercentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
 }
 
 // mtTenantOutcomes aggregates a run's per-tenant outcomes in the scenario's
@@ -187,7 +151,7 @@ func mtTenantOutcomes(sc mtScenario, run mtRun) []MultitenantTenantOutcome {
 			if errors.Is(r.Err, admission.ErrAdmissionRejected) {
 				shed[tenant]++
 			}
-		case !r.Skipped:
+		default:
 			completed[tenant]++
 			lat[tenant] = append(lat[tenant], float64(r.ResponseTime))
 			served[tenant] += sc.costMS[tenant]
@@ -200,7 +164,6 @@ func mtTenantOutcomes(sc mtScenario, run mtRun) []MultitenantTenantOutcome {
 	var out []MultitenantTenantOutcome
 	for _, t := range sc.tenants {
 		ls := lat[t.Name]
-		sort.Float64s(ls)
 		o := MultitenantTenantOutcome{
 			Tenant:            t.Name,
 			Weight:            t.Weight,
@@ -208,9 +171,10 @@ func mtTenantOutcomes(sc mtScenario, run mtRun) []MultitenantTenantOutcome {
 			Arrivals:          arrivals[t.Name],
 			Completed:         completed[t.Name],
 			Shed:              shed[t.Name],
-			P50MS:             mtPercentile(ls, 0.50),
-			P95MS:             mtPercentile(ls, 0.95),
-			P99MS:             mtPercentile(ls, 0.99),
+			MeanMS:            Mean(ls),
+			P50MS:             percentile(ls, 0.50),
+			P95MS:             percentile(ls, 0.95),
+			P99MS:             percentile(ls, 0.99),
 			ContendedServedMS: run.contended[t.Name],
 			TotalServedMS:     served[t.Name],
 		}
@@ -379,6 +343,34 @@ func MultitenantStudy(opts Options) (MultitenantStudyResult, error) {
 		isoOut.IsolationP95Ratio = isoOut.ContendedP95MS / isoOut.BaselineP95MS
 	}
 	out.Scenarios = append(out.Scenarios, isoOut)
+	return out, nil
+}
+
+// multitenantProbe is the study at seed 42, one row per scenario and tenant:
+// arrivals, completions, sheds and the latency summary. The backend is
+// synthetic — it returns no rows, ships nothing and runs no fragment — so
+// those fields stay zero, and so does the first-row time.
+func multitenantProbe(name string) ([]ProbeRow, error) {
+	res, err := MultitenantStudy(Options{Seed: 42})
+	if err != nil {
+		return nil, err
+	}
+	var out []ProbeRow
+	for _, sc := range res.Scenarios {
+		for _, t := range sc.Tenants {
+			out = append(out, ProbeRow{
+				Probe:    name,
+				Config:   sc.Scenario + " " + t.Tenant,
+				Queries:  t.Arrivals,
+				MeanMS:   t.MeanMS,
+				P50MS:    t.P50MS,
+				P95MS:    t.P95MS,
+				P99MS:    t.P99MS,
+				Admitted: int64(t.Completed),
+				Shed:     int64(t.Shed),
+			})
+		}
+	}
 	return out, nil
 }
 

@@ -67,6 +67,7 @@ var probes = []struct {
 	{"join_limit", joinLimitProbe},
 	{"adversarial_from", adversarialFromProbe},
 	{"blocking_join", blockingJoinProbe},
+	{"multitenant", multitenantProbe},
 }
 
 // Probes runs every probe and returns its rows in report order.

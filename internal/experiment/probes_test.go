@@ -237,4 +237,13 @@ adversarial_from adjacent: q=1 rows=1 mean=43.319996016620344 p50=43.31999601662
 `,
 	"blocking_join": `blocking_join blocking: q=3 rows=19 mean=38.68452945193173 p50=43.7555151134698 p95=43.7555151134698 p99=43.7555151134698 first=31.832417554019088 wire=30272.333333333332 frags=2 exec=S1:3,S2:3 admitted=3 shed=0 esterr=0.8683951790985963
 `,
+	"multitenant": `multitenant equal-weights t1: q=554 rows=0 mean=2674.903444162561 p50=2633.3625193258513 p95=4913.056416374357 p99=5064.118794512851 first=0 wire=0 frags=0 exec= admitted=554 shed=0 esterr=0
+multitenant equal-weights t2: q=581 rows=0 mean=2891.0896070817025 p50=2945.506703639152 p95=5426.274353005373 p99=5479.206330360629 first=0 wire=0 frags=0 exec= admitted=581 shed=0 esterr=0
+multitenant equal-weights t3: q=618 rows=0 mean=3221.1079411955097 p50=3242.3618401383305 p95=5852.837295818102 p99=5912.532223017536 first=0 wire=0 frags=0 exec= admitted=618 shed=0 esterr=0
+multitenant equal-weights t4: q=593 rows=0 mean=2926.3794432411814 p50=2856.626369955733 p95=5518.975593964808 p99=5615.721851894988 first=0 wire=0 frags=0 exec= admitted=593 shed=0 esterr=0
+multitenant weighted-3to1 gold: q=1144 rows=0 mean=825.4092223273824 p50=779.4752966911688 p95=1553.1339373563596 p99=1635.3753987412883 first=0 wire=0 frags=0 exec= admitted=1144 shed=0 esterr=0
+multitenant weighted-3to1 bronze: q=1173 rows=0 mean=4739.450051230132 p50=5644.747094769944 p95=5731.285077315429 p99=5754.731742696635 first=0 wire=0 frags=0 exec= admitted=1173 shed=0 esterr=0
+multitenant isolation light: q=34 rows=0 mean=34.40682364666797 p50=34.25286541014873 p95=38.36023929157618 p99=38.36942190356376 first=0 wire=0 frags=0 exec= admitted=34 shed=0 esterr=0
+multitenant isolation heavy: q=1577 rows=0 mean=1237.320633735143 p50=1541.0854662548777 p95=1689.1402450367627 p99=1707.172252897211 first=0 wire=0 frags=0 exec= admitted=999 shed=578 esterr=0
+`,
 }

@@ -1,17 +1,15 @@
 // traffic.go is the production traffic simulator: arrival-process generators
 // on virtual time (open-loop Poisson, bursty on/off MMPP, heavy-tailed Pareto
 // think times, diurnal rate curves) composed into replayable seeded tenant
-// mixes that drive the same executors the pool runner uses.
+// mixes, replayed on the virtual clock alone.
 package workload
 
 import (
-	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/admission"
 	"repro/internal/simclock"
@@ -256,115 +254,75 @@ type MixResult struct {
 	Stats    PoolStats
 }
 
-// RunMix replays the mix against exec as an open-loop generator: virtual time
-// advances to each arrival instant and the query is dispatched on its own
-// goroutine — arrivals never wait for earlier responses, which is exactly
-// what lets overload build real queues. The call returns when every arrival
-// has resolved (completed, typed shed, or error), so no query is ever lost.
+// Serve starts one arrival of a Mix at the current virtual instant. It must
+// not block: it reports the query's outcome by calling done exactly once,
+// before it returns (a refusal on arrival) or from a clock event it set off (a
+// grant's service completing, a queue deadline shedding it).
+type Serve func(idx int, item Item, done func(rt simclock.Time, err error))
+
+// ServeAdmitted serves each query through ctrl and holds the slot it is
+// granted for cost(item) of virtual time: the service's end is a clock event
+// that releases the slot, which grants the next queued query at that instant.
+// The response time is the queue wait plus the service.
+func ServeAdmitted(ctrl *admission.Controller, clk *simclock.Clock, cost func(Item) float64) Serve {
+	return func(_ int, item Item, done func(simclock.Time, error)) {
+		service := cost(item)
+		req := admission.Request{Query: item.SQL, CostMS: service, Class: item.Class, Tenant: item.Tenant}
+		ctrl.Submit(req, func(g *admission.Grant, err error) {
+			if err != nil {
+				done(0, err)
+				return
+			}
+			clk.ScheduleAfter(simclock.Time(service), func(simclock.Time) {
+				g.Release()
+				done(g.QueueWait()+simclock.Time(service), nil)
+			})
+		})
+	}
+}
+
+// ErrStalled is the outcome of an arrival whose Serve had not called done by
+// the time the clock ran out of events: nothing left could ever resolve it.
+var ErrStalled = errors.New("workload: mix stalled with the query unresolved")
+
+// RunMix replays the mix on clk as a discrete-event simulation, on the
+// calling goroutine alone. Every arrival is a clock event at its instant that
+// hands the query to serve, and the replay steps the clock from event to event
+// until every arrival has resolved. Arrivals never wait for earlier responses
+// — the generator is open-loop, which is what lets overload build real queues
+// — and each grant, release and shed happens at the virtual instant of the
+// event that caused it. The replay therefore depends on the seed alone: no
+// goroutine, scheduler or wall clock takes part. No query is lost: an arrival
+// still unresolved when no event is left reports ErrStalled.
 //
-// settle, when non-nil, reports how many in-flight queries the backend can
-// currently see (for an admission-gated executor: queue depth + running
-// count). RunMix uses it as a barrier between arrivals: the next arrival is
-// only released once every earlier one is visible to the backend or already
-// resolved, and after the last arrival the driver keeps stepping virtual
-// time to the next pending clock event until every query resolves. That
-// makes the replay a faithful discrete-event simulation for executors whose
-// service occupies virtual time (blocking on scheduled completion events) —
-// backlog builds exactly as the arrival process dictates instead of
-// depending on goroutine scheduling. With settle nil, dispatch simply
-// outpaces execution in wall time, and queues form only where execution
-// genuinely blocks — the right mode for executors that charge the clock
-// themselves, where saturation comes from wall-time pile-up.
-func RunMix(ctx context.Context, clk *simclock.Clock, m Mix, exec Exec, settle func() int) MixResult {
+// RunMix owns clk until it returns; events the caller scheduled before (a
+// periodic snapshot, say) fire in their turn. A series that never stops
+// (clk.Every) never runs out of events, so beside one only a Serve that
+// resolves every query lets RunMix return.
+func RunMix(clk *simclock.Clock, m Mix, serve Serve) MixResult {
 	arrivals := m.Schedule()
 	results := make([]PoolResult, len(arrivals))
-	var wg sync.WaitGroup
-	var finished atomic.Int64
-	spawned := 0
-	// settleWait blocks (wall time only — virtual time stands still) until
-	// every dispatched query has either resolved or reached the backend.
-	settleWait := func() {
-		for ctx.Err() == nil && settle() < spawned-int(finished.Load()) {
-			runtime.Gosched()
-		}
-	}
-	// quiesce yields until the simulation stops moving at the current
-	// virtual instant: every dispatched query is backend-visible or
-	// resolved, and two consecutive yield rounds see no new completions and
-	// no new scheduled events. Completion events only close a channel — the
-	// released slot, the next grant, and the granted query's own completion
-	// event all need worker-goroutine CPU — so the driver must not advance
-	// the clock again until that cascade lands, or grants would be stamped
-	// at a later virtual time than the release that enabled them.
-	quiesce := func() {
-		stable := 0
-		for ctx.Err() == nil && stable < 2 {
-			settleWait()
-			f, p := finished.Load(), clk.Pending()
-			runtime.Gosched()
-			if finished.Load() == f && clk.Pending() == p {
-				stable++
-			} else {
-				stable = 0
-			}
-		}
-	}
+	open := len(arrivals)
 	for i, a := range arrivals {
-		if ctx.Err() != nil {
-			results[i] = PoolResult{Index: i, Item: a.Item, Skipped: true}
-			continue
-		}
-		if settle != nil {
-			// Step event-to-event up to the arrival instant, quiescing after
-			// each event so releases and grants happen at the virtual time
-			// their triggering event fired — one big AdvanceTo would stamp
-			// them all at the arrival time instead.
-			for ctx.Err() == nil {
-				at, ok := clk.NextEvent()
-				if !ok || at > a.At {
-					break
+		results[i] = PoolResult{Index: i, Item: a.Item, Err: ErrStalled}
+		clk.ScheduleAt(a.At, func(simclock.Time) {
+			resolved := false
+			serve(i, a.Item, func(rt simclock.Time, err error) {
+				if resolved {
+					panic(fmt.Sprintf("workload: arrival %d resolved twice", i))
 				}
-				clk.AdvanceTo(at)
-				quiesce()
-			}
-		}
-		clk.AdvanceTo(a.At)
-		ictx := ctx
-		if a.Item.Class != "" {
-			ictx = admission.WithClass(ictx, a.Item.Class)
-		}
-		if a.Item.Tenant != "" {
-			ictx = admission.WithTenant(ictx, a.Item.Tenant)
-		}
-		wg.Add(1)
-		spawned++
-		go func(i int, item Item, ictx context.Context) {
-			rt, err := exec(ictx, i, item)
-			results[i] = PoolResult{Index: i, Item: item, ResponseTime: rt, Err: err}
-			finished.Add(1)
-			wg.Done()
-		}(i, a.Item, ictx)
-		if settle != nil {
-			quiesce()
-		}
+				resolved = true
+				results[i].ResponseTime, results[i].Err = rt, err
+				open--
+			})
+		})
 	}
-	if settle != nil {
-		// Arrivals are exhausted but queries may still be queued or mid
-		// virtual service; step the clock event-to-event until all resolve,
-		// quiescing between steps so each event's release/grant cascade
-		// lands before time moves again.
-		for ctx.Err() == nil && int(finished.Load()) < spawned {
-			quiesce()
-			if int(finished.Load()) >= spawned {
-				break
-			}
-			if at, ok := clk.NextEvent(); ok {
-				clk.AdvanceTo(at)
-			} else {
-				runtime.Gosched()
-			}
+	for open > 0 {
+		at, ok := clk.NextEvent()
+		if !ok {
+			break
 		}
+		clk.AdvanceTo(at)
 	}
-	wg.Wait()
 	return MixResult{Arrivals: arrivals, Results: results, Stats: tallyPool(results)}
 }

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -126,35 +126,6 @@ func TestMixScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// admitExec builds a mix executor that funnels every query through the given
-// admission controller and occupies its slot for costMS of *virtual* time:
-// service completion is a scheduled clock event, so a slot granted at t stays
-// busy until the driver advances the clock to t+costMS. Together with
-// RunMix's settle barrier this makes the replay a true discrete-event
-// simulation of the queueing system.
-func admitExec(ctrl *admission.Controller, clk *simclock.Clock, costMS float64) Exec {
-	return func(ctx context.Context, idx int, item Item) (simclock.Time, error) {
-		g, err := ctrl.Admit(ctx, admission.Request{
-			Query:  item.SQL,
-			CostMS: costMS,
-			Class:  admission.ClassFromContext(ctx),
-			Tenant: admission.TenantFromContext(ctx),
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer g.Release()
-		done := make(chan struct{})
-		clk.ScheduleAfter(simclock.Time(costMS), func(simclock.Time) { close(done) })
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return 0, ctx.Err()
-		}
-		return g.QueueWait() + simclock.Time(costMS), nil
-	}
-}
-
 // TestMixSoakWeightedFairness is the satellite soak: four tenants with 4:2:1:1
 // weights, bursty on/off arrivals, a saturated 4-slot machine, run under the
 // race detector. It checks that no query is lost, the run drains (stall
@@ -204,8 +175,7 @@ func TestMixSoakWeightedFairness(t *testing.T) {
 	})
 	defer cancel()
 
-	settle := func() int { return ctrl.QueueDepth() + ctrl.Running() }
-	res := RunMix(context.Background(), clk, mix, admitExec(ctrl, clk, costMS), settle)
+	res := RunMix(clk, mix, ServeAdmitted(ctrl, clk, func(Item) float64 { return costMS }))
 	if len(res.Arrivals) != 4*perTenant {
 		t.Fatalf("schedule expanded %d arrivals, want %d", len(res.Arrivals), 4*perTenant)
 	}
@@ -240,5 +210,69 @@ func TestMixSoakWeightedFairness(t *testing.T) {
 	}
 	if lo <= 0 || hi/lo > 1.5 {
 		t.Fatalf("fair shares diverged beyond +/-20%%: served=%v (spread %.2fx)", served, hi/lo)
+	}
+}
+
+// TestRunMixIsTheQueueingRecursion replays one Poisson stream at 1.5x the
+// capacity of a two-slot FIFO controller and requires every response time to
+// equal, bit for bit, the multi-server FIFO recursion computed beside it: each
+// arrival starts when it arrives or when the earliest slot frees, whichever is
+// later, and holds that slot for its service. A grant stamped at any other
+// instant than the release that made it moves a response.
+func TestRunMixIsTheQueueingRecursion(t *testing.T) {
+	const slots, serviceMS = 2, 20
+	clk := simclock.New()
+	ctrl := admission.New(admission.Config{Clock: clk, Policy: admission.Policy{MaxConcurrent: slots}})
+	mix := Mix{Seed: 3, Horizon: 5000, Streams: []TenantStream{
+		{Tenant: "t", Queries: []string{"SELECT 1"}, Arrivals: Poisson{RatePerSec: 150}},
+	}}
+	res := RunMix(clk, mix, ServeAdmitted(ctrl, clk, func(Item) float64 { return serviceMS }))
+
+	free := make([]simclock.Time, slots)
+	queued := 0
+	for i, a := range res.Arrivals {
+		k := 0
+		for j := range free {
+			if free[j] < free[k] {
+				k = j
+			}
+		}
+		start := max(a.At, free[k])
+		if start > a.At {
+			queued++
+		}
+		free[k] = start + serviceMS
+		want := (start - a.At) + serviceMS
+		if r := res.Results[i]; r.Err != nil || r.ResponseTime != want {
+			t.Fatalf("arrival %d at %v: response %v err %v, the recursion gives %v", i, a.At, r.ResponseTime, r.Err, want)
+		}
+	}
+	if queued < len(res.Arrivals)/2 {
+		t.Fatalf("only %d of %d arrivals queued: the stream does not overload the slots", queued, len(res.Arrivals))
+	}
+}
+
+// TestRunMixReportsAStall: an arrival whose Serve never resolves it ends the
+// replay with ErrStalled once no event is left, beside the ones that resolved.
+func TestRunMixReportsAStall(t *testing.T) {
+	clk := simclock.New()
+	mix := Mix{Seed: 1, Horizon: 1000, Streams: []TenantStream{
+		{Tenant: "t", Queries: []string{"SELECT 1"}, Arrivals: Poisson{RatePerSec: 20}},
+	}}
+	res := RunMix(clk, mix, func(idx int, _ Item, done func(simclock.Time, error)) {
+		if idx%2 == 0 {
+			clk.ScheduleAfter(5, func(simclock.Time) { done(5, nil) })
+		}
+	})
+	if len(res.Arrivals) < 4 {
+		t.Fatalf("only %d arrivals", len(res.Arrivals))
+	}
+	for i, r := range res.Results {
+		if stalled := errors.Is(r.Err, ErrStalled); stalled != (i%2 == 1) {
+			t.Fatalf("arrival %d: err %v", i, r.Err)
+		}
+	}
+	if want := len(res.Arrivals) / 2; res.Stats.Failed != want || res.Stats.Completed != len(res.Arrivals)-want {
+		t.Fatalf("stats %+v over %d arrivals", res.Stats, len(res.Arrivals))
 	}
 }
