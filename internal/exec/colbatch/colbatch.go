@@ -264,6 +264,103 @@ func NewColumn(cells []sqltypes.Value) *Column {
 	return c
 }
 
+// The three methods below edit a column in place, for a store that owns it:
+// each keeps the column what NewColumn builds from its cells.
+
+// AppendValue appends v to c, which holds n cells and will hold total; what
+// it allocates has room for all of them.
+func (c *Column) AppendValue(n, total int, v sqltypes.Value) {
+	k := v.Kind()
+	switch {
+	case c.Mixed != nil:
+		c.Mixed = append(c.Mixed, v)
+		return
+	case k == sqltypes.KindNull && c.Kind == sqltypes.KindNull:
+		return // still all NULL
+	case k == sqltypes.KindNull:
+		if c.Nulls == nil {
+			c.Nulls = make([]bool, n, total)
+		}
+	case c.Kind == sqltypes.KindNull: // the first non-NULL cell sets the kind
+		c.Kind = k
+		if n > 0 {
+			c.Nulls = make([]bool, n, total)
+			for i := range c.Nulls {
+				c.Nulls[i] = true
+			}
+		}
+		switch k {
+		case sqltypes.KindInt:
+			c.Ints = make([]int64, n, total)
+		case sqltypes.KindFloat:
+			c.Floats = make([]float64, n, total)
+		case sqltypes.KindString:
+			c.Strs = make([]string, n, total)
+		case sqltypes.KindBool:
+			c.Bools = make([]bool, n, total)
+		}
+	case k != c.Kind:
+		mixed := make([]sqltypes.Value, n, total)
+		for i := range mixed {
+			mixed[i] = c.Value(i)
+		}
+		*c = Column{Mixed: append(mixed, v)}
+		return
+	}
+	if c.Nulls != nil {
+		c.Nulls = append(c.Nulls, k == sqltypes.KindNull)
+	}
+	switch c.Kind { // a NULL's payload reads zero
+	case sqltypes.KindInt:
+		c.Ints = append(c.Ints, v.Int())
+	case sqltypes.KindFloat:
+		c.Floats = append(c.Floats, v.Float())
+	case sqltypes.KindString:
+		c.Strs = append(c.Strs, v.Str())
+	case sqltypes.KindBool:
+		c.Bools = append(c.Bools, v.Bool())
+	}
+}
+
+// SetValue replaces cell i of c's n cells by v. A non-NULL cell overwritten
+// by a value of the column's kind is one store; anything else can change the
+// column's form, so the column is rebuilt from its cells.
+func (c *Column) SetValue(n, i int, v sqltypes.Value) {
+	if c.Mixed != nil || v.Kind() != c.Kind || c.IsNull(i) {
+		cells := make([]sqltypes.Value, n)
+		for j := range cells {
+			cells[j] = c.Value(j)
+		}
+		cells[i] = v
+		*c = *NewColumn(cells)
+		return
+	}
+	switch c.Kind {
+	case sqltypes.KindInt:
+		c.Ints[i] = v.Int()
+	case sqltypes.KindFloat:
+		c.Floats[i] = v.Float()
+	case sqltypes.KindString:
+		c.Strs[i] = v.Str()
+	case sqltypes.KindBool:
+		c.Bools[i] = v.Bool()
+	}
+}
+
+// Clone returns a copy of c that shares no slice with it, each slice with
+// room for total cells.
+func (c *Column) Clone(total int) *Column {
+	return &Column{Kind: c.Kind, Ints: grown(c.Ints, total), Floats: grown(c.Floats, total),
+		Strs: grown(c.Strs, total), Bools: grown(c.Bools, total), Nulls: grown(c.Nulls, total), Mixed: grown(c.Mixed, total)}
+}
+
+func grown[T any](s []T, total int) []T {
+	if s == nil {
+		return nil
+	}
+	return append(make([]T, 0, max(len(s), total)), s...)
+}
+
 // IntColumn wraps a typed int64 vector (nulls may be nil).
 func IntColumn(vals []int64, nulls []bool) *Column {
 	return &Column{Kind: sqltypes.KindInt, Ints: vals, Nulls: nulls}

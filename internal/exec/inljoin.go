@@ -65,11 +65,10 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 	if err != nil {
 		return nil, err
 	}
-	inner := v.Rows()
-	outSchema := outer.Schema.Concat(j.innerSchema())
-	out := sqltypes.NewRelation(outSchema)
-	var probes, fetches float64
-	for _, orow := range outer.Rows {
+	// Every probe first, then the matched inner rows in one materialization.
+	var probes float64
+	var outerOf, positions []int // per fetch: the outer row and the inner position
+	for o, orow := range outer.Rows {
 		k, err := sqlparser.Eval(j.OuterKey, orow, outer.Schema)
 		if err != nil {
 			return nil, err
@@ -78,23 +77,29 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 			continue
 		}
 		probes++
-		for _, pos := range iv.LookupEq(k) {
-			fetches++
-			joined := orow.Concat(inner[pos])
-			if j.Residual != nil {
-				ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out.Rows = append(out.Rows, joined)
+		before := len(positions)
+		positions = iv.AppendEqHash(positions, k.Hash())
+		for range positions[before:] {
+			outerOf = append(outerOf, o)
 		}
 	}
+	outSchema := outer.Schema.Concat(j.innerSchema())
+	out := sqltypes.NewRelation(outSchema)
+	for f, irow := range v.RowsAt(positions) {
+		joined := outer.Rows[outerOf[f]].Concat(irow)
+		if j.Residual != nil {
+			ok, err := sqlparser.EvalBool(j.Residual, joined, outSchema)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		out.Rows = append(out.Rows, joined)
+	}
 	ctx.read(v)
-	j.charge(ctx, iv, probes, fetches)
+	j.charge(ctx, iv, probes, float64(len(positions)))
 	return out, nil
 }
 

@@ -35,8 +35,7 @@ func (s *SeqScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	v := s.Table.View()
 	defer v.Close()
 	ctx.read(v)
-	out := sqltypes.NewRelation(s.Schema())
-	out.Rows = append(out.Rows, v.Rows()...)
+	out := &sqltypes.Relation{Schema: s.Schema(), Rows: v.Rows()}
 	ctx.Res.IOPages += float64(v.Pages())
 	ctx.Res.CPUOps += float64(len(out.Rows))
 	return out, nil
@@ -115,11 +114,7 @@ func (s *IndexScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := sqltypes.NewRelation(s.Schema())
-	rows := v.Rows()
-	for _, pos := range positions {
-		out.Rows = append(out.Rows, rows[pos])
-	}
+	out := &sqltypes.Relation{Schema: s.Schema(), Rows: v.RowsAt(positions)}
 	s.charge(ctx, iv, len(positions))
 	return out, nil
 }

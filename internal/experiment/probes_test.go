@@ -195,30 +195,30 @@ func TestWeightedProbeBeatsRoundRobin(t *testing.T) {
 // goldenProbes holds each probe's rendered rows (formatProbeRow), captured with
 // `go run ./cmd/qccbench -exp probes`.
 var goldenProbes = map[string]string{
-	"sharded": `sharded shards=1 pushdown-col: q=1 rows=4 mean=14.00535712594697 p50=14.00535712594697 p95=14.00535712594697 p99=14.00535712594697 first=14.00535712594697 wire=80 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.4849044801638698
-sharded shards=2 pushdown-col: q=1 rows=4 mean=13.538293797348485 p50=13.538293797348485 p95=13.538293797348485 p99=13.538293797348485 first=13.538293797348485 wire=171 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.35032081329767584
+	"sharded": `sharded shards=1 pushdown-col: q=1 rows=4 mean=14.00535712594697 p50=14.00535712594697 p95=14.00535712594697 p99=14.00535712594697 first=14.00535712594697 wire=80 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.031333248369677796
+sharded shards=2 pushdown-col: q=1 rows=4 mean=13.538293797348485 p50=13.538293797348485 p95=13.538293797348485 p99=13.538293797348485 first=13.538293797348485 wire=171 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.005477999039376194
 sharded shards=2 col-ship: q=1 rows=4 mean=14.187740411931818 p50=14.187740411931818 p95=14.187740411931818 p99=14.187740411931818 first=14.187740411931818 wire=2380 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.009358413371566315
-sharded shards=4 pushdown-col: q=1 rows=4 mean=13.160650568181818 p50=13.160650568181818 p95=13.160650568181818 p99=13.160650568181818 first=13.160650568181818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.19188939861546345
+sharded shards=4 pushdown-col: q=1 rows=4 mean=13.160650568181818 p50=13.160650568181818 p95=13.160650568181818 p99=13.160650568181818 first=13.160650568181818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.007381042632612518
 sharded shards=4 col-ship: q=1 rows=4 mean=13.633795099431818 p50=13.633795099431818 p95=13.633795099431818 p99=13.633795099431818 first=13.633795099431818 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.010953460756466644
-sharded shards=8 pushdown-col: q=1 rows=4 mean=12.977805516098485 p50=12.977805516098485 p95=12.977805516098485 p99=12.977805516098485 first=12.977805516098485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.12203406600872815
+sharded shards=8 pushdown-col: q=1 rows=4 mean=12.977805516098485 p50=12.977805516098485 p95=12.977805516098485 p99=12.977805516098485 first=12.977805516098485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.010375486171343592
 sharded shards=8 col-ship: q=1 rows=4 mean=13.336080255681818 p50=13.336080255681818 p95=13.336080255681818 p99=13.336080255681818 first=13.336080255681818 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.007445829297632491
 `,
-	"wire": `wire shards=1 row-ship: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
-wire shards=1 col-ship: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
-wire shards=1 pushdown: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.835106273452464
-wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=2.8402119287828564
+	"wire": `wire shards=1 row-ship: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.0184182935701412
+wire shards=1 col-ship: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.017111519385983407
+wire shards=1 pushdown: q=1 rows=4 mean=25.70820691287879 p50=25.70820691287879 p95=25.70820691287879 p99=25.70820691287879 first=25.70820691287879 wire=151 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.0184182935701412
+wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.017111519385983407
 wire shards=2 row-ship: q=1 rows=4 mean=30.129664395506303 p50=30.129664395506303 p95=30.129664395506303 p99=30.129664395506303 first=21.55292400760135 wire=64409 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.11704332383581995
 wire shards=2 col-ship: q=1 rows=4 mean=20.181910489256303 p50=20.181910489256303 p95=20.181910489256303 p99=20.181910489256303 first=19.49530682010135 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.3181699692286567
-wire shards=2 pushdown: q=1 rows=4 mean=20.482145359848488 p50=20.482145359848488 p95=20.482145359848488 p99=20.482145359848488 first=20.482145359848488 wire=366 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.370083488735142
-wire shards=2 pushdown-col: q=1 rows=4 mean=20.435758641098488 p50=20.435758641098488 p95=20.435758641098488 p99=20.435758641098488 first=20.435758641098488 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=2.3777331736673952
+wire shards=2 pushdown: q=1 rows=4 mean=20.482145359848488 p50=20.482145359848488 p95=20.482145359848488 p99=20.482145359848488 first=20.482145359848488 wire=366 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.006557477039488038
+wire shards=2 pushdown-col: q=1 rows=4 mean=20.435758641098488 p50=20.435758641098488 p95=20.435758641098488 p99=20.435758641098488 first=20.435758641098488 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.008842241672558225
 wire shards=4 row-ship: q=1 rows=4 mean=22.589232346233295 p50=22.589232346233295 p95=22.589232346233295 p99=22.589232346233295 first=21.294897118506494 wire=64441 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.09169010764640198
 wire shards=4 col-ship: q=1 rows=4 mean=19.22589354255738 p50=19.22589354255738 p95=19.22589354255738 p99=19.22589354255738 first=19.22589354255738 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.06720778180426372
-wire shards=4 pushdown: q=1 rows=4 mean=16.597554450757574 p50=16.597554450757574 p95=16.597554450757574 p99=16.597554450757574 first=16.597554450757574 wire=732 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5236367867493716
-wire shards=4 pushdown-col: q=1 rows=4 mean=16.551167732007574 p50=16.551167732007574 p95=16.551167732007574 p99=16.551167732007574 first=16.551167732007574 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=1.5307095946472529
+wire shards=4 pushdown: q=1 rows=4 mean=16.597554450757574 p50=16.597554450757574 p95=16.597554450757574 p99=16.597554450757574 first=16.597554450757574 wire=732 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.009949931584195668
+wire shards=4 pushdown-col: q=1 rows=4 mean=16.551167732007574 p50=16.551167732007574 p95=16.551167732007574 p99=16.551167732007574 first=16.551167732007574 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.012780442650637224
 wire shards=8 row-ship: q=1 rows=4 mean=21.132988968207027 p50=21.132988968207027 p95=21.132988968207027 p99=21.132988968207027 first=21.132988968207027 wire=64505 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.17058173135935512
 wire shards=8 col-ship: q=1 rows=4 mean=19.082207718207027 p50=19.082207718207027 p95=19.082207718207027 p99=19.082207718207027 first=19.082207718207027 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.08144343777958477
-wire shards=8 pushdown: q=1 rows=4 mean=14.658327178030303 p50=14.658327178030303 p95=14.658327178030303 p99=14.658327178030303 first=14.658327178030303 wire=1464 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9479646743223412
-wire shards=8 pushdown-col: q=1 rows=4 mean=14.611940459280303 p50=14.611940459280303 p95=14.611940459280303 p99=14.611940459280303 first=14.611940459280303 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.9541486366601658
+wire shards=8 pushdown: q=1 rows=4 mean=14.658327178030303 p50=14.658327178030303 p95=14.658327178030303 p99=14.658327178030303 first=14.658327178030303 wire=1464 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.014905726516048783
+wire shards=8 pushdown-col: q=1 rows=4 mean=14.611940459280303 p50=14.611940459280303 p95=14.611940459280303 p99=14.611940459280303 first=14.611940459280303 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.018127622103760694
 `,
 	"weighted": `weighted round-robin: q=60 rows=60 mean=26.504217344865353 p50=25.94586407261105 p95=29.306849279207054 p99=29.40039325437537 first=26.504217344865353 wire=15 frags=1 exec=S1:20,S2:20,S3:20 admitted=60 shed=0 esterr=0.11127575584141462
 weighted weighted: q=60 rows=60 mean=20.064064506460184 p50=20.069427639366122 p95=24.250875011699943 p99=24.25124523427591 first=20.064064506460184 wire=15 frags=1 exec=S1:30,S2:15,S3:15 admitted=60 shed=0 esterr=0.07748928108586452

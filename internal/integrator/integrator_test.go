@@ -3,7 +3,6 @@ package integrator_test
 import (
 	"context"
 	"errors"
-	"slices"
 	"strings"
 
 	"repro/internal/integrator"
@@ -19,11 +18,11 @@ import (
 	"repro/internal/storage"
 )
 
-// tableRows returns tab's rows (stored rows never change once read).
+// tableRows returns tab's rows, materialized for the caller.
 func tableRows(tab *storage.Table) []sqltypes.Row {
 	v := tab.View()
 	defer v.Close()
-	return slices.Clone(v.Rows())
+	return v.Rows()
 }
 
 func threeServer(t *testing.T) *scenario.Scenario {

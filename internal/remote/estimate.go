@@ -289,12 +289,15 @@ func (e *estimator) probeSelectivity(x *exec.IndexScan, ts *stats.TableStats) fl
 }
 
 // keyDistinct estimates the number of distinct values a key expression
-// takes; bare columns use statistics, anything else assumes the input
-// cardinality.
+// takes; a bare column of a base table — qualified or not — uses its
+// statistics, anything else assumes the input cardinality.
 func (e *estimator) keyDistinct(key sqlparser.Expr, inputCard float64) int64 {
-	if ref, ok := key.(*sqlparser.ColumnRef); ok && ref.Table != "" {
-		if cs := e.provider.TableStats(ref.Table).Column(ref.Name); cs != nil && cs.Distinct > 0 {
-			return cs.Distinct
+	if ref, ok := key.(*sqlparser.ColumnRef); ok {
+		if i, err := e.schema.ColumnIndex(ref.Table, ref.Name); err == nil {
+			c := e.schema.Columns[i]
+			if cs := e.provider.TableStats(c.Table).Column(c.Name); cs != nil && cs.Distinct > 0 {
+				return cs.Distinct
+			}
 		}
 	}
 	d := int64(inputCard)

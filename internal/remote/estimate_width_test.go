@@ -92,3 +92,26 @@ func TestAggregateProjectionEstimateUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// An unqualified GROUP BY column is priced from its statistics, as its
+// qualified spelling is: the group estimate is the column's distinct count,
+// not one group per input row.
+func TestUnqualifiedGroupByUsesColumnStatistics(t *testing.T) {
+	s := newTestServer(t, ProfileS1("S1"), 100)
+	v := s.Table("lineitem").View()
+	distinct := v.Stats().Column("l_tag").Distinct
+	v.Close()
+	for _, sql := range []string{
+		"SELECT l_tag, COUNT(*) FROM lineitem GROUP BY l_tag",
+		"SELECT l_tag, COUNT(*) FROM lineitem AS t GROUP BY l_tag",
+		"SELECT t.l_tag, COUNT(*) FROM lineitem AS t GROUP BY t.l_tag",
+	} {
+		plans, err := s.Explain(sqlparser.MustParse(sql))
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		if got := plans[0].Est.Card; got != distinct {
+			t.Errorf("%s: estimated %d groups, l_tag has %d distinct values", sql, got, distinct)
+		}
+	}
+}

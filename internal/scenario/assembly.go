@@ -24,9 +24,9 @@ import (
 // declarations over it.
 type Assembly struct {
 	// seed drives data generation. A table is generated once per Replicate,
-	// and its replicas are copies (storage.Table.Copy): they share the
-	// immutable rows and own their row slices and indexes, so an update burst
-	// on one replica never reaches another.
+	// and its replicas are copies (storage.Table.Copy): they share its columns
+	// and indexes copy-on-write, so an update burst on one replica never
+	// reaches another.
 	seed int64
 	// data, when set, is generated data this assembly shares with others
 	// (federations): Generate and Replicate take their tables from it as

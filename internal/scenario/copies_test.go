@@ -12,15 +12,18 @@ import (
 )
 
 // contents renders what an update could change in a table: its version, every
-// stored row (address and values) and every index's contents, the sorted order
-// and each key's hash list.
+// stored column's address, every row's values and every index's contents, the
+// sorted order and each key's hash list.
 func contents(tab *storage.Table) string {
 	v := tab.View()
 	defer v.Close()
 	var b strings.Builder
 	fmt.Fprintf(&b, "version %d\n", v.Version())
+	for _, col := range v.Columns() {
+		fmt.Fprintf(&b, "%p\n", col)
+	}
 	for _, row := range v.Rows() {
-		fmt.Fprintf(&b, "%p %v\n", &row[0], row)
+		fmt.Fprintf(&b, "%v\n", row)
 	}
 	for _, ix := range v.Indexes() {
 		iv, err := v.Index(ix)
@@ -42,11 +45,11 @@ func contents(tab *storage.Table) string {
 
 // A table is generated once per study: every replica in a federation and
 // every federation of a ThreeServerFederations function holds a copy. Before
-// any update the copies share every stored row (sharing, not a deep copy); an
-// update burst on one copy, indexed columns included, leaves every other
-// copy's rows, version and index contents as they were while readers scan
-// them (run it under -race); and a federation assembled afterwards is still
-// the one BuildThreeServer builds.
+// any update the copies share every stored column (sharing, not a deep copy);
+// an update burst on one copy, indexed columns included, leaves every other
+// copy's columns, rows, version and index contents as they were while readers
+// scan them (run it under -race); and a federation assembled afterwards is
+// still the one BuildThreeServer builds.
 func TestReplicaCopiesAreIndependent(t *testing.T) {
 	opts := Options{Scale: 100, Seed: 7}
 	build := ThreeServerFederations(opts)
@@ -63,9 +66,9 @@ func TestReplicaCopiesAreIndependent(t *testing.T) {
 	origin := copies[0].View()
 	for _, tab := range copies[1:] {
 		v := tab.View()
-		for i, row := range v.Rows() {
-			if &row[0] != &origin.Rows()[i][0] {
-				t.Fatalf("row %d of a copy is not the generated row", i)
+		for i, col := range v.Columns() {
+			if col != origin.Columns()[i] {
+				t.Fatalf("column %d of a copy is not the generated column", i)
 			}
 		}
 		v.Close()

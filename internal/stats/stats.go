@@ -12,6 +12,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 )
 
@@ -88,8 +89,9 @@ func Collect(table string, schema *sqltypes.Schema, rows []sqltypes.Row) *TableS
 		totalBytes += r.ByteSize()
 	}
 	ts.AvgRowBytes = AvgRowBytes(totalBytes, len(rows))
+	cells := make([]sqltypes.Value, len(rows))
 	for ci, col := range schema.Columns {
-		ts.Columns[col.Name] = CollectColumn(col, ci, rows)
+		ts.Columns[col.Name] = CollectColumn(col, colbatch.RowsColumn(rows, ci, cells), len(rows))
 	}
 	return ts
 }
@@ -103,14 +105,14 @@ func AvgRowBytes(total, n int) float64 {
 	return float64(total) / float64(n)
 }
 
-// CollectColumn computes the statistics of col, column ci of rows: the
+// CollectColumn computes the statistics of col from c, its n cells: the
 // ColumnStats Collect computes for it, which depend on that column alone.
-func CollectColumn(col sqltypes.Column, ci int, rows []sqltypes.Row) *ColumnStats {
-	cs := &ColumnStats{Name: col.Name, Type: col.Type, RowCount: int64(len(rows))}
+func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats {
+	cs := &ColumnStats{Name: col.Name, Type: col.Type, RowCount: int64(n)}
 	distinct := make(map[uint64]struct{})
 	var numeric []float64
-	for _, r := range rows {
-		v := r[ci]
+	for i := 0; i < n; i++ {
+		v := c.Value(i)
 		if v.IsNull() {
 			cs.NullCount++
 			continue

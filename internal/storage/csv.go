@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -24,7 +23,7 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		return err
 	}
 	v := t.View()
-	rows := slices.Clone(v.Rows()) // w may block: write with the view closed
+	rows := v.Rows() // w may block: write with the view closed
 	v.Close()
 	for _, row := range rows {
 		rec := make([]string, len(row))

@@ -33,7 +33,8 @@ type IndexGen struct {
 
 // Generate materializes the table with a deterministic per-table RNG stream
 // derived from seed, so replicas generated with the same seed are identical
-// byte-for-byte across servers.
+// byte-for-byte across servers. Cells are drawn row by row and go straight
+// into the table's columns.
 func (g TableGen) Generate(seed int64) (*Table, error) {
 	cols := make([]sqltypes.Column, len(g.Columns))
 	for i, c := range g.Columns {
@@ -42,17 +43,14 @@ func (g TableGen) Generate(seed int64) (*Table, error) {
 	schema := sqltypes.NewSchema(cols...)
 	t := NewTable(g.Name, schema)
 	r := rand.New(rand.NewSource(seed ^ int64(hashString(g.Name))))
-	rows := make([]sqltypes.Row, 0, g.Rows)
+	row := make(sqltypes.Row, len(g.Columns))
 	for i := 0; i < g.Rows; i++ {
-		row := make(sqltypes.Row, len(g.Columns))
 		for j, c := range g.Columns {
 			row[j] = c.Gen(r, i)
 		}
-		rows = append(rows, row)
+		t.put(row, g.Rows)
 	}
-	if err := t.Append(rows...); err != nil {
-		return nil, err
-	}
+	t.version++ // generating is one write, as one Append was
 	for _, ig := range g.Indexes {
 		if _, err := t.CreateIndex(ig.Name, ig.Column, ig.Kind); err != nil {
 			return nil, fmt.Errorf("storage: generating %s: %w", g.Name, err)

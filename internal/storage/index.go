@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 )
 
@@ -31,10 +32,13 @@ func (k IndexKind) String() string {
 // (name, column, kind) that plan nodes carry, and its contents are read
 // through View.Index.
 //
-// The order contract: sorted holds every indexed (non-NULL) value ascending by
-// sqltypes.Compare, equal keys newest first — the order inserting each key at
-// its lower bound produces, and the order build reproduces with one sort. A
-// hash list holds its positions in insertion order, ascending after a build.
+// The order contract: sorted holds the position of every indexed (non-NULL)
+// cell, ascending by sqltypes.Compare of the cells, equal keys newest first —
+// the order inserting each key at its lower bound produces, and the order
+// build reproduces with one sort. Entries hold no value: they compare through
+// the table's column, so a cell's entry is removed before the cell is
+// overwritten and inserted after. A hash list holds its positions in
+// insertion order, ascending after a build.
 type Index struct {
 	name   string
 	column string
@@ -42,16 +46,11 @@ type Index struct {
 	kind   IndexKind
 
 	hash    map[uint64][]int
-	sorted  []sortedEntry // kept ordered by value
-	entries int           // indexed (non-NULL) values
+	sorted  []int // positions, kept ordered by their cells
+	entries int   // indexed (non-NULL) values
 	// shared is set while another table's index may read hash and sorted
 	// (share sets it on both handles): the next edit clones them first.
 	shared bool
-}
-
-type sortedEntry struct {
-	val sqltypes.Value
-	pos int
 }
 
 // Name returns the index name.
@@ -63,33 +62,34 @@ func (ix *Index) Column() string { return ix.column }
 // Kind returns the index kind.
 func (ix *Index) Kind() IndexKind { return ix.kind }
 
-// build indexes rows, an empty index's whole input, in O(n log n): one sort
-// instead of n sorted inserts, with the contents inserting every row in
-// position order would leave.
-func (ix *Index) build(rows []sqltypes.Row) {
+// build indexes the n cells of c, an empty index's whole input, in
+// O(n log n): one sort instead of n sorted inserts, with the contents
+// inserting every position in order would leave.
+func (ix *Index) build(c *colbatch.Column, n int) {
 	distinct := 0 // a hint for the hash map; a hash index learns it by growing
 	if ix.kind == IndexSorted {
-		ix.sorted = make([]sortedEntry, 0, len(rows))
-		for pos, r := range rows {
-			if v := r[ix.colIdx]; !v.IsNull() {
-				ix.sorted = append(ix.sorted, sortedEntry{val: v, pos: pos})
+		ix.sorted = make([]int, 0, n)
+		for pos := 0; pos < n; pos++ {
+			if !c.IsNull(pos) {
+				ix.sorted = append(ix.sorted, pos)
 			}
 		}
-		slices.SortFunc(ix.sorted, func(a, b sortedEntry) int {
-			if c := sqltypes.Compare(a.val, b.val); c != 0 {
-				return c
+		order := func(a, b int) int { return sqltypes.Compare(c.Value(a), c.Value(b)) }
+		slices.SortFunc(ix.sorted, func(a, b int) int {
+			if o := order(a, b); o != 0 {
+				return o
 			}
-			return cmp.Compare(b.pos, a.pos) // equal keys newest first
+			return cmp.Compare(b, a) // equal keys newest first
 		})
-		for i, e := range ix.sorted {
-			if i == 0 || sqltypes.Compare(ix.sorted[i-1].val, e.val) != 0 {
+		for i, pos := range ix.sorted {
+			if i == 0 || order(ix.sorted[i-1], pos) != 0 {
 				distinct++
 			}
 		}
 	}
 	ix.hash = make(map[uint64][]int, distinct)
-	for pos, r := range rows {
-		if v := r[ix.colIdx]; !v.IsNull() {
+	for pos := 0; pos < n; pos++ {
+		if v := c.Value(pos); !v.IsNull() {
 			h := v.Hash()
 			ix.hash[h] = append(ix.hash[h], pos)
 			ix.entries++
@@ -121,7 +121,9 @@ func (ix *Index) own() {
 	ix.hash, ix.sorted, ix.shared = hash, slices.Clone(ix.sorted), false
 }
 
-func (ix *Index) insert(v sqltypes.Value, pos int) {
+// insert indexes position pos, whose cell c already holds.
+func (ix *Index) insert(c *colbatch.Column, pos int) {
+	v := c.Value(pos)
 	if v.IsNull() {
 		return // NULLs are not indexed
 	}
@@ -130,11 +132,13 @@ func (ix *Index) insert(v sqltypes.Value, pos int) {
 	ix.hash[h] = append(ix.hash[h], pos)
 	ix.entries++
 	if ix.kind == IndexSorted {
-		ix.sorted = slices.Insert(ix.sorted, ix.lowerBound(v), sortedEntry{val: v, pos: pos})
+		ix.sorted = slices.Insert(ix.sorted, ix.lowerBound(c, v), pos)
 	}
 }
 
-func (ix *Index) remove(v sqltypes.Value, pos int) {
+// remove drops position pos, whose cell c still holds.
+func (ix *Index) remove(c *colbatch.Column, pos int) {
+	v := c.Value(pos)
 	if v.IsNull() {
 		return
 	}
@@ -146,8 +150,8 @@ func (ix *Index) remove(v sqltypes.Value, pos int) {
 	}
 	if ix.kind == IndexSorted {
 		// The entries equal to v are one run that starts at its lower bound.
-		for i := ix.lowerBound(v); i < len(ix.sorted) && sqltypes.Compare(ix.sorted[i].val, v) == 0; i++ {
-			if ix.sorted[i].pos == pos {
+		for i := ix.lowerBound(c, v); i < len(ix.sorted) && sqltypes.Compare(c.Value(ix.sorted[i]), v) == 0; i++ {
+			if ix.sorted[i] == pos {
 				ix.sorted = slices.Delete(ix.sorted, i, i+1)
 				break
 			}
@@ -155,17 +159,18 @@ func (ix *Index) remove(v sqltypes.Value, pos int) {
 	}
 }
 
-// lowerBound returns the position of the first sorted entry not below v.
-func (ix *Index) lowerBound(v sqltypes.Value) int {
+// lowerBound returns the first sorted entry whose cell in c is not below v.
+func (ix *Index) lowerBound(c *colbatch.Column, v sqltypes.Value) int {
 	return sort.Search(len(ix.sorted), func(i int) bool {
-		return sqltypes.Compare(ix.sorted[i].val, v) >= 0
+		return sqltypes.Compare(c.Value(ix.sorted[i]), v) >= 0
 	})
 }
 
 // IndexView is an index's contents at the version of the View that opened it;
-// the positions it returns index that view's Rows and Columns.
+// the positions it returns index that view's rows and columns.
 type IndexView struct {
-	ix *Index
+	ix  *Index
+	col *colbatch.Column // the indexed column at the view's version
 }
 
 // LookupEq returns the positions of rows whose key equals v.
@@ -195,7 +200,7 @@ func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive
 	start := 0
 	if lo != nil {
 		start = sort.Search(len(ix.sorted), func(i int) bool {
-			c := sqltypes.Compare(ix.sorted[i].val, *lo)
+			c := sqltypes.Compare(iv.col.Value(ix.sorted[i]), *lo)
 			if loInclusive {
 				return c >= 0
 			}
@@ -205,7 +210,7 @@ func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive
 	end := len(ix.sorted)
 	if hi != nil {
 		end = sort.Search(len(ix.sorted), func(i int) bool {
-			c := sqltypes.Compare(ix.sorted[i].val, *hi)
+			c := sqltypes.Compare(iv.col.Value(ix.sorted[i]), *hi)
 			if hiInclusive {
 				return c > 0
 			}
@@ -215,11 +220,7 @@ func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive
 	if start >= end {
 		return nil
 	}
-	out := make([]int, 0, end-start)
-	for _, e := range ix.sorted[start:end] {
-		out = append(out, e.pos)
-	}
-	return out
+	return slices.Clone(ix.sorted[start:end])
 }
 
 // Len returns the number of indexed (non-NULL) entries.

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
 )
 
@@ -19,23 +20,25 @@ func buildIndex(kind IndexKind, vals []int64) IndexView {
 	for i, v := range vals {
 		keys[i] = sqltypes.NewInt(v)
 	}
-	return IndexView{ix: insertEach(kind, keys)}
+	col := colbatch.NewColumn(keys)
+	return IndexView{ix: insertEach(kind, col, len(keys)), col: col}
 }
 
 // insertEach is the incremental build CreateIndex ran before the bulk build:
-// one sorted insert per key, in position order. It is the reference the bulk
-// build must reproduce.
-func insertEach(kind IndexKind, keys []sqltypes.Value) *Index {
+// one sorted insert per cell of col, in position order. It is the reference
+// the bulk build must reproduce.
+func insertEach(kind IndexKind, col *colbatch.Column, n int) *Index {
 	ix := &Index{name: "ix", column: "k", kind: kind, hash: map[uint64][]int{}}
-	for pos, v := range keys {
-		ix.insert(v, pos)
+	for pos := 0; pos < n; pos++ {
+		ix.insert(col, pos)
 	}
 	return ix
 }
 
 // removeLinear is Index.remove before it searched: the sorted entry is found
 // by scanning the whole slice.
-func removeLinear(ix *Index, v sqltypes.Value, pos int) {
+func removeLinear(ix *Index, col *colbatch.Column, pos int) {
+	v := col.Value(pos)
 	if v.IsNull() {
 		return
 	}
@@ -50,7 +53,7 @@ func removeLinear(ix *Index, v sqltypes.Value, pos int) {
 	}
 	if ix.kind == IndexSorted {
 		for i, e := range ix.sorted {
-			if e.pos == pos && sqltypes.Compare(e.val, v) == 0 {
+			if e == pos {
 				ix.sorted = append(ix.sorted[:i], ix.sorted[i+1:]...)
 				break
 			}
@@ -59,8 +62,8 @@ func removeLinear(ix *Index, v sqltypes.Value, pos int) {
 }
 
 // sameContents reports how got's contents differ from want's: entries, the
-// sorted list entry for entry (kind and bits, so 2 and 2.0 differ) and every
-// hash list position for position.
+// sorted list position for position and every hash list position for
+// position.
 func sameContents(got, want *Index) string {
 	if got.entries != want.entries {
 		return fmt.Sprintf("entries %d, want %d", got.entries, want.entries)
@@ -68,8 +71,7 @@ func sameContents(got, want *Index) string {
 	if !slices.Equal(got.sorted, want.sorted) {
 		for i := range min(len(got.sorted), len(want.sorted)) {
 			if got.sorted[i] != want.sorted[i] {
-				return fmt.Sprintf("sorted[%d] = %v@%d, want %v@%d (lengths %d, %d)", i,
-					got.sorted[i].val, got.sorted[i].pos, want.sorted[i].val, want.sorted[i].pos, len(got.sorted), len(want.sorted))
+				return fmt.Sprintf("sorted[%d] = %d, want %d (lengths %d, %d)", i, got.sorted[i], want.sorted[i], len(got.sorted), len(want.sorted))
 			}
 		}
 		return fmt.Sprintf("sorted has %d entries, want %d", len(got.sorted), len(want.sorted))
@@ -132,7 +134,7 @@ func TestBulkBuildMatchesIncrementalBuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if diff := sameContents(bulk, insertEach(kind, keys)); diff != "" {
+				if diff := sameContents(bulk, insertEach(kind, colbatch.NewColumn(keys), len(keys))); diff != "" {
 					t.Fatalf("%s seed %d %v over %d rows: %s", name, seed, kind, len(keys), diff)
 				}
 			}
@@ -157,30 +159,28 @@ func TestRemoveFindsWhatTheLinearScanFound(t *testing.T) {
 		return sqltypes.NewInt(r.Int63n(100)) // ~1 000 duplicates per key
 	}
 	keys := make([]sqltypes.Value, n)
-	rows := make([]sqltypes.Row, n)
 	for i := range keys {
 		keys[i] = key()
-		rows[i] = sqltypes.Row{keys[i]}
 	}
+	col := colbatch.NewColumn(keys)
 	searched, scanned := &Index{kind: IndexSorted}, &Index{kind: IndexSorted}
-	searched.build(rows) // the incremental build is quadratic at this size
-	scanned.build(rows)
+	searched.build(col, n) // the incremental build is quadratic at this size
+	scanned.build(col, n)
 	pos := 0
 	for step := 0; step < steps; step++ {
 		switch step % 3 {
 		case 0:
 			pos = r.Intn(n)
 		case 2:
-			if end := searched.lowerBound(sqltypes.NewInt(r.Int63n(100)+1)) - 1; end >= 0 {
-				pos = searched.sorted[end].pos
+			if end := searched.lowerBound(col, sqltypes.NewInt(r.Int63n(100)+1)) - 1; end >= 0 {
+				pos = searched.sorted[end]
 			}
 		}
-		v := key()
-		searched.remove(keys[pos], pos)
-		removeLinear(scanned, keys[pos], pos)
-		searched.insert(v, pos)
-		scanned.insert(v, pos)
-		keys[pos] = v
+		searched.remove(col, pos)
+		removeLinear(scanned, col, pos)
+		col.SetValue(n, pos, key())
+		searched.insert(col, pos)
+		scanned.insert(col, pos)
 		if !slices.Equal(searched.sorted, scanned.sorted) {
 			t.Fatalf("step %d (position %d): %s", step, pos, sameContents(searched, scanned))
 		}
@@ -196,9 +196,9 @@ func sharesContents(a, b *Index) bool {
 		unsafe.SliceData(a.sorted) == unsafe.SliceData(b.sorted)
 }
 
-// A copy shares the source's row slice and every index's contents until a
-// write: a table's first write clones the row slice, and the contents of only
-// the indexes on the column it changes. Writes to either table leave the other
+// A copy shares the source's columns and every index's contents until a
+// write: a table's first write clones the column it changes, and the contents
+// of only the indexes on that column. Writes to either table leave the other
 // as it was, and leave the written table exactly where the same writes leave a
 // table built on its own.
 func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
@@ -220,7 +220,12 @@ func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
 		}
 		return tab
 	}
-	rowsShared := func(a, b *Table) bool { return unsafe.SliceData(a.rows) == unsafe.SliceData(b.rows) }
+	shared := func(a, b *Table) (cols []bool) {
+		for i := range a.cols {
+			cols = append(cols, a.cols[i] == b.cols[i])
+		}
+		return cols
+	}
 	update := func(tabs []*Table, i, col int, v sqltypes.Value) {
 		t.Helper()
 		for _, tab := range tabs {
@@ -231,19 +236,19 @@ func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
 	}
 	src, twin := indexed(), indexed()
 	cp := src.Copy()
-	if !rowsShared(src, cp) || read(src, View.Version) != read(cp, View.Version) {
-		t.Fatal("the copy does not share the source's row slice and version")
+	if !slices.Equal(shared(src, cp), []bool{true, true, true}) || read(src, View.Version) != read(cp, View.Version) {
+		t.Fatal("the copy does not share the source's columns and version")
 	}
 	for name, ix := range src.indexes {
 		if cp.indexes[name] == ix || !sharesContents(cp.indexes[name], ix) {
 			t.Fatalf("index %s: the copy needs its own handle on the source's contents", name)
 		}
 	}
-	keptRows, version := slices.Clone(src.rows), read(src, View.Version)
+	keptRows, keptCols, version := read(src, View.Rows), slices.Clone(src.cols), read(src, View.Version)
 
 	update([]*Table{cp, twin}, 5, 2, sqltypes.NewFloat(-1)) // unindexed
-	if rowsShared(src, cp) {
-		t.Fatal("a write to the copy left its row slice shared")
+	if !slices.Equal(shared(src, cp), []bool{true, true, false}) {
+		t.Fatal("a write to the copy must clone the column it changes and only that column")
 	}
 	if !sharesContents(cp.indexes["pk"], src.indexes["pk"]) || !sharesContents(cp.indexes["vh"], src.indexes["vh"]) {
 		t.Fatal("a write to an unindexed column cloned an index")
@@ -264,17 +269,16 @@ func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
 	if got := read(src, View.Version); got != version {
 		t.Fatalf("source version %d after updates to the copy, want %d", got, version)
 	}
+	if !slices.Equal(src.cols, keptCols) {
+		t.Fatal("updates to the copy replaced a column of the source")
+	}
 	for i, row := range read(src, View.Rows) {
-		if &row[0] != &keptRows[i][0] || !slices.Equal(row, keptRows[i]) {
+		if !slices.Equal(row, keptRows[i]) {
 			t.Fatalf("source row %d changed to %v", i, row)
 		}
 	}
 	for name, ix := range src.indexes {
-		keys := make([]sqltypes.Value, len(keptRows))
-		for i, row := range keptRows {
-			keys[i] = row[ix.colIdx]
-		}
-		if diff := sameContents(ix, insertEach(ix.kind, keys)); diff != "" {
+		if diff := sameContents(ix, insertEach(ix.kind, keptCols[ix.colIdx], len(keptRows))); diff != "" {
 			t.Fatalf("source index %s after updates to the copy: %s", name, diff)
 		}
 		if diff := sameContents(cp.indexes[name], twin.indexes[name]); diff != "" {
@@ -285,9 +289,9 @@ func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
 		t.Fatal("the copy's rows after the updates differ from the twin's")
 	}
 
-	// The source still marks its rows and pk shared: its own first write
+	// The source still marks its columns and pk shared: its own first write
 	// clones them rather than edit what an earlier copy once read.
-	cpRows := slices.Clone(cp.rows)
+	cpRows := read(cp, View.Rows)
 	update([]*Table{src}, 0, 0, sqltypes.NewInt(-5))
 	if !slices.EqualFunc(read(cp, View.Rows), cpRows, slices.Equal) {
 		t.Fatal("a write to the source changed the copy's rows")
@@ -363,7 +367,7 @@ func TestSortedIndexDuplicates(t *testing.T) {
 
 func TestIndexRemove(t *testing.T) {
 	ix := buildIndex(IndexSorted, []int64{1, 2, 3})
-	ix.ix.remove(sqltypes.NewInt(2), 1)
+	ix.ix.remove(ix.col, 1)
 	if got := ix.LookupEq(sqltypes.NewInt(2)); len(got) != 0 {
 		t.Fatalf("after remove: %v", got)
 	}
@@ -374,9 +378,9 @@ func TestIndexRemove(t *testing.T) {
 	if got := ix.LookupRange(&lo, &hi, true, true); len(got) != 2 {
 		t.Fatalf("sorted after remove: %v", got)
 	}
-	// Removing NULL or absent values is a no-op.
-	ix.ix.remove(sqltypes.Null, 0)
-	ix.ix.remove(sqltypes.NewInt(99), 0)
+	// Removing a NULL cell or an absent position is a no-op.
+	ix.ix.remove(colbatch.NewColumn([]sqltypes.Value{sqltypes.Null}), 0)
+	ix.ix.remove(ix.col, 1)
 	if ix.Len() != 2 {
 		t.Fatalf("len after no-op removes: %d", ix.Len())
 	}
@@ -384,8 +388,9 @@ func TestIndexRemove(t *testing.T) {
 
 func TestIndexNullsNotIndexed(t *testing.T) {
 	ix := buildIndex(IndexSorted, nil)
-	ix.ix.insert(sqltypes.Null, 0)
-	ix.ix.insert(sqltypes.NewInt(1), 1)
+	col := colbatch.NewColumn([]sqltypes.Value{sqltypes.Null, sqltypes.NewInt(1)})
+	ix.ix.insert(col, 0)
+	ix.ix.insert(col, 1)
 	if ix.Len() != 1 {
 		t.Fatalf("null must not be indexed: %d", ix.Len())
 	}

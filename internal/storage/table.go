@@ -20,19 +20,26 @@ import (
 // into IO pages for the cost and timing models.
 const PageSize = 4096
 
-// Table is an in-memory heap table with optional indexes. Append, UpdateAt,
-// CreateIndex and SetVirtualStats change it; everything is read through a
-// View. Stored rows are immutable — UpdateAt swaps in a modified copy — so a
-// row taken from a view may be kept after the view is closed, and copies of a
-// table (Copy) share its rows.
+// Table is an in-memory heap table with optional indexes, stored as one typed
+// column per schema column. Append, UpdateAt, CreateIndex and SetVirtualStats
+// change it; everything is read through a View. Columns are copy-on-write: a
+// column a view has returned, or a copy (Copy) shares, is never written again
+// — the next write to it edits a clone — so a scan may keep the columns it
+// read after its view is closed.
 type Table struct {
 	mu     sync.RWMutex
 	name   string
 	schema *sqltypes.Schema
-	rows   []sqltypes.Row
-	// shared is set while another table may read rows' backing array (Copy
-	// sets it on both tables): the next write clones the slice first.
-	shared  bool
+	// cols is the table: column i holds the rows' cells of schema column i,
+	// always what colbatch.NewColumn builds from them.
+	cols []*colbatch.Column
+	rows int
+	// own[i] is set while column i is the table's alone and no view has
+	// returned it: a write may edit it in place.
+	own []bool
+	// shared is set while something outside the table may read cols — a view
+	// returned them or a copy shares them: the next write owns no column.
+	shared  atomic.Bool
 	bytes   int // the rows' summed ByteSize, kept by every write
 	indexes map[string]*Index
 	version int64 // bumped on every mutation; buffer-pool model uses it
@@ -41,55 +48,54 @@ type Table struct {
 	// system registers such "virtual tables ... without storing the actual
 	// data" (§2) to run what-if explains.
 	virtual *stats.TableStats
-	// derived is what views compute from the current version. A write
-	// replaces it with a record that carries what was derived from every
-	// column the write left alone; copies share it until either side writes.
+	// derived is the statistics views collect at the current version. A write
+	// replaces it with a record that carries the statistics of every column
+	// the write left alone; copies share it until either side writes.
 	derived *derived
-	// columnar is set by the first columnar scan. Only such a table keeps the
-	// decomposition its statistics are sized from (its next scan finds it
-	// ready); any other would hold a second copy of its rows for good.
-	columnar atomic.Bool
 }
 
-// derived holds the columnar decomposition and the statistics (RUNSTATS-
-// style) of one table version, each filled by the first view that asks from
-// per-column records. Views share the table's read lock, so the Onces order
-// them. A record never refers to the record it followed.
+// derived holds the statistics (RUNSTATS-style) of one table version, filled
+// by the first view that asks from per-column records. Views share the
+// table's read lock, so the Onces order them. A record never refers to the
+// record it followed.
 type derived struct {
-	cols                []*column // one per schema column
-	colsOnce, statsOnce sync.Once
-	vecs                []*colbatch.Column
-	stats               *stats.TableStats
+	cols  []*columnStats // one per schema column
+	once  sync.Once
+	stats *stats.TableStats
 }
 
-// column is what views derive from one stored column: its vector and its
-// statistics, wire width included. It holds for every version whose rows
-// agree on the column, so the records of those versions share it.
-type column struct {
-	vecOnce, statsOnce sync.Once
-	vec                *colbatch.Column
-	stats              *stats.ColumnStats
+// columnStats is the statistics of one stored column, wire width included.
+// It holds for every version whose column is unchanged, so the records of
+// those versions share it.
+type columnStats struct {
+	once  sync.Once
+	stats *stats.ColumnStats
 }
 
 func newDerived(width int) *derived {
-	d := &derived{cols: make([]*column, width)}
+	d := &derived{cols: make([]*columnStats, width)}
 	for i := range d.cols {
-		d.cols[i] = new(column)
+		d.cols[i] = new(columnStats)
 	}
 	return d
 }
 
 // after returns the record of the version a write that changed column col
-// leads to: d's columns, col's replaced by one nothing is derived from yet.
+// leads to: d's columns, col's replaced by one nothing is collected for yet.
 func (d *derived) after(col int) *derived {
 	next := &derived{cols: slices.Clone(d.cols)}
-	next.cols[col] = new(column)
+	next.cols[col] = new(columnStats)
 	return next
 }
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *sqltypes.Schema) *Table {
-	return &Table{name: name, schema: schema, indexes: map[string]*Index{}, derived: newDerived(schema.Len())}
+	t := &Table{name: name, schema: schema, indexes: map[string]*Index{}, derived: newDerived(schema.Len())}
+	t.cols, t.own = make([]*colbatch.Column, schema.Len()), make([]bool, schema.Len())
+	for i := range t.cols {
+		t.cols[i], t.own[i] = new(colbatch.Column), true // NewColumn of no cells
+	}
+	return t
 }
 
 // Name returns the table name.
@@ -98,17 +104,33 @@ func (t *Table) Name() string { return t.name }
 // Schema returns the table schema.
 func (t *Table) Schema() *sqltypes.Schema { return t.schema }
 
-// ownRows makes the row slice the table's alone before a write edits it; the
-// caller holds the write lock.
-func (t *Table) ownRows() {
-	if t.shared {
-		t.rows = slices.Clone(t.rows)
-		t.shared = false
+// edit returns column i ready to be written in place, first cloning it with
+// room for total cells unless it is the table's alone; the caller holds the
+// write lock.
+func (t *Table) edit(i, total int) *colbatch.Column {
+	if t.shared.Load() {
+		t.shared.Store(false)
+		t.cols = slices.Clone(t.cols)
+		clear(t.own)
 	}
+	if !t.own[i] {
+		t.cols[i], t.own[i] = t.cols[i].Clone(total), true
+	}
+	return t.cols[i]
 }
 
-// Append adds rows in bulk (used by data generation and loads). The table
-// keeps the rows: the caller must not write to them afterwards.
+// put appends row to every column, which will hold total cells; the caller
+// holds the write lock and installs the version.
+func (t *Table) put(row sqltypes.Row, total int) {
+	for c, v := range row {
+		t.edit(c, total).AppendValue(t.rows, total, v)
+	}
+	t.rows++
+	t.bytes += row.ByteSize()
+}
+
+// Append adds rows in bulk (used by loads and copies of a partition). The
+// table keeps their cells, not the rows.
 func (t *Table) Append(rows ...sqltypes.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -117,15 +139,13 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 			return fmt.Errorf("storage: row arity %d != schema arity %d for %s", len(r), t.schema.Len(), t.name)
 		}
 	}
-	t.ownRows()
-	base := len(t.rows)
-	t.rows = append(t.rows, rows...)
+	base, total := t.rows, t.rows+len(rows)
 	for _, r := range rows {
-		t.bytes += r.ByteSize()
+		t.put(r, total)
 	}
 	for _, idx := range t.indexes {
-		for i, r := range rows {
-			idx.insert(r[idx.colIdx], base+i)
+		for pos := base; pos < total; pos++ {
+			idx.insert(t.cols[idx.colIdx], pos)
 		}
 	}
 	t.version++
@@ -133,27 +153,30 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 	return nil
 }
 
-// UpdateAt replaces row i with a copy whose column col is v; the update-load
-// driver uses this to dirty pages.
+// UpdateAt sets column col of row i to v; the update-load driver uses this to
+// dirty pages.
 func (t *Table) UpdateAt(i, col int, v sqltypes.Value) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.rows) {
+	if i < 0 || i >= t.rows {
 		return fmt.Errorf("storage: row %d out of range", i)
 	}
 	if col < 0 || col >= t.schema.Len() {
 		return fmt.Errorf("storage: column %d out of range", col)
 	}
-	t.ownRows()
-	row := t.rows[i].Clone()
-	old := row[col]
-	row[col] = v
-	t.rows[i] = row
-	t.bytes += v.ByteSize() - old.ByteSize()
+	c := t.edit(col, t.rows)
+	t.bytes += v.ByteSize() - c.Value(i).ByteSize()
+	// A sorted index finds an entry through the cell: remove before the
+	// write, insert after.
 	for _, idx := range t.indexes {
 		if idx.colIdx == col {
-			idx.remove(old, i)
-			idx.insert(v, i)
+			idx.remove(c, i)
+		}
+	}
+	c.SetValue(t.rows, i, v)
+	for _, idx := range t.indexes {
+		if idx.colIdx == col {
+			idx.insert(c, i)
 		}
 	}
 	t.version++
@@ -171,7 +194,7 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 		// Try any qualifier.
 		found := -1
 		for i, c := range t.schema.Columns {
-			if equalFold(c.Name, column) {
+			if strings.EqualFold(c.Name, column) {
 				found = i
 				break
 			}
@@ -185,57 +208,40 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind) (*Index, error)
 		return nil, fmt.Errorf("storage: index %q already exists on %s", name, t.name)
 	}
 	idx := &Index{name: name, column: column, colIdx: ci, kind: kind}
-	idx.build(t.rows)
+	idx.build(t.cols[ci], t.rows)
 	t.indexes[name] = idx
 	return idx, nil
 }
 
-// Copy returns a table with t's name, schema, rows, indexes and version, in
-// time and space independent of the row count: the copy shares t's row slice,
-// every index's contents (under its own index handles) and what views derive
-// from them. Each table clones a shared part on its first write that edits
-// it — the row slice on every write, an index's contents when the write adds
-// rows or changes the index's column — so a write to either table leaves the
-// other as it was. Like a mutation, Copy must not be called while the calling
-// goroutine holds a view of t.
+// Copy returns a table with t's name, schema, columns, indexes and version,
+// in time and space independent of the row count: the copy shares t's
+// columns, every index's contents (under its own index handles) and the
+// statistics collected from them. Each table clones a shared part on its
+// first write that edits it — a column when the write changes it, an index's
+// contents when the write adds rows or changes the index's column — so a
+// write to either table leaves the other as it was. Like a mutation, Copy
+// must not be called while the calling goroutine holds a view of t.
 func (t *Table) Copy() *Table {
 	t.mu.Lock() // t's parts become shared
 	defer t.mu.Unlock()
-	t.shared = true
+	t.shared.Store(true)
 	c := &Table{
 		name:    t.name,
 		schema:  t.schema,
+		cols:    t.cols,
 		rows:    t.rows,
-		shared:  true,
+		own:     make([]bool, len(t.cols)),
 		bytes:   t.bytes,
 		indexes: make(map[string]*Index, len(t.indexes)),
 		version: t.version,
 		virtual: t.virtual,
 		derived: t.derived,
 	}
+	c.shared.Store(true)
 	for name, ix := range t.indexes {
 		c.indexes[name] = ix.share()
 	}
 	return c
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }
 
 // SetVirtualStats turns the table into a statistics-only shell for what-if
@@ -273,48 +279,38 @@ func (v View) Table() *Table { return v.t }
 func (v View) Version() int64 { return v.t.version }
 
 // RowCount returns the number of rows.
-func (v View) RowCount() int { return len(v.t.rows) }
+func (v View) RowCount() int { return v.t.rows }
 
 // IsVirtual reports whether the table is a statistics-only shell.
 func (v View) IsVirtual() bool { return v.t.virtual != nil }
 
-// Rows returns the stored rows. The slice is the table's own and is only
-// valid while the view is open; the rows in it never change and may be kept.
-func (v View) Rows() []sqltypes.Row { return v.t.rows }
+// Rows materializes every row, in position order, for the row kernels: one
+// cell array per call, cut into rows as colbatch.ToRelation cuts it (nil for
+// an empty table). The rows are the caller's.
+func (v View) Rows() []sqltypes.Row {
+	return v.rows(colbatch.New(v.t.schema, v.t.cols, v.t.rows))
+}
 
-// Columns returns the rows decomposed into typed columns of RowCount values —
-// the vectorized executor's scan input. Columns are immutable once built and
-// shared by every scan of this version, and of later versions until a write
-// changes the column.
+// RowsAt materializes the rows at positions, in their order, as Rows does.
+func (v View) RowsAt(positions []int) []sqltypes.Row {
+	return v.rows(colbatch.NewSelected(v.t.schema, v.t.cols, positions))
+}
+
+func (v View) rows(b *colbatch.Batch) []sqltypes.Row {
+	if b.Len() == 0 {
+		return nil
+	}
+	return b.ToRelation().Rows
+}
+
+// Columns returns the stored columns, RowCount cells each — the vectorized
+// executor's scan input. They never change once returned: a later write
+// edits a clone, and only of the column it changes.
 func (v View) Columns() []*colbatch.Column {
-	if !v.t.columnar.Load() { // scans share the flag's cache line: write it once
-		v.t.columnar.Store(true)
+	if !v.t.shared.Load() { // scans share the flag's cache line: write it once
+		v.t.shared.Store(true)
 	}
-	d := v.d
-	d.colsOnce.Do(func() {
-		d.vecs = make([]*colbatch.Column, len(d.cols))
-		var cells []sqltypes.Value
-		for i, c := range d.cols {
-			d.vecs[i] = c.vector(v.t.rows, i, &cells)
-		}
-	})
-	return d.vecs
-}
-
-// vector returns the column, decomposing it from rows (column i) on first
-// use.
-func (c *column) vector(rows []sqltypes.Row, i int, cells *[]sqltypes.Value) *colbatch.Column {
-	c.vecOnce.Do(func() { c.vec = colbatch.RowsColumn(rows, i, scratch(cells, len(rows))) })
-	return c.vec
-}
-
-// scratch returns *cells, allocated to n values on first use: one buffer
-// serves every column a call decomposes.
-func scratch(cells *[]sqltypes.Value, n int) []sqltypes.Value {
-	if *cells == nil {
-		*cells = make([]sqltypes.Value, n)
-	}
-	return *cells
+	return v.t.cols
 }
 
 // Pages returns the number of notional disk pages the table occupies; a
@@ -324,7 +320,7 @@ func (v View) Pages() int {
 	if t.virtual != nil {
 		return pagesOf(int(float64(t.virtual.RowCount)*t.virtual.AvgRowBytes), t.virtual.RowCount > 0)
 	}
-	return pagesOf(t.bytes, len(t.rows) > 0)
+	return pagesOf(t.bytes, t.rows > 0)
 }
 
 func pagesOf(bytes int, nonEmpty bool) int {
@@ -352,17 +348,15 @@ func (v View) Stats() *stats.TableStats {
 		return t.virtual
 	}
 	d := v.d
-	d.statsOnce.Do(func() {
-		n := len(t.rows)
+	d.once.Do(func() {
 		ts := &stats.TableStats{
 			Table:       t.name,
-			RowCount:    int64(n),
-			AvgRowBytes: stats.AvgRowBytes(t.bytes, n),
+			RowCount:    int64(t.rows),
+			AvgRowBytes: stats.AvgRowBytes(t.bytes, t.rows),
 			Columns:     make(map[string]*stats.ColumnStats, len(d.cols)),
 		}
-		var cells []sqltypes.Value
 		for i, col := range t.schema.Columns {
-			cs := d.cols[i].statistics(v, i, &cells)
+			cs := d.cols[i].collect(col, t.cols[i], t.rows)
 			ts.Columns[col.Name] = cs
 			ts.WireRowBytes += cs.WireBytes
 		}
@@ -371,23 +365,16 @@ func (v View) Stats() *stats.TableStats {
 	return d.stats
 }
 
-// statistics returns column i's statistics, collecting them on first use.
-func (c *column) statistics(v View, i int, cells *[]sqltypes.Value) *stats.ColumnStats {
-	c.statsOnce.Do(func() {
-		rows := v.t.rows
-		cs := stats.CollectColumn(v.t.schema.Columns[i], i, rows)
-		if n := len(rows); n > 0 {
-			var vec *colbatch.Column
-			if v.t.columnar.Load() {
-				vec = c.vector(rows, i, cells)
-			} else {
-				vec = colbatch.RowsColumn(rows, i, scratch(cells, n))
-			}
-			cs.WireBytes = float64(colbatch.ColumnWireBytes(vec, n, wireBatchRows)) / float64(n)
+// collect returns the statistics of col, stored as c with n cells, collecting
+// them on first use.
+func (s *columnStats) collect(col sqltypes.Column, c *colbatch.Column, n int) *stats.ColumnStats {
+	s.once.Do(func() {
+		s.stats = stats.CollectColumn(col, c, n)
+		if n > 0 {
+			s.stats.WireBytes = float64(colbatch.ColumnWireBytes(c, n, wireBatchRows)) / float64(n)
 		}
-		c.stats = cs
 	})
-	return c.stats
+	return s.stats
 }
 
 // Indexes lists the table's indexes, sorted by name.
@@ -406,7 +393,7 @@ func (v View) Indexes() []*Index {
 func IndexOnColumn(indexes []*Index, column string) *Index {
 	var hash *Index
 	for _, ix := range indexes {
-		if !equalFold(ix.column, column) {
+		if !strings.EqualFold(ix.column, column) {
 			continue
 		}
 		if ix.kind == IndexSorted {
@@ -425,5 +412,5 @@ func (v View) Index(ix *Index) (IndexView, error) {
 	if v.t.indexes[ix.name] != ix {
 		return IndexView{}, fmt.Errorf("storage: index %s is not an index of table %s", ix.name, v.t.name)
 	}
-	return IndexView{ix: ix}, nil
+	return IndexView{ix: ix, col: v.t.cols[ix.colIdx]}, nil
 }
