@@ -261,15 +261,6 @@ func (f *Federation) Server(id string) (*ServerHandle, error) {
 // PlanCacheStats snapshots the integrator's federated plan cache counters.
 func (f *Federation) PlanCacheStats() PlanCacheStats { return f.ii.PlanCacheStats() }
 
-// SetPlanCacheEnabled toggles the federated plan cache at runtime; disabling
-// also clears it. Useful for cached-vs-uncached comparisons.
-func (f *Federation) SetPlanCacheEnabled(enabled bool) { f.ii.SetPlanCacheEnabled(enabled) }
-
-// SetPlanCacheMaxAge overrides the plan cache's staleness bound in simulated
-// ms (values <= 0 are ignored; default 2000, the age rotation sets are
-// re-derived at). EnableQCC leaves it alone.
-func (f *Federation) SetPlanCacheMaxAge(ms Time) { f.ii.SetPlanCacheMaxAge(ms) }
-
 // ResetCompileCaches drops every cached compilation at both layers — the
 // integrator's federated plan cache and each remote server's statement
 // cache — so the next compile is fully cold. Counters are retained.

@@ -228,14 +228,6 @@ func (ii *II) SetAdmission(c *admission.Controller) { ii.cfg.Admission = c }
 // PlanCacheStats snapshots the federated plan cache's counters.
 func (ii *II) PlanCacheStats() PlanCacheStats { return ii.plans.snapshot() }
 
-// SetPlanCacheMaxAge overrides the cache's staleness bound (values <= 0 are
-// ignored).
-func (ii *II) SetPlanCacheMaxAge(maxAge simclock.Time) { ii.plans.setMaxAge(maxAge) }
-
-// SetPlanCacheEnabled toggles the federated plan cache at runtime; disabling
-// also clears it.
-func (ii *II) SetPlanCacheEnabled(enabled bool) { ii.plans.setEnabled(enabled) }
-
 // ClearPlanCache drops every cached compilation.
 func (ii *II) ClearPlanCache() { ii.plans.clear(InvalidateClear) }
 
@@ -349,11 +341,10 @@ func (ii *II) Compile(sql string) (*optimizer.GlobalPlan, error) {
 // server is really gone — a transient failure may retry on the same (still
 // cheapest) source, exactly as before the cache existed.
 func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.ExcludeFunc) (*optimizer.GlobalPlan, error) {
-	now := ii.cfg.Clock.Now()
 	sp := telemetry.SpanFrom(ctx)
 	tel := ii.cfg.Telemetry
 	if cc := ii.plans.lookup(sql); cc != nil {
-		if cause := ii.validateCached(cc, now); cause != "" {
+		if cause := ii.validateCached(cc); cause != "" {
 			ii.plans.invalidate(sql, cause)
 		} else if gps, err := ii.opt.EnumerateFromOptions(cc.stmt, cc.decomp, cc.frags, 1, exclude); err == nil {
 			ii.plans.recordHit()
@@ -376,6 +367,12 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 		return nil, err
 	}
 	sp.Emit("parse", telemetry.LayerII, "", 0)
+	// The mask snapshot precedes collection, so a mask that flips while the
+	// candidates are being collected differs from it at the next lookup.
+	var masked map[string]bool
+	if ii.cfg.MW != nil {
+		masked = ii.cfg.MW.MaskedSet()
+	}
 	decomp, frags, err := ii.opt.CollectContext(ctx, stmt)
 	if err != nil {
 		return nil, err
@@ -383,7 +380,9 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 	// Cache before enumerating: even if every option calibrates to +Inf right
 	// now (fenced), the collected raw candidates stay valid for when the
 	// fence lifts.
-	ii.plans.insert(newCachedCompilation(sql, stmt, decomp, frags, ii.cfg.MW, now))
+	if cc := newCachedCompilation(sql, stmt, decomp, frags, masked); cc != nil {
+		ii.plans.insert(cc)
+	}
 	sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
 	gps, err := ii.opt.EnumerateFromOptions(stmt, decomp, frags, 1, nil)
 	if err != nil {
@@ -420,15 +419,15 @@ func (ii *II) finishCompile(ctx context.Context, gp *optimizer.GlobalPlan) *opti
 }
 
 // newCachedCompilation assembles the cacheable artifact for one compile: the
-// parsed statement, decomposition and raw candidate sets, plus the snapshots
-// validation compares against — the mask state of every candidate server
-// (masked ones contributed no options, so an unmask must invalidate too) and
-// each fragment's referenced tables. The mask snapshot is taken here, after
-// collection; a mask flip racing the collect window is caught by the next
-// lookup's re-validation at the latest when it flips back, and is bounded by
-// the staleness age regardless.
-func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, mw *metawrapper.MetaWrapper, at simclock.Time) *cachedCompilation {
-	cc := &cachedCompilation{sql: sql, stmt: stmt, decomp: decomp, frags: frags, insertedAt: at}
+// parsed statement, decomposition and raw candidate sets, plus what
+// validation compares against — each fragment's referenced tables, the
+// candidate servers, and the mask snapshot taken before collection. Masked
+// servers contributed no options, so an unmask must invalidate too. It
+// returns nil when an unmasked candidate contributed no options: its Explain
+// failed (server down or link partitioned), and nothing a lookup reads would
+// notice it answering again, so the statement compiles cold until it does.
+func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, masked map[string]bool) *cachedCompilation {
+	cc := &cachedCompilation{sql: sql, stmt: stmt, decomp: decomp, frags: frags, masked: masked}
 	cc.fragTables = make([][]string, len(frags))
 	seen := map[string]bool{}
 	for i, fo := range frags {
@@ -439,35 +438,40 @@ func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, decomp *optimi
 		}
 		cc.fragTables[i] = tables
 		for _, sid := range fo.Spec.Candidates {
+			if !masked[sid] && !answered(fo.Options, sid) {
+				return nil
+			}
 			if !seen[sid] {
 				seen[sid] = true
 				cc.servers = append(cc.servers, sid)
 			}
 		}
 	}
-	if mw != nil {
-		cc.maskSnap = mw.MaskedSet(cc.servers)
-	} else {
-		cc.maskSnap = map[string]bool{}
-	}
 	return cc
+}
+
+// answered reports whether server contributed any of the options.
+func answered(options []optimizer.SourceOption, server string) bool {
+	for _, so := range options {
+		if so.ServerID == server {
+			return true
+		}
+	}
+	return false
 }
 
 // validateCached checks a cached compilation against current federation
 // state, returning the invalidation cause or "" when still usable. Note what
 // it does NOT check: calibration factors and availability fencing, which the
 // warm re-pick applies fresh on every hit.
-func (ii *II) validateCached(cc *cachedCompilation, now simclock.Time) string {
-	if maxAge := ii.plans.staleness(); maxAge > 0 && now-cc.insertedAt > maxAge {
-		return InvalidateStale
-	}
+func (ii *II) validateCached(cc *cachedCompilation) string {
 	mw := ii.cfg.MW
 	if mw == nil {
 		return ""
 	}
-	cur := mw.MaskedSet(cc.servers)
-	for id, wasMasked := range cc.maskSnap {
-		if cur[id] != wasMasked {
+	cur := mw.MaskedSet()
+	for _, id := range cc.servers {
+		if cur[id] != cc.masked[id] {
 			return InvalidateMask
 		}
 	}

@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
+	"testing"
 
 	"repro/internal/integrator"
-	"testing"
+	"repro/internal/metawrapper"
+	"repro/internal/wrapper"
 
 	"repro/internal/exec"
 	"repro/internal/exec/colbatch"
@@ -408,5 +411,119 @@ func TestFragmentBudgetFailsSlowDispatch(t *testing.T) {
 	var de *simclock.ErrDeadlineExceeded
 	if !errors.As(err, &de) {
 		t.Fatalf("want ErrDeadlineExceeded in chain, got %v", err)
+	}
+}
+
+// selfMaskingWrapper masks its own server at the meta-wrapper from inside
+// Explain once armed: a mask flip racing the collection of candidates.
+type selfMaskingWrapper struct {
+	wrapper.Wrapper
+	mw    *metawrapper.MetaWrapper
+	armed atomic.Bool
+}
+
+func (w *selfMaskingWrapper) Explain(stmt *sqlparser.SelectStmt, sql string) ([]wrapper.Candidate, error) {
+	if w.armed.Swap(false) {
+		w.mw.Mask(w.ServerID(), true)
+	}
+	return w.Wrapper.Explain(stmt, sql)
+}
+
+// TestPlanCacheMaskDuringCollectInvalidates masks the winner's server while
+// its candidates are being collected. The entry that compile leaves must
+// not look valid: the next compile counts a mask invalidation and routes
+// around the masked server.
+func TestPlanCacheMaskDuringCollectInvalidates(t *testing.T) {
+	sc := threeServer(t)
+	wrappers := map[string]*selfMaskingWrapper{}
+	var all []wrapper.Wrapper
+	for _, id := range sc.MW.Servers() {
+		wrappers[id] = &selfMaskingWrapper{Wrapper: sc.MW.Wrapper(id)}
+		all = append(all, wrappers[id])
+	}
+	mw := metawrapper.New(all...)
+	for _, w := range wrappers {
+		w.mw = mw
+	}
+	ii := integrator.New(integrator.Config{Catalog: sc.Catalog, MW: mw, Node: sc.IINode, Clock: sc.Clock})
+	const q = "SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 5000"
+
+	gp, err := ii.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := gp.Fragments[0].ServerID
+	ii.ClearPlanCache()
+	wrappers[target].armed.Store(true)
+	if _, err := ii.Compile(q); err != nil {
+		t.Fatal(err)
+	}
+	if !mw.Masked(target) {
+		t.Fatalf("%s did not mask itself during Explain", target)
+	}
+
+	gp, err = ii.Compile(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := ii.PlanCacheStats(); s.Invalidations[integrator.InvalidateMask] != 1 || s.Hits != 0 {
+		t.Fatalf("mask flipped during collection was not invalidated: %+v", s)
+	}
+	for _, f := range gp.Fragments {
+		if f.ServerID == target {
+			t.Fatalf("compile routed to %s, masked during the previous collection", target)
+		}
+	}
+}
+
+// TestPlanCacheUsesARecoveredServer compiles while the cheapest server
+// cannot answer Explain — down, or its link partitioned — and requires that
+// compilation to stay uncached, so that once the server answers again the
+// next compile routes back to it and the one after is served warm.
+func TestPlanCacheUsesARecoveredServer(t *testing.T) {
+	const q = "SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 5000"
+	for _, fault := range []string{"down", "partitioned"} {
+		t.Run(fault, func(t *testing.T) {
+			sc := threeServer(t)
+			gp, err := sc.II.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preferred := gp.Fragments[0].ServerID
+			set := func(on bool) {
+				if fault == "down" {
+					sc.Servers[preferred].SetDown(on)
+				} else {
+					sc.Topo.Link(preferred).SetDown(on)
+				}
+			}
+			sc.II.ClearPlanCache()
+			set(true)
+			gp, err = sc.II.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gp.Fragments[0].ServerID == preferred {
+				t.Fatalf("compile routed to %s while it was %s", preferred, fault)
+			}
+			if s := sc.II.PlanCacheStats(); s.Entries != 0 {
+				t.Fatalf("a compile missing %s was cached: %+v", preferred, s)
+			}
+
+			set(false)
+			gp, err = sc.II.Compile(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gp.Fragments[0].ServerID != preferred {
+				t.Fatalf("compile routed to %s after %s recovered", gp.Fragments[0].ServerID, preferred)
+			}
+			if _, err := sc.II.Compile(q); err != nil {
+				t.Fatal(err)
+			}
+			if s := sc.II.PlanCacheStats(); s.Hits != 1 || s.Entries != 1 {
+				t.Fatalf("compile after recovery was not cached: %+v", s)
+			}
+		})
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func testCC(sql string) *cachedCompilation {
-	return &cachedCompilation{sql: sql, stmt: sqlparser.MustParse(sql), maskSnap: map[string]bool{}}
+	return &cachedCompilation{sql: sql, stmt: sqlparser.MustParse(sql)}
 }
 
 func TestPlanCacheLookupAndStats(t *testing.T) {
@@ -24,36 +24,19 @@ func TestPlanCacheLookupAndStats(t *testing.T) {
 	}
 	pc.recordHit()
 	s := pc.snapshot()
-	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 || s.Variants != 1 {
-		t.Fatalf("stats %+v, want hits=1 misses=1 entries=1 variants=1", s)
+	if s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
+		t.Fatalf("stats %+v, want hits=1 misses=1 entries=1", s)
 	}
-}
-
-func TestPlanCacheParameterVariantsShareEntry(t *testing.T) {
-	pc := newPlanCache()
-	a := "SELECT x FROM t WHERE x > 1"
-	b := "SELECT x FROM t WHERE x > 999"
-	pc.insert(testCC(a))
-	pc.insert(testCC(b))
-	s := pc.snapshot()
-	if s.Entries != 1 || s.Variants != 2 {
-		t.Fatalf("variants of one query type must share a canonical entry: %+v", s)
+	// A parameter variant is a statement of its own: invalidating one text
+	// leaves the other cached.
+	const variant = "SELECT x FROM t WHERE x > 999"
+	pc.insert(testCC(variant))
+	pc.invalidate(q, InvalidateVersion)
+	if pc.lookup(q) != nil || pc.lookup(variant) == nil {
+		t.Fatal("invalidation did not remove exactly the invalidated text")
 	}
-	// Each exact text resolves to its own compilation.
-	if cc := pc.lookup(a); cc == nil || cc.sql != a {
-		t.Fatalf("variant a: %v", cc)
-	}
-	if cc := pc.lookup(b); cc == nil || cc.sql != b {
-		t.Fatalf("variant b: %v", cc)
-	}
-	// Invalidating through one variant drops the sibling too.
-	pc.invalidate(a, InvalidateVersion)
-	if cc := pc.lookup(b); cc != nil {
-		t.Fatalf("sibling variant survived invalidation: %v", cc)
-	}
-	s = pc.snapshot()
-	if s.Invalidations[InvalidateVersion] != 1 {
-		t.Fatalf("invalidation cause not counted: %+v", s.Invalidations)
+	if s := pc.snapshot(); s.Entries != 1 || s.Invalidations[InvalidateVersion] != 1 {
+		t.Fatalf("stats %+v, want entries=1 and one version invalidation", s)
 	}
 }
 
@@ -77,48 +60,5 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 	if s := pc.snapshot(); s.Invalidations[InvalidateCapacity] != 1 {
 		t.Fatalf("capacity eviction not counted: %+v", s.Invalidations)
-	}
-}
-
-func TestPlanCacheVariantBound(t *testing.T) {
-	pc := newPlanCache()
-	q := func(i int) string { return fmt.Sprintf("SELECT x FROM t WHERE x > %d", i) }
-	for i := 0; i <= planCacheVariants; i++ {
-		pc.insert(testCC(q(i)))
-	}
-	if pc.lookup(q(0)) != nil {
-		t.Fatal("oldest variant survived the per-entry bound")
-	}
-	for i := 1; i <= planCacheVariants; i++ {
-		if pc.lookup(q(i)) == nil {
-			t.Fatalf("retained variant %d missing", i)
-		}
-	}
-	if s := pc.snapshot(); s.Entries != 1 || s.Variants != planCacheVariants {
-		t.Fatalf("stats %+v, want entries=1 variants=%d", s, planCacheVariants)
-	}
-}
-
-func TestPlanCacheDisabled(t *testing.T) {
-	pc := newPlanCache()
-	pc.setEnabled(false)
-	const q = "SELECT x FROM t WHERE x > 1"
-	pc.insert(testCC(q))
-	if pc.lookup(q) != nil {
-		t.Fatal("disabled cache served an entry")
-	}
-	if s := pc.snapshot(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Fatalf("disabled cache counted traffic: %+v", s)
-	}
-	// Re-enabling starts clean and works.
-	pc.setEnabled(true)
-	pc.insert(testCC(q))
-	if pc.lookup(q) == nil {
-		t.Fatal("re-enabled cache did not serve")
-	}
-	// Disabling clears.
-	pc.setEnabled(false)
-	if s := pc.snapshot(); s.Entries != 0 {
-		t.Fatalf("disable did not clear: %+v", s)
 	}
 }

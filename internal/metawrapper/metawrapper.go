@@ -189,17 +189,22 @@ func (mw *MetaWrapper) Masked(serverID string) bool {
 	return mw.masked[serverID]
 }
 
-// MaskedSet snapshots the mask state of the given servers under one lock —
-// the federated plan cache records this at insert time and invalidates
-// entries when any relevant server's mask flips (in either direction: a
-// masked server contributed no candidates, an unmasked one is missing from
-// the cached candidate sets).
-func (mw *MetaWrapper) MaskedSet(serverIDs []string) map[string]bool {
+// MaskedSet snapshots which servers are masked, under one lock (nil when
+// none is). The federated plan cache takes it before collecting a statement's
+// candidates and invalidates the entry when a candidate server's mask state
+// differs from it (in either direction: a masked server contributed no
+// candidates, an unmasked one is missing from the cached candidate sets).
+func (mw *MetaWrapper) MaskedSet() map[string]bool {
 	mw.mu.RLock()
 	defer mw.mu.RUnlock()
-	out := make(map[string]bool, len(serverIDs))
-	for _, id := range serverIDs {
-		out[id] = mw.masked[id]
+	var out map[string]bool
+	for id, masked := range mw.masked {
+		if masked {
+			if out == nil {
+				out = map[string]bool{}
+			}
+			out[id] = true
+		}
 	}
 	return out
 }

@@ -12,14 +12,12 @@ import (
 
 	fedqcc "repro"
 	"repro/internal/experiment"
+	"repro/internal/workload"
 )
 
 const (
 	pcScale = 100
 	pcSeed  = 11
-	// pcNoStale effectively disables the staleness bound so the tests
-	// exercise one invalidation cause at a time.
-	pcNoStale = fedqcc.Time(1e15)
 )
 
 func pcFederation(t testing.TB) *fedqcc.Federation {
@@ -32,7 +30,7 @@ func pcFederation(t testing.TB) *fedqcc.Federation {
 }
 
 // pcStatements is a repeated-workload mix: three query types, each in three
-// parameter variants (so canonical entries hold multiple variants).
+// parameter variants (each variant is a statement of its own).
 func pcStatements() []string {
 	return []string{
 		"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100",
@@ -55,46 +53,64 @@ func assertSameRows(t *testing.T, label, sql string, want, got *fedqcc.QueryResu
 	}
 }
 
-// TestPlanCacheWarmMatchesCold runs the same workload — three rounds of the
-// statement mix, under global load-distribution rotation — through a
-// cache-disabled federation and a cache-enabled one, and requires identical
-// answers query-for-query.
-func TestPlanCacheWarmMatchesCold(t *testing.T) {
-	sqls := pcStatements()
-	const rounds = 3
-	run := func(cached bool) ([]*fedqcc.QueryResult, fedqcc.PlanCacheStats) {
-		fed := pcFederation(t)
-		fed.EnableQCC(fedqcc.QCCOptions{
-			DisableDaemons: true,
-			LoadBalance:    fedqcc.LBGlobal,
-			LBCloseness:    0.5,
-		})
-		fed.SetPlanCacheEnabled(cached)
-		fed.SetPlanCacheMaxAge(pcNoStale)
-		var out []*fedqcc.QueryResult
-		for r := 0; r < rounds; r++ {
-			for _, q := range sqls {
-				res, err := fed.Query(q)
-				if err != nil {
-					t.Fatalf("cached=%v round %d (%s): %v", cached, r, q, err)
-				}
-				out = append(out, res)
-			}
-		}
-		return out, fed.PlanCacheStats()
+// paperStatements is the paper's §5.3 workload: QT1-QT4, ten instances each.
+func paperStatements() []string {
+	var sqls []string
+	for _, it := range workload.UniformMix(10) {
+		sqls = append(sqls, it.SQL)
 	}
+	return sqls
+}
 
-	cold, coldStats := run(false)
-	warm, warmStats := run(true)
-	for i := range cold {
-		assertSameRows(t, "warm vs cold", sqls[i%len(sqls)], cold[i], warm[i])
-	}
-	if coldStats.Hits != 0 {
-		t.Errorf("disabled cache reported %d hits", coldStats.Hits)
-	}
-	// Round 1 is all misses; rounds 2 and 3 must be served warm.
-	if want := int64((rounds - 1) * len(sqls)); warmStats.Hits < want {
-		t.Errorf("warm run: %d hits, want >= %d (stats %+v)", warmStats.Hits, want, warmStats)
+// TestPlanCacheWarmMatchesCold runs the same workload — three rounds of a
+// statement list, under global load-distribution rotation — through a
+// federation that drops its compile caches before every query and one that
+// keeps them, and requires identical answers query-for-query. Every round
+// after the first must be served warm.
+func TestPlanCacheWarmMatchesCold(t *testing.T) {
+	for name, sqls := range map[string][]string{"variants": pcStatements(), "paper": paperStatements()} {
+		t.Run(name, func(t *testing.T) {
+			const rounds = 3
+			run := func(cached bool) ([]*fedqcc.QueryResult, []int64) {
+				fed := pcFederation(t)
+				fed.EnableQCC(fedqcc.QCCOptions{
+					DisableDaemons: true,
+					LoadBalance:    fedqcc.LBGlobal,
+					LBCloseness:    0.5,
+				})
+				var out []*fedqcc.QueryResult
+				var hits []int64
+				for r := 0; r < rounds; r++ {
+					before := fed.PlanCacheStats().Hits
+					for _, q := range sqls {
+						if !cached {
+							fed.ResetCompileCaches()
+						}
+						res, err := fed.Query(q)
+						if err != nil {
+							t.Fatalf("cached=%v round %d (%s): %v", cached, r, q, err)
+						}
+						out = append(out, res)
+					}
+					hits = append(hits, fed.PlanCacheStats().Hits-before)
+				}
+				return out, hits
+			}
+
+			cold, coldHits := run(false)
+			warm, warmHits := run(true)
+			for i := range cold {
+				assertSameRows(t, "warm vs cold", sqls[i%len(sqls)], cold[i], warm[i])
+			}
+			for r := range coldHits {
+				if coldHits[r] != 0 {
+					t.Errorf("cold run round %d: %d hits", r+1, coldHits[r])
+				}
+				if r > 0 && warmHits[r] != int64(len(sqls)) {
+					t.Errorf("warm run round %d: %d hits, want all %d", r+1, warmHits[r], len(sqls))
+				}
+			}
+		})
 	}
 }
 
@@ -103,7 +119,6 @@ func TestPlanCacheWarmMatchesCold(t *testing.T) {
 // (cause "mask") while every answer stays row-identical.
 func TestPlanCacheMaskUnmaskInvalidates(t *testing.T) {
 	fed := pcFederation(t)
-	fed.SetPlanCacheMaxAge(pcNoStale)
 	const q = "SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100"
 
 	base, err := fed.Query(q)
@@ -172,7 +187,6 @@ func TestPlanCacheVersionInvalidation(t *testing.T) {
 	}
 
 	fed := pcFederation(t)
-	fed.SetPlanCacheMaxAge(pcNoStale)
 	if _, err := fed.Query(q); err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +205,10 @@ func TestPlanCacheVersionInvalidation(t *testing.T) {
 		t.Errorf("update burst did not invalidate: %+v", s)
 	}
 
-	// Control federation: identical seed and bursts, cache disabled.
+	// Control federation: identical seed and bursts, compiled cold.
 	control := pcFederation(t)
-	control.SetPlanCacheEnabled(false)
 	burst(control)
+	control.ResetCompileCaches()
 	want, err := control.Query(q)
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +221,6 @@ func TestPlanCacheVersionInvalidation(t *testing.T) {
 // recompile) while steering to a different server.
 func TestPlanCacheRetryReusesEntry(t *testing.T) {
 	fed := pcFederation(t)
-	fed.SetPlanCacheMaxAge(pcNoStale)
 	const q = "SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100"
 
 	base, err := fed.Query(q)
@@ -253,9 +266,9 @@ func TestPlanCacheConcurrentConsistency(t *testing.T) {
 	sqls := pcStatements()
 
 	baseFed := pcFederation(t)
-	baseFed.SetPlanCacheEnabled(false)
 	baseline := make(map[string]*fedqcc.QueryResult, len(sqls))
 	for _, q := range sqls {
+		baseFed.ResetCompileCaches()
 		res, err := baseFed.Query(q)
 		if err != nil {
 			t.Fatalf("baseline (%s): %v", q, err)
@@ -265,7 +278,6 @@ func TestPlanCacheConcurrentConsistency(t *testing.T) {
 
 	fed := pcFederation(t)
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
-	fed.SetPlanCacheMaxAge(pcNoStale)
 
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
