@@ -47,8 +47,6 @@ type LinkSpec struct {
 	// BandwidthKBps is the throughput (default 2000; 0 keeps the default,
 	// negative means unlimited).
 	BandwidthKBps float64
-	// JitterFrac adds ±JitterFrac·latency noise.
-	JitterFrac float64
 }
 
 // TableSpec describes a synthetic table for AddGeneratedTable. Use the
@@ -73,7 +71,7 @@ func NewBuilder(seed int64) *Builder {
 	if seed == 0 {
 		seed = 42
 	}
-	return &Builder{asm: scenario.NewAssembly(seed, 1)}
+	return &Builder{asm: scenario.NewAssembly(seed)}
 }
 
 // try runs one assembly step unless an earlier one already failed.
@@ -97,7 +95,7 @@ func (b *Builder) AddFileServer(id string, profile ServerProfile, link LinkSpec)
 }
 
 func (b *Builder) addServer(id string, profile ServerProfile, link LinkSpec, file bool) *Builder {
-	cfg := network.LinkConfig{LatencyMS: link.LatencyMS, BandwidthKBps: link.BandwidthKBps, JitterFrac: link.JitterFrac}
+	cfg := network.LinkConfig{LatencyMS: link.LatencyMS, BandwidthKBps: link.BandwidthKBps}
 	if cfg.LatencyMS == 0 {
 		cfg.LatencyMS = 5
 	}

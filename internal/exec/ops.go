@@ -205,7 +205,7 @@ func (s *Sort) Execute(ctx *Context) (*sqltypes.Relation, error) {
 }
 
 // sortRel is the sort kernel shared by the materialized operator and
-// SortSource; the n·log2(n) CPU charge covers the full input once.
+// SortSource; the SortOps charge covers the full input once.
 func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	type keyed struct {
 		row  sqltypes.Row
@@ -241,21 +241,18 @@ func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*
 	for i, it := range items {
 		out.Rows[i] = it.row
 	}
-	n := float64(len(items))
-	ctx.Res.CPUOps += n * log2(n)
+	ctx.Res.CPUOps += SortOps(float64(len(items)))
 	return out, nil
 }
 
-func log2(n float64) float64 {
-	if n < 2 {
-		return 1
-	}
-	l := 0.0
-	for n > 1 {
-		n /= 2
+// SortOps is the CPU charge for sorting n rows: n·⌈log2 n⌉, and n below two
+// rows. Both sort kernels charge it and the remote estimator prices a Sort at it.
+func SortOps(n float64) float64 {
+	l := 1.0
+	for m := n; m > 2; m /= 2 {
 		l++
 	}
-	return l
+	return n * l
 }
 
 // Explain implements Operator.

@@ -230,8 +230,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if verr != nil {
 			return boxed(sortRel(x.Keys, in.ToRelation(), ctx))
 		}
-		n := float64(in.Len())
-		ctx.Res.CPUOps += n * log2(n)
+		ctx.Res.CPUOps += SortOps(float64(in.Len()))
 		return out, nil
 
 	case *Limit:

@@ -535,7 +535,7 @@ func layoutProbe(name string, seed int64, scale int, hosts map[string][]string, 
 	}
 	var out []ProbeRow
 	for _, c := range configs {
-		a := scenario.NewAssembly(seed, 0)
+		a := scenario.NewAssembly(seed)
 		for _, id := range []string{"S1", "S2"} {
 			link, ok := links[id]
 			if !ok {

@@ -106,15 +106,14 @@ func (s *hookedStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
 }
 
 // hookedII rebuilds the scenario's integrator over decorated wrappers.
-func hookedII(sc *scenario.Scenario, cfg integrator.Config) (*integrator.II, map[string]*hookedWrapper) {
+func hookedII(sc *scenario.Scenario) (*integrator.II, map[string]*hookedWrapper) {
 	hooked := map[string]*hookedWrapper{}
 	var all []wrapper.Wrapper
 	for _, id := range sc.MW.Servers() {
 		hooked[id] = &hookedWrapper{Wrapper: sc.MW.Wrapper(id)}
 		all = append(all, hooked[id])
 	}
-	cfg.Catalog, cfg.MW, cfg.Node, cfg.Clock = sc.Catalog, metawrapper.New(all...), sc.IINode, sc.Clock
-	return integrator.New(cfg), hooked
+	return integrator.New(integrator.Config{Catalog: sc.Catalog, MW: metawrapper.New(all...), Node: sc.IINode, Clock: sc.Clock}), hooked
 }
 
 // within fails the test when fn does not return in time: a lost wake-up
@@ -167,44 +166,11 @@ func slowestFragment(res *integrator.QueryResult) simclock.Time {
 	return slowest
 }
 
-// TestMergeCompletesWithOneDispatchSlot: with MaxParallel = 1 the four shard
-// fragments and orders run one at a time, in whatever order the scheduler
-// picks, while the merge waits for them in plan order. Producers never wait
-// for the merge, so every order completes — with the rows and the merge
-// charge of the default fan-out.
-func TestMergeCompletesWithOneDispatchSlot(t *testing.T) {
-	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 4, Scale: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sc.II.Query(gatherJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Plan.Fragments) < 5 {
-		t.Fatalf("plan has %d fragments; the test needs the 4-shard gather join", len(want.Plan.Fragments))
-	}
-	serial := customII(sc, integrator.Config{MaxParallel: 1})
-	for run := 0; run < 20; run++ {
-		within(t, 30*time.Second, func() {
-			got, err := serial.Query(gatherJoin)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			requireSameRelation(t, "one dispatch slot", want.Rel, got.Rel)
-			if got.MergeTime != want.MergeTime {
-				t.Errorf("merge time %v with one slot, %v with the default fan-out", got.MergeTime, want.MergeTime)
-			}
-		})
-	}
-}
-
 // TestResponseTimeIgnoresTheScheduler: where the merge's work lands on the
 // virtual clock depends on the plan-order pulls and the batches' arrival
 // stamps alone. Fifty runs of the 4-shard gather join and of the replica cross
 // join give the same fifty response times, bit for bit, with one processor or
-// several and with one dispatch slot or the default fan-out.
+// several.
 func TestResponseTimeIgnoresTheScheduler(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	federations := []struct {
@@ -221,44 +187,41 @@ func TestResponseTimeIgnoresTheScheduler(t *testing.T) {
 	for _, fed := range federations {
 		var want []integrator.QueryResult
 		for _, procs := range []int{1, 4} {
-			for _, slots := range []int{1, 0} {
-				runtime.GOMAXPROCS(procs)
-				sc, err := fed.build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ii := customII(sc, integrator.Config{MaxParallel: slots})
-				got := make([]integrator.QueryResult, 50)
-				within(t, 60*time.Second, func() {
-					for run := range got {
-						res, err := ii.Query(gatherJoin)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						got[run] = *res
-					}
-				})
-				if t.Failed() {
-					return
-				}
-				if want == nil {
-					want = got
-					var overlap simclock.Time
-					for _, res := range got {
-						overlap += slowestFragment(&res) + res.MergeTime - res.ResponseTime
-					}
-					if overlap <= 0 {
-						t.Fatalf("%s: no merge work overlapped an arrival in 50 runs; the test would pass on a store-and-forward clock", fed.name)
-					}
-					continue
-				}
+			runtime.GOMAXPROCS(procs)
+			sc, err := fed.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]integrator.QueryResult, 50)
+			within(t, 60*time.Second, func() {
 				for run := range got {
-					if got[run].ResponseTime != want[run].ResponseTime || got[run].MergeTime != want[run].MergeTime || got[run].FirstRowTime != want[run].FirstRowTime {
-						t.Fatalf("%s, run %d at GOMAXPROCS %d with %d dispatch slots: response/merge/first row %v/%v/%v, want %v/%v/%v",
-							fed.name, run, procs, slots, got[run].ResponseTime, got[run].MergeTime, got[run].FirstRowTime,
-							want[run].ResponseTime, want[run].MergeTime, want[run].FirstRowTime)
+					res, err := sc.II.Query(gatherJoin)
+					if err != nil {
+						t.Error(err)
+						return
 					}
+					got[run] = *res
+				}
+			})
+			if t.Failed() {
+				return
+			}
+			if want == nil {
+				want = got
+				var overlap simclock.Time
+				for _, res := range got {
+					overlap += slowestFragment(&res) + res.MergeTime - res.ResponseTime
+				}
+				if overlap <= 0 {
+					t.Fatalf("%s: no merge work overlapped an arrival in 50 runs; the test would pass on a store-and-forward clock", fed.name)
+				}
+				continue
+			}
+			for run := range got {
+				if got[run].ResponseTime != want[run].ResponseTime || got[run].MergeTime != want[run].MergeTime || got[run].FirstRowTime != want[run].FirstRowTime {
+					t.Fatalf("%s, run %d at GOMAXPROCS %d: response/merge/first row %v/%v/%v, want %v/%v/%v",
+						fed.name, run, procs, got[run].ResponseTime, got[run].MergeTime, got[run].FirstRowTime,
+						want[run].ResponseTime, want[run].MergeTime, want[run].FirstRowTime)
 				}
 			}
 		}
@@ -276,7 +239,7 @@ func TestFragmentFailureMidStreamStopsTheMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ii, hooked := hookedII(sc, integrator.Config{})
+	ii, hooked := hookedII(sc)
 	clean, err := ii.Query(gatherJoin)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +304,7 @@ func TestCallerCancelMidMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ii, hooked := hookedII(sc, integrator.Config{})
+	ii, hooked := hookedII(sc)
 	gp, err := ii.Compile(gatherJoin)
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +422,7 @@ func TestMergeCopiesNoFragmentTwice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ii, hooked := hookedII(sc, integrator.Config{})
+	ii, hooked := hookedII(sc)
 	measure := func(sql string) (*integrator.QueryResult, uint64) {
 		for _, w := range hooked {
 			w.record, w.replay = map[string]*recordedStream{}, false

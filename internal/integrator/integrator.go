@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -48,10 +47,6 @@ type Router interface {
 	// when conditions changed since compilation. Nil keeps the compiled
 	// choice.
 	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice
-	// RouteAttrs returns attributes describing the latest routing decision
-	// for a fragment (e.g. a score breakdown), attached to the fragment's
-	// dispatch span. A nil map adds nothing.
-	RouteAttrs(fragID string) map[string]string
 }
 
 // IIMergeObserver receives (estimated, observed) pairs for II-side merge
@@ -69,27 +64,6 @@ type Config struct {
 	Node *remote.Server
 	// Clock is the shared virtual clock.
 	Clock *simclock.Clock
-	// IICalib is QCC's workload calibrator for merge estimates (may be nil).
-	IICalib optimizer.IICalibrator
-	// Router is the route policy (may be nil).
-	Router Router
-	// MergeObs receives II merge observations (may be nil).
-	MergeObs IIMergeObserver
-	// MaxParallel bounds the fragment-dispatch fan-out per query (default
-	// GOMAXPROCS, minimum 1). Fragments beyond the bound queue for a slot.
-	MaxParallel int
-	// FragmentBudget, when positive, is the per-fragment virtual-time
-	// deadline: a dispatch whose observed response time exceeds it fails
-	// (and is retried through re-optimization like any fragment error).
-	FragmentBudget simclock.Time
-	// Telemetry is the observability subsystem (nil or disabled is a no-op).
-	Telemetry *telemetry.Telemetry
-	// Admission, when non-nil, gates every query between compilation and
-	// execution: the compiled plan's calibrated cost classifies the query
-	// into a workload class and the controller decides run / queue / shed.
-	// Under the default unlimited policy the gate is a pass-through and the
-	// engine behaves exactly as if Admission were nil.
-	Admission *admission.Controller
 }
 
 // Retries is the number of re-optimize attempts after a fragment execution
@@ -102,9 +76,22 @@ const Retries = 2
 // overlaps.
 const DefaultBatchRows = 256
 
-// II is the information integrator.
+// II is the information integrator. Its hooks (router, merge observer,
+// telemetry, admission and, in the optimizer, the II calibrator) are set only
+// through their setters, and each may be nil.
 type II struct {
-	cfg           Config
+	cfg Config
+	// router is the route policy.
+	router Router
+	// mergeObs receives II merge observations.
+	mergeObs IIMergeObserver
+	// tel is the observability subsystem (nil or disabled is a no-op).
+	tel *telemetry.Telemetry
+	// adm gates every query between compilation and execution: the compiled
+	// plan's calibrated cost classifies the query into a workload class and
+	// the controller decides run / queue / shed. Under the default unlimited
+	// policy the gate is a pass-through, as if there were none.
+	adm           *admission.Controller
 	vectorized    atomic.Bool
 	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
@@ -114,16 +101,12 @@ type II struct {
 
 // New builds an II.
 func New(cfg Config) *II {
-	if cfg.MaxParallel <= 0 {
-		cfg.MaxParallel = runtime.GOMAXPROCS(0)
-	}
 	ii := &II{
 		cfg: cfg,
 		opt: &optimizer.Optimizer{
 			Catalog: cfg.Catalog,
 			MW:      cfg.MW,
 			IINode:  cfg.Node,
-			IICalib: cfg.IICalib,
 		},
 		plans: newPlanCache(),
 	}
@@ -200,30 +183,24 @@ func (ii *II) Journal() *journal.Journal { return ii.cfg.MW.Journal() }
 func (ii *II) Clock() *simclock.Clock { return ii.cfg.Clock }
 
 // SetRouter installs or replaces the route policy (nil removes it).
-func (ii *II) SetRouter(r Router) { ii.cfg.Router = r }
+func (ii *II) SetRouter(r Router) { ii.router = r }
 
 // SetMergeObserver installs the II merge observer (QCC's §3.2 input).
-func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.cfg.MergeObs = o }
+func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.mergeObs = o }
 
 // SetIICalibrator installs the II workload calibrator used when costing
 // merge work during optimization.
 func (ii *II) SetIICalibrator(c optimizer.IICalibrator) { ii.opt.IICalib = c }
 
-// Telemetry exposes the observability subsystem (may be nil).
-func (ii *II) Telemetry() *telemetry.Telemetry { return ii.cfg.Telemetry }
-
 // SetTelemetry installs the observability subsystem (nil disables). Like the
 // other setters, install before serving queries; runtime on/off switching
 // goes through telemetry.SetEnabled.
-func (ii *II) SetTelemetry(t *telemetry.Telemetry) { ii.cfg.Telemetry = t }
-
-// Admission exposes the admission controller (may be nil).
-func (ii *II) Admission() *admission.Controller { return ii.cfg.Admission }
+func (ii *II) SetTelemetry(t *telemetry.Telemetry) { ii.tel = t }
 
 // SetAdmission installs the admission controller (nil removes the gate).
 // Install before serving queries; runtime policy changes go through the
 // controller itself.
-func (ii *II) SetAdmission(c *admission.Controller) { ii.cfg.Admission = c }
+func (ii *II) SetAdmission(c *admission.Controller) { ii.adm = c }
 
 // PlanCacheStats snapshots the federated plan cache's counters.
 func (ii *II) PlanCacheStats() PlanCacheStats { return ii.plans.snapshot() }
@@ -288,7 +265,7 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 	submitAt := ii.cfg.Clock.Now()
 	id := ii.Journal().Begin(sql, submitAt, admission.TenantFromContext(ctx))
 	ctx = journal.WithScope(ctx, journal.Scope{Query: id})
-	tel := ii.cfg.Telemetry
+	tel := ii.tel
 	trace := tel.StartTrace(id, sql, ii.cfg.Clock.Now())
 	if trace != nil {
 		ctx = telemetry.ContextWithSpan(ctx, trace.Root)
@@ -342,7 +319,7 @@ func (ii *II) Compile(sql string) (*optimizer.GlobalPlan, error) {
 // cheapest) source, exactly as before the cache existed.
 func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.ExcludeFunc) (*optimizer.GlobalPlan, error) {
 	sp := telemetry.SpanFrom(ctx)
-	tel := ii.cfg.Telemetry
+	tel := ii.tel
 	if cc := ii.plans.lookup(sql); cc != nil {
 		if cause := ii.validateCached(cc); cause != "" {
 			ii.plans.invalidate(sql, cause)
@@ -395,8 +372,8 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 // winner — the shared tail of the warm and cold compile paths. The entry is
 // text and numbers copied out of the plan, never the plan.
 func (ii *II) finishCompile(ctx context.Context, gp *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	if ii.cfg.Router != nil {
-		gp = ii.cfg.Router.ChooseGlobal(ctx, gp)
+	if ii.router != nil {
+		gp = ii.router.ChooseGlobal(ctx, gp)
 	}
 	frags := make([]journal.WinnerFragment, len(gp.Fragments))
 	for i, f := range gp.Fragments {
@@ -526,8 +503,8 @@ func (ii *II) run(ctx context.Context, sql string) (*QueryResult, *admission.Gra
 		if err != nil {
 			return nil, grant, err
 		}
-		if grant == nil && ii.cfg.Admission != nil {
-			g, err := ii.cfg.Admission.Admit(ctx, admission.Request{
+		if grant == nil && ii.adm != nil {
+			g, err := ii.adm.Admit(ctx, admission.Request{
 				Query:  sql,
 				CostMS: gp.TotalEstMS,
 				Class:  admission.ClassFromContext(ctx),
@@ -565,7 +542,7 @@ func (ii *II) run(ctx context.Context, sql string) (*QueryResult, *admission.Gra
 			excluded[fe.FragID][fe.ServerID] = true
 		}
 		if attempt < Retries {
-			ii.cfg.Telemetry.Active().Counter("ii.retries", "").Inc()
+			ii.tel.Active().Counter("ii.retries", "").Inc()
 			rs := telemetry.SpanFrom(ctx).Emit("retry", telemetry.LayerII, "", 0)
 			rs.SetAttr("attempt", fmt.Sprint(attempt+1))
 			rs.SetAttr("cause", err.Error())
@@ -622,11 +599,9 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, 
 
 // arrivals hands a query's fragment batches from the dispatch goroutines to
 // the merge, one queue per fragment in plan position. push never waits for
-// the consumer: there can be fewer dispatch slots (MaxParallel) than
-// fragments, so a producer blocked on a full queue could be holding the slot
-// of the very fragment the merge is waiting for. Batches stay queued once
-// read (they are views of results the remote side holds anyway): the row
-// merge reads them from here once every fragment has finished.
+// the consumer, and batches stay queued once read (they are views of results
+// the remote side holds anyway): the row merge reads them from here once
+// every fragment has finished.
 type arrivals struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -798,22 +773,18 @@ func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *
 	}
 }
 
-// ExecuteContext runs a compiled global plan: fragments dispatch through MW
-// on concurrent goroutines (bounded by Config.MaxParallel) while the local
-// merge, on the calling goroutine, consumes their batches in plan order as
-// they arrive. The first fragment error cancels the remaining dispatches and
-// the running merge; every dispatch context carries the per-fragment
-// virtual-time deadline when Config.FragmentBudget is set.
+// ExecuteContext runs a compiled global plan: every fragment dispatches
+// through MW on a goroutine of its own while the local merge, on the calling
+// goroutine, consumes their batches in plan order as they arrive. The first
+// fragment error cancels the remaining dispatches and the running merge.
 func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*QueryResult, error) {
 	root := telemetry.SpanFrom(ctx)
 	queryID := journal.ScopeOf(ctx).Query
 	pushdown := gp.Decomp.Sharded != nil && gp.Decomp.Sharded.Partial != nil
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	fctx = simclock.WithDeadline(fctx, ii.cfg.FragmentBudget)
 
 	arr := newArrivals(len(gp.Fragments))
-	sem := make(chan struct{}, ii.cfg.MaxParallel)
 	var (
 		wg       sync.WaitGroup
 		errOnce  sync.Once
@@ -827,23 +798,16 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	}
 	for i, f := range gp.Fragments {
 		wg.Add(1)
-		go func(i int, f optimizer.FragmentChoice) {
+		go func() {
 			defer wg.Done()
 			// However this goroutine ends, the merge must stop waiting for it.
 			defer arr.push(i, nil)
-			select {
-			case sem <- struct{}{}:
-				defer func() { <-sem }()
-			case <-fctx.Done():
-				return
-			}
 			if fctx.Err() != nil {
 				return
 			}
-			rt := ii.cfg.Router
 			rerouted := false
-			if rt != nil {
-				if alt := rt.RerouteFragment(fctx, f); alt != nil {
+			if ii.router != nil {
+				if alt := ii.router.RerouteFragment(fctx, f); alt != nil {
 					f = *alt
 					rerouted = true
 				}
@@ -854,21 +818,11 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				// Distinguish scatter-gather fan-out from replica routing in
 				// traces: shard fragments carry their shard index.
 				fspan.SetAttr("shard", fmt.Sprintf("%d", f.Spec.Shard.Index))
-				ii.cfg.Telemetry.Active().Counter("shard.fragments", f.ServerID).Inc()
+				ii.tel.Active().Counter("shard.fragments", f.ServerID).Inc()
 			}
 			if rerouted {
 				fspan.SetAttr("rerouted", "true")
-				ii.cfg.Telemetry.Active().Counter("ii.reroutes", f.ServerID).Inc()
 			}
-			if rt != nil {
-				for k, v := range rt.RouteAttrs(f.Spec.ID) {
-					fspan.SetAttr(k, v)
-				}
-			}
-			// Queue wait is zero in virtual time: the dispatch semaphore bounds
-			// REAL concurrency only — every fragment starts at the same virtual
-			// instant. The sub-span records the model's claim explicitly.
-			fspan.Emit("queue", telemetry.LayerII, "", 0)
 			// The meta-wrapper stamps the fragment's run entry from this scope
 			// and writes the ship mode there and on the span.
 			dctx := journal.WithScope(fctx, journal.Scope{Query: queryID, Frag: f.Spec.ID, Pushdown: pushdown && f.Spec.Shard != nil})
@@ -884,8 +838,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				return
 			}
 			fspan.End(arr.queues[i].outcome.ResponseTime)
-			ii.cfg.Telemetry.Active().Counter("ii.fragments", f.ServerID).Inc()
-		}(i, f)
+			ii.tel.Active().Counter("ii.fragments", f.ServerID).Inc()
+		}()
 	}
 
 	// The columnar merge pulls batches as the fragments deliver them; the row
@@ -914,7 +868,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	if !vec {
 		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, false)
 	} else if mergeErr == nil {
-		ii.cfg.Telemetry.Active().Counter("exec.vectorized", "ii").Inc()
+		ii.tel.Active().Counter("exec.vectorized", "ii").Inc()
 	}
 	if mergeErr != nil {
 		return nil, mergeErr
@@ -948,8 +902,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			msp.SetAttr("blocking", blocking)
 		}
 	}
-	if ii.cfg.MergeObs != nil {
-		ii.cfg.MergeObs.ObserveIIMerge(gp.MergeEstMS, mergeTime)
+	if ii.mergeObs != nil {
+		ii.mergeObs.ObserveIIMerge(gp.MergeEstMS, mergeTime)
 	}
 	return &QueryResult{
 		Rel:             rel,

@@ -352,18 +352,6 @@ func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *opt
 	return nil
 }
 
-func (routeFunc) RouteAttrs(string) map[string]string { return nil }
-
-// customII builds a second II over the scenario's plumbing with the given
-// configuration.
-func customII(sc *scenario.Scenario, cfg integrator.Config) *integrator.II {
-	cfg.Catalog = sc.Catalog
-	cfg.MW = sc.MW
-	cfg.Node = sc.IINode
-	cfg.Clock = sc.Clock
-	return integrator.New(cfg)
-}
-
 func TestRetryMessageCountsRetries(t *testing.T) {
 	sc := threeServer(t)
 	// integrator.Retries (2): three consecutive attempt failures exhaust them.
@@ -396,21 +384,6 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	// The integrator must stay healthy for the next caller.
 	if _, err := sc.II.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
 		t.Fatalf("query after cancellation: %v", err)
-	}
-}
-
-func TestFragmentBudgetFailsSlowDispatch(t *testing.T) {
-	sc := threeServer(t)
-	// A sub-millisecond budget is unmeetable for any real fragment: every
-	// retry misses it too, and the deadline error must surface to the caller.
-	ii := customII(sc, integrator.Config{FragmentBudget: 1e-9})
-	_, err := ii.Query("SELECT COUNT(*) FROM parts AS p")
-	if err == nil {
-		t.Fatal("unmeetable fragment budget must fail the query")
-	}
-	var de *simclock.ErrDeadlineExceeded
-	if !errors.As(err, &de) {
-		t.Fatalf("want ErrDeadlineExceeded in chain, got %v", err)
 	}
 }
 

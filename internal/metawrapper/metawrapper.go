@@ -343,10 +343,10 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 
 // OpenFragmentStream forwards an execution descriptor as a batch stream
 // (wrapper.Open) and instruments its lifecycle. The context carries the
-// dispatch's cancellation signal and optional virtual-time deadline down to
-// the wrapper, server and network layers; errors are classified (a cancelled
-// dispatch is NOT reported to QCC as a server error — the server did nothing
-// wrong, a sibling fragment failed first), and successful exhaustion records
+// dispatch's cancellation signal down to the wrapper, server and network
+// layers; errors are classified (a cancelled dispatch is NOT reported to QCC
+// as a server error — the server did nothing wrong, a sibling fragment
+// failed first), and successful exhaustion records
 // the response time AND, unless the stream is monolithic (batchRows <= 0),
 // the time-to-first-row against the uncalibrated estimate, feeding QCC's
 // separate FirstTupleMS calibration. rawEst must be the wrapper's

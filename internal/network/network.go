@@ -1,15 +1,14 @@
 // Package network simulates the wide-area network between the information
-// integrator and the remote data sources. Each link has a base round-trip
-// latency, a bandwidth, optional jitter, and a dynamic congestion level that
-// experiments (and fault injection) can vary at runtime — the "dynamic
-// nature of network latency" that the paper's cost model cannot see but QCC
-// learns through calibration.
+// integrator and the remote data sources. Each link has a base one-way
+// latency, a bandwidth, and a dynamic congestion level that experiments (and
+// fault injection) can vary at runtime — the "dynamic nature of network
+// latency" that the paper's cost model cannot see but QCC learns through
+// calibration.
 package network
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 
@@ -25,11 +24,8 @@ type Link struct {
 	// bandwidthKBps is the transfer rate in KB per simulated millisecond⁻¹
 	// terms (bytes per ms).
 	bytesPerMS float64
-	// jitterFrac adds ±jitterFrac·latency uniform noise.
-	jitterFrac float64
 	// congestion multiplies latency and divides bandwidth; 1 = calm.
 	congestion float64
-	rng        *rand.Rand
 	down       bool
 }
 
@@ -39,10 +35,6 @@ type LinkConfig struct {
 	LatencyMS float64
 	// BandwidthKBps is the throughput in kilobytes per second.
 	BandwidthKBps float64
-	// JitterFrac adds ±JitterFrac·latency uniform noise (0 disables).
-	JitterFrac float64
-	// Seed seeds the jitter stream; links with the same seed are identical.
-	Seed int64
 }
 
 // NewLink builds a link. Zero bandwidth means effectively infinite.
@@ -54,9 +46,7 @@ func NewLink(cfg LinkConfig) *Link {
 	return &Link{
 		latencyMS:  cfg.LatencyMS,
 		bytesPerMS: bpm,
-		jitterFrac: cfg.JitterFrac,
 		congestion: 1,
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
 	}
 }
 
@@ -100,13 +90,10 @@ func (e *ErrPartitioned) Error() string {
 	return fmt.Sprintf("network: link to %s is partitioned", e.Dest)
 }
 
-// transferParts computes one transfer draw split into propagation latency
-// (with congestion and jitter) and serialization delay. Callers hold l.mu.
+// transferParts computes one transfer split into propagation latency (with
+// congestion) and serialization delay. Callers hold l.mu.
 func (l *Link) transferParts(payloadBytes int) (lat, ser float64) {
 	lat = l.latencyMS * l.congestion
-	if l.jitterFrac > 0 {
-		lat += lat * l.jitterFrac * (2*l.rng.Float64() - 1)
-	}
 	if l.bytesPerMS > 0 {
 		ser = float64(payloadBytes) / (l.bytesPerMS / l.congestion)
 	}
@@ -114,7 +101,7 @@ func (l *Link) transferParts(payloadBytes int) (lat, ser float64) {
 }
 
 // TransferTime returns the simulated time to move payloadBytes one way over
-// the link, including latency, serialization delay, congestion and jitter.
+// the link, including latency, serialization delay and congestion.
 func (l *Link) TransferTime(payloadBytes int) simclock.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -127,10 +114,10 @@ func (l *Link) TransferTime(payloadBytes int) simclock.Time {
 }
 
 // TransferParts is TransferTime with the two delay components exposed:
-// propagation latency (one draw of the same jitter stream) and serialization
-// time. Streamed batches need the split because consecutive batches share the
-// wire — serialization occupies the link serially while each batch's
-// propagation overlaps the next batch's send.
+// propagation latency and serialization time. Streamed batches need the
+// split because consecutive batches share the wire — serialization occupies
+// the link serially while each batch's propagation overlaps the next batch's
+// send.
 func (l *Link) TransferParts(payloadBytes int) (lat, ser simclock.Time) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -147,8 +134,8 @@ func (l *Link) RoundTripTime(reqBytes, respBytes int) simclock.Time {
 	return l.TransferTime(reqBytes) + l.TransferTime(respBytes)
 }
 
-// BaseLatency returns the configured (uncongested, jitter-free) latency —
-// what a DB2 administrator would statically register for the source.
+// BaseLatency returns the configured (uncongested) latency — what a DB2
+// administrator would statically register for the source.
 func (l *Link) BaseLatency() simclock.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -156,9 +143,9 @@ func (l *Link) BaseLatency() simclock.Time {
 }
 
 // StaticTransferTime is the transfer estimate a cost model would compute
-// from the registered latency and bandwidth, blind to current congestion and
-// jitter. The gap between this and TransferTime is part of what QCC's
-// calibration factor absorbs.
+// from the registered latency and bandwidth, blind to current congestion.
+// The gap between this and TransferTime is part of what QCC's calibration
+// factor absorbs.
 func (l *Link) StaticTransferTime(payloadBytes int) simclock.Time {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -231,9 +218,9 @@ func (t *Topology) Transfer(ctx context.Context, dest string, payloadBytes int) 
 // split into propagation latency and serialization time: batches of one
 // stream share the wire, so serialization is serial across batches while
 // propagation overlaps the next batch's send. The total (lat+ser) matches a
-// Transfer of the same payload draw for draw. It additionally records the
-// batch size on the network.batch_bytes histogram, so it is only used on the
-// streaming path — monolithic transfers leave no batch series behind.
+// Transfer of the same payload. It additionally records the batch size on the
+// network.batch_bytes histogram, so it is only used on the streaming path —
+// monolithic transfers leave no batch series behind.
 func (t *Topology) TransferBatch(ctx context.Context, dest string, payloadBytes int) (lat, ser simclock.Time, err error) {
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err

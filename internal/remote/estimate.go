@@ -2,7 +2,6 @@ package remote
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/exec"
 	"repro/internal/sqlparser"
@@ -193,12 +192,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			return nodeEst{}, err
 		}
 		out := in
-		n := in.card
-		l := 1.0
-		if n > 2 {
-			l = math.Log2(n)
-		}
-		out.res.CPUOps += n * l
+		out.res.CPUOps += exec.SortOps(in.card)
 		return out, nil
 
 	case *exec.Distinct:

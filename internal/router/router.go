@@ -141,12 +141,12 @@ type Config struct {
 	Clock *simclock.Clock
 	// Journal receives routing decisions (may be nil).
 	Journal *journal.Journal
-	// Telemetry receives score gauges and routing counters (may be nil).
+	// Telemetry receives routing counters (may be nil).
 	Telemetry *telemetry.Telemetry
 }
 
-// Breakdown is one candidate server's score decomposition, kept for span
-// attributes and the journal's decisions.
+// Breakdown is one candidate server's score decomposition, kept for the
+// journal's decisions.
 type Breakdown struct {
 	ServerID string
 	CPU      float64
@@ -189,8 +189,6 @@ type Router struct {
 
 	mu        sync.Mutex
 	rotations map[string]*rotation
-	// lastAttrs holds the latest scored choice per fragment (RouteAttrs).
-	lastAttrs map[string]Breakdown
 	stats     Stats
 }
 
@@ -198,7 +196,7 @@ var _ integrator.Router = (*Router)(nil)
 
 // New builds a Router.
 func New(cfg Config) *Router {
-	r := &Router{cfg: cfg, rotations: map[string]*rotation{}, lastAttrs: map[string]Breakdown{}}
+	r := &Router{cfg: cfg, rotations: map[string]*rotation{}}
 	if r.cfg.Closeness == 0 {
 		r.cfg.Closeness = DefaultCloseness
 	}
@@ -369,9 +367,8 @@ func represent(opts []optimizer.FragmentChoice) (reps []candidate, minCost float
 
 // rank scores a fragment's representatives. It returns the scorable ones
 // (fenced and infinite-cost servers are dropped) in first-seen order and the
-// index of the best score (the first of equals; -1 when nothing scored),
-// which also becomes the fragment's span annotation.
-func (r *Router) rank(fragID, sig string, reps []candidate, minCost float64) ([]candidate, int) {
+// index of the best score (the first of equals; -1 when nothing scored).
+func (r *Router) rank(sig string, reps []candidate, minCost float64) ([]candidate, int) {
 	scored, best := reps[:0], -1
 	for _, c := range reps {
 		b, ok := r.score(c.choice.ServerID, sig, c.choice.Plan.Tables, c.choice.Plan.Est.TotalMS, minCost)
@@ -379,16 +376,10 @@ func (r *Router) rank(fragID, sig string, reps []candidate, minCost float64) ([]
 			continue
 		}
 		c.score = b
-		r.cfg.Telemetry.Active().Gauge("router.score", fragID+"@"+b.ServerID).Set(b.Total)
 		if best < 0 || b.Total > scored[best].score.Total {
 			best = len(scored)
 		}
 		scored = append(scored, c)
-	}
-	if best >= 0 {
-		r.mu.Lock()
-		r.lastAttrs[fragID] = scored[best].score
-		r.mu.Unlock()
 	}
 	return scored, best
 }
@@ -468,7 +459,7 @@ func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 		if len(reps) <= 1 {
 			continue
 		}
-		scored, best := r.rank(f.Spec.ID, f.Spec.Sig, reps, minCost)
+		scored, best := r.rank(f.Spec.Sig, reps, minCost)
 		if best < 0 {
 			continue
 		}
@@ -524,7 +515,7 @@ func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentC
 		}
 	}
 	reps, minCost := represent(opts)
-	scored, best := r.rank(choice.Spec.ID, choice.Spec.Sig, reps, minCost)
+	scored, best := r.rank(choice.Spec.Sig, reps, minCost)
 	if best < 0 || scored[best].choice.ServerID == choice.ServerID {
 		return nil
 	}
@@ -541,24 +532,6 @@ func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentC
 	r.record(ctx, r.cfg.Clock.Now(), "", choice.Spec.ID+"@"+pick.score.ServerID,
 		fmt.Sprintf("dispatch rescore from %s", choice.ServerID), []Breakdown{pick.score})
 	return &pick.choice
-}
-
-// RouteAttrs implements integrator.Router: the score breakdown of the most
-// recent scored choice for a fragment, as span attributes.
-func (r *Router) RouteAttrs(fragID string) map[string]string {
-	r.mu.Lock()
-	b, ok := r.lastAttrs[fragID]
-	r.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	return map[string]string{
-		"router.score":       fmt.Sprintf("%.4f", b.Total),
-		"router.score_cpu":   fmt.Sprintf("%.4f", b.CPU),
-		"router.score_mem":   fmt.Sprintf("%.4f", b.Memory),
-		"router.score_cache": fmt.Sprintf("%.4f", b.Cache),
-		"router.score_lat":   fmt.Sprintf("%.4f", b.Latency),
-	}
 }
 
 // record appends a decision to the journal (when there is one), stamped with

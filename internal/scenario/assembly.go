@@ -31,24 +31,18 @@ type Assembly struct {
 	// data, when set, is generated data this assembly shares with others
 	// (federations): Generate and Replicate take their tables from it as
 	// copies. Shard generates its own, because it only partitions the rows.
-	data *tables
-	// firstLink numbers the links' jitter streams: server i's link is seeded
-	// seed+firstLink+i.
-	firstLink int
-	sc        Scenario
-	wrappers  []wrapper.Wrapper
+	data     *tables
+	sc       Scenario
+	wrappers []wrapper.Wrapper
 	// solo lists, per table name, the hosts that were given the table one
 	// server at a time (Generate, AddTable).
 	solo map[string][]string
 }
 
-// NewAssembly starts an empty federation on a fresh virtual clock. The canned
-// scenarios number their links from 0 and the public Builder from 1; both
-// numberings have seeded results on record.
-func NewAssembly(seed int64, firstLink int) *Assembly {
+// NewAssembly starts an empty federation on a fresh virtual clock.
+func NewAssembly(seed int64) *Assembly {
 	return &Assembly{
-		seed:      seed,
-		firstLink: firstLink,
+		seed: seed,
 		sc: Scenario{
 			Clock:   simclock.New(),
 			Servers: map[string]*remote.Server{},
@@ -89,15 +83,14 @@ func (d *tables) copyOf(gen storage.TableGen) (*storage.Table, error) {
 func federations(seed int64, declare func(*Assembly) (*Scenario, error)) func() (*Scenario, error) {
 	data := &tables{seed: seed, generated: map[string]*storage.Table{}}
 	return func() (*Scenario, error) {
-		a := NewAssembly(seed, 0)
+		a := NewAssembly(seed)
 		a.data = data
 		return declare(a)
 	}
 }
 
 // AddServer declares a remote source and the link to it. A file source can be
-// scanned but offers no cost estimates (wrapper.File). The link's Seed is set
-// here.
+// scanned but offers no cost estimates (wrapper.File).
 func (a *Assembly) AddServer(cfg remote.Config, link network.LinkConfig, file bool) error {
 	if _, dup := a.sc.Servers[cfg.ID]; dup {
 		return fmt.Errorf("scenario: duplicate server %q", cfg.ID)
@@ -105,7 +98,6 @@ func (a *Assembly) AddServer(cfg remote.Config, link network.LinkConfig, file bo
 	srv := remote.NewServer(cfg)
 	srv.SetClock(a.sc.Clock)
 	a.sc.Servers[cfg.ID] = srv
-	link.Seed = a.seed + int64(a.firstLink+len(a.wrappers))
 	a.sc.Topo.AddLink(cfg.ID, network.NewLink(link))
 	if file {
 		a.wrappers = append(a.wrappers, wrapper.NewFile(srv, a.sc.Topo))

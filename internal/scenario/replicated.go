@@ -80,7 +80,7 @@ func HotTableGens(n, scale int) []storage.TableGen {
 // BuildReplicated assembles the hotspot scenario.
 func BuildReplicated(opts ReplicatedOptions) (*Scenario, error) {
 	opts.fill()
-	return replicated(opts, NewAssembly(opts.Seed, 0))
+	return replicated(opts, NewAssembly(opts.Seed))
 }
 
 // ReplicatedFederations returns a function that assembles a fresh

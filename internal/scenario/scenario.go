@@ -72,7 +72,7 @@ func fillScaleSeed(scale *int, seed *int64) {
 }
 
 // lan is the link every canned scenario uses: the testbed's 2000 KB/s LAN at
-// the given one-way latency, jitter-free.
+// the given one-way latency.
 func lan(latencyMS float64) network.LinkConfig {
 	return network.LinkConfig{LatencyMS: latencyMS, BandwidthKBps: 2000}
 }
@@ -92,7 +92,7 @@ func serverIDs(n int) []string {
 // an II node.
 func BuildThreeServer(opts Options) (*Scenario, error) {
 	opts.fill()
-	return threeServer(opts, NewAssembly(opts.Seed, 0))
+	return threeServer(opts, NewAssembly(opts.Seed))
 }
 
 // ThreeServerFederations returns a function that assembles a fresh
@@ -179,7 +179,7 @@ type ReplicaOptions struct {
 // BuildReplicaPair assembles the §4 scenario.
 func BuildReplicaPair(opts ReplicaOptions) (*Scenario, error) {
 	fillScaleSeed(&opts.Scale, &opts.Seed)
-	a := NewAssembly(opts.Seed, 0)
+	a := NewAssembly(opts.Seed)
 	for _, s := range []struct {
 		cfg       remote.Config
 		latencyMS float64

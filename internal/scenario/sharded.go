@@ -39,7 +39,7 @@ func BuildSharded(opts ShardedOptions) (*Scenario, error) {
 		opts.Shards = 1
 	}
 	fillScaleSeed(&opts.Scale, &opts.Seed)
-	a := NewAssembly(opts.Seed, 0)
+	a := NewAssembly(opts.Seed)
 	ids := serverIDs(opts.Shards)
 	for _, id := range ids {
 		if err := a.AddServer(remote.ProfileS2(id), lan(5), false); err != nil {

@@ -1,8 +1,6 @@
 package simclock
 
 import (
-	"context"
-	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -119,30 +117,5 @@ func TestEveryCancelConcurrent(t *testing.T) {
 	mu.Unlock()
 	if final != after {
 		t.Fatalf("ticker fired %d more times after cancel settled", final-after)
-	}
-}
-
-func TestWithDeadlineAndCheck(t *testing.T) {
-	ctx := WithDeadline(context.Background(), 100)
-	if b, ok := DeadlineFrom(ctx); !ok || b != 100 {
-		t.Fatalf("DeadlineFrom = %v, %v", b, ok)
-	}
-	if err := CheckDeadline(ctx, 100); err != nil {
-		t.Fatalf("at-budget must pass: %v", err)
-	}
-	err := CheckDeadline(ctx, 101)
-	var de *ErrDeadlineExceeded
-	if !errors.As(err, &de) || de.Budget != 100 || de.Observed != 101 {
-		t.Fatalf("over-budget error: %v", err)
-	}
-}
-
-func TestWithDeadlineNonPositiveIsUnlimited(t *testing.T) {
-	ctx := WithDeadline(context.Background(), 0)
-	if _, ok := DeadlineFrom(ctx); ok {
-		t.Fatal("zero budget must not install a deadline")
-	}
-	if err := CheckDeadline(ctx, 1e12); err != nil {
-		t.Fatalf("no deadline must never fail: %v", err)
 	}
 }

@@ -1,66 +1,9 @@
 package simclock
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "errors"
 
-// Per-fragment deadlines ride on context.Context values rather than the
-// standard context deadline machinery: wall-clock deadlines are meaningless
-// in a simulation where all latency is charged to the virtual clock. The
-// dispatch layer stamps the context with a virtual-time budget — the maximum
-// virtual response time the dispatch may consume — and the layer that knows
-// the observed response time checks it. Budgets are checked, not fired:
-// virtual time only materializes when work completes.
-
-type deadlineKey struct{}
-
-// ErrDeadline is the sentinel every virtual-time deadline expiry matches:
-// errors.Is(err, simclock.ErrDeadline) holds for fragment budget blowouts
-// (*ErrDeadlineExceeded) and admission queue-deadline sheds alike, so callers
-// can classify "ran out of virtual time" without string matching or knowing
-// which layer imposed the deadline.
+// ErrDeadline is the sentinel a virtual-time deadline expiry matches: an
+// admission queue-deadline shed satisfies errors.Is(err, simclock.ErrDeadline),
+// so callers can classify "ran out of virtual time" without string matching
+// or knowing which layer imposed the deadline.
 var ErrDeadline = errors.New("simclock: virtual deadline exceeded")
-
-// ErrDeadlineExceeded reports that a dispatch blew its virtual-time budget.
-type ErrDeadlineExceeded struct {
-	// Budget is the virtual response time the dispatch was allowed.
-	Budget Time
-	// Observed is the virtual response time the work actually took.
-	Observed Time
-}
-
-// Error implements error.
-func (e *ErrDeadlineExceeded) Error() string {
-	return fmt.Sprintf("simclock: virtual deadline exceeded (budget %s, observed %s)", e.Budget, e.Observed)
-}
-
-// Unwrap makes every budget blowout errors.Is-match ErrDeadline.
-func (e *ErrDeadlineExceeded) Unwrap() error { return ErrDeadline }
-
-// WithDeadline returns a context carrying a per-dispatch virtual-time budget.
-// Non-positive budgets are ignored (no deadline).
-func WithDeadline(ctx context.Context, budget Time) context.Context {
-	if budget <= 0 {
-		return ctx
-	}
-	return context.WithValue(ctx, deadlineKey{}, budget)
-}
-
-// DeadlineFrom extracts the virtual-time budget, if any.
-func DeadlineFrom(ctx context.Context) (Time, bool) {
-	budget, ok := ctx.Value(deadlineKey{}).(Time)
-	return budget, ok
-}
-
-// CheckDeadline returns an *ErrDeadlineExceeded when the context carries a
-// virtual-time budget smaller than the observed response time. A context
-// without a budget always passes.
-func CheckDeadline(ctx context.Context, observed Time) error {
-	budget, ok := DeadlineFrom(ctx)
-	if !ok || observed <= budget {
-		return nil
-	}
-	return &ErrDeadlineExceeded{Budget: budget, Observed: observed}
-}

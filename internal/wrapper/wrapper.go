@@ -57,7 +57,7 @@ type Wrapper interface {
 	// Open runs an execution descriptor as a batch stream: result batches
 	// ship over the network as the server produces them, overlapping remote
 	// compute with transfer. The context carries cancellation (a sibling
-	// fragment failed) and an optional virtual-time deadline. batchRows <= 0
+	// fragment failed). batchRows <= 0
 	// degenerates to one monolithic batch: store-and-forward timing.
 	Open(ctx context.Context, plan *remote.Plan, batchRows int) (ResultStream, error)
 	// Probe checks source availability end to end (network + server).

@@ -13,6 +13,7 @@ import (
 
 	fedqcc "repro"
 	"repro/internal/experiment"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -326,6 +327,77 @@ func TestRouteDecisionsLogged(t *testing.T) {
 	for _, d := range weighted[len(weighted)-3:] {
 		if d.Reason == "" || d.Route == "" {
 			t.Errorf("decision missing reason/route: %+v", d)
+		}
+	}
+}
+
+// TestFragmentSpansCarryOnlyTheirOwnRoute: every statement numbers its
+// fragments from QF1, so nothing a query records may come from another query's
+// QF1. orders is replicated on S1 and S2 and its scan is scored; parts lives on
+// S1 alone and is never scored. The parts query's fragment span must carry no
+// router.* attribute, and its decisions must name no server it did not run on.
+func TestFragmentSpansCarryOnlyTheirOwnRoute(t *testing.T) {
+	schema := fedqcc.StandardSchema(100)
+	fed, err := fedqcc.NewBuilder(7).
+		AddServer("S1", fedqcc.ProfileMidrange, fedqcc.LinkSpec{}).
+		AddServer("S2", fedqcc.ProfilePowerful, fedqcc.LinkSpec{}).
+		AddGeneratedTable("S1", schema[0]). // orders
+		AddGeneratedTable("S2", schema[0]).
+		AddGeneratedTable("S1", schema[3]). // parts
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.EnableTelemetry()
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+	cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+
+	record := func(sql string) (*fedqcc.QueryResult, fedqcc.QueryRecord) {
+		t.Helper()
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		rec, ok := fed.QueryRecord(res.ID)
+		if !ok || rec.Trace == nil {
+			t.Fatalf("%q: no record with a trace for query %d", sql, res.ID)
+		}
+		return res, rec
+	}
+	_, orders := record("SELECT COUNT(*) FROM orders AS o")
+	if len(orders.Decisions) == 0 || !strings.Contains(orders.Decisions[0].Reason, "cpu=") {
+		t.Fatalf("the orders scan was not scored: decisions %+v", orders.Decisions)
+	}
+
+	parts, rec := record("SELECT COUNT(*) FROM parts AS p")
+	fragments := 0
+	var walk func(s *telemetry.Span)
+	walk = func(s *telemetry.Span) {
+		if s.Name() == "fragment" {
+			fragments++
+			for _, a := range s.Attrs() {
+				if strings.HasPrefix(a.Key, "router.") {
+					t.Errorf("the parts fragment's span on %s carries %s=%s", s.Server(), a.Key, a.Value)
+				}
+			}
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	walk(rec.Trace.Root)
+	if fragments != 1 {
+		t.Fatalf("the parts query's trace has %d fragment spans, want 1", fragments)
+	}
+	ran := map[string]bool{}
+	for _, server := range parts.Route {
+		ran[server] = true
+	}
+	for _, d := range rec.Decisions {
+		for _, server := range []string{"S1", "S2"} {
+			if !ran[server] && strings.Contains(d.Route+" "+d.Reason, server) {
+				t.Errorf("the parts query ran on %v, but its decision names %s: %+v", parts.Route, server, d)
+			}
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // slowLinkFederation builds a single-server federation over a
-// bandwidth-limited, jitter-free link, where batch arrivals spread far enough
+// bandwidth-limited link, where batch arrivals spread far enough
 // apart to tell first row from response. Scale 10 gives 10k-row large tables.
 func slowLinkFederation(t testing.TB) *fedqcc.Federation {
 	t.Helper()
