@@ -149,14 +149,19 @@ type topStep struct {
 // Top is the planned non-join tail of a SELECT: an ordered step list that
 // depends only on the statement and the schema of the joined, filtered input,
 // so a planner comparing many join trees for one statement plans it once and
-// stacks it on each. The steps are shared, read-only, by every tree built.
-type Top []topStep
+// stacks it on each. The steps and the input schema are shared, read-only, by
+// every tree built.
+type Top struct {
+	steps []topStep
+	in    *sqltypes.Schema
+}
 
 // PlanTop compiles the non-join tail of a SELECT — aggregation, HAVING,
 // projection, ORDER BY, DISTINCT and LIMIT — given the schema of the joined,
 // filtered input.
 func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
-	var steps Top
+	in := schema
+	var steps []topStep
 	selectItems := stmt.Select
 	having := stmt.Having
 	orderBy := stmt.OrderBy
@@ -164,7 +169,7 @@ func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
 		var aggs []*sqlparser.AggExpr
 		for _, item := range selectItems {
 			if item.Star {
-				return nil, fmt.Errorf("exec: SELECT * cannot be combined with aggregation")
+				return Top{}, fmt.Errorf("exec: SELECT * cannot be combined with aggregation")
 			}
 			aggs = CollectAggregates(item.Expr, aggs)
 		}
@@ -230,7 +235,7 @@ func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
 	if stmt.Limit >= 0 {
 		steps = append(steps, topStep{kind: stepLimit, n: stmt.Limit})
 	}
-	return steps, nil
+	return Top{steps: steps, in: in}, nil
 }
 
 // BuildTop applies the non-join tail of a SELECT statement — aggregation,
@@ -245,17 +250,22 @@ func BuildTop(stmt *sqlparser.SelectStmt, current Operator) (Operator, error) {
 }
 
 // Build stacks the tail's operators onto current, which must produce the
-// schema the tail was planned against.
+// schema the tail was planned against, and finishes the plan: each join in
+// it gets its output schema, shared with the tail's input schema where it is
+// that, and learns which of its output columns the operators above read
+// (finishPlan).
 func (t Top) Build(current Operator) Operator {
-	return t.stack(current, func(in Operator, s topStep) Operator {
+	root := t.stack(current, func(in Operator, s topStep) Operator {
 		return &Aggregate{Input: in, GroupBy: s.groupBy, Aggs: s.aggs}
 	})
+	finishPlan(root, current, t.in)
+	return root
 }
 
 // stack is Build with the operator for the aggregation step supplied by the
 // caller.
 func (t Top) stack(current Operator, aggregate func(in Operator, s topStep) Operator) Operator {
-	for _, s := range t {
+	for _, s := range t.steps {
 		switch s.kind {
 		case stepAggregate:
 			current = aggregate(current, s)

@@ -81,27 +81,41 @@ func (c *Column) Gather(idx []int) *Column {
 // length). The column headers share one allocation and the payloads one per
 // cell type, so a joined batch costs a handful of allocations however many
 // columns the two sides have.
-func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int) []*Column {
+//
+// unread names the output columns nothing downstream reads, bit i for column
+// i (columns from 64 on are always gathered). Each of them is an all-NULL
+// placeholder (Kind == KindNull, no payload): the batch keeps its schema and
+// its column positions, and pays only for the columns that are read.
+func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int, unread uint64) []*Column {
 	var s slabs
-	for _, c := range left {
-		s.reserve(c, len(lIdx))
+	for i, c := range left {
+		if !skipped(unread, i) {
+			s.reserve(c, len(lIdx))
+		}
 	}
-	for _, c := range right {
-		s.reserve(c, len(rIdx))
+	for i, c := range right {
+		if !skipped(unread, len(left)+i) {
+			s.reserve(c, len(rIdx))
+		}
 	}
 	s.alloc()
 	heads := make([]Column, len(left)+len(right))
 	cols := make([]*Column, len(heads))
 	for i := range heads {
 		cols[i] = &heads[i]
-		if i < len(left) {
+		switch {
+		case skipped(unread, i): // the zero Column: KindNull, no payload
+		case i < len(left):
 			s.gather(cols[i], left[i], lIdx)
-		} else {
+		default:
 			s.gather(cols[i], right[i-len(left)], rIdx)
 		}
 	}
 	return cols
 }
+
+// skipped reports whether unread names column i.
+func skipped(unread uint64, i int) bool { return i < 64 && unread&(1<<i) != 0 }
 
 // slabs are the allocations a set of gathered columns share: reserve counts
 // the cells each column will take, alloc makes one vector per cell type, and

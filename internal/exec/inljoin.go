@@ -23,6 +23,8 @@ type IndexNLJoin struct {
 	OuterKey sqlparser.Expr
 	// Residual, when non-nil, filters joined rows.
 	Residual sqlparser.Expr
+
+	out joinOut
 }
 
 func (j *IndexNLJoin) innerSchema() *sqltypes.Schema {
@@ -35,6 +37,9 @@ func (j *IndexNLJoin) innerSchema() *sqltypes.Schema {
 
 // Schema implements Operator.
 func (j *IndexNLJoin) Schema() *sqltypes.Schema {
+	if s := j.out.fixed(); s != nil {
+		return s
+	}
 	return j.Outer.Schema().Concat(j.innerSchema())
 }
 

@@ -19,6 +19,8 @@ type HashJoin struct {
 	// BuildRight hashes Probe and streams Build. Only the integrator's merge
 	// sets it, for a right input estimated to finish first (JoinLeftDeep).
 	BuildRight bool
+
+	out joinOut
 }
 
 // sides returns the hashed input and the streamed one.
@@ -32,6 +34,9 @@ func (j *HashJoin) sides() (hashed, streamed Operator) {
 // Schema implements Operator. Output is build columns followed by probe
 // columns.
 func (j *HashJoin) Schema() *sqltypes.Schema {
+	if s := j.out.fixed(); s != nil {
+		return s
+	}
 	return j.Build.Schema().Concat(j.Probe.Schema())
 }
 
@@ -129,10 +134,15 @@ func (j *HashJoin) Children() []Operator { return []Operator{j.Build, j.Probe} }
 type NestedLoopJoin struct {
 	Outer, Inner Operator
 	Pred         sqlparser.Expr
+
+	out joinOut
 }
 
 // Schema implements Operator.
 func (j *NestedLoopJoin) Schema() *sqltypes.Schema {
+	if s := j.out.fixed(); s != nil {
+		return s
+	}
 	return j.Outer.Schema().Concat(j.Inner.Schema())
 }
 

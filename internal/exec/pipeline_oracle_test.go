@@ -95,7 +95,8 @@ func shaped(rng *rand.Rand, rel *sqltypes.Relation, chunk []sqltypes.Row) *colba
 
 // recutLeaves copies the plan with every Values leaf replaced by a
 // BatchStream over a fresh random split of its rows; a leaf over a stored
-// table stays as it is.
+// table stays as it is. A join is copied whole, with what finishing the plan
+// fixed about its output: the leaves' schemas do not change.
 func recutLeaves(t *testing.T, rng *rand.Rand, op Operator) Operator {
 	t.Helper()
 	in := func(child Operator) Operator { return recutLeaves(t, rng, child) }
@@ -123,7 +124,9 @@ func recutLeaves(t *testing.T, rng *rand.Rand, op Operator) Operator {
 		cp.Build, cp.Probe = in(x.Build), in(x.Probe)
 		return &cp
 	case *NestedLoopJoin:
-		return &NestedLoopJoin{Outer: in(x.Outer), Inner: in(x.Inner), Pred: x.Pred}
+		cp := *x
+		cp.Outer, cp.Inner = in(x.Outer), in(x.Inner)
+		return &cp
 	case *IndexNLJoin:
 		cp := *x
 		cp.Outer = in(x.Outer)

@@ -202,6 +202,50 @@ func (g *oracleGen) plan(leaf Operator, depth int) Operator {
 	return op
 }
 
+// tail stacks a random statement tail over a join, of the shapes that leave
+// some of the join's output columns unread once the plan is finished: an
+// aggregate of one column, a projection of a subset (over a sort keyed on a
+// column it drops, or over a filter), a distinct and a limit over a
+// projection; or none, the join at the root reading every column.
+func (g *oracleGen) tail(join Operator) Operator {
+	schema := join.Schema()
+	col := func() *sqlparser.ColumnRef {
+		return &sqlparser.ColumnRef{Name: schema.Columns[g.rng.Intn(len(schema.Columns))].Name}
+	}
+	subset := func(drop string) []sqlparser.SelectItem {
+		var items []sqlparser.SelectItem
+		for _, i := range g.rng.Perm(len(schema.Columns))[:1+g.rng.Intn(3)] {
+			if name := schema.Columns[i].Name; name != drop {
+				items = append(items, sqlparser.SelectItem{Expr: &sqlparser.ColumnRef{Name: name}})
+			}
+		}
+		if items == nil {
+			items = append(items, sqlparser.SelectItem{Alias: "one", Expr: &sqlparser.Literal{Val: sqltypes.NewInt(1)}})
+		}
+		return items
+	}
+	switch g.rng.Intn(6) {
+	case 0:
+		return join
+	case 1:
+		funcs := []sqlparser.AggFunc{sqlparser.AggCount, sqlparser.AggSum, sqlparser.AggAvg, sqlparser.AggMin, sqlparser.AggMax}
+		agg := &Aggregate{Input: join, Aggs: []*sqlparser.AggExpr{{Func: funcs[g.rng.Intn(len(funcs))], Arg: col()}}}
+		if g.rng.Intn(3) == 0 {
+			agg.GroupBy = []sqlparser.Expr{col()}
+		}
+		return agg
+	case 2:
+		return &Project{Input: join, Items: subset("")}
+	case 3:
+		key := col()
+		return &Project{Input: &Sort{Input: join, Keys: []sqlparser.OrderItem{{Expr: key, Desc: g.rng.Intn(2) == 0}}}, Items: subset(key.Name)}
+	case 4:
+		return &Project{Input: &Filter{Input: join, Pred: g.expr(schema, 2)}, Items: subset("")}
+	default:
+		return &Limit{Input: &Distinct{Input: &Project{Input: join, Items: subset("")}}, N: g.rng.Intn(20)}
+	}
+}
+
 func valuesBitIdentical(a, b sqltypes.Value) bool {
 	if a.Kind() != b.Kind() {
 		return false
@@ -229,10 +273,13 @@ func requireRelationsIdentical(t *testing.T, label string, want, got *sqltypes.R
 	}
 }
 
-// checkOracle runs op through both engines and requires identical outcomes:
-// same error presence, same rows bit-for-bit, same resource charges.
+// checkOracle finishes op as a planner does (each join learns which of its
+// output columns are read above it) and runs it through both engines,
+// requiring identical outcomes: same error presence, same rows bit-for-bit,
+// same output schema, same resource charges.
 func checkOracle(t *testing.T, label string, op Operator) {
 	t.Helper()
+	finishPlan(op, op, nil)
 	var rowCtx, vecCtx Context
 	wantRel, wantErr := op.Execute(&rowCtx)
 	gotBatch, gotErr := ExecuteVectorized(op, &vecCtx)
@@ -247,6 +294,9 @@ func checkOracle(t *testing.T, label string, op Operator) {
 		return
 	}
 	requireRelationsIdentical(t, label, wantRel, gotBatch.ToRelation())
+	if want, got := wantRel.Schema.String(), gotBatch.Schema.String(); want != got {
+		t.Fatalf("%s: schema %s (row), %s (vectorized)\nplan:\n%s", label, want, got, ExplainTree(op))
+	}
 	if rowCtx.Res != vecCtx.Res {
 		t.Fatalf("%s: resources diverged: row %+v, vectorized %+v\nplan:\n%s", label, rowCtx.Res, vecCtx.Res, ExplainTree(op))
 	}
@@ -306,16 +356,29 @@ func TestVectorizedOracleHashJoin(t *testing.T) {
 		}
 		left := g.relation("l", ln)
 		right := g.relation("r", rn)
+		var build Operator = &Values{Rel: left}
+		if seed%4 == 0 {
+			// A join under the join: the read set splits once more.
+			mid := g.relation("m", g.rng.Intn(30))
+			build = &HashJoin{
+				Build:      build,
+				Probe:      &Values{Rel: mid},
+				BuildKey:   &sqlparser.ColumnRef{Name: "l0"},
+				ProbeKey:   &sqlparser.ColumnRef{Name: "m0"},
+				BuildRight: g.rng.Intn(2) == 0,
+			}
+		}
 		join := &HashJoin{
-			Build:    &Values{Rel: left},
-			Probe:    &Values{Rel: right},
-			BuildKey: g.expr(left.Schema, 2),
-			ProbeKey: g.expr(right.Schema, 2),
+			Build:      build,
+			Probe:      &Values{Rel: right},
+			BuildKey:   g.expr(left.Schema, 2),
+			ProbeKey:   g.expr(right.Schema, 2),
+			BuildRight: g.rng.Intn(2) == 0,
 		}
 		if g.rng.Intn(2) == 0 {
-			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
+			join.Residual = g.expr(join.Schema(), 2)
 		}
-		op := g.plan(join, g.rng.Intn(3))
+		op := g.plan(g.tail(join), g.rng.Intn(3))
 		checkOracle(t, fmt.Sprintf("seed %d", seed), op)
 	}
 }
@@ -346,7 +409,7 @@ func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 		if seed%3 == 0 {
 			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
 		}
-		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(2)))
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(2)))
 		if _, err := newHashJoinTable(join, colbatch.FromRelation(left)).probeBatch(colbatch.FromRelation(right)); err == nil {
 			engaged++
 		}
@@ -519,7 +582,7 @@ func TestVectorizedOracleIndexNLJoin(t *testing.T) {
 		if g.rng.Intn(2) == 0 {
 			join.Residual = g.expr(join.Schema(), 2)
 		}
-		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(3)))
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(3)))
 		if ob, err := ExecuteVectorized(outer, &Context{}); err == nil {
 			if _, err := indexNLJoinBatch(join, ob, &Context{}); err == nil {
 				engaged++
@@ -827,7 +890,7 @@ func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
 		if seed%5 != 4 {
 			join.Pred = g.expr(left.Schema.Concat(right.Schema), 2)
 		}
-		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(join, g.rng.Intn(3)))
+		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(3)))
 		if _, err := nestedLoopBatch(join, colbatch.FromRelation(left), colbatch.FromRelation(right)); err == nil {
 			engaged++
 		}

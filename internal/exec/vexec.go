@@ -852,9 +852,11 @@ func physOf(b *colbatch.Batch, idx []int) []int {
 
 // joinedBatch gathers the matched (left, right) physical positions into one
 // contiguous batch of left columns followed by right columns, applies the
-// residual predicate and returns the surviving rows.
-func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr) (*colbatch.Batch, error) {
-	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys), len(lPhys))
+// residual predicate and returns the surviving rows. The columns in unread
+// (the join's: nothing above it reads them, see finishPlan) are all-NULL
+// placeholders; the residual's own columns are never among them.
+func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr, unread colSet) (*colbatch.Batch, error) {
+	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys, uint64(unread)), len(lPhys))
 	if residual == nil {
 		return out, nil
 	}
@@ -876,9 +878,9 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, 
 type hashJoinTable struct {
 	j      *HashJoin
 	hashed *colbatch.Batch
-	// The streamed key compiled against the streamed batches' schema, the
-	// output schema (build columns then probe columns) and per-batch scratch.
-	sschema, schema *sqltypes.Schema
+	// The output schema (build columns then probe columns), the streamed key
+	// compiled against the streamed batches' schema and per-batch scratch.
+	schema, sschema *sqltypes.Schema
 	snode           vnode
 	shs             []uint64
 	hIdx, sIdx      []int
@@ -906,7 +908,7 @@ func (t *hashJoinTable) keys() (hashed, streamed sqlparser.Expr) {
 
 func newHashJoinTable(j *HashJoin, hashed *colbatch.Batch) *hashJoinTable {
 	hn := hashed.Len()
-	t := &hashJoinTable{j: j, hashed: hashed, pending: float64(hn) * 2}
+	t := &hashJoinTable{j: j, hashed: hashed, schema: j.Schema(), pending: float64(hn) * 2}
 	hkey, _ := t.keys()
 	hnode, err := compileExpr(hkey, hashed.Schema)
 	if err != nil || hn >= math.MaxInt32 {
@@ -969,11 +971,6 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 			return nil, err
 		}
 		t.sschema, t.snode = in.Schema, snode
-		if t.j.BuildRight {
-			t.schema = in.Schema.Concat(t.hashed.Schema)
-		} else {
-			t.schema = t.hashed.Schema.Concat(in.Schema)
-		}
 	}
 	sres, err := t.snode.eval(in)
 	if err != nil {
@@ -997,9 +994,9 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	}
 	t.hIdx, t.sIdx = hIdx, sIdx
 	if t.j.BuildRight {
-		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual)
+		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual, t.j.out.unread)
 	}
-	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual)
+	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, t.j.out.unread)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
@@ -1040,7 +1037,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 			oIdx = append(oIdx, i)
 		}
 	}
-	out, err := joinedBatch(outer.Schema.Concat(j.innerSchema()), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual)
+	out, err := joinedBatch(j.Schema(), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual, j.out.unread)
 	if err != nil {
 		return nil, err
 	}
@@ -1059,7 +1056,7 @@ const nestedLoopBlock = 4096
 // block filtered by the predicate over its gathered candidates; the pairs
 // that survive are gathered once into the output.
 func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch.Batch, error) {
-	schema := outer.Schema.Concat(inner.Schema)
+	schema := j.Schema()
 	on, in := outer.Len(), inner.Len()
 	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
 	var oIdx, iIdx, bo, bi []int
@@ -1074,7 +1071,7 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 			oIdx, iIdx = append(oIdx, bo...), append(iIdx, bi...)
 			continue
 		}
-		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred)
+		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred, j.out.unread)
 		if err != nil {
 			return nil, err
 		}
@@ -1083,5 +1080,5 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 			oIdx, iIdx = append(oIdx, bo[p]), append(iIdx, bi[p])
 		}
 	}
-	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil)
+	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil, j.out.unread)
 }

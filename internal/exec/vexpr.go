@@ -928,15 +928,25 @@ func evalPredicate(pred sqlparser.Expr, b *colbatch.Batch) ([]int, error) {
 		return nil, err
 	}
 	n := b.Len()
-	sel := make([]int, 0, n)
 	if res.tag == rBools {
+		// Count the survivors first: a selective predicate keeps a few rows
+		// of a large batch, and the vector is allocated at their number.
+		keep := func(i int) bool { return res.bools[i] && (res.nulls == nil || !res.nulls[i]) }
+		kept := 0
 		for i := 0; i < n; i++ {
-			if res.bools[i] && (res.nulls == nil || !res.nulls[i]) {
+			if keep(i) {
+				kept++
+			}
+		}
+		sel := make([]int, 0, kept)
+		for i := 0; i < n; i++ {
+			if keep(i) {
 				sel = append(sel, i)
 			}
 		}
 		return sel, nil
 	}
+	sel := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		if !res.isNull(i) && sqlparser.Truthy(res.value(i)) {
 			sel = append(sel, i)

@@ -58,6 +58,9 @@ func (s *Server) ExplainSQL(stmt *sqlparser.SelectStmt, sql string) ([]*Plan, er
 	}
 	sort.Slice(plans, func(i, j int) bool { return plans[i].Est.TotalMS < plans[j].Est.TotalMS })
 	if len(plans) > s.maxPlans {
+		// The statement cache keeps what is returned, and with it the backing
+		// array: the candidates cut off must not stay reachable through it.
+		clear(plans[s.maxPlans:])
 		plans = plans[:s.maxPlans]
 	}
 	if cacheable {

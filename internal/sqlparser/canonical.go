@@ -8,11 +8,12 @@ import "strings"
 // calibration factor learned from some instances of a query type applies to
 // future, yet-unseen instances — the generalization §3.1 relies on.
 //
-// Unparseable input canonicalizes token-by-token; the function never fails.
+// Input the lexer rejects keeps its text with the whitespace collapsed (see
+// collapseSpace); the function never fails.
 func CanonicalizeSQL(src string) string {
 	toks, err := lex(src)
 	if err != nil {
-		return strings.Join(strings.Fields(src), " ")
+		return collapseSpace(src)
 	}
 	parts := make([]string, 0, len(toks))
 	for i, t := range toks {
@@ -53,4 +54,31 @@ func operandBefore(toks []token, i int) bool {
 	default:
 		return false
 	}
+}
+
+// collapseSpace drops leading and trailing runs of the lexer's whitespace and
+// turns every other run into one newline when it holds one (a newline ends a
+// -- comment) and one space otherwise. The lexer then rejects the result
+// where it rejected src, so the result is its own canonical form: only what
+// the lexer skips changes, and every comment still ends where it ended.
+func collapseSpace(src string) string {
+	var b strings.Builder
+	run, newline := false, false
+	for i := 0; i < len(src); i++ {
+		switch c := src[i]; c {
+		case ' ', '\t', '\r', '\n':
+			run, newline = true, newline || c == '\n'
+		default:
+			if run && b.Len() > 0 {
+				if newline {
+					b.WriteByte('\n')
+				} else {
+					b.WriteByte(' ')
+				}
+			}
+			run, newline = false, false
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
 }

@@ -276,6 +276,14 @@ func TestCanonicalizeSQL(t *testing.T) {
 	if got := CanonicalizeSQL("a  ??  b"); got != "a ?? b" {
 		t.Fatalf("fallback: %q", got)
 	}
+	// ... over the lexer's whitespace only, keeping the newline that ends a
+	// comment: either change would make the fallback's output lexable, and
+	// its canonical form another string.
+	for src, want := range map[string]string{"00\f": "00\f", "a -- c \n\t?": "a -- c\n?"} {
+		if got := CanonicalizeSQL(src); got != want || CanonicalizeSQL(got) != got {
+			t.Errorf("fallback of %q: %q, which canonicalizes to %q; want %q", src, got, CanonicalizeSQL(got), want)
+		}
+	}
 }
 
 func TestCanonicalizeSQLParameterVariants(t *testing.T) {
