@@ -89,18 +89,6 @@ func (h *AdmissionHandle) Policy() AdmissionPolicy { return h.c.Policy() }
 // re-resolved against the new class definitions.
 func (h *AdmissionHandle) SetPolicy(p AdmissionPolicy) { h.c.SetPolicy(p) }
 
-// SetGlobalCap tunes the global concurrency cap at runtime (0 = unlimited).
-func (h *AdmissionHandle) SetGlobalCap(n int) { h.c.SetGlobalCap(n) }
-
-// SetClassCap tunes one class's concurrency cap at runtime (0 = unlimited).
-func (h *AdmissionHandle) SetClassCap(class string, cap int) error {
-	return h.c.SetClassCap(class, cap)
-}
-
-// Disable reverts to the unlimited default policy: admission becomes a
-// pass-through again (queued queries drain immediately).
-func (h *AdmissionHandle) Disable() { h.c.SetPolicy(DefaultAdmissionPolicy()) }
-
 // Stats snapshots the controller's counters.
 func (h *AdmissionHandle) Stats() AdmissionStats { return h.c.Stats() }
 

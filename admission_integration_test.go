@@ -47,8 +47,9 @@ func TestAdmissionDisabledIdentity(t *testing.T) {
 
 	base, baseTrees, baseClock := run(func(*fedqcc.Federation) {})
 	toggled, togTrees, togClock := run(func(fed *fedqcc.Federation) {
-		// Impose a restrictive policy, then revert: Disable must restore the
-		// exact pass-through, not merely "roughly unlimited" behaviour.
+		// Impose a restrictive policy, then revert: the default policy must
+		// restore the exact pass-through, not merely "roughly unlimited"
+		// behaviour.
 		fed.Admission().SetPolicy(fedqcc.AdmissionPolicy{
 			MaxConcurrent: 1,
 			Classes: []fedqcc.AdmissionClassConfig{
@@ -56,7 +57,7 @@ func TestAdmissionDisabledIdentity(t *testing.T) {
 				{Name: fedqcc.ClassBatch, HoldCostMS: 1, QueueDeadline: 100},
 			},
 		})
-		fed.Admission().Disable()
+		fed.Admission().SetPolicy(fedqcc.DefaultAdmissionPolicy())
 	})
 
 	for i := range sqls {

@@ -9,7 +9,6 @@
 package fedqcc_test
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -511,9 +510,8 @@ func BenchmarkLoadDistribution(b *testing.B) {
 	b.Logf("\n%s", fedqcc.FormatLoadBalanceStudy(last))
 }
 
-// BenchmarkConcurrentThroughput measures federated query throughput through
-// the concurrent submission surface at 1, 4 and 16 concurrent sessions over
-// a fixed mixed workload. Wall-clock ns/op falling as sessions rise shows
+// BenchmarkConcurrentThroughput measures federated query throughput from 1,
+// 4 and 16 goroutines calling QueryContext over a fixed mixed workload. Wall-clock ns/op falling as sessions rise shows
 // the fan-out pipeline actually overlaps work; vq_ms_per_query (virtual
 // time) stays flat because virtual-time charges serialize deterministically.
 func BenchmarkConcurrentThroughput(b *testing.B) {
@@ -532,7 +530,7 @@ func BenchmarkConcurrentThroughput(b *testing.B) {
 			queries := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, errs := fed.RunConcurrent(context.Background(), sqls, sessions)
+				_, errs := queryConcurrently(fed, sqls, sessions)
 				for _, e := range errs {
 					if e != nil {
 						b.Fatal(e)

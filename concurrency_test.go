@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	fedqcc "repro"
@@ -32,6 +33,32 @@ func soakFederation(t testing.TB) *fedqcc.Federation {
 	return fed
 }
 
+// queryConcurrently runs the statements from `workers` goroutines, each
+// calling QueryContext on the next unclaimed statement, and returns results
+// and errors indexed by position, so a concurrent run compares row-for-row
+// against a sequential one.
+func queryConcurrently(fed *fedqcc.Federation, sqls []string, workers int) ([]*fedqcc.QueryResult, []error) {
+	results := make([]*fedqcc.QueryResult, len(sqls))
+	errs := make([]error, len(sqls))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(sqls) {
+					return
+				}
+				results[i], errs[i] = fed.QueryContext(context.Background(), sqls[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return results, errs
+}
+
 func soakStatements(n int) []string {
 	r := rand.New(rand.NewSource(soakSeed))
 	out := make([]string, n)
@@ -42,8 +69,8 @@ func soakStatements(n int) []string {
 }
 
 // TestConcurrentMatchesSequential runs the same random federated workload
-// through a sequential federation and through a concurrent worker pool over
-// an identically-seeded federation, and requires identical answers in
+// through a sequential federation and from concurrent goroutines over an
+// identically-seeded federation, and requires identical answers in
 // submission order.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	sqls := soakStatements(soakQueries)
@@ -59,7 +86,7 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	}
 
 	concFed := soakFederation(t)
-	results, errs := concFed.RunConcurrent(context.Background(), sqls, soakWorkers)
+	results, errs := queryConcurrently(concFed, sqls, soakWorkers)
 	for i := range sqls {
 		if errs[i] != nil {
 			t.Fatalf("concurrent query %d (%s): %v", i, sqls[i], errs[i])
@@ -101,9 +128,10 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentSessionsWithQCC soaks a QCC-enabled federation with many
-// sessions querying simultaneously (through QueryAsync) and checks that the
-// calibration state stays sane: counters add up and every published factor
-// is finite and positive.
+// callers querying simultaneously (every statement of every caller on a
+// goroutine of its own) and checks that the calibration state stays sane:
+// every query is answered, and every published factor is finite and
+// positive.
 func TestConcurrentSessionsWithQCC(t *testing.T) {
 	fed := soakFederation(t)
 	cal := fed.EnableQCC(fedqcc.QCCOptions{})
@@ -112,30 +140,27 @@ func TestConcurrentSessionsWithQCC(t *testing.T) {
 	const sessions = 6
 	var wg sync.WaitGroup
 	errCh := make(chan error, sessions*len(sqls))
+	var completed atomic.Int64
 	for s := 0; s < sessions; s++ {
-		sess := fed.NewSession()
-		wg.Add(1)
-		go func(sess *fedqcc.Session, offset int) {
-			defer wg.Done()
-			var pending []*fedqcc.AsyncResult
-			for i := range sqls {
-				pending = append(pending, sess.QueryAsync(context.Background(), sqls[(i+offset)%len(sqls)]))
-			}
-			for _, p := range pending {
-				if _, err := p.Wait(); err != nil {
+		for i := range sqls {
+			wg.Add(1)
+			go func(q string) {
+				defer wg.Done()
+				if _, err := fed.QueryContext(context.Background(), q); err != nil {
 					errCh <- err
+					return
 				}
-			}
-			st := sess.Stats()
-			if st.Submitted != len(sqls) || st.Completed+st.Failed != st.Submitted {
-				t.Errorf("session stats do not add up: %+v", st)
-			}
-		}(sess, s)
+				completed.Add(1)
+			}(sqls[(i+s)%len(sqls)])
+		}
 	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		t.Errorf("concurrent session query: %v", err)
+		t.Errorf("concurrent query: %v", err)
+	}
+	if got := completed.Load(); got != sessions*int64(len(sqls)) {
+		t.Errorf("%d queries completed, want %d", got, sessions*len(sqls))
 	}
 
 	cal.PublishNow()
@@ -176,31 +201,5 @@ func TestQueryContextCancellation(t *testing.T) {
 	}
 	if res.Rows.Cardinality() != 1 {
 		t.Fatalf("unexpected result shape after cancellation: %d rows", res.Rows.Cardinality())
-	}
-}
-
-// TestRunConcurrentHonorsCancel cancels the pool context mid-run and checks
-// that unstarted items are reported as skipped with context.Canceled.
-func TestRunConcurrentHonorsCancel(t *testing.T) {
-	fed := soakFederation(t)
-	sqls := soakStatements(soakQueries)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	results, errs := fed.RunConcurrent(ctx, sqls, 4)
-	for i := range sqls {
-		if errs[i] == nil && results[i] == nil {
-			t.Errorf("query %d: nil error with nil result", i)
-		}
-	}
-	// With the context cancelled before dispatch, at least one item must be
-	// skipped rather than silently dropped.
-	var skipped int
-	for _, err := range errs {
-		if err == context.Canceled {
-			skipped++
-		}
-	}
-	if skipped == 0 {
-		t.Error("expected skipped items under a pre-cancelled context")
 	}
 }

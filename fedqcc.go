@@ -165,7 +165,7 @@ type ShardedFederationOptions struct {
 // sharded on l_orderkey across N uniform servers (shard i on server S<i+1>),
 // small tables replicated everywhere. Aggregate queries over lineitem run
 // two-phase with partial aggregation pushed into every shard; predicates on
-// l_orderkey prune the shard fan-out. See SetShardPushdown/SetShardPruning.
+// l_orderkey prune the shard fan-out. See SetShardPushdown.
 func NewShardedFederation(opts ShardedFederationOptions) (*Federation, error) {
 	method := catalog.ShardHash
 	if opts.RangeSharding {
@@ -351,13 +351,6 @@ func (f *Federation) ColumnarWire() bool {
 	return false
 }
 
-// SetShardPruning toggles predicate-based shard pruning for sharded tables
-// (default on); off scatter-gathers every shard.
-func (f *Federation) SetShardPruning(on bool) { f.ii.SetShardPruning(on) }
-
-// ShardPruning reports whether shard pruning is active.
-func (f *Federation) ShardPruning() bool { return f.ii.ShardPruning() }
-
 // SetShardPushdown toggles two-phase partial-aggregate pushdown for sharded
 // tables (default on); off ships every shard's rows (the columns the
 // statement reads) — the ship-all-rows baseline sharded benchmarks compare
@@ -369,9 +362,42 @@ func (f *Federation) ShardPushdown() bool { return f.ii.ShardPushdown() }
 
 // Query compiles and executes a federated SQL statement, advancing the
 // virtual clock by the query's response time. See QueryContext for
-// caller-supplied cancellation and Session for concurrent submission.
+// caller-supplied cancellation and concurrent submission.
 func (f *Federation) Query(sql string) (*QueryResult, error) {
 	return f.QueryContext(context.Background(), sql)
+}
+
+// QueryContext is Query with caller-supplied cancellation: the context is
+// threaded through the integrator, meta-wrapper, wrapper, server and network
+// layers, so cancelling it aborts in-flight fragment dispatches. It is safe
+// for concurrent use: concurrent callers call it from their own goroutines,
+// and their virtual-time charges stack on the shared clock.
+func (f *Federation) QueryContext(ctx context.Context, sql string) (*QueryResult, error) {
+	res, err := f.ii.QueryContext(ctx, sql)
+	if err != nil {
+		return nil, err
+	}
+	route := map[string]string{}
+	for _, frag := range res.Plan.Fragments {
+		route[frag.Spec.ID] = frag.ServerID
+	}
+	// Runtime rerouting may have moved fragments after compilation.
+	for id, s := range res.ExecutedServers {
+		route[id] = s
+	}
+	return &QueryResult{
+		ID:             res.ID,
+		Rows:           res.Rel,
+		ResponseTime:   res.ResponseTime,
+		Route:          route,
+		FragmentTimes:  res.FragmentTimes,
+		MergeTime:      res.MergeTime,
+		FirstRowTime:   res.FirstRowTime,
+		Retried:        res.Retried,
+		QueueWait:      res.QueueWait,
+		AdmissionClass: res.AdmissionClass,
+		Tenant:         res.Tenant,
+	}, nil
 }
 
 // PlanInfo summarizes a compiled (but not executed) global plan.
@@ -421,7 +447,7 @@ func (f *Federation) EnumeratePlans(sql string, topK int) ([]*PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	plans, err := f.ii.Optimizer().Enumerate(stmt, topK)
+	plans, err := f.ii.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{DisablePushdown: !f.ii.ShardPushdown()}, topK)
 	if err != nil {
 		return nil, err
 	}

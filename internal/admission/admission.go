@@ -159,6 +159,10 @@ type Controller struct {
 	tenanted bool
 	tenants  map[string]*tenantState
 	classVT  map[string]float64
+	// arrivals counts tenant resolutions; tenantsEvicted counts auto states
+	// dropped past maxAutoTenants.
+	arrivals       int64
+	tenantsEvicted int64
 }
 
 // New builds a controller over the given config.
@@ -474,32 +478,6 @@ func (c *Controller) SetPolicy(p Policy) {
 	}
 	c.drainLocked()
 	c.unlock()
-}
-
-// SetGlobalCap tunes the global concurrency cap at runtime (0 = unlimited).
-func (c *Controller) SetGlobalCap(n int) {
-	p := c.Policy()
-	if n < 0 {
-		n = 0
-	}
-	p.MaxConcurrent = n
-	c.SetPolicy(p)
-}
-
-// SetClassCap tunes one class's concurrency cap at runtime (0 = unlimited).
-func (c *Controller) SetClassCap(name string, cap int) error {
-	p := c.Policy()
-	for i := range p.Classes {
-		if p.Classes[i].Name == name {
-			if cap < 0 {
-				cap = 0
-			}
-			p.Classes[i].MaxConcurrent = cap
-			c.SetPolicy(p)
-			return nil
-		}
-	}
-	return &UnknownClassError{Name: name}
 }
 
 // release returns one slot and admits the best queued waiter.

@@ -374,7 +374,7 @@ func TestSetPolicyReclassifiesQueue(t *testing.T) {
 	g.Release()
 }
 
-func TestSetGlobalCapUnblocksWaiters(t *testing.T) {
+func TestSetPolicyRaisedCapUnblocksWaiters(t *testing.T) {
 	c, _ := newController(Policy{MaxConcurrent: 1})
 	g, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10})
 	if err != nil {
@@ -382,16 +382,15 @@ func TestSetGlobalCapUnblocksWaiters(t *testing.T) {
 	}
 	done := admitAsync(c, Request{Query: "b", CostMS: 10})
 	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	c.SetGlobalCap(2)
+	raised := c.Policy()
+	raised.MaxConcurrent = 2
+	c.SetPolicy(raised)
 	out := <-done
 	if out.err != nil {
 		t.Fatal(out.err)
 	}
 	out.g.Release()
 	g.Release()
-	if err := c.SetClassCap("nope", 3); err == nil {
-		t.Fatal("SetClassCap on unknown class must error")
-	}
 }
 
 func TestTelemetryCounters(t *testing.T) {

@@ -90,12 +90,3 @@ func (r *Rejection) Unwrap() []error {
 	}
 	return []error{ErrAdmissionRejected}
 }
-
-// UnknownClassError reports a policy operation naming a class the policy does
-// not define.
-type UnknownClassError struct{ Name string }
-
-// Error implements error.
-func (e *UnknownClassError) Error() string {
-	return fmt.Sprintf("admission: unknown workload class %q", e.Name)
-}

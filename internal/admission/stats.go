@@ -37,6 +37,9 @@ type Stats struct {
 	Queued  int
 	// Releases counts returned grants.
 	Releases int64
+	// TenantsEvicted counts idle states of unregistered tenants dropped to
+	// keep their number bounded.
+	TenantsEvicted int64
 	// Classes is sorted by descending priority, then name.
 	Classes []ClassStats
 }
@@ -110,10 +113,11 @@ func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := Stats{
-		Running:  c.running,
-		Queued:   len(c.queue),
-		Releases: c.releases,
-		Classes:  make([]ClassStats, 0, len(c.tallies)),
+		Running:        c.running,
+		Queued:         len(c.queue),
+		Releases:       c.releases,
+		TenantsEvicted: c.tenantsEvicted,
+		Classes:        make([]ClassStats, 0, len(c.tallies)),
 	}
 	for name, t := range c.tallies {
 		cs := ClassStats{

@@ -55,6 +55,8 @@ type tenantState struct {
 	cfg    Tenant
 	policy Policy // base policy with this tenant's overrides merged
 	auto   bool   // lazily created for an unregistered tag, not via RegisterTenant
+	// lastSeen orders auto states by their latest arrival, for eviction.
+	lastSeen int64
 
 	// tag is the tenant's next fair-queuing start tag per class: each grant
 	// sets tag = max(tag, class virtual time) + cost/weight.
@@ -199,14 +201,41 @@ func (c *Controller) Tenants() []Tenant {
 	return out
 }
 
+// maxAutoTenants bounds the auto states the controller keeps for
+// unregistered tags once none of them has work in it.
+const maxAutoTenants = 32
+
 // tenantStateLocked resolves (lazily creating) the state for a tenant name.
 // Unregistered names — including the blank default — get an auto state with
 // weight 1 and no quotas, so scheduling stays uniform across all waiters.
+// Creating one past maxAutoTenants evicts the least recently seen auto states
+// with nothing queued or running; a tag that comes back starts afresh, at its
+// class's virtual time.
 func (c *Controller) tenantStateLocked(name string) *tenantState {
+	c.arrivals++
 	ts := c.tenants[name]
-	if ts == nil {
-		ts = newTenantState(Tenant{Name: name}, c.policy, true)
-		c.tenants[name] = ts
+	if ts != nil {
+		ts.lastSeen = c.arrivals
+		return ts
 	}
+	ts = newTenantState(Tenant{Name: name}, c.policy, true)
+	ts.lastSeen = c.arrivals
+	autos, idle := 0, []*tenantState(nil)
+	for _, t := range c.tenants {
+		if t.auto {
+			autos++
+			if t.queued == 0 && t.running == 0 {
+				idle = append(idle, t)
+			}
+		}
+	}
+	if over := autos + 1 - maxAutoTenants; over > 0 {
+		sort.Slice(idle, func(i, j int) bool { return idle[i].lastSeen < idle[j].lastSeen })
+		for _, t := range idle[:min(over, len(idle))] {
+			delete(c.tenants, t.cfg.Name)
+			c.tenantsEvicted++
+		}
+	}
+	c.tenants[name] = ts
 	return ts
 }

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -290,5 +291,66 @@ func TestTenantWeightedFairShares(t *testing.T) {
 	stats := c.TenantStats()
 	if stats[0].Name != "gold" || stats[0].ServedCostMS != (perTenant+1)*10 {
 		t.Fatalf("tenant stats[0] = %+v, want gold with full served cost", stats[0])
+	}
+}
+
+// TestUnregisteredTenantStatesAreBounded submits 10 000 queries under
+// distinct unregistered tags beside one registered tenant. The auto states
+// kept stay within maxAutoTenants plus the tenants with work in the
+// controller, every query is decided, and the evictions are counted.
+func TestUnregisteredTenantStatesAreBounded(t *testing.T) {
+	c, _ := newController(Policy{MaxConcurrent: 4})
+	c.RegisterTenant(Tenant{Name: "registered", Weight: 2})
+	const n = 10000
+	var grants []*Grant
+	decided := 0
+	onDecision := func(g *Grant, err error) {
+		decided++
+		if err != nil {
+			t.Fatalf("query refused: %v", err)
+		}
+		grants = append(grants, g)
+	}
+	for i := 0; i < n; i++ {
+		tenant := fmt.Sprintf("tag%d", i)
+		if i%100 == 0 {
+			tenant = "registered"
+		}
+		c.Submit(Request{Query: "q", CostMS: 10, Tenant: tenant}, onDecision)
+		if len(grants) == 4 { // the next arrival queues behind the four running
+			g := grants[0]
+			grants = grants[1:]
+			g.Release()
+		}
+		autos, busy := 0, 0
+		for _, ts := range c.TenantStats() {
+			if !ts.Registered {
+				autos++
+			}
+			if ts.Running+ts.Queued > 0 {
+				busy++
+			}
+		}
+		if autos > maxAutoTenants+busy {
+			t.Fatalf("after %d queries: %d unregistered states kept, bound %d + %d with work", i+1, autos, maxAutoTenants, busy)
+		}
+	}
+	for len(grants) > 0 {
+		g := grants[0]
+		grants = grants[1:]
+		g.Release()
+	}
+	if decided != n {
+		t.Fatalf("%d of %d queries decided", decided, n)
+	}
+	if got := c.Stats().TenantsEvicted; got < n-n/100-maxAutoTenants {
+		t.Fatalf("%d evictions counted, want at least %d", got, n-n/100-maxAutoTenants)
+	}
+	registered := false
+	for _, ts := range c.TenantStats() {
+		registered = registered || ts.Name == "registered" && ts.Registered && ts.Admitted == n/100
+	}
+	if !registered {
+		t.Fatalf("the registered tenant lost its state: %+v", c.TenantStats())
 	}
 }

@@ -147,56 +147,3 @@ func (c *Catalog) Names() []string {
 	sort.Strings(out)
 	return out
 }
-
-// ServersFor returns the set of servers hosting every one of the given
-// nicknames — the candidate destinations for a fragment covering them.
-func (c *Catalog) ServersFor(names ...string) ([]string, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var acc map[string]bool
-	for _, name := range names {
-		n, ok := c.nicknames[name]
-		if !ok {
-			return nil, fmt.Errorf("catalog: unknown nickname %q", name)
-		}
-		cur := map[string]bool{}
-		for _, p := range n.Placements {
-			cur[p.ServerID] = true
-		}
-		if acc == nil {
-			acc = cur
-			continue
-		}
-		for s := range acc {
-			if !cur[s] {
-				delete(acc, s)
-			}
-		}
-	}
-	out := make([]string, 0, len(acc))
-	for s := range acc {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// Clone returns a deep-enough copy for the simulated federated system: the
-// nickname set and placements are copied; schemas are shared (immutable).
-func (c *Catalog) Clone() *Catalog {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := New()
-	for name, n := range c.nicknames {
-		cp := &Nickname{Name: n.Name, Schema: n.Schema, Sharding: n.Sharding}
-		cp.Placements = append([]Placement(nil), n.Placements...)
-		for _, sh := range n.Shards {
-			cp.Shards = append(cp.Shards, Shard{
-				Index:      sh.Index,
-				Placements: append([]Placement(nil), sh.Placements...),
-			})
-		}
-		out.nicknames[name] = cp
-	}
-	return out
-}

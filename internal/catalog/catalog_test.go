@@ -58,28 +58,13 @@ func TestLookupAndNames(t *testing.T) {
 	}
 }
 
-func TestServersForIntersection(t *testing.T) {
-	c := testCatalog(t)
-	got, err := c.ServersFor("orders")
-	if err != nil || len(got) != 2 {
-		t.Fatalf("single: %v %v", got, err)
-	}
-	got, err = c.ServersFor("orders", "parts")
-	if err != nil || len(got) != 1 || got[0] != "S3" {
-		t.Fatalf("intersection: %v %v", got, err)
-	}
-	if _, err := c.ServersFor("orders", "ghost"); err == nil {
-		t.Fatal("unknown in set")
-	}
-}
-
 func TestAddPlacement(t *testing.T) {
 	c := testCatalog(t)
 	if err := c.AddPlacement("orders", Placement{ServerID: "S2", RemoteTable: "orders", Replica: true}); err != nil {
 		t.Fatal(err)
 	}
-	got, _ := c.ServersFor("orders", "parts")
-	if len(got) != 2 { // now S2 and S3
+	n, _ := c.Lookup("orders")
+	if got := n.Servers(); len(got) != 3 { // now S1, S2 and S3
 		t.Fatalf("after replica: %v", got)
 	}
 	if err := c.AddPlacement("orders", Placement{ServerID: "S2"}); err == nil {
@@ -102,20 +87,5 @@ func TestNicknameHelpers(t *testing.T) {
 	servers := n.Servers()
 	if len(servers) != 2 || servers[0] != "S1" {
 		t.Fatalf("servers: %v", servers)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	c := testCatalog(t)
-	cp := c.Clone()
-	if err := cp.AddPlacement("orders", Placement{ServerID: "S9"}); err != nil {
-		t.Fatal(err)
-	}
-	n, _ := c.Lookup("orders")
-	if n.PlacementOn("S9") != nil {
-		t.Fatal("clone leaked into original")
-	}
-	if len(cp.Names()) != 2 {
-		t.Fatal("clone names")
 	}
 }

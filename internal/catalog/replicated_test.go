@@ -42,35 +42,3 @@ func TestRegisterReplicatedRejectsDuplicateServer(t *testing.T) {
 		t.Fatalf("duplicate server accepted: err = %v", err)
 	}
 }
-
-func TestAddShardReplica(t *testing.T) {
-	c := New()
-	shards := mkShards(2)
-	if err := c.RegisterSharded("t", shardSchema(), &ShardSpec{Method: ShardHash, Column: "k"}, shards); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddShardReplica("t", 1, Placement{ServerID: "S2", RemoteTable: ShardTableName("t", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.Lookup("t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := n.Shards[1]
-	if len(sh.Placements) != 2 || !sh.Placements[1].Replica {
-		t.Fatalf("shard 1 placements = %+v, want appended replica on S2", sh.Placements)
-	}
-	if n.PlacementOn("S2") == nil {
-		t.Error("aggregate placements missing new server S2")
-	}
-	// Duplicates and bad shard indexes are rejected.
-	if err := c.AddShardReplica("t", 1, Placement{ServerID: "S2"}); err == nil {
-		t.Error("duplicate shard replica accepted")
-	}
-	if err := c.AddShardReplica("t", 9, Placement{ServerID: "S4"}); err == nil {
-		t.Error("out-of-range shard accepted")
-	}
-	if err := c.AddShardReplica("missing", 0, Placement{ServerID: "S4"}); err == nil {
-		t.Error("unknown nickname accepted")
-	}
-}

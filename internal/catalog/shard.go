@@ -91,42 +91,6 @@ func (n *Nickname) Sharded() bool {
 	return n.Sharding != nil && len(n.Shards) > 1
 }
 
-// ShardCount returns the number of shards (1 for unsharded nicknames).
-func (n *Nickname) ShardCount() int {
-	if n.Sharding == nil || len(n.Shards) == 0 {
-		return 1
-	}
-	return len(n.Shards)
-}
-
-// AddShardReplica registers an additional placement for one shard of a
-// sharded nickname — the replicated option on sharded placements. The
-// nickname's aggregate Placements gains the server too (if new), so
-// placement-based grouping sees the replica as a candidate host.
-func (c *Catalog) AddShardReplica(name string, shard int, p Placement) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n, ok := c.nicknames[name]
-	if !ok {
-		return fmt.Errorf("catalog: unknown nickname %q", name)
-	}
-	if n.Sharding == nil || shard < 0 || shard >= len(n.Shards) {
-		return fmt.Errorf("catalog: nickname %q has no shard %d", name, shard)
-	}
-	sh := &n.Shards[shard]
-	for _, ex := range sh.Placements {
-		if ex.ServerID == p.ServerID {
-			return fmt.Errorf("catalog: nickname %q shard %d already placed on %s", name, shard, p.ServerID)
-		}
-	}
-	p.Replica = true
-	sh.Placements = append(sh.Placements, p)
-	if n.PlacementOn(p.ServerID) == nil {
-		n.Placements = append(n.Placements, Placement{ServerID: p.ServerID, RemoteTable: name, Replica: true})
-	}
-	return nil
-}
-
 // RegisterSharded adds a horizontally partitioned nickname. The shard list
 // must be contiguous from index 0 and every shard needs at least one
 // placement; range bounds must be strictly ascending non-NULL values with
@@ -196,7 +160,7 @@ func (c *Catalog) RegisterSharded(name string, schema *sqltypes.Schema, spec *Sh
 		n.Shards[i] = Shard{Index: i, Placements: append([]Placement(nil), sh.Placements...)}
 	}
 	// Placements aggregates the union of shard hosts so placement-based
-	// grouping (co-location, ServersFor) keeps working; fragment emission
+	// grouping (co-location) keeps working; fragment emission
 	// uses the per-shard placements.
 	seen := map[string]bool{}
 	for _, sh := range n.Shards {

@@ -36,6 +36,44 @@ func RandomQuery(r *rand.Rand) string {
 	}
 }
 
+// ShardPredicates mixes handpicked WHERE predicates over the sharded
+// lineitem (every shard-pruning rule, the unsatisfiable conjunction, non-key
+// predicates) with seeded random predicates on and off the shard key
+// l_orderkey. Pruning tests check each against the single-site answer.
+func ShardPredicates() []string {
+	preds := []string{
+		"l_orderkey = 37",
+		"l_orderkey = -1",
+		"l_orderkey IN (5, 250, 999)",
+		"l_orderkey BETWEEN 100 AND 300",
+		"l_orderkey < 200",
+		"l_orderkey >= 800",
+		"l_orderkey IS NULL",
+		"l_orderkey = 37 AND l_qty > 2",
+		"l_orderkey = 5 AND l_orderkey = 900",
+		"l_qty < 25",
+		"250 <= l_orderkey",
+	}
+	r := rand.New(rand.NewSource(7))
+	ops := []string{"=", "<", "<=", ">", ">="}
+	cols := []string{"l_orderkey", "l_orderkey", "l_orderkey", "l_qty"}
+	for i := 0; i < 20; i++ {
+		col := cols[r.Intn(len(cols))]
+		switch r.Intn(4) {
+		case 0:
+			preds = append(preds, fmt.Sprintf("%s %s %d", col, ops[r.Intn(len(ops))], r.Intn(1100)-50))
+		case 1:
+			lo := r.Intn(1000)
+			preds = append(preds, fmt.Sprintf("%s BETWEEN %d AND %d", col, lo, lo+r.Intn(300)))
+		case 2:
+			preds = append(preds, fmt.Sprintf("%s IN (%d, %d, %d)", col, r.Intn(1000), r.Intn(1000), r.Intn(1000)))
+		default:
+			preds = append(preds, fmt.Sprintf("%s %s %d AND l_price > %d", col, ops[r.Intn(len(ops))], r.Intn(1000), r.Intn(900)))
+		}
+	}
+	return preds
+}
+
 func randomScalarFuncs(r *rand.Rand) string {
 	return fmt.Sprintf(
 		"SELECT o.o_id, ABS(o.o_amount - 5000) AS dist, MOD(o.o_id, %d) AS bucket FROM orders AS o WHERE ROUND(o.o_amount, -3) = %d000 ORDER BY o.o_id LIMIT 25",

@@ -199,7 +199,7 @@ func mtOutcome(sc mtScenario, run mtRun) MultitenantOutcome {
 		Arrivals:       len(run.res.Arrivals),
 		Completed:      run.res.Stats.Completed,
 		Shed:           run.res.Stats.Shed,
-		Lost:           len(run.res.Arrivals) - run.res.Stats.Completed - run.res.Stats.Failed - run.res.Stats.Skipped,
+		Lost:           len(run.res.Arrivals) - run.res.Stats.Completed - run.res.Stats.Failed,
 		Tenants:        mtTenantOutcomes(sc, run),
 	}
 	// Jain's index over weight-normalized contended served costs.

@@ -93,7 +93,6 @@ type II struct {
 	// policy the gate is a pass-through, as if there were none.
 	adm           *admission.Controller
 	vectorized    atomic.Bool
-	shardPruning  atomic.Bool
 	shardPushdown atomic.Bool
 	opt           *optimizer.Optimizer
 	plans         *planCache
@@ -111,17 +110,7 @@ func New(cfg Config) *II {
 		plans: newPlanCache(),
 	}
 	ii.vectorized.Store(true)
-	ii.shardPruning.Store(true)
 	ii.shardPushdown.Store(true)
-	// The optimizer reads the shard toggles through this hook on every
-	// decomposition; it is installed once here, before any query runs, so
-	// the optimizer struct itself stays immutable under concurrency.
-	ii.opt.ShardOptions = func() optimizer.DecomposeOpts {
-		return optimizer.DecomposeOpts{
-			DisablePruning:  !ii.shardPruning.Load(),
-			DisablePushdown: !ii.shardPushdown.Load(),
-		}
-	}
 	return ii
 }
 
@@ -139,20 +128,6 @@ func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
 // bit-identical; only where the charge sits on the clock differs.
 func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
 
-// ShardPruning reports whether predicates on a shard key prune the shard
-// fan-out.
-func (ii *II) ShardPruning() bool { return ii.shardPruning.Load() }
-
-// SetShardPruning toggles predicate-based shard pruning (default on).
-// Turning it off scatter-gathers every shard of every sharded table. The
-// plan cache is cleared on a change, since cached decompositions embed the
-// pruned fragment set.
-func (ii *II) SetShardPruning(on bool) {
-	if ii.shardPruning.Swap(on) != on {
-		ii.ClearPlanCache()
-	}
-}
-
 // ShardPushdown reports whether aggregate queries over sharded tables push
 // partial aggregation into the shard fragments.
 func (ii *II) ShardPushdown() bool { return ii.shardPushdown.Load() }
@@ -164,11 +139,17 @@ func (ii *II) ShardPushdown() bool { return ii.shardPushdown.Load() }
 // partial-aggregate states instead ("pushdown" / "pushdown-col"). Fragment
 // spans carry the active mode in their "ship" attribute and the journal's
 // run entries record it, so the four modes are distinguishable after the fact.
-// The plan cache is cleared on a change.
+// The plan cache is cleared on a change, and an entry compiled under the other
+// setting is never served.
 func (ii *II) SetShardPushdown(on bool) {
 	if ii.shardPushdown.Swap(on) != on {
 		ii.ClearPlanCache()
 	}
+}
+
+// decomposeOpts is the shard handling a compile decomposes under now.
+func (ii *II) decomposeOpts() optimizer.DecomposeOpts {
+	return optimizer.DecomposeOpts{DisablePushdown: !ii.shardPushdown.Load()}
 }
 
 // Optimizer exposes the global optimizer (QCC's what-if analysis drives it
@@ -344,20 +325,22 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 		return nil, err
 	}
 	sp.Emit("parse", telemetry.LayerII, "", 0)
-	// The mask snapshot precedes collection, so a mask that flips while the
-	// candidates are being collected differs from it at the next lookup.
+	// The mask and pushdown snapshots precede collection, so a mask or a
+	// pushdown setting that flips while the candidates are being collected
+	// differs from them at the next lookup.
 	var masked map[string]bool
 	if ii.cfg.MW != nil {
 		masked = ii.cfg.MW.MaskedSet()
 	}
-	decomp, frags, err := ii.opt.CollectContext(ctx, stmt)
+	opts := ii.decomposeOpts()
+	decomp, frags, err := ii.opt.Collect(ctx, stmt, opts)
 	if err != nil {
 		return nil, err
 	}
 	// Cache before enumerating: even if every option calibrates to +Inf right
 	// now (fenced), the collected raw candidates stay valid for when the
 	// fence lifts.
-	if cc := newCachedCompilation(sql, stmt, decomp, frags, masked); cc != nil {
+	if cc := newCachedCompilation(sql, stmt, opts, decomp, frags, masked); cc != nil {
 		ii.plans.insert(cc)
 	}
 	sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
@@ -397,14 +380,15 @@ func (ii *II) finishCompile(ctx context.Context, gp *optimizer.GlobalPlan) *opti
 
 // newCachedCompilation assembles the cacheable artifact for one compile: the
 // parsed statement, decomposition and raw candidate sets, plus what
-// validation compares against — each fragment's referenced tables, the
-// candidate servers, and the mask snapshot taken before collection. Masked
-// servers contributed no options, so an unmask must invalidate too. It
-// returns nil when an unmasked candidate contributed no options: its Explain
-// failed (server down or link partitioned), and nothing a lookup reads would
-// notice it answering again, so the statement compiles cold until it does.
-func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, masked map[string]bool) *cachedCompilation {
-	cc := &cachedCompilation{sql: sql, stmt: stmt, decomp: decomp, frags: frags, masked: masked}
+// validation compares against — the shard handling it decomposed under, each
+// fragment's referenced tables, the candidate servers, and the mask snapshot
+// taken before collection. Masked servers contributed no options, so an
+// unmask must invalidate too. It returns nil when an unmasked candidate
+// contributed no options: its Explain failed (server down or link
+// partitioned), and nothing a lookup reads would notice it answering again,
+// so the statement compiles cold until it does.
+func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, opts optimizer.DecomposeOpts, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, masked map[string]bool) *cachedCompilation {
+	cc := &cachedCompilation{sql: sql, stmt: stmt, opts: opts, decomp: decomp, frags: frags, masked: masked}
 	cc.fragTables = make([][]string, len(frags))
 	seen := map[string]bool{}
 	for i, fo := range frags {
@@ -442,6 +426,11 @@ func answered(options []optimizer.SourceOption, server string) bool {
 // it does NOT check: calibration factors and availability fencing, which the
 // warm re-pick applies fresh on every hit.
 func (ii *II) validateCached(cc *cachedCompilation) string {
+	if cc.opts != ii.decomposeOpts() {
+		// A pushdown toggle clears the cache; this is an entry whose collection
+		// straddled it.
+		return InvalidateClear
+	}
 	mw := ii.cfg.MW
 	if mw == nil {
 		return ""

@@ -9,7 +9,6 @@ package network
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/simclock"
@@ -126,12 +125,6 @@ func (l *Link) TransferParts(payloadBytes int) (lat, ser simclock.Time) {
 		la = 0
 	}
 	return simclock.Time(la), simclock.Time(se)
-}
-
-// RoundTripTime returns the time for a request of reqBytes and a response of
-// respBytes.
-func (l *Link) RoundTripTime(reqBytes, respBytes int) simclock.Time {
-	return l.TransferTime(reqBytes) + l.TransferTime(respBytes)
 }
 
 // BaseLatency returns the configured (uncongested) latency — what a DB2
@@ -254,49 +247,4 @@ func (t *Topology) RoundTrip(ctx context.Context, dest string, reqBytes, respByt
 		return 0, err
 	}
 	return req + resp, nil
-}
-
-// CongestionPhase is one step of a congestion schedule.
-type CongestionPhase struct {
-	// AfterMS is the delay from schedule start until this phase applies.
-	AfterMS float64
-	// Level is the congestion multiplier for the phase.
-	Level float64
-}
-
-// ScheduleCongestion drives a link's congestion through a time-varying
-// profile on the virtual clock — rush hours, flapping routes, slow
-// recoveries. The schedule applies each phase at its offset; it returns a
-// cancel function that stops future phases (the current level persists).
-func ScheduleCongestion(clock *simclock.Clock, link *Link, phases []CongestionPhase) simclock.Cancel {
-	var mu sync.Mutex
-	cancelled := false
-	for _, p := range phases {
-		p := p
-		clock.ScheduleAfter(simclock.Time(p.AfterMS), func(simclock.Time) {
-			mu.Lock()
-			stop := cancelled
-			mu.Unlock()
-			if !stop {
-				link.SetCongestion(p.Level)
-			}
-		})
-	}
-	return func() {
-		mu.Lock()
-		defer mu.Unlock()
-		cancelled = true
-	}
-}
-
-// Destinations lists known destinations, sorted.
-func (t *Topology) Destinations() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.links))
-	for d := range t.links {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -58,7 +58,7 @@ type Decomposition struct {
 }
 
 // Decompose splits stmt into co-located fragments using the catalog with
-// default shard handling (pruning and partial-agg pushdown enabled).
+// default shard handling (partial-agg pushdown enabled).
 func Decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog) (*Decomposition, error) {
 	return DecomposeWith(stmt, cat, DecomposeOpts{})
 }
@@ -186,7 +186,7 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 		ship := shipList(schemas[i], star, refs)
 		if g.nick != nil {
 			d.Fragments = append(d.Fragments,
-				shardGatherFragments(g.nick, g.tables[0], fmt.Sprintf("QF%d", i+1), ship, pushed[i], opts)...)
+				shardGatherFragments(g.nick, g.tables[0], fmt.Sprintf("QF%d", i+1), ship, pushed[i])...)
 			continue
 		}
 		fragStmt := &sqlparser.SelectStmt{

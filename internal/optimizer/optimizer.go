@@ -96,9 +96,6 @@ type Optimizer struct {
 	IINode *remote.Server
 	// IICalib is QCC's workload calibrator (may be nil).
 	IICalib IICalibrator
-	// ShardOptions, when non-nil, supplies the shard-handling toggles for
-	// each decomposition (the integrator wires its runtime switches here).
-	ShardOptions func() DecomposeOpts
 }
 
 // Optimize decomposes the statement, gathers per-fragment candidates, and
@@ -106,7 +103,7 @@ type Optimizer struct {
 // masked or partitioned) simply contribute no candidates; the query only
 // fails when some fragment has no surviving candidate at all.
 func (o *Optimizer) Optimize(stmt *sqlparser.SelectStmt) (*GlobalPlan, error) {
-	plans, err := o.Enumerate(stmt, 1)
+	plans, err := o.Enumerate(stmt, DecomposeOpts{}, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -143,11 +140,11 @@ type FragmentOptions struct {
 // fragment. Nil excludes nothing.
 type ExcludeFunc func(fragID, serverID string) bool
 
-// Enumerate returns up to topK global plans ranked by calibrated cost.
-// QCC's simulated federated system uses topK > 1 to derive alternative
-// plans; the production path uses topK == 1.
-func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, topK int) ([]*GlobalPlan, error) {
-	decomp, frags, err := o.Collect(stmt)
+// Enumerate returns up to topK global plans ranked by calibrated cost, with
+// the statement decomposed under opts. QCC's simulated federated system uses
+// topK > 1 to derive alternative plans; the production path uses topK == 1.
+func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, opts DecomposeOpts, topK int) ([]*GlobalPlan, error) {
+	decomp, frags, err := o.Collect(context.Background(), stmt, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -155,23 +152,13 @@ func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, topK int) ([]*GlobalPl
 }
 
 // Collect runs the EXPENSIVE head of compilation: it decomposes the
-// statement and gathers each fragment's raw candidate set through the
-// meta-wrapper (one remote planner round-trip per candidate server). The
+// statement under opts and gathers each fragment's raw candidate set through
+// the meta-wrapper (one remote planner round-trip per candidate server). The
 // result is reusable across compilations of the same statement — it depends
-// only on the statement, the catalog and remote table state, never on
-// calibration factors.
-func (o *Optimizer) Collect(stmt *sqlparser.SelectStmt) (*Decomposition, []FragmentOptions, error) {
-	return o.CollectContext(context.Background(), stmt)
-}
-
-// CollectContext is Collect under a context carrying the active trace span,
-// so each candidate server's remote planning round-trip is recorded as a
-// per-candidate span.
-func (o *Optimizer) CollectContext(ctx context.Context, stmt *sqlparser.SelectStmt) (*Decomposition, []FragmentOptions, error) {
-	var opts DecomposeOpts
-	if o.ShardOptions != nil {
-		opts = o.ShardOptions()
-	}
+// only on the statement, opts, the catalog and remote table state, never on
+// calibration factors. ctx carries the active trace span, so each candidate
+// server's remote planning round-trip is recorded as a per-candidate span.
+func (o *Optimizer) Collect(ctx context.Context, stmt *sqlparser.SelectStmt, opts DecomposeOpts) (*Decomposition, []FragmentOptions, error) {
 	decomp, err := DecomposeWith(stmt, o.Catalog, opts)
 	if err != nil {
 		return nil, nil, err

@@ -145,7 +145,7 @@ func TestEnumerateReplicaPairYieldsNinePlans(t *testing.T) {
 	// origin and a replica. Origins offer up to 2 plans, replicas too here;
 	// the point is the combination count and the §4.2 pruning downstream.
 	stmt := sqlparser.MustParse(`SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9500 AND l.l_qty < 3`)
-	plans, err := sc.II.Optimizer().Enumerate(stmt, 0)
+	plans, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestOptimizeEqualsMinOfEnumerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := sc.II.Optimizer().Enumerate(stmt, 0)
+	all, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,10 +16,9 @@ import (
 )
 
 // DecomposeOpts tunes shard handling during decomposition. The zero value
-// is the production default: prune and push down.
+// is the production default: push down. Predicates on a shard key always
+// prune.
 type DecomposeOpts struct {
-	// DisablePruning scatter-gathers every shard regardless of predicates.
-	DisablePruning bool
 	// DisablePushdown ships every shard's rows instead of partial aggregate
 	// states (the ship-all-rows baseline).
 	DisablePushdown bool
@@ -84,7 +83,7 @@ func shardServers(sh catalog.Shard) []string {
 func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, tr sqlparser.TableRef, schema *sqltypes.Schema, opts DecomposeOpts) (*Decomposition, error) {
 	d := &Decomposition{Stmt: stmt}
 	conjuncts := dropTrueLiterals(sqlparser.SplitConjuncts(stmt.Where))
-	executed := pruneShards(nick, tr.EffectiveName(), conjuncts, opts)
+	executed := pruneShards(nick, tr.EffectiveName(), conjuncts)
 	plan := &ShardPlan{
 		Nickname: nick.Name,
 		FragID:   "QF1",
@@ -154,8 +153,8 @@ func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, 
 // shardGatherFragments expands one sharded group of a multi-group
 // decomposition into per-shard fragments selecting ship and carrying the
 // group's pushed conjuncts; the integrator concatenates them before joining.
-func shardGatherFragments(nick *catalog.Nickname, tr sqlparser.TableRef, logicalID string, ship []sqlparser.SelectItem, pushed []sqlparser.Expr, opts DecomposeOpts) []*FragmentSpec {
-	executed := pruneShards(nick, tr.EffectiveName(), pushed, opts)
+func shardGatherFragments(nick *catalog.Nickname, tr sqlparser.TableRef, logicalID string, ship []sqlparser.SelectItem, pushed []sqlparser.Expr) []*FragmentSpec {
+	executed := pruneShards(nick, tr.EffectiveName(), pushed)
 	var out []*FragmentSpec
 	for _, idx := range executed {
 		fragStmt := &sqlparser.SelectStmt{
@@ -199,7 +198,7 @@ func aggsArePartialable(aggs []*sqlparser.AggExpr) bool {
 // that does not constrain the shard key contributes no restriction; an
 // unsatisfiable conjunction keeps one shard (it returns no rows anyway, and
 // scalar aggregation still needs a partial row).
-func pruneShards(nick *catalog.Nickname, eff string, conjuncts []sqlparser.Expr, opts DecomposeOpts) []int {
+func pruneShards(nick *catalog.Nickname, eff string, conjuncts []sqlparser.Expr) []int {
 	n := len(nick.Shards)
 	all := func() []int {
 		out := make([]int, n)
@@ -208,7 +207,7 @@ func pruneShards(nick *catalog.Nickname, eff string, conjuncts []sqlparser.Expr,
 		}
 		return out
 	}
-	if opts.DisablePruning || nick.Sharding == nil || n <= 1 {
+	if nick.Sharding == nil || n <= 1 {
 		return all()
 	}
 	var mask []bool // nil = unconstrained

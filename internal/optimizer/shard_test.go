@@ -106,13 +106,6 @@ func TestDecomposeShardedRangePruning(t *testing.T) {
 			t.Errorf("WHERE %s: executed %v, want %v", c.where, exec, c.want)
 		}
 	}
-	// Pruning off scatter-gathers everything regardless of predicates.
-	_, exec := executedShards(t, sc,
-		"SELECT l_id FROM lineitem WHERE l_orderkey < 125",
-		optimizer.DecomposeOpts{DisablePruning: true})
-	if !reflect.DeepEqual(exec, []int{0, 1, 2, 3}) {
-		t.Fatalf("pruning disabled: executed %v", exec)
-	}
 }
 
 func TestDecomposeShardedInPruning(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/scenario"
 )
@@ -60,7 +61,7 @@ func TestAdvisorRecommendsReplicationOffHotServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := before.Plan.Decomp.Fragments[0].Stmt
-	plans, err := sc.II.Optimizer().Enumerate(stmt, 0)
+	plans, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/metawrapper"
-	"repro/internal/network"
+	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/remote"
 	"repro/internal/ring"
 	"repro/internal/scenario"
+	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/wrapper"
@@ -286,7 +287,7 @@ func TestSimulatedFederationEnumeratesWithoutExecution(t *testing.T) {
 		}
 	}
 	// Virtual estimates approximate real estimates.
-	realPlans, err := sc.II.Optimizer().Enumerate(stmt, 0)
+	realPlans, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,10 +431,9 @@ func TestFlappingNetworkAdaptation(t *testing.T) {
 	preferred := res.Plan.Fragments[0].ServerID
 
 	// Congestion rises at t+100ms and clears at t+2000ms.
-	network.ScheduleCongestion(sc.Clock, sc.Topo.Link(preferred), []network.CongestionPhase{
-		{AfterMS: 100, Level: 20},
-		{AfterMS: 2000, Level: 1},
-	})
+	link := sc.Topo.Link(preferred)
+	sc.Clock.ScheduleAfter(100, func(simclock.Time) { link.SetCongestion(20) })
+	sc.Clock.ScheduleAfter(2000, func(simclock.Time) { link.SetCongestion(1) })
 	// Let probes observe the congested link.
 	sc.Clock.Advance(600)
 	res, err = sc.II.Query(scanQuery)
@@ -457,7 +457,7 @@ func TestFlappingNetworkAdaptation(t *testing.T) {
 	}
 }
 
-func TestSimulatedFederationRefreshTracksMutations(t *testing.T) {
+func TestSimulatedFederationStatsAreASnapshot(t *testing.T) {
 	sc, q := build(t)
 	sf, err := qcc.NewSimulatedFederation(sc.Servers, sc.Topo, sc.Catalog, sc.IINode, q)
 	if err != nil {
@@ -470,31 +470,10 @@ func TestSimulatedFederationRefreshTracksMutations(t *testing.T) {
 	}
 	before := maxAmountSeen()
 	// Drift the real statistics well past the old max.
-	tab := sc.Servers["S1"].Table("orders")
-	if err := tab.UpdateAt(0, 2, maxAmount()); err != nil {
+	if err := sc.Servers["S1"].Table("orders").UpdateAt(0, 2, sqltypes.NewFloat(999999)); err != nil {
 		t.Fatal(err)
 	}
-	// Virtual stats are a snapshot until refreshed.
 	if got := maxAmountSeen(); got.Float() != before.Float() {
 		t.Fatal("virtual stats must be a snapshot")
 	}
-	if err := sf.Refresh(sc.Servers); err != nil {
-		t.Fatal(err)
-	}
-	if got := maxAmountSeen(); got.Float() != 999999 {
-		t.Fatalf("refresh must pick up drift: %v", got)
-	}
-	// Periodic refresh on the clock.
-	if err := tab.UpdateAt(1, 2, remoteFloat(1e7)); err != nil {
-		t.Fatal(err)
-	}
-	cancel := sf.RefreshEvery(sc.Clock, 100, sc.Servers)
-	sc.Clock.Advance(150)
-	cancel()
-	if got := maxAmountSeen(); got.Float() != 1e7 {
-		t.Fatalf("periodic refresh: %v", got)
-	}
 }
-
-func maxAmount() sqltypes.Value            { return remoteFloat(999999) }
-func remoteFloat(f float64) sqltypes.Value { return sqltypes.NewFloat(f) }

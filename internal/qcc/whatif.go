@@ -8,7 +8,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
-	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/storage"
 	"repro/internal/wrapper"
@@ -77,46 +76,7 @@ func virtualShell(rt *storage.Table) (*storage.Table, error) {
 // Enumerate derives up to topK alternative global plans with calibrated
 // costs, without executing anything (topK <= 0 returns all).
 func (sf *SimulatedFederation) Enumerate(stmt *sqlparser.SelectStmt, topK int) ([]*optimizer.GlobalPlan, error) {
-	return sf.Opt.Enumerate(stmt, topK)
-}
-
-// Refresh re-clones statistics from the real servers into the virtual
-// tables — the paper's "simulated catalog refreshes", one of the cycles QCC
-// adjusts dynamically (§3.4). Update workloads drift the real statistics;
-// without refresh, what-if analysis would answer from an aging snapshot.
-// New tables (e.g. applied placement recommendations) are cloned in;
-// vanished tables are left untouched (virtual shells are harmless).
-func (sf *SimulatedFederation) Refresh(real map[string]*remote.Server) error {
-	for id, rs := range real {
-		vs := sf.Servers[id]
-		if vs == nil {
-			continue
-		}
-		for _, tname := range rs.Tables() {
-			rt := rs.Table(tname)
-			if vt := vs.Table(tname); vt != nil {
-				v := rt.View()
-				vt.SetVirtualStats(v.Stats().Clone())
-				v.Close()
-				continue
-			}
-			vt, err := virtualShell(rt)
-			if err != nil {
-				return fmt.Errorf("qcc: refresh %s on %s: %w", tname, id, err)
-			}
-			vs.AddTable(vt)
-		}
-	}
-	return nil
-}
-
-// RefreshEvery schedules periodic catalog refreshes on the clock; returns a
-// cancel function.
-func (sf *SimulatedFederation) RefreshEvery(clock *simclock.Clock, interval simclock.Time, real map[string]*remote.Server) simclock.Cancel {
-	return clock.Every(interval, func(simclock.Time) simclock.Time {
-		sf.Refresh(real) //nolint:errcheck // periodic best-effort refresh
-		return 0
-	})
+	return sf.Opt.Enumerate(stmt, optimizer.DecomposeOpts{}, topK)
 }
 
 // EnumerateByMasking reproduces the paper's §4.2 trick verbatim: instead of

@@ -1,10 +1,35 @@
 package scenario
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/sqltypes"
 )
+
+// hosts lists the servers that host every one of the named nicknames, sorted.
+func hosts(t *testing.T, sc *Scenario, names ...string) string {
+	t.Helper()
+	count := map[string]int{}
+	for _, name := range names {
+		n, err := sc.Catalog.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range n.Servers() {
+			count[s]++
+		}
+	}
+	var out []string
+	for s, c := range count {
+		if c == len(names) {
+			out = append(out, s)
+		}
+	}
+	sort.Strings(out)
+	return fmt.Sprint(out)
+}
 
 func TestBuildThreeServerWiring(t *testing.T) {
 	sc, err := BuildThreeServer(Options{Scale: 200})
@@ -29,9 +54,8 @@ func TestBuildThreeServerWiring(t *testing.T) {
 	if len(names) != 4 {
 		t.Fatalf("nicknames: %v", names)
 	}
-	hosts, err := sc.Catalog.ServersFor("orders", "lineitem", "customer", "parts")
-	if err != nil || len(hosts) != 3 {
-		t.Fatalf("full replication expected: %v %v", hosts, err)
+	if got := hosts(t, sc, "orders", "lineitem", "customer", "parts"); got != "[S1 S2 S3]" {
+		t.Fatalf("full replication expected: %v", got)
 	}
 	if len(sc.MW.Servers()) != 3 {
 		t.Fatal("MW servers")
@@ -70,17 +94,15 @@ func TestBuildReplicaPairPlacement(t *testing.T) {
 		t.Fatalf("servers: %d", len(sc.Servers))
 	}
 	// orders lives on S1+R1 only.
-	hosts, err := sc.Catalog.ServersFor("orders")
-	if err != nil || len(hosts) != 2 || hosts[0] != "R1" || hosts[1] != "S1" {
-		t.Fatalf("orders hosts: %v %v", hosts, err)
+	if got := hosts(t, sc, "orders"); got != "[R1 S1]" {
+		t.Fatalf("orders hosts: %v", got)
 	}
-	hosts, _ = sc.Catalog.ServersFor("lineitem")
-	if len(hosts) != 2 || hosts[0] != "R2" || hosts[1] != "S2" {
-		t.Fatalf("lineitem hosts: %v", hosts)
+	if got := hosts(t, sc, "lineitem"); got != "[R2 S2]" {
+		t.Fatalf("lineitem hosts: %v", got)
 	}
 	// No server hosts both sides: cross-source joins are unavoidable.
-	if hosts, _ := sc.Catalog.ServersFor("orders", "lineitem"); len(hosts) != 0 {
-		t.Fatalf("no co-location expected: %v", hosts)
+	if got := hosts(t, sc, "orders", "lineitem"); got != "[]" {
+		t.Fatalf("no co-location expected: %v", got)
 	}
 	if sc.Servers["S1"].Table("lineitem") != nil {
 		t.Fatal("S1 must not host lineitem")

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -308,28 +307,6 @@ func TestTimelineStore(t *testing.T) {
 	}
 	if got := of("s2"); len(got) != 1 || got[0].Factor != 2 {
 		t.Fatalf("s2 samples wrong: %+v", got)
-	}
-}
-
-type collectSink struct {
-	mu  sync.Mutex
-	got []*Trace
-}
-
-func (c *collectSink) ExportTrace(t *Trace) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.got = append(c.got, t)
-}
-
-func TestTraceSink(t *testing.T) {
-	tr := NewTracer()
-	sink := &collectSink{}
-	tr.SetSink(sink)
-	a := tr.StartTrace(1, "q", 0)
-	tr.FinishTrace(a, errors.New("boom"))
-	if len(sink.got) != 1 || sink.got[0].Err() != "boom" {
-		t.Fatalf("sink did not receive finished trace: %+v", sink.got)
 	}
 }
 

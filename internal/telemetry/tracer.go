@@ -1,39 +1,18 @@
 package telemetry
 
 import (
-	"sync"
-
 	"repro/internal/ring"
 	"repro/internal/simclock"
 )
-
-// TraceSink receives every finished trace — wire an exporter (file, test
-// collector) without polling the ring. The sink runs synchronously on the
-// query's completion path; keep it cheap.
-type TraceSink interface {
-	ExportTrace(t *Trace)
-}
 
 // Tracer retains the most recent ring.Traces traces, evicting oldest first.
 // Evictions are counted so silent drops are visible. All methods are nil-safe.
 type Tracer struct {
 	traces *ring.Log[*Trace]
-	mu     sync.Mutex // guards sink
-	sink   TraceSink
 }
 
 // NewTracer builds an empty tracer.
 func NewTracer() *Tracer { return &Tracer{traces: ring.NewLog[*Trace](ring.Traces)} }
-
-// SetSink installs (or clears, with nil) the finished-trace sink.
-func (tr *Tracer) SetSink(s TraceSink) {
-	if tr == nil {
-		return
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.sink = s
-}
 
 // StartTrace opens and retains a trace under the query's journal ID. The
 // root span starts at the submission time with the query-level name.
@@ -51,18 +30,12 @@ func (tr *Tracer) StartTrace(id int64, query string, at simclock.Time) *Trace {
 	return t
 }
 
-// FinishTrace marks the trace done and hands it to the sink, if any.
+// FinishTrace marks the trace done.
 func (tr *Tracer) FinishTrace(t *Trace, err error) {
 	if tr == nil || t == nil {
 		return
 	}
 	t.Finish(err)
-	tr.mu.Lock()
-	sink := tr.sink
-	tr.mu.Unlock()
-	if sink != nil {
-		sink.ExportTrace(t)
-	}
 }
 
 // log is the trace ring, nil for a nil tracer (a nil log is empty).

@@ -247,11 +247,71 @@ func (m Mix) Schedule() []Arrival {
 }
 
 // MixResult is one Mix replay: the expanded schedule, per-arrival outcomes
-// (indexed like the schedule), and the aggregate pool statistics.
+// (indexed like the schedule), and their aggregate statistics.
 type MixResult struct {
 	Arrivals []Arrival
 	Results  []PoolResult
 	Stats    PoolStats
+}
+
+// PoolResult is the outcome of one arrival of a Mix replay.
+type PoolResult struct {
+	Index        int
+	Item         Item
+	ResponseTime simclock.Time
+	Err          error
+}
+
+// PoolClassStats is one admission-class slice of a Mix replay, keyed by the
+// item's Class tag ("" for untagged items).
+type PoolClassStats struct {
+	Completed int
+	Failed    int
+	// Shed counts failures that were typed admission sheds or rejections
+	// (errors.Is ErrAdmissionRejected) — a subset of Failed.
+	Shed          int
+	TotalResponse simclock.Time
+}
+
+// PoolStats aggregates one Mix replay.
+type PoolStats struct {
+	Completed int
+	Failed    int
+	// Shed counts the subset of Failed that were typed admission refusals,
+	// so shed-rate reports need no log scraping.
+	Shed          int
+	TotalResponse simclock.Time
+	MaxResponse   simclock.Time
+	// ByClass breaks completions, failures and sheds out per item class.
+	ByClass map[string]PoolClassStats
+}
+
+// tallyPool aggregates replay results, classifying typed admission refusals as
+// sheds both overall and per item class.
+func tallyPool(results []PoolResult) PoolStats {
+	stats := PoolStats{ByClass: map[string]PoolClassStats{}}
+	for _, r := range results {
+		cs := stats.ByClass[r.Item.Class]
+		switch {
+		case r.Err != nil:
+			stats.Failed++
+			cs.Failed++
+			if errors.Is(r.Err, admission.ErrAdmissionRejected) {
+				stats.Shed++
+				cs.Shed++
+			}
+		default:
+			stats.Completed++
+			cs.Completed++
+			stats.TotalResponse += r.ResponseTime
+			cs.TotalResponse += r.ResponseTime
+			if r.ResponseTime > stats.MaxResponse {
+				stats.MaxResponse = r.ResponseTime
+			}
+		}
+		stats.ByClass[r.Item.Class] = cs
+	}
+	return stats
 }
 
 // Serve starts one arrival of a Mix at the current virtual instant. It must

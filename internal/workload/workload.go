@@ -115,11 +115,9 @@ type Item struct {
 	Type string
 	SQL  string
 	// Class, when non-empty, pins the query's admission workload class (e.g.
-	// "batch" for report traffic) instead of cost classification; the pool
-	// runner tags each execution context with it.
+	// "batch" for report traffic) instead of cost classification.
 	Class string
-	// Tenant, when non-empty, names the tenant submitting the query; the pool
-	// runner tags each execution context with it (admission.WithTenant).
+	// Tenant, when non-empty, names the tenant submitting the query.
 	Tenant string
 }
 

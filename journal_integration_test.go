@@ -3,7 +3,6 @@
 package fedqcc_test
 
 import (
-	"context"
 	"testing"
 
 	fedqcc "repro"
@@ -52,7 +51,7 @@ func TestQueryRecordJoinsByID(t *testing.T) {
 	for round := 0; round < 12; round++ {
 		sqls = append(sqls, xjoinTemplates...)
 	}
-	results, errs := fed.RunConcurrent(context.Background(), sqls, 8)
+	results, errs := queryConcurrently(fed, sqls, 8)
 	seen := map[int64]bool{}
 	for i, res := range results {
 		if errs[i] != nil {

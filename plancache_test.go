@@ -5,6 +5,7 @@
 package fedqcc_test
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -317,22 +318,21 @@ func TestPlanCacheConcurrentConsistency(t *testing.T) {
 	const rounds = 4
 	var wg sync.WaitGroup
 	for s := 0; s < sessions; s++ {
-		sess := fed.NewSession()
 		wg.Add(1)
-		go func(sess *fedqcc.Session, offset int) {
+		go func(offset int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				for i := range sqls {
 					q := sqls[(i+offset)%len(sqls)]
-					res, err := sess.Query(q)
+					res, err := fed.QueryContext(context.Background(), q)
 					if err != nil {
-						t.Errorf("session %d (%s): %v", offset, q, err)
+						t.Errorf("caller %d (%s): %v", offset, q, err)
 						continue
 					}
 					assertSameRows(t, "concurrent warm", q, baseline[q], res)
 				}
 			}
-		}(sess, s)
+		}(s)
 	}
 	wg.Wait()
 	close(stop)

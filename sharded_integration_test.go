@@ -1,18 +1,19 @@
 // Sharded-execution integration tests: the scatter-gather engine must be
 // invisible when sharding is off (a single-shard federation is bit-identical
 // to the pre-sharding engine), and shard pruning must be a pure optimization
-// (pruned and unpruned scatter-gathers return exactly the same rows, for any
+// (a pruned scatter-gather returns exactly the single-site rows, for any
 // predicate shape, NULL shard keys included).
 package fedqcc_test
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/experiment"
 	"repro/internal/scenario"
 	"repro/internal/sqltypes"
 )
@@ -93,47 +94,12 @@ func TestShardedSingleShardIdentity(t *testing.T) {
 	}
 }
 
-// shardPredicates mixes handpicked predicate shapes (every pruning rule, the
-// unsatisfiable conjunction, non-key predicates) with seeded random
-// predicates on and off the shard key.
-func shardPredicates() []string {
-	preds := []string{
-		"l_orderkey = 37",
-		"l_orderkey = -1",
-		"l_orderkey IN (5, 250, 999)",
-		"l_orderkey BETWEEN 100 AND 300",
-		"l_orderkey < 200",
-		"l_orderkey >= 800",
-		"l_orderkey IS NULL",
-		"l_orderkey = 37 AND l_qty > 2",
-		"l_orderkey = 5 AND l_orderkey = 900",
-		"l_qty < 25",
-		"250 <= l_orderkey",
-	}
-	r := rand.New(rand.NewSource(7))
-	ops := []string{"=", "<", "<=", ">", ">="}
-	cols := []string{"l_orderkey", "l_orderkey", "l_orderkey", "l_qty"}
-	for i := 0; i < 20; i++ {
-		col := cols[r.Intn(len(cols))]
-		switch r.Intn(4) {
-		case 0:
-			preds = append(preds, fmt.Sprintf("%s %s %d", col, ops[r.Intn(len(ops))], r.Intn(1100)-50))
-		case 1:
-			lo := r.Intn(1000)
-			preds = append(preds, fmt.Sprintf("%s BETWEEN %d AND %d", col, lo, lo+r.Intn(300)))
-		case 2:
-			preds = append(preds, fmt.Sprintf("%s IN (%d, %d, %d)", col, r.Intn(1000), r.Intn(1000), r.Intn(1000)))
-		default:
-			preds = append(preds, fmt.Sprintf("%s %s %d AND l_price > %d", col, ops[r.Intn(len(ops))], r.Intn(1000), r.Intn(900)))
-		}
-	}
-	return preds
-}
-
 // TestShardedPrunedVsUnpruned is the pruning-correctness property test:
-// for every predicate shape, executing only the pruned shard set returns
-// exactly the rows of the unpruned scatter-gather — including NULL shard
-// keys, empty shards, and aggregate merges.
+// for every predicate shape, the 4-shard federation, which executes only
+// the pruned shard set, returns exactly the rows of the unpruned
+// single-shard federation built from the same options — including NULL
+// shard keys, empty shards, and aggregate merges. Row order is compared
+// only where the statement fixes it, which none of these shapes does.
 func TestShardedPrunedVsUnpruned(t *testing.T) {
 	shapes := []string{
 		"SELECT l_id, l_orderkey, l_price FROM lineitem WHERE %s",
@@ -141,39 +107,52 @@ func TestShardedPrunedVsUnpruned(t *testing.T) {
 		"SELECT l_tag, COUNT(*), SUM(l_qty) FROM lineitem WHERE %s GROUP BY l_tag",
 	}
 	for _, ranged := range []bool{false, true} {
-		fed := shardedFed(t, fedqcc.ShardedFederationOptions{
-			Shards:        4,
-			RangeSharding: ranged,
-			NullKeyFrac:   0.15,
-		})
-		for _, pred := range shardPredicates() {
+		opts := fedqcc.ShardedFederationOptions{Shards: 4, RangeSharding: ranged, NullKeyFrac: 0.15}
+		sharded := shardedFed(t, opts)
+		opts.Shards = 1
+		single := shardedFed(t, opts)
+		for _, pred := range experiment.ShardPredicates() {
 			for _, shape := range shapes {
 				sql := fmt.Sprintf(shape, pred)
-				fed.SetShardPruning(true)
-				pruned, err := fed.Query(sql)
+				pruned, err := sharded.Query(sql)
 				if err != nil {
 					t.Fatalf("pruned %s: %v", sql, err)
 				}
-				fed.SetShardPruning(false)
-				full, err := fed.Query(sql)
+				want, err := single.Query(sql)
 				if err != nil {
-					t.Fatalf("unpruned %s: %v", sql, err)
+					t.Fatalf("single-site %s: %v", sql, err)
 				}
-				if len(pruned.Rows.Rows) != len(full.Rows.Rows) {
-					t.Fatalf("%s (range=%v): %d rows pruned vs %d unpruned",
-						sql, ranged, len(pruned.Rows.Rows), len(full.Rows.Rows))
+				got, exp := exactRows(pruned.Rows), exactRows(want.Rows)
+				if len(got) != len(exp) {
+					t.Fatalf("%s (range=%v): %d rows pruned vs %d single-site", sql, ranged, len(got), len(exp))
 				}
-				for ri := range full.Rows.Rows {
-					for ci := range full.Rows.Rows[ri] {
-						if !cellsBitIdentical(pruned.Rows.Rows[ri][ci], full.Rows.Rows[ri][ci]) {
-							t.Fatalf("%s (range=%v): cell (%d,%d) diverged: pruned %#v, unpruned %#v",
-								sql, ranged, ri, ci, pruned.Rows.Rows[ri][ci], full.Rows.Rows[ri][ci])
-						}
+				for i := range exp {
+					if got[i] != exp[i] {
+						t.Fatalf("%s (range=%v): sorted row %d diverged: pruned %s, single-site %s", sql, ranged, i, got[i], exp[i])
 					}
 				}
 			}
 		}
 	}
+}
+
+// exactRows renders every row bit for bit (floats by their bits) and sorts
+// the renderings, so two relations compare as multisets of rows.
+func exactRows(rel *sqltypes.Relation) []string {
+	out := make([]string, len(rel.Rows))
+	for i, row := range rel.Rows {
+		var b strings.Builder
+		for _, v := range row {
+			if v.Kind() == sqltypes.KindFloat {
+				fmt.Fprintf(&b, "f%x|", math.Float64bits(v.Float()))
+			} else {
+				fmt.Fprintf(&b, "%d:%s|", v.Kind(), v)
+			}
+		}
+		out[i] = b.String()
+	}
+	sort.Strings(out)
+	return out
 }
 
 // TestShardedPushdownSameAnswers: shipping partial aggregate states and
