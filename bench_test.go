@@ -573,8 +573,47 @@ func vbValues(rel *sqltypes.Relation) *exec.Values {
 	return &exec.Values{Rel: rel, Col: colbatch.FromRelation(rel), Label: "bench"}
 }
 
+// vbTable stores a relation as a table, the leaf every server plan reads.
+func vbTable(b *testing.B, name string, rel *sqltypes.Relation) *storage.Table {
+	tab := storage.NewTable(name, rel.Schema)
+	if err := tab.Append(rel.Rows...); err != nil {
+		b.Fatal(err)
+	}
+	return tab
+}
+
+// vbQT1 is QT1's plan as a server builds it (filter, hash join, scalar SUM and
+// COUNT) over scans of two stored 100k-row tables: orders(o_id, o_amount),
+// half of whose rows pass the filter, and lineitem(l_orderkey, l_price), each
+// line naming one order.
+func vbQT1(b *testing.B) exec.Operator {
+	orders := sqltypes.NewRelation(sqltypes.NewSchema(
+		sqltypes.Column{Name: "o_id", Type: sqltypes.KindInt}, sqltypes.Column{Name: "o_amount", Type: sqltypes.KindFloat}))
+	lineitem := sqltypes.NewRelation(sqltypes.NewSchema(
+		sqltypes.Column{Name: "l_orderkey", Type: sqltypes.KindInt}, sqltypes.Column{Name: "l_price", Type: sqltypes.KindFloat}))
+	for i := 0; i < 100_000; i++ {
+		orders.Rows = append(orders.Rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i * 7919 % 10000))})
+		lineitem.Rows = append(lineitem.Rows, sqltypes.Row{sqltypes.NewInt(int64(i * 31337 % 100_000)), sqltypes.NewFloat(float64(i%1000) + 0.5)})
+	}
+	stmt, err := sqlparser.Parse("SELECT SUM(l.l_price), COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 5000")
+	if err != nil {
+		b.Fatal(err)
+	}
+	op, err := exec.BuildPlan(stmt, map[string]exec.Operator{
+		"o": &exec.SeqScan{Table: vbTable(b, "orders", orders), As: "o"},
+		"l": &exec.SeqScan{Table: vbTable(b, "lineitem", lineitem), As: "l"},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return op
+}
+
 // BenchmarkVectorizedKernels times each operator kernel on the row engine and
-// on the columnar engine over the same operator tree.
+// on the columnar engine over the same operator tree. The filter, the
+// aggregate and qt1 read stored tables through SeqScan, as every server plan
+// does; the other kernels read a single-batch Values, the shape of a merged
+// fragment result.
 func BenchmarkVectorizedKernels(b *testing.B) {
 	col := func(name string) sqlparser.Expr { return &sqlparser.ColumnRef{Name: name} }
 	lit := func(v int64) sqlparser.Expr { return &sqlparser.Literal{Val: sqltypes.NewInt(v)} }
@@ -585,6 +624,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 	for i := 0; i < 100_000; i++ {
 		scanTab.Append(sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i) * 0.25)})
 	}
+	stored := vbTable(b, "bench_stored", vbRelation(100_000)) // a = i % 2000
 	big, mid := vbRelation(200_000), vbRelation(100_000)
 	joinLeft, joinRight := vbRelation(20_000), vbRelation(20_000)
 	kernels := []struct {
@@ -593,8 +633,8 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 	}{
 		{"scan", &exec.SeqScan{Table: scanTab, As: "t"}},
 		{"filter", &exec.Filter{
-			Input: vbValues(big),
-			Pred:  &sqlparser.BinaryExpr{Op: sqlparser.OpLt, Left: col("a"), Right: lit(2000)},
+			Input: &exec.SeqScan{Table: stored, As: "t"},
+			Pred:  &sqlparser.BinaryExpr{Op: sqlparser.OpLt, Left: col("a"), Right: lit(1000)},
 		}},
 		{"project", &exec.Project{
 			Input: vbValues(big),
@@ -605,7 +645,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 			},
 		}},
 		{"agg", &exec.Aggregate{
-			Input: vbValues(big),
+			Input: &exec.SeqScan{Table: stored, As: "t"},
 			Aggs: []*sqlparser.AggExpr{
 				{Func: sqlparser.AggSum, Arg: col("b")},
 				{Func: sqlparser.AggMin, Arg: col("a")},
@@ -624,6 +664,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 		{"join", &exec.HashJoin{
 			Build: vbValues(joinLeft), Probe: vbValues(joinRight), BuildKey: col("b"), ProbeKey: col("b"),
 		}},
+		{"qt1", vbQT1(b)},
 	}
 	for _, k := range kernels {
 		for _, vectorized := range []bool{false, true} {
@@ -643,6 +684,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 				if err := run(); err != nil { // the columnar scan cache is part of the steady state
 					b.Fatal(err)
 				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					if err := run(); err != nil {

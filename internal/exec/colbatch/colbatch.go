@@ -76,6 +76,30 @@ func (c *Column) Gather(idx []int) *Column {
 	return out
 }
 
+// Slice returns a header over cells [lo, hi) of c: the same vectors, capped
+// at hi, no cell copied.
+func (c *Column) Slice(lo, hi int) *Column {
+	out := &Column{Kind: c.Kind}
+	if c.Mixed != nil {
+		out.Mixed = c.Mixed[lo:hi:hi]
+		return out
+	}
+	if c.Nulls != nil {
+		out.Nulls = c.Nulls[lo:hi:hi]
+	}
+	switch c.Kind {
+	case sqltypes.KindInt:
+		out.Ints = c.Ints[lo:hi:hi]
+	case sqltypes.KindFloat:
+		out.Floats = c.Floats[lo:hi:hi]
+	case sqltypes.KindString:
+		out.Strs = c.Strs[lo:hi:hi]
+	case sqltypes.KindBool:
+		out.Bools = c.Bools[lo:hi:hi]
+	}
+	return out
+}
+
 // GatherJoined is a join kernel's output: the columns of left gathered at
 // lIdx followed by the columns of right at rIdx (two index lists of one
 // length). The column headers share one allocation and the payloads one per
@@ -472,6 +496,22 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 	return &Batch{Schema: b.Schema, Cols: b.Cols, off: b.off + lo, n: hi - lo}
 }
 
+// Windows cuts b's logical rows into consecutive views of size rows each, the
+// last one shorter (an empty batch is one empty view), with every header in
+// one allocation. Underlying columns are shared.
+func (b *Batch) Windows(size int) []Batch {
+	ws := make([]Batch, max(1, (b.n+size-1)/size))
+	for i := range ws {
+		lo := i * size
+		hi := min(lo+size, b.n)
+		ws[i] = Batch{Schema: b.Schema, Cols: b.Cols, off: b.off + lo, n: hi - lo}
+		if b.Sel != nil {
+			ws[i].Sel, ws[i].off = b.Sel[lo:hi], 0
+		}
+	}
+	return ws
+}
+
 // WithColumns returns a batch sharing b's row window over a different
 // column set; the columns must share b's physical layout. Pure column
 // projections use it to avoid touching any payload.
@@ -623,14 +663,18 @@ func (b *Batch) colBytes(c *Column) int {
 	return total
 }
 
-// Accumulator concatenates batches column-wise: the vectorized engine's
-// blocking operators collect their input through it. Append only records the
-// batch; Finish copies every cell ONCE into columns allocated at their final
-// size, and hands a lone batch back uncopied. Matching kinds append typed
-// payload slices; kind conflicts demote the column to the Mixed
-// representation, so the accumulated cells are always exactly the
-// concatenation of the inputs' cells. The zero value is ready for use once a
-// batch has been appended (it takes the first batch's schema).
+// Accumulator concatenates batches: the vectorized engine's blocking
+// operators collect their input through it. Append only records the batch,
+// and Finish copies no cell it does not have to. A lone batch comes back
+// uncopied. Batches that are all windows over the same columns (a scan's
+// windows, or filtered, limited or column-picked views of them) come back as
+// one view of those columns: adjacent contiguous windows as one window,
+// anything else as one selection vector. Only batches over different columns
+// are copied, every cell ONCE, into columns allocated at their final size:
+// matching kinds append typed payload slices and kind conflicts demote the
+// column to the Mixed representation, so the accumulated cells are always
+// exactly the concatenation of the inputs' cells. The zero value is ready for
+// use once a batch has been appended (it takes the first batch's schema).
 type Accumulator struct {
 	schema *sqltypes.Schema
 	first  *Batch
@@ -665,6 +709,9 @@ func (a *Accumulator) Finish() *Batch {
 	schema, parts := a.schema, a.rest
 	if a.first != nil {
 		schema, parts = a.first.Schema, append([]*Batch{a.first}, a.rest...)
+		if b := a.joinViews(schema, parts); b != nil {
+			return b
+		}
 	}
 	cols := make([]*Column, len(schema.Columns))
 	for c := range cols {
@@ -676,6 +723,49 @@ func (a *Accumulator) Finish() *Batch {
 		cols[c] = col
 	}
 	return &Batch{Schema: schema, Cols: cols, n: a.n}
+}
+
+// joinViews is Finish for parts that all read the same columns (pointer for
+// pointer): one view over them, nil when the columns differ. Empty parts
+// keep their place in the column check, so a result of no rows still carries
+// the columns' kinds, but never break a run of adjacent windows.
+func (a *Accumulator) joinViews(schema *sqltypes.Schema, parts []*Batch) *Batch {
+	cols := parts[0].Cols
+	contig, start, end := true, -1, 0
+	for _, p := range parts {
+		if len(p.Cols) != len(cols) {
+			return nil
+		}
+		for c, col := range p.Cols {
+			if col != cols[c] {
+				return nil
+			}
+		}
+		switch {
+		case p.n == 0:
+		case p.Sel != nil || (start >= 0 && p.off != end):
+			contig = false
+		default:
+			if start < 0 {
+				start = p.off
+			}
+			end = p.off + p.n
+		}
+	}
+	if contig {
+		return &Batch{Schema: schema, Cols: cols, off: max(start, 0), n: a.n}
+	}
+	sel := make([]int, 0, a.n)
+	for _, p := range parts {
+		if p.Sel != nil {
+			sel = append(sel, p.Sel...)
+			continue
+		}
+		for i := 0; i < p.n; i++ {
+			sel = append(sel, p.off+i)
+		}
+	}
+	return &Batch{Schema: schema, Cols: cols, Sel: sel, n: a.n}
 }
 
 // appendCol appends src's cells (through window w) onto dst, which holds

@@ -311,3 +311,69 @@ func TestTypedColumnConstructors(t *testing.T) {
 		t.Fatal("IsNull wrong")
 	}
 }
+
+// TestWindowsCutTheRowsInOrder: the windows of a batch, contiguous or
+// selected, hold its rows in order, size rows each but the last, and an empty
+// batch is one empty window.
+func TestWindowsCutTheRowsInOrder(t *testing.T) {
+	rel := randRelation(rand.New(rand.NewSource(13)), 70)
+	full := FromRelation(rel)
+	for _, b := range []*Batch{full, full.Slice(5, 65), full.Select([]int{9, 3, 3, 60, 0, 41, 8})} {
+		ws := b.Windows(16)
+		if want := max(1, (b.Len()+15)/16); len(ws) != want {
+			t.Fatalf("%d rows cut into %d windows, want %d", b.Len(), len(ws), want)
+		}
+		parts := make([]*Batch, len(ws))
+		for i := range ws {
+			if ws[i].Len() != min(16, b.Len()-16*i) {
+				t.Fatalf("window %d holds %d rows", i, ws[i].Len())
+			}
+			parts[i] = &ws[i]
+		}
+		relationsEqual(t, b.ToRelation(), ToRelation(parts))
+	}
+	if ws := full.Slice(0, 0).Windows(16); len(ws) != 1 || ws[0].Len() != 0 {
+		t.Fatalf("an empty batch cut into %d windows", len(ws))
+	}
+}
+
+// TestAccumulatorJoinsViewsOfTheSameColumns: parts that all read the same
+// columns come back as one view of them, copying no cell — adjacent windows
+// (empty ones between them included) as one window, anything else as one
+// selection vector, and no rows at all as an empty view that keeps the
+// columns' kinds. A part over other columns makes Finish copy.
+func TestAccumulatorJoinsViewsOfTheSameColumns(t *testing.T) {
+	rel := randRelation(rand.New(rand.NewSource(17)), 90)
+	full := FromRelation(rel)
+	finish := func(parts ...*Batch) *Batch {
+		var acc Accumulator
+		want := sqltypes.NewRelation(rel.Schema)
+		for _, p := range parts {
+			acc.Append(p)
+			want.Rows = append(want.Rows, p.ToRelation().Rows...)
+		}
+		got := acc.Finish()
+		relationsEqual(t, want, got.ToRelation())
+		return got
+	}
+	shares := func(b *Batch) bool {
+		for c := range b.Cols {
+			if b.Cols[c] != full.Cols[c] {
+				return false
+			}
+		}
+		return true
+	}
+	if b := finish(full.Slice(10, 30), full.Slice(30, 30), full.Slice(30, 90)); !shares(b) || b.Sel != nil || b.off != 10 {
+		t.Fatalf("adjacent windows: shared %v, selection %v, offset %d", shares(b), b.Sel != nil, b.off)
+	}
+	if b := finish(full.Slice(0, 20), full.Slice(40, 50).Select([]int{7, 2}), full.Slice(60, 61)); !shares(b) || len(b.Sel) != 23 {
+		t.Fatalf("windows and selections: shared %v, %d selected", shares(b), len(b.Sel))
+	}
+	if b := finish(full.Select(nil), full.Slice(3, 3)); !shares(b) || b.Len() != 0 {
+		t.Fatalf("empty views: shared %v, %d rows", shares(b), b.Len())
+	}
+	if b := finish(full.Slice(0, 20), FromRelation(rel).Slice(20, 40)); shares(b) {
+		t.Fatal("parts over different columns were joined as views")
+	}
+}

@@ -94,9 +94,11 @@ func shaped(rng *rand.Rand, rel *sqltypes.Relation, chunk []sqltypes.Row) *colba
 }
 
 // recutLeaves copies the plan with every Values leaf replaced by a
-// BatchStream over a fresh random split of its rows; a leaf over a stored
-// table stays as it is. A join is copied whole, with what finishing the plan
-// fixed about its output: the leaves' schemas do not change.
+// BatchStream over a fresh random split of its rows. A leaf over a stored
+// table stays as it is: the engine cuts a SeqScan into windows itself, and
+// windowed_oracle_test.go runs scans of every size around the window. A join
+// is copied whole, with what finishing the plan fixed about its output: the
+// leaves' schemas do not change.
 func recutLeaves(t *testing.T, rng *rand.Rand, op Operator) Operator {
 	t.Helper()
 	in := func(child Operator) Operator { return recutLeaves(t, rng, child) }
@@ -195,7 +197,10 @@ func TestPipelineRecutShardAggFinal(t *testing.T) {
 
 // TestPipelinePassesLoneBatchThrough pins the no-copy rule the remote servers
 // rely on: one input batch reaches the caller as the same batch, and several
-// concatenate into columns allocated at exactly their final size.
+// concatenate into columns allocated at exactly their final size. A scan's
+// windows are the exception to concatenating: drained, the windows of a
+// three-window scan are the table's own columns again, as one window, and a
+// filter's selections over them one selection vector over those columns.
 func TestPipelinePassesLoneBatchThrough(t *testing.T) {
 	g := &oracleGen{rng: rand.New(rand.NewSource(5))}
 	rel := g.relation("c", 40)
@@ -215,5 +220,31 @@ func TestPipelinePassesLoneBatchThrough(t *testing.T) {
 	requireRelationsIdentical(t, "concatenation", rel, got.ToRelation())
 	if ints := got.Cols[0].Ints; ints != nil && cap(ints) != 40 {
 		t.Fatalf("concatenated column has capacity %d for 40 rows", cap(ints))
+	}
+
+	tab := ordersTable(t, 3*scanWindow)
+	v := tab.View()
+	stored := v.Columns()
+	v.Close()
+	scan := &SeqScan{Table: tab, As: "o"}
+	pred := &sqlparser.BinaryExpr{Op: sqlparser.OpLt, Left: colRef("o_custkey"), Right: intLit(3)}
+	for _, op := range []Operator{scan, &Filter{Input: scan, Pred: pred}} {
+		checkOracle(t, "drained "+op.Explain(), op)
+		got, err := ExecuteVectorized(op, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c := range stored {
+			if got.Cols[c] != stored[c] {
+				t.Fatalf("%s: column %d of the drained windows is a copy, not the table's column", op.Explain(), c)
+			}
+		}
+		off, contig := got.Contig()
+		switch _, filtered := op.(*Filter); {
+		case !filtered && (!contig || off != 0 || got.Len() != 3*scanWindow):
+			t.Fatalf("the scan's windows drained to %d rows at %d (contiguous %v), not the table's one window", got.Len(), off, contig)
+		case filtered && (contig || len(got.Sel) != got.Len()):
+			t.Fatalf("the filtered windows drained to %d rows (contiguous %v), not one selection vector", got.Len(), contig)
+		}
 	}
 }

@@ -970,10 +970,10 @@ func TestVectorizedValuesColPayload(t *testing.T) {
 }
 
 // TestVectorizedScanColumnsLiveOnTheTable pins the scan memo's contract: two
-// scans at one table version share their columns, a mutation invalidates the
-// column it changed and only that one, and the memo dies with the table —
-// nothing package-level may keep a scanned table (and its whole federation's
-// data) reachable.
+// scans at one table version share their columns, also when the scan hands
+// them over in several windows, a mutation invalidates the column it changed
+// and only that one, and the memo dies with the table — nothing package-level
+// may keep a scanned table (and its whole federation's data) reachable.
 func TestVectorizedScanColumnsLiveOnTheTable(t *testing.T) {
 	scan := func(tab *storage.Table) *colbatch.Batch {
 		t.Helper()
@@ -1000,6 +1000,10 @@ func TestVectorizedScanColumnsLiveOnTheTable(t *testing.T) {
 	}
 	if got := third.ToRelation().Rows[3][2]; got != sqltypes.NewFloat(-1) {
 		t.Fatalf("scan after update returned stale cell %v", got)
+	}
+	long := ordersTable(t, 3*scanWindow+1)
+	if first, second := scan(long), scan(long); first.Cols[1] != second.Cols[1] || first.Len() != 3*scanWindow+1 {
+		t.Fatal("two scans of four windows at one version must share the memoized columns")
 	}
 
 	collected := make(chan struct{})

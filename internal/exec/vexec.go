@@ -18,8 +18,10 @@ import (
 // and network draws therefore cannot observe which engine ran — only the
 // wall-clock cost of running the simulation changes.
 //
-// The tree runs as a pull pipeline (see pipe) and this is its drain: output
-// batches concatenate into one, a lone output batch is returned uncopied.
+// The tree runs as a pull pipeline (see pipe) and this is its drain: a lone
+// output batch is returned uncopied, views of one table's columns (a scan's
+// windows, filtered or not) join into one view of them, and anything else
+// concatenates into one batch (colbatch.Accumulator).
 func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 	return open(op, ctx).drain()
 }
@@ -67,11 +69,11 @@ func (s *BatchStream) Explain() string { return "STREAM " + s.Label }
 func (s *BatchStream) Children() []Operator { return nil }
 
 // batchwise marks the operators that turn every batch of one input into one
-// output batch. All others emit a single batch: leaves, and the blocking
-// operators, which read their input to its end first — Sort, the hash join's
-// hashed side, the index join's outer side and both sides of the nested-loop
-// join collect it into one batch, aggregation (plain and shard-final) folds it
-// batch by batch.
+// output batch. SeqScan and BatchStream yield many batches; every other
+// operator emits a single batch: leaves, and the blocking operators, which
+// read their input to its end first — Sort, the hash join's hashed side, the
+// index join's outer side and both sides of the nested-loop join collect it
+// into one batch, aggregation (plain and shard-final) folds it batch by batch.
 type batchwise interface{ batchInput() Operator }
 
 func (f *Filter) batchInput() Operator   { return f.Input }
@@ -80,13 +82,25 @@ func (l *Limit) batchInput() Operator    { return l.Input }
 func (d *Distinct) batchInput() Operator { return d.Input }
 func (j *HashJoin) batchInput() Operator { _, streamed := j.sides(); return streamed }
 
+// scanWindow is how many rows of a stored table a SeqScan hands the pipeline
+// at a time: every vector a kernel builds over a window (selections, key
+// hashes, match lists, fold scratch) stays cache-sized, whatever the table's
+// length.
+const scanWindow = 2048
+
 // pipe is one operator of a running pull pipeline: Next returns the
 // operator's next output batch and nil once it is exhausted, pulling from the
 // pipes of its inputs as it goes. Every pipe yields at least one batch, so a
-// schema and an (empty) result always reach the consumer. What an operator
-// charges is a sum over its input rows, so it does not depend on where the
-// batch boundaries fall; over a single batch the additions to ctx.Res happen
-// in the row engine's order.
+// schema and an (empty) result always reach the consumer. A SeqScan yields
+// its table in windows of scanWindow rows, all of one storage view; the
+// operators above it run window by window, each keeping its compiled
+// expressions and scratch vectors from one batch to the next. Emitted batches
+// are never written again: only what stays inside a kernel is reused.
+//
+// What an operator charges is a sum over its input rows, posted batch by
+// batch (the integrator's merge timeline prices ctx.Res at every pull), so it
+// does not depend on where the batch boundaries fall; tally keeps the one
+// charge whose grouping matters, a fractional one, in the row engine's order.
 //
 // Every operator the planners emit has a kernel here; any other operator is an
 // error, never a trip through the row engine. Kernels that hit an unsupported
@@ -97,11 +111,16 @@ type pipe struct {
 	ctx *Context
 	in  *pipe // the input pulled batch by batch
 
-	done    bool            // a single-batch operator has emitted its batch
-	emitted int             // Limit: rows passed on so far
-	seen    *vDistinctState // Distinct
-	join    *hashJoinTable  // HashJoin, once the build side is in
-	proj    projection      // Project
+	done    bool             // a single-batch operator has emitted its batch, a scan has opened its view
+	windows []colbatch.Batch // SeqScan: the windows still to yield
+	emitted int              // Limit: rows passed on so far
+	seen    *vDistinctState  // Distinct
+	join    *hashJoinTable   // HashJoin, once the build side is in
+	proj    projection       // Project
+	pred    predicate        // Filter
+
+	charging bool     // the first charge has been made
+	owed     *Context // the charges held back after a fractional one
 }
 
 func open(op Operator, ctx *Context) *pipe { return &pipe{op: op, ctx: ctx} }
@@ -114,8 +133,40 @@ func (p *pipe) pull(input Operator) (*colbatch.Batch, error) {
 	return p.in.Next()
 }
 
-// drain collects everything p still yields into one batch: the batch itself
-// when there is only one, one exact-size concatenation otherwise.
+// tally returns the Context the batch at hand is charged to. While
+// ctx.Res.CPUOps is a whole number, whole-number charges sum exactly in any
+// grouping, so they go straight in. Once it is fractional — only an index
+// descent makes it so, and the kernels that charge one emit a single batch —
+// every addition rounds, and a pipe whose first charge comes after that owes
+// its charges and settles them as one addition when its input ends: the row
+// engine's one addition per operator, in its order, since a pipe's input
+// settles before the pipe does. A pipe decides at its first charge, and no
+// fractional charge can come between its first charge and its last: every
+// single-batch producer under it has emitted by then, and its siblings run
+// wholly before or after it.
+func (p *pipe) tally() *Context {
+	if !p.charging {
+		p.charging = true
+		if c := p.ctx.Res.CPUOps; c != math.Trunc(c) {
+			p.owed = &Context{}
+		}
+	}
+	if p.owed != nil {
+		return p.owed
+	}
+	return p.ctx
+}
+
+// settle posts what the pipe owes; its input has ended.
+func (p *pipe) settle() {
+	if p.owed != nil {
+		p.ctx.Res.CPUOps += p.owed.Res.CPUOps
+		p.owed = nil
+	}
+}
+
+// drain collects everything p still yields into one batch (see
+// colbatch.Accumulator: windows of one table stay views of its columns).
 func (p *pipe) drain() (*colbatch.Batch, error) {
 	var acc colbatch.Accumulator
 	for {
@@ -142,34 +193,65 @@ func boxed(rel *sqltypes.Relation, err error) (*colbatch.Batch, error) {
 func (p *pipe) Next() (*colbatch.Batch, error) {
 	ctx := p.ctx
 	var in *colbatch.Batch // a batchwise operator's input batch
-	if bw, ok := p.op.(batchwise); ok {
-		if x, ok := bw.(*HashJoin); ok && p.join == nil {
-			hashed, _ := x.sides()
+	switch x := p.op.(type) {
+	case *SeqScan:
+		if !p.done {
+			// One view, one read stamp and the row kernel's whole charge,
+			// with the first window; the columns a view returns never
+			// change, so the windows may be cut after it is closed. An
+			// empty table is one empty window.
+			p.done = true
+			v := x.Table.View()
+			ctx.read(v)
+			n := v.RowCount()
+			ctx.Res.IOPages += float64(v.Pages())
+			ctx.Res.CPUOps += float64(n)
+			p.windows = colbatch.New(x.Schema(), v.Columns(), n).Windows(scanWindow)
+			v.Close()
+		}
+		if len(p.windows) == 0 {
+			return nil, nil
+		}
+		w := &p.windows[0]
+		p.windows = p.windows[1:]
+		return w, nil
+
+	case *BatchStream:
+		b, err := x.Src.Next()
+		if err != nil || (b == nil && p.done) {
+			p.settle()
+			return nil, err
+		}
+		if b == nil {
+			b = colbatch.FromRelation(sqltypes.NewRelation(x.Sch))
+		}
+		p.done = true
+		p.tally().Res.CPUOps += float64(b.Len())
+		return b, nil
+
+	case batchwise:
+		if j, ok := x.(*HashJoin); ok && p.join == nil {
+			hashed, _ := j.sides()
 			b, err := open(hashed, ctx).drain()
 			if err != nil {
 				return nil, err
 			}
-			p.join = newHashJoinTable(x, b)
+			p.join = newHashJoinTable(j, b)
 		}
 		var err error
-		if in, err = p.pull(bw.batchInput()); in == nil || err != nil {
+		if in, err = p.pull(x.batchInput()); in == nil || err != nil {
+			if err == nil {
+				p.settle()
+			}
 			return nil, err
 		}
-	} else if src, ok := p.op.(*BatchStream); ok {
-		b, err := src.Src.Next()
-		if err != nil || (b == nil && p.done) {
-			return nil, err
-		}
-		if b == nil {
-			b = colbatch.FromRelation(sqltypes.NewRelation(src.Sch))
+
+	default:
+		if p.done {
+			return nil, nil
 		}
 		p.done = true
-		ctx.Res.CPUOps += float64(b.Len())
-		return b, nil
-	} else if p.done {
-		return nil, nil
 	}
-	p.done = true
 
 	switch x := p.op.(type) {
 	case *Values:
@@ -178,15 +260,6 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			return x.Col, nil
 		}
 		return colbatch.FromRelation(x.Rel), nil
-
-	case *SeqScan:
-		v := x.Table.View()
-		defer v.Close()
-		ctx.read(v)
-		n := v.RowCount()
-		ctx.Res.IOPages += float64(v.Pages())
-		ctx.Res.CPUOps += float64(n)
-		return colbatch.New(x.Schema(), v.Columns(), n), nil
 
 	case *IndexScan:
 		v := x.Table.View()
@@ -206,19 +279,19 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		return colbatch.NewSelected(schema, v.Columns(), positions), nil
 
 	case *Filter:
-		sel, verr := evalPredicate(x.Pred, in)
+		sel, verr := p.pred.selection(x.Pred, in)
 		if verr != nil {
-			return boxed(filterRel(x.Pred, in.ToRelation(), ctx))
+			return boxed(filterRel(x.Pred, in.ToRelation(), p.tally()))
 		}
-		ctx.Res.CPUOps += float64(in.Len())
-		return in.Select(sel), nil
+		p.tally().Res.CPUOps += float64(in.Len())
+		return selectOwned(in, sel), nil
 
 	case *Project:
 		out, verr := p.proj.apply(x.Items, in)
 		if verr != nil {
-			return boxed(projectRel(x.Items, in.ToRelation(), ctx))
+			return boxed(projectRel(x.Items, in.ToRelation(), p.tally()))
 		}
-		ctx.Res.CPUOps += float64(in.Len()) * float64(len(x.Items))
+		p.tally().Res.CPUOps += float64(in.Len()) * float64(len(x.Items))
 		return out, nil
 
 	case *Sort:
@@ -244,7 +317,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if p.seen == nil {
 			p.seen = newVDistinctState()
 		}
-		return distinctBatch(in, p.seen, ctx), nil
+		return distinctBatch(in, p.seen, p.tally()), nil
 
 	case *Aggregate:
 		folder := newAggFolder(x.GroupBy, x.Aggs)
@@ -254,17 +327,18 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				return nil, err
 			}
 			if in == nil {
+				p.settle()
 				return colbatch.FromRelation(folder.result(x.Schema())), nil
 			}
-			if verr := foldBatch(folder, in, ctx); verr != nil {
-				if err := folder.fold(in.ToRelation(), ctx); err != nil {
+			if verr := foldBatch(folder, in, p.tally()); verr != nil {
+				if err := folder.fold(in.ToRelation(), p.tally()); err != nil {
 					return nil, err
 				}
 			}
 		}
 
 	case *HashJoin:
-		return p.join.probe(in, ctx)
+		return p.join.probe(in, p.tally())
 
 	case *IndexNLJoin:
 		outer, err := open(x.Outer, ctx).drain()
@@ -302,12 +376,13 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				return nil, err
 			}
 			if in == nil {
+				p.settle()
 				return colbatch.FromRelation(merger.result()), nil
 			}
 			if err := x.checkWidth(in.Schema); err != nil {
 				return nil, err
 			}
-			merger.fold(in.Len(), in.Value, ctx)
+			merger.fold(in.Len(), in.Value, p.tally())
 		}
 
 	default:
@@ -315,13 +390,32 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 	}
 }
 
+// selectOwned keeps the logical rows of b that sel names, handing sel, a
+// fresh vector, to the result: over a contiguous window its entries become
+// physical positions in place, and no second vector is allocated.
+func selectOwned(b *colbatch.Batch, sel []int) *colbatch.Batch {
+	off, ok := b.Contig()
+	if !ok {
+		return b.Select(sel)
+	}
+	if off != 0 {
+		for i := range sel {
+			sel[i] += off
+		}
+	}
+	return colbatch.NewSelected(b.Schema, b.Cols, sel)
+}
+
 // projection is what a Project keeps between batches: the select items
 // compiled against the batches' schema, the output schema and, when every item
-// is a bare column reference (or *), the input columns to pick.
+// is a bare column reference (or *), the input columns to pick — and the
+// picked columns of the last input, which windows of one table share.
 type projection struct {
 	in, out *sqltypes.Schema
 	nodes   []vnode // nil for a * item
 	picks   []int   // input column per output column; nil unless refs only
+	from    []*colbatch.Column
+	picked  []*colbatch.Column
 }
 
 func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) error {
@@ -362,13 +456,16 @@ func (p *projection) apply(items []sqlparser.SelectItem, in *colbatch.Batch) (*c
 			return nil, err
 		}
 	}
-	cols := make([]*colbatch.Column, 0, len(p.out.Columns))
 	if p.picks != nil {
-		for _, c := range p.picks {
-			cols = append(cols, in.Cols[c])
+		if len(in.Cols) == 0 || len(p.from) != len(in.Cols) || &p.from[0] != &in.Cols[0] {
+			p.from, p.picked = in.Cols, make([]*colbatch.Column, len(p.picks))
+			for i, c := range p.picks {
+				p.picked[i] = in.Cols[c]
+			}
 		}
-		return in.WithColumns(p.out, cols), nil
+		return in.WithColumns(p.out, p.picked), nil
 	}
+	cols := make([]*colbatch.Column, 0, len(p.out.Columns))
 	for i, item := range items {
 		if item.Star {
 			for _, c := range in.Cols {
@@ -400,7 +497,7 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 		if kres[j], err = node.eval(in); err != nil {
 			return nil, err
 		}
-		kops[j] = classify(kres[j])
+		kops[j] = classify(kres[j], nil)
 	}
 	idx := make([]int, n)
 	for i := range idx {
@@ -420,7 +517,7 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 		}
 		return false
 	})
-	return in.Select(idx), nil
+	return selectOwned(in, idx), nil
 }
 
 // cmpKeyAt three-way-compares key cells ia and ib with sqltypes.Compare
@@ -513,10 +610,11 @@ func vresHash(r *vres, i int) uint64 {
 	}
 }
 
-// batchRowHashes computes rowHash for every logical row column-by-column.
-func batchRowHashes(b *colbatch.Batch) []uint64 {
+// batchRowHashes computes rowHash for every logical row column-by-column, in
+// hs when it has the room.
+func batchRowHashes(hs []uint64, b *colbatch.Batch) []uint64 {
 	n := b.Len()
-	hs := make([]uint64, n)
+	hs = resized(hs, n)
 	for i := range hs {
 		hs[i] = 1469598103934665603
 	}
@@ -548,9 +646,11 @@ func batchRowsIdentical(a *colbatch.Batch, i int, b *colbatch.Batch, j int) bool
 	return true
 }
 
-// vDistinctState is the columnar seen-set a Distinct keeps across batches.
+// vDistinctState is the columnar seen-set a Distinct keeps across batches,
+// and its row-hash scratch.
 type vDistinctState struct {
 	seen map[uint64][]seenRow
+	hs   []uint64
 }
 
 type seenRow struct {
@@ -567,7 +667,8 @@ func newVDistinctState() *vDistinctState {
 // collisions.
 func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *colbatch.Batch {
 	n := in.Len()
-	hs := batchRowHashes(in)
+	state.hs = batchRowHashes(state.hs, in)
+	hs := state.hs
 	sel := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		h := hs[i]
@@ -584,7 +685,7 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *col
 		}
 	}
 	ctx.Res.CPUOps += float64(n) * 2
-	return in.Select(sel)
+	return selectOwned(in, sel)
 }
 
 // foldVec is what foldBatch keeps between the batches of one aggregation: the
@@ -595,6 +696,7 @@ type foldVec struct {
 	nodes     []vnode
 	res       []*vres
 	ops       []operand
+	gathers   []gather
 	hs        []uint64
 	rowGroups []*aggGroup
 }
@@ -619,7 +721,7 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 				return err
 			}
 		}
-		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes))}
+		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes)), gathers: make([]gather, len(nodes))}
 	}
 	for i, node := range v.nodes {
 		if node == nil {
@@ -629,16 +731,23 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 		if v.res[i], err = node.eval(in); err != nil {
 			return err
 		}
-		v.ops[i] = classify(v.res[i])
+		v.ops[i] = classify(v.res[i], &v.gathers[i])
 	}
 	gres, gops, ares, aops := v.res[:k], v.ops[:k], v.res[k:], v.ops[k:]
+	if k == 0 {
+		// A scalar aggregate has one group: every row folds straight into it,
+		// with no row hashes and no per-row group pointers.
+		if n > 0 {
+			foldArgs(f.aggs, ares, aops, f.scalarGroup(), nil, n)
+		}
+		ctx.Res.CPUOps += float64(n) * float64(1+len(f.aggs))
+		return nil
+	}
 	// Group hashes fold column-major (cache-friendly, one dispatch per cell);
 	// candidate groups compare against the unboxed vres cells directly, so
 	// keys box exactly once per distinct group instead of once per row.
-	if cap(v.hs) < n {
-		v.hs, v.rowGroups = make([]uint64, n), make([]*aggGroup, n)
-	}
-	hs, rowGroups := v.hs[:n], v.rowGroups[:n]
+	v.hs, v.rowGroups = resized(v.hs, n), resized(v.rowGroups, n)
+	hs, rowGroups := v.hs, v.rowGroups
 	for i := range hs {
 		hs[i] = 1469598103934665603
 	}
@@ -687,9 +796,37 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 		grp.countStar++
 		rowGroups[row] = grp
 	}
-	// Aggregate arguments fold agg-major so the typed dispatch happens once
-	// per (agg, batch) instead of once per (agg, row).
-	for i := range f.aggs {
+	foldArgs(f.aggs, ares, aops, nil, rowGroups, n)
+	ctx.Res.CPUOps += float64(n) * float64(1+len(f.aggs))
+	return nil
+}
+
+// scalarGroup returns the one group of an aggregate without GROUP BY, where
+// the row kernel files it (under the hash of no keys), so that a row fallback
+// on a later batch folds into the same group.
+func (f *aggFolder) scalarGroup() *aggGroup {
+	h := rowHash(nil)
+	if g := f.groups[h]; len(g) > 0 {
+		return g[0]
+	}
+	grp := &aggGroup{keys: sqltypes.Row{}, states: make([]*aggState, len(f.aggs))}
+	for i := range grp.states {
+		grp.states[i] = newAggState()
+	}
+	f.groups[h] = append(f.groups[h], grp)
+	f.order = append(f.order, grp)
+	return grp
+}
+
+// foldArgs folds n rows of aggregate arguments into their groups: all of
+// them into one (a scalar aggregate), or row i into rowGroups[i]. It runs
+// agg-major so the typed dispatch happens once per (agg, batch) instead of
+// once per (agg, row).
+func foldArgs(aggs []*sqlparser.AggExpr, ares []*vres, aops []operand, one *aggGroup, rowGroups []*aggGroup, n int) {
+	if one != nil {
+		one.countStar += int64(n)
+	}
+	for i := range aggs {
 		a := ares[i]
 		if a == nil {
 			continue // COUNT(*)
@@ -697,39 +834,31 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 		o := &aops[i]
 		switch {
 		case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
-			if o.nulls == nil {
-				for row := 0; row < n; row++ {
-					rowGroups[row].states[i].addInt64(o.ints[row])
-				}
-			} else {
-				for row := 0; row < n; row++ {
-					if o.nulls[row] {
-						continue
-					}
-					rowGroups[row].states[i].addInt64(o.ints[row])
+			for row := 0; row < n; row++ {
+				if o.nulls == nil || !o.nulls[row] {
+					stateOf(one, rowGroups, row, i).addInt64(o.ints[row])
 				}
 			}
 		case o.ok && !o.isConst && o.kind == sqltypes.KindFloat:
-			if o.nulls == nil {
-				for row := 0; row < n; row++ {
-					rowGroups[row].states[i].addFloat64(o.floats[row])
-				}
-			} else {
-				for row := 0; row < n; row++ {
-					if o.nulls[row] {
-						continue
-					}
-					rowGroups[row].states[i].addFloat64(o.floats[row])
+			for row := 0; row < n; row++ {
+				if o.nulls == nil || !o.nulls[row] {
+					stateOf(one, rowGroups, row, i).addFloat64(o.floats[row])
 				}
 			}
 		default:
 			for row := 0; row < n; row++ {
-				rowGroups[row].states[i].add(a.value(row))
+				stateOf(one, rowGroups, row, i).add(a.value(row))
 			}
 		}
 	}
-	ctx.Res.CPUOps += float64(n) * float64(1+len(f.aggs))
-	return nil
+}
+
+// stateOf is the state of aggregate i that row folds into.
+func stateOf(one *aggGroup, rowGroups []*aggGroup, row, i int) *aggState {
+	if one != nil {
+		return one.states[i]
+	}
+	return rowGroups[row].states[i]
 }
 
 // groupKeysMatch is rowsIdentical between a group's boxed keys and logical
@@ -852,19 +981,20 @@ func physOf(b *colbatch.Batch, idx []int) []int {
 
 // joinedBatch gathers the matched (left, right) physical positions into one
 // contiguous batch of left columns followed by right columns, applies the
-// residual predicate and returns the surviving rows. The columns in unread
-// (the join's: nothing above it reads them, see finishPlan) are all-NULL
-// placeholders; the residual's own columns are never among them.
-func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr, unread colSet) (*colbatch.Batch, error) {
+// residual predicate (none when residual is nil) and returns the surviving
+// rows. The columns in unread (the join's: nothing above it reads them, see
+// finishPlan) are all-NULL placeholders; the residual's own columns are never
+// among them.
+func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr, pred *predicate, unread colSet) (*colbatch.Batch, error) {
 	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys, uint64(unread)), len(lPhys))
 	if residual == nil {
 		return out, nil
 	}
-	sel, err := evalPredicate(residual, out)
+	sel, err := pred.selection(residual, out)
 	if err != nil {
 		return nil, err
 	}
-	return out.Select(sel), nil
+	return selectOwned(out, sel), nil
 }
 
 // hashJoinTable is a hash join's hashed side (Build, or Probe under
@@ -879,9 +1009,12 @@ type hashJoinTable struct {
 	j      *HashJoin
 	hashed *colbatch.Batch
 	// The output schema (build columns then probe columns), the streamed key
-	// compiled against the streamed batches' schema and per-batch scratch.
+	// compiled against the streamed batches' schema, the residual compiled
+	// against the output schema, and per-batch scratch.
 	schema, sschema *sqltypes.Schema
 	snode           vnode
+	residual        predicate
+	sgather         gather
 	shs             []uint64
 	hIdx, sIdx      []int
 	// head stays nil when the hashed key did not compile or evaluate (or the
@@ -917,7 +1050,7 @@ func newHashJoinTable(j *HashJoin, hashed *colbatch.Batch) *hashJoinTable {
 	if t.hres, err = hnode.eval(hashed); err != nil {
 		return t
 	}
-	t.hops = classify(t.hres)
+	t.hops = classify(t.hres, nil)
 	t.hhs = keyHashes(nil, t.hres, &t.hops)
 	buckets := 1
 	for buckets < hn {
@@ -976,7 +1109,7 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	if err != nil {
 		return nil, err
 	}
-	sops := classify(sres)
+	sops := classify(sres, &t.sgather)
 	t.shs = keyHashes(t.shs, sres, &sops)
 	shs, mask, hIdx, sIdx := t.shs, uint64(len(t.head)-1), t.hIdx[:0], t.sIdx[:0]
 	for i, sn := 0, in.Len(); i < sn; i++ {
@@ -994,9 +1127,9 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	}
 	t.hIdx, t.sIdx = hIdx, sIdx
 	if t.j.BuildRight {
-		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual, t.j.out.unread)
+		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual, &t.residual, t.j.out.unread)
 	}
-	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, t.j.out.unread)
+	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, &t.residual, t.j.out.unread)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
@@ -1015,7 +1148,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 	if err != nil {
 		return nil, err
 	}
-	kops := classify(kres)
+	kops := classify(kres, nil)
 	khs := keyHashes(nil, kres, &kops)
 
 	v := j.Inner.View()
@@ -1037,7 +1170,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 			oIdx = append(oIdx, i)
 		}
 	}
-	out, err := joinedBatch(j.Schema(), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual, j.out.unread)
+	out, err := joinedBatch(j.Schema(), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual, &predicate{}, j.out.unread)
 	if err != nil {
 		return nil, err
 	}
@@ -1060,6 +1193,7 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 	on, in := outer.Len(), inner.Len()
 	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
 	var oIdx, iIdx, bo, bi []int
+	var pred predicate
 	for lo := 0; lo < on; lo += rows {
 		bo, bi = bo[:0], bi[:0]
 		for o := lo; o < min(lo+rows, on); o++ {
@@ -1071,7 +1205,7 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 			oIdx, iIdx = append(oIdx, bo...), append(iIdx, bi...)
 			continue
 		}
-		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred, j.out.unread)
+		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred, &pred, j.out.unread)
 		if err != nil {
 			return nil, err
 		}
@@ -1080,5 +1214,5 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 			oIdx, iIdx = append(oIdx, bo[p]), append(iIdx, bi[p])
 		}
 	}
-	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil, j.out.unread)
+	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil, nil, j.out.unread)
 }

@@ -10,13 +10,21 @@ import (
 )
 
 // This file implements the vectorized expression compiler: an expression is
-// compiled once per kernel invocation (column references resolve to indices
-// exactly once, not per row) into a tree of vnodes, each of which evaluates
-// over a whole batch. Typed kernels cover the hot shapes — int/float
-// comparisons and arithmetic against columns and constants, boolean
-// three-valued logic — and everything else drops to a cell-at-a-time loop
-// over the exported scalar appliers (sqlparser.ApplyBinary/ApplyFunc), so
-// results are the row evaluator's results by construction.
+// compiled once per input schema of the kernel that runs it (column
+// references resolve to indices exactly once, not per row or per batch) into
+// a tree of vnodes, each of which evaluates over a whole batch. Typed kernels
+// cover the hot shapes — int/float comparisons and arithmetic against columns
+// and constants, boolean three-valued logic — and everything else drops to a
+// cell-at-a-time loop over the exported scalar appliers
+// (sqlparser.ApplyBinary/ApplyFunc), so results are the row evaluator's
+// results by construction.
+//
+// A node owns its result: every evaluation refills the same vres and vectors
+// (scratch), so a pipeline of windows allocates a node's vectors once, not
+// once per batch. A result is therefore read before the node's next
+// evaluation and never kept past it; toColumn, the one way a result leaves
+// its kernel, takes the vectors away from the node, which allocates new ones
+// for its next evaluation.
 //
 // Error discipline: the vectorized evaluator computes a SUPERSET of the row
 // evaluator's sub-expression evaluations (it cannot skip rows that AND/OR,
@@ -30,8 +38,9 @@ import (
 // vres is a vectorized sub-expression result: one value per logical row of
 // the batch it was evaluated against.
 type vres struct {
-	n   int
-	tag int
+	n     int
+	tag   int
+	owner *scratch // the node whose scratch holds the vectors, if any
 
 	konst  sqltypes.Value   // rConst: broadcast value
 	col    *colbatch.Column // rCol: direct column of the batch
@@ -93,8 +102,13 @@ func (r *vres) isNull(i int) bool {
 	}
 }
 
-// toColumn materializes the result as a logical-space column.
+// toColumn materializes the result as a logical-space column that outlives
+// the evaluation: a node's vectors become the column's (the node forgets
+// them), a column read through a contiguous window is that window of it.
 func (r *vres) toColumn() *colbatch.Column {
+	if r.owner != nil && r.tag != rVals { // NewColumn copies boxed cells
+		r.owner.release()
+	}
 	switch r.tag {
 	case rConst:
 		if r.konst.IsNull() {
@@ -106,8 +120,11 @@ func (r *vres) toColumn() *colbatch.Column {
 		}
 		return colbatch.NewColumn(vals)
 	case rCol:
-		if off, ok := r.b.Contig(); ok && off == 0 {
-			return r.col
+		if off, ok := r.b.Contig(); ok {
+			if off == 0 {
+				return r.col
+			}
+			return r.col.Slice(off, off+r.n)
 		}
 		idx := make([]int, r.n)
 		for i := range idx {
@@ -115,7 +132,7 @@ func (r *vres) toColumn() *colbatch.Column {
 		}
 		return r.col.Gather(idx)
 	case rVals:
-		return colbatch.NewColumn(r.vals)
+		return colbatch.NewColumn(r.vals) // analyzes the cells into vectors of its own
 	case rInts:
 		return colbatch.IntColumn(r.ints, r.nulls)
 	case rFloats:
@@ -123,6 +140,80 @@ func (r *vres) toColumn() *colbatch.Column {
 	default:
 		return colbatch.BoolColumn(r.bools, r.nulls)
 	}
+}
+
+// scratch is the result a node refills at every evaluation. Its vectors keep
+// their capacity from batch to batch; each evaluation gets them cleared, so a
+// cell the kernel skips (a NULL's payload) reads zero, as in a fresh vector.
+type scratch struct {
+	res    vres
+	ints   []int64
+	floats []float64
+	bools  []bool
+	vals   []sqltypes.Value
+	nulls  []bool
+}
+
+// result starts the node's next result: n cells of the vector tag names, no
+// NULLs yet.
+func (s *scratch) result(n, tag int) *vres {
+	s.res = vres{n: n, tag: tag, owner: s}
+	switch tag {
+	case rInts:
+		s.ints = cleared(s.ints, n)
+		s.res.ints = s.ints
+	case rFloats:
+		s.floats = cleared(s.floats, n)
+		s.res.floats = s.floats
+	case rBools:
+		s.bools = cleared(s.bools, n)
+		s.res.bools = s.bools
+	case rVals:
+		s.vals = cleared(s.vals, n)
+		s.res.vals = s.vals
+	}
+	return &s.res
+}
+
+// release gives up the vectors: a column now holds them.
+func (s *scratch) release() {
+	*s = scratch{res: s.res}
+}
+
+// setNull marks cell i of the current result NULL, giving the result its
+// null bitmap on the first one.
+func (s *scratch) setNull(i int) {
+	if s.res.nulls == nil {
+		s.nulls = cleared(s.nulls, s.res.n)
+		s.res.nulls = s.nulls
+	}
+	s.res.nulls[i] = true
+}
+
+// allNull marks every cell of the current result NULL.
+func (s *scratch) allNull() {
+	for i := 0; i < s.res.n; i++ {
+		s.setNull(i)
+	}
+}
+
+// cleared returns n zero cells, in v when it has the room.
+func cleared[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	v = v[:n]
+	clear(v)
+	return v
+}
+
+// resized returns n cells for the caller to overwrite, in v when it has the
+// room.
+func resized[T any](v []T, n int) []T {
+	if cap(v) < n {
+		return make([]T, n)
+	}
+	return v[:n]
 }
 
 // vnode is a compiled vectorized expression.
@@ -217,16 +308,24 @@ func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (vnode, error) {
 	}
 }
 
-type vlit struct{ v sqltypes.Value }
-
-func (x *vlit) eval(b *colbatch.Batch) (*vres, error) {
-	return &vres{n: b.Len(), tag: rConst, konst: x.v}, nil
+type vlit struct {
+	v   sqltypes.Value
+	res vres
 }
 
-type vcolref struct{ idx int }
+func (x *vlit) eval(b *colbatch.Batch) (*vres, error) {
+	x.res = vres{n: b.Len(), tag: rConst, konst: x.v}
+	return &x.res, nil
+}
+
+type vcolref struct {
+	idx int
+	res vres
+}
 
 func (x *vcolref) eval(b *colbatch.Batch) (*vres, error) {
-	return &vres{n: b.Len(), tag: rCol, col: b.Cols[x.idx], b: b}, nil
+	x.res = vres{n: b.Len(), tag: rCol, col: b.Cols[x.idx], b: b}
+	return &x.res, nil
 }
 
 // operand is a typed view of a vres, used to pick comparison/arithmetic
@@ -244,7 +343,18 @@ type operand struct {
 	nulls   []bool
 }
 
-func classify(r *vres) operand {
+// gather is where classify copies the selected cells of a column that a
+// batch does not read as one contiguous window. A kernel that classifies
+// batch after batch keeps one per operand; nil gathers into fresh vectors.
+type gather struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
+	nulls  []bool
+}
+
+func classify(r *vres, g *gather) operand {
 	switch r.tag {
 	case rConst:
 		return operand{ok: true, isConst: true, c: r.konst, kind: r.konst.Kind()}
@@ -280,18 +390,26 @@ func classify(r *vres) operand {
 			}
 			return op
 		}
+		if g == nil {
+			g = &gather{}
+		}
 		if c.Nulls != nil {
-			op.nulls = make([]bool, r.n)
+			g.nulls = resized(g.nulls, r.n)
+			op.nulls = g.nulls
 		}
 		switch c.Kind {
 		case sqltypes.KindInt:
-			op.ints = make([]int64, r.n)
+			g.ints = resized(g.ints, r.n)
+			op.ints = g.ints
 		case sqltypes.KindFloat:
-			op.floats = make([]float64, r.n)
+			g.floats = resized(g.floats, r.n)
+			op.floats = g.floats
 		case sqltypes.KindString:
-			op.strs = make([]string, r.n)
+			g.strs = resized(g.strs, r.n)
+			op.strs = g.strs
 		case sqltypes.KindBool:
-			op.bools = make([]bool, r.n)
+			g.bools = resized(g.bools, r.n)
+			op.bools = g.bools
 		}
 		for i := 0; i < r.n; i++ {
 			p := r.b.Phys(i)
@@ -375,6 +493,8 @@ func boolToInt(b bool) int64 {
 type vbinary struct {
 	op          sqlparser.BinaryOp
 	left, right vnode
+	lg, rg      gather
+	out         scratch
 }
 
 func (x *vbinary) eval(b *colbatch.Batch) (*vres, error) {
@@ -386,27 +506,27 @@ func (x *vbinary) eval(b *colbatch.Batch) (*vres, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, ro := classify(l), classify(r)
+	lo, ro := classify(l, &x.lg), classify(r, &x.rg)
 	if lo.ok && ro.ok {
 		if x.op.IsComparison() {
-			if out := cmpTyped(x.op, l.n, lo, ro); out != nil {
+			if out := cmpTyped(x.op, l.n, lo, ro, &x.out); out != nil {
 				return out, nil
 			}
-		} else if out := arithTyped(x.op, l.n, lo, ro); out != nil {
+		} else if out := arithTyped(x.op, l.n, lo, ro, &x.out); out != nil {
 			return out, nil
 		}
 	}
 	// Generic cell loop over the exact scalar applier.
 	n := l.n
-	vals := make([]sqltypes.Value, n)
+	out := x.out.result(n, rVals)
 	for i := 0; i < n; i++ {
 		v, err := sqlparser.ApplyBinary(x.op, l.value(i), r.value(i))
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		out.vals[i] = v
 	}
-	return &vres{n: n, tag: rVals, vals: vals}, nil
+	return out, nil
 }
 
 // cmpRes maps a three-way comparison to the operator's boolean.
@@ -429,22 +549,13 @@ func cmpRes(op sqlparser.BinaryOp, c int) bool {
 
 // cmpTyped emits a boolean vector for typed operand pairs, mirroring
 // sqltypes.Compare's kind rules: int/int compares exactly, any other
-// numeric mix through float64, strings lexically, bools as 0/1. Returns nil
-// when no typed kernel applies.
-func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
-	setNull := func(i int) {
-		if out.nulls == nil {
-			out.nulls = make([]bool, n)
-		}
-		out.nulls[i] = true
-	}
+// numeric mix through float64, strings lexically, bools as 0/1, into s.
+// Returns nil when no typed kernel applies.
+func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand, s *scratch) *vres {
+	out, setNull := s.result(n, rBools), s.setNull
 	// A NULL constant operand nulls every row.
 	if (lo.isConst && lo.c.IsNull()) || (ro.isConst && ro.c.IsNull()) {
-		out.nulls = make([]bool, n)
-		for i := range out.nulls {
-			out.nulls[i] = true
-		}
+		s.allNull()
 		return out
 	}
 	switch {
@@ -526,33 +637,26 @@ func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 
 // arithTyped emits typed arithmetic for numeric operand pairs: int/int
 // stays integral (except division by zero → NULL), any float widens, both
-// exactly as ApplyBinary does per cell. Returns nil when no typed kernel
-// applies.
-func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
+// exactly as ApplyBinary does per cell, into s. Returns nil when no typed
+// kernel applies.
+func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand, s *scratch) *vres {
 	switch op {
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 	default:
 		return nil
 	}
 	if (lo.isConst && lo.c.IsNull()) || (ro.isConst && ro.c.IsNull()) {
-		out := &vres{n: n, tag: rInts, ints: make([]int64, n), nulls: make([]bool, n)}
-		for i := range out.nulls {
-			out.nulls[i] = true
-		}
+		out := s.result(n, rInts)
+		s.allNull()
 		return out
 	}
 	if !numericKind(lo.kind) || !numericKind(ro.kind) {
 		return nil
 	}
+	setNull := s.setNull
 	bothInt := lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt
 	if bothInt && op != sqlparser.OpDiv {
-		out := &vres{n: n, tag: rInts, ints: make([]int64, n)}
-		setNull := func(i int) {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
-		}
+		out := s.result(n, rInts)
 		for i := 0; i < n; i++ {
 			if lo.null(i) || ro.null(i) {
 				setNull(i)
@@ -572,13 +676,7 @@ func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 	}
 	if bothInt {
 		// Integer division: zero divisor yields NULL, like the row path.
-		out := &vres{n: n, tag: rInts, ints: make([]int64, n)}
-		setNull := func(i int) {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
-		}
+		out := s.result(n, rInts)
 		for i := 0; i < n; i++ {
 			if lo.null(i) || ro.null(i) {
 				setNull(i)
@@ -593,13 +691,7 @@ func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 		}
 		return out
 	}
-	out := &vres{n: n, tag: rFloats, floats: make([]float64, n)}
-	setNull := func(i int) {
-		if out.nulls == nil {
-			out.nulls = make([]bool, n)
-		}
-		out.nulls[i] = true
-	}
+	out := s.result(n, rFloats)
 	for i := 0; i < n; i++ {
 		if lo.null(i) || ro.null(i) {
 			setNull(i)
@@ -631,6 +723,7 @@ func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand) *vres {
 type vlogic struct {
 	op          sqlparser.BinaryOp
 	left, right vnode
+	out         scratch
 }
 
 func (x *vlogic) eval(b *colbatch.Batch) (*vres, error) {
@@ -643,13 +736,7 @@ func (x *vlogic) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := l.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
-	setNull := func(i int) {
-		if out.nulls == nil {
-			out.nulls = make([]bool, n)
-		}
-		out.nulls[i] = true
-	}
+	out, setNull := x.out.result(n, rBools), x.out.setNull
 	and := x.op == sqlparser.OpAnd
 	for i := 0; i < n; i++ {
 		lnull := l.isNull(i)
@@ -692,7 +779,10 @@ func (x *vlogic) eval(b *colbatch.Batch) (*vres, error) {
 	return out, nil
 }
 
-type vnot struct{ inner vnode }
+type vnot struct {
+	inner vnode
+	out   scratch
+}
 
 func (x *vnot) eval(b *colbatch.Batch) (*vres, error) {
 	in, err := x.inner.eval(b)
@@ -700,13 +790,10 @@ func (x *vnot) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := in.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
+	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		if in.isNull(i) {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
+			x.out.setNull(i)
 			continue
 		}
 		out.bools[i] = !sqlparser.Truthy(in.value(i))
@@ -717,6 +804,7 @@ func (x *vnot) eval(b *colbatch.Batch) (*vres, error) {
 type visnull struct {
 	inner  vnode
 	negate bool
+	out    scratch
 }
 
 func (x *visnull) eval(b *colbatch.Batch) (*vres, error) {
@@ -725,7 +813,7 @@ func (x *visnull) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := in.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
+	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		out.bools[i] = in.isNull(i) != x.negate
 	}
@@ -736,6 +824,8 @@ type vin struct {
 	needle vnode
 	list   []vnode
 	negate bool
+	items  []*vres // the list's results for the batch at hand
+	out    scratch
 }
 
 func (x *vin) eval(b *colbatch.Batch) (*vres, error) {
@@ -743,20 +833,15 @@ func (x *vin) eval(b *colbatch.Batch) (*vres, error) {
 	if err != nil {
 		return nil, err
 	}
-	items := make([]*vres, len(x.list))
+	items := resized(x.items, len(x.list))
+	x.items = items
 	for i, it := range x.list {
 		if items[i], err = it.eval(b); err != nil {
 			return nil, err
 		}
 	}
 	n := needle.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
-	setNull := func(i int) {
-		if out.nulls == nil {
-			out.nulls = make([]bool, n)
-		}
-		out.nulls[i] = true
-	}
+	out, setNull := x.out.result(n, rBools), x.out.setNull
 	for i := 0; i < n; i++ {
 		if needle.isNull(i) {
 			setNull(i)
@@ -790,6 +875,7 @@ func (x *vin) eval(b *colbatch.Batch) (*vres, error) {
 type vbetween struct {
 	subj, lo, hi vnode
 	negate       bool
+	out          scratch
 }
 
 func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
@@ -806,13 +892,10 @@ func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := subj.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
+	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		if subj.isNull(i) || lo.isNull(i) || hi.isNull(i) {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
+			x.out.setNull(i)
 			continue
 		}
 		v := subj.value(i)
@@ -826,6 +909,7 @@ type vlike struct {
 	subj    vnode
 	pattern string
 	negate  bool
+	out     scratch
 }
 
 func (x *vlike) eval(b *colbatch.Batch) (*vres, error) {
@@ -834,13 +918,10 @@ func (x *vlike) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := subj.n
-	out := &vres{n: n, tag: rBools, bools: make([]bool, n)}
+	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		if subj.isNull(i) {
-			if out.nulls == nil {
-				out.nulls = make([]bool, n)
-			}
-			out.nulls[i] = true
+			x.out.setNull(i)
 			continue
 		}
 		v := subj.value(i)
@@ -852,18 +933,19 @@ func (x *vlike) eval(b *colbatch.Batch) (*vres, error) {
 	return out, nil
 }
 
-type vcoalesce struct{ args []vnode }
+type vcoalesce struct {
+	args []vnode
+	res  []*vres // the arguments' results for the batch at hand
+	out  scratch
+}
 
 func (x *vcoalesce) eval(b *colbatch.Batch) (*vres, error) {
-	args := make([]*vres, len(x.args))
-	for i, a := range x.args {
-		var err error
-		if args[i], err = a.eval(b); err != nil {
-			return nil, err
-		}
+	args, err := evalArgs(x.args, &x.res, b)
+	if err != nil {
+		return nil, err
 	}
 	n := b.Len()
-	out := &vres{n: n, tag: rVals, vals: make([]sqltypes.Value, n)}
+	out := x.out.result(n, rVals)
 	for i := 0; i < n; i++ {
 		for _, a := range args {
 			if !a.isNull(i) {
@@ -876,21 +958,34 @@ func (x *vcoalesce) eval(b *colbatch.Batch) (*vres, error) {
 }
 
 type vfunc struct {
-	name string
-	args []vnode
+	name  string
+	args  []vnode
+	res   []*vres          // the arguments' results for the batch at hand
+	cells []sqltypes.Value // one row's argument values
+	out   scratch
 }
 
-func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
-	args := make([]*vres, len(x.args))
-	for i, a := range x.args {
+// evalArgs evaluates every argument over b into *res.
+func evalArgs(nodes []vnode, res *[]*vres, b *colbatch.Batch) ([]*vres, error) {
+	*res = resized(*res, len(nodes))
+	for i, a := range nodes {
 		var err error
-		if args[i], err = a.eval(b); err != nil {
+		if (*res)[i], err = a.eval(b); err != nil {
 			return nil, err
 		}
 	}
+	return *res, nil
+}
+
+func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
+	args, err := evalArgs(x.args, &x.res, b)
+	if err != nil {
+		return nil, err
+	}
 	n := b.Len()
-	out := &vres{n: n, tag: rVals, vals: make([]sqltypes.Value, n)}
-	cells := make([]sqltypes.Value, len(args))
+	out := x.out.result(n, rVals)
+	x.cells = resized(x.cells, len(args))
+	cells := x.cells
 	for i := 0; i < n; i++ {
 		// NULL-propagating, argument order preserved, like evalFunc.
 		isNull := false
@@ -915,42 +1010,61 @@ func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
 	return out, nil
 }
 
-// evalPredicate compiles and evaluates a predicate into a selection vector
-// over the batch's logical rows, collapsing NULL to false exactly like
-// EvalBool.
-func evalPredicate(pred sqlparser.Expr, b *colbatch.Batch) ([]int, error) {
-	node, err := compileExpr(pred, b.Schema)
+// predicate is a WHERE-shaped expression compiled against the schema of the
+// batches it selects from, compiled again only when a batch's schema pointer
+// changes (as projection is): a Filter and a join's residual compile once per
+// input, not once per batch.
+type predicate struct {
+	schema *sqltypes.Schema
+	node   vnode
+	keep   []bool // scratch: the rows that pass, when the result is not plain booleans
+}
+
+// selection evaluates pred over the batch's logical rows into a selection
+// vector, collapsing NULL to false exactly like EvalBool. The vector is fresh
+// and sized to the survivors: the caller hands it on (see selectOwned).
+func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int, error) {
+	if p.schema != b.Schema {
+		node, err := compileExpr(pred, b.Schema)
+		if err != nil {
+			return nil, err
+		}
+		p.schema, p.node = b.Schema, node
+	}
+	res, err := p.node.eval(b)
 	if err != nil {
 		return nil, err
 	}
-	res, err := node.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	n := b.Len()
-	if res.tag == rBools {
-		// Count the survivors first: a selective predicate keeps a few rows
-		// of a large batch, and the vector is allocated at their number.
-		keep := func(i int) bool { return res.bools[i] && (res.nulls == nil || !res.nulls[i]) }
-		kept := 0
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				kept++
-			}
+	keep := res.bools
+	if res.tag != rBools || res.nulls != nil {
+		p.keep = resized(p.keep, b.Len())
+		for i := range p.keep {
+			p.keep[i] = res.isTrue(i)
 		}
-		sel := make([]int, 0, kept)
-		for i := 0; i < n; i++ {
-			if keep(i) {
-				sel = append(sel, i)
-			}
-		}
-		return sel, nil
+		keep = p.keep
 	}
-	sel := make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		if !res.isNull(i) && sqlparser.Truthy(res.value(i)) {
+	// Count the survivors first: a selective predicate keeps a few rows of a
+	// batch, and the vector is allocated at their number.
+	kept := 0
+	for _, k := range keep {
+		if k {
+			kept++
+		}
+	}
+	sel := make([]int, 0, kept)
+	for i, k := range keep {
+		if k {
 			sel = append(sel, i)
 		}
 	}
 	return sel, nil
+}
+
+// isTrue reports whether logical row i is TRUE, EvalBool's reading: NULL and
+// falsy values are not.
+func (r *vres) isTrue(i int) bool {
+	if r.tag == rBools {
+		return r.bools[i] && (r.nulls == nil || !r.nulls[i])
+	}
+	return !r.isNull(i) && sqlparser.Truthy(r.value(i))
 }

@@ -106,13 +106,135 @@ func AvgRowBytes(total, n int) float64 {
 }
 
 // CollectColumn computes the statistics of col from c, its n cells: the
-// ColumnStats Collect computes for it, which depend on that column alone.
+// ColumnStats Collect computes for it, which depend on that column alone. A
+// typed column is read off its payload slice: min and max compare the payload
+// as sqltypes.Compare orders it, and distinct cells are counted by the hash
+// Value.Hash gives them (the sqltypes bulk hashers), with no Value built per
+// cell. A Mixed column goes cell by cell.
 func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Type: col.Type, RowCount: int64(n)}
+	if c.Mixed != nil {
+		collectCells(cs, col, c, n)
+		return cs
+	}
+	if c.Kind == sqltypes.KindNull {
+		cs.NullCount = int64(n)
+		return cs
+	}
+	nulls := c.Nulls
+	if nulls != nil {
+		nulls = nulls[:n]
+	}
+	for _, null := range nulls {
+		if null {
+			cs.NullCount++
+		}
+	}
+	null := func(i int) bool { return nulls != nil && nulls[i] }
 	distinct := make(map[uint64]struct{})
 	var numeric []float64
-	for i := 0; i < n; i++ {
-		v := c.Value(i)
+	histogram := col.Type == sqltypes.KindInt || col.Type == sqltypes.KindFloat
+	if histogram && (c.Kind == sqltypes.KindInt || c.Kind == sqltypes.KindFloat) {
+		numeric = make([]float64, 0, n-int(cs.NullCount))
+	}
+	switch c.Kind {
+	case sqltypes.KindInt:
+		var lo, hi int64
+		seen := false
+		for i, v := range c.Ints[:n] {
+			if null(i) {
+				continue
+			}
+			distinct[sqltypes.HashInt64(v)] = struct{}{}
+			if !seen || v < lo {
+				lo = v
+			}
+			if !seen || v > hi {
+				hi = v
+			}
+			seen = true
+			if numeric != nil {
+				numeric = append(numeric, float64(v))
+			}
+		}
+		if seen {
+			cs.Min, cs.Max = sqltypes.NewInt(lo), sqltypes.NewInt(hi)
+		}
+	case sqltypes.KindFloat:
+		// Compare calls NaN equal to everything: a NaN never replaces a
+		// bound, and a leading NaN is never replaced.
+		var lo, hi float64
+		seen := false
+		for i, v := range c.Floats[:n] {
+			if null(i) {
+				continue
+			}
+			distinct[sqltypes.HashFloat64(v)] = struct{}{}
+			if !seen || v < lo {
+				lo = v
+			}
+			if !seen || v > hi {
+				hi = v
+			}
+			seen = true
+			if numeric != nil {
+				numeric = append(numeric, v)
+			}
+		}
+		if seen {
+			cs.Min, cs.Max = sqltypes.NewFloat(lo), sqltypes.NewFloat(hi)
+		}
+	case sqltypes.KindString:
+		var lo, hi string
+		seen := false
+		for i, v := range c.Strs[:n] {
+			if null(i) {
+				continue
+			}
+			distinct[sqltypes.HashString(v)] = struct{}{}
+			if !seen || v < lo {
+				lo = v
+			}
+			if !seen || v > hi {
+				hi = v
+			}
+			seen = true
+		}
+		if seen {
+			cs.Min, cs.Max = sqltypes.NewString(lo), sqltypes.NewString(hi)
+		}
+	case sqltypes.KindBool:
+		var lo, hi bool
+		seen := false
+		for i, v := range c.Bools[:n] {
+			if null(i) {
+				continue
+			}
+			distinct[sqltypes.HashBool(v)] = struct{}{}
+			if !seen || (!v && lo) {
+				lo = v
+			}
+			if !seen || (v && !hi) {
+				hi = v
+			}
+			seen = true
+		}
+		if seen {
+			cs.Min, cs.Max = sqltypes.NewBool(lo), sqltypes.NewBool(hi)
+		}
+	}
+	cs.Distinct = int64(len(distinct))
+	if len(numeric) > 0 {
+		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
+	}
+	return cs
+}
+
+// collectCells is CollectColumn over the cells of a Mixed column.
+func collectCells(cs *ColumnStats, col sqltypes.Column, c *colbatch.Column, n int) {
+	distinct := make(map[uint64]struct{})
+	var numeric []float64
+	for _, v := range c.Mixed[:n] {
 		if v.IsNull() {
 			cs.NullCount++
 			continue
@@ -132,7 +254,6 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 	if len(numeric) > 0 && (col.Type == sqltypes.KindInt || col.Type == sqltypes.KindFloat) {
 		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
 	}
-	return cs
 }
 
 // Bucket is one equi-depth histogram bucket: values in (prev.Upper, Upper]
@@ -150,11 +271,12 @@ type Histogram struct {
 }
 
 // BuildHistogram builds an equi-depth histogram with at most buckets buckets.
+// It sorts values in place: the caller hands over a slice it no longer reads.
 func BuildHistogram(values []float64, buckets int) *Histogram {
 	if len(values) == 0 || buckets <= 0 {
 		return nil
 	}
-	sorted := append([]float64(nil), values...)
+	sorted := values
 	sort.Float64s(sorted)
 	h := &Histogram{Lo: sorted[0], Hi: sorted[len(sorted)-1], Total: int64(len(sorted))}
 	per := len(sorted) / buckets
