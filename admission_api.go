@@ -10,24 +10,26 @@ import (
 // Re-exported admission types: the workload-management policy surface.
 type (
 	// AdmissionPolicy is a full admission configuration: a global
-	// concurrency cap plus an ordered set of workload classes.
+	// concurrency cap plus the interactive and batch classes' bounds. The
+	// zero value is unlimited: admission disabled.
 	AdmissionPolicy = admission.Policy
-	// AdmissionClassConfig defines one workload class (priority, cost
-	// ceiling, concurrency/queue caps, cost hold, queue deadline).
+	// AdmissionClassConfig bounds one workload class (concurrency cap, cost
+	// hold, queue deadline).
 	AdmissionClassConfig = admission.ClassConfig
 	// AdmissionStats is a point-in-time controller snapshot.
 	AdmissionStats = admission.Stats
 	// AdmissionClassStats is the per-class slice of AdmissionStats.
 	AdmissionClassStats = admission.ClassStats
-	// AdmissionRejection is the typed error refused queries receive; match
-	// it broadly with ErrAdmissionRejected / ErrQueueTimeout.
+	// AdmissionRejection is the typed error refused queries receive; its
+	// Reason is one of cost_hold, queue_timeout and tenant_queue_full. Match
+	// it broadly with ErrAdmissionRejected / ErrQueueTimeout / ErrTenantQuota.
 	AdmissionRejection = admission.Rejection
 	// QueryLogStats snapshots the query log's retention accounting.
 	QueryLogStats = journal.QueryStats
 	// QueryLogTenantStats is one tenant's slice of QueryLogStats.
 	QueryLogTenantStats = journal.TenantStats
-	// Tenant configures one registered tenant: its fair-share weight,
-	// optional concurrency/queue quotas, and per-class policy overrides.
+	// Tenant configures one registered tenant: its fair-share weight and
+	// optional queue bound.
 	Tenant = admission.Tenant
 	// TenantStats is a point-in-time snapshot of one tenant's admission
 	// accounting.
@@ -36,36 +38,35 @@ type (
 
 // Typed admission errors. Every refusal matches ErrAdmissionRejected via
 // errors.Is; queue-deadline sheds additionally match ErrQueueTimeout (and
-// simclock's virtual-deadline sentinel, shared with fragment budgets).
+// simclock's virtual-deadline sentinel, which every virtual-time deadline
+// expiry matches).
 var (
 	ErrAdmissionRejected = admission.ErrAdmissionRejected
 	ErrQueueTimeout      = admission.ErrQueueTimeout
-	// ErrTenantQuota additionally matches refusals caused by a tenant's own
-	// quota (queue-bound rejections and quota-blocked deadline sheds), so
-	// callers can tell tenant-level back-pressure from class congestion.
+	// ErrTenantQuota additionally matches a refusal by the tenant's own
+	// queue bound, so callers can tell tenant-level back-pressure from class
+	// congestion.
 	ErrTenantQuota = admission.ErrTenantQuota
 )
 
-// Built-in workload class names.
+// The two workload class names. A query whose calibrated cost is at most
+// 1 000 ms is interactive, any other batch; queued interactive queries are
+// admitted before queued batch ones.
 const (
 	ClassInteractive = admission.ClassInteractive
 	ClassBatch       = admission.ClassBatch
 )
 
-// DefaultAdmissionPolicy returns the unlimited interactive/batch taxonomy
-// every federation starts with — admission effectively disabled.
-func DefaultAdmissionPolicy() AdmissionPolicy { return admission.DefaultPolicy() }
-
 // WithQueryClass tags a context with an explicit workload-class name: queries
 // submitted under it skip cost classification and join that class directly
-// (unknown names fall back to cost classification).
+// (other names fall back to cost classification).
 func WithQueryClass(ctx context.Context, class string) context.Context {
 	return admission.WithClass(ctx, class)
 }
 
 // WithQueryTenant tags a context with the submitting tenant's name: queries
 // submitted under it are scheduled by that tenant's fair-share weight,
-// bounded by its quotas, and attributed to it in the query log and
+// bounded by its queue bound, and attributed to it in the query log and
 // telemetry. Unregistered names get an implicit weight-1 tenant.
 func WithQueryTenant(ctx context.Context, tenant string) context.Context {
 	return admission.WithTenant(ctx, tenant)
@@ -86,7 +87,7 @@ func (f *Federation) Admission() *AdmissionHandle { return &AdmissionHandle{c: f
 func (h *AdmissionHandle) Policy() AdmissionPolicy { return h.c.Policy() }
 
 // SetPolicy replaces the admission policy at runtime; queued queries are
-// re-resolved against the new class definitions.
+// re-resolved against the new class bounds.
 func (h *AdmissionHandle) SetPolicy(p AdmissionPolicy) { h.c.SetPolicy(p) }
 
 // Stats snapshots the controller's counters.

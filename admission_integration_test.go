@@ -47,17 +47,15 @@ func TestAdmissionDisabledIdentity(t *testing.T) {
 
 	base, baseTrees, baseClock := run(func(*fedqcc.Federation) {})
 	toggled, togTrees, togClock := run(func(fed *fedqcc.Federation) {
-		// Impose a restrictive policy, then revert: the default policy must
+		// Impose a restrictive policy, then revert: the zero policy must
 		// restore the exact pass-through, not merely "roughly unlimited"
 		// behaviour.
 		fed.Admission().SetPolicy(fedqcc.AdmissionPolicy{
 			MaxConcurrent: 1,
-			Classes: []fedqcc.AdmissionClassConfig{
-				{Name: fedqcc.ClassInteractive, Priority: 10, CeilingMS: 10, MaxConcurrent: 1, QueueDeadline: 100},
-				{Name: fedqcc.ClassBatch, HoldCostMS: 1, QueueDeadline: 100},
-			},
+			Interactive:   fedqcc.AdmissionClassConfig{MaxConcurrent: 1, QueueDeadline: 100},
+			Batch:         fedqcc.AdmissionClassConfig{HoldCostMS: 1, QueueDeadline: 100},
 		})
-		fed.Admission().SetPolicy(fedqcc.DefaultAdmissionPolicy())
+		fed.Admission().SetPolicy(fedqcc.AdmissionPolicy{})
 	})
 
 	for i := range sqls {
@@ -159,10 +157,7 @@ func TestAdmissionOverloadBurst(t *testing.T) {
 
 	fed.Admission().SetPolicy(fedqcc.AdmissionPolicy{
 		MaxConcurrent: 5, // burst of 10 = 2x the global cap
-		Classes: []fedqcc.AdmissionClassConfig{
-			{Name: fedqcc.ClassInteractive, Priority: 10, CeilingMS: fedqcc.DefaultAdmissionPolicy().Classes[0].CeilingMS},
-			{Name: fedqcc.ClassBatch, MaxConcurrent: 1, HoldCostMS: hold, QueueDeadline: 60000},
-		},
+		Batch:         fedqcc.AdmissionClassConfig{MaxConcurrent: 1, HoldCostMS: hold, QueueDeadline: 60000},
 	})
 
 	type outcome struct {

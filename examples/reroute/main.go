@@ -27,7 +27,7 @@ func main() {
 	// rescore re-checks them. (QCCOptions{LoadBalance, LBCloseness,
 	// RuntimeReroute} sets the same policy at EnableQCC time.)
 	cal := fed.EnableQCC(fedqcc.QCCOptions{})
-	cal.SetRouting(fedqcc.LBGlobal, 1.0 /* rotate across all three replicas */, fedqcc.RouteWeights{}, true)
+	cal.SetRouting(fedqcc.LBGlobal, 1.0 /* rotate across all three replicas */, true)
 
 	res, err := fed.Query(q)
 	if err != nil {

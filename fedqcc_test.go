@@ -221,7 +221,7 @@ func TestLoadBalanceViaPublicAPI(t *testing.T) {
 	if cal.RoutingStats().Rotations == 0 {
 		t.Fatal("rotations counter")
 	}
-	cal.SetRouting(fedqcc.LBOff, 0, fedqcc.RouteWeights{}, false)
+	cal.SetRouting(fedqcc.LBOff, 0, false)
 	if cal.RoutingStats() != (fedqcc.RoutingStats{}) {
 		t.Fatal("a new policy starts its stats over")
 	}

@@ -3,25 +3,26 @@
 // the paper's testbed — in front of the information integrator — and decides
 // which queries run now, which wait, and which are turned away.
 //
-// Every query is classified into a workload class (interactive, batch, or
-// deployment-defined) by its calibrated estimated cost from the plan
-// cache/optimizer, or by an explicit class tag carried on the context
-// (WithClass). The controller then enforces:
+// Every query is classified into one of two workload classes, interactive
+// or batch, by its calibrated estimated cost from the plan cache/optimizer
+// (at most InteractiveCeilingMS is interactive), or by an explicit class tag
+// carried on the context (WithClass). The controller then enforces:
 //
-//   - a global concurrency cap across all classes;
+//   - a global concurrency cap across both classes;
 //   - per-class concurrency caps, so heavy classes cannot starve light ones;
-//   - priority queueing: when capacity frees up, the highest-priority queued
-//     query is admitted first (higher classes preempt queue position, never
-//     running queries);
+//   - priority queueing: when capacity frees up, a queued interactive query
+//     is admitted before any queued batch query (priority preempts queue
+//     position, never running queries);
 //   - cost holds: a query whose calibrated estimate exceeds its class's
 //     HoldCostMS is parked in the queue rather than admitted, even when
-//     capacity is free;
+//     capacity is free; and
 //   - queue deadlines: a query that has waited longer than its class's
 //     QueueDeadline in virtual time is shed with a typed, errors.Is-matchable
 //     rejection (ErrQueueTimeout, which also matches ErrAdmissionRejected and
-//     simclock.ErrDeadline); and
-//   - queue bounds: when a class's queue is full, new arrivals are rejected
-//     immediately (ErrAdmissionRejected).
+//     simclock.ErrDeadline).
+//
+// Registered tenants (RegisterTenant) share each class by weighted fair
+// queuing, and a tenant's queue bound refuses its arrivals beyond it.
 //
 // All waiting happens in virtual time: queue wait is the simulated interval
 // between enqueue and grant, and deadlines are virtual-clock events that fire
@@ -30,10 +31,10 @@
 // earliest queue deadline itself so sheds always fire — the simulation can
 // never deadlock on an empty machine.
 //
-// The default policy (DefaultPolicy: every cap unlimited, no holds) makes the
-// controller a pure pass-through: Admit takes one mutex acquisition, never
-// touches the clock, and the engine behaves bit-for-bit as if no controller
-// were installed.
+// The zero Policy (every cap unlimited, no holds) makes the controller a
+// pure pass-through: Admit takes one mutex acquisition, never touches the
+// clock, and the engine behaves bit-for-bit as if no controller were
+// installed.
 package admission
 
 import (
@@ -51,14 +52,14 @@ type Request struct {
 	// CostMS is the calibrated estimated cost from the plan cache/optimizer;
 	// classification and cost holds key on it.
 	CostMS float64
-	// Class, when non-empty, pins the workload class by name instead of
-	// classifying by cost (see WithClass). Unknown names fall back to cost
-	// classification.
+	// Class, when it names a class (ClassInteractive or ClassBatch), pins
+	// the workload class instead of classifying by cost (see WithClass).
+	// Other names fall back to cost classification.
 	Class string
 	// Tenant names the tenant submitting the query (see WithTenant). With no
 	// tenants registered it is recorded but has no scheduling effect; with
 	// tenants registered, unknown names run as unregistered tenants with
-	// weight 1 and no quotas, and the empty name is the default tenant.
+	// weight 1 and no queue bound, and the empty name is the default tenant.
 	Tenant string
 }
 
@@ -69,8 +70,8 @@ type Config struct {
 	// Telemetry receives queue-depth gauges, per-class wait histograms and
 	// shed/reject counters (nil or disabled is a no-op).
 	Telemetry *telemetry.Telemetry
-	// Policy is the initial admission policy; the zero value selects
-	// DefaultPolicy (unlimited — admission disabled).
+	// Policy is the initial admission policy; the zero value is unlimited
+	// (admission disabled).
 	Policy Policy
 }
 
@@ -84,7 +85,7 @@ const (
 
 // waiter is one queued admission request.
 type waiter struct {
-	class      ClassConfig
+	class      class
 	tenant     *tenantState // nil when the controller is untenanted
 	tenantName string       // the request's tag, as its Grant reports it
 	cost       float64
@@ -107,7 +108,7 @@ type waiter struct {
 
 // grant is the slot a granted waiter holds.
 func (w *waiter) grant(c *Controller) *Grant {
-	return &Grant{c: c, class: w.class.Name, tenant: w.tenantName, ts: w.tenant, wait: w.wait, queued: w.queued}
+	return &Grant{c: c, class: w.class, tenant: w.tenantName, ts: w.tenant, wait: w.wait, queued: w.queued}
 }
 
 // deliver hands the waiter's decision to whoever asked.
@@ -147,7 +148,7 @@ type Controller struct {
 	running   int
 	queue     []*waiter
 	seq       int64
-	tallies   map[string]*classTally
+	tallies   [numClasses]classTally
 	releases  int64
 	// decided holds the queued waiters decided under mu, delivered by unlock.
 	decided []*waiter
@@ -158,7 +159,7 @@ type Controller struct {
 	// virtual time (the start tag of the class's most recent grant).
 	tenanted bool
 	tenants  map[string]*tenantState
-	classVT  map[string]float64
+	classVT  [numClasses]float64
 	// arrivals counts tenant resolutions; tenantsEvicted counts auto states
 	// dropped past maxAutoTenants.
 	arrivals       int64
@@ -167,15 +168,12 @@ type Controller struct {
 
 // New builds a controller over the given config.
 func New(cfg Config) *Controller {
-	p := cfg.Policy.normalized()
 	return &Controller{
 		clock:     cfg.Clock,
 		tel:       cfg.Telemetry,
-		policy:    p,
-		unlimited: p.Unlimited(),
-		tallies:   map[string]*classTally{},
+		policy:    cfg.Policy,
+		unlimited: cfg.Policy.Unlimited(),
 		tenants:   map[string]*tenantState{},
-		classVT:   map[string]float64{},
 	}
 }
 
@@ -183,7 +181,7 @@ func New(cfg Config) *Controller {
 // finishes (success or failure). Release is idempotent and nil-safe.
 type Grant struct {
 	c      *Controller
-	class  string
+	class  class
 	tenant string
 	ts     *tenantState
 	wait   simclock.Time
@@ -204,7 +202,7 @@ func (g *Grant) Class() string {
 	if g == nil {
 		return ""
 	}
-	return g.class
+	return g.class.String()
 }
 
 // Tenant names the tenant the query ran under (empty for untagged queries).
@@ -253,7 +251,7 @@ func (c *Controller) Admit(ctx context.Context, req Request) (*Grant, error) {
 		if err := <-w.ch; err != nil {
 			return nil, err
 		}
-		c.release(w.class.Name, w.tenant)
+		c.release(w.class, w.tenant)
 		return nil, ctx.Err()
 	}
 }
@@ -275,78 +273,51 @@ func (c *Controller) Submit(req Request, done func(*Grant, error)) {
 // waiter — or leaves it queued and returns its waiter, whose decision later
 // reaches done (nil: the waiter's channel, for Admit).
 func (c *Controller) file(req Request, done func(*Grant, error)) (*waiter, *Grant, error) {
+	k := classify(req)
 	c.mu.Lock()
+	t := &c.tallies[k]
 	if c.unlimited && !c.tenanted {
 		// Pass-through: one mutex hop, no clock interaction, no queue. This
 		// is the admission-disabled path that must stay behaviourally
 		// identical to an engine without a controller.
-		cls := c.policy.classFor(req)
-		t := c.tallyLocked(cls.Name)
 		c.running++
 		t.running++
 		t.admitted++
 		c.mu.Unlock()
-		return nil, &Grant{c: c, class: cls.Name, tenant: req.Tenant}, nil
+		return nil, &Grant{c: c, class: k, tenant: req.Tenant}, nil
 	}
 	var ts *tenantState
-	pol := c.policy
 	if c.tenanted {
 		// Tenanted: every request — tagged or not — runs under a tenant
-		// state, so fair-queue selection and quotas see uniform waiters.
-		// Classification uses the tenant's merged (override-applied) policy.
+		// state, so fair-queue selection sees uniform waiters.
 		ts = c.tenantStateLocked(req.Tenant)
-		pol = ts.policy
 	}
-	cls := pol.classFor(req)
-	t := c.tallyLocked(cls.Name)
-	held := cls.HoldCostMS > 0 && req.CostMS > cls.HoldCostMS
-	if held && cls.QueueDeadline <= 0 {
+	held := c.policy.held(k, req.CostMS)
+	deadline := c.policy.config(k).QueueDeadline
+	reason := ""
+	switch {
+	case held && deadline <= 0:
 		// A hold with no deadline could never be shed or admitted: reject
 		// immediately instead of parking the query forever.
+		reason = ReasonCost
+	case ts != nil && ts.cfg.MaxQueue > 0 && ts.queued >= ts.cfg.MaxQueue:
+		reason = ReasonTenantQueueFull
+	}
+	if reason != "" {
 		t.rejected++
 		if ts != nil {
 			ts.rejected++
 		}
 		c.mu.Unlock()
-		c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
-		return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonCost}
-	}
-	// The class-wide queue bound comes from the base policy; a tenant
-	// override's MaxQueue bounds only the tenant's own slice of the queue.
-	classQ := cls.MaxQueue
-	if ts != nil {
-		if bc, ok := c.policy.Class(cls.Name); ok {
-			classQ = bc.MaxQueue
-		}
-	}
-	if classQ > 0 && t.queued >= classQ {
-		t.rejected++
-		if ts != nil {
-			ts.rejected++
-		}
-		c.mu.Unlock()
-		c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
-		return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonQueueFull}
-	}
-	if ts != nil {
-		full := ts.cfg.MaxQueue > 0 && ts.queued >= ts.cfg.MaxQueue
-		if !full {
-			if o, ok := ts.override(cls.Name); ok && o.MaxQueue > 0 && ts.classQueued[cls.Name] >= o.MaxQueue {
-				full = true
-			}
-		}
-		if full {
-			t.rejected++
-			ts.rejected++
-			c.mu.Unlock()
-			c.tel.Active().Counter("admission.rejected", cls.Name).Inc()
+		c.tel.Active().Counter("admission.rejected", k.String()).Inc()
+		if reason == ReasonTenantQueueFull {
 			c.tel.Active().Counter("admission.tenant_rejected", req.Tenant).Inc()
-			return nil, nil, &Rejection{Class: cls.Name, Tenant: req.Tenant, CostMS: req.CostMS, Reason: ReasonTenantQueueFull}
 		}
+		return nil, nil, &Rejection{Class: k.String(), Tenant: req.Tenant, CostMS: req.CostMS, Reason: reason}
 	}
 	c.seq++
 	w := &waiter{
-		class:      cls,
+		class:      k,
 		tenant:     ts,
 		tenantName: req.Tenant,
 		cost:       req.CostMS,
@@ -358,7 +329,6 @@ func (c *Controller) file(req Request, done func(*Grant, error)) (*waiter, *Gran
 	t.queued++
 	if ts != nil {
 		ts.queued++
-		ts.classQueued[cls.Name]++
 	}
 	c.drainLocked()
 	if w.state == stateGranted {
@@ -378,8 +348,8 @@ func (c *Controller) file(req Request, done func(*Grant, error)) (*waiter, *Gran
 	if held {
 		t.held++
 	}
-	if cls.QueueDeadline > 0 {
-		w.deadlineAt = w.enqueuedAt + cls.QueueDeadline
+	if deadline > 0 {
+		w.deadlineAt = w.enqueuedAt + deadline
 		w.cancelDL = c.clock.ScheduleAt(w.deadlineAt, func(at simclock.Time) { c.expire(w, at) })
 	}
 	c.unlock()
@@ -421,41 +391,24 @@ func (c *Controller) Running() int {
 	return c.running
 }
 
-// Policy returns a copy of the current admission policy.
+// Policy returns the current admission policy.
 func (c *Controller) Policy() Policy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.policy.clone()
+	return c.policy
 }
 
 // SetPolicy replaces the admission policy at runtime. Queued waiters are
-// re-resolved against the new class definitions: raised caps admit them,
-// lifted holds release them, and a newly-imposed hold on a waiter with no
-// queue deadline sheds it immediately (nothing could ever shed it later).
+// re-resolved against the new class bounds: raised caps admit them, lifted
+// holds release them, and a newly-imposed hold on a waiter with no queue
+// deadline sheds it immediately (nothing could ever shed it later).
 func (c *Controller) SetPolicy(p Policy) {
-	p = p.normalized()
 	c.mu.Lock()
 	c.policy = p
 	c.unlimited = p.Unlimited()
-	for _, ts := range c.tenants {
-		ts.policy = mergeTenantPolicy(p, ts.cfg)
-	}
 	var doomed []*waiter
 	for _, w := range c.queue {
-		if w.tenant != nil {
-			// Tenanted waiters re-resolve against their tenant's merged
-			// policy, so overrides survive the base-policy change; tenant
-			// holds bind even when the base policy is unlimited.
-			if cls, ok := w.tenant.policy.Class(w.class.Name); ok {
-				w.class = cls
-			}
-			w.held = w.class.HoldCostMS > 0 && w.cost > w.class.HoldCostMS
-		} else {
-			if cls, ok := p.Class(w.class.Name); ok {
-				w.class = cls
-			}
-			w.held = !c.unlimited && w.class.HoldCostMS > 0 && w.cost > w.class.HoldCostMS
-		}
+		w.held = p.held(w.class, w.cost)
 		if w.held && w.deadlineAt <= 0 {
 			doomed = append(doomed, w)
 		}
@@ -463,17 +416,16 @@ func (c *Controller) SetPolicy(p Policy) {
 	for _, w := range doomed {
 		w.state = stateShed
 		c.removeLocked(w)
-		t := c.tallyLocked(w.class.Name)
+		t := &c.tallies[w.class]
 		t.queued--
 		t.shed++
 		tenant := ""
 		if ts := w.tenant; ts != nil {
 			ts.queued--
-			ts.classQueued[w.class.Name]--
 			ts.shed++
 			tenant = ts.cfg.Name
 		}
-		w.err = &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: ReasonCost}
+		w.err = &Rejection{Class: w.class.String(), Tenant: tenant, CostMS: w.cost, Reason: ReasonCost}
 		c.decided = append(c.decided, w)
 	}
 	c.drainLocked()
@@ -481,21 +433,20 @@ func (c *Controller) SetPolicy(p Policy) {
 }
 
 // release returns one slot and admits the best queued waiter.
-func (c *Controller) release(name string, ts *tenantState) {
+func (c *Controller) release(k class, ts *tenantState) {
 	c.mu.Lock()
 	c.running--
-	c.tallyLocked(name).running--
+	c.tallies[k].running--
 	if ts != nil {
 		ts.running--
-		ts.classRunning[name]--
 	}
 	c.releases++
 	c.drainLocked()
 	c.unlock()
 }
 
-// drainLocked admits queued waiters while capacity allows, highest priority
-// first; within a priority level, untenanted controllers drain FIFO, and
+// drainLocked admits queued waiters while capacity allows, interactive
+// before batch; within a class, untenanted controllers drain FIFO, and
 // tenanted ones pick the waiter with the smallest fair-queuing start tag
 // (submission order breaks ties). Held waiters are skipped: they wait for a
 // policy change or their deadline regardless of capacity.
@@ -515,7 +466,7 @@ func (c *Controller) drainLocked() {
 		}
 		w := c.queue[best]
 		c.queue = append(c.queue[:best], c.queue[best+1:]...)
-		t := c.tallyLocked(w.class.Name)
+		t := &c.tallies[w.class]
 		t.queued--
 		w.state = stateGranted
 		if w.cancelDL != nil {
@@ -531,13 +482,11 @@ func (c *Controller) drainLocked() {
 		}
 		t.waitTotal += w.wait
 		if w.wait > 0 {
-			c.tel.Active().Histogram("admission.queue_wait_ms", w.class.Name, nil).Observe(float64(w.wait))
+			c.tel.Active().Histogram("admission.queue_wait_ms", w.class.String(), nil).Observe(float64(w.wait))
 		}
 		if ts := w.tenant; ts != nil {
 			ts.queued--
-			ts.classQueued[w.class.Name]--
 			ts.running++
-			ts.classRunning[w.class.Name]++
 			ts.admitted++
 			ts.servedCost += w.cost
 			ts.waitTotal += w.wait
@@ -549,12 +498,12 @@ func (c *Controller) drainLocked() {
 			if cost < minFairCost {
 				cost = minFairCost
 			}
-			start := ts.tag[w.class.Name]
-			if vt := c.classVT[w.class.Name]; vt > start {
+			start := ts.tag[w.class]
+			if vt := c.classVT[w.class]; vt > start {
 				start = vt
 			}
-			c.classVT[w.class.Name] = start
-			ts.tag[w.class.Name] = start + cost/ts.cfg.weight()
+			c.classVT[w.class] = start
+			ts.tag[w.class] = start + cost/ts.cfg.weight()
 			if c.tenanted {
 				c.tel.Active().Histogram("admission.tenant_served_cost_ms", ts.cfg.Name, nil).Observe(w.cost)
 			}
@@ -565,11 +514,11 @@ func (c *Controller) drainLocked() {
 	}
 }
 
-// beatsLocked orders waiters for admission: higher class priority first,
-// then (when tenanted) smaller fair-queuing start tag, then submission order.
+// beatsLocked orders waiters for admission: interactive before batch, then
+// (when tenanted) smaller fair-queuing start tag, then submission order.
 func (c *Controller) beatsLocked(a, b *waiter) bool {
-	if a.class.Priority != b.class.Priority {
-		return a.class.Priority > b.class.Priority
+	if a.class != b.class {
+		return a.class < b.class
 	}
 	if c.tenanted {
 		at, bt := c.startTagLocked(a), c.startTagLocked(b)
@@ -584,49 +533,30 @@ func (c *Controller) beatsLocked(a, b *waiter) bool {
 // tenant's tag in the waiter's class, floored at the class virtual time so a
 // tenant returning from idle competes from "now", not from the past.
 func (c *Controller) startTagLocked(w *waiter) float64 {
-	vt := c.classVT[w.class.Name]
+	vt := c.classVT[w.class]
 	if w.tenant == nil {
 		return vt
 	}
-	if t := w.tenant.tag[w.class.Name]; t > vt {
+	if t := w.tenant.tag[w.class]; t > vt {
 		return t
 	}
 	return vt
 }
 
 func (c *Controller) admissibleLocked(w *waiter) bool {
-	if ts := w.tenant; ts != nil && ts.overQuotaLocked(w.class.Name) {
-		// Tenant quotas bind even under an unlimited policy. A quota can only
-		// block while the tenant has at least one query running, so the
-		// stall-advance invariant (idle machine => only held waiters remain)
-		// is preserved.
-		return false
-	}
 	if c.unlimited {
-		// An unlimited policy admits everything regardless of stale class
-		// configs carried by waiters queued under an earlier policy.
+		// An unlimited policy admits everything, including waiters queued
+		// under an earlier policy.
 		return true
 	}
 	if c.policy.MaxConcurrent > 0 && c.running >= c.policy.MaxConcurrent {
 		return false
 	}
-	// The class-wide cap comes from the base policy for tenanted waiters
-	// (their own config may carry a per-tenant override cap instead).
-	classMax := w.class.MaxConcurrent
-	if w.tenant != nil {
-		if bc, ok := c.policy.Class(w.class.Name); ok {
-			classMax = bc.MaxConcurrent
-		}
-	}
-	if classMax > 0 && c.tallyLocked(w.class.Name).running >= classMax {
-		return false
-	}
-	return true
+	limit := c.policy.config(w.class).MaxConcurrent
+	return limit <= 0 || c.tallies[w.class].running < limit
 }
 
-// expire sheds a waiter whose virtual queue deadline has passed. A shed
-// while the waiter's tenant is over its own quota is typed as a tenant-quota
-// shed (matching ErrTenantQuota) rather than a class-queue timeout.
+// expire sheds a waiter whose virtual queue deadline has passed.
 func (c *Controller) expire(w *waiter, at simclock.Time) {
 	c.mu.Lock()
 	if w.state != stateQueued {
@@ -635,25 +565,20 @@ func (c *Controller) expire(w *waiter, at simclock.Time) {
 	}
 	w.state = stateShed
 	c.removeLocked(w)
-	t := c.tallyLocked(w.class.Name)
+	t := &c.tallies[w.class]
 	t.queued--
 	t.shed++
-	reason := ReasonQueueTimeout
 	tenant := ""
 	if ts := w.tenant; ts != nil {
 		ts.queued--
-		ts.classQueued[w.class.Name]--
 		ts.shed++
 		tenant = ts.cfg.Name
-		if !w.held && ts.overQuotaLocked(w.class.Name) {
-			reason = ReasonTenantQuotaTimeout
-		}
 	}
-	c.tel.Active().Counter("admission.shed", w.class.Name).Inc()
+	c.tel.Active().Counter("admission.shed", w.class.String()).Inc()
 	if w.tenant != nil && c.tenanted {
 		c.tel.Active().Counter("admission.tenant_shed", tenant).Inc()
 	}
-	w.err = &Rejection{Class: w.class.Name, Tenant: tenant, CostMS: w.cost, Reason: reason, Wait: at - w.enqueuedAt}
+	w.err = &Rejection{Class: w.class.String(), Tenant: tenant, CostMS: w.cost, Reason: ReasonQueueTimeout, Wait: at - w.enqueuedAt}
 	c.decided = append(c.decided, w)
 	// More held waiters with later deadlines may remain on an otherwise idle
 	// machine; unlock keeps virtual time moving so their sheds fire too.
@@ -670,12 +595,11 @@ func (c *Controller) abandon(w *waiter) bool {
 	}
 	w.state = stateShed
 	c.removeLocked(w)
-	t := c.tallyLocked(w.class.Name)
+	t := &c.tallies[w.class]
 	t.queued--
 	t.cancelled++
 	if ts := w.tenant; ts != nil {
 		ts.queued--
-		ts.classQueued[w.class.Name]--
 		ts.cancelled++
 	}
 	if w.cancelDL != nil {
@@ -717,15 +641,6 @@ func (c *Controller) stallTargetLocked() (simclock.Time, bool) {
 	return min, found
 }
 
-func (c *Controller) tallyLocked(name string) *classTally {
-	t := c.tallies[name]
-	if t == nil {
-		t = &classTally{}
-		c.tallies[name] = t
-	}
-	return t
-}
-
 // publishGaugesLocked refreshes the queue-depth and running gauges. A nil or
 // disabled telemetry registry makes this a single atomic load.
 func (c *Controller) publishGaugesLocked() {
@@ -733,9 +648,12 @@ func (c *Controller) publishGaugesLocked() {
 	if reg == nil {
 		return
 	}
-	for name, t := range c.tallies {
-		reg.Gauge("admission.queue_depth", name).Set(float64(t.queued))
-		reg.Gauge("admission.running", name).Set(float64(t.running))
+	for k, t := range c.tallies {
+		if t == (classTally{}) {
+			continue // a class no query has reached yet
+		}
+		reg.Gauge("admission.queue_depth", class(k).String()).Set(float64(t.queued))
+		reg.Gauge("admission.running", class(k).String()).Set(float64(t.running))
 	}
 	reg.Gauge("admission.queue_depth", "").Set(float64(len(c.queue)))
 	reg.Gauge("admission.running", "").Set(float64(c.running))

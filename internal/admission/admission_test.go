@@ -20,41 +20,40 @@ func newController(p Policy) (*Controller, *simclock.Clock) {
 }
 
 func TestDefaultPolicyIsUnlimited(t *testing.T) {
-	if !DefaultPolicy().Unlimited() {
-		t.Fatal("DefaultPolicy must be unlimited (admission disabled)")
+	if !(Policy{}).Unlimited() {
+		t.Fatal("the zero policy must be unlimited (admission disabled)")
 	}
-	if (Policy{}).normalized().Unlimited() != true {
-		t.Fatal("zero policy must normalize to unlimited")
+	for _, p := range []Policy{
+		{MaxConcurrent: 1},
+		{Interactive: ClassConfig{MaxConcurrent: 1}},
+		{Batch: ClassConfig{HoldCostMS: 1}},
+	} {
+		if p.Unlimited() {
+			t.Fatalf("%+v reports unlimited", p)
+		}
+	}
+	// A deadline alone constrains nothing: no query ever waits for it.
+	if !(Policy{Batch: ClassConfig{QueueDeadline: 100}}).Unlimited() {
+		t.Fatal("a policy with only a queue deadline must be unlimited")
 	}
 }
 
 func TestClassify(t *testing.T) {
-	p := DefaultPolicy().normalized()
-	if got := p.Classify(5).Name; got != ClassInteractive {
-		t.Fatalf("cheap query classified %q, want %q", got, ClassInteractive)
-	}
-	if got := p.Classify(DefaultInteractiveCeilingMS + 1).Name; got != ClassBatch {
-		t.Fatalf("heavy query classified %q, want %q", got, ClassBatch)
-	}
-	// Explicit context tag wins over cost.
-	if got := p.classFor(Request{CostMS: 5, Class: ClassBatch}).Name; got != ClassBatch {
-		t.Fatalf("tagged query classified %q, want %q", got, ClassBatch)
-	}
-	// Unknown tag falls back to cost.
-	if got := p.classFor(Request{CostMS: 5, Class: "nope"}).Name; got != ClassInteractive {
-		t.Fatalf("unknown-tag query classified %q, want %q", got, ClassInteractive)
-	}
-	// Classes are sorted for classification regardless of declaration order.
-	p2 := Policy{Classes: []ClassConfig{
-		{Name: "huge"},
-		{Name: "small", CeilingMS: 10},
-		{Name: "medium", CeilingMS: 100},
-	}}.normalized()
-	if got := p2.Classify(50).Name; got != "medium" {
-		t.Fatalf("classified %q, want medium", got)
-	}
-	if got := p2.Classify(500).Name; got != "huge" {
-		t.Fatalf("classified %q, want huge", got)
+	for _, tc := range []struct {
+		req  Request
+		want class
+	}{
+		{Request{CostMS: 5}, interactive},
+		{Request{CostMS: InteractiveCeilingMS}, interactive}, // the ceiling is inclusive
+		{Request{CostMS: InteractiveCeilingMS + 1}, batch},
+		{Request{CostMS: 5, Class: ClassBatch}, batch},                                    // a tag wins over cost
+		{Request{CostMS: InteractiveCeilingMS + 1, Class: ClassInteractive}, interactive}, // either way
+		{Request{CostMS: 5, Class: "nope"}, interactive},                                  // an unknown tag falls back to cost
+		{Request{CostMS: InteractiveCeilingMS + 1, Class: "nope"}, batch},
+	} {
+		if got := classify(tc.req); got != tc.want {
+			t.Errorf("classify(%+v) = %s, want %s", tc.req, got, tc.want)
+		}
 	}
 }
 
@@ -126,45 +125,53 @@ func TestGlobalCapQueuesAndDrains(t *testing.T) {
 	}
 }
 
+// TestPriorityOrdersQueue: a queued interactive query drains before a batch
+// query that queued earlier.
 func TestPriorityOrdersQueue(t *testing.T) {
-	p := Policy{MaxConcurrent: 1, Classes: []ClassConfig{
-		{Name: "hi", Priority: 10, CeilingMS: 100},
-		{Name: "lo", Priority: 0},
-	}}
-	c, clk := newController(p)
+	c, clk := newController(Policy{MaxConcurrent: 1})
 	g, err := c.Admit(context.Background(), Request{Query: "seed", CostMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Low-priority waiter arrives first, high-priority second.
-	loDone := admitAsync(c, Request{Query: "lo", CostMS: 5000})
-	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	hiDone := admitAsync(c, Request{Query: "hi", CostMS: 10})
-	waitUntil(t, func() bool { return c.QueueDepth() == 2 })
+	var granted []*Grant
+	classes := func() (out []string) {
+		for _, g := range granted {
+			out = append(out, g.Class())
+		}
+		return out
+	}
+	submit := func(query string, cost float64) {
+		c.Submit(Request{Query: query, CostMS: cost}, func(g *Grant, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", query, err)
+			}
+			granted = append(granted, g)
+		})
+	}
+	// The batch waiter arrives first, the interactive one second.
+	submit("lo", 5000)
+	submit("hi", 10)
+	if len(granted) != 0 || c.QueueDepth() != 2 {
+		t.Fatalf("%d granted, %d queued behind the seed, want 0 and 2", len(granted), c.QueueDepth())
+	}
 	clk.Charge(10)
 	g.Release()
-	// The high-priority waiter must win the freed slot.
-	hi := <-hiDone
-	if hi.err != nil {
-		t.Fatal(hi.err)
+	// The interactive waiter must win the freed slot.
+	if len(granted) != 1 || granted[0].Class() != ClassInteractive {
+		t.Fatalf("grants %v after the seed's release, want [interactive]", classes())
 	}
 	if got := c.QueueDepth(); got != 1 {
 		t.Fatalf("queue depth after hi admitted = %d, want 1 (lo still queued)", got)
 	}
-	hi.g.Release()
-	lo := <-loDone
-	if lo.err != nil {
-		t.Fatal(lo.err)
+	granted[0].Release()
+	if len(granted) != 2 || granted[1].Class() != ClassBatch {
+		t.Fatalf("grants %v after the interactive release, want [interactive batch]", classes())
 	}
-	lo.g.Release()
+	granted[1].Release()
 }
 
 func TestCostHoldShedsOnDeadline(t *testing.T) {
-	p := Policy{Classes: []ClassConfig{
-		{Name: "hi", Priority: 10, CeilingMS: 100},
-		{Name: "lo", HoldCostMS: 1000, QueueDeadline: 500},
-	}}
-	c, clk := newController(p)
+	c, clk := newController(Policy{Batch: ClassConfig{HoldCostMS: 1000, QueueDeadline: 500}})
 	start := clk.Now()
 	_, err := c.Admit(context.Background(), Request{Query: "heavy", CostMS: 2000})
 	if err == nil {
@@ -174,7 +181,7 @@ func TestCostHoldShedsOnDeadline(t *testing.T) {
 		t.Fatalf("shed error %v must match ErrAdmissionRejected, ErrQueueTimeout and simclock.ErrDeadline", err)
 	}
 	var rej *Rejection
-	if !errors.As(err, &rej) || rej.Reason != ReasonQueueTimeout || rej.Class != "lo" || rej.Wait != 500 {
+	if !errors.As(err, &rej) || rej.Reason != ReasonQueueTimeout || rej.Class != ClassBatch || rej.Wait != 500 {
 		t.Fatalf("rejection = %+v", rej)
 	}
 	// The stall-advance must have moved virtual time to the deadline even
@@ -183,20 +190,13 @@ func TestCostHoldShedsOnDeadline(t *testing.T) {
 		t.Fatalf("clock advanced %v, want 500ms (stall-advance to queue deadline)", got)
 	}
 	st := c.Stats()
-	var lo ClassStats
-	for _, cs := range st.Classes {
-		if cs.Name == "lo" {
-			lo = cs
-		}
-	}
-	if lo.Held != 1 || lo.Shed != 1 {
-		t.Fatalf("lo stats = %+v, want Held=1 Shed=1", lo)
+	if b := st.Classes[batch]; b.Name != ClassBatch || b.Held != 1 || b.Shed != 1 {
+		t.Fatalf("batch stats = %+v, want Held=1 Shed=1", b)
 	}
 }
 
 func TestHoldWithoutDeadlineRejectsImmediately(t *testing.T) {
-	p := Policy{Classes: []ClassConfig{{Name: "only", HoldCostMS: 100}}}
-	c, clk := newController(p)
+	c, clk := newController(Policy{Interactive: ClassConfig{HoldCostMS: 100}})
 	_, err := c.Admit(context.Background(), Request{Query: "heavy", CostMS: 200})
 	var rej *Rejection
 	if !errors.As(err, &rej) || rej.Reason != ReasonCost {
@@ -213,43 +213,20 @@ func TestHoldWithoutDeadlineRejectsImmediately(t *testing.T) {
 	}
 }
 
-func TestQueueFullRejects(t *testing.T) {
-	p := Policy{MaxConcurrent: 1, Classes: []ClassConfig{{Name: "only", MaxQueue: 1}}}
-	c, _ := newController(p)
-	g, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := admitAsync(c, Request{Query: "b", CostMS: 10})
-	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	_, err = c.Admit(context.Background(), Request{Query: "c", CostMS: 10})
-	var rej *Rejection
-	if !errors.As(err, &rej) || rej.Reason != ReasonQueueFull {
-		t.Fatalf("err = %v, want queue-full rejection", err)
-	}
-	g.Release()
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	out.g.Release()
-}
-
 // TestSubmitDecidesOnTheDecidingCall: Submit never blocks. A request admitted
 // or refused on arrival is decided inside Submit; a queued one inside the
 // Release that frees a slot for it, with that instant's queue wait, and its
 // callback may re-enter the controller (b releases at once, which grants c
 // inside b's callback); a held one is shed by its queue-deadline event, which
-// the stall-advance fires once nothing runs.
+// the stall-advance fires once nothing runs. Every request runs under one
+// tenant whose queue bound refuses d.
 func TestSubmitDecidesOnTheDecidingCall(t *testing.T) {
-	c, clk := newController(Policy{MaxConcurrent: 1, Classes: []ClassConfig{
-		{Name: "q", MaxQueue: 2},
-		{Name: "h", HoldCostMS: 100, QueueDeadline: 500},
-	}})
+	c, clk := newController(Policy{MaxConcurrent: 1, Batch: ClassConfig{HoldCostMS: 100, QueueDeadline: 500}})
+	c.RegisterTenant(Tenant{Name: "t", MaxQueue: 2})
 	var log []string
 	grants := map[string]*Grant{}
 	submit := func(name, class string, cost float64, then func(*Grant)) {
-		c.Submit(Request{Query: name, CostMS: cost, Class: class}, func(g *Grant, err error) {
+		c.Submit(Request{Query: name, CostMS: cost, Class: class, Tenant: "t"}, func(g *Grant, err error) {
 			if err != nil {
 				log = append(log, fmt.Sprintf("%s shed %v at %v", name, errors.Is(err, ErrQueueTimeout), clk.Now()))
 				return
@@ -269,26 +246,26 @@ func TestSubmitDecidesOnTheDecidingCall(t *testing.T) {
 		log = nil
 	}
 
-	submit("a", "q", 10, nil)
+	submit("a", ClassInteractive, 10, nil)
 	expect("submit a", "a granted queued=false wait=0.000ms")
-	submit("b", "q", 10, func(g *Grant) { g.Release() })
-	submit("c", "q", 10, nil)
+	submit("b", ClassInteractive, 10, func(g *Grant) { g.Release() })
+	submit("c", ClassInteractive, 10, nil)
 	expect("submit b, c")
 	var rej *Rejection
-	c.Submit(Request{Query: "d", CostMS: 10, Class: "q"}, func(g *Grant, err error) {
-		if !errors.As(err, &rej) || rej.Reason != ReasonQueueFull {
-			t.Fatalf("d: grant %v err %v, want a queue-full refusal", g, err)
+	c.Submit(Request{Query: "d", CostMS: 10, Tenant: "t"}, func(g *Grant, err error) {
+		if !errors.As(err, &rej) || rej.Reason != ReasonTenantQueueFull {
+			t.Fatalf("d: grant %v err %v, want a tenant-queue-full refusal", g, err)
 		}
 	})
 	if rej == nil {
-		t.Fatal("the queue-full refusal was not decided inside Submit")
+		t.Fatal("the tenant-queue-full refusal was not decided inside Submit")
 	}
 
 	clk.AdvanceTo(25)
 	grants["a"].Release()
 	expect("a's release", "b granted queued=true wait=25.000ms", "c granted queued=true wait=25.000ms")
 
-	submit("e", "h", 200, nil)
+	submit("e", ClassBatch, 200, nil)
 	expect("submit e")
 	grants["c"].Release()
 	expect("c's release", "e shed true at 525.000ms")
@@ -353,7 +330,7 @@ func TestContextCancelWhileQueued(t *testing.T) {
 func TestSetPolicyReclassifiesQueue(t *testing.T) {
 	// Start with a hold that parks the query, then lift the hold at runtime:
 	// the waiter must be admitted.
-	p := Policy{Classes: []ClassConfig{{Name: "only", HoldCostMS: 100, QueueDeadline: 10000}}}
+	p := Policy{Interactive: ClassConfig{HoldCostMS: 100, QueueDeadline: 10000}}
 	c, _ := newController(p)
 	// A running query keeps the machine busy so the held waiter is parked
 	// rather than stall-advanced straight to its deadline.
@@ -363,8 +340,8 @@ func TestSetPolicyReclassifiesQueue(t *testing.T) {
 	}
 	done := admitAsync(c, Request{Query: "heavy", CostMS: 200})
 	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	lifted := p.clone()
-	lifted.Classes[0].HoldCostMS = 0
+	lifted := p
+	lifted.Interactive.HoldCostMS = 0
 	c.SetPolicy(lifted)
 	out := <-done
 	if out.err != nil {
@@ -397,13 +374,13 @@ func TestTelemetryCounters(t *testing.T) {
 	clk := simclock.New()
 	tel := telemetry.New()
 	tel.SetEnabled(true)
-	p := Policy{Classes: []ClassConfig{{Name: "only", HoldCostMS: 100, QueueDeadline: 50}}}
+	p := Policy{Interactive: ClassConfig{HoldCostMS: 100, QueueDeadline: 50}}
 	c := New(Config{Clock: clk, Telemetry: tel, Policy: p})
 	_, err := c.Admit(context.Background(), Request{Query: "heavy", CostMS: 200})
 	if !errors.Is(err, ErrQueueTimeout) {
 		t.Fatalf("err = %v", err)
 	}
-	if got := tel.Metrics().CounterValue("admission.shed", "only"); got != 1 {
+	if got := tel.Metrics().CounterValue("admission.shed", ClassInteractive); got != 1 {
 		t.Fatalf("admission.shed = %d, want 1", got)
 	}
 	if v, ok := tel.Metrics().GaugeValue("admission.queue_depth", ""); !ok || v != 0 {
@@ -412,15 +389,13 @@ func TestTelemetryCounters(t *testing.T) {
 }
 
 // TestAdmissionConcurrencySoak hammers the controller from many goroutines
-// under -race: mixed classes, caps small enough to force queueing, deadlines
+// under -race: both classes, caps small enough to force queueing, deadlines
 // short enough to shed some, and random releases via Charge.
 func TestAdmissionConcurrencySoak(t *testing.T) {
 	p := Policy{
 		MaxConcurrent: 4,
-		Classes: []ClassConfig{
-			{Name: "hi", Priority: 10, CeilingMS: 100, MaxConcurrent: 3, QueueDeadline: 10000},
-			{Name: "lo", MaxConcurrent: 2, MaxQueue: 64, QueueDeadline: 10000},
-		},
+		Interactive:   ClassConfig{MaxConcurrent: 3, QueueDeadline: 10000},
+		Batch:         ClassConfig{MaxConcurrent: 2, QueueDeadline: 10000},
 	}
 	c, clk := newController(p)
 	const workers = 32
@@ -432,7 +407,7 @@ func TestAdmissionConcurrencySoak(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 16; j++ {
-				cost := float64(10 + (i*31+j*17)%300)
+				cost := float64(100 + (i*31+j*17)%3000) // both sides of the interactive ceiling
 				g, err := c.Admit(context.Background(), Request{Query: fmt.Sprintf("q%d-%d", i, j), CostMS: cost})
 				mu.Lock()
 				if err != nil {
@@ -446,7 +421,7 @@ func TestAdmissionConcurrencySoak(t *testing.T) {
 				}
 				admitted++
 				mu.Unlock()
-				clk.Charge(simclock.Time(cost / 10))
+				clk.Charge(simclock.Time(cost / 100))
 				g.Release()
 			}
 		}(i)

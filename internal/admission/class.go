@@ -1,40 +1,38 @@
 package admission
 
-import (
-	"sort"
+import "repro/internal/simclock"
 
-	"repro/internal/simclock"
-)
-
-// Built-in workload class names. Deployments may define any classes they
-// like; these two are the defaults every federation starts with.
+// The two workload class names. A WithClass tag naming either pins the
+// class; any other tag falls back to cost classification.
 const (
 	ClassInteractive = "interactive"
 	ClassBatch       = "batch"
 )
 
-// DefaultInteractiveCeilingMS is the calibrated-cost boundary between the
-// default interactive and batch classes: queries the optimizer expects to
-// finish within a second are interactive.
-const DefaultInteractiveCeilingMS = 1000
+// InteractiveCeilingMS is the calibrated-cost boundary between the two
+// classes: queries the optimizer expects to finish within a second are
+// interactive, the rest batch.
+const InteractiveCeilingMS = 1000
 
-// ClassConfig defines one workload class. Zero means unlimited for every
-// cap-like field.
+// class indexes the two workload classes in drain order: a queued
+// interactive query is admitted before any queued batch query. Priority
+// never preempts running queries, only queue position.
+type class int
+
+const (
+	interactive class = iota
+	batch
+	numClasses
+)
+
+// String names the class.
+func (k class) String() string { return [numClasses]string{ClassInteractive, ClassBatch}[k] }
+
+// ClassConfig bounds one workload class. Zero means unlimited for every
+// field.
 type ClassConfig struct {
-	// Name identifies the class (context tags and stats key on it).
-	Name string
-	// Priority orders queued queries: higher drains first. Priority never
-	// preempts running queries, only queue position.
-	Priority int
-	// CeilingMS classifies by cost: a query whose calibrated estimate is at
-	// most CeilingMS may land in this class. Zero or negative means "accepts
-	// any cost" (a catch-all).
-	CeilingMS float64
 	// MaxConcurrent caps how many queries of this class run at once.
 	MaxConcurrent int
-	// MaxQueue caps how many queries of this class may wait; arrivals beyond
-	// it are rejected immediately (ReasonQueueFull).
-	MaxQueue int
 	// HoldCostMS parks queries whose calibrated estimate exceeds it: they
 	// queue (even with free capacity) until a policy change lifts the hold or
 	// their QueueDeadline sheds them. Zero disables holds.
@@ -46,103 +44,57 @@ type ClassConfig struct {
 	QueueDeadline simclock.Time
 }
 
-// Policy is a full admission configuration: a global concurrency cap plus an
-// ordered set of workload classes.
+// Policy is a full admission configuration: a global concurrency cap plus
+// the bounds of the two classes. The zero Policy is the admission-disabled
+// configuration every federation starts with: every cap unlimited and no
+// holds, under which the controller is a pure pass-through.
 type Policy struct {
-	// MaxConcurrent caps total running queries across all classes (0 =
+	// MaxConcurrent caps total running queries across both classes (0 =
 	// unlimited).
 	MaxConcurrent int
-	// Classes define the workload taxonomy. Classification walks them in
-	// ascending CeilingMS order and picks the first class whose ceiling
-	// covers the query's calibrated cost; a class with no ceiling is a
-	// catch-all. An empty slice selects the default two-class taxonomy.
-	Classes []ClassConfig
-}
-
-// DefaultPolicy is the admission-disabled configuration every federation
-// starts with: the standard interactive/batch taxonomy with every cap
-// unlimited and no holds. Under it the controller is a pure pass-through.
-func DefaultPolicy() Policy {
-	return Policy{
-		Classes: []ClassConfig{
-			{Name: ClassInteractive, Priority: 10, CeilingMS: DefaultInteractiveCeilingMS},
-			{Name: ClassBatch, Priority: 0},
-		},
-	}
+	// Interactive and Batch bound their classes.
+	Interactive ClassConfig
+	Batch       ClassConfig
 }
 
 // Unlimited reports whether the policy imposes no constraint at all — no
-// caps, no queue bounds, no holds — and the controller may take the
-// pass-through path.
+// caps and no holds — and the controller may take the pass-through path.
 func (p Policy) Unlimited() bool {
-	if p.MaxConcurrent > 0 {
-		return false
-	}
-	for _, c := range p.Classes {
-		if c.MaxConcurrent > 0 || c.MaxQueue > 0 || c.HoldCostMS > 0 {
+	for _, c := range [numClasses]ClassConfig{p.Interactive, p.Batch} {
+		if c.MaxConcurrent > 0 || c.HoldCostMS > 0 {
 			return false
 		}
 	}
-	return true
+	return p.MaxConcurrent <= 0
 }
 
-// Class finds a class by name.
-func (p Policy) Class(name string) (ClassConfig, bool) {
-	for _, c := range p.Classes {
-		if c.Name == name {
-			return c, true
-		}
+// config is one class's bounds.
+func (p Policy) config(k class) ClassConfig {
+	if k == interactive {
+		return p.Interactive
 	}
-	return ClassConfig{}, false
+	return p.Batch
 }
 
-// Classify maps a calibrated cost estimate to a class: the first class (in
-// ascending ceiling order, catch-alls last) whose ceiling covers the cost,
-// else the last class.
-func (p Policy) Classify(costMS float64) ClassConfig {
-	for _, c := range p.Classes {
-		if c.CeilingMS <= 0 || costMS <= c.CeilingMS {
-			return c
-		}
+// held reports whether the class's cost hold parks a query of the given
+// calibrated cost.
+func (p Policy) held(k class, costMS float64) bool {
+	hold := p.config(k).HoldCostMS
+	return hold > 0 && costMS > hold
+}
+
+// classify resolves a request's class: a tag naming a class wins; otherwise
+// a cost of at most InteractiveCeilingMS is interactive and anything else
+// batch.
+func classify(req Request) class {
+	switch req.Class {
+	case ClassInteractive:
+		return interactive
+	case ClassBatch:
+		return batch
 	}
-	return p.Classes[len(p.Classes)-1]
-}
-
-// classFor resolves a request's class: an explicit, known class tag wins;
-// otherwise cost classification.
-func (p Policy) classFor(req Request) ClassConfig {
-	if req.Class != "" {
-		if c, ok := p.Class(req.Class); ok {
-			return c
-		}
+	if req.CostMS <= InteractiveCeilingMS {
+		return interactive
 	}
-	return p.Classify(req.CostMS)
-}
-
-// normalized returns a copy with the default taxonomy filled in when Classes
-// is empty and classes sorted for classification (ascending ceiling,
-// catch-alls last, stable otherwise).
-func (p Policy) normalized() Policy {
-	out := p.clone()
-	if len(out.Classes) == 0 {
-		out.Classes = DefaultPolicy().Classes
-	}
-	sort.SliceStable(out.Classes, func(i, j int) bool {
-		ci, cj := out.Classes[i].CeilingMS, out.Classes[j].CeilingMS
-		if (ci <= 0) != (cj <= 0) {
-			return cj <= 0 // bounded ceilings before catch-alls
-		}
-		if ci <= 0 {
-			return false
-		}
-		return ci < cj
-	})
-	return out
-}
-
-// clone deep-copies the policy.
-func (p Policy) clone() Policy {
-	out := p
-	out.Classes = append([]ClassConfig(nil), p.Classes...)
-	return out
+	return batch
 }

@@ -9,7 +9,8 @@ import (
 
 // ErrAdmissionRejected is the sentinel every admission refusal matches:
 // errors.Is(err, ErrAdmissionRejected) holds whether the query was shed on a
-// queue deadline, bounced off a full queue, or held on cost with no way out.
+// queue deadline, bounced off its tenant's queue bound, or held on cost with
+// no way out.
 var ErrAdmissionRejected = errors.New("admission: query rejected")
 
 // ErrQueueTimeout is the sentinel for deadline sheds specifically: a query
@@ -18,30 +19,21 @@ var ErrAdmissionRejected = errors.New("admission: query rejected")
 // virtual-time deadline expiry like any other).
 var ErrQueueTimeout = errors.New("admission: queue deadline exceeded")
 
-// ErrTenantQuota is the sentinel for tenant-quota refusals: a query bounced
-// off its tenant's queue bound, or shed on a queue deadline while its tenant
-// was still over its concurrency quota. Both also match ErrAdmissionRejected;
-// the deadline variant additionally matches ErrQueueTimeout and
-// simclock.ErrDeadline, so callers can tell "the class queue timed me out"
-// from "my tenant's quota kept me from ever starting" with errors.Is alone.
+// ErrTenantQuota is the sentinel for a query bounced off its tenant's queue
+// bound. It also matches ErrAdmissionRejected, so callers can tell "my
+// tenant's backlog is full" from "the class queue timed me out" with
+// errors.Is alone.
 var ErrTenantQuota = errors.New("admission: tenant quota exceeded")
 
-// Rejection reasons.
+// Rejection reasons: the closed set a *Rejection carries.
 const (
 	// ReasonCost marks a query held on cost with no queue deadline to ever
 	// shed or revisit it — admitting it would park it forever.
 	ReasonCost = "cost_hold"
-	// ReasonQueueFull marks a query bounced off a class queue at MaxQueue.
-	ReasonQueueFull = "queue_full"
 	// ReasonQueueTimeout marks a queued query shed at its QueueDeadline.
 	ReasonQueueTimeout = "queue_timeout"
-	// ReasonTenantQueueFull marks a query bounced off its tenant's queue
-	// bound (tenant-wide MaxQueue or a per-class override's MaxQueue).
+	// ReasonTenantQueueFull marks a query bounced off its tenant's MaxQueue.
 	ReasonTenantQueueFull = "tenant_queue_full"
-	// ReasonTenantQuotaTimeout marks a queued query shed at its QueueDeadline
-	// while its tenant was over quota — the wait was the tenant's own doing,
-	// not class congestion.
-	ReasonTenantQuotaTimeout = "tenant_quota_timeout"
 )
 
 // Rejection is the typed error a refused query receives.
@@ -65,12 +57,8 @@ func (r *Rejection) Error() string {
 	switch r.Reason {
 	case ReasonQueueTimeout:
 		return fmt.Sprintf("admission: %s query shed after queueing %s (est %.3fms)", r.Class, r.Wait, r.CostMS)
-	case ReasonQueueFull:
-		return fmt.Sprintf("admission: %s queue full (est %.3fms)", r.Class, r.CostMS)
 	case ReasonTenantQueueFull:
 		return fmt.Sprintf("admission: tenant %q queue full (%s, est %.3fms)", r.Tenant, r.Class, r.CostMS)
-	case ReasonTenantQuotaTimeout:
-		return fmt.Sprintf("admission: tenant %q over quota, %s query shed after queueing %s (est %.3fms)", r.Tenant, r.Class, r.Wait, r.CostMS)
 	default:
 		return fmt.Sprintf("admission: %s query held on cost with no queue deadline (est %.3fms)", r.Class, r.CostMS)
 	}
@@ -78,13 +66,11 @@ func (r *Rejection) Error() string {
 
 // Unwrap makes every rejection errors.Is-match ErrAdmissionRejected; deadline
 // sheds additionally match ErrQueueTimeout and simclock.ErrDeadline, and
-// tenant-quota refusals additionally match ErrTenantQuota.
+// tenant queue-bound refusals additionally match ErrTenantQuota.
 func (r *Rejection) Unwrap() []error {
 	switch r.Reason {
 	case ReasonQueueTimeout:
 		return []error{ErrAdmissionRejected, ErrQueueTimeout, simclock.ErrDeadline}
-	case ReasonTenantQuotaTimeout:
-		return []error{ErrAdmissionRejected, ErrQueueTimeout, ErrTenantQuota, simclock.ErrDeadline}
 	case ReasonTenantQueueFull:
 		return []error{ErrAdmissionRejected, ErrTenantQuota}
 	}

@@ -8,10 +8,8 @@ import (
 
 // ClassStats is the per-class slice of a Stats snapshot.
 type ClassStats struct {
-	// Name and Priority identify the class (Priority from the current
-	// policy; 0 for classes no longer defined).
-	Name     string
-	Priority int
+	// Name identifies the class.
+	Name string
 	// Running and Queued are instantaneous occupancy.
 	Running int
 	Queued  int
@@ -21,8 +19,8 @@ type ClassStats struct {
 	QueuedTotal int64
 	Held        int64
 	// Shed counts queue-deadline expiries, Rejected immediate refusals
-	// (queue full / hopeless holds), Cancelled context cancellations while
-	// queued.
+	// (tenant queue full / hopeless holds), Cancelled context cancellations
+	// while queued.
 	Shed      int64
 	Rejected  int64
 	Cancelled int64
@@ -40,7 +38,7 @@ type Stats struct {
 	// TenantsEvicted counts idle states of unregistered tenants dropped to
 	// keep their number bounded.
 	TenantsEvicted int64
-	// Classes is sorted by descending priority, then name.
+	// Classes lists interactive, then batch.
 	Classes []ClassStats
 }
 
@@ -49,11 +47,10 @@ type TenantStats struct {
 	// Name identifies the tenant ("" is the default tenant untagged queries
 	// run under once tenancy is enabled).
 	Name string
-	// Weight is the effective fair-share weight; MaxConcurrent and MaxQueue
-	// echo the tenant's quotas (0 = unlimited).
-	Weight        float64
-	MaxConcurrent int
-	MaxQueue      int
+	// Weight is the effective fair-share weight; MaxQueue echoes the
+	// tenant's queue bound (0 = unbounded).
+	Weight   float64
+	MaxQueue int
 	// Registered distinguishes RegisterTenant-ed tenants from states
 	// auto-created for unregistered context tags.
 	Registered bool
@@ -63,8 +60,7 @@ type TenantStats struct {
 	// Admitted counts grants; QueuedTotal how many of those actually waited.
 	Admitted    int64
 	QueuedTotal int64
-	// Shed counts queue-deadline expiries (including tenant-quota sheds),
-	// Rejected immediate refusals, Cancelled context cancellations.
+	// Shed counts queue-deadline expiries, Rejected immediate refusals, Cancelled context cancellations.
 	Shed      int64
 	Rejected  int64
 	Cancelled int64
@@ -85,7 +81,6 @@ func (c *Controller) TenantStats() []TenantStats {
 		out = append(out, TenantStats{
 			Name:           name,
 			Weight:         ts.cfg.weight(),
-			MaxConcurrent:  ts.cfg.MaxConcurrent,
 			MaxQueue:       ts.cfg.MaxQueue,
 			Registered:     !ts.auto,
 			Running:        ts.running,
@@ -117,11 +112,11 @@ func (c *Controller) Stats() Stats {
 		Queued:         len(c.queue),
 		Releases:       c.releases,
 		TenantsEvicted: c.tenantsEvicted,
-		Classes:        make([]ClassStats, 0, len(c.tallies)),
+		Classes:        make([]ClassStats, 0, numClasses),
 	}
-	for name, t := range c.tallies {
-		cs := ClassStats{
-			Name:           name,
+	for k, t := range c.tallies {
+		out.Classes = append(out.Classes, ClassStats{
+			Name:           class(k).String(),
 			Running:        t.running,
 			Queued:         t.queued,
 			Admitted:       t.admitted,
@@ -131,17 +126,7 @@ func (c *Controller) Stats() Stats {
 			Rejected:       t.rejected,
 			Cancelled:      t.cancelled,
 			TotalQueueWait: t.waitTotal,
-		}
-		if cls, ok := c.policy.Class(name); ok {
-			cs.Priority = cls.Priority
-		}
-		out.Classes = append(out.Classes, cs)
+		})
 	}
-	sort.Slice(out.Classes, func(i, j int) bool {
-		if out.Classes[i].Priority != out.Classes[j].Priority {
-			return out.Classes[i].Priority > out.Classes[j].Priority
-		}
-		return out.Classes[i].Name < out.Classes[j].Name
-	})
 	return out
 }

@@ -7,10 +7,9 @@ import (
 )
 
 // Tenant configures one tenant of the federation: a named traffic source
-// with a fair-share weight, optional tenant-wide quotas, and optional
-// workload-class overrides. Registering at least one tenant switches the
-// controller into tenanted scheduling; with none registered the controller
-// behaves bit-for-bit as before tenancy existed.
+// with a fair-share weight and an optional queue bound. Registering at least
+// one tenant switches the controller into tenanted scheduling; with none
+// registered the controller behaves bit-for-bit as before tenancy existed.
 type Tenant struct {
 	// Name identifies the tenant; context tags (WithTenant), stats and log
 	// entries key on it. The empty name configures the default tenant that
@@ -20,21 +19,10 @@ type Tenant struct {
 	// tenants with weights 3 and 1 are served cost in a ~3:1 ratio. Zero or
 	// negative means 1.
 	Weight float64
-	// MaxConcurrent caps how many of this tenant's queries run at once,
-	// across all classes (0 = unlimited). A query blocked on this quota
-	// stays queued; if its queue deadline fires while the tenant is still
-	// over quota, the shed matches ErrTenantQuota.
-	MaxConcurrent int
-	// MaxQueue caps how many of this tenant's queries may wait, across all
+	// MaxQueue caps how many of this tenant's queries may wait, across both
 	// classes; arrivals beyond it are rejected immediately with a rejection
 	// matching ErrTenantQuota (0 = unbounded).
 	MaxQueue int
-	// Classes overrides same-named policy classes for this tenant's queries:
-	// classification ceilings, priorities, holds and queue deadlines come
-	// from the override, and an override's MaxConcurrent/MaxQueue bound the
-	// tenant's own per-class occupancy (the base policy's caps keep applying
-	// class-wide). Classes absent from the base policy are ignored.
-	Classes []ClassConfig
 }
 
 // weight is the effective fair-share weight.
@@ -49,23 +37,20 @@ func (t Tenant) weight() float64 {
 // tag, so zero-cost estimates still advance virtual time.
 const minFairCost = 1.0
 
-// tenantState is the controller's per-tenant accounting: configuration, the
-// merged per-tenant policy, start-time-fair-queuing tags, and counters.
+// tenantState is the controller's per-tenant accounting: configuration,
+// start-time-fair-queuing tags, and counters.
 type tenantState struct {
-	cfg    Tenant
-	policy Policy // base policy with this tenant's overrides merged
-	auto   bool   // lazily created for an unregistered tag, not via RegisterTenant
+	cfg  Tenant
+	auto bool // lazily created for an unregistered tag, not via RegisterTenant
 	// lastSeen orders auto states by their latest arrival, for eviction.
 	lastSeen int64
 
 	// tag is the tenant's next fair-queuing start tag per class: each grant
 	// sets tag = max(tag, class virtual time) + cost/weight.
-	tag map[string]float64
+	tag [numClasses]float64
 
-	running      int
-	queued       int
-	classRunning map[string]int
-	classQueued  map[string]int
+	running int
+	queued  int
 
 	admitted    int64
 	queuedTotal int64
@@ -76,72 +61,20 @@ type tenantState struct {
 	waitTotal   simclock.Time
 }
 
-func newTenantState(cfg Tenant, base Policy, auto bool) *tenantState {
-	return &tenantState{
-		cfg:          cfg,
-		policy:       mergeTenantPolicy(base, cfg),
-		auto:         auto,
-		tag:          map[string]float64{},
-		classRunning: map[string]int{},
-		classQueued:  map[string]int{},
-	}
-}
-
-// mergeTenantPolicy replaces same-named base classes with the tenant's
-// overrides and re-normalizes for classification order.
-func mergeTenantPolicy(base Policy, cfg Tenant) Policy {
-	if len(cfg.Classes) == 0 {
-		return base
-	}
-	out := base.clone()
-	for i, c := range out.Classes {
-		for _, o := range cfg.Classes {
-			if o.Name == c.Name {
-				out.Classes[i] = o
-			}
-		}
-	}
-	return out.normalized()
-}
-
-// override finds the tenant's class override by name.
-func (ts *tenantState) override(class string) (ClassConfig, bool) {
-	for _, o := range ts.cfg.Classes {
-		if o.Name == class {
-			return o, true
-		}
-	}
-	return ClassConfig{}, false
-}
-
-// overQuotaLocked reports whether a waiter of the given class is currently
-// blocked by this tenant's quotas (tenant-wide or per-class override cap) —
-// the signal that turns a deadline shed into a tenant-quota shed.
-func (ts *tenantState) overQuotaLocked(class string) bool {
-	if ts.cfg.MaxConcurrent > 0 && ts.running >= ts.cfg.MaxConcurrent {
-		return true
-	}
-	if o, ok := ts.override(class); ok && o.MaxConcurrent > 0 && ts.classRunning[class] >= o.MaxConcurrent {
-		return true
-	}
-	return false
-}
-
 // RegisterTenant adds (or reconfigures) a tenant. The first registration
 // switches the controller into tenanted scheduling: every admission flows
 // through the fair queue, untagged queries run under the default tenant, and
-// quotas and weights take effect. Re-registering an existing name replaces
+// weights and queue bounds take effect. Re-registering an existing name replaces
 // its configuration but keeps its counters and fair-queue position.
 func (c *Controller) RegisterTenant(t Tenant) {
 	c.mu.Lock()
 	wasTenanted := c.tenanted
 	ts := c.tenants[t.Name]
 	if ts == nil {
-		ts = newTenantState(t, c.policy, false)
+		ts = &tenantState{cfg: t}
 		c.tenants[t.Name] = ts
 	} else {
 		ts.cfg = t
-		ts.policy = mergeTenantPolicy(c.policy, t)
 		ts.auto = false
 	}
 	c.tenanted = true
@@ -152,7 +85,6 @@ func (c *Controller) RegisterTenant(t Tenant) {
 			if w.tenant == nil {
 				w.tenant = c.tenantStateLocked("")
 				w.tenant.queued++
-				w.tenant.classQueued[w.class.Name]++
 			}
 		}
 	}
@@ -207,7 +139,7 @@ const maxAutoTenants = 32
 
 // tenantStateLocked resolves (lazily creating) the state for a tenant name.
 // Unregistered names — including the blank default — get an auto state with
-// weight 1 and no quotas, so scheduling stays uniform across all waiters.
+// weight 1 and no queue bound, so scheduling stays uniform across all waiters.
 // Creating one past maxAutoTenants evicts the least recently seen auto states
 // with nothing queued or running; a tag that comes back starts afresh, at its
 // class's virtual time.
@@ -218,8 +150,7 @@ func (c *Controller) tenantStateLocked(name string) *tenantState {
 		ts.lastSeen = c.arrivals
 		return ts
 	}
-	ts = newTenantState(Tenant{Name: name}, c.policy, true)
-	ts.lastSeen = c.arrivals
+	ts = &tenantState{cfg: Tenant{Name: name}, auto: true, lastSeen: c.arrivals}
 	autos, idle := 0, []*tenantState(nil)
 	for _, t := range c.tenants {
 		if t.auto {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,42 +80,9 @@ func TestTenantRegistry(t *testing.T) {
 	}
 }
 
-func TestTenantQuotaBlocksUnderUnlimitedPolicy(t *testing.T) {
-	c, clk := newController(Policy{})
-	c.RegisterTenant(Tenant{Name: "acme", MaxConcurrent: 2})
-	g1, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10, Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := c.Admit(context.Background(), Request{Query: "b", CostMS: 10, Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Third query queues on the tenant quota even though the policy itself
-	// is unlimited; another tenant sails straight through.
-	done := admitAsync(c, Request{Query: "c", CostMS: 10, Tenant: "acme"})
-	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	other, err := c.Admit(context.Background(), Request{Query: "d", CostMS: 10, Tenant: "zeta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other.Release()
-	clk.Charge(7)
-	g1.Release()
-	out := <-done
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if !out.g.Queued() || out.g.QueueWait() != 7 {
-		t.Fatalf("quota-blocked grant wait = %v (queued=%v), want 7", out.g.QueueWait(), out.g.Queued())
-	}
-	out.g.Release()
-	g2.Release()
-}
-
 func TestTenantQueueFullRejectsTyped(t *testing.T) {
-	c, _ := newController(Policy{})
-	c.RegisterTenant(Tenant{Name: "acme", MaxConcurrent: 1, MaxQueue: 1})
+	c, _ := newController(Policy{MaxConcurrent: 1})
+	c.RegisterTenant(Tenant{Name: "acme", MaxQueue: 1})
 	g, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10, Tenant: "acme"})
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +108,14 @@ func TestTenantQueueFullRejectsTyped(t *testing.T) {
 	out.g.Release()
 }
 
-// TestTenantShedUnwrapChains pins the satellite-2 error taxonomy: a deadline
-// shed caused by the tenant's own quota is distinguishable from a class-queue
-// deadline shed, and both stay errors.Is-matchable against every applicable
-// sentinel.
+// TestTenantShedUnwrapChains pins the error taxonomy under tenancy: a
+// deadline shed and a hopeless cost hold each carry their tenant and stay
+// errors.Is-matchable against exactly their sentinels (the tenant queue-bound
+// refusal's chain is TestTenantQueueFullRejectsTyped's).
 func TestTenantShedUnwrapChains(t *testing.T) {
-	// Class-congestion shed: global cap 1, no tenant quota involved.
-	p := Policy{MaxConcurrent: 1, Classes: []ClassConfig{{Name: "only", QueueDeadline: 100}}}
+	// Class-congestion shed: global cap 1, the running query outlives the
+	// queued one's deadline.
+	p := Policy{MaxConcurrent: 1, Interactive: ClassConfig{QueueDeadline: 100}, Batch: ClassConfig{HoldCostMS: 2000}}
 	c, clk := newController(p)
 	c.RegisterTenant(Tenant{Name: "acme"})
 	g, err := c.Admit(context.Background(), Request{Query: "a", CostMS: 10, Tenant: "zeta"})
@@ -155,7 +124,7 @@ func TestTenantShedUnwrapChains(t *testing.T) {
 	}
 	done := admitAsync(c, Request{Query: "b", CostMS: 10, Tenant: "acme"})
 	waitUntil(t, func() bool { return c.QueueDepth() == 1 })
-	clk.Charge(150) // the running query outlives b's queue deadline
+	clk.Charge(150)
 	out := <-done
 	if out.err == nil {
 		t.Fatal("want deadline shed, got grant")
@@ -172,62 +141,26 @@ func TestTenantShedUnwrapChains(t *testing.T) {
 	if errors.Is(out.err, ErrTenantQuota) {
 		t.Fatal("class-congestion shed must not match ErrTenantQuota")
 	}
-	g.Release()
 
-	// Tenant-quota shed: unlimited capacity, but acme's own quota holds its
-	// second query in the queue past the deadline.
-	p2 := Policy{Classes: []ClassConfig{{Name: "only", QueueDeadline: 100}}}
-	c2, clk2 := newController(p2)
-	c2.RegisterTenant(Tenant{Name: "acme", MaxConcurrent: 1})
-	g2, err := c2.Admit(context.Background(), Request{Query: "a", CostMS: 10, Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
+	// Cost hold with no batch deadline: refused on arrival, whatever the
+	// tenant, matching only the umbrella sentinel.
+	_, err = c.Admit(context.Background(), Request{Query: "c", CostMS: 5000, Tenant: "acme"})
+	if !errors.As(err, &rej) || rej.Reason != ReasonCost || rej.Tenant != "acme" || rej.Class != ClassBatch {
+		t.Fatalf("err = %v, want a batch cost_hold refusal for acme", err)
 	}
-	done2 := admitAsync(c2, Request{Query: "b", CostMS: 10, Tenant: "acme"})
-	waitUntil(t, func() bool { return c2.QueueDepth() == 1 })
-	clk2.Charge(150)
-	out2 := <-done2
-	if out2.err == nil {
-		t.Fatal("want tenant-quota shed, got grant")
+	if !errors.Is(err, ErrAdmissionRejected) {
+		t.Fatalf("cost refusal %v must match ErrAdmissionRejected", err)
 	}
-	if !errors.As(out2.err, &rej) || rej.Reason != ReasonTenantQuotaTimeout || rej.Tenant != "acme" {
-		t.Fatalf("rejection = %+v, want tenant_quota_timeout for acme", rej)
-	}
-	for _, sentinel := range []error{ErrAdmissionRejected, ErrQueueTimeout, ErrTenantQuota, simclock.ErrDeadline} {
-		if !errors.Is(out2.err, sentinel) {
-			t.Fatalf("tenant-quota shed %v must match %v", out2.err, sentinel)
+	for _, sentinel := range []error{ErrQueueTimeout, ErrTenantQuota, simclock.ErrDeadline} {
+		if errors.Is(err, sentinel) {
+			t.Fatalf("cost refusal %v must not match %v", err, sentinel)
 		}
 	}
-	g2.Release()
-	stats := c2.TenantStats()
-	if len(stats) == 0 || stats[0].Name != "acme" || stats[0].Shed != 1 {
-		t.Fatalf("tenant stats = %+v, want acme Shed=1", stats)
-	}
-}
-
-func TestTenantClassOverrides(t *testing.T) {
-	c, _ := newController(Policy{})
-	// For acme, anything over 10ms is batch; everyone else keeps the 1000ms
-	// default interactive ceiling.
-	c.RegisterTenant(Tenant{Name: "acme", Classes: []ClassConfig{
-		{Name: ClassInteractive, Priority: 10, CeilingMS: 10},
-	}})
-	g, err := c.Admit(context.Background(), Request{Query: "q", CostMS: 50, Tenant: "acme"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Class() != ClassBatch {
-		t.Fatalf("acme 50ms query classified %q, want batch under override", g.Class())
-	}
 	g.Release()
-	g, err = c.Admit(context.Background(), Request{Query: "q", CostMS: 50, Tenant: "zeta"})
-	if err != nil {
-		t.Fatal(err)
+	stats := c.TenantStats()
+	if i := slices.IndexFunc(stats, func(ts TenantStats) bool { return ts.Name == "acme" }); i < 0 || stats[i].Shed != 1 || stats[i].Rejected != 1 {
+		t.Fatalf("tenant stats = %+v, want acme Shed=1 Rejected=1", stats)
 	}
-	if g.Class() != ClassInteractive {
-		t.Fatalf("zeta 50ms query classified %q, want interactive", g.Class())
-	}
-	g.Release()
 }
 
 // TestTenantWeightedFairShares drives a saturated single-slot machine with

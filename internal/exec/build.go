@@ -31,7 +31,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 	for _, j := range stmt.Joins {
 		pool = append(pool, sqlparser.SplitConjuncts(j.On)...)
 	}
-	pool = dropTrueLiterals(pool)
+	pool = sqlparser.DropTrueLiterals(pool)
 
 	// Push single-table conjuncts onto leaves.
 	planFor := map[string]Operator{}
@@ -43,7 +43,7 @@ func BuildPlan(stmt *sqlparser.SelectStmt, leaves map[string]Operator) (Operator
 		placed := false
 		for _, tr := range tables {
 			name := tr.EffectiveName()
-			if exprResolves(c, planFor[name].Schema()) {
+			if sqlparser.ExprResolves(c, planFor[name].Schema()) {
 				planFor[name] = &Filter{Input: planFor[name], Pred: c}
 				placed = true
 				break
@@ -112,7 +112,7 @@ func JoinLeftDeep(inputs []Operator, preds []sqlparser.Expr, finish []float64) O
 // reference resolves in schema and the rest, preserving order.
 func splitResolvable(conjuncts []sqlparser.Expr, schema *sqltypes.Schema) (in, out []sqlparser.Expr) {
 	for _, c := range conjuncts {
-		if exprResolves(c, schema) {
+		if sqlparser.ExprResolves(c, schema) {
 			in = append(in, c)
 		} else {
 			out = append(out, c)
@@ -212,7 +212,7 @@ func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
 	if len(orderBy) > 0 {
 		resolvable := true
 		for _, o := range orderBy {
-			if !exprResolves(o.Expr, schema) {
+			if !sqlparser.ExprResolves(o.Expr, schema) {
 				resolvable = false
 				break
 			}
@@ -294,26 +294,4 @@ func aggOutputName(item sqlparser.SelectItem) string {
 		return "" // projection derives the bare name itself
 	}
 	return item.Expr.String()
-}
-
-func dropTrueLiterals(list []sqlparser.Expr) []sqlparser.Expr {
-	out := list[:0]
-	for _, e := range list {
-		if lit, ok := e.(*sqlparser.Literal); ok && lit.Val.Kind() == sqltypes.KindBool && lit.Val.Bool() {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// exprResolves reports whether every column reference in e resolves in the
-// schema.
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -23,7 +23,7 @@ type MultitenantTenantOutcome struct {
 	Weight float64 `json:"weight"`
 	Class  string  `json:"class,omitempty"`
 	// Arrivals/Completed/Shed partition the tenant's offered queries; Shed
-	// counts typed admission refusals (tenant quotas or class congestion).
+	// counts typed admission refusals (tenant queue bounds or class congestion).
 	Arrivals  int     `json:"arrivals"`
 	Completed int     `json:"completed"`
 	Shed      int     `json:"shed"`
@@ -234,7 +234,7 @@ func mtOutcome(sc mtScenario, run mtRun) MultitenantOutcome {
 //	  cost ratio while contended must track the weights, and no query may
 //	  be lost (every arrival completes or sheds with a typed error).
 //	isolation: a light interactive tenant beside a heavy batch tenant that
-//	  floods at 2x capacity under a queue quota; the light tenant's p95 must
+//	  floods at 2x capacity under a queue bound; the light tenant's p95 must
 //	  not degrade more than 1.5x versus running alone.
 //
 // Every scenario is a seeded, replayable discrete-event simulation on the
@@ -296,18 +296,11 @@ func MultitenantStudy(opts Options) (MultitenantStudyResult, error) {
 
 	// Scenario 3 — isolation. A light interactive tenant (10 q/s of 30ms
 	// queries) runs beside a heavy batch tenant flooding at 2x the 2-slot
-	// capacity under a 300-deep queue quota; the baseline replays the same
+	// capacity under a 300-deep queue bound; the baseline replays the same
 	// light stream alone (per-stream rngs make its arrivals identical).
-	isoPolicy := admission.Policy{
-		MaxConcurrent: 2,
-		Classes: []admission.ClassConfig{
-			{Name: admission.ClassInteractive, Priority: 10},
-			{Name: admission.ClassBatch, Priority: 0},
-		},
-	}
 	iso := mtScenario{
 		name:     "isolation",
-		policy:   isoPolicy,
+		policy:   admission.Policy{MaxConcurrent: 2},
 		horizon:  4000,
 		seed:     opts.Seed,
 		overload: 2,

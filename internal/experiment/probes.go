@@ -456,16 +456,10 @@ func admissionProbe(name string) ([]ProbeRow, error) {
 		}
 		minHeavy = math.Min(minHeavy, gp.TotalEstMS)
 	}
-	pol := admission.DefaultPolicy()
-	pol.MaxConcurrent = 5
-	for i := range pol.Classes {
-		if pol.Classes[i].Name == admission.ClassBatch {
-			pol.Classes[i].MaxConcurrent = 1
-			pol.Classes[i].HoldCostMS = (maxLight + minHeavy) / 2
-			pol.Classes[i].QueueDeadline = 60000
-		}
-	}
-	adm.SetPolicy(pol)
+	adm.SetPolicy(admission.Policy{
+		MaxConcurrent: 5,
+		Batch:         admission.ClassConfig{MaxConcurrent: 1, HoldCostMS: (maxLight + minHeavy) / 2, QueueDeadline: 60000},
+	})
 
 	type submission struct {
 		sql, class string

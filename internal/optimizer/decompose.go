@@ -156,7 +156,7 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 	for _, j := range stmt.Joins {
 		pool = append(pool, sqlparser.SplitConjuncts(j.On)...)
 	}
-	pool = dropTrueLiterals(pool)
+	pool = sqlparser.DropTrueLiterals(pool)
 
 	schemas := make([]*sqltypes.Schema, len(groups))
 	for i, g := range groups {
@@ -170,7 +170,7 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 	for _, c := range pool {
 		placed := false
 		for i := range groups {
-			if exprResolves(c, schemas[i]) {
+			if sqlparser.ExprResolves(c, schemas[i]) {
 				pushed[i] = append(pushed[i], c)
 				placed = true
 				break
@@ -298,24 +298,4 @@ func sortedKeys(m map[string]bool) []string {
 		}
 	}
 	return out
-}
-
-func dropTrueLiterals(list []sqlparser.Expr) []sqlparser.Expr {
-	out := list[:0]
-	for _, e := range list {
-		if lit, ok := e.(*sqlparser.Literal); ok && lit.Val.Kind() == sqltypes.KindBool && lit.Val.Bool() {
-			continue
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-func exprResolves(e sqlparser.Expr, schema *sqltypes.Schema) bool {
-	for _, ref := range sqlparser.CollectColumnRefs(e, nil) {
-		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -82,7 +82,7 @@ func shardServers(sh catalog.Shard) []string {
 // aggregates and the rows' columns its tail reads when it does not.
 func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, tr sqlparser.TableRef, schema *sqltypes.Schema, opts DecomposeOpts) (*Decomposition, error) {
 	d := &Decomposition{Stmt: stmt}
-	conjuncts := dropTrueLiterals(sqlparser.SplitConjuncts(stmt.Where))
+	conjuncts := sqlparser.DropTrueLiterals(sqlparser.SplitConjuncts(stmt.Where))
 	executed := pruneShards(nick, tr.EffectiveName(), conjuncts)
 	plan := &ShardPlan{
 		Nickname: nick.Name,
@@ -265,7 +265,7 @@ func shardSetFor(spec *catalog.ShardSpec, n int, eff string, e sqlparser.Expr) [
 			if !ok {
 				return nil
 			}
-			key, op = v, flipOp(x.Op)
+			key, op = v, x.Op.Flip()
 		} else {
 			return nil
 		}
@@ -339,21 +339,6 @@ func rangeSet(spec *catalog.ShardSpec, n int, op sqlparser.BinaryOp, c sqltypes.
 		}
 	}
 	return set
-}
-
-func flipOp(op sqlparser.BinaryOp) sqlparser.BinaryOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLe:
-		return sqlparser.OpGe
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGe:
-		return sqlparser.OpLe
-	default:
-		return op
-	}
 }
 
 func isShardKeyRef(e sqlparser.Expr, spec *catalog.ShardSpec, eff string) bool {

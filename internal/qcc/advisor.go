@@ -31,30 +31,24 @@ type PlacementRecommendation struct {
 	Reason string
 }
 
-// AdvisorConfig tunes the advisor.
-type AdvisorConfig struct {
-	// MinFactor is the calibration factor above which a server counts as
-	// persistently hot (default 1.5).
-	MinFactor float64
-	// MaxRecommendations bounds the output (default 3).
-	MaxRecommendations int
-}
-
-func (c *AdvisorConfig) fill() {
-	if c.MinFactor == 0 {
-		c.MinFactor = 1.5
-	}
-	if c.MaxRecommendations == 0 {
-		c.MaxRecommendations = 3
-	}
-}
+const (
+	// defaultHotFactor is the calibration factor above which a server counts
+	// as persistently hot when the caller passes none.
+	defaultHotFactor = 1.5
+	// maxRecommendations bounds the advisor's output.
+	maxRecommendations = 3
+)
 
 // AdvisePlacement analyzes the explain history and current calibration
-// state and returns ranked replication recommendations. Only nicknames that
-// are NOT already hosted by a cool candidate are recommended (replication
-// adds an equivalent source; it is pointless when one already exists).
-func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cfg AdvisorConfig) []PlacementRecommendation {
-	cfg.fill()
+// state and returns at most maxRecommendations ranked replication
+// recommendations. minFactor is the calibration factor above which a server
+// counts as persistently hot (0: defaultHotFactor). Only nicknames that are
+// NOT already hosted by a cool candidate are recommended (replication adds an
+// equivalent source; it is pointless when one already exists).
+func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, minFactor float64) []PlacementRecommendation {
+	if minFactor == 0 {
+		minFactor = defaultHotFactor
+	}
 
 	// Workload per (server, nickname): calibrated estimate attributed to
 	// every nickname a fragment covers.
@@ -103,7 +97,7 @@ func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cf
 	// Coolest viable target: lowest heat, not fenced.
 	var recs []PlacementRecommendation
 	for _, hot := range servers {
-		if heat(hot) < cfg.MinFactor || q.Avail.IsDown(hot) {
+		if heat(hot) < minFactor || q.Avail.IsDown(hot) {
 			continue
 		}
 		type nickLoad struct {
@@ -129,7 +123,7 @@ func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cf
 			// already route around the hot server.
 			hasCool := false
 			for _, p := range n.Placements {
-				if p.ServerID != hot && heat(p.ServerID) < cfg.MinFactor && !q.Avail.IsDown(p.ServerID) {
+				if p.ServerID != hot && heat(p.ServerID) < minFactor && !q.Avail.IsDown(p.ServerID) {
 					hasCool = true
 					break
 				}
@@ -144,7 +138,7 @@ func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cf
 					continue
 				}
 				h := heat(cand)
-				if h >= cfg.MinFactor {
+				if h >= minFactor {
 					continue
 				}
 				if target == "" || h < best {
@@ -170,8 +164,8 @@ func (q *QCC) AdvisePlacement(cat *catalog.Catalog, entries []journal.Winner, cf
 		}
 		return recs[i].Nickname < recs[j].Nickname
 	})
-	if len(recs) > cfg.MaxRecommendations {
-		recs = recs[:cfg.MaxRecommendations]
+	if len(recs) > maxRecommendations {
+		recs = recs[:maxRecommendations]
 	}
 	return recs
 }

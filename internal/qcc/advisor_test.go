@@ -36,7 +36,7 @@ func TestAdvisorRecommendsReplicationOffHotServer(t *testing.T) {
 		}
 	}
 	q.PublishNow()
-	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), qcc.AdvisorConfig{MinFactor: 1.3})
+	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), 1.3)
 	if len(recs) == 0 {
 		t.Fatalf("expected a recommendation; S3 factor=%.2f", q.Calib.ServerFactor("S3"))
 	}
@@ -100,7 +100,7 @@ func TestAdvisorQuietWhenNoHotServer(t *testing.T) {
 		}
 	}
 	q.PublishNow()
-	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), qcc.AdvisorConfig{})
+	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), 0)
 	if len(recs) != 0 {
 		t.Fatalf("calm system should produce no recommendations: %+v", recs)
 	}
@@ -115,7 +115,7 @@ func TestAdvisorQuietWhenCoolReplicaExists(t *testing.T) {
 		}
 	}
 	q.PublishNow()
-	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), qcc.AdvisorConfig{})
+	recs := q.AdvisePlacement(sc.Catalog, sc.II.Journal().Winners.Tail(0), 0)
 	for _, r := range recs {
 		t.Fatalf("fully-replicated nicknames need no recommendations: %+v", r)
 	}
@@ -123,7 +123,7 @@ func TestAdvisorQuietWhenCoolReplicaExists(t *testing.T) {
 
 func TestAdvisorEmptyHistory(t *testing.T) {
 	sc, q := buildSkewed(t)
-	if recs := q.AdvisePlacement(sc.Catalog, nil, qcc.AdvisorConfig{}); recs != nil {
+	if recs := q.AdvisePlacement(sc.Catalog, nil, 0); recs != nil {
 		t.Fatalf("no history: %+v", recs)
 	}
 }

@@ -190,8 +190,8 @@ func (s *Session) command(line string) {
 		fmt.Fprintf(s.Out, "-- admission: %d running, %d queued, %d released\n",
 			st.Running, st.Queued, st.Releases)
 		for _, cs := range st.Classes {
-			fmt.Fprintf(s.Out, "-- %s (prio %d): running %d queued %d | admitted %d waited %d held %d shed %d rejected %d cancelled %d | total wait %.2fms\n",
-				cs.Name, cs.Priority, cs.Running, cs.Queued,
+			fmt.Fprintf(s.Out, "-- %s: running %d queued %d | admitted %d waited %d held %d shed %d rejected %d cancelled %d | total wait %.2fms\n",
+				cs.Name, cs.Running, cs.Queued,
 				cs.Admitted, cs.QueuedTotal, cs.Held, cs.Shed, cs.Rejected, cs.Cancelled,
 				float64(cs.TotalQueueWait))
 		}
@@ -205,8 +205,8 @@ func (s *Session) command(line string) {
 			fmt.Fprintln(s.Out, "-- no tenants registered (scheduling is tenant-unaware)")
 		}
 		for _, t := range regs {
-			fmt.Fprintf(s.Out, "-- %s: weight %.1f, max concurrent %d, max queue %d (0 = unlimited)\n",
-				t.Name, t.Weight, t.MaxConcurrent, t.MaxQueue)
+			fmt.Fprintf(s.Out, "-- %s: weight %.1f, max queue %d (0 = unbounded)\n",
+				t.Name, t.Weight, t.MaxQueue)
 		}
 		for _, ts := range adm.TenantStats() {
 			reg := ""
@@ -267,7 +267,7 @@ const helpText = `commands:
   \log                         query patroller log
   \route [n]                   last n routing decisions (default 10)
   \queue                       admission controller and patroller stats
-  \tenants                     tenant registry, fair-share and quota stats
+  \tenants                     tenant registry, fair-share and queue stats
   \telemetry on|off            toggle trace/metric collection
   \trace                       span tree of the most recent query
   \metrics                     metrics registry dump

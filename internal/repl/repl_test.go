@@ -121,3 +121,29 @@ func TestSessionWithoutQCC(t *testing.T) {
 		t.Fatalf("query: %s", got)
 	}
 }
+
+func TestSessionQueueAndTenants(t *testing.T) {
+	s, out := newSession(t, false)
+	if got := run(s, out, "\\tenants"); !strings.Contains(got, "no tenants registered") {
+		t.Fatalf("tenants (none): %s", got)
+	}
+	s.Fed.Admission().RegisterTenant(fedqcc.Tenant{Name: "gold", Weight: 3, MaxQueue: 5})
+	run(s, out, "SELECT COUNT(*) FROM parts AS p")
+
+	got := run(s, out, "\\queue")
+	i, b := strings.Index(got, "-- interactive: running 0 queued 0 | admitted 1"), strings.Index(got, "-- batch: running 0 queued 0 | admitted 0")
+	if i < 0 || b < 0 || i > b {
+		t.Fatalf("queue must list interactive (with the query) before batch: %s", got)
+	}
+	if !strings.Contains(got, "-- admission: 0 running, 0 queued, 1 released") {
+		t.Fatalf("queue totals: %s", got)
+	}
+
+	got = run(s, out, "\\tenants")
+	if !strings.Contains(got, "-- gold: weight 3.0, max queue 5") {
+		t.Fatalf("tenants must show gold's weight and queue bound: %s", got)
+	}
+	if !strings.Contains(got, "--  (implicit): running 0 queued 0 | admitted 1") {
+		t.Fatalf("tenants must show the untagged query under the default tenant: %s", got)
+	}
+}

@@ -50,20 +50,17 @@ func (m Mode) String() string {
 	return [...]string{"off", "fragment", "global", "weighted"}[m]
 }
 
-// Weights are the four score-term weights.
-type Weights struct {
-	CPU           float64
-	Memory        float64
-	CacheLocality float64
-	Latency       float64
+// weights are the four score-term weights.
+type weights struct {
+	cpu, memory, cacheLocality, latency float64
 }
 
-// DefaultWeights is the Milvus RFC weighting, Weighted's when none is set.
-var DefaultWeights = Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2}
+// milvusWeights is what Weighted scores with: the Milvus RFC weighting.
+var milvusWeights = weights{cpu: 0.3, memory: 0.2, cacheLocality: 0.3, latency: 0.2}
 
 // latencyOnly is what every other mode scores with: the score then orders
 // servers as their calibrated costs do, which is the paper's cost test.
-var latencyOnly = Weights{Latency: 1}
+var latencyOnly = weights{latency: 1}
 
 const (
 	// DefaultCloseness is the paper's "within 20%" band.
@@ -120,9 +117,6 @@ type Policy struct {
 	Mode Mode
 	// Closeness is the rotation modes' relative cost band (0: DefaultCloseness).
 	Closeness float64
-	// Weights are Weighted's score-term weights; all-zero selects
-	// DefaultWeights. The other modes score latency-only.
-	Weights Weights
 	// Rescore turns on the dispatch-time re-check (RerouteFragment).
 	Rescore bool
 }
@@ -184,8 +178,10 @@ type rotation struct {
 // Router, which starts with no rotation state.
 type Router struct {
 	cfg Config
-	// margin is the dispatch rescore's switching threshold for the mode.
-	margin float64
+	// weights and margin are the mode's score weighting and the dispatch
+	// rescore's switching threshold.
+	weights weights
+	margin  float64
 
 	mu        sync.Mutex
 	rotations map[string]*rotation
@@ -196,15 +192,13 @@ var _ integrator.Router = (*Router)(nil)
 
 // New builds a Router.
 func New(cfg Config) *Router {
-	r := &Router{cfg: cfg, rotations: map[string]*rotation{}}
+	r := &Router{cfg: cfg, rotations: map[string]*rotation{}, weights: milvusWeights}
 	if r.cfg.Closeness == 0 {
 		r.cfg.Closeness = DefaultCloseness
 	}
 	if cfg.Mode != Weighted {
-		r.cfg.Weights = latencyOnly
+		r.weights = latencyOnly
 		r.margin = rescoreMargin
-	} else if cfg.Weights == (Weights{}) {
-		r.cfg.Weights = DefaultWeights
 	}
 	return r
 }
@@ -433,7 +427,7 @@ func (r *Router) score(serverID, sig string, tables []string, cost, minCost floa
 	if cost > 0 && minCost > 0 {
 		lat = minCost / cost
 	}
-	w := r.cfg.Weights
+	w := r.weights
 	b := Breakdown{
 		ServerID: serverID,
 		CPU:      cpu,
@@ -441,7 +435,7 @@ func (r *Router) score(serverID, sig string, tables []string, cost, minCost floa
 		Cache:    cache,
 		Latency:  lat,
 	}
-	b.Total = w.CPU*cpu + w.Memory*mem + w.CacheLocality*cache + w.Latency*lat
+	b.Total = w.cpu*cpu + w.memory*mem + w.cacheLocality*cache + w.latency*lat
 	return b, true
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -107,7 +108,7 @@ func TestRepresentKeepsCheapestPerServer(t *testing.T) {
 
 func TestScoreBreakdown(t *testing.T) {
 	r := New(Config{
-		Policy: Policy{Mode: Weighted, Weights: Weights{CPU: 0.3, Memory: 0.2, CacheLocality: 0.3, Latency: 0.2}},
+		Policy: Policy{Mode: Weighted},
 		Signals: Signals{
 			FragmentFactor: func(serverID, sig string) float64 { return 2 }, // cpu = 0.5
 			Reliability:    func(serverID string) float64 { return 1.25 },   // pressure base
@@ -153,27 +154,62 @@ func TestScoreSkipsFencedAndInfinite(t *testing.T) {
 	}
 }
 
+// TestLatencyOnlyRankPicksTheCostWinner: under the paper modes' latency-only
+// weights, whatever the load, pressure and cache signals say, the best-ranked
+// server of any menu is the first of its cheapest unfenced, finite-cost
+// representatives: the cost winner.
+func TestLatencyOnlyRankPicksTheCostWinner(t *testing.T) {
+	r := New(Config{Signals: Signals{
+		FragmentFactor: func(id, sig string) float64 { return float64(id[1] - '0') },
+		Reliability:    func(id string) float64 { return 6 - float64(id[1]-'0') },
+		CacheResidency: func(id string, _ []string) float64 { return float64(id[1]-'0') / 5 },
+		IsFenced:       func(id string) bool { return id == "S3" },
+	}})
+	rng := rand.New(rand.NewPCG(7, 11))
+	for trial := 0; trial < 1000; trial++ {
+		var opts []optimizer.FragmentChoice
+		for n := 1 + rng.IntN(8); len(opts) < n; {
+			cost := float64(1 + rng.IntN(50))
+			if rng.IntN(10) == 0 {
+				cost = math.Inf(1)
+			}
+			opts = append(opts, choice(fmt.Sprintf("S%d", 1+rng.IntN(5)), cost))
+		}
+		reps, minCost := represent(opts)
+		want, wantCost := "", math.Inf(1)
+		for _, c := range reps {
+			if id, cost := c.choice.ServerID, c.choice.Plan.Est.TotalMS; id != "S3" && cost < wantCost {
+				want, wantCost = id, cost
+			}
+		}
+		scored, best := r.rank("sig", reps, minCost)
+		got := ""
+		if best >= 0 {
+			got = scored[best].choice.ServerID
+		}
+		if got != want {
+			t.Fatalf("trial %d: menu %v ranked %q first, want the cost winner %q", trial, opts, got, want)
+		}
+	}
+}
+
 // TestNewDefaults: the paper's modes rank by calibrated cost alone and take
-// the 25% margin whatever weights they are handed; Weighted takes its
-// weights as given, the Milvus defaults when none is set, and no margin.
+// the 25% margin; Weighted scores with the Milvus weights and no margin.
 func TestNewDefaults(t *testing.T) {
-	custom := Weights{CPU: 1}
 	for _, tc := range []struct {
 		policy      Policy
-		wantWeights Weights
+		wantWeights weights
 		wantMargin  float64
 	}{
 		{Policy{}, latencyOnly, rescoreMargin},
-		{Policy{Mode: Global, Weights: custom}, latencyOnly, rescoreMargin},
+		{Policy{Mode: Global}, latencyOnly, rescoreMargin},
 		{Policy{Mode: Fragment}, latencyOnly, rescoreMargin},
-		{Policy{Mode: Weighted}, DefaultWeights, 0},
-		{Policy{Mode: Weighted, Weights: custom}, custom, 0},
-		{Policy{Mode: Weighted, Weights: latencyOnly}, latencyOnly, 0},
+		{Policy{Mode: Weighted}, milvusWeights, 0},
 	} {
 		r := New(Config{Policy: tc.policy})
-		if r.cfg.Weights != tc.wantWeights || r.margin != tc.wantMargin {
+		if r.weights != tc.wantWeights || r.margin != tc.wantMargin {
 			t.Errorf("%+v resolved to weights %+v margin %v, want %+v and %v",
-				tc.policy, r.cfg.Weights, r.margin, tc.wantWeights, tc.wantMargin)
+				tc.policy, r.weights, r.margin, tc.wantWeights, tc.wantMargin)
 		}
 		if r.cfg.Closeness == 0 {
 			t.Errorf("%+v: closeness not defaulted", tc.policy)
@@ -328,8 +364,8 @@ func TestDispatchRescore(t *testing.T) {
 		{"a 30% win switches", Policy{Rescore: true}, 10, 7, "", "S2", 1, 1},
 		{"rotation modes share the margin", Policy{Mode: Fragment, Rescore: true}, 10, 8, "", "", 1, 0},
 		{"a fenced target switches unconditionally", Policy{Rescore: true}, 10, 50, "S1", "S2", 1, 1},
-		{"weighted switches on any better score", Policy{Mode: Weighted, Weights: latencyOnly, Rescore: true}, 10, 9.5, "", "S2", 1, 1},
-		{"weighted keeps an equal score", Policy{Mode: Weighted, Weights: latencyOnly, Rescore: true}, 10, 10, "", "", 1, 0},
+		{"weighted switches on any better score", Policy{Mode: Weighted, Rescore: true}, 10, 9.5, "", "S2", 1, 1},
+		{"weighted keeps an equal score", Policy{Mode: Weighted, Rescore: true}, 10, 10, "", "", 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := New(Config{

@@ -438,3 +438,43 @@ func JoinConjuncts(list []Expr) Expr {
 	}
 	return out
 }
+
+// DropTrueLiterals removes the literal TRUE conjuncts from list, in place.
+func DropTrueLiterals(list []Expr) []Expr {
+	out := list[:0]
+	for _, e := range list {
+		if lit, ok := e.(*Literal); ok && lit.Val.Kind() == sqltypes.KindBool && lit.Val.Bool() {
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// ExprResolves reports whether every column reference in e resolves in the
+// schema.
+func ExprResolves(e Expr, schema *sqltypes.Schema) bool {
+	for _, ref := range CollectColumnRefs(e, nil) {
+		if _, err := schema.ColumnIndex(ref.Table, ref.Name); err != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// Flip returns the comparison that holds with the operands swapped
+// (a < b is b > a); any other operator comes back unchanged.
+func (op BinaryOp) Flip() BinaryOp {
+	switch op {
+	case OpLt:
+		return OpGt
+	case OpLe:
+		return OpGe
+	case OpGt:
+		return OpLt
+	case OpGe:
+		return OpLe
+	default:
+		return op
+	}
+}

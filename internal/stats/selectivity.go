@@ -136,7 +136,7 @@ func comparisonSelectivity(e *sqlparser.BinaryExpr, p StatsProvider) float64 {
 		col, lit = colL, litR
 	case colR != nil && litL != nil:
 		col, lit = colR, litL
-		op = flipOp(op)
+		op = op.Flip()
 	default:
 		return DefaultRangeSelectivity
 	}
@@ -183,21 +183,6 @@ func betweenSelectivity(e *sqlparser.BetweenExpr, p StatsProvider) float64 {
 		return DefaultRangeSelectivity * DefaultRangeSelectivity
 	}
 	return cs.Hist.SelectivityBetween(lo.Val.Float(), hi.Val.Float())
-}
-
-func flipOp(op sqlparser.BinaryOp) sqlparser.BinaryOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLe:
-		return sqlparser.OpGe
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGe:
-		return sqlparser.OpLe
-	default:
-		return op
-	}
 }
 
 func asColumn(e sqlparser.Expr) *sqlparser.ColumnRef {

@@ -96,9 +96,7 @@ func TestTenantWeightedSharesFederation(t *testing.T) {
 	adm := fed.Admission()
 	adm.RegisterTenant(Tenant{Name: "gold", Weight: 3})
 	adm.RegisterTenant(Tenant{Name: "bronze", Weight: 1})
-	pol := DefaultAdmissionPolicy()
-	pol.MaxConcurrent = 1
-	adm.SetPolicy(pol)
+	adm.SetPolicy(AdmissionPolicy{MaxConcurrent: 1})
 
 	sql := mtTestStatement(t)
 	if _, err := fed.Query(sql); err != nil { // warm the plan cache before parking the slot
@@ -185,9 +183,7 @@ func TestTenantQuotaShedFederation(t *testing.T) {
 	adm := fed.Admission()
 	adm.RegisterTenant(Tenant{Name: "limited", Weight: 1, MaxQueue: 1})
 	adm.RegisterTenant(Tenant{Name: "free", Weight: 1})
-	pol := DefaultAdmissionPolicy()
-	pol.MaxConcurrent = 1
-	adm.SetPolicy(pol)
+	adm.SetPolicy(AdmissionPolicy{MaxConcurrent: 1})
 
 	sql := mtTestStatement(t)
 	if _, err := fed.Query(sql); err != nil {

@@ -41,10 +41,10 @@ func TestTenantDisabledIdentity(t *testing.T) {
 
 	base, baseTrees, baseClock := run(func(*fedqcc.Federation) {})
 	toggled, togTrees, togClock := run(func(fed *fedqcc.Federation) {
-		// Register tenants with quotas and weights, then deregister them all:
+		// Register tenants with weights and a queue bound, then deregister them all:
 		// removal must restore the exact tenant-unaware pass-through.
 		adm := fed.Admission()
-		adm.RegisterTenant(fedqcc.Tenant{Name: "gold", Weight: 3, MaxConcurrent: 1, MaxQueue: 1})
+		adm.RegisterTenant(fedqcc.Tenant{Name: "gold", Weight: 3, MaxQueue: 1})
 		adm.RegisterTenant(fedqcc.Tenant{Name: "bronze", Weight: 1})
 		if got := len(adm.Tenants()); got != 2 {
 			t.Fatalf("registered 2 tenants, listed %d", got)

@@ -22,21 +22,15 @@ const (
 	// LBWeighted routes every fragment with more than one candidate replica
 	// to the server scoring best on
 	//
-	//	score = cpu·w1 + memory·w2 + cache_locality·w3 + latency·w4
+	//	score = 0.3·cpu + 0.2·memory + 0.3·cache_locality + 0.2·latency
 	//
-	// fed by QCC's live signals (calibration and first-row factors,
+	// (the Milvus adaptive-routing RFC's weights), fed by QCC's live signals (calibration and first-row factors,
 	// reliability and fence state, admission queue depth) and the remote
 	// servers' buffer-pool residency estimates. With a single placement per
 	// fragment it never alters a plan, so replication-off federations stay
 	// bit-identical.
 	LBWeighted = router.Weighted
 )
-
-// RouteWeights are LBWeighted's score-term weights: calibration inflation
-// (CPU), reliability and queue pressure (Memory), buffer-pool residency
-// (CacheLocality) and normalized calibrated cost (Latency). All-zero selects
-// the Milvus RFC defaults (0.3, 0.2, 0.3, 0.2).
-type RouteWeights = router.Weights
 
 // RoutingStats counts what the route policy changed: queries a rotation
 // moved off the cheapest plan, and fragments re-checked and switched at
@@ -56,8 +50,8 @@ type QCCOptions struct {
 	// FixedCycle disables §3.4's dynamic cycle adjustment: the cycle stays
 	// at RecalibrationMS.
 	FixedCycle bool
-	// LoadBalance selects the routing mode (default off); LBWeighted scores
-	// with the default weights. Calibrator.SetRouting changes it later.
+	// LoadBalance selects the routing mode (default off).
+	// Calibrator.SetRouting changes it later.
 	LoadBalance LBMode
 	// LBCloseness is the §4 closeness band (default 0.2 = "within 20%").
 	LBCloseness float64
@@ -160,12 +154,11 @@ func (c *Calibrator) StatsSnapshot() QCCStats { return c.q.StatsSnapshot() }
 func (c *Calibrator) RoutingStats() RoutingStats { return c.q.Router.Stats() }
 
 // SetRouting replaces the route policy at runtime: the mode, the rotation
-// modes' closeness band (0 = the default 0.2), LBWeighted's weights (zero =
-// the defaults; the other modes rank by calibrated cost alone) and whether
-// every fragment is re-checked just before dispatch. Rotation state and
-// RoutingStats start over.
-func (c *Calibrator) SetRouting(mode LBMode, closeness float64, weights RouteWeights, rescore bool) {
-	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Weights: weights, Rescore: rescore})
+// modes' closeness band (0 = the default 0.2) and whether every fragment is
+// re-checked just before dispatch. Rotation state and RoutingStats start
+// over.
+func (c *Calibrator) SetRouting(mode LBMode, closeness float64, rescore bool) {
+	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Rescore: rescore})
 }
 
 // CostPolicy folds business logic (QoS goals, region preferences, cost
@@ -192,15 +185,11 @@ func (c *Calibrator) SetCostPolicy(p CostPolicy) {
 type PlacementRecommendation = qcc.PlacementRecommendation
 
 // AdvisePlacement mines the explain history and current calibration state
-// and recommends replicating hot, under-replicated nicknames onto cool
-// servers. minFactor is the calibration factor above which a server counts
+// and recommends replicating at most three hot, under-replicated nicknames
+// onto cool servers. minFactor is the calibration factor above which a server counts
 // as persistently hot (0 uses the default 1.5).
 func (c *Calibrator) AdvisePlacement(minFactor float64) []PlacementRecommendation {
-	return c.q.AdvisePlacement(
-		c.fed.catalog,
-		c.fed.ExplainLog(),
-		qcc.AdvisorConfig{MinFactor: minFactor},
-	)
+	return c.q.AdvisePlacement(c.fed.catalog, c.fed.ExplainLog(), minFactor)
 }
 
 // ApplyReplication executes a placement recommendation: the nickname's data

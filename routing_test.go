@@ -88,7 +88,7 @@ func TestWeightedSinglePlacementIdentity(t *testing.T) {
 		fed.EnableTelemetry()
 		cal := fed.EnableQCC(fedqcc.QCCOptions{})
 		if weighted {
-			cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+			cal.SetRouting(fedqcc.LBWeighted, 0, true)
 		}
 		var got []string
 		for _, sql := range identityWorkload {
@@ -109,24 +109,22 @@ func TestWeightedSinglePlacementIdentity(t *testing.T) {
 	}
 }
 
-// TestWeightedLatencyOnlyMatchesCostWinner is the property test: with every
-// weight zeroed except calibrated latency, the weighted router's decisions
-// must match the pure cost-based winner (the route QCC picks with no load
-// balancing installed).
-func TestWeightedLatencyOnlyMatchesCostWinner(t *testing.T) {
-	build := func(weighted bool) (*fedqcc.Federation, *fedqcc.Calibrator) {
+// TestLatencyOnlyRescoreKeepsTheCostWinner: the paper modes score replicas
+// by calibrated latency alone, so with the dispatch rescore on and no
+// rotation, every fragment re-check must agree with the pure cost-based
+// winner (the route QCC picks with no load balancing installed): the same
+// routes, and no fragment moved.
+func TestLatencyOnlyRescoreKeepsTheCostWinner(t *testing.T) {
+	build := func(rescore bool) (*fedqcc.Federation, *fedqcc.Calibrator) {
 		fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 100, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
-		if weighted {
-			cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{Latency: 1}, false)
-		}
+		cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, RuntimeReroute: rescore})
 		return fed, cal
 	}
 	costFed, costCal := build(false)
-	wFed, wCal := build(true)
+	rFed, rCal := build(true)
 	queries := []string{
 		"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100",
 		"SELECT SUM(l.l_price) FROM lineitem AS l WHERE l.l_qty < 25",
@@ -140,17 +138,20 @@ func TestWeightedLatencyOnlyMatchesCostWinner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := wFed.Query(sql)
+			got, err := rFed.Query(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if fmt.Sprint(want.Route) != fmt.Sprint(got.Route) {
-				t.Fatalf("round %d %q: latency-only weighted route %v != cost-based route %v",
+				t.Fatalf("round %d %q: rescored route %v != cost-based route %v",
 					round, sql, got.Route, want.Route)
 			}
 			costCal.PublishNow()
-			wCal.PublishNow()
+			rCal.PublishNow()
 		}
+	}
+	if st := rCal.RoutingStats(); st.RescoreChecks == 0 || st.RescoreSwitches != 0 {
+		t.Fatalf("routing stats %+v: want fragments re-checked and none moved", st)
 	}
 }
 
@@ -159,7 +160,7 @@ func TestWeightedLatencyOnlyMatchesCostWinner(t *testing.T) {
 // no typed engine errors leaking to the caller.
 func TestWeightedReplicaFailover(t *testing.T) {
 	replicaFailover(t, 6, func(cal *fedqcc.Calibrator) {
-		cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+		cal.SetRouting(fedqcc.LBWeighted, 0, true)
 	})
 }
 
@@ -170,7 +171,7 @@ func TestRotationAvoidsFencedReplica(t *testing.T) {
 	for _, mode := range []fedqcc.LBMode{fedqcc.LBFragment, fedqcc.LBGlobal} {
 		t.Run(mode.String(), func(t *testing.T) {
 			replicaFailover(t, 9, func(cal *fedqcc.Calibrator) {
-				cal.SetRouting(mode, 1.0, fedqcc.RouteWeights{}, false)
+				cal.SetRouting(mode, 1.0, false)
 			})
 		})
 	}
@@ -314,7 +315,7 @@ func TestRouteDecisionsLogged(t *testing.T) {
 		}
 	}
 
-	cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+	cal.SetRouting(fedqcc.LBWeighted, 0, true)
 	for i := 0; i < 3; i++ {
 		if _, err := fed.Query(sql); err != nil {
 			t.Fatal(err)
@@ -350,7 +351,7 @@ func TestFragmentSpansCarryOnlyTheirOwnRoute(t *testing.T) {
 	}
 	fed.EnableTelemetry()
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
-	cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+	cal.SetRouting(fedqcc.LBWeighted, 0, true)
 
 	record := func(sql string) (*fedqcc.QueryResult, fedqcc.QueryRecord) {
 		t.Helper()
@@ -541,7 +542,7 @@ func TestRouteSequencePinned(t *testing.T) {
 			build: replicated,
 			drive: func(h *routeHasher) {
 				cal := h.fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal, LBCloseness: 0.2})
-				cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+				cal.SetRouting(fedqcc.LBWeighted, 0, true)
 				hotspot(h, cal)
 			},
 			want: "7aeb3712b008e915",
@@ -600,7 +601,7 @@ func TestDisableQCCClearsRouting(t *testing.T) {
 	}
 	weighted := func(fed *fedqcc.Federation) *fedqcc.Calibrator {
 		cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
-		cal.SetRouting(fedqcc.LBWeighted, 0, fedqcc.RouteWeights{}, true)
+		cal.SetRouting(fedqcc.LBWeighted, 0, true)
 		return cal
 	}
 	for _, tc := range []struct {

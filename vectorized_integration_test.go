@@ -172,10 +172,8 @@ func TestVectorizedIdentityUnderAdmission(t *testing.T) {
 	sqls := soakStatements(12)
 	policy := fedqcc.AdmissionPolicy{
 		MaxConcurrent: 2,
-		Classes: []fedqcc.AdmissionClassConfig{
-			{Name: fedqcc.ClassInteractive, Priority: 10, CeilingMS: 500, MaxConcurrent: 2, QueueDeadline: 1e6},
-			{Name: fedqcc.ClassBatch, QueueDeadline: 1e6},
-		},
+		Interactive:   fedqcc.AdmissionClassConfig{MaxConcurrent: 2, QueueDeadline: 1e6},
+		Batch:         fedqcc.AdmissionClassConfig{QueueDeadline: 1e6},
 	}
 	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
 		fed.Admission().SetPolicy(policy)
