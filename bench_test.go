@@ -609,11 +609,49 @@ func vbQT1(b *testing.B) exec.Operator {
 	return op
 }
 
+// vbQT2 is QT2's plan with the index nested-loop join a server picks for it
+// (filter on customer, index join into orders on o_custkey, scalar SUM and
+// COUNT) over two stored 100k-row tables: customer(c_id, c_discount), half
+// of whose rows pass the filter, and orders(o_id, o_custkey, o_amount), each
+// order naming one customer, with a hash index on o_custkey.
+func vbQT2(b *testing.B) exec.Operator {
+	customer := sqltypes.NewRelation(sqltypes.NewSchema(
+		sqltypes.Column{Name: "c_id", Type: sqltypes.KindInt}, sqltypes.Column{Name: "c_discount", Type: sqltypes.KindFloat}))
+	orders := sqltypes.NewRelation(sqltypes.NewSchema(sqltypes.Column{Name: "o_id", Type: sqltypes.KindInt},
+		sqltypes.Column{Name: "o_custkey", Type: sqltypes.KindInt}, sqltypes.Column{Name: "o_amount", Type: sqltypes.KindFloat}))
+	for i := 0; i < 100_000; i++ {
+		customer.Rows = append(customer.Rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i*7919%2000) / 10000)})
+		orders.Rows = append(orders.Rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewInt(int64(i * 31337 % 100_000)), sqltypes.NewFloat(float64(i % 1000))})
+	}
+	ordersTab := vbTable(b, "orders", orders)
+	custkey, err := ordersTab.CreateIndex("orders_cust", "o_custkey", storage.IndexHash)
+	if err != nil {
+		b.Fatal(err)
+	}
+	stmt, err := sqlparser.Parse("SELECT SUM(o.o_amount), COUNT(*) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	join := &exec.IndexNLJoin{
+		Outer: &exec.Filter{
+			Input: &exec.SeqScan{Table: vbTable(b, "customer", customer), As: "c"},
+			Pred:  stmt.Where,
+		},
+		Inner: ordersTab, Index: custkey, InnerAs: "o",
+		OuterKey: &sqlparser.ColumnRef{Table: "c", Name: "c_id"},
+	}
+	op, err := exec.BuildTop(stmt, join)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return op
+}
+
 // BenchmarkVectorizedKernels times each operator kernel on the row engine and
 // on the columnar engine over the same operator tree. The filter, the
-// aggregate and qt1 read stored tables through SeqScan, as every server plan
-// does; the other kernels read a single-batch Values, the shape of a merged
-// fragment result.
+// aggregate, qt1 and inl read stored tables through SeqScan, as every server
+// plan does; the other kernels read a single-batch Values, the shape of a
+// merged fragment result.
 func BenchmarkVectorizedKernels(b *testing.B) {
 	col := func(name string) sqlparser.Expr { return &sqlparser.ColumnRef{Name: name} }
 	lit := func(v int64) sqlparser.Expr { return &sqlparser.Literal{Val: sqltypes.NewInt(v)} }
@@ -665,6 +703,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 			Build: vbValues(joinLeft), Probe: vbValues(joinRight), BuildKey: col("b"), ProbeKey: col("b"),
 		}},
 		{"qt1", vbQT1(b)},
+		{"inl", vbQT2(b)},
 	}
 	for _, k := range kernels {
 		for _, vectorized := range []bool{false, true} {

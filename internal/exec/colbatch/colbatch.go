@@ -72,7 +72,8 @@ func (c *Column) Gather(idx []int) *Column {
 	s.reserve(c, len(idx))
 	s.alloc()
 	out := &Column{}
-	s.gather(out, c, idx)
+	s.cut(out, c, len(idx))
+	out.fill(0, c, idx)
 	return out
 }
 
@@ -102,24 +103,34 @@ func (c *Column) Slice(lo, hi int) *Column {
 
 // GatherJoined is a join kernel's output: the columns of left gathered at
 // lIdx followed by the columns of right at rIdx (two index lists of one
-// length). The column headers share one allocation and the payloads one per
-// cell type, so a joined batch costs a handful of allocations however many
-// columns the two sides have.
+// length), JoinedColumns filled once from offset 0.
+func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int, unread uint64) []*Column {
+	cols := JoinedColumns(left, right, len(lIdx), unread)
+	FillJoined(cols, 0, left, lIdx, right, rIdx)
+	return cols
+}
+
+// JoinedColumns allocates the n rows of a join's output: the columns of left
+// followed by those of right, each typed as its source, every cell zero until
+// FillJoined writes it. The column headers share one allocation and the
+// payloads one per cell type, so a joined batch costs a handful of
+// allocations however many columns the two sides have.
 //
 // unread names the output columns nothing downstream reads, bit i for column
 // i (columns from 64 on are always gathered). Each of them is an all-NULL
 // placeholder (Kind == KindNull, no payload): the batch keeps its schema and
-// its column positions, and pays only for the columns that are read.
-func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int, unread uint64) []*Column {
+// its column positions, and pays only for the columns that are read. With no
+// rows the columns still carry their sources' kinds.
+func JoinedColumns(left, right []*Column, n int, unread uint64) []*Column {
 	var s slabs
 	for i, c := range left {
 		if !skipped(unread, i) {
-			s.reserve(c, len(lIdx))
+			s.reserve(c, n)
 		}
 	}
 	for i, c := range right {
 		if !skipped(unread, len(left)+i) {
-			s.reserve(c, len(rIdx))
+			s.reserve(c, n)
 		}
 	}
 	s.alloc()
@@ -130,12 +141,52 @@ func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int, unrea
 		switch {
 		case skipped(unread, i): // the zero Column: KindNull, no payload
 		case i < len(left):
-			s.gather(cols[i], left[i], lIdx)
+			s.cut(cols[i], left[i], n)
 		default:
-			s.gather(cols[i], right[i-len(left)], rIdx)
+			s.cut(cols[i], right[i-len(left)], n)
 		}
 	}
 	return cols
+}
+
+// FillJoined writes rows [at, at+len(lIdx)) of the columns JoinedColumns
+// allocated over the same sources: left's cells at lIdx, then right's at rIdx.
+// A placeholder has nothing to write.
+func FillJoined(cols []*Column, at int, left []*Column, lIdx []int, right []*Column, rIdx []int) {
+	for i, out := range cols {
+		if i < len(left) {
+			out.fill(at, left[i], lIdx)
+		} else {
+			out.fill(at, right[i-len(left)], rIdx)
+		}
+	}
+}
+
+// fill copies src's cells at idx into c's vectors from position at on.
+func (c *Column) fill(at int, src *Column, idx []int) {
+	if c.Mixed != nil {
+		fillCells(c.Mixed[at:], src.Mixed, idx)
+		return
+	}
+	if c.Nulls != nil {
+		fillCells(c.Nulls[at:], src.Nulls, idx)
+	}
+	switch c.Kind {
+	case sqltypes.KindInt:
+		fillCells(c.Ints[at:], src.Ints, idx)
+	case sqltypes.KindFloat:
+		fillCells(c.Floats[at:], src.Floats, idx)
+	case sqltypes.KindString:
+		fillCells(c.Strs[at:], src.Strs, idx)
+	case sqltypes.KindBool:
+		fillCells(c.Bools[at:], src.Bools, idx)
+	}
+}
+
+func fillCells[T any](dst, src []T, idx []int) {
+	for i, j := range idx {
+		dst[i] = src[j]
+	}
 }
 
 // skipped reports whether unread names column i.
@@ -143,7 +194,7 @@ func skipped(unread uint64, i int) bool { return i < 64 && unread&(1<<i) != 0 }
 
 // slabs are the allocations a set of gathered columns share: reserve counts
 // the cells each column will take, alloc makes one vector per cell type, and
-// gather cuts every column's vectors off the front of them.
+// cut hands every column its vectors off the front of them.
 type slabs struct {
 	nInts, nFloats, nStrs, nBools, nVals int
 
@@ -192,35 +243,33 @@ func (s *slabs) alloc() {
 	}
 }
 
-func (s *slabs) gather(out, c *Column, idx []int) {
+// cut gives out n cells of each vector c has, typed as c.
+func (s *slabs) cut(out, c *Column, n int) {
 	out.Kind = c.Kind
 	if c.Mixed != nil {
-		out.Mixed = gatherCells(&s.vals, c.Mixed, idx)
+		out.Mixed = cutCells(&s.vals, n)
 		return
 	}
 	if c.Nulls != nil {
-		out.Nulls = gatherCells(&s.bools, c.Nulls, idx)
+		out.Nulls = cutCells(&s.bools, n)
 	}
 	switch c.Kind {
 	case sqltypes.KindInt:
-		out.Ints = gatherCells(&s.ints, c.Ints, idx)
+		out.Ints = cutCells(&s.ints, n)
 	case sqltypes.KindFloat:
-		out.Floats = gatherCells(&s.floats, c.Floats, idx)
+		out.Floats = cutCells(&s.floats, n)
 	case sqltypes.KindString:
-		out.Strs = gatherCells(&s.strs, c.Strs, idx)
+		out.Strs = cutCells(&s.strs, n)
 	case sqltypes.KindBool:
-		out.Bools = gatherCells(&s.bools, c.Bools, idx)
+		out.Bools = cutCells(&s.bools, n)
 	}
 }
 
-// gatherCells cuts len(idx) cells off the front of the slab (capped, so an
-// append cannot run into the next column's cells) and fills them from src.
-func gatherCells[T any](slab *[]T, src []T, idx []int) []T {
-	dst := (*slab)[:len(idx):len(idx)]
-	*slab = (*slab)[len(idx):]
-	for i, j := range idx {
-		dst[i] = src[j]
-	}
+// cutCells cuts n cells off the front of the slab, capped so that an append
+// cannot run into the next column's cells.
+func cutCells[T any](slab *[]T, n int) []T {
+	dst := (*slab)[:n:n]
+	*slab = (*slab)[n:]
 	return dst
 }
 

@@ -70,9 +70,14 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 	if err != nil {
 		return nil, err
 	}
-	// Every probe first, then the matched inner rows in one materialization.
-	var probes float64
-	var outerOf, positions []int // per fetch: the outer row and the inner position
+	// Every probe first, counted, then its matches into lists of their final
+	// length, then the matched inner rows in one materialization.
+	type probe struct {
+		row int
+		h   uint64
+	}
+	probes := make([]probe, 0, len(outer.Rows))
+	fetches := 0
 	for o, orow := range outer.Rows {
 		k, err := sqlparser.Eval(j.OuterKey, orow, outer.Schema)
 		if err != nil {
@@ -81,11 +86,16 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 		if k.IsNull() {
 			continue
 		}
-		probes++
+		h := k.Hash()
+		probes = append(probes, probe{o, h})
+		fetches += iv.CountEqHash(h)
+	}
+	outerOf, positions := make([]int, 0, fetches), make([]int, 0, fetches) // per fetch: the outer row and the inner position
+	for _, p := range probes {
 		before := len(positions)
-		positions = iv.AppendEqHash(positions, k.Hash())
+		positions = iv.AppendEqHash(positions, p.h, 0, iv.CountEqHash(p.h))
 		for range positions[before:] {
-			outerOf = append(outerOf, o)
+			outerOf = append(outerOf, p.row)
 		}
 	}
 	outSchema := outer.Schema.Concat(j.innerSchema())
@@ -104,7 +114,7 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 		out.Rows = append(out.Rows, joined)
 	}
 	ctx.read(v)
-	j.charge(ctx, iv, probes, float64(len(positions)))
+	j.charge(ctx, iv, float64(len(probes)), float64(fetches))
 	return out, nil
 }
 

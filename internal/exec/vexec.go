@@ -19,9 +19,9 @@ import (
 // wall-clock cost of running the simulation changes.
 //
 // The tree runs as a pull pipeline (see pipe) and this is its drain: a lone
-// output batch is returned uncopied, views of one table's columns (a scan's
-// windows, filtered or not) join into one view of them, and anything else
-// concatenates into one batch (colbatch.Accumulator).
+// output batch is returned uncopied, views of one set of columns (a scan's
+// or an index join's windows, filtered or not) join into one view of them,
+// and anything else concatenates into one batch (colbatch.Accumulator).
 func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 	return open(op, ctx).drain()
 }
@@ -69,11 +69,12 @@ func (s *BatchStream) Explain() string { return "STREAM " + s.Label }
 func (s *BatchStream) Children() []Operator { return nil }
 
 // batchwise marks the operators that turn every batch of one input into one
-// output batch. SeqScan and BatchStream yield many batches; every other
-// operator emits a single batch: leaves, and the blocking operators, which
-// read their input to its end first — Sort, the hash join's hashed side, the
-// index join's outer side and both sides of the nested-loop join collect it
-// into one batch, aggregation (plain and shard-final) folds it batch by batch.
+// output batch. SeqScan, BatchStream and IndexNLJoin yield many batches; every
+// other operator emits a single batch: leaves, and the blocking operators,
+// which read their input to its end first — Sort, the hash join's hashed side,
+// the index join's outer side and both sides of the nested-loop join collect
+// it into one batch, aggregation (plain and shard-final) folds it batch by
+// batch.
 type batchwise interface{ batchInput() Operator }
 
 func (f *Filter) batchInput() Operator   { return f.Input }
@@ -82,20 +83,22 @@ func (l *Limit) batchInput() Operator    { return l.Input }
 func (d *Distinct) batchInput() Operator { return d.Input }
 func (j *HashJoin) batchInput() Operator { _, streamed := j.sides(); return streamed }
 
-// scanWindow is how many rows of a stored table a SeqScan hands the pipeline
-// at a time: every vector a kernel builds over a window (selections, key
-// hashes, match lists, fold scratch) stays cache-sized, whatever the table's
-// length.
+// scanWindow is how many rows of a stored table a SeqScan, and how many
+// joined rows an IndexNLJoin, hands the pipeline at a time: every vector a
+// kernel builds over a window (selections, key hashes, match lists, fold
+// scratch) stays cache-sized, whatever the table's length.
 const scanWindow = 2048
 
 // pipe is one operator of a running pull pipeline: Next returns the
 // operator's next output batch and nil once it is exhausted, pulling from the
 // pipes of its inputs as it goes. Every pipe yields at least one batch, so a
 // schema and an (empty) result always reach the consumer. A SeqScan yields
-// its table in windows of scanWindow rows, all of one storage view; the
-// operators above it run window by window, each keeping its compiled
-// expressions and scratch vectors from one batch to the next. Emitted batches
-// are never written again: only what stays inside a kernel is reused.
+// its table in windows of scanWindow rows, all of one storage view, and an
+// IndexNLJoin its output in windows of scanWindow joined rows, all of one set
+// of output columns; the operators above them run window by window, each
+// keeping its compiled expressions and scratch vectors from one batch to the
+// next. Emitted batches are never written again: only what stays inside a
+// kernel is reused.
 //
 // What an operator charges is a sum over its input rows, posted batch by
 // batch (the integrator's merge timeline prices ctx.Res at every pull), so it
@@ -111,8 +114,8 @@ type pipe struct {
 	ctx *Context
 	in  *pipe // the input pulled batch by batch
 
-	done    bool             // a single-batch operator has emitted its batch, a scan has opened its view
-	windows []colbatch.Batch // SeqScan: the windows still to yield
+	done    bool             // a single-batch operator has emitted its batch, a scan or index join has run
+	windows []colbatch.Batch // SeqScan, IndexNLJoin: the windows still to yield
 	emitted int              // Limit: rows passed on so far
 	seen    *vDistinctState  // Distinct
 	join    *hashJoinTable   // HashJoin, once the build side is in
@@ -136,13 +139,13 @@ func (p *pipe) pull(input Operator) (*colbatch.Batch, error) {
 // tally returns the Context the batch at hand is charged to. While
 // ctx.Res.CPUOps is a whole number, whole-number charges sum exactly in any
 // grouping, so they go straight in. Once it is fractional — only an index
-// descent makes it so, and the kernels that charge one emit a single batch —
-// every addition rounds, and a pipe whose first charge comes after that owes
-// its charges and settles them as one addition when its input ends: the row
-// engine's one addition per operator, in its order, since a pipe's input
-// settles before the pipe does. A pipe decides at its first charge, and no
-// fractional charge can come between its first charge and its last: every
-// single-batch producer under it has emitted by then, and its siblings run
+// descent makes it so, and the kernels that charge one post it before their
+// first batch — every addition rounds, and a pipe whose first charge comes
+// after that owes its charges and settles them as one addition when its input
+// ends: the row engine's one addition per operator, in its order, since a
+// pipe's input settles before the pipe does. A pipe decides at its first
+// charge, and no fractional charge can come between its first charge and its
+// last: every descent under it has been posted by then, and its siblings run
 // wholly before or after it.
 func (p *pipe) tally() *Context {
 	if !p.charging {
@@ -166,7 +169,7 @@ func (p *pipe) settle() {
 }
 
 // drain collects everything p still yields into one batch (see
-// colbatch.Accumulator: windows of one table stay views of its columns).
+// colbatch.Accumulator: windows of one set of columns stay views of them).
 func (p *pipe) drain() (*colbatch.Batch, error) {
 	var acc colbatch.Accumulator
 	for {
@@ -179,6 +182,16 @@ func (p *pipe) drain() (*colbatch.Batch, error) {
 		}
 		acc.Append(b)
 	}
+}
+
+// window yields the next of p.windows, nil after the last.
+func (p *pipe) window() *colbatch.Batch {
+	if len(p.windows) == 0 {
+		return nil
+	}
+	w := &p.windows[0]
+	p.windows = p.windows[1:]
+	return w
 }
 
 // boxed decomposes a row kernel's result.
@@ -209,12 +222,29 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			p.windows = colbatch.New(x.Schema(), v.Columns(), n).Windows(scanWindow)
 			v.Close()
 		}
-		if len(p.windows) == 0 {
-			return nil, nil
+		return p.window(), nil
+
+	case *IndexNLJoin:
+		if !p.done {
+			// The whole join runs, and charges, under one view of the inner
+			// table before its first window is yielded: a parent that opened a
+			// second view of that table while this one is open would deadlock
+			// behind a waiting writer.
+			p.done = true
+			outer, err := open(x.Outer, ctx).drain()
+			if err != nil {
+				return nil, err
+			}
+			var verr error
+			if p.windows, verr = indexNLJoinBatch(x, outer, ctx); verr != nil {
+				out, err := boxed(indexNLJoinRel(x, outer.ToRelation(), ctx))
+				if err != nil {
+					return nil, err
+				}
+				p.windows = []colbatch.Batch{*out}
+			}
 		}
-		w := &p.windows[0]
-		p.windows = p.windows[1:]
-		return w, nil
+		return p.window(), nil
 
 	case *BatchStream:
 		b, err := x.Src.Next()
@@ -339,17 +369,6 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 
 	case *HashJoin:
 		return p.join.probe(in, p.tally())
-
-	case *IndexNLJoin:
-		outer, err := open(x.Outer, ctx).drain()
-		if err != nil {
-			return nil, err
-		}
-		out, verr := indexNLJoinBatch(x, outer, ctx)
-		if verr != nil {
-			return boxed(indexNLJoinRel(x, outer.ToRelation(), ctx))
-		}
-		return out, nil
 
 	case *NestedLoopJoin:
 		// Outer first, then inner: the row kernel's charge order.
@@ -918,14 +937,20 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 }
 
 // keyHashes returns Value.Hash of every logical cell of a join key, in hs when
-// it has the room. Typed vectors hash straight off their payload; NULL cells
+// it has the room. Typed vectors hash straight off their payload, a column
+// read through positions (operand.at) cell by cell off its own; NULL cells
 // get an arbitrary value: join kernels skip them before looking at the hash.
 func keyHashes(hs []uint64, r *vres, o *operand) []uint64 {
-	if cap(hs) < r.n {
-		hs = make([]uint64, r.n)
-	}
-	hs = hs[:r.n]
+	hs = resized(hs, r.n)
 	switch {
+	case o.at != nil && o.kind == sqltypes.KindInt:
+		for i, p := range o.at {
+			hs[i] = sqltypes.HashInt64(o.ints[p])
+		}
+	case o.at != nil:
+		for i, p := range o.at {
+			hs[i] = colHashAt(r.col, p)
+		}
 	case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
 		for i, v := range o.ints {
 			hs[i] = sqltypes.HashInt64(v)
@@ -947,22 +972,23 @@ func keyHashes(hs []uint64, r *vres, o *operand) []uint64 {
 }
 
 // keysEqual reports sqltypes.Compare(l[li], r[ri]) == 0 for two non-NULL key
-// cells without boxing them when both sides are typed vectors: int/int
-// exactly, any other numeric pair through float64 with !(a<b || a>b) (which,
-// like Compare, calls NaN equal to everything), strings and bools by value.
-// Every other pairing boxes and asks Compare.
+// cells (logical rows) without boxing them when both sides are typed vectors:
+// int/int exactly, any other numeric pair through float64 with !(a<b || a>b)
+// (which, like Compare, calls NaN equal to everything), strings and bools by
+// value. Every other pairing boxes and asks Compare.
 func keysEqual(l *vres, lo *operand, li int, r *vres, ro *operand, ri int) bool {
 	if lo.ok && ro.ok && !lo.isConst && !ro.isConst {
+		lp, rp := lo.pos(li), ro.pos(ri)
 		switch {
 		case lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt:
-			return lo.ints[li] == ro.ints[ri]
+			return lo.ints[lp] == ro.ints[rp]
 		case numericKind(lo.kind) && numericKind(ro.kind):
-			a, b := lo.floatAt(li), ro.floatAt(ri)
+			a, b := lo.floatAt(lp), ro.floatAt(rp)
 			return !(a < b || a > b)
 		case lo.kind == sqltypes.KindString && ro.kind == sqltypes.KindString:
-			return lo.strs[li] == ro.strs[ri]
+			return lo.strs[lp] == ro.strs[rp]
 		case lo.kind == sqltypes.KindBool && ro.kind == sqltypes.KindBool:
-			return lo.bools[li] == ro.bools[ri]
+			return lo.bools[lp] == ro.bools[rp]
 		}
 	}
 	return sqltypes.Compare(l.value(li), r.value(ri)) == 0
@@ -1050,7 +1076,7 @@ func newHashJoinTable(j *HashJoin, hashed *colbatch.Batch) *hashJoinTable {
 	if t.hres, err = hnode.eval(hashed); err != nil {
 		return t
 	}
-	t.hops = classify(t.hres, nil)
+	t.hops = keyOperand(t.hres)
 	t.hhs = keyHashes(nil, t.hres, &t.hops)
 	buckets := 1
 	for buckets < hn {
@@ -1111,6 +1137,11 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	}
 	sops := classify(sres, &t.sgather)
 	t.shs = keyHashes(t.shs, sres, &sops)
+	if t.hIdx == nil {
+		// Room for one match per row of the first streamed batch; later
+		// batches reuse what it grew to.
+		t.hIdx, t.sIdx = make([]int, 0, in.Len()), make([]int, 0, in.Len())
+	}
 	shs, mask, hIdx, sIdx := t.shs, uint64(len(t.head)-1), t.hIdx[:0], t.sIdx[:0]
 	for i, sn := 0, in.Len(); i < sn; i++ {
 		if sres.isNull(i) {
@@ -1133,13 +1164,15 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
-// evaluates once over the whole outer batch, every non-NULL key probes the
-// index by its hash (exactly the bucket LookupEq reads), and the joined rows
-// are a Gather of the outer columns and of the inner table's columns at the
-// matched positions — index and columns read through one view of the inner
-// table. It charges the row kernel's formula over the same probe and fetch
-// counts.
-func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
+// evaluates once over the whole outer batch, and every non-NULL key probes the
+// index by its hash (exactly the bucket LookupEq reads) — index and columns
+// read through one view of the inner table. A counting pass sizes the output
+// columns once, exactly; then windows of scanWindow joined rows are gathered
+// into them (the outer columns and the inner table's columns at the matched
+// positions), each filtered by the residual on its own, so no vector the
+// kernel builds grows with the outer side. It charges the row kernel's formula
+// over the same probe and fetch counts, before the caller yields a window.
+func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]colbatch.Batch, error) {
 	knode, err := compileExpr(j.OuterKey, outer.Schema)
 	if err != nil {
 		return nil, err
@@ -1148,7 +1181,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 	if err != nil {
 		return nil, err
 	}
-	kops := classify(kres, nil)
+	kops := keyOperand(kres)
 	khs := keyHashes(nil, kres, &kops)
 
 	v := j.Inner.View()
@@ -1157,26 +1190,49 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) (*col
 	if err != nil {
 		return nil, err
 	}
-	var oIdx, iPos []int
-	var probes float64
+	probes, fetches := 0, 0
 	for i, on := 0, outer.Len(); i < on; i++ {
-		if kres.isNull(i) {
-			continue
-		}
-		probes++
-		before := len(iPos)
-		iPos = iv.AppendEqHash(iPos, khs[i])
-		for range iPos[before:] {
-			oIdx = append(oIdx, i)
+		if !kres.isNull(i) {
+			probes++
+			fetches += iv.CountEqHash(khs[i])
 		}
 	}
-	out, err := joinedBatch(j.Schema(), outer.Cols, physOf(outer, oIdx), v.Columns(), iPos, j.Residual, &predicate{}, j.out.unread)
-	if err != nil {
-		return nil, err
+	inner := v.Columns()
+	cols := colbatch.JoinedColumns(outer.Cols, inner, fetches, uint64(j.out.unread))
+	windows := colbatch.New(j.Schema(), cols, fetches).Windows(scanWindow)
+	oIdx, iPos := make([]int, 0, min(fetches, scanWindow)), make([]int, 0, min(fetches, scanWindow))
+	var residual predicate
+	o, from := 0, 0 // the outer row being fetched and how many of its matches are out
+	for w := range windows {
+		oIdx, iPos = oIdx[:0], iPos[:0]
+		for room := windows[w].Len(); room > 0; {
+			h := khs[o]
+			n := 0
+			if !kres.isNull(o) {
+				n = iv.CountEqHash(h)
+			}
+			take := min(n-from, room)
+			iPos = iv.AppendEqHash(iPos, h, from, from+take)
+			for range take {
+				oIdx = append(oIdx, outer.Phys(o))
+			}
+			room -= take
+			if from += take; from == n {
+				o, from = o+1, 0
+			}
+		}
+		colbatch.FillJoined(cols, w*scanWindow, outer.Cols, oIdx, inner, iPos)
+		if j.Residual != nil {
+			sel, err := residual.selection(j.Residual, &windows[w])
+			if err != nil {
+				return nil, err
+			}
+			windows[w] = *selectOwned(&windows[w], sel)
+		}
 	}
 	ctx.read(v)
-	j.charge(ctx, iv, probes, float64(len(iPos)))
-	return out, nil
+	j.charge(ctx, iv, float64(probes), float64(fetches))
+	return windows, nil
 }
 
 // nestedLoopBlock bounds the candidate pairs the nested-loop kernel gathers

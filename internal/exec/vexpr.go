@@ -341,6 +341,9 @@ type operand struct {
 	bools   []bool
 	strs    []string
 	nulls   []bool
+	// at, when non-nil, holds the payload index of every cell: the vectors
+	// are a column's own, read through a batch's positions (see keyOperand).
+	at []int
 }
 
 // gather is where classify copies the selected cells of a column that a
@@ -431,6 +434,26 @@ func classify(r *vres, g *gather) operand {
 	default:
 		return operand{}
 	}
+}
+
+// keyOperand is classify for a join key read cell by cell (hashed once,
+// compared per candidate): a bare column that its batch selects from keeps
+// the column's own vectors and reads them through the batch's positions
+// instead of gathering the selected cells into new ones. Only keyHashes and
+// keysEqual read such an operand.
+func keyOperand(r *vres) operand {
+	if c := r.col; r.tag == rCol && c.Mixed == nil && c.Kind != sqltypes.KindNull && r.b.Sel != nil {
+		return operand{ok: true, kind: c.Kind, ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: c.Nulls, at: r.b.Sel}
+	}
+	return classify(r, nil)
+}
+
+// pos returns the payload index of cell i.
+func (o *operand) pos(i int) int {
+	if o.at != nil {
+		return o.at[i]
+	}
+	return i
 }
 
 // null reports whether cell i of the operand is NULL.

@@ -178,15 +178,21 @@ func (iv IndexView) LookupEq(v sqltypes.Value) []int {
 	if v.IsNull() {
 		return nil
 	}
-	return iv.AppendEqHash(nil, v.Hash())
+	h := v.Hash()
+	return iv.AppendEqHash(nil, h, 0, iv.CountEqHash(h))
 }
 
-// AppendEqHash appends to dst the positions LookupEq returns for a non-NULL
-// key whose Value.Hash is h, and returns the extended slice: a join probing
-// once per outer row collects every match in one slice and never boxes the
-// key.
-func (iv IndexView) AppendEqHash(dst []int, h uint64) []int {
-	return append(dst, iv.ix.hash[h]...)
+// CountEqHash returns how many positions LookupEq returns for a non-NULL key
+// whose Value.Hash is h, copying none: a join counts its matches first and
+// sizes its output once.
+func (iv IndexView) CountEqHash(h uint64) int { return len(iv.ix.hash[h]) }
+
+// AppendEqHash appends to dst matches [lo, hi) of the CountEqHash(h)
+// positions LookupEq returns for a non-NULL key whose Value.Hash is h, and
+// returns the extended slice: a join collects its matches without boxing the
+// key, a window of them at a time.
+func (iv IndexView) AppendEqHash(dst []int, h uint64, lo, hi int) []int {
+	return append(dst, iv.ix.hash[h][lo:hi]...)
 }
 
 // LookupRange returns positions of rows with lo <= key <= hi; a nil bound is
