@@ -582,31 +582,53 @@ func vbTable(b *testing.B, name string, rel *sqltypes.Relation) *storage.Table {
 	return tab
 }
 
-// vbQT1 is QT1's plan as a server builds it (filter, hash join, scalar SUM and
-// COUNT) over scans of two stored 100k-row tables: orders(o_id, o_amount),
-// half of whose rows pass the filter, and lineitem(l_orderkey, l_price), each
-// line naming one order.
-func vbQT1(b *testing.B) exec.Operator {
-	orders := sqltypes.NewRelation(sqltypes.NewSchema(
+// vbOrdersLineitem stores QT1's two 100k-row tables: orders(o_id, o_amount),
+// half of whose rows have o_amount > 5000, and lineitem(l_orderkey, l_price),
+// each line naming one order.
+func vbOrdersLineitem(b *testing.B) (orders, lineitem *storage.Table) {
+	o := sqltypes.NewRelation(sqltypes.NewSchema(
 		sqltypes.Column{Name: "o_id", Type: sqltypes.KindInt}, sqltypes.Column{Name: "o_amount", Type: sqltypes.KindFloat}))
-	lineitem := sqltypes.NewRelation(sqltypes.NewSchema(
+	l := sqltypes.NewRelation(sqltypes.NewSchema(
 		sqltypes.Column{Name: "l_orderkey", Type: sqltypes.KindInt}, sqltypes.Column{Name: "l_price", Type: sqltypes.KindFloat}))
 	for i := 0; i < 100_000; i++ {
-		orders.Rows = append(orders.Rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i * 7919 % 10000))})
-		lineitem.Rows = append(lineitem.Rows, sqltypes.Row{sqltypes.NewInt(int64(i * 31337 % 100_000)), sqltypes.NewFloat(float64(i%1000) + 0.5)})
+		o.Rows = append(o.Rows, sqltypes.Row{sqltypes.NewInt(int64(i)), sqltypes.NewFloat(float64(i * 7919 % 10000))})
+		l.Rows = append(l.Rows, sqltypes.Row{sqltypes.NewInt(int64(i * 31337 % 100_000)), sqltypes.NewFloat(float64(i%1000) + 0.5)})
 	}
+	return vbTable(b, "orders", o), vbTable(b, "lineitem", l)
+}
+
+// vbQT1 is QT1's plan as a server builds it (filter, hash join, scalar SUM and
+// COUNT) over scans of vbOrdersLineitem's tables.
+func vbQT1(b *testing.B) exec.Operator {
+	orders, lineitem := vbOrdersLineitem(b)
 	stmt, err := sqlparser.Parse("SELECT SUM(l.l_price), COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 5000")
 	if err != nil {
 		b.Fatal(err)
 	}
 	op, err := exec.BuildPlan(stmt, map[string]exec.Operator{
-		"o": &exec.SeqScan{Table: vbTable(b, "orders", orders), As: "o"},
-		"l": &exec.SeqScan{Table: vbTable(b, "lineitem", lineitem), As: "l"},
+		"o": &exec.SeqScan{Table: orders, As: "o"},
+		"l": &exec.SeqScan{Table: lineitem, As: "l"},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return op
+}
+
+// vbJoinStored is the hash join alone over vbOrdersLineitem's tables: the
+// orders that pass o_amount > 5000 (a filtered scan, windows of one set of
+// columns) hashed on o_id, lineitem streamed on l_orderkey.
+func vbJoinStored(b *testing.B) exec.Operator {
+	orders, lineitem := vbOrdersLineitem(b)
+	return &exec.HashJoin{
+		Build: &exec.Filter{
+			Input: &exec.SeqScan{Table: orders, As: "o"},
+			Pred:  &sqlparser.BinaryExpr{Op: sqlparser.OpGt, Left: &sqlparser.ColumnRef{Name: "o_amount"}, Right: &sqlparser.Literal{Val: sqltypes.NewFloat(5000)}},
+		},
+		Probe:    &exec.SeqScan{Table: lineitem, As: "l"},
+		BuildKey: &sqlparser.ColumnRef{Name: "o_id"},
+		ProbeKey: &sqlparser.ColumnRef{Name: "l_orderkey"},
+	}
 }
 
 // vbQT2 is QT2's plan with the index nested-loop join a server picks for it
@@ -649,8 +671,8 @@ func vbQT2(b *testing.B) exec.Operator {
 
 // BenchmarkVectorizedKernels times each operator kernel on the row engine and
 // on the columnar engine over the same operator tree. The filter, the
-// aggregate, qt1 and inl read stored tables through SeqScan, as every server
-// plan does; the other kernels read a single-batch Values, the shape of a
+// aggregate, join_stored, qt1 and inl read stored tables through SeqScan, as
+// every server plan does; the other kernels read a single-batch Values, the shape of a
 // merged fragment result.
 func BenchmarkVectorizedKernels(b *testing.B) {
 	col := func(name string) sqlparser.Expr { return &sqlparser.ColumnRef{Name: name} }
@@ -702,6 +724,7 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 		{"join", &exec.HashJoin{
 			Build: vbValues(joinLeft), Probe: vbValues(joinRight), BuildKey: col("b"), ProbeKey: col("b"),
 		}},
+		{"join_stored", vbJoinStored(b)},
 		{"qt1", vbQT1(b)},
 		{"inl", vbQT2(b)},
 	}

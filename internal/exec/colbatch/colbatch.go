@@ -779,17 +779,12 @@ func (a *Accumulator) Finish() *Batch {
 // keep their place in the column check, so a result of no rows still carries
 // the columns' kinds, but never break a run of adjacent windows.
 func (a *Accumulator) joinViews(schema *sqltypes.Schema, parts []*Batch) *Batch {
-	cols := parts[0].Cols
+	cols, ok := SharedColumns(parts)
+	if !ok {
+		return nil
+	}
 	contig, start, end := true, -1, 0
 	for _, p := range parts {
-		if len(p.Cols) != len(cols) {
-			return nil
-		}
-		for c, col := range p.Cols {
-			if col != cols[c] {
-				return nil
-			}
-		}
 		switch {
 		case p.n == 0:
 		case p.Sel != nil || (start >= 0 && p.off != end):
@@ -815,6 +810,27 @@ func (a *Accumulator) joinViews(schema *sqltypes.Schema, parts []*Batch) *Batch 
 		}
 	}
 	return &Batch{Schema: schema, Cols: cols, Sel: sel, n: a.n}
+}
+
+// SharedColumns returns the one set of columns every part reads, pointer for
+// pointer (a scan's or an index join's windows, filtered or not), and false
+// when the parts read different columns or there are none.
+func SharedColumns(parts []*Batch) ([]*Column, bool) {
+	if len(parts) == 0 {
+		return nil, false
+	}
+	cols := parts[0].Cols
+	for _, p := range parts[1:] {
+		if len(p.Cols) != len(cols) {
+			return nil, false
+		}
+		for c, col := range p.Cols {
+			if col != cols[c] {
+				return nil, false
+			}
+		}
+	}
+	return cols, true
 }
 
 // appendCol appends src's cells (through window w) onto dst, which holds

@@ -63,13 +63,14 @@ const (
 // wants: the encoded size is what the network model charges, the per-column
 // encoding labels land in span attributes.
 type Encoded struct {
-	Data   []byte
+	Data   []byte   // the encoding itself; nil when the batch was only measured
+	Size   int      // the encoding's length in bytes
 	ColEnc []string // per-column encoding label, e.g. "int-delta", "str-dict(4)"
 	Rows   int
 }
 
 // WireBytes is the size the network model charges for the encoded batch.
-func (e *Encoded) WireBytes() int { return len(e.Data) }
+func (e *Encoded) WireBytes() int { return e.Size }
 
 // Encode serializes the batch's logical rows. The selection vector and row
 // window are applied here: the wire carries only the selected rows,
@@ -78,27 +79,44 @@ func (e *Encoded) WireBytes() int { return len(e.Data) }
 // also where the encoding is chosen), so the buffer is allocated once at its
 // exact length.
 func Encode(b *Batch) *Encoded {
-	w := cells{sel: b.Sel, off: b.off, n: b.n}
 	var few [8]colPlan // keeps the plans of an ordinary batch off the heap
-	plans := few[:0]
+	plans := few[:]
 	if len(b.Cols) > len(few) {
-		plans = make([]colPlan, 0, len(b.Cols))
+		plans = make([]colPlan, len(b.Cols))
 	}
-	size := 2 + uvarintLen(uint64(len(b.Cols))) + uvarintLen(uint64(w.n))
-	for ci, col := range b.Cols {
-		plans = append(plans, planColumn(col, w))
-		size += plans[ci].size
-	}
-	out := make([]byte, 0, size)
+	e := measure(b, plans[:len(b.Cols)])
+	out := make([]byte, 0, e.Size)
 	out = append(out, wireMagic, wireVersion)
 	out = binary.AppendUvarint(out, uint64(len(b.Cols)))
-	out = binary.AppendUvarint(out, uint64(w.n))
-	labels := make([]string, len(b.Cols))
+	out = binary.AppendUvarint(out, uint64(e.Rows))
+	w := b.cells()
 	for ci, col := range b.Cols {
 		out = emitColumn(out, col, w, &plans[ci])
-		labels[ci] = plans[ci].label
 	}
-	return &Encoded{Data: out, ColEnc: labels, Rows: w.n}
+	e.Data = out
+	return e
+}
+
+// Measure is Encode without the bytes: the size, the encoding labels and the
+// row count of b's encoding, from the same planning pass, with nothing
+// written. A sender that only has to know what a batch costs on the wire
+// measures it.
+func Measure(b *Batch) *Encoded { return measure(b, nil) }
+
+// measure sizes b column by column (planColumn) and, when plans is not nil,
+// keeps each column's plan in plans[c] for emitColumn.
+func measure(b *Batch, plans []colPlan) *Encoded {
+	w := b.cells()
+	e := &Encoded{Size: 2 + uvarintLen(uint64(len(b.Cols))) + uvarintLen(uint64(w.n)), ColEnc: make([]string, len(b.Cols)), Rows: w.n}
+	for ci, col := range b.Cols {
+		p := planColumn(col, w)
+		e.Size += p.size
+		e.ColEnc[ci] = p.label
+		if plans != nil {
+			plans[ci] = p
+		}
+	}
+	return e
 }
 
 // ColumnWireBytes is what the first n cells of a column take on the wire when
@@ -118,6 +136,9 @@ type cells struct {
 	sel    []int
 	off, n int
 }
+
+// cells returns the physical cells b's logical rows cover.
+func (b *Batch) cells() cells { return cells{sel: b.Sel, off: b.off, n: b.n} }
 
 func (w cells) at(i int) int {
 	if w.sel != nil {

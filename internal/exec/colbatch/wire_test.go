@@ -243,8 +243,9 @@ func TestWireDecodeRejectsCorruption(t *testing.T) {
 
 // FuzzWireRoundTrip drives Encode/Decode with generated batches: the fuzz
 // input seeds a deterministic batch builder covering every column kind,
-// null patterns, and selection vectors. Decode must also never panic on
-// arbitrary bytes.
+// null patterns, and selection vectors. Measure must give Encode's length
+// and labels without writing, and Decode must never panic on arbitrary
+// bytes.
 func FuzzWireRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint16(0), false)
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint16(5), true)
@@ -299,6 +300,14 @@ func FuzzWireRoundTrip(f *testing.F) {
 			}
 			b = NewSelected(b.Schema, cols, sel)
 		}
-		requireRoundTrip(t, b)
+		enc := requireRoundTrip(t, b)
+		// The planning pass alone sizes and labels what Encode writes.
+		m := Measure(b)
+		if m.Size != len(enc.Data) || m.Size != enc.WireBytes() || m.Data != nil || m.Rows != enc.Rows {
+			t.Fatalf("Measure: %d bytes over %d rows (data %v); Encode wrote %d over %d", m.Size, m.Rows, m.Data != nil, len(enc.Data), enc.Rows)
+		}
+		if strings.Join(m.ColEnc, ",") != strings.Join(enc.ColEnc, ",") {
+			t.Fatalf("Measure labels %v, Encode labels %v", m.ColEnc, enc.ColEnc)
+		}
 	})
 }

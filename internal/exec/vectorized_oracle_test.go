@@ -383,11 +383,11 @@ func TestVectorizedOracleHashJoin(t *testing.T) {
 	}
 }
 
-// TestVectorizedOracleHashJoinCollisions drives the chained build table where
-// it is easiest to get wrong: every key falls into a handful of chains (six
+// TestVectorizedOracleHashJoinCollisions drives the hash join's table where
+// it is easiest to get wrong: every key falls into a handful of buckets (six
 // distinct strings, or small integers met by their float twins, NaN and -0),
-// so chains are long, most chain entries are hash-equal, and pairs must still
-// come out in build order per probe row.
+// so buckets are long, most of their entries are key-equal, and pairs must
+// still come out in build order per probe row.
 func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 	engaged := 0
 	for seed := int64(1500); seed < 1540; seed++ {
@@ -509,11 +509,11 @@ func intKeys(name string, n int, key func(i int) int64) *sqltypes.Relation {
 	return rel
 }
 
-// TestVectorizedHashJoinNaNSharesAChain pins why the chained table compares
-// full hashes before keys: Compare calls NaN equal to every number, and the
-// row kernel never pairs them only because its map is keyed by the hash. With
-// 1000 integer build keys in 2048 slots, some of the 16 NaN payloads below
-// land in an occupied chain.
+// TestVectorizedHashJoinNaNSharesAChain pins why the table pairs by hash as
+// well as by Compare: Compare calls NaN equal to every number, and the row
+// kernel never pairs them only because its map is keyed by the hash. The 16
+// NaN payloads below meet 1000 integer build keys, none of them the integer
+// of a payload's bits (the one integer that shares its hash), so none pairs.
 func TestVectorizedHashJoinNaNSharesAChain(t *testing.T) {
 	build := intKeys("b", 1000, func(i int) int64 { return int64(i) })
 	probe := sqltypes.NewRelation(sqltypes.NewSchema(sqltypes.Column{Name: "p", Type: sqltypes.KindFloat}))

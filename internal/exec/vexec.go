@@ -21,7 +21,9 @@ import (
 // The tree runs as a pull pipeline (see pipe) and this is its drain: a lone
 // output batch is returned uncopied, views of one set of columns (a scan's
 // or an index join's windows, filtered or not) join into one view of them,
-// and anything else concatenates into one batch (colbatch.Accumulator).
+// and anything else concatenates into one batch (colbatch.Accumulator). A
+// hash join's hashed side is not drained: its table indexes the batches
+// themselves (see hashJoinTable).
 func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 	return open(op, ctx).drain()
 }
@@ -29,14 +31,7 @@ func ExecuteVectorized(op Operator, ctx *Context) (*colbatch.Batch, error) {
 // ExecuteBatches is ExecuteVectorized without the final concatenation: the
 // output batches in order, at least one.
 func ExecuteBatches(op Operator, ctx *Context) ([]*colbatch.Batch, error) {
-	var out []*colbatch.Batch
-	for p := open(op, ctx); ; {
-		b, err := p.Next()
-		if b == nil || err != nil {
-			return out, err
-		}
-		out = append(out, b)
-	}
+	return open(op, ctx).batches()
 }
 
 // BatchStream is a leaf over batches that are still arriving (the integrator's
@@ -71,10 +66,10 @@ func (s *BatchStream) Children() []Operator { return nil }
 // batchwise marks the operators that turn every batch of one input into one
 // output batch. SeqScan, BatchStream and IndexNLJoin yield many batches; every
 // other operator emits a single batch: leaves, and the blocking operators,
-// which read their input to its end first — Sort, the hash join's hashed side,
-// the index join's outer side and both sides of the nested-loop join collect
-// it into one batch, aggregation (plain and shard-final) folds it batch by
-// batch.
+// which read their input to its end first — Sort, the index join's outer side
+// and both sides of the nested-loop join collect it into one batch, the hash
+// join's hashed side is indexed as the batches it came in, aggregation (plain
+// and shard-final) folds it batch by batch.
 type batchwise interface{ batchInput() Operator }
 
 func (f *Filter) batchInput() Operator   { return f.Input }
@@ -184,6 +179,18 @@ func (p *pipe) drain() (*colbatch.Batch, error) {
 	}
 }
 
+// batches collects everything p still yields, batch by batch.
+func (p *pipe) batches() ([]*colbatch.Batch, error) {
+	var out []*colbatch.Batch
+	for {
+		b, err := p.Next()
+		if b == nil || err != nil {
+			return out, err
+		}
+		out = append(out, b)
+	}
+}
+
 // window yields the next of p.windows, nil after the last.
 func (p *pipe) window() *colbatch.Batch {
 	if len(p.windows) == 0 {
@@ -262,11 +269,11 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 	case batchwise:
 		if j, ok := x.(*HashJoin); ok && p.join == nil {
 			hashed, _ := j.sides()
-			b, err := open(hashed, ctx).drain()
+			bs, err := open(hashed, ctx).batches()
 			if err != nil {
 				return nil, err
 			}
-			p.join = newHashJoinTable(j, b)
+			p.join = newHashJoinTable(j, bs...)
 		}
 		var err error
 		if in, err = p.pull(x.batchInput()); in == nil || err != nil {
@@ -937,38 +944,35 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 }
 
 // keyHashes returns Value.Hash of every logical cell of a join key, in hs when
-// it has the room. Typed vectors hash straight off their payload, a column
-// read through positions (operand.at) cell by cell off its own; NULL cells
-// get an arbitrary value: join kernels skip them before looking at the hash.
+// it has the room: the index join's outer keys, since its index is keyed by
+// the hash. NULL cells get an arbitrary value: join kernels skip them before
+// looking at the hash.
 func keyHashes(hs []uint64, r *vres, o *operand) []uint64 {
 	hs = resized(hs, r.n)
-	switch {
-	case o.at != nil && o.kind == sqltypes.KindInt:
-		for i, p := range o.at {
-			hs[i] = sqltypes.HashInt64(o.ints[p])
-		}
-	case o.at != nil:
-		for i, p := range o.at {
-			hs[i] = colHashAt(r.col, p)
-		}
-	case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
-		for i, v := range o.ints {
-			hs[i] = sqltypes.HashInt64(v)
-		}
-	case o.ok && !o.isConst && o.kind == sqltypes.KindFloat:
-		for i, v := range o.floats {
-			hs[i] = sqltypes.HashFloat64(v)
-		}
-	case o.ok && !o.isConst && o.kind == sqltypes.KindString:
-		for i, v := range o.strs {
-			hs[i] = sqltypes.HashString(v)
-		}
-	default:
-		for i := range hs {
-			hs[i] = vresHash(r, i)
-		}
+	for i := range hs {
+		hs[i] = keyHash(r, o, i)
 	}
 	return hs
+}
+
+// keyHash is Value.Hash of the non-NULL cell i of a join key: typed vectors
+// hash straight off their payload, read through positions (operand.at) when
+// the operand has them.
+func keyHash(r *vres, o *operand, i int) uint64 {
+	if o.ok && !o.isConst {
+		p := o.pos(i)
+		switch o.kind {
+		case sqltypes.KindInt:
+			return sqltypes.HashInt64(o.ints[p])
+		case sqltypes.KindFloat:
+			return sqltypes.HashFloat64(o.floats[p])
+		case sqltypes.KindString:
+			return sqltypes.HashString(o.strs[p])
+		case sqltypes.KindBool:
+			return sqltypes.HashBool(o.bools[p])
+		}
+	}
+	return vresHash(r, i)
 }
 
 // keysEqual reports sqltypes.Compare(l[li], r[ri]) == 0 for two non-NULL key
@@ -1024,33 +1028,46 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, 
 }
 
 // hashJoinTable is a hash join's hashed side (Build, or Probe under
-// BuildRight), built once and probed by every batch of the streamed side: a
-// chained index table (head[bucket] and next[row] hold hashed row + 1, 0 ends
-// a chain) compared on the typed key vectors. Hashed rows enter the table last
-// to first, so every chain lists its rows in input order and the candidate
-// pairs come out in the row kernel's order. Like the row kernel's map keyed by
-// hash, a pair matches when the full hashes are equal AND the keys compare
-// equal (Compare alone would also pair NaN with everything).
+// BuildRight), built once and probed by every batch of the streamed side: one
+// bucket-contiguous array of hashed row ids, the "unchained" layout of Birler
+// et al. (DaMoN 2024). Bucket b's rows are ids[offs[b]:offs[b+1]]; a counting
+// pass, a prefix sum over the offsets and one scatter in input order build
+// it, so a bucket lists its rows in the hashed side's input order and every
+// streamed row's matches come out in the row kernel's order. Nothing per row
+// is kept beside the ids: no hashes, no links.
+//
+// A row id is a physical position in the hashed columns when the key is a
+// bare column and the hashed batches all read one set of columns (a scan's
+// windows, filtered or not): they are never concatenated. Any other hashed
+// side is concatenated first, its key evaluated over the result, and a row id
+// is a logical row of it (rows maps it to its position).
+//
+// Every key buckets by the low bits of its Value.Hash, and a pair follows the
+// row kernel's rule, its map keyed by Value.Hash: equal hashes AND Compare
+// equal (Compare alone would also pair NaN with every number). So every
+// partner of a streamed cell sits in the cell's own bucket. The probe
+// compares keys first and hashes the hashed row's key only for a key-equal
+// candidate whose kinds do not already imply equal hashes (paired).
 type hashJoinTable struct {
 	j      *HashJoin
-	hashed *colbatch.Batch
+	hashed []*colbatch.Batch // the hashed input's batches, in order
 	// The output schema (build columns then probe columns), the streamed key
 	// compiled against the streamed batches' schema, the residual compiled
 	// against the output schema, and per-batch scratch.
 	schema, sschema *sqltypes.Schema
 	snode           vnode
 	residual        predicate
-	sgather         gather
-	shs             []uint64
 	hIdx, sIdx      []int
-	// head stays nil when the hashed key did not compile or evaluate (or the
-	// hashed side outgrew the 32-bit chains): the row kernel then decides
-	// every streamed batch, over hashedRel, the hashed side boxed.
-	head, next []int32
-	hres       *vres
-	hops       operand
-	hhs        []uint64
-	hashedRel  *sqltypes.Relation
+	// offs stays nil when the hashed key did not compile or evaluate (or the
+	// hashed side outgrew 32-bit ids): the row kernel then decides every
+	// streamed batch, over hashedRel, the hashed side boxed.
+	offs, ids []int32
+	spans     []*colbatch.Batch // every row id in input order: Phys of each span's rows
+	rows      colbatch.Batch    // the hashed columns; Phys maps a row id to its position in them
+	hres      vres              // the hashed key, read by row id
+	hops      operand
+	bits      uint // log2 of the bucket count
+	hashedRel *sqltypes.Relation
 	// pending is the hashed side's charge. It joins the first streamed
 	// batch's so that a single-batch join adds to ctx.Res once, as the row
 	// kernel does.
@@ -1065,33 +1082,111 @@ func (t *hashJoinTable) keys() (hashed, streamed sqlparser.Expr) {
 	return t.j.BuildKey, t.j.ProbeKey
 }
 
-func newHashJoinTable(j *HashJoin, hashed *colbatch.Batch) *hashJoinTable {
-	hn := hashed.Len()
+// newHashJoinTable builds the table over the hashed input's batches, at least
+// one, in the order the input yielded them.
+func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
+	hn := 0
+	for _, b := range hashed {
+		hn += b.Len()
+	}
 	t := &hashJoinTable{j: j, hashed: hashed, schema: j.Schema(), pending: float64(hn) * 2}
 	hkey, _ := t.keys()
-	hnode, err := compileExpr(hkey, hashed.Schema)
+	hnode, err := compileExpr(hkey, hashed[0].Schema)
 	if err != nil || hn >= math.MaxInt32 {
 		return t
 	}
-	if t.hres, err = hnode.eval(hashed); err != nil {
-		return t
-	}
-	t.hops = keyOperand(t.hres)
-	t.hhs = keyHashes(nil, t.hres, &t.hops)
-	buckets := 1
-	for buckets < hn {
-		buckets <<= 1
-	}
-	t.head, t.next = make([]int32, buckets), make([]int32, hn)
-	for i := hn - 1; i >= 0; i-- {
-		if t.hres.isNull(i) {
-			continue
+	if ref, bare := hnode.(*vcolref); bare {
+		if cols, ok := colbatch.SharedColumns(hashed); ok {
+			t.rows = colbatch.Batch{Schema: hashed[0].Schema, Cols: cols}
+			t.hres = vres{tag: rCol, col: cols[ref.idx], b: &t.rows}
+			t.spans = hashed
 		}
-		slot := t.hhs[i] & uint64(buckets-1)
-		t.next[i] = t.head[slot]
-		t.head[slot] = int32(i + 1)
 	}
+	if t.spans == nil {
+		var acc colbatch.Accumulator
+		for _, b := range hashed {
+			acc.Append(b)
+		}
+		t.rows = *acc.Finish()
+		hres, err := hnode.eval(&t.rows)
+		if err != nil {
+			return t
+		}
+		t.hres = *hres
+		t.spans = []*colbatch.Batch{colbatch.New(nil, nil, hn)}
+	}
+	t.hops = keyOperand(&t.hres)
+	for 1<<t.bits < hn {
+		t.bits++
+	}
+	offs, n := make([]int32, 1<<t.bits+1), 0
+	for _, s := range t.spans {
+		for i, sn := 0, s.Len(); i < sn; i++ {
+			id := s.Phys(i)
+			if id >= math.MaxInt32 {
+				return t
+			}
+			if !t.hres.isNull(id) {
+				offs[t.bucket(id)]++
+				n++
+			}
+		}
+	}
+	sum := int32(0)
+	for b, c := range offs {
+		offs[b], sum = sum, sum+c
+	}
+	ids := make([]int32, n)
+	for _, s := range t.spans {
+		for i, sn := 0, s.Len(); i < sn; i++ {
+			if id := s.Phys(i); !t.hres.isNull(id) {
+				b := t.bucket(id)
+				ids[offs[b]] = int32(id)
+				offs[b]++
+			}
+		}
+	}
+	// Each bucket's cursor now stands where the next bucket starts.
+	copy(offs[1:], offs[:len(offs)-1])
+	offs[0] = 0
+	t.offs, t.ids = offs, ids
 	return t
+}
+
+// bucket returns the bucket of the hashed row id, whose key is not NULL.
+func (t *hashJoinTable) bucket(id int) int {
+	return t.hashBucket(keyHash(&t.hres, &t.hops, id))
+}
+
+// hashBucket files a key by the low bits of its Value.Hash.
+func (t *hashJoinTable) hashBucket(h uint64) int { return int(h & (1<<t.bits - 1)) }
+
+// paired reports whether hashed row id pairs with streamed cell i, whose
+// hash is h, under the row kernel's rule: Compare equal and equal hashes. Two
+// typed cells of one kind that are equal have equal hashes (±0 included), so
+// the hashed row's key is hashed only for a pair the rule could still refuse:
+// across kinds, or where a NaN, which Compare calls equal to every number,
+// is involved.
+func (t *hashJoinTable) paired(id int, sres *vres, so *operand, i int, h uint64) bool {
+	ho := &t.hops
+	if ho.ok && so.ok && !ho.isConst && !so.isConst && ho.kind == so.kind {
+		hp, sp := ho.pos(id), so.pos(i)
+		switch ho.kind {
+		case sqltypes.KindInt:
+			return ho.ints[hp] == so.ints[sp]
+		case sqltypes.KindFloat:
+			a, b := ho.floats[hp], so.floats[sp]
+			if a == b || (a == a && b == b) {
+				return a == b
+			}
+			return sqltypes.HashFloat64(a) == h
+		case sqltypes.KindString:
+			return ho.strs[hp] == so.strs[sp]
+		case sqltypes.KindBool:
+			return ho.bools[hp] == so.bools[sp]
+		}
+	}
+	return keysEqual(&t.hres, ho, id, sres, so, i) && keyHash(&t.hres, ho, id) == h
 }
 
 // probe joins one streamed batch and charges the join's formula for it: two
@@ -1100,7 +1195,7 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 	out, verr := t.probeBatch(in)
 	if verr != nil {
 		if t.hashedRel == nil {
-			t.hashedRel = t.hashed.ToRelation()
+			t.hashedRel = colbatch.ToRelation(t.hashed)
 		}
 		build, probe := t.hashedRel, in.ToRelation()
 		if t.j.BuildRight {
@@ -1120,7 +1215,7 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 // probeBatch is the columnar probe: candidates in streamed order, then the
 // residual filter over the gathered candidate batch.
 func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) {
-	if t.head == nil {
+	if t.offs == nil {
 		return nil, fmt.Errorf("exec: hash join build side is not vectorized")
 	}
 	if t.sschema != in.Schema {
@@ -1135,32 +1230,30 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	if err != nil {
 		return nil, err
 	}
-	sops := classify(sres, &t.sgather)
-	t.shs = keyHashes(t.shs, sres, &sops)
+	sops := keyOperand(sres)
 	if t.hIdx == nil {
 		// Room for one match per row of the first streamed batch; later
 		// batches reuse what it grew to.
 		t.hIdx, t.sIdx = make([]int, 0, in.Len()), make([]int, 0, in.Len())
 	}
-	shs, mask, hIdx, sIdx := t.shs, uint64(len(t.head)-1), t.hIdx[:0], t.sIdx[:0]
+	offs, ids, hIdx, sIdx := t.offs, t.ids, t.hIdx[:0], t.sIdx[:0]
 	for i, sn := 0, in.Len(); i < sn; i++ {
 		if sres.isNull(i) {
 			continue
 		}
-		h := shs[i]
-		for at := t.head[h&mask]; at != 0; at = t.next[at-1] {
-			hi := int(at - 1)
-			if t.hhs[hi] == h && keysEqual(t.hres, &t.hops, hi, sres, &sops, i) {
-				hIdx = append(hIdx, hi)
-				sIdx = append(sIdx, i)
+		h := keyHash(sres, &sops, i)
+		b := t.hashBucket(h)
+		for _, id := range ids[offs[b]:offs[b+1]] {
+			if t.paired(int(id), sres, &sops, i, h) {
+				hIdx, sIdx = append(hIdx, int(id)), append(sIdx, i)
 			}
 		}
 	}
 	t.hIdx, t.sIdx = hIdx, sIdx
 	if t.j.BuildRight {
-		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.hashed.Cols, physOf(t.hashed, hIdx), t.j.Residual, &t.residual, t.j.out.unread)
+		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.rows.Cols, physOf(&t.rows, hIdx), t.j.Residual, &t.residual, t.j.out.unread)
 	}
-	return joinedBatch(t.schema, t.hashed.Cols, physOf(t.hashed, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, &t.residual, t.j.out.unread)
+	return joinedBatch(t.schema, t.rows.Cols, physOf(&t.rows, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, &t.residual, t.j.out.unread)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key

@@ -436,14 +436,18 @@ func classify(r *vres, g *gather) operand {
 	}
 }
 
-// keyOperand is classify for a join key read cell by cell (hashed once,
-// compared per candidate): a bare column that its batch selects from keeps
-// the column's own vectors and reads them through the batch's positions
-// instead of gathering the selected cells into new ones. Only keyHashes and
-// keysEqual read such an operand.
+// keyOperand is classify for a join key read cell by cell (hashed, bucketed
+// or compared per row or candidate): a bare column keeps the column's own
+// vectors, read through its batch's positions when the batch selects from it,
+// instead of gathering the selected cells into new ones. Its vectors are
+// indexed by physical position (pos), not sliced to the batch's rows: read
+// such an operand through pos, as keyHashes, keyHash, keysEqual and the hash
+// join's probe do.
 func keyOperand(r *vres) operand {
-	if c := r.col; r.tag == rCol && c.Mixed == nil && c.Kind != sqltypes.KindNull && r.b.Sel != nil {
-		return operand{ok: true, kind: c.Kind, ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: c.Nulls, at: r.b.Sel}
+	if c := r.col; r.tag == rCol && c.Mixed == nil && c.Kind != sqltypes.KindNull {
+		if off, contig := r.b.Contig(); !contig || off == 0 {
+			return operand{ok: true, kind: c.Kind, ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: c.Nulls, at: r.b.Sel}
+		}
 	}
 	return classify(r, nil)
 }

@@ -492,12 +492,13 @@ func TestMergeCopiesNoFragmentTwice(t *testing.T) {
 		for _, f := range res.Plan.Fragments[:2] {
 			joinedCols += uint64(len(f.Plan.Root.Schema().Columns))
 		}
-		// Hashed side: its cells collected once, key hashes, chain links and
-		// bucket heads. Output: the joined columns gathered, then boxed cells.
-		// Every streamed batch costs a few KiB of fixed parts (its key vector,
-		// a joined batch, the projection), the query itself some compile and
-		// dispatch state.
-		hashed := hashedCells*8 + hashedRows*(8+4) + buckets*4
+		// Hashed side: its cells collected once (its batches come from four
+		// shards, so they are concatenated), then the table: a 4 B position
+		// per row and a 4 B offset per bucket and one more. Output: the joined
+		// columns gathered, then boxed cells. Every streamed batch costs a few
+		// KiB of fixed parts (its match lists, a joined batch, the
+		// projection), the query itself some compile and dispatch state.
+		hashed := hashedCells*8 + hashedRows*4 + (buckets+1)*4
 		output := rows * (joinedCols*8 + outCols*valueBytes + rowHeaderBytes)
 		limit := (hashed+output)*11/10 + streamedBatches*5<<10 + 64<<10
 		if got > limit {

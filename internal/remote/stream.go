@@ -18,8 +18,9 @@ type Batch struct {
 	// Col is the same rows as a columnar view when the server executed
 	// vectorized; nil on the row engine.
 	Col *colbatch.Batch
-	// Enc is the batch in wire form, present only under the columnar wire
-	// protocol. Its byte length is what the network link transfers.
+	// Enc measures the batch in wire form (colbatch.Measure: its size and
+	// column encodings, no bytes), present only under the columnar wire
+	// protocol. Its size is what the network link transfers.
 	Enc *colbatch.Encoded
 	// ServiceTime is the simulated remote compute time attributable to
 	// producing this batch under the first/next-tuple model: the first batch
@@ -109,9 +110,10 @@ func (c *Cursor) NextBatch() *Batch {
 	if c.result.Col != nil {
 		b.Col = c.result.Col.Slice(lo, hi)
 		if c.result.Rel == nil {
-			// Columnar wire protocol: encode the batch for transfer. The
-			// encoded length is the size every network draw observes.
-			b.Enc = colbatch.Encode(b.Col)
+			// Columnar wire protocol: the batch's encoded length is the size
+			// every network draw observes. Nothing decodes the bytes, so
+			// the batch is measured, not encoded.
+			b.Enc = colbatch.Measure(b.Col)
 		}
 	}
 	c.pos++

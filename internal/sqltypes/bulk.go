@@ -15,12 +15,17 @@ const (
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// fnvUint64LE folds the little-endian bytes of u into h.
+// fnvUint64LE folds the little-endian bytes of u into h. It is unrolled by
+// hand: the compiler keeps the loop form, which hashes at half the speed.
 func fnvUint64LE(h, u uint64) uint64 {
-	for i := 0; i < 64; i += 8 {
-		h = (h ^ (u >> i & 0xff)) * fnvPrime64
-	}
-	return h
+	h = (h ^ (u & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 8 & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 16 & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 24 & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 32 & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 40 & 0xff)) * fnvPrime64
+	h = (h ^ (u >> 48 & 0xff)) * fnvPrime64
+	return (h ^ (u >> 56)) * fnvPrime64
 }
 
 // HashNull returns Value.Hash() of the SQL NULL value.

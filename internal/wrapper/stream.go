@@ -144,7 +144,9 @@ func (s *netStream) Next(ctx context.Context) (*StreamBatch, error) {
 	b := s.cur.NextBatch()
 	if b != nil && b.Enc != nil {
 		s.wireBytes += b.Enc.WireBytes()
-		s.rawBytes += b.Col.WireSize()
+		if s.wsp != nil { // only the span reports the row-model bytes
+			s.rawBytes += b.Col.WireSize()
+		}
 		if s.colEnc == nil {
 			s.colEnc = b.Enc.ColEnc
 		}
