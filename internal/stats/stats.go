@@ -10,7 +10,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqltypes"
@@ -110,7 +111,10 @@ func AvgRowBytes(total, n int) float64 {
 // typed column is read off its payload slice: min and max compare the payload
 // as sqltypes.Compare orders it, and distinct cells are counted by the hash
 // Value.Hash gives them (the sqltypes bulk hashers), with no Value built per
-// cell. A Mixed column goes cell by cell.
+// cell. A Mixed column goes cell by cell. The distinct hashes go into one
+// hashSet sized for the non-NULL cells; once counted, its slots hold the
+// numeric cells for BuildHistogram, so a collection allocates the set and
+// nothing per cell beyond it.
 func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats {
 	cs := &ColumnStats{Name: col.Name, Type: col.Type, RowCount: int64(n)}
 	if c.Mixed != nil {
@@ -131,12 +135,8 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 		}
 	}
 	null := func(i int) bool { return nulls != nil && nulls[i] }
-	distinct := make(map[uint64]struct{})
-	var numeric []float64
-	histogram := col.Type == sqltypes.KindInt || col.Type == sqltypes.KindFloat
-	if histogram && (c.Kind == sqltypes.KindInt || c.Kind == sqltypes.KindFloat) {
-		numeric = make([]float64, 0, n-int(cs.NullCount))
-	}
+	m := n - int(cs.NullCount)
+	distinct := newHashSet(m)
 	switch c.Kind {
 	case sqltypes.KindInt:
 		var lo, hi int64
@@ -145,7 +145,7 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 			if null(i) {
 				continue
 			}
-			distinct[sqltypes.HashInt64(v)] = struct{}{}
+			distinct.add(sqltypes.HashInt64(v))
 			if !seen || v < lo {
 				lo = v
 			}
@@ -153,9 +153,6 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 				hi = v
 			}
 			seen = true
-			if numeric != nil {
-				numeric = append(numeric, float64(v))
-			}
 		}
 		if seen {
 			cs.Min, cs.Max = sqltypes.NewInt(lo), sqltypes.NewInt(hi)
@@ -169,7 +166,7 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 			if null(i) {
 				continue
 			}
-			distinct[sqltypes.HashFloat64(v)] = struct{}{}
+			distinct.add(sqltypes.HashFloat64(v))
 			if !seen || v < lo {
 				lo = v
 			}
@@ -177,9 +174,6 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 				hi = v
 			}
 			seen = true
-			if numeric != nil {
-				numeric = append(numeric, v)
-			}
 		}
 		if seen {
 			cs.Min, cs.Max = sqltypes.NewFloat(lo), sqltypes.NewFloat(hi)
@@ -191,7 +185,7 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 			if null(i) {
 				continue
 			}
-			distinct[sqltypes.HashString(v)] = struct{}{}
+			distinct.add(sqltypes.HashString(v))
 			if !seen || v < lo {
 				lo = v
 			}
@@ -210,7 +204,7 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 			if null(i) {
 				continue
 			}
-			distinct[sqltypes.HashBool(v)] = struct{}{}
+			distinct.add(sqltypes.HashBool(v))
 			if !seen || (!v && lo) {
 				lo = v
 			}
@@ -223,7 +217,25 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 			cs.Min, cs.Max = sqltypes.NewBool(lo), sqltypes.NewBool(hi)
 		}
 	}
-	cs.Distinct = int64(len(distinct))
+	cs.Distinct = distinct.count()
+	if col.Type != sqltypes.KindInt && col.Type != sqltypes.KindFloat {
+		return cs
+	}
+	numeric := distinct.floats(m)
+	switch c.Kind {
+	case sqltypes.KindInt:
+		for i, v := range c.Ints[:n] {
+			if !null(i) {
+				numeric = append(numeric, float64(v))
+			}
+		}
+	case sqltypes.KindFloat:
+		for i, v := range c.Floats[:n] {
+			if !null(i) {
+				numeric = append(numeric, v)
+			}
+		}
+	}
 	if len(numeric) > 0 {
 		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
 	}
@@ -232,26 +244,37 @@ func CollectColumn(col sqltypes.Column, c *colbatch.Column, n int) *ColumnStats 
 
 // collectCells is CollectColumn over the cells of a Mixed column.
 func collectCells(cs *ColumnStats, col sqltypes.Column, c *colbatch.Column, n int) {
-	distinct := make(map[uint64]struct{})
-	var numeric []float64
-	for _, v := range c.Mixed[:n] {
+	cells := c.Mixed[:n]
+	for _, v := range cells {
 		if v.IsNull() {
 			cs.NullCount++
+		}
+	}
+	m := n - int(cs.NullCount)
+	distinct := newHashSet(m)
+	for _, v := range cells {
+		if v.IsNull() {
 			continue
 		}
-		distinct[v.Hash()] = struct{}{}
+		distinct.add(v.Hash())
 		if cs.Min.IsNull() || sqltypes.Compare(v, cs.Min) < 0 {
 			cs.Min = v
 		}
 		if cs.Max.IsNull() || sqltypes.Compare(v, cs.Max) > 0 {
 			cs.Max = v
 		}
+	}
+	cs.Distinct = distinct.count()
+	if col.Type != sqltypes.KindInt && col.Type != sqltypes.KindFloat {
+		return
+	}
+	numeric := distinct.floats(m)
+	for _, v := range cells {
 		if v.IsNumeric() {
 			numeric = append(numeric, v.Float())
 		}
 	}
-	cs.Distinct = int64(len(distinct))
-	if len(numeric) > 0 && (col.Type == sqltypes.KindInt || col.Type == sqltypes.KindFloat) {
+	if len(numeric) > 0 {
 		cs.Hist = BuildHistogram(numeric, DefaultHistogramBuckets)
 	}
 }
@@ -271,18 +294,22 @@ type Histogram struct {
 }
 
 // BuildHistogram builds an equi-depth histogram with at most buckets buckets.
-// It sorts values in place: the caller hands over a slice it no longer reads.
+// Its bounds are the sorted values at a few ranks (the first, the last and
+// every per-th between), and it reads only those: selectRanks places there
+// what sort.Float64s would, NaNs first, and leaves the rest of values in no
+// particular order. The caller hands over a slice it no longer reads.
 func BuildHistogram(values []float64, buckets int) *Histogram {
 	if len(values) == 0 || buckets <= 0 {
 		return nil
 	}
 	sorted := values
-	sort.Float64s(sorted)
-	h := &Histogram{Lo: sorted[0], Hi: sorted[len(sorted)-1], Total: int64(len(sorted))}
 	per := len(sorted) / buckets
 	if per == 0 {
 		per = 1
 	}
+	ranks := histogramRanks(len(sorted), per)
+	selectRanks(sorted, ranks)
+	h := &Histogram{Lo: sorted[0], Hi: sorted[len(sorted)-1], Total: int64(len(sorted)), Buckets: make([]Bucket, 0, len(ranks))}
 	for i := per - 1; i < len(sorted); i += per {
 		upper := sorted[i]
 		// Extend the last bucket to the true max.
@@ -306,6 +333,107 @@ func BuildHistogram(values []float64, buckets int) *Histogram {
 		h.Buckets[len(h.Buckets)-1].Count += diff
 	}
 	return h
+}
+
+// histogramRanks lists, ascending and once each, the ranks BuildHistogram
+// reads of n sorted values cut every per: 0, then per-1, 2·per-1, … while a
+// whole bucket follows, then n-1.
+func histogramRanks(n, per int) []int {
+	ranks := make([]int, 1, n/per+2)
+	for i := per - 1; i+per < n; i += per {
+		if i > 0 {
+			ranks = append(ranks, i)
+		}
+	}
+	if n > 1 {
+		ranks = append(ranks, n-1)
+	}
+	return ranks
+}
+
+// selectRanks permutes a so that a[r], for each r of ranks (ascending,
+// distinct), is the value sort.Float64s(a) would put at r: the NaNs first,
+// then the rest ascending by <. That value is unique but for the sign of a
+// zero (−0 and +0 are equal) and the payload of a NaN, which the sort, not
+// being stable, leaves open too.
+func selectRanks(a []float64, ranks []int) {
+	nans := 0
+	for i, x := range a {
+		if x != x {
+			a[nans], a[i] = x, a[nans]
+			nans++
+		}
+	}
+	for len(ranks) > 0 && ranks[0] < nans {
+		ranks = ranks[1:]
+	}
+	quickselect(a[nans:], nans, ranks, 2*bits.Len(uint(len(a))))
+}
+
+// quickselect is selectRanks over a, NaN-free and starting at rank off of the
+// whole: a median-of-3 quickselect that goes on only into the sides holding a
+// rank. A pivot that is its side's minimum splits off its equal run instead,
+// so repeated values cost one pass each. It sorts a side of at most 12 values,
+// and what remains after depth partitions, so no input makes it quadratic.
+func quickselect(a []float64, off int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(a) <= 12 || depth == 0 {
+			slices.Sort(a)
+			return
+		}
+		depth--
+		// Not the ends: partitionBelow leaves a side's largest value first.
+		p := median3(a[len(a)/4], a[len(a)/2], a[len(a)/4*3])
+		// a[:lt] < p, a[lt:gt] == p, a[gt:] >= p: a rank in
+		// [off+lt, off+gt) already holds its value.
+		lt := partitionBelow(a, p)
+		gt := lt
+		if lt == 0 {
+			gt = partitionEqual(a, p)
+		}
+		i, _ := slices.BinarySearch(ranks, off+lt)
+		j, _ := slices.BinarySearch(ranks, off+gt)
+		quickselect(a[:lt], off, ranks[:i], depth)
+		a, off, ranks = a[gt:], off+gt, ranks[j:]
+	}
+}
+
+// partitionBelow moves the values of a below p to its front and returns how
+// many there are. It is Lomuto's scheme without a branch on the comparison:
+// every value is written back, and only the count depends on it.
+func partitionBelow(a []float64, p float64) int {
+	lt := 0
+	for i, x := range a {
+		a[i] = a[lt]
+		a[lt] = x
+		lt += b2i(x < p)
+	}
+	return lt
+}
+
+// partitionEqual is partitionBelow for the values equal to p, when none is
+// below it.
+func partitionEqual(a []float64, p float64) int {
+	eq := 0
+	for i, x := range a {
+		a[i] = a[eq]
+		a[eq] = x
+		eq += b2i(!(p < x))
+	}
+	return eq
+}
+
+func median3(x, y, z float64) float64 {
+	if y < x {
+		x, y = y, x
+	}
+	if z < y {
+		y = z
+		if y < x {
+			y = x
+		}
+	}
+	return y
 }
 
 // SelectivityLE estimates P(col <= x).
@@ -361,4 +489,12 @@ func (h *Histogram) String() string {
 		return "hist(nil)"
 	}
 	return fmt.Sprintf("hist[%g..%g n=%d b=%d]", h.Lo, h.Hi, h.Total, len(h.Buckets))
+}
+
+// b2i is 1 for true and 0 for false; it compiles to a flag read, not a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
