@@ -159,9 +159,8 @@ func newAggFolder(groupBy []sqlparser.Expr, aggs []*sqlparser.AggExpr) *aggFolde
 	return &aggFolder{groupBy: groupBy, aggs: aggs, groups: map[uint64][]*aggGroup{}}
 }
 
-// fold accumulates one batch of rows, charging the same per-row CPU cost the
-// materialized operator charges for its whole input.
-func (f *aggFolder) fold(in *sqltypes.Relation, ctx *Context) error {
+// fold accumulates one batch of rows.
+func (f *aggFolder) fold(in *sqltypes.Relation) error {
 	for _, row := range in.Rows {
 		keys := make(sqltypes.Row, len(f.groupBy))
 		for i, g := range f.groupBy {
@@ -199,7 +198,6 @@ func (f *aggFolder) fold(in *sqltypes.Relation, ctx *Context) error {
 			grp.states[i].add(v)
 		}
 	}
-	ctx.Res.CPUOps += float64(len(in.Rows)) * float64(1+len(f.aggs))
 	return nil
 }
 
@@ -236,8 +234,9 @@ func (a *Aggregate) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	ctx.Res.Add(a.Charge(float64(len(in.Rows))))
 	folder := newAggFolder(a.GroupBy, a.Aggs)
-	if err := folder.fold(in, ctx); err != nil {
+	if err := folder.fold(in); err != nil {
 		return nil, err
 	}
 	return folder.result(a.Schema()), nil

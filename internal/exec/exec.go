@@ -4,11 +4,13 @@
 //
 // Every operator charges its true resource consumption (CPU operations,
 // sequential IO pages, and cache-friendly page touches) to the execution
-// Context. The remote server's load model converts those resources into
-// simulated response time; the same formulas over *estimated* cardinalities
-// produce the optimizer's cost estimate. The difference between the two —
-// amplified by load and network conditions — is exactly the signal the
-// paper's Query Cost Calibrator learns.
+// Context, through its one Charge method (charge.go). The remote server's
+// load model converts those resources into simulated response time. The
+// optimizer's estimate calls the same Charge with estimated counts, so an
+// estimate fed the counts an execution observed is that execution's charge.
+// What remains between estimate and observation is cardinality error,
+// amplified by load and network conditions: the signal the paper's Query
+// Cost Calibrator learns.
 package exec
 
 import (
@@ -116,10 +118,9 @@ type Values struct {
 // Schema implements Operator.
 func (v *Values) Schema() *sqltypes.Schema { return v.Rel.Schema }
 
-// Execute implements Operator. It charges one CPU op per row (cursor
-// iteration) and no IO: the data is already local.
+// Execute implements Operator.
 func (v *Values) Execute(ctx *Context) (*sqltypes.Relation, error) {
-	ctx.Res.CPUOps += float64(len(v.Rel.Rows))
+	ctx.Res.Add(v.Charge(float64(len(v.Rel.Rows))))
 	return v.Rel, nil
 }
 

@@ -10,7 +10,7 @@ import (
 
 // IndexNLJoin is an index nested-loop join: for each outer row it probes the
 // inner table's index on the join key and fetches matching rows. Probes and
-// fetches are charged as cache-friendly page touches — with a warm buffer
+// fetches are cache-friendly page touches — with a warm buffer
 // pool this plan is extremely cheap, which is why a fast server's optimizer
 // prefers it; under update-induced buffer churn the same plan collapses to
 // random IO. This is the mechanism behind the paper's Figure 9 observation
@@ -50,15 +50,6 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	return indexNLJoinRel(j, outer, ctx)
-}
-
-// charge accounts a finished join: every probe descends the index, every
-// fetched row is one more cache-friendly page touch. Both kernels call it, so
-// they charge the same floating-point expression over the same two counts.
-func (j *IndexNLJoin) charge(ctx *Context, iv storage.IndexView, probes, fetches float64) {
-	descent := IndexDescent(float64(iv.Len()))
-	ctx.Res.CachedPages += probes*descent + fetches
-	ctx.Res.CPUOps += probes*(descent+1) + fetches
 }
 
 // indexNLJoinRel is the row-level join kernel, shared by Execute and the
@@ -114,7 +105,7 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 		out.Rows = append(out.Rows, joined)
 	}
 	ctx.read(v)
-	j.charge(ctx, iv, float64(len(probes)), float64(fetches))
+	ctx.Res.Add(j.Charge(float64(iv.Len()), float64(len(probes)), float64(fetches)))
 	return out, nil
 }
 

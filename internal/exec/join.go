@@ -110,7 +110,7 @@ func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*s
 			out.Rows = append(out.Rows, joined)
 		}
 	}
-	ctx.Res.CPUOps += float64(len(build.Rows))*2 + float64(len(probe.Rows))*2 + float64(len(out.Rows))
+	ctx.Res.Add(j.Charge(float64(len(hashed.Rows)), float64(len(streamed.Rows)), float64(len(out.Rows))))
 	return out, nil
 }
 
@@ -156,12 +156,13 @@ func (j *NestedLoopJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return nestedLoopRel(j, outer, inner, ctx)
+	ctx.Res.Add(j.Charge(float64(len(outer.Rows)), float64(len(inner.Rows))))
+	return nestedLoopRel(j, outer, inner)
 }
 
 // nestedLoopRel is the row-level join kernel, shared by Execute and the
 // vectorized path's rerun (which has already executed both children).
-func nestedLoopRel(j *NestedLoopJoin, outer, inner *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+func nestedLoopRel(j *NestedLoopJoin, outer, inner *sqltypes.Relation) (*sqltypes.Relation, error) {
 	outSchema := outer.Schema.Concat(inner.Schema)
 	out := sqltypes.NewRelation(outSchema)
 	for _, orow := range outer.Rows {
@@ -179,14 +180,7 @@ func nestedLoopRel(j *NestedLoopJoin, outer, inner *sqltypes.Relation, ctx *Cont
 			out.Rows = append(out.Rows, joined)
 		}
 	}
-	j.charge(ctx, len(outer.Rows), len(inner.Rows))
 	return out, nil
-}
-
-// charge accounts a finished join: one op per candidate pair. Both kernels
-// call it.
-func (j *NestedLoopJoin) charge(ctx *Context, outer, inner int) {
-	ctx.Res.CPUOps += float64(outer) * float64(inner)
 }
 
 // Explain implements Operator.

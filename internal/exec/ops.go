@@ -24,13 +24,14 @@ func (f *Filter) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return filterRel(f.Pred, in, ctx)
+	ctx.Res.Add(f.Charge(float64(len(in.Rows))))
+	return filterRel(f.Pred, in)
 }
 
-// filterRel is the row-level filter kernel shared by the materialized
-// operator and FilterStream: it evaluates the predicate over one relation
-// (or batch) and charges one CPU op per input row.
-func filterRel(pred sqlparser.Expr, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+// filterRel is the row-level filter kernel shared by Execute and the
+// vectorized path's rerun: it evaluates the predicate over one relation (or
+// batch).
+func filterRel(pred sqlparser.Expr, in *sqltypes.Relation) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(in.Schema)
 	for _, row := range in.Rows {
 		ok, err := sqlparser.EvalBool(pred, row, in.Schema)
@@ -41,7 +42,6 @@ func filterRel(pred sqlparser.Expr, in *sqltypes.Relation, ctx *Context) (*sqlty
 			out.Rows = append(out.Rows, row)
 		}
 	}
-	ctx.Res.CPUOps += float64(len(in.Rows))
 	return out, nil
 }
 
@@ -148,12 +148,13 @@ func (p *Project) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return projectRel(p.Items, in, ctx)
+	ctx.Res.Add(p.Charge(float64(len(in.Rows))))
+	return projectRel(p.Items, in)
 }
 
-// projectRel is the row-level projection kernel shared by the materialized
-// operator and ProjectStream.
-func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+// projectRel is the row-level projection kernel shared by Execute and the
+// vectorized path's rerun.
+func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(projectSchema(items, in.Schema))
 	for _, row := range in.Rows {
 		var outRow sqltypes.Row
@@ -170,7 +171,6 @@ func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation, ctx *Contex
 		}
 		out.Rows = append(out.Rows, outRow)
 	}
-	ctx.Res.CPUOps += float64(len(in.Rows)) * float64(len(items))
 	return out, nil
 }
 
@@ -201,12 +201,13 @@ func (s *Sort) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sortRel(s.Keys, in, ctx)
+	ctx.Res.Add(s.Charge(float64(len(in.Rows))))
+	return sortRel(s.Keys, in)
 }
 
-// sortRel is the sort kernel shared by the materialized operator and
-// SortSource; the SortOps charge covers the full input once.
-func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
+// sortRel is the row-level sort kernel shared by Execute and the vectorized
+// path's rerun.
+func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation) (*sqltypes.Relation, error) {
 	type keyed struct {
 		row  sqltypes.Row
 		keys []sqltypes.Value
@@ -241,18 +242,7 @@ func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation, ctx *Context) (*
 	for i, it := range items {
 		out.Rows[i] = it.row
 	}
-	ctx.Res.CPUOps += SortOps(float64(len(items)))
 	return out, nil
-}
-
-// SortOps is the CPU charge for sorting n rows: n·⌈log2 n⌉, and n below two
-// rows. Both sort kernels charge it and the remote estimator prices a Sort at it.
-func SortOps(n float64) float64 {
-	l := 1.0
-	for m := n; m > 2; m /= 2 {
-		l++
-	}
-	return n * l
 }
 
 // Explain implements Operator.
@@ -311,40 +301,29 @@ func (d *Distinct) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	state := newDistinctState()
-	return state.fold(in, ctx), nil
+	ctx.Res.Add(d.Charge(float64(len(in.Rows))))
+	return distinctRel(in), nil
 }
 
-// distinctState is the duplicate-elimination kernel shared by the
-// materialized operator and DistinctStream: the seen-set persists across
-// fold calls so duplicates are removed across batches.
-type distinctState struct {
-	seen map[uint64][]sqltypes.Row
-}
-
-func newDistinctState() *distinctState {
-	return &distinctState{seen: map[uint64][]sqltypes.Row{}}
-}
-
-// fold returns the not-seen-before rows of one relation (or batch),
-// charging two CPU ops per input row.
-func (s *distinctState) fold(in *sqltypes.Relation, ctx *Context) *sqltypes.Relation {
+// distinctRel is the row-level duplicate-elimination kernel: the rows of in
+// not seen before, in order.
+func distinctRel(in *sqltypes.Relation) *sqltypes.Relation {
+	seen := map[uint64][]sqltypes.Row{}
 	out := sqltypes.NewRelation(in.Schema)
 	for _, row := range in.Rows {
 		h := rowHash(row)
 		dup := false
-		for _, prev := range s.seen[h] {
+		for _, prev := range seen[h] {
 			if rowsIdentical(prev, row) {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			s.seen[h] = append(s.seen[h], row)
+			seen[h] = append(seen[h], row)
 			out.Rows = append(out.Rows, row)
 		}
 	}
-	ctx.Res.CPUOps += float64(len(in.Rows)) * 2
 	return out
 }
 

@@ -2,16 +2,13 @@ package exec
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
-// SeqScan reads an entire table sequentially. It charges the table's full
-// page count as sequential IO — large scans stream from disk and are largely
-// insensitive to buffer-pool pressure.
+// SeqScan reads an entire table sequentially.
 type SeqScan struct {
 	Table *storage.Table
 	// As qualifies output columns (the table alias in the query).
@@ -36,8 +33,7 @@ func (s *SeqScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	defer v.Close()
 	ctx.read(v)
 	out := &sqltypes.Relation{Schema: s.Schema(), Rows: v.Rows()}
-	ctx.Res.IOPages += float64(v.Pages())
-	ctx.Res.CPUOps += float64(len(out.Rows))
+	ctx.Res.Add(s.Charge(float64(v.Pages()), float64(len(out.Rows))))
 	return out, nil
 }
 
@@ -83,9 +79,9 @@ func (p IndexProbe) String() string {
 }
 
 // IndexScan probes an index and fetches matching rows. Index traversal and
-// row fetches are charged as cache-friendly page touches: with a warm buffer
-// pool they are nearly free, but under update-induced buffer churn the
-// server's load model turns them into real IO.
+// row fetches are cache-friendly page touches: with a warm buffer pool they
+// are nearly free, but under update-induced buffer churn the server's load
+// model turns them into real IO.
 type IndexScan struct {
 	Table *storage.Table
 	Index *storage.Index
@@ -115,7 +111,7 @@ func (s *IndexScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	out := &sqltypes.Relation{Schema: s.Schema(), Rows: v.RowsAt(positions)}
-	s.charge(ctx, iv, len(positions))
+	ctx.Res.Add(s.Charge(float64(iv.Len()), float64(len(positions))))
 	return out, nil
 }
 
@@ -135,26 +131,6 @@ func (s *IndexScan) lookup(v storage.View) (storage.IndexView, []int, error) {
 		return iv, nil, fmt.Errorf("exec: hash index %s cannot serve range probe", s.Index.Name())
 	}
 	return iv, positions, nil
-}
-
-// charge accounts a finished scan: one descent, and every fetched row is one
-// buffer-pool page touch (random access does not get sequential-scan
-// batching). Both kernels call it.
-func (s *IndexScan) charge(ctx *Context, iv storage.IndexView, fetched int) {
-	descent := IndexDescent(float64(iv.Len()))
-	ctx.Res.CachedPages += descent + float64(fetched)
-	ctx.Res.CPUOps += descent + float64(fetched)
-}
-
-// IndexDescent is what one probe of an index of n entries is charged: ~log2
-// of n. The kernels pass the index's entry count, the estimator the table's
-// row count.
-func IndexDescent(n float64) float64 {
-	descent := 1.0
-	if n > 2 {
-		descent += math.Log2(n) / 4
-	}
-	return descent
 }
 
 // Explain implements Operator.

@@ -119,8 +119,9 @@ func (s *ShardAggFinal) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err := s.checkWidth(in.Schema); err != nil {
 		return nil, err
 	}
+	ctx.Res.Add(s.Charge(float64(len(in.Rows))))
 	m := s.newMerger()
-	m.fold(len(in.Rows), func(r, c int) sqltypes.Value { return in.Rows[r][c] }, ctx)
+	m.fold(len(in.Rows), func(r, c int) sqltypes.Value { return in.Rows[r][c] })
 	return m.result(), nil
 }
 
@@ -140,8 +141,7 @@ func (s *ShardAggFinal) checkWidth(schema *sqltypes.Schema) error {
 // through a cell accessor, a relation's or a column batch's at a time, and
 // result turns the groups into final aggregate values. Execute folds its
 // whole input at once, the vectorized pipeline one arriving batch after the
-// other; the grouping, the fold order and the CPU charge — one op per row per
-// (cursor + aggregate) — are identical by construction.
+// other; the grouping and the fold order are identical by construction.
 type shardMerger struct {
 	s      *ShardAggFinal
 	groups map[uint64][]*shardMergeGroup
@@ -153,7 +153,7 @@ func (s *ShardAggFinal) newMerger() *shardMerger {
 }
 
 // fold merges n partial rows into the groups.
-func (m *shardMerger) fold(n int, cell func(row, col int) sqltypes.Value, ctx *Context) {
+func (m *shardMerger) fold(n int, cell func(row, col int) sqltypes.Value) {
 	s, k := m.s, len(m.s.GroupBy)
 	keys := make(sqltypes.Row, k)
 	for r := 0; r < n; r++ {
@@ -187,7 +187,6 @@ func (m *shardMerger) fold(n int, cell func(row, col int) sqltypes.Value, ctx *C
 			off += PartialStateWidth(a)
 		}
 	}
-	ctx.Res.CPUOps += float64(n) * float64(1+len(s.Aggs))
 }
 
 // result finalizes the merged groups, in first-appearance order.

@@ -158,7 +158,7 @@ func (p *pipe) tally() *Context {
 // settle posts what the pipe owes; its input has ended.
 func (p *pipe) settle() {
 	if p.owed != nil {
-		p.ctx.Res.CPUOps += p.owed.Res.CPUOps
+		p.ctx.Res.Add(p.owed.Res)
 		p.owed = nil
 	}
 }
@@ -224,8 +224,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			v := x.Table.View()
 			ctx.read(v)
 			n := v.RowCount()
-			ctx.Res.IOPages += float64(v.Pages())
-			ctx.Res.CPUOps += float64(n)
+			ctx.Res.Add(x.Charge(float64(v.Pages()), float64(n)))
 			p.windows = colbatch.New(x.Schema(), v.Columns(), n).Windows(scanWindow)
 			v.Close()
 		}
@@ -263,7 +262,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			b = colbatch.FromRelation(sqltypes.NewRelation(x.Sch))
 		}
 		p.done = true
-		p.tally().Res.CPUOps += float64(b.Len())
+		p.tally().Res.Add(x.Charge(float64(b.Len())))
 		return b, nil
 
 	case batchwise:
@@ -292,7 +291,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 
 	switch x := p.op.(type) {
 	case *Values:
-		ctx.Res.CPUOps += float64(len(x.Rel.Rows))
+		ctx.Res.Add(x.Charge(float64(len(x.Rel.Rows))))
 		if x.Col != nil {
 			return x.Col, nil
 		}
@@ -306,7 +305,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
-		x.charge(ctx, iv, len(positions))
+		ctx.Res.Add(x.Charge(float64(iv.Len()), float64(len(positions))))
 		schema := x.Schema()
 		if len(positions) == 0 {
 			// The row kernel's empty result: columns without a kind, which
@@ -316,19 +315,19 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		return colbatch.NewSelected(schema, v.Columns(), positions), nil
 
 	case *Filter:
+		p.tally().Res.Add(x.Charge(float64(in.Len())))
 		sel, verr := p.pred.selection(x.Pred, in)
 		if verr != nil {
-			return boxed(filterRel(x.Pred, in.ToRelation(), p.tally()))
+			return boxed(filterRel(x.Pred, in.ToRelation()))
 		}
-		p.tally().Res.CPUOps += float64(in.Len())
 		return selectOwned(in, sel), nil
 
 	case *Project:
+		p.tally().Res.Add(x.Charge(float64(in.Len())))
 		out, verr := p.proj.apply(x.Items, in)
 		if verr != nil {
-			return boxed(projectRel(x.Items, in.ToRelation(), p.tally()))
+			return boxed(projectRel(x.Items, in.ToRelation()))
 		}
-		p.tally().Res.CPUOps += float64(in.Len()) * float64(len(x.Items))
 		return out, nil
 
 	case *Sort:
@@ -336,11 +335,11 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		ctx.Res.Add(x.Charge(float64(in.Len())))
 		out, verr := sortBatch(x.Keys, in)
 		if verr != nil {
-			return boxed(sortRel(x.Keys, in.ToRelation(), ctx))
+			return boxed(sortRel(x.Keys, in.ToRelation()))
 		}
-		ctx.Res.CPUOps += SortOps(float64(in.Len()))
 		return out, nil
 
 	case *Limit:
@@ -354,7 +353,8 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if p.seen == nil {
 			p.seen = newVDistinctState()
 		}
-		return distinctBatch(in, p.seen, p.tally()), nil
+		p.tally().Res.Add(x.Charge(float64(in.Len())))
+		return distinctBatch(in, p.seen), nil
 
 	case *Aggregate:
 		folder := newAggFolder(x.GroupBy, x.Aggs)
@@ -367,8 +367,9 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				p.settle()
 				return colbatch.FromRelation(folder.result(x.Schema())), nil
 			}
-			if verr := foldBatch(folder, in, p.tally()); verr != nil {
-				if err := folder.fold(in.ToRelation(), p.tally()); err != nil {
+			p.tally().Res.Add(x.Charge(float64(in.Len())))
+			if verr := foldBatch(folder, in); verr != nil {
+				if err := folder.fold(in.ToRelation()); err != nil {
 					return nil, err
 				}
 			}
@@ -387,11 +388,11 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if err != nil {
 			return nil, err
 		}
+		ctx.Res.Add(x.Charge(float64(outer.Len()), float64(inner.Len())))
 		out, verr := nestedLoopBatch(x, outer, inner)
 		if verr != nil {
-			return boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation(), ctx))
+			return boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation()))
 		}
-		x.charge(ctx, outer.Len(), inner.Len())
 		return out, nil
 
 	case *ShardAggFinal:
@@ -408,7 +409,8 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			if err := x.checkWidth(in.Schema); err != nil {
 				return nil, err
 			}
-			merger.fold(in.Len(), in.Value, p.tally())
+			p.tally().Res.Add(x.Charge(float64(in.Len())))
+			merger.fold(in.Len(), in.Value)
 		}
 
 	default:
@@ -688,10 +690,9 @@ func newVDistinctState() *vDistinctState {
 	return &vDistinctState{seen: map[uint64][]seenRow{}}
 }
 
-// distinctBatch selects the not-seen-before rows, charging two CPU ops per
-// input row like distinctState.fold. Rows materialize only on hash-bucket
-// collisions.
-func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *colbatch.Batch {
+// distinctBatch selects the not-seen-before rows, like distinctRel.
+// Rows materialize only on hash-bucket collisions.
+func distinctBatch(in *colbatch.Batch, state *vDistinctState) *colbatch.Batch {
 	n := in.Len()
 	state.hs = batchRowHashes(state.hs, in)
 	hs := state.hs
@@ -710,7 +711,6 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState, ctx *Context) *col
 			sel = append(sel, i)
 		}
 	}
-	ctx.Res.CPUOps += float64(n) * 2
 	return selectOwned(in, sel)
 }
 
@@ -731,7 +731,7 @@ type foldVec struct {
 // aggregate arguments evaluate column-wise up front (so an error leaves the
 // folder untouched for the row fallback), then rows fold into the exact
 // same group structures the row kernel builds.
-func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
+func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 	n, k, v := in.Len(), len(f.groupBy), &f.vec
 	if v.schema != in.Schema {
 		nodes := make([]vnode, k+len(f.aggs))
@@ -766,7 +766,6 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 		if n > 0 {
 			foldArgs(f.aggs, ares, aops, f.scalarGroup(), nil, n)
 		}
-		ctx.Res.CPUOps += float64(n) * float64(1+len(f.aggs))
 		return nil
 	}
 	// Group hashes fold column-major (cache-friendly, one dispatch per cell);
@@ -823,7 +822,6 @@ func foldBatch(f *aggFolder, in *colbatch.Batch, ctx *Context) error {
 		rowGroups[row] = grp
 	}
 	foldArgs(f.aggs, ares, aops, nil, rowGroups, n)
-	ctx.Res.CPUOps += float64(n) * float64(1+len(f.aggs))
 	return nil
 }
 
@@ -1068,8 +1066,8 @@ type hashJoinTable struct {
 	hops      operand
 	bits      uint // log2 of the bucket count
 	hashedRel *sqltypes.Relation
-	// pending is the hashed side's charge. It joins the first streamed
-	// batch's so that a single-batch join adds to ctx.Res once, as the row
+	// pending is the hashed side's rows, charged with the first streamed
+	// batch so that a single-batch join adds to ctx.Res once, as the row
 	// kernel does.
 	pending float64
 }
@@ -1089,7 +1087,7 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	for _, b := range hashed {
 		hn += b.Len()
 	}
-	t := &hashJoinTable{j: j, hashed: hashed, schema: j.Schema(), pending: float64(hn) * 2}
+	t := &hashJoinTable{j: j, hashed: hashed, schema: j.Schema(), pending: float64(hn)}
 	hkey, _ := t.keys()
 	hnode, err := compileExpr(hkey, hashed[0].Schema)
 	if err != nil || hn >= math.MaxInt32 {
@@ -1189,8 +1187,8 @@ func (t *hashJoinTable) paired(id int, sres *vres, so *operand, i int, h uint64)
 	return keysEqual(&t.hres, ho, id, sres, so, i) && keyHash(&t.hres, ho, id) == h
 }
 
-// probe joins one streamed batch and charges the join's formula for it: two
-// ops per hashed row (once), two per streamed row, one per output row.
+// probe joins one streamed batch and charges the join for it, the hashed
+// rows with the first batch.
 func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
 	out, verr := t.probeBatch(in)
 	if verr != nil {
@@ -1207,7 +1205,7 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 		}
 		out = colbatch.FromRelation(rel)
 	}
-	ctx.Res.CPUOps += t.pending + float64(in.Len())*2 + float64(out.Len())
+	ctx.Res.Add(t.j.Charge(t.pending, float64(in.Len()), float64(out.Len())))
 	t.pending = 0
 	return out, nil
 }
@@ -1324,7 +1322,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 		}
 	}
 	ctx.read(v)
-	j.charge(ctx, iv, float64(probes), float64(fetches))
+	ctx.Res.Add(j.Charge(float64(iv.Len()), float64(probes), float64(fetches)))
 	return windows, nil
 }
 

@@ -11,10 +11,14 @@ import (
 )
 
 // estimator derives optimizer-visible cost estimates by walking a physical
-// operator tree with table statistics — never by executing it. The resource
-// formulas deliberately mirror the executor's actual charging so that, on a
-// calm (zero-load) server, estimated and observed times agree and the
-// calibration factor sits near 1.
+// operator tree with table statistics — never by executing it. It estimates
+// the counts each operator's charge reads and prices them with the
+// operator's own Charge, the one both kernels call: an estimate fed the
+// counts an execution observed is that execution's charge in every bit, but
+// for rounding where a charge under a join's right input adds to a
+// fractional one. On a calm (zero-load) server, estimated and observed times
+// then differ only by cardinality error, and the calibration factor sits
+// near 1.
 type estimator struct {
 	provider stats.StatsProvider
 	// tables is what the bind read of each table the plans reference.
@@ -23,6 +27,22 @@ type estimator struct {
 	// schema is the statement's tables joined in FROM order: what a column
 	// reference resolves against, whichever plan is being estimated.
 	schema *sqltypes.Schema
+	// observed, nil in production, holds what executing each node of a plan
+	// counted, to stand in for the estimated counts (see count).
+	observed map[exec.Operator]counts
+}
+
+// counts is what executing one node counted: its output rows and, for an
+// index join, its non-NULL probes and its matches before the residual.
+type counts struct{ card, probes, matches float64 }
+
+// count returns est, the estimated output rows of op, or the rows executing
+// op counted when the estimator holds them.
+func (e *estimator) count(op exec.Operator, est float64) float64 {
+	if c, ok := e.observed[op]; ok {
+		return c.card
+	}
+	return est
 }
 
 // nodeEst is the estimate for one subtree.
@@ -49,7 +69,7 @@ func (e *estimator) estimatePlan(root exec.Operator) (CostEstimate, error) {
 	if card < 1 {
 		card = 1
 	}
-	first := e.server.hw.FixedOverheadMS + 0.1*(total-e.server.hw.FixedOverheadMS)
+	first := e.server.firstTuple(total)
 	next := (total - first) / float64(card)
 	if next < 0 {
 		next = 0
@@ -71,36 +91,26 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if card > 0 {
 			width = float64(x.Rel.ByteSize()) / card
 		}
-		return nodeEst{card: card, width: width, computed: true, res: exec.Resources{CPUOps: card}}, nil
+		return nodeEst{card: card, width: width, computed: true, res: x.Charge(card)}, nil
 
 	case *exec.SeqScan:
 		facts := e.tables[x.Table]
 		card := float64(facts.stats.RowCount)
-		return nodeEst{
-			card:  card,
-			width: facts.stats.WireRowBytes,
-			res:   exec.Resources{IOPages: float64(facts.pages), CPUOps: card},
-		}, nil
+		return nodeEst{card: card, width: facts.stats.WireRowBytes, res: x.Charge(float64(facts.pages), card)}, nil
 
 	case *exec.IndexScan:
 		ts := e.tables[x.Table].stats
-		card := float64(ts.RowCount) * e.probeSelectivity(x, ts)
-		descent := exec.IndexDescent(float64(ts.RowCount))
-		return nodeEst{
-			card:  card,
-			width: ts.WireRowBytes,
-			res:   exec.Resources{CachedPages: descent + card, CPUOps: descent + card},
-		}, nil
+		card := e.count(x, float64(ts.RowCount)*e.probeSelectivity(x, ts))
+		return nodeEst{card: card, width: ts.WireRowBytes, res: x.Charge(indexEntries(ts, x.Index.Column()), card)}, nil
 
 	case *exec.Filter:
 		in, err := e.estimate(x.Input)
 		if err != nil {
 			return nodeEst{}, err
 		}
-		sel := stats.Selectivity(x.Pred, e.provider)
 		out := in
-		out.card = in.card * sel
-		out.res.CPUOps += in.card
+		out.card = e.count(x, in.card*stats.Selectivity(x.Pred, e.provider))
+		out.res.Add(x.Charge(in.card))
 		return out, nil
 
 	case *exec.Project:
@@ -110,7 +120,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		}
 		out := in
 		out.width, out.computed = e.projectWidth(x.Items, in), true
-		out.res.CPUOps += in.card * float64(len(x.Items))
+		out.res.Add(x.Charge(in.card))
 		return out, nil
 
 	case *exec.HashJoin:
@@ -127,10 +137,10 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if x.Residual != nil {
 			card *= stats.Selectivity(x.Residual, e.provider)
 		}
-		out := nodeEst{card: card, width: l.width + r.width}
-		out.res = l.res
+		card = e.count(x, card)
+		out := nodeEst{card: card, width: l.width + r.width, res: l.res}
 		out.res.Add(r.res)
-		out.res.CPUOps += 2*l.card + 2*r.card + card
+		out.res.Add(x.Charge(l.card, r.card, card))
 		return out, nil
 
 	case *exec.IndexNLJoin:
@@ -139,17 +149,20 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			return nodeEst{}, err
 		}
 		ts := e.tables[x.Inner].stats
-		card := float64(stats.JoinCardinality(int64(outer.card), ts.RowCount,
+		matches := float64(stats.JoinCardinality(int64(outer.card), ts.RowCount,
 			e.keyDistinct(x.OuterKey, outer.card), columnDistinct(ts, x.Index.Column())))
+		card, probes := matches, outer.card // a NULL outer key does not probe
+		if cs := e.keyStats(x.OuterKey); cs != nil {
+			probes *= 1 - cs.NullFraction()
+		}
 		if x.Residual != nil {
 			card *= stats.Selectivity(x.Residual, e.provider)
 		}
-		descent := exec.IndexDescent(float64(ts.RowCount))
-		fetches := card
-		out := nodeEst{card: card, width: outer.width + ts.WireRowBytes}
-		out.res = outer.res
-		out.res.CachedPages += outer.card*descent + fetches
-		out.res.CPUOps += outer.card*(descent+1) + fetches
+		if c, ok := e.observed[x]; ok {
+			card, probes, matches = c.card, c.probes, c.matches
+		}
+		out := nodeEst{card: card, width: outer.width + ts.WireRowBytes, res: outer.res}
+		out.res.Add(x.Charge(indexEntries(ts, x.Index.Column()), probes, matches))
 		return out, nil
 
 	case *exec.NestedLoopJoin:
@@ -165,10 +178,9 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		if x.Pred != nil {
 			sel = stats.Selectivity(x.Pred, e.provider)
 		}
-		out := nodeEst{card: l.card * r.card * sel, width: l.width + r.width}
-		out.res = l.res
+		out := nodeEst{card: e.count(x, l.card*r.card*sel), width: l.width + r.width, res: l.res}
 		out.res.Add(r.res)
-		out.res.CPUOps += l.card * r.card
+		out.res.Add(x.Charge(l.card, r.card))
 		return out, nil
 
 	case *exec.Aggregate:
@@ -180,10 +192,9 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 		for _, g := range x.GroupBy {
 			distincts = append(distincts, e.keyDistinct(g, in.card))
 		}
-		card := float64(stats.GroupCardinality(int64(in.card), distincts))
-		out := nodeEst{card: card, computed: true, width: rowHeader + computedWidth*float64(len(x.GroupBy)+len(x.Aggs))}
-		out.res = in.res
-		out.res.CPUOps += in.card * float64(1+len(x.Aggs))
+		card := e.count(x, float64(stats.GroupCardinality(int64(in.card), distincts)))
+		out := nodeEst{card: card, computed: true, width: rowHeader + computedWidth*float64(len(x.GroupBy)+len(x.Aggs)), res: in.res}
+		out.res.Add(x.Charge(in.card))
 		return out, nil
 
 	case *exec.Sort:
@@ -192,7 +203,7 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			return nodeEst{}, err
 		}
 		out := in
-		out.res.CPUOps += exec.SortOps(in.card)
+		out.res.Add(x.Charge(in.card))
 		return out, nil
 
 	case *exec.Distinct:
@@ -201,7 +212,8 @@ func (e *estimator) estimate(op exec.Operator) (nodeEst, error) {
 			return nodeEst{}, err
 		}
 		out := in
-		out.res.CPUOps += in.card * 2
+		out.card = e.count(x, in.card)
+		out.res.Add(x.Charge(in.card))
 		return out, nil
 
 	case *exec.Limit:
@@ -282,23 +294,39 @@ func (e *estimator) probeSelectivity(x *exec.IndexScan, ts *stats.TableStats) fl
 	return s
 }
 
-// keyDistinct estimates the number of distinct values a key expression
-// takes; a bare column of a base table — qualified or not — uses its
-// statistics, anything else assumes the input cardinality.
-func (e *estimator) keyDistinct(key sqlparser.Expr, inputCard float64) int64 {
+// keyStats returns the statistics of a key expression that is a bare column
+// of a base table — qualified or not — and nil for any other key.
+func (e *estimator) keyStats(key sqlparser.Expr) *stats.ColumnStats {
 	if ref, ok := key.(*sqlparser.ColumnRef); ok {
 		if i, err := e.schema.ColumnIndex(ref.Table, ref.Name); err == nil {
 			c := e.schema.Columns[i]
-			if cs := e.provider.TableStats(c.Table).Column(c.Name); cs != nil && cs.Distinct > 0 {
-				return cs.Distinct
-			}
+			return e.provider.TableStats(c.Table).Column(c.Name)
 		}
+	}
+	return nil
+}
+
+// keyDistinct estimates the number of distinct values a key expression
+// takes; a bare column of a base table uses its statistics, anything else
+// assumes the input cardinality.
+func (e *estimator) keyDistinct(key sqlparser.Expr, inputCard float64) int64 {
+	if cs := e.keyStats(key); cs != nil && cs.Distinct > 0 {
+		return cs.Distinct
 	}
 	d := int64(inputCard)
 	if d < 1 {
 		d = 1
 	}
 	return d
+}
+
+// indexEntries is what an index on column holds: the table's rows whose
+// column is not NULL.
+func indexEntries(ts *stats.TableStats, column string) float64 {
+	if cs := ts.Column(column); cs != nil {
+		return float64(ts.RowCount - cs.NullCount)
+	}
+	return float64(ts.RowCount)
 }
 
 func columnDistinct(ts *stats.TableStats, column string) int64 {

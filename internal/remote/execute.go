@@ -23,8 +23,6 @@ type Result struct {
 	// ServiceTime is the simulated time the server spent, including load
 	// effects and queueing — the "observed cost" QCC learns from.
 	ServiceTime simclock.Time
-	// Resources is the true resource consumption (for diagnostics).
-	Resources exec.Resources
 }
 
 // RowCount returns the result cardinality regardless of which form (rows or
@@ -89,7 +87,6 @@ func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, erro
 		res := &Result{
 			Col:         col,
 			ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
-			Resources:   ectx.Res,
 		}
 		if !wire {
 			res.Rel = col.ToRelation()
@@ -104,7 +101,6 @@ func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, erro
 	return &Result{
 		Rel:         rel,
 		ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
-		Resources:   ectx.Res,
 	}, nil
 }
 

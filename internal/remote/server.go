@@ -447,6 +447,14 @@ func (s *Server) EstimateTime(res exec.Resources) float64 {
 	return float64(s.serviceTime(res, 0))
 }
 
+// firstTuple is the share of a total service time spent before the first
+// tuple, on the first/next-tuple model: the fixed overhead and a tenth of the
+// rest, within [0, total]. An estimate's total is at least the overhead, so
+// the bounds bind only for an observed time.
+func (s *Server) firstTuple(total float64) float64 {
+	return max(min(s.hw.FixedOverheadMS+0.1*(total-s.hw.FixedOverheadMS), total), 0)
+}
+
 // Observe converts resources into observed service time at the CURRENT
 // effective load (background + induced) and accounts the work toward future
 // induced load.

@@ -64,13 +64,7 @@ func (s *Server) OpenPlan(ctx context.Context, p *Plan, batchRows int) (*Cursor,
 	// first/next-tuple model c(h) = first + (total-first)·(h-1)/(n-1), with
 	// c(n) pinned to the total so the per-batch deltas sum exactly.
 	total := float64(res.ServiceTime)
-	first := s.hw.FixedOverheadMS + 0.1*(total-s.hw.FixedOverheadMS)
-	if first > total {
-		first = total
-	}
-	if first < 0 {
-		first = 0
-	}
+	first := s.firstTuple(total)
 	for lo := 0; lo < n; lo += batchRows {
 		hi := lo + batchRows
 		if hi > n {
