@@ -16,7 +16,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/workload"
-	"repro/internal/wrapper"
 )
 
 // Options configures the studies.
@@ -243,20 +242,15 @@ func runQCCPhase(opts Options, build func() (*scenario.Scenario, error), phase w
 // model — so MW observes an (estimated, observed) pair. It returns the
 // observed response time.
 func runOn(sc *scenario.Scenario, server string, stmt *sqlparser.SelectStmt) (simclock.Time, error) {
-	ctx := context.Background()
 	cands, err := sc.MW.ExplainFragment(server, stmt)
 	if err != nil {
 		return 0, fmt.Errorf("explain: %w", err)
 	}
-	st, err := sc.MW.OpenFragmentStream(ctx, server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
+	sh, err := sc.MW.OpenFragmentStream(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
 	if err != nil {
 		return 0, fmt.Errorf("execute: %w", err)
 	}
-	out, err := wrapper.Drain(ctx, st)
-	if err != nil {
-		return 0, fmt.Errorf("execute: %w", err)
-	}
-	return out.ResponseTime, nil
+	return sh.ResponseTime, nil
 }
 
 // CalibrationSweep forwards one instance of each query type to every server

@@ -28,9 +28,9 @@ import (
 
 const gatherJoin = `SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey GROUP BY o.o_priority ORDER BY o.o_priority`
 
-// hookedWrapper decorates a wrapper's streams: beforeBatch runs before batch
-// n (from 0) of every stream it opens is delivered and may fail the stream;
-// replay, when set, serves a recorded stream instead of asking the server.
+// hookedWrapper decorates a wrapper's shipments: beforeBatch runs before
+// batch n (from 0) of every shipment is delivered and may fail the shipment;
+// replay, when set, serves a recorded shipment instead of asking the server.
 type hookedWrapper struct {
 	wrapper.Wrapper
 	mu          sync.Mutex
@@ -40,69 +40,60 @@ type hookedWrapper struct {
 }
 
 type recordedStream struct {
-	schema  *sqltypes.Schema
-	batches []*wrapper.StreamBatch
+	batches []*remote.Batch
+	arrive  []simclock.Time
 	outcome *wrapper.StreamOutcome
 }
 
-func (w *hookedWrapper) Open(ctx context.Context, plan *remote.Plan, batchRows int) (wrapper.ResultStream, error) {
+func (w *hookedWrapper) before(n int) error {
+	w.mu.Lock()
+	hook := w.beforeBatch
+	w.mu.Unlock()
+	if hook == nil {
+		return nil
+	}
+	return hook(n)
+}
+
+func (w *hookedWrapper) Ship(ctx context.Context, plan *remote.Plan, batchRows int, emit func(*remote.Batch, simclock.Time)) (*wrapper.StreamOutcome, error) {
 	w.mu.Lock()
 	rec, replay := w.record[plan.SQL], w.replay
 	w.mu.Unlock()
 	if replay && rec != nil {
-		return &hookedStream{w: w, rec: rec, replaying: true}, nil
+		for n, b := range rec.batches {
+			if err := w.before(n); err != nil {
+				return nil, err
+			}
+			emit(b, rec.arrive[n])
+		}
+		return rec.outcome, nil
 	}
-	st, err := w.Wrapper.Open(ctx, plan, batchRows)
-	if err != nil {
-		return nil, err
-	}
-	rec = &recordedStream{schema: st.Schema()}
+	rec = &recordedStream{}
 	w.mu.Lock()
 	if w.record != nil {
 		w.record[plan.SQL] = rec
 	}
 	w.mu.Unlock()
-	return &hookedStream{ResultStream: st, w: w, rec: rec}, nil
-}
-
-type hookedStream struct {
-	wrapper.ResultStream
-	w         *hookedWrapper
-	rec       *recordedStream
-	replaying bool
-	n         int
-}
-
-func (s *hookedStream) Schema() *sqltypes.Schema { return s.rec.schema }
-
-func (s *hookedStream) Outcome() *wrapper.StreamOutcome { return s.rec.outcome }
-
-func (s *hookedStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
-	s.w.mu.Lock()
-	hook := s.w.beforeBatch
-	s.w.mu.Unlock()
-	if hook != nil {
-		if err := hook(s.n); err != nil {
-			return nil, err
+	// A failing hook stops the inner shipment through its context.
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var failed error
+	out, err := w.Wrapper.Ship(sctx, plan, batchRows, func(b *remote.Batch, at simclock.Time) {
+		if failed = w.before(len(rec.batches)); failed != nil {
+			cancel()
+			return
 		}
+		rec.batches, rec.arrive = append(rec.batches, b), append(rec.arrive, at)
+		emit(b, at)
+	})
+	if failed != nil {
+		return nil, failed
 	}
-	s.n++
-	if s.replaying {
-		if s.n > len(s.rec.batches) {
-			return nil, nil
-		}
-		return s.rec.batches[s.n-1], nil
-	}
-	b, err := s.ResultStream.Next(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if b == nil {
-		s.rec.outcome = s.ResultStream.Outcome()
-	} else {
-		s.rec.batches = append(s.rec.batches, b)
-	}
-	return b, nil
+	rec.outcome = out
+	return out, nil
 }
 
 // hookedII rebuilds the scenario's integrator over decorated wrappers.

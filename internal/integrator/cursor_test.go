@@ -10,7 +10,6 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/wrapper"
 )
 
 // shardArrivals queues the finished streams of one sharded table t(k, v):
@@ -32,9 +31,9 @@ func shardArrivals(at [][]simclock.Time, rows int) (*arrivals, []int) {
 				ks[r], vs[r] = int64(r%7), int64((s*100+i)*1000+r)
 			}
 			cols := []*colbatch.Column{colbatch.IntColumn(ks, nil), colbatch.IntColumn(vs, nil)}
-			arr.push(s, &wrapper.StreamBatch{Col: colbatch.New(sch, cols, rows), ArriveTime: when})
+			arr.push(s, &remote.Batch{Col: colbatch.New(sch, cols, rows)}, when)
 		}
-		arr.push(s, nil)
+		arr.end(s)
 	}
 	return arr, parts
 }

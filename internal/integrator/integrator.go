@@ -565,25 +565,18 @@ func (e *FragmentError) Error() string {
 
 func (e *FragmentError) Unwrap() error { return e.Err }
 
-// dispatchFragment runs one fragment through MW's streaming data path, handing
-// every batch to the query's arrivals as it is received.
+// dispatchFragment ships one fragment through MW's streaming data path,
+// handing every batch to the query's arrivals as it is received.
 func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, arr *arrivals, pos int) error {
 	key := metawrapper.FragmentKey{ServerID: f.ServerID, Signature: f.Spec.Sig}
-	st, err := ii.cfg.MW.OpenKeyed(ctx, key, f.Plan, f.RawEst, DefaultBatchRows)
+	out, err := ii.cfg.MW.Ship(ctx, key, f.Plan, f.RawEst, DefaultBatchRows, func(b *remote.Batch, arrive simclock.Time) {
+		arr.push(pos, b, arrive)
+	})
 	if err != nil {
 		return err
 	}
-	for {
-		b, err := st.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			arr.queues[pos].serverID, arr.queues[pos].outcome = f.ServerID, st.Outcome()
-			return nil
-		}
-		arr.push(pos, b)
-	}
+	arr.queues[pos].serverID, arr.queues[pos].outcome = f.ServerID, out
+	return nil
 }
 
 // arrivals hands a query's fragment batches from the dispatch goroutines to
@@ -599,10 +592,10 @@ type arrivals struct {
 }
 
 type fragQueue struct {
-	batches []*wrapper.StreamBatch
+	batches []arrival
 	done    bool // the fragment's goroutine returned: nothing more will arrive
-	// Where the fragment ran and how long it took: set once the stream is
-	// exhausted, read once every goroutine has returned.
+	// Where the fragment ran and how long it took: set once the shipment
+	// ends, read once every goroutine has returned.
 	serverID string
 	outcome  *wrapper.StreamOutcome
 }
@@ -613,21 +606,33 @@ func newArrivals(fragments int) *arrivals {
 	return a
 }
 
-// push queues the fragment's next batch; a nil batch ends the queue.
-func (a *arrivals) push(pos int, b *wrapper.StreamBatch) {
+// arrival is one fragment batch and the virtual time, since the fragment's
+// start, at which it finished arriving.
+type arrival struct {
+	*remote.Batch
+	arrive simclock.Time
+}
+
+// push queues the fragment's next batch.
+func (a *arrivals) push(pos int, b *remote.Batch, arrive simclock.Time) {
 	a.mu.Lock()
-	if q := &a.queues[pos]; b != nil {
-		q.batches = append(q.batches, b)
-	} else {
-		q.done = true
-	}
+	q := &a.queues[pos]
+	q.batches = append(q.batches, arrival{b, arrive})
+	a.mu.Unlock()
+	a.cond.Signal()
+}
+
+// end closes the fragment's queue: nothing more will arrive.
+func (a *arrivals) end(pos int) {
+	a.mu.Lock()
+	a.queues[pos].done = true
 	a.mu.Unlock()
 	a.cond.Signal()
 }
 
 // wait blocks until batch n of the fragment at pos has arrived and returns it;
-// nil when the fragment ended without one. Only the merge waits.
-func (a *arrivals) wait(pos, n int) *wrapper.StreamBatch {
+// false when the fragment ended without one. Only the merge waits.
+func (a *arrivals) wait(pos, n int) (arrival, bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	q := &a.queues[pos]
@@ -635,27 +640,27 @@ func (a *arrivals) wait(pos, n int) *wrapper.StreamBatch {
 		a.cond.Wait()
 	}
 	if n < len(q.batches) {
-		return q.batches[n]
+		return q.batches[n], true
 	}
-	return nil
+	return arrival{}, false
 }
 
 // earliest waits for the next batch of every part (plan positions) still
 // running, n[k] being the batches already taken from part k and -1 once it
 // has ended, and returns the one that arrived first on the virtual clock,
-// plan position breaking ties, with its part; nil once every part has ended.
-// Both merges read a logical fragment's shards in this order, so it depends on
-// the model alone, never on the scheduler.
-func (a *arrivals) earliest(parts, n []int) (*wrapper.StreamBatch, int) {
-	var next *wrapper.StreamBatch
+// plan position breaking ties, with its part; part -1 once every part has
+// ended. Both merges read a logical fragment's shards in this order, so it
+// depends on the model alone, never on the scheduler.
+func (a *arrivals) earliest(parts, n []int) (arrival, int) {
+	var next arrival
 	at := -1
 	for k, pos := range parts {
 		if n[k] < 0 {
 			continue
 		}
-		if b := a.wait(pos, n[k]); b == nil {
+		if b, ok := a.wait(pos, n[k]); !ok {
 			n[k] = -1
-		} else if next == nil || b.ArriveTime < next.ArriveTime {
+		} else if at < 0 || b.arrive < next.arrive {
 			next, at = b, k
 		}
 	}
@@ -687,11 +692,11 @@ func (c *fragCursor) Next() (*colbatch.Batch, error) {
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
-	if next == nil {
+	if at < 0 {
 		return nil, nil
 	}
 	c.n[at]++
-	c.arr.taken.take(next.ArriveTime)
+	c.arr.taken.take(next.arrive)
 	if next.Col == nil { // a row-engine remote shipped rows
 		b := colbatch.FromRelation(next.Rel)
 		b.Schema = c.sch
@@ -750,7 +755,7 @@ func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *
 	n := make([]int, len(parts))
 	for {
 		b, at := a.earliest(parts, n)
-		if b == nil {
+		if at < 0 {
 			return &exec.Values{Rel: rel, Label: label}
 		}
 		n[at]++
@@ -790,7 +795,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		go func() {
 			defer wg.Done()
 			// However this goroutine ends, the merge must stop waiting for it.
-			defer arr.push(i, nil)
+			defer arr.end(i)
 			if fctx.Err() != nil {
 				return
 			}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
-	"repro/internal/sqltypes"
 	"repro/internal/telemetry"
 	"repro/internal/wrapper"
 )
@@ -341,35 +340,44 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 	return 0
 }
 
-// OpenFragmentStream forwards an execution descriptor as a batch stream
-// (wrapper.Open) and instruments its lifecycle. The context carries the
-// dispatch's cancellation signal down to the wrapper, server and network
+// Ship forwards an execution descriptor (wrapper.Ship), handing each batch
+// to emit as it arrives, and instruments the shipment. The context carries
+// the dispatch's cancellation signal down to the wrapper, server and network
 // layers; errors are classified (a cancelled dispatch is NOT reported to QCC
 // as a server error — the server did nothing wrong, a sibling fragment
-// failed first), and successful exhaustion records
-// the response time AND, unless the stream is monolithic (batchRows <= 0),
-// the time-to-first-row against the uncalibrated estimate, feeding QCC's
-// separate FirstTupleMS calibration. rawEst must be the wrapper's
-// uncalibrated estimate for the executed plan; fragSQL the fragment statement
-// text.
-func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
-	return mw.OpenKeyed(ctx, fragmentKey(serverID, fragSQL), plan, rawEst, batchRows)
-}
-
-// OpenKeyed is OpenFragmentStream for a caller that already holds the
-// fragment's canonical signature (the integrator: FragmentSpec.Sig), so the
-// warm dispatch path never re-renders or re-canonicalizes the statement.
-func (mw *MetaWrapper) OpenKeyed(ctx context.Context, key FragmentKey, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (wrapper.ResultStream, error) {
+// failed first), and a completed shipment records the response time AND,
+// unless it is monolithic (batchRows <= 0), the time-to-first-row against
+// the uncalibrated estimate, feeding QCC's separate FirstTupleMS
+// calibration. key is the fragment's canonical record key (the integrator
+// holds it as FragmentSpec.Sig); rawEst must be the wrapper's uncalibrated
+// estimate for the executed plan.
+func (mw *MetaWrapper) Ship(ctx context.Context, key FragmentKey, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int, emit func(b *remote.Batch, arrive simclock.Time)) (*wrapper.StreamOutcome, error) {
 	w := mw.Wrapper(key.ServerID)
 	if w == nil {
 		return nil, fmt.Errorf("metawrapper: unknown server %q", key.ServerID)
 	}
-	inner, err := w.Open(ctx, plan, batchRows)
+	out, err := w.Ship(ctx, plan, batchRows, emit)
 	if err != nil {
 		mw.reportExecError(ctx, key.ServerID, err)
 		return nil, err
 	}
-	return &mwStream{mw: mw, inner: inner, key: key, plan: plan, rawEst: rawEst}, nil
+	mw.observeOutcome(ctx, key, plan, rawEst, out)
+	return out, nil
+}
+
+// OpenFragmentStream is Ship for a caller holding the fragment statement's
+// text fragSQL: it ships the fragment to the end and returns the shipment,
+// whose batches the caller reads back at leisure.
+func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate, batchRows int) (*wrapper.Shipment, error) {
+	sh := &wrapper.Shipment{}
+	out, err := mw.Ship(ctx, fragmentKey(serverID, fragSQL), plan, rawEst, batchRows, func(b *remote.Batch, _ simclock.Time) {
+		sh.Batches = append(sh.Batches, b)
+	})
+	if err != nil {
+		return nil, err
+	}
+	sh.StreamOutcome = out
+	return sh, nil
 }
 
 // reportExecError is the shared run-time error classification: cancellation
@@ -387,41 +395,6 @@ func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err
 	mw.journal.Errors.Add(journal.Error{QueryID: journal.ScopeOf(ctx).Query, ServerID: serverID, Err: err.Error()})
 }
 
-// mwStream decorates a wrapper stream with MW's observation duties.
-type mwStream struct {
-	mw       *MetaWrapper
-	inner    wrapper.ResultStream
-	key      FragmentKey
-	plan     *remote.Plan
-	rawEst   remote.CostEstimate
-	finished bool
-	// wire: some batch arrived without a row form, i.e. the columnar wire
-	// carried the fragment.
-	wire bool
-}
-
-// Schema implements wrapper.ResultStream.
-func (s *mwStream) Schema() *sqltypes.Schema { return s.inner.Schema() }
-
-// Outcome implements wrapper.ResultStream.
-func (s *mwStream) Outcome() *wrapper.StreamOutcome { return s.inner.Outcome() }
-
-// Next implements wrapper.ResultStream.
-func (s *mwStream) Next(ctx context.Context) (*wrapper.StreamBatch, error) {
-	b, err := s.inner.Next(ctx)
-	if err != nil {
-		s.mw.reportExecError(ctx, s.key.ServerID, err)
-		return nil, err
-	}
-	if b != nil {
-		s.wire = s.wire || b.Rel == nil
-	} else if !s.finished {
-		s.finished = true
-		s.observeOutcome(ctx, s.inner.Outcome())
-	}
-	return b, nil
-}
-
 // shipModes names how a fragment's data crossed the wire, for the fragment's
 // span and its journal run entry, by {pushdown, columnar wire}.
 var shipModes = map[[2]bool]string{
@@ -431,35 +404,36 @@ var shipModes = map[[2]bool]string{
 	{true, true}:   "pushdown-col", // partial-aggregate states as typed column batches
 }
 
-func (s *mwStream) observeOutcome(ctx context.Context, out *wrapper.StreamOutcome) {
-	mw := s.mw
-	mw.telemetry().Active().Histogram("mw.response_ms", s.key.ServerID, nil).Observe(float64(out.ResponseTime))
+func (mw *MetaWrapper) observeOutcome(ctx context.Context, key FragmentKey, plan *remote.Plan, rawEst remote.CostEstimate, out *wrapper.StreamOutcome) {
+	mw.telemetry().Active().Histogram("mw.response_ms", key.ServerID, nil).Observe(float64(out.ResponseTime))
 	if out.FirstRowTime > 0 {
-		mw.telemetry().Active().Histogram("mw.first_row_ms", s.key.ServerID, nil).Observe(float64(out.FirstRowTime))
+		mw.telemetry().Active().Histogram("mw.first_row_ms", key.ServerID, nil).Observe(float64(out.FirstRowTime))
 	}
 	outBytes := resultBytes(out.Result, out.WireBytes)
 	if obs, _ := mw.observerAndCalib(); obs != nil {
 		obs.ObserveRun(RunRecord{
-			Key:      s.key,
-			PlanSig:  s.plan.Signature,
-			Est:      s.rawEst,
+			Key:      key,
+			PlanSig:  plan.Signature,
+			Est:      rawEst,
 			Observed: out.ResponseTime,
 			FirstRow: out.FirstRowTime,
 			OutBytes: outBytes,
 		})
 	}
-	// The context says which query and fragment this stream serves (nothing,
-	// for a direct call) and carries the dispatch's span.
+	// The context says which query and fragment this shipment serves
+	// (nothing, for a direct call) and carries the dispatch's span. Only the
+	// columnar wire carries encoded bytes, and even an empty batch encodes to
+	// a few.
 	scope := journal.ScopeOf(ctx)
-	ship := shipModes[[2]bool{scope.Pushdown, s.wire}]
+	ship := shipModes[[2]bool{scope.Pushdown, out.WireBytes > 0}]
 	telemetry.SpanFrom(ctx).SetAttr("ship", ship)
 	mw.journal.Runs.Add(journal.Run{
 		QueryID:    scope.Query,
 		FragID:     scope.Frag,
-		Fragment:   s.key.Signature,
-		ServerID:   s.key.ServerID,
-		PlanSig:    s.plan.Signature,
-		EstMS:      s.rawEst.TotalMS,
+		Fragment:   key.Signature,
+		ServerID:   key.ServerID,
+		PlanSig:    plan.Signature,
+		EstMS:      rawEst.TotalMS,
 		ObservedMS: float64(out.ResponseTime),
 		OutBytes:   outBytes,
 		Ship:       ship,

@@ -52,15 +52,16 @@ func newMW(t *testing.T) (*MetaWrapper, *remote.Server) {
 	return New(wrapper.NewRelational(s, topo)), s
 }
 
-// runMono executes a plan store-and-forward: one monolithic batch, drained.
+// runMono ships a plan store-and-forward: one monolithic batch.
 func runMono(mw *MetaWrapper, serverID, fragSQL string, plan *remote.Plan, rawEst remote.CostEstimate) (*wrapper.StreamOutcome, error) {
-	ctx := context.Background()
-	st, err := mw.OpenFragmentStream(ctx, serverID, fragSQL, plan, rawEst, 0)
+	sh, err := mw.OpenFragmentStream(context.Background(), serverID, fragSQL, plan, rawEst, 0)
 	if err != nil {
 		return nil, err
 	}
-	return wrapper.Drain(ctx, st)
+	return sh.StreamOutcome, nil
 }
+
+func ignoreBatch(*remote.Batch, simclock.Time) {}
 
 func TestExplainRecordsAndCalibrates(t *testing.T) {
 	mw, _ := newMW(t)
@@ -144,19 +145,12 @@ func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
 	if _, err := mw.ExplainFragment("S1", stmt); err != nil {
 		t.Fatal(err)
 	}
-	drain := func(st wrapper.ResultStream, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for b, err := st.Next(ctx); b != nil || err != nil; b, err = st.Next(ctx) {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
+	if _, err := mw.Ship(ctx, key, cands[0].Plan, cands[0].RawEst, 256, ignoreBatch); err != nil {
+		t.Fatal(err)
 	}
-	drain(mw.OpenKeyed(ctx, key, cands[0].Plan, cands[0].RawEst, 256))
-	drain(mw.OpenFragmentStream(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst, 256))
+	if _, err := mw.OpenFragmentStream(ctx, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst, 256); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +334,7 @@ func TestFragmentStreamBeatsStoreAndForward(t *testing.T) {
 		rows += b.Col.Len()
 		batches++
 	}
-	out := st.Outcome()
+	out := st.StreamOutcome
 
 	if rows < 10000 || rows != mono.Result.RowCount() {
 		t.Fatalf("streamed %d rows, store-and-forward %d; scenario needs >=10k", rows, mono.Result.RowCount())
@@ -353,5 +347,52 @@ func TestFragmentStreamBeatsStoreAndForward(t *testing.T) {
 	}
 	if out.FirstRowTime <= 0 || out.FirstRowTime >= out.ResponseTime {
 		t.Fatalf("first row %v must fall strictly inside (0, %v)", out.FirstRowTime, out.ResponseTime)
+	}
+}
+
+// TestShipAllocatesNothingPerBatch: shipping a fragment through MW allocates
+// what running its plan and reading its cursor does plus a constant, the same
+// at 4 batches and at 40: nothing per batch (no second batch value, no
+// closure, no stream state).
+func TestShipAllocatesNothingPerBatch(t *testing.T) {
+	mw, s := newMW(t)
+	ctx := context.Background()
+	stmt := sqlparser.MustParse("SELECT l.l_orderkey, l.l_price FROM lineitem AS l")
+	cands, err := mw.ExplainFragment("S1", stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := cands[0].Plan
+	key := fragmentKey("S1", stmt.String())
+	cur, err := s.OpenPlan(ctx, plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := cur.Result().RowCount()
+	var extra, batches [2]float64
+	for i, about := range []int{4, 40} {
+		batchRows := (rows + about - 1) / about
+		if cur, err = s.OpenPlan(ctx, plan, batchRows); err != nil {
+			t.Fatal(err)
+		}
+		batches[i] = float64(cur.NumBatches())
+		ship := testing.AllocsPerRun(50, func() {
+			if _, err := mw.Ship(ctx, key, plan, cands[0].RawEst, batchRows, ignoreBatch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		drain := testing.AllocsPerRun(50, func() {
+			cur, err := s.OpenPlan(ctx, plan, batchRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+			}
+		})
+		extra[i] = ship - drain
+	}
+	t.Logf("Ship allocates %v more at %v batches, %v more at %v", extra[0], batches[0], extra[1], batches[1])
+	if batches[1] < 30 || extra[0] != extra[1] {
+		t.Fatalf("Ship allocates %v more than running the plan and reading its cursor at %v batches, %v more at %v", extra[0], batches[0], extra[1], batches[1])
 	}
 }

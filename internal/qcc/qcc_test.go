@@ -15,23 +15,17 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
-	"repro/internal/wrapper"
 )
 
 // runOn explains the statement on one server and executes the first plan
 // offered store-and-forward (one monolithic batch), so MW hands QCC an
 // (estimated, observed) pair for that server.
 func runOn(sc *scenario.Scenario, server string, stmt *sqlparser.SelectStmt) error {
-	ctx := context.Background()
 	cands, err := sc.MW.ExplainFragment(server, stmt)
 	if err != nil {
 		return err
 	}
-	st, err := sc.MW.OpenFragmentStream(ctx, server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
-	if err != nil {
-		return err
-	}
-	_, err = wrapper.Drain(ctx, st)
+	_, err = sc.MW.OpenFragmentStream(context.Background(), server, stmt.String(), cands[0].Plan, cands[0].RawEst, 0)
 	return err
 }
 

@@ -37,17 +37,6 @@ func (r *Result) RowCount() int {
 	return 0
 }
 
-// Schema returns the result schema from whichever form carries it.
-func (r *Result) Schema() *sqltypes.Schema {
-	if r.Rel != nil {
-		return r.Rel.Schema
-	}
-	if r.Col != nil {
-		return r.Col.Schema
-	}
-	return nil
-}
-
 // runPlan is OpenPlan's execution body: it fails when the context is cancelled, when the server is down, when failure
 // injection is armed, or when the plan is bound to a different server, then
 // executes the plan and observes its full service time under current load.

@@ -12,7 +12,7 @@ import (
 // drainCursor collects the streamed batches' rows. On the columnar wire a
 // batch carries no row form, so cells are read back from its columns.
 func drainCursor(cur *Cursor) (*sqltypes.Relation, simclock.Time) {
-	out := sqltypes.NewRelation(cur.Result().Schema())
+	out := sqltypes.NewRelation(cur.Result().Col.Schema)
 	var total simclock.Time
 	for {
 		b := cur.NextBatch()

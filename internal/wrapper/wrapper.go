@@ -54,12 +54,14 @@ type Wrapper interface {
 	// tables — a cheap local read (no simulated network traffic) used to
 	// validate cached compilations.
 	TableVersions(tables []string) (map[string]int64, error)
-	// Open runs an execution descriptor as a batch stream: result batches
-	// ship over the network as the server produces them, overlapping remote
-	// compute with transfer. The context carries cancellation (a sibling
-	// fragment failed). batchRows <= 0
-	// degenerates to one monolithic batch: store-and-forward timing.
-	Open(ctx context.Context, plan *remote.Plan, batchRows int) (ResultStream, error)
+	// Ship runs an execution descriptor and hands each result batch to emit
+	// with its virtual arrival time (since fragment start) as it arrives:
+	// batches ship over the network as the server produces them, overlapping
+	// remote compute with transfer. The context carries cancellation (a
+	// sibling fragment failed): no batch is emitted after it is cancelled
+	// and Ship returns its error. batchRows <= 0 degenerates to one
+	// monolithic batch: store-and-forward timing.
+	Ship(ctx context.Context, plan *remote.Plan, batchRows int, emit func(b *remote.Batch, arrive simclock.Time)) (*StreamOutcome, error)
 	// Probe checks source availability end to end (network + server).
 	Probe(ctx context.Context) (simclock.Time, error)
 }
@@ -127,11 +129,6 @@ func (w *Relational) TableVersions(tables []string) (map[string]int64, error) {
 		return nil, fmt.Errorf("wrapper: %s does not host all of %v", w.server.ID(), tables)
 	}
 	return versions, nil
-}
-
-// Open implements Wrapper.
-func (w *Relational) Open(ctx context.Context, plan *remote.Plan, batchRows int) (ResultStream, error) {
-	return openStream(ctx, w.server, w.topo, plan, batchRows)
 }
 
 // Probe implements Wrapper: a round trip plus the server's health check.

@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/network"
 	"repro/internal/remote"
+	"repro/internal/simclock"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
@@ -26,14 +28,9 @@ func testSetup(t *testing.T) (*remote.Server, *network.Topology) {
 	return s, topo
 }
 
-// runMono executes a plan store-and-forward: one monolithic batch, drained.
+// runMono ships a plan store-and-forward: one monolithic batch.
 func runMono(w Wrapper, plan *remote.Plan) (*StreamOutcome, error) {
-	ctx := context.Background()
-	st, err := w.Open(ctx, plan, 0)
-	if err != nil {
-		return nil, err
-	}
-	return Drain(ctx, st)
+	return w.Ship(context.Background(), plan, 0, func(*remote.Batch, simclock.Time) {})
 }
 
 func TestRelationalExplainIncludesNetworkEstimate(t *testing.T) {
@@ -163,5 +160,147 @@ func TestFileWrapperNoCost(t *testing.T) {
 	}
 	if _, err := w.TableSchema("nope"); err == nil {
 		t.Fatal("unknown table")
+	}
+}
+
+// slowLinkSetup is a 10k-row lineitem on one server behind a 20 ms, 50 KB/s
+// link.
+func slowLinkSetup(t *testing.T) (*remote.Server, *Relational) {
+	t.Helper()
+	s := remote.NewServer(remote.ProfileS2("S1"))
+	for _, g := range storage.SampleSchema(10) {
+		tab, err := g.Generate(7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.AddTable(tab)
+	}
+	topo := network.NewTopology()
+	topo.AddLink("S1", network.NewLink(network.LinkConfig{LatencyMS: 20, BandwidthKBps: 50}))
+	return s, NewRelational(s, topo)
+}
+
+func explainFirst(t *testing.T, w Wrapper, sql string) *remote.Plan {
+	t.Helper()
+	stmt := sqlparser.MustParse(sql)
+	cands, err := w.Explain(stmt, stmt.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cands[0].Plan
+}
+
+// batchRowsOf is one batch's rows, from whichever form carries them.
+func batchRowsOf(b *remote.Batch) *sqltypes.Relation {
+	if b.Rel != nil {
+		return b.Rel
+	}
+	return b.Col.ToRelation()
+}
+
+// TestShipHandsOverBatchesInArrivalOrder holds Ship to its contract: emit
+// runs once per cursor batch, in cursor order, with arrival times that never
+// decrease; the first arrival is the first-row time when pipelined (none
+// when monolithic) and the last is the response time; and a context
+// cancelled after batch k gets no batch k+1 and Ship's error is the
+// context's.
+func TestShipHandsOverBatchesInArrivalOrder(t *testing.T) {
+	ctx := context.Background()
+	s, w := slowLinkSetup(t)
+	plan := explainFirst(t, w, "SELECT l.l_orderkey, l.l_price FROM lineitem AS l")
+	for _, batchRows := range []int{256, 0} {
+		cur, err := s.OpenPlan(ctx, plan, batchRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []*sqltypes.Relation
+		for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+			want = append(want, batchRowsOf(b))
+		}
+		var got []*sqltypes.Relation
+		var arrivals []simclock.Time
+		out, err := w.Ship(ctx, plan, batchRows, func(b *remote.Batch, at simclock.Time) {
+			got = append(got, batchRowsOf(b))
+			arrivals = append(arrivals, at)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batchRows > 0 && len(want) < 10 {
+			t.Fatalf("batchRows %d: the cursor yields %d batches; the test needs many", batchRows, len(want))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("batchRows %d: emit ran %d times over a cursor of %d batches", batchRows, len(got), len(want))
+		}
+		for k := range want {
+			if len(got[k].Rows) != len(want[k].Rows) {
+				t.Fatalf("batchRows %d: batch %d has %d rows, the cursor's %d", batchRows, k, len(got[k].Rows), len(want[k].Rows))
+			}
+			for r, row := range want[k].Rows {
+				for c := range row {
+					if got[k].Rows[r][c] != row[c] {
+						t.Fatalf("batchRows %d: batch %d cell (%d,%d) is %v, the cursor's %v", batchRows, k, r, c, got[k].Rows[r][c], row[c])
+					}
+				}
+			}
+			if k > 0 && arrivals[k] < arrivals[k-1] {
+				t.Fatalf("batchRows %d: batch %d arrived at %v, before batch %d at %v", batchRows, k, arrivals[k], k-1, arrivals[k-1])
+			}
+		}
+		first := arrivals[0]
+		if batchRows == 0 {
+			first = 0
+		}
+		if out.FirstRowTime != first || out.ResponseTime != arrivals[len(arrivals)-1] {
+			t.Fatalf("batchRows %d: first row %v and response %v; arrivals run from %v to %v", batchRows, out.FirstRowTime, out.ResponseTime, arrivals[0], arrivals[len(arrivals)-1])
+		}
+	}
+
+	const k = 2
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	n := 0
+	_, err := w.Ship(cctx, plan, 256, func(*remote.Batch, simclock.Time) {
+		if n++; n == k+1 {
+			cancel()
+		}
+	})
+	if n != k+1 || err != cctx.Err() {
+		t.Fatalf("cancelled after batch %d: emit ran %d times and Ship returned %v; want %d and %v", k, n, err, k+1, cctx.Err())
+	}
+}
+
+// TestShipModeFollowsTheWireBytes: a shipment carried encoded bytes exactly
+// when some batch arrived without a row form, on either engine and either
+// wire, for a full and an empty result, pipelined or not. The meta-wrapper
+// names a fragment's ship mode from the bytes alone.
+func TestShipModeFollowsTheWireBytes(t *testing.T) {
+	ctx := context.Background()
+	s, w := slowLinkSetup(t)
+	for _, sql := range []string{
+		"SELECT l.l_orderkey, l.l_price FROM lineitem AS l",
+		"SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_qty < 0",
+	} {
+		plan := explainFirst(t, w, sql)
+		for _, vec := range []bool{false, true} {
+			for _, wire := range []bool{false, true} {
+				s.SetVectorized(vec)
+				s.SetColumnarWire(wire)
+				for _, batchRows := range []int{256, 0} {
+					noRows, batches := false, 0
+					out, err := w.Ship(ctx, plan, batchRows, func(b *remote.Batch, _ simclock.Time) {
+						noRows = noRows || b.Rel == nil
+						batches++
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batches == 0 || (out.WireBytes > 0) != noRows || noRows != (vec && wire) {
+						t.Fatalf("%q, vectorized %v, columnar wire %v, batchRows %d: %d batches, wire bytes %d, a batch without rows %v",
+							sql, vec, wire, batchRows, batches, out.WireBytes, noRows)
+					}
+				}
+			}
+		}
 	}
 }
