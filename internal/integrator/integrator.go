@@ -35,11 +35,11 @@ import (
 // Router is the II's one routing hook (router.Router implements it; nil
 // means plain cost-based routing).
 type Router interface {
-	// ChooseGlobal may substitute another global plan from the winner's menu
-	// (GlobalPlan.Options) at the end of compilation: §4's load distribution
-	// or a replica choice. It returns the winner unchanged when it has
-	// nothing better. The context carries the query's journal scope.
-	ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan
+	// ChooseGlobal picks the plan to run from the optimizer's ranking at the
+	// end of compilation (ranked[0] is the winner, its menu GlobalPlan.Options):
+	// §4's load distribution or a replica choice, else the winner. The context
+	// carries the query's journal scope.
+	ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan
 	// RerouteFragment is the paper's long-running-query extension
 	// ("periodically re-check the load and switch data sources if needed"):
 	// it is consulted immediately before each fragment dispatches, under the
@@ -304,12 +304,12 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 	if cc := ii.plans.lookup(sql); cc != nil {
 		if cause := ii.validateCached(cc); cause != "" {
 			ii.plans.invalidate(sql, cause)
-		} else if gps, err := ii.opt.EnumerateFromOptions(cc.stmt, cc.decomp, cc.frags, 1, exclude); err == nil {
+		} else if ranked, err := ii.opt.EnumerateFromOptions(cc.stmt, cc.decomp, cc.frags, exclude); err == nil {
 			ii.plans.recordHit()
 			tel.Active().Counter("ii.plancache_hits", "").Inc()
 			sp.Emit("plancache.lookup", telemetry.LayerII, "", 0).SetAttr("hit", "true")
 			sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
-			return ii.finishCompile(ctx, gps[0]), nil
+			return ii.finishCompile(ctx, ranked), nil
 		} else {
 			// Every cached candidate for some fragment is excluded or fenced:
 			// fall through to a cold compile, which sees current Explain
@@ -344,19 +344,20 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 		ii.plans.insert(cc)
 	}
 	sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
-	gps, err := ii.opt.EnumerateFromOptions(stmt, decomp, frags, 1, nil)
+	ranked, err := ii.opt.EnumerateFromOptions(stmt, decomp, frags, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ii.finishCompile(ctx, gps[0]), nil
+	return ii.finishCompile(ctx, ranked), nil
 }
 
-// finishCompile applies the load-distribution route policy and records the
-// winner — the shared tail of the warm and cold compile paths. The entry is
-// text and numbers copied out of the plan, never the plan.
-func (ii *II) finishCompile(ctx context.Context, gp *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+// finishCompile applies the load-distribution route policy to the ranking and
+// records the plan it picks — the shared tail of the warm and cold compile
+// paths. The entry is text and numbers copied out of the plan, never the plan.
+func (ii *II) finishCompile(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	gp := ranked[0]
 	if ii.router != nil {
-		gp = ii.router.ChooseGlobal(ctx, gp)
+		gp = ii.router.ChooseGlobal(ctx, ranked)
 	}
 	frags := make([]journal.WinnerFragment, len(gp.Fragments))
 	for i, f := range gp.Fragments {

@@ -325,13 +325,13 @@ func TestMergeObserverReceivesPairs(t *testing.T) {
 
 func TestRouterOverridesWinner(t *testing.T) {
 	sc := threeServer(t)
-	// Picking another plan from the winner's menu is router.Router's job;
+	// Picking another plan from the ranking is router.Router's job;
 	// here we exercise the hook with an identity pick and confirm the call
 	// path.
 	called := false
-	sc.II.SetRouter(routeFunc(func(ctx context.Context, w *optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	sc.II.SetRouter(routeFunc(func(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
 		called = true
-		return w
+		return ranked[0]
 	}))
 	if _, err := sc.II.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
 		t.Fatal(err)
@@ -342,10 +342,10 @@ func TestRouterOverridesWinner(t *testing.T) {
 }
 
 // routeFunc adapts a compile-time pick to integrator.Router.
-type routeFunc func(ctx context.Context, w *optimizer.GlobalPlan) *optimizer.GlobalPlan
+type routeFunc func(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan
 
-func (f routeFunc) ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	return f(ctx, winner)
+func (f routeFunc) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	return f(ctx, ranked)
 }
 
 func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *optimizer.FragmentChoice {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -55,16 +56,12 @@ type GlobalPlan struct {
 // pruning identity ("for global query plans whose fragment queries are
 // executed on the same set of servers, pick the cheapest").
 func (g *GlobalPlan) ServerSet() []string {
-	set := map[string]bool{}
-	for _, f := range g.Fragments {
-		set[f.ServerID] = true
+	out := make([]string, len(g.Fragments))
+	for i, f := range g.Fragments {
+		out[i] = f.ServerID
 	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ServerSetKey renders ServerSet as a canonical string key.
@@ -140,15 +137,19 @@ type FragmentOptions struct {
 // fragment. Nil excludes nothing.
 type ExcludeFunc func(fragID, serverID string) bool
 
-// Enumerate returns up to topK global plans ranked by calibrated cost, with
-// the statement decomposed under opts. QCC's simulated federated system uses
-// topK > 1 to derive alternative plans; the production path uses topK == 1.
+// Enumerate returns up to topK global plans ranked by calibrated cost (all
+// when topK <= 0), with the statement decomposed under opts, for Optimize and
+// the what-if surfaces; compilation routes over EnumerateFromOptions' ranking.
 func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, opts DecomposeOpts, topK int) ([]*GlobalPlan, error) {
 	decomp, frags, err := o.Collect(context.Background(), stmt, opts)
 	if err != nil {
 		return nil, err
 	}
-	return o.EnumerateFromOptions(stmt, decomp, frags, topK, nil)
+	ranked, err := o.EnumerateFromOptions(stmt, decomp, frags, nil)
+	if topK > 0 && len(ranked) > topK {
+		ranked = ranked[:topK]
+	}
+	return ranked, err
 }
 
 // Collect runs the EXPENSIVE head of compilation: it decomposes the
@@ -203,9 +204,10 @@ func (o *Optimizer) Collect(ctx context.Context, stmt *sqlparser.SelectStmt, opt
 // EnumerateFromOptions runs the CHEAP tail of compilation over previously
 // collected (or cached) raw candidate sets: apply the current calibration
 // factors, drop unavailable candidates (calibrated to +Inf) and excluded
-// servers, enumerate global combinations and rank them. No meta-wrapper,
+// servers, enumerate global combinations and rank them, the winner first: the
+// router reads its rotation sets off this whole ranking. No meta-wrapper,
 // wrapper or remote-planner round-trips happen here.
-func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Decomposition, frags []FragmentOptions, topK int, exclude ExcludeFunc) ([]*GlobalPlan, error) {
+func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Decomposition, frags []FragmentOptions, exclude ExcludeFunc) ([]*GlobalPlan, error) {
 	options := make([][]FragmentChoice, len(frags))
 	for i, fo := range frags {
 		var opts []FragmentChoice
@@ -236,26 +238,23 @@ func (o *Optimizer) EnumerateFromOptions(stmt *sqlparser.SelectStmt, decomp *Dec
 		options[i] = opts
 	}
 
-	all := o.AssembleMenu(stmt, decomp, options)
+	all := o.assembleMenu(stmt, decomp, options)
 	if len(all) == 0 {
 		return nil, fmt.Errorf("optimizer: no global plan for %q", stmt.String())
 	}
+	// Not stable on purpose: a stable sort moves a pinned route.
 	sort.Slice(all, func(i, j int) bool { return all[i].TotalEstMS < all[j].TotalEstMS })
-	if topK > 0 && len(all) > topK {
-		all = all[:topK]
-	}
 	return all, nil
 }
 
-// maxGlobalPlans caps the combinations AssembleMenu assembles.
+// maxGlobalPlans caps the combinations assembleMenu assembles.
 const maxGlobalPlans = 256
 
-// AssembleMenu assembles every combination of a per-fragment menu of
+// assembleMenu assembles every combination of a per-fragment menu of
 // calibrated choices into a global plan, in menu order (the first fragment's
 // choice varies slowest), capped at maxGlobalPlans. Each plan carries the
-// menu as its Options. Enumeration ranks the result; the router derives its
-// rotation sets from a winner's own menu with it.
-func (o *Optimizer) AssembleMenu(stmt *sqlparser.SelectStmt, decomp *Decomposition, menu [][]FragmentChoice) []*GlobalPlan {
+// menu as its Options.
+func (o *Optimizer) assembleMenu(stmt *sqlparser.SelectStmt, decomp *Decomposition, menu [][]FragmentChoice) []*GlobalPlan {
 	// Rendered once: every combination, the journal's winner entry and the
 	// router's rotation key share this one string.
 	text := stmt.String()

@@ -1,9 +1,9 @@
 // Package router holds the federation's one route policy. The optimizer
-// hands every winner over with its menu — GlobalPlan.Options, each fragment's
-// calibrated (server, plan) alternatives — and every routing decision is a
-// pick from that menu: a round-robin rotation over the global plans within a
-// closeness band of the winner (the paper's §4), or per fragment the replica
-// scoring best on the Milvus adaptive-routing RFC's shape
+// hands over its ranking of global plans, the winner first with its menu
+// (GlobalPlan.Options, each fragment's calibrated (server, plan) choices),
+// and every routing decision picks from them: a round-robin rotation over
+// the ranked plans within a closeness band of the winner (the paper's §4),
+// or per fragment the menu's replica scoring best on the Milvus RFC's shape
 //
 //	score = cpu·w1 + memory·w2 + cache_locality·w3 + latency·w4
 //
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/integrator"
@@ -29,7 +28,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Mode selects how ChooseGlobal picks from the winner's menu.
+// Mode selects how ChooseGlobal picks from the optimizer's ranking.
 type Mode int
 
 const (
@@ -45,9 +44,12 @@ const (
 	Weighted
 )
 
-// String names the mode.
+// String names the mode, and renders a value outside the four as mode(n).
 func (m Mode) String() string {
-	return [...]string{"off", "fragment", "global", "weighted"}[m]
+	if names := [...]string{"off", "fragment", "global", "weighted"}; uint(m) < uint(len(names)) {
+		return names[m]
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
 }
 
 // weights are the four score-term weights.
@@ -128,8 +130,8 @@ type Config struct {
 	Signals Signals
 	// MW re-explains a fragment's candidates at dispatch time.
 	MW *metawrapper.MetaWrapper
-	// Optimizer assembles global plans from menu choices, priced as
-	// enumeration prices them.
+	// Optimizer re-assembles the winner after Weighted swaps fragment
+	// choices, priced as enumeration prices them.
 	Optimizer *optimizer.Optimizer
 	// Clock ages rotation sets and timestamps decisions.
 	Clock *simclock.Clock
@@ -211,15 +213,19 @@ func (r *Router) Stats() Stats {
 }
 
 // ChooseGlobal implements integrator.Router: the compile-time pick from the
-// winner's menu. Off, a nil winner and a winner without a menu come back
-// pointer-identical.
-func (r *Router) ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	if winner == nil || len(winner.Options) != len(winner.Fragments) {
+// optimizer's ranking, whose first plan is the winner. Off, an empty ranking
+// (nil) and a winner without a menu come back pointer-identical.
+func (r *Router) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	if len(ranked) == 0 {
+		return nil
+	}
+	winner := ranked[0]
+	if len(winner.Options) != len(winner.Fragments) {
 		return winner
 	}
 	switch r.cfg.Mode {
 	case Fragment, Global:
-		return r.rotate(ctx, winner)
+		return r.rotate(ctx, ranked)
 	case Weighted:
 		return r.argmax(ctx, winner)
 	}
@@ -230,8 +236,8 @@ func (r *Router) ChooseGlobal(ctx context.Context, winner *optimizer.GlobalPlan)
 // re-derived when it has aged out, or when a member runs a fragment on a
 // server the current menu no longer offers (excluded by a retry, fenced by a
 // probe): it must not send a query where the optimizer just refused to.
-func (r *Router) rotate(ctx context.Context, winner *optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	now, queryText := r.cfg.Clock.Now(), winner.Query
+func (r *Router) rotate(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+	winner, now, queryText := ranked[0], r.cfg.Clock.Now(), ranked[0].Query
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rot := r.rotations[queryText]
@@ -239,7 +245,7 @@ func (r *Router) rotate(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 		if rot == nil && len(r.rotations) >= maxRotations {
 			r.evictOldest()
 		}
-		rot = &rotation{plans: r.exchangeable(winner), derivedAt: now}
+		rot = &rotation{plans: r.exchangeable(ranked), derivedAt: now}
 		r.rotations[queryText] = rot
 	}
 	if len(rot.plans) <= 1 {
@@ -291,42 +297,35 @@ func (r *Router) evictOldest() {
 	delete(r.rotations, oldest)
 }
 
-// exchangeable builds the winner's rotation set from its own menu: the
-// combinations within the closeness band of the winner, cheapest first, at
-// most maxAlternatives. Fragment scope (§4.1) combines only the choices that
-// run the winner's physical plan; global scope (§4.2) keeps the cheapest
-// combination per server set. Combinations come in menu order and the sort is
-// stable, so equal-cost plans rotate in one reproducible order.
-func (r *Router) exchangeable(winner *optimizer.GlobalPlan) []*optimizer.GlobalPlan {
-	menu := winner.Options
-	if r.cfg.Mode == Fragment {
-		menu = make([][]optimizer.FragmentChoice, len(winner.Options))
-		for i, opts := range winner.Options {
-			for _, opt := range opts {
-				if opt.Plan.Signature == winner.Fragments[i].Plan.Signature {
-					menu[i] = append(menu[i], opt)
-				}
-			}
+// exchangeable reads the winner's rotation set off the optimizer's ranking in
+// one pass: the ranked plans within the closeness band of the winner, in
+// ranking order (the winner first), at most maxAlternatives. Fragment scope
+// (§4.1) keeps the plans whose every fragment runs the winner's physical plan;
+// global scope (§4.2) keeps the first plan per server set. The set is fresh:
+// it outlives this call and must not pin the ranking.
+func (r *Router) exchangeable(ranked []*optimizer.GlobalPlan) []*optimizer.GlobalPlan {
+	winner := ranked[0]
+	set, seen := make([]*optimizer.GlobalPlan, 0, maxAlternatives), map[string]bool{}
+	samePlan := func(a, b optimizer.FragmentChoice) bool { return a.Plan.Signature == b.Plan.Signature }
+	for _, p := range ranked {
+		if len(set) == maxAlternatives || p.TotalEstMS > winner.TotalEstMS*(1+r.cfg.Closeness) {
+			break
 		}
-	}
-	plans := r.cfg.Optimizer.AssembleMenu(winner.Stmt, winner.Decomp, menu)
-	sort.SliceStable(plans, func(i, j int) bool { return plans[i].TotalEstMS < plans[j].TotalEstMS })
-	if r.cfg.Mode == Global {
-		seen := map[string]bool{}
-		plans = slices.DeleteFunc(plans, func(p *optimizer.GlobalPlan) bool {
+		switch r.cfg.Mode {
+		case Fragment:
+			if !slices.EqualFunc(p.Fragments, winner.Fragments, samePlan) {
+				continue
+			}
+		case Global:
 			key := p.ServerSetKey()
-			dup := seen[key]
+			if seen[key] {
+				continue
+			}
 			seen[key] = true
-			return dup
-		})
+		}
+		set = append(set, p)
 	}
-	n := 0
-	for n < len(plans) && n < maxAlternatives && plans[n].TotalEstMS <= winner.TotalEstMS*(1+r.cfg.Closeness) {
-		plans[n].Options = winner.Options
-		n++
-	}
-	// A copy: the set outlives this call and must not pin every combination.
-	return slices.Clone(plans[:n])
+	return set
 }
 
 // candidate is one server's representative for a fragment — its cheapest

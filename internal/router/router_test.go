@@ -38,46 +38,40 @@ func testRouter(p Policy) *Router {
 	return New(Config{Policy: p, Optimizer: &optimizer.Optimizer{}, Clock: simclock.New()})
 }
 
-// winnerOver builds the optimizer's winner for a one-fragment statement
-// whose menu is opts: the cheapest option, first of equals.
-func winnerOver(t *testing.T, opts ...optimizer.FragmentChoice) *optimizer.GlobalPlan {
+// rankOver ranks a one-fragment statement whose candidates are opts (in
+// candidate order) the way compilation does, through the optimizer's own
+// EnumerateFromOptions: the first plan is the winner.
+func rankOver(t *testing.T, opts ...optimizer.FragmentChoice) []*optimizer.GlobalPlan {
 	t.Helper()
 	stmt, err := sqlparser.Parse("SELECT COUNT(*) FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := &optimizer.FragmentSpec{ID: "QF1", Sig: "sig", Stmt: stmt}
-	for i := range opts {
-		opts[i].Spec = spec
-	}
-	best := opts[0]
+	raw := optimizer.FragmentOptions{Spec: spec}
 	for _, o := range opts {
-		if o.Plan.Est.TotalMS < best.Plan.Est.TotalMS {
-			best = o
-		}
+		raw.Options = append(raw.Options, optimizer.SourceOption{ServerID: o.ServerID, Plan: o.Plan, RawEst: o.Plan.Est, CostKnown: true})
 	}
-	return &optimizer.GlobalPlan{
-		Query:      stmt.String(),
-		Stmt:       stmt,
-		Decomp:     &optimizer.Decomposition{Stmt: stmt, SingleFragment: true},
-		Fragments:  []optimizer.FragmentChoice{best},
-		TotalEstMS: best.Plan.Est.TotalMS,
-		Options:    [][]optimizer.FragmentChoice{opts},
+	decomp := &optimizer.Decomposition{Stmt: stmt, Fragments: []*optimizer.FragmentSpec{spec}, SingleFragment: true}
+	ranked, err := (&optimizer.Optimizer{}).EnumerateFromOptions(stmt, decomp, []optimizer.FragmentOptions{raw}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return ranked
 }
 
 // servers drives n compilations of one statement through the router and
 // returns the server sequence.
-func servers(r *Router, winner *optimizer.GlobalPlan, n int) string {
+func servers(r *Router, ranked []*optimizer.GlobalPlan, n int) string {
 	var seq []string
 	for i := 0; i < n; i++ {
-		seq = append(seq, r.ChooseGlobal(context.Background(), winner).Fragments[0].ServerID)
+		seq = append(seq, r.ChooseGlobal(context.Background(), ranked).Fragments[0].ServerID)
 	}
 	return strings.Join(seq, " ")
 }
 
 func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{Off: "off", Fragment: "fragment", Global: "global", Weighted: "weighted"} {
+	for m, want := range map[Mode]string{Off: "off", Fragment: "fragment", Global: "global", Weighted: "weighted", 4: "mode(4)", -1: "mode(-1)"} {
 		if m.String() != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, m.String(), want)
 		}
@@ -217,23 +211,23 @@ func TestNewDefaults(t *testing.T) {
 	}
 }
 
-// TestChooseGlobalGuards: a nil winner, a winner without a menu, and any
-// winner under Off come back pointer-identical.
+// TestChooseGlobalGuards: an empty ranking comes back nil; a winner without
+// a menu, and any winner under Off, come back pointer-identical.
 func TestChooseGlobalGuards(t *testing.T) {
 	noMenu := &optimizer.GlobalPlan{Fragments: []optimizer.FragmentChoice{choice("S1", 10)}}
 	for _, mode := range []Mode{Off, Fragment, Global, Weighted} {
 		r := testRouter(Policy{Mode: mode})
 		if got := r.ChooseGlobal(context.Background(), nil); got != nil {
-			t.Errorf("%s: nil winner not passed through", mode)
+			t.Errorf("%s: empty ranking did not come back nil", mode)
 		}
-		if got := r.ChooseGlobal(context.Background(), noMenu); got != noMenu {
+		if got := r.ChooseGlobal(context.Background(), []*optimizer.GlobalPlan{noMenu}); got != noMenu {
 			t.Errorf("%s: winner without options was not returned untouched", mode)
 		}
 	}
-	tied := winnerOver(t, choice("S1", 10), choice("S2", 10), choice("S3", 10))
+	tied := rankOver(t, choice("S1", 10), choice("S2", 10), choice("S3", 10))
 	off := testRouter(Policy{Mode: Off, Closeness: 3})
 	for i := 0; i < 4; i++ {
-		if got := off.ChooseGlobal(context.Background(), tied); got != tied {
+		if got := off.ChooseGlobal(context.Background(), tied); got != tied[0] {
 			t.Fatal("Off did not return the winner pointer-identical")
 		}
 	}
@@ -279,13 +273,54 @@ func TestRotationSets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := testRouter(tc.policy)
-			if got := servers(r, winnerOver(t, tc.menu...), 6); got != tc.want {
+			if got := servers(r, rankOver(t, tc.menu...), 6); got != tc.want {
 				t.Errorf("server sequence = %s, want %s", got, tc.want)
 			}
 			if got := r.Stats().Rotations; got != tc.rotations {
 				t.Errorf("rotations = %d, want %d", got, tc.rotations)
 			}
 		})
+	}
+}
+
+// TestFreshRotationSetStartsAtTheWinner: a rotation set is read off the
+// optimizer's ranking, so the first pick of a fresh set is the winner itself
+// and moves nothing, even when a tie among many plans is ranked in an order
+// other than the candidates' (13 plans are past the insertion-sort cutoff of
+// the ranking's sort). A band too tight for the other cost level keeps the
+// winner in the rotation every round.
+func TestFreshRotationSetStartsAtTheWinner(t *testing.T) {
+	var opts []optimizer.FragmentChoice
+	for i := 0; i < 13; i++ {
+		opts = append(opts, choice(fmt.Sprintf("S%02d", i), float64(10+i%2)))
+	}
+	for _, mode := range []Mode{Global, Fragment} {
+		for _, closeness := range []float64{3, 0.0001} {
+			t.Run(fmt.Sprintf("%s/%g", mode, closeness), func(t *testing.T) {
+				ranked := rankOver(t, opts...)
+				winner := ranked[0]
+				r := testRouter(Policy{Mode: mode, Closeness: closeness})
+				if got := r.ChooseGlobal(context.Background(), ranked); got != winner {
+					t.Fatalf("first pick %s, want the winner %s pointer-identical", got.RouteKey(), winner.RouteKey())
+				}
+				if got := r.Stats().Rotations; got != 0 {
+					t.Fatalf("rotations after the first pick = %d, want 0", got)
+				}
+				if closeness > 1 {
+					return
+				}
+				set := len(r.rotations[winner.Query].plans)
+				for i := 1; i < 3*set; i++ {
+					got := r.ChooseGlobal(context.Background(), ranked)
+					if got.TotalEstMS != winner.TotalEstMS {
+						t.Fatalf("pick %d costs %v, outside the band of the winner's %v", i, got.TotalEstMS, winner.TotalEstMS)
+					}
+					if (i%set == 0) != (got == winner) {
+						t.Fatalf("pick %d of a %d-plan set is %s, winner %s", i, set, got.RouteKey(), winner.RouteKey())
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -296,11 +331,11 @@ func TestRotationSets(t *testing.T) {
 // the set's age brings it back.
 func TestRotationDropsMembersOffTheMenu(t *testing.T) {
 	r := testRouter(Policy{Mode: Global, Closeness: 3})
-	all := winnerOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 12))
+	all := rankOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 12))
 	if got := servers(r, all, 2); got != "S1 S2" {
 		t.Fatalf("warm-up sequence = %s", got)
 	}
-	withoutS3 := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	withoutS3 := rankOver(t, choice("S1", 10), choice("S2", 11))
 	if got := servers(r, withoutS3, 4); got != "S1 S2 S1 S2" {
 		t.Errorf("with S3 off the menu the sequence = %s, want S1 S2 S1 S2", got)
 	}
@@ -314,12 +349,12 @@ func TestRotationDropsMembersOffTheMenu(t *testing.T) {
 // cache, evicting the set derived longest ago.
 func TestRotationMapIsBounded(t *testing.T) {
 	r := testRouter(Policy{Mode: Global, Closeness: 3})
-	w := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	ranked := rankOver(t, choice("S1", 10), choice("S2", 11))
 	for i := 0; i < 2000; i++ {
 		r.cfg.Clock.Advance(1)
-		text := *w
+		text := *ranked[0]
 		text.Query = fmt.Sprintf("q%04d", i)
-		r.ChooseGlobal(context.Background(), &text)
+		r.ChooseGlobal(context.Background(), []*optimizer.GlobalPlan{&text, ranked[1]})
 	}
 	if len(r.rotations) != maxRotations {
 		t.Fatalf("%d rotation sets after 2000 statement texts, want the cap %d", len(r.rotations), maxRotations)
@@ -375,7 +410,7 @@ func TestDispatchRescore(t *testing.T) {
 				Clock:   simclock.New(),
 			})
 			compiled := choice("S1", 10)
-			compiled.Spec = winnerOver(t, compiled).Fragments[0].Spec
+			compiled.Spec = rankOver(t, compiled)[0].Fragments[0].Spec
 			compiled.Spec.Candidates = []string{"S1", "S2"}
 			got := ""
 			if alt := r.RerouteFragment(context.Background(), compiled); alt != nil {
@@ -410,10 +445,10 @@ func TestRerouteFragmentSingleCandidateNoop(t *testing.T) {
 func TestDecisionLogRing(t *testing.T) {
 	j := journal.New()
 	r := New(Config{Policy: Policy{Mode: Global, Closeness: 3}, Optimizer: &optimizer.Optimizer{}, Clock: simclock.New(), Journal: j})
-	w := winnerOver(t, choice("S1", 10), choice("S2", 11))
+	ranked := rankOver(t, choice("S1", 10), choice("S2", 11))
 	const n = ring.Decisions + 5
 	for i := 1; i <= n; i++ {
-		r.ChooseGlobal(journal.WithScope(context.Background(), journal.Scope{Query: int64(i)}), w)
+		r.ChooseGlobal(journal.WithScope(context.Background(), journal.Scope{Query: int64(i)}), ranked)
 	}
 	if got := j.Decisions.Evicted(); got != 5 {
 		t.Errorf("evicted = %d, want 5", got)
@@ -423,7 +458,7 @@ func TestDecisionLogRing(t *testing.T) {
 		t.Fatalf("retained %d decisions, want the bound %d", len(last), ring.Decisions)
 	}
 	for i, d := range last {
-		if d.QueryID != int64(6+i) || d.Policy != "lb" || d.Query != w.Query || d.Route == "" || d.Reason == "" {
+		if d.QueryID != int64(6+i) || d.Policy != "lb" || d.Query != ranked[0].Query || d.Route == "" || d.Reason == "" {
 			t.Fatalf("decision %d = %+v, want query %d's, oldest first", i, d, 6+i)
 		}
 	}
