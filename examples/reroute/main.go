@@ -22,10 +22,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Global rotation makes the router serve CACHED global plans — exactly
-	// the staleness the §6 extension guards against. The dispatch-time
-	// rescore re-checks them. (QCCOptions{LoadBalance, LBCloseness,
-	// RuntimeReroute} sets the same policy at EnableQCC time.)
+	// Global rotation routes each query from the statement's rotation set,
+	// which follows QCC's published costs; between publishes a compiled
+	// plan can bind an overloaded server — the staleness the §6 extension
+	// guards against. The dispatch-time rescore re-checks every fragment.
+	// (QCCOptions{LoadBalance, LBCloseness, RuntimeReroute} sets the same
+	// policy at EnableQCC time.)
 	cal := fed.EnableQCC(fedqcc.QCCOptions{})
 	cal.SetRouting(fedqcc.LBGlobal, 1.0 /* rotate across all three replicas */, true)
 
@@ -37,8 +39,8 @@ func main() {
 	fmt.Printf("calm system compiles and runs on %s (%.2fms)\n",
 		target, float64(res.ResponseTime))
 
-	// The target's load spikes AFTER plans for this query shape are cached
-	// in the rotation-free path; QCC learns about it from other traffic.
+	// The target's load spikes AFTER the statement is cached; QCC observes
+	// these queries but publishes the new factors only below.
 	h, _ := fed.Server(target)
 	h.SetLoad(1.0)
 	for i := 0; i < 3; i++ {
@@ -47,15 +49,16 @@ func main() {
 	cal.PublishNow()
 	fmt.Printf("\n%s is now overloaded (factor %.2f)\n", target, cal.ServerFactor(target))
 
-	// The rotation set was derived while the system was calm, so it still
-	// contains plans bound to the overloaded server. The rescore inspects
-	// each cached plan at dispatch and moves the stale ones.
+	// The publish moves the ranking: another replica is now the winner and
+	// the band changed, so the statement's rotation set is re-derived and
+	// starts at the new winner. The overloaded server is still inside the
+	// band; the rescore moves the pick that lands on it at dispatch.
 	for i := 0; i < 3; i++ {
 		res, err = fed.Query(q)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  cached-plan dispatch ran on %s in %.2fms\n",
+		fmt.Printf("  dispatch ran on %s in %.2fms\n",
 			res.Route["QF1"], float64(res.ResponseTime))
 	}
 	st := cal.RoutingStats()

@@ -37,9 +37,10 @@ import (
 type Router interface {
 	// ChooseGlobal picks the plan to run from the optimizer's ranking at the
 	// end of compilation (ranked[0] is the winner, its menu GlobalPlan.Options):
-	// §4's load distribution or a replica choice, else the winner. The context
-	// carries the query's journal scope.
-	ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan
+	// §4's load distribution or a replica choice, else the winner. turn is the
+	// statement's rotation state; nil rotates nothing. The context carries the
+	// query's journal scope.
+	ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *Turn) *optimizer.GlobalPlan
 	// RerouteFragment is the paper's long-running-query extension
 	// ("periodically re-check the load and switch data sources if needed"):
 	// it is consulted immediately before each fragment dispatches, under the
@@ -47,6 +48,15 @@ type Router interface {
 	// when conditions changed since compilation. Nil keeps the compiled
 	// choice.
 	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice
+}
+
+// Turn is one statement's place in §4's round robin: the plans it rotates over
+// and the next pick. It lives in the statement's plan-cache entry, so whatever
+// drops the entry starts the statement over at its winner. The router reads
+// and writes it only under its own lock.
+type Turn struct {
+	Plans []*optimizer.GlobalPlan
+	Next  int
 }
 
 // IIMergeObserver receives (estimated, observed) pairs for II-side merge
@@ -163,8 +173,12 @@ func (ii *II) Journal() *journal.Journal { return ii.cfg.MW.Journal() }
 // Clock exposes the shared clock.
 func (ii *II) Clock() *simclock.Clock { return ii.cfg.Clock }
 
-// SetRouter installs or replaces the route policy (nil removes it).
-func (ii *II) SetRouter(r Router) { ii.router = r }
+// SetRouter installs or replaces the route policy (nil removes it) and clears
+// the plan cache, so every statement's rotation starts over at its winner.
+func (ii *II) SetRouter(r Router) {
+	ii.router = r
+	ii.ClearPlanCache()
+}
 
 // SetMergeObserver installs the II merge observer (QCC's §3.2 input).
 func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.mergeObs = o }
@@ -287,9 +301,13 @@ func (ii *II) QueryContext(ctx context.Context, sql string) (*QueryResult, error
 // (the explain table) under query ID 0 — the paper's "explain mode". Repeat
 // compilations of a statement are served from the federated plan cache
 // (plancache.go) while its entry stays valid: only calibration, winner re-pick
-// and routing re-run on a hit.
+// and routing re-run on a hit. Explain mode takes no rotation turn.
 func (ii *II) Compile(sql string) (*optimizer.GlobalPlan, error) {
-	return ii.compile(context.Background(), sql, nil)
+	ranked, _, err := ii.compile(context.Background(), sql, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ii.finishCompile(context.Background(), ranked, nil), nil
 }
 
 // compile is the cache-aware compilation path. exclude (may be nil) steers
@@ -297,8 +315,9 @@ func (ii *II) Compile(sql string) (*optimizer.GlobalPlan, error) {
 // attempts. The cold path deliberately ignores it: recompiling from scratch
 // re-Explains every candidate, which is what discovers whether a failed
 // server is really gone — a transient failure may retry on the same (still
-// cheapest) source, exactly as before the cache existed.
-func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.ExcludeFunc) (*optimizer.GlobalPlan, error) {
+// cheapest) source, exactly as before the cache existed. The turn is nil when
+// the compile cached nothing.
+func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.ExcludeFunc) ([]*optimizer.GlobalPlan, *Turn, error) {
 	sp := telemetry.SpanFrom(ctx)
 	tel := ii.tel
 	if cc := ii.plans.lookup(sql); cc != nil {
@@ -309,7 +328,7 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 			tel.Active().Counter("ii.plancache_hits", "").Inc()
 			sp.Emit("plancache.lookup", telemetry.LayerII, "", 0).SetAttr("hit", "true")
 			sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
-			return ii.finishCompile(ctx, ranked), nil
+			return ranked, &cc.turn, nil
 		} else {
 			// Every cached candidate for some fragment is excluded or fenced:
 			// fall through to a cold compile, which sees current Explain
@@ -322,7 +341,7 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 
 	stmt, err := sqlparser.Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sp.Emit("parse", telemetry.LayerII, "", 0)
 	// The mask and pushdown snapshots precede collection, so a mask or a
@@ -335,29 +354,28 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 	opts := ii.decomposeOpts()
 	decomp, frags, err := ii.opt.Collect(ctx, stmt, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Cache before enumerating: even if every option calibrates to +Inf right
 	// now (fenced), the collected raw candidates stay valid for when the
 	// fence lifts.
+	var turn *Turn
 	if cc := newCachedCompilation(sql, stmt, opts, decomp, frags, masked); cc != nil {
 		ii.plans.insert(cc)
+		turn = &cc.turn
 	}
 	sp.Emit("calibrate", telemetry.LayerQCC, "", 0)
 	ranked, err := ii.opt.EnumerateFromOptions(stmt, decomp, frags, nil)
-	if err != nil {
-		return nil, err
-	}
-	return ii.finishCompile(ctx, ranked), nil
+	return ranked, turn, err
 }
 
 // finishCompile applies the load-distribution route policy to the ranking and
-// records the plan it picks — the shared tail of the warm and cold compile
-// paths. The entry is text and numbers copied out of the plan, never the plan.
-func (ii *II) finishCompile(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+// records the plan it picks — the shared tail of explain mode and queries.
+// The entry is text and numbers copied out of the plan, never the plan.
+func (ii *II) finishCompile(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *Turn) *optimizer.GlobalPlan {
 	gp := ranked[0]
 	if ii.router != nil {
-		gp = ii.router.ChooseGlobal(ctx, ranked)
+		gp = ii.router.ChooseGlobal(ctx, ranked, turn)
 	}
 	frags := make([]journal.WinnerFragment, len(gp.Fragments))
 	for i, f := range gp.Fragments {
@@ -489,10 +507,11 @@ func (ii *II) run(ctx context.Context, sql string) (*QueryResult, *admission.Gra
 			ex := excluded
 			exclude = func(fragID, serverID string) bool { return ex[fragID][serverID] }
 		}
-		gp, err := ii.compile(ctx, sql, exclude)
+		ranked, turn, err := ii.compile(ctx, sql, exclude)
 		if err != nil {
 			return nil, grant, err
 		}
+		gp := ii.finishCompile(ctx, ranked, turn)
 		if grant == nil && ii.adm != nil {
 			g, err := ii.adm.Admit(ctx, admission.Request{
 				Query:  sql,

@@ -327,25 +327,32 @@ func TestRouterOverridesWinner(t *testing.T) {
 	sc := threeServer(t)
 	// Picking another plan from the ranking is router.Router's job;
 	// here we exercise the hook with an identity pick and confirm the call
-	// path.
-	called := false
-	sc.II.SetRouter(routeFunc(func(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
-		called = true
+	// path and the turn it is handed.
+	var turns []*integrator.Turn
+	sc.II.SetRouter(routeFunc(func(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *integrator.Turn) *optimizer.GlobalPlan {
+		turns = append(turns, turn)
 		return ranked[0]
 	}))
-	if _, err := sc.II.Query("SELECT COUNT(*) FROM parts AS p"); err != nil {
+	const sql = "SELECT COUNT(*) FROM parts AS p"
+	for i := 0; i < 2; i++ {
+		if _, err := sc.II.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sc.II.Compile(sql); err != nil {
 		t.Fatal(err)
 	}
-	if !called {
-		t.Fatal("route policy not consulted")
+	// Cold and warm queries share the entry's turn; explain mode takes none.
+	if len(turns) != 3 || turns[0] == nil || turns[1] != turns[0] || turns[2] != nil {
+		t.Fatalf("turns handed to the router = %v, want the entry's twice, then nil", turns)
 	}
 }
 
 // routeFunc adapts a compile-time pick to integrator.Router.
-type routeFunc func(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan
+type routeFunc func(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *integrator.Turn) *optimizer.GlobalPlan
 
-func (f routeFunc) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
-	return f(ctx, ranked)
+func (f routeFunc) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *integrator.Turn) *optimizer.GlobalPlan {
+	return f(ctx, ranked, turn)
 }
 
 func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *optimizer.FragmentChoice {

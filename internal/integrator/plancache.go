@@ -34,8 +34,8 @@ import (
 //     candidate sets.
 //   - "capacity": LRU eviction past PlanCacheCapacity statements.
 //   - "clear":   explicit invalidation (ClearPlanCache, which a shard
-//     pushdown toggle calls), or an entry decomposed under the other pushdown
-//     setting.
+//     pushdown toggle and a route policy change call), or an entry decomposed
+//     under the other pushdown setting.
 //
 // Calibration-factor changes and QCC availability fencing need NO
 // invalidation: factors are re-applied on every hit, and a fenced server's
@@ -83,6 +83,7 @@ type cachedCompilation struct {
 	// them.
 	servers []string
 	masked  map[string]bool
+	turn    Turn
 }
 
 // planCache is the federated plan cache. It is pure bookkeeping: validation

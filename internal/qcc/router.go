@@ -8,8 +8,10 @@ import (
 
 // SetRouting builds the route policy over this QCC's signals — the one place
 // a router.Router is constructed — and installs it as the integrator's
-// router, replacing whatever routed before, rotation state and counters too.
-// Its decisions go to the integrator's journal.
+// router, replacing whatever routed before. The counters start at zero, and
+// installing clears the plan cache, whose entries hold each statement's
+// rotation turn, so every statement starts over at its winner. Its decisions
+// go to the integrator's journal.
 func (q *QCC) SetRouting(ii *integrator.II, p router.Policy) {
 	q.Router = router.New(router.Config{
 		Policy:    p,

@@ -69,14 +69,6 @@ const (
 	DefaultCloseness = 0.2
 	// maxAlternatives caps a rotation set.
 	maxAlternatives = 4
-	// rotationMaxAge re-derives a statement's rotation set after 2 000
-	// simulated ms ("the process is repeated periodically as calibrated
-	// costs may change"), and maxRotations caps how many statements keep
-	// one. Sets that never age were measured to route xjoin_churn worse
-	// (mean 69.71 → 71.31 vms at seed 7): the age stands in for re-deriving
-	// a set when calibration changes.
-	rotationMaxAge = simclock.Time(2000)
-	maxRotations   = 512
 	// rescoreMargin is the share of the best score the compiled target may
 	// lack before the paper modes move a fragment at dispatch time: switching
 	// has plan-cache and estimate risk, so it takes a clear win.
@@ -133,7 +125,7 @@ type Config struct {
 	// Optimizer re-assembles the winner after Weighted swaps fragment
 	// choices, priced as enumeration prices them.
 	Optimizer *optimizer.Optimizer
-	// Clock ages rotation sets and timestamps decisions.
+	// Clock timestamps decisions.
 	Clock *simclock.Clock
 	// Journal receives routing decisions (may be nil).
 	Journal *journal.Journal
@@ -168,16 +160,9 @@ type Stats struct {
 	RescoreSwitches int64
 }
 
-// rotation is one statement's round-robin set.
-type rotation struct {
-	plans     []*optimizer.GlobalPlan
-	idx       int
-	derivedAt simclock.Time
-}
-
 // Router is the route policy: the only implementation of integrator.Router.
 // Its policy is fixed at construction; a policy change installs a new
-// Router, which starts with no rotation state.
+// Router. mu guards stats and every integrator.Turn the Router is handed.
 type Router struct {
 	cfg Config
 	// weights and margin are the mode's score weighting and the dispatch
@@ -185,16 +170,15 @@ type Router struct {
 	weights weights
 	margin  float64
 
-	mu        sync.Mutex
-	rotations map[string]*rotation
-	stats     Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 var _ integrator.Router = (*Router)(nil)
 
 // New builds a Router.
 func New(cfg Config) *Router {
-	r := &Router{cfg: cfg, rotations: map[string]*rotation{}, weights: milvusWeights}
+	r := &Router{cfg: cfg, weights: milvusWeights}
 	if r.cfg.Closeness == 0 {
 		r.cfg.Closeness = DefaultCloseness
 	}
@@ -215,7 +199,7 @@ func (r *Router) Stats() Stats {
 // ChooseGlobal implements integrator.Router: the compile-time pick from the
 // optimizer's ranking, whose first plan is the winner. Off, an empty ranking
 // (nil) and a winner without a menu come back pointer-identical.
-func (r *Router) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+func (r *Router) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *integrator.Turn) *optimizer.GlobalPlan {
 	if len(ranked) == 0 {
 		return nil
 	}
@@ -225,76 +209,70 @@ func (r *Router) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPla
 	}
 	switch r.cfg.Mode {
 	case Fragment, Global:
-		return r.rotate(ctx, ranked)
+		return r.rotate(ctx, ranked, turn)
 	case Weighted:
 		return r.argmax(ctx, winner)
 	}
 	return winner
 }
 
-// rotate returns the next member of the statement's rotation set. A set is
-// re-derived when it has aged out, or when a member runs a fragment on a
-// server the current menu no longer offers (excluded by a retry, fenced by a
-// probe): it must not send a query where the optimizer just refused to.
-func (r *Router) rotate(ctx context.Context, ranked []*optimizer.GlobalPlan) *optimizer.GlobalPlan {
+// rotate returns the next member of the statement's rotation set, read off
+// every ranking: when it holds other routes than the turn's (a QCC publish
+// moved the costs, a fence or a retry's exclusion dropped a server), the turn
+// takes it, keeping its position if its old set started at the winner. A nil
+// turn is a fresh one nothing keeps.
+func (r *Router) rotate(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *integrator.Turn) *optimizer.GlobalPlan {
 	winner, now, queryText := ranked[0], r.cfg.Clock.Now(), ranked[0].Query
+	if turn == nil {
+		turn = &integrator.Turn{}
+	}
+	set := r.exchangeable(ranked)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rot := r.rotations[queryText]
-	if rot == nil || now-rot.derivedAt > rotationMaxAge || !onMenu(rot.plans, winner) {
-		if rot == nil && len(r.rotations) >= maxRotations {
-			r.evictOldest()
+	if !sameRoutes(set, turn.Plans) {
+		if len(turn.Plans) == 0 || !sameRoute(turn.Plans[0], winner) {
+			turn.Next = 0
 		}
-		rot = &rotation{plans: r.exchangeable(ranked), derivedAt: now}
-		r.rotations[queryText] = rot
+		turn.Plans = set
 	}
-	if len(rot.plans) <= 1 {
+	if len(turn.Plans) <= 1 {
 		r.record(ctx, now, queryText, winner.RouteKey(), "kept winner (no rotation set)", nil)
 		return winner
 	}
-	pos := rot.idx % len(rot.plans)
-	chosen := rot.plans[pos]
-	rot.idx++
+	pos := turn.Next % len(turn.Plans)
+	chosen := turn.Plans[pos]
+	turn.Next++
 	if reg := r.cfg.Telemetry.Active(); reg != nil { // the key is built for nothing else
 		reg.Counter("qcc.lb_choices", chosen.ServerSetKey()).Inc()
 	}
 	reason := "winner"
-	if chosen.RouteKey() != winner.RouteKey() {
+	if !sameRoute(chosen, winner) {
 		r.stats.Rotations++
 		r.cfg.Telemetry.Active().Counter("qcc.rotations", "").Inc()
 		reason = "rotated off winner"
 	}
-	r.record(ctx, now, queryText, chosen.RouteKey(), fmt.Sprintf("round-robin %d/%d (%s)", pos+1, len(rot.plans), reason), nil)
+	r.record(ctx, now, queryText, chosen.RouteKey(), fmt.Sprintf("round-robin %d/%d (%s)", pos+1, len(turn.Plans), reason), nil)
 	return chosen
 }
 
-// onMenu reports whether every fragment of every plan still runs on a server
-// the winner's menu offers for that fragment.
-func onMenu(plans []*optimizer.GlobalPlan, winner *optimizer.GlobalPlan) bool {
-	for _, p := range plans {
-		if len(p.Fragments) != len(winner.Options) {
-			return false
-		}
-		for i, f := range p.Fragments {
-			onServer := func(opt optimizer.FragmentChoice) bool { return opt.ServerID == f.ServerID }
-			if !slices.ContainsFunc(winner.Options[i], onServer) {
-				return false
-			}
-		}
-	}
-	return true
+// sameRoute reports whether a and b run every fragment on the same server
+// with the same physical plan.
+func sameRoute(a, b *optimizer.GlobalPlan) bool {
+	return slices.EqualFunc(a.Fragments, b.Fragments, func(x, y optimizer.FragmentChoice) bool {
+		return x.ServerID == y.ServerID && x.Plan.Signature == y.Plan.Signature
+	})
 }
 
-// evictOldest drops the rotation set derived longest ago (ties by statement
-// text, so the choice never depends on map order).
-func (r *Router) evictOldest() {
-	oldest := ""
-	for q, rot := range r.rotations {
-		if o := r.rotations[oldest]; o == nil || rot.derivedAt < o.derivedAt || (rot.derivedAt == o.derivedAt && q < oldest) {
-			oldest = q
+// sameRoutes reports whether two rotation sets hold the same routes, in any
+// order. Neither holds a route twice, so that is every route of each shared.
+func sameRoutes(a, b []*optimizer.GlobalPlan) bool {
+	shared := 0
+	for _, p := range a {
+		if slices.ContainsFunc(b, func(q *optimizer.GlobalPlan) bool { return sameRoute(p, q) }) {
+			shared++
 		}
 	}
-	delete(r.rotations, oldest)
+	return shared == len(a) && shared == len(b)
 }
 
 // exchangeable reads the winner's rotation set off the optimizer's ranking in
@@ -477,11 +455,11 @@ func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 
 // RerouteFragment implements integrator.Router: just before a fragment
 // dispatches, re-explain it on every candidate server with CURRENT
-// calibration (compile time may be arbitrarily stale for queued or
-// rotation-cached plans) and move it when another server now scores better
-// than the compiled one by the mode's margin — unconditionally when the
-// compiled one is fenced or gone. Single-candidate fragments return nil
-// without consulting anything.
+// calibration (a queued query's compile may be arbitrarily stale, and a
+// rotation turn keeps its plans until its set's routes change) and move it
+// when another server now scores better than the compiled one by the mode's
+// margin — unconditionally when the compiled one is fenced or gone.
+// Single-candidate fragments return nil without consulting anything.
 func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice {
 	if !r.cfg.Rescore || len(choice.Spec.Candidates) <= 1 {
 		return nil

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/integrator"
 	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
@@ -60,12 +61,12 @@ func rankOver(t *testing.T, opts ...optimizer.FragmentChoice) []*optimizer.Globa
 	return ranked
 }
 
-// servers drives n compilations of one statement through the router and
-// returns the server sequence.
-func servers(r *Router, ranked []*optimizer.GlobalPlan, n int) string {
+// servers drives n compilations of one statement, whose rotation state is
+// turn, through the router and returns the server sequence.
+func servers(r *Router, ranked []*optimizer.GlobalPlan, turn *integrator.Turn, n int) string {
 	var seq []string
 	for i := 0; i < n; i++ {
-		seq = append(seq, r.ChooseGlobal(context.Background(), ranked).Fragments[0].ServerID)
+		seq = append(seq, r.ChooseGlobal(context.Background(), ranked, turn).Fragments[0].ServerID)
 	}
 	return strings.Join(seq, " ")
 }
@@ -212,27 +213,33 @@ func TestNewDefaults(t *testing.T) {
 }
 
 // TestChooseGlobalGuards: an empty ranking comes back nil; a winner without
-// a menu, and any winner under Off, come back pointer-identical.
+// a menu, any winner under Off and a rotation mode's winner without a turn
+// (explain mode) come back pointer-identical.
 func TestChooseGlobalGuards(t *testing.T) {
 	noMenu := &optimizer.GlobalPlan{Fragments: []optimizer.FragmentChoice{choice("S1", 10)}}
 	for _, mode := range []Mode{Off, Fragment, Global, Weighted} {
 		r := testRouter(Policy{Mode: mode})
-		if got := r.ChooseGlobal(context.Background(), nil); got != nil {
+		if got := r.ChooseGlobal(context.Background(), nil, &integrator.Turn{}); got != nil {
 			t.Errorf("%s: empty ranking did not come back nil", mode)
 		}
-		if got := r.ChooseGlobal(context.Background(), []*optimizer.GlobalPlan{noMenu}); got != noMenu {
+		if got := r.ChooseGlobal(context.Background(), []*optimizer.GlobalPlan{noMenu}, &integrator.Turn{}); got != noMenu {
 			t.Errorf("%s: winner without options was not returned untouched", mode)
 		}
 	}
 	tied := rankOver(t, choice("S1", 10), choice("S2", 10), choice("S3", 10))
-	off := testRouter(Policy{Mode: Off, Closeness: 3})
-	for i := 0; i < 4; i++ {
-		if got := off.ChooseGlobal(context.Background(), tied); got != tied[0] {
-			t.Fatal("Off did not return the winner pointer-identical")
+	for _, tc := range []struct {
+		mode Mode
+		turn *integrator.Turn
+	}{{Off, &integrator.Turn{}}, {Fragment, nil}, {Global, nil}} {
+		r := testRouter(Policy{Mode: tc.mode, Closeness: 3})
+		for i := 0; i < 4; i++ {
+			if got := r.ChooseGlobal(context.Background(), tied, tc.turn); got != tied[0] {
+				t.Fatalf("%s with turn %v did not return the winner pointer-identical", tc.mode, tc.turn)
+			}
 		}
-	}
-	if off.Stats() != (Stats{}) {
-		t.Errorf("Off counted %+v", off.Stats())
+		if r.Stats() != (Stats{}) {
+			t.Errorf("%s with turn %v counted %+v", tc.mode, tc.turn, r.Stats())
+		}
 	}
 }
 
@@ -273,7 +280,7 @@ func TestRotationSets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := testRouter(tc.policy)
-			if got := servers(r, rankOver(t, tc.menu...), 6); got != tc.want {
+			if got := servers(r, rankOver(t, tc.menu...), &integrator.Turn{}, 6); got != tc.want {
 				t.Errorf("server sequence = %s, want %s", got, tc.want)
 			}
 			if got := r.Stats().Rotations; got != tc.rotations {
@@ -284,7 +291,7 @@ func TestRotationSets(t *testing.T) {
 }
 
 // TestFreshRotationSetStartsAtTheWinner: a rotation set is read off the
-// optimizer's ranking, so the first pick of a fresh set is the winner itself
+// optimizer's ranking, so the first pick of a fresh turn is the winner itself
 // and moves nothing, even when a tie among many plans is ranked in an order
 // other than the candidates' (13 plans are past the insertion-sort cutoff of
 // the ranking's sort). A band too tight for the other cost level keeps the
@@ -300,7 +307,8 @@ func TestFreshRotationSetStartsAtTheWinner(t *testing.T) {
 				ranked := rankOver(t, opts...)
 				winner := ranked[0]
 				r := testRouter(Policy{Mode: mode, Closeness: closeness})
-				if got := r.ChooseGlobal(context.Background(), ranked); got != winner {
+				turn := &integrator.Turn{}
+				if got := r.ChooseGlobal(context.Background(), ranked, turn); got != winner {
 					t.Fatalf("first pick %s, want the winner %s pointer-identical", got.RouteKey(), winner.RouteKey())
 				}
 				if got := r.Stats().Rotations; got != 0 {
@@ -309,9 +317,12 @@ func TestFreshRotationSetStartsAtTheWinner(t *testing.T) {
 				if closeness > 1 {
 					return
 				}
-				set := len(r.rotations[winner.Query].plans)
+				set := len(turn.Plans)
+				if set != maxAlternatives || turn.Plans[0] != winner {
+					t.Fatalf("turn holds %d plans, first %s: want %d from the winner", set, turn.Plans[0].RouteKey(), maxAlternatives)
+				}
 				for i := 1; i < 3*set; i++ {
-					got := r.ChooseGlobal(context.Background(), ranked)
+					got := r.ChooseGlobal(context.Background(), ranked, turn)
 					if got.TotalEstMS != winner.TotalEstMS {
 						t.Fatalf("pick %d costs %v, outside the band of the winner's %v", i, got.TotalEstMS, winner.TotalEstMS)
 					}
@@ -324,47 +335,68 @@ func TestFreshRotationSetStartsAtTheWinner(t *testing.T) {
 	}
 }
 
-// TestRotationDropsMembersOffTheMenu: a cached set is only as good as the
-// menu it came from. When the next winner's menu no longer offers a member's
+// TestRotationDropsMembersOffTheMenu: a turn's set is only as good as the
+// ranking it came from. When the next ranking no longer offers a member's
 // server (the retry loop excluded it, a probe fenced it), the set is
-// re-derived before anything is picked from it; when the server returns,
-// the set's age brings it back.
+// re-derived before anything is picked from it, with no clock in between;
+// when the server returns, the next ranking brings it back. The winner stays
+// S1 throughout, so the turn keeps its position.
 func TestRotationDropsMembersOffTheMenu(t *testing.T) {
 	r := testRouter(Policy{Mode: Global, Closeness: 3})
+	turn := &integrator.Turn{}
 	all := rankOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 12))
-	if got := servers(r, all, 2); got != "S1 S2" {
+	if got := servers(r, all, turn, 2); got != "S1 S2" {
 		t.Fatalf("warm-up sequence = %s", got)
 	}
 	withoutS3 := rankOver(t, choice("S1", 10), choice("S2", 11))
-	if got := servers(r, withoutS3, 4); got != "S1 S2 S1 S2" {
+	if got := servers(r, withoutS3, turn, 4); got != "S1 S2 S1 S2" {
 		t.Errorf("with S3 off the menu the sequence = %s, want S1 S2 S1 S2", got)
 	}
-	r.cfg.Clock.Advance(rotationMaxAge + 1)
-	if got := servers(r, all, 3); got != "S1 S2 S3" {
-		t.Errorf("after the set aged out the sequence = %s, want S1 S2 S3", got)
+	if got := servers(r, all, turn, 3); got != "S1 S2 S3" {
+		t.Errorf("after S3 returned the sequence = %s, want S1 S2 S3", got)
 	}
 }
 
-// TestRotationMapIsBounded: one set per statement text, capped like the plan
-// cache, evicting the set derived longest ago.
-func TestRotationMapIsBounded(t *testing.T) {
-	r := testRouter(Policy{Mode: Global, Closeness: 3})
-	ranked := rankOver(t, choice("S1", 10), choice("S2", 11))
-	for i := 0; i < 2000; i++ {
-		r.cfg.Clock.Advance(1)
-		text := *ranked[0]
-		text.Query = fmt.Sprintf("q%04d", i)
-		r.ChooseGlobal(context.Background(), []*optimizer.GlobalPlan{&text, ranked[1]})
-	}
-	if len(r.rotations) != maxRotations {
-		t.Fatalf("%d rotation sets after 2000 statement texts, want the cap %d", len(r.rotations), maxRotations)
-	}
-	if r.rotations["q1999"] == nil || r.rotations[fmt.Sprintf("q%04d", 2000-maxRotations)] == nil {
-		t.Error("the most recent sets were evicted")
-	}
-	if r.rotations[fmt.Sprintf("q%04d", 2000-maxRotations-1)] != nil {
-		t.Error("an older set survived past the cap")
-	}
+// TestTurnFollowsTheRanking: a turn has no age and no clock. It continues
+// however long its statement was away, keeps its position when its set
+// changes under the same winner, and restarts at a new winner.
+func TestTurnFollowsTheRanking(t *testing.T) {
+	three := rankOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 12))
+	t.Run("a statement that recurs much later continues its rotation", func(t *testing.T) {
+		r := testRouter(Policy{Mode: Global, Closeness: 3})
+		turn := &integrator.Turn{}
+		if got := servers(r, three, turn, 2); got != "S1 S2" {
+			t.Fatalf("warm-up sequence = %s", got)
+		}
+		r.cfg.Clock.Advance(5000)
+		if got := servers(r, three, turn, 2); got != "S3 S1" {
+			t.Errorf("5 000 vms later the sequence = %s, want S3 S1", got)
+		}
+	})
+	t.Run("a set that changes under the same winner keeps its position", func(t *testing.T) {
+		r := testRouter(Policy{Mode: Global, Closeness: 0.5})
+		turn := &integrator.Turn{}
+		if got := servers(r, three, turn, 1); got != "S1" {
+			t.Fatalf("warm-up sequence = %s", got)
+		}
+		// S3 stays on the menu but leaves the band.
+		s3Dear := rankOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 100))
+		if got := servers(r, s3Dear, turn, 3); got != "S2 S1 S2" {
+			t.Errorf("with S3 out of the band the sequence = %s, want S2 S1 S2", got)
+		}
+	})
+	t.Run("a new winner restarts at it", func(t *testing.T) {
+		r := testRouter(Policy{Mode: Global, Closeness: 3})
+		turn := &integrator.Turn{}
+		two := rankOver(t, choice("S1", 10), choice("S2", 11))
+		if got := servers(r, two, turn, 1); got != "S1" {
+			t.Fatalf("warm-up sequence = %s", got)
+		}
+		s3First := rankOver(t, choice("S1", 10), choice("S2", 11), choice("S3", 5))
+		if got := servers(r, s3First, turn, 3); got != "S3 S1 S2" {
+			t.Errorf("with S3 the new winner the sequence = %s, want S3 S1 S2", got)
+		}
+	})
 }
 
 // fixedCost is a wrapper whose Explain offers one plan at a fixed estimate.
@@ -445,10 +477,10 @@ func TestRerouteFragmentSingleCandidateNoop(t *testing.T) {
 func TestDecisionLogRing(t *testing.T) {
 	j := journal.New()
 	r := New(Config{Policy: Policy{Mode: Global, Closeness: 3}, Optimizer: &optimizer.Optimizer{}, Clock: simclock.New(), Journal: j})
-	ranked := rankOver(t, choice("S1", 10), choice("S2", 11))
+	ranked, turn := rankOver(t, choice("S1", 10), choice("S2", 11)), &integrator.Turn{}
 	const n = ring.Decisions + 5
 	for i := 1; i <= n; i++ {
-		r.ChooseGlobal(journal.WithScope(context.Background(), journal.Scope{Query: int64(i)}), ranked)
+		r.ChooseGlobal(journal.WithScope(context.Background(), journal.Scope{Query: int64(i)}), ranked, turn)
 	}
 	if got := j.Decisions.Evicted(); got != 5 {
 		t.Errorf("evicted = %d, want 5", got)

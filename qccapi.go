@@ -155,8 +155,8 @@ func (c *Calibrator) RoutingStats() RoutingStats { return c.q.Router.Stats() }
 
 // SetRouting replaces the route policy at runtime: the mode, the rotation
 // modes' closeness band (0 = the default 0.2) and whether every fragment is
-// re-checked just before dispatch. Rotation state and RoutingStats start
-// over.
+// re-checked just before dispatch. RoutingStats start over, and the plan
+// cache is cleared, so every statement's rotation starts at its winner.
 func (c *Calibrator) SetRouting(mode LBMode, closeness float64, rescore bool) {
 	c.q.SetRouting(c.fed.ii, router.Policy{Mode: mode, Closeness: closeness, Rescore: rescore})
 }

@@ -5,10 +5,12 @@
 package fedqcc_test
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	fedqcc "repro"
@@ -459,7 +461,10 @@ var xjoinTemplates = []string{
 // exercise. The literals were captured from the three policy
 // implementations this router replaced (the LBGlobal ones after their
 // map-order tie was fixed) and must never be re-captured to make a routing
-// change pass: a changed hash is a changed route sequence.
+// change pass: a changed hash is a changed route sequence. The one
+// re-capture is xjoin_churn's, when a statement's rotation turn moved into
+// its plan-cache entry: each round's orders burst drops every entry, so
+// each round starts at the winner instead of rotating on from the last.
 func TestRouteSequencePinned(t *testing.T) {
 	replicated := func() (*fedqcc.Federation, error) {
 		return fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
@@ -502,7 +507,7 @@ func TestRouteSequencePinned(t *testing.T) {
 					}
 				}
 			},
-			want: "d9cca650d6156a11",
+			want: "88390cfa5df4ea45",
 		},
 		{
 			name: "paper_mix load flips",
@@ -560,6 +565,113 @@ func TestRouteSequencePinned(t *testing.T) {
 				t.Errorf("route sequence hash = %s, want %s\n%v", got, tc.want, h.seq)
 			}
 		})
+	}
+}
+
+// rotatingReplicas is a fully replicated federation whose calibrator rotates
+// whole global plans across all three replicas of a table.
+func rotatingReplicas(t *testing.T) (*fedqcc.Federation, *fedqcc.Calibrator) {
+	t.Helper()
+	fed, err := fedqcc.NewReplicatedFederation(fedqcc.ReplicatedFederationOptions{Scale: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+	cal.SetRouting(fedqcc.LBGlobal, 1.0, false)
+	return fed, cal
+}
+
+// ranOn runs sql n times and returns the servers its one fragment ran on.
+func ranOn(t *testing.T, fed *fedqcc.Federation, sql string, n int) string {
+	t.Helper()
+	var seq []string
+	for i := 0; i < n; i++ {
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq = append(seq, res.Route["QF1"])
+	}
+	return strings.Join(seq, " ")
+}
+
+// TestSetRoutingStartsEveryStatementAtItsWinner: a new route policy starts
+// every cached statement's rotation over, as Calibrator.SetRouting promises.
+func TestSetRoutingStartsEveryStatementAtItsWinner(t *testing.T) {
+	sql := hotBurst[0]
+	fed, cal := rotatingReplicas(t)
+	if got := ranOn(t, fed, sql, 2); got != "S1 S2" {
+		t.Fatalf("first policy ran %s, want S1 S2", got)
+	}
+	cal.SetRouting(fedqcc.LBGlobal, 1.0, false)
+	if got := ranOn(t, fed, sql, 2); got != "S1 S2" {
+		t.Errorf("after SetRouting the statement ran %s, want S1 S2 from its winner", got)
+	}
+}
+
+// TestExplainTakesNoRotationTurn: explain mode reports the optimizer's winner
+// and leaves the statement's rotation where it was, so the queries run the
+// same servers with or without an Explain before each.
+func TestExplainTakesNoRotationTurn(t *testing.T) {
+	sql := hotBurst[0]
+	run := func(explain bool) (explained, ran string) {
+		fed, _ := rotatingReplicas(t)
+		for i := 0; i < 4; i++ {
+			if explain {
+				info, err := fed.Explain(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				explained += info.Route["QF1"] + " "
+			}
+			ran += ranOn(t, fed, sql, 1) + " "
+		}
+		return explained, ran
+	}
+	_, alone := run(false)
+	if alone != "S1 S2 S3 S1 " {
+		t.Fatalf("queries alone ran %s, want S1 S2 S3 S1", alone)
+	}
+	explained, ran := run(true)
+	if explained != "S1 S1 S1 S1 " {
+		t.Errorf("explains reported %s, want the winner S1 each time", explained)
+	}
+	if ran != alone {
+		t.Errorf("with an Explain before each the queries ran %s, want %s as alone", ran, alone)
+	}
+}
+
+// TestConcurrentQueriesShareOneTurn: every query of a cached statement takes
+// its pick from the statement's one turn, which only the router's lock moves,
+// so 240 concurrent queries split exactly in thirds over three replicas.
+func TestConcurrentQueriesShareOneTurn(t *testing.T) {
+	sql := hotBurst[0]
+	fed, _ := rotatingReplicas(t)
+	ranOn(t, fed, sql, 1) // caches the statement and its turn
+	var (
+		mu  sync.Mutex
+		ran = map[string]int{}
+		wg  sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				res, err := fed.QueryContext(context.Background(), sql)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				ran[res.Route["QF1"]]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(ran) != 3 || ran["S1"] != 80 || ran["S2"] != 80 || ran["S3"] != 80 {
+		t.Errorf("240 concurrent queries ran %v, want 80 on each of S1, S2 and S3", ran)
 	}
 }
 
