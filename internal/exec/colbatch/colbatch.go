@@ -9,6 +9,8 @@
 package colbatch
 
 import (
+	"math"
+
 	"repro/internal/sqltypes"
 )
 
@@ -67,7 +69,7 @@ func (c *Column) IsNull(i int) bool {
 
 // Gather materializes a new column holding the cells at the given physical
 // indices, in order.
-func (c *Column) Gather(idx []int) *Column {
+func (c *Column) Gather(idx []int32) *Column {
 	var s slabs
 	s.reserve(c, len(idx))
 	s.alloc()
@@ -104,7 +106,7 @@ func (c *Column) Slice(lo, hi int) *Column {
 // GatherJoined is a join kernel's output: the columns of left gathered at
 // lIdx followed by the columns of right at rIdx (two index lists of one
 // length), JoinedColumns filled once from offset 0.
-func GatherJoined(left []*Column, lIdx []int, right []*Column, rIdx []int, unread uint64) []*Column {
+func GatherJoined(left []*Column, lIdx []int32, right []*Column, rIdx []int32, unread uint64) []*Column {
 	cols := JoinedColumns(left, right, len(lIdx), unread)
 	FillJoined(cols, 0, left, lIdx, right, rIdx)
 	return cols
@@ -152,7 +154,7 @@ func JoinedColumns(left, right []*Column, n int, unread uint64) []*Column {
 // FillJoined writes rows [at, at+len(lIdx)) of the columns JoinedColumns
 // allocated over the same sources: left's cells at lIdx, then right's at rIdx.
 // A placeholder has nothing to write.
-func FillJoined(cols []*Column, at int, left []*Column, lIdx []int, right []*Column, rIdx []int) {
+func FillJoined(cols []*Column, at int, left []*Column, lIdx []int32, right []*Column, rIdx []int32) {
 	for i, out := range cols {
 		if i < len(left) {
 			out.fill(at, left[i], lIdx)
@@ -163,7 +165,7 @@ func FillJoined(cols []*Column, at int, left []*Column, lIdx []int, right []*Col
 }
 
 // fill copies src's cells at idx into c's vectors from position at on.
-func (c *Column) fill(at int, src *Column, idx []int) {
+func (c *Column) fill(at int, src *Column, idx []int32) {
 	if c.Mixed != nil {
 		fillCells(c.Mixed[at:], src.Mixed, idx)
 		return
@@ -183,7 +185,7 @@ func (c *Column) fill(at int, src *Column, idx []int) {
 	}
 }
 
-func fillCells[T any](dst, src []T, idx []int) {
+func fillCells[T any](dst, src []T, idx []int32) {
 	for i, j := range idx {
 		dst[i] = src[j]
 	}
@@ -471,15 +473,22 @@ func BoolColumn(vals []bool, nulls []bool) *Column {
 // NullColumn is an all-NULL column.
 func NullColumn() *Column { return &Column{Kind: sqltypes.KindNull} }
 
+// MaxRows is the most rows a row position can name. A position is an int32
+// wherever the engine keeps one — a selection vector, a join's match lists,
+// an index entry — so nothing that positions index may grow past it: a table
+// refuses the append (storage.Table.Append) and a join the output (exec)
+// that would, and no narrowing to int32 wraps.
+const MaxRows = math.MaxInt32
+
 // Batch is a columnar slice of a relation: a schema, one Column per
 // attribute, and a logical row window. The window is either a contiguous
 // physical range [off, off+n) or an explicit selection vector of physical
-// indices (Sel non-nil wins). Columns may be shared between batches;
-// treat them as immutable once the batch is built.
+// indices, 4 bytes each (Sel non-nil wins). Columns may be shared between
+// batches; treat them as immutable once the batch is built.
 type Batch struct {
 	Schema *sqltypes.Schema
 	Cols   []*Column
-	Sel    []int
+	Sel    []int32
 	off    int
 	n      int
 }
@@ -491,7 +500,7 @@ func New(schema *sqltypes.Schema, cols []*Column, n int) *Batch {
 
 // NewSelected builds a batch whose logical rows are the physical indices in
 // sel.
-func NewSelected(schema *sqltypes.Schema, cols []*Column, sel []int) *Batch {
+func NewSelected(schema *sqltypes.Schema, cols []*Column, sel []int32) *Batch {
 	return &Batch{Schema: schema, Cols: cols, Sel: sel, n: len(sel)}
 }
 
@@ -501,7 +510,7 @@ func (b *Batch) Len() int { return b.n }
 // phys maps a logical row index to its physical position.
 func (b *Batch) phys(i int) int {
 	if b.Sel != nil {
-		return b.Sel[i]
+		return int(b.Sel[i])
 	}
 	return b.off + i
 }
@@ -570,12 +579,27 @@ func (b *Batch) WithColumns(schema *sqltypes.Schema, cols []*Column) *Batch {
 
 // Select returns a view keeping the logical rows named by sel (indices into
 // the batch's logical row space).
-func (b *Batch) Select(sel []int) *Batch {
-	phys := make([]int, len(sel))
+func (b *Batch) Select(sel []int32) *Batch {
+	phys := make([]int32, len(sel))
 	for i, s := range sel {
-		phys[i] = b.phys(s)
+		phys[i] = int32(b.phys(int(s)))
 	}
 	return &Batch{Schema: b.Schema, Cols: b.Cols, Sel: phys, n: len(phys)}
+}
+
+// SelectOwned is Select for a vector the caller hands over, a kernel's fresh
+// selection: over a contiguous window its entries become physical positions
+// in place, and no second vector is allocated.
+func (b *Batch) SelectOwned(sel []int32) *Batch {
+	if b.Sel != nil {
+		return b.Select(sel)
+	}
+	if b.off != 0 {
+		for i := range sel {
+			sel[i] += int32(b.off)
+		}
+	}
+	return NewSelected(b.Schema, b.Cols, sel)
 }
 
 // Materialize compacts the batch into contiguous physical storage, dropping
@@ -585,9 +609,9 @@ func (b *Batch) Materialize() *Batch {
 	if b.Sel == nil && b.off == 0 && (len(b.Cols) == 0 || b.physLen() == b.n) {
 		return b
 	}
-	idx := make([]int, b.n)
+	idx := make([]int32, b.n)
 	for i := range idx {
-		idx[i] = b.phys(i)
+		idx[i] = int32(b.phys(i))
 	}
 	cols := make([]*Column, len(b.Cols))
 	for c, col := range b.Cols {
@@ -799,14 +823,14 @@ func (a *Accumulator) joinViews(schema *sqltypes.Schema, parts []*Batch) *Batch 
 	if contig {
 		return &Batch{Schema: schema, Cols: cols, off: max(start, 0), n: a.n}
 	}
-	sel := make([]int, 0, a.n)
+	sel := make([]int32, 0, a.n)
 	for _, p := range parts {
 		if p.Sel != nil {
 			sel = append(sel, p.Sel...)
 			continue
 		}
 		for i := 0; i < p.n; i++ {
-			sel = append(sel, p.off+i)
+			sel = append(sel, int32(p.off+i))
 		}
 	}
 	return &Batch{Schema: schema, Cols: cols, Sel: sel, n: a.n}

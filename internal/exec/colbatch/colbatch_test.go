@@ -1,8 +1,10 @@
 package colbatch
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -119,7 +121,7 @@ func TestSliceAndSelect(t *testing.T) {
 	relationsEqual(t, want2, s2.ToRelation())
 
 	// Selection over a slice composes into physical indices.
-	sel := s.Select([]int{0, 3, 29})
+	sel := s.Select([]int32{0, 3, 29})
 	wantSel := &sqltypes.Relation{Schema: rel.Schema, Rows: []sqltypes.Row{rel.Rows[10], rel.Rows[13], rel.Rows[39]}}
 	relationsEqual(t, wantSel, sel.ToRelation())
 	if sel.WireSize() != wantSel.ByteSize() {
@@ -139,7 +141,7 @@ func TestMaterialize(t *testing.T) {
 	if b.Materialize() != b {
 		t.Fatal("Materialize of a contiguous batch should be a no-op")
 	}
-	s := b.Slice(8, 24).Select([]int{1, 5, 5, 0})
+	s := b.Slice(8, 24).Select([]int32{1, 5, 5, 0})
 	m := s.Materialize()
 	if m.Sel != nil {
 		t.Fatal("Materialize left a selection vector")
@@ -177,7 +179,7 @@ func TestAccumulatorMatchesRowConcat(t *testing.T) {
 	acc.Append(full.Slice(0, 0))
 	for _, w := range []*Batch{
 		full.Slice(0, 100),
-		full.Slice(100, 150).Select([]int{40, 3, 3, 0}),
+		full.Slice(100, 150).Select([]int32{40, 3, 3, 0}),
 		full.Slice(150, 300),
 	} {
 		acc.Append(w)
@@ -253,7 +255,7 @@ func TestAccumulatorCopiesOnceAtFinalSize(t *testing.T) {
 func TestToRelationBoxesIntoOneArray(t *testing.T) {
 	rel := randRelation(rand.New(rand.NewSource(11)), 50)
 	full := FromRelation(rel)
-	got := ToRelation([]*Batch{full.Slice(0, 20), full.Slice(20, 20), full.Slice(20, 50).Select([]int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29})})
+	got := ToRelation([]*Batch{full.Slice(0, 20), full.Slice(20, 20), full.Slice(20, 50).Select([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29})})
 	relationsEqual(t, rel, got)
 	for i := 1; i < len(got.Rows); i++ {
 		prev, row := got.Rows[i-1], got.Rows[i]
@@ -318,7 +320,7 @@ func TestTypedColumnConstructors(t *testing.T) {
 func TestWindowsCutTheRowsInOrder(t *testing.T) {
 	rel := randRelation(rand.New(rand.NewSource(13)), 70)
 	full := FromRelation(rel)
-	for _, b := range []*Batch{full, full.Slice(5, 65), full.Select([]int{9, 3, 3, 60, 0, 41, 8})} {
+	for _, b := range []*Batch{full, full.Slice(5, 65), full.Select([]int32{9, 3, 3, 60, 0, 41, 8})} {
 		ws := b.Windows(16)
 		if want := max(1, (b.Len()+15)/16); len(ws) != want {
 			t.Fatalf("%d rows cut into %d windows, want %d", b.Len(), len(ws), want)
@@ -367,7 +369,7 @@ func TestAccumulatorJoinsViewsOfTheSameColumns(t *testing.T) {
 	if b := finish(full.Slice(10, 30), full.Slice(30, 30), full.Slice(30, 90)); !shares(b) || b.Sel != nil || b.off != 10 {
 		t.Fatalf("adjacent windows: shared %v, selection %v, offset %d", shares(b), b.Sel != nil, b.off)
 	}
-	if b := finish(full.Slice(0, 20), full.Slice(40, 50).Select([]int{7, 2}), full.Slice(60, 61)); !shares(b) || len(b.Sel) != 23 {
+	if b := finish(full.Slice(0, 20), full.Slice(40, 50).Select([]int32{7, 2}), full.Slice(60, 61)); !shares(b) || len(b.Sel) != 23 {
 		t.Fatalf("windows and selections: shared %v, %d selected", shares(b), len(b.Sel))
 	}
 	if b := finish(full.Select(nil), full.Slice(3, 3)); !shares(b) || b.Len() != 0 {
@@ -376,4 +378,123 @@ func TestAccumulatorJoinsViewsOfTheSameColumns(t *testing.T) {
 	if b := finish(full.Slice(0, 20), FromRelation(rel).Slice(20, 40)); shares(b) {
 		t.Fatal("parts over different columns were joined as views")
 	}
+}
+
+// FuzzSelectionComposes builds random chains of Slice, Select, SelectOwned,
+// Windows, Materialize and Accumulator over a random relation and checks
+// every link against a row-slice model: the relation rows that the batch's
+// logical rows stand for. Slices and windows start past row 0, so a
+// SelectOwned after one takes the in-place offset path, and an Accumulator's
+// parts mix windows, selections and copies of one set of columns with parts
+// over columns of their own.
+func FuzzSelectionComposes(f *testing.F) {
+	f.Add(int64(1), uint16(40), []byte{0, 2, 3, 1, 4, 5})
+	f.Add(int64(2), uint16(300), []byte{3, 2, 5, 0, 1, 5, 4, 2})
+	f.Add(int64(3), uint16(0), []byte{0, 1, 2, 3, 4, 5})
+	f.Add(int64(4), uint16(1), []byte{5, 5, 2, 2, 3, 3})
+	f.Add(int64(32), uint16(171), []byte{2, 5, 5, 1, 5, 5}) // selections and offset windows in one Accumulator
+	f.Fuzz(func(t *testing.T, seed int64, rows uint16, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		rel := randRelation(rng, int(rows%600))
+		b, model := FromRelation(rel), make([]int, len(rel.Rows))
+		for i := range model {
+			model[i] = i
+		}
+		// ascending draws a kernel's selection of n logical rows: ascending,
+		// each row kept or not.
+		ascending := func(n int) ([]int32, []int) {
+			var sel []int32
+			var rows []int
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					sel, rows = append(sel, int32(i)), append(rows, i)
+				}
+			}
+			return sel, rows
+		}
+		pick := func(m, rows []int) []int {
+			out := make([]int, len(rows))
+			for i, r := range rows {
+				out[i] = m[r]
+			}
+			return out
+		}
+		for step, op := range ops[:min(len(ops), 24)] {
+			n := b.Len()
+			name := ""
+			switch op % 6 {
+			case 0:
+				lo := rng.Intn(n + 1)
+				hi := lo + rng.Intn(n-lo+1)
+				name = fmt.Sprintf("Slice(%d, %d)", lo, hi)
+				b, model = b.Slice(lo, hi), model[lo:hi]
+			case 1: // any rows, in any order, repeated
+				sel, rows := make([]int32, rng.Intn(2*n+1)), make([]int, 0, 2*n)
+				for i := range sel {
+					r := rng.Intn(n)
+					sel[i], rows = int32(r), append(rows, r)
+				}
+				name = fmt.Sprintf("Select(%d of %d)", len(sel), n)
+				b, model = b.Select(sel), pick(model, rows)
+			case 2:
+				sel, rows := ascending(n)
+				name = fmt.Sprintf("SelectOwned(%d of %d)", len(sel), n)
+				b, model = b.SelectOwned(sel), pick(model, rows)
+			case 3:
+				size := 1 + rng.Intn(n+1)
+				ws := b.Windows(size)
+				covered := 0
+				for _, w := range ws {
+					covered += w.Len()
+				}
+				if covered != n || len(ws) != max(1, (n+size-1)/size) {
+					t.Fatalf("step %d: Windows(%d) of %d rows: %d windows covering %d rows", step, size, n, len(ws), covered)
+				}
+				k := rng.Intn(len(ws))
+				name = fmt.Sprintf("Windows(%d)[%d]", size, k)
+				b, model = &ws[k], model[min(k*size, n):min((k+1)*size, n)]
+			case 4:
+				name = "Materialize"
+				if b = b.Materialize(); b.Sel != nil {
+					t.Fatalf("step %d: a materialized batch keeps a selection", step)
+				}
+			default:
+				cuts := []int{0, n}
+				for range rng.Intn(4) {
+					cuts = append(cuts, rng.Intn(n+1))
+				}
+				slices.Sort(cuts)
+				var acc Accumulator
+				var joined []int
+				for p := 1; p < len(cuts); p++ {
+					lo, hi := cuts[p-1], cuts[p]
+					part, rows := b.Slice(lo, hi), model[lo:hi]
+					switch rng.Intn(3) {
+					case 1:
+						sel, kept := ascending(hi - lo)
+						part, rows = part.SelectOwned(sel), pick(rows, kept)
+					case 2:
+						part = part.Materialize()
+					}
+					acc.Append(part)
+					joined = append(joined, rows...)
+				}
+				name = fmt.Sprintf("Accumulator(%d rows)", len(joined))
+				b, model = acc.Finish(), joined
+			}
+			if b.Len() != len(model) {
+				t.Fatalf("step %d, %s: %d rows, the model %d", step, name, b.Len(), len(model))
+			}
+			for i, r := range model {
+				for c := range b.Cols {
+					if got, want := b.Value(i, c), rel.Rows[r][c]; !valuesIdentical(got, want) {
+						t.Fatalf("step %d, %s: cell (%d, %d) is %#v, want row %d's %#v", step, name, i, c, got, r, want)
+					}
+				}
+			}
+			if got, want := b.WireSize(), b.ToRelation().ByteSize(); got != want {
+				t.Fatalf("step %d, %s: WireSize %d, the rows' %d", step, name, got, want)
+			}
+		}
+	})
 }

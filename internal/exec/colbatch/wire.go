@@ -133,7 +133,7 @@ func ColumnWireBytes(c *Column, n, batchRows int) int {
 // cells names the physical cells of a column that a batch's logical rows
 // cover: sel when non-nil, the range [off, off+n) otherwise.
 type cells struct {
-	sel    []int
+	sel    []int32
 	off, n int
 }
 
@@ -142,7 +142,7 @@ func (b *Batch) cells() cells { return cells{sel: b.Sel, off: b.off, n: b.n} }
 
 func (w cells) at(i int) int {
 	if w.sel != nil {
-		return w.sel[i]
+		return int(w.sel[i])
 	}
 	return w.off + i
 }

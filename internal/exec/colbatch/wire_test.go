@@ -111,7 +111,7 @@ func TestWireRoundTripMixedColumn(t *testing.T) {
 func TestWireSelectionCompacted(t *testing.T) {
 	ints := IntColumn([]int64{10, 20, 30, 40, 50}, nil)
 	strs := StringColumn([]string{"a", "b", "c", "d", "e"}, nil)
-	b := NewSelected(wireSchema(2), []*Column{ints, strs}, []int{4, 1, 3})
+	b := NewSelected(wireSchema(2), []*Column{ints, strs}, []int32{4, 1, 3})
 	enc := requireRoundTrip(t, b)
 	dec, err := Decode(b.Schema, enc.Data)
 	if err != nil {
@@ -136,10 +136,10 @@ func TestWireEncodesThroughSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for it := 0; it < 300; it++ {
 		full := FromRelation(randRelation(rng, rng.Intn(120)))
-		var sel []int
+		var sel []int32
 		for i := 0; i < full.Len(); i++ {
 			if rng.Intn(3) > 0 {
-				sel = append(sel, i)
+				sel = append(sel, int32(i))
 			}
 		}
 		rng.Shuffle(len(sel), func(i, j int) { sel[i], sel[j] = sel[j], sel[i] })
@@ -292,10 +292,10 @@ func FuzzWireRoundTrip(f *testing.F) {
 		}
 		b := New(wireSchema(ncols), cols, n)
 		if useSel && n > 0 {
-			sel := make([]int, 0, n)
+			sel := make([]int32, 0, n)
 			for i := 0; i < n; i++ {
 				if byteAt(i)%3 != 0 {
-					sel = append(sel, i)
+					sel = append(sel, int32(i))
 				}
 			}
 			b = NewSelected(b.Schema, cols, sel)

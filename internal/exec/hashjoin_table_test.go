@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/exec/colbatch"
@@ -83,10 +82,10 @@ func hashedWindows(rng *rand.Rand, rel *sqltypes.Relation, shards bool) []*colba
 		if rng.Intn(3) == 0 {
 			return b
 		}
-		var sel []int
+		var sel []int32
 		for i := 0; i < b.Len(); i++ {
 			if rng.Intn(3) != 0 {
-				sel = append(sel, i)
+				sel = append(sel, int32(i))
 			}
 		}
 		return b.Select(sel)
@@ -248,7 +247,7 @@ func TestHashJoinStreamsOddFloatsAgainstAnIntTable(t *testing.T) {
 // table is a 4 B position per hashed row and a 4 B offset per bucket and one
 // more — no key hashes, no links, and the windows are not joined into one
 // selection first — and probing a streamed window allocates its two match
-// lists (16 B a row, once) but no hash per row.
+// lists (two int32 positions, 8 B a row, once) but no hash per row.
 func TestHashJoinTableHoldsOnlyPositions(t *testing.T) {
 	const rows = 16 * scanWindow
 	hashedRel := intKeys("h", rows, func(i int) int64 { return int64(i) })
@@ -258,18 +257,6 @@ func TestHashJoinTableHoldsOnlyPositions(t *testing.T) {
 	streamedOp := &SeqScan{Table: storedTable(t, "s", streamedRel), As: "s"}
 	join := &HashJoin{Build: hashedOp, Probe: streamedOp, BuildKey: colRef("h"), ProbeKey: colRef("s")}
 	finishPlan(join, join, nil)
-	least := func(run func()) uint64 {
-		run()
-		bytes := uint64(math.MaxUint64)
-		for i := 0; i < 5; i++ {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run()
-			runtime.ReadMemStats(&after)
-			bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-		}
-		return bytes
-	}
 	batches := func(op Operator) func() {
 		return func() {
 			if _, err := ExecuteBatches(op, &Context{}); err != nil {
@@ -277,8 +264,8 @@ func TestHashJoinTableHoldsOnlyPositions(t *testing.T) {
 			}
 		}
 	}
-	inputs := least(batches(hashedOp)) + least(batches(streamedOp))
-	whole := least(func() {
+	inputs := leastAllocated(batches(hashedOp)) + leastAllocated(batches(streamedOp))
+	whole := leastAllocated(func() {
 		out, err := ExecuteVectorized(join, &Context{})
 		if err != nil || out.Len() != 0 {
 			t.Fatalf("the join returned %v rows, err %v; want none", out, err)
@@ -289,7 +276,7 @@ func TestHashJoinTableHoldsOnlyPositions(t *testing.T) {
 		buckets <<= 1
 	}
 	table := 4*uint64(rows-1) + 4*(buckets+1)
-	lists := 16 * uint64(scanWindow)
+	lists := 8 * uint64(scanWindow)
 	// 16 KiB covers the table's header, the output's and the rounding of
 	// the offsets to whole pages; a hash per streamed row would be 16 KiB.
 	if limit := table + lists + 16<<10; whole-inputs > limit {

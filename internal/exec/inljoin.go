@@ -81,7 +81,7 @@ func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sq
 		probes = append(probes, probe{o, h})
 		fetches += iv.CountEqHash(h)
 	}
-	outerOf, positions := make([]int, 0, fetches), make([]int, 0, fetches) // per fetch: the outer row and the inner position
+	outerOf, positions := make([]int, 0, fetches), make([]int32, 0, fetches) // per fetch: the outer row and the inner position
 	for _, p := range probes {
 		before := len(positions)
 		positions = iv.AppendEqHash(positions, p.h, 0, iv.CountEqHash(p.h))

@@ -2,9 +2,7 @@ package exec
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/exec/colbatch"
@@ -225,8 +223,8 @@ func inlFanOut(t *testing.T) (outer *SeqScan, inner *storage.Table, idx *storage
 // windows of matches allocate the one output column they read (8 B a match)
 // and scratch the size of a window: the match lists, the outer side and its
 // key hashes (16 rows), a few headers per window. 64 KiB covers it. Lists as
-// long as all the matches fail the bound twice over: two 8 B entries per
-// match, and more while they grow.
+// long as all the matches fail the bound: two 4 B entries per match, and
+// more while they grow.
 func TestIndexJoinListsAreWindowSized(t *testing.T) {
 	const matches = 16 * scanWindow
 	outer, inner, idx := inlFanOut(t)
@@ -242,16 +240,7 @@ func TestIndexJoinListsAreWindowSized(t *testing.T) {
 			t.Fatalf("COUNT(*) = %d, want %d", got, matches)
 		}
 	}
-	run()
-	bytes := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-	}
-	if limit := uint64(8*matches + 64<<10); bytes > limit {
+	if bytes, limit := leastAllocated(run), uint64(8*matches+64<<10); bytes > limit {
 		t.Fatalf("one run over %d matches allocated %d bytes; want at most 8 B per match plus 64 KiB (%d)", matches, bytes, limit)
 	}
 }

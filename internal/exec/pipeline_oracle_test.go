@@ -69,12 +69,12 @@ func shaped(rng *rand.Rand, rel *sqltypes.Relation, chunk []sqltypes.Row) *colba
 	super := sqltypes.NewRelation(rel.Schema)
 	switch rng.Intn(3) {
 	case 0:
-		var sel []int
+		var sel []int32
 		for _, row := range chunk {
 			for rng.Intn(2) == 0 {
 				super.Rows = append(super.Rows, junk())
 			}
-			sel = append(sel, len(super.Rows))
+			sel = append(sel, int32(len(super.Rows)))
 			super.Rows = append(super.Rows, row)
 		}
 		super.Rows = append(super.Rows, junk())

@@ -118,7 +118,7 @@ func (s *IndexScan) Execute(ctx *Context) (*sqltypes.Relation, error) {
 // lookup opens the index through the view and returns the positions of the
 // rows the probe matches, in the order the row kernel emits them. Both
 // kernels call it.
-func (s *IndexScan) lookup(v storage.View) (storage.IndexView, []int, error) {
+func (s *IndexScan) lookup(v storage.View) (storage.IndexView, []int32, error) {
 	iv, err := v.Index(s.Index)
 	if err != nil {
 		return iv, nil, err

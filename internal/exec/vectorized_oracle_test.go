@@ -1,10 +1,12 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/metrics"
 	"slices"
 	"sort"
 	"strings"
@@ -1021,4 +1023,55 @@ func TestVectorizedScanColumnsLiveOnTheTable(t *testing.T) {
 		}
 	}
 	t.Fatal("a scanned table stayed reachable after its last reference was dropped")
+}
+
+// TestJoinRowsRefusesAnOutputPastTheRowBound: a join output row is named by
+// an int32 position, so the join kernels ask joinRows before they make one,
+// and it refuses more than colbatch.MaxRows rows with errJoinRows, the error
+// the kernels' row fallback passes on. The bound is checked on the count: no
+// test allocates 2^31 rows. A cross join of 46 341 rows with itself is
+// 2^31 + 4 634 pairs, which the nested-loop kernel refuses on the count,
+// before it makes a list.
+func TestJoinRowsRefusesAnOutputPastTheRowBound(t *testing.T) {
+	for n, fits := range map[int]bool{0: true, colbatch.MaxRows: true, colbatch.MaxRows + 1: false, math.MaxInt: false} {
+		err := joinRows(n)
+		if (err == nil) != fits || (err != nil && !errors.Is(err, errJoinRows)) {
+			t.Errorf("joinRows(%d) = %v, want fits=%v", n, err, fits)
+		}
+	}
+
+	const side = 46341
+	if side*side <= colbatch.MaxRows {
+		t.Fatalf("%d × %d pairs fit the row bound", side, side)
+	}
+	rel := intKeys("a", side, func(i int) int64 { return int64(i) })
+	join := &NestedLoopJoin{Outer: &Values{Rel: rel}, Inner: &Values{Rel: rel}}
+	b := colbatch.FromRelation(rel)
+	// A kernel that counted too late would build 16 GiB of lists first: the
+	// watchdog ends the test binary once the heap has grown by 256 MiB.
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(heap)
+	limit := heap[0].Value.Uint64() + 256<<20
+	done := make(chan struct{})
+	defer close(done)
+	go func() {
+		for {
+			select {
+			case <-done:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			if metrics.Read(heap); heap[0].Value.Uint64() > limit {
+				panic("the nested-loop kernel grew its lists before refusing a cross join past the row bound")
+			}
+		}
+	}()
+	spent := leastAllocated(func() {
+		if _, err := nestedLoopBatch(join, b, b); !errors.Is(err, errJoinRows) {
+			t.Fatalf("a cross join of %d × %d rows: err = %v, want errJoinRows", side, side, err)
+		}
+	})
+	if spent > 1<<10 {
+		t.Errorf("the refused cross join allocated %d B before its error, want at most 1 KiB", spent)
+	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -242,7 +243,11 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				return nil, err
 			}
 			var verr error
-			if p.windows, verr = indexNLJoinBatch(x, outer, ctx); verr != nil {
+			p.windows, verr = indexNLJoinBatch(x, outer, ctx)
+			if errors.Is(verr, errJoinRows) {
+				return nil, verr
+			}
+			if verr != nil {
 				out, err := boxed(indexNLJoinRel(x, outer.ToRelation(), ctx))
 				if err != nil {
 					return nil, err
@@ -320,7 +325,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		if verr != nil {
 			return boxed(filterRel(x.Pred, in.ToRelation()))
 		}
-		return selectOwned(in, sel), nil
+		return in.SelectOwned(sel), nil
 
 	case *Project:
 		p.tally().Res.Add(x.Charge(float64(in.Len())))
@@ -390,6 +395,9 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		}
 		ctx.Res.Add(x.Charge(float64(outer.Len()), float64(inner.Len())))
 		out, verr := nestedLoopBatch(x, outer, inner)
+		if errors.Is(verr, errJoinRows) {
+			return nil, verr
+		}
 		if verr != nil {
 			return boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation()))
 		}
@@ -416,22 +424,6 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 	default:
 		return nil, fmt.Errorf("exec: no columnar kernel for %T", p.op)
 	}
-}
-
-// selectOwned keeps the logical rows of b that sel names, handing sel, a
-// fresh vector, to the result: over a contiguous window its entries become
-// physical positions in place, and no second vector is allocated.
-func selectOwned(b *colbatch.Batch, sel []int) *colbatch.Batch {
-	off, ok := b.Contig()
-	if !ok {
-		return b.Select(sel)
-	}
-	if off != 0 {
-		for i := range sel {
-			sel[i] += off
-		}
-	}
-	return colbatch.NewSelected(b.Schema, b.Cols, sel)
 }
 
 // projection is what a Project keeps between batches: the select items
@@ -527,12 +519,12 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 		}
 		kops[j] = classify(kres[j], nil)
 	}
-	idx := make([]int, n)
+	idx := make([]int32, n)
 	for i := range idx {
-		idx[i] = i
+		idx[i] = int32(i)
 	}
 	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
+		ia, ib := int(idx[a]), int(idx[b])
 		for j, k := range keys {
 			c := cmpKeyAt(kres[j], &kops[j], ia, ib)
 			if c == 0 {
@@ -545,7 +537,7 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 		}
 		return false
 	})
-	return selectOwned(in, idx), nil
+	return in.SelectOwned(idx), nil
 }
 
 // cmpKeyAt three-way-compares key cells ia and ib with sqltypes.Compare
@@ -696,7 +688,7 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState) *colbatch.Batch {
 	n := in.Len()
 	state.hs = batchRowHashes(state.hs, in)
 	hs := state.hs
-	sel := make([]int, 0, n)
+	sel := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
 		h := hs[i]
 		dup := false
@@ -708,10 +700,10 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState) *colbatch.Batch {
 		}
 		if !dup {
 			state.seen[h] = append(state.seen[h], seenRow{b: in, i: i})
-			sel = append(sel, i)
+			sel = append(sel, int32(i))
 		}
 	}
-	return selectOwned(in, sel)
+	return in.SelectOwned(sel)
 }
 
 // foldVec is what foldBatch keeps between the batches of one aggregation: the
@@ -997,14 +989,31 @@ func keysEqual(l *vres, lo *operand, li int, r *vres, ro *operand, ri int) bool 
 }
 
 // physOf maps logical row indices of b to physical positions, in place.
-func physOf(b *colbatch.Batch, idx []int) []int {
+func physOf(b *colbatch.Batch, idx []int32) []int32 {
 	if off, ok := b.Contig(); ok && off == 0 {
 		return idx
 	}
 	for i, l := range idx {
-		idx[i] = b.Phys(l)
+		idx[i] = int32(b.Phys(int(l)))
 	}
 	return idx
+}
+
+// errJoinRows marks a join output past colbatch.MaxRows. The row kernel is
+// not tried in its place: it would yield the same rows, and a row position
+// cannot name them.
+var errJoinRows = errors.New("exec: join output passes the row bound")
+
+// joinRows refuses a join output of n rows past colbatch.MaxRows. The
+// kernels ask it as their position lists grow: the hash probe after each
+// streamed row, the nested-loop kernel before each block's pairs join its
+// lists, the index join on its counted fetches, and joinedBatch on every
+// gather.
+func joinRows(n int) error {
+	if n > colbatch.MaxRows {
+		return fmt.Errorf("%w: %d rows, at most %d", errJoinRows, n, colbatch.MaxRows)
+	}
+	return nil
 }
 
 // joinedBatch gathers the matched (left, right) physical positions into one
@@ -1012,8 +1021,11 @@ func physOf(b *colbatch.Batch, idx []int) []int {
 // residual predicate (none when residual is nil) and returns the surviving
 // rows. The columns in unread (the join's: nothing above it reads them, see
 // finishPlan) are all-NULL placeholders; the residual's own columns are never
-// among them.
-func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, right []*colbatch.Column, rPhys []int, residual sqlparser.Expr, pred *predicate, unread colSet) (*colbatch.Batch, error) {
+// among them. More pairs than colbatch.MaxRows are refused (joinRows).
+func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int32, right []*colbatch.Column, rPhys []int32, residual sqlparser.Expr, pred *predicate, unread colSet) (*colbatch.Batch, error) {
+	if err := joinRows(len(lPhys)); err != nil {
+		return nil, err
+	}
 	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys, uint64(unread)), len(lPhys))
 	if residual == nil {
 		return out, nil
@@ -1022,7 +1034,7 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int, 
 	if err != nil {
 		return nil, err
 	}
-	return selectOwned(out, sel), nil
+	return out.SelectOwned(sel), nil
 }
 
 // hashJoinTable is a hash join's hashed side (Build, or Probe under
@@ -1055,7 +1067,7 @@ type hashJoinTable struct {
 	schema, sschema *sqltypes.Schema
 	snode           vnode
 	residual        predicate
-	hIdx, sIdx      []int
+	hIdx, sIdx      []int32
 	// offs stays nil when the hashed key did not compile or evaluate (or the
 	// hashed side outgrew 32-bit ids): the row kernel then decides every
 	// streamed batch, over hashedRel, the hashed side boxed.
@@ -1120,11 +1132,7 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	offs, n := make([]int32, 1<<t.bits+1), 0
 	for _, s := range t.spans {
 		for i, sn := 0, s.Len(); i < sn; i++ {
-			id := s.Phys(i)
-			if id >= math.MaxInt32 {
-				return t
-			}
-			if !t.hres.isNull(id) {
+			if id := s.Phys(i); !t.hres.isNull(id) {
 				offs[t.bucket(id)]++
 				n++
 			}
@@ -1191,6 +1199,9 @@ func (t *hashJoinTable) paired(id int, sres *vres, so *operand, i int, h uint64)
 // rows with the first batch.
 func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
 	out, verr := t.probeBatch(in)
+	if errors.Is(verr, errJoinRows) {
+		return nil, verr
+	}
 	if verr != nil {
 		if t.hashedRel == nil {
 			t.hashedRel = colbatch.ToRelation(t.hashed)
@@ -1232,7 +1243,7 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	if t.hIdx == nil {
 		// Room for one match per row of the first streamed batch; later
 		// batches reuse what it grew to.
-		t.hIdx, t.sIdx = make([]int, 0, in.Len()), make([]int, 0, in.Len())
+		t.hIdx, t.sIdx = make([]int32, 0, in.Len()), make([]int32, 0, in.Len())
 	}
 	offs, ids, hIdx, sIdx := t.offs, t.ids, t.hIdx[:0], t.sIdx[:0]
 	for i, sn := 0, in.Len(); i < sn; i++ {
@@ -1243,8 +1254,11 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 		b := t.hashBucket(h)
 		for _, id := range ids[offs[b]:offs[b+1]] {
 			if t.paired(int(id), sres, &sops, i, h) {
-				hIdx, sIdx = append(hIdx, int(id)), append(sIdx, i)
+				hIdx, sIdx = append(hIdx, id), append(sIdx, int32(i))
 			}
+		}
+		if len(hIdx) > colbatch.MaxRows {
+			return nil, joinRows(len(hIdx))
 		}
 	}
 	t.hIdx, t.sIdx = hIdx, sIdx
@@ -1288,10 +1302,13 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 			fetches += iv.CountEqHash(khs[i])
 		}
 	}
+	if err := joinRows(fetches); err != nil {
+		return nil, err
+	}
 	inner := v.Columns()
 	cols := colbatch.JoinedColumns(outer.Cols, inner, fetches, uint64(j.out.unread))
 	windows := colbatch.New(j.Schema(), cols, fetches).Windows(scanWindow)
-	oIdx, iPos := make([]int, 0, min(fetches, scanWindow)), make([]int, 0, min(fetches, scanWindow))
+	oIdx, iPos := make([]int32, 0, min(fetches, scanWindow)), make([]int32, 0, min(fetches, scanWindow))
 	var residual predicate
 	o, from := 0, 0 // the outer row being fetched and how many of its matches are out
 	for w := range windows {
@@ -1305,7 +1322,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 			take := min(n-from, room)
 			iPos = iv.AppendEqHash(iPos, h, from, from+take)
 			for range take {
-				oIdx = append(oIdx, outer.Phys(o))
+				oIdx = append(oIdx, int32(outer.Phys(o)))
 			}
 			room -= take
 			if from += take; from == n {
@@ -1318,7 +1335,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 			if err != nil {
 				return nil, err
 			}
-			windows[w] = *selectOwned(&windows[w], sel)
+			windows[w] = *windows[w].SelectOwned(sel)
 		}
 	}
 	ctx.read(v)
@@ -1334,18 +1351,25 @@ const nestedLoopBlock = 4096
 // nestedLoopBatch is the columnar nested-loop join: candidate pairs in the row
 // kernel's outer-major order, built a block of outer rows at a time, each
 // block filtered by the predicate over its gathered candidates; the pairs
-// that survive are gathered once into the output.
+// that survive are gathered once into the output. The pairs are counted
+// against colbatch.MaxRows before the lists grow: the whole product up front
+// when there is no predicate, each block's survivors otherwise.
 func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch.Batch, error) {
 	schema := j.Schema()
 	on, in := outer.Len(), inner.Len()
+	if j.Pred == nil {
+		if err := joinRows(on * in); err != nil {
+			return nil, err
+		}
+	}
 	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
-	var oIdx, iIdx, bo, bi []int
+	var oIdx, iIdx, bo, bi []int32
 	var pred predicate
 	for lo := 0; lo < on; lo += rows {
 		bo, bi = bo[:0], bi[:0]
 		for o := lo; o < min(lo+rows, on); o++ {
 			for i := 0; i < in; i++ {
-				bo, bi = append(bo, outer.Phys(o)), append(bi, inner.Phys(i))
+				bo, bi = append(bo, int32(outer.Phys(o))), append(bi, int32(inner.Phys(i)))
 			}
 		}
 		if j.Pred == nil {
@@ -1354,6 +1378,9 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 		}
 		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred, &pred, j.out.unread)
 		if err != nil {
+			return nil, err
+		}
+		if err := joinRows(len(oIdx) + kept.Len()); err != nil {
 			return nil, err
 		}
 		for k := 0; k < kept.Len(); k++ {

@@ -126,9 +126,9 @@ func (r *vres) toColumn() *colbatch.Column {
 			}
 			return r.col.Slice(off, off+r.n)
 		}
-		idx := make([]int, r.n)
+		idx := make([]int32, r.n)
 		for i := range idx {
-			idx[i] = r.b.Phys(i)
+			idx[i] = int32(r.b.Phys(i))
 		}
 		return r.col.Gather(idx)
 	case rVals:
@@ -343,7 +343,7 @@ type operand struct {
 	nulls   []bool
 	// at, when non-nil, holds the payload index of every cell: the vectors
 	// are a column's own, read through a batch's positions (see keyOperand).
-	at []int
+	at []int32
 }
 
 // gather is where classify copies the selected cells of a column that a
@@ -455,7 +455,7 @@ func keyOperand(r *vres) operand {
 // pos returns the payload index of cell i.
 func (o *operand) pos(i int) int {
 	if o.at != nil {
-		return o.at[i]
+		return int(o.at[i])
 	}
 	return i
 }
@@ -1049,8 +1049,8 @@ type predicate struct {
 
 // selection evaluates pred over the batch's logical rows into a selection
 // vector, collapsing NULL to false exactly like EvalBool. The vector is fresh
-// and sized to the survivors: the caller hands it on (see selectOwned).
-func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int, error) {
+// and sized to the survivors: the caller hands it on (see colbatch.Batch.SelectOwned).
+func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int32, error) {
 	if p.schema != b.Schema {
 		node, err := compileExpr(pred, b.Schema)
 		if err != nil {
@@ -1078,10 +1078,10 @@ func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int, er
 			kept++
 		}
 	}
-	sel := make([]int, 0, kept)
+	sel := make([]int32, 0, kept)
 	for i, k := range keep {
 		if k {
-			sel = append(sel, i)
+			sel = append(sel, int32(i))
 		}
 	}
 	return sel, nil

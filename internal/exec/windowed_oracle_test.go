@@ -31,6 +31,21 @@ func storedTable(t *testing.T, name string, rel *sqltypes.Relation) *storage.Tab
 	return tab
 }
 
+// leastAllocated runs run once to warm it up, then five times, and returns
+// the fewest bytes one of those runs allocated.
+func leastAllocated(run func()) uint64 {
+	run()
+	bytes := uint64(math.MaxUint64)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return bytes
+}
+
 func colRef(name string) *sqlparser.ColumnRef { return &sqlparser.ColumnRef{Name: name} }
 
 func intLit(v int64) *sqlparser.Literal { return &sqlparser.Literal{Val: sqltypes.NewInt(v)} }
@@ -192,16 +207,39 @@ func TestWindowedScalarFoldAllocatesNoRowVectors(t *testing.T) {
 			t.Fatalf("COUNT(*) = %d, want %d", got, survivors)
 		}
 	}
-	run()
-	bytes := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		run()
-		runtime.ReadMemStats(&after)
-		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
-	}
-	if limit := uint64(8*survivors + 32<<10); bytes > limit {
+	if bytes, limit := leastAllocated(run), uint64(8*survivors+32<<10); bytes > limit {
 		t.Fatalf("one run over %d rows allocated %d bytes; want at most 8 B per surviving row plus 32 KiB (%d)", rows, bytes, limit)
+	}
+}
+
+// TestFilterSelectionIsFourBytesARow: a filter over a scan of 16 windows
+// allocates, beyond what the scan does, a selection vector of one int32 per
+// row it keeps, plus a fixed slack for scratch the size of one window (the
+// predicate's booleans) and a header per window: 16 KiB, of which about 5
+// are used. An 8 B position fails the bound by more than 80 KiB.
+func TestFilterSelectionIsFourBytesARow(t *testing.T) {
+	const rows = 16 * scanWindow
+	rel := intKeys("k", rows, func(i int) int64 { return int64(i % 4) })
+	scan := &SeqScan{Table: storedTable(t, "t", rel), As: "t"}
+	filter := &Filter{Input: scan, Pred: &sqlparser.BinaryExpr{Op: sqlparser.OpNe, Left: colRef("k"), Right: intLit(0)}}
+	const kept = rows / 4 * 3
+	batches := func(op Operator, want int) func() {
+		return func() {
+			bs, err := ExecuteBatches(op, &Context{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, b := range bs {
+				n += b.Len()
+			}
+			if n != want {
+				t.Fatalf("%s yielded %d rows, want %d", op.Explain(), n, want)
+			}
+		}
+	}
+	scanned, filtered := leastAllocated(batches(scan, rows)), leastAllocated(batches(filter, kept))
+	if limit := uint64(4*kept + 16<<10); filtered-scanned > limit {
+		t.Fatalf("the filter allocated %d bytes beyond its scan's %d; want at most 4 B per kept row plus 16 KiB (%d)", filtered-scanned, scanned, limit)
 	}
 }

@@ -23,17 +23,20 @@ func liveAfter(t *testing.T, build func() any) uint64 {
 }
 
 // The generated sample schema holds each cell once, in its typed column, and
-// each sorted index entry is a position: at scale 10 the tables stay under
-// 3.5 MiB with their indexes and 1.2 MiB without them (the single-site
-// oracle's form). Rows of 32-byte values took 3.55 MiB and sorted entries
-// carrying their value 1.15 MiB more. Not parallel: it reads the whole heap.
+// each index entry, sorted or hashed, is a 4 B position: at scale 10 the
+// tables stay under 2.95 MiB with their indexes (2.83 measured) and 1.2 MiB
+// without them (the single-site oracle's form). Rows of 32-byte values took
+// 3.55 MiB, sorted entries carrying their value 1.15 MiB more, and 8 B
+// positions 3.03 MiB in all. Under the race detector the indexed limit is
+// raceHeapMiB higher; the unindexed tables have no hash lists and keep
+// theirs. Not parallel: it reads the whole heap.
 func TestGeneratedTableFootprint(t *testing.T) {
 	const mib = 1 << 20
 	for _, c := range []struct {
 		name    string
 		indexed bool
 		limit   float64 // MiB
-	}{{"indexed", true, 3.5}, {"unindexed", false, 1.2}} {
+	}{{"indexed", true, 2.95}, {"unindexed", false, 1.2}} {
 		live := liveAfter(t, func() any {
 			var tabs []*Table
 			for _, g := range SampleSchema(10) {
@@ -48,10 +51,13 @@ func TestGeneratedTableFootprint(t *testing.T) {
 			}
 			return tabs
 		})
-		mb := float64(live) / mib
+		mb, limit := float64(live)/mib, c.limit
+		if c.indexed {
+			limit += raceHeapMiB
+		}
 		t.Logf("%s: %.2f MiB live", c.name, mb)
-		if mb > c.limit {
-			t.Errorf("%s: the generated schema keeps %.2f MiB live, want at most %.2f", c.name, mb, c.limit)
+		if mb > limit {
+			t.Errorf("%s: the generated schema keeps %.2f MiB live, want at most %.2f", c.name, mb, limit)
 		}
 	}
 }

@@ -49,27 +49,27 @@ func (m *model) insert(ix *modelIndex, pos int) {
 
 // eq is what LookupEq(v) returns: the positions whose cell hashes as v does,
 // in insertion order.
-func (ix *modelIndex) eq(rows []sqltypes.Row, v sqltypes.Value) []int {
-	var out []int
+func (ix *modelIndex) eq(rows []sqltypes.Row, v sqltypes.Value) []int32 {
+	var out []int32
 	for pos, s := range ix.seq {
 		if s > 0 && rows[pos][ix.col].Hash() == v.Hash() {
-			out = append(out, pos)
+			out = append(out, int32(pos))
 		}
 	}
-	slices.SortFunc(out, func(a, b int) int { return cmp.Compare(ix.seq[a], ix.seq[b]) })
+	slices.SortFunc(out, func(a, b int32) int { return cmp.Compare(ix.seq[a], ix.seq[b]) })
 	return out
 }
 
 // between is what LookupRange(&lo, &hi, true, true) returns from a sorted
 // index.
-func (ix *modelIndex) between(rows []sqltypes.Row, lo, hi sqltypes.Value) []int {
-	var out []int
+func (ix *modelIndex) between(rows []sqltypes.Row, lo, hi sqltypes.Value) []int32 {
+	var out []int32
 	for pos, s := range ix.seq {
 		if v := rows[pos][ix.col]; s > 0 && sqltypes.Compare(v, lo) >= 0 && sqltypes.Compare(v, hi) <= 0 {
-			out = append(out, pos)
+			out = append(out, int32(pos))
 		}
 	}
-	slices.SortFunc(out, func(a, b int) int {
+	slices.SortFunc(out, func(a, b int32) int {
 		if c := sqltypes.Compare(rows[a][ix.col], rows[b][ix.col]); c != 0 {
 			return c
 		}

@@ -45,9 +45,9 @@ type Index struct {
 	colIdx int
 	kind   IndexKind
 
-	hash    map[uint64][]int
-	sorted  []int // positions, kept ordered by their cells
-	entries int   // indexed (non-NULL) values
+	hash    map[uint64][]int32
+	sorted  []int32 // positions, kept ordered by their cells
+	entries int     // indexed (non-NULL) values
 	// shared is set while another table's index may read hash and sorted
 	// (share sets it on both handles): the next edit clones them first.
 	shared bool
@@ -68,14 +68,14 @@ func (ix *Index) Kind() IndexKind { return ix.kind }
 func (ix *Index) build(c *colbatch.Column, n int) {
 	distinct := 0 // a hint for the hash map; a hash index learns it by growing
 	if ix.kind == IndexSorted {
-		ix.sorted = make([]int, 0, n)
+		ix.sorted = make([]int32, 0, n)
 		for pos := 0; pos < n; pos++ {
 			if !c.IsNull(pos) {
-				ix.sorted = append(ix.sorted, pos)
+				ix.sorted = append(ix.sorted, int32(pos))
 			}
 		}
-		order := func(a, b int) int { return sqltypes.Compare(c.Value(a), c.Value(b)) }
-		slices.SortFunc(ix.sorted, func(a, b int) int {
+		order := func(a, b int32) int { return sqltypes.Compare(c.Value(int(a)), c.Value(int(b))) }
+		slices.SortFunc(ix.sorted, func(a, b int32) int {
 			if o := order(a, b); o != 0 {
 				return o
 			}
@@ -87,11 +87,11 @@ func (ix *Index) build(c *colbatch.Column, n int) {
 			}
 		}
 	}
-	ix.hash = make(map[uint64][]int, distinct)
+	ix.hash = make(map[uint64][]int32, distinct)
 	for pos := 0; pos < n; pos++ {
 		if v := c.Value(pos); !v.IsNull() {
 			h := v.Hash()
-			ix.hash[h] = append(ix.hash[h], pos)
+			ix.hash[h] = append(ix.hash[h], int32(pos))
 			ix.entries++
 		}
 	}
@@ -111,8 +111,8 @@ func (ix *Index) own() {
 	if !ix.shared {
 		return
 	}
-	hash := make(map[uint64][]int, len(ix.hash))
-	positions := make([]int, 0, ix.entries) // every list, one allocation
+	hash := make(map[uint64][]int32, len(ix.hash))
+	positions := make([]int32, 0, ix.entries) // every list, one allocation
 	for h, list := range ix.hash {
 		n := len(positions)
 		positions = append(positions, list...)
@@ -129,10 +129,10 @@ func (ix *Index) insert(c *colbatch.Column, pos int) {
 	}
 	ix.own()
 	h := v.Hash()
-	ix.hash[h] = append(ix.hash[h], pos)
+	ix.hash[h] = append(ix.hash[h], int32(pos))
 	ix.entries++
 	if ix.kind == IndexSorted {
-		ix.sorted = slices.Insert(ix.sorted, ix.lowerBound(c, v), pos)
+		ix.sorted = slices.Insert(ix.sorted, ix.lowerBound(c, v), int32(pos))
 	}
 }
 
@@ -144,14 +144,14 @@ func (ix *Index) remove(c *colbatch.Column, pos int) {
 	}
 	ix.own()
 	h := v.Hash()
-	if i := slices.Index(ix.hash[h], pos); i >= 0 {
+	if i := slices.Index(ix.hash[h], int32(pos)); i >= 0 {
 		ix.hash[h] = slices.Delete(ix.hash[h], i, i+1)
 		ix.entries--
 	}
 	if ix.kind == IndexSorted {
 		// The entries equal to v are one run that starts at its lower bound.
-		for i := ix.lowerBound(c, v); i < len(ix.sorted) && sqltypes.Compare(c.Value(ix.sorted[i]), v) == 0; i++ {
-			if ix.sorted[i] == pos {
+		for i := ix.lowerBound(c, v); i < len(ix.sorted) && sqltypes.Compare(c.Value(int(ix.sorted[i])), v) == 0; i++ {
+			if int(ix.sorted[i]) == pos {
 				ix.sorted = slices.Delete(ix.sorted, i, i+1)
 				break
 			}
@@ -162,7 +162,7 @@ func (ix *Index) remove(c *colbatch.Column, pos int) {
 // lowerBound returns the first sorted entry whose cell in c is not below v.
 func (ix *Index) lowerBound(c *colbatch.Column, v sqltypes.Value) int {
 	return sort.Search(len(ix.sorted), func(i int) bool {
-		return sqltypes.Compare(c.Value(ix.sorted[i]), v) >= 0
+		return sqltypes.Compare(c.Value(int(ix.sorted[i])), v) >= 0
 	})
 }
 
@@ -174,7 +174,7 @@ type IndexView struct {
 }
 
 // LookupEq returns the positions of rows whose key equals v.
-func (iv IndexView) LookupEq(v sqltypes.Value) []int {
+func (iv IndexView) LookupEq(v sqltypes.Value) []int32 {
 	if v.IsNull() {
 		return nil
 	}
@@ -191,14 +191,14 @@ func (iv IndexView) CountEqHash(h uint64) int { return len(iv.ix.hash[h]) }
 // positions LookupEq returns for a non-NULL key whose Value.Hash is h, and
 // returns the extended slice: a join collects its matches without boxing the
 // key, a window of them at a time.
-func (iv IndexView) AppendEqHash(dst []int, h uint64, lo, hi int) []int {
+func (iv IndexView) AppendEqHash(dst []int32, h uint64, lo, hi int) []int32 {
 	return append(dst, iv.ix.hash[h][lo:hi]...)
 }
 
 // LookupRange returns positions of rows with lo <= key <= hi; a nil bound is
 // open. Only sorted indexes support ranges; hash indexes return nil, which
 // callers treat as "index cannot serve this probe".
-func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive bool) []int {
+func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive bool) []int32 {
 	ix := iv.ix
 	if ix.kind != IndexSorted {
 		return nil
@@ -206,7 +206,7 @@ func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive
 	start := 0
 	if lo != nil {
 		start = sort.Search(len(ix.sorted), func(i int) bool {
-			c := sqltypes.Compare(iv.col.Value(ix.sorted[i]), *lo)
+			c := sqltypes.Compare(iv.col.Value(int(ix.sorted[i])), *lo)
 			if loInclusive {
 				return c >= 0
 			}
@@ -216,7 +216,7 @@ func (iv IndexView) LookupRange(lo, hi *sqltypes.Value, loInclusive, hiInclusive
 	end := len(ix.sorted)
 	if hi != nil {
 		end = sort.Search(len(ix.sorted), func(i int) bool {
-			c := sqltypes.Compare(iv.col.Value(ix.sorted[i]), *hi)
+			c := sqltypes.Compare(iv.col.Value(int(ix.sorted[i])), *hi)
 			if hiInclusive {
 				return c > 0
 			}

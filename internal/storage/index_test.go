@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -28,7 +27,7 @@ func buildIndex(kind IndexKind, vals []int64) IndexView {
 // one sorted insert per cell of col, in position order. It is the reference
 // the bulk build must reproduce.
 func insertEach(kind IndexKind, col *colbatch.Column, n int) *Index {
-	ix := &Index{name: "ix", column: "k", kind: kind, hash: map[uint64][]int{}}
+	ix := &Index{name: "ix", column: "k", kind: kind, hash: map[uint64][]int32{}}
 	for pos := 0; pos < n; pos++ {
 		ix.insert(col, pos)
 	}
@@ -45,7 +44,7 @@ func removeLinear(ix *Index, col *colbatch.Column, pos int) {
 	h := v.Hash()
 	list := ix.hash[h]
 	for i, p := range list {
-		if p == pos {
+		if int(p) == pos {
 			ix.hash[h] = append(list[:i], list[i+1:]...)
 			ix.entries--
 			break
@@ -53,7 +52,7 @@ func removeLinear(ix *Index, col *colbatch.Column, pos int) {
 	}
 	if ix.kind == IndexSorted {
 		for i, e := range ix.sorted {
-			if e == pos {
+			if int(e) == pos {
 				ix.sorted = append(ix.sorted[:i], ix.sorted[i+1:]...)
 				break
 			}
@@ -173,7 +172,7 @@ func TestRemoveFindsWhatTheLinearScanFound(t *testing.T) {
 			pos = r.Intn(n)
 		case 2:
 			if end := searched.lowerBound(col, sqltypes.NewInt(r.Int63n(100)+1)) - 1; end >= 0 {
-				pos = searched.sorted[end]
+				pos = int(searched.sorted[end])
 			}
 		}
 		searched.remove(col, pos)
@@ -304,7 +303,7 @@ func TestCopySharesUntilAWriteClonesWhatItEdits(t *testing.T) {
 func TestHashIndexLookupEq(t *testing.T) {
 	ix := buildIndex(IndexHash, []int64{5, 3, 5, 9})
 	got := ix.LookupEq(sqltypes.NewInt(5))
-	sort.Ints(got)
+	slices.Sort(got)
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("eq lookup: %v", got)
 	}
@@ -328,7 +327,7 @@ func TestSortedIndexRange(t *testing.T) {
 	ix := buildIndex(IndexSorted, []int64{10, 20, 30, 40, 50})
 	lo, hi := sqltypes.NewInt(20), sqltypes.NewInt(40)
 	got := ix.LookupRange(&lo, &hi, true, true)
-	sort.Ints(got)
+	slices.Sort(got)
 	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
 		t.Fatalf("range [20,40]: %v", got)
 	}
@@ -337,12 +336,12 @@ func TestSortedIndexRange(t *testing.T) {
 		t.Fatalf("range (20,40): %v", got)
 	}
 	got = ix.LookupRange(&lo, nil, false, true)
-	sort.Ints(got)
+	slices.Sort(got)
 	if len(got) != 3 {
 		t.Fatalf("open-above range: %v", got)
 	}
 	got = ix.LookupRange(nil, &hi, true, false)
-	sort.Ints(got)
+	slices.Sort(got)
 	if len(got) != 3 {
 		t.Fatalf("open-below range: %v", got)
 	}

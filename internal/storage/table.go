@@ -130,7 +130,8 @@ func (t *Table) put(row sqltypes.Row, total int) {
 }
 
 // Append adds rows in bulk (used by loads and copies of a partition). The
-// table keeps their cells, not the rows.
+// table keeps their cells, not the rows, and refuses rows that would take it
+// past colbatch.MaxRows.
 func (t *Table) Append(rows ...sqltypes.Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -138,6 +139,9 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 		if len(r) != t.schema.Len() {
 			return fmt.Errorf("storage: row arity %d != schema arity %d for %s", len(r), t.schema.Len(), t.name)
 		}
+	}
+	if err := rowsFit(t.name, t.rows, len(rows)); err != nil {
+		return err
 	}
 	base, total := t.rows, t.rows+len(rows)
 	for _, r := range rows {
@@ -150,6 +154,16 @@ func (t *Table) Append(rows ...sqltypes.Row) error {
 	}
 	t.version++
 	t.derived = newDerived(t.schema.Len()) // every column has new rows
+	return nil
+}
+
+// rowsFit refuses to add adding rows to table name, which holds rows, when
+// the sum would pass colbatch.MaxRows: an index entry and a selection vector
+// name a row by an int32 position.
+func rowsFit(name string, rows, adding int) error {
+	if adding > colbatch.MaxRows-rows {
+		return fmt.Errorf("storage: %s would hold %d rows, past the %d a row position can name", name, rows+adding, colbatch.MaxRows)
+	}
 	return nil
 }
 
@@ -292,7 +306,7 @@ func (v View) Rows() []sqltypes.Row {
 }
 
 // RowsAt materializes the rows at positions, in their order, as Rows does.
-func (v View) RowsAt(positions []int) []sqltypes.Row {
+func (v View) RowsAt(positions []int32) []sqltypes.Row {
 	return v.rows(colbatch.NewSelected(v.t.schema, v.t.cols, positions))
 }
 

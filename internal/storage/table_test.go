@@ -63,6 +63,37 @@ func TestTableAppendArityMismatch(t *testing.T) {
 	}
 }
 
+// TestTableAppendRefusesRowsPastTheRowBound: a row position is an int32, so
+// a table refuses an append that would take it past colbatch.MaxRows rows and
+// changes nothing. The bound is checked on the counts: no test allocates 2^31
+// rows.
+func TestTableAppendRefusesRowsPastTheRowBound(t *testing.T) {
+	for _, c := range []struct {
+		rows, adding int
+		fits         bool
+	}{
+		{0, colbatch.MaxRows, true},
+		{colbatch.MaxRows - 1, 1, true},
+		{colbatch.MaxRows, 0, true},
+		{colbatch.MaxRows, 1, false},
+		{1, colbatch.MaxRows, false},
+		{colbatch.MaxRows, math.MaxInt, false}, // no overflow to a small total
+	} {
+		if err := rowsFit("t", c.rows, c.adding); (err == nil) != c.fits {
+			t.Errorf("%d rows + %d: error %v, want fits=%v", c.rows, c.adding, err, c.fits)
+		}
+	}
+	tab := newTestTable(t)
+	tab.rows = colbatch.MaxRows // as if it held them: Append checks before it writes
+	version := tab.version
+	if err := tab.Append(sqltypes.Row{sqltypes.NewInt(1), sqltypes.NewFloat(1)}); err == nil {
+		t.Fatal("an append past the row bound must fail")
+	}
+	if tab.rows != colbatch.MaxRows || tab.version != version || len(tab.cols[0].Ints) != 100 {
+		t.Fatalf("a refused append changed the table: %d rows, version %d, %d cells", tab.rows, tab.version, len(tab.cols[0].Ints))
+	}
+}
+
 func TestTableRowAccessAndBounds(t *testing.T) {
 	tab := newTestTable(t)
 	v := tab.View()

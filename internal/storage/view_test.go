@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -288,8 +287,8 @@ func requireSameView(t *testing.T, label string, tab, fresh *Table, rng *rand.Ra
 			}
 		}
 	}
-	sorted := func(pos []int) []int {
-		sort.Ints(pos)
+	sorted := func(pos []int32) []int32 {
+		slices.Sort(pos)
 		return pos
 	}
 	wantIndexes := want.Indexes()
