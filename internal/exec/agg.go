@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -78,36 +79,54 @@ func (s *aggState) add(v sqltypes.Value) {
 	}
 }
 
-// addInt64 is add for a non-null int cell: the whole source column is
-// int-typed, so min/max stay int-kinded and the exact int comparison matches
-// sqltypes.Compare.
+// addInt64 is add for a non-null int cell of an int vector. While min and
+// max are ints the exact int comparison is sqltypes.Compare's; a state that
+// met another kind first (an earlier batch's vector of floats, or a boxed
+// cell) takes add's path.
 func (s *aggState) addInt64(i int64) {
+	switch {
+	case !s.seen:
+		s.min, s.max = sqltypes.NewInt(i), sqltypes.NewInt(i)
+	case s.min.Kind() != sqltypes.KindInt || s.max.Kind() != sqltypes.KindInt:
+		s.add(sqltypes.NewInt(i))
+		return
+	default:
+		if i < s.min.Int() {
+			s.min = sqltypes.NewInt(i)
+		}
+		if i > s.max.Int() {
+			s.max = sqltypes.NewInt(i)
+		}
+	}
 	s.count++
 	s.seen = true
 	s.sumInt += i
 	s.sum += float64(i)
-	if s.min.IsNull() || i < s.min.Int() {
-		s.min = sqltypes.NewInt(i)
-	}
-	if s.max.IsNull() || i > s.max.Int() {
-		s.max = sqltypes.NewInt(i)
-	}
 }
 
-// addFloat64 is add for a non-null float cell of a float-typed column. The
-// direct < / > comparisons match sqltypes.Compare's float ordering,
-// including NaN comparing equal to everything (never replacing min/max).
+// addFloat64 is add for a non-null float cell of a float vector. While min
+// and max are floats the direct < / > comparisons match sqltypes.Compare's
+// float ordering, including NaN comparing equal to everything (never
+// replacing min/max); a state that met another kind first takes add's path.
 func (s *aggState) addFloat64(f float64) {
+	switch {
+	case !s.seen:
+		s.min, s.max = sqltypes.NewFloat(f), sqltypes.NewFloat(f)
+	case s.min.Kind() != sqltypes.KindFloat || s.max.Kind() != sqltypes.KindFloat:
+		s.add(sqltypes.NewFloat(f))
+		return
+	default:
+		if f < s.min.Float() {
+			s.min = sqltypes.NewFloat(f)
+		}
+		if f > s.max.Float() {
+			s.max = sqltypes.NewFloat(f)
+		}
+	}
 	s.count++
 	s.seen = true
 	s.intOnly = false
 	s.sum += f
-	if s.min.IsNull() || f < s.min.Float() {
-		s.min = sqltypes.NewFloat(f)
-	}
-	if s.max.IsNull() || f > s.max.Float() {
-		s.max = sqltypes.NewFloat(f)
-	}
 }
 
 func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
@@ -121,12 +140,12 @@ func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
 		if s.intOnly {
 			return sqltypes.NewInt(s.sumInt)
 		}
-		return sqltypes.NewFloat(s.sum)
+		return sqltypes.NewFloat(s.floatSum())
 	case sqlparser.AggAvg:
 		if s.count == 0 {
 			return sqltypes.Null
 		}
-		return sqltypes.NewFloat(s.sum / float64(s.count))
+		return sqltypes.NewFloat(s.floatSum() / float64(s.count))
 	case sqlparser.AggMin:
 		return s.min
 	case sqlparser.AggMax:
@@ -134,6 +153,18 @@ func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
 	default:
 		return sqltypes.Null
 	}
+}
+
+// floatSum is the float sum, any NaN as math.NaN(). When NaNs of two
+// payloads meet in one addition (Inf - Inf makes a NaN of its own), which
+// payload the sum keeps is the compiled code's choice of operand order, which
+// differs between add and the typed adds; the canonical NaN makes the SUM
+// and AVG of both engines, and of a shard merge, one value.
+func (s *aggState) floatSum() float64 {
+	if s.sum != s.sum {
+		return math.NaN()
+	}
+	return s.sum
 }
 
 // aggGroup is one group's accumulated state.

@@ -210,7 +210,7 @@ func (m *shardMerger) result() *sqltypes.Relation {
 				if grp.counts[i] == 0 {
 					row = append(row, sqltypes.Null)
 				} else {
-					row = append(row, sqltypes.NewFloat(grp.states[i].sum/float64(grp.counts[i])))
+					row = append(row, sqltypes.NewFloat(grp.states[i].floatSum()/float64(grp.counts[i])))
 				}
 			default:
 				row = append(row, grp.states[i].result(a.Func))

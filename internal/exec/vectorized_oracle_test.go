@@ -1075,3 +1075,294 @@ func TestJoinRowsRefusesAnOutputPastTheRowBound(t *testing.T) {
 		t.Errorf("the refused cross join allocated %d B before its error, want at most 1 KiB", spent)
 	}
 }
+
+// typedCuts returns rel's rows as the typed kernels meet them in a pipeline:
+// a contiguous window at an offset other than 0, and a selection with other
+// rows between the selected ones. The other rows are copies of rel's own, so
+// every column keeps the kind (typed, Mixed or all-NULL) it has over rel.
+func typedCuts(rel *sqltypes.Relation) map[string]*colbatch.Batch {
+	n := len(rel.Rows)
+	filler := func(i int) sqltypes.Row { return rel.Rows[i%n] }
+	window := sqltypes.NewRelation(rel.Schema)
+	window.Rows = append(window.Rows, filler(1), filler(2))
+	window.Rows = append(window.Rows, rel.Rows...)
+	window.Rows = append(window.Rows, filler(3))
+	selected := sqltypes.NewRelation(rel.Schema)
+	var sel []int32
+	for i, row := range rel.Rows {
+		for k := 0; k < 1+i%2; k++ {
+			selected.Rows = append(selected.Rows, filler(i+k+1))
+		}
+		sel = append(sel, int32(len(selected.Rows)))
+		selected.Rows = append(selected.Rows, row)
+	}
+	return map[string]*colbatch.Batch{
+		"window":    colbatch.FromRelation(window).Slice(2, 2+n),
+		"selection": colbatch.FromRelation(selected).Select(sel),
+	}
+}
+
+// checkTypedKernel evaluates e over every cut of rel (see typedCuts) through the
+// vectorized compiler and requires the row evaluator's outcome: an error when
+// a row errs, else every cell bit for bit, read off the result and off the
+// column it leaves as. The vectorized evaluator may also err where the row
+// evaluator skipped a sub-expression (a NULL argument ends a function's
+// evaluation; see vexpr.go's error discipline): its caller then reruns the
+// row kernel, so that is no failure. It returns the result tag of the last
+// cut that evaluated, -1 when none did.
+func checkTypedKernel(t *testing.T, label string, rel *sqltypes.Relation, cuts map[string]*colbatch.Batch, e sqlparser.Expr) int {
+	t.Helper()
+	want := make([]sqltypes.Value, len(rel.Rows))
+	var wantErr error
+	for i, row := range rel.Rows {
+		if want[i], wantErr = sqlparser.Eval(e, row, rel.Schema); wantErr != nil {
+			break
+		}
+	}
+	tag := -1
+	for cut, b := range cuts {
+		node, err := compileExpr(e, b.Schema)
+		if err != nil {
+			t.Fatalf("%s: %s does not compile: %v", label, e, err)
+		}
+		res, err := node.eval(b)
+		if wantErr != nil && err == nil {
+			t.Fatalf("%s over the %s: %s: row error %v, no vectorized error", label, cut, e, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		tag = res.tag
+		for i, w := range want {
+			if got := res.value(i); !valuesBitIdentical(w, got) {
+				t.Fatalf("%s over the %s: %s, row %d (%v): row path %#v, vectorized %#v", label, cut, e, i, rel.Rows[i], w, got)
+			}
+		}
+		col := res.toColumn()
+		for i, w := range want {
+			if got := col.Value(i); !valuesBitIdentical(w, got) {
+				t.Fatalf("%s over the %s: %s, row %d of the column: row path %#v, vectorized %#v", label, cut, e, i, w, got)
+			}
+		}
+	}
+	return tag
+}
+
+// checkTypedFold folds batches, which hold rel's rows in order, through the
+// vectorized fold and requires the row kernel's groups over rel, in order,
+// bit for bit, or an error when the row kernel errs. A vectorized error where
+// the row kernel skipped a sub-expression is no failure (see
+// checkTypedKernel): the Aggregate kernel refolds that batch through the row
+// kernel.
+func checkTypedFold(t *testing.T, label string, rel *sqltypes.Relation, batches []*colbatch.Batch, groupBy []sqlparser.Expr, aggs []*sqlparser.AggExpr) {
+	t.Helper()
+	out := aggSchema(groupBy, aggs, rel.Schema)
+	rowFold := newAggFolder(groupBy, aggs)
+	wantErr := rowFold.fold(rel)
+	vecFold := newAggFolder(groupBy, aggs)
+	var gotErr error
+	for _, b := range batches {
+		if gotErr = foldBatch(vecFold, b); gotErr != nil {
+			break
+		}
+	}
+	if wantErr != nil && gotErr == nil {
+		t.Fatalf("%s: row fold error %v, no vectorized fold error", label, wantErr)
+	}
+	if gotErr == nil {
+		requireRelationsIdentical(t, label, rowFold.result(out), vecFold.result(out))
+	}
+}
+
+// typedKernelRel is the relation of TestVectorizedOracleTypedKernels: an int
+// column and int bounds holding the int/float twins at 2^53 + 1, a float
+// column and float bounds with NaN and ±0, strings, bools, a Mixed column of
+// ints, floats and a NaN, and an all-NULL column, each with a NULL; and three
+// NULL-free group keys (gi, gf, gs) whose values repeat.
+func typedKernelRel() *sqltypes.Relation {
+	const twin = 1<<53 + 1 // float64(twin) is 2^53
+	i, f, s, b, n := sqltypes.NewInt, sqltypes.NewFloat, sqltypes.NewString, sqltypes.NewBool, sqltypes.Null
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	rel := sqltypes.NewRelation(sqltypes.NewSchema(
+		sqltypes.Column{Name: "i", Type: sqltypes.KindInt}, sqltypes.Column{Name: "ib", Type: sqltypes.KindInt},
+		sqltypes.Column{Name: "f", Type: sqltypes.KindFloat}, sqltypes.Column{Name: "fb", Type: sqltypes.KindFloat},
+		sqltypes.Column{Name: "s", Type: sqltypes.KindString}, sqltypes.Column{Name: "b", Type: sqltypes.KindBool},
+		sqltypes.Column{Name: "m", Type: sqltypes.KindFloat}, sqltypes.Column{Name: "z", Type: sqltypes.KindInt},
+		sqltypes.Column{Name: "gi", Type: sqltypes.KindInt}, sqltypes.Column{Name: "gf", Type: sqltypes.KindFloat},
+		sqltypes.Column{Name: "gs", Type: sqltypes.KindString}))
+	rel.Rows = []sqltypes.Row{
+		{i(1), i(0), f(nan), f(0), s("a"), b(true), i(1), n, i(1), f(0.5), s("x")},
+		{i(-3), i(1), f(0), f(nan), s("b"), b(false), f(-2.5), n, i(2), f(0), s("y")},
+		{i(twin), i(twin), f(negZero), f(1), s(""), n, i(3), n, i(1), f(negZero), s("x")},
+		{i(1 << 53), i(2), f(1 << 53), n, n, b(true), n, n, i(2), f(0.5), s("x")},
+		{i(0), n, f(2.5), f(3), s("hello"), b(false), f(4), n, i(1), f(0), s("y")},
+		{n, i(5), n, f(negZero), s("ab"), b(true), i(-5), n, i(2), f(0.5), s("y")},
+		{i(7), i(9), f(-1), f(10), s("z"), b(false), f(nan), n, i(1), f(nan), s("x")},
+	}
+	return rel
+}
+
+// TestVectorizedOracleTypedKernels holds BETWEEN, comparisons, arithmetic
+// and scalar functions to the row evaluator over a window at an offset and
+// over a selection: NaN subjects and bounds (a NaN is inside every range),
+// ±0, an int subject against float bounds and a float subject against int
+// bounds at the int/float twins around 2^53 + 1, NULL subjects and bounds,
+// NOT BETWEEN, string and bool subjects, a string against ints (kinds
+// Compare orders by kind: the boxed loop), and a Mixed column; and folds SUM,
+// COUNT, MIN and MAX over the same cuts, grouped by typed keys with and
+// without NULLs. A comparison
+// whose kinds have no typed rule still writes booleans, and a scalar
+// function of one numeric result kind an int or float vector; an all-NULL
+// result and a mixed one stay boxed.
+func TestVectorizedOracleTypedKernels(t *testing.T) {
+	col := colRef
+	lit := func(v sqltypes.Value) sqlparser.Expr { return &sqlparser.Literal{Val: v} }
+	i, f := func(v int64) sqlparser.Expr { return lit(sqltypes.NewInt(v)) }, func(v float64) sqlparser.Expr { return lit(sqltypes.NewFloat(v)) }
+	str, null := func(v string) sqlparser.Expr { return lit(sqltypes.NewString(v)) }, lit(sqltypes.Null)
+	bin := func(op sqlparser.BinaryOp, l, r sqlparser.Expr) sqlparser.Expr {
+		return &sqlparser.BinaryExpr{Op: op, Left: l, Right: r}
+	}
+	fn := func(name string, args ...sqlparser.Expr) sqlparser.Expr {
+		return &sqlparser.FuncExpr{Name: name, Args: args}
+	}
+	const twin = 1<<53 + 1
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	between := [][3]sqlparser.Expr{
+		{col("f"), f(1), f(3)},             // a NaN subject is inside
+		{col("f"), f(nan), f(nan)},         // NaN bounds
+		{col("f"), col("fb"), i(3)},        // a NaN bound, float and int bounds
+		{col("f"), i(0), i(0)},             // ±0 against int zeros
+		{col("f"), f(negZero), f(0)},       // ±0
+		{col("i"), f(1 << 53), f(1 << 53)}, // an int subject against float bounds: the twin is inside
+		{col("i"), i(twin), i(twin)},       // int/int exactly: 2^53 is outside
+		{col("f"), i(twin), i(twin)},       // a float subject against int bounds: 2^53 is inside
+		{col("i"), col("ib"), i(twin)},     // an int bound vector with a NULL
+		{col("i"), col("f"), i(10)},        // a float bound below, an int bound above
+		{col("i"), null, i(5)},             // a NULL bound
+		{col("i"), i(0), null},             // a NULL bound
+		{null, i(0), i(1)},                 // a NULL subject
+		{col("z"), i(0), i(1)},             // an all-NULL subject
+		{col("s"), str("a"), str("b")},     // strings
+		{col("s"), col("s"), str("hello")}, // strings against a vector
+		{col("b"), lit(sqltypes.NewBool(false)), lit(sqltypes.NewBool(true))}, // bools
+		{col("b"), lit(sqltypes.NewBool(true)), col("b")},                     // bools against a vector
+		{col("s"), i(1), i(5)},      // a string against ints: the boxed loop
+		{col("m"), i(0), f(3.5)},    // a Mixed subject: the boxed loop
+		{i(2), col("ib"), col("i")}, // a constant subject
+		// NULL-free vectors between constants: the branch-hoisted loops.
+		{col("gi"), i(1), i(1)},
+		{col("gi"), i(2), i(twin)},
+		{col("gf"), f(0), f(0.5)},
+		{col("gf"), i(0), i(0)},
+		{col("gf"), f(negZero), f(negZero)},
+		{col("gf"), f(nan), f(-1)},
+		{col("gs"), str("x"), str("x")},
+		{col("gs"), str("a"), str("xx")},
+		{col("gi"), f(0.5), f(1.5)}, // an int vector between float constants
+	}
+	rel := typedKernelRel()
+	cuts := typedCuts(rel)
+	for k, c := range between {
+		for _, negate := range []bool{false, true} {
+			e := &sqlparser.BetweenExpr{Subject: c[0], Lo: c[1], Hi: c[2], Negate: negate}
+			if tag := checkTypedKernel(t, fmt.Sprintf("between %d", k), rel, cuts, e); tag != rBools {
+				t.Fatalf("%s: result tag %d, want booleans", e, tag)
+			}
+		}
+	}
+	ops := []sqlparser.BinaryOp{sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe}
+	pairs := [][2]sqlparser.Expr{
+		{col("f"), i(2)}, {col("f"), f(2.5)}, {col("f"), f(nan)}, {col("f"), f(negZero)}, {col("f"), col("fb")},
+		{col("i"), f(1.5)}, {col("i"), i(1 << 53)}, {col("i"), f(1 << 53)}, {col("i"), col("ib")}, {col("ib"), col("f")},
+		{col("s"), str("b")}, {col("s"), col("s")}, {col("b"), lit(sqltypes.NewBool(true))},
+		{col("m"), i(1)}, {col("m"), null}, {col("s"), i(1)}, {col("z"), i(1)}, {i(3), col("i")},
+		{col("gi"), i(1)}, {col("gi"), f(1)}, {col("gf"), i(0)}, {col("gf"), f(negZero)}, {col("gf"), f(nan)}, {col("gs"), str("x")},
+	}
+	for k, p := range pairs {
+		for _, op := range ops {
+			if tag := checkTypedKernel(t, fmt.Sprintf("comparison %d", k), rel, cuts, bin(op, p[0], p[1])); tag != rBools {
+				t.Fatalf("%s %s %s: result tag %d, want booleans", p[0], op, p[1], tag)
+			}
+		}
+	}
+	for k, p := range [][2]sqlparser.Expr{{col("i"), i(1)}, {col("f"), col("i")}, {col("m"), i(2)}, {col("i"), i(0)}, {col("s"), str("!")}} {
+		for _, op := range []sqlparser.BinaryOp{sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv} {
+			checkTypedKernel(t, fmt.Sprintf("arithmetic %d", k), rel, cuts, bin(op, p[0], p[1]))
+		}
+	}
+	for _, c := range []struct {
+		e   sqlparser.Expr
+		tag int
+	}{
+		{fn("ABS", col("i")), rInts},
+		{fn("ABS", col("f")), rFloats},
+		{fn("LENGTH", col("s")), rInts},
+		{fn("MOD", col("i"), i(3)), rInts},
+		{fn("ROUND", col("m")), rFloats},
+		{fn("UPPER", col("s")), rVals},     // strings are boxed
+		{fn("ABS", col("z")), rVals},       // every result NULL
+		{fn("ABS", col("m")), rVals},       // ints and floats
+		{fn("MOD", col("i"), i(0)), rVals}, // every result NULL
+		{fn("ABS", col("s")), -1},          // an error
+	} {
+		if tag := checkTypedKernel(t, "function", rel, cuts, c.e); tag != c.tag {
+			t.Fatalf("%s: result tag %d, want %d", c.e, tag, c.tag)
+		}
+	}
+	var aggs []*sqlparser.AggExpr
+	for _, arg := range []sqlparser.Expr{col("i"), col("f"), col("m"), col("s"), fn("ABS", col("i")), fn("ABS", col("m"))} {
+		for _, fnc := range []sqlparser.AggFunc{sqlparser.AggSum, sqlparser.AggCount, sqlparser.AggMin, sqlparser.AggMax} {
+			aggs = append(aggs, &sqlparser.AggExpr{Func: fnc, Arg: arg})
+		}
+	}
+	aggs = append(aggs, &sqlparser.AggExpr{Func: sqlparser.AggCount})
+	for _, groupBy := range [][]sqlparser.Expr{nil, {col("gi")}, {col("gf")}, {col("gs")}, {col("gi"), col("gs")}, {col("b")}, {col("i")}, {col("m")}} {
+		for cut, b := range cuts {
+			checkTypedFold(t, fmt.Sprintf("group by %v over the %s", groupBy, cut), rel, []*colbatch.Batch{b}, groupBy, aggs)
+		}
+	}
+}
+
+// TestVectorizedFoldAcrossBatchKinds: an aggregate argument can be a float
+// vector in one batch and an int vector in the next (a column whose cells
+// analyze differently batch by batch, or a function's result), or boxed in
+// between. MIN and MAX then compare across kinds as sqltypes.Compare does,
+// not by the payload of the kind the state met first.
+func TestVectorizedFoldAcrossBatchKinds(t *testing.T) {
+	sch := sqltypes.NewSchema(sqltypes.Column{Name: "g", Type: sqltypes.KindInt}, sqltypes.Column{Name: "c", Type: sqltypes.KindFloat})
+	batch := func(cells ...sqltypes.Value) *sqltypes.Relation {
+		rel := sqltypes.NewRelation(sch)
+		for i, c := range cells {
+			rel.Rows = append(rel.Rows, sqltypes.Row{sqltypes.NewInt(int64(i % 2)), c})
+		}
+		return rel
+	}
+	i, f := sqltypes.NewInt, sqltypes.NewFloat
+	parts := []*sqltypes.Relation{
+		batch(f(5), f(-1.5)), batch(i(3), i(-7)), batch(f(2.5), i(9)), batch(i(4), f(-8)), batch(f(math.NaN()), f(10)),
+	}
+	all := sqltypes.NewRelation(sch)
+	var batches []*colbatch.Batch
+	for _, p := range parts {
+		all.Rows = append(all.Rows, p.Rows...)
+		batches = append(batches, colbatch.FromRelation(p))
+	}
+	var aggs []*sqlparser.AggExpr
+	for _, fn := range []sqlparser.AggFunc{sqlparser.AggMin, sqlparser.AggMax, sqlparser.AggSum} {
+		for _, arg := range []sqlparser.Expr{colRef("c"), &sqlparser.FuncExpr{Name: "ABS", Args: []sqlparser.Expr{colRef("c")}}} {
+			aggs = append(aggs, &sqlparser.AggExpr{Func: fn, Arg: arg})
+		}
+	}
+	for _, groupBy := range [][]sqlparser.Expr{nil, {colRef("g")}} {
+		want, err := (&Aggregate{Input: &Values{Rel: all}, GroupBy: groupBy, Aggs: aggs}).Execute(&Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := &BatchStream{Sch: sch, Label: "kinds", Src: &sliceSource{batches: slices.Clone(batches)}}
+		got, err := ExecuteVectorized(&Aggregate{Input: stream, GroupBy: groupBy, Aggs: aggs}, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireRelationsIdentical(t, fmt.Sprintf("group by %v", groupBy), want, got.ToRelation())
+	}
+}

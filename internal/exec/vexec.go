@@ -517,7 +517,7 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 		if kres[j], err = node.eval(in); err != nil {
 			return nil, err
 		}
-		kops[j] = classify(kres[j], nil)
+		kops[j] = classify(kres[j])
 	}
 	idx := make([]int32, n)
 	for i := range idx {
@@ -541,8 +541,8 @@ func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch,
 }
 
 // cmpKeyAt three-way-compares key cells ia and ib with sqltypes.Compare
-// ordering: NULLs first, then the typed comparison (int exact, float with
-// NaN comparing equal to everything, strings lexical, bools as 0/1).
+// ordering: NULLs first, then the key's compare rule (cmpRule); an untyped
+// key asks Compare.
 func cmpKeyAt(r *vres, o *operand, ia, ib int) int {
 	if !o.ok {
 		return sqltypes.Compare(r.value(ia), r.value(ib))
@@ -558,28 +558,7 @@ func cmpKeyAt(r *vres, o *operand, ia, ib int) int {
 			return 1
 		}
 	}
-	switch o.kind {
-	case sqltypes.KindInt:
-		a, b := o.intAt(ia), o.intAt(ib)
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	case sqltypes.KindFloat:
-		a, b := o.floatAt(ia), o.floatAt(ib)
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		}
-		return 0
-	default:
-		return sqltypes.Compare(r.value(ia), r.value(ib))
-	}
+	return ruleOf(o, o).compare(o, ia, o, ib)
 }
 
 // colHashAt returns Value.Hash of the cell at physical index p without
@@ -714,7 +693,6 @@ type foldVec struct {
 	nodes     []vnode
 	res       []*vres
 	ops       []operand
-	gathers   []gather
 	hs        []uint64
 	rowGroups []*aggGroup
 }
@@ -739,7 +717,7 @@ func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 				return err
 			}
 		}
-		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes)), gathers: make([]gather, len(nodes))}
+		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes))}
 	}
 	for i, node := range v.nodes {
 		if node == nil {
@@ -749,7 +727,7 @@ func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 		if v.res[i], err = node.eval(in); err != nil {
 			return err
 		}
-		v.ops[i] = classify(v.res[i], &v.gathers[i])
+		v.ops[i] = classify(v.res[i])
 	}
 	gres, gops, ares, aops := v.res[:k], v.ops[:k], v.res[k:], v.ops[k:]
 	if k == 0 {
@@ -770,18 +748,32 @@ func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 	}
 	for gi, g := range gres {
 		o := &gops[gi]
-		switch {
-		case o.ok && !o.isConst && o.nulls == nil && o.kind == sqltypes.KindInt:
-			for row := 0; row < n; row++ {
-				hs[row] = (hs[row] ^ sqltypes.HashInt64(o.ints[row])) * 1099511628211
+		// A NULL-free typed key hashes straight off its payload, over the
+		// rows or through their positions.
+		switch typed := o.ok && !o.isConst && o.nulls == nil; {
+		case typed && o.kind == sqltypes.KindInt && o.at == nil:
+			for row, v := range o.ints[:n] {
+				hs[row] = (hs[row] ^ sqltypes.HashInt64(v)) * 1099511628211
 			}
-		case o.ok && !o.isConst && o.nulls == nil && o.kind == sqltypes.KindFloat:
-			for row := 0; row < n; row++ {
-				hs[row] = (hs[row] ^ sqltypes.HashFloat64(o.floats[row])) * 1099511628211
+		case typed && o.kind == sqltypes.KindInt:
+			for row, p := range o.at {
+				hs[row] = (hs[row] ^ sqltypes.HashInt64(o.ints[p])) * 1099511628211
 			}
-		case o.ok && !o.isConst && o.nulls == nil && o.kind == sqltypes.KindString:
-			for row := 0; row < n; row++ {
-				hs[row] = (hs[row] ^ sqltypes.HashString(o.strs[row])) * 1099511628211
+		case typed && o.kind == sqltypes.KindFloat && o.at == nil:
+			for row, v := range o.floats[:n] {
+				hs[row] = (hs[row] ^ sqltypes.HashFloat64(v)) * 1099511628211
+			}
+		case typed && o.kind == sqltypes.KindFloat:
+			for row, p := range o.at {
+				hs[row] = (hs[row] ^ sqltypes.HashFloat64(o.floats[p])) * 1099511628211
+			}
+		case typed && o.kind == sqltypes.KindString && o.at == nil:
+			for row, v := range o.strs[:n] {
+				hs[row] = (hs[row] ^ sqltypes.HashString(v)) * 1099511628211
+			}
+		case typed && o.kind == sqltypes.KindString:
+			for row, p := range o.at {
+				hs[row] = (hs[row] ^ sqltypes.HashString(o.strs[p])) * 1099511628211
 			}
 		default:
 			for row := 0; row < n; row++ {
@@ -851,14 +843,14 @@ func foldArgs(aggs []*sqlparser.AggExpr, ares []*vres, aops []operand, one *aggG
 		switch {
 		case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
 			for row := 0; row < n; row++ {
-				if o.nulls == nil || !o.nulls[row] {
-					stateOf(one, rowGroups, row, i).addInt64(o.ints[row])
+				if p := o.pos(row); o.nulls == nil || !o.nulls[p] {
+					stateOf(one, rowGroups, row, i).addInt64(o.ints[p])
 				}
 			}
 		case o.ok && !o.isConst && o.kind == sqltypes.KindFloat:
 			for row := 0; row < n; row++ {
-				if o.nulls == nil || !o.nulls[row] {
-					stateOf(one, rowGroups, row, i).addFloat64(o.floats[row])
+				if p := o.pos(row); o.nulls == nil || !o.nulls[p] {
+					stateOf(one, rowGroups, row, i).addFloat64(o.floats[p])
 				}
 			}
 		default:
@@ -894,17 +886,18 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 			return false
 		}
 		if o := &gops[i]; o.ok && !o.isConst {
+			p := o.pos(row)
 			switch o.kind {
 			case sqltypes.KindInt:
 				if k.Kind() == sqltypes.KindInt {
-					if k.Int() != o.ints[row] {
+					if k.Int() != o.ints[p] {
 						return false
 					}
 					continue
 				}
 			case sqltypes.KindFloat:
 				if k.Kind() == sqltypes.KindFloat {
-					a, b := o.floats[row], k.Float()
+					a, b := o.floats[p], k.Float()
 					if a < b || a > b {
 						return false
 					}
@@ -912,14 +905,14 @@ func groupKeysMatch(keys sqltypes.Row, gres []*vres, gops []operand, row int) bo
 				}
 			case sqltypes.KindString:
 				if k.Kind() == sqltypes.KindString {
-					if k.Str() != o.strs[row] {
+					if k.Str() != o.strs[p] {
 						return false
 					}
 					continue
 				}
 			case sqltypes.KindBool:
 				if k.Kind() == sqltypes.KindBool {
-					if k.Bool() != o.bools[row] {
+					if k.Bool() != o.bools[p] {
 						return false
 					}
 					continue
@@ -966,23 +959,12 @@ func keyHash(r *vres, o *operand, i int) uint64 {
 }
 
 // keysEqual reports sqltypes.Compare(l[li], r[ri]) == 0 for two non-NULL key
-// cells (logical rows) without boxing them when both sides are typed vectors:
-// int/int exactly, any other numeric pair through float64 with !(a<b || a>b)
-// (which, like Compare, calls NaN equal to everything), strings and bools by
-// value. Every other pairing boxes and asks Compare.
+// cells (logical rows), under their compare rule (cmpRule) when both sides
+// are typed. Every other pairing boxes and asks Compare.
 func keysEqual(l *vres, lo *operand, li int, r *vres, ro *operand, ri int) bool {
-	if lo.ok && ro.ok && !lo.isConst && !ro.isConst {
-		lp, rp := lo.pos(li), ro.pos(ri)
-		switch {
-		case lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt:
-			return lo.ints[lp] == ro.ints[rp]
-		case numericKind(lo.kind) && numericKind(ro.kind):
-			a, b := lo.floatAt(lp), ro.floatAt(rp)
-			return !(a < b || a > b)
-		case lo.kind == sqltypes.KindString && ro.kind == sqltypes.KindString:
-			return lo.strs[lp] == ro.strs[rp]
-		case lo.kind == sqltypes.KindBool && ro.kind == sqltypes.KindBool:
-			return lo.bools[lp] == ro.bools[rp]
+	if lo.ok && ro.ok {
+		if rule := ruleOf(lo, ro); rule != cmpNone {
+			return rule.compare(lo, li, ro, ri) == 0
 		}
 	}
 	return sqltypes.Compare(l.value(li), r.value(ri)) == 0
@@ -1125,7 +1107,7 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 		t.hres = *hres
 		t.spans = []*colbatch.Batch{colbatch.New(nil, nil, hn)}
 	}
-	t.hops = keyOperand(&t.hres)
+	t.hops = classify(&t.hres)
 	for 1<<t.bits < hn {
 		t.bits++
 	}
@@ -1239,7 +1221,7 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	if err != nil {
 		return nil, err
 	}
-	sops := keyOperand(sres)
+	sops := classify(sres)
 	if t.hIdx == nil {
 		// Room for one match per row of the first streamed batch; later
 		// batches reuse what it grew to.
@@ -1286,7 +1268,7 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 	if err != nil {
 		return nil, err
 	}
-	kops := keyOperand(kres)
+	kops := classify(kres)
 	khs := keyHashes(nil, kres, &kops)
 
 	v := j.Inner.View()

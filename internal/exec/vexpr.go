@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
@@ -13,11 +12,20 @@ import (
 // compiled once per input schema of the kernel that runs it (column
 // references resolve to indices exactly once, not per row or per batch) into
 // a tree of vnodes, each of which evaluates over a whole batch. Typed kernels
-// cover the hot shapes — int/float comparisons and arithmetic against columns
-// and constants, boolean three-valued logic — and everything else drops to a
-// cell-at-a-time loop over the exported scalar appliers
-// (sqlparser.ApplyBinary/ApplyFunc), so results are the row evaluator's
-// results by construction.
+// cover the hot shapes — comparisons and BETWEEN over typed operands under one
+// compare rule (cmpRule), int/float arithmetic, boolean three-valued logic —
+// reading a column through its batch's selection where its cells lie (see
+// operand), and everything else drops to a cell-at-a-time loop over the
+// exported scalar appliers (sqlparser.ApplyBinary/ApplyFunc), so results are
+// the row evaluator's results by construction.
+//
+// Those generic loops box only what has more than one kind: a comparison
+// writes booleans, and arithmetic, a scalar function or COALESCE writes an
+// int, float or bool vector when its non-NULL results share that kind
+// (scratch.put). What still boxes: the cells of a string, mixed-kind or
+// all-NULL result (rVals); the cell reads of the loops that take any kind
+// (value: the generic loops themselves, BETWEEN over kinds that compare by
+// kind, IN, LIKE, NOT and AND/OR); and a group's keys, once per group.
 //
 // A node owns its result: every evaluation refills the same vres and vectors
 // (scratch), so a pipeline of windows allocates a node's vectors once, not
@@ -59,6 +67,7 @@ const (
 	rInts
 	rFloats
 	rBools
+	rPending // scratch.begin's result before its first cell: never returned
 )
 
 // value reconstructs logical row i.
@@ -173,6 +182,73 @@ func (s *scratch) result(n, tag int) *vres {
 		s.res.vals = s.vals
 	}
 	return &s.res
+}
+
+// begin, put and end build the result of a generic cell loop, which boxes
+// its cells only when they are of more than one kind. begin starts n cells;
+// put writes cell i, every i in increasing order. The first non-NULL cell
+// picks the vector: an int, float or bool one, or boxed vals for a string.
+// A cell of another kind moves the cells so far into vals (rVals). end
+// returns the result: a vector, vals, or, when every cell is NULL, n boxed
+// NULLs. Either way the result's column is the one NewColumn builds from its
+// cells (see toColumn).
+func (s *scratch) begin(n int) {
+	s.res = vres{n: n, tag: rPending, owner: s}
+}
+
+func (s *scratch) put(i int, v sqltypes.Value) {
+	r := &s.res
+	if v.IsNull() {
+		if r.tag != rPending && r.tag != rVals {
+			s.setNull(i)
+		}
+		return // a pending or boxed cell is NULL already
+	}
+	tag := vecTag(v.Kind())
+	if r.tag == rPending {
+		s.result(r.n, tag)
+		if tag != rVals {
+			for j := 0; j < i; j++ {
+				s.setNull(j)
+			}
+		}
+	} else if r.tag != tag && r.tag != rVals {
+		typed := *r
+		s.result(typed.n, rVals)
+		for j := 0; j < i; j++ {
+			r.vals[j] = typed.value(j)
+		}
+	}
+	switch r.tag {
+	case rInts:
+		r.ints[i] = v.Int()
+	case rFloats:
+		r.floats[i] = v.Float()
+	case rBools:
+		r.bools[i] = v.Bool()
+	default:
+		r.vals[i] = v
+	}
+}
+
+func (s *scratch) end() *vres {
+	if s.res.tag == rPending {
+		s.result(s.res.n, rVals)
+	}
+	return &s.res
+}
+
+// vecTag is the result vector that holds cells of kind k: rVals boxes them.
+func vecTag(k sqltypes.Kind) int {
+	switch k {
+	case sqltypes.KindInt:
+		return rInts
+	case sqltypes.KindFloat:
+		return rFloats
+	case sqltypes.KindBool:
+		return rBools
+	}
+	return rVals
 }
 
 // release gives up the vectors: a column now holds them.
@@ -328,9 +404,16 @@ func (x *vcolref) eval(b *colbatch.Batch) (*vres, error) {
 	return &x.res, nil
 }
 
-// operand is a typed view of a vres, used to pick comparison/arithmetic
-// kernels. ok is false when the result has no uniform typed representation
-// (boxed or mixed-kind), forcing the generic cell loop.
+// operand is a typed view of a vres, used to pick comparison, arithmetic,
+// hash and fold kernels. ok is false when the result has no uniform typed
+// representation (boxed or mixed-kind), forcing the generic cell loop.
+//
+// Cell i of a vector operand is payload index pos(i) of its vectors (ints,
+// floats, strs, bools and nulls alike): i itself, or at[i] when the operand
+// reads a column through a batch's selection. A selected cell is read where it
+// lies, never copied: the in-place selection vector of MonetDB/X100 (Boncz et
+// al., CIDR 2005). A loop hoisted out of the per-cell checks has two twins,
+// one over i and one over at.
 type operand struct {
 	ok      bool
 	isConst bool
@@ -341,23 +424,10 @@ type operand struct {
 	bools   []bool
 	strs    []string
 	nulls   []bool
-	// at, when non-nil, holds the payload index of every cell: the vectors
-	// are a column's own, read through a batch's positions (see keyOperand).
-	at []int32
+	at      []int32 // the batch's selection, when the vectors are read through it
 }
 
-// gather is where classify copies the selected cells of a column that a
-// batch does not read as one contiguous window. A kernel that classifies
-// batch after batch keeps one per operand; nil gathers into fresh vectors.
-type gather struct {
-	ints   []int64
-	floats []float64
-	strs   []string
-	bools  []bool
-	nulls  []bool
-}
-
-func classify(r *vres, g *gather) operand {
+func classify(r *vres) operand {
 	switch r.tag {
 	case rConst:
 		return operand{ok: true, isConst: true, c: r.konst, kind: r.konst.Kind()}
@@ -375,81 +445,34 @@ func classify(r *vres, g *gather) operand {
 		if c.Kind == sqltypes.KindNull {
 			return operand{ok: true, isConst: true, c: sqltypes.Null, kind: sqltypes.KindNull}
 		}
-		op := operand{ok: true, kind: c.Kind}
-		if off, contig := r.b.Contig(); contig {
-			end := off + r.n
-			switch c.Kind {
-			case sqltypes.KindInt:
-				op.ints = c.Ints[off:end]
-			case sqltypes.KindFloat:
-				op.floats = c.Floats[off:end]
-			case sqltypes.KindString:
-				op.strs = c.Strs[off:end]
-			case sqltypes.KindBool:
-				op.bools = c.Bools[off:end]
-			}
-			if c.Nulls != nil {
-				op.nulls = c.Nulls[off:end]
-			}
+		op := operand{ok: true, kind: c.Kind, ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: c.Nulls}
+		off, contig := r.b.Contig()
+		if !contig {
+			op.at = r.b.Sel
 			return op
 		}
-		if g == nil {
-			g = &gather{}
-		}
-		if c.Nulls != nil {
-			g.nulls = resized(g.nulls, r.n)
-			op.nulls = g.nulls
-		}
-		switch c.Kind {
-		case sqltypes.KindInt:
-			g.ints = resized(g.ints, r.n)
-			op.ints = g.ints
-		case sqltypes.KindFloat:
-			g.floats = resized(g.floats, r.n)
-			op.floats = g.floats
-		case sqltypes.KindString:
-			g.strs = resized(g.strs, r.n)
-			op.strs = g.strs
-		case sqltypes.KindBool:
-			g.bools = resized(g.bools, r.n)
-			op.bools = g.bools
-		}
-		for i := 0; i < r.n; i++ {
-			p := r.b.Phys(i)
+		// A window starts the vectors at its offset. Only the start is cut:
+		// a hash join's table reads its hashed columns by row id, past the
+		// (empty) batch it names them by.
+		if off != 0 {
 			switch c.Kind {
 			case sqltypes.KindInt:
-				op.ints[i] = c.Ints[p]
+				op.ints = c.Ints[off:]
 			case sqltypes.KindFloat:
-				op.floats[i] = c.Floats[p]
+				op.floats = c.Floats[off:]
 			case sqltypes.KindString:
-				op.strs[i] = c.Strs[p]
+				op.strs = c.Strs[off:]
 			case sqltypes.KindBool:
-				op.bools[i] = c.Bools[p]
+				op.bools = c.Bools[off:]
 			}
-			if op.nulls != nil {
-				op.nulls[i] = c.Nulls[p]
+			if c.Nulls != nil {
+				op.nulls = c.Nulls[off:]
 			}
 		}
 		return op
 	default:
 		return operand{}
 	}
-}
-
-// keyOperand is classify for a join key read cell by cell (hashed, bucketed
-// or compared per row or candidate): a bare column keeps the column's own
-// vectors, read through its batch's positions when the batch selects from it,
-// instead of gathering the selected cells into new ones. Its vectors are
-// indexed by physical position (pos), not sliced to the batch's rows: read
-// such an operand through pos, as keyHashes, keyHash, keysEqual and the hash
-// join's probe do.
-func keyOperand(r *vres) operand {
-	if c := r.col; r.tag == rCol && c.Mixed == nil && c.Kind != sqltypes.KindNull {
-		if off, contig := r.b.Contig(); !contig || off == 0 {
-			return operand{ok: true, kind: c.Kind, ints: c.Ints, floats: c.Floats, strs: c.Strs, bools: c.Bools, nulls: c.Nulls, at: r.b.Sel}
-		}
-	}
-	return classify(r, nil)
 }
 
 // pos returns the payload index of cell i.
@@ -465,43 +488,40 @@ func (o *operand) null(i int) bool {
 	if o.isConst {
 		return o.c.IsNull()
 	}
-	return o.nulls != nil && o.nulls[i]
+	return o.nulls != nil && o.nulls[o.pos(i)]
 }
 
-// intAt/floatAt read cell i; callers have checked nullness and kind.
+// intAt/floatAt/strAt/boolInt read cell i; callers have checked nullness and
+// kind.
 func (o *operand) intAt(i int) int64 {
 	if o.isConst {
 		return o.c.Int()
 	}
-	return o.ints[i]
+	return o.ints[o.pos(i)]
 }
 
 func (o *operand) floatAt(i int) float64 {
 	if o.isConst {
 		return o.c.Float()
 	}
-	switch o.kind {
-	case sqltypes.KindFloat:
-		return o.floats[i]
-	case sqltypes.KindInt:
-		return float64(o.ints[i])
-	default:
-		return float64(boolToInt(o.bools[i]))
+	if o.kind == sqltypes.KindInt {
+		return float64(o.ints[o.pos(i)])
 	}
+	return o.floats[o.pos(i)]
 }
 
 func (o *operand) strAt(i int) string {
 	if o.isConst {
 		return o.c.Str()
 	}
-	return o.strs[i]
+	return o.strs[o.pos(i)]
 }
 
 func (o *operand) boolInt(i int) int64 {
 	if o.isConst {
 		return o.c.Int()
 	}
-	return boolToInt(o.bools[i])
+	return boolToInt(o.bools[o.pos(i)])
 }
 
 // numericKind reports whether cells of kind k compare numerically (through
@@ -517,10 +537,116 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
+// cmpRule is sqltypes.Compare's order for two non-NULL cells of typed kinds,
+// the one compare rule of every typed kernel that orders cells (comparisons,
+// BETWEEN, sort keys): int/int exactly, any other numeric pair through
+// float64 (a NaN is equal to everything), strings lexically, bools as 0/1.
+// cmpNone is a pair of kinds Compare orders by kind; the kernels leave those
+// to it.
+type cmpRule uint8
+
+const (
+	cmpNone cmpRule = iota
+	cmpInts
+	cmpFloats
+	cmpStrs
+	cmpBools
+)
+
+// ruleOf returns the compare rule of two typed operands.
+func ruleOf(a, b *operand) cmpRule {
+	switch {
+	case a.kind == sqltypes.KindInt && b.kind == sqltypes.KindInt:
+		return cmpInts
+	case numericKind(a.kind) && numericKind(b.kind):
+		return cmpFloats
+	case a.kind == sqltypes.KindString && b.kind == sqltypes.KindString:
+		return cmpStrs
+	case a.kind == sqltypes.KindBool && b.kind == sqltypes.KindBool:
+		return cmpBools
+	}
+	return cmpNone
+}
+
+// compare is sqltypes.Compare of cell i of a and cell j of b, neither NULL,
+// under the rule of their kinds.
+func (r cmpRule) compare(a *operand, i int, b *operand, j int) int {
+	switch r {
+	case cmpInts:
+		return three(a.intAt(i), b.intAt(j))
+	case cmpFloats:
+		return three(a.floatAt(i), b.floatAt(j))
+	case cmpStrs:
+		return three(a.strAt(i), b.strAt(j))
+	default:
+		return three(a.boolInt(i), b.boolInt(j))
+	}
+}
+
+// three is the three-way order of a and b; incomparable floats (a NaN) are
+// equal, as in sqltypes.Compare.
+func three[T int64 | float64 | string](a, b T) int {
+	if a < b {
+		return -1
+	}
+	if a > b {
+		return 1
+	}
+	return 0
+}
+
+// cmpTable maps a three-way comparison c, at index c+1, to the comparison
+// operator's boolean.
+func cmpTable(op sqlparser.BinaryOp) [3]bool {
+	switch op {
+	case sqlparser.OpEq:
+		return [3]bool{false, true, false}
+	case sqlparser.OpNe:
+		return [3]bool{true, false, true}
+	case sqlparser.OpLt:
+		return [3]bool{true, false, false}
+	case sqlparser.OpLe:
+		return [3]bool{true, true, false}
+	case sqlparser.OpGt:
+		return [3]bool{false, false, true}
+	default:
+		return [3]bool{false, true, true}
+	}
+}
+
+// cmpConst writes table[three(v, k)+1] for every cell v of a NULL-free vector:
+// vals[i], or vals[at[i]] when at is not nil.
+func cmpConst[T int64 | float64 | string](out []bool, vals []T, at []int32, k T, table [3]bool) {
+	if at == nil {
+		for i, v := range vals[:len(out)] {
+			out[i] = table[three(v, k)+1]
+		}
+		return
+	}
+	for i, p := range at {
+		out[i] = table[three(vals[p], k)+1]
+	}
+}
+
+// betweenConst writes whether lo <= v <= hi, under three, differs from
+// negate for every cell v of a NULL-free vector: vals[i], or vals[at[i]]
+// when at is not nil.
+func betweenConst[T int64 | float64 | string](out []bool, vals []T, at []int32, lo, hi T, negate bool) {
+	if at == nil {
+		for i, v := range vals[:len(out)] {
+			out[i] = (three(v, lo) >= 0 && three(v, hi) <= 0) != negate
+		}
+		return
+	}
+	for i, p := range at {
+		v := vals[p]
+		out[i] = (three(v, lo) >= 0 && three(v, hi) <= 0) != negate
+	}
+}
+
 type vbinary struct {
 	op          sqlparser.BinaryOp
 	left, right vnode
-	lg, rg      gather
 	out         scratch
 }
 
@@ -533,140 +659,88 @@ func (x *vbinary) eval(b *colbatch.Batch) (*vres, error) {
 	if err != nil {
 		return nil, err
 	}
-	lo, ro := classify(l, &x.lg), classify(r, &x.rg)
-	if lo.ok && ro.ok {
-		if x.op.IsComparison() {
-			if out := cmpTyped(x.op, l.n, lo, ro, &x.out); out != nil {
+	n := l.n
+	lo, ro := classify(l), classify(r)
+	if x.op.IsComparison() {
+		if lo.ok && ro.ok {
+			if out := cmpTyped(x.op, n, &lo, &ro, &x.out); out != nil {
 				return out, nil
 			}
-		} else if out := arithTyped(x.op, l.n, lo, ro, &x.out); out != nil {
+		}
+		// Generic cell loop: ApplyBinary's comparison, which never errors,
+		// written as booleans.
+		out, table := x.out.result(n, rBools), cmpTable(x.op)
+		for i := 0; i < n; i++ {
+			if l.isNull(i) || r.isNull(i) {
+				x.out.setNull(i)
+				continue
+			}
+			out.bools[i] = table[sqltypes.Compare(l.value(i), r.value(i))+1]
+		}
+		return out, nil
+	}
+	if lo.ok && ro.ok {
+		if out := arithTyped(x.op, n, &lo, &ro, &x.out); out != nil {
 			return out, nil
 		}
 	}
 	// Generic cell loop over the exact scalar applier.
-	n := l.n
-	out := x.out.result(n, rVals)
+	x.out.begin(n)
 	for i := 0; i < n; i++ {
 		v, err := sqlparser.ApplyBinary(x.op, l.value(i), r.value(i))
 		if err != nil {
 			return nil, err
 		}
-		out.vals[i] = v
+		x.out.put(i, v)
 	}
-	return out, nil
+	return x.out.end(), nil
 }
 
-// cmpRes maps a three-way comparison to the operator's boolean.
-func cmpRes(op sqlparser.BinaryOp, c int) bool {
-	switch op {
-	case sqlparser.OpEq:
-		return c == 0
-	case sqlparser.OpNe:
-		return c != 0
-	case sqlparser.OpLt:
-		return c < 0
-	case sqlparser.OpLe:
-		return c <= 0
-	case sqlparser.OpGt:
-		return c > 0
-	default:
-		return c >= 0
-	}
-}
-
-// cmpTyped emits a boolean vector for typed operand pairs, mirroring
-// sqltypes.Compare's kind rules: int/int compares exactly, any other
-// numeric mix through float64, strings lexically, bools as 0/1, into s.
-// Returns nil when no typed kernel applies.
-func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro operand, s *scratch) *vres {
-	out, setNull := s.result(n, rBools), s.setNull
+// cmpTyped emits a boolean vector for typed operand pairs under their
+// compare rule (cmpRule), into s. A NULL-free vector against a constant gets
+// a branch-hoisted loop when no cell needs widening: an int vector against
+// an int, a float vector against any number, a string vector against a
+// string. Returns nil when the kinds have no rule.
+func cmpTyped(op sqlparser.BinaryOp, n int, lo, ro *operand, s *scratch) *vres {
 	// A NULL constant operand nulls every row.
 	if (lo.isConst && lo.c.IsNull()) || (ro.isConst && ro.c.IsNull()) {
+		out := s.result(n, rBools)
 		s.allNull()
 		return out
 	}
-	switch {
-	case lo.kind == sqltypes.KindInt && ro.kind == sqltypes.KindInt:
-		// Hot case: int vector vs int constant gets a branch-hoisted loop.
-		if ro.isConst && !lo.isConst && lo.nulls == nil {
-			k := ro.c.Int()
-			for i := 0; i < n; i++ {
-				l := lo.ints[i]
-				c := 0
-				if l < k {
-					c = -1
-				} else if l > k {
-					c = 1
-				}
-				out.bools[i] = cmpRes(op, c)
-			}
+	rule := ruleOf(lo, ro)
+	if rule == cmpNone {
+		return nil
+	}
+	out, table := s.result(n, rBools), cmpTable(op)
+	if ro.isConst && !lo.isConst && lo.nulls == nil {
+		switch {
+		case rule == cmpInts:
+			cmpConst(out.bools, lo.ints, lo.at, ro.c.Int(), table)
+			return out
+		case rule == cmpFloats && lo.kind == sqltypes.KindFloat:
+			cmpConst(out.bools, lo.floats, lo.at, ro.c.Float(), table)
+			return out
+		case rule == cmpStrs:
+			cmpConst(out.bools, lo.strs, lo.at, ro.c.Str(), table)
 			return out
 		}
-		for i := 0; i < n; i++ {
-			if lo.null(i) || ro.null(i) {
-				setNull(i)
-				continue
-			}
-			l, r := lo.intAt(i), ro.intAt(i)
-			c := 0
-			if l < r {
-				c = -1
-			} else if l > r {
-				c = 1
-			}
-			out.bools[i] = cmpRes(op, c)
-		}
-		return out
-	case numericKind(lo.kind) && numericKind(ro.kind):
-		for i := 0; i < n; i++ {
-			if lo.null(i) || ro.null(i) {
-				setNull(i)
-				continue
-			}
-			l, r := lo.floatAt(i), ro.floatAt(i)
-			c := 0
-			if l < r {
-				c = -1
-			} else if l > r {
-				c = 1
-			}
-			out.bools[i] = cmpRes(op, c)
-		}
-		return out
-	case lo.kind == sqltypes.KindString && ro.kind == sqltypes.KindString:
-		for i := 0; i < n; i++ {
-			if lo.null(i) || ro.null(i) {
-				setNull(i)
-				continue
-			}
-			out.bools[i] = cmpRes(op, strings.Compare(lo.strAt(i), ro.strAt(i)))
-		}
-		return out
-	case lo.kind == sqltypes.KindBool && ro.kind == sqltypes.KindBool:
-		for i := 0; i < n; i++ {
-			if lo.null(i) || ro.null(i) {
-				setNull(i)
-				continue
-			}
-			l, r := lo.boolInt(i), ro.boolInt(i)
-			c := 0
-			if l < r {
-				c = -1
-			} else if l > r {
-				c = 1
-			}
-			out.bools[i] = cmpRes(op, c)
-		}
-		return out
 	}
-	return nil
+	for i := 0; i < n; i++ {
+		if lo.null(i) || ro.null(i) {
+			s.setNull(i)
+			continue
+		}
+		out.bools[i] = table[rule.compare(lo, i, ro, i)+1]
+	}
+	return out
 }
 
 // arithTyped emits typed arithmetic for numeric operand pairs: int/int
 // stays integral (except division by zero → NULL), any float widens, both
 // exactly as ApplyBinary does per cell, into s. Returns nil when no typed
 // kernel applies.
-func arithTyped(op sqlparser.BinaryOp, n int, lo, ro operand, s *scratch) *vres {
+func arithTyped(op sqlparser.BinaryOp, n int, lo, ro *operand, s *scratch) *vres {
 	switch op {
 	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv:
 	default:
@@ -919,6 +993,10 @@ func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := subj.n
+	if out := x.typed(n, classify(subj), classify(lo), classify(hi)); out != nil {
+		return out, nil
+	}
+	// Mixed kinds: the boxed cell loop.
 	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		if subj.isNull(i) || lo.isNull(i) || hi.isNull(i) {
@@ -930,6 +1008,50 @@ func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
 		out.bools[i] = in != x.negate
 	}
 	return out, nil
+}
+
+// typed is BETWEEN over typed operands, the subject compared with each bound
+// under the pair's compare rule (cmpRule), as evalBetween's two Compare
+// calls do; a NULL-free vector between two constants that need no widening
+// gets a branch-hoisted loop. It returns nil when an operand is untyped or a
+// pair has no rule.
+func (x *vbetween) typed(n int, so, lo, ho operand) *vres {
+	if !so.ok || !lo.ok || !ho.ok {
+		return nil
+	}
+	s := &x.out
+	if (so.isConst && so.c.IsNull()) || (lo.isConst && lo.c.IsNull()) || (ho.isConst && ho.c.IsNull()) {
+		out := s.result(n, rBools)
+		s.allNull()
+		return out
+	}
+	rl, rh := ruleOf(&so, &lo), ruleOf(&so, &ho)
+	if rl == cmpNone || rh == cmpNone {
+		return nil
+	}
+	out := s.result(n, rBools)
+	if !so.isConst && so.nulls == nil && lo.isConst && ho.isConst && rl == rh {
+		switch {
+		case rl == cmpInts:
+			betweenConst(out.bools, so.ints, so.at, lo.c.Int(), ho.c.Int(), x.negate)
+			return out
+		case rl == cmpFloats && so.kind == sqltypes.KindFloat:
+			betweenConst(out.bools, so.floats, so.at, lo.c.Float(), ho.c.Float(), x.negate)
+			return out
+		case rl == cmpStrs:
+			betweenConst(out.bools, so.strs, so.at, lo.c.Str(), ho.c.Str(), x.negate)
+			return out
+		}
+	}
+	for i := 0; i < n; i++ {
+		if so.null(i) || lo.null(i) || ho.null(i) {
+			s.setNull(i)
+			continue
+		}
+		in := rl.compare(&so, i, &lo, i) >= 0 && rh.compare(&so, i, &ho, i) <= 0
+		out.bools[i] = in != x.negate
+	}
+	return out
 }
 
 type vlike struct {
@@ -972,16 +1094,18 @@ func (x *vcoalesce) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := b.Len()
-	out := x.out.result(n, rVals)
+	x.out.begin(n)
 	for i := 0; i < n; i++ {
+		v := sqltypes.Null
 		for _, a := range args {
 			if !a.isNull(i) {
-				out.vals[i] = a.value(i)
+				v = a.value(i)
 				break
 			}
 		}
+		x.out.put(i, v)
 	}
-	return out, nil
+	return x.out.end(), nil
 }
 
 type vfunc struct {
@@ -1010,7 +1134,7 @@ func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
 		return nil, err
 	}
 	n := b.Len()
-	out := x.out.result(n, rVals)
+	x.out.begin(n)
 	x.cells = resized(x.cells, len(args))
 	cells := x.cells
 	for i := 0; i < n; i++ {
@@ -1025,16 +1149,16 @@ func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
 			cells[j] = v
 		}
 		if isNull {
-			out.vals[i] = sqltypes.Null
+			x.out.put(i, sqltypes.Null)
 			continue
 		}
 		v, err := sqlparser.ApplyFunc(x.name, cells)
 		if err != nil {
 			return nil, err
 		}
-		out.vals[i] = v
+		x.out.put(i, v)
 	}
-	return out, nil
+	return x.out.end(), nil
 }
 
 // predicate is a WHERE-shaped expression compiled against the schema of the

@@ -180,12 +180,12 @@ func TestVectorizedOracleFractionalChargeBeforeWindows(t *testing.T) {
 
 // TestWindowedScalarFoldAllocatesNoRowVectors: SUM and COUNT over a filtered
 // scan of 16 windows allocate nothing that grows with the scanned rows but
-// the selection vectors, which are sized to the rows that pass. The rest is
-// scratch the size of one window (the predicate's booleans, the gathered
-// argument) and a few headers per window: 32 KiB. A whole-table batch fails
-// the bound several times over: one boolean per input row, a second
-// selection vector, a gather as long as the survivors, and the fold's per-row
-// hashes and group pointers, 16 B a row.
+// the selection vectors, 4 B per row that passes. The rest is scratch the
+// size of one window (the predicate's booleans) and a few headers per
+// window: 12 KiB. The fold reads the argument through the selection, where
+// it lies: a copy of the selected cells, 8 B per surviving row, fails the
+// bound, and so does a whole-table batch: one boolean per input row, a
+// second selection vector, and the fold's per-row hashes and group pointers.
 func TestWindowedScalarFoldAllocatesNoRowVectors(t *testing.T) {
 	const rows = 16 * scanWindow
 	rel := sqltypes.NewRelation(sqltypes.NewSchema(
@@ -207,8 +207,8 @@ func TestWindowedScalarFoldAllocatesNoRowVectors(t *testing.T) {
 			t.Fatalf("COUNT(*) = %d, want %d", got, survivors)
 		}
 	}
-	if bytes, limit := leastAllocated(run), uint64(8*survivors+32<<10); bytes > limit {
-		t.Fatalf("one run over %d rows allocated %d bytes; want at most 8 B per surviving row plus 32 KiB (%d)", rows, bytes, limit)
+	if bytes, limit := leastAllocated(run), uint64(4*survivors+12<<10); bytes > limit {
+		t.Fatalf("one run over %d rows allocated %d bytes; want at most 4 B per surviving row plus 12 KiB (%d)", rows, bytes, limit)
 	}
 }
 
