@@ -103,6 +103,15 @@ func (c *Column) Slice(lo, hi int) *Column {
 	return out
 }
 
+// placeholder stands in a join's output for every column nothing above the
+// join reads: all NULL (Kind == KindNull), no payload, so it reads NULL at any
+// position. Every output shares it and nothing writes it.
+var placeholder Column
+
+// Placeholder returns the one all-NULL column every unread join output column
+// is (see JoinedColumns).
+func Placeholder() *Column { return &placeholder }
+
 // GatherJoined is a join kernel's output: the columns of left gathered at
 // lIdx followed by the columns of right at rIdx (two index lists of one
 // length), JoinedColumns filled once from offset 0.
@@ -119,10 +128,10 @@ func GatherJoined(left []*Column, lIdx []int32, right []*Column, rIdx []int32, u
 // allocations however many columns the two sides have.
 //
 // unread names the output columns nothing downstream reads, bit i for column
-// i (columns from 64 on are always gathered). Each of them is an all-NULL
-// placeholder (Kind == KindNull, no payload): the batch keeps its schema and
-// its column positions, and pays only for the columns that are read. With no
-// rows the columns still carry their sources' kinds.
+// i (columns from 64 on are always gathered). Each of them is the
+// Placeholder: the batch keeps its schema and its column positions, and pays
+// only for the columns that are read. With no rows the columns still carry
+// their sources' kinds.
 func JoinedColumns(left, right []*Column, n int, unread uint64) []*Column {
 	var s slabs
 	for i, c := range left {
@@ -141,7 +150,8 @@ func JoinedColumns(left, right []*Column, n int, unread uint64) []*Column {
 	for i := range heads {
 		cols[i] = &heads[i]
 		switch {
-		case skipped(unread, i): // the zero Column: KindNull, no payload
+		case skipped(unread, i):
+			cols[i] = &placeholder
 		case i < len(left):
 			s.cut(cols[i], left[i], n)
 		default:
@@ -153,12 +163,14 @@ func JoinedColumns(left, right []*Column, n int, unread uint64) []*Column {
 
 // FillJoined writes rows [at, at+len(lIdx)) of the columns JoinedColumns
 // allocated over the same sources: left's cells at lIdx, then right's at rIdx.
-// A placeholder has nothing to write.
+// The Placeholder is left alone.
 func FillJoined(cols []*Column, at int, left []*Column, lIdx []int32, right []*Column, rIdx []int32) {
 	for i, out := range cols {
-		if i < len(left) {
+		switch {
+		case out == &placeholder:
+		case i < len(left):
 			out.fill(at, left[i], lIdx)
-		} else {
+		default:
 			out.fill(at, right[i-len(left)], rIdx)
 		}
 	}
@@ -588,13 +600,14 @@ func (b *Batch) Select(sel []int32) *Batch {
 }
 
 // SelectOwned is Select for a vector the caller hands over, a kernel's fresh
-// selection: over a contiguous window its entries become physical positions
-// in place, and no second vector is allocated.
+// selection: its entries become physical positions in place, through b's own
+// selection or past its window's offset, and no second vector is allocated.
 func (b *Batch) SelectOwned(sel []int32) *Batch {
 	if b.Sel != nil {
-		return b.Select(sel)
-	}
-	if b.off != 0 {
+		for i, s := range sel {
+			sel[i] = b.Sel[s]
+		}
+	} else if b.off != 0 {
 		for i := range sel {
 			sel[i] += int32(b.off)
 		}

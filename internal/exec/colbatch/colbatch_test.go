@@ -384,7 +384,8 @@ func TestAccumulatorJoinsViewsOfTheSameColumns(t *testing.T) {
 // Windows, Materialize and Accumulator over a random relation and checks
 // every link against a row-slice model: the relation rows that the batch's
 // logical rows stand for. Slices and windows start past row 0, so a
-// SelectOwned after one takes the in-place offset path, and an Accumulator's
+// SelectOwned after one takes the in-place offset path (after a Select, the
+// in-place composition through the selection), and an Accumulator's
 // parts mix windows, selections and copies of one set of columns with parts
 // over columns of their own.
 func FuzzSelectionComposes(f *testing.F) {
@@ -393,6 +394,7 @@ func FuzzSelectionComposes(f *testing.F) {
 	f.Add(int64(3), uint16(0), []byte{0, 1, 2, 3, 4, 5})
 	f.Add(int64(4), uint16(1), []byte{5, 5, 2, 2, 3, 3})
 	f.Add(int64(32), uint16(171), []byte{2, 5, 5, 1, 5, 5}) // selections and offset windows in one Accumulator
+	f.Add(int64(5), uint16(200), []byte{1, 2, 0, 2, 2})     // SelectOwned composed through a selection, a sliced one and its own
 	f.Fuzz(func(t *testing.T, seed int64, rows uint16, ops []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		rel := randRelation(rng, int(rows%600))

@@ -117,6 +117,17 @@ func checkHashJoinTable(t *testing.T, label string, j *HashJoin, hashed []*colba
 	}
 	var want Context
 	wantRel, wantErr := hashJoinRel(j, build, probe, &want)
+	if wantErr == nil && j.out.unread != 0 {
+		// A finished join: what nothing above it reads is the placeholder,
+		// NULL in every row.
+		for _, row := range wantRel.Rows {
+			for c := range row {
+				if j.out.unread.has(c) {
+					row[c] = sqltypes.Null
+				}
+			}
+		}
+	}
 
 	var got Context
 	tab := newHashJoinTable(j, hashed...)
@@ -147,7 +158,11 @@ func checkHashJoinTable(t *testing.T, label string, j *HashJoin, hashed []*colba
 // are a NaN's, strings, bools, NULLs, kind-mixed columns), a hashed side of
 // filtered windows over one column set or of batches over several, either
 // build side, a bare or a computed hashed key, with and without a residual,
-// the table's rows, their order and its charge are the row kernel's.
+// and the join unfinished (every column gathered) or finished under a tail
+// that reads only the hashed side, only the streamed side or neither (shape
+// bit 16; the output then reads one side's own columns through a match list
+// that must outlive the next streamed window), the table's rows, their order
+// and its charge are the row kernel's.
 func FuzzHashJoinMatchesRowKernel(f *testing.F) {
 	// The shapes of TestVectorizedOracleHashJoinCollisions (six strings
 	// against six strings; int keys met by float twins, NaN and -0) and of
@@ -159,6 +174,14 @@ func FuzzHashJoinMatchesRowKernel(f *testing.F) {
 	f.Add(int64(2001), uint8(joinKeyMixed*joinKeyKinds+joinKeyMixed), uint8(3))
 	f.Add(int64(2002), uint8(joinKeyInt*joinKeyKinds+joinKeyMixed), uint8(5))
 	f.Add(int64(2003), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(14))
+	// Finished under a tail that reads the hashed side, the streamed side or
+	// neither, with either build side, a residual and batches over shards.
+	f.Add(int64(2004), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(16))
+	f.Add(int64(2005), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(16|32))
+	f.Add(int64(2006), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(16|64))
+	f.Add(int64(2007), uint8(joinKeyInt*joinKeyKinds+joinKeyFloat), uint8(16|8|1))
+	f.Add(int64(2008), uint8(joinKeyString*joinKeyKinds+joinKeyString), uint8(16|32|8|4|1))
+	f.Add(int64(2009), uint8(joinKeyMixed*joinKeyKinds+joinKeyInt), uint8(16|64|8|2))
 	f.Fuzz(func(t *testing.T, seed int64, kinds, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		hkind, skind := int(kinds)/joinKeyKinds%joinKeyKinds, int(kinds)%joinKeyKinds
@@ -179,6 +202,15 @@ func FuzzHashJoinMatchesRowKernel(f *testing.F) {
 		}
 		if shape&8 != 0 {
 			j.Residual = &sqlparser.BinaryExpr{Op: sqlparser.OpNe, Left: colRef("hn"), Right: colRef("sn")}
+		}
+		if shape&16 != 0 {
+			// The tail reads one column of one side, or a constant; a residual
+			// reads the same side.
+			read := [...]sqlparser.Expr{colRef("hn"), colRef("sn"), intLit(1)}[int(shape>>5)%3]
+			if j.Residual != nil {
+				j.Residual = &sqlparser.BinaryExpr{Op: sqlparser.OpNe, Left: read, Right: intLit(3)}
+			}
+			finishPlan(&Project{Input: j, Items: []sqlparser.SelectItem{{Alias: "x", Expr: read}}}, j, nil)
 		}
 		hashed := hashedWindows(rng, hashedRel, shape&4 != 0)
 		checkHashJoinTable(t, fmt.Sprintf("seed %d kinds %d/%d shape %d", seed, hkind, skind, shape), j, hashed, streamed, 1+rng.Intn(100))

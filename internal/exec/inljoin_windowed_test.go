@@ -220,28 +220,42 @@ func inlFanOut(t *testing.T) (outer *SeqScan, inner *storage.Table, idx *storage
 }
 
 // TestIndexJoinListsAreWindowSized: SUM and COUNT over an index join of 16
-// windows of matches allocate the one output column they read (8 B a match)
-// and scratch the size of a window: the match lists, the outer side and its
-// key hashes (16 rows), a few headers per window. 64 KiB covers it. Lists as
-// long as all the matches fail the bound: two 4 B entries per match, and
-// more while they grow.
+// windows of matches. Read on the inner side only (SUM(v)), the join
+// allocates the one list of inner positions its output reads the inner
+// table's own columns through (4 B a match) and a few headers: 16 KiB covers
+// them, and a gather of v (8 B a match) fails the bound. Read on both sides
+// (SUM(v) and SUM(w)), it gathers the two read columns (16 B a match) with
+// match lists the size of a window and the outer side and its key hashes (16
+// rows): 64 KiB covers those, and lists as long as all the matches fail the
+// bound, two 4 B entries per match and more while they grow.
 func TestIndexJoinListsAreWindowSized(t *testing.T) {
 	const matches = 16 * scanWindow
 	outer, inner, idx := inlFanOut(t)
-	op := &Aggregate{Input: &IndexNLJoin{Outer: outer, Inner: inner, Index: idx, InnerAs: "i", OuterKey: colRef("ok")},
-		Aggs: []*sqlparser.AggExpr{{Func: sqlparser.AggSum, Arg: colRef("v")}, {Func: sqlparser.AggCount}}}
-	finishPlan(op, op, nil)
-	run := func() {
-		out, err := ExecuteVectorized(op, &Context{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := out.Value(0, 1).Int(); got != matches {
-			t.Fatalf("COUNT(*) = %d, want %d", got, matches)
-		}
+	sum := func(col string) *sqlparser.AggExpr {
+		return &sqlparser.AggExpr{Func: sqlparser.AggSum, Arg: colRef(col)}
 	}
-	if bytes, limit := leastAllocated(run), uint64(8*matches+64<<10); bytes > limit {
-		t.Fatalf("one run over %d matches allocated %d bytes; want at most 8 B per match plus 64 KiB (%d)", matches, bytes, limit)
+	for _, tc := range []struct {
+		label string
+		aggs  []*sqlparser.AggExpr
+		limit uint64
+	}{
+		{"inner side read", []*sqlparser.AggExpr{{Func: sqlparser.AggCount}, sum("v")}, 4*matches + 16<<10},
+		{"both sides read", []*sqlparser.AggExpr{{Func: sqlparser.AggCount}, sum("v"), sum("w")}, 16*matches + 64<<10},
+	} {
+		op := &Aggregate{Input: &IndexNLJoin{Outer: outer, Inner: inner, Index: idx, InnerAs: "i", OuterKey: colRef("ok")}, Aggs: tc.aggs}
+		finishPlan(op, op, nil)
+		run := func() {
+			out, err := ExecuteVectorized(op, &Context{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.Value(0, 0).Int(); got != matches {
+				t.Fatalf("%s: COUNT(*) = %d, want %d", tc.label, got, matches)
+			}
+		}
+		if bytes := leastAllocated(run); bytes > tc.limit {
+			t.Fatalf("%s: one run over %d matches allocated %d bytes; want at most %d", tc.label, matches, bytes, tc.limit)
+		}
 	}
 }
 

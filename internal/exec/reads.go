@@ -13,6 +13,9 @@ type colSet uint64
 // allCols reads every column.
 const allCols = ^colSet(0)
 
+// has reports whether s names column i; a column from 64 on has no bit.
+func (s colSet) has(i int) bool { return i < 64 && s&(1<<i) != 0 }
+
 // with adds the columns e references, resolved in schema, to s. A reference
 // that does not resolve reads everything: the kernel that evaluates e then
 // meets the row engine's error over the full batch.
@@ -43,10 +46,11 @@ func (s colSet) split(n int) (left, right colSet) {
 
 // joinOut is what finishing a plan fixes about a join's output: its schema,
 // made once per plan (Columns stays nil until then), and the output columns
-// no operator above the join reads. The kernels leave those as all-NULL
-// placeholders instead of gathering them (colbatch.GatherJoined). The zero
-// value, a join that was never part of a finished plan, gathers every column
-// under a schema concatenated per call.
+// no operator above the join reads. The kernels leave those as the all-NULL
+// colbatch.Placeholder instead of gathering them, and gather nothing when
+// every read column lies on one input (sidesRead). The zero value, a join
+// that was never part of a finished plan, gathers every column under a
+// schema concatenated per call.
 type joinOut struct {
 	schema sqltypes.Schema
 	unread colSet

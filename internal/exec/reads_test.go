@@ -3,8 +3,8 @@ package exec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
@@ -41,24 +41,6 @@ func readsRelation(rng *rand.Rand, table, prefix string, n, keys int) *sqltypes.
 	return rel
 }
 
-// payloadBytes is what a gathered column holds in cells and null bitmap.
-func payloadBytes(c *colbatch.Column) int {
-	return 8*len(c.Ints) + 8*len(c.Floats) + int(unsafe.Sizeof(""))*len(c.Strs) + len(c.Bools) + len(c.Nulls) +
-		int(unsafe.Sizeof(sqltypes.Value{}))*len(c.Mixed)
-}
-
-// cellBytes bounds one typed cell of a column of the kind, null flag included.
-func cellBytes(k sqltypes.Kind) int {
-	switch k {
-	case sqltypes.KindInt, sqltypes.KindFloat:
-		return 8 + 1
-	case sqltypes.KindString:
-		return int(unsafe.Sizeof("")) + 1
-	default:
-		return 1 + 1
-	}
-}
-
 // joinUnder returns the topmost join of a finished plan.
 func joinUnder(op Operator) Operator {
 	for op != nil {
@@ -71,56 +53,80 @@ func joinUnder(op Operator) Operator {
 	return nil
 }
 
+// readsTable stores rel as a table and returns it with the columns a scan of
+// it reads.
+func readsTable(t *testing.T, rel *sqltypes.Relation) (*storage.Table, []*colbatch.Column) {
+	t.Helper()
+	tab := storedTable(t, rel.Schema.Columns[0].Table, rel)
+	v := tab.View()
+	defer v.Close()
+	return tab, v.Columns()
+}
+
 // TestJoinGathersOnlyReadColumns runs each join kernel under a QT1-shaped tail
 // (SUM of one column and COUNT(*) over an equijoin, a filter pushed onto the
-// outer side) as the planners finish it. The join's unread output columns
-// must be all-NULL placeholders, the bytes it gathers per execution must fit
-// in the read columns' width, and the plan must still pass the oracle.
+// outer side) as the planners finish it: the hash join with the read side
+// streamed and, building right, hashed; the index join, whose read side is
+// its inner table; and a nested loop whose predicate reads the side its tail
+// reads. Every column the tail reads lies on one input, so the join copies no
+// cell. Each output batch's read columns must be that input's own columns,
+// pointer for pointer, every other column the placeholder, and the join must
+// allocate beyond its inputs at most 4 B per output row (the list its output
+// reads through) and a fixed 128 KiB: scratch, the hash table of a hashed
+// side of 3 000 rows, the outer keys' hashes and a header per output batch,
+// of which there are at most 200. A gather of the read float column alone is
+// 9 B a row. The plan must still pass the oracle. A hash join whose tail
+// reads a column of each side and a nested loop whose predicate reads both
+// gather: their read columns must be fresh, their unread ones the placeholder.
 func TestJoinGathersOnlyReadColumns(t *testing.T) {
+	const small, big, keys = 3000, 100_000, 3000
 	rng := rand.New(rand.NewSource(11))
-	orders := readsRelation(rng, "o", "o_", 300, 200)
-	items := readsRelation(rng, "l", "l_", 900, 200)
-	leaves := func() map[string]Operator {
-		return map[string]Operator{"o": &Values{Rel: orders}, "l": &Values{Rel: items}}
-	}
-	build := func(sql string) Operator {
-		root, err := BuildPlan(sqlparser.MustParse(sql), leaves())
+	oSmall, oSmallCols := readsTable(t, readsRelation(rng, "o", "o_", small, keys))
+	lBig, lBigCols := readsTable(t, readsRelation(rng, "l", "l_", big, keys))
+	oBig, _ := readsTable(t, readsRelation(rng, "o", "o_", big, keys))
+	lSmall, lSmallCols := readsTable(t, readsRelation(rng, "l", "l_", small, keys))
+	oTiny, oTinyCols := readsTable(t, readsRelation(rng, "o", "o_", 300, keys))
+	const qt1 = "SELECT SUM(l.l_price), COUNT(*) FROM o JOIN l ON o.o_key = l.l_key WHERE o.o_price > 20"
+	stmt := sqlparser.MustParse(qt1)
+	build := func(stmt *sqlparser.SelectStmt, o, l *storage.Table) Operator {
+		root, err := BuildPlan(stmt, map[string]Operator{"o": &SeqScan{Table: o, As: "o"}, "l": &SeqScan{Table: l, As: "l"}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return root
 	}
-	const qt1 = "SELECT SUM(l.l_price), COUNT(*) FROM o JOIN l ON o.o_key = l.l_key WHERE o.o_price > 20"
+	tail := func(join Operator) Operator {
+		top, err := PlanTop(stmt, join.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return top.Build(join)
+	}
+	filtered := func(o *storage.Table) Operator {
+		return &Filter{Input: &SeqScan{Table: o, As: "o"}, Pred: stmt.Where}
+	}
 
-	hash := build(qt1)
-	hashRight := build(qt1)
+	hash := build(stmt, oSmall, lBig)
+	hashRight := build(stmt, oBig, lSmall)
 	joinUnder(hashRight).(*HashJoin).BuildRight = true
-
-	tab := storage.NewTable("items", items.Schema)
-	if err := tab.Append(items.Rows...); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := tab.CreateIndex("items_key", "l_key", storage.IndexHash)
+	ix, err := lBig.CreateIndex("l_key_ix", "l_key", storage.IndexHash)
 	if err != nil {
 		t.Fatal(err)
 	}
-	outer := &Filter{Input: &Values{Rel: orders}, Pred: sqlparser.MustParse("SELECT * FROM o WHERE o.o_price > 20").Where}
-	inl := &IndexNLJoin{Outer: outer, Inner: tab, Index: ix, InnerAs: "l", OuterKey: &sqlparser.ColumnRef{Table: "o", Name: "o_key"}}
-	top, err := PlanTop(sqlparser.MustParse(qt1), inl.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
+	inl := tail(&IndexNLJoin{Outer: filtered(oSmall), Inner: lBig, Index: ix, InnerAs: "l", OuterKey: &sqlparser.ColumnRef{Table: "o", Name: "o_key"}})
+	nl := tail(&NestedLoopJoin{Outer: filtered(oTiny), Inner: &SeqScan{Table: lSmall, As: "l"},
+		Pred: sqlparser.MustParse("SELECT * FROM l WHERE l.l_qty = 3").Where})
 
 	for _, tc := range []struct {
 		label string
 		root  Operator
-		read  []string // the join's output columns the tail (and its predicate) reads
+		read  []string           // the output columns the tail (and the predicate) reads, all of l
+		cols  []*colbatch.Column // l's own columns
 	}{
-		{"hash join", hash, []string{"l_price"}},
-		{"hash join, right build", hashRight, []string{"l_price"}},
-		{"index nested-loop join", top.Build(inl), []string{"l_price"}},
-		{"nested-loop join", build("SELECT SUM(l.l_price), COUNT(*) FROM o JOIN l ON o.o_key < l.l_key WHERE o.o_price > 100 AND l.l_qty = 3"),
-			[]string{"l_price", "o_key", "l_key"}},
+		{"hash join", hash, []string{"l_price"}, lBigCols},
+		{"hash join, right build", hashRight, []string{"l_price"}, lSmallCols},
+		{"index nested-loop join", inl, []string{"l_price"}, lBigCols},
+		{"nested-loop join", nl, []string{"l_price", "l_qty"}, lSmallCols},
 	} {
 		join := joinUnder(tc.root)
 		if join == nil {
@@ -128,32 +134,80 @@ func TestJoinGathersOnlyReadColumns(t *testing.T) {
 		}
 		checkOracle(t, tc.label, tc.root)
 
-		out, err := ExecuteVectorized(join, &Context{})
+		outs, err := ExecuteBatches(join, &Context{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Len() == 0 {
+		rows := 0
+		for _, out := range outs {
+			rows += out.Len()
+			for i, c := range out.Cols {
+				col := out.Schema.Columns[i]
+				switch {
+				case slices.Contains(tc.read, col.Name):
+					if c != tc.cols[i-len(oSmallCols)] {
+						t.Fatalf("%s: read column %s is not the input's own column", tc.label, col.QualifiedName())
+					}
+				case c != colbatch.Placeholder():
+					t.Fatalf("%s: unread column %s is kind %v, not the placeholder", tc.label, col.QualifiedName(), c.Kind)
+				}
+			}
+		}
+		if rows < 40_000 {
+			t.Fatalf("%s: the join yielded %d rows; the bound needs at least 40 000", tc.label, rows)
+		}
+		batches := func(ops ...Operator) func() {
+			return func() {
+				for _, op := range ops {
+					if _, err := ExecuteBatches(op, &Context{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		spent := leastAllocated(batches(join)) - leastAllocated(batches(join.Children()...))
+		if limit := uint64(4*rows + 128<<10); spent > limit {
+			t.Errorf("%s: the join allocated %d B beyond its inputs for %d rows; want at most 4 B a row and 128 KiB (%d)", tc.label, spent, rows, limit)
+		}
+	}
+
+	// Read on both sides, a join gathers, but only what is read: its read
+	// columns are fresh, and every unread one is still the placeholder.
+	own := slices.Concat(oSmallCols, oTinyCols, lSmallCols)
+	for _, tc := range []struct {
+		label string
+		root  Operator
+		read  []string
+	}{
+		{"hash join read on both sides", build(sqlparser.MustParse("SELECT SUM(o.o_price), SUM(l.l_price) FROM o JOIN l ON o.o_key = l.l_key"), oSmall, lSmall),
+			[]string{"o_price", "l_price"}},
+		{"nested-loop join read on both sides", build(sqlparser.MustParse("SELECT SUM(l.l_price), COUNT(*) FROM o JOIN l ON o.o_key < l.l_key WHERE o.o_price > 100 AND l.l_qty = 3"), oTiny, lSmall),
+			[]string{"l_price", "o_key", "l_key"}},
+	} {
+		join := joinUnder(tc.root)
+		if join == nil {
+			t.Fatalf("%s: no join in\n%s", tc.label, ExplainTree(tc.root))
+		}
+		checkOracle(t, tc.label, tc.root)
+		outs, err := ExecuteBatches(join, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, out := range outs {
+			rows += out.Len()
+			for i, c := range out.Cols {
+				col := out.Schema.Columns[i]
+				switch read := slices.Contains(tc.read, col.Name); {
+				case read && (c == colbatch.Placeholder() || slices.Contains(own, c)):
+					t.Fatalf("%s: read column %s was not gathered", tc.label, col.QualifiedName())
+				case !read && c != colbatch.Placeholder():
+					t.Fatalf("%s: unread column %s is kind %v, not the placeholder", tc.label, col.QualifiedName(), c.Kind)
+				}
+			}
+		}
+		if rows == 0 {
 			t.Fatalf("%s: the join matched no rows", tc.label)
-		}
-		read := map[string]bool{}
-		for _, name := range tc.read {
-			read[name] = true
-		}
-		gathered, bound := 0, 0
-		for i, c := range out.Cols {
-			col := out.Schema.Columns[i]
-			gathered += payloadBytes(c)
-			if read[col.Name] {
-				bound += out.Len() * cellBytes(col.Type)
-				continue
-			}
-			if c.Kind != sqltypes.KindNull || payloadBytes(c) != 0 {
-				t.Errorf("%s: unread column %s gathered as kind %v with %d payload bytes, want an all-NULL placeholder",
-					tc.label, col.QualifiedName(), c.Kind, payloadBytes(c))
-			}
-		}
-		if gathered > bound {
-			t.Errorf("%s: gathered %d bytes over %d rows; the read columns %v hold at most %d", tc.label, gathered, out.Len(), tc.read, bound)
 		}
 	}
 }

@@ -208,7 +208,8 @@ func (g *oracleGen) plan(leaf Operator, depth int) Operator {
 // some of the join's output columns unread once the plan is finished: an
 // aggregate of one column, a projection of a subset (over a sort keyed on a
 // column it drops, or over a filter), a distinct and a limit over a
-// projection; or none, the join at the root reading every column.
+// projection, a COUNT(*) that reads no column; or none, the join at the root
+// reading every column.
 func (g *oracleGen) tail(join Operator) Operator {
 	schema := join.Schema()
 	col := func() *sqlparser.ColumnRef {
@@ -226,7 +227,7 @@ func (g *oracleGen) tail(join Operator) Operator {
 		}
 		return items
 	}
-	switch g.rng.Intn(6) {
+	switch g.rng.Intn(7) {
 	case 0:
 		return join
 	case 1:
@@ -243,8 +244,64 @@ func (g *oracleGen) tail(join Operator) Operator {
 		return &Project{Input: &Sort{Input: join, Keys: []sqlparser.OrderItem{{Expr: key, Desc: g.rng.Intn(2) == 0}}}, Items: subset(key.Name)}
 	case 4:
 		return &Project{Input: &Filter{Input: join, Pred: g.expr(schema, 2)}, Items: subset("")}
+	case 5:
+		return &Aggregate{Input: join, Aggs: []*sqlparser.AggExpr{{Func: sqlparser.AggCount}}}
 	default:
 		return &Limit{Input: &Distinct{Input: &Project{Input: join, Items: subset("")}}, N: g.rng.Intn(20)}
+	}
+}
+
+// sidedRun runs the join of a finished plan on its own and names the input
+// its output reads through a match list, "left" or "right", or "neither" for
+// an output of placeholders alone; "" for an output that gathered both
+// sides, that the row kernel made (its unread columns are not the
+// placeholder), or that has no rows.
+func sidedRun(t *testing.T, join Operator) string {
+	t.Helper()
+	var unread colSet
+	switch x := join.(type) {
+	case *HashJoin:
+		unread = x.out.unread
+	case *IndexNLJoin:
+		unread = x.out.unread
+	case *NestedLoopJoin:
+		unread = x.out.unread
+	}
+	ls, _ := splitSchema(join)
+	left, right := sidesRead(unread, len(ls.Columns), join.Schema().Len())
+	bs, err := ExecuteBatches(join, &Context{})
+	if err != nil || left && right {
+		return ""
+	}
+	rows := 0
+	for _, b := range bs {
+		rows += b.Len()
+		for i, c := range b.Cols {
+			if unread.has(i) && c != colbatch.Placeholder() {
+				return ""
+			}
+		}
+	}
+	switch {
+	case rows == 0:
+		return ""
+	case left:
+		return "left"
+	case right:
+		return "right"
+	}
+	return "neither"
+}
+
+// requireEverySide fails unless the plans ran the join kernel read on its
+// left side only, its right side only and neither side at least once each:
+// the outputs that copy no cell.
+func requireEverySide(t *testing.T, kernel string, sides map[string]int) {
+	t.Helper()
+	for side, read := range map[string]string{"left": "its left side only", "right": "its right side only", "neither": "neither side"} {
+		if sides[side] == 0 {
+			t.Errorf("no plan ran the %s read on %s (%v): the oracle does not cover that output", kernel, read, sides)
+		}
 	}
 }
 
@@ -389,9 +446,11 @@ func TestVectorizedOracleHashJoin(t *testing.T) {
 // it is easiest to get wrong: every key falls into a handful of buckets (six
 // distinct strings, or small integers met by their float twins, NaN and -0),
 // so buckets are long, most of their entries are key-equal, and pairs must
-// still come out in build order per probe row.
+// still come out in build order per probe row. Its plans must run the kernel
+// read on the hashed side only, the streamed side only and neither, each with
+// rows (requireEverySide).
 func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
-	engaged := 0
+	engaged, sides := 0, map[string]int{}
 	for seed := int64(1500); seed < 1540; seed++ {
 		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
 		left := g.relation("l", 150+g.rng.Intn(100))
@@ -412,6 +471,7 @@ func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 			join.Residual = g.expr(left.Schema.Concat(right.Schema), 2)
 		}
 		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(2)))
+		sides[sidedRun(t, join)]++
 		if _, err := newHashJoinTable(join, colbatch.FromRelation(left)).probeBatch(colbatch.FromRelation(right)); err == nil {
 			engaged++
 		}
@@ -419,6 +479,7 @@ func TestVectorizedOracleHashJoinCollisions(t *testing.T) {
 	if engaged < 30 {
 		t.Fatalf("the columnar kernel ran for %d of 40 plans; the rest only compared the row kernel with itself", engaged)
 	}
+	requireEverySide(t, "hash join", sides)
 }
 
 // TestHashJoinBuildRightIsTheSameJoin: hashing the right input instead of the
@@ -555,9 +616,11 @@ func indexedTable(t *testing.T, name string, rel *sqltypes.Relation, col int, ki
 // (20 distinct integers over up to 60 rows), empty outers, a filtered outer
 // (selection vector), computed outer keys, and kind-mixed keys in both
 // directions (float keys probing an int index and the reverse; column 1 is
-// itself int/float mixed one time in three).
+// itself int/float mixed one time in three). Its plans must run the kernel
+// read on the outer side only, the inner table only and neither, each with
+// rows (requireEverySide).
 func TestVectorizedOracleIndexNLJoin(t *testing.T) {
-	engaged := 0
+	engaged, sides := 0, map[string]int{}
 	for seed := int64(3000); seed < 3120; seed++ {
 		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
 		on := g.rng.Intn(50)
@@ -585,6 +648,7 @@ func TestVectorizedOracleIndexNLJoin(t *testing.T) {
 			join.Residual = g.expr(join.Schema(), 2)
 		}
 		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(3)))
+		sides[sidedRun(t, join)]++
 		if ob, err := ExecuteVectorized(outer, &Context{}); err == nil {
 			if _, err := indexNLJoinBatch(join, ob, &Context{}); err == nil {
 				engaged++
@@ -594,6 +658,7 @@ func TestVectorizedOracleIndexNLJoin(t *testing.T) {
 	if engaged < 80 {
 		t.Fatalf("the columnar kernel ran for %d of 120 plans; the rest only compared the row kernel with itself", engaged)
 	}
+	requireEverySide(t, "index join", sides)
 }
 
 // TestVectorizedOracleIndexScan checks the columnar index scan against the row
@@ -873,9 +938,10 @@ func TestVectorizedIndexNLJoinStaleMemo(t *testing.T) {
 // against the row kernel: random predicates, or none (the cross product), over
 // random inputs with empty sides and with candidate pairs spanning several
 // blocks, and a predicate that fails to evaluate, where the row kernel's error
-// text must come back.
+// text must come back. Its plans must run the kernel read on the outer side
+// only, the inner side only and neither, each with rows (requireEverySide).
 func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
-	engaged := 0
+	engaged, sides := 0, map[string]int{}
 	for seed := int64(2000); seed < 2060; seed++ {
 		g := &oracleGen{rng: rand.New(rand.NewSource(seed))}
 		ln, rn := g.rng.Intn(15), g.rng.Intn(15)
@@ -893,6 +959,7 @@ func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
 			join.Pred = g.expr(left.Schema.Concat(right.Schema), 2)
 		}
 		checkOracle(t, fmt.Sprintf("seed %d", seed), g.plan(g.tail(join), g.rng.Intn(3)))
+		sides[sidedRun(t, join)]++
 		if _, err := nestedLoopBatch(join, colbatch.FromRelation(left), colbatch.FromRelation(right)); err == nil {
 			engaged++
 		}
@@ -900,6 +967,7 @@ func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
 	if engaged < 40 {
 		t.Fatalf("the columnar kernel ran for %d of 60 plans; the rest only compared the row kernel with itself", engaged)
 	}
+	requireEverySide(t, "nested-loop join", sides)
 
 	// 120 × 90 candidate pairs are three blocks, and every block keeps rows.
 	outer := intKeys("a", 120, func(i int) int64 { return int64(i) })
@@ -913,11 +981,12 @@ func TestVectorizedOracleNestedLoopJoin(t *testing.T) {
 		t.Fatalf("%d candidate pairs fill fewer than three blocks of %d", pairs, nestedLoopBlock)
 	}
 	checkOracle(t, "several blocks", join)
-	out, err := nestedLoopBatch(join, colbatch.FromRelation(outer), colbatch.FromRelation(inner))
+	ws, err := nestedLoopBatch(join, colbatch.FromRelation(outer), colbatch.FromRelation(inner))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, last := out.Value(0, 0).Int(), out.Value(out.Len()-1, 0).Int(); first > 10 || last < 110 {
+	end := &ws[len(ws)-1]
+	if first, last := ws[0].Value(0, 0).Int(), end.Value(end.Len()-1, 0).Int(); first > 10 || last < 110 {
 		t.Fatalf("output runs from outer key %d to %d; want rows from the first and the last block", first, last)
 	}
 

@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 )
 
 // ExecuteVectorized runs an operator tree over columnar batches. It is an
@@ -110,8 +112,8 @@ type pipe struct {
 	ctx *Context
 	in  *pipe // the input pulled batch by batch
 
-	done    bool             // a single-batch operator has emitted its batch, a scan or index join has run
-	windows []colbatch.Batch // SeqScan, IndexNLJoin: the windows still to yield
+	done    bool             // a single-batch operator has emitted its batch, a scan, index join or nested loop has run
+	windows []colbatch.Batch // SeqScan, IndexNLJoin, NestedLoopJoin: the windows still to yield
 	emitted int              // Limit: rows passed on so far
 	seen    *vDistinctState  // Distinct
 	join    *hashJoinTable   // HashJoin, once the build side is in
@@ -257,6 +259,35 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 		}
 		return p.window(), nil
 
+	case *NestedLoopJoin:
+		if !p.done {
+			// Outer first, then inner: the row kernel's charge order. The
+			// join runs, and charges, before its first window is yielded.
+			p.done = true
+			outer, err := open(x.Outer, ctx).drain()
+			if err != nil {
+				return nil, err
+			}
+			inner, err := open(x.Inner, ctx).drain()
+			if err != nil {
+				return nil, err
+			}
+			ctx.Res.Add(x.Charge(float64(outer.Len()), float64(inner.Len())))
+			var verr error
+			p.windows, verr = nestedLoopBatch(x, outer, inner)
+			if errors.Is(verr, errJoinRows) {
+				return nil, verr
+			}
+			if verr != nil {
+				out, err := boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation()))
+				if err != nil {
+					return nil, err
+				}
+				p.windows = []colbatch.Batch{*out}
+			}
+		}
+		return p.window(), nil
+
 	case *BatchStream:
 		b, err := x.Src.Next()
 		if err != nil || (b == nil && p.done) {
@@ -382,26 +413,6 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 
 	case *HashJoin:
 		return p.join.probe(in, p.tally())
-
-	case *NestedLoopJoin:
-		// Outer first, then inner: the row kernel's charge order.
-		outer, err := open(x.Outer, ctx).drain()
-		if err != nil {
-			return nil, err
-		}
-		inner, err := open(x.Inner, ctx).drain()
-		if err != nil {
-			return nil, err
-		}
-		ctx.Res.Add(x.Charge(float64(outer.Len()), float64(inner.Len())))
-		out, verr := nestedLoopBatch(x, outer, inner)
-		if errors.Is(verr, errJoinRows) {
-			return nil, verr
-		}
-		if verr != nil {
-			return boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation()))
-		}
-		return out, nil
 
 	case *ShardAggFinal:
 		merger := x.newMerger()
@@ -1002,13 +1013,20 @@ func joinRows(n int) error {
 // contiguous batch of left columns followed by right columns, applies the
 // residual predicate (none when residual is nil) and returns the surviving
 // rows. The columns in unread (the join's: nothing above it reads them, see
-// finishPlan) are all-NULL placeholders; the residual's own columns are never
-// among them. More pairs than colbatch.MaxRows are refused (joinRows).
+// finishPlan) are the placeholder; the residual's own columns are never
+// among them. More pairs than colbatch.MaxRows are refused (joinRows). It
+// is the output of a join read on both sides; see sidesRead for the others.
 func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int32, right []*colbatch.Column, rPhys []int32, residual sqlparser.Expr, pred *predicate, unread colSet) (*colbatch.Batch, error) {
 	if err := joinRows(len(lPhys)); err != nil {
 		return nil, err
 	}
 	out := colbatch.New(schema, colbatch.GatherJoined(left, lPhys, right, rPhys, uint64(unread)), len(lPhys))
+	return residualOf(out, residual, pred)
+}
+
+// residualOf keeps the rows of a join's output that pass its residual, all
+// of them when there is none.
+func residualOf(out *colbatch.Batch, residual sqlparser.Expr, pred *predicate) (*colbatch.Batch, error) {
 	if residual == nil {
 		return out, nil
 	}
@@ -1017,6 +1035,54 @@ func joinedBatch(schema *sqltypes.Schema, left []*colbatch.Column, lPhys []int32
 		return nil, err
 	}
 	return out.SelectOwned(sel), nil
+}
+
+// sidesRead reports which inputs of a join hold a column that is read above
+// it (unread is the join's mask, finishPlan's; the residual or predicate is
+// among the readers): the left input's output columns are [0, lw), the right
+// input's [lw, n). A join read on one side copies no cell: its output is that
+// input's own columns read through the join's position list for that side,
+// every other column the placeholder (sidedColumns). A join read on neither
+// side is n rows of placeholders with no list at all, and only a join read on
+// both sides gathers (joinedBatch). Each kernel builds only the lists its
+// output reads through.
+func sidesRead(unread colSet, lw, n int) (left, right bool) {
+	for i := 0; i < n; i++ {
+		if !unread.has(i) {
+			if i >= lw {
+				return left, true
+			}
+			left = true
+		}
+	}
+	return left, false
+}
+
+// sidedColumns are the columns of a join output read on one side: the read
+// input's columns where they are read (its first at output position at) and
+// colbatch.Placeholder everywhere else, every column of it for a join read on
+// neither side. The set is kept with the input columns it was made for, so
+// that the outputs a kernel makes over one set of input columns share their
+// columns pointer for pointer: a drain, a Sort or a join above joins them
+// as views (colbatch.SharedColumns), with no copy.
+type sidedColumns struct {
+	src, cols []*colbatch.Column
+}
+
+// over returns the output columns, n of them, over src at output position at.
+func (s *sidedColumns) over(src []*colbatch.Column, at, n int, unread colSet) []*colbatch.Column {
+	if s.cols != nil && slices.Equal(s.src, src) {
+		return s.cols
+	}
+	cols := make([]*colbatch.Column, n)
+	for i := range cols {
+		cols[i] = colbatch.Placeholder()
+		if c := i - at; c >= 0 && c < len(src) && !unread.has(i) {
+			cols[i] = src[c]
+		}
+	}
+	s.src, s.cols = src, cols
+	return cols
 }
 
 // hashJoinTable is a hash join's hashed side (Build, or Probe under
@@ -1045,11 +1111,13 @@ type hashJoinTable struct {
 	hashed []*colbatch.Batch // the hashed input's batches, in order
 	// The output schema (build columns then probe columns), the streamed key
 	// compiled against the streamed batches' schema, the residual compiled
-	// against the output schema, and per-batch scratch.
+	// against the output schema, per-batch scratch (the match lists the
+	// output reads through) and the columns of an output read on one side.
 	schema, sschema *sqltypes.Schema
 	snode           vnode
 	residual        predicate
 	hIdx, sIdx      []int32
+	sided           sidedColumns
 	// offs stays nil when the hashed key did not compile or evaluate (or the
 	// hashed side outgrew 32-bit ids): the row kernel then decides every
 	// streamed batch, over hashedRel, the hashed side boxed.
@@ -1204,7 +1272,9 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 }
 
 // probeBatch is the columnar probe: candidates in streamed order, then the
-// residual filter over the gathered candidate batch.
+// residual filter over the output (sidesRead: the gathered pairs, or one
+// side's own columns through its match list, or placeholders). It keeps the
+// match list of a side only when the output reads that side.
 func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) {
 	if t.offs == nil {
 		return nil, fmt.Errorf("exec: hash join build side is not vectorized")
@@ -1222,12 +1292,27 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 		return nil, err
 	}
 	sops := classify(sres)
-	if t.hIdx == nil {
-		// Room for one match per row of the first streamed batch; later
-		// batches reuse what it grew to.
-		t.hIdx, t.sIdx = make([]int32, 0, in.Len()), make([]int32, 0, in.Len())
+	// The output's columns are the hashed side's, then the streamed side's,
+	// unless it builds right.
+	unread, width, lw := t.j.out.unread, len(t.rows.Cols)+len(in.Cols), len(t.rows.Cols)
+	hAt, sAt := 0, lw
+	if t.j.BuildRight {
+		lw = len(in.Cols)
+		hAt, sAt = lw, 0
 	}
-	offs, ids, hIdx, sIdx := t.offs, t.ids, t.hIdx[:0], t.sIdx[:0]
+	keepH, keepS := sidesRead(unread, lw, width)
+	if t.j.BuildRight {
+		keepH, keepS = keepS, keepH
+	}
+	// Room for one match per row of the first streamed batch; later batches
+	// reuse what it grew to.
+	if keepH && t.hIdx == nil {
+		t.hIdx = make([]int32, 0, in.Len())
+	}
+	if keepS && t.sIdx == nil {
+		t.sIdx = make([]int32, 0, in.Len())
+	}
+	offs, ids, hIdx, sIdx, n := t.offs, t.ids, t.hIdx[:0], t.sIdx[:0], 0
 	for i, sn := 0, in.Len(); i < sn; i++ {
 		if sres.isNull(i) {
 			continue
@@ -1236,29 +1321,51 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 		b := t.hashBucket(h)
 		for _, id := range ids[offs[b]:offs[b+1]] {
 			if t.paired(int(id), sres, &sops, i, h) {
-				hIdx, sIdx = append(hIdx, id), append(sIdx, int32(i))
+				if keepH {
+					hIdx = append(hIdx, id)
+				}
+				if keepS {
+					sIdx = append(sIdx, int32(i))
+				}
+				n++
 			}
 		}
-		if len(hIdx) > colbatch.MaxRows {
-			return nil, joinRows(len(hIdx))
+		if n > colbatch.MaxRows {
+			return nil, joinRows(n)
 		}
 	}
 	t.hIdx, t.sIdx = hIdx, sIdx
-	if t.j.BuildRight {
-		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.rows.Cols, physOf(&t.rows, hIdx), t.j.Residual, &t.residual, t.j.out.unread)
+	switch {
+	case keepH && keepS && t.j.BuildRight:
+		return joinedBatch(t.schema, in.Cols, physOf(in, sIdx), t.rows.Cols, physOf(&t.rows, hIdx), t.j.Residual, &t.residual, unread)
+	case keepH && keepS:
+		return joinedBatch(t.schema, t.rows.Cols, physOf(&t.rows, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, &t.residual, unread)
 	}
-	return joinedBatch(t.schema, t.rows.Cols, physOf(&t.rows, hIdx), in.Cols, physOf(in, sIdx), t.j.Residual, &t.residual, t.j.out.unread)
+	// The match lists are scratch, rewritten for the next streamed batch, so
+	// the output reads through a copy it owns.
+	var out *colbatch.Batch
+	switch {
+	case keepH:
+		out = colbatch.NewSelected(t.schema, t.sided.over(t.rows.Cols, hAt, width, unread), physOf(&t.rows, slices.Clone(hIdx)))
+	case keepS:
+		out = colbatch.NewSelected(t.schema, t.sided.over(in.Cols, sAt, width, unread), physOf(in, slices.Clone(sIdx)))
+	default:
+		out = colbatch.New(t.schema, t.sided.over(nil, 0, width, unread), n)
+	}
+	return residualOf(out, t.j.Residual, &t.residual)
 }
 
 // indexNLJoinBatch is the columnar index nested-loop join: the outer key
 // evaluates once over the whole outer batch, and every non-NULL key probes the
 // index by its hash (exactly the bucket LookupEq reads) — index and columns
 // read through one view of the inner table. A counting pass sizes the output
-// columns once, exactly; then windows of scanWindow joined rows are gathered
-// into them (the outer columns and the inner table's columns at the matched
-// positions), each filtered by the residual on its own, so no vector the
-// kernel builds grows with the outer side. It charges the row kernel's formula
-// over the same probe and fetch counts, before the caller yields a window.
+// once, exactly: the gathered columns of a join read on both sides
+// (gatheredWindows), or the one list of positions an output read on one side
+// reads that side's own columns through (sidesRead), or nothing for an output
+// read on neither. The output is cut into windows of scanWindow joined rows,
+// each filtered by the residual on its own. It charges the row kernel's
+// formula over the same probe and fetch counts, before the caller yields a
+// window.
 func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]colbatch.Batch, error) {
 	knode, err := compileExpr(j.OuterKey, outer.Schema)
 	if err != nil {
@@ -1287,11 +1394,59 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 	if err := joinRows(fetches); err != nil {
 		return nil, err
 	}
-	inner := v.Columns()
-	cols := colbatch.JoinedColumns(outer.Cols, inner, fetches, uint64(j.out.unread))
-	windows := colbatch.New(j.Schema(), cols, fetches).Windows(scanWindow)
+	inner, schema, unread := v.Columns(), j.Schema(), j.out.unread
+	width := len(outer.Cols) + len(inner)
+	var windows []colbatch.Batch
+	var sided sidedColumns
+	switch left, right := sidesRead(unread, len(outer.Cols), width); {
+	case left && right:
+		windows = gatheredWindows(schema, outer, kres, khs, iv, inner, fetches, unread)
+	case right:
+		// One list of every match's inner position, at its exact size.
+		iPos := make([]int32, 0, fetches)
+		for o, on := 0, outer.Len(); o < on; o++ {
+			if !kres.isNull(o) {
+				iPos = iv.AppendEqHash(iPos, khs[o], 0, iv.CountEqHash(khs[o]))
+			}
+		}
+		windows = colbatch.NewSelected(schema, sided.over(inner, len(outer.Cols), width, unread), iPos).Windows(scanWindow)
+	case left:
+		oIdx := make([]int32, 0, fetches)
+		for o, on := 0, outer.Len(); o < on; o++ {
+			if !kres.isNull(o) {
+				for p, n := int32(outer.Phys(o)), iv.CountEqHash(khs[o]); n > 0; n-- {
+					oIdx = append(oIdx, p)
+				}
+			}
+		}
+		windows = colbatch.NewSelected(schema, sided.over(outer.Cols, 0, width, unread), oIdx).Windows(scanWindow)
+	default:
+		windows = colbatch.New(schema, sided.over(nil, 0, width, unread), fetches).Windows(scanWindow)
+	}
+	if j.Residual != nil {
+		var residual predicate
+		for w := range windows {
+			sel, err := residual.selection(j.Residual, &windows[w])
+			if err != nil {
+				return nil, err
+			}
+			windows[w] = *windows[w].SelectOwned(sel)
+		}
+	}
+	ctx.read(v)
+	ctx.Res.Add(j.Charge(float64(iv.Len()), float64(probes), float64(fetches)))
+	return windows, nil
+}
+
+// gatheredWindows is the output of an index join read on both sides: its
+// columns allocated once at the fetches' count (colbatch.JoinedColumns), then
+// filled a window of scanWindow rows at a time (the outer columns and the
+// inner table's columns at the matched positions), so no match list the
+// kernel builds grows past a window.
+func gatheredWindows(schema *sqltypes.Schema, outer *colbatch.Batch, kres *vres, khs []uint64, iv storage.IndexView, inner []*colbatch.Column, fetches int, unread colSet) []colbatch.Batch {
+	cols := colbatch.JoinedColumns(outer.Cols, inner, fetches, uint64(unread))
+	windows := colbatch.New(schema, cols, fetches).Windows(scanWindow)
 	oIdx, iPos := make([]int32, 0, min(fetches, scanWindow)), make([]int32, 0, min(fetches, scanWindow))
-	var residual predicate
 	o, from := 0, 0 // the outer row being fetched and how many of its matches are out
 	for w := range windows {
 		oIdx, iPos = oIdx[:0], iPos[:0]
@@ -1312,17 +1467,8 @@ func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]co
 			}
 		}
 		colbatch.FillJoined(cols, w*scanWindow, outer.Cols, oIdx, inner, iPos)
-		if j.Residual != nil {
-			sel, err := residual.selection(j.Residual, &windows[w])
-			if err != nil {
-				return nil, err
-			}
-			windows[w] = *windows[w].SelectOwned(sel)
-		}
 	}
-	ctx.read(v)
-	ctx.Res.Add(j.Charge(float64(iv.Len()), float64(probes), float64(fetches)))
-	return windows, nil
+	return windows
 }
 
 // nestedLoopBlock bounds the candidate pairs the nested-loop kernel gathers
@@ -1332,18 +1478,101 @@ const nestedLoopBlock = 4096
 
 // nestedLoopBatch is the columnar nested-loop join: candidate pairs in the row
 // kernel's outer-major order, built a block of outer rows at a time, each
-// block filtered by the predicate over its gathered candidates; the pairs
-// that survive are gathered once into the output. The pairs are counted
-// against colbatch.MaxRows before the lists grow: the whole product up front
-// when there is no predicate, each block's survivors otherwise.
-func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch.Batch, error) {
-	schema := j.Schema()
+// block filtered by the predicate over its candidates. Read on both sides
+// (sidesRead), the surviving pairs are gathered once into one output
+// (nestedLoopGathered). Read on one side, each block's survivors are a window
+// over that side's own columns, its list the block's selection composed onto
+// the block's positions, and without a predicate the output is one list of the
+// whole product; read on neither, the survivors are counted. The pairs are
+// counted against colbatch.MaxRows before the lists grow: the whole product up
+// front when there is no predicate, each block's survivors otherwise.
+func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) ([]colbatch.Batch, error) {
+	schema, unread := j.Schema(), j.out.unread
 	on, in := outer.Len(), inner.Len()
 	if j.Pred == nil {
 		if err := joinRows(on * in); err != nil {
 			return nil, err
 		}
 	}
+	width := len(outer.Cols) + len(inner.Cols)
+	left, right := sidesRead(unread, len(outer.Cols), width)
+	if left && right {
+		out, err := nestedLoopGathered(j, schema, outer, inner)
+		if err != nil {
+			return nil, err
+		}
+		return []colbatch.Batch{*out}, nil
+	}
+	var src []*colbatch.Column // the read side's columns, at output position at
+	at := 0
+	switch {
+	case left:
+		src = outer.Cols
+	case right:
+		src, at = inner.Cols, len(outer.Cols)
+	}
+	var sided sidedColumns
+	cols, oneSide := sided.over(src, at, width, unread), src != nil
+	// list appends the read side's positions of the pairs of outer rows
+	// [lo, hi): an outer row's once per inner row, or every inner row's.
+	list := func(dst []int32, lo, hi int) []int32 {
+		for o := lo; o < hi; o++ {
+			for i := 0; i < in; i++ {
+				p := inner.Phys(i)
+				if left {
+					p = outer.Phys(o)
+				}
+				dst = append(dst, int32(p))
+			}
+		}
+		return dst
+	}
+	if j.Pred == nil {
+		if !oneSide {
+			return []colbatch.Batch{*colbatch.New(schema, cols, on*in)}, nil
+		}
+		return []colbatch.Batch{*colbatch.NewSelected(schema, cols, list(make([]int32, 0, on*in), 0, on))}, nil
+	}
+	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
+	var out []colbatch.Batch
+	var block []int32
+	if oneSide {
+		out, block = make([]colbatch.Batch, 0, (on+rows-1)/rows), make([]int32, 0, min(rows, on)*in)
+	}
+	var pred predicate
+	kept := 0
+	for lo := 0; lo < on; lo += rows {
+		hi := min(lo+rows, on)
+		var cand *colbatch.Batch
+		if oneSide {
+			block = list(block[:0], lo, hi)
+			cand = colbatch.NewSelected(schema, cols, block)
+		} else {
+			cand = colbatch.New(schema, cols, (hi-lo)*in)
+		}
+		sel, err := pred.selection(j.Pred, cand)
+		if err != nil {
+			return nil, err
+		}
+		if kept += len(sel); kept > colbatch.MaxRows {
+			return nil, joinRows(kept)
+		}
+		if oneSide && len(sel) > 0 {
+			out = append(out, *cand.SelectOwned(sel))
+		}
+	}
+	if len(out) == 0 {
+		return []colbatch.Batch{*colbatch.New(schema, cols, kept)}, nil
+	}
+	return out, nil
+}
+
+// nestedLoopGathered is the output of a nested-loop join read on both sides:
+// each block's candidates are gathered for the predicate, the survivors' pair
+// positions (the predicate's logical selection indexes the block's lists) are
+// kept, and the output is gathered once at the end.
+func nestedLoopGathered(j *NestedLoopJoin, schema *sqltypes.Schema, outer, inner *colbatch.Batch) (*colbatch.Batch, error) {
+	on, in := outer.Len(), inner.Len()
 	rows := max(1, nestedLoopBlock/max(1, in)) // outer rows per block
 	var oIdx, iIdx, bo, bi []int32
 	var pred predicate
@@ -1358,16 +1587,19 @@ func nestedLoopBatch(j *NestedLoopJoin, outer, inner *colbatch.Batch) (*colbatch
 			oIdx, iIdx = append(oIdx, bo...), append(iIdx, bi...)
 			continue
 		}
-		kept, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, j.Pred, &pred, j.out.unread)
+		cand, err := joinedBatch(schema, outer.Cols, bo, inner.Cols, bi, nil, nil, j.out.unread)
 		if err != nil {
 			return nil, err
 		}
-		if err := joinRows(len(oIdx) + kept.Len()); err != nil {
+		sel, err := pred.selection(j.Pred, cand)
+		if err != nil {
 			return nil, err
 		}
-		for k := 0; k < kept.Len(); k++ {
-			p := kept.Phys(k)
-			oIdx, iIdx = append(oIdx, bo[p]), append(iIdx, bi[p])
+		if err := joinRows(len(oIdx) + len(sel)); err != nil {
+			return nil, err
+		}
+		for _, k := range sel {
+			oIdx, iIdx = append(oIdx, bo[k]), append(iIdx, bi[k])
 		}
 	}
 	return joinedBatch(schema, outer.Cols, oIdx, inner.Cols, iIdx, nil, nil, j.out.unread)
