@@ -1,9 +1,14 @@
 // Reroute demonstrates the paper's §6 extension for long-running queries:
-// "periodically re-check the load and switch data sources if needed". A
-// plan compiled while the system was calm goes stale when its target server
-// crashes or overloads; with runtime rerouting enabled, the fragment
-// re-checks calibrated costs at dispatch time and moves — the stale plan
-// executes successfully without a recompile.
+// "periodically re-check the load and switch data sources if needed". Just
+// before a fragment dispatches, the router re-prices the fragment's compiled
+// menu (the servers the optimizer offered it) with QCC's current calibration,
+// running no Explain, and moves the fragment only when its server left the
+// menu (fenced, banned by a cost policy, or masked) or its cost left the
+// closeness band of the menu's cheapest. §4's rotation picks within that same
+// band, so the re-check never undoes a rotated pick that conditions still
+// support; it guards a plan whose calibration moved between compile and
+// dispatch. A down server no probe has fenced yet fails its dispatch, and the
+// retry's menu leaves it out.
 package main
 
 import (
@@ -23,11 +28,9 @@ func main() {
 		log.Fatal(err)
 	}
 	// Global rotation routes each query from the statement's rotation set,
-	// which follows QCC's published costs; between publishes a compiled
-	// plan can bind an overloaded server — the staleness the §6 extension
-	// guards against. The dispatch-time rescore re-checks every fragment.
-	// (QCCOptions{LoadBalance, LBCloseness, RuntimeReroute} sets the same
-	// policy at EnableQCC time.)
+	// which follows QCC's published costs, and the dispatch-time re-check
+	// prices every fragment's menu again. (QCCOptions{LoadBalance,
+	// LBCloseness, RuntimeReroute} sets the same policy at EnableQCC time.)
 	cal := fed.EnableQCC(fedqcc.QCCOptions{})
 	cal.SetRouting(fedqcc.LBGlobal, 1.0 /* rotate across all three replicas */, true)
 
@@ -51,8 +54,10 @@ func main() {
 
 	// The publish moves the ranking: another replica is now the winner and
 	// the band changed, so the statement's rotation set is re-derived and
-	// starts at the new winner. The overloaded server is still inside the
-	// band; the rescore moves the pick that lands on it at dispatch.
+	// starts at the new winner. The overloaded server still costs less than
+	// twice the winner, inside the band of closeness 1.0, so the rotation
+	// keeps it and the re-check, pricing the same menu with the same factors,
+	// agrees: no dispatch switches.
 	for i := 0; i < 3; i++ {
 		res, err = fed.Query(q)
 		if err != nil {
@@ -64,14 +69,15 @@ func main() {
 	st := cal.RoutingStats()
 	fmt.Printf("dispatch rescore: %d/%d dispatches switched\n", st.RescoreSwitches, st.RescoreChecks)
 
-	// Hard failure: the compiled target dies between compile and dispatch.
-	// The rescore saves the execution without a retry loop.
+	// Hard failure: a probe fences the target, which calibrates it to +Inf,
+	// so it leaves every menu: the query runs on a surviving replica without
+	// a retry.
 	h.SetDown(true)
 	cal.ProbeNow()
 	res, err = fed.Query(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s is down; dispatch-time switch ran the query on %s (retries: %d)\n",
+	fmt.Printf("\n%s is down and fenced; the query ran on %s (retries: %d)\n",
 		target, res.Route["QF1"], res.Retried)
 }

@@ -43,11 +43,10 @@ type Router interface {
 	ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalPlan, turn *Turn) *optimizer.GlobalPlan
 	// RerouteFragment is the paper's long-running-query extension
 	// ("periodically re-check the load and switch data sources if needed"):
-	// it is consulted immediately before each fragment dispatches, under the
-	// dispatch context, and may substitute a different (server, plan) choice
-	// when conditions changed since compilation. Nil keeps the compiled
-	// choice.
-	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice
+	// it is consulted immediately before each fragment of a plan with a menu
+	// dispatches, under the dispatch context, with the fragment's menu, and
+	// may substitute another choice from it. Nil keeps the compiled choice.
+	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice, menu []optimizer.FragmentChoice) *optimizer.FragmentChoice
 }
 
 // Turn is one statement's place in §4's round robin: the plans it rotates over
@@ -819,11 +818,10 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fctx.Err() != nil {
 				return
 			}
-			rerouted := false
-			if ii.router != nil {
-				if alt := ii.router.RerouteFragment(fctx, f); alt != nil {
+			compiled := f.ServerID
+			if ii.router != nil && len(gp.Options) == len(gp.Fragments) {
+				if alt := ii.router.RerouteFragment(fctx, f, gp.Options[i]); alt != nil {
 					f = *alt
-					rerouted = true
 				}
 			}
 			fspan := root.Child("fragment", telemetry.LayerMW, f.ServerID)
@@ -834,7 +832,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 				fspan.SetAttr("shard", fmt.Sprintf("%d", f.Spec.Shard.Index))
 				ii.tel.Active().Counter("shard.fragments", f.ServerID).Inc()
 			}
-			if rerouted {
+			if f.ServerID != compiled {
 				fspan.SetAttr("rerouted", "true")
 			}
 			// The meta-wrapper stamps the fragment's run entry from this scope

@@ -355,7 +355,7 @@ func (f routeFunc) ChooseGlobal(ctx context.Context, ranked []*optimizer.GlobalP
 	return f(ctx, ranked, turn)
 }
 
-func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice) *optimizer.FragmentChoice {
+func (routeFunc) RerouteFragment(context.Context, optimizer.FragmentChoice, []optimizer.FragmentChoice) *optimizer.FragmentChoice {
 	return nil
 }
 

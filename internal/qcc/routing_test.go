@@ -186,8 +186,8 @@ func TestRerouterDisabledIsInert(t *testing.T) {
 }
 
 func TestRerouterHysteresis(t *testing.T) {
-	// A calibrated cost difference below the 25% margin must NOT cause a
-	// switch (flapping protection): the compiled target learns a mild
+	// A calibrated cost difference inside the 20% closeness band must NOT
+	// cause a switch (flapping protection): the compiled target learns a mild
 	// slowdown, the others stay as estimated.
 	sc, q := buildRouted(t, scenario.Options{Latencies: map[string]float64{"S1": 10, "S2": 10, "S3": 10}, Uniform: true}, router.Policy{Rescore: true})
 	gp, err := sc.II.Compile(scanQuery)
@@ -202,15 +202,15 @@ func TestRerouterHysteresis(t *testing.T) {
 		}
 	}
 	q.PublishNow()
-	if f := q.Calib.ServerFactor(compiled); f <= 1 || f >= 1/(1-0.25) {
-		t.Fatalf("setup: %s's factor %v is not a mild slowdown inside the margin", compiled, f)
+	if f := q.Calib.ServerFactor(compiled); f <= 1 || f >= 1+router.DefaultCloseness {
+		t.Fatalf("setup: %s's factor %v is not a mild slowdown inside the band", compiled, f)
 	}
 	res, err := sc.II.Execute(gp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.ExecutedServers["QF1"] != compiled {
-		t.Fatal("mild degradation below the margin must not switch")
+		t.Fatal("mild degradation inside the band must not switch")
 	}
 	if st := q.Router.Stats(); st.RescoreChecks == 0 || st.RescoreSwitches != 0 {
 		t.Fatalf("stats: %+v", st)

@@ -8,9 +8,9 @@
 //	score = cpu·w1 + memory·w2 + cache_locality·w3 + latency·w4
 //
 // with every sub-score in [0,1], higher better. Both rules share one
-// dispatch-time rescore (§6's long-running-query extension), the counters
-// and the journal's decision entries. With the mode off, or one placement per fragment, the
-// winner comes back pointer-identical and no signal is consulted.
+// dispatch-time re-check of the menu (§6's long-running-query extension), the
+// counters and the journal's decision entries. With the mode off, or one
+// placement per fragment, the winner comes back pointer-identical.
 package router
 
 import (
@@ -24,6 +24,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
+	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 )
@@ -69,10 +70,6 @@ const (
 	DefaultCloseness = 0.2
 	// maxAlternatives caps a rotation set.
 	maxAlternatives = 4
-	// rescoreMargin is the share of the best score the compiled target may
-	// lack before the paper modes move a fragment at dispatch time: switching
-	// has plan-cache and estimate risk, so it takes a clear win.
-	rescoreMargin = 0.25
 )
 
 // QueuePressureGain is what one query waiting for admission adds to a
@@ -109,7 +106,7 @@ type Signals struct {
 type Policy struct {
 	// Mode selects the pick rule (default Off).
 	Mode Mode
-	// Closeness is the rotation modes' relative cost band (0: DefaultCloseness).
+	// Closeness is the latency-only modes' relative cost band (0: DefaultCloseness).
 	Closeness float64
 	// Rescore turns on the dispatch-time re-check (RerouteFragment).
 	Rescore bool
@@ -120,7 +117,7 @@ type Config struct {
 	Policy
 	// Signals supplies the scoring inputs.
 	Signals Signals
-	// MW re-explains a fragment's candidates at dispatch time.
+	// MW prices a fragment's menu at dispatch time.
 	MW *metawrapper.MetaWrapper
 	// Optimizer re-assembles the winner after Weighted swaps fragment
 	// choices, priced as enumeration prices them.
@@ -165,10 +162,8 @@ type Stats struct {
 // Router. mu guards stats and every integrator.Turn the Router is handed.
 type Router struct {
 	cfg Config
-	// weights and margin are the mode's score weighting and the dispatch
-	// rescore's switching threshold.
+	// weights is the mode's score weighting.
 	weights weights
-	margin  float64
 
 	mu    sync.Mutex
 	stats Stats
@@ -184,7 +179,6 @@ func New(cfg Config) *Router {
 	}
 	if cfg.Mode != Weighted {
 		r.weights = latencyOnly
-		r.margin = rescoreMargin
 	}
 	return r
 }
@@ -307,33 +301,56 @@ func (r *Router) exchangeable(ranked []*optimizer.GlobalPlan) []*optimizer.Globa
 }
 
 // candidate is one server's representative for a fragment — its cheapest
-// calibrated plan — with its score. The router chooses among SERVERS; within
-// a server it always keeps the cheapest plan, so a single-placement fragment
-// can never have its plan swapped.
+// calibrated plan — with its calibrated estimate and its score. The router
+// chooses among SERVERS; within a server it always keeps the cheapest plan,
+// so a single-placement fragment can never have its plan swapped.
 type candidate struct {
 	choice optimizer.FragmentChoice
+	est    remote.CostEstimate
 	score  Breakdown
 }
 
-// represent collapses a fragment's option list to per-server cheapest
+// pick is argmax's and the dispatch re-check's one decision over a fragment's
+// menu, priced as compiled or, with reprice, now: the scored per-server
+// representatives and the best's index (-1: none); nil for one server.
+func (r *Router) pick(sig string, menu []optimizer.FragmentChoice, reprice bool) ([]candidate, int) {
+	reps, minCost := r.represent(sig, menu, reprice)
+	if len(reps) <= 1 {
+		return nil, -1
+	}
+	return r.rank(sig, reps, minCost)
+}
+
+// represent collapses a fragment's menu to per-server cheapest
 // representatives in first-seen server order, and returns the minimum
 // calibrated cost for latency normalization.
-func represent(opts []optimizer.FragmentChoice) (reps []candidate, minCost float64) {
-	at := map[string]int{}
+func (r *Router) represent(sig string, menu []optimizer.FragmentChoice, reprice bool) (reps []candidate, minCost float64) {
 	minCost = math.Inf(1)
-	for _, opt := range opts {
-		cost := opt.Plan.Est.TotalMS
-		if i, ok := at[opt.ServerID]; !ok {
-			at[opt.ServerID] = len(reps)
-			reps = append(reps, candidate{choice: opt})
-		} else if cost < reps[i].choice.Plan.Est.TotalMS {
-			reps[i].choice = opt
+	for _, opt := range menu {
+		est := opt.Plan.Est
+		if reprice {
+			est = r.price(sig, opt)
 		}
-		if cost < minCost {
-			minCost = cost
+		if i := slices.IndexFunc(reps, func(c candidate) bool { return c.choice.ServerID == opt.ServerID }); i < 0 {
+			reps = append(reps, candidate{choice: opt, est: est})
+		} else if est.TotalMS < reps[i].est.TotalMS {
+			reps[i].choice, reps[i].est = opt, est
+		}
+		if est.TotalMS < minCost {
+			minCost = est.TotalMS
 		}
 	}
 	return reps, minCost
+}
+
+// price is a menu entry's estimate under the current calibration, through
+// the formula enumeration prices with: +Inf for a fenced, banned or masked server.
+func (r *Router) price(sig string, opt optimizer.FragmentChoice) remote.CostEstimate {
+	est := r.cfg.MW.CalibrateCandidate(opt.ServerID, sig, opt.RawEst, opt.CostKnown)
+	if r.cfg.MW.Masked(opt.ServerID) {
+		est.TotalMS = math.Inf(1)
+	}
+	return est
 }
 
 // rank scores a fragment's representatives. It returns the scorable ones
@@ -342,7 +359,7 @@ func represent(opts []optimizer.FragmentChoice) (reps []candidate, minCost float
 func (r *Router) rank(sig string, reps []candidate, minCost float64) ([]candidate, int) {
 	scored, best := reps[:0], -1
 	for _, c := range reps {
-		b, ok := r.score(c.choice.ServerID, sig, c.choice.Plan.Tables, c.choice.Plan.Est.TotalMS, minCost)
+		b, ok := r.score(c.choice.ServerID, sig, c.choice.Plan.Tables, c.est.TotalMS, minCost)
 		if !ok {
 			continue
 		}
@@ -426,11 +443,7 @@ func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 	var notes []Breakdown
 	for i, f := range winner.Fragments {
 		chosen[i] = f
-		reps, minCost := represent(winner.Options[i])
-		if len(reps) <= 1 {
-			continue
-		}
-		scored, best := r.rank(f.Spec.Sig, reps, minCost)
+		scored, best := r.pick(f.Spec.Sig, winner.Options[i], false)
 		if best < 0 {
 			continue
 		}
@@ -454,14 +467,17 @@ func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 }
 
 // RerouteFragment implements integrator.Router: just before a fragment
-// dispatches, re-explain it on every candidate server with CURRENT
-// calibration (a queued query's compile may be arbitrarily stale, and a
-// rotation turn keeps its plans until its set's routes change) and move it
-// when another server now scores better than the compiled one by the mode's
-// margin — unconditionally when the compiled one is fenced or gone.
-// Single-candidate fragments return nil without consulting anything.
-func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice) *optimizer.FragmentChoice {
-	if !r.cfg.Rescore || len(choice.Spec.Candidates) <= 1 {
+// dispatches, price its menu now, with no Explain, and move it to the best
+// score when its server left the menu (fenced, banned or masked), or under
+// Weighted scores worse than the best, or otherwise costs more than
+// (1+Closeness) times the cheapest. A server down but unprobed stays on the
+// menu: its dispatch fails, and the retry's menu omits it.
+func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice, menu []optimizer.FragmentChoice) *optimizer.FragmentChoice {
+	if !r.cfg.Rescore {
+		return nil
+	}
+	scored, best := r.pick(choice.Spec.Sig, menu, true)
+	if scored == nil {
 		return nil
 	}
 	r.mu.Lock()
@@ -469,33 +485,19 @@ func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentC
 	r.mu.Unlock()
 	reg := r.cfg.Telemetry.Active()
 	reg.Counter("qcc.reroute_checks", "").Inc()
-	var opts []optimizer.FragmentChoice
-	for _, serverID := range choice.Spec.Candidates {
-		cands, err := r.cfg.MW.ExplainKeyed(ctx, metawrapper.FragmentKey{ServerID: serverID, Signature: choice.Spec.Sig}, choice.Spec.Stmt, choice.Spec.SQL)
-		if err != nil {
-			continue
-		}
-		for _, c := range cands {
-			opts = append(opts, optimizer.FragmentChoice{
-				Spec:      choice.Spec,
-				ServerID:  serverID,
-				Plan:      c.Plan,
-				RawEst:    c.RawEst,
-				CostKnown: c.CostKnown,
-			})
-		}
-	}
-	reps, minCost := represent(opts)
-	scored, best := r.rank(choice.Spec.Sig, reps, minCost)
-	if best < 0 || scored[best].choice.ServerID == choice.ServerID {
+	if best < 0 {
 		return nil
 	}
 	pick := scored[best]
 	for _, c := range scored {
-		if c.choice.ServerID == choice.ServerID && c.score.Total > pick.score.Total*(1-r.margin) {
+		if c.choice.ServerID == choice.ServerID && (c.score.Total >= pick.score.Total ||
+			r.cfg.Mode != Weighted && c.est.TotalMS <= pick.est.TotalMS*(1+r.cfg.Closeness)) {
 			return nil
 		}
 	}
+	plan := *pick.choice.Plan
+	plan.Est = pick.est
+	pick.choice.Plan = &plan
 	r.mu.Lock()
 	r.stats.RescoreSwitches++
 	r.mu.Unlock()

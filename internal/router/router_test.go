@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,7 +17,6 @@ import (
 	"repro/internal/ring"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
-	"repro/internal/wrapper"
 )
 
 func choice(server string, totalMS float64) optimizer.FragmentChoice {
@@ -86,7 +86,7 @@ func TestRepresentKeepsCheapestPerServer(t *testing.T) {
 		choice("S1", 10), // cheaper S1 plan listed later
 		choice("S2", 40),
 	}
-	reps, minCost := represent(opts)
+	reps, minCost := testRouter(Policy{}).represent("sig", opts, false)
 	if len(reps) != 2 || reps[0].choice.ServerID != "S1" || reps[1].choice.ServerID != "S2" {
 		t.Fatalf("representatives = %+v, want S1 then S2 (first-seen)", reps)
 	}
@@ -170,7 +170,7 @@ func TestLatencyOnlyRankPicksTheCostWinner(t *testing.T) {
 			}
 			opts = append(opts, choice(fmt.Sprintf("S%d", 1+rng.IntN(5)), cost))
 		}
-		reps, minCost := represent(opts)
+		reps, minCost := r.represent("sig", opts, false)
 		want, wantCost := "", math.Inf(1)
 		for _, c := range reps {
 			if id, cost := c.choice.ServerID, c.choice.Plan.Est.TotalMS; id != "S3" && cost < wantCost {
@@ -188,26 +188,25 @@ func TestLatencyOnlyRankPicksTheCostWinner(t *testing.T) {
 	}
 }
 
-// TestNewDefaults: the paper's modes rank by calibrated cost alone and take
-// the 25% margin; Weighted scores with the Milvus weights and no margin.
+// TestNewDefaults: the paper's modes rank by calibrated cost alone;
+// Weighted scores with the Milvus weights. Every mode's band defaults to the
+// paper's 20%.
 func TestNewDefaults(t *testing.T) {
 	for _, tc := range []struct {
 		policy      Policy
 		wantWeights weights
-		wantMargin  float64
 	}{
-		{Policy{}, latencyOnly, rescoreMargin},
-		{Policy{Mode: Global}, latencyOnly, rescoreMargin},
-		{Policy{Mode: Fragment}, latencyOnly, rescoreMargin},
-		{Policy{Mode: Weighted}, milvusWeights, 0},
+		{Policy{}, latencyOnly},
+		{Policy{Mode: Global}, latencyOnly},
+		{Policy{Mode: Fragment}, latencyOnly},
+		{Policy{Mode: Weighted}, milvusWeights},
 	} {
 		r := New(Config{Policy: tc.policy})
-		if r.weights != tc.wantWeights || r.margin != tc.wantMargin {
-			t.Errorf("%+v resolved to weights %+v margin %v, want %+v and %v",
-				tc.policy, r.weights, r.margin, tc.wantWeights, tc.wantMargin)
+		if r.weights != tc.wantWeights {
+			t.Errorf("%+v resolved to weights %+v, want %+v", tc.policy, r.weights, tc.wantWeights)
 		}
-		if r.cfg.Closeness == 0 {
-			t.Errorf("%+v: closeness not defaulted", tc.policy)
+		if r.cfg.Closeness != DefaultCloseness {
+			t.Errorf("%+v: closeness %v, want the default %v", tc.policy, r.cfg.Closeness, DefaultCloseness)
 		}
 	}
 }
@@ -399,22 +398,38 @@ func TestTurnFollowsTheRanking(t *testing.T) {
 	})
 }
 
-// fixedCost is a wrapper whose Explain offers one plan at a fixed estimate.
-type fixedCost struct {
-	wrapper.Wrapper
-	id   string
-	cost float64
+// nowCosts is a calibrator that prices each server at a fixed current cost
+// (+Inf where a server is banned), whatever the menu was compiled at.
+type nowCosts map[string]float64
+
+func (c nowCosts) CalibrateFragment(key metawrapper.FragmentKey, est remote.CostEstimate, _ bool) remote.CostEstimate {
+	if cost, ok := c[key.ServerID]; ok {
+		est.TotalMS = cost
+	}
+	return est
 }
 
-func (w fixedCost) ServerID() string { return w.id }
-
-func (w fixedCost) Explain(*sqlparser.SelectStmt, string) ([]wrapper.Candidate, error) {
-	est := remote.CostEstimate{TotalMS: w.cost}
-	return []wrapper.Candidate{{Plan: &remote.Plan{ServerID: w.id, Est: est}, RawEst: est, CostKnown: true}}, nil
+// menuRouter builds a router whose meta-wrapper prices S1 and S2 at s1 and s2
+// now, with fenced fenced, and a fragment compiled for S1 from the menu
+// {S1, S2}, both costing 10 at compile time.
+func menuRouter(t *testing.T, p Policy, s1, s2 float64, fenced string) (*Router, optimizer.FragmentChoice, []optimizer.FragmentChoice) {
+	t.Helper()
+	mw := metawrapper.New()
+	mw.SetCalibrator(nowCosts{"S1": s1, "S2": s2})
+	r := New(Config{
+		Policy:  p,
+		Signals: Signals{IsFenced: func(id string) bool { return id == fenced }},
+		MW:      mw,
+		Clock:   simclock.New(),
+	})
+	winner := rankOver(t, choice("S1", 10), choice("S2", 10))[0]
+	return r, winner.Fragments[0], winner.Options[0]
 }
 
 // TestDispatchRescore covers the one dispatch-time re-check: the fragment
-// was compiled for S1; what S1 and S2 cost NOW decides.
+// was compiled for S1 from the menu {S1, S2}; what S1 and S2 cost NOW, priced
+// from that menu, decides. Every latency-only mode keeps a pick within
+// (1+Closeness) of the cheapest (the default band is 20%).
 func TestDispatchRescore(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -427,26 +442,25 @@ func TestDispatchRescore(t *testing.T) {
 	}{
 		{"disabled is inert", Policy{Mode: Global}, 10, 1, "", "", 0, 0},
 		{"still best keeps the choice", Policy{Rescore: true}, 10, 12, "", "", 1, 0},
-		{"a 20% win is inside the 25% margin", Policy{Rescore: true}, 10, 8, "", "", 1, 0},
+		{"a win inside the 20% band keeps the choice", Policy{Rescore: true}, 10, 8.5, "", "", 1, 0},
+		{"a 20% win leaves the 20% band", Policy{Rescore: true}, 10, 8, "", "S2", 1, 1},
 		{"a 30% win switches", Policy{Rescore: true}, 10, 7, "", "S2", 1, 1},
-		{"rotation modes share the margin", Policy{Mode: Fragment, Rescore: true}, 10, 8, "", "", 1, 0},
+		{"rotation modes share the band", Policy{Mode: Fragment, Rescore: true}, 10, 8, "", "S2", 1, 1},
+		{"a wider band keeps more", Policy{Mode: Global, Closeness: 1, Rescore: true}, 10, 5.5, "", "", 1, 0},
 		{"a fenced target switches unconditionally", Policy{Rescore: true}, 10, 50, "S1", "S2", 1, 1},
+		{"a banned target switches unconditionally", Policy{Rescore: true}, math.Inf(1), 50, "", "S2", 1, 1},
+		{"nothing left to move to keeps the choice", Policy{Rescore: true}, 10, math.Inf(1), "S1", "", 1, 0},
 		{"weighted switches on any better score", Policy{Mode: Weighted, Rescore: true}, 10, 9.5, "", "S2", 1, 1},
 		{"weighted keeps an equal score", Policy{Mode: Weighted, Rescore: true}, 10, 10, "", "", 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := New(Config{
-				Policy:  tc.policy,
-				Signals: Signals{IsFenced: func(id string) bool { return id == tc.fenced }},
-				MW:      metawrapper.New(fixedCost{id: "S1", cost: tc.s1}, fixedCost{id: "S2", cost: tc.s2}),
-				Clock:   simclock.New(),
-			})
-			compiled := choice("S1", 10)
-			compiled.Spec = rankOver(t, compiled)[0].Fragments[0].Spec
-			compiled.Spec.Candidates = []string{"S1", "S2"}
+			r, compiled, menu := menuRouter(t, tc.policy, tc.s1, tc.s2, tc.fenced)
 			got := ""
-			if alt := r.RerouteFragment(context.Background(), compiled); alt != nil {
+			if alt := r.RerouteFragment(context.Background(), compiled, menu); alt != nil {
 				got = alt.ServerID
+				if alt.Plan.Est.TotalMS != tc.s2 || alt.RawEst.TotalMS != 10 {
+					t.Errorf("moved choice carries estimate %v (raw %v), want the current %v (raw 10)", alt.Plan.Est.TotalMS, alt.RawEst.TotalMS, tc.s2)
+				}
 			}
 			if got != tc.want {
 				t.Errorf("rerouted to %q, want %q", got, tc.want)
@@ -456,18 +470,154 @@ func TestDispatchRescore(t *testing.T) {
 			}
 		})
 	}
+	t.Run("a masked target switches unconditionally", func(t *testing.T) {
+		r, compiled, menu := menuRouter(t, Policy{Rescore: true}, 10, 50, "")
+		r.cfg.MW.Mask("S1", true)
+		if alt := r.RerouteFragment(context.Background(), compiled, menu); alt == nil || alt.ServerID != "S2" {
+			t.Errorf("rerouted to %v, want S2", alt)
+		}
+	})
+	t.Run("a server off the menu is never a target", func(t *testing.T) {
+		// S3 (recovered since the compile, say) is now the cheapest, but the
+		// compile did not offer it.
+		r, compiled, menu := menuRouter(t, Policy{Rescore: true}, 10, 50, "S1")
+		r.cfg.MW.SetCalibrator(nowCosts{"S1": 10, "S2": 50, "S3": 1})
+		if alt := r.RerouteFragment(context.Background(), compiled, menu); alt == nil || alt.ServerID != "S2" {
+			t.Errorf("rerouted to %v, want S2, the menu's one other server", alt)
+		}
+	})
 }
 
+// TestRerouteFragmentSingleCandidateNoop: a menu offering one server (two
+// plans on it here) and an empty menu keep their pick and count no check.
 func TestRerouteFragmentSingleCandidateNoop(t *testing.T) {
-	r := New(Config{Policy: Policy{Mode: Weighted, Rescore: true}})
-	c := choice("S1", 10)
-	c.Spec = &optimizer.FragmentSpec{ID: "f1", Candidates: []string{"S1"}}
-	if got := r.RerouteFragment(context.Background(), c); got != nil {
-		t.Error("single-candidate fragment was rerouted")
+	r := New(Config{Policy: Policy{Mode: Weighted, Rescore: true}, MW: metawrapper.New()})
+	one := rankOver(t, sigChoice("S1", "scan", 10), sigChoice("S1", "index", 5))[0]
+	if got := r.RerouteFragment(context.Background(), one.Fragments[0], one.Options[0]); got != nil {
+		t.Error("single-server fragment was rerouted")
+	}
+	if got := r.RerouteFragment(context.Background(), one.Fragments[0], nil); got != nil {
+		t.Error("a fragment with an empty menu was rerouted")
 	}
 	if r.Stats().RescoreChecks != 0 {
-		t.Error("single-candidate fragment counted as a rescore check")
+		t.Error("single-server fragment counted as a rescore check")
 	}
+}
+
+// FuzzDispatchRecheck drives the dispatch re-check over random menus of one
+// to four servers, each with a random current cost, fenced (QCC prices it at
+// +Inf, as it does), masked or banned (+Inf), under a random mode, band and
+// compiled pick, and checks the decision against the rules stated directly:
+// the fragment runs on the menu, on an available server whenever one is; a
+// latency-only mode keeps a pick inside the band and otherwise moves to the
+// cheapest; Weighted runs on the best score.
+func FuzzDispatchRecheck(f *testing.F) {
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), uint64(0x0020_0028), uint16(0), uint32(0))
+	f.Add(uint8(3), uint8(2), uint8(50), uint8(1), uint64(0x0010_0020_0030), uint16(0o010), uint32(0x40_00_20))
+	f.Add(uint8(4), uint8(3), uint8(0), uint8(3), uint64(0x0001_0002_0003_0004), uint16(0o4210), uint32(0x10_20_30_40))
+	f.Add(uint8(4), uint8(1), uint8(10), uint8(2), uint64(0x003f_003f_0000_0011), uint16(0o0007), uint32(0))
+	f.Fuzz(func(t *testing.T, servers, mode, closeness, pick uint8, costs uint64, flags uint16, factors uint32) {
+		n := 1 + int(servers%4)
+		type server struct {
+			id                    string
+			cost, factor          float64
+			fenced, masked, unset bool
+		}
+		srv := make([]server, n)
+		now := nowCosts{}
+		mw := metawrapper.New()
+		var opts []optimizer.FragmentChoice
+		for i := range srv {
+			s := &srv[i]
+			s.id = fmt.Sprintf("S%d", i+1)
+			s.cost = float64(1+(costs>>(16*i))%64) / 4
+			s.factor = 1 + float64(uint8(factors>>(8*i)))/64
+			bits := flags >> (3 * i)
+			s.fenced, s.masked, s.unset = bits&1 != 0, bits&2 != 0, bits&4 != 0
+			now[s.id] = s.cost
+			if s.fenced || s.unset {
+				now[s.id] = math.Inf(1)
+			}
+			mw.Mask(s.id, s.masked)
+			opts = append(opts, choice(s.id, 10))
+		}
+		mw.SetCalibrator(now)
+		byID := func(id string) *server { return &srv[id[1]-'1'] }
+		available := func(s *server) bool { return !s.fenced && !s.masked && !s.unset }
+		p := Policy{Mode: Mode(mode % 4), Closeness: float64(closeness) / 50, Rescore: true}
+		r := New(Config{
+			Policy: p,
+			Signals: Signals{
+				IsFenced:       func(id string) bool { return byID(id).fenced },
+				FragmentFactor: func(id, _ string) float64 { return byID(id).factor },
+			},
+			MW:    mw,
+			Clock: simclock.New(),
+		})
+		winner := rankOver(t, opts...)[0]
+		menu := winner.Options[0]
+		compiled := menu[int(pick)%len(menu)]
+
+		minCost, anyUp := math.Inf(1), false
+		for i := range srv {
+			if available(&srv[i]) {
+				anyUp, minCost = true, min(minCost, srv[i].cost)
+			}
+		}
+		scoreOf := func(s *server) float64 {
+			b, _ := r.score(s.id, "sig", nil, s.cost, minCost)
+			return b.Total
+		}
+
+		alt := r.RerouteFragment(context.Background(), compiled, menu)
+		ran := byID(compiled.ServerID)
+		if alt != nil {
+			ran = byID(alt.ServerID)
+			if alt.ServerID == compiled.ServerID {
+				t.Fatalf("a move to the compiled server %s", alt.ServerID)
+			}
+			if alt.Plan.Est.TotalMS != ran.cost || alt.RawEst.TotalMS != 10 {
+				t.Fatalf("the move to %s carries estimate %v (raw %v), want %v (raw 10)", alt.ServerID, alt.Plan.Est.TotalMS, alt.RawEst.TotalMS, ran.cost)
+			}
+		}
+		if !slices.ContainsFunc(menu, func(c optimizer.FragmentChoice) bool { return c.ServerID == ran.id }) {
+			t.Fatalf("ran on %s, off the menu", ran.id)
+		}
+		if wantChecks := int64(min(n-1, 1)); r.Stats().RescoreChecks != wantChecks {
+			t.Fatalf("%d checks on a %d-server menu, want %d", r.Stats().RescoreChecks, n, wantChecks)
+		}
+		if n == 1 || !anyUp {
+			if alt != nil {
+				t.Fatalf("moved to %s with nothing to choose from", alt.ServerID)
+			}
+			return
+		}
+		if !available(ran) {
+			t.Fatalf("ran on %s (%+v) while a server was available", ran.id, *ran)
+		}
+		if p.Mode == Weighted {
+			best := math.Inf(-1)
+			for i := range srv {
+				if available(&srv[i]) {
+					best = max(best, scoreOf(&srv[i]))
+				}
+			}
+			if got := scoreOf(ran); got != best {
+				t.Fatalf("weighted ran on %s scoring %v, best %v", ran.id, got, best)
+			}
+			return
+		}
+		band := minCost * (1 + r.cfg.Closeness)
+		if available(byID(compiled.ServerID)) && byID(compiled.ServerID).cost <= band {
+			if alt != nil {
+				t.Fatalf("%s moved an in-band pick %s (%v, band %v) to %s", p.Mode, compiled.ServerID, byID(compiled.ServerID).cost, band, alt.ServerID)
+			}
+			return
+		}
+		if alt == nil || ran.cost != minCost {
+			t.Fatalf("%s kept or moved an out-of-band pick %s to %s (%v), want the cheapest (%v)", p.Mode, compiled.ServerID, ran.id, ran.cost, minCost)
+		}
+	})
 }
 
 // TestDecisionLogRing: the router's decisions land in the journal it was

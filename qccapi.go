@@ -55,9 +55,12 @@ type QCCOptions struct {
 	LoadBalance LBMode
 	// LBCloseness is the §4 closeness band (default 0.2 = "within 20%").
 	LBCloseness float64
-	// RuntimeReroute enables the long-running-query extension: fragments
-	// re-check calibrated costs immediately before dispatch and switch
-	// sources when conditions changed since compilation.
+	// RuntimeReroute enables the long-running-query extension: immediately
+	// before dispatch, each fragment's compiled menu is priced again with the
+	// current calibration (no remote explain), and the fragment moves when
+	// its server left the menu (fenced, banned or masked) or its cost left
+	// the LBCloseness band of the cheapest; under LBWeighted, when another
+	// server now scores strictly better.
 	RuntimeReroute bool
 	// DisableDaemons skips scheduling the probe/recalibration daemons; the
 	// caller then drives Calibrator.PublishNow/ProbeNow manually.

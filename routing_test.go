@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -154,6 +155,185 @@ func TestLatencyOnlyRescoreKeepsTheCostWinner(t *testing.T) {
 	}
 	if st := rCal.RoutingStats(); st.RescoreChecks == 0 || st.RescoreSwitches != 0 {
 		t.Fatalf("routing stats %+v: want fragments re-checked and none moved", st)
+	}
+}
+
+// TestDispatchRecheckHonoursRetryExclusion: a fragment failure excludes its
+// server from the query's retries, whose menus omit it, so the dispatch
+// re-check can never move a retry back onto it. The query needs exactly the
+// retries it needs with the re-check off.
+func TestDispatchRecheckHonoursRetryExclusion(t *testing.T) {
+	const sql = "SELECT SUM(o.o_amount) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.02"
+	for _, tc := range []struct {
+		mode      fedqcc.LBMode
+		closeness float64
+	}{{fedqcc.LBOff, 0}, {fedqcc.LBGlobal, 1}} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			run := func(rescore bool) int {
+				fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 50})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+				cal.SetRouting(tc.mode, tc.closeness, rescore)
+				// Twenty clean runs cache the statement and keep the reliability
+				// penalty of one failure small.
+				for i := 0; i < 20; i++ {
+					if _, err := fed.Query(sql); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Every replica but the one whose cheapest plan ranks last fails
+				// its next three dispatches.
+				plans, err := fed.EnumeratePlans(sql, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var replicas []string
+				for _, p := range plans {
+					if !slices.Contains(replicas, p.Route["QF1"]) {
+						replicas = append(replicas, p.Route["QF1"])
+					}
+				}
+				for _, id := range replicas[:len(replicas)-1] {
+					h, err := fed.Server(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					h.InjectFailures(3)
+				}
+				res, err := fed.Query(sql)
+				if err != nil {
+					t.Fatalf("rescore %v: %v", rescore, err)
+				}
+				rec, ok := fed.QueryRecord(res.ID)
+				if !ok {
+					t.Fatalf("no record for query %d", res.ID)
+				}
+				failed := map[string]int{}
+				for _, e := range rec.Errors {
+					if failed[e.ServerID]++; failed[e.ServerID] > 1 {
+						t.Errorf("rescore %v: a retry dispatched to %s, which the query had excluded: errors %+v", rescore, e.ServerID, rec.Errors)
+					}
+				}
+				for _, run := range rec.Runs {
+					if failed[run.ServerID] > 0 {
+						t.Errorf("rescore %v: fragment %s ran on %s, which the query had excluded", rescore, run.FragID, run.ServerID)
+					}
+				}
+				if len(rec.Errors) != res.Retried {
+					t.Errorf("rescore %v: %d errors for %d retries", rescore, len(rec.Errors), res.Retried)
+				}
+				return res.Retried
+			}
+			off, on := run(false), run(true)
+			if off == 0 || on != off {
+				t.Errorf("retried %d with the re-check on, %d with it off: want the same, at least 1", on, off)
+			}
+		})
+	}
+}
+
+// TestDispatchRecheckRunsNoExplain: the dispatch re-check prices the compiled
+// menu, so a warm query (its statement cached) runs no remote explain, adds
+// no candidate to its journal record and no compile to QCC's count.
+func TestDispatchRecheckRunsNoExplain(t *testing.T) {
+	fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := fed.EnableTelemetry()
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, RuntimeReroute: true})
+	queries := []string{
+		"SELECT COUNT(*) FROM orders AS o WHERE o.o_amount > 100",
+		"SELECT COUNT(*) FROM customer AS c WHERE c.c_discount > 0.05",
+		"SELECT SUM(o.o_amount) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.01",
+	}
+	explains := func() (n int64) {
+		for _, m := range tel.Metrics().Snapshot() {
+			if m.Name == "mw.explains" {
+				n += int64(m.Value)
+			}
+		}
+		return n
+	}
+	for _, sql := range queries { // cold: each statement compiles once
+		if _, err := fed.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explained, compiles := explains(), cal.StatsSnapshot().Compiles
+	if explained == 0 || compiles == 0 {
+		t.Fatalf("cold compiles ran %d explains, QCC counted %d compiles: the counters read nothing", explained, compiles)
+	}
+	for round := 0; round < 10; round++ {
+		for _, sql := range queries {
+			res, err := fed.Query(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, ok := fed.QueryRecord(res.ID)
+			if !ok {
+				t.Fatalf("no record for query %d", res.ID)
+			}
+			if len(rec.Candidates) != 0 {
+				t.Fatalf("round %d %q: the warm query recorded %d candidates, want 0", round, sql, len(rec.Candidates))
+			}
+		}
+		cal.PublishNow()
+	}
+	if got := explains() - explained; got != 0 {
+		t.Errorf("warm queries ran %d remote explains, want 0", got)
+	}
+	if got := cal.StatsSnapshot().Compiles - compiles; got != 0 {
+		t.Errorf("warm queries added %d compiles to QCC's count, want 0", got)
+	}
+	if st := cal.RoutingStats(); st.RescoreChecks == 0 {
+		t.Errorf("routing stats %+v: no fragment was re-checked", st)
+	}
+}
+
+// TestDispatchRecheckKeepsRotatedPicks: on calm servers the dispatch re-check
+// agrees with the rotation's band, so every query the rotation moved off the
+// winner runs where it was picked, and Rotations counts exactly those.
+func TestDispatchRecheckKeepsRotatedPicks(t *testing.T) {
+	const sql = "SELECT SUM(o.o_amount) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id WHERE c.c_discount > 0.02"
+	fed, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
+	cal.SetRouting(fedqcc.LBGlobal, 1.0, true)
+	rotated := int64(0)
+	for i := 0; i < 12; i++ {
+		res, err := fed.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := fed.QueryRecord(res.ID)
+		if !ok {
+			t.Fatalf("no record for query %d", res.ID)
+		}
+		var route []string
+		for frag, server := range res.Route {
+			route = append(route, frag+"@"+server)
+		}
+		sort.Strings(route)
+		for _, d := range rec.Decisions {
+			if !strings.Contains(d.Reason, "rotated off winner") {
+				continue
+			}
+			rotated++
+			if ran := strings.Join(route, "+"); d.Route != ran {
+				t.Errorf("query %d was rotated to %s but ran %s (decisions %+v)", i, d.Route, ran, rec.Decisions)
+			}
+		}
+	}
+	if rotated == 0 {
+		t.Fatal("no query rotated off the winner: the band holds one route")
+	}
+	if st := cal.RoutingStats(); st.Rotations != rotated || st.RescoreSwitches != 0 {
+		t.Errorf("routing stats %+v: want %d rotations, the rotated queries, and no switch", st, rotated)
 	}
 }
 
