@@ -492,7 +492,8 @@ func (f *Federation) RouteDecisions(n int) []RouteDecision { return f.ii.Journal
 // submit/complete entry, every candidate its compilation explained and the
 // winner chosen (one per compilation, so more than one after a retry), the
 // route decisions, the fragment runs with estimate beside observation, the
-// errors, and — when telemetry was on — its trace.
+// errors, the II merge (for a plan with merge work) and — when telemetry was
+// on — its trace.
 type QueryRecord struct {
 	journal.Record
 	// Trace is the query's span tree; nil when telemetry was off or the

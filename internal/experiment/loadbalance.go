@@ -111,8 +111,6 @@ type WeightedOutcome struct {
 	// UtilRatio is max/min per-server executions (+Inf when a server idles;
 	// 1.0 = perfectly even).
 	UtilRatio float64
-	// Switched counts dispatch-time replica switches (weighted policy only).
-	Switched int64
 }
 
 // weightedBurstQueries is the hotspot mix: four recurring scan-heavy shapes,
@@ -143,7 +141,7 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 	build := scenario.ReplicatedFederations(scenario.ReplicatedOptions{Scale: opts.Scale, Seed: opts.Seed})
 	var out []WeightedOutcome
 	for _, arm := range weightedArms {
-		m, q, err := runWeightedBurst(build, arm.routing, burst, nil)
+		m, err := runWeightedBurst(build, arm.routing, burst, nil)
 		if err != nil {
 			return nil, fmt.Errorf("weighted study %s: %w", arm.policy, err)
 		}
@@ -158,7 +156,6 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 			ServersUsed: used,
 			MaxShare:    maxShare,
 			UtilRatio:   ratio,
-			Switched:    q.Router.Stats().RescoreSwitches,
 		})
 	}
 	return out, nil
@@ -166,10 +163,10 @@ func WeightedRoutingStudy(opts Options, burst int) ([]WeightedOutcome, error) {
 
 // runWeightedBurst runs the hotspot burst under one routing policy on a fresh
 // federation, checking rows against o when it is set.
-func runWeightedBurst(build func() (*scenario.Scenario, error), routing router.Policy, burst int, o *oracle) (*meter, *qcc.QCC, error) {
+func runWeightedBurst(build func() (*scenario.Scenario, error), routing router.Policy, burst int, o *oracle) (*meter, error) {
 	sc, err := build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
@@ -182,13 +179,13 @@ func runWeightedBurst(build func() (*scenario.Scenario, error), routing router.P
 		sql := weightedBurstQueries[i%len(weightedBurstQueries)]
 		res, err := sc.II.Query(sql)
 		if err := m.add(sql, res, err); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Both arms publish every query: calibration freshness is identical,
 		// only the routing policy differs.
 		q.PublishNow()
 	}
-	return m, q, nil
+	return m, nil
 }
 
 // spread summarizes per-server execution counts: how many servers executed
@@ -217,14 +214,14 @@ func spread(execs map[string]int64) (used int, maxShare, ratio float64) {
 // FormatWeightedRoutingStudy renders the replica-routing comparison.
 func FormatWeightedRoutingStudy(outcomes []WeightedOutcome) string {
 	out := "Weighted replica routing — hotspot burst over fully replicated tables\n"
-	out += "  policy        avg(ms)   p50(ms)   p95(ms)   p99(ms)  servers  max share  util ratio  switched\n"
+	out += "  policy        avg(ms)   p50(ms)   p95(ms)   p99(ms)  servers  max share  util ratio\n"
 	for _, o := range outcomes {
 		ratio := fmt.Sprintf("%.2f", o.UtilRatio)
 		if math.IsInf(o.UtilRatio, 1) {
 			ratio = "inf"
 		}
-		out += fmt.Sprintf("  %-11s %9.1f %9.1f %9.1f %9.1f  %7d  %8.0f%%  %10s  %8d\n",
-			o.Policy, o.AvgMS, o.P50MS, o.P95MS, o.P99MS, o.ServersUsed, o.MaxShare*100, ratio, o.Switched)
+		out += fmt.Sprintf("  %-11s %9.1f %9.1f %9.1f %9.1f  %7d  %8.0f%%  %10s\n",
+			o.Policy, o.AvgMS, o.P50MS, o.P95MS, o.P99MS, o.ServersUsed, o.MaxShare*100, ratio)
 	}
 	return out
 }

@@ -176,7 +176,7 @@ func (m *meter) add(sql string, res *integrator.QueryResult, err error) error {
 		return fmt.Errorf("%s: query %d has no journal record", sql, res.ID)
 	}
 	for _, run := range rec.Runs {
-		m.bytes += run.OutBytes
+		m.bytes += int(run.OutBytes)
 	}
 	m.frags += len(rec.Runs)
 	m.rows += len(res.Rel.Rows)
@@ -378,7 +378,7 @@ var weightedArms = []struct {
 	routing router.Policy
 }{
 	{"round-robin", router.Policy{Mode: router.Global}},
-	{"weighted", router.Policy{Mode: router.Weighted, Rescore: true}},
+	{"weighted", router.Policy{Mode: router.Weighted}},
 }
 
 // weightedProbe is the hotspot study at scale 20 (5 000-row hot tables) with
@@ -392,7 +392,7 @@ func weightedProbe(name string) ([]ProbeRow, error) {
 	build := scenario.ReplicatedFederations(scenario.ReplicatedOptions{Scale: scale, Seed: 42})
 	var out []ProbeRow
 	for _, arm := range weightedArms {
-		m, _, err := runWeightedBurst(build, arm.routing, burst, o)
+		m, err := runWeightedBurst(build, arm.routing, burst, o)
 		if err != nil {
 			return nil, err
 		}

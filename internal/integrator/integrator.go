@@ -58,13 +58,6 @@ type Turn struct {
 	Next  int
 }
 
-// IIMergeObserver receives (estimated, observed) pairs for II-side merge
-// work; QCC uses them to maintain the workload cost calibration factor
-// (§3.2). Nil is allowed.
-type IIMergeObserver interface {
-	ObserveIIMerge(estMS float64, observed simclock.Time)
-}
-
 // Config wires an II instance.
 type Config struct {
 	Catalog *catalog.Catalog
@@ -85,15 +78,13 @@ const Retries = 2
 // overlaps.
 const DefaultBatchRows = 256
 
-// II is the information integrator. Its hooks (router, merge observer,
-// telemetry, admission and, in the optimizer, the II calibrator) are set only
-// through their setters, and each may be nil.
+// II is the information integrator. Its hooks (router, telemetry, admission
+// and, in the optimizer, the II calibrator) are set only through their
+// setters, and each may be nil; what it observes goes to the journal.
 type II struct {
 	cfg Config
 	// router is the route policy.
 	router Router
-	// mergeObs receives II merge observations.
-	mergeObs IIMergeObserver
 	// tel is the observability subsystem (nil or disabled is a no-op).
 	tel *telemetry.Telemetry
 	// adm gates every query between compilation and execution: the compiled
@@ -178,9 +169,6 @@ func (ii *II) SetRouter(r Router) {
 	ii.router = r
 	ii.ClearPlanCache()
 }
-
-// SetMergeObserver installs the II merge observer (QCC's §3.2 input).
-func (ii *II) SetMergeObserver(o IIMergeObserver) { ii.mergeObs = o }
 
 // SetIICalibrator installs the II workload calibrator used when costing
 // merge work during optimization.
@@ -809,7 +797,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			cancel()
 		})
 	}
-	for i, f := range gp.Fragments {
+	for i := range gp.Fragments {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -818,6 +806,9 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			if fctx.Err() != nil {
 				return
 			}
+			// A copy of its own: a reroute replaces it (on the stack, where a
+			// reassigned loop variable would be moved to the heap).
+			f := gp.Fragments[i]
 			compiled := f.ServerID
 			if ii.router != nil && len(gp.Options) == len(gp.Fragments) {
 				if alt := ii.router.RerouteFragment(fctx, f, gp.Options[i]); alt != nil {
@@ -914,8 +905,8 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 			msp.SetAttr("blocking", blocking)
 		}
 	}
-	if ii.mergeObs != nil {
-		ii.mergeObs.ObserveIIMerge(gp.MergeEstMS, mergeTime)
+	if gp.MergeEstMS > 0 {
+		ii.Journal().AddMerge(journal.Merge{QueryID: queryID, CalibratedEstMS: gp.MergeEstMS, ObservedMS: float64(mergeTime)})
 	}
 	return &QueryResult{
 		Rel:             rel,

@@ -294,33 +294,36 @@ func TestQueryBadSQL(t *testing.T) {
 	}
 }
 
-type fixedMergeObs struct {
-	est []float64
-	obs []simclock.Time
-}
-
-func (f *fixedMergeObs) ObserveIIMerge(estMS float64, observed simclock.Time) {
-	f.est = append(f.est, estMS)
-	f.obs = append(f.obs, observed)
-}
-
+// TestMergeObserverReceivesPairs: a cross-source join's II merge reaches the
+// journal once, on the query's record, carrying the plan's merge estimate
+// and the observed merge time bit for bit.
 func TestMergeObserverReceivesPairs(t *testing.T) {
 	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild II with the observer attached is invasive; instead go through
-	// the public route: scenario does not expose config, so verify via a
-	// fresh integrator is overkill here — the qcc package tests the real
-	// wiring. Here we just ensure cross-source queries produce merge times.
 	res, err := sc.II.Query("SELECT COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MergeTime <= 0 {
-		t.Fatal("merge time")
+	if res.MergeTime <= 0 || res.Plan.MergeEstMS <= 0 {
+		t.Fatalf("merge time %v, merge estimate %v: want a plan with merge work", res.MergeTime, res.Plan.MergeEstMS)
 	}
-	_ = fixedMergeObs{}
+	rec, ok := sc.II.Journal().Record(res.ID)
+	if !ok || len(rec.Merges) != 1 {
+		t.Fatalf("record %d carries merges %+v", res.ID, rec.Merges)
+	}
+	if m := rec.Merges[0]; m.QueryID != res.ID || m.CalibratedEstMS != res.Plan.MergeEstMS || m.ObservedMS != float64(res.MergeTime) {
+		t.Fatalf("merge entry %+v, want estimate %v and observed %v", m, res.Plan.MergeEstMS, res.MergeTime)
+	}
+	// A single-fragment plan has no merge work and records no merge.
+	single, err := sc.II.Query("SELECT o.o_id FROM orders AS o WHERE o.o_amount > 9000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, _ := sc.II.Journal().Record(single.ID); single.Plan.MergeEstMS != 0 || len(rec.Merges) != 0 {
+		t.Fatalf("merge estimate %v, merges %+v: want a plan without merge work and no entry", single.Plan.MergeEstMS, rec.Merges)
+	}
 }
 
 func TestRouterOverridesWinner(t *testing.T) {

@@ -3,13 +3,15 @@
 // Patroller's submit/complete log (§1), the meta-wrapper's compile-time items
 // (a)–(d) and run-time item (e) (§2), and the explain table holding each
 // compilation's winner (§1, runtime step 1) — and this tree adds the route
-// policy's decisions. Here they are entry kinds of one Journal, each a bounded
-// sequence on package ring, all keyed by the query's ID: II.QueryContext opens
-// the query entry, the ID rides the context (Scope), and every entry the
-// meta-wrapper, the router and the integrator append carries it, so
-// Record(id) joins a query's estimates to what was observed. Work outside a
-// query — daemon probes, explain-mode compiles, direct meta-wrapper calls — is
-// recorded under ID 0.
+// policy's decisions, the availability probes and the II merges. Here they
+// are entry kinds of one Journal, each a bounded sequence on package ring,
+// all keyed by the query's ID: II.QueryContext opens the query entry, the ID
+// rides the context (Scope), and every entry the meta-wrapper, the router and
+// the integrator append carries it, so Record(id) joins a query's estimates
+// to what was observed. Work outside a query — explain-mode compiles, direct
+// meta-wrapper calls — is recorded under ID 0; probes carry no ID. The
+// journal is QCC's only input: its one Subscriber is handed every run, error,
+// probe and merge as it is written.
 //
 // Entries hold text and numbers only: nothing here points into a compilation
 // (the package imports neither optimizer, integrator nor remote), so a
@@ -108,18 +110,81 @@ type Run struct {
 	// EstMS is the compile-time (uncalibrated) estimate of the executed plan,
 	// ObservedMS the wrapper-visible response time.
 	EstMS, ObservedMS float64
-	// OutBytes is the result volume actually shipped.
-	OutBytes int
-	// Ship says how the result crossed the wire: "row-ship", "col-ship",
-	// "pushdown" or "pushdown-col" (the meta-wrapper's shipModes).
-	Ship string
+	// FirstTupleEstMS is the same estimate's time to first tuple, FirstRowMS
+	// the wrapper-visible time to first row: zero when the fragment shipped
+	// monolithically (no separate first-row observation).
+	FirstTupleEstMS, FirstRowMS float64
+	// OutBytes is the result volume actually shipped: four bytes, so Ship
+	// shares its word (a fragment's result is far below 2 GiB).
+	OutBytes int32
+	Ship     Ship
 }
 
-// Error is one failed interaction with a source.
+// Ship is how a fragment's result crossed the wire.
+type Ship uint8
+
+const (
+	RowShip     Ship = iota // boxed rows of the full (or ship-all-rows baseline) result
+	ColShip                 // typed column batches of the same rows
+	Pushdown                // partial-aggregate states as boxed rows
+	PushdownCol             // partial-aggregate states as typed column batches
+)
+
+// ShipMode is the mode of a shipment of partial-aggregate states or of rows,
+// over the columnar wire or not.
+func ShipMode(pushdown, columnar bool) (s Ship) {
+	if columnar {
+		s = ColShip
+	}
+	if pushdown {
+		s += Pushdown
+	}
+	return s
+}
+
+func (s Ship) String() string {
+	return [...]string{"row-ship", "col-ship", "pushdown", "pushdown-col"}[s]
+}
+
+// Error is one failed interaction with a source: an explain or a shipment.
 type Error struct {
+	// Seq numbers the source observations (runs, errors, probes) from 1 in
+	// the order written and handed to the subscriber. A run holds the next
+	// number no error or probe holds, so the logs interleave back into it.
+	Seq      int64
 	QueryID  int64
 	ServerID string
 	Err      string
+	Down     bool // the source is unavailable (down or partitioned)
+}
+
+// Probe is one availability probe of a source (§3.3), outside any query: its
+// round trip or, when Err is not "", its failure.
+type Probe struct {
+	Seq      int64 // as Error.Seq
+	ServerID string
+	RTTMS    float64
+	Err      string
+	Down     bool
+}
+
+// Merge is the II-side merge (§3.2) of a plan with merge work: the merge
+// estimate as compiled, already scaled by the II factor then in force,
+// beside the II node's observed merge time.
+type Merge struct {
+	QueryID                     int64
+	CalibratedEstMS, ObservedMS float64
+}
+
+// Subscriber learns from the observations as the journal writes them: each
+// run, error, probe and merge exactly once, synchronously, in journal order.
+// It runs under the lock that makes that order the logs' order, so it must
+// not write to the journal.
+type Subscriber interface {
+	OnRun(Run)
+	OnError(Error)
+	OnProbe(Probe)
+	OnMerge(Merge)
 }
 
 // Scope says whose work runs under a context: the query and, inside a
@@ -144,9 +209,10 @@ func ScopeOf(ctx context.Context) Scope {
 	return s
 }
 
-// Journal holds the per-kind sequences. The five append-only kinds are
-// exported logs, each under its own lock; the query entries, which a
-// completion updates in place, sit behind Begin, Complete, Queries and Stats.
+// Journal holds the per-kind sequences: exported logs, each under its own
+// lock, of which the observation kinds are written only through AddRun,
+// AddError, AddProbe and AddMerge; the query entries, which a completion
+// updates in place, sit behind Begin, Complete, Queries and Stats.
 // Everything is safe for concurrent use.
 type Journal struct {
 	Candidates *ring.Log[Candidate]
@@ -154,6 +220,14 @@ type Journal struct {
 	Decisions  *ring.Log[Decision]
 	Runs       *ring.Log[Run]
 	Errors     *ring.Log[Error]
+	Probes     *ring.Log[Probe]
+	Merges     *ring.Log[Merge]
+
+	// obs serializes observation writes with their delivery, so the subscriber
+	// sees the logs' order; seq counts runs, errors and probes written.
+	obs sync.Mutex
+	sub Subscriber
+	seq int64
 
 	mu      sync.Mutex
 	queries *ring.Ring[Query]
@@ -179,8 +253,62 @@ func newJournal(entries, decisions int) *Journal {
 		Decisions:  ring.NewLog[Decision](decisions),
 		Runs:       ring.NewLog[Run](entries),
 		Errors:     ring.NewLog[Error](entries),
+		Probes:     ring.NewLog[Probe](entries),
+		Merges:     ring.NewLog[Merge](entries),
 		queries:    ring.New[Query](entries),
 		tenants:    map[string]*TenantStats{},
+	}
+}
+
+// Subscribe makes s the journal's one subscriber; nil unsubscribes.
+func (j *Journal) Subscribe(s Subscriber) {
+	j.obs.Lock()
+	defer j.obs.Unlock()
+	j.sub = s
+}
+
+// AddRun records a fragment run and hands it to the subscriber.
+func (j *Journal) AddRun(r Run) {
+	j.obs.Lock()
+	defer j.obs.Unlock()
+	j.seq++
+	j.Runs.Add(r)
+	if j.sub != nil {
+		j.sub.OnRun(r)
+	}
+}
+
+// AddError numbers and records a source error and hands it on.
+func (j *Journal) AddError(e Error) {
+	j.obs.Lock()
+	defer j.obs.Unlock()
+	j.seq++
+	e.Seq = j.seq
+	j.Errors.Add(e)
+	if j.sub != nil {
+		j.sub.OnError(e)
+	}
+}
+
+// AddProbe numbers and records a probe and hands it on.
+func (j *Journal) AddProbe(p Probe) {
+	j.obs.Lock()
+	defer j.obs.Unlock()
+	j.seq++
+	p.Seq = j.seq
+	j.Probes.Add(p)
+	if j.sub != nil {
+		j.sub.OnProbe(p)
+	}
+}
+
+// AddMerge records an II merge and hands it on.
+func (j *Journal) AddMerge(m Merge) {
+	j.obs.Lock()
+	defer j.obs.Unlock()
+	j.Merges.Add(m)
+	if j.sub != nil {
+		j.sub.OnMerge(m)
 	}
 }
 
@@ -273,6 +401,7 @@ type Record struct {
 	Decisions []Decision
 	Runs      []Run
 	Errors    []Error
+	Merges    []Merge
 }
 
 // Record joins the entries stamped with a query's ID; false when the query
@@ -293,6 +422,7 @@ func (j *Journal) Record(id int64) (Record, bool) {
 		Decisions:  j.Decisions.Select(func(d *Decision) bool { return d.QueryID == id }),
 		Runs:       j.Runs.Select(func(r *Run) bool { return r.QueryID == id }),
 		Errors:     j.Errors.Select(func(e *Error) bool { return e.QueryID == id }),
+		Merges:     j.Merges.Select(func(m *Merge) bool { return m.QueryID == id }),
 	}, true
 }
 

@@ -4,18 +4,20 @@
 // estimated costs, and the fragment→server mappings, and — crucially —
 // applies QCC's calibration to the estimates before they reach the
 // integrator's optimizer (Figure 5). At run time MW forwards execution
-// descriptors, records per-fragment response times, and reports both
-// observations and errors to QCC.
+// descriptors and probes and journals per-fragment response times, probe
+// outcomes and errors; the journal hands each one to QCC.
 package metawrapper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
 	"sync"
 
 	"repro/internal/journal"
+	"repro/internal/network"
 	"repro/internal/remote"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
@@ -33,41 +35,6 @@ type FragmentKey struct {
 	Signature string
 }
 
-// CompileRecord is what MW hands QCC at compile time (items a–d in §2).
-type CompileRecord struct {
-	Key       FragmentKey
-	PlanSig   string
-	Est       remote.CostEstimate
-	CostKnown bool
-	// Calibrated is the estimate MW returned to the integrator after
-	// applying QCC's factor.
-	Calibrated remote.CostEstimate
-}
-
-// RunRecord is what MW hands QCC at run time (item e in §2).
-type RunRecord struct {
-	Key     FragmentKey
-	PlanSig string
-	// Est is the compile-time (uncalibrated) estimate of the executed plan.
-	Est remote.CostEstimate
-	// Observed is the wrapper-visible response time.
-	Observed simclock.Time
-	// FirstRow is the wrapper-visible time-to-first-row; zero when the
-	// fragment ran monolithically (no separate first-row observation).
-	FirstRow simclock.Time
-	// OutBytes is the actual result volume.
-	OutBytes int
-}
-
-// Observer receives MW's records; QCC implements it. A nil observer is
-// allowed (a plain federation without QCC).
-type Observer interface {
-	ObserveCompile(rec CompileRecord)
-	ObserveRun(rec RunRecord)
-	ObserveError(serverID string, err error)
-	ObserveProbe(serverID string, rtt simclock.Time, err error)
-}
-
 // Calibrator adjusts estimates; QCC implements it. A nil calibrator leaves
 // estimates untouched.
 type Calibrator interface {
@@ -80,7 +47,6 @@ type Calibrator interface {
 type MetaWrapper struct {
 	mu       sync.RWMutex
 	wrappers map[string]wrapper.Wrapper
-	observer Observer
 	calib    Calibrator
 	masked   map[string]bool
 	tel      *telemetry.Telemetry
@@ -98,13 +64,6 @@ func New(wrappers ...wrapper.Wrapper) *MetaWrapper {
 
 // Journal returns the query journal MW records into: the federation's one.
 func (mw *MetaWrapper) Journal() *journal.Journal { return mw.journal }
-
-// SetObserver installs the observer (QCC).
-func (mw *MetaWrapper) SetObserver(o Observer) {
-	mw.mu.Lock()
-	defer mw.mu.Unlock()
-	mw.observer = o
-}
 
 // SetCalibrator installs the calibrator (QCC).
 func (mw *MetaWrapper) SetCalibrator(c Calibrator) {
@@ -208,10 +167,10 @@ func (mw *MetaWrapper) MaskedSet() map[string]bool {
 	return out
 }
 
-func (mw *MetaWrapper) observerAndCalib() (Observer, Calibrator) {
+func (mw *MetaWrapper) calibrator() Calibrator {
 	mw.mu.RLock()
 	defer mw.mu.RUnlock()
-	return mw.observer, mw.calib
+	return mw.calib
 }
 
 // ExplainFragment asks one server's wrapper for candidate plans, records the
@@ -252,16 +211,13 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 		sp.SetAttr("error", "unknown server")
 		return nil, fmt.Errorf("metawrapper: unknown server %q", serverID)
 	}
-	obs, calib := mw.observerAndCalib()
+	calib := mw.calibrator()
 	queryID := journal.ScopeOf(ctx).Query
 	cands, err := w.Explain(stmt, sql)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 		mw.telemetry().Active().Counter("mw.explain_errors", serverID).Inc()
-		if obs != nil {
-			obs.ObserveError(serverID, err)
-		}
-		mw.journal.Errors.Add(journal.Error{QueryID: queryID, ServerID: serverID, Err: err.Error()})
+		mw.recordError(queryID, serverID, err)
 		return nil, err
 	}
 	sp.SetAttr("candidates", strconv.Itoa(len(cands)))
@@ -271,15 +227,6 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 		calibrated := c.Plan.Est
 		if calib != nil {
 			calibrated = calib.CalibrateFragment(key, c.Plan.Est, c.CostKnown)
-		}
-		if obs != nil {
-			obs.ObserveCompile(CompileRecord{
-				Key:        key,
-				PlanSig:    c.Plan.Signature,
-				Est:        c.Plan.Est,
-				CostKnown:  c.CostKnown,
-				Calibrated: calibrated,
-			})
 		}
 		mw.journal.Candidates.Add(journal.Candidate{
 			QueryID:      queryID,
@@ -307,7 +254,7 @@ func (mw *MetaWrapper) ExplainKeyed(ctx context.Context, key FragmentKey, stmt *
 // reflect the present. fragSig must be the fragment's canonical signature
 // (the same key ExplainFragment records compile observations under).
 func (mw *MetaWrapper) CalibrateCandidate(serverID, fragSig string, est remote.CostEstimate, costKnown bool) remote.CostEstimate {
-	_, calib := mw.observerAndCalib()
+	calib := mw.calibrator()
 	if calib == nil {
 		return est
 	}
@@ -343,8 +290,8 @@ func resultBytes(res *remote.Result, wireBytes int) int {
 // Ship forwards an execution descriptor (wrapper.Ship), handing each batch
 // to emit as it arrives, and instruments the shipment. The context carries
 // the dispatch's cancellation signal down to the wrapper, server and network
-// layers; errors are classified (a cancelled dispatch is NOT reported to QCC
-// as a server error — the server did nothing wrong, a sibling fragment
+// layers; errors are classified (a cancelled dispatch is NOT journaled as a
+// server error — the server did nothing wrong, a sibling fragment
 // failed first), and a completed shipment records the response time AND,
 // unless it is monolithic (batchRows <= 0), the time-to-first-row against
 // the uncalibrated estimate, feeding QCC's separate FirstTupleMS
@@ -382,26 +329,26 @@ func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL
 
 // reportExecError is the shared run-time error classification: cancellation
 // is the integrator's doing and stays silent; anything else feeds the error
-// counter, the observer (QCC) and the journal.
+// counter and the journal.
 func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err error) {
 	if ctx.Err() != nil {
 		return
 	}
-	obs, _ := mw.observerAndCalib()
 	mw.telemetry().Active().Counter("mw.errors", serverID).Inc()
-	if obs != nil {
-		obs.ObserveError(serverID, err)
-	}
-	mw.journal.Errors.Add(journal.Error{QueryID: journal.ScopeOf(ctx).Query, ServerID: serverID, Err: err.Error()})
+	mw.recordError(journal.ScopeOf(ctx).Query, serverID, err)
 }
 
-// shipModes names how a fragment's data crossed the wire, for the fragment's
-// span and its journal run entry, by {pushdown, columnar wire}.
-var shipModes = map[[2]bool]string{
-	{false, false}: "row-ship",     // boxed rows of the full (or ship-all-rows baseline) result
-	{false, true}:  "col-ship",     // typed column batches of the same rows
-	{true, false}:  "pushdown",     // partial-aggregate states as boxed rows
-	{true, true}:   "pushdown-col", // partial-aggregate states as typed column batches
+// recordError journals a source error, classified as unavailability or not.
+func (mw *MetaWrapper) recordError(queryID int64, serverID string, err error) {
+	mw.journal.AddError(journal.Error{QueryID: queryID, ServerID: serverID, Err: err.Error(), Down: isDownError(err)})
+}
+
+// isDownError classifies errors that indicate source unavailability (down or
+// partitioned) rather than a transient execution failure.
+func isDownError(err error) bool {
+	var sd *remote.ErrServerDown
+	var np *network.ErrPartitioned
+	return errors.As(err, &sd) || errors.As(err, &np)
 }
 
 func (mw *MetaWrapper) observeOutcome(ctx context.Context, key FragmentKey, plan *remote.Plan, rawEst remote.CostEstimate, out *wrapper.StreamOutcome) {
@@ -409,50 +356,44 @@ func (mw *MetaWrapper) observeOutcome(ctx context.Context, key FragmentKey, plan
 	if out.FirstRowTime > 0 {
 		mw.telemetry().Active().Histogram("mw.first_row_ms", key.ServerID, nil).Observe(float64(out.FirstRowTime))
 	}
-	outBytes := resultBytes(out.Result, out.WireBytes)
-	if obs, _ := mw.observerAndCalib(); obs != nil {
-		obs.ObserveRun(RunRecord{
-			Key:      key,
-			PlanSig:  plan.Signature,
-			Est:      rawEst,
-			Observed: out.ResponseTime,
-			FirstRow: out.FirstRowTime,
-			OutBytes: outBytes,
-		})
-	}
 	// The context says which query and fragment this shipment serves
 	// (nothing, for a direct call) and carries the dispatch's span. Only the
 	// columnar wire carries encoded bytes, and even an empty batch encodes to
 	// a few.
 	scope := journal.ScopeOf(ctx)
-	ship := shipModes[[2]bool{scope.Pushdown, out.WireBytes > 0}]
-	telemetry.SpanFrom(ctx).SetAttr("ship", ship)
-	mw.journal.Runs.Add(journal.Run{
-		QueryID:    scope.Query,
-		FragID:     scope.Frag,
-		Fragment:   key.Signature,
-		ServerID:   key.ServerID,
-		PlanSig:    plan.Signature,
-		EstMS:      rawEst.TotalMS,
-		ObservedMS: float64(out.ResponseTime),
-		OutBytes:   outBytes,
-		Ship:       ship,
+	ship := journal.ShipMode(scope.Pushdown, out.WireBytes > 0)
+	telemetry.SpanFrom(ctx).SetAttr("ship", ship.String())
+	mw.journal.AddRun(journal.Run{
+		QueryID:         scope.Query,
+		FragID:          scope.Frag,
+		Fragment:        key.Signature,
+		ServerID:        key.ServerID,
+		PlanSig:         plan.Signature,
+		EstMS:           rawEst.TotalMS,
+		ObservedMS:      float64(out.ResponseTime),
+		FirstTupleEstMS: rawEst.FirstTupleMS,
+		FirstRowMS:      float64(out.FirstRowTime),
+		OutBytes:        int32(resultBytes(out.Result, out.WireBytes)),
+		Ship:            ship,
 	})
 }
 
-// Probe checks one source's availability and reports the outcome to QCC.
+// Probe checks one source's availability and journals the outcome, unless
+// the caller cancelled it.
 func (mw *MetaWrapper) Probe(ctx context.Context, serverID string) (simclock.Time, error) {
 	w := mw.Wrapper(serverID)
 	if w == nil {
 		return 0, fmt.Errorf("metawrapper: unknown server %q", serverID)
 	}
-	obs, _ := mw.observerAndCalib()
 	rtt, err := w.Probe(ctx)
-	if err == nil {
+	p := journal.Probe{ServerID: serverID, RTTMS: float64(rtt)}
+	if err != nil {
+		p.Err, p.Down = err.Error(), isDownError(err)
+	} else {
 		mw.telemetry().Active().Histogram("network.rtt_ms", serverID, nil).Observe(float64(rtt))
 	}
-	if obs != nil && ctx.Err() == nil {
-		obs.ObserveProbe(serverID, rtt, err)
+	if ctx.Err() == nil {
+		mw.journal.AddProbe(p)
 	}
 	return rtt, err
 }

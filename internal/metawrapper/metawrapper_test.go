@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/network"
 	"repro/internal/remote"
 	"repro/internal/simclock"
@@ -11,22 +12,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/wrapper"
 )
-
-type recordingObserver struct {
-	compiles []CompileRecord
-	runs     []RunRecord
-	errs     []string
-	probes   []string
-}
-
-func (r *recordingObserver) ObserveCompile(rec CompileRecord) { r.compiles = append(r.compiles, rec) }
-func (r *recordingObserver) ObserveRun(rec RunRecord)         { r.runs = append(r.runs, rec) }
-func (r *recordingObserver) ObserveError(serverID string, err error) {
-	r.errs = append(r.errs, serverID)
-}
-func (r *recordingObserver) ObserveProbe(serverID string, rtt simclock.Time, err error) {
-	r.probes = append(r.probes, serverID)
-}
 
 type doublingCalibrator struct{}
 
@@ -65,25 +50,24 @@ func ignoreBatch(*remote.Batch, simclock.Time) {}
 
 func TestExplainRecordsAndCalibrates(t *testing.T) {
 	mw, _ := newMW(t)
-	obs := &recordingObserver{}
-	mw.SetObserver(obs)
 	mw.SetCalibrator(doublingCalibrator{})
 	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p")
 	cands, err := mw.ExplainFragment("S1", stmt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.compiles) != len(cands) {
-		t.Fatalf("compile records: %d vs %d candidates", len(obs.compiles), len(cands))
+	compiles := mw.Journal().Candidates.Tail(0)
+	if len(compiles) != len(cands) {
+		t.Fatalf("candidate entries: %d vs %d candidates", len(compiles), len(cands))
 	}
-	rec := obs.compiles[0]
-	if rec.Key.ServerID != "S1" || rec.Key.Signature != sqlparser.CanonicalizeSQL(stmt.String()) {
-		t.Fatalf("key: %+v", rec.Key)
+	rec := compiles[0]
+	if rec.ServerID != "S1" || rec.Fragment != sqlparser.CanonicalizeSQL(stmt.String()) {
+		t.Fatalf("key: %+v", rec)
 	}
-	if rec.Calibrated.TotalMS != rec.Est.TotalMS*2 {
+	if rec.CalibratedMS != rec.EstMS*2 {
 		t.Fatalf("calibration not recorded: %+v", rec)
 	}
-	if cands[0].Plan.Est.TotalMS != rec.Calibrated.TotalMS {
+	if cands[0].Plan.Est.TotalMS != rec.CalibratedMS {
 		t.Fatal("integrator must see calibrated cost")
 	}
 }
@@ -104,8 +88,6 @@ func TestExplainWithoutQCCPassesThrough(t *testing.T) {
 // one run with the response time and no separate first-row observation.
 func TestMonolithicStreamRecordsRun(t *testing.T) {
 	mw, _ := newMW(t)
-	obs := &recordingObserver{}
-	mw.SetObserver(obs)
 	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p")
 	cands, err := mw.ExplainFragment("S1", stmt)
 	if err != nil {
@@ -118,14 +100,38 @@ func TestMonolithicStreamRecordsRun(t *testing.T) {
 	if out.Result.RowCount() == 0 {
 		t.Fatal("no rows")
 	}
-	if len(obs.runs) != 1 {
-		t.Fatalf("run records: %d", len(obs.runs))
+	runs := mw.Journal().Runs.Tail(0)
+	if len(runs) != 1 {
+		t.Fatalf("run entries: %d", len(runs))
 	}
-	if obs.runs[0].Observed != out.ResponseTime {
+	if runs[0].ObservedMS != float64(out.ResponseTime) {
 		t.Fatal("observed time mismatch")
 	}
-	if obs.runs[0].FirstRow != 0 || out.FirstRowTime != 0 {
-		t.Fatalf("monolithic run must carry no first-row observation: record %v, outcome %v", obs.runs[0].FirstRow, out.FirstRowTime)
+	if runs[0].FirstRowMS != 0 || out.FirstRowTime != 0 {
+		t.Fatalf("monolithic run must carry no first-row observation: entry %v, outcome %v", runs[0].FirstRowMS, out.FirstRowTime)
+	}
+}
+
+// A streamed shipment records its first row beside the first-tuple estimate
+// it calibrates.
+func TestStreamedRunRecordsFirstRow(t *testing.T) {
+	mw, _ := newMW(t)
+	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p")
+	cands, err := mw.ExplainFragment("S1", stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := FragmentKey{ServerID: "S1", Signature: sqlparser.CanonicalizeSQL(stmt.String())}
+	out, err := mw.Ship(context.Background(), key, cands[0].Plan, cands[0].RawEst, 16, ignoreBatch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := mw.Journal().Runs.Tail(0)
+	if len(runs) != 1 || out.FirstRowTime <= 0 {
+		t.Fatalf("run entries %+v, first row %v", runs, out.FirstRowTime)
+	}
+	if r := runs[0]; r.FirstRowMS != float64(out.FirstRowTime) || r.FirstTupleEstMS != cands[0].RawEst.FirstTupleMS || r.EstMS != cands[0].RawEst.TotalMS {
+		t.Fatalf("run entry %+v, want first row %v against raw estimate %+v", r, out.FirstRowTime, cands[0].RawEst)
 	}
 }
 
@@ -133,8 +139,6 @@ func TestMonolithicStreamRecordsRun(t *testing.T) {
 // a caller holding the signature (FragmentSpec.Sig) lands on the same records.
 func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
 	mw, _ := newMW(t)
-	obs := &recordingObserver{}
-	mw.SetObserver(obs)
 	ctx := context.Background()
 	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p WHERE p.p_id < 3")
 	key := FragmentKey{ServerID: "S1", Signature: sqlparser.CanonicalizeSQL(stmt.String())}
@@ -154,30 +158,24 @@ func TestKeyedEntryPointsShareRecordKey(t *testing.T) {
 	if _, err := runMono(mw, "S1", stmt.String(), cands[0].Plan, cands[0].RawEst); err != nil {
 		t.Fatal(err)
 	}
-	if len(obs.runs) != 3 || len(obs.compiles) == 0 {
-		t.Fatalf("records: %d runs, %d compiles", len(obs.runs), len(obs.compiles))
+	runs, compiles := mw.Journal().Runs.Tail(0), mw.Journal().Candidates.Tail(0)
+	if len(runs) != 3 || len(compiles) == 0 {
+		t.Fatalf("entries: %d runs, %d candidates", len(runs), len(compiles))
 	}
-	for _, r := range obs.runs {
-		if r.Key != key {
-			t.Errorf("run recorded under %+v, want %+v", r.Key, key)
+	for _, r := range runs {
+		if (FragmentKey{ServerID: r.ServerID, Signature: r.Fragment}) != key {
+			t.Errorf("run recorded under %s/%q, want %+v", r.ServerID, r.Fragment, key)
 		}
 	}
-	for _, c := range obs.compiles {
-		if c.Key != key {
-			t.Errorf("compile recorded under %+v, want %+v", c.Key, key)
-		}
-	}
-	for _, e := range mw.Journal().Runs.Tail(0) {
-		if e.Fragment != key.Signature {
-			t.Errorf("run log fragment %q, want %q", e.Fragment, key.Signature)
+	for _, c := range compiles {
+		if (FragmentKey{ServerID: c.ServerID, Signature: c.Fragment}) != key {
+			t.Errorf("candidate recorded under %s/%q, want %+v", c.ServerID, c.Fragment, key)
 		}
 	}
 }
 
 func TestErrorsReported(t *testing.T) {
 	mw, srv := newMW(t)
-	obs := &recordingObserver{}
-	mw.SetObserver(obs)
 	stmt := sqlparser.MustParse("SELECT p.p_id FROM parts AS p")
 	cands, err := mw.ExplainFragment("S1", stmt)
 	if err != nil {
@@ -190,8 +188,10 @@ func TestErrorsReported(t *testing.T) {
 	if _, err := mw.ExplainFragment("S1", stmt); err == nil {
 		t.Fatal("down server explain must fail")
 	}
-	if len(obs.errs) != 2 {
-		t.Fatalf("errors reported: %v", obs.errs)
+	// Both failures say the source is unavailable: the writer classifies them.
+	errs := mw.Journal().Errors.Tail(0)
+	if len(errs) != 2 || !errs[0].Down || !errs[1].Down {
+		t.Fatalf("errors reported: %+v", errs)
 	}
 }
 
@@ -227,17 +227,24 @@ func TestUnknownServer(t *testing.T) {
 
 func TestProbeReportsToObserver(t *testing.T) {
 	mw, srv := newMW(t)
-	obs := &recordingObserver{}
-	mw.SetObserver(obs)
-	if _, err := mw.Probe(context.Background(), "S1"); err != nil {
+	rtt, err := mw.Probe(context.Background(), "S1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	srv.SetDown(true)
 	if _, err := mw.Probe(context.Background(), "S1"); err == nil {
 		t.Fatal("down probe must fail")
 	}
-	if len(obs.probes) != 2 {
-		t.Fatalf("probe records: %d", len(obs.probes))
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	mw.Probe(cancelled, "S1") //nolint:errcheck // a cancelled probe says nothing about the source
+	probes := mw.Journal().Probes.Tail(0)
+	if len(probes) != 2 {
+		t.Fatalf("probe entries: %+v", probes)
+	}
+	if up, down := probes[0], probes[1]; up.ServerID != "S1" || up.RTTMS != float64(rtt) || up.Err != "" ||
+		down.Err == "" || !down.Down || up.Seq != 1 || down.Seq != 2 {
+		t.Fatalf("probe entries: %+v", probes)
 	}
 	if len(mw.Servers()) != 1 || mw.Servers()[0] != "S1" {
 		t.Fatal("servers list")
@@ -274,7 +281,7 @@ func TestMWLogsRecordCompileRunError(t *testing.T) {
 	}
 	// A direct call belongs to no query and no dispatch; the ship mode is
 	// still the stream's own observation.
-	if runs[0].QueryID != 0 || runs[0].FragID != "" || runs[0].Ship != "col-ship" {
+	if runs[0].QueryID != 0 || runs[0].FragID != "" || runs[0].Ship != journal.ColShip {
 		t.Fatalf("direct-call run entry: %+v", runs[0])
 	}
 	errs := mw.Journal().Errors.Tail(0)

@@ -1,13 +1,8 @@
 package qcc
 
 import (
-	"context"
-	"errors"
 	"sync"
 
-	"repro/internal/metawrapper"
-	"repro/internal/network"
-	"repro/internal/remote"
 	"repro/internal/simclock"
 )
 
@@ -78,32 +73,4 @@ func (a *Availability) DownEvents(serverID string) int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.downEvents[serverID]
-}
-
-// IsDownError classifies errors that indicate source unavailability rather
-// than a transient execution failure.
-func IsDownError(err error) bool {
-	var sd *remote.ErrServerDown
-	if errors.As(err, &sd) {
-		return true
-	}
-	var np *network.ErrPartitioned
-	return errors.As(err, &np)
-}
-
-// StartDaemon schedules the availability daemon on the clock: every probe
-// interval it probes every wrapped server through MW, marking servers down
-// on failure and up on success, and feeding probe times into the
-// calibration store. It returns a cancel function.
-func (a *Availability) StartDaemon(clock *simclock.Clock, mw *metawrapper.MetaWrapper) simclock.Cancel {
-	return clock.Every(a.cfg.ProbeInterval, func(now simclock.Time) simclock.Time {
-		for _, id := range mw.Servers() {
-			// MW reports the outcome to QCC's observer, which updates the
-			// availability state and probe histories; nothing more to do
-			// here. The daemon exists so probes happen even when no queries
-			// flow.
-			mw.Probe(context.Background(), id) //nolint:errcheck // outcome flows through the observer
-		}
-		return 0
-	})
 }

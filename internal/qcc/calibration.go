@@ -174,28 +174,23 @@ func (c *Calibration) RecordRun(at simclock.Time, key metawrapper.FragmentKey, e
 	defer c.mu.Unlock()
 	if est <= 0 {
 		// No wrapper estimate (file source): feed the seed store instead.
-		h := c.fileSeeds[key]
-		if h == nil {
-			h = newHistory()
-			c.fileSeeds[key] = h
-		}
-		h.add(at, 0, obs)
+		historyOf(c.fileSeeds, key).add(at, 0, obs)
 		return
 	}
-	hs := c.perServer[key.ServerID]
-	if hs == nil {
-		hs = newHistory()
-		c.perServer[key.ServerID] = hs
-	}
-	hs.add(at, est, obs)
+	historyOf(c.perServer, key.ServerID).add(at, est, obs)
 	if c.cfg.PerFragment {
-		hf := c.perFragment[key]
-		if hf == nil {
-			hf = newHistory()
-			c.perFragment[key] = hf
-		}
-		hf.add(at, est, obs)
+		historyOf(c.perFragment, key).add(at, est, obs)
 	}
+}
+
+// historyOf returns the history m keeps for k, created on first use.
+func historyOf[K comparable](m map[K]*history, k K) *history {
+	h := m[k]
+	if h == nil {
+		h = newHistory()
+		m[k] = h
+	}
+	return h
 }
 
 // RecordFirstRow ingests one (estimated first-tuple, observed first-row)
@@ -204,15 +199,9 @@ func (c *Calibration) RecordRun(at simclock.Time, key metawrapper.FragmentKey, e
 func (c *Calibration) RecordFirstRow(at simclock.Time, serverID string, est, obs float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if est <= 0 {
-		return
+	if est > 0 {
+		historyOf(c.perServerFirst, serverID).add(at, est, obs)
 	}
-	h := c.perServerFirst[serverID]
-	if h == nil {
-		h = newHistory()
-		c.perServerFirst[serverID] = h
-	}
-	h.add(at, est, obs)
 }
 
 // RecordII ingests one II merge observation (§3.2).
@@ -256,30 +245,14 @@ func (c *Calibration) Publish(now simclock.Time) float64 {
 			f = c.probeFactorLocked(id)
 		}
 		if prev, ok := c.pubServer[id]; ok && prev > 0 {
-			drift := math.Abs(f-prev) / prev
-			if drift > maxDrift {
-				maxDrift = drift
-			}
+			maxDrift = max(maxDrift, math.Abs(f-prev)/prev)
 		}
 		c.pubServer[id] = f
 	}
-	for id, h := range c.perServerFirst {
-		f, n := h.factor(now)
-		if n == 0 {
-			// Stale: let FirstRowFactor fall back to the combined factor.
-			delete(c.pubServerFirst, id)
-			continue
-		}
-		c.pubServerFirst[id] = f
-	}
-	for key, h := range c.perFragment {
-		f, n := h.factor(now)
-		if n == 0 {
-			delete(c.pubFragment, key)
-			continue
-		}
-		c.pubFragment[key] = f
-	}
+	// A stale first-row or fragment factor is withdrawn: FirstRowFactor and
+	// FragmentFactor fall back to the combined and per-server factors.
+	publishFresh(c.pubServerFirst, c.perServerFirst, now)
+	publishFresh(c.pubFragment, c.perFragment, now)
 	f, n := c.ii.factor(now)
 	if n > 0 {
 		c.pubII = f
@@ -309,6 +282,18 @@ func (c *Calibration) Publish(now simclock.Time) float64 {
 		hook(now, snap, iiFactor)
 	}
 	return maxDrift
+}
+
+// publishFresh publishes the factor of every history with a fresh sample and
+// withdraws the others.
+func publishFresh[K comparable](pub map[K]float64, hs map[K]*history, now simclock.Time) {
+	for k, h := range hs {
+		if f, n := h.factor(now); n > 0 {
+			pub[k] = f
+		} else {
+			delete(pub, k)
+		}
+	}
 }
 
 // Publishes returns how many publish cycles have run.

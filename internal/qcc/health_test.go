@@ -1,10 +1,10 @@
 package qcc_test
 
 import (
-	"errors"
 	"math"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/qcc"
 	"repro/internal/remote"
@@ -41,7 +41,8 @@ func buildWithTelemetry(t *testing.T) (*scenario.Scenario, *qcc.QCC, *telemetry.
 // as successes refill the window — with the telemetry gauge tracking every
 // step.
 func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
-	_, q, tel := buildWithTelemetry(t)
+	sc, q, tel := buildWithTelemetry(t)
+	j := sc.MW.Journal()
 	const server = "S1"
 	const window = 50 // qcc's reliability window
 
@@ -60,9 +61,9 @@ func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
 	// Consecutive probe failures: the factor must rise monotonically toward
 	// the all-failing ceiling 1+Penalty.
 	prev := 1.0
-	flaky := errors.New("probe: connection reset")
+	flaky := journal.Probe{ServerID: server, Err: "probe: connection reset"}
 	for i := 0; i < window; i++ {
-		q.ObserveProbe(server, 0, flaky)
+		j.AddProbe(flaky)
 		f := q.Rel.Factor(server)
 		if f < prev {
 			t.Fatalf("factor must not decrease under consecutive failures: %g -> %g", prev, f)
@@ -77,7 +78,7 @@ func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
 		t.Fatalf("all-failing window must hit 1+Penalty=%g, got %g", ceiling, prev)
 	}
 	// Extra failures beyond the window cannot push the factor higher.
-	q.ObserveProbe(server, 0, flaky)
+	j.AddProbe(flaky)
 	if f := q.Rel.Factor(server); f > ceiling+1e-9 {
 		t.Fatalf("factor exceeded ceiling: %g", f)
 	}
@@ -86,7 +87,7 @@ func TestReliabilityFactorDecayAndRecovery(t *testing.T) {
 	// factor decays monotonically back to exactly 1.
 	prev = q.Rel.Factor(server)
 	for i := 0; i < window; i++ {
-		q.ObserveProbe(server, 1, nil)
+		j.AddProbe(journal.Probe{ServerID: server, RTTMS: 1})
 		f := q.Rel.Factor(server)
 		if f > prev {
 			t.Fatalf("factor must not increase under consecutive successes: %g -> %g", prev, f)
@@ -122,7 +123,8 @@ func TestFencedServerReadmittedAfterProbes(t *testing.T) {
 	sc.Servers[server].SetDown(true)
 	// Repeated down errors: one fence transition, gauge pinned at 1.
 	for i := 0; i < 3; i++ {
-		q.ObserveError(server, &remote.ErrServerDown{ID: server})
+		down := &remote.ErrServerDown{ID: server}
+		sc.MW.Journal().AddError(journal.Error{ServerID: server, Err: down.Error(), Down: true})
 	}
 	if !q.Avail.IsDown(server) {
 		t.Fatal("server must be fenced after down errors")

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/integrator"
+	"repro/internal/journal"
 	"repro/internal/metawrapper"
 	"repro/internal/optimizer"
 	"repro/internal/remote"
@@ -42,9 +43,9 @@ type Config struct {
 // the server for the fragment.
 type CostPolicy func(serverID string, est remote.CostEstimate) remote.CostEstimate
 
-// QCC is the Query Cost Calibrator. It implements metawrapper.Observer,
-// metawrapper.Calibrator, optimizer.IICalibrator and
-// integrator.IIMergeObserver, and feeds the route policy its signals.
+// QCC is the Query Cost Calibrator: the journal's one subscriber, a
+// metawrapper.Calibrator and an optimizer.IICalibrator, and the source of the
+// route policy's signals.
 type QCC struct {
 	clock *simclock.Clock
 	mw    *metawrapper.MetaWrapper
@@ -64,11 +65,12 @@ type QCC struct {
 	demandMu sync.RWMutex
 	demand   DemandSource
 
-	mu       sync.Mutex
-	cancels  []simclock.Cancel
-	compiles int64
-	runs     int64
-	errors   int64
+	mu      sync.Mutex
+	cancels []simclock.Cancel
+	// attached is true between Attach and Detach; since holds the journal's
+	// totals at Attach and until those at Detach.
+	attached     bool
+	since, until Stats
 }
 
 // DemandSource reports pending admission demand (queued queries not yet
@@ -111,43 +113,43 @@ func New(cfg Config) *QCC {
 		reg.Counter("qcc.publishes", "").Inc()
 	})
 	if !cfg.DisableDaemons {
+		// The availability daemon probes even when no queries flow.
+		probes := cfg.Clock.Every(q.Avail.cfg.ProbeInterval, func(simclock.Time) simclock.Time {
+			q.ProbeNow()
+			return 0
+		})
 		q.mu.Lock()
-		q.cancels = append(q.cancels,
-			q.Avail.StartDaemon(cfg.Clock, cfg.MW),
-			q.Cycle.Start(cfg.Clock),
-		)
+		q.cancels = append(q.cancels, probes, q.Cycle.Start(cfg.Clock))
 		q.mu.Unlock()
 	}
 	return q
 }
 
-// Attach installs QCC into a federation: the meta-wrapper reports to and
-// calibrates through it, and the integrator consults it for II calibration,
-// merge observation and routing. This is the paper's transparent deployment:
-// no optimizer code changes, only the cost surfaces.
+// Attach installs QCC into a federation: it subscribes to the federation's
+// journal, the meta-wrapper calibrates through it, and the integrator
+// consults it for II calibration and routing. This is the paper's
+// transparent deployment: no optimizer code changes, only the cost surfaces.
 func Attach(cfg Config, ii *integrator.II) *QCC {
 	q := New(cfg)
-	cfg.MW.SetObserver(q)
+	q.attached, q.since = true, q.totals() // q is not shared yet
+	cfg.MW.Journal().Subscribe(q)
 	cfg.MW.SetCalibrator(q)
 	ii.SetIICalibrator(q)
-	ii.SetMergeObserver(q)
 	q.SetRouting(ii, cfg.Routing)
 	return q
 }
 
-// Detach removes QCC from the meta-wrapper and stops its daemons. The
-// integrator hooks are left for the caller to clear (they are harmless
-// identity operations once the calibration store stops updating).
+// Detach unsubscribes QCC from the journal, removes it from the meta-wrapper
+// and stops its daemons; from then on it learns nothing. The integrator
+// hooks stay for the caller to clear (DisableQCC does): until then the II
+// calibrator keeps scaling merge estimates by the last published II factor,
+// and the route policy keeps routing.
 func (q *QCC) Detach() {
-	q.mw.SetObserver(nil)
+	q.mw.Journal().Subscribe(nil)
 	q.mw.SetCalibrator(nil)
-	q.Stop()
-}
-
-// Stop cancels the daemons.
-func (q *QCC) Stop() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.attached, q.until = false, q.totals()
 	for _, c := range q.cancels {
 		c()
 	}
@@ -162,99 +164,89 @@ func (q *QCC) SetCostPolicy(p CostPolicy) {
 	q.policy = p
 }
 
-func (q *QCC) costPolicy() CostPolicy {
-	q.policyMu.RLock()
-	defer q.policyMu.RUnlock()
-	return q.policy
-}
-
 // PublishNow forces a recalibration cycle immediately (harness hook).
 func (q *QCC) PublishNow() { q.Calib.Publish(q.clock.Now()) }
 
-// ProbeNow runs one availability-daemon sweep immediately (harness hook).
+// ProbeNow runs one availability-daemon sweep (§3.3) immediately: MW
+// journals each outcome, and the journal hands it back to QCC.
 func (q *QCC) ProbeNow() {
 	for _, id := range q.mw.Servers() {
-		q.mw.Probe(context.Background(), id) //nolint:errcheck // outcome flows through the observer
+		q.mw.Probe(context.Background(), id) //nolint:errcheck // the outcome reaches QCC through the journal
 	}
 }
 
-// Stats is a consistent snapshot of QCC's interaction counters.
+// Stats counts the candidate plans (Compiles), fragment runs and source
+// errors the journal recorded while QCC was attached.
 type Stats struct {
-	// Compiles counts compile records observed.
-	Compiles int64
-	// Runs counts fragment runs observed.
-	Runs int64
-	// Errors counts fragment errors observed.
-	Errors int64
+	Compiles, Runs, Errors int64
 }
 
-// StatsSnapshot returns a consistent snapshot of QCC's interaction counters:
-// compiles seen, runs observed, errors recorded.
+// StatsSnapshot returns the journal's candidate, run and error totals
+// between Attach and Detach (or now, while attached).
 func (q *QCC) StatsSnapshot() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return Stats{Compiles: q.compiles, Runs: q.runs, Errors: q.errors}
-}
-
-// ---- metawrapper.Observer ----
-
-// ObserveCompile implements metawrapper.Observer.
-func (q *QCC) ObserveCompile(rec metawrapper.CompileRecord) {
-	q.mu.Lock()
-	q.compiles++
-	q.mu.Unlock()
-	q.tel.Active().Counter("qcc.compiles", "").Inc()
-}
-
-// ObserveRun implements metawrapper.Observer: the runtime response time is
-// recorded against the compile-time estimate, success refreshes reliability
-// and availability.
-func (q *QCC) ObserveRun(rec metawrapper.RunRecord) {
-	q.mu.Lock()
-	q.runs++
-	q.mu.Unlock()
-	q.Calib.RecordRun(q.clock.Now(), rec.Key, rec.Est.TotalMS, float64(rec.Observed))
-	if rec.FirstRow > 0 {
-		// Streaming run: the first batch's arrival was observed separately,
-		// so the first-tuple estimate calibrates on its own history.
-		q.Calib.RecordFirstRow(q.clock.Now(), rec.Key.ServerID, rec.Est.FirstTupleMS, float64(rec.FirstRow))
+	end := q.until
+	if q.attached {
+		end = q.totals()
 	}
-	q.Rel.RecordSuccess(rec.Key.ServerID)
-	if q.Avail.MarkUp(rec.Key.ServerID) {
-		q.tel.Active().Counter("qcc.unfences", rec.Key.ServerID).Inc()
-	}
-	q.noteServerHealth(rec.Key.ServerID)
-	q.tel.Active().Counter("qcc.runs", "").Inc()
+	return Stats{Compiles: end.Compiles - q.since.Compiles, Runs: end.Runs - q.since.Runs, Errors: end.Errors - q.since.Errors}
 }
 
-// ObserveError implements metawrapper.Observer.
-func (q *QCC) ObserveError(serverID string, err error) {
-	q.mu.Lock()
-	q.errors++
-	q.mu.Unlock()
-	q.Rel.RecordFailure(serverID)
-	if IsDownError(err) && q.Avail.MarkDown(serverID) {
-		q.tel.Active().Counter("qcc.fences", serverID).Inc()
-	}
-	q.noteServerHealth(serverID)
-	q.tel.Active().Counter("qcc.errors", "").Inc()
+// totals reads the journal's running totals.
+func (q *QCC) totals() Stats {
+	j := q.mw.Journal()
+	return Stats{Compiles: j.Candidates.Total(), Runs: j.Runs.Total(), Errors: j.Errors.Total()}
 }
 
-// ObserveProbe implements metawrapper.Observer.
-func (q *QCC) ObserveProbe(serverID string, rtt simclock.Time, err error) {
-	if err != nil {
-		q.Rel.RecordFailure(serverID)
-		if IsDownError(err) && q.Avail.MarkDown(serverID) {
-			q.tel.Active().Counter("qcc.fences", serverID).Inc()
-		}
-		q.noteServerHealth(serverID)
+// ---- journal.Subscriber ----
+
+// OnRun learns the response time against the compile-time estimate and, for
+// a streamed run, the first row against the first-tuple estimate.
+func (q *QCC) OnRun(r journal.Run) {
+	now := q.clock.Now()
+	q.Calib.RecordRun(now, metawrapper.FragmentKey{ServerID: r.ServerID, Signature: r.Fragment}, r.EstMS, r.ObservedMS)
+	if r.FirstRowMS > 0 {
+		q.Calib.RecordFirstRow(now, r.ServerID, r.FirstTupleEstMS, r.FirstRowMS)
+	}
+	q.succeeded(r.ServerID)
+}
+
+// OnError learns from a source error; an unavailability error fences.
+func (q *QCC) OnError(e journal.Error) { q.failed(e.ServerID, e.Down) }
+
+// OnProbe learns from an availability probe: a failure as from an error, a
+// success as from a run, plus the round trip for the probe-derived factor.
+func (q *QCC) OnProbe(p journal.Probe) {
+	if p.Err != "" {
+		q.failed(p.ServerID, p.Down)
 		return
 	}
+	q.Calib.RecordProbe(p.ServerID, p.RTTMS)
+	q.succeeded(p.ServerID)
+}
+
+// OnMerge learns the II merge time against the merge estimate (§3.2).
+func (q *QCC) OnMerge(m journal.Merge) {
+	q.Calib.RecordII(q.clock.Now(), m.CalibratedEstMS, m.ObservedMS)
+}
+
+// succeeded records a successful interaction with the server.
+func (q *QCC) succeeded(serverID string) {
+	q.Rel.RecordSuccess(serverID)
 	if q.Avail.MarkUp(serverID) {
 		q.tel.Active().Counter("qcc.unfences", serverID).Inc()
 	}
-	q.Rel.RecordSuccess(serverID)
-	q.Calib.RecordProbe(serverID, float64(rtt))
+	q.noteServerHealth(serverID)
+}
+
+// failed records a failed interaction with the server, fencing it when the
+// failure says it is unavailable.
+func (q *QCC) failed(serverID string, down bool) {
+	q.Rel.RecordFailure(serverID)
+	if down && q.Avail.MarkDown(serverID) {
+		q.tel.Active().Counter("qcc.fences", serverID).Inc()
+	}
 	q.noteServerHealth(serverID)
 }
 
@@ -311,13 +303,16 @@ func (q *QCC) CalibrateFragment(key metawrapper.FragmentKey, est remote.CostEsti
 }
 
 func (q *QCC) applyPolicy(serverID string, est remote.CostEstimate) remote.CostEstimate {
-	if p := q.costPolicy(); p != nil {
+	q.policyMu.RLock()
+	p := q.policy
+	q.policyMu.RUnlock()
+	if p != nil {
 		return p(serverID, est)
 	}
 	return est
 }
 
-// ---- optimizer.IICalibrator / integrator.IIMergeObserver ----
+// ---- optimizer.IICalibrator ----
 
 // SetDemandSource installs (or clears, with nil) the pending-demand feed —
 // typically the admission controller's QueueDepth. While queries wait for
@@ -366,15 +361,9 @@ func (q *QCC) CalibrateII(estMS float64) float64 {
 	return estMS * q.EffectiveIIFactor()
 }
 
-// ObserveIIMerge implements integrator.IIMergeObserver.
-func (q *QCC) ObserveIIMerge(estMS float64, observed simclock.Time) {
-	q.Calib.RecordII(q.clock.Now(), estMS, float64(observed))
-}
-
 // Interface assertions.
 var (
-	_ metawrapper.Observer       = (*QCC)(nil)
-	_ metawrapper.Calibrator     = (*QCC)(nil)
-	_ optimizer.IICalibrator     = (*QCC)(nil)
-	_ integrator.IIMergeObserver = (*QCC)(nil)
+	_ journal.Subscriber     = (*QCC)(nil)
+	_ metawrapper.Calibrator = (*QCC)(nil)
+	_ optimizer.IICalibrator = (*QCC)(nil)
 )

@@ -247,6 +247,36 @@ func TestQCCDetach(t *testing.T) {
 	}
 }
 
+// TestDetachedQCCLearnsNothing: once detached, QCC's factors stay where the
+// last publish left them, whatever the federation goes on to run: merges
+// included, which used to reach it through a hook Detach left installed.
+func TestDetachedQCCLearnsNothing(t *testing.T) {
+	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qcc.Attach(qcc.Config{Clock: sc.Clock, MW: sc.MW, DisableDaemons: true}, sc.II)
+	q.PublishNow()
+	q.Detach()
+	for i := 0; i < 8; i++ {
+		if _, err := sc.II.Query("SELECT COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.PublishNow()
+	if f := q.Calib.IIFactor(); f != 1 {
+		t.Errorf("detached QCC learned an II factor of %v from later merges", f)
+	}
+	for _, id := range sc.MW.Servers() {
+		if f := q.Calib.ServerFactor(id); f != 1 {
+			t.Errorf("detached QCC learned a factor of %v for %s", f, id)
+		}
+	}
+	if st := q.StatsSnapshot(); st != (qcc.Stats{}) {
+		t.Errorf("detached QCC counted %+v", st)
+	}
+}
+
 func TestSimulatedFederationEnumeratesWithoutExecution(t *testing.T) {
 	sc, q := build(t)
 	sf, err := qcc.NewSimulatedFederation(sc.Servers, sc.Topo, sc.Catalog, sc.IINode, q)

@@ -178,3 +178,13 @@ func (l *Log[T]) Evicted() int64 {
 	defer l.mu.Unlock()
 	return l.r.Evicted()
 }
+
+// Total returns how many values were ever added.
+func (l *Log[T]) Total() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.r.Total()
+}

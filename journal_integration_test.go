@@ -86,7 +86,7 @@ func TestQueryRecordJoinsByID(t *testing.T) {
 			if run.ServerID != res.Route[run.FragID] || run.ObservedMS != float64(res.FragmentTimes[run.FragID]) {
 				t.Fatalf("query %d: run %+v, result says %s in %v", i, run, res.Route[run.FragID], res.FragmentTimes[run.FragID])
 			}
-			if run.Ship != "col-ship" {
+			if run.Ship.String() != "col-ship" {
 				t.Fatalf("query %d: run %+v has ship mode %q, want col-ship", i, run, run.Ship)
 			}
 		}

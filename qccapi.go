@@ -110,7 +110,6 @@ func (f *Federation) DisableQCC() {
 		f.qcc.Detach()
 		f.ii.SetRouter(nil)
 		f.ii.SetIICalibrator(nil)
-		f.ii.SetMergeObserver(nil)
 		f.qcc = nil
 	}
 }
@@ -145,11 +144,12 @@ func (c *Calibrator) ProbeNow() { c.q.ProbeNow() }
 // RecalibrationInterval returns the current (possibly adapted) cycle length.
 func (c *Calibrator) RecalibrationInterval() Time { return c.q.Cycle.Interval() }
 
-// QCCStats is a consistent snapshot of the calibrator's interaction
-// counters.
+// QCCStats counts the candidate plans, fragment runs and source errors the
+// journal recorded while the calibrator was attached.
 type QCCStats = qcc.Stats
 
-// StatsSnapshot returns a consistent snapshot of QCC's interaction counters.
+// StatsSnapshot returns the journal's totals since EnableQCC (up to
+// DisableQCC once disabled).
 func (c *Calibrator) StatsSnapshot() QCCStats { return c.q.StatsSnapshot() }
 
 // RoutingStats reports what the current route policy changed; SetRouting
@@ -177,7 +177,7 @@ func (c *Calibrator) SetCostPolicy(p CostPolicy) {
 		c.q.SetCostPolicy(nil)
 		return
 	}
-	c.q.SetCostPolicy(func(serverID string, est remoteCostEstimate) remoteCostEstimate {
+	c.q.SetCostPolicy(func(serverID string, est remote.CostEstimate) remote.CostEstimate {
 		est.TotalMS = p(serverID, est.TotalMS)
 		return est
 	})
@@ -259,6 +259,3 @@ func (w *WhatIf) EnumerateByMasking(sql string) ([]*PlanInfo, int, error) {
 	}
 	return out, runs, nil
 }
-
-// remoteCostEstimate aliases the engine's cost estimate for policy adapters.
-type remoteCostEstimate = remote.CostEstimate

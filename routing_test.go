@@ -491,7 +491,7 @@ func TestRouteDecisionsLogged(t *testing.T) {
 			t.Fatalf("query %d: fragment dispatches recorded no run entries", id)
 		}
 		for _, run := range rec.Runs {
-			if run.Ship != "row-ship" {
+			if run.Ship.String() != "row-ship" {
 				t.Errorf("ship mode = %q on the row protocol, want row-ship (%+v)", run.Ship, run)
 			}
 		}

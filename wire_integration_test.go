@@ -89,7 +89,7 @@ func queryWireBytes(fed *fedqcc.Federation, sql string) (*fedqcc.QueryResult, in
 	}
 	bytes := 0
 	for _, run := range rec.Runs {
-		bytes += run.OutBytes
+		bytes += int(run.OutBytes)
 	}
 	return res, bytes, nil
 }
@@ -160,7 +160,7 @@ func TestWireShipsFewerBytes(t *testing.T) {
 func shipModes(fed *fedqcc.Federation) map[string]bool {
 	modes := map[string]bool{}
 	for _, run := range fed.RunLog() {
-		modes[run.Ship] = true
+		modes[run.Ship.String()] = true
 	}
 	return modes
 }
