@@ -759,28 +759,18 @@ func BenchmarkVectorizedKernels(b *testing.B) {
 }
 
 // BenchmarkVectorizedEndToEnd times the streamed large-result query over the
-// slow link on each engine, both on the row wire. Its virtual outcome is not
-// checked here: the slow_link probe's two scan rows pin it.
+// slow link. Its virtual outcome is not checked here: the slow_link probe's
+// scan row pins it.
 func BenchmarkVectorizedEndToEnd(b *testing.B) {
 	const query = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
-	for _, vectorized := range []bool{false, true} {
-		name := "row"
-		if vectorized {
-			name = "vec"
+	fed := slowLinkFederation(b)
+	if _, err := fed.Query(query); err != nil { // warm the compile caches
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fed.Query(query); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			fed := slowLinkFederation(b)
-			fed.SetColumnarWire(false)
-			fed.SetVectorized(vectorized)
-			if _, err := fed.Query(query); err != nil { // warm the compile caches
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := fed.Query(query); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }

@@ -310,46 +310,18 @@ type QueryResult struct {
 	Tenant string
 }
 
-// SetVectorized switches the whole federation — every remote server's
-// executor and the integrator's merge — between the columnar (vectorized)
-// engine and the row-at-a-time engine. Every federation is built with the
-// columnar engine on; false selects the row engine, which is kept as the
-// reference the oracle tests compare against (bit-identical rows, routes,
-// resource charges and virtual-time results, at several times the wall-clock
-// cost). It is not a tuning knob: nothing runs better with it off.
-func (f *Federation) SetVectorized(on bool) {
-	for _, srv := range f.servers {
-		srv.SetVectorized(on)
-	}
-	f.ii.SetVectorized(on)
-}
+// SetVectorized does nothing: every federation runs the columnar engine, at
+// the remote servers and in the integrator's merge.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func (f *Federation) SetVectorized(bool) {}
 
-// Vectorized reports whether the columnar engine is active at the integrator.
-func (f *Federation) Vectorized() bool { return f.ii.Vectorized() }
-
-// SetColumnarWire switches every remote server between shipping streamed
-// fragment results as typed column batches with the compact colbatch wire
-// encoding (fixed-width packing, delta varints, string dictionaries) and as
-// boxed rows. Every federation is built with the columnar wire on; network
-// byte accounting, the wrapper's wire charging, and MW's RunLog all observe
-// the encoded sizes. False selects the row protocol (the encoder never runs
-// and batches are charged at their row size): the reference arm of the wire
-// identity tests, not a tuning knob. The wire engages only on vectorized
-// servers — the row engine has no columnar result to encode.
-func (f *Federation) SetColumnarWire(on bool) {
-	for _, srv := range f.servers {
-		srv.SetColumnarWire(on)
-	}
-}
-
-// ColumnarWire reports whether the columnar wire protocol is enabled (it
-// engages only on servers that are also vectorized).
-func (f *Federation) ColumnarWire() bool {
-	for _, srv := range f.servers {
-		return srv.ColumnarWire()
-	}
-	return false
-}
+// SetColumnarWire does nothing: every server ships its results as typed
+// column batches in the compact colbatch wire encoding, and the network,
+// the wrapper's charges and the run log all observe the encoded sizes.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func (f *Federation) SetColumnarWire(bool) {}
 
 // SetShardPushdown toggles two-phase partial-aggregate pushdown for sharded
 // tables (default on); off ships every shard's rows (the columns the

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/integrator"
+	"repro/internal/journal"
 	"repro/internal/network"
 	"repro/internal/remote"
 	"repro/internal/router"
@@ -299,26 +300,11 @@ func (o *oracle) check(sql string, got *sqltypes.Relation) error {
 // columns the aggregation reads, which is what the columnar wire compresses.
 const shardQuery = "SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag"
 
-// shipMode maps a (pushdown, columnar wire) flag pair to the ship-mode
-// vocabulary shared with fragment spans and the journal's run entries.
-func shipMode(pushdown, wire bool) string {
-	switch {
-	case pushdown && wire:
-		return "pushdown-col"
-	case pushdown:
-		return "pushdown"
-	case wire:
-		return "col-ship"
-	default:
-		return "row-ship"
-	}
-}
-
-// shardConfig is one point of a shard grid: the shard count and the
-// (pushdown, columnar wire) flags.
+// shardConfig is one point of a shard grid: the shard count and whether
+// partial aggregation is pushed into the shards.
 type shardConfig struct {
-	shards         int
-	pushdown, wire bool
+	shards   int
+	pushdown bool
 }
 
 // shardGrid measures shardQuery's steady state on a fresh BuildSharded
@@ -334,40 +320,33 @@ func shardGrid(name string, scale int, configs []shardConfig) ([]ProbeRow, error
 		if err != nil {
 			return nil, err
 		}
-		for _, srv := range sc.Servers {
-			srv.SetColumnarWire(c.wire)
-		}
 		sc.II.SetShardPushdown(c.pushdown)
 		m, err := measure(sc, o, []string{shardQuery}, true)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, m.row(name, fmt.Sprintf("shards=%d %s", c.shards, shipMode(c.pushdown, c.wire))))
+		out = append(out, m.row(name, fmt.Sprintf("shards=%d %s", c.shards, journal.ShipMode(c.pushdown))))
 	}
 	return out, nil
 }
 
 // shardedProbe is the scale-out study (2 000 lineitem rows): the unsharded
 // baseline, then partial-aggregate pushdown against shipping every shard's
-// rows at 2, 4 and 8 shards, all on the default columnar wire.
+// rows at 2, 4 and 8 shards.
 func shardedProbe(name string) ([]ProbeRow, error) {
-	configs := []shardConfig{{1, true, true}}
+	configs := []shardConfig{{1, true}}
 	for _, n := range []int{2, 4, 8} {
-		configs = append(configs, shardConfig{n, true, true}, shardConfig{n, false, true})
+		configs = append(configs, shardConfig{n, true}, shardConfig{n, false})
 	}
 	return shardGrid(name, 400, configs)
 }
 
 // wireProbe is the columnar wire study (2 500 lineitem rows, fine enough that
-// per-row encoding dominates): every ship mode at 1, 2, 4 and 8 shards.
+// per-row encoding dominates): both ship modes at 1, 2, 4 and 8 shards.
 func wireProbe(name string) ([]ProbeRow, error) {
 	var configs []shardConfig
 	for _, n := range []int{1, 2, 4, 8} {
-		for _, pushdown := range []bool{false, true} {
-			for _, wire := range []bool{false, true} {
-				configs = append(configs, shardConfig{n, pushdown, wire})
-			}
-		}
+		configs = append(configs, shardConfig{n, false}, shardConfig{n, true})
 	}
 	return shardGrid(name, 40, configs)
 }
@@ -510,11 +489,9 @@ func admissionProbe(name string) ([]ProbeRow, error) {
 // orders–lineitem join crosses sources.
 var splitJoin = map[string][]string{"orders": {"S1"}, "customer": {"S1"}, "lineitem": {"S2"}, "parts": {"S2"}}
 
-// layoutConfig is one row of a layout probe: its statements and what to set
-// on the federation first.
+// layoutConfig is one row of a layout probe: its name and statements.
 type layoutConfig struct {
 	name  string
-	setup func(*scenario.Scenario)
 	stmts []string
 }
 
@@ -548,9 +525,6 @@ func layoutProbe(name string, seed int64, scale int, hosts map[string][]string, 
 		if err != nil {
 			return nil, err
 		}
-		if c.setup != nil {
-			c.setup(sc)
-		}
 		m, err := measure(sc, o, c.stmts, true)
 		if err != nil {
 			return nil, err
@@ -560,33 +534,18 @@ func layoutProbe(name string, seed int64, scale int, hosts map[string][]string, 
 	return out, nil
 }
 
-// rowWire selects the row or the columnar engine, on the row wire, on every
-// server and at the integrator.
-func rowWire(vectorized bool) func(*scenario.Scenario) {
-	return func(sc *scenario.Scenario) {
-		for _, srv := range sc.Servers {
-			srv.SetVectorized(vectorized)
-			srv.SetColumnarWire(false)
-		}
-		sc.II.SetVectorized(vectorized)
-	}
-}
-
 // slowLinkProbe puts lineitem, the big side, on S1 behind a 20 ms, 50 KB/s
 // link that dominates its remote scan, and the small tables on S2 behind the
-// LAN (scale 10, seed 7). The scan is the streamed end-to-end query, once per
-// engine arm on the row wire (the arms' clocks differ on purpose: the columnar
-// merge runs as batches arrive); the join pairs a selective small side with
-// the whole big side.
+// LAN (scale 10, seed 7). The scan is the streamed end-to-end query; the join
+// pairs a selective small side with the whole big side.
 func slowLinkProbe(name string) ([]ProbeRow, error) {
 	const scale, seed = 10, 7
 	const scan = "SELECT l.l_orderkey, l.l_price FROM lineitem AS l WHERE l.l_price > 10"
 	hosts := map[string][]string{"lineitem": {"S1"}, "orders": {"S2"}, "customer": {"S2"}, "parts": {"S2"}}
 	slow := map[string]network.LinkConfig{"S1": {LatencyMS: 20, BandwidthKBps: 50}}
 	return layoutProbe(name, seed, scale, hosts, slow, []layoutConfig{
-		{"scan row", rowWire(false), []string{scan}},
-		{"scan vectorized", rowWire(true), []string{scan}},
-		{"join", nil, []string{
+		{"scan", []string{scan}},
+		{"join", []string{
 			"SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9900 GROUP BY o.o_priority",
 		}},
 	})
@@ -597,7 +556,7 @@ func slowLinkProbe(name string) ([]ProbeRow, error) {
 func joinLimitProbe(name string) ([]ProbeRow, error) {
 	const scale, seed = 20, 42
 	return layoutProbe(name, seed, scale, splitJoin, nil, []layoutConfig{
-		{"limit", nil, []string{
+		{"limit", []string{
 			"SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey LIMIT 5",
 			"SELECT o.o_id, o.o_amount, l.l_qty FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_priority = 1 LIMIT 20",
 		}},
@@ -611,10 +570,10 @@ func adversarialFromProbe(name string) ([]ProbeRow, error) {
 	const scale, seed = 20, 42
 	hosts := map[string][]string{"orders": {"S1"}, "lineitem": {"S1"}, "customer": {"S2"}, "parts": {"S2"}}
 	return layoutProbe(name, seed, scale, hosts, nil, []layoutConfig{
-		{"split", nil, []string{
+		{"split", []string{
 			"SELECT COUNT(*), SUM(l.l_price) FROM orders AS o JOIN customer AS c ON o.o_custkey = c.c_id JOIN lineitem AS l ON l.l_orderkey = o.o_id WHERE o.o_amount > 9000",
 		}},
-		{"adjacent", nil, []string{
+		{"adjacent", []string{
 			"SELECT COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON l.l_orderkey = o.o_id JOIN customer AS c ON o.o_custkey = c.c_id WHERE o.o_amount > 9000",
 		}},
 	})
@@ -625,7 +584,7 @@ func adversarialFromProbe(name string) ([]ProbeRow, error) {
 func blockingJoinProbe(name string) ([]ProbeRow, error) {
 	const scale, seed = 20, 42
 	return layoutProbe(name, seed, scale, splitJoin, nil, []layoutConfig{
-		{"blocking", nil, []string{
+		{"blocking", []string{
 			"SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey GROUP BY o.o_priority ORDER BY o.o_priority",
 			"SELECT c.c_segment, COUNT(*), AVG(l.l_qty) FROM customer AS c JOIN orders AS o ON o.o_custkey = c.c_id JOIN lineitem AS l ON l.l_orderkey = o.o_id GROUP BY c.c_segment ORDER BY c.c_segment",
 			"SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE l.l_qty < 3 ORDER BY l.l_price DESC LIMIT 10",

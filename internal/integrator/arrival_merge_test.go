@@ -3,9 +3,7 @@ package integrator_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -327,62 +325,6 @@ func TestCallerCancelMidMerge(t *testing.T) {
 		}
 		if after := settledGoroutines(before); after > before {
 			t.Fatalf("%s: %d goroutines before, %d after it returned", run.name, before, after)
-		}
-	}
-}
-
-// TestRowRemoteKeepsTheColumnarMerge: with row-engine remotes among the
-// sources, batches arrive without columns after the columnar merge has
-// started. The merge decomposes them and goes on, so the query is the
-// all-columnar run's in every digit: rows, fragment times, merge charge,
-// response and first row — including the merge work done while lineitem was
-// still shipping. Both a mixed federation (lineitem's hosts on the row
-// engine) and an all-row one are checked.
-func TestRowRemoteKeepsTheColumnarMerge(t *testing.T) {
-	build := func() *scenario.Scenario {
-		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, srv := range sc.Servers {
-			srv.SetColumnarWire(false) // the wire changes shipped bytes, hence times
-		}
-		return sc
-	}
-	want, err := build().II.Query(gatherJoin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rowHosts := range [][]string{{"S2", "R2"}, {"S1", "R1", "S2", "R2"}} {
-		sc := build()
-		for _, id := range rowHosts {
-			sc.Servers[id].SetVectorized(false)
-		}
-		got, err := sc.II.Query(gatherJoin)
-		if err != nil {
-			t.Fatal(err)
-		}
-		label := fmt.Sprintf("row engine on %v", rowHosts)
-		for _, f := range got.Plan.Fragments {
-			if f.Spec.Stmt.Tables()[0].Name == "lineitem" && !slices.Contains(rowHosts, got.ExecutedServers[f.Spec.ID]) {
-				t.Fatalf("%s: lineitem ran on a columnar remote: %v", label, got.ExecutedServers)
-			}
-		}
-		requireSameRelation(t, label, want.Rel, got.Rel)
-		if len(got.FragmentTimes) != len(want.FragmentTimes) {
-			t.Fatalf("%s: %d fragments, %d all columnar", label, len(got.FragmentTimes), len(want.FragmentTimes))
-		}
-		for id, ft := range got.FragmentTimes {
-			if ft != want.FragmentTimes[id] {
-				t.Fatalf("%s: fragment %s took %v, %v all columnar", label, id, ft, want.FragmentTimes[id])
-			}
-		}
-		if got.MergeTime != want.MergeTime || got.ResponseTime != want.ResponseTime || got.FirstRowTime != want.FirstRowTime {
-			t.Fatalf("%s: merge/response/first row %v/%v/%v, %v/%v/%v all columnar", label,
-				got.MergeTime, got.ResponseTime, got.FirstRowTime, want.MergeTime, want.ResponseTime, want.FirstRowTime)
-		}
-		if slowest := slowestFragment(got); got.ResponseTime >= slowest+got.MergeTime {
-			t.Fatalf("%s: response %v is the slowest fragment (%v) plus the whole merge: nothing overlapped an arrival", label, got.ResponseTime, slowest)
 		}
 	}
 }

@@ -54,8 +54,7 @@ func leafSchema() *sqltypes.Schema {
 
 // TestCursorReadsShardsInArrivalOrder: the cursor yields the batch that
 // arrived first among every shard's next one, the lower plan position on a
-// tie, each with the leaf's schema; the row merge's leaf has the same rows in
-// the same order.
+// tie, each with the leaf's schema.
 func TestCursorReadsShardsInArrivalOrder(t *testing.T) {
 	at := [][]simclock.Time{{5, 9, 30}, {1, 9, 10}, {2, 3}, {}}
 	// first cell of v per (shard, batch) is (s*100+i)*1000
@@ -93,12 +92,6 @@ func TestCursorReadsShardsInArrivalOrder(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("cursor yielded %v, want %v", got, want)
-		}
-	}
-	rel := arr.rowLeaf("t", sch, parts).Rel
-	for i := range want {
-		if v := rel.Rows[i*3][1].Int(); v != want[i] {
-			t.Fatalf("row leaf batch %d starts with %d, the cursor's with %d", i, v, want[i])
 		}
 	}
 }

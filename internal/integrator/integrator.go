@@ -92,7 +92,6 @@ type II struct {
 	// the controller decides run / queue / shed. Under the default unlimited
 	// policy the gate is a pass-through, as if there were none.
 	adm           *admission.Controller
-	vectorized    atomic.Bool
 	shardPushdown atomic.Bool
 	opt           *optimizer.Optimizer
 	plans         *planCache
@@ -109,7 +108,6 @@ func New(cfg Config) *II {
 		},
 		plans: newPlanCache(),
 	}
-	ii.vectorized.Store(true)
 	ii.shardPushdown.Store(true)
 	return ii
 }
@@ -117,16 +115,11 @@ func New(cfg Config) *II {
 // BatchRows returns the fragment streaming batch size.
 func (ii *II) BatchRows() int { return DefaultBatchRows }
 
-// Vectorized reports whether the II-side merge uses the columnar engine.
-func (ii *II) Vectorized() bool { return ii.vectorized.Load() }
-
-// SetVectorized switches the II merge between the columnar engine (the
-// default), which consumes fragment batches as they arrive, and the
-// row-at-a-time reference engine, which waits for all of them. The columnar
-// merge decomposes a batch that arrives without columns (a row-engine remote)
-// and goes on. Either way the merged rows and resource charges are
-// bit-identical; only where the charge sits on the clock differs.
-func (ii *II) SetVectorized(on bool) { ii.vectorized.Store(on) }
+// SetVectorized does nothing: the merge always runs on the columnar engine,
+// consuming fragment batches as they arrive.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func (ii *II) SetVectorized(bool) {}
 
 // ShardPushdown reports whether aggregate queries over sharded tables push
 // partial aggregation into the shard fragments.
@@ -134,11 +127,10 @@ func (ii *II) ShardPushdown() bool { return ii.shardPushdown.Load() }
 
 // SetShardPushdown toggles two-phase partial-aggregate pushdown (default
 // on). Off selects the ship-everything baseline: every shard ships its full
-// pre-aggregation result, as boxed rows ("row-ship") or typed column
-// batches ("col-ship") depending on the columnar wire flag. On, shards ship
-// partial-aggregate states instead ("pushdown" / "pushdown-col"). Fragment
-// spans carry the active mode in their "ship" attribute and the journal's
-// run entries record it, so the four modes are distinguishable after the fact.
+// pre-aggregation result ("col-ship"). On, shards ship partial-aggregate
+// states instead ("pushdown-col"). Fragment spans carry the active mode in
+// their "ship" attribute and the journal's run entries record it, so the two
+// modes are distinguishable after the fact.
 // The plan cache is cleared on a change, and an entry compiled under the other
 // setting is never served.
 func (ii *II) SetShardPushdown(on bool) {
@@ -207,9 +199,9 @@ type QueryResult struct {
 	ExecutedServers map[string]string
 	// MergeTime is the observed II-side merge time.
 	MergeTime simclock.Time
-	// ResponseTime is the end-user response time. The columnar merge works on
-	// each batch from the instant it arrives, so only the work that waited for
-	// a late batch follows the slowest fragment; the row merge starts after it.
+	// ResponseTime is the end-user response time. The merge works on each
+	// batch from the instant it arrives, so only the work that waited for a
+	// late batch follows the slowest fragment.
 	// max(FragmentTimes) <= ResponseTime <= max(FragmentTimes) + MergeTime,
 	// and the difference from the upper bound is the overlapped merge work.
 	ResponseTime simclock.Time
@@ -589,8 +581,7 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, 
 // arrivals hands a query's fragment batches from the dispatch goroutines to
 // the merge, one queue per fragment in plan position. push never waits for
 // the consumer, and batches stay queued once read (they are views of results
-// the remote side holds anyway): the row merge reads them from here once
-// every fragment has finished.
+// the remote side holds anyway).
 type arrivals struct {
 	mu     sync.Mutex
 	cond   sync.Cond
@@ -656,7 +647,7 @@ func (a *arrivals) wait(pos, n int) (arrival, bool) {
 // running, n[k] being the batches already taken from part k and -1 once it
 // has ended, and returns the one that arrived first on the virtual clock,
 // plan position breaking ties, with its part; part -1 once every part has
-// ended. Both merges read a logical fragment's shards in this order, so it
+// ended. The merge reads a logical fragment's shards in this order, so it
 // depends on the model alone, never on the scheduler.
 func (a *arrivals) earliest(parts, n []int) (arrival, int) {
 	var next arrival
@@ -674,7 +665,7 @@ func (a *arrivals) earliest(parts, n []int) (arrival, int) {
 	return next, at
 }
 
-// fragCursor is the columnar merge's source for one logical fragment: the
+// fragCursor is the merge's source for one logical fragment: the
 // queues of its shards (parts, plan positions in plan order), read in arrival
 // order (earliest), so the merge works on whatever is already there. A
 // sharded fragment's batches carry the leaf's schema (sch), one pointer per
@@ -704,18 +695,13 @@ func (c *fragCursor) Next() (*colbatch.Batch, error) {
 	}
 	c.n[at]++
 	c.arr.taken.take(next.arrive)
-	if next.Col == nil { // a row-engine remote shipped rows
-		b := colbatch.FromRelation(next.Rel)
-		b.Schema = c.sch
-		return b, nil
-	}
 	if len(c.parts) == 1 || next.Col.Schema == c.sch {
 		return next.Col, nil
 	}
 	return next.Col.WithColumns(c.sch, next.Col.Cols), nil
 }
 
-// timeline is the columnar merge's place on the query's virtual clock. The
+// timeline is the merge's place on the query's virtual clock. The
 // merge is one pull pipeline on one goroutine: the work charged when a leaf
 // takes a batch needed only earlier batches, the rest cannot start before this
 // one arrives. take logs both, for an arrival later than every earlier one.
@@ -752,26 +738,6 @@ func overlapped(pulls []pull, idle, total float64, mergeTime simclock.Time) simc
 		end = max(end, p.arrive+left)
 	}
 	return end
-}
-
-// rowLeaf is the row merge's leaf for one logical fragment, built once every
-// fragment has finished: the rows of its shards' batches in the columnar
-// merge's order (earliest), boxed where only columns were shipped.
-func (a *arrivals) rowLeaf(label string, schema *sqltypes.Schema, parts []int) *exec.Values {
-	rel := sqltypes.NewRelation(schema)
-	n := make([]int, len(parts))
-	for {
-		b, at := a.earliest(parts, n)
-		if at < 0 {
-			return &exec.Values{Rel: rel, Label: label}
-		}
-		n[at]++
-		rows := b.Rel
-		if rows == nil {
-			rows = b.Col.ToRelation()
-		}
-		rel.Rows = append(rel.Rows, rows.Rows...)
-	}
 }
 
 // ExecuteContext runs a compiled global plan: every fragment dispatches
@@ -845,21 +811,10 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		}()
 	}
 
-	// The columnar merge pulls batches as the fragments deliver them; the row
-	// merge (the reference engine) waits for every fragment and runs over the
-	// queued batches.
-	vec := ii.vectorized.Load()
-	var (
-		rel      *sqltypes.Relation
-		res      exec.Resources
-		blocking string
-		mergeErr error
-	)
-	if vec {
-		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, true)
-		if mergeErr != nil {
-			cancel() // nothing the outstanding fragments ship can be used
-		}
+	// The merge pulls batches as the fragments deliver them.
+	rel, res, blocking, mergeErr := ii.merge(fctx, gp, arr)
+	if mergeErr != nil {
+		cancel() // nothing the outstanding fragments ship can be used
 	}
 	wg.Wait()
 	if firstErr != nil {
@@ -868,14 +823,10 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if !vec {
-		rel, res, blocking, mergeErr = ii.merge(fctx, gp, arr, false)
-	} else if mergeErr == nil {
-		ii.tel.Active().Counter("exec.vectorized", "ii").Inc()
-	}
 	if mergeErr != nil {
 		return nil, mergeErr
 	}
+	ii.tel.Active().Counter("exec.vectorized", "ii").Inc()
 
 	fragTimes := make(map[string]simclock.Time, len(arr.queues))
 	executed := make(map[string]string, len(arr.queues))
@@ -887,16 +838,12 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 		remotePhase = max(remotePhase, q.outcome.ResponseTime)
 		firstPhase = max(firstPhase, q.outcome.FirstRowTime)
 	}
-	// The II node is charged once for the whole merge on either arm. The row
-	// merge ran after the slowest fragment and its charge follows it; the
-	// columnar merge's sits where its batches arrived. Both wait for every
-	// fragment (no cancel-on-LIMIT yet), and the merge span is the part of the
-	// work the arrivals did not hide: root = max fragment + merge span.
+	// The II node is charged once for the whole merge, and the charge sits
+	// where the merge's batches arrived. The merge waits for every fragment
+	// (no cancel-on-LIMIT yet), and the merge span is the part of the work the
+	// arrivals did not hide: root = max fragment + merge span.
 	mergeTime := ii.cfg.Node.Observe(res)
-	response := remotePhase + mergeTime
-	if vec {
-		response = max(remotePhase, overlapped(arr.taken.pulls, ii.cfg.Node.EstimateTime(exec.Resources{}), ii.cfg.Node.EstimateTime(res), mergeTime))
-	}
+	response := max(remotePhase, overlapped(arr.taken.pulls, ii.cfg.Node.EstimateTime(exec.Resources{}), ii.cfg.Node.EstimateTime(res), mergeTime))
 	root.Advance(remotePhase)
 	if msp := root.Emit("merge", telemetry.LayerII, "", response-remotePhase); msp != nil {
 		msp.SetAttr("work_ms", fmt.Sprintf("%.4f", float64(mergeTime)))
@@ -923,48 +870,33 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 }
 
 // merge combines fragment results at the II node: it builds one operator
-// tree over one leaf per logical fragment and executes it once. The columnar
-// engine (vec) runs it as a pull pipeline over the batches still arriving in
-// arr and boxes the output batches straight into the result; the row engine
-// runs it materialized, over fragments that have fully arrived. It returns
-// the rows, what computing them consumed at the II node, and the tree's
-// outermost pipeline-breaking stage ("" when none).
-func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals, vec bool) (*sqltypes.Relation, exec.Resources, string, error) {
+// tree over one leaf per logical fragment and runs it once, as a pull
+// pipeline over the batches still arriving in arr, boxing the output batches
+// straight into the result. It returns the rows, what computing them
+// consumed at the II node, and the tree's outermost pipeline-breaking stage
+// ("" when none).
+func (ii *II) merge(ctx context.Context, gp *optimizer.GlobalPlan, arr *arrivals) (*sqltypes.Relation, exec.Resources, string, error) {
 	labels, parts := logicalFragments(gp)
 	leaves := make([]exec.Operator, len(labels))
 	ectx := &exec.Context{}
-	if vec {
-		batches := len(gp.Fragments)
-		for _, f := range gp.Fragments {
-			batches += int(f.Plan.Est.Card) / DefaultBatchRows
-		}
-		arr.taken = timeline{node: ii.cfg.Node, work: &ectx.Res, pulls: make([]pull, 0, batches)}
+	batches := len(gp.Fragments)
+	for _, f := range gp.Fragments {
+		batches += int(f.Plan.Est.Card) / DefaultBatchRows
 	}
+	arr.taken = timeline{node: ii.cfg.Node, work: &ectx.Res, pulls: make([]pull, 0, batches)}
 	for i, label := range labels {
 		schema := gp.Fragments[parts[i][0]].Plan.Root.Schema()
-		if vec {
-			leaves[i] = &exec.BatchStream{Sch: schema, Label: label, Src: &fragCursor{ctx: ctx, arr: arr, sch: schema, parts: parts[i]}}
-		} else {
-			leaves[i] = arr.rowLeaf(label, schema, parts[i])
-		}
+		leaves[i] = &exec.BatchStream{Sch: schema, Label: label, Src: &fragCursor{ctx: ctx, arr: arr, sch: schema, parts: parts[i]}}
 	}
 	top, err := mergePlan(gp, leaves, parts)
 	if err != nil {
 		return nil, exec.Resources{}, "", fmt.Errorf("integrator: building merge plan: %w", err)
 	}
-	var rel *sqltypes.Relation
-	if vec {
-		var outs []*colbatch.Batch
-		if outs, err = exec.ExecuteBatches(top, ectx); err == nil {
-			rel = colbatch.ToRelation(outs)
-		}
-	} else {
-		rel, err = top.Execute(ectx)
-	}
+	outs, err := exec.ExecuteBatches(top, ectx)
 	if err != nil {
 		return nil, exec.Resources{}, "", fmt.Errorf("integrator: merging: %w", err)
 	}
-	return rel, ectx.Res, exec.BlockingStage(top), nil
+	return colbatch.ToRelation(outs), ectx.Res, exec.BlockingStage(top), nil
 }
 
 // mergePlan builds the II-side operator tree over the logical fragments'

@@ -116,27 +116,19 @@ func TestQueryCrossSourceMerge(t *testing.T) {
 // TestCrossSourceJoinLimitRowAndColumnarMerge covers the one statement shape
 // whose merge charge the single-tree merge changed: a multi-fragment join
 // with LIMIT and nothing blocking under it, over more joined rows than one
-// 256-row batch. Both engines must return the oracle's rows and charge the
-// II node the same exec.Resources — those of the fully materialized tree.
+// 256-row batch. The merge must return the oracle's rows and charge the II
+// node the exec.Resources of the fully materialized tree, which the row and
+// the columnar kernels agree on when they run the same tree outside the II.
 func TestCrossSourceJoinLimitRowAndColumnarMerge(t *testing.T) {
 	const sql = `SELECT o.o_id, l.l_price FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey LIMIT 300`
-	run := func(vectorized bool) (*scenario.Scenario, *integrator.QueryResult) {
-		sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 50})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, srv := range sc.Servers {
-			srv.SetVectorized(vectorized)
-		}
-		sc.II.SetVectorized(vectorized)
-		res, err := sc.II.Query(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sc, res
+	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 50})
+	if err != nil {
+		t.Fatal(err)
 	}
-	sc, row := run(false)
-	_, vec := run(true)
+	vec, err := sc.II.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	scan := func(serverID, table, as string) exec.Operator {
 		return &exec.SeqScan{Table: sc.Servers[serverID].Table(table), As: as}
@@ -168,17 +160,16 @@ func TestCrossSourceJoinLimitRowAndColumnarMerge(t *testing.T) {
 			}
 		}
 	}
-	requireSameRows("row merge", row.Rel)
-	requireSameRows("columnar merge", vec.Rel)
+	requireSameRows("merge", vec.Rel)
 
-	// The same merge tree over the same fragment results, run on both engines
-	// outside the II, gives the Resources each merge must have charged.
-	gp := row.Plan
+	// The same merge tree over the same fragment results, run on both kernels
+	// outside the II, gives the Resources the merge must have charged.
+	gp := vec.Plan
 	leaves := make([]exec.Operator, len(gp.Fragments))
 	for i, f := range gp.Fragments {
 		tr := f.Spec.Stmt.Tables()[0]
 		frag, err := exec.BuildPlan(f.Spec.Stmt, map[string]exec.Operator{
-			tr.EffectiveName(): scan(row.ExecutedServers[f.Spec.ID], tr.Name, tr.EffectiveName()),
+			tr.EffectiveName(): scan(vec.ExecutedServers[f.Spec.ID], tr.Name, tr.EffectiveName()),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -210,8 +201,8 @@ func TestCrossSourceJoinLimitRowAndColumnarMerge(t *testing.T) {
 	// The II node is idle, so observed merge time is the zero-load service
 	// time of exactly those resources.
 	wantMerge := simclock.Time(sc.IINode.EstimateTime(rowCtx.Res))
-	if row.MergeTime != wantMerge || vec.MergeTime != wantMerge {
-		t.Fatalf("merge time: row %v, columnar %v, want %v for %+v", row.MergeTime, vec.MergeTime, wantMerge, rowCtx.Res)
+	if vec.MergeTime != wantMerge {
+		t.Fatalf("merge time %v, want %v for %+v", vec.MergeTime, wantMerge, rowCtx.Res)
 	}
 }
 

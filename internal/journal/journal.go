@@ -120,30 +120,24 @@ type Run struct {
 	Ship     Ship
 }
 
-// Ship is how a fragment's result crossed the wire.
+// Ship is what a fragment's result shipped, always as typed column batches.
 type Ship uint8
 
 const (
-	RowShip     Ship = iota // boxed rows of the full (or ship-all-rows baseline) result
-	ColShip                 // typed column batches of the same rows
-	Pushdown                // partial-aggregate states as boxed rows
-	PushdownCol             // partial-aggregate states as typed column batches
+	ColShip     Ship = iota // the rows of the result
+	PushdownCol             // partial-aggregate states
 )
 
-// ShipMode is the mode of a shipment of partial-aggregate states or of rows,
-// over the columnar wire or not.
-func ShipMode(pushdown, columnar bool) (s Ship) {
-	if columnar {
-		s = ColShip
-	}
+// ShipMode is the mode of a shipment of partial-aggregate states or of rows.
+func ShipMode(pushdown bool) Ship {
 	if pushdown {
-		s += Pushdown
+		return PushdownCol
 	}
-	return s
+	return ColShip
 }
 
 func (s Ship) String() string {
-	return [...]string{"row-ship", "col-ship", "pushdown", "pushdown-col"}[s]
+	return [...]string{"col-ship", "pushdown-col"}[s]
 }
 
 // Error is one failed interaction with a source: an explain or a shipment.

@@ -162,11 +162,11 @@ func TestSubscriberSeesEachObservationOnce(t *testing.T) {
 
 func TestShipModeNames(t *testing.T) {
 	for _, c := range []struct {
-		pushdown, columnar bool
-		want               string
-	}{{false, false, "row-ship"}, {false, true, "col-ship"}, {true, false, "pushdown"}, {true, true, "pushdown-col"}} {
-		if got := ShipMode(c.pushdown, c.columnar).String(); got != c.want {
-			t.Errorf("ShipMode(%v, %v) = %q, want %q", c.pushdown, c.columnar, got, c.want)
+		pushdown bool
+		want     string
+	}{{false, "col-ship"}, {true, "pushdown-col"}} {
+		if got := ShipMode(c.pushdown).String(); got != c.want {
+			t.Errorf("ShipMode(%v) = %q, want %q", c.pushdown, got, c.want)
 		}
 	}
 }

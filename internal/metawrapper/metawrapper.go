@@ -272,21 +272,6 @@ func (mw *MetaWrapper) TableVersions(serverID string, tables []string) (map[stri
 	return w.TableVersions(tables)
 }
 
-// resultBytes is the actual result volume a fragment shipped: the encoded
-// wire bytes when the columnar wire protocol carried it, the row-model size
-// otherwise. The estimate side (CostEstimate.OutBytes) prices bare columns at
-// their encoded width and computed ones by the row model (remote/estimate.go);
-// QCC's calibration learns the time gap, not the byte gap.
-func resultBytes(res *remote.Result, wireBytes int) int {
-	if wireBytes > 0 {
-		return wireBytes
-	}
-	if res.Rel != nil {
-		return res.Rel.ByteSize()
-	}
-	return 0
-}
-
 // Ship forwards an execution descriptor (wrapper.Ship), handing each batch
 // to emit as it arrives, and instruments the shipment. The context carries
 // the dispatch's cancellation signal down to the wrapper, server and network
@@ -357,11 +342,9 @@ func (mw *MetaWrapper) observeOutcome(ctx context.Context, key FragmentKey, plan
 		mw.telemetry().Active().Histogram("mw.first_row_ms", key.ServerID, nil).Observe(float64(out.FirstRowTime))
 	}
 	// The context says which query and fragment this shipment serves
-	// (nothing, for a direct call) and carries the dispatch's span. Only the
-	// columnar wire carries encoded bytes, and even an empty batch encodes to
-	// a few.
+	// (nothing, for a direct call) and carries the dispatch's span.
 	scope := journal.ScopeOf(ctx)
-	ship := journal.ShipMode(scope.Pushdown, out.WireBytes > 0)
+	ship := journal.ShipMode(scope.Pushdown)
 	telemetry.SpanFrom(ctx).SetAttr("ship", ship.String())
 	mw.journal.AddRun(journal.Run{
 		QueryID:         scope.Query,
@@ -373,7 +356,7 @@ func (mw *MetaWrapper) observeOutcome(ctx context.Context, key FragmentKey, plan
 		ObservedMS:      float64(out.ResponseTime),
 		FirstTupleEstMS: rawEst.FirstTupleMS,
 		FirstRowMS:      float64(out.FirstRowTime),
-		OutBytes:        int32(resultBytes(out.Result, out.WireBytes)),
+		OutBytes:        int32(out.WireBytes),
 		Ship:            ship,
 	})
 }

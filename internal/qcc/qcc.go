@@ -71,6 +71,8 @@ type QCC struct {
 	// totals at Attach and until those at Detach.
 	attached     bool
 	since, until Stats
+	// ii is the integrator Attach installed QCC's hooks in (nil before).
+	ii *integrator.II
 }
 
 // DemandSource reports pending admission demand (queued queries not yet
@@ -131,7 +133,7 @@ func New(cfg Config) *QCC {
 // transparent deployment: no optimizer code changes, only the cost surfaces.
 func Attach(cfg Config, ii *integrator.II) *QCC {
 	q := New(cfg)
-	q.attached, q.since = true, q.totals() // q is not shared yet
+	q.attached, q.since, q.ii = true, q.totals(), ii // q is not shared yet
 	cfg.MW.Journal().Subscribe(q)
 	cfg.MW.SetCalibrator(q)
 	ii.SetIICalibrator(q)
@@ -139,14 +141,17 @@ func Attach(cfg Config, ii *integrator.II) *QCC {
 	return q
 }
 
-// Detach unsubscribes QCC from the journal, removes it from the meta-wrapper
-// and stops its daemons; from then on it learns nothing. The integrator
-// hooks stay for the caller to clear (DisableQCC does): until then the II
-// calibrator keeps scaling merge estimates by the last published II factor,
-// and the route policy keeps routing.
+// Detach undoes Attach: it unsubscribes QCC from the journal, removes it from
+// the meta-wrapper, removes its II calibrator and route policy from the
+// integrator (which clears the plan cache) and stops its daemons. From then
+// on it learns nothing and nothing is costed or routed through it.
 func (q *QCC) Detach() {
 	q.mw.Journal().Subscribe(nil)
 	q.mw.SetCalibrator(nil)
+	if q.ii != nil {
+		q.ii.SetIICalibrator(nil)
+		q.ii.SetRouter(nil)
+	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.attached, q.until = false, q.totals()

@@ -277,6 +277,38 @@ func TestDetachedQCCLearnsNothing(t *testing.T) {
 	}
 }
 
+// TestDetachRemovesTheIICalibrator: Detach undoes all of Attach. After one
+// join and a publish QCC's II factor scales merge estimates; once it is
+// detached, a fresh compile of the same join carries the raw merge estimate
+// again.
+func TestDetachRemovesTheIICalibrator(t *testing.T) {
+	const join = "SELECT COUNT(*) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey WHERE o.o_amount > 9000"
+	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := qcc.Attach(qcc.Config{Clock: sc.Clock, MW: sc.MW, DisableDaemons: true}, sc.II)
+	raw, err := sc.II.Query(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.PublishNow()
+	if f := q.Calib.IIFactor(); f == 1 {
+		t.Fatal("the join taught QCC no II factor; the test needs one")
+	}
+	q.Detach()
+	sc.II.ClearPlanCache()
+	res, err := sc.II.Query(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("merge estimate %v, before the publish %v", res.Plan.MergeEstMS, raw.Plan.MergeEstMS)
+	if res.Plan.MergeEstMS != raw.Plan.MergeEstMS {
+		t.Errorf("detached, the merge estimate is %v, the raw estimate %v: the II factor %v still applies",
+			res.Plan.MergeEstMS, raw.Plan.MergeEstMS, q.Calib.IIFactor())
+	}
+}
+
 func TestSimulatedFederationEnumeratesWithoutExecution(t *testing.T) {
 	sc, q := build(t)
 	sf, err := qcc.NewSimulatedFederation(sc.Servers, sc.Topo, sc.Catalog, sc.IINode, q)

@@ -13,36 +13,22 @@ import (
 
 // Result is the outcome of executing a plan at the server.
 type Result struct {
-	// Rel is the materialized fragment result. Nil when the columnar wire
-	// protocol carried the result: then Col is authoritative and no row form
-	// was ever boxed on the server.
-	Rel *sqltypes.Relation
-	// Col is the columnar form of the same result when the server executed
-	// vectorized; nil on the row engine. Col.ToRelation() row-equals Rel.
+	// Col is the materialized fragment result, in the columns the wire
+	// encodes; no row form is ever boxed on the server.
 	Col *colbatch.Batch
 	// ServiceTime is the simulated time the server spent, including load
 	// effects and queueing — the "observed cost" QCC learns from.
 	ServiceTime simclock.Time
 }
 
-// RowCount returns the result cardinality regardless of which form (rows or
-// columns) carries it.
-func (r *Result) RowCount() int {
-	if r.Rel != nil {
-		return len(r.Rel.Rows)
-	}
-	if r.Col != nil {
-		return r.Col.Len()
-	}
-	return 0
-}
+// RowCount returns the result cardinality.
+func (r *Result) RowCount() int { return r.Col.Len() }
 
 // runPlan is OpenPlan's execution body: it fails when the context is cancelled, when the server is down, when failure
 // injection is armed, or when the plan is bound to a different server, then
-// executes the plan and observes its full service time under current load.
-// wire selects the columnar wire protocol: the result then stays columnar
-// (Rel nil) and is never boxed into rows on the server.
-func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, error) {
+// executes the plan on the columnar engine and observes its full service time
+// under current load.
+func (s *Server) runPlan(ctx context.Context, p *Plan) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -62,35 +48,17 @@ func (s *Server) runPlan(ctx context.Context, p *Plan, wire bool) (*Result, erro
 	s.mu.Unlock()
 
 	ectx := &exec.Context{}
-	if s.vectorized.Load() {
-		col, err := exec.ExecuteVectorized(p.Root, ectx)
-		if err != nil {
-			return nil, fmt.Errorf("remote: executing on %s: %w", s.id, err)
-		}
-		// WireSize equals the materialized relation's ByteSize, so the load
-		// model and every downstream network draw observe identical bytes.
-		ectx.Res.OutBytes = col.WireSize()
-		tel := s.telemetry()
-		tel.Active().Counter("exec.vectorized", s.id).Inc()
-		tel.Active().Histogram("exec.batch_rows", s.id, nil).Observe(float64(col.Len()))
-		res := &Result{
-			Col:         col,
-			ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
-		}
-		if !wire {
-			res.Rel = col.ToRelation()
-		}
-		return res, nil
-	}
-	rel, err := p.Root.Execute(ectx)
+	col, err := exec.ExecuteVectorized(p.Root, ectx)
 	if err != nil {
 		return nil, fmt.Errorf("remote: executing on %s: %w", s.id, err)
 	}
-	ectx.Res.OutBytes = rel.ByteSize()
-	return &Result{
-		Rel:         rel,
-		ServiceTime: s.ObserveAccess(ectx.Res, p.Tables),
-	}, nil
+	// WireSize equals the materialized relation's ByteSize: the load model
+	// observes the result's row-model size, whatever the wire encodes.
+	ectx.Res.OutBytes = col.WireSize()
+	tel := s.telemetry()
+	tel.Active().Counter("exec.vectorized", s.id).Inc()
+	tel.Active().Histogram("exec.batch_rows", s.id, nil).Observe(float64(col.Len()))
+	return &Result{Col: col, ServiceTime: s.ObserveAccess(ectx.Res, p.Tables)}, nil
 }
 
 // Probe performs the availability daemon's lightweight health check. It

@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/simclock"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 	"repro/internal/storage"
 )
 
@@ -28,18 +29,21 @@ func newTestServer(t *testing.T, cfg Config, scale int) *Server {
 	return s
 }
 
+// boxedResult is a plan's result with its rows boxed.
+type boxedResult struct {
+	Rel         *sqltypes.Relation
+	ServiceTime simclock.Time
+}
+
 // execute runs a plan through OpenPlan as one batch and returns its result
 // with the rows boxed.
-func execute(s *Server, p *Plan) (*Result, error) {
+func execute(s *Server, p *Plan) (*boxedResult, error) {
 	cur, err := s.OpenPlan(context.Background(), p, 0)
 	if err != nil {
 		return nil, err
 	}
 	res := cur.Result()
-	if res.Rel == nil {
-		res.Rel = res.Col.ToRelation()
-	}
-	return res, nil
+	return &boxedResult{Rel: res.Col.ToRelation(), ServiceTime: res.ServiceTime}, nil
 }
 
 func TestServerTablesAndCatalog(t *testing.T) {

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/simclock"
@@ -158,19 +157,6 @@ type Server struct {
 	// tel is the observability subsystem (nil/disabled is a no-op).
 	tel *telemetry.Telemetry
 
-	// vectorized selects the columnar execution engine for this server's
-	// fragments (the default). Either engine produces bit-identical results
-	// and charges (see exec.ExecuteVectorized); false selects the row engine,
-	// the reference the oracle tests compare against.
-	vectorized atomic.Bool
-
-	// wireColumnar ships streamed fragment results as typed column batches
-	// with the compact colbatch wire encoding instead of boxed rows (the
-	// default). It only takes effect while vectorized is also on (the row
-	// engine has no columnar result to encode); when off, no encoder runs
-	// and batches carry boxed rows charged at their row size.
-	wireColumnar atomic.Bool
-
 	// induced-load state: recent service-time samples within the window.
 	induced InducedLoadProfile
 	clock   *simclock.Clock
@@ -205,8 +191,6 @@ func NewServer(cfg Config) *Server {
 		cache:      cfg.Cache,
 		resident:   map[string]float64{},
 	}
-	s.vectorized.Store(true)
-	s.wireColumnar.Store(true)
 	return s
 }
 
@@ -224,21 +208,16 @@ func (s *Server) telemetry() *telemetry.Telemetry {
 	return s.tel
 }
 
-// SetVectorized switches this server's executor between the columnar engine
-// (the default) and the row-at-a-time reference engine.
-func (s *Server) SetVectorized(on bool) { s.vectorized.Store(on) }
+// SetVectorized does nothing: every server runs the columnar engine.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func (s *Server) SetVectorized(bool) {}
 
-// Vectorized reports whether the columnar engine is active.
-func (s *Server) Vectorized() bool { return s.vectorized.Load() }
-
-// SetColumnarWire switches streamed fragment results between the typed
-// columnar wire encoding (the default) and boxed rows. Effective only while
-// the server is also vectorized; the flag is remembered either way.
-func (s *Server) SetColumnarWire(on bool) { s.wireColumnar.Store(on) }
-
-// ColumnarWire reports whether the columnar wire protocol is enabled (it
-// still requires Vectorized() to carry batches).
-func (s *Server) ColumnarWire() bool { return s.wireColumnar.Load() }
+// SetColumnarWire does nothing: every server ships its results on the
+// columnar wire.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func (s *Server) SetColumnarWire(bool) {}
 
 // ID returns the server identifier.
 func (s *Server) ID() string { return s.id }

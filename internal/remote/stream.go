@@ -11,16 +11,14 @@ import (
 
 // Batch is one streamed unit of a fragment result.
 type Batch struct {
-	// Rel holds this batch's rows (a slice view into the full result). Nil
-	// when the columnar wire protocol carried the batch: then Col + Enc are
-	// authoritative and no rows were boxed.
+	// Rel is always nil: every batch travels as columns (Col, measured by
+	// Enc). It stays only because the benchmark harness still reads it.
 	Rel *sqltypes.Relation
-	// Col is the same rows as a columnar view when the server executed
-	// vectorized; nil on the row engine.
+	// Col is the batch's rows: a columnar view into the full result.
 	Col *colbatch.Batch
 	// Enc measures the batch in wire form (colbatch.Measure: its size and
-	// column encodings, no bytes), present only under the columnar wire
-	// protocol. Its size is what the network link transfers.
+	// column encodings, no bytes). Its size is what the network link
+	// transfers.
 	Enc *colbatch.Encoded
 	// ServiceTime is the simulated remote compute time attributable to
 	// producing this batch under the first/next-tuple model: the first batch
@@ -47,8 +45,7 @@ type Cursor struct {
 // batch carrying the full service time, which reproduces monolithic
 // execution exactly.
 func (s *Server) OpenPlan(ctx context.Context, p *Plan, batchRows int) (*Cursor, error) {
-	wire := s.wireColumnar.Load() && s.vectorized.Load()
-	res, err := s.runPlan(ctx, p, wire)
+	res, err := s.runPlan(ctx, p)
 	if err != nil {
 		return nil, err
 	}
@@ -92,24 +89,10 @@ func (c *Cursor) NextBatch() *Batch {
 		lo, prev = c.bounds[c.pos-1], c.splits[c.pos-1]
 	}
 	hi := c.bounds[c.pos]
-	b := &Batch{ServiceTime: c.splits[c.pos] - prev}
-	if rel := c.result.Rel; rel != nil {
-		if c.pos > 0 || hi < len(rel.Rows) {
-			view := sqltypes.NewRelation(rel.Schema)
-			view.Rows = rel.Rows[lo:hi]
-			rel = view
-		}
-		b.Rel = rel
-	}
-	if c.result.Col != nil {
-		b.Col = c.result.Col.Slice(lo, hi)
-		if c.result.Rel == nil {
-			// Columnar wire protocol: the batch's encoded length is the size
-			// every network draw observes. Nothing decodes the bytes, so
-			// the batch is measured, not encoded.
-			b.Enc = colbatch.Measure(b.Col)
-		}
-	}
+	// The batch's encoded length is the size every network draw observes.
+	// Nothing decodes the bytes, so the batch is measured, not encoded.
+	col := c.result.Col.Slice(lo, hi)
+	b := &Batch{Col: col, Enc: colbatch.Measure(col), ServiceTime: c.splits[c.pos] - prev}
 	c.pos++
 	return b
 }

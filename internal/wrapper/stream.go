@@ -29,8 +29,7 @@ type StreamOutcome struct {
 	// shipment, whose one batch is the whole result: there is no first-row
 	// observation apart from ResponseTime.
 	FirstRowTime simclock.Time
-	// WireBytes is the total encoded bytes the result link carried when the
-	// columnar wire protocol was active; 0 on the row protocol.
+	// WireBytes is the total encoded bytes the result link carried.
 	WireBytes int
 }
 
@@ -73,8 +72,8 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 	linkFree := produced                   // when the wire finishes serializing the previous batch
 	arrive := produced                     // arrival time of the latest batch
 	emitted := produced                    // span-cursor position (sum of emitted sub-spans)
-	// Columnar-wire accounting for the span: the row-model bytes actually
-	// shipped and the first batch's per-column encoding labels.
+	// Wire accounting for the span: the row-model size of the rows shipped
+	// and the first batch's per-column encoding labels.
 	var rawBytes int
 	var colEnc []string
 	for n := 0; ; n++ {
@@ -82,17 +81,16 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 		if b == nil {
 			break
 		}
-		if b.Enc != nil {
-			out.WireBytes += b.Enc.WireBytes()
-			if wsp != nil { // only the span reports the row-model bytes
-				rawBytes += b.Col.WireSize()
-			}
-			if colEnc == nil {
-				colEnc = b.Enc.ColEnc
-			}
+		size := b.Enc.WireBytes()
+		out.WireBytes += size
+		if wsp != nil { // only the span reports the row-model bytes
+			rawBytes += b.Col.WireSize()
+		}
+		if colEnc == nil {
+			colEnc = b.Enc.ColEnc
 		}
 		if batchRows > 0 {
-			lat, ser, err := w.topo.TransferBatch(ctx, id, batchWireBytes(b))
+			lat, ser, err := w.topo.TransferBatch(ctx, id, size)
 			if err != nil {
 				wsp.SetAttr("error", err.Error())
 				return nil, err
@@ -111,7 +109,7 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 				out.FirstRowTime = arrive
 			}
 		} else {
-			xfer, err := w.topo.Transfer(ctx, id, batchWireBytes(b))
+			xfer, err := w.topo.Transfer(ctx, id, size)
 			if err != nil {
 				wsp.SetAttr("error", err.Error())
 				return nil, err
@@ -126,30 +124,12 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 		emit(b, arrive)
 	}
 	out.ResponseTime = arrive
-	if out.WireBytes > 0 {
-		wsp.SetAttr("wire", "columnar")
-		wsp.SetAttr("wire_bytes", strconv.Itoa(out.WireBytes))
-		wsp.SetAttr("wire_raw_bytes", strconv.Itoa(rawBytes))
-		wsp.SetAttr("wire_enc", strings.Join(colEnc, ","))
-	}
+	wsp.SetAttr("wire", "columnar")
+	wsp.SetAttr("wire_bytes", strconv.Itoa(out.WireBytes))
+	wsp.SetAttr("wire_raw_bytes", strconv.Itoa(rawBytes))
+	wsp.SetAttr("wire_enc", strings.Join(colEnc, ","))
 	wsp.End(arrive)
 	return out, nil
-}
-
-// batchWireBytes sizes a batch for the network model. Under the columnar
-// wire protocol the encoded length is authoritative. Otherwise the columnar
-// WireSize is computed from per-column sums (O(1) for fixed-width null-free
-// columns) but equals Relation.ByteSize exactly, so every Transfer draw —
-// and with it the whole virtual-time schedule — is identical on both
-// engines.
-func batchWireBytes(b *remote.Batch) int {
-	if b.Enc != nil {
-		return b.Enc.WireBytes()
-	}
-	if b.Col != nil {
-		return b.Col.WireSize()
-	}
-	return b.Rel.ByteSize()
 }
 
 // Shipment is a fragment shipped to the end: its outcome and its batches in

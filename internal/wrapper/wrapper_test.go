@@ -190,13 +190,8 @@ func explainFirst(t *testing.T, w Wrapper, sql string) *remote.Plan {
 	return cands[0].Plan
 }
 
-// batchRowsOf is one batch's rows, from whichever form carries them.
-func batchRowsOf(b *remote.Batch) *sqltypes.Relation {
-	if b.Rel != nil {
-		return b.Rel
-	}
-	return b.Col.ToRelation()
-}
+// batchRowsOf is one batch's rows, boxed.
+func batchRowsOf(b *remote.Batch) *sqltypes.Relation { return b.Col.ToRelation() }
 
 // TestShipHandsOverBatchesInArrivalOrder holds Ship to its contract: emit
 // runs once per cursor batch, in cursor order, with arrival times that never
@@ -270,36 +265,30 @@ func TestShipHandsOverBatchesInArrivalOrder(t *testing.T) {
 	}
 }
 
-// TestShipModeFollowsTheWireBytes: a shipment carried encoded bytes exactly
-// when some batch arrived without a row form, on either engine and either
-// wire, for a full and an empty result, pipelined or not. The meta-wrapper
-// names a fragment's ship mode from the bytes alone.
+// TestShipModeFollowsTheWireBytes: every shipment carries encoded bytes and
+// no boxed rows, for a full and an empty result, pipelined or not, and its
+// encoded bytes are the sum of its batches' measured sizes.
 func TestShipModeFollowsTheWireBytes(t *testing.T) {
 	ctx := context.Background()
-	s, w := slowLinkSetup(t)
+	_, w := slowLinkSetup(t)
 	for _, sql := range []string{
 		"SELECT l.l_orderkey, l.l_price FROM lineitem AS l",
 		"SELECT l.l_orderkey FROM lineitem AS l WHERE l.l_qty < 0",
 	} {
 		plan := explainFirst(t, w, sql)
-		for _, vec := range []bool{false, true} {
-			for _, wire := range []bool{false, true} {
-				s.SetVectorized(vec)
-				s.SetColumnarWire(wire)
-				for _, batchRows := range []int{256, 0} {
-					noRows, batches := false, 0
-					out, err := w.Ship(ctx, plan, batchRows, func(b *remote.Batch, _ simclock.Time) {
-						noRows = noRows || b.Rel == nil
-						batches++
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if batches == 0 || (out.WireBytes > 0) != noRows || noRows != (vec && wire) {
-						t.Fatalf("%q, vectorized %v, columnar wire %v, batchRows %d: %d batches, wire bytes %d, a batch without rows %v",
-							sql, vec, wire, batchRows, batches, out.WireBytes, noRows)
-					}
-				}
+		for _, batchRows := range []int{256, 0} {
+			rows, batches, measured := false, 0, 0
+			out, err := w.Ship(ctx, plan, batchRows, func(b *remote.Batch, _ simclock.Time) {
+				rows = rows || b.Rel != nil
+				measured += b.Enc.WireBytes()
+				batches++
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if batches == 0 || out.WireBytes == 0 || out.WireBytes != measured || rows {
+				t.Fatalf("%q, batchRows %d: %d batches, wire bytes %d of %d measured, a batch with boxed rows %v",
+					sql, batchRows, batches, out.WireBytes, measured, rows)
 			}
 		}
 	}

@@ -2,8 +2,8 @@
 // whatever select list the optimizer gives a fragment, the federated answer is
 // the single-site answer. The property test drives seeded multi-source
 // statements through the replica federation (cross-source joins) and the
-// 4-shard federation (gathered shards, pushdown on and off) under both
-// engines and compares every result with experiment.GroundTruth.
+// 4-shard federation (gathered shards, pushdown on and off) and compares
+// every result with experiment.GroundTruth.
 package fedqcc_test
 
 import (
@@ -116,20 +116,12 @@ func TestPrunedFragmentsReturnGroundTruth(t *testing.T) {
 	}
 	var arms []arm
 	add := func(name string, build func() (*fedqcc.Federation, error), pushdown bool) {
-		for _, vectorized := range []bool{true, false} {
-			fed, err := build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			fed.SetShardPushdown(pushdown)
-			engine := "columnar"
-			if !vectorized {
-				fed.SetVectorized(false)
-				fed.SetColumnarWire(false)
-				engine = "row"
-			}
-			arms = append(arms, arm{name + "/" + engine, fed})
+		fed, err := build()
+		if err != nil {
+			t.Fatal(err)
 		}
+		fed.SetShardPushdown(pushdown)
+		arms = append(arms, arm{name, fed})
 	}
 	replica := func() (*fedqcc.Federation, error) {
 		return fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: scale, Seed: seed})

@@ -108,8 +108,6 @@ func (f *Federation) EnableQCC(opts QCCOptions) *Calibrator {
 func (f *Federation) DisableQCC() {
 	if f.qcc != nil {
 		f.qcc.Detach()
-		f.ii.SetRouter(nil)
-		f.ii.SetIICalibrator(nil)
 		f.qcc = nil
 	}
 }

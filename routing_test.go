@@ -458,7 +458,6 @@ func TestRouteDecisionsLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.SetColumnarWire(false) // the row protocol's ship mode is what this test reads back
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true, LoadBalance: fedqcc.LBGlobal})
 	const sql = "SELECT SUM(h.h_val) FROM hot2 AS h WHERE h.h_val > 1000"
 	var ids []int64
@@ -491,8 +490,8 @@ func TestRouteDecisionsLogged(t *testing.T) {
 			t.Fatalf("query %d: fragment dispatches recorded no run entries", id)
 		}
 		for _, run := range rec.Runs {
-			if run.Ship.String() != "row-ship" {
-				t.Errorf("ship mode = %q on the row protocol, want row-ship (%+v)", run.Ship, run)
+			if run.Ship.String() != "col-ship" {
+				t.Errorf("ship mode = %q, want col-ship (%+v)", run.Ship, run)
 			}
 		}
 	}

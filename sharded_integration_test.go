@@ -66,8 +66,8 @@ var shardedWorkload = []string{
 // TestShardedSingleShardIdentity is the sharding-off acceptance gate: a
 // single-shard sharded federation must be observationally indistinguishable
 // — rows, charges, routes, span trees, virtual clock — from the same
-// federation assembled through the pre-sharding Builder path, under both
-// engines. RegisterSharded degrades a 1-shard map to a plain nickname, so
+// federation assembled through the pre-sharding Builder path.
+// RegisterSharded degrades a 1-shard map to a plain nickname, so
 // this pins the whole engine to the pre-sharding code paths by construction.
 func TestShardedSingleShardIdentity(t *testing.T) {
 	const scale = 50
@@ -83,15 +83,9 @@ func TestShardedSingleShardIdentity(t *testing.T) {
 		}
 		return fed
 	}
-	for _, vec := range []bool{false, true} {
-		single := shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 1, Scale: scale})
-		base := baselineFed()
-		single.SetVectorized(vec)
-		base.SetVectorized(vec)
-		got := runWorkloadOn(t, single, shardedWorkload)
-		want := runWorkloadOn(t, base, shardedWorkload)
-		requireVecIdentity(t, shardedWorkload, want, got)
-	}
+	got := runWorkloadOn(t, shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 1, Scale: scale}), shardedWorkload)
+	want := runWorkloadOn(t, baselineFed(), shardedWorkload)
+	requireVecIdentity(t, shardedWorkload, want, got)
 }
 
 // TestShardedPrunedVsUnpruned is the pruning-correctness property test:

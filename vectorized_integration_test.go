@@ -1,11 +1,9 @@
-// Vectorized-engine integration tests: flipping the federation between the
-// row-at-a-time and columnar executors must be invisible to everything the
-// simulation measures — rows, routes, fragment times, merge times, queue
-// waits, span trees, and the virtual clock — with and without an active
-// admission policy. Only real wall-clock cost may differ. Both flags default
-// on, so every reference arm selects the row engine with SetVectorized(false)
-// and every vectorized arm turns the columnar wire off: the wire changes the
-// bytes the network model charges, the engine alone must change nothing.
+// Columnar-engine integration tests: every federation runs the columnar
+// engine on the columnar wire, and its answers are the row kernels' answers
+// over one server's tables (experiment.GroundTruth), with and without an
+// active admission policy. The helpers compare two runs of one workload on
+// everything the simulation measures: rows, routes, fragment times, merge
+// times, queue waits, span trees and the virtual clock.
 package fedqcc_test
 
 import (
@@ -15,6 +13,8 @@ import (
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/experiment"
+	"repro/internal/scenario"
 	"repro/internal/sqltypes"
 )
 
@@ -67,21 +67,19 @@ func cellsBitIdentical(a, b sqltypes.Value) bool {
 }
 
 // requireVecIdentity requires two runs of the same workload to be
-// observationally indistinguishable. That includes the clock: the soak
-// workload's merges take one batch at one instant, so the columnar merge has no
-// arrival to overlap and ends where the row merge does.
+// observationally indistinguishable, the final clock included.
 func requireVecIdentity(t *testing.T, sqls []string, row, vec vecRunOutcome) {
 	t.Helper()
 	for i := range sqls {
 		r, v := row.results[i], vec.results[i]
 		if len(r.Rows.Rows) != len(v.Rows.Rows) {
-			t.Fatalf("query %d (%s): %d rows (row engine) vs %d (vectorized)",
+			t.Fatalf("query %d (%s): %d rows vs %d",
 				i, sqls[i], len(r.Rows.Rows), len(v.Rows.Rows))
 		}
 		for ri := range r.Rows.Rows {
 			for ci := range r.Rows.Rows[ri] {
 				if !cellsBitIdentical(r.Rows.Rows[ri][ci], v.Rows.Rows[ri][ci]) {
-					t.Fatalf("query %d (%s): cell (%d,%d) diverged: row engine %#v, vectorized %#v",
+					t.Fatalf("query %d (%s): cell (%d,%d) diverged: %#v vs %#v",
 						i, sqls[i], ri, ci, r.Rows.Rows[ri][ci], v.Rows.Rows[ri][ci])
 				}
 			}
@@ -108,18 +106,36 @@ func requireVecIdentity(t *testing.T, sqls []string, row, vec vecRunOutcome) {
 			t.Errorf("query %d (%s): fragment times %v vs %v", i, sqls[i], r.FragmentTimes, v.FragmentTimes)
 		}
 		if row.trees[i] != vec.trees[i] {
-			t.Errorf("query %d (%s): span tree diverged:\n--- row engine ---\n%s--- vectorized ---\n%s",
+			t.Errorf("query %d (%s): span tree diverged:\n--- want ---\n%s--- got ---\n%s",
 				i, sqls[i], row.trees[i], vec.trees[i])
 		}
 	}
 	if row.clock != vec.clock {
-		t.Errorf("final clock %v (row engine) vs %v (vectorized): the engines charged different virtual time",
-			row.clock, vec.clock)
+		t.Errorf("final clock %v vs %v: the runs charged different virtual time", row.clock, vec.clock)
+	}
+}
+
+// requireGroundTruth requires every statement's rows to be the row kernels'
+// answer over one server holding every table of the soak federation's data.
+func requireGroundTruth(t *testing.T, sqls []string, out vecRunOutcome) {
+	t.Helper()
+	oracle, err := scenario.BuildThreeServer(scenario.Options{Scale: soakScale, Seed: soakSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, sql := range sqls {
+		want, err := experiment.GroundTruth(oracle, "S1", sql)
+		if err != nil {
+			t.Fatalf("query %d (%s): ground truth: %v", i, sql, err)
+		}
+		if diff := experiment.RelationsEquivalent(out.results[i].Rows, want, false); diff != "" {
+			t.Errorf("query %d (%s): %s", i, sql, diff)
+		}
 	}
 }
 
 // requireVectorizedEngaged fails unless the columnar engine actually executed
-// remote fragments (the identity tests would pass vacuously otherwise).
+// remote fragments and recorded its batch sizes.
 func requireVectorizedEngaged(t *testing.T, out vecRunOutcome) {
 	t.Helper()
 	m := out.fed.Telemetry().Metrics()
@@ -141,33 +157,20 @@ func requireVectorizedEngaged(t *testing.T, out vecRunOutcome) {
 	}
 }
 
-// TestVectorizedIdentityStreaming is the tentpole acceptance check under the
-// default streaming data path: the same random workload through a row-engine
-// federation and a vectorized one must match bit for bit on everything the
-// virtual-time model observes.
+// TestVectorizedIdentityStreaming: under the default streaming data path,
+// the soak workload's answers on the columnar engine and wire are the row
+// kernels' answers over one server's tables.
 func TestVectorizedIdentityStreaming(t *testing.T) {
 	sqls := soakStatements(16)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) { fed.SetVectorized(false) })
-	vec := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetColumnarWire(false)
-		if !fed.Vectorized() {
-			t.Fatal("a new federation must run the columnar engine")
-		}
-	})
-	requireVecIdentity(t, sqls, row, vec)
+	vec := runVecWorkload(t, sqls, func(*fedqcc.Federation) {})
+	requireGroundTruth(t, sqls, vec)
 	requireVectorizedEngaged(t, vec)
-	m := row.fed.Telemetry().Metrics()
-	for _, id := range row.fed.ServerIDs() {
-		if m.CounterValue("exec.vectorized", id) != 0 {
-			t.Fatalf("exec.vectorized incremented on %s with the row engine selected", id)
-		}
-	}
 }
 
 // TestVectorizedIdentityUnderAdmission runs the workload through an active
-// admission policy (classification, slot accounting, per-class counters) on
-// both engines: the gate classifies queries by calibrated cost, so any
-// engine-induced cost perturbation would surface as a class or stats diff.
+// admission policy (classification, slot accounting, per-class counters):
+// the answers are still the row kernels', every query is classified, and
+// every grant is returned.
 func TestVectorizedIdentityUnderAdmission(t *testing.T) {
 	sqls := soakStatements(12)
 	policy := fedqcc.AdmissionPolicy{
@@ -175,62 +178,23 @@ func TestVectorizedIdentityUnderAdmission(t *testing.T) {
 		Interactive:   fedqcc.AdmissionClassConfig{MaxConcurrent: 2, QueueDeadline: 1e6},
 		Batch:         fedqcc.AdmissionClassConfig{QueueDeadline: 1e6},
 	}
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.Admission().SetPolicy(policy)
-		fed.SetVectorized(false)
-	})
 	vec := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
 		fed.Admission().SetPolicy(policy)
-		fed.SetColumnarWire(false)
 	})
-	requireVecIdentity(t, sqls, row, vec)
+	requireGroundTruth(t, sqls, vec)
 	requireVectorizedEngaged(t, vec)
-	rs, vs := row.fed.Admission().Stats(), vec.fed.Admission().Stats()
-	if fmt.Sprint(rs) != fmt.Sprint(vs) {
-		t.Errorf("admission stats diverged:\nrow engine: %+v\nvectorized: %+v", rs, vs)
-	}
-}
-
-// TestVectorizedToggleMidWorkload flips the engine back and forth between
-// queries on one federation and compares against an all-row run: the switch
-// must be safe at any query boundary and leave no residue.
-func TestVectorizedToggleMidWorkload(t *testing.T) {
-	sqls := soakStatements(10)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) { fed.SetVectorized(false) })
-
-	fed := soakFederation(t)
-	fed.EnableTelemetry()
-	fed.SetColumnarWire(false)
-	for i, q := range sqls {
-		fed.SetVectorized(i%2 == 1)
-		res, err := fed.Query(q)
-		if err != nil {
-			t.Fatalf("query %d (%s): %v", i, q, err)
-		}
-		r := row.results[i]
-		if len(r.Rows.Rows) != len(res.Rows.Rows) {
-			t.Fatalf("query %d: %d rows vs %d after toggle", i, len(r.Rows.Rows), len(res.Rows.Rows))
-		}
-		for ri := range r.Rows.Rows {
-			for ci := range r.Rows.Rows[ri] {
-				if !cellsBitIdentical(r.Rows.Rows[ri][ci], res.Rows.Rows[ri][ci]) {
-					t.Fatalf("query %d: cell (%d,%d) diverged after toggle", i, ri, ci)
-				}
-			}
-		}
-		if r.ResponseTime != res.ResponseTime {
-			t.Errorf("query %d: response %v vs %v after toggle", i, r.ResponseTime, res.ResponseTime)
+	for i, res := range vec.results {
+		if res.AdmissionClass == "" {
+			t.Errorf("query %d (%s) ran unclassified", i, sqls[i])
 		}
 	}
-	if row.clock != fed.Now() {
-		t.Errorf("final clock %v vs %v after mid-workload toggling", row.clock, fed.Now())
+	if st := vec.fed.Admission().Stats(); st.Releases != int64(len(sqls)) || st.Running != 0 || st.Queued != 0 {
+		t.Errorf("admission stats after %d sequential queries: %+v", len(sqls), st)
 	}
 }
 
 // TestDefaultsAreColumnar pins what every public constructor builds: the
-// columnar engine and the columnar wire, with no setter called. A default
-// that silently flipped back to the row engine would keep every identity
-// test green (they select both arms explicitly) and cost 20x the allocations.
+// columnar engine and the columnar wire.
 func TestDefaultsAreColumnar(t *testing.T) {
 	builders := map[string]func() (*fedqcc.Federation, string, error){
 		"NewPaperFederation": func() (*fedqcc.Federation, string, error) {
@@ -264,9 +228,6 @@ func TestDefaultsAreColumnar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !fed.Vectorized() || !fed.ColumnarWire() {
-			t.Errorf("%s: Vectorized()=%v ColumnarWire()=%v, want both true with no setter called", name, fed.Vectorized(), fed.ColumnarWire())
-		}
 		fed.EnableTelemetry()
 		if _, err := fed.Query(sql); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -279,7 +240,7 @@ func TestDefaultsAreColumnar(t *testing.T) {
 			ran += fed.Telemetry().Metrics().CounterValue("exec.vectorized", id)
 		}
 		if ran == 0 {
-			t.Errorf("%s: exec.vectorized did not move: the row engine answered", name)
+			t.Errorf("%s: exec.vectorized did not move: the columnar engine did not run", name)
 		}
 	}
 }

@@ -1,79 +1,29 @@
-// Columnar wire protocol integration tests: the typed column-batch wire
-// format must be invisible when disabled (bit-identical charges, spans and
-// virtual clock), answer-preserving when enabled, and actually cheaper on
-// the wire for the sharded ship-everything workload.
+// Columnar wire integration tests: every fragment ships typed column batches
+// in the compact colbatch encoding, the run log records the encoded bytes,
+// and on the sharded ship-everything workload those bytes are well below the
+// row-model size of the rows shipped.
 package fedqcc_test
 
 import (
+	"context"
 	"fmt"
+	"strconv"
 	"testing"
 
 	fedqcc "repro"
+	"repro/internal/exec/colbatch"
+	"repro/internal/experiment"
+	"repro/internal/integrator"
+	"repro/internal/scenario"
+	"repro/internal/telemetry"
 )
-
-// TestWireDisabledIdentity is the CI identity gate for this PR: with the
-// vectorized engine OFF, flipping the columnar-wire flag must change nothing
-// the simulation observes — the flag gates on vectorized, so the encoder
-// never runs and the data path is byte-for-byte the row protocol.
-func TestWireDisabledIdentity(t *testing.T) {
-	sqls := soakStatements(12)
-	base := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(false)
-	})
-	wired := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(false)
-		fed.SetColumnarWire(true)
-		if !fed.ColumnarWire() {
-			t.Fatal("SetColumnarWire(true) did not take")
-		}
-	})
-	requireVecIdentity(t, sqls, base, wired)
-}
-
-// TestWireRowProtocolUntouched pins the complement: turning only the wire
-// flag off on a new (columnar-engine) federation ships exactly the row
-// protocol, byte for byte what the row engine ships.
-func TestWireRowProtocolUntouched(t *testing.T) {
-	sqls := soakStatements(12)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetVectorized(false)
-	})
-	off := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetColumnarWire(false)
-	})
-	requireVecIdentity(t, sqls, row, off)
-}
-
-// TestWireSameAnswers: enabling the columnar wire changes what crosses the
-// (simulated) network — encoded bytes instead of row-model bytes — so
-// virtual times legitimately move; the ANSWERS must not. Every query of the
-// soak workload must return cell-for-cell bit-identical rows.
-func TestWireSameAnswers(t *testing.T) {
-	sqls := soakStatements(16)
-	row := runVecWorkload(t, sqls, func(fed *fedqcc.Federation) {
-		fed.SetColumnarWire(false)
-	})
-	wire := runVecWorkload(t, sqls, func(*fedqcc.Federation) {})
-	for i := range sqls {
-		r, w := row.results[i], wire.results[i]
-		if len(r.Rows.Rows) != len(w.Rows.Rows) {
-			t.Fatalf("query %d (%s): %d rows (row wire) vs %d (columnar wire)",
-				i, sqls[i], len(r.Rows.Rows), len(w.Rows.Rows))
-		}
-		for ri := range r.Rows.Rows {
-			for ci := range r.Rows.Rows[ri] {
-				if !cellsBitIdentical(r.Rows.Rows[ri][ci], w.Rows.Rows[ri][ci]) {
-					t.Fatalf("query %d (%s): cell (%d,%d) diverged: %#v vs %#v",
-						i, sqls[i], ri, ci, r.Rows.Rows[ri][ci], w.Rows.Rows[ri][ci])
-				}
-			}
-		}
-	}
-}
 
 // shardedQuery is aggregate-heavy: with pushdown each shard ships a handful of
 // partial-aggregate states, without it the columns the aggregation reads.
 const shardedQuery = "SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag"
+
+// wireScale is the wire tests' scale: 2 000 lineitem rows.
+const wireScale = 400
 
 // queryWireBytes runs sql once and returns the result plus the bytes every
 // remote fragment shipped for that query: the OutBytes of the run entries the
@@ -94,64 +44,84 @@ func queryWireBytes(fed *fedqcc.Federation, sql string) (*fedqcc.QueryResult, in
 	return res, bytes, nil
 }
 
-// wireShardedFed builds a vectorized sharded federation for wire tests
-// (scale 400: 2 000 lineitem rows).
-func wireShardedFed(t testing.TB, shards int, pushdown, wire bool) *fedqcc.Federation {
+// wireShardedFed builds a sharded federation for wire tests.
+func wireShardedFed(t testing.TB, shards int, pushdown bool) *fedqcc.Federation {
 	t.Helper()
 	fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{
 		Shards: shards,
-		Scale:  400,
+		Scale:  wireScale,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed.SetShardPushdown(pushdown)
-	fed.SetColumnarWire(wire)
 	return fed
 }
 
-// TestWireShipsFewerBytes: on the sharded ship-everything workload the
-// columnar wire must (a) return the same answers, (b) record strictly fewer
-// bytes in MW's run log, and (c) log "col-ship" decisions where the row
-// protocol logs "row-ship".
-func TestWireShipsFewerBytes(t *testing.T) {
-	rowFed := wireShardedFed(t, 4, false, false)
-	wireFed := wireShardedFed(t, 4, false, true)
-	for _, warm := range []*fedqcc.Federation{rowFed, wireFed} {
-		if _, err := warm.Query(shardedQuery); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rowRes, rowBytes, err := queryWireBytes(rowFed, shardedQuery)
+// requireShardedGroundTruth requires res to hold the row kernels' answer to
+// sql over one server holding the whole of the sharded federation's data.
+func requireShardedGroundTruth(t *testing.T, sql string, res *fedqcc.QueryResult) {
+	t.Helper()
+	oracle, err := scenario.BuildThreeServer(scenario.Options{Scale: wireScale})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireRes, wireBytes, err := queryWireBytes(wireFed, shardedQuery)
+	want, err := experiment.GroundTruth(oracle, "S1", sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rowRes.Rows.Rows) != len(wireRes.Rows.Rows) {
-		t.Fatalf("row wire returned %d rows, columnar wire %d", len(rowRes.Rows.Rows), len(wireRes.Rows.Rows))
+	if diff := experiment.RelationsEquivalent(res.Rows, want, false); diff != "" {
+		t.Fatalf("%s: %s", sql, diff)
 	}
-	for ri := range rowRes.Rows.Rows {
-		for ci := range rowRes.Rows.Rows[ri] {
-			if !cellsBitIdentical(rowRes.Rows.Rows[ri][ci], wireRes.Rows.Rows[ri][ci]) {
-				t.Fatalf("cell (%d,%d) diverged: %#v vs %#v",
-					ri, ci, rowRes.Rows.Rows[ri][ci], wireRes.Rows.Rows[ri][ci])
-			}
-		}
-	}
-	if wireBytes >= rowBytes {
-		t.Errorf("columnar wire shipped %d B, row protocol %d B: no reduction", wireBytes, rowBytes)
-	}
-	t.Logf("ship-everything at 4 shards: row %d B, columnar %d B (%.2fx)",
-		rowBytes, wireBytes, float64(rowBytes)/float64(wireBytes))
+}
 
-	if modes := shipModes(rowFed); !modes["row-ship"] || len(modes) != 1 {
-		t.Errorf("row federation ship modes = %v, want row-ship only", modes)
+// spanBytes sums an integer attribute over a span tree.
+func spanBytes(t *testing.T, s *telemetry.Span, attr string) int {
+	t.Helper()
+	total := 0
+	for _, a := range s.Attrs() {
+		if a.Key == attr {
+			n, err := strconv.Atoi(a.Value)
+			if err != nil {
+				t.Fatalf("span %s: %s=%q", s.Name(), attr, a.Value)
+			}
+			total += n
+		}
 	}
-	if modes := shipModes(wireFed); !modes["col-ship"] || len(modes) != 1 {
-		t.Errorf("wire federation ship modes = %v, want col-ship only", modes)
+	for _, c := range s.Children() {
+		total += spanBytes(t, c, attr)
+	}
+	return total
+}
+
+// TestWireShipsFewerBytes: on the sharded ship-everything workload the
+// columnar wire (a) returns the oracle's answers, (b) records in MW's run log
+// the encoded bytes the wrapper spans report, at least 2.5x fewer than the
+// row-model size of the same rows (Col.WireSize, the boxed
+// Relation.ByteSize), and (c) logs "col-ship" for every fragment.
+func TestWireShipsFewerBytes(t *testing.T) {
+	fed := wireShardedFed(t, 4, false)
+	if _, err := fed.Query(shardedQuery); err != nil { // warm
+		t.Fatal(err)
+	}
+	fed.EnableTelemetry()
+	res, wireBytes, err := queryWireBytes(fed, shardedQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardedGroundTruth(t, shardedQuery, res)
+	root := fed.Telemetry().Tracer().Last().Root
+	if spanned := spanBytes(t, root, "wire_bytes"); spanned != wireBytes {
+		t.Errorf("run log records %d B, the wrapper spans %d B", wireBytes, spanned)
+	}
+	rowBytes := spanBytes(t, root, "wire_raw_bytes")
+	if ratio := float64(rowBytes) / float64(wireBytes); ratio < 2.5 {
+		t.Errorf("columnar wire shipped %d B for %d B of rows: %.2fx, under 2.5x", wireBytes, rowBytes, ratio)
+	}
+	t.Logf("ship-everything at 4 shards: rows %d B, columnar %d B (%.2fx)",
+		rowBytes, wireBytes, float64(rowBytes)/float64(wireBytes))
+	if modes := shipModes(fed); !modes["col-ship"] || len(modes) != 1 {
+		t.Errorf("ship modes = %v, want col-ship only", modes)
 	}
 }
 
@@ -165,36 +135,74 @@ func shipModes(fed *fedqcc.Federation) map[string]bool {
 	return modes
 }
 
-// TestWirePushdownColumnarStates: with pushdown AND the columnar wire on,
-// partial-aggregate states ship as typed columns ("pushdown-col"), the
-// ShardAggFinal merge runs vectorized, and the final answers match the
-// row-protocol pushdown run bit for bit.
+// TestWirePushdownColumnarStates: with pushdown, partial-aggregate states
+// ship as typed columns ("pushdown-col"), fewer bytes than shipping the rows,
+// and the ShardAggFinal merge over them returns the oracle's answers.
 func TestWirePushdownColumnarStates(t *testing.T) {
-	rowFed := wireShardedFed(t, 4, true, false)
-	wireFed := wireShardedFed(t, 4, true, true)
-	rowRes, err := rowFed.Query(shardedQuery)
+	fed := wireShardedFed(t, 4, true)
+	res, pushBytes, err := queryWireBytes(fed, shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wireRes, err := wireFed.Query(shardedQuery)
+	requireShardedGroundTruth(t, shardedQuery, res)
+	if seen := shipModes(fed); !seen["pushdown-col"] || len(seen) != 1 {
+		t.Errorf("ship modes = %v, want pushdown-col only", seen)
+	}
+	_, shipBytes, err := queryWireBytes(wireShardedFed(t, 4, false), shardedQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rowRes.Rows.Rows) != len(wireRes.Rows.Rows) {
-		t.Fatalf("pushdown returned %d rows, pushdown-col %d", len(rowRes.Rows.Rows), len(wireRes.Rows.Rows))
+	if pushBytes >= shipBytes {
+		t.Errorf("partial states shipped %d B, not below the rows' %d B", pushBytes, shipBytes)
 	}
-	for ri := range rowRes.Rows.Rows {
-		for ci := range rowRes.Rows.Rows[ri] {
-			if !cellsBitIdentical(rowRes.Rows.Rows[ri][ci], wireRes.Rows.Rows[ri][ci]) {
-				t.Fatalf("cell (%d,%d) diverged: %#v vs %#v",
-					ri, ci, rowRes.Rows.Rows[ri][ci], wireRes.Rows.Rows[ri][ci])
+}
+
+// TestWireSameAnswers: nothing on the data path decodes the wire (a batch is
+// measured, its columns travel as they are), so this checks what the wire
+// would deliver. Every batch the soak workload's fragments ship encodes to
+// exactly the size the network was charged, and decodes back to the batch's
+// rows, cell for cell and bit for bit.
+func TestWireSameAnswers(t *testing.T) {
+	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: soakScale, Seed: soakSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := 0
+	for i, sql := range soakStatements(16) {
+		gp, err := sc.II.Compile(sql)
+		if err != nil {
+			t.Fatalf("query %d (%s): %v", i, sql, err)
+		}
+		for _, f := range gp.Fragments {
+			cur, err := sc.Servers[f.ServerID].OpenPlan(context.Background(), f.Plan, integrator.DefaultBatchRows)
+			if err != nil {
+				t.Fatalf("query %d (%s): %v", i, sql, err)
+			}
+			for b := cur.NextBatch(); b != nil; b = cur.NextBatch() {
+				batches++
+				enc := colbatch.Encode(b.Col)
+				if len(enc.Data) != b.Enc.WireBytes() {
+					t.Fatalf("query %d (%s): batch charged %d B, encodes to %d", i, sql, b.Enc.WireBytes(), len(enc.Data))
+				}
+				dec, err := colbatch.Decode(b.Col.Schema, enc.Data)
+				if err != nil {
+					t.Fatalf("query %d (%s): %v", i, sql, err)
+				}
+				want, got := b.Col.ToRelation(), dec.ToRelation()
+				if len(got.Rows) != len(want.Rows) {
+					t.Fatalf("query %d (%s): %d rows shipped, %d decoded", i, sql, len(want.Rows), len(got.Rows))
+				}
+				for ri, row := range want.Rows {
+					for ci := range row {
+						if !cellsBitIdentical(row[ci], got.Rows[ri][ci]) {
+							t.Fatalf("query %d (%s): cell (%d,%d) shipped %#v, decoded %#v", i, sql, ri, ci, row[ci], got.Rows[ri][ci])
+						}
+					}
+				}
 			}
 		}
 	}
-	if seen := shipModes(wireFed); !seen["pushdown-col"] || len(seen) != 1 {
-		t.Errorf("ship modes = %v, want pushdown-col only", seen)
-	}
-	if seen := shipModes(rowFed); !seen["pushdown"] || len(seen) != 1 {
-		t.Errorf("row-protocol ship modes = %v, want pushdown only", seen)
+	if batches < 16 {
+		t.Fatalf("the workload shipped %d batches", batches)
 	}
 }
