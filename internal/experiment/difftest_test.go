@@ -186,3 +186,44 @@ func TestSchemaArityInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestRoutingNeverChangesAnswers: in every Table 1 phase the servers stay
+// equivalent data sources, so pinning each QT1–QT4 instance to S1, S2 and S3
+// in turn returns one answer. Floats compare at RelationsEquivalent's four
+// decimals: the last bits of a float SUM still follow the plan's order.
+func TestRoutingNeverChangesAnswers(t *testing.T) {
+	build := scenario.ThreeServerFederations(scenario.Options{Scale: 20, Seed: 42})
+	differ, total := 0, 0
+	for _, phase := range workload.Phases() {
+		sc, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := workload.ApplyPhase(sc, phase, 42); err != nil {
+			t.Fatal(err)
+		}
+		for _, item := range workload.UniformMix(10) {
+			total++
+			var first *sqltypes.Relation
+			for _, server := range Servers {
+				res, err := queryOn(sc, server, item.SQL)
+				if err != nil {
+					t.Fatalf("%s on %s: %v\n%s", phase.Name, server, err, item.SQL)
+				}
+				if first == nil {
+					first = res.Rel
+					continue
+				}
+				if diff := RelationsEquivalent(first, res.Rel, false); diff != "" {
+					if differ++; differ <= 3 {
+						t.Logf("%s: %s and %s differ (%s)\n%s", phase.Name, Servers[0], server, diff, item.SQL)
+					}
+					break
+				}
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d of %d statements return a different answer depending on the route", differ, total)
+	}
+}

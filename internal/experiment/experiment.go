@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/integrator"
 	"repro/internal/qcc"
 	"repro/internal/scenario"
 	"repro/internal/simclock"
@@ -44,9 +45,6 @@ func (o *Options) fill() {
 	}
 }
 
-// burstRows is the update-burst size applied to loaded servers.
-const burstRows = 25
-
 func (o *Options) perFragment() bool {
 	if o.CalibrationPerFragment == nil {
 		return true
@@ -67,7 +65,8 @@ type SensitivityResult struct {
 
 // SensitivityStudy reproduces Figure 9 (§5.2): each query fragment type is
 // executed on every server under low load and under heavy load at that
-// server, instance by instance.
+// server, instance by instance. The load's update burst is a write to
+// orders, so it reaches every replica; only the load level is the server's.
 func SensitivityStudy(opts Options) ([]SensitivityResult, error) {
 	opts.fill()
 	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
@@ -88,7 +87,7 @@ func SensitivityStudy(opts Options) ([]SensitivityResult, error) {
 				}
 				if loaded {
 					sc.Servers[server].SetLoadLevel(workload.HeavyLoad)
-					if err := sc.Servers[server].ApplyUpdateBurst("orders", burstRows, opts.Seed); err != nil {
+					if err := workload.WriteNickname(sc, "orders", opts.Seed); err != nil {
 						return nil, err
 					}
 				}
@@ -143,15 +142,16 @@ func GainStudy(opts Options) ([]PhaseOutcome, error) {
 	build := scenario.ThreeServerFederations(scenario.Options{Scale: opts.Scale, Seed: opts.Seed})
 	var out []PhaseOutcome
 	for _, phase := range workload.Phases() {
-		qccAvg, perTypeQCC, assign, err := runQCCPhase(opts, build, phase)
+		apply := func(sc *scenario.Scenario) error { return workload.ApplyPhase(sc, phase, opts.Seed) }
+		qccAvg, perTypeQCC, assign, err := runQCC(opts, build, opts.perFragment(), apply)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s qcc: %w", phase.Name, err)
 		}
-		f1Avg, perTypeF1, err := runFixedPhase(opts, build, phase, workload.FixedAssignment1())
+		f1Avg, perTypeF1, _, err := runPinned(opts, build, apply, workload.FixedAssignment1())
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s fixed1: %w", phase.Name, err)
 		}
-		f2Avg, perTypeF2, err := runFixedPhase(opts, build, phase, workload.FixedAssignment2())
+		f2Avg, perTypeF2, _, err := runPinned(opts, build, apply, workload.FixedAssignment2())
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s fixed2: %w", phase.Name, err)
 		}
@@ -178,10 +178,11 @@ func gain(fixed, qccAvg float64) float64 {
 	return (fixed - qccAvg) / fixed
 }
 
-// runQCCPhase builds a fresh federation with QCC attached, applies the
-// phase, runs the calibration sweep (§5.1 Steps 2–4: forward each fragment
-// type to every server and observe), then measures the mixed workload.
-func runQCCPhase(opts Options, build func() (*scenario.Scenario, error), phase workload.Phase) (avgMS float64, perType map[string]float64, assignments map[string]string, err error) {
+// runQCC builds a fresh federation with QCC attached, lets setup put the
+// condition under study on it, runs the calibration sweep (§5.1 Steps 2–4:
+// forward each fragment type to every server and observe), then measures the
+// mixed workload.
+func runQCC(opts Options, build func() (*scenario.Scenario, error), perFragment bool, setup func(*scenario.Scenario) error) (float64, map[string]float64, map[string]string, error) {
 	sc, err := build()
 	if err != nil {
 		return 0, nil, nil, err
@@ -189,52 +190,18 @@ func runQCCPhase(opts Options, build func() (*scenario.Scenario, error), phase w
 	q := qcc.Attach(qcc.Config{
 		Clock:          sc.Clock,
 		MW:             sc.MW,
-		Calibration:    qcc.CalibrationConfig{PerFragment: opts.perFragment()},
+		Calibration:    qcc.CalibrationConfig{PerFragment: perFragment},
 		DisableDaemons: true,
 	}, sc.II)
-
-	if err := workload.ApplyPhase(sc, phase, burstRows, opts.Seed); err != nil {
+	if err := setup(sc); err != nil {
 		return 0, nil, nil, err
 	}
-
-	// Calibration sweep: one representative instance of each type on each
-	// server, observed through MW so QCC learns the phase's factors.
 	if err := CalibrationSweep(sc, 0); err != nil {
 		return 0, nil, nil, err
 	}
 	q.ProbeNow()
 	q.PublishNow()
-
-	items := workload.UniformMix(opts.Instances)
-	perTypeSum := map[string]float64{}
-	perTypeN := map[string]int{}
-	routed := map[string]map[string]int{}
-	total := 0.0
-	for _, item := range items {
-		res, err := sc.II.Query(item.SQL)
-		if err != nil {
-			return 0, nil, nil, fmt.Errorf("query %s: %w", item.Type, err)
-		}
-		rt := float64(res.ResponseTime)
-		total += rt
-		perTypeSum[item.Type] += rt
-		perTypeN[item.Type]++
-		for _, f := range res.Plan.Fragments {
-			if routed[item.Type] == nil {
-				routed[item.Type] = map[string]int{}
-			}
-			routed[item.Type][f.ServerID]++
-		}
-	}
-	perType = map[string]float64{}
-	for qt, sum := range perTypeSum {
-		perType[qt] = sum / float64(perTypeN[qt])
-	}
-	assignments = map[string]string{}
-	for qt, counts := range routed {
-		assignments[qt] = modalServer(counts)
-	}
-	return total / float64(len(items)), perType, assignments, nil
+	return runMix(sc, opts, nil)
 }
 
 // runOn explains the statement on one server and executes the first plan
@@ -272,43 +239,72 @@ func CalibrationSweep(sc *scenario.Scenario, instance int) error {
 	return nil
 }
 
-// runFixedPhase measures the workload with the pre-registered fixed routing:
-// every query of a type is forced to its assigned server by masking the
-// alternatives during compilation (nickname-registration-time routing).
-func runFixedPhase(opts Options, build func() (*scenario.Scenario, error), phase workload.Phase, assignment map[string]string) (float64, map[string]float64, error) {
+// runPinned builds a fresh federation, lets setup put the condition under
+// study on it and measures the mixed workload with the pre-registered fixed
+// routing (nickname-registration-time routing): pin[type] for every query.
+func runPinned(opts Options, build func() (*scenario.Scenario, error), setup func(*scenario.Scenario) error, pin map[string]string) (float64, map[string]float64, map[string]string, error) {
 	sc, err := build()
 	if err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	if err := workload.ApplyPhase(sc, phase, burstRows, opts.Seed); err != nil {
-		return 0, nil, err
+	if err := setup(sc); err != nil {
+		return 0, nil, nil, err
 	}
+	return runMix(sc, opts, pin)
+}
+
+// runMix measures the uniform mix of opts.Instances per type, each query
+// pinned to pin[type] where pin names a server and routed by the federation
+// otherwise. It returns the average response time, each type's average and
+// each type's modal server.
+func runMix(sc *scenario.Scenario, opts Options, pin map[string]string) (avgMS float64, perType map[string]float64, assignments map[string]string, err error) {
 	items := workload.UniformMix(opts.Instances)
 	perTypeSum := map[string]float64{}
 	perTypeN := map[string]int{}
+	routed := map[string]map[string]int{}
 	total := 0.0
 	for _, item := range items {
-		target := assignment[item.Type]
-		for _, s := range Servers {
-			sc.MW.Mask(s, s != target)
-		}
-		res, err := sc.II.Query(item.SQL)
-		for _, s := range Servers {
-			sc.MW.Mask(s, false)
-		}
+		res, err := queryOn(sc, pin[item.Type], item.SQL)
 		if err != nil {
-			return 0, nil, fmt.Errorf("fixed query %s@%s: %w", item.Type, target, err)
+			return 0, nil, nil, fmt.Errorf("query %s: %w", item.Type, err)
 		}
 		rt := float64(res.ResponseTime)
 		total += rt
 		perTypeSum[item.Type] += rt
 		perTypeN[item.Type]++
+		for _, f := range res.Plan.Fragments {
+			if routed[item.Type] == nil {
+				routed[item.Type] = map[string]int{}
+			}
+			routed[item.Type][f.ServerID]++
+		}
 	}
-	perType := map[string]float64{}
+	perType = map[string]float64{}
 	for qt, sum := range perTypeSum {
 		perType[qt] = sum / float64(perTypeN[qt])
 	}
-	return total / float64(len(items)), perType, nil
+	assignments = map[string]string{}
+	for qt, counts := range routed {
+		assignments[qt] = modalServer(counts)
+	}
+	return total / float64(len(items)), perType, assignments, nil
+}
+
+// queryOn runs the statement with every server but target masked during
+// compilation, so each of its fragments routes to target; an empty target
+// masks nothing.
+func queryOn(sc *scenario.Scenario, target, sql string) (*integrator.QueryResult, error) {
+	if target == "" {
+		return sc.II.Query(sql)
+	}
+	for _, s := range Servers {
+		sc.MW.Mask(s, s != target)
+	}
+	res, err := sc.II.Query(sql)
+	for _, s := range Servers {
+		sc.MW.Mask(s, false)
+	}
+	return res, err
 }
 
 func modalServer(counts map[string]int) string {

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/qcc"
 	"repro/internal/scenario"
 	"repro/internal/workload"
 )
@@ -47,13 +46,23 @@ func NetworkStudy(opts Options, congestions []float64) ([]NetworkOutcome, error)
 	}
 	pinned := gp.Fragments[0].ServerID
 
+	pin := map[string]string{}
+	for _, qt := range workload.Types() {
+		pin[qt.Name] = pinned
+	}
+
 	var out []NetworkOutcome
 	for _, cong := range congestions {
-		fixedAvg, err := runNetworkFixed(opts, build, pinned, cong)
+		congest := func(sc *scenario.Scenario) error {
+			sc.Topo.Link(pinned).SetCongestion(cong)
+			return nil
+		}
+		fixedAvg, _, _, err := runPinned(opts, build, congest, pin)
 		if err != nil {
 			return nil, fmt.Errorf("network study fixed @%gx: %w", cong, err)
 		}
-		qccAvg, err := runNetworkQCC(opts, build, pinned, cong)
+		// QCC learns server-level factors only here.
+		qccAvg, _, _, err := runQCC(opts, build, false, congest)
 		if err != nil {
 			return nil, fmt.Errorf("network study qcc @%gx: %w", cong, err)
 		}
@@ -65,62 +74,6 @@ func NetworkStudy(opts Options, congestions []float64) ([]NetworkOutcome, error)
 		})
 	}
 	return out, nil
-}
-
-func networkItems(opts Options) []workload.Item {
-	return workload.UniformMix(opts.Instances)
-}
-
-func runNetworkFixed(opts Options, build func() (*scenario.Scenario, error), pinned string, congestion float64) (float64, error) {
-	sc, err := build()
-	if err != nil {
-		return 0, err
-	}
-	sc.Topo.Link(pinned).SetCongestion(congestion)
-	total := 0.0
-	items := networkItems(opts)
-	for _, item := range items {
-		for _, s := range Servers {
-			sc.MW.Mask(s, s != pinned)
-		}
-		res, err := sc.II.Query(item.SQL)
-		for _, s := range Servers {
-			sc.MW.Mask(s, false)
-		}
-		if err != nil {
-			return 0, err
-		}
-		total += float64(res.ResponseTime)
-	}
-	return total / float64(len(items)), nil
-}
-
-func runNetworkQCC(opts Options, build func() (*scenario.Scenario, error), pinned string, congestion float64) (float64, error) {
-	sc, err := build()
-	if err != nil {
-		return 0, err
-	}
-	q := qcc.Attach(qcc.Config{
-		Clock:          sc.Clock,
-		MW:             sc.MW,
-		DisableDaemons: true,
-	}, sc.II)
-	sc.Topo.Link(pinned).SetCongestion(congestion)
-	if err := CalibrationSweep(sc, 0); err != nil {
-		return 0, err
-	}
-	q.ProbeNow()
-	q.PublishNow()
-	total := 0.0
-	items := networkItems(opts)
-	for _, item := range items {
-		res, err := sc.II.Query(item.SQL)
-		if err != nil {
-			return 0, err
-		}
-		total += float64(res.ResponseTime)
-	}
-	return total / float64(len(items)), nil
 }
 
 // FormatNetworkStudy renders the congestion sweep.

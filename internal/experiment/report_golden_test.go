@@ -8,6 +8,11 @@ import "testing"
 // settings became constants (PR 25) and are never re-captured: a constant
 // that drifted from the old default moves a factor, a route or a response
 // time, and the shape assertions elsewhere in this package would not notice.
+// One sanctioned re-capture: the Figure 10 and 11 literals were re-pinned
+// when a phase's update burst began to reach every replica of a table
+// instead of the loaded servers' copies alone (workload.WriteNickname). The
+// calm servers of phases 2–7 now hold the written data too, which moves
+// their response times; phases 1 and 8 are unchanged by construction.
 func TestPaperReportsGolden(t *testing.T) {
 	gain := gainStudy(t)
 	for _, c := range []struct {
@@ -74,27 +79,27 @@ const goldenTable2 = `Table 2 — Fixed Server Assignment vs Dynamic Assignment 
 const goldenFigure10 = `Figure 10 — Benefits of QCC vs Fixed Assignment 1 (typical registration)
   Phase     Fixed1(ms)     QCC(ms)    Gain
   Phase1          25.2        15.0   40.6%
-  Phase2          27.5        23.6   14.4%
-  Phase3          32.7        15.0   54.3%
-  Phase4          35.1        25.9   26.1%
-  Phase5          49.5        15.0   69.8%
-  Phase6          51.9        23.6   54.6%
-  Phase7          57.1        15.0   73.8%
+  Phase2          27.8        23.8   14.3%
+  Phase3          32.7        15.1   54.0%
+  Phase4          35.1        26.2   25.3%
+  Phase5          49.8        15.1   69.7%
+  Phase6          52.1        23.8   54.4%
+  Phase7          57.1        15.1   73.6%
   Phase8          59.5        29.5   50.4%
-  average gain: 48.0%
+  average gain: 47.8%
 `
 
 const goldenFigure11 = `Figure 11 — Benefits of QCC vs Fixed Assignment 2 (always S3)
   Phase     Fixed2(ms)     QCC(ms)    Gain
   Phase1          15.0        15.0    0.0%
-  Phase2          29.5        23.6   20.0%
-  Phase3          15.0        15.0    0.0%
-  Phase4          29.5        25.9   12.1%
-  Phase5          15.0        15.0    0.0%
-  Phase6          29.5        23.6   20.0%
-  Phase7          15.0        15.0    0.0%
+  Phase2          29.5        23.8   19.3%
+  Phase3          15.1        15.1    0.0%
+  Phase4          29.5        26.2   11.0%
+  Phase5          15.1        15.1    0.0%
+  Phase6          29.5        23.8   19.3%
+  Phase7          15.1        15.1    0.0%
   Phase8          29.5        29.5    0.0%
-  average gain: 6.5%
+  average gain: 6.2%
 `
 
 const goldenNetwork = `Network study — congestion on the preferred server's link

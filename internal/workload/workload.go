@@ -2,13 +2,14 @@
 // fragment types QT1–QT4 of §5.2 (each with parameterized instances), the
 // eight server-load phases of Table 1, the fixed server assignments the
 // baselines use, and the update-load driver that puts remote servers under
-// heavy background load.
+// heavy background load. The driver's one write path is WriteNickname: a
+// write reaches every copy of the logical table, so replicas stay replicas,
+// and only the load level tells the servers apart.
 package workload
 
 import (
 	"fmt"
 
-	"repro/internal/remote"
 	"repro/internal/scenario"
 )
 
@@ -178,25 +179,45 @@ func Phases() []Phase {
 	return out
 }
 
-// ApplyPhase sets each server's background load per the phase and applies
-// an actual update burst to loaded servers (dirtying pages and drifting
-// statistics, per §5.1 Step 4 "servers are hit with a heavy update load").
-func ApplyPhase(sc *scenario.Scenario, p Phase, burstRows int, seed int64) error {
+// burstRows is the size of the update burst a write puts on a table.
+const burstRows = 25
+
+// ApplyPhase sets each server's background load per the phase and, when any
+// server is loaded, writes every nickname once (WriteNickname): the update
+// load of §5.1 Step 4 dirties pages and drifts statistics, while load stays
+// the per-server knob.
+func ApplyPhase(sc *scenario.Scenario, p Phase, seed int64) error {
+	loaded := false
 	for id, srv := range sc.Servers {
-		lvl := p.LoadLevel(id)
-		srv.SetLoadLevel(lvl)
-		if lvl > 0 && burstRows > 0 {
-			if err := applyBurst(srv, burstRows, seed); err != nil {
-				return err
-			}
+		srv.SetLoadLevel(p.LoadLevel(id))
+		loaded = loaded || p.Loaded[id]
+	}
+	if !loaded {
+		return nil
+	}
+	for _, name := range sc.Catalog.Names() {
+		if err := WriteNickname(sc, name, seed); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-func applyBurst(srv *remote.Server, rows int, seed int64) error {
-	for _, tname := range srv.Tables() {
-		if err := srv.ApplyUpdateBurst(tname, rows, seed); err != nil {
+// WriteNickname writes the seeded update burst to the nickname at every
+// placement the catalog lists. A write is a write to the logical table: its
+// replicas take the same burst and stay equivalent data sources, so no route
+// can change an answer.
+func WriteNickname(sc *scenario.Scenario, nickname string, seed int64) error {
+	nick, err := sc.Catalog.Lookup(nickname)
+	if err != nil {
+		return err
+	}
+	for _, p := range nick.Placements {
+		srv, ok := sc.Servers[p.ServerID]
+		if !ok {
+			return fmt.Errorf("workload: nickname %q is placed on unknown server %q", nickname, p.ServerID)
+		}
+		if err := srv.ApplyUpdateBurst(p.RemoteTable, burstRows, seed); err != nil {
 			return err
 		}
 	}

@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/scenario"
 	"repro/internal/sqlparser"
+	"repro/internal/sqltypes"
 )
 
 func TestTypesShape(t *testing.T) {
@@ -106,32 +109,71 @@ func TestPhasesMatchTable1(t *testing.T) {
 	}
 }
 
+// TestApplyPhase holds the phase driver to the write rule: a loaded phase
+// writes every placement of every nickname alike (one burst each, replicas
+// left equal), whichever servers carry the load; a base phase applied after
+// it clears the load and writes nothing.
 func TestApplyPhase(t *testing.T) {
 	sc, err := scenario.BuildThreeServer(scenario.Options{Scale: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := Phases()[5] // S1+S3 loaded
-	v0, _ := sc.Servers["S1"].TableVersions([]string{"orders"})
-	if err := ApplyPhase(sc, p, 5, 7); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		phase  Phase
+		writes int64
+	}{
+		{Phases()[5], burstRows}, // S1 and S3 loaded, S2 calm
+		{Phases()[0], 0},
+	} {
+		before := placementVersions(t, sc)
+		if err := ApplyPhase(sc, c.phase, 7); err != nil {
+			t.Fatal(err)
+		}
+		for id, srv := range sc.Servers {
+			if srv.LoadLevel() != c.phase.LoadLevel(id) {
+				t.Fatalf("%s: %s load %v, want %v", c.phase.Name, id, srv.LoadLevel(), c.phase.LoadLevel(id))
+			}
+		}
+		for at, v := range placementVersions(t, sc) {
+			if v-before[at] != c.writes {
+				t.Fatalf("%s: %s moved %d versions, want %d", c.phase.Name, at, v-before[at], c.writes)
+			}
+		}
+		for _, name := range sc.Catalog.Names() {
+			nick, _ := sc.Catalog.Lookup(name)
+			want := tableRows(sc, nick.Placements[0])
+			for _, p := range nick.Placements[1:] {
+				if !reflect.DeepEqual(tableRows(sc, p), want) {
+					t.Fatalf("%s: %s on %s differs from %s on %s", c.phase.Name, name, p.ServerID, name, nick.Placements[0].ServerID)
+				}
+			}
+		}
 	}
-	if sc.Servers["S1"].LoadLevel() != HeavyLoad || sc.Servers["S3"].LoadLevel() != HeavyLoad {
-		t.Fatal("loaded servers")
+}
+
+// placementVersions reads the table version at every placement of every
+// nickname, keyed "nickname@server".
+func placementVersions(t *testing.T, sc *scenario.Scenario) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	for _, name := range sc.Catalog.Names() {
+		nick, _ := sc.Catalog.Lookup(name)
+		for _, p := range nick.Placements {
+			v, ok := sc.Servers[p.ServerID].TableVersions([]string{p.RemoteTable})
+			if !ok {
+				t.Fatalf("%s has no table %s", p.ServerID, p.RemoteTable)
+			}
+			out[name+"@"+p.ServerID] = v[p.RemoteTable]
+		}
 	}
-	if sc.Servers["S2"].LoadLevel() != 0 {
-		t.Fatal("base server")
-	}
-	if v1, _ := sc.Servers["S1"].TableVersions([]string{"orders"}); v1["orders"] == v0["orders"] {
-		t.Fatal("update burst must mutate loaded servers")
-	}
-	// Re-applying a base phase clears load.
-	if err := ApplyPhase(sc, Phases()[0], 0, 7); err != nil {
-		t.Fatal(err)
-	}
-	if sc.Servers["S1"].LoadLevel() != 0 {
-		t.Fatal("load must clear")
-	}
+	return out
+}
+
+// tableRows materializes the rows of one placement's table.
+func tableRows(sc *scenario.Scenario, p catalog.Placement) []sqltypes.Row {
+	v := sc.Servers[p.ServerID].Table(p.RemoteTable).View()
+	defer v.Close()
+	return v.Rows()
 }
 
 func TestFixedAssignments(t *testing.T) {

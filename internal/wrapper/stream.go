@@ -19,8 +19,6 @@ const requestEnvelopeBytes = 256
 
 // StreamOutcome summarizes a shipped fragment.
 type StreamOutcome struct {
-	// Result is the remote result (all rows + full server-side service time).
-	Result *remote.Result
 	// ResponseTime is the end-to-end fragment time: request transfer + first
 	// batch production + the pipelined tail.
 	ResponseTime simclock.Time
@@ -67,13 +65,13 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 		}
 	}
 
-	out := &StreamOutcome{Result: cur.Result()}
+	out := &StreamOutcome{}
 	produced := reqTime + cur.FirstReady() // request + cumulative production time
 	linkFree := produced                   // when the wire finishes serializing the previous batch
 	arrive := produced                     // arrival time of the latest batch
 	emitted := produced                    // span-cursor position (sum of emitted sub-spans)
-	// Wire accounting for the span: the row-model size of the rows shipped
-	// and the first batch's per-column encoding labels.
+	// Wire accounting for the span alone: the row-model size of the rows
+	// shipped and the first batch's per-column encoding labels.
 	var rawBytes int
 	var colEnc []string
 	for n := 0; ; n++ {
@@ -83,11 +81,11 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 		}
 		size := b.Enc.WireBytes()
 		out.WireBytes += size
-		if wsp != nil { // only the span reports the row-model bytes
+		if wsp != nil {
 			rawBytes += b.Col.WireSize()
-		}
-		if colEnc == nil {
-			colEnc = b.Enc.ColEnc
+			if colEnc == nil {
+				colEnc = b.Enc.ColEnc
+			}
 		}
 		if batchRows > 0 {
 			lat, ser, err := w.topo.TransferBatch(ctx, id, size)
@@ -124,10 +122,12 @@ func (w *Relational) Ship(ctx context.Context, plan *remote.Plan, batchRows int,
 		emit(b, arrive)
 	}
 	out.ResponseTime = arrive
-	wsp.SetAttr("wire", "columnar")
-	wsp.SetAttr("wire_bytes", strconv.Itoa(out.WireBytes))
-	wsp.SetAttr("wire_raw_bytes", strconv.Itoa(rawBytes))
-	wsp.SetAttr("wire_enc", strings.Join(colEnc, ","))
+	if wsp != nil {
+		wsp.SetAttr("wire", "columnar")
+		wsp.SetAttr("wire_bytes", strconv.Itoa(out.WireBytes))
+		wsp.SetAttr("wire_raw_bytes", strconv.Itoa(rawBytes))
+		wsp.SetAttr("wire_enc", strings.Join(colEnc, ","))
+	}
 	wsp.End(arrive)
 	return out, nil
 }

@@ -28,9 +28,12 @@ func testSetup(t *testing.T) (*remote.Server, *network.Topology) {
 	return s, topo
 }
 
-// runMono ships a plan store-and-forward: one monolithic batch.
-func runMono(w Wrapper, plan *remote.Plan) (*StreamOutcome, error) {
-	return w.Ship(context.Background(), plan, 0, func(*remote.Batch, simclock.Time) {})
+// runMono ships a plan store-and-forward, one monolithic batch, and counts
+// the rows emitted.
+func runMono(w Wrapper, plan *remote.Plan) (*StreamOutcome, int, error) {
+	rows := 0
+	out, err := w.Ship(context.Background(), plan, 0, func(b *remote.Batch, _ simclock.Time) { rows += b.Col.Len() })
+	return out, rows, err
 }
 
 func TestRelationalExplainIncludesNetworkEstimate(t *testing.T) {
@@ -65,15 +68,19 @@ func TestRelationalExecuteAddsTransferTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runMono(w, cands[0].Plan)
+	out, rows, err := runMono(w, cands[0].Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.RowCount() != 3 {
-		t.Fatalf("rows: %d", out.Result.RowCount())
+	if rows != 3 {
+		t.Fatalf("rows: %d", rows)
 	}
-	if out.ResponseTime <= out.Result.ServiceTime {
-		t.Fatalf("response %v must exceed service %v", out.ResponseTime, out.Result.ServiceTime)
+	cur, err := s.OpenPlan(context.Background(), cands[0].Plan, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if service := cur.Result().ServiceTime; out.ResponseTime <= service {
+		t.Fatalf("response %v must exceed service %v", out.ResponseTime, service)
 	}
 }
 
@@ -89,7 +96,7 @@ func TestRelationalPartitionedLink(t *testing.T) {
 	if _, err := w.Explain(stmt, stmt.String()); err == nil {
 		t.Fatal("explain over partition must fail")
 	}
-	_, err = runMono(w, cands[0].Plan)
+	_, _, err = runMono(w, cands[0].Plan)
 	var pe *network.ErrPartitioned
 	if !errors.As(err, &pe) {
 		t.Fatalf("execute: want partition error, got %v", err)
@@ -145,12 +152,12 @@ func TestFileWrapperNoCost(t *testing.T) {
 	if c.Plan.Est.TotalMS != 0 || c.Plan.Est.Card != 0 {
 		t.Fatalf("estimate must be zeroed: %+v", c.Plan.Est)
 	}
-	out, err := runMono(w, c.Plan)
+	_, rows, err := runMono(w, c.Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Result.RowCount() != 1 {
-		t.Fatalf("rows: %d", out.Result.RowCount())
+	if rows != 1 {
+		t.Fatalf("rows: %d", rows)
 	}
 	if _, err := w.Probe(context.Background()); err != nil {
 		t.Fatal(err)
