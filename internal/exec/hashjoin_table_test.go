@@ -36,20 +36,36 @@ var (
 	joinStrs = []string{"", "a", "ab", "7", "hello"}
 )
 
+// denseBases start the dense key ranges of shape bit 128: around zero, past
+// 2^53 (where floats no longer tell neighbouring integers apart) and at either
+// end of the int64 range.
+var denseBases = []int64{0, -40, 1<<53 - 20, math.MaxInt64 - 299, math.MinInt64}
+
+// denseKeys is an int key range [base, base+span); span 0 draws from the
+// palettes alone.
+type denseKeys struct{ base, span int64 }
+
 // joinKeyCell draws one key cell of a column of the given kind: a small value
 // most of the time, so that keys repeat and buckets fill, else one from the
-// palettes above.
-func joinKeyCell(rng *rand.Rand, kind int) sqltypes.Value {
+// palettes above. Under a dense range, an int is drawn from the range, and a
+// float is half the time one of its integers.
+func joinKeyCell(rng *rand.Rand, kind int, d denseKeys) sqltypes.Value {
 	if rng.Intn(8) == 0 {
 		return sqltypes.Null
 	}
 	switch kind {
 	case joinKeyInt:
+		if d.span != 0 {
+			return sqltypes.NewInt(d.base + rng.Int63n(d.span))
+		}
 		if rng.Intn(2) == 0 {
 			return sqltypes.NewInt(rng.Int63n(16) - 8)
 		}
 		return sqltypes.NewInt(joinInts[rng.Intn(len(joinInts))])
 	case joinKeyFloat:
+		if d.span != 0 && rng.Intn(2) == 0 {
+			return sqltypes.NewFloat(float64(d.base + rng.Int63n(d.span)))
+		}
 		if rng.Intn(2) == 0 {
 			return sqltypes.NewFloat(float64(rng.Int63n(32)-16) / 2)
 		}
@@ -59,17 +75,17 @@ func joinKeyCell(rng *rand.Rand, kind int) sqltypes.Value {
 	case joinKeyBool:
 		return sqltypes.NewBool(rng.Intn(2) == 0)
 	default:
-		return joinKeyCell(rng, rng.Intn(joinKeyMixed))
+		return joinKeyCell(rng, rng.Intn(joinKeyMixed), d)
 	}
 }
 
 // joinSide is a key column of the given kind and an int row number.
-func joinSide(rng *rand.Rand, prefix string, kind, n int) *sqltypes.Relation {
+func joinSide(rng *rand.Rand, prefix string, kind, n int, d denseKeys) *sqltypes.Relation {
 	types := [joinKeyKinds]sqltypes.Kind{sqltypes.KindInt, sqltypes.KindFloat, sqltypes.KindString, sqltypes.KindBool, sqltypes.KindNull}
 	rel := sqltypes.NewRelation(sqltypes.NewSchema(
 		sqltypes.Column{Name: prefix + "k", Type: types[kind]}, sqltypes.Column{Name: prefix + "n", Type: sqltypes.KindInt}))
 	for i := 0; i < n; i++ {
-		rel.Rows = append(rel.Rows, sqltypes.Row{joinKeyCell(rng, kind), sqltypes.NewInt(int64(i))})
+		rel.Rows = append(rel.Rows, sqltypes.Row{joinKeyCell(rng, kind, d), sqltypes.NewInt(int64(i))})
 	}
 	return rel
 }
@@ -131,6 +147,9 @@ func checkHashJoinTable(t *testing.T, label string, j *HashJoin, hashed []*colba
 
 	var got Context
 	tab := newHashJoinTable(j, hashed...)
+	if len(tab.offs) > 1<<tab.bits+1 {
+		t.Fatalf("%s: the table has %d offsets, the hash layout %d", label, len(tab.offs), 1<<tab.bits+1)
+	}
 	var outs []*colbatch.Batch
 	var gotErr error
 	for _, w := range colbatch.FromRelation(streamed).Windows(window) {
@@ -161,8 +180,10 @@ func checkHashJoinTable(t *testing.T, label string, j *HashJoin, hashed []*colba
 // and the join unfinished (every column gathered) or finished under a tail
 // that reads only the hashed side, only the streamed side or neither (shape
 // bit 16; the output then reads one side's own columns through a match list
-// that must outlive the next streamed window), the table's rows, their order
-// and its charge are the row kernel's.
+// that must outlive the next streamed window), and int keys drawn from one
+// dense range the table addresses directly, met by ints, floats or mixed keys
+// (shape bit 128), the table's rows, their order and its charge are the row
+// kernel's.
 func FuzzHashJoinMatchesRowKernel(f *testing.F) {
 	// The shapes of TestVectorizedOracleHashJoinCollisions (six strings
 	// against six strings; int keys met by float twins, NaN and -0) and of
@@ -182,11 +203,28 @@ func FuzzHashJoinMatchesRowKernel(f *testing.F) {
 	f.Add(int64(2007), uint8(joinKeyInt*joinKeyKinds+joinKeyFloat), uint8(16|8|1))
 	f.Add(int64(2008), uint8(joinKeyString*joinKeyKinds+joinKeyString), uint8(16|32|8|4|1))
 	f.Add(int64(2009), uint8(joinKeyMixed*joinKeyKinds+joinKeyInt), uint8(16|64|8|2))
+	// Dense int keys, addressed directly, met by ints or (the hash layout
+	// built beside the direct one) by floats or mixed keys, under either
+	// build side.
+	f.Add(int64(3015), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(128))
+	f.Add(int64(3001), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(128|1))
+	f.Add(int64(3029), uint8(joinKeyInt*joinKeyKinds+joinKeyFloat), uint8(128))
+	f.Add(int64(3022), uint8(joinKeyInt*joinKeyKinds+joinKeyFloat), uint8(128|1))
+	f.Add(int64(3004), uint8(joinKeyInt*joinKeyKinds+joinKeyMixed), uint8(128|4))
+	f.Add(int64(3016), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(128|16|32|2))
+	f.Add(int64(3018), uint8(joinKeyInt*joinKeyKinds+joinKeyInt), uint8(128|16|8|1))
 	f.Fuzz(func(t *testing.T, seed int64, kinds, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		hkind, skind := int(kinds)/joinKeyKinds%joinKeyKinds, int(kinds)%joinKeyKinds
-		hashedRel := joinSide(rng, "h", hkind, rng.Intn(300))
-		streamed := joinSide(rng, "s", skind, rng.Intn(300))
+		hn := rng.Intn(300)
+		var dense denseKeys
+		if shape&128 != 0 {
+			// Mostly fewer keys than hashed rows: a range the table addresses
+			// directly, or just past it.
+			dense = denseKeys{denseBases[rng.Intn(len(denseBases))], 1 + rng.Int63n(int64(hn)+1)}
+		}
+		hashedRel := joinSide(rng, "h", hkind, hn, dense)
+		streamed := joinSide(rng, "s", skind, rng.Intn(300), dense)
 		j := &HashJoin{Build: &Values{Rel: hashedRel}, Probe: &Values{Rel: streamed}, BuildKey: colRef("hk"), ProbeKey: colRef("sk")}
 		if shape&1 != 0 {
 			j.Build, j.Probe = j.Probe, j.Build
@@ -240,6 +278,99 @@ func TestHashJoinPairsNaNWithTheIntOfItsBits(t *testing.T) {
 		out, err := newHashJoinTable(j, hashedSide).probeBatch(colbatch.FromRelation(streamed))
 		if err != nil || out.Len() != 4 {
 			t.Fatalf("build right %v: %d rows, err %v; want the NaN with both copies of its bits, 5 = 5.0 and 0 = -0.0", buildRight, out.Len(), err)
+		}
+	}
+}
+
+// keyRel is a one-column relation of the given key cells, declared of kind.
+func keyRel(name string, kind sqltypes.Kind, keys ...sqltypes.Value) *sqltypes.Relation {
+	rel := sqltypes.NewRelation(sqltypes.NewSchema(sqltypes.Column{Name: name, Type: kind}))
+	for _, k := range keys {
+		rel.Rows = append(rel.Rows, sqltypes.Row{k})
+	}
+	return rel
+}
+
+// TestHashJoinDirectLayout: a typed int hashed key whose non-NULL keys span
+// fewer values than the hash layout has buckets (8 rows: 8 buckets, keys 0–7)
+// is addressed directly; a range one past that bound, a side holding both
+// MinInt64 and MaxInt64 (hi − lo overflows an int64) and an all-NULL key keep
+// the hash layout. Either way, under either build side, the rows, their order
+// and the charge are the row kernel's.
+func TestHashJoinDirectLayout(t *testing.T) {
+	ints := func(keys ...int64) []sqltypes.Value {
+		out := make([]sqltypes.Value, len(keys))
+		for i, k := range keys {
+			out[i] = sqltypes.NewInt(k)
+		}
+		return out
+	}
+	streamed := keyRel("s", sqltypes.KindInt, append(ints(math.MinInt64, math.MaxInt64, -1, 9, 8), ints(7, 0, 3, 3, 4, 1, 2, 6, 5, 0, 7)...)...)
+	streamed.Rows = append(streamed.Rows, sqltypes.Row{sqltypes.Null})
+	selectedNulls := colbatch.FromRelation(keyRel("h", sqltypes.KindInt, sqltypes.Null, sqltypes.NewInt(5), sqltypes.Null, sqltypes.Null)).Select([]int32{0, 2, 3})
+	for _, c := range []struct {
+		name   string
+		hashed *colbatch.Batch
+		direct bool
+	}{
+		{"keys 0-7 in 8 rows", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, ints(7, 3, 0, 5, 3, 1, 2, 6)...)), true},
+		{"keys 0-7 and NULLs in 8 rows", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, append(ints(7, 0, 3, 3, 7, 0), sqltypes.Null, sqltypes.Null)...)), true},
+		{"one key", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, ints(3)...)), true},
+		{"keys 0-8 in 8 rows", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, ints(8, 3, 0, 5, 3, 1, 2, 6)...)), false},
+		{"MaxInt64, 0 and MinInt64", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, ints(math.MaxInt64, 0, math.MinInt64, 0)...)), false},
+		{"MinInt64 then MaxInt64", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, ints(math.MinInt64, math.MaxInt64, 0, 0)...)), false},
+		{"a NULL column", colbatch.FromRelation(keyRel("h", sqltypes.KindInt, sqltypes.Null, sqltypes.Null)), false},
+		{"an int column read only where NULL", selectedNulls, false},
+	} {
+		hashed := colbatch.ToRelation([]*colbatch.Batch{c.hashed})
+		for _, buildRight := range []bool{false, true} {
+			j := &HashJoin{Build: &Values{Rel: hashed}, Probe: &Values{Rel: streamed}, BuildKey: colRef("h"), ProbeKey: colRef("s")}
+			if buildRight {
+				j = &HashJoin{Build: &Values{Rel: streamed}, Probe: &Values{Rel: hashed}, BuildKey: colRef("s"), ProbeKey: colRef("h"), BuildRight: true}
+			}
+			label := fmt.Sprintf("%s, build right %v", c.name, buildRight)
+			if got := newHashJoinTable(j, c.hashed).direct != nil; got != c.direct {
+				t.Fatalf("%s: direct %v, want %v", label, got, c.direct)
+			}
+			checkHashJoinTable(t, label, j, []*colbatch.Batch{c.hashed}, streamed, 3)
+		}
+	}
+}
+
+// TestHashJoinDirectTableBuildsTheHashLayoutOnce: a direct table probed by a
+// float batch pairs it by hash (2.0 with 2, -0.0 with 0; 2.5, NaN and 2^60
+// with nothing) through the hash layout it builds beside the direct one;
+// the int batch after it probes directly, and a second float batch reuses the
+// hash layout the first one built. Each batch's rows are the row kernel's.
+func TestHashJoinDirectTableBuildsTheHashLayoutOnce(t *testing.T) {
+	hashed := intKeys("h", 64, func(i int) int64 { return int64(i / 2) })
+	floats := keyRel("s", sqltypes.KindFloat, sqltypes.NewFloat(2), sqltypes.NewFloat(2.5), sqltypes.NewFloat(math.NaN()),
+		sqltypes.NewFloat(31), sqltypes.NewFloat(1<<60), sqltypes.NewFloat(math.Copysign(0, -1)), sqltypes.Null)
+	ints := intKeys("s", 12, func(i int) int64 { return int64(3*i - 4) })
+	j := &HashJoin{Build: &Values{Rel: hashed}, Probe: &Values{Rel: floats}, BuildKey: colRef("h"), ProbeKey: colRef("s")}
+	tab := newHashJoinTable(j, colbatch.FromRelation(hashed))
+	if tab.direct == nil {
+		t.Fatal("64 rows keyed 0-31 did not make a direct table")
+	}
+	var hoffs *int32
+	for step, streamed := range []*sqltypes.Relation{floats, ints, floats} {
+		out, err := tab.probe(colbatch.FromRelation(streamed), &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := hashJoinRel(j, hashed, streamed, &Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("batch %d", step)
+		requireRelationsIdentical(t, label, want, colbatch.ToRelation([]*colbatch.Batch{out}))
+		if tab.direct.hoffs == nil {
+			t.Fatalf("%s: a float batch left the direct table without a hash layout", label)
+		}
+		if hoffs == nil {
+			hoffs = &tab.direct.hoffs[0]
+		} else if &tab.direct.hoffs[0] != hoffs {
+			t.Fatalf("%s: the hash layout was built again", label)
 		}
 	}
 }

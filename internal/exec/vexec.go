@@ -1106,6 +1106,16 @@ func (s *sidedColumns) over(src []*colbatch.Column, at, n int, unread colSet) []
 // partner of a streamed cell sits in the cell's own bucket. The probe
 // compares keys first and hashes the hashed row's key only for a key-equal
 // candidate whose kinds do not already imply equal hashes (paired).
+//
+// A typed int hashed key whose non-NULL keys span fewer values than the hash
+// layout has buckets (hi − lo < 2^bits) is addressed directly: key k's bucket
+// is k − lo, so the table has no more offsets than the hash layout would and
+// its build hashes nothing. A direct bucket lists exactly the rows whose key
+// is k, in input order, so a typed int streamed key takes every row of its
+// bucket as a match, with no hash and no compare. Any other streamed kind
+// (a float, a boxed or a constant key) pairs by hash under the row kernel's
+// rule, so the first such batch builds the hash layout beside the direct one
+// and probes through it.
 type hashJoinTable struct {
 	j      *HashJoin
 	hashed []*colbatch.Batch // the hashed input's batches, in order
@@ -1128,6 +1138,10 @@ type hashJoinTable struct {
 	hops      operand
 	bits      uint // log2 of the bucket count
 	hashedRel *sqltypes.Relation
+	// direct is set when offs/ids are addressed by key. With it the table is
+	// 760 B, which with its 8 B allocation header fills the 768 B size class
+	// the table had before it: a field more costs every hash join 128 B.
+	direct *directKeys
 	// pending is the hashed side's rows, charged with the first streamed
 	// batch so that a single-batch join adds to ctx.Res once, as the row
 	// kernel does.
@@ -1179,11 +1193,58 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	for 1<<t.bits < hn {
 		t.bits++
 	}
-	offs, n := make([]int32, 1<<t.bits+1), 0
+	if lo, hi, ok := t.denseRange(); ok {
+		t.direct = &directKeys{lo: lo}
+		t.offs, t.ids = t.layout(int(uint64(hi)-uint64(lo))+1, t.slot)
+		return t
+	}
+	t.offs, t.ids = t.layout(1<<t.bits, t.bucket)
+	return t
+}
+
+// directKeys is what a direct table keeps beside offs/ids: the least key, and
+// the hash layout built by the first streamed batch whose key is not a typed
+// int. It sits behind a pointer so that a hash-layout table grows by one word,
+// which keeps it in its allocation size class.
+type directKeys struct {
+	lo          int64
+	hoffs, hids []int32
+}
+
+// denseRange returns the least and the greatest non-NULL hashed key when the
+// key is a typed int vector with a non-NULL cell and hi − lo < 2^bits (taken
+// unsigned, so MinInt64 with MaxInt64 is past it). The scan stops at the
+// first key that takes the range past the bound: a sparse key learns it is
+// sparse within a few rows.
+func (t *hashJoinTable) denseRange() (lo, hi int64, ok bool) {
+	o := &t.hops
+	if !o.ok || o.isConst || o.kind != sqltypes.KindInt {
+		return 0, 0, false
+	}
+	lo, hi = math.MaxInt64, math.MinInt64
 	for _, s := range t.spans {
 		for i, sn := 0, s.Len(); i < sn; i++ {
 			if id := s.Phys(i); !t.hres.isNull(id) {
-				offs[t.bucket(id)]++
+				k := o.ints[o.pos(id)]
+				lo, hi, ok = min(lo, k), max(hi, k), true
+				if uint64(hi)-uint64(lo) >= 1<<t.bits {
+					return 0, 0, false
+				}
+			}
+		}
+	}
+	return lo, hi, ok
+}
+
+// layout files every non-NULL hashed row id under bucket(id), one of nb
+// buckets: a counting pass, a prefix sum over the nb+1 offsets and one
+// scatter in input order.
+func (t *hashJoinTable) layout(nb int, bucket func(id int) int) (offs, ids []int32) {
+	offs, n := make([]int32, nb+1), 0
+	for _, s := range t.spans {
+		for i, sn := 0, s.Len(); i < sn; i++ {
+			if id := s.Phys(i); !t.hres.isNull(id) {
+				offs[bucket(id)]++
 				n++
 			}
 		}
@@ -1192,11 +1253,11 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	for b, c := range offs {
 		offs[b], sum = sum, sum+c
 	}
-	ids := make([]int32, n)
+	ids = make([]int32, n)
 	for _, s := range t.spans {
 		for i, sn := 0, s.Len(); i < sn; i++ {
 			if id := s.Phys(i); !t.hres.isNull(id) {
-				b := t.bucket(id)
+				b := bucket(id)
 				ids[offs[b]] = int32(id)
 				offs[b]++
 			}
@@ -1205,11 +1266,15 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	// Each bucket's cursor now stands where the next bucket starts.
 	copy(offs[1:], offs[:len(offs)-1])
 	offs[0] = 0
-	t.offs, t.ids = offs, ids
-	return t
+	return offs, ids
 }
 
-// bucket returns the bucket of the hashed row id, whose key is not NULL.
+// slot returns the direct bucket of the hashed row id, whose key is not NULL.
+func (t *hashJoinTable) slot(id int) int {
+	return int(uint64(t.hops.ints[t.hops.pos(id)]) - uint64(t.direct.lo))
+}
+
+// bucket returns the hash bucket of the hashed row id, whose key is not NULL.
 func (t *hashJoinTable) bucket(id int) int {
 	return t.hashBucket(keyHash(&t.hres, &t.hops, id))
 }
@@ -1313,21 +1378,48 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 		t.sIdx = make([]int32, 0, in.Len())
 	}
 	offs, ids, hIdx, sIdx, n := t.offs, t.ids, t.hIdx[:0], t.sIdx[:0], 0
+	d := t.direct
+	dense := d != nil && sops.ok && !sops.isConst && sops.kind == sqltypes.KindInt
+	rehash := d != nil && !dense // switch to the hash layout at the first non-NULL key
 	for i, sn := 0, in.Len(); i < sn; i++ {
 		if sres.isNull(i) {
 			continue
 		}
-		h := keyHash(sres, &sops, i)
-		b := t.hashBucket(h)
-		for _, id := range ids[offs[b]:offs[b+1]] {
-			if t.paired(int(id), sres, &sops, i, h) {
-				if keepH {
-					hIdx = append(hIdx, id)
-				}
-				if keepS {
+		if dense {
+			// Every row of the key's bucket is a match.
+			b := uint64(sops.ints[sops.pos(i)]) - uint64(d.lo)
+			if b >= uint64(len(offs)-1) {
+				continue
+			}
+			bucket := ids[offs[b]:offs[b+1]]
+			if keepH {
+				hIdx = append(hIdx, bucket...)
+			}
+			if keepS {
+				for range bucket {
 					sIdx = append(sIdx, int32(i))
 				}
-				n++
+			}
+			n += len(bucket)
+		} else {
+			if rehash {
+				if d.hoffs == nil {
+					d.hoffs, d.hids = t.layout(1<<t.bits, t.bucket)
+				}
+				offs, ids, rehash = d.hoffs, d.hids, false
+			}
+			h := keyHash(sres, &sops, i)
+			b := t.hashBucket(h)
+			for _, id := range ids[offs[b]:offs[b+1]] {
+				if t.paired(int(id), sres, &sops, i, h) {
+					if keepH {
+						hIdx = append(hIdx, id)
+					}
+					if keepS {
+						sIdx = append(sIdx, int32(i))
+					}
+					n++
+				}
 			}
 		}
 		if n > colbatch.MaxRows {

@@ -417,8 +417,8 @@ func (x *vcolref) eval(b *colbatch.Batch) (*vres, error) {
 type operand struct {
 	ok      bool
 	isConst bool
+	kind    sqltypes.Kind // beside the bools, where it takes no word of its own
 	c       sqltypes.Value
-	kind    sqltypes.Kind
 	ints    []int64
 	floats  []float64
 	bools   []bool

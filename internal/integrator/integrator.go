@@ -781,7 +781,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 					f = *alt
 				}
 			}
-			fspan := root.Child("fragment", telemetry.LayerMW, f.ServerID)
+			fspan := root.ChildAt(i, "fragment", telemetry.LayerMW, f.ServerID)
 			fspan.SetAttr("frag", f.Spec.ID)
 			if f.Spec.Shard != nil {
 				// Distinguish scatter-gather fan-out from replica routing in

@@ -3,6 +3,7 @@ package fedqcc_test
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,8 +28,9 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 	tel := fed.EnableTelemetry()
 	cal := fed.EnableQCC(fedqcc.QCCOptions{DisableDaemons: true})
 
-	// Background update load on the join's source groups.
-	tables := map[string]string{"S1": "orders", "S2": "lineitem"}
+	// Background update load on the join's source groups. A burst is a write
+	// to the logical table, so both of its hosts take it: the replicas a
+	// fragment may route to hold what their origins hold.
 	loaded := []string{"S1", "S2"}
 	for _, id := range loaded {
 		h, err := fed.Server(id)
@@ -36,7 +38,13 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.SetLoad(0.8)
-		if err := h.ApplyUpdateBurst(tables[id], 50, 7); err != nil {
+	}
+	for _, w := range []struct{ table, host string }{{"orders", "S1"}, {"orders", "R1"}, {"lineitem", "S2"}, {"lineitem", "R2"}} {
+		h, err := fed.Server(w.host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.ApplyUpdateBurst(w.table, 50, 7); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -162,6 +170,38 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 		}
 		if len(times) < 2 {
 			t.Fatalf("server %s: want >=2 distinct timeline samples, got %v", id, samples)
+		}
+	}
+}
+
+// TestFragmentSpansListInPlanOrder: the fragments of a query dispatch on
+// goroutines of their own, in whatever order the scheduler runs them, but the
+// trace lists their spans in the plan's fragment order. The README's
+// two-fragment replica-pair join, traced on 50 fresh federations at
+// GOMAXPROCS 2, renders one tree text.
+func TestFragmentSpansListInPlanOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var want string
+	for run := 0; run < 50; run++ {
+		fed, err := fedqcc.NewReplicaFederation(fedqcc.FederationOptions{Scale: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tel := fed.EnableTelemetry()
+		res, err := fed.Query(crossJoin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.FragmentTimes) != 2 {
+			t.Fatalf("want a 2-fragment join, got fragments %v", res.FragmentTimes)
+		}
+		got := tel.Tracer().Last().Tree()
+		if run == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("run %d rendered\n%s\nrun 0 rendered\n%s", run, got, want)
 		}
 	}
 }
