@@ -165,7 +165,7 @@ type ShardedFederationOptions struct {
 // sharded on l_orderkey across N uniform servers (shard i on server S<i+1>),
 // small tables replicated everywhere. Aggregate queries over lineitem run
 // two-phase with partial aggregation pushed into every shard; predicates on
-// l_orderkey prune the shard fan-out. See SetShardPushdown.
+// l_orderkey prune the shard fan-out.
 func NewShardedFederation(opts ShardedFederationOptions) (*Federation, error) {
 	method := catalog.ShardHash
 	if opts.RangeSharding {
@@ -323,15 +323,6 @@ func (f *Federation) SetVectorized(bool) {}
 // Deprecated: kept only for the benchmark harness, which still calls it.
 func (f *Federation) SetColumnarWire(bool) {}
 
-// SetShardPushdown toggles two-phase partial-aggregate pushdown for sharded
-// tables (default on); off ships every shard's rows (the columns the
-// statement reads) — the ship-all-rows baseline sharded benchmarks compare
-// against.
-func (f *Federation) SetShardPushdown(on bool) { f.ii.SetShardPushdown(on) }
-
-// ShardPushdown reports whether partial-aggregate pushdown is active.
-func (f *Federation) ShardPushdown() bool { return f.ii.ShardPushdown() }
-
 // Query compiles and executes a federated SQL statement, advancing the
 // virtual clock by the query's response time. See QueryContext for
 // caller-supplied cancellation and concurrent submission.
@@ -384,6 +375,8 @@ type PlanInfo struct {
 	TotalCostMS float64
 	// FragmentPlans maps fragment IDs to physical plan text.
 	FragmentPlans map[string]string
+	// FragmentSQL maps fragment IDs to the statement each fragment runs.
+	FragmentSQL map[string]string
 }
 
 // Explain compiles a statement in explain mode: the winner is recorded in
@@ -402,12 +395,14 @@ func planInfo(gp *optimizer.GlobalPlan) *PlanInfo {
 		Route:          map[string]string{},
 		FragmentCostMS: map[string]float64{},
 		FragmentPlans:  map[string]string{},
+		FragmentSQL:    map[string]string{},
 		TotalCostMS:    gp.TotalEstMS,
 	}
 	for _, frag := range gp.Fragments {
 		info.Route[frag.Spec.ID] = frag.ServerID
 		info.FragmentCostMS[frag.Spec.ID] = frag.Plan.Est.TotalMS
 		info.FragmentPlans[frag.Spec.ID] = frag.Plan.Explain()
+		info.FragmentSQL[frag.Spec.ID] = frag.Spec.SQL
 	}
 	return info
 }
@@ -419,7 +414,7 @@ func (f *Federation) EnumeratePlans(sql string, topK int) ([]*PlanInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	plans, err := f.ii.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{DisablePushdown: !f.ii.ShardPushdown()}, topK)
+	plans, err := f.ii.Optimizer().Enumerate(stmt, topK)
 	if err != nil {
 		return nil, err
 	}

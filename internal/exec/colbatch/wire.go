@@ -59,6 +59,13 @@ const (
 	encStrDict  = 1
 )
 
+// ShipBatchRows is the row count of the batches fragment results ship in:
+// large enough to amortize per-batch latency, small enough that a
+// multi-thousand-row fragment pipelines through many transfer/produce
+// overlaps. The integrator asks remote cursors for batches of this size, and
+// the table statistics size a shipped column with it.
+const ShipBatchRows = 256
+
 // Encoded is a batch in wire form plus the bookkeeping the telemetry layer
 // wants: the encoded size is what the network model charges, the per-column
 // encoding labels land in span attributes.

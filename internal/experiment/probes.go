@@ -295,20 +295,24 @@ func (o *oracle) check(sql string, got *sqltypes.Relation) error {
 
 // ---- The virtual halves of the sharded, wire, weighted and admission studies ----
 
-// shardQuery is aggregate-heavy on purpose: with pushdown every shard ships a
-// handful of partial-aggregate states; without it every shard ships the three
-// columns the aggregation reads, which is what the columnar wire compresses.
+// shardQuery is aggregate-heavy on purpose: every shard ships a handful of
+// partial-aggregate states ("pushdown-col").
 const shardQuery = "SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag"
 
-// shardConfig is one point of a shard grid: the shard count and whether
-// partial aggregation is pushed into the shards.
+// colShipQuery selects the three columns shardQuery aggregates, with no
+// aggregate: every shard ships them whole ("col-ship"), which is what the
+// columnar wire compresses and what the partial states save.
+const colShipQuery = "SELECT l_tag, l_qty, l_price FROM lineitem"
+
+// shardConfig is one point of a shard grid: the shard count and whether the
+// arm runs shardQuery (pushdown) or colShipQuery.
 type shardConfig struct {
 	shards   int
 	pushdown bool
 }
 
-// shardGrid measures shardQuery's steady state on a fresh BuildSharded
-// federation (seed 42) per configuration.
+// shardGrid measures each configuration's statement in steady state on a
+// fresh BuildSharded federation (seed 42).
 func shardGrid(name string, scale int, configs []shardConfig) ([]ProbeRow, error) {
 	o, err := newOracle(42, storage.SampleSchema(scale))
 	if err != nil {
@@ -320,8 +324,11 @@ func shardGrid(name string, scale int, configs []shardConfig) ([]ProbeRow, error
 		if err != nil {
 			return nil, err
 		}
-		sc.II.SetShardPushdown(c.pushdown)
-		m, err := measure(sc, o, []string{shardQuery}, true)
+		sql := colShipQuery
+		if c.pushdown {
+			sql = shardQuery
+		}
+		m, err := measure(sc, o, []string{sql}, true)
 		if err != nil {
 			return nil, err
 		}
@@ -330,9 +337,9 @@ func shardGrid(name string, scale int, configs []shardConfig) ([]ProbeRow, error
 	return out, nil
 }
 
-// shardedProbe is the scale-out study (2 000 lineitem rows): the unsharded
+// shardedProbe is the scale-out study (250 lineitem rows): the unsharded
 // baseline, then partial-aggregate pushdown against shipping every shard's
-// rows at 2, 4 and 8 shards.
+// rows of the columns it aggregates at 2, 4 and 8 shards.
 func shardedProbe(name string) ([]ProbeRow, error) {
 	configs := []shardConfig{{1, true}}
 	for _, n := range []int{2, 4, 8} {
@@ -342,10 +349,12 @@ func shardedProbe(name string) ([]ProbeRow, error) {
 }
 
 // wireProbe is the columnar wire study (2 500 lineitem rows, fine enough that
-// per-row encoding dominates): both ship modes at 1, 2, 4 and 8 shards.
+// per-row encoding dominates): the unsharded pushdown-col baseline, where the
+// whole statement runs at the one shard, then both ship modes at 2, 4 and 8
+// shards.
 func wireProbe(name string) ([]ProbeRow, error) {
-	var configs []shardConfig
-	for _, n := range []int{1, 2, 4, 8} {
+	configs := []shardConfig{{1, true}}
+	for _, n := range []int{2, 4, 8} {
 		configs = append(configs, shardConfig{n, false}, shardConfig{n, true})
 	}
 	return shardGrid(name, 40, configs)

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sqlparser"
+	"repro/internal/storage"
 )
 
 var (
@@ -132,32 +135,53 @@ func TestProbeDriftListsMovedFields(t *testing.T) {
 	}
 }
 
+// requirePushdownPays requires of a shard-grid probe at scale that at 2, 4
+// and 8 shards the pushdown-col arm ships fewer bytes than the col-ship arm,
+// and that each arm returns as many rows as the oracle's answer to its own
+// statement (the probe already compared the rows themselves).
+func requirePushdownPays(t *testing.T, probe string, scale int) map[string]ProbeRow {
+	t.Helper()
+	o, err := newOracle(42, storage.SampleSchema(scale))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleRows := func(sql string) int {
+		want, err := groundTruth(sqlparser.MustParse(sql), func(name string) *storage.Table { return o.tables[name] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want.Cardinality()
+	}
+	pushRows, shipRows := oracleRows(shardQuery), oracleRows(colShipQuery)
+	rows := probeConfigs(t, probe)
+	for _, n := range []int{2, 4, 8} {
+		push, ship := rows[fmt.Sprintf("shards=%d pushdown-col", n)], rows[fmt.Sprintf("shards=%d col-ship", n)]
+		if push.WireBytes >= ship.WireBytes {
+			t.Errorf("%s, %d shards: pushdown ships %v B, not below shipping the rows (%v B)", probe, n, push.WireBytes, ship.WireBytes)
+		}
+		if push.Rows != pushRows || ship.Rows != shipRows {
+			t.Errorf("%s, %d shards: pushdown-col returned %d rows and col-ship %d, the oracle %d and %d",
+				probe, n, push.Rows, ship.Rows, pushRows, shipRows)
+		}
+	}
+	return rows
+}
+
 // TestShardedProbePushdownPays: at every sharded count pushdown ships fewer
 // bytes than shipping the rows, and four shards with pushdown answer faster
 // than one server.
 func TestShardedProbePushdownPays(t *testing.T) {
-	rows := probeConfigs(t, "sharded")
-	for _, n := range []int{2, 4, 8} {
-		push, ship := rows[fmt.Sprintf("shards=%d pushdown-col", n)], rows[fmt.Sprintf("shards=%d col-ship", n)]
-		if push.WireBytes >= ship.WireBytes {
-			t.Errorf("%d shards: pushdown ships %v B, not below shipping the rows (%v B)", n, push.WireBytes, ship.WireBytes)
-		}
-	}
+	rows := requirePushdownPays(t, "sharded", 400)
 	if push4, one := rows["shards=4 pushdown-col"], rows["shards=1 pushdown-col"]; push4.MeanMS >= one.MeanMS {
 		t.Errorf("4-shard pushdown %v vms does not beat the unsharded %v vms", push4.MeanMS, one.MeanMS)
 	}
 }
 
-// TestWireProbeColumnsPay: every ship mode at every shard count returns the
-// unsharded shipment's rows. (What the columnar wire saves over the row-model
-// size is TestWireShipsFewerBytes's check, at the root.)
+// TestWireProbeColumnsPay: the columnar wire study's arms pay the same way at
+// its finer scale. (What the columnar wire saves over the row-model size is
+// TestWireShipsFewerBytes's check, at the root.)
 func TestWireProbeColumnsPay(t *testing.T) {
-	rows := probeConfigs(t, "wire")
-	for _, r := range rows {
-		if r.Rows != rows["shards=1 col-ship"].Rows {
-			t.Errorf("%s returned %d rows, %d unsharded", r.Config, r.Rows, rows["shards=1 col-ship"].Rows)
-		}
-	}
+	requirePushdownPays(t, "wire", 40)
 }
 
 // TestWeightedProbeBeatsRoundRobin: over the hotspot burst the weighted router
@@ -183,19 +207,18 @@ func TestWeightedProbeBeatsRoundRobin(t *testing.T) {
 var goldenProbes = map[string]string{
 	"sharded": `sharded shards=1 pushdown-col: q=1 rows=4 mean=14.00535712594697 p50=14.00535712594697 p95=14.00535712594697 p99=14.00535712594697 first=14.00535712594697 wire=80 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.031333248369677796
 sharded shards=2 pushdown-col: q=1 rows=4 mean=13.538293797348485 p50=13.538293797348485 p95=13.538293797348485 p99=13.538293797348485 first=13.538293797348485 wire=171 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.005477999039376194
-sharded shards=2 col-ship: q=1 rows=4 mean=14.187740411931818 p50=14.187740411931818 p95=14.187740411931818 p99=14.187740411931818 first=14.187740411931818 wire=2380 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.009358413371566315
+sharded shards=2 col-ship: q=1 rows=250 mean=14.099073745265152 p50=14.099073745265152 p95=14.099073745265152 p99=14.099073745265152 first=14.099073745265152 wire=2380 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.009038991394225331
 sharded shards=4 pushdown-col: q=1 rows=4 mean=13.160650568181818 p50=13.160650568181818 p95=13.160650568181818 p99=13.160650568181818 first=13.160650568181818 wire=337 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.007381042632612518
-sharded shards=4 col-ship: q=1 rows=4 mean=13.633795099431818 p50=13.633795099431818 p95=13.633795099431818 p99=13.633795099431818 first=13.633795099431818 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.010953460756466644
+sharded shards=4 col-ship: q=1 rows=250 mean=13.545128432765152 p50=13.545128432765152 p95=13.545128432765152 p99=13.545128432765152 first=13.545128432765152 wire=2446 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.007678325588882588
 sharded shards=8 pushdown-col: q=1 rows=4 mean=12.977805516098485 p50=12.977805516098485 p95=12.977805516098485 p99=12.977805516098485 first=12.977805516098485 wire=678 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.010375486171343592
-sharded shards=8 col-ship: q=1 rows=4 mean=13.336080255681818 p50=13.336080255681818 p95=13.336080255681818 p99=13.336080255681818 first=13.336080255681818 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.007445829297632491
+sharded shards=8 col-ship: q=1 rows=250 mean=13.247413589015151 p50=13.247413589015151 p95=13.247413589015151 p99=13.247413589015151 first=13.247413589015151 wire=2579 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.002765182061428362
 `,
-	"wire": `wire shards=1 col-ship: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.017111519385983407
-wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.017111519385983407
-wire shards=2 col-ship: q=1 rows=4 mean=20.181910489256303 p50=20.181910489256303 p95=20.181910489256303 p99=20.181910489256303 first=19.49530682010135 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.3181699692286567
+	"wire": `wire shards=1 pushdown-col: q=1 rows=4 mean=25.67402722537879 p50=25.67402722537879 p95=25.67402722537879 p99=25.67402722537879 first=25.67402722537879 wire=81 frags=1 exec=S1:1 admitted=1 shed=0 esterr=0.017111519385983407
+wire shards=2 col-ship: q=1 rows=2500 mean=20.025386871487047 p50=20.025386871487047 p95=20.025386871487047 p99=20.025386871487047 first=18.656640153434683 wire=23466 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.2865596635213457
 wire shards=2 pushdown-col: q=1 rows=4 mean=20.435758641098488 p50=20.435758641098488 p95=20.435758641098488 p99=20.435758641098488 first=20.435758641098488 wire=176 frags=2 exec=S1:1,S2:1 admitted=1 shed=0 esterr=0.008842241672558225
-wire shards=4 col-ship: q=1 rows=4 mean=19.22589354255738 p50=19.22589354255738 p95=19.22589354255738 p99=19.22589354255738 first=19.22589354255738 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.06720778180426372
+wire shards=4 col-ship: q=1 rows=2500 mean=18.387226875890715 p50=18.387226875890715 p95=18.387226875890715 p99=18.387226875890715 first=18.387226875890715 wire=23530 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.0928976223402068
 wire shards=4 pushdown-col: q=1 rows=4 mean=16.551167732007574 p50=16.551167732007574 p95=16.551167732007574 p99=16.551167732007574 first=16.551167732007574 wire=351 frags=4 exec=S1:1,S2:1,S3:1,S4:1 admitted=1 shed=0 esterr=0.012780442650637224
-wire shards=8 col-ship: q=1 rows=4 mean=19.082207718207027 p50=19.082207718207027 p95=19.082207718207027 p99=19.082207718207027 first=19.082207718207027 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.08144343777958477
+wire shards=8 col-ship: q=1 rows=2500 mean=18.24354105154036 p50=18.24354105154036 p95=18.24354105154036 p99=18.24354105154036 first=18.24354105154036 wire=23664 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.05116626907523672
 wire shards=8 pushdown-col: q=1 rows=4 mean=14.611940459280303 p50=14.611940459280303 p95=14.611940459280303 p99=14.611940459280303 first=14.611940459280303 wire=701 frags=8 exec=S1:1,S2:1,S3:1,S4:1,S5:1,S6:1,S7:1,S8:1 admitted=1 shed=0 esterr=0.018127622103760694
 `,
 	"weighted": `weighted round-robin: q=60 rows=60 mean=26.504217344865353 p50=25.94586407261105 p95=29.306849279207054 p99=29.40039325437537 first=26.504217344865353 wire=15 frags=1 exec=S1:20,S2:20,S3:20 admitted=60 shed=0 esterr=0.11127575584141462

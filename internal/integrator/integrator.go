@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/admission"
 	"repro/internal/catalog"
@@ -72,11 +71,9 @@ type Config struct {
 // failure.
 const Retries = 2
 
-// DefaultBatchRows is the row count of the batches fragment results ship in:
-// large enough to amortize per-batch latency, small enough that a
-// multi-thousand-row fragment pipelines through many transfer/produce
-// overlaps.
-const DefaultBatchRows = 256
+// DefaultBatchRows is the row count of the batches fragment results ship in
+// (colbatch.ShipBatchRows).
+const DefaultBatchRows = colbatch.ShipBatchRows
 
 // II is the information integrator. Its hooks (router, telemetry, admission
 // and, in the optimizer, the II calibrator) are set only through their
@@ -91,15 +88,14 @@ type II struct {
 	// plan's calibrated cost classifies the query into a workload class and
 	// the controller decides run / queue / shed. Under the default unlimited
 	// policy the gate is a pass-through, as if there were none.
-	adm           *admission.Controller
-	shardPushdown atomic.Bool
-	opt           *optimizer.Optimizer
-	plans         *planCache
+	adm   *admission.Controller
+	opt   *optimizer.Optimizer
+	plans *planCache
 }
 
 // New builds an II.
 func New(cfg Config) *II {
-	ii := &II{
+	return &II{
 		cfg: cfg,
 		opt: &optimizer.Optimizer{
 			Catalog: cfg.Catalog,
@@ -108,8 +104,6 @@ func New(cfg Config) *II {
 		},
 		plans: newPlanCache(),
 	}
-	ii.shardPushdown.Store(true)
-	return ii
 }
 
 // BatchRows returns the fragment streaming batch size.
@@ -120,29 +114,6 @@ func (ii *II) BatchRows() int { return DefaultBatchRows }
 //
 // Deprecated: kept only for the benchmark harness, which still calls it.
 func (ii *II) SetVectorized(bool) {}
-
-// ShardPushdown reports whether aggregate queries over sharded tables push
-// partial aggregation into the shard fragments.
-func (ii *II) ShardPushdown() bool { return ii.shardPushdown.Load() }
-
-// SetShardPushdown toggles two-phase partial-aggregate pushdown (default
-// on). Off selects the ship-everything baseline: every shard ships its full
-// pre-aggregation result ("col-ship"). On, shards ship partial-aggregate
-// states instead ("pushdown-col"). Fragment spans carry the active mode in
-// their "ship" attribute and the journal's run entries record it, so the two
-// modes are distinguishable after the fact.
-// The plan cache is cleared on a change, and an entry compiled under the other
-// setting is never served.
-func (ii *II) SetShardPushdown(on bool) {
-	if ii.shardPushdown.Swap(on) != on {
-		ii.ClearPlanCache()
-	}
-}
-
-// decomposeOpts is the shard handling a compile decomposes under now.
-func (ii *II) decomposeOpts() optimizer.DecomposeOpts {
-	return optimizer.DecomposeOpts{DisablePushdown: !ii.shardPushdown.Load()}
-}
 
 // Optimizer exposes the global optimizer (QCC's what-if analysis drives it
 // directly with masking).
@@ -323,15 +294,13 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 		return nil, nil, err
 	}
 	sp.Emit("parse", telemetry.LayerII, "", 0)
-	// The mask and pushdown snapshots precede collection, so a mask or a
-	// pushdown setting that flips while the candidates are being collected
-	// differs from them at the next lookup.
+	// The mask snapshot precedes collection, so a mask that flips while the
+	// candidates are being collected differs from it at the next lookup.
 	var masked map[string]bool
 	if ii.cfg.MW != nil {
 		masked = ii.cfg.MW.MaskedSet()
 	}
-	opts := ii.decomposeOpts()
-	decomp, frags, err := ii.opt.Collect(ctx, stmt, opts)
+	decomp, frags, err := ii.opt.Collect(ctx, stmt)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -339,7 +308,7 @@ func (ii *II) compile(ctx context.Context, sql string, exclude optimizer.Exclude
 	// now (fenced), the collected raw candidates stay valid for when the
 	// fence lifts.
 	var turn *Turn
-	if cc := newCachedCompilation(sql, stmt, opts, decomp, frags, masked); cc != nil {
+	if cc := newCachedCompilation(sql, stmt, decomp, frags, masked); cc != nil {
 		ii.plans.insert(cc)
 		turn = &cc.turn
 	}
@@ -378,15 +347,14 @@ func (ii *II) finishCompile(ctx context.Context, ranked []*optimizer.GlobalPlan,
 
 // newCachedCompilation assembles the cacheable artifact for one compile: the
 // parsed statement, decomposition and raw candidate sets, plus what
-// validation compares against — the shard handling it decomposed under, each
-// fragment's referenced tables, the candidate servers, and the mask snapshot
-// taken before collection. Masked servers contributed no options, so an
-// unmask must invalidate too. It returns nil when an unmasked candidate
+// validation compares against — each fragment's referenced tables, the
+// candidate servers, and the mask snapshot taken before collection. Masked
+// servers contributed no options, so an unmask must invalidate too. It returns nil when an unmasked candidate
 // contributed no options: its Explain failed (server down or link
 // partitioned), and nothing a lookup reads would notice it answering again,
 // so the statement compiles cold until it does.
-func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, opts optimizer.DecomposeOpts, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, masked map[string]bool) *cachedCompilation {
-	cc := &cachedCompilation{sql: sql, stmt: stmt, opts: opts, decomp: decomp, frags: frags, masked: masked}
+func newCachedCompilation(sql string, stmt *sqlparser.SelectStmt, decomp *optimizer.Decomposition, frags []optimizer.FragmentOptions, masked map[string]bool) *cachedCompilation {
+	cc := &cachedCompilation{sql: sql, stmt: stmt, decomp: decomp, frags: frags, masked: masked}
 	cc.fragTables = make([][]string, len(frags))
 	seen := map[string]bool{}
 	for i, fo := range frags {
@@ -424,11 +392,6 @@ func answered(options []optimizer.SourceOption, server string) bool {
 // it does NOT check: calibration factors and availability fencing, which the
 // warm re-pick applies fresh on every hit.
 func (ii *II) validateCached(cc *cachedCompilation) string {
-	if cc.opts != ii.decomposeOpts() {
-		// A pushdown toggle clears the cache; this is an entry whose collection
-		// straddled it.
-		return InvalidateClear
-	}
 	mw := ii.cfg.MW
 	if mw == nil {
 		return ""

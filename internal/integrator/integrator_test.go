@@ -450,67 +450,6 @@ func TestPlanCacheMaskDuringCollectInvalidates(t *testing.T) {
 	}
 }
 
-// pushdownFlippingWrapper turns the II's shard pushdown off from inside
-// Explain once armed: a pushdown toggle racing the collection of candidates.
-type pushdownFlippingWrapper struct {
-	wrapper.Wrapper
-	ii    *integrator.II
-	armed atomic.Bool
-}
-
-func (w *pushdownFlippingWrapper) Explain(stmt *sqlparser.SelectStmt, sql string) ([]wrapper.Candidate, error) {
-	if w.armed.Swap(false) {
-		w.ii.SetShardPushdown(false)
-	}
-	return w.Wrapper.Explain(stmt, sql)
-}
-
-// TestPlanCachePushdownDuringCollectInvalidates turns shard pushdown off
-// while a statement's candidates are being collected. The entry that compile
-// leaves was decomposed with pushdown on, so the next compile must not serve
-// it: it counts a "clear" invalidation and returns the ship-rows shape.
-func TestPlanCachePushdownDuringCollectInvalidates(t *testing.T) {
-	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 2, Scale: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wrappers []*pushdownFlippingWrapper
-	var all []wrapper.Wrapper
-	for _, id := range sc.MW.Servers() {
-		w := &pushdownFlippingWrapper{Wrapper: sc.MW.Wrapper(id)}
-		w.armed.Store(true)
-		wrappers = append(wrappers, w)
-		all = append(all, w)
-	}
-	ii := integrator.New(integrator.Config{Catalog: sc.Catalog, MW: metawrapper.New(all...), Node: sc.IINode, Clock: sc.Clock})
-	for _, w := range wrappers {
-		w.ii = ii
-	}
-	const q = "SELECT COUNT(*) FROM lineitem"
-
-	gp, err := ii.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gp.Decomp.Sharded == nil || gp.Decomp.Sharded.Partial == nil {
-		t.Fatalf("the first compile collected before the toggle, so it must push down: %+v", gp.Decomp.Sharded)
-	}
-	if ii.ShardPushdown() {
-		t.Fatal("no wrapper turned pushdown off during Explain")
-	}
-
-	gp, err = ii.Compile(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := ii.PlanCacheStats(); s.Invalidations[integrator.InvalidateClear] != 1 || s.Hits != 0 {
-		t.Fatalf("pushdown toggled during collection was not invalidated: %+v", s)
-	}
-	if gp.Decomp.Sharded == nil || gp.Decomp.Sharded.Partial != nil {
-		t.Fatalf("compile after the toggle returned the pushdown shape: %+v", gp.Decomp.Sharded)
-	}
-}
-
 // TestPlanCacheUsesARecoveredServer compiles while the cheapest server
 // cannot answer Explain — down, or its link partitioned — and requires that
 // compilation to stay uncached, so that once the server answers again the

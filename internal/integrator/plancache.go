@@ -33,9 +33,8 @@ import (
 //     contributed no candidates, an unmasked one is missing from the cached
 //     candidate sets.
 //   - "capacity": LRU eviction past PlanCacheCapacity statements.
-//   - "clear":   explicit invalidation (ClearPlanCache, which a shard
-//     pushdown toggle and a route policy change call), or an entry decomposed
-//     under the other pushdown setting.
+//   - "clear":   explicit invalidation (ClearPlanCache, which a route
+//     policy change calls).
 //
 // Calibration-factor changes and QCC availability fencing need NO
 // invalidation: factors are re-applied on every hit, and a fenced server's
@@ -69,10 +68,8 @@ type PlanCacheStats struct {
 // cachedCompilation is the reusable compile artifact for one exact
 // statement text.
 type cachedCompilation struct {
-	sql  string
-	stmt *sqlparser.SelectStmt
-	// opts is the shard handling the statement was decomposed under.
-	opts   optimizer.DecomposeOpts
+	sql    string
+	stmt   *sqlparser.SelectStmt
 	decomp *optimizer.Decomposition
 	frags  []optimizer.FragmentOptions
 	// fragTables caches each fragment's referenced table names for version

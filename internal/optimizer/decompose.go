@@ -57,20 +57,14 @@ type Decomposition struct {
 	Sharded *ShardPlan
 }
 
-// Decompose splits stmt into co-located fragments using the catalog with
-// default shard handling (partial-agg pushdown enabled).
-func Decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog) (*Decomposition, error) {
-	return DecomposeWith(stmt, cat, DecomposeOpts{})
-}
-
-// DecomposeWith splits stmt into co-located fragments using the catalog.
+// Decompose splits stmt into co-located fragments using the catalog.
 // Tables are grouped greedily in FROM order: a table joins the current group
 // while at least one server hosts every table of the group. Sharded
 // nicknames always form singleton groups (their rows are disjoint across
 // servers, so no server can evaluate a join against them whole) and expand
 // into per-shard fragments.
-func DecomposeWith(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeOpts) (*Decomposition, error) {
-	d, err := decompose(stmt, cat, opts)
+func Decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog) (*Decomposition, error) {
+	d, err := decompose(stmt, cat)
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +75,14 @@ func DecomposeWith(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts Decomp
 	return d, nil
 }
 
-func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeOpts) (*Decomposition, error) {
+// DecomposeWith is Decompose; the options carry nothing.
+//
+// Deprecated: kept only for the benchmark harness, which still calls it.
+func DecomposeWith(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, _ DecomposeOpts) (*Decomposition, error) {
+	return Decompose(stmt, cat)
+}
+
+func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog) (*Decomposition, error) {
 	tables := stmt.Tables()
 
 	type group struct {
@@ -138,7 +139,7 @@ func decompose(stmt *sqlparser.SelectStmt, cat *catalog.Catalog, opts DecomposeO
 			return nil, err
 		}
 		if g.nick != nil {
-			return decomposeShardedSingle(stmt, g.nick, g.tables[0], schema, opts)
+			return decomposeShardedSingle(stmt, g.nick, g.tables[0], schema)
 		}
 		d.SingleFragment = true
 		d.Fragments = []*FragmentSpec{{

@@ -100,7 +100,7 @@ type Optimizer struct {
 // masked or partitioned) simply contribute no candidates; the query only
 // fails when some fragment has no surviving candidate at all.
 func (o *Optimizer) Optimize(stmt *sqlparser.SelectStmt) (*GlobalPlan, error) {
-	plans, err := o.Enumerate(stmt, DecomposeOpts{}, 1)
+	plans, err := o.Enumerate(stmt, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -138,10 +138,10 @@ type FragmentOptions struct {
 type ExcludeFunc func(fragID, serverID string) bool
 
 // Enumerate returns up to topK global plans ranked by calibrated cost (all
-// when topK <= 0), with the statement decomposed under opts, for Optimize and
-// the what-if surfaces; compilation routes over EnumerateFromOptions' ranking.
-func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, opts DecomposeOpts, topK int) ([]*GlobalPlan, error) {
-	decomp, frags, err := o.Collect(context.Background(), stmt, opts)
+// when topK <= 0), for Optimize and the what-if surfaces; compilation routes
+// over EnumerateFromOptions' ranking of the same decomposition.
+func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, topK int) ([]*GlobalPlan, error) {
+	decomp, frags, err := o.Collect(context.Background(), stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -153,14 +153,14 @@ func (o *Optimizer) Enumerate(stmt *sqlparser.SelectStmt, opts DecomposeOpts, to
 }
 
 // Collect runs the EXPENSIVE head of compilation: it decomposes the
-// statement under opts and gathers each fragment's raw candidate set through
+// statement and gathers each fragment's raw candidate set through
 // the meta-wrapper (one remote planner round-trip per candidate server). The
 // result is reusable across compilations of the same statement — it depends
-// only on the statement, opts, the catalog and remote table state, never on
+// only on the statement, the catalog and remote table state, never on
 // calibration factors. ctx carries the active trace span, so each candidate
 // server's remote planning round-trip is recorded as a per-candidate span.
-func (o *Optimizer) Collect(ctx context.Context, stmt *sqlparser.SelectStmt, opts DecomposeOpts) (*Decomposition, []FragmentOptions, error) {
-	decomp, err := DecomposeWith(stmt, o.Catalog, opts)
+func (o *Optimizer) Collect(ctx context.Context, stmt *sqlparser.SelectStmt) (*Decomposition, []FragmentOptions, error) {
+	decomp, err := Decompose(stmt, o.Catalog)
 	if err != nil {
 		return nil, nil, err
 	}

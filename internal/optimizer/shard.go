@@ -15,14 +15,14 @@ import (
 	"repro/internal/sqltypes"
 )
 
-// DecomposeOpts tunes shard handling during decomposition. The zero value
-// is the production default: push down. Predicates on a shard key always
-// prune.
-type DecomposeOpts struct {
-	// DisablePushdown ships every shard's rows instead of partial aggregate
-	// states (the ship-all-rows baseline).
-	DisablePushdown bool
-}
+// DecomposeOpts has no fields: shard handling is not an option. A sharded
+// aggregate whose group keys are columns and whose aggregates are
+// COUNT/SUM/AVG/MIN/MAX always ships partial states, and predicates on a
+// shard key always prune.
+//
+// Deprecated: kept only for the benchmark harness, which passes it to
+// DecomposeWith.
+type DecomposeOpts struct{}
 
 // ShardRef marks a fragment as one shard of a logical fragment.
 type ShardRef struct {
@@ -78,9 +78,10 @@ func shardServers(sh catalog.Shard) []string {
 // decomposeShardedSingle handles a statement whose FROM clause is exactly
 // one sharded table. Pruning to a single shard pushes the whole statement
 // to that shard (a normal single-fragment plan); otherwise the statement
-// scatter-gathers, shipping partial aggregate states when the query
-// aggregates and the rows' columns its tail reads when it does not.
-func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, tr sqlparser.TableRef, schema *sqltypes.Schema, opts DecomposeOpts) (*Decomposition, error) {
+// scatter-gathers, shipping partial aggregate states when the query's
+// aggregation is partialable and the rows' columns its tail reads when it is
+// not.
+func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, tr sqlparser.TableRef, schema *sqltypes.Schema) (*Decomposition, error) {
 	d := &Decomposition{Stmt: stmt}
 	conjuncts := sqlparser.DropTrueLiterals(sqlparser.SplitConjuncts(stmt.Where))
 	executed := pruneShards(nick, tr.EffectiveName(), conjuncts)
@@ -110,7 +111,7 @@ func decomposeShardedSingle(stmt *sqlparser.SelectStmt, nick *catalog.Nickname, 
 		return d, nil
 	}
 
-	if !opts.DisablePushdown && (stmt.HasAggregates() || len(stmt.GroupBy) > 0) && groupKeysAreColumns(stmt.GroupBy) {
+	if (stmt.HasAggregates() || len(stmt.GroupBy) > 0) && groupKeysAreColumns(stmt.GroupBy) {
 		if aggs, err := exec.StatementAggregates(stmt); err == nil && aggsArePartialable(aggs) {
 			plan.Partial = &PartialAggPlan{GroupBy: stmt.GroupBy, Aggs: aggs}
 		}

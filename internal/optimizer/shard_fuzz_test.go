@@ -41,7 +41,7 @@ func FuzzShardPruning(f *testing.F) {
 			return
 		}
 		sc := scenarios[ranged]
-		d, err := optimizer.DecomposeWith(stmt, sc.Catalog, optimizer.DecomposeOpts{})
+		d, err := optimizer.Decompose(stmt, sc.Catalog)
 		if err != nil {
 			return
 		}

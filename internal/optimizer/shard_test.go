@@ -25,9 +25,9 @@ func shardedScenario(t *testing.T, shards int, method catalog.ShardMethod) *scen
 	return sc
 }
 
-func executedShards(t *testing.T, sc *scenario.Scenario, sql string, opts optimizer.DecomposeOpts) (*optimizer.Decomposition, []int) {
+func executedShards(t *testing.T, sc *scenario.Scenario, sql string) (*optimizer.Decomposition, []int) {
 	t.Helper()
-	d, err := optimizer.DecomposeWith(sqlparser.MustParse(sql), sc.Catalog, opts)
+	d, err := optimizer.Decompose(sqlparser.MustParse(sql), sc.Catalog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func executedShards(t *testing.T, sc *scenario.Scenario, sql string, opts optimi
 
 func TestDecomposeShardedScatter(t *testing.T) {
 	sc := shardedScenario(t, 4, catalog.ShardHash)
-	d, exec := executedShards(t, sc, "SELECT l_id FROM lineitem", optimizer.DecomposeOpts{})
+	d, exec := executedShards(t, sc, "SELECT l_id FROM lineitem")
 	if !reflect.DeepEqual(exec, []int{0, 1, 2, 3}) {
 		t.Fatalf("executed: %v", exec)
 	}
@@ -68,7 +68,7 @@ func TestDecomposeShardedEqPrunesToSingleFragment(t *testing.T) {
 	spec := &catalog.ShardSpec{Column: "l_orderkey"}
 	want := spec.ShardFor(sqltypes.NewInt(123), 4)
 	d, exec := executedShards(t, sc,
-		"SELECT l_id FROM lineitem WHERE l_orderkey = 123", optimizer.DecomposeOpts{})
+		"SELECT l_id FROM lineitem WHERE l_orderkey = 123")
 	if !reflect.DeepEqual(exec, []int{want}) {
 		t.Fatalf("executed %v, want [%d]", exec, want)
 	}
@@ -101,7 +101,7 @@ func TestDecomposeShardedRangePruning(t *testing.T) {
 	}
 	for _, c := range cases {
 		_, exec := executedShards(t, sc,
-			"SELECT l_id FROM lineitem WHERE "+c.where, optimizer.DecomposeOpts{})
+			"SELECT l_id FROM lineitem WHERE "+c.where)
 		if !reflect.DeepEqual(exec, c.want) {
 			t.Errorf("WHERE %s: executed %v, want %v", c.where, exec, c.want)
 		}
@@ -122,7 +122,7 @@ func TestDecomposeShardedInPruning(t *testing.T) {
 		}
 	}
 	_, exec := executedShards(t, sc,
-		"SELECT l_id FROM lineitem WHERE l_orderkey IN (7, 88)", optimizer.DecomposeOpts{})
+		"SELECT l_id FROM lineitem WHERE l_orderkey IN (7, 88)")
 	if !reflect.DeepEqual(exec, want) {
 		t.Fatalf("executed %v, want %v", exec, want)
 	}
@@ -131,8 +131,7 @@ func TestDecomposeShardedInPruning(t *testing.T) {
 func TestDecomposeShardedPartialAggPushdown(t *testing.T) {
 	sc := shardedScenario(t, 4, catalog.ShardHash)
 	d, _ := executedShards(t, sc,
-		"SELECT l_tag, SUM(l_price), AVG(l_qty), COUNT(*) FROM lineitem GROUP BY l_tag",
-		optimizer.DecomposeOpts{})
+		"SELECT l_tag, SUM(l_price), AVG(l_qty), COUNT(*) FROM lineitem GROUP BY l_tag")
 	if d.Sharded.Partial == nil {
 		t.Fatal("expected partial aggregation pushdown")
 	}
@@ -145,12 +144,12 @@ func TestDecomposeShardedPartialAggPushdown(t *testing.T) {
 	if got, want := selectNames(f), []string{"l_tag", "s0", "s1", "s2", "s3"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("shard select list: %v, want %v", got, want)
 	}
-	// Pushdown off ships the rows' columns the tail reads instead.
+	// A group key that is an expression has no partial states: the shards
+	// ship the rows' columns the tail reads instead.
 	d2, _ := executedShards(t, sc,
-		"SELECT l_tag, SUM(l_price), AVG(l_qty), COUNT(*) FROM lineitem GROUP BY l_tag",
-		optimizer.DecomposeOpts{DisablePushdown: true})
+		"SELECT SUM(l_price), AVG(l_qty), COUNT(*) FROM lineitem GROUP BY UPPER(l_tag)")
 	if d2.Sharded.Partial != nil {
-		t.Fatal("pushdown disabled must not plan partial aggregation")
+		t.Fatal("an expression group key must not plan partial aggregation")
 	}
 	for _, f := range d2.Fragments {
 		if got, want := selectNames(f), []string{"lineitem.l_qty", "lineitem.l_price", "lineitem.l_tag"}; !reflect.DeepEqual(got, want) {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/scenario"
 )
@@ -61,7 +60,7 @@ func TestAdvisorRecommendsReplicationOffHotServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmt := before.Plan.Decomp.Fragments[0].Stmt
-	plans, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
+	plans, err := sc.II.Optimizer().Enumerate(stmt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/metawrapper"
-	"repro/internal/optimizer"
 	"repro/internal/qcc"
 	"repro/internal/remote"
 	"repro/internal/ring"
@@ -343,7 +342,7 @@ func TestSimulatedFederationEnumeratesWithoutExecution(t *testing.T) {
 		}
 	}
 	// Virtual estimates approximate real estimates.
-	realPlans, err := sc.II.Optimizer().Enumerate(stmt, optimizer.DecomposeOpts{}, 0)
+	realPlans, err := sc.II.Optimizer().Enumerate(stmt, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

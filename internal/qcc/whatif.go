@@ -76,7 +76,7 @@ func virtualShell(rt *storage.Table) (*storage.Table, error) {
 // Enumerate derives up to topK alternative global plans with calibrated
 // costs, without executing anything (topK <= 0 returns all).
 func (sf *SimulatedFederation) Enumerate(stmt *sqlparser.SelectStmt, topK int) ([]*optimizer.GlobalPlan, error) {
-	return sf.Opt.Enumerate(stmt, optimizer.DecomposeOpts{}, topK)
+	return sf.Opt.Enumerate(stmt, topK)
 }
 
 // EnumerateByMasking reproduces the paper's §4.2 trick verbatim: instead of

@@ -252,7 +252,7 @@ func TestPlanSetOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}
-			decomp, err := optimizer.DecomposeWith(stmt, sc.Catalog, optimizer.DecomposeOpts{})
+			decomp, err := optimizer.Decompose(stmt, sc.Catalog)
 			if err != nil {
 				t.Fatalf("%s: %v", sql, err)
 			}

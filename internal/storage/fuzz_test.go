@@ -227,7 +227,7 @@ func requireModel(t *testing.T, label string, tab *Table, m *model) {
 		}
 		if n > 0 {
 			cs := want.Columns[col.Name]
-			cs.WireBytes = float64(colbatch.ColumnWireBytes(wantCol, n, wireBatchRows)) / float64(n)
+			cs.WireBytes = float64(colbatch.ColumnWireBytes(wantCol, n, colbatch.ShipBatchRows)) / float64(n)
 			want.WireRowBytes += cs.WireBytes
 		}
 	}

@@ -345,11 +345,6 @@ func pagesOf(bytes int, nonEmpty bool) int {
 	return p
 }
 
-// wireBatchRows is the batch the integrator asks remote cursors for
-// (integrator.DefaultBatchRows): a shipped column is encoded that many rows at
-// a time.
-const wireBatchRows = 256
-
 // Stats returns the table's statistics, collected by the first view of a
 // version that asks (mimicking RUNSTATS) from the statistics of each column,
 // which a version keeps from the one before it unless the write between them
@@ -385,7 +380,7 @@ func (s *columnStats) collect(col sqltypes.Column, c *colbatch.Column, n int) *s
 	s.once.Do(func() {
 		s.stats = stats.CollectColumn(col, c, n)
 		if n > 0 {
-			s.stats.WireBytes = float64(colbatch.ColumnWireBytes(c, n, wireBatchRows)) / float64(n)
+			s.stats.WireBytes = float64(colbatch.ColumnWireBytes(c, n, colbatch.ShipBatchRows)) / float64(n)
 		}
 	})
 	return s.stats

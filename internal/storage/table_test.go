@@ -275,8 +275,8 @@ func TestStatsWireBytesAreTheEncoders(t *testing.T) {
 		sum := 0.0
 		for c, col := range schema.Columns {
 			shipped := 0
-			for lo := 0; lo < rows; lo += wireBatchRows {
-				b := colbatch.New(sqltypes.NewSchema(col), cols[c:c+1], rows).Slice(lo, min(lo+wireBatchRows, rows))
+			for lo := 0; lo < rows; lo += colbatch.ShipBatchRows {
+				b := colbatch.New(sqltypes.NewSchema(col), cols[c:c+1], rows).Slice(lo, min(lo+colbatch.ShipBatchRows, rows))
 				// A batch's header: magic, version, column count, row count.
 				shipped += colbatch.Encode(b).WireBytes() - 3 - uvarintLen(b.Len())
 			}
@@ -370,7 +370,7 @@ func TestUpdateRederivesOnlyTheColumnItChanged(t *testing.T) {
 		cols := colbatch.FromRelation(&sqltypes.Relation{Schema: schema, Rows: v.Rows()}).Cols
 		for i, col := range schema.Columns {
 			cs := ts.Columns[col.Name]
-			cs.WireBytes = float64(colbatch.ColumnWireBytes(cols[i], v.RowCount(), wireBatchRows)) / float64(v.RowCount())
+			cs.WireBytes = float64(colbatch.ColumnWireBytes(cols[i], v.RowCount(), colbatch.ShipBatchRows)) / float64(v.RowCount())
 			ts.WireRowBytes += cs.WireBytes
 		}
 		return ts

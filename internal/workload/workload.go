@@ -204,15 +204,23 @@ func ApplyPhase(sc *scenario.Scenario, p Phase, seed int64) error {
 }
 
 // WriteNickname writes the seeded update burst to the nickname at every
-// placement the catalog lists. A write is a write to the logical table: its
-// replicas take the same burst and stay equivalent data sources, so no route
-// can change an answer.
+// placement the catalog lists, each shard's placements for a sharded one. A
+// write is a write to the logical table: its replicas take the same burst and
+// stay equivalent data sources, so no route can change an answer.
 func WriteNickname(sc *scenario.Scenario, nickname string, seed int64) error {
 	nick, err := sc.Catalog.Lookup(nickname)
 	if err != nil {
 		return err
 	}
-	for _, p := range nick.Placements {
+	placements := nick.Placements
+	if nick.Sharded() {
+		// The nickname's own placements only name the shards' hosts.
+		placements = nil
+		for _, sh := range nick.Shards {
+			placements = append(placements, sh.Placements...)
+		}
+	}
+	for _, p := range placements {
 		srv, ok := sc.Servers[p.ServerID]
 		if !ok {
 			return fmt.Errorf("workload: nickname %q is placed on unknown server %q", nickname, p.ServerID)

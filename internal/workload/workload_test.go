@@ -151,6 +151,31 @@ func TestApplyPhase(t *testing.T) {
 	}
 }
 
+// TestWriteNicknameReachesEveryShard: a write to a sharded nickname is the
+// burst at every shard's table, whose names are not the nickname's.
+func TestWriteNicknameReachesEveryShard(t *testing.T) {
+	sc, err := scenario.BuildSharded(scenario.ShardedOptions{Shards: 2, Scale: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nick, err := sc.Catalog.Lookup("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make([][]sqltypes.Row, len(nick.Shards))
+	for i, sh := range nick.Shards {
+		before[i] = tableRows(sc, sh.Placements[0])
+	}
+	if err := WriteNickname(sc, "lineitem", 7); err != nil {
+		t.Fatal(err)
+	}
+	for i, sh := range nick.Shards {
+		if reflect.DeepEqual(tableRows(sc, sh.Placements[0]), before[i]) {
+			t.Fatalf("shard %d (%s on %s) took no write", i, sh.Placements[0].RemoteTable, sh.Placements[0].ServerID)
+		}
+	}
+}
+
 // placementVersions reads the table version at every placement of every
 // nickname, keyed "nickname@server".
 func placementVersions(t *testing.T, sc *scenario.Scenario) map[string]int64 {

@@ -1,7 +1,7 @@
 // Golden virtual-time test for the II merge: rows, fragment times, merge
 // time, response time, first-row time and the final clock are pinned as
-// literals for a fixed statement list on the paper, sharded (pushdown on and
-// off) and replica federations, on the columnar engine and wire. The lines
+// literals for a fixed statement list on the paper, sharded and replica
+// federations, on the columnar engine and wire. The lines
 // were first recorded against a store-and-forward row merge, which returned
 // the same rows, fragment times and merge times; they moved only where a
 // change moved them on purpose: fewer bytes shipped per fragment once
@@ -81,28 +81,6 @@ var goldenFederations = []goldenFederation{
 			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=16.898796280411545 first=16.71010049715909",
 			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=22.196142407455753 first=21.475519128181958",
 			"now=129.15899412849478",
-		},
-	},
-	{
-		name: "sharded-shipall",
-		build: func() (*fedqcc.Federation, error) {
-			fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{Shards: 4, Scale: 50, Seed: 7})
-			if err == nil {
-				fed.SetShardPushdown(false)
-			}
-			return fed, err
-		},
-		sqls: goldenSharded,
-		wire: []string{
-			"rows=1016 hash=f51aed38500d5367 frags=[QF1.s0=14.680969460227272 QF1.s1=14.900800142045455 QF1.s2=14.766520241477274 QF1.s3=15.02074412555183] merge=1.516 resp=16.196969460227272 first=16.196969460227272",
-			"rows=4 hash=cb547ab194e8a7e0 frags=[QF1.s0=14.964603716252896 QF1.s1=15.068706428781347 QF1.s2=15.02437921669986 QF1.s3=15.31252433651529] merge=3.1706666666666665 resp=17.25001647666956 first=17.25001647666956",
-			"rows=1 hash=958d5f54ecbaa0f0 frags=[QF1.s0=13.429393641119363 QF1.s1=13.361388779042969 QF1.s2=13.468137507375978 QF1.s3=13.63278667353321] merge=1.0303333333333333 resp=14.391722112376302 first=14.391722112376302",
-			"rows=1 hash=a47a8743b2078d35 frags=[QF1.s0=12.220458626914818] merge=0.5003333333333333 resp=12.720791960248151 first=12.720791960248151",
-			"rows=7 hash=05d01628f6d7d97f frags=[QF1.s0=14.135930397727273 QF1.s1=14.163651278409091 QF1.s2=13.948723366477273 QF1.s3=14.356827059659091] merge=2.1959999999999997 resp=16.42075630494211 first=16.42075630494211",
-			"rows=4 hash=2cb1795d3ae01ad2 frags=[QF1.s0=13.206668678977273 QF1.s1=13.27178018465909 QF1.s2=13.236621803977272 QF1.s3=13.354389559659092] merge=3.1666666666666665 resp=15.958575309273064 first=15.958575309273064",
-			"rows=213 hash=c809eb2442a9fd14 frags=[QF1=16.627423650568183 QF2.s0=13.562809303977273 QF2.s1=13.60087784090909 QF2.s2=13.497867897727273 QF2.s3=13.784100497159091] merge=2.926 resp=16.898796280411545 first=16.71010049715909",
-			"rows=5 hash=fcba76c2c26a19c0 frags=[QF1=18.737286931818183 QF2.s0=15.328373247502896 QF2.s1=15.447612678781347 QF2.s2=15.39596124794986 QF2.s3=15.72316886776529] merge=7.176666666666667 resp=22.196142407455753 first=21.475519128181958",
-			"now=132.03377031160375",
 		},
 	},
 	{

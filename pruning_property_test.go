@@ -115,12 +115,11 @@ func TestPrunedFragmentsReturnGroundTruth(t *testing.T) {
 		fed  *fedqcc.Federation
 	}
 	var arms []arm
-	add := func(name string, build func() (*fedqcc.Federation, error), pushdown bool) {
+	add := func(name string, build func() (*fedqcc.Federation, error)) {
 		fed, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		fed.SetShardPushdown(pushdown)
 		arms = append(arms, arm{name, fed})
 	}
 	replica := func() (*fedqcc.Federation, error) {
@@ -129,9 +128,8 @@ func TestPrunedFragmentsReturnGroundTruth(t *testing.T) {
 	sharded := func() (*fedqcc.Federation, error) {
 		return fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{Shards: 4, Scale: scale, Seed: seed})
 	}
-	add("replica", replica, true)
-	add("sharded-pushdown", sharded, true)
-	add("sharded-shipall", sharded, false)
+	add("replica", replica)
+	add("sharded", sharded)
 
 	r := rand.New(rand.NewSource(19))
 	multi := 0

@@ -8,6 +8,7 @@ package fedqcc_test
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -149,48 +150,94 @@ func exactRows(rel *sqltypes.Relation) []string {
 	return out
 }
 
-// TestShardedPushdownSameAnswers: shipping partial aggregate states and
-// shipping whole rows must agree — exactly on integer aggregates and counts,
-// and within float tolerance on float sums (addition order differs).
+// TestShardedPushdownSameAnswers: a sharded aggregate returns the single
+// site's answer whether its shards ship partial aggregate states (column
+// group keys) or the rows the tail reads (a group key that is an expression),
+// and each statement ships the way its shape says.
 func TestShardedPushdownSameAnswers(t *testing.T) {
 	fed := shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 4})
-	sqls := []string{
-		"SELECT COUNT(*), SUM(l_qty), AVG(l_qty), MIN(l_price), MAX(l_price) FROM lineitem",
-		"SELECT l_tag, COUNT(*), SUM(l_qty), SUM(l_price) FROM lineitem GROUP BY l_tag ORDER BY l_tag",
-		"SELECT l_tag, AVG(l_price) FROM lineitem WHERE l_qty > 10 GROUP BY l_tag HAVING COUNT(*) > 3 ORDER BY l_tag",
+	oracle, err := scenario.BuildThreeServer(scenario.Options{Scale: 100})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, sql := range sqls {
-		fed.SetShardPushdown(true)
-		push, err := fed.Query(sql)
+	for _, c := range []struct {
+		sql  string
+		ship string
+	}{
+		{"SELECT COUNT(*), SUM(l_qty), AVG(l_qty), MIN(l_price), MAX(l_price) FROM lineitem", "pushdown-col"},
+		{"SELECT l_tag, COUNT(*), SUM(l_qty), SUM(l_price) FROM lineitem GROUP BY l_tag ORDER BY l_tag", "pushdown-col"},
+		{"SELECT l_tag, AVG(l_price) FROM lineitem WHERE l_qty > 10 GROUP BY l_tag HAVING COUNT(*) > 3 ORDER BY l_tag", "pushdown-col"},
+		{"SELECT COUNT(*), SUM(l_price), MIN(l_price) FROM lineitem GROUP BY MOD(l_qty, 3)", "col-ship"},
+		{"SELECT AVG(l_price) FROM lineitem WHERE l_qty > 10 GROUP BY l_qty + 1 HAVING COUNT(*) > 3", "col-ship"},
+	} {
+		res, err := fed.Query(c.sql)
 		if err != nil {
-			t.Fatalf("pushdown %s: %v", sql, err)
+			t.Fatalf("%s: %v", c.sql, err)
 		}
-		fed.SetShardPushdown(false)
-		ship, err := fed.Query(sql)
+		want, err := experiment.GroundTruth(oracle, "S1", c.sql)
 		if err != nil {
-			t.Fatalf("ship-all %s: %v", sql, err)
+			t.Fatal(err)
 		}
-		if len(push.Rows.Rows) != len(ship.Rows.Rows) {
-			t.Fatalf("%s: %d rows pushdown vs %d ship-all", sql, len(push.Rows.Rows), len(ship.Rows.Rows))
+		if diff := experiment.RelationsEquivalent(res.Rows, want, strings.Contains(c.sql, "ORDER BY")); diff != "" {
+			t.Fatalf("%s: %s", c.sql, diff)
 		}
-		for ri := range ship.Rows.Rows {
-			for ci := range ship.Rows.Rows[ri] {
-				a, b := push.Rows.Rows[ri][ci], ship.Rows.Rows[ri][ci]
-				if a.IsNull() != b.IsNull() {
-					t.Fatalf("%s: cell (%d,%d): %v vs %v", sql, ri, ci, a, b)
-				}
-				if a.IsNull() {
-					continue
-				}
-				if a.Kind() == sqltypes.KindFloat || b.Kind() == sqltypes.KindFloat {
-					af, bf := a.Float(), b.Float()
-					if math.Abs(af-bf) > 1e-9*math.Max(1, math.Abs(bf)) {
-						t.Fatalf("%s: cell (%d,%d): %v vs %v", sql, ri, ci, a, b)
-					}
-					continue
-				}
-				if !cellsBitIdentical(a, b) {
-					t.Fatalf("%s: cell (%d,%d): %#v vs %#v", sql, ri, ci, a, b)
+		rec, ok := fed.QueryRecord(res.ID)
+		if !ok || len(rec.Runs) != 4 {
+			t.Fatalf("%s: %d fragment runs recorded, want 4", c.sql, len(rec.Runs))
+		}
+		for _, run := range rec.Runs {
+			if run.Ship.String() != c.ship {
+				t.Fatalf("%s: fragment %s shipped %s, want %s", c.sql, run.FragID, run.Ship, c.ship)
+			}
+		}
+	}
+}
+
+// TestEnumerationSurfacesDecomposeAlike: explain mode, the federation's plan
+// enumeration and QCC's what-if enumeration on the simulated system decompose
+// a statement one way, so every plan each returns runs the same fragment
+// statements — for a sharded aggregate that pushes partial states and for one
+// that ships rows because a group key is an expression.
+func TestEnumerationSurfacesDecomposeAlike(t *testing.T) {
+	fed := shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 4})
+	wi, err := fed.EnableQCC(fedqcc.QCCOptions{}).WhatIf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		sql     string
+		partial bool
+	}{
+		{"SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag", true},
+		{"SELECT COUNT(*), SUM(l_price) FROM lineitem GROUP BY MOD(l_qty, 3)", false},
+	} {
+		explained, err := fed.Explain(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(explained.FragmentSQL) != 4 {
+			t.Fatalf("%s: %d fragments, want one per shard: %v", c.sql, len(explained.FragmentSQL), explained.FragmentSQL)
+		}
+		for id, sql := range explained.FragmentSQL {
+			if strings.Contains(sql, "GROUP BY") != c.partial {
+				t.Fatalf("%s: fragment %s runs %q, partial states %v", c.sql, id, sql, c.partial)
+			}
+		}
+		enumerated, err := fed.EnumeratePlans(c.sql, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whatIf, err := wi.EnumeratePlans(c.sql, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for surface, plans := range map[string][]*fedqcc.PlanInfo{"EnumeratePlans": enumerated, "WhatIf().EnumeratePlans": whatIf} {
+			if len(plans) == 0 {
+				t.Fatalf("%s: %s returned no plan", c.sql, surface)
+			}
+			for i, p := range plans {
+				if !reflect.DeepEqual(p.FragmentSQL, explained.FragmentSQL) {
+					t.Fatalf("%s: %s plan %d runs %v, Explain %v", c.sql, surface, i, p.FragmentSQL, explained.FragmentSQL)
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Columnar wire integration tests: every fragment ships typed column batches
 // in the compact colbatch encoding, the run log records the encoded bytes,
-// and on the sharded ship-everything workload those bytes are well below the
-// row-model size of the rows shipped.
+// and when every shard ships the rows of the columns an aggregate reads those
+// bytes are well below the row-model size of the rows shipped.
 package fedqcc_test
 
 import (
@@ -18,11 +18,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// shardedQuery is aggregate-heavy: with pushdown each shard ships a handful of
-// partial-aggregate states, without it the columns the aggregation reads.
+// shardedQuery is aggregate-heavy: each shard ships a handful of
+// partial-aggregate states.
 const shardedQuery = "SELECT l_tag, COUNT(*), SUM(l_qty), AVG(l_price) FROM lineitem GROUP BY l_tag"
 
-// wireScale is the wire tests' scale: 2 000 lineitem rows.
+// colShipQuery selects the columns shardedQuery aggregates, with no
+// aggregate: each shard ships them whole.
+const colShipQuery = "SELECT l_tag, l_qty, l_price FROM lineitem"
+
+// wireScale is the wire tests' scale: 250 lineitem rows.
 const wireScale = 400
 
 // queryWireBytes runs sql once and returns the result plus the bytes every
@@ -45,7 +49,7 @@ func queryWireBytes(fed *fedqcc.Federation, sql string) (*fedqcc.QueryResult, in
 }
 
 // wireShardedFed builds a sharded federation for wire tests.
-func wireShardedFed(t testing.TB, shards int, pushdown bool) *fedqcc.Federation {
+func wireShardedFed(t testing.TB, shards int) *fedqcc.Federation {
 	t.Helper()
 	fed, err := fedqcc.NewShardedFederation(fedqcc.ShardedFederationOptions{
 		Shards: shards,
@@ -54,7 +58,6 @@ func wireShardedFed(t testing.TB, shards int, pushdown bool) *fedqcc.Federation 
 	if err != nil {
 		t.Fatal(err)
 	}
-	fed.SetShardPushdown(pushdown)
 	return fed
 }
 
@@ -94,22 +97,22 @@ func spanBytes(t *testing.T, s *telemetry.Span, attr string) int {
 	return total
 }
 
-// TestWireShipsFewerBytes: on the sharded ship-everything workload the
+// TestWireShipsFewerBytes: when every shard ships its rows (colShipQuery) the
 // columnar wire (a) returns the oracle's answers, (b) records in MW's run log
 // the encoded bytes the wrapper spans report, at least 2.5x fewer than the
 // row-model size of the same rows (Col.WireSize, the boxed
 // Relation.ByteSize), and (c) logs "col-ship" for every fragment.
 func TestWireShipsFewerBytes(t *testing.T) {
-	fed := wireShardedFed(t, 4, false)
-	if _, err := fed.Query(shardedQuery); err != nil { // warm
+	fed := wireShardedFed(t, 4)
+	if _, err := fed.Query(colShipQuery); err != nil { // warm
 		t.Fatal(err)
 	}
 	fed.EnableTelemetry()
-	res, wireBytes, err := queryWireBytes(fed, shardedQuery)
+	res, wireBytes, err := queryWireBytes(fed, colShipQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireShardedGroundTruth(t, shardedQuery, res)
+	requireShardedGroundTruth(t, colShipQuery, res)
 	root := fed.Telemetry().Tracer().Last().Root
 	if spanned := spanBytes(t, root, "wire_bytes"); spanned != wireBytes {
 		t.Errorf("run log records %d B, the wrapper spans %d B", wireBytes, spanned)
@@ -118,7 +121,7 @@ func TestWireShipsFewerBytes(t *testing.T) {
 	if ratio := float64(rowBytes) / float64(wireBytes); ratio < 2.5 {
 		t.Errorf("columnar wire shipped %d B for %d B of rows: %.2fx, under 2.5x", wireBytes, rowBytes, ratio)
 	}
-	t.Logf("ship-everything at 4 shards: rows %d B, columnar %d B (%.2fx)",
+	t.Logf("col-ship at 4 shards: rows %d B, columnar %d B (%.2fx)",
 		rowBytes, wireBytes, float64(rowBytes)/float64(wireBytes))
 	if modes := shipModes(fed); !modes["col-ship"] || len(modes) != 1 {
 		t.Errorf("ship modes = %v, want col-ship only", modes)
@@ -135,11 +138,12 @@ func shipModes(fed *fedqcc.Federation) map[string]bool {
 	return modes
 }
 
-// TestWirePushdownColumnarStates: with pushdown, partial-aggregate states
-// ship as typed columns ("pushdown-col"), fewer bytes than shipping the rows,
-// and the ShardAggFinal merge over them returns the oracle's answers.
+// TestWirePushdownColumnarStates: partial-aggregate states ship as typed
+// columns ("pushdown-col"), fewer bytes than shipping the rows of the columns
+// they aggregate, and the ShardAggFinal merge over them returns the oracle's
+// answers.
 func TestWirePushdownColumnarStates(t *testing.T) {
-	fed := wireShardedFed(t, 4, true)
+	fed := wireShardedFed(t, 4)
 	res, pushBytes, err := queryWireBytes(fed, shardedQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +152,7 @@ func TestWirePushdownColumnarStates(t *testing.T) {
 	if seen := shipModes(fed); !seen["pushdown-col"] || len(seen) != 1 {
 		t.Errorf("ship modes = %v, want pushdown-col only", seen)
 	}
-	_, shipBytes, err := queryWireBytes(wireShardedFed(t, 4, false), shardedQuery)
+	_, shipBytes, err := queryWireBytes(wireShardedFed(t, 4), colShipQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
