@@ -10,8 +10,10 @@
 // the first side swapped every pair. Every pair's standard output must be
 // byte-identical: a change that claims to keep the studies' answers keeps
 // them. It prints one JSON line: the median and quartiles of each side's wall
-// time and user+sys CPU time, how many pairs B won, and the two-sided sign
-// test's p-value for each. The exit status is 1 when a pair's outputs differ.
+// time and user+sys CPU time, how many pairs B won, the two-sided sign
+// test's p-value for each, and how many pairs' outputs differed. For each pair
+// that differs it names the first differing line of each side on standard
+// error. The exit status is 1 when a pair's outputs differ.
 package main
 
 import (
@@ -55,7 +57,7 @@ func ab() int {
 	}
 
 	args := []string{"-exp", *exp, "-scale", strconv.Itoa(*scale)}
-	identical := true
+	differing := 0
 	for p := 0; p < *n; p++ {
 		order := [2]int{0, 1}
 		if p%2 == 1 {
@@ -67,22 +69,41 @@ func ab() int {
 				return failed(err)
 			}
 		}
-		if !bytes.Equal(out[0], out[1]) {
-			identical = false
-			fmt.Fprintf(os.Stderr, "qccab: pair %d: the standard outputs differ\n", p)
+		if line, la, lb := firstDiff(out[0], out[1]); line > 0 {
+			differing++
+			fmt.Fprintf(os.Stderr, "qccab: pair %d: the standard outputs differ first at line %d\n  a: %q\n  b: %q\n", p, line, la, lb)
 		}
 	}
 
-	line, err := json.Marshal(report{A: sides[0].rev, B: sides[1].rev, Exp: *exp, Scale: *scale, Pairs: *n, Identical: identical,
+	line, err := json.Marshal(report{A: sides[0].rev, B: sides[1].rev, Exp: *exp, Scale: *scale, Pairs: *n,
+		Identical: differing == 0, Differing: differing,
 		Wall: compare(sides[0].wall, sides[1].wall), CPU: compare(sides[0].cpu, sides[1].cpu)})
 	if err != nil {
 		return failed(err)
 	}
 	fmt.Println(string(line))
-	if !identical {
+	if differing > 0 {
 		return 1
 	}
 	return 0
+}
+
+// firstDiff returns the number (from 1) of the first line at which a and b
+// differ, with that line of each ("" past the end of one), or 0 when a and b
+// are byte-identical. A missing final newline is a difference of the last
+// line.
+func firstDiff(a, b []byte) (line int, la, lb string) {
+	if bytes.Equal(a, b) {
+		return 0, "", ""
+	}
+	for line = 1; ; line++ {
+		ra, restA, endA := bytes.Cut(a, []byte("\n"))
+		rb, restB, endB := bytes.Cut(b, []byte("\n"))
+		if !bytes.Equal(ra, rb) || endA != endB {
+			return line, string(ra), string(rb)
+		}
+		a, b = restA, restB
+	}
 }
 
 // side is one commit's qccbench binary and the seconds of its runs.

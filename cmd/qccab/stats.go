@@ -13,6 +13,7 @@ type report struct {
 	Scale     int        `json:"scale"`
 	Pairs     int        `json:"pairs"`
 	Identical bool       `json:"identical"`
+	Differing int        `json:"differing_pairs"`
 	Wall      comparison `json:"wall_s"`
 	CPU       comparison `json:"cpu_s"`
 }

@@ -56,3 +56,27 @@ func TestCompareCountsPairs(t *testing.T) {
 		t.Fatalf("medians %v and %v, want 10 and 9", c.A.Median, c.B.Median)
 	}
 }
+
+// TestFirstDiff names the first line two outputs differ at, with each side's
+// text of it: a changed line, a line one side lacks, and a missing final
+// newline.
+func TestFirstDiff(t *testing.T) {
+	for _, c := range []struct {
+		a, b   string
+		line   int
+		la, lb string
+	}{
+		{"x\ny\n", "x\ny\n", 0, "", ""},
+		{"", "", 0, "", ""},
+		{"x\ny\nz\n", "x\nY\nz\n", 2, "y", "Y"},
+		{"x\ny\n", "x\n", 2, "y", ""},
+		{"x\n", "x\ny\n", 2, "", "y"},
+		{"x\ny", "x\ny\n", 2, "y", "y"},
+		{"a\n", "b\n", 1, "a", "b"},
+	} {
+		line, la, lb := firstDiff([]byte(c.a), []byte(c.b))
+		if line != c.line || la != c.la || lb != c.lb {
+			t.Fatalf("firstDiff(%q, %q) = %d, %q, %q; want %d, %q, %q", c.a, c.b, line, la, lb, c.line, c.la, c.lb)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -47,86 +48,100 @@ func (a *Aggregate) Schema() *sqltypes.Schema {
 	return aggSchema(a.GroupBy, a.Aggs, a.Input.Schema())
 }
 
+// aggState is one aggregate's state in one group, used as its function
+// needs it: COUNT(x) and COUNT(*) keep count; SUM and AVG keep count, the int
+// sum and the float sum; MIN and MAX keep ext, one extreme. The zero value is
+// the empty state, so a group's states are one slice made with the group.
+//
+// SUM and AVG keep both sums, each added in arrival order, whatever kinds
+// arrive: SUM is the int sum while every cell was an int, else the float sum,
+// so a column that is an int vector in one batch and floats (or boxed cells,
+// or a row fallback) in the next sums to the same bits as the row kernel.
 type aggState struct {
-	count   int64
-	sum     float64
-	sumInt  int64
-	intOnly bool
-	min     sqltypes.Value
-	max     sqltypes.Value
-	seen    bool
+	count  int64
+	sumInt int64
+	sum    float64
+	ext    sqltypes.Value // MIN or MAX: NULL until a non-NULL cell arrives
+	mixed  bool           // SUM or AVG met a cell that is not an int
 }
 
-func newAggState() *aggState { return &aggState{intOnly: true} }
-
-func (s *aggState) add(v sqltypes.Value) {
+// add folds one cell into the state of function fn; a NULL cell changes
+// nothing.
+func (s *aggState) add(fn sqlparser.AggFunc, v sqltypes.Value) {
 	if v.IsNull() {
 		return
 	}
-	s.count++
-	s.seen = true
-	if v.Kind() == sqltypes.KindInt {
-		s.sumInt += v.Int()
-	} else {
-		s.intOnly = false
-	}
-	s.sum += v.Float()
-	if s.min.IsNull() || sqltypes.Compare(v, s.min) < 0 {
-		s.min = v
-	}
-	if s.max.IsNull() || sqltypes.Compare(v, s.max) > 0 {
-		s.max = v
+	switch fn {
+	case sqlparser.AggCount:
+		s.count++
+	case sqlparser.AggSum, sqlparser.AggAvg:
+		s.count++
+		s.addSum(v)
+	case sqlparser.AggMin:
+		if s.ext.IsNull() || sqltypes.Compare(v, s.ext) < 0 {
+			s.ext = v
+		}
+	case sqlparser.AggMax:
+		if s.ext.IsNull() || sqltypes.Compare(v, s.ext) > 0 {
+			s.ext = v
+		}
 	}
 }
 
-// addInt64 is add for a non-null int cell of an int vector. While min and
-// max are ints the exact int comparison is sqltypes.Compare's; a state that
-// met another kind first (an earlier batch's vector of floats, or a boxed
-// cell) takes add's path.
-func (s *aggState) addInt64(i int64) {
-	switch {
-	case !s.seen:
-		s.min, s.max = sqltypes.NewInt(i), sqltypes.NewInt(i)
-	case s.min.Kind() != sqltypes.KindInt || s.max.Kind() != sqltypes.KindInt:
-		s.add(sqltypes.NewInt(i))
-		return
-	default:
-		if i < s.min.Int() {
-			s.min = sqltypes.NewInt(i)
-		}
-		if i > s.max.Int() {
-			s.max = sqltypes.NewInt(i)
-		}
+// addSum adds a non-NULL cell to both sums.
+func (s *aggState) addSum(v sqltypes.Value) {
+	if v.Kind() == sqltypes.KindInt {
+		s.sumInt += v.Int()
+	} else {
+		s.mixed = true
 	}
+	s.sum += v.Float()
+}
+
+// sumInt64 and sumFloat64 are add for a SUM or AVG over a non-NULL cell of
+// an int or a float vector.
+func (s *aggState) sumInt64(i int64) {
 	s.count++
-	s.seen = true
 	s.sumInt += i
 	s.sum += float64(i)
 }
 
-// addFloat64 is add for a non-null float cell of a float vector. While min
-// and max are floats the direct < / > comparisons match sqltypes.Compare's
-// float ordering, including NaN comparing equal to everything (never
-// replacing min/max); a state that met another kind first takes add's path.
-func (s *aggState) addFloat64(f float64) {
-	switch {
-	case !s.seen:
-		s.min, s.max = sqltypes.NewFloat(f), sqltypes.NewFloat(f)
-	case s.min.Kind() != sqltypes.KindFloat || s.max.Kind() != sqltypes.KindFloat:
-		s.add(sqltypes.NewFloat(f))
-		return
-	default:
-		if f < s.min.Float() {
-			s.min = sqltypes.NewFloat(f)
-		}
-		if f > s.max.Float() {
-			s.max = sqltypes.NewFloat(f)
-		}
-	}
+func (s *aggState) sumFloat64(f float64) {
 	s.count++
-	s.seen = true
-	s.intOnly = false
+	s.mixed = true
 	s.sum += f
+}
+
+// extInt64 and extFloat64 are add for a MIN or MAX (fn) over a non-NULL cell
+// of an int or a float vector. While the extreme has the cell's kind, the
+// direct < and > are sqltypes.Compare's order: exact ints, and floats where
+// a NaN compares equal to everything, so it never replaces an extreme and,
+// once the extreme, is never replaced. An extreme of another kind (an
+// earlier batch's vector, or a boxed cell) takes add's path.
+func (s *aggState) extInt64(fn sqlparser.AggFunc, i int64) {
+	switch s.ext.Kind() {
+	case sqltypes.KindNull:
+		s.ext = sqltypes.NewInt(i)
+	case sqltypes.KindInt:
+		if e := s.ext.Int(); fn == sqlparser.AggMin && i < e || fn == sqlparser.AggMax && i > e {
+			s.ext = sqltypes.NewInt(i)
+		}
+	default:
+		s.add(fn, sqltypes.NewInt(i))
+	}
+}
+
+func (s *aggState) extFloat64(fn sqlparser.AggFunc, f float64) {
+	switch s.ext.Kind() {
+	case sqltypes.KindNull:
+		s.ext = sqltypes.NewFloat(f)
+	case sqltypes.KindFloat:
+		if e := s.ext.Float(); fn == sqlparser.AggMin && f < e || fn == sqlparser.AggMax && f > e {
+			s.ext = sqltypes.NewFloat(f)
+		}
+	default:
+		s.add(fn, sqltypes.NewFloat(f))
+	}
 }
 
 func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
@@ -134,10 +149,10 @@ func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
 	case sqlparser.AggCount:
 		return sqltypes.NewInt(s.count)
 	case sqlparser.AggSum:
-		if !s.seen {
+		if s.count == 0 {
 			return sqltypes.Null
 		}
-		if s.intOnly {
+		if !s.mixed {
 			return sqltypes.NewInt(s.sumInt)
 		}
 		return sqltypes.NewFloat(s.floatSum())
@@ -146,10 +161,8 @@ func (s *aggState) result(fn sqlparser.AggFunc) sqltypes.Value {
 			return sqltypes.Null
 		}
 		return sqltypes.NewFloat(s.floatSum() / float64(s.count))
-	case sqlparser.AggMin:
-		return s.min
-	case sqlparser.AggMax:
-		return s.max
+	case sqlparser.AggMin, sqlparser.AggMax:
+		return s.ext
 	default:
 		return sqltypes.Null
 	}
@@ -167,12 +180,70 @@ func (s *aggState) floatSum() float64 {
 	return s.sum
 }
 
-// aggGroup is one group's accumulated state.
+// aggGroup is one group: its keys and one state per aggregate. next chains
+// the groups whose keys share a hash, in the order they were made.
 type aggGroup struct {
 	keys   sqltypes.Row
-	states []*aggState
-	// countStar counts all rows in the group for COUNT(*).
-	countStar int64
+	states []aggState
+	next   *aggGroup
+}
+
+// groupTable files groups by the hash of their keys and keeps them in
+// first-appearance order: the grouping of aggFolder and shardMerger alike.
+type groupTable struct {
+	byHash map[uint64]*aggGroup // the first group of each hash's chain
+	order  []*aggGroup
+	width  int // states per group
+}
+
+func newGroupTable(width int) groupTable {
+	return groupTable{byHash: map[uint64]*aggGroup{}, width: width}
+}
+
+// find returns the group under hash h whose keys are identical to keys, or
+// makes one with a copy of keys.
+func (t *groupTable) find(h uint64, keys sqltypes.Row) *aggGroup {
+	grp, last := t.byHash[h], (*aggGroup)(nil)
+	for grp != nil && !rowsIdentical(grp.keys, keys) {
+		last, grp = grp, grp.next
+	}
+	if grp == nil {
+		grp = t.add(h, last, slices.Clone(keys))
+	}
+	return grp
+}
+
+// add makes the group of keys under hash h, after last, the end of h's chain
+// (nil when the chain is empty).
+func (t *groupTable) add(h uint64, last *aggGroup, keys sqltypes.Row) *aggGroup {
+	grp := &aggGroup{keys: keys, states: make([]aggState, t.width)}
+	if last == nil {
+		t.byHash[h] = grp
+	} else {
+		last.next = grp
+	}
+	t.order = append(t.order, grp)
+	return grp
+}
+
+// relation finalizes the groups, in first-appearance order, into rows of
+// their keys and one value per aggregate. A scalar aggregate over no rows
+// still yields its one row of empty states.
+func (t *groupTable) relation(out *sqltypes.Schema, aggs []*sqlparser.AggExpr, scalar bool) *sqltypes.Relation {
+	order := t.order
+	if scalar && len(order) == 0 {
+		order = []*aggGroup{{states: make([]aggState, t.width)}}
+	}
+	rel := sqltypes.NewRelation(out)
+	for _, grp := range order {
+		row := make(sqltypes.Row, 0, len(grp.keys)+len(aggs))
+		row = append(row, grp.keys...)
+		for i, agg := range aggs {
+			row = append(row, grp.states[i].result(agg.Func))
+		}
+		rel.Rows = append(rel.Rows, row)
+	}
+	return rel
 }
 
 // aggFolder is the incremental grouping kernel shared by both engines: input
@@ -181,19 +252,19 @@ type aggGroup struct {
 type aggFolder struct {
 	groupBy []sqlparser.Expr
 	aggs    []*sqlparser.AggExpr
-	groups  map[uint64][]*aggGroup
-	order   []*aggGroup
-	vec     foldVec // foldBatch's state
+	groupTable
+	keys sqltypes.Row // fold's scratch key row
+	vec  foldVec      // foldBatch's state
 }
 
 func newAggFolder(groupBy []sqlparser.Expr, aggs []*sqlparser.AggExpr) *aggFolder {
-	return &aggFolder{groupBy: groupBy, aggs: aggs, groups: map[uint64][]*aggGroup{}}
+	return &aggFolder{groupBy: groupBy, aggs: aggs, groupTable: newGroupTable(len(aggs)), keys: make(sqltypes.Row, len(groupBy))}
 }
 
 // fold accumulates one batch of rows.
 func (f *aggFolder) fold(in *sqltypes.Relation) error {
+	keys := f.keys
 	for _, row := range in.Rows {
-		keys := make(sqltypes.Row, len(f.groupBy))
 		for i, g := range f.groupBy {
 			v, err := sqlparser.Eval(g, row, in.Schema)
 			if err != nil {
@@ -201,32 +272,17 @@ func (f *aggFolder) fold(in *sqltypes.Relation) error {
 			}
 			keys[i] = v
 		}
-		h := rowHash(keys)
-		var grp *aggGroup
-		for _, g := range f.groups[h] {
-			if rowsIdentical(g.keys, keys) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = &aggGroup{keys: keys, states: make([]*aggState, len(f.aggs))}
-			for i := range grp.states {
-				grp.states[i] = newAggState()
-			}
-			f.groups[h] = append(f.groups[h], grp)
-			f.order = append(f.order, grp)
-		}
-		grp.countStar++
+		grp := f.find(rowHash(keys), keys)
 		for i, agg := range f.aggs {
 			if agg.Arg == nil {
-				continue // COUNT(*): handled by countStar
+				grp.states[i].count++ // COUNT(*)
+				continue
 			}
 			v, err := sqlparser.Eval(agg.Arg, row, in.Schema)
 			if err != nil {
 				return err
 			}
-			grp.states[i].add(v)
+			grp.states[i].add(agg.Func, v)
 		}
 	}
 	return nil
@@ -234,29 +290,7 @@ func (f *aggFolder) fold(in *sqltypes.Relation) error {
 
 // result finalizes the groups into the output relation.
 func (f *aggFolder) result(out *sqltypes.Schema) *sqltypes.Relation {
-	order := f.order
-	// Scalar aggregation over an empty input still yields one row.
-	if len(f.groupBy) == 0 && len(order) == 0 {
-		grp := &aggGroup{states: make([]*aggState, len(f.aggs))}
-		for i := range grp.states {
-			grp.states[i] = newAggState()
-		}
-		order = append(order, grp)
-	}
-	rel := sqltypes.NewRelation(out)
-	for _, grp := range order {
-		row := make(sqltypes.Row, 0, len(f.groupBy)+len(f.aggs))
-		row = append(row, grp.keys...)
-		for i, agg := range f.aggs {
-			if agg.Func == sqlparser.AggCount && agg.Arg == nil {
-				row = append(row, sqltypes.NewInt(grp.countStar))
-				continue
-			}
-			row = append(row, grp.states[i].result(agg.Func))
-		}
-		rel.Rows = append(rel.Rows, row)
-	}
-	return rel
+	return f.relation(out, f.aggs, len(f.groupBy) == 0)
 }
 
 // Execute implements Operator.
@@ -331,9 +365,19 @@ func CollectAggregates(e sqlparser.Expr, aggs []*sqlparser.AggExpr) []*sqlparser
 
 // RewriteAggregates replaces aggregate calls in e with column references
 // into the Aggregate operator's output, using the mapping from rendered
-// aggregate text to output column name. Group-key columns keep their bare
+// aggregate text to output column name, and likewise every sub-expression
+// whose rendering keys lists: the GROUP BY expressions that are not bare
+// columns, whose values are the output's key columns (the input columns
+// they read are gone after aggregation). Group-key columns keep their bare
 // names (qualifiers are stripped since Aggregate outputs unqualified keys).
-func RewriteAggregates(e sqlparser.Expr, mapping map[string]string) sqlparser.Expr {
+func RewriteAggregates(e sqlparser.Expr, mapping, keys map[string]string) sqlparser.Expr {
+	if len(keys) > 0 {
+		if _, ref := e.(*sqlparser.ColumnRef); !ref {
+			if name, ok := keys[e.String()]; ok {
+				return &sqlparser.ColumnRef{Name: name}
+			}
+		}
+	}
 	switch x := e.(type) {
 	case *sqlparser.AggExpr:
 		if name, ok := mapping[x.String()]; ok {
@@ -346,32 +390,32 @@ func RewriteAggregates(e sqlparser.Expr, mapping map[string]string) sqlparser.Ex
 	case *sqlparser.BinaryExpr:
 		return &sqlparser.BinaryExpr{
 			Op:    x.Op,
-			Left:  RewriteAggregates(x.Left, mapping),
-			Right: RewriteAggregates(x.Right, mapping),
+			Left:  RewriteAggregates(x.Left, mapping, keys),
+			Right: RewriteAggregates(x.Right, mapping, keys),
 		}
 	case *sqlparser.NotExpr:
-		return &sqlparser.NotExpr{Inner: RewriteAggregates(x.Inner, mapping)}
+		return &sqlparser.NotExpr{Inner: RewriteAggregates(x.Inner, mapping, keys)}
 	case *sqlparser.IsNullExpr:
-		return &sqlparser.IsNullExpr{Inner: RewriteAggregates(x.Inner, mapping), Negate: x.Negate}
+		return &sqlparser.IsNullExpr{Inner: RewriteAggregates(x.Inner, mapping, keys), Negate: x.Negate}
 	case *sqlparser.InExpr:
 		list := make([]sqlparser.Expr, len(x.List))
 		for i, it := range x.List {
-			list[i] = RewriteAggregates(it, mapping)
+			list[i] = RewriteAggregates(it, mapping, keys)
 		}
-		return &sqlparser.InExpr{Needle: RewriteAggregates(x.Needle, mapping), List: list, Negate: x.Negate}
+		return &sqlparser.InExpr{Needle: RewriteAggregates(x.Needle, mapping, keys), List: list, Negate: x.Negate}
 	case *sqlparser.BetweenExpr:
 		return &sqlparser.BetweenExpr{
-			Subject: RewriteAggregates(x.Subject, mapping),
-			Lo:      RewriteAggregates(x.Lo, mapping),
-			Hi:      RewriteAggregates(x.Hi, mapping),
+			Subject: RewriteAggregates(x.Subject, mapping, keys),
+			Lo:      RewriteAggregates(x.Lo, mapping, keys),
+			Hi:      RewriteAggregates(x.Hi, mapping, keys),
 			Negate:  x.Negate,
 		}
 	case *sqlparser.LikeExpr:
-		return &sqlparser.LikeExpr{Subject: RewriteAggregates(x.Subject, mapping), Pattern: x.Pattern, Negate: x.Negate}
+		return &sqlparser.LikeExpr{Subject: RewriteAggregates(x.Subject, mapping, keys), Pattern: x.Pattern, Negate: x.Negate}
 	case *sqlparser.FuncExpr:
 		args := make([]sqlparser.Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = RewriteAggregates(a, mapping)
+			args[i] = RewriteAggregates(a, mapping, keys)
 		}
 		return &sqlparser.FuncExpr{Name: x.Name, Args: args}
 	default:

@@ -184,11 +184,20 @@ func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
 		for i, a := range aggs {
 			mapping[a.String()] = aggColName(i)
 		}
+		var keys map[string]string // a select item, HAVING or ORDER BY that repeats a key reads its column
+		for i, g := range stmt.GroupBy {
+			if _, ref := g.(*sqlparser.ColumnRef); !ref {
+				if keys == nil {
+					keys = map[string]string{}
+				}
+				keys[g.String()] = aggKeyName(stmt.GroupBy, i)
+			}
+		}
 		schema = aggSchema(stmt.GroupBy, aggs, schema)
 		rewritten := make([]sqlparser.SelectItem, len(selectItems))
 		for i, item := range selectItems {
 			rewritten[i] = sqlparser.SelectItem{
-				Expr:  RewriteAggregates(item.Expr, mapping),
+				Expr:  RewriteAggregates(item.Expr, mapping, keys),
 				Alias: item.Alias,
 			}
 			// Preserve output naming for bare aggregates without aliases.
@@ -198,11 +207,11 @@ func PlanTop(stmt *sqlparser.SelectStmt, schema *sqltypes.Schema) (Top, error) {
 		}
 		selectItems = rewritten
 		if having != nil {
-			steps = append(steps, topStep{kind: stepFilter, pred: RewriteAggregates(having, mapping)})
+			steps = append(steps, topStep{kind: stepFilter, pred: RewriteAggregates(having, mapping, keys)})
 		}
 		newOrder := make([]sqlparser.OrderItem, len(orderBy))
 		for i, o := range orderBy {
-			newOrder[i] = sqlparser.OrderItem{Expr: RewriteAggregates(o.Expr, mapping), Desc: o.Desc}
+			newOrder[i] = sqlparser.OrderItem{Expr: RewriteAggregates(o.Expr, mapping, keys), Desc: o.Desc}
 		}
 		orderBy = newOrder
 	}

@@ -95,21 +95,6 @@ func (s *ShardAggFinal) Schema() *sqltypes.Schema {
 	return aggSchema(s.GroupBy, s.Aggs, s.Base)
 }
 
-// shardMergeGroup accumulates one group's merged partial states.
-type shardMergeGroup struct {
-	keys   sqltypes.Row
-	states []*aggState
-	counts []int64
-}
-
-func newShardMergeGroup(keys sqltypes.Row, n int) *shardMergeGroup {
-	g := &shardMergeGroup{keys: keys, states: make([]*aggState, n), counts: make([]int64, n)}
-	for i := range g.states {
-		g.states[i] = newAggState()
-	}
-	return g
-}
-
 // Execute implements Operator.
 func (s *ShardAggFinal) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	in, err := s.Input.Execute(ctx)
@@ -141,84 +126,52 @@ func (s *ShardAggFinal) checkWidth(schema *sqltypes.Schema) error {
 // through a cell accessor, a relation's or a column batch's at a time, and
 // result turns the groups into final aggregate values. Execute folds its
 // whole input at once, the vectorized pipeline one arriving batch after the
-// other; the grouping and the fold order are identical by construction.
+// other; the grouping and the fold order are identical by construction. A
+// group's states are the Aggregate kernel's: COUNT adds the partial counts,
+// AVG adds the partial sums and the partial counts into one state, and SUM,
+// MIN and MAX fold the partial values as the Aggregate kernel folds cells.
 type shardMerger struct {
-	s      *ShardAggFinal
-	groups map[uint64][]*shardMergeGroup
-	order  []*shardMergeGroup
+	s *ShardAggFinal
+	groupTable
+	keys sqltypes.Row // fold's scratch key row
 }
 
 func (s *ShardAggFinal) newMerger() *shardMerger {
-	return &shardMerger{s: s, groups: map[uint64][]*shardMergeGroup{}}
+	return &shardMerger{s: s, groupTable: newGroupTable(len(s.Aggs)), keys: make(sqltypes.Row, len(s.GroupBy))}
 }
 
 // fold merges n partial rows into the groups.
 func (m *shardMerger) fold(n int, cell func(row, col int) sqltypes.Value) {
-	s, k := m.s, len(m.s.GroupBy)
-	keys := make(sqltypes.Row, k)
+	s, k, keys := m.s, len(m.s.GroupBy), m.keys
 	for r := 0; r < n; r++ {
 		for c := 0; c < k; c++ {
 			keys[c] = cell(r, c)
 		}
-		h := rowHash(keys)
-		var grp *shardMergeGroup
-		for _, g := range m.groups[h] {
-			if rowsIdentical(g.keys, keys) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			grp = newShardMergeGroup(append(sqltypes.Row(nil), keys...), len(s.Aggs))
-			m.groups[h] = append(m.groups[h], grp)
-			m.order = append(m.order, grp)
-		}
+		grp := m.find(rowHash(keys), keys)
 		off := k
 		for i, a := range s.Aggs {
+			st := &grp.states[i]
 			switch a.Func {
 			case sqlparser.AggCount:
-				grp.counts[i] += cell(r, off).Int()
+				st.count += cell(r, off).Int()
 			case sqlparser.AggAvg:
-				grp.states[i].add(cell(r, off))
-				grp.counts[i] += cell(r, off+1).Int()
+				if sum := cell(r, off); !sum.IsNull() {
+					st.addSum(sum)
+				}
+				st.count += cell(r, off+1).Int()
 			default: // SUM, MIN, MAX: fold the partial value
-				grp.states[i].add(cell(r, off))
+				st.add(a.Func, cell(r, off))
 			}
 			off += PartialStateWidth(a)
 		}
 	}
 }
 
-// result finalizes the merged groups, in first-appearance order.
+// result finalizes the merged groups, in first-appearance order. A scalar
+// merge over no partials still yields one row, as the plain folder does
+// (it cannot normally happen: every shard ships one scalar partial row).
 func (m *shardMerger) result() *sqltypes.Relation {
-	s, k, order := m.s, len(m.s.GroupBy), m.order
-	// Scalar aggregation over no partials still yields one row, mirroring
-	// the plain folder (cannot normally happen: every shard ships one
-	// scalar partial row).
-	if k == 0 && len(order) == 0 {
-		order = append(order, newShardMergeGroup(nil, len(s.Aggs)))
-	}
-	out := sqltypes.NewRelation(s.Schema())
-	for _, grp := range order {
-		row := make(sqltypes.Row, 0, k+len(s.Aggs))
-		row = append(row, grp.keys...)
-		for i, a := range s.Aggs {
-			switch a.Func {
-			case sqlparser.AggCount:
-				row = append(row, sqltypes.NewInt(grp.counts[i]))
-			case sqlparser.AggAvg:
-				if grp.counts[i] == 0 {
-					row = append(row, sqltypes.Null)
-				} else {
-					row = append(row, sqltypes.NewFloat(grp.states[i].floatSum()/float64(grp.counts[i])))
-				}
-			default:
-				row = append(row, grp.states[i].result(a.Func))
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out
+	return m.relation(m.s.Schema(), m.s.Aggs, len(m.s.GroupBy) == 0)
 }
 
 // Explain implements Operator.

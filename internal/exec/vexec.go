@@ -698,7 +698,8 @@ func distinctBatch(in *colbatch.Batch, state *vDistinctState) *colbatch.Batch {
 
 // foldVec is what foldBatch keeps between the batches of one aggregation: the
 // group keys then the aggregate arguments (nil for COUNT(*)) compiled against
-// the batches' schema, their per-batch results, and scratch vectors.
+// the batches' schema, their per-batch results, and one fold window's
+// scratch: each row's key hash and group.
 type foldVec struct {
 	schema    *sqltypes.Schema
 	nodes     []vnode
@@ -708,10 +709,17 @@ type foldVec struct {
 	rowGroups []*aggGroup
 }
 
+// foldWindow is how many rows of a batch foldBatch hashes, files into groups
+// and folds at a time. A batch is as long as its source makes it (an index
+// scan's is every match), so a window bounds the per-row scratch, 16 B a row,
+// to 4 KiB.
+const foldWindow = 256
+
 // foldBatch is the vectorized counterpart of aggFolder.fold: group keys and
 // aggregate arguments evaluate column-wise up front (so an error leaves the
-// folder untouched for the row fallback), then rows fold into the exact
-// same group structures the row kernel builds.
+// folder untouched for the row fallback), then rows fold, a window at a
+// time and in row order, into the exact same group structures the row kernel
+// builds.
 func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 	n, k, v := in.Len(), len(f.groupBy), &f.vec
 	if v.schema != in.Schema {
@@ -745,139 +753,158 @@ func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 		// A scalar aggregate has one group: every row folds straight into it,
 		// with no row hashes and no per-row group pointers.
 		if n > 0 {
-			foldArgs(f.aggs, ares, aops, f.scalarGroup(), nil, n)
+			foldArgs(f.aggs, ares, aops, f.scalarGroup(), nil, 0, n)
 		}
 		return nil
 	}
-	// Group hashes fold column-major (cache-friendly, one dispatch per cell);
-	// candidate groups compare against the unboxed vres cells directly, so
-	// keys box exactly once per distinct group instead of once per row.
-	v.hs, v.rowGroups = resized(v.hs, n), resized(v.rowGroups, n)
-	hs, rowGroups := v.hs, v.rowGroups
+	v.hs, v.rowGroups = resized(v.hs, min(n, foldWindow)), resized(v.rowGroups, min(n, foldWindow))
+	for lo := 0; lo < n; lo += foldWindow {
+		hs, rowGroups := v.hs[:min(n-lo, foldWindow)], v.rowGroups
+		groupHashes(hs, gres, gops, lo)
+		for j, h := range hs {
+			rowGroups[j] = f.findRow(h, gres, gops, lo+j)
+		}
+		foldArgs(f.aggs, ares, aops, nil, rowGroups, lo, lo+len(hs))
+	}
+	return nil
+}
+
+// groupHashes writes into hs the key hash of rows lo.. of the group-by
+// results: rowHash of the keys, folded column-major (one dispatch per
+// column and window). A NULL-free typed key hashes straight off its payload,
+// over the rows or through their positions.
+func groupHashes(hs []uint64, gres []*vres, gops []operand, lo int) {
+	hi := lo + len(hs)
 	for i := range hs {
 		hs[i] = 1469598103934665603
 	}
 	for gi, g := range gres {
 		o := &gops[gi]
-		// A NULL-free typed key hashes straight off its payload, over the
-		// rows or through their positions.
 		switch typed := o.ok && !o.isConst && o.nulls == nil; {
 		case typed && o.kind == sqltypes.KindInt && o.at == nil:
-			for row, v := range o.ints[:n] {
-				hs[row] = (hs[row] ^ sqltypes.HashInt64(v)) * 1099511628211
+			for j, v := range o.ints[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashInt64(v)) * 1099511628211
 			}
 		case typed && o.kind == sqltypes.KindInt:
-			for row, p := range o.at {
-				hs[row] = (hs[row] ^ sqltypes.HashInt64(o.ints[p])) * 1099511628211
+			for j, p := range o.at[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashInt64(o.ints[p])) * 1099511628211
 			}
 		case typed && o.kind == sqltypes.KindFloat && o.at == nil:
-			for row, v := range o.floats[:n] {
-				hs[row] = (hs[row] ^ sqltypes.HashFloat64(v)) * 1099511628211
+			for j, v := range o.floats[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashFloat64(v)) * 1099511628211
 			}
 		case typed && o.kind == sqltypes.KindFloat:
-			for row, p := range o.at {
-				hs[row] = (hs[row] ^ sqltypes.HashFloat64(o.floats[p])) * 1099511628211
+			for j, p := range o.at[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashFloat64(o.floats[p])) * 1099511628211
 			}
 		case typed && o.kind == sqltypes.KindString && o.at == nil:
-			for row, v := range o.strs[:n] {
-				hs[row] = (hs[row] ^ sqltypes.HashString(v)) * 1099511628211
+			for j, v := range o.strs[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashString(v)) * 1099511628211
 			}
 		case typed && o.kind == sqltypes.KindString:
-			for row, p := range o.at {
-				hs[row] = (hs[row] ^ sqltypes.HashString(o.strs[p])) * 1099511628211
+			for j, p := range o.at[lo:hi] {
+				hs[j] = (hs[j] ^ sqltypes.HashString(o.strs[p])) * 1099511628211
 			}
 		default:
-			for row := 0; row < n; row++ {
-				hs[row] = (hs[row] ^ vresHash(g, row)) * 1099511628211
+			for j := range hs {
+				hs[j] = (hs[j] ^ vresHash(g, lo+j)) * 1099511628211
 			}
 		}
 	}
-	for row := 0; row < n; row++ {
-		h := hs[row]
-		var grp *aggGroup
-		for _, g := range f.groups[h] {
-			if groupKeysMatch(g.keys, gres, gops, row) {
-				grp = g
-				break
-			}
-		}
-		if grp == nil {
-			keys := make(sqltypes.Row, len(f.groupBy))
-			for i, g := range gres {
-				keys[i] = g.value(row)
-			}
-			grp = &aggGroup{keys: keys, states: make([]*aggState, len(f.aggs))}
-			for i := range grp.states {
-				grp.states[i] = newAggState()
-			}
-			f.groups[h] = append(f.groups[h], grp)
-			f.order = append(f.order, grp)
-		}
-		grp.countStar++
-		rowGroups[row] = grp
+}
+
+// findRow is groupTable.find for logical row `row` of the group-by results,
+// hashed h: candidates compare against the unboxed cells, so keys box once
+// per group, not once per row.
+func (f *aggFolder) findRow(h uint64, gres []*vres, gops []operand, row int) *aggGroup {
+	grp, last := f.byHash[h], (*aggGroup)(nil)
+	for grp != nil && !groupKeysMatch(grp.keys, gres, gops, row) {
+		last, grp = grp, grp.next
 	}
-	foldArgs(f.aggs, ares, aops, nil, rowGroups, n)
-	return nil
+	if grp == nil {
+		keys := make(sqltypes.Row, len(gres))
+		for i, g := range gres {
+			keys[i] = g.value(row)
+		}
+		grp = f.add(h, last, keys)
+	}
+	return grp
 }
 
 // scalarGroup returns the one group of an aggregate without GROUP BY, where
 // the row kernel files it (under the hash of no keys), so that a row fallback
 // on a later batch folds into the same group.
 func (f *aggFolder) scalarGroup() *aggGroup {
-	h := rowHash(nil)
-	if g := f.groups[h]; len(g) > 0 {
-		return g[0]
-	}
-	grp := &aggGroup{keys: sqltypes.Row{}, states: make([]*aggState, len(f.aggs))}
-	for i := range grp.states {
-		grp.states[i] = newAggState()
-	}
-	f.groups[h] = append(f.groups[h], grp)
-	f.order = append(f.order, grp)
-	return grp
+	return f.find(rowHash(nil), nil)
 }
 
-// foldArgs folds n rows of aggregate arguments into their groups: all of
-// them into one (a scalar aggregate), or row i into rowGroups[i]. It runs
-// agg-major so the typed dispatch happens once per (agg, batch) instead of
-// once per (agg, row).
-func foldArgs(aggs []*sqlparser.AggExpr, ares []*vres, aops []operand, one *aggGroup, rowGroups []*aggGroup, n int) {
-	if one != nil {
-		one.countStar += int64(n)
-	}
-	for i := range aggs {
-		a := ares[i]
-		if a == nil {
-			continue // COUNT(*)
-		}
-		o := &aops[i]
+// foldArgs folds rows lo..hi-1 of the aggregate arguments into their groups:
+// all of them into one (a scalar aggregate), or row lo+j into rowGroups[j].
+// It runs agg-major, so the kind of an argument is dispatched once per
+// aggregate and window; each row then takes its function's update only, so
+// a SUM never compares an extreme and a COUNT reads no cell.
+func foldArgs(aggs []*sqlparser.AggExpr, ares []*vres, aops []operand, one *aggGroup, rowGroups []*aggGroup, lo, hi int) {
+	for i, agg := range aggs {
+		a, o, fn := ares[i], &aops[i], agg.Func
 		switch {
+		case a == nil: // COUNT(*)
+			if one != nil {
+				one.states[i].count += int64(hi - lo)
+				continue
+			}
+			for _, grp := range rowGroups[:hi-lo] {
+				grp.states[i].count++
+			}
 		case o.ok && !o.isConst && o.kind == sqltypes.KindInt:
-			for row := 0; row < n; row++ {
-				if p := o.pos(row); o.nulls == nil || !o.nulls[p] {
-					stateOf(one, rowGroups, row, i).addInt64(o.ints[p])
+			for row := lo; row < hi; row++ {
+				p := o.pos(row)
+				if o.nulls != nil && o.nulls[p] {
+					continue
+				}
+				switch s := stateOf(one, rowGroups, row-lo, i); fn {
+				case sqlparser.AggCount:
+					s.count++
+				case sqlparser.AggSum, sqlparser.AggAvg:
+					s.sumInt64(o.ints[p])
+				case sqlparser.AggMin, sqlparser.AggMax:
+					s.extInt64(fn, o.ints[p])
 				}
 			}
 		case o.ok && !o.isConst && o.kind == sqltypes.KindFloat:
-			for row := 0; row < n; row++ {
-				if p := o.pos(row); o.nulls == nil || !o.nulls[p] {
-					stateOf(one, rowGroups, row, i).addFloat64(o.floats[p])
+			for row := lo; row < hi; row++ {
+				p := o.pos(row)
+				if o.nulls != nil && o.nulls[p] {
+					continue
+				}
+				switch s := stateOf(one, rowGroups, row-lo, i); fn {
+				case sqlparser.AggCount:
+					s.count++
+				case sqlparser.AggSum, sqlparser.AggAvg:
+					s.sumFloat64(o.floats[p])
+				case sqlparser.AggMin, sqlparser.AggMax:
+					s.extFloat64(fn, o.floats[p])
+				}
+			}
+		case fn == sqlparser.AggCount:
+			for row := lo; row < hi; row++ {
+				if !a.isNull(row) {
+					stateOf(one, rowGroups, row-lo, i).count++
 				}
 			}
 		default:
-			for row := 0; row < n; row++ {
-				stateOf(one, rowGroups, row, i).add(a.value(row))
+			for row := lo; row < hi; row++ {
+				stateOf(one, rowGroups, row-lo, i).add(fn, a.value(row))
 			}
 		}
 	}
 }
 
-// stateOf is the state of aggregate i that row folds into.
-func stateOf(one *aggGroup, rowGroups []*aggGroup, row, i int) *aggState {
+// stateOf is the state of aggregate i that the window's row j folds into.
+func stateOf(one *aggGroup, rowGroups []*aggGroup, j, i int) *aggState {
 	if one != nil {
-		return one.states[i]
+		return &one.states[i]
 	}
-	return rowGroups[row].states[i]
+	return &rowGroups[j].states[i]
 }
 
 // groupKeysMatch is rowsIdentical between a group's boxed keys and logical

@@ -193,6 +193,66 @@ func TestShardedPushdownSameAnswers(t *testing.T) {
 	}
 }
 
+// TestGroupByExpressionSelectItems: a select item, HAVING or ORDER BY that
+// repeats a GROUP BY expression reads that key's output column, on the paper
+// federation (the whole statement runs at one server) and on a 4-shard one
+// (an expression key ships columns and the II aggregates), with the single
+// site's answer.
+func TestGroupByExpressionSelectItems(t *testing.T) {
+	const scale = 200
+	paper, err := fedqcc.NewPaperFederation(fedqcc.FederationOptions{Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqls := []string{
+		"SELECT MOD(l_qty, 3), COUNT(*) FROM lineitem GROUP BY MOD(l_qty, 3)",
+		"SELECT MOD(l_qty, 3) + 1 AS k, SUM(l_price) FROM lineitem GROUP BY MOD(l_qty, 3) ORDER BY MOD(l_qty, 3) DESC",
+		"SELECT l_tag, l_qty + 1, AVG(l_price) FROM lineitem WHERE l_qty > 10 GROUP BY l_tag, l_qty + 1 HAVING l_qty + 1 < 30 AND COUNT(*) > 1 ORDER BY l_tag, l_qty + 1",
+	}
+	for _, c := range []struct {
+		name   string
+		fed    *fedqcc.Federation
+		opts   scenario.Options
+		shards int
+	}{
+		{"paper", paper, scenario.Options{Scale: scale}, 0},
+		{"4 shards", shardedFed(t, fedqcc.ShardedFederationOptions{Shards: 4}), scenario.Options{Scale: 100}, 4},
+	} {
+		oracle, err := scenario.BuildThreeServer(c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sql := range sqls {
+			res, err := c.fed.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.name, sql, err)
+			}
+			want, err := experiment.GroundTruth(oracle, "S1", sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rows.Cardinality() == 0 {
+				t.Fatalf("%s: %s returned no rows", c.name, sql)
+			}
+			if diff := experiment.RelationsEquivalent(res.Rows, want, strings.Contains(sql, "ORDER BY")); diff != "" {
+				t.Fatalf("%s: %s: %s", c.name, sql, diff)
+			}
+			if c.shards == 0 {
+				continue
+			}
+			rec, ok := c.fed.QueryRecord(res.ID)
+			if !ok || len(rec.Runs) != c.shards {
+				t.Fatalf("%s: %s: %d fragment runs recorded, want %d", c.name, sql, len(rec.Runs), c.shards)
+			}
+			for _, run := range rec.Runs {
+				if run.Ship.String() != "col-ship" {
+					t.Fatalf("%s: %s: fragment %s shipped %s, want col-ship", c.name, sql, run.FragID, run.Ship)
+				}
+			}
+		}
+	}
+}
+
 // TestEnumerationSurfacesDecomposeAlike: explain mode, the federation's plan
 // enumeration and QCC's what-if enumeration on the simulated system decompose
 // a statement one way, so every plan each returns runs the same fragment
