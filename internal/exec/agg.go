@@ -55,8 +55,8 @@ func (a *Aggregate) Schema() *sqltypes.Schema {
 //
 // SUM and AVG keep both sums, each added in arrival order, whatever kinds
 // arrive: SUM is the int sum while every cell was an int, else the float sum,
-// so a column that is an int vector in one batch and floats (or boxed cells,
-// or a row fallback) in the next sums to the same bits as the row kernel.
+// so a column that is an int vector in one batch and floats (or boxed cells)
+// in the next sums to the same bits as the row kernel.
 type aggState struct {
 	count  int64
 	sumInt int64

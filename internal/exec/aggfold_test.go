@@ -152,8 +152,8 @@ func foldRel(rng *rand.Rand, n int) *sqltypes.Relation {
 }
 
 // foldCuts cuts rel's rows into consecutive batches, each a window at an
-// offset or a selection, and marks some for the row fallback.
-func foldCuts(rng *rand.Rand, rel *sqltypes.Relation, cuts int) (batches []*colbatch.Batch, fallback []bool) {
+// offset or a selection, and marks some for the row kernel to fold.
+func foldCuts(rng *rand.Rand, rel *sqltypes.Relation, cuts int) (batches []*colbatch.Batch, byRow []bool) {
 	rows := rel.Rows
 	for c := 0; c < cuts; c++ {
 		n := len(rows)
@@ -170,16 +170,17 @@ func foldCuts(rng *rand.Rand, rel *sqltypes.Relation, cuts int) (batches []*colb
 				batches = append(batches, b)
 			}
 		}
-		fallback = append(fallback, c > 0 && c < cuts-1 && rng.Intn(2) == 0)
+		byRow = append(byRow, c > 0 && c < cuts-1 && rng.Intn(2) == 0)
 	}
-	return batches, fallback
+	return batches, byRow
 }
 
 // FuzzAggregateFoldMatchesRowKernel: COUNT, SUM, AVG, MIN and MAX over int,
 // float, mixed and all-NULL arguments, grouped by int, float, string and
 // mixed keys with NULLs and NaNs (or by nothing), fold to the row kernel's
 // groups bit for bit whatever the batch lengths around the fold window,
-// windows or selections, and row-fallback batches between typed ones. The
+// windows or selections, and batches the row kernel folds between typed ones
+// (the two kernels share the group states). The
 // two-phase path does too: partial states folded per shard by both kernels,
 // then merged by ShardAggFinal's row kernel and its vectorized pipeline.
 func FuzzAggregateFoldMatchesRowKernel(f *testing.F) {
@@ -208,17 +209,17 @@ func FuzzAggregateFoldMatchesRowKernel(f *testing.F) {
 		out := aggSchema(groupBy, aggs, rel.Schema)
 
 		// One phase: the vectorized fold over the cuts, with the row kernel
-		// folding the fallback batches, against the row kernel over rel.
+		// folding the marked batches, against the row kernel over rel.
 		rowFold := newAggFolder(groupBy, aggs)
 		if err := rowFold.fold(rel); err != nil {
 			t.Fatal(err)
 		}
 		want := rowFold.result(out)
-		batches, fallback := foldCuts(rng, rel, 1+int(shape/8)%4)
+		batches, byRow := foldCuts(rng, rel, 1+int(shape/8)%4)
 		vecFold := newAggFolder(groupBy, aggs)
 		for i, b := range batches {
 			var err error
-			if fallback[i] {
+			if byRow[i] {
 				err = vecFold.fold(b.ToRelation())
 			} else {
 				err = foldBatch(vecFold, b)

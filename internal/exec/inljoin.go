@@ -49,12 +49,6 @@ func (j *IndexNLJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return indexNLJoinRel(j, outer, ctx)
-}
-
-// indexNLJoinRel is the row-level join kernel, shared by Execute and the
-// vectorized path's fallback (which has already executed the outer side).
-func indexNLJoinRel(j *IndexNLJoin, outer *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
 	v := j.Inner.View()
 	defer v.Close()
 	iv, err := v.Index(j.Index)

@@ -53,8 +53,7 @@ func (j *HashJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 	return hashJoinRel(j, build, probe, ctx)
 }
 
-// hashJoinRel is the row-level join kernel, shared by Execute and the
-// vectorized path's rerun (which has already executed the children). It
+// hashJoinRel is the row-level join kernel over the executed children. It
 // hashes one side (see sides) and, for each streamed row in order, emits its
 // matches in hashed-side order.
 func hashJoinRel(j *HashJoin, build, probe *sqltypes.Relation, ctx *Context) (*sqltypes.Relation, error) {
@@ -157,12 +156,6 @@ func (j *NestedLoopJoin) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	ctx.Res.Add(j.Charge(float64(len(outer.Rows)), float64(len(inner.Rows))))
-	return nestedLoopRel(j, outer, inner)
-}
-
-// nestedLoopRel is the row-level join kernel, shared by Execute and the
-// vectorized path's rerun (which has already executed both children).
-func nestedLoopRel(j *NestedLoopJoin, outer, inner *sqltypes.Relation) (*sqltypes.Relation, error) {
 	outSchema := outer.Schema.Concat(inner.Schema)
 	out := sqltypes.NewRelation(outSchema)
 	for _, orow := range outer.Rows {

@@ -25,16 +25,9 @@ func (f *Filter) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	ctx.Res.Add(f.Charge(float64(len(in.Rows))))
-	return filterRel(f.Pred, in)
-}
-
-// filterRel is the row-level filter kernel shared by Execute and the
-// vectorized path's rerun: it evaluates the predicate over one relation (or
-// batch).
-func filterRel(pred sqlparser.Expr, in *sqltypes.Relation) (*sqltypes.Relation, error) {
 	out := sqltypes.NewRelation(in.Schema)
 	for _, row := range in.Rows {
-		ok, err := sqlparser.EvalBool(pred, row, in.Schema)
+		ok, err := sqlparser.EvalBool(f.Pred, row, in.Schema)
 		if err != nil {
 			return nil, err
 		}
@@ -149,16 +142,10 @@ func (p *Project) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	ctx.Res.Add(p.Charge(float64(len(in.Rows))))
-	return projectRel(p.Items, in)
-}
-
-// projectRel is the row-level projection kernel shared by Execute and the
-// vectorized path's rerun.
-func projectRel(items []sqlparser.SelectItem, in *sqltypes.Relation) (*sqltypes.Relation, error) {
-	out := sqltypes.NewRelation(projectSchema(items, in.Schema))
+	out := sqltypes.NewRelation(projectSchema(p.Items, in.Schema))
 	for _, row := range in.Rows {
 		var outRow sqltypes.Row
-		for _, item := range items {
+		for _, item := range p.Items {
 			if item.Star {
 				outRow = append(outRow, row...)
 				continue
@@ -202,12 +189,7 @@ func (s *Sort) Execute(ctx *Context) (*sqltypes.Relation, error) {
 		return nil, err
 	}
 	ctx.Res.Add(s.Charge(float64(len(in.Rows))))
-	return sortRel(s.Keys, in)
-}
-
-// sortRel is the row-level sort kernel shared by Execute and the vectorized
-// path's rerun.
-func sortRel(keys []sqlparser.OrderItem, in *sqltypes.Relation) (*sqltypes.Relation, error) {
+	keys := s.Keys
 	type keyed struct {
 		row  sqltypes.Row
 		keys []sqltypes.Value

@@ -117,8 +117,9 @@ func typedOperand(rng *rand.Rand) sqlparser.Expr {
 }
 
 // typedExpr is a comparison, an arithmetic expression, a BETWEEN or NOT
-// BETWEEN, or a scalar function, over operands that are columns, literals
-// or, at depth > 0, such expressions themselves (vectors of a kernel's own).
+// BETWEEN, a scalar function, or a short circuit (shortCircuit), over
+// operands that are columns, literals or, at depth > 0, such expressions
+// themselves (vectors of a kernel's own).
 func typedExpr(rng *rand.Rand, depth int) sqlparser.Expr {
 	arg := func() sqlparser.Expr {
 		if depth > 0 && rng.Intn(4) == 0 {
@@ -126,10 +127,12 @@ func typedExpr(rng *rand.Rand, depth int) sqlparser.Expr {
 		}
 		return typedOperand(rng)
 	}
-	switch rng.Intn(4) {
+	ops := []sqlparser.BinaryOp{sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe}
+	switch rng.Intn(5) {
 	case 0:
-		ops := []sqlparser.BinaryOp{sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe}
 		return &sqlparser.BinaryExpr{Op: ops[rng.Intn(len(ops))], Left: arg(), Right: arg()}
+	case 4:
+		return shortCircuit(rng, arg, &sqlparser.BinaryExpr{Op: ops[rng.Intn(len(ops))], Left: arg(), Right: arg()})
 	case 1:
 		ops := []sqlparser.BinaryOp{sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv}
 		return &sqlparser.BinaryExpr{Op: ops[rng.Intn(len(ops))], Left: arg(), Right: arg()}
@@ -142,6 +145,36 @@ func typedExpr(rng *rand.Rand, depth int) sqlparser.Expr {
 		default:
 			return &sqlparser.FuncExpr{Name: name, Args: []sqlparser.Expr{arg()}}
 		}
+	}
+}
+
+// shortCircuit is an AND or OR after the comparison cmp, an IN, a COALESCE or
+// a MOD whose last operand fails wherever it runs on a cell that is not NULL:
+// UPPER or LIKE of a cell that is not a string, or 's' * a cell. The row
+// evaluator reaches that operand only on the rows the short circuit leaves
+// open (cmp undecided, the needle unmatched, the first argument NULL or not),
+// and the vectorized one must fail on exactly those.
+func shortCircuit(rng *rand.Rand, arg func() sqlparser.Expr, cmp sqlparser.Expr) sqlparser.Expr {
+	var failing sqlparser.Expr
+	switch rng.Intn(3) {
+	case 0:
+		failing = &sqlparser.FuncExpr{Name: "UPPER", Args: []sqlparser.Expr{arg()}}
+	case 1:
+		failing = &sqlparser.LikeExpr{Subject: arg(), Pattern: "a%"}
+	default:
+		failing = &sqlparser.BinaryExpr{Op: sqlparser.OpMul, Left: &sqlparser.Literal{Val: sqltypes.NewString("s")}, Right: arg()}
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return &sqlparser.BinaryExpr{Op: sqlparser.OpAnd, Left: cmp, Right: failing}
+	case 1:
+		return &sqlparser.BinaryExpr{Op: sqlparser.OpOr, Left: cmp, Right: failing}
+	case 2:
+		return &sqlparser.InExpr{Needle: arg(), List: []sqlparser.Expr{arg(), failing}, Negate: rng.Intn(2) == 0}
+	case 3:
+		return &sqlparser.FuncExpr{Name: "COALESCE", Args: []sqlparser.Expr{arg(), failing}}
+	default:
+		return &sqlparser.FuncExpr{Name: "MOD", Args: []sqlparser.Expr{arg(), failing}}
 	}
 }
 
@@ -164,13 +197,27 @@ func randomBatches(rng *rand.Rand, rel *sqltypes.Relation) []*colbatch.Batch {
 // FuzzTypedKernelsMatchRowEval: over random typed columns (NULLs, NaN, ±0,
 // ints and floats that are twins through float64, strings, bools, Mixed and
 // all-NULL columns) cut into a random window or selection, a random
-// comparison, arithmetic expression, BETWEEN or NOT BETWEEN, or scalar
-// function evaluates to the row evaluator's values cell by cell, and a GROUP
-// BY with SUM, COUNT, MIN and MAX over random batches folds to the row
-// kernel's groups.
+// comparison, arithmetic expression, BETWEEN or NOT BETWEEN, scalar function
+// or short circuit evaluates to the row evaluator's values cell by cell, or
+// fails with its error, and a GROUP BY with SUM, COUNT, MIN and MAX over
+// random batches folds to the row kernel's groups or fails with its error.
 func FuzzTypedKernelsMatchRowEval(f *testing.F) {
 	for seed := int64(0); seed < 32; seed++ {
 		f.Add(seed, uint8(seed))
+	}
+	// Short circuits (shortCircuit) whose failing operand fails on a row the
+	// row evaluator never takes it to, which answers without an error.
+	for _, c := range []struct {
+		seed  int64
+		shape uint8
+	}{
+		{110, 0}, {84, 0}, {533, 1}, // AND before 's' * c3, c0 LIKE 'a%', UPPER(c0)
+		{236, 1}, {84, 1}, {288, 1}, // OR before 's' * 'Z', a LIKE, UPPER(c1)
+		{134, 1}, {1113, 1}, {140, 0}, // IN before 's' * c0, FALSE LIKE 'a%', UPPER(c2)
+		{160, 0}, {39, 0}, {262, 0}, // COALESCE before 's' * c0, -2.5 LIKE 'a%', UPPER(c3)
+		{395, 1}, {624, 1}, {2, 0}, // MOD before 's' * c1, a LIKE, UPPER(c1)
+	} {
+		f.Add(c.seed, c.shape)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))

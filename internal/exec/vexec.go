@@ -104,9 +104,9 @@ const scanWindow = 2048
 // charge whose grouping matters, a fractional one, in the row engine's order.
 //
 // Every operator the planners emit has a kernel here; any other operator is an
-// error, never a trip through the row engine. Kernels that hit an unsupported
-// expression shape or an eval error rerun the row kernel over the batch at
-// hand; see vexpr.go for why that reproduces the row path's outcome exactly.
+// error, never a trip through the row engine. A kernel's error is the row
+// kernel's: its expressions evaluate what the row evaluator evaluates, in
+// the same order (see vexpr.go's error discipline).
 type pipe struct {
 	op  Operator
 	ctx *Context
@@ -204,14 +204,6 @@ func (p *pipe) window() *colbatch.Batch {
 	return w
 }
 
-// boxed decomposes a row kernel's result.
-func boxed(rel *sqltypes.Relation, err error) (*colbatch.Batch, error) {
-	if err != nil {
-		return nil, err
-	}
-	return colbatch.FromRelation(rel), nil
-}
-
 // Next returns the operator's next output batch, nil when exhausted.
 func (p *pipe) Next() (*colbatch.Batch, error) {
 	ctx := p.ctx
@@ -244,17 +236,8 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			if err != nil {
 				return nil, err
 			}
-			var verr error
-			p.windows, verr = indexNLJoinBatch(x, outer, ctx)
-			if errors.Is(verr, errJoinRows) {
-				return nil, verr
-			}
-			if verr != nil {
-				out, err := boxed(indexNLJoinRel(x, outer.ToRelation(), ctx))
-				if err != nil {
-					return nil, err
-				}
-				p.windows = []colbatch.Batch{*out}
+			if p.windows, err = indexNLJoinBatch(x, outer, ctx); err != nil {
+				return nil, err
 			}
 		}
 		return p.window(), nil
@@ -273,17 +256,8 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				return nil, err
 			}
 			ctx.Res.Add(x.Charge(float64(outer.Len()), float64(inner.Len())))
-			var verr error
-			p.windows, verr = nestedLoopBatch(x, outer, inner)
-			if errors.Is(verr, errJoinRows) {
-				return nil, verr
-			}
-			if verr != nil {
-				out, err := boxed(nestedLoopRel(x, outer.ToRelation(), inner.ToRelation()))
-				if err != nil {
-					return nil, err
-				}
-				p.windows = []colbatch.Batch{*out}
+			if p.windows, err = nestedLoopBatch(x, outer, inner); err != nil {
+				return nil, err
 			}
 		}
 		return p.window(), nil
@@ -352,19 +326,15 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 
 	case *Filter:
 		p.tally().Res.Add(x.Charge(float64(in.Len())))
-		sel, verr := p.pred.selection(x.Pred, in)
-		if verr != nil {
-			return boxed(filterRel(x.Pred, in.ToRelation()))
+		sel, err := p.pred.selection(x.Pred, in)
+		if err != nil {
+			return nil, err
 		}
 		return in.SelectOwned(sel), nil
 
 	case *Project:
 		p.tally().Res.Add(x.Charge(float64(in.Len())))
-		out, verr := p.proj.apply(x.Items, in)
-		if verr != nil {
-			return boxed(projectRel(x.Items, in.ToRelation()))
-		}
-		return out, nil
+		return p.proj.apply(x.Items, in)
 
 	case *Sort:
 		in, err := open(x.Input, ctx).drain()
@@ -372,11 +342,7 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 			return nil, err
 		}
 		ctx.Res.Add(x.Charge(float64(in.Len())))
-		out, verr := sortBatch(x.Keys, in)
-		if verr != nil {
-			return boxed(sortRel(x.Keys, in.ToRelation()))
-		}
-		return out, nil
+		return sortBatch(x.Keys, in)
 
 	case *Limit:
 		// The input is still pulled to its end once the limit is reached: the
@@ -404,10 +370,8 @@ func (p *pipe) Next() (*colbatch.Batch, error) {
 				return colbatch.FromRelation(folder.result(x.Schema())), nil
 			}
 			p.tally().Res.Add(x.Charge(float64(in.Len())))
-			if verr := foldBatch(folder, in); verr != nil {
-				if err := folder.fold(in.ToRelation()); err != nil {
-					return nil, err
-				}
+			if err := foldBatch(folder, in); err != nil {
+				return nil, err
 			}
 		}
 
@@ -449,7 +413,7 @@ type projection struct {
 	picked  []*colbatch.Column
 }
 
-func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) error {
+func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) {
 	nodes := make([]vnode, len(items))
 	picks := make([]int, 0, len(items))
 	refsOnly := true
@@ -460,12 +424,8 @@ func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) 
 			}
 			continue
 		}
-		node, err := compileExpr(item.Expr, in)
-		if err != nil {
-			return err
-		}
-		nodes[i] = node
-		if ref, ok := node.(*vcolref); ok {
+		nodes[i] = compileExpr(item.Expr, in)
+		if ref, ok := nodes[i].(*vcolref); ok {
 			picks = append(picks, ref.idx)
 		} else {
 			refsOnly = false
@@ -475,17 +435,15 @@ func (p *projection) compile(items []sqlparser.SelectItem, in *sqltypes.Schema) 
 		picks = nil
 	}
 	*p = projection{in: in, out: projectSchema(items, in), nodes: nodes, picks: picks}
-	return nil
 }
 
-// apply evaluates the select items over a batch. When every item is a bare
+// apply evaluates the select items over a batch, in order, each over the
+// rows before an earlier item's error (pass). When every item is a bare
 // column reference (or *), the output shares the input's row window and
 // payload vectors — projection becomes O(1).
 func (p *projection) apply(items []sqlparser.SelectItem, in *colbatch.Batch) (*colbatch.Batch, error) {
 	if p.in != in.Schema {
-		if err := p.compile(items, in.Schema); err != nil {
-			return nil, err
-		}
+		p.compile(items, in.Schema)
 	}
 	if p.picks != nil {
 		if len(in.Cols) == 0 || len(p.from) != len(in.Cols) || &p.from[0] != &in.Cols[0] {
@@ -497,6 +455,7 @@ func (p *projection) apply(items []sqlparser.SelectItem, in *colbatch.Batch) (*c
 		return in.WithColumns(p.out, p.picked), nil
 	}
 	cols := make([]*colbatch.Column, 0, len(p.out.Columns))
+	run := pass{on: allRows(in)}
 	for i, item := range items {
 		if item.Star {
 			for _, c := range in.Cols {
@@ -505,30 +464,30 @@ func (p *projection) apply(items []sqlparser.SelectItem, in *colbatch.Batch) (*c
 			}
 			continue
 		}
-		res, err := p.nodes[i].eval(in)
-		if err != nil {
-			return nil, err
+		if res := run.eval(p.nodes[i], in); run.err == nil {
+			cols = append(cols, res.toColumn())
 		}
-		cols = append(cols, res.toColumn())
+	}
+	if run.err != nil {
+		return nil, run.err
 	}
 	return colbatch.New(p.out, cols, in.Len()), nil
 }
 
-// sortBatch orders the batch's logical rows by the key expressions; ties
-// keep input order (stable), matching sortRel.
+// sortBatch orders the batch's logical rows by the key expressions, each
+// evaluated over the rows before an earlier key's error (pass); ties keep
+// input order (stable), matching Sort's row kernel.
 func sortBatch(keys []sqlparser.OrderItem, in *colbatch.Batch) (*colbatch.Batch, error) {
 	n := in.Len()
 	kres := make([]*vres, len(keys))
 	kops := make([]operand, len(keys))
+	run := pass{on: allRows(in)}
 	for j, k := range keys {
-		node, err := compileExpr(k.Expr, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		if kres[j], err = node.eval(in); err != nil {
-			return nil, err
-		}
+		kres[j] = run.eval(compileExpr(k.Expr, in.Schema), in)
 		kops[j] = classify(kres[j])
+	}
+	if run.err != nil {
+		return nil, run.err
 	}
 	idx := make([]int32, n)
 	for i := range idx {
@@ -715,38 +674,33 @@ type foldVec struct {
 // to 4 KiB.
 const foldWindow = 256
 
-// foldBatch is the vectorized counterpart of aggFolder.fold: group keys and
-// aggregate arguments evaluate column-wise up front (so an error leaves the
-// folder untouched for the row fallback), then rows fold, a window at a
-// time and in row order, into the exact same group structures the row kernel
+// foldBatch is the vectorized counterpart of aggFolder.fold: group keys then
+// aggregate arguments evaluate column-wise up front, each over the rows
+// before an earlier one's error (pass), then rows fold, a window at a time
+// and in row order, into the exact same group structures the row kernel
 // builds.
 func foldBatch(f *aggFolder, in *colbatch.Batch) error {
 	n, k, v := in.Len(), len(f.groupBy), &f.vec
 	if v.schema != in.Schema {
 		nodes := make([]vnode, k+len(f.aggs))
 		for i := range nodes {
-			var e sqlparser.Expr
 			if i < k {
-				e = f.groupBy[i]
-			} else if e = f.aggs[i-k].Arg; e == nil {
-				continue
-			}
-			var err error
-			if nodes[i], err = compileExpr(e, in.Schema); err != nil {
-				return err
+				nodes[i] = compileExpr(f.groupBy[i], in.Schema)
+			} else if e := f.aggs[i-k].Arg; e != nil {
+				nodes[i] = compileExpr(e, in.Schema)
 			}
 		}
 		*v = foldVec{schema: in.Schema, nodes: nodes, res: make([]*vres, len(nodes)), ops: make([]operand, len(nodes))}
 	}
+	run := pass{on: allRows(in)}
 	for i, node := range v.nodes {
-		if node == nil {
-			continue
+		if node != nil {
+			v.res[i] = run.eval(node, in)
+			v.ops[i] = classify(v.res[i])
 		}
-		var err error
-		if v.res[i], err = node.eval(in); err != nil {
-			return err
-		}
-		v.ops[i] = classify(v.res[i])
+	}
+	if run.err != nil {
+		return run.err
 	}
 	gres, gops, ares, aops := v.res[:k], v.ops[:k], v.res[k:], v.ops[k:]
 	if k == 0 {
@@ -832,8 +786,8 @@ func (f *aggFolder) findRow(h uint64, gres []*vres, gops []operand, row int) *ag
 }
 
 // scalarGroup returns the one group of an aggregate without GROUP BY, where
-// the row kernel files it (under the hash of no keys), so that a row fallback
-// on a later batch folds into the same group.
+// the row kernel files it (under the hash of no keys), so that the two
+// kernels may fold the batches of one aggregation in turn.
 func (f *aggFolder) scalarGroup() *aggGroup {
 	return f.find(rowHash(nil), nil)
 }
@@ -1019,9 +973,9 @@ func physOf(b *colbatch.Batch, idx []int32) []int32 {
 	return idx
 }
 
-// errJoinRows marks a join output past colbatch.MaxRows. The row kernel is
-// not tried in its place: it would yield the same rows, and a row position
-// cannot name them.
+// errJoinRows marks a join output past colbatch.MaxRows, or a hashed side
+// too long for the hash table's int32 row ids: a row position cannot name
+// them.
 var errJoinRows = errors.New("exec: join output passes the row bound")
 
 // joinRows refuses a join output of n rows past colbatch.MaxRows. The
@@ -1144,8 +1098,7 @@ func (s *sidedColumns) over(src []*colbatch.Column, at, n int, unread colSet) []
 // rule, so the first such batch builds the hash layout beside the direct one
 // and probes through it.
 type hashJoinTable struct {
-	j      *HashJoin
-	hashed []*colbatch.Batch // the hashed input's batches, in order
+	j *HashJoin
 	// The output schema (build columns then probe columns), the streamed key
 	// compiled against the streamed batches' schema, the residual compiled
 	// against the output schema, per-batch scratch (the match lists the
@@ -1155,19 +1108,20 @@ type hashJoinTable struct {
 	residual        predicate
 	hIdx, sIdx      []int32
 	sided           sidedColumns
-	// offs stays nil when the hashed key did not compile or evaluate (or the
-	// hashed side outgrew 32-bit ids): the row kernel then decides every
-	// streamed batch, over hashedRel, the hashed side boxed.
+	// The buckets, and what a row id reads.
 	offs, ids []int32
 	spans     []*colbatch.Batch // every row id in input order: Phys of each span's rows
 	rows      colbatch.Batch    // the hashed columns; Phys maps a row id to its position in them
 	hres      vres              // the hashed key, read by row id
 	hops      operand
 	bits      uint // log2 of the bucket count
-	hashedRel *sqltypes.Relation
+	// err is the hashed key's error, or a hashed side past 32-bit row ids
+	// (errJoinRows): the first probe returns it, once both inputs have run,
+	// as the row kernel does.
+	err *rowError
 	// direct is set when offs/ids are addressed by key. With it the table is
-	// 760 B, which with its 8 B allocation header fills the 768 B size class
-	// the table had before it: a field more costs every hash join 128 B.
+	// 736 B, which with its 8 B allocation header fits the 768 B size class
+	// the table had before it: four words more cost every hash join 128 B.
 	direct *directKeys
 	// pending is the hashed side's rows, charged with the first streamed
 	// batch so that a single-batch join adds to ctx.Res once, as the row
@@ -1190,12 +1144,13 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 	for _, b := range hashed {
 		hn += b.Len()
 	}
-	t := &hashJoinTable{j: j, hashed: hashed, schema: j.Schema(), pending: float64(hn)}
-	hkey, _ := t.keys()
-	hnode, err := compileExpr(hkey, hashed[0].Schema)
-	if err != nil || hn >= math.MaxInt32 {
+	t := &hashJoinTable{j: j, schema: j.Schema(), pending: float64(hn)}
+	if hn >= math.MaxInt32 {
+		t.err = &rowError{err: fmt.Errorf("%w: a hashed side of %d rows, at most %d", errJoinRows, hn, math.MaxInt32-1)}
 		return t
 	}
+	hkey, _ := t.keys()
+	hnode := compileExpr(hkey, hashed[0].Schema)
 	if ref, bare := hnode.(*vcolref); bare {
 		if cols, ok := colbatch.SharedColumns(hashed); ok {
 			t.rows = colbatch.Batch{Schema: hashed[0].Schema, Cols: cols}
@@ -1209,8 +1164,9 @@ func newHashJoinTable(j *HashJoin, hashed ...*colbatch.Batch) *hashJoinTable {
 			acc.Append(b)
 		}
 		t.rows = *acc.Finish()
-		hres, err := hnode.eval(&t.rows)
+		hres, err := hnode.eval(&t.rows, allRows(&t.rows))
 		if err != nil {
+			t.err = err
 			return t
 		}
 		t.hres = *hres
@@ -1340,23 +1296,9 @@ func (t *hashJoinTable) paired(id int, sres *vres, so *operand, i int, h uint64)
 // probe joins one streamed batch and charges the join for it, the hashed
 // rows with the first batch.
 func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch, error) {
-	out, verr := t.probeBatch(in)
-	if errors.Is(verr, errJoinRows) {
-		return nil, verr
-	}
-	if verr != nil {
-		if t.hashedRel == nil {
-			t.hashedRel = colbatch.ToRelation(t.hashed)
-		}
-		build, probe := t.hashedRel, in.ToRelation()
-		if t.j.BuildRight {
-			build, probe = probe, build
-		}
-		rel, err := hashJoinRel(t.j, build, probe, &Context{})
-		if err != nil {
-			return nil, err
-		}
-		out = colbatch.FromRelation(rel)
+	out, err := t.probeBatch(in)
+	if err != nil {
+		return nil, err
 	}
 	ctx.Res.Add(t.j.Charge(t.pending, float64(in.Len()), float64(out.Len())))
 	t.pending = 0
@@ -1366,22 +1308,27 @@ func (t *hashJoinTable) probe(in *colbatch.Batch, ctx *Context) (*colbatch.Batch
 // probeBatch is the columnar probe: candidates in streamed order, then the
 // residual filter over the output (sidesRead: the gathered pairs, or one
 // side's own columns through its match list, or placeholders). It keeps the
-// match list of a side only when the output reads that side.
-func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) {
-	if t.offs == nil {
-		return nil, fmt.Errorf("exec: hash join build side is not vectorized")
+// match list of a side only when the output reads that side. A streamed key
+// that fails stops the candidates at its row, so the residual runs only over
+// the pairs of the rows before it, as in the row kernel, and its error, at an
+// earlier row, comes first.
+func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (out *colbatch.Batch, err error) {
+	if t.err != nil {
+		return nil, t.err
 	}
 	if t.sschema != in.Schema {
 		_, skey := t.keys()
-		snode, err := compileExpr(skey, in.Schema)
-		if err != nil {
-			return nil, err
-		}
-		t.sschema, t.snode = in.Schema, snode
+		t.sschema, t.snode = in.Schema, compileExpr(skey, in.Schema)
 	}
-	sres, err := t.snode.eval(in)
-	if err != nil {
-		return nil, err
+	sres, kerr := t.snode.eval(in, allRows(in))
+	sn := in.Len()
+	if kerr != nil {
+		sn = kerr.row
+		defer func() {
+			if err == nil {
+				out, err = nil, kerr
+			}
+		}()
 	}
 	sops := classify(sres)
 	// The output's columns are the hashed side's, then the streamed side's,
@@ -1408,7 +1355,7 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	d := t.direct
 	dense := d != nil && sops.ok && !sops.isConst && sops.kind == sqltypes.KindInt
 	rehash := d != nil && !dense // switch to the hash layout at the first non-NULL key
-	for i, sn := 0, in.Len(); i < sn; i++ {
+	for i := 0; i < sn; i++ {
 		if sres.isNull(i) {
 			continue
 		}
@@ -1462,7 +1409,6 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 	}
 	// The match lists are scratch, rewritten for the next streamed batch, so
 	// the output reads through a copy it owns.
-	var out *colbatch.Batch
 	switch {
 	case keepH:
 		out = colbatch.NewSelected(t.schema, t.sided.over(t.rows.Cols, hAt, width, unread), physOf(&t.rows, slices.Clone(hIdx)))
@@ -1486,23 +1432,19 @@ func (t *hashJoinTable) probeBatch(in *colbatch.Batch) (*colbatch.Batch, error) 
 // formula over the same probe and fetch counts, before the caller yields a
 // window.
 func indexNLJoinBatch(j *IndexNLJoin, outer *colbatch.Batch, ctx *Context) ([]colbatch.Batch, error) {
-	knode, err := compileExpr(j.OuterKey, outer.Schema)
-	if err != nil {
-		return nil, err
-	}
-	kres, err := knode.eval(outer)
-	if err != nil {
-		return nil, err
-	}
-	kops := classify(kres)
-	khs := keyHashes(nil, kres, &kops)
-
 	v := j.Inner.View()
 	defer v.Close()
 	iv, err := v.Index(j.Index)
 	if err != nil {
 		return nil, err
 	}
+	// Every outer key evaluates before any residual, as in the row kernel.
+	kres, kerr := compileExpr(j.OuterKey, outer.Schema).eval(outer, allRows(outer))
+	if kerr != nil {
+		return nil, kerr
+	}
+	kops := classify(kres)
+	khs := keyHashes(nil, kres, &kops)
 	probes, fetches := 0, 0
 	for i, on := 0, outer.Len(); i < on; i++ {
 		if !kres.isNull(i) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec/colbatch"
 	"repro/internal/sqlparser"
@@ -34,14 +35,23 @@ import (
 // its kernel, takes the vectors away from the node, which allocates new ones
 // for its next evaluation.
 //
-// Error discipline: the vectorized evaluator computes a SUPERSET of the row
-// evaluator's sub-expression evaluations (it cannot skip rows that AND/OR,
-// IN, COALESCE or NULL-propagation short-circuiting would have skipped).
-// Eval errors are deterministic per (expression, row), so if the row path
-// would error the vectorized path errors too; callers then rerun the kernel
-// through the row path, which reproduces the row-path outcome — including
-// cases where only the vectorized path errors. Vectorized success therefore
-// implies row-path success with identical values.
+// Error discipline: a compiled expression fails exactly where the row
+// evaluator (sqlparser.Eval) fails, with its error, so a kernel never needs
+// the row kernel to decide its outcome. Every evaluation runs over a
+// selection of the batch's logical rows (rows), the in-place selection of
+// MonetDB/X100: AND and OR evaluate their right operand only on the rows the
+// left leaves undecided, IN its list only where the needle is not NULL and
+// has not matched yet, COALESCE an argument only where every earlier one is
+// NULL, and a scalar function a later argument only where the earlier ones
+// are not NULL. An operand that cannot fail (fails) runs over its parent's
+// rows instead: nothing can tell the difference, and it saves the selection.
+// An error carries the logical row where it happened (rowError), and every
+// later evaluation (the next operand, the node's own cell loop, the next
+// expression of a kernel that has several) runs only over the rows before it
+// (pass). The error that comes back is therefore the least row's and, at that
+// row, the first in the row evaluator's order. A node's result is defined on
+// the rows it ran over that lie before its error's row; the typed kernels,
+// which cannot fail, may fill every cell.
 
 // vres is a vectorized sub-expression result: one value per logical row of
 // the batch it was evaluated against.
@@ -292,96 +302,200 @@ func resized[T any](v []T, n int) []T {
 	return v[:n]
 }
 
-// vnode is a compiled vectorized expression.
+// vnode is a compiled vectorized expression. eval evaluates it over the rows
+// on of b and returns its result, one cell per logical row of b, and the
+// least row's error when it fails (see the error discipline above).
 type vnode interface {
-	eval(b *colbatch.Batch) (*vres, error)
+	eval(b *colbatch.Batch, on rows) (*vres, *rowError)
 }
 
-// compileExpr resolves an expression against a schema. Unsupported shapes
-// (aggregates, unknown node types, unresolvable columns) return an error,
-// which callers treat as "use the row path".
-func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) (vnode, error) {
+// rows is the logical rows of a batch an evaluation runs over, in ascending
+// order: 0..n-1 when sel is nil, else the rows in sel. The zero value is no
+// row.
+type rows struct {
+	n   int
+	sel []int32
+}
+
+// allRows is every logical row of b.
+func allRows(b *colbatch.Batch) rows { return rows{n: b.Len()} }
+
+func (r rows) len() int {
+	if r.sel != nil {
+		return len(r.sel)
+	}
+	return r.n
+}
+
+// at returns the k-th row.
+func (r rows) at(k int) int {
+	if r.sel != nil {
+		return int(r.sel[k])
+	}
+	return k
+}
+
+// before returns the rows below row.
+func (r rows) before(row int) rows {
+	if r.sel == nil {
+		return rows{n: min(r.n, row)}
+	}
+	k, _ := slices.BinarySearch(r.sel, int32(row))
+	return rows{sel: r.sel[:k]}
+}
+
+// pick returns the rows of on that keep reports, listed in *buf, which keeps
+// its room from one evaluation to the next.
+func pick(buf *[]int32, on rows, keep func(i int) bool) rows {
+	sel := (*buf)[:0]
+	if cap(sel) < on.len() {
+		sel = make([]int32, 0, on.len())
+	}
+	for k := range on.len() {
+		if i := on.at(k); keep(i) {
+			sel = append(sel, int32(i))
+		}
+	}
+	if *buf = sel; len(sel) == 0 {
+		return rows{}
+	}
+	return rows{sel: sel}
+}
+
+// rowError is an evaluation error and the logical row where it happened. Its
+// text is the error's own.
+type rowError struct {
+	row int
+	err error
+}
+
+func (e *rowError) Error() string { return e.err.Error() }
+func (e *rowError) Unwrap() error { return e.err }
+
+// pass runs the evaluations of a node, or of a kernel with several
+// expressions, in the row evaluator's order: an error cuts the rows of every
+// later evaluation to those before its row, so the error a pass ends with is
+// the least row's and, at that row, the first in evaluation order.
+type pass struct {
+	on  rows
+	err *rowError
+}
+
+// eval evaluates n over the pass's rows.
+func (p *pass) eval(n vnode, b *colbatch.Batch) *vres { return p.evalOn(n, b, p.on) }
+
+// evalOn evaluates n over sub, a selection of the pass's rows.
+func (p *pass) evalOn(n vnode, b *colbatch.Batch, sub rows) *vres {
+	res, err := n.eval(b, sub)
+	if err != nil {
+		p.fail(err)
+	}
+	return res
+}
+
+// fail records err, at one of the pass's rows, and cuts the rows before it.
+func (p *pass) fail(err *rowError) {
+	p.err, p.on = err, p.on.before(err.row)
+}
+
+// fails reports whether evaluating n can fail at some row: n or a node under
+// it applies a scalar function, LIKE or arithmetic, or is a leaf that did not
+// compile.
+func fails(n vnode) bool {
+	switch x := n.(type) {
+	case *vlit, *vcolref:
+		return false
+	case *vbinary:
+		if x.op.IsComparison() {
+			return fails(x.left) || fails(x.right)
+		}
+		return !number(x)
+	case *vlogic:
+		return fails(x.left) || fails(x.right)
+	case *vnot:
+		return fails(x.inner)
+	case *visnull:
+		return fails(x.inner)
+	case *vbetween:
+		return fails(x.subj) || fails(x.lo) || fails(x.hi)
+	case *vin:
+		return fails(x.needle) || slices.ContainsFunc(x.list, fails)
+	case *vcoalesce:
+		return slices.ContainsFunc(x.args, fails)
+	}
+	return true
+}
+
+// number reports whether n is a number or NULL on every row, without
+// failing: a numeric literal, or arithmetic over numbers (the parser reads
+// -3 as 0 - 3).
+func number(n vnode) bool {
+	switch x := n.(type) {
+	case *vlit:
+		return x.v.IsNull() || x.v.IsNumeric()
+	case *vbinary:
+		return !x.op.IsComparison() && number(x.left) && number(x.right)
+	}
+	return false
+}
+
+// compileExpr resolves an expression against a schema. A leaf it has no form
+// for (an unresolvable column, an aggregate, a node it does not know)
+// compiles to a vfail.
+func compileExpr(e sqlparser.Expr, schema *sqltypes.Schema) vnode {
+	c := func(e sqlparser.Expr) vnode { return compileExpr(e, schema) }
+	all := func(es []sqlparser.Expr) []vnode {
+		nodes := make([]vnode, len(es))
+		for i, e := range es {
+			nodes[i] = c(e)
+		}
+		return nodes
+	}
 	switch x := e.(type) {
 	case *sqlparser.Literal:
-		return &vlit{v: x.Val}, nil
+		return &vlit{v: x.Val}
 	case *sqlparser.ColumnRef:
-		idx, err := schema.ColumnIndex(x.Table, x.Name)
-		if err != nil {
-			return nil, err
+		if idx, err := schema.ColumnIndex(x.Table, x.Name); err == nil {
+			return &vcolref{idx: idx}
 		}
-		return &vcolref{idx: idx}, nil
 	case *sqlparser.BinaryExpr:
-		l, err := compileExpr(x.Left, schema)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExpr(x.Right, schema)
-		if err != nil {
-			return nil, err
-		}
 		if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr {
-			return &vlogic{op: x.Op, left: l, right: r}, nil
+			return &vlogic{op: x.Op, left: c(x.Left), right: c(x.Right)}
 		}
-		return &vbinary{op: x.Op, left: l, right: r}, nil
+		return &vbinary{op: x.Op, left: c(x.Left), right: c(x.Right)}
 	case *sqlparser.NotExpr:
-		in, err := compileExpr(x.Inner, schema)
-		if err != nil {
-			return nil, err
-		}
-		return &vnot{inner: in}, nil
+		return &vnot{inner: c(x.Inner)}
 	case *sqlparser.IsNullExpr:
-		in, err := compileExpr(x.Inner, schema)
-		if err != nil {
-			return nil, err
-		}
-		return &visnull{inner: in, negate: x.Negate}, nil
+		return &visnull{inner: c(x.Inner), negate: x.Negate}
 	case *sqlparser.InExpr:
-		needle, err := compileExpr(x.Needle, schema)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]vnode, len(x.List))
-		for i, it := range x.List {
-			if list[i], err = compileExpr(it, schema); err != nil {
-				return nil, err
-			}
-		}
-		return &vin{needle: needle, list: list, negate: x.Negate}, nil
+		return &vin{needle: c(x.Needle), list: all(x.List), negate: x.Negate}
 	case *sqlparser.BetweenExpr:
-		subj, err := compileExpr(x.Subject, schema)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compileExpr(x.Lo, schema)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compileExpr(x.Hi, schema)
-		if err != nil {
-			return nil, err
-		}
-		return &vbetween{subj: subj, lo: lo, hi: hi, negate: x.Negate}, nil
+		return &vbetween{subj: c(x.Subject), lo: c(x.Lo), hi: c(x.Hi), negate: x.Negate}
 	case *sqlparser.LikeExpr:
-		subj, err := compileExpr(x.Subject, schema)
-		if err != nil {
-			return nil, err
-		}
-		return &vlike{subj: subj, pattern: x.Pattern, negate: x.Negate}, nil
+		return &vlike{subj: c(x.Subject), pattern: x.Pattern, negate: x.Negate}
 	case *sqlparser.FuncExpr:
-		args := make([]vnode, len(x.Args))
-		for i, a := range x.Args {
-			var err error
-			if args[i], err = compileExpr(a, schema); err != nil {
-				return nil, err
-			}
-		}
 		if x.Name == "COALESCE" {
-			return &vcoalesce{args: args}, nil
+			return &vcoalesce{args: all(x.Args)}
 		}
-		return &vfunc{name: x.Name, args: args}, nil
-	default:
-		return nil, fmt.Errorf("exec: no vectorized form for %T", e)
+		return &vfunc{name: x.Name, args: all(x.Args)}
 	}
+	_, err := sqlparser.Eval(e, nil, schema) // reads no row for these leaves
+	return &vfail{err: err}
+}
+
+// vfail is a leaf compileExpr has no form for. It fails at the first row that
+// reaches it with the row evaluator's error there.
+type vfail struct {
+	err error
+	res vres
+}
+
+func (x *vfail) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	x.res = vres{n: b.Len(), tag: rConst}
+	if on.len() == 0 {
+		return &x.res, nil
+	}
+	return &x.res, &rowError{row: on.at(0), err: x.err}
 }
 
 type vlit struct {
@@ -389,7 +503,7 @@ type vlit struct {
 	res vres
 }
 
-func (x *vlit) eval(b *colbatch.Batch) (*vres, error) {
+func (x *vlit) eval(b *colbatch.Batch, _ rows) (*vres, *rowError) {
 	x.res = vres{n: b.Len(), tag: rConst, konst: x.v}
 	return &x.res, nil
 }
@@ -399,7 +513,7 @@ type vcolref struct {
 	res vres
 }
 
-func (x *vcolref) eval(b *colbatch.Batch) (*vres, error) {
+func (x *vcolref) eval(b *colbatch.Batch, _ rows) (*vres, *rowError) {
 	x.res = vres{n: b.Len(), tag: rCol, col: b.Cols[x.idx], b: b}
 	return &x.res, nil
 }
@@ -650,21 +764,15 @@ type vbinary struct {
 	out         scratch
 }
 
-func (x *vbinary) eval(b *colbatch.Batch) (*vres, error) {
-	l, err := x.left.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	r, err := x.right.eval(b)
-	if err != nil {
-		return nil, err
-	}
+func (x *vbinary) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	l, r := p.eval(x.left, b), p.eval(x.right, b)
 	n := l.n
 	lo, ro := classify(l), classify(r)
 	if x.op.IsComparison() {
 		if lo.ok && ro.ok {
 			if out := cmpTyped(x.op, n, &lo, &ro, &x.out); out != nil {
-				return out, nil
+				return out, p.err
 			}
 		}
 		// Generic cell loop: ApplyBinary's comparison, which never errors,
@@ -677,23 +785,25 @@ func (x *vbinary) eval(b *colbatch.Batch) (*vres, error) {
 			}
 			out.bools[i] = table[sqltypes.Compare(l.value(i), r.value(i))+1]
 		}
-		return out, nil
+		return out, p.err
 	}
 	if lo.ok && ro.ok {
 		if out := arithTyped(x.op, n, &lo, &ro, &x.out); out != nil {
-			return out, nil
+			return out, p.err
 		}
 	}
 	// Generic cell loop over the exact scalar applier.
 	x.out.begin(n)
-	for i := 0; i < n; i++ {
+	for k := range p.on.len() {
+		i := p.on.at(k)
 		v, err := sqlparser.ApplyBinary(x.op, l.value(i), r.value(i))
 		if err != nil {
-			return nil, err
+			p.fail(&rowError{row: i, err: err})
+			break
 		}
 		x.out.put(i, v)
 	}
-	return x.out.end(), nil
+	return x.out.end(), p.err
 }
 
 // cmpTyped emits a boolean vector for typed operand pairs under their
@@ -817,67 +927,61 @@ func arithTyped(op sqlparser.BinaryOp, n int, lo, ro *operand, s *scratch) *vres
 	return out
 }
 
-// vlogic implements AND/OR with SQL three-valued logic. Both operands are
-// fully evaluated (a superset of the row path's short-circuit; see the
-// error discipline note above), then combined with the row path's exact
-// truth table.
+// vlogic implements AND/OR with SQL three-valued logic: the right operand
+// runs only on the rows the left leaves undecided (when it can fail; see
+// fails), and the two combine under the row path's exact truth table.
 type vlogic struct {
 	op          sqlparser.BinaryOp
 	left, right vnode
+	sel         []int32 // the undecided rows
 	out         scratch
 }
 
-func (x *vlogic) eval(b *colbatch.Batch) (*vres, error) {
-	l, err := x.left.eval(b)
-	if err != nil {
-		return nil, err
+func (x *vlogic) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	l := p.eval(x.left, b)
+	settles := uint8(0) // FALSE settles an AND, TRUE an OR
+	if x.op == sqlparser.OpOr {
+		settles = 1
 	}
-	r, err := x.right.eval(b)
-	if err != nil {
-		return nil, err
+	sub := p.on
+	if fails(x.right) {
+		sub = pick(&x.sel, p.on, func(i int) bool { return truth(l, i) != settles })
 	}
-	n := l.n
-	out, setNull := x.out.result(n, rBools), x.out.setNull
-	and := x.op == sqlparser.OpAnd
-	for i := 0; i < n; i++ {
-		lnull := l.isNull(i)
-		ltruthy := false
-		if !lnull {
-			ltruthy = sqlparser.Truthy(l.value(i))
-		}
-		if and && !lnull && !ltruthy {
-			continue // false
-		}
-		if !and && !lnull && ltruthy {
-			out.bools[i] = true
-			continue
-		}
-		rnull := r.isNull(i)
-		rtruthy := false
-		if !rnull {
-			rtruthy = sqlparser.Truthy(r.value(i))
-		}
-		if and {
-			switch {
-			case !rnull && !rtruthy:
-				// false
-			case lnull || rnull:
-				setNull(i)
+	r := p.evalOn(x.right, b, sub)
+	out := x.out.result(l.n, rBools)
+	for k := range p.on.len() {
+		i := p.on.at(k)
+		v := truth(l, i)
+		if v != settles {
+			switch rv := truth(r, i); {
+			case rv == settles:
+				v = settles
+			case v == 2 || rv == 2:
+				v = 2
 			default:
-				out.bools[i] = true
+				v = 1 - settles
 			}
-			continue
 		}
-		switch {
-		case !rnull && rtruthy:
-			out.bools[i] = true
-		case lnull || rnull:
-			setNull(i)
-		default:
-			// false
+		if v == 2 {
+			x.out.setNull(i)
+		} else {
+			out.bools[i] = v == 1
 		}
 	}
-	return out, nil
+	return out, p.err
+}
+
+// truth is cell i's three-valued truth, EvalBool's reading but for NULL:
+// 0 FALSE, 1 TRUE, 2 NULL.
+func truth(r *vres, i int) uint8 {
+	switch {
+	case r.isNull(i):
+		return 2
+	case r.tag == rBools && r.bools[i], r.tag != rBools && sqlparser.Truthy(r.value(i)):
+		return 1
+	}
+	return 0
 }
 
 type vnot struct {
@@ -885,21 +989,18 @@ type vnot struct {
 	out   scratch
 }
 
-func (x *vnot) eval(b *colbatch.Batch) (*vres, error) {
-	in, err := x.inner.eval(b)
-	if err != nil {
-		return nil, err
-	}
+func (x *vnot) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	in, err := x.inner.eval(b, on)
 	n := in.n
 	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
-		if in.isNull(i) {
+		if v := truth(in, i); v == 2 {
 			x.out.setNull(i)
-			continue
+		} else {
+			out.bools[i] = v == 0
 		}
-		out.bools[i] = !sqlparser.Truthy(in.value(i))
 	}
-	return out, nil
+	return out, err
 }
 
 type visnull struct {
@@ -908,69 +1009,62 @@ type visnull struct {
 	out    scratch
 }
 
-func (x *visnull) eval(b *colbatch.Batch) (*vres, error) {
-	in, err := x.inner.eval(b)
-	if err != nil {
-		return nil, err
-	}
+func (x *visnull) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	in, err := x.inner.eval(b, on)
 	n := in.n
 	out := x.out.result(n, rBools)
 	for i := 0; i < n; i++ {
 		out.bools[i] = in.isNull(i) != x.negate
 	}
-	return out, nil
+	return out, err
 }
 
+// vin is IN and NOT IN. The list is folded in one item at a time, each item
+// evaluated only on the rows whose needle is not NULL and has matched no
+// earlier item (when it can fail; see fails).
 type vin struct {
 	needle vnode
 	list   []vnode
 	negate bool
-	items  []*vres // the list's results for the batch at hand
+	sel    []int32 // the rows still open
 	out    scratch
 }
 
-func (x *vin) eval(b *colbatch.Batch) (*vres, error) {
-	needle, err := x.needle.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	items := resized(x.items, len(x.list))
-	x.items = items
-	for i, it := range x.list {
-		if items[i], err = it.eval(b); err != nil {
-			return nil, err
-		}
-	}
-	n := needle.n
-	out, setNull := x.out.result(n, rBools), x.out.setNull
-	for i := 0; i < n; i++ {
-		if needle.isNull(i) {
+func (x *vin) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	needle := p.eval(x.needle, b)
+	// A row is NULL under a NULL needle; any other row holds negate until an
+	// item matches it (then !negate), and is NULL while it has only met a
+	// NULL item.
+	out, setNull := x.out.result(needle.n, rBools), x.out.setNull
+	for k := range p.on.len() {
+		if i := p.on.at(k); needle.isNull(i) {
 			setNull(i)
-			continue
-		}
-		nv := needle.value(i)
-		sawNull := false
-		matched := false
-		for _, it := range items {
-			if it.isNull(i) {
-				sawNull = true
-				continue
-			}
-			if sqltypes.Compare(nv, it.value(i)) == 0 {
-				matched = true
-				break
-			}
-		}
-		switch {
-		case matched:
-			out.bools[i] = !x.negate
-		case sawNull:
-			setNull(i)
-		default:
+		} else {
 			out.bools[i] = x.negate
 		}
 	}
-	return out, nil
+	open := func(i int) bool { return !needle.isNull(i) && out.bools[i] == x.negate }
+	for _, it := range x.list {
+		sub := p.on
+		if fails(it) {
+			sub = pick(&x.sel, p.on, open)
+		}
+		item := p.evalOn(it, b, sub)
+		for k := range p.on.len() {
+			switch i := p.on.at(k); {
+			case !open(i):
+			case item.isNull(i):
+				setNull(i)
+			case sqltypes.Compare(needle.value(i), item.value(i)) == 0:
+				out.bools[i] = !x.negate
+				if out.nulls != nil {
+					out.nulls[i] = false
+				}
+			}
+		}
+	}
+	return out, p.err
 }
 
 type vbetween struct {
@@ -979,22 +1073,12 @@ type vbetween struct {
 	out          scratch
 }
 
-func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
-	subj, err := x.subj.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	lo, err := x.lo.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := x.hi.eval(b)
-	if err != nil {
-		return nil, err
-	}
+func (x *vbetween) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	subj, lo, hi := p.eval(x.subj, b), p.eval(x.lo, b), p.eval(x.hi, b)
 	n := subj.n
 	if out := x.typed(n, classify(subj), classify(lo), classify(hi)); out != nil {
-		return out, nil
+		return out, p.err
 	}
 	// Mixed kinds: the boxed cell loop.
 	out := x.out.result(n, rBools)
@@ -1007,7 +1091,7 @@ func (x *vbetween) eval(b *colbatch.Batch) (*vres, error) {
 		in := sqltypes.Compare(v, lo.value(i)) >= 0 && sqltypes.Compare(v, hi.value(i)) <= 0
 		out.bools[i] = in != x.negate
 	}
-	return out, nil
+	return out, p.err
 }
 
 // typed is BETWEEN over typed operands, the subject compared with each bound
@@ -1061,43 +1145,50 @@ type vlike struct {
 	out     scratch
 }
 
-func (x *vlike) eval(b *colbatch.Batch) (*vres, error) {
-	subj, err := x.subj.eval(b)
-	if err != nil {
-		return nil, err
-	}
-	n := subj.n
-	out := x.out.result(n, rBools)
-	for i := 0; i < n; i++ {
+func (x *vlike) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	subj := p.eval(x.subj, b)
+	out := x.out.result(subj.n, rBools)
+	for k := range p.on.len() {
+		i := p.on.at(k)
 		if subj.isNull(i) {
 			x.out.setNull(i)
 			continue
 		}
 		v := subj.value(i)
 		if v.Kind() != sqltypes.KindString {
-			return nil, fmt.Errorf("sqlparser: LIKE on non-string %s", v.Kind())
+			p.fail(&rowError{row: i, err: fmt.Errorf("sqlparser: LIKE on non-string %s", v.Kind())})
+			break
 		}
 		out.bools[i] = sqlparser.LikeMatch(v.Str(), x.pattern) != x.negate
 	}
-	return out, nil
+	return out, p.err
 }
 
+// vcoalesce is COALESCE: an argument is evaluated only on the rows where
+// every earlier one is NULL (when it can fail; see fails).
 type vcoalesce struct {
 	args []vnode
 	res  []*vres // the arguments' results for the batch at hand
+	sel  []int32 // the rows still NULL
 	out  scratch
 }
 
-func (x *vcoalesce) eval(b *colbatch.Batch) (*vres, error) {
-	args, err := evalArgs(x.args, &x.res, b)
-	if err != nil {
-		return nil, err
+func (x *vcoalesce) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	x.res = resized(x.res, len(x.args))
+	for j, a := range x.args {
+		sub := p.on
+		if j > 0 && fails(a) {
+			sub = pick(&x.sel, p.on, func(i int) bool { _, every := nullIn(x.res[:j], i); return every })
+		}
+		x.res[j] = p.evalOn(a, b, sub)
 	}
-	n := b.Len()
-	x.out.begin(n)
-	for i := 0; i < n; i++ {
+	x.out.begin(b.Len())
+	for k := range p.on.len() {
+		i := p.on.at(k)
 		v := sqltypes.Null
-		for _, a := range args {
+		for _, a := range x.res {
 			if !a.isNull(i) {
 				v = a.value(i)
 				break
@@ -1105,60 +1196,61 @@ func (x *vcoalesce) eval(b *colbatch.Batch) (*vres, error) {
 		}
 		x.out.put(i, v)
 	}
-	return x.out.end(), nil
+	return x.out.end(), p.err
 }
 
+// nullIn reports whether row i is NULL in some result and in every one.
+func nullIn(res []*vres, i int) (some, every bool) {
+	every = true
+	for _, r := range res {
+		null := r.isNull(i)
+		some, every = some || null, every && null
+	}
+	return some, every
+}
+
+// vfunc is a scalar function other than COALESCE, NULL-propagating like
+// evalFunc: an argument is evaluated only on the rows where every earlier
+// one is not NULL (when it can fail; see fails), and the function applies
+// where none is.
 type vfunc struct {
 	name  string
 	args  []vnode
 	res   []*vres          // the arguments' results for the batch at hand
 	cells []sqltypes.Value // one row's argument values
+	sel   []int32          // the rows with no NULL argument yet
 	out   scratch
 }
 
-// evalArgs evaluates every argument over b into *res.
-func evalArgs(nodes []vnode, res *[]*vres, b *colbatch.Batch) ([]*vres, error) {
-	*res = resized(*res, len(nodes))
-	for i, a := range nodes {
-		var err error
-		if (*res)[i], err = a.eval(b); err != nil {
-			return nil, err
+func (x *vfunc) eval(b *colbatch.Batch, on rows) (*vres, *rowError) {
+	p := pass{on: on}
+	x.res = resized(x.res, len(x.args))
+	for j, a := range x.args {
+		sub := p.on
+		if j > 0 && fails(a) {
+			sub = pick(&x.sel, p.on, func(i int) bool { some, _ := nullIn(x.res[:j], i); return !some })
 		}
+		x.res[j] = p.evalOn(a, b, sub)
 	}
-	return *res, nil
-}
-
-func (x *vfunc) eval(b *colbatch.Batch) (*vres, error) {
-	args, err := evalArgs(x.args, &x.res, b)
-	if err != nil {
-		return nil, err
-	}
-	n := b.Len()
-	x.out.begin(n)
-	x.cells = resized(x.cells, len(args))
-	cells := x.cells
-	for i := 0; i < n; i++ {
-		// NULL-propagating, argument order preserved, like evalFunc.
-		isNull := false
-		for j, a := range args {
-			v := a.value(i)
-			if v.IsNull() {
-				isNull = true
-				break
-			}
-			cells[j] = v
-		}
-		if isNull {
+	x.out.begin(b.Len())
+	x.cells = resized(x.cells, len(x.args))
+	for k := range p.on.len() {
+		i := p.on.at(k)
+		if some, _ := nullIn(x.res, i); some {
 			x.out.put(i, sqltypes.Null)
 			continue
 		}
-		v, err := sqlparser.ApplyFunc(x.name, cells)
+		for j, a := range x.res {
+			x.cells[j] = a.value(i)
+		}
+		v, err := sqlparser.ApplyFunc(x.name, x.cells)
 		if err != nil {
-			return nil, err
+			p.fail(&rowError{row: i, err: err})
+			break
 		}
 		x.out.put(i, v)
 	}
-	return x.out.end(), nil
+	return x.out.end(), p.err
 }
 
 // predicate is a WHERE-shaped expression compiled against the schema of the
@@ -1172,17 +1264,14 @@ type predicate struct {
 }
 
 // selection evaluates pred over the batch's logical rows into a selection
-// vector, collapsing NULL to false exactly like EvalBool. The vector is fresh
-// and sized to the survivors: the caller hands it on (see colbatch.Batch.SelectOwned).
+// vector, collapsing NULL to false exactly like EvalBool, or returns the row
+// evaluator's error at the least row that fails. The vector is fresh and
+// sized to the survivors: the caller hands it on (see colbatch.Batch.SelectOwned).
 func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int32, error) {
 	if p.schema != b.Schema {
-		node, err := compileExpr(pred, b.Schema)
-		if err != nil {
-			return nil, err
-		}
-		p.schema, p.node = b.Schema, node
+		p.schema, p.node = b.Schema, compileExpr(pred, b.Schema)
 	}
-	res, err := p.node.eval(b)
+	res, err := p.node.eval(b, allRows(b))
 	if err != nil {
 		return nil, err
 	}
@@ -1190,7 +1279,7 @@ func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int32, 
 	if res.tag != rBools || res.nulls != nil {
 		p.keep = resized(p.keep, b.Len())
 		for i := range p.keep {
-			p.keep[i] = res.isTrue(i)
+			p.keep[i] = truth(res, i) == 1
 		}
 		keep = p.keep
 	}
@@ -1209,13 +1298,4 @@ func (p *predicate) selection(pred sqlparser.Expr, b *colbatch.Batch) ([]int32, 
 		}
 	}
 	return sel, nil
-}
-
-// isTrue reports whether logical row i is TRUE, EvalBool's reading: NULL and
-// falsy values are not.
-func (r *vres) isTrue(i int) bool {
-	if r.tag == rBools {
-		return r.bools[i] && (r.nulls == nil || !r.nulls[i])
-	}
-	return !r.isNull(i) && sqlparser.Truthy(r.value(i))
 }
