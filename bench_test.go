@@ -512,8 +512,9 @@ func BenchmarkLoadDistribution(b *testing.B) {
 
 // BenchmarkConcurrentThroughput measures federated query throughput from 1,
 // 4 and 16 goroutines calling QueryContext over a fixed mixed workload. Wall-clock ns/op falling as sessions rise shows
-// the fan-out pipeline actually overlaps work; vq_ms_per_query (virtual
-// time) stays flat because virtual-time charges serialize deterministically.
+// concurrent queries actually overlap work (each query runs on its caller's
+// goroutine); vq_ms_per_query (virtual time) stays flat because virtual-time
+// charges serialize deterministically.
 func BenchmarkConcurrentThroughput(b *testing.B) {
 	sqls := make([]string, 0, 32)
 	r := rand.New(rand.NewSource(1))

@@ -3,6 +3,7 @@ package integrator_test
 import (
 	"context"
 	"errors"
+	"maps"
 	"runtime"
 	"sync"
 	"testing"
@@ -10,19 +11,22 @@ import (
 
 	"repro/internal/integrator"
 	"repro/internal/metawrapper"
+	"repro/internal/network"
 	"repro/internal/remote"
 	"repro/internal/scenario"
 	"repro/internal/simclock"
 	"repro/internal/sqltypes"
+	"repro/internal/storage"
 	"repro/internal/wrapper"
 )
 
-// The II merge consumes fragment batches while the fragments are still
-// shipping. These tests hold that hand-off to its failure contract: no
-// deadlock whatever the dispatch fan-out, a fragment dying mid-stream stops
-// its siblings and the running merge and surfaces as the usual typed error,
-// nothing partial escapes, no goroutine outlives ExecuteContext — and to its
-// allocation budget: no fragment is copied on its way through the merge.
+// The II ships a plan's fragments in plan order and merges their batches in
+// virtual arrival order. These tests hold that hand-off to its failure
+// contract: a fragment dying mid-stream surfaces as the usual typed error and
+// the fragments after it do not ship, nothing partial escapes, no goroutine
+// outlives ExecuteContext, and the fragment that meets a failure is the plan's
+// choice, not the scheduler's — and to its allocation budget: no fragment is
+// copied on its way through the merge.
 
 const gatherJoin = `SELECT o.o_priority, COUNT(*), SUM(l.l_price) FROM orders AS o JOIN lineitem AS l ON o.o_id = l.l_orderkey GROUP BY o.o_priority ORDER BY o.o_priority`
 
@@ -105,8 +109,8 @@ func hookedII(sc *scenario.Scenario) (*integrator.II, map[string]*hookedWrapper)
 	return integrator.New(integrator.Config{Catalog: sc.Catalog, MW: metawrapper.New(all...), Node: sc.IINode, Clock: sc.Clock}), hooked
 }
 
-// within fails the test when fn does not return in time: a lost wake-up
-// between a fragment goroutine and the merge would otherwise hang the run.
+// within fails the test when fn does not return in time, rather than hang
+// the run.
 func within(t *testing.T, d time.Duration, fn func()) {
 	t.Helper()
 	done := make(chan struct{})
@@ -217,12 +221,67 @@ func TestResponseTimeIgnoresTheScheduler(t *testing.T) {
 	}
 }
 
+// TestRetryAfterATransientFailureIgnoresTheScheduler: orders and lineitem sit
+// on S1 and on S3 (behind a slower link), customer on S2, and S1 fails its
+// next execution once. Of the plan's two fragments on S1, the one that ships
+// first in plan order (QF1, orders) meets the failure and the retry moves it to
+// S3. Every fresh federation, with one processor or several, must agree on
+// where each fragment ran, the retry count and the response time, bit for
+// bit: the failure must land on a fragment the plan decides, not the scheduler.
+func TestRetryAfterATransientFailureIgnoresTheScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const split = "SELECT COUNT(*), SUM(l.l_price) FROM orders AS o JOIN customer AS c ON o.o_custkey = c.c_id JOIN lineitem AS l ON l.l_orderkey = o.o_id WHERE o.o_amount > 9000"
+	hosts := map[string][]string{"orders": {"S1", "S3"}, "lineitem": {"S1", "S3"}, "customer": {"S2"}, "parts": {"S2"}}
+	run := func() *integrator.QueryResult {
+		a := scenario.NewAssembly(42)
+		for _, srv := range []struct {
+			id        string
+			latencyMS float64
+		}{{"S1", 5}, {"S2", 5}, {"S3", 9}} {
+			if err := a.AddServer(remote.ProfileS2(srv.id), network.LinkConfig{LatencyMS: srv.latencyMS, BandwidthKBps: 2000}, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, g := range storage.SampleSchema(20) {
+			if err := a.Replicate(g, hosts[g.Name]...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sc, err := a.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Servers["S1"].InjectFailures(1)
+		res, err := sc.II.Query(split)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var want *integrator.QueryResult
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for i := 0; i < 50; i++ {
+			got := run()
+			if want == nil {
+				want = got
+				if want.Retried != 1 || want.ExecutedServers["QF1"] != "S3" || want.ExecutedServers["QF3"] != "S1" {
+					t.Fatalf("retried %d times and ran %v; want one retry that moved QF1, the first fragment on S1, to S3", want.Retried, want.ExecutedServers)
+				}
+			}
+			if !maps.Equal(got.ExecutedServers, want.ExecutedServers) || got.Retried != want.Retried || got.ResponseTime != want.ResponseTime {
+				t.Fatalf("run %d at GOMAXPROCS %d: ran %v, retried %d, answered in %v; the first run ran %v, retried %d, answered in %v",
+					i, procs, got.ExecutedServers, got.Retried, got.ResponseTime, want.ExecutedServers, want.Retried, want.ResponseTime)
+			}
+		}
+	}
+}
+
 // TestFragmentFailureMidStreamStopsTheMerge: lineitem's stream dies after its
-// third batch, when the merge has already built the join's hash table and
-// probed with the first batches. The attempt must return the typed fragment
-// error and nothing else, every goroutine must be gone when it returns, and
-// the retry loop must re-plan around the failed server and deliver the clean
-// run's rows.
+// third batch, once orders, the fragment before it, has shipped whole, so the
+// merge never starts. The attempt must return the typed fragment error and
+// nothing else, no goroutine may be left when it returns, and the retry loop
+// must re-plan around the failed server and deliver the clean run's rows.
 func TestFragmentFailureMidStreamStopsTheMerge(t *testing.T) {
 	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
 	if err != nil {
@@ -285,9 +344,9 @@ func TestFragmentFailureMidStreamStopsTheMerge(t *testing.T) {
 	requireSameRelation(t, "after the retry", clean.Rel, res.Rel)
 }
 
-// TestCallerCancelMidMerge: the caller gives up while lineitem is still
-// shipping and the merge is probing. Both entry points return the context's
-// error, no result, and leave no goroutine behind.
+// TestCallerCancelMidMerge: the caller gives up while orders, the first
+// fragment, is still shipping, before the merge starts. Both entry points
+// return the context's error, no result, and leave no goroutine behind.
 func TestCallerCancelMidMerge(t *testing.T) {
 	sc, err := scenario.BuildReplicaPair(scenario.ReplicaOptions{Scale: 20})
 	if err != nil {

@@ -2,6 +2,7 @@ package integrator
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/exec"
@@ -33,7 +34,6 @@ func shardArrivals(at [][]simclock.Time, rows int) (*arrivals, []int) {
 			cols := []*colbatch.Column{colbatch.IntColumn(ks, nil), colbatch.IntColumn(vs, nil)}
 			arr.push(s, &remote.Batch{Col: colbatch.New(sch, cols, rows)}, when)
 		}
-		arr.end(s)
 	}
 	return arr, parts
 }
@@ -141,5 +141,22 @@ func TestInterleavedShardsCompileOnce(t *testing.T) {
 	inter := testing.AllocsPerRun(20, merge(interleaved))
 	if inter > seq+4 {
 		t.Fatalf("interleaved shards cost %v allocations, read one after another %v: kernels recompile per shard switch", inter, seq)
+	}
+}
+
+// TestCursorStopsOnCallerCancel: once the caller cancels, the cursor fails
+// with the context's error although batches remain, so a cancel stops a long
+// merge.
+func TestCursorStopsOnCallerCancel(t *testing.T) {
+	arr, parts := shardArrivals([][]simclock.Time{{1, 2}, {3}}, 3)
+	c := cursorOver(arr, parts, leafSchema())
+	ctx, cancel := context.WithCancel(context.Background())
+	c.ctx = ctx
+	if b, err := c.Next(); b == nil || err != nil {
+		t.Fatalf("first batch before the cancel: (%v, %v)", b, err)
+	}
+	cancel()
+	if b, err := c.Next(); b != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("after the cancel the cursor returned (%v, %v); want context.Canceled", b, err)
 	}
 }

@@ -5,8 +5,12 @@
 // results locally (joins, aggregation, ordering), charges the merge work to
 // the II node's own load model, and records every query in the federation's
 // journal (package journal: the paper's query patroller log and explain
-// table). All timing is virtual: every completed query advances the
-// shared simulated clock by its response time.
+// table). A query runs on the goroutine that submitted it and starts none:
+// its fragments ship one after another in plan order, then the merge reads
+// their batches in virtual arrival order, so which fragment meets a failure
+// or a load change depends on the plan alone. All timing is virtual: the
+// fragments overlap on the virtual clock, and every completed query advances
+// the shared simulated clock by its response time.
 package integrator
 
 import (
@@ -14,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/admission"
 	"repro/internal/catalog"
@@ -43,8 +46,10 @@ type Router interface {
 	// RerouteFragment is the paper's long-running-query extension
 	// ("periodically re-check the load and switch data sources if needed"):
 	// it is consulted immediately before each fragment of a plan with a menu
-	// dispatches, under the dispatch context, with the fragment's menu, and
+	// dispatches, under the query's context, with the fragment's menu, and
 	// may substitute another choice from it. Nil keeps the compiled choice.
+	// Fragments ship in plan order, so the re-check sees the runs of the
+	// fragments before it.
 	RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice, menu []optimizer.FragmentChoice) *optimizer.FragmentChoice
 }
 
@@ -528,7 +533,7 @@ func (e *FragmentError) Error() string {
 func (e *FragmentError) Unwrap() error { return e.Err }
 
 // dispatchFragment ships one fragment through MW's streaming data path,
-// handing every batch to the query's arrivals as it is received.
+// queueing every batch in the query's arrivals as it is received.
 func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, arr *arrivals, pos int) error {
 	key := metawrapper.FragmentKey{ServerID: f.ServerID, Signature: f.Spec.Sig}
 	out, err := ii.cfg.MW.Ship(ctx, key, f.Plan, f.RawEst, DefaultBatchRows, func(b *remote.Batch, arrive simclock.Time) {
@@ -541,30 +546,23 @@ func (ii *II) dispatchFragment(ctx context.Context, f optimizer.FragmentChoice, 
 	return nil
 }
 
-// arrivals hands a query's fragment batches from the dispatch goroutines to
-// the merge, one queue per fragment in plan position. push never waits for
-// the consumer, and batches stay queued once read (they are views of results
-// the remote side holds anyway).
+// arrivals holds a query's shipped fragment batches for the merge, one queue
+// per fragment in plan position. Batches stay queued once read (they are
+// views of results the remote side holds anyway).
 type arrivals struct {
-	mu     sync.Mutex
-	cond   sync.Cond
 	queues []fragQueue
-	taken  timeline // touched by the merge alone
+	taken  timeline
 }
 
 type fragQueue struct {
 	batches []arrival
-	done    bool // the fragment's goroutine returned: nothing more will arrive
-	// Where the fragment ran and how long it took: set once the shipment
-	// ends, read once every goroutine has returned.
+	// Where the fragment ran and how long it took.
 	serverID string
 	outcome  *wrapper.StreamOutcome
 }
 
 func newArrivals(fragments int) *arrivals {
-	a := &arrivals{queues: make([]fragQueue, fragments)}
-	a.cond.L = &a.mu
-	return a
+	return &arrivals{queues: make([]fragQueue, fragments)}
 }
 
 // arrival is one fragment batch and the virtual time, since the fragment's
@@ -576,53 +574,22 @@ type arrival struct {
 
 // push queues the fragment's next batch.
 func (a *arrivals) push(pos int, b *remote.Batch, arrive simclock.Time) {
-	a.mu.Lock()
 	q := &a.queues[pos]
 	q.batches = append(q.batches, arrival{b, arrive})
-	a.mu.Unlock()
-	a.cond.Signal()
 }
 
-// end closes the fragment's queue: nothing more will arrive.
-func (a *arrivals) end(pos int) {
-	a.mu.Lock()
-	a.queues[pos].done = true
-	a.mu.Unlock()
-	a.cond.Signal()
-}
-
-// wait blocks until batch n of the fragment at pos has arrived and returns it;
-// false when the fragment ended without one. Only the merge waits.
-func (a *arrivals) wait(pos, n int) (arrival, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	q := &a.queues[pos]
-	for n >= len(q.batches) && !q.done {
-		a.cond.Wait()
-	}
-	if n < len(q.batches) {
-		return q.batches[n], true
-	}
-	return arrival{}, false
-}
-
-// earliest waits for the next batch of every part (plan positions) still
-// running, n[k] being the batches already taken from part k and -1 once it
-// has ended, and returns the one that arrived first on the virtual clock,
-// plan position breaking ties, with its part; part -1 once every part has
-// ended. The merge reads a logical fragment's shards in this order, so it
-// depends on the model alone, never on the scheduler.
+// earliest returns, among the next batches of the parts (plan positions), n[k]
+// being the batches already taken from part k, the one that arrived first on
+// the virtual clock, plan position breaking ties, with its part; part -1 once
+// every part is exhausted. The merge reads a logical fragment's shards in this
+// order, so it depends on the model alone.
 func (a *arrivals) earliest(parts, n []int) (arrival, int) {
 	var next arrival
 	at := -1
 	for k, pos := range parts {
-		if n[k] < 0 {
-			continue
-		}
-		if b, ok := a.wait(pos, n[k]); !ok {
-			n[k] = -1
-		} else if at < 0 || b.arrive < next.arrive {
-			next, at = b, k
+		q := a.queues[pos].batches
+		if n[k] < len(q) && (at < 0 || q[n[k]].arrive < next.arrive) {
+			next, at = q[n[k]], k
 		}
 	}
 	return next, at
@@ -630,12 +597,11 @@ func (a *arrivals) earliest(parts, n []int) (arrival, int) {
 
 // fragCursor is the merge's source for one logical fragment: the
 // queues of its shards (parts, plan positions in plan order), read in arrival
-// order (earliest), so the merge works on whatever is already there. A
-// sharded fragment's batches carry the leaf's schema (sch), one pointer per
-// logical fragment, so kernels compile their expressions once, not once per
-// shard; a single part's stream has one pointer already. Once ctx (the
-// dispatch context) is cancelled, a queue that ended is not the end of its
-// fragment's data: the cursor fails.
+// order (earliest). A sharded fragment's batches carry the leaf's schema
+// (sch), one pointer per logical fragment, so kernels compile their
+// expressions once, not once per shard; a single part's stream has one
+// pointer already. Once ctx (the caller's) is cancelled, the cursor fails, so
+// a cancel stops a long merge.
 type fragCursor struct {
 	ctx   context.Context
 	arr   *arrivals
@@ -649,10 +615,10 @@ func (c *fragCursor) Next() (*colbatch.Batch, error) {
 	if c.n == nil {
 		c.n = make([]int, len(c.parts))
 	}
-	next, at := c.arr.earliest(c.parts, c.n)
 	if err := c.ctx.Err(); err != nil {
 		return nil, err
 	}
+	next, at := c.arr.earliest(c.parts, c.n)
 	if at < 0 {
 		return nil, nil
 	}
@@ -703,91 +669,57 @@ func overlapped(pulls []pull, idle, total float64, mergeTime simclock.Time) simc
 	return end
 }
 
-// ExecuteContext runs a compiled global plan: every fragment dispatches
-// through MW on a goroutine of its own while the local merge, on the calling
-// goroutine, consumes their batches in plan order as they arrive. The first
-// fragment error cancels the remaining dispatches and the running merge.
+// ExecuteContext runs a compiled global plan on the calling goroutine: the
+// fragments ship through MW one after another in plan order, the router's
+// dispatch re-check consulted immediately before each, and the local merge
+// then consumes their batches in virtual arrival order. A fragment error
+// returns at once, and the fragments after it do not ship.
 func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*QueryResult, error) {
 	root := telemetry.SpanFrom(ctx)
 	queryID := journal.ScopeOf(ctx).Query
 	pushdown := gp.Decomp.Sharded != nil && gp.Decomp.Sharded.Partial != nil
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	arr := newArrivals(len(gp.Fragments))
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
 	for i := range gp.Fragments {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// However this goroutine ends, the merge must stop waiting for it.
-			defer arr.end(i)
-			if fctx.Err() != nil {
-				return
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		// A copy of its own: a reroute replaces it.
+		f := gp.Fragments[i]
+		compiled := f.ServerID
+		if ii.router != nil && len(gp.Options) == len(gp.Fragments) {
+			if alt := ii.router.RerouteFragment(ctx, f, gp.Options[i]); alt != nil {
+				f = *alt
 			}
-			// A copy of its own: a reroute replaces it (on the stack, where a
-			// reassigned loop variable would be moved to the heap).
-			f := gp.Fragments[i]
-			compiled := f.ServerID
-			if ii.router != nil && len(gp.Options) == len(gp.Fragments) {
-				if alt := ii.router.RerouteFragment(fctx, f, gp.Options[i]); alt != nil {
-					f = *alt
-				}
-			}
-			fspan := root.ChildAt(i, "fragment", telemetry.LayerMW, f.ServerID)
-			fspan.SetAttr("frag", f.Spec.ID)
-			if f.Spec.Shard != nil {
-				// Distinguish scatter-gather fan-out from replica routing in
-				// traces: shard fragments carry their shard index.
-				fspan.SetAttr("shard", fmt.Sprintf("%d", f.Spec.Shard.Index))
-				ii.tel.Active().Counter("shard.fragments", f.ServerID).Inc()
-			}
-			if f.ServerID != compiled {
-				fspan.SetAttr("rerouted", "true")
-			}
-			// The meta-wrapper stamps the fragment's run entry from this scope
-			// and writes the ship mode there and on the span.
-			dctx := journal.WithScope(fctx, journal.Scope{Query: queryID, Frag: f.Spec.ID, Pushdown: pushdown && f.Spec.Shard != nil})
-			if fspan != nil {
-				dctx = telemetry.ContextWithSpan(dctx, fspan)
-			}
-			if err := ii.dispatchFragment(dctx, f, arr, i); err != nil {
-				fspan.SetAttr("error", err.Error())
-				fspan.End(0)
-				if fctx.Err() == nil || ctx.Err() != nil {
-					fail(&FragmentError{FragID: f.Spec.ID, ServerID: f.ServerID, Err: err})
-				}
-				return
-			}
-			fspan.End(arr.queues[i].outcome.ResponseTime)
-			ii.tel.Active().Counter("ii.fragments", f.ServerID).Inc()
-		}()
+		}
+		fspan := root.Child("fragment", telemetry.LayerMW, f.ServerID)
+		fspan.SetAttr("frag", f.Spec.ID)
+		if f.Spec.Shard != nil {
+			// Distinguish scatter-gather fan-out from replica routing in
+			// traces: shard fragments carry their shard index.
+			fspan.SetAttr("shard", fmt.Sprintf("%d", f.Spec.Shard.Index))
+			ii.tel.Active().Counter("shard.fragments", f.ServerID).Inc()
+		}
+		if f.ServerID != compiled {
+			fspan.SetAttr("rerouted", "true")
+		}
+		// The meta-wrapper stamps the fragment's run entry from this scope
+		// and writes the ship mode there and on the span.
+		dctx := journal.WithScope(ctx, journal.Scope{Query: queryID, Frag: f.Spec.ID, Pushdown: pushdown && f.Spec.Shard != nil})
+		if fspan != nil {
+			dctx = telemetry.ContextWithSpan(dctx, fspan)
+		}
+		if err := ii.dispatchFragment(dctx, f, arr, i); err != nil {
+			fspan.SetAttr("error", err.Error())
+			fspan.End(0)
+			return nil, &FragmentError{FragID: f.Spec.ID, ServerID: f.ServerID, Err: err}
+		}
+		fspan.End(arr.queues[i].outcome.ResponseTime)
+		ii.tel.Active().Counter("ii.fragments", f.ServerID).Inc()
 	}
 
-	// The merge pulls batches as the fragments deliver them.
-	rel, res, blocking, mergeErr := ii.merge(fctx, gp, arr)
-	if mergeErr != nil {
-		cancel() // nothing the outstanding fragments ship can be used
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	rel, res, blocking, err := ii.merge(ctx, gp, arr)
+	if err != nil {
 		return nil, err
-	}
-	if mergeErr != nil {
-		return nil, mergeErr
 	}
 	ii.tel.Active().Counter("exec.vectorized", "ii").Inc()
 
@@ -834,7 +766,7 @@ func (ii *II) ExecuteContext(ctx context.Context, gp *optimizer.GlobalPlan) (*Qu
 
 // merge combines fragment results at the II node: it builds one operator
 // tree over one leaf per logical fragment and runs it once, as a pull
-// pipeline over the batches still arriving in arr, boxing the output batches
+// pipeline over the shipped batches in arr, boxing the output batches
 // straight into the result. It returns the rows, what computing them
 // consumed at the II node, and the tree's outermost pipeline-breaking stage
 // ("" when none).

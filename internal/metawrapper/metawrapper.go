@@ -276,8 +276,8 @@ func (mw *MetaWrapper) TableVersions(serverID string, tables []string) (map[stri
 // to emit as it arrives, and instruments the shipment. The context carries
 // the dispatch's cancellation signal down to the wrapper, server and network
 // layers; errors are classified (a cancelled dispatch is NOT journaled as a
-// server error — the server did nothing wrong, a sibling fragment
-// failed first), and a completed shipment records the response time AND,
+// server error — the server did nothing wrong, the caller gave up), and a
+// completed shipment records the response time AND,
 // unless it is monolithic (batchRows <= 0), the time-to-first-row against
 // the uncalibrated estimate, feeding QCC's separate FirstTupleMS
 // calibration. key is the fragment's canonical record key (the integrator
@@ -313,7 +313,7 @@ func (mw *MetaWrapper) OpenFragmentStream(ctx context.Context, serverID, fragSQL
 }
 
 // reportExecError is the shared run-time error classification: cancellation
-// is the integrator's doing and stays silent; anything else feeds the error
+// is the caller's doing and stays silent; anything else feeds the error
 // counter and the journal.
 func (mw *MetaWrapper) reportExecError(ctx context.Context, serverID string, err error) {
 	if ctx.Err() != nil {

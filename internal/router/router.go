@@ -470,8 +470,10 @@ func (r *Router) argmax(ctx context.Context, winner *optimizer.GlobalPlan) *opti
 // dispatches, price its menu now, with no Explain, and move it to the best
 // score when its server left the menu (fenced, banned or masked), or under
 // Weighted scores worse than the best, or otherwise costs more than
-// (1+Closeness) times the cheapest. A server down but unprobed stays on the
-// menu: its dispatch fails, and the retry's menu omits it.
+// (1+Closeness) times the cheapest. The II ships a plan's fragments in plan
+// order, so the re-check sees the runs of the fragments before it. A server
+// down but unprobed stays on the menu: its dispatch fails, and the retry's
+// menu omits it.
 func (r *Router) RerouteFragment(ctx context.Context, choice optimizer.FragmentChoice, menu []optimizer.FragmentChoice) *optimizer.FragmentChoice {
 	if !r.cfg.Rescore {
 		return nil

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"context"
-	"slices"
 	"sync"
 
 	"repro/internal/simclock"
@@ -42,8 +41,6 @@ type Span struct {
 	children []*Span
 	cursor   simclock.Time
 	ended    bool
-	// slot is 1 + the position ChildAt was given, 0 for any other span.
-	slot int
 }
 
 // Name returns the span name ("" on nil).
@@ -99,8 +96,7 @@ func (s *Span) Attrs() []Attr {
 	return append([]Attr(nil), s.attrs...)
 }
 
-// Children snapshots the child spans in creation order, siblings opened by
-// ChildAt in their position order.
+// Children snapshots the child spans in creation order.
 func (s *Span) Children() []*Span {
 	if s == nil {
 		return nil
@@ -132,25 +128,6 @@ func (s *Span) Child(name string, layer Layer, server string) *Span {
 	defer s.mu.Unlock()
 	c := &Span{name: name, layer: layer, server: server, start: s.start + s.cursor}
 	s.children = append(s.children, c)
-	return c
-}
-
-// ChildAt opens a child span like Child, listed among the siblings that
-// ChildAt opened after the last other child in the order of at, whatever
-// order the calls come in: the fragment fan-out's goroutines open their
-// spans in any order, and the tree lists them in plan order. Nil-safe.
-func (s *Span) ChildAt(at int, name string, layer Layer, server string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := &Span{name: name, layer: layer, server: server, start: s.start + s.cursor, slot: at + 1}
-	i := len(s.children)
-	for i > 0 && s.children[i-1].slot > c.slot {
-		i--
-	}
-	s.children = slices.Insert(s.children, i, c)
 	return c
 }
 

@@ -157,31 +157,6 @@ func TestSpanCursorModel(t *testing.T) {
 	}
 }
 
-// TestChildAtListsSiblingsInPositionOrder: spans opened by ChildAt in any
-// order list in the order of their positions, after the children opened
-// before them, and a child opened after them stays after them.
-func TestChildAtListsSiblingsInPositionOrder(t *testing.T) {
-	tel := New()
-	tel.SetEnabled(true)
-	root := tel.StartTrace(1, "SELECT 1", 0).Root
-	root.Emit("plan", LayerII, "", 1)
-	for _, at := range []int{2, 0, 3, 1} {
-		root.ChildAt(at, fmt.Sprint("f", at), LayerMW, "")
-	}
-	root.Emit("merge", LayerII, "", 1)
-	var names []string
-	for _, c := range root.Children() {
-		names = append(names, c.Name())
-	}
-	if got := strings.Join(names, " "); got != "plan f0 f1 f2 f3 merge" {
-		t.Fatalf("children %q, want plan f0 f1 f2 f3 merge", got)
-	}
-	var nilSpan *Span
-	if nilSpan.ChildAt(0, "f", LayerMW, "") != nil {
-		t.Fatal("ChildAt on a nil span returned a span")
-	}
-}
-
 func TestContextPropagation(t *testing.T) {
 	ctx := context.Background()
 	if SpanFrom(ctx) != nil {

@@ -174,9 +174,8 @@ func TestTelemetryFiveLayerTrace(t *testing.T) {
 	}
 }
 
-// TestFragmentSpansListInPlanOrder: the fragments of a query dispatch on
-// goroutines of their own, in whatever order the scheduler runs them, but the
-// trace lists their spans in the plan's fragment order. The README's
+// TestFragmentSpansListInPlanOrder: the trace lists a query's fragment spans
+// in the plan's fragment order, whatever the scheduler does. The README's
 // two-fragment replica-pair join, traced on 50 fresh federations at
 // GOMAXPROCS 2, renders one tree text.
 func TestFragmentSpansListInPlanOrder(t *testing.T) {
